@@ -142,9 +142,6 @@ class Actor:
     def on_session_end(self, record: SessionRecord) -> None:
         """Called when a session completes or fails."""
 
-    def on_custom_timer(self, token) -> None:
-        pass
-
     # --- helpers -------------------------------------------------------------
 
     def trace(self, kind: str, **detail) -> None:
@@ -163,9 +160,6 @@ class Actor:
         self._sessions[record.sid] = record
         self._advance(record.sid, None)
         return record
-
-    def sessions(self) -> list[SessionRecord]:
-        return list(self._sessions.values())
 
     # --- runtime -------------------------------------------------------------
 
@@ -274,16 +268,12 @@ class Actor:
         self._advance(gather.sid, gather.results)
 
     def on_timer(self, token) -> None:
-        kind = token[0] if isinstance(token, tuple) else None
+        kind, key = token
         if kind == "req":
-            wait = self._waiters.pop(token[1], None)
+            wait = self._waiters.pop(key, None)
             if wait is not None:
                 self._advance(wait.sid, None)
-            return
-        if kind == "gather":
-            self._finish_gather(token[1])
-            return
-        if kind == "sleep":
-            self._advance(token[1], None)
-            return
-        self.on_custom_timer(token)
+        elif kind == "gather":
+            self._finish_gather(key)
+        else:  # "sleep"
+            self._advance(key, None)

@@ -5,17 +5,20 @@ between registered endpoints. Latency, drops, and scripted faults (drop,
 tamper, duplicate, delay) are sampled from a seeded RNG, so identical seed and
 fault script reproduce an identical delivery order and an identical trace.
 
-Envelopes are Ed25519-signed over (from, to, seq, kind, ciphertext); payloads
-are sealed with a static-static X25519 agreement and ChaCha20Poly1305. Tampered
-envelopes fail authentication at delivery and are discarded with a trace event;
-the plaintext never appears in bus trace events, only its digest.
+Each payload is sealed with ChaCha20Poly1305 under a key derived for one
+sender->recipient pair by static-static X25519, with the bus-global sequence
+number as nonce and the header (from, to, seq, kind) as associated data. The
+AEAD tag is the envelope's only authenticator: only that pair can produce it,
+and it covers both the header and the ciphertext. Tampered or re-labelled
+envelopes fail the tag check at delivery and are discarded with a trace
+event; the plaintext never appears in bus trace events, only its digest.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -67,17 +70,6 @@ class Envelope:
     seq: int
     kind: str
     ciphertext: bytes
-    signature: crypto.Signature
-
-    def signing_bytes(self) -> bytes:
-        return enc.record(
-            enc.TAG_ENVELOPE,
-            enc.encode_str(self.from_),
-            enc.encode_str(self.to),
-            enc.encode_u64(self.seq),
-            enc.encode_str(self.kind),
-            enc.encode_bytes(self.ciphertext),
-        )
 
 
 @dataclass
@@ -140,22 +132,17 @@ class SimBus:
         self._timer_ids = 0
         self._cancelled: set[int] = set()
         self._actors: dict[str, object] = {}
-        self._sign_keys: dict[str, crypto.KeyPair] = {}
         self._box_keys: dict[str, BoxKeyPair] = {}
         self._pair_ciphers: dict[tuple[str, str], ChaCha20Poly1305] = {}
 
     # --- registration --------------------------------------------------
 
-    def register(self, actor, sign_keys: crypto.KeyPair, box_keys: BoxKeyPair) -> None:
+    def register(self, actor, box_keys: BoxKeyPair) -> None:
         address = actor.address
         if address in self._actors:
             raise TransportError(f"duplicate endpoint {address}")
         self._actors[address] = actor
-        self._sign_keys[address] = sign_keys
         self._box_keys[address] = box_keys
-
-    def has_endpoint(self, address: str) -> bool:
-        return address in self._actors
 
     # --- sealing ---------------------------------------------------------
 
@@ -180,13 +167,27 @@ class SimBus:
     def _nonce(seq: int) -> bytes:
         return seq.to_bytes(12, "big")
 
-    def _seal(self, sender: str, recipient: str, seq: int, plaintext: bytes) -> bytes:
-        return self._cipher_for(sender, recipient).encrypt(self._nonce(seq), plaintext, None)
+    @staticmethod
+    def _header(sender: str, recipient: str, seq: int, kind: str) -> bytes:
+        """The envelope header, bound to the ciphertext as AEAD associated data."""
+        return enc.record(
+            enc.TAG_ENVELOPE,
+            enc.encode_str(sender),
+            enc.encode_str(recipient),
+            enc.encode_u64(seq),
+            enc.encode_str(kind),
+        )
+
+    def _seal(self, sender: str, recipient: str, seq: int, kind: str, plaintext: bytes) -> bytes:
+        return self._cipher_for(sender, recipient).encrypt(
+            self._nonce(seq), plaintext, self._header(sender, recipient, seq, kind)
+        )
 
     def _unseal(self, env: Envelope) -> bytes | None:
+        header = self._header(env.from_, env.to, env.seq, env.kind)
         try:
             return self._cipher_for(env.from_, env.to).decrypt(
-                self._nonce(env.seq), env.ciphertext, None
+                self._nonce(env.seq), env.ciphertext, header
             )
         except InvalidTag:
             return None
@@ -198,30 +199,15 @@ class SimBus:
         self._order += 1
 
     def send(self, sender: str, to: str, kind: str, plaintext: bytes) -> int:
-        """Seal, sign, and schedule an envelope. Returns its sequence number."""
+        """Seal and schedule an envelope. Returns its sequence number."""
         if sender not in self._actors:
             raise UnknownEndpoint(sender)
         if to not in self._actors:
             raise UnknownEndpoint(to)
         seq = self._seq
         self._seq += 1
-        ciphertext = self._seal(sender, to, seq, plaintext)
-        signing = enc.record(
-            enc.TAG_ENVELOPE,
-            enc.encode_str(sender),
-            enc.encode_str(to),
-            enc.encode_u64(seq),
-            enc.encode_str(kind),
-            enc.encode_bytes(ciphertext),
-        )
-        env = Envelope(
-            from_=sender,
-            to=to,
-            seq=seq,
-            kind=kind,
-            ciphertext=ciphertext,
-            signature=self._sign_keys[sender].sign(signing),
-        )
+        ciphertext = self._seal(sender, to, seq, kind, plaintext)
+        env = Envelope(from_=sender, to=to, seq=seq, kind=kind, ciphertext=ciphertext)
         digest_hex = crypto.digest(ciphertext).hex()
         self.trace.record(
             self.now, sender, "bus.send",
@@ -244,10 +230,7 @@ class SimBus:
             if rule.action == "tamper":
                 flipped = bytearray(ciphertext)
                 flipped[seq % len(flipped)] ^= 0x01
-                env = Envelope(
-                    from_=env.from_, to=env.to, seq=env.seq, kind=env.kind,
-                    ciphertext=bytes(flipped), signature=env.signature,
-                )
+                env = replace(env, ciphertext=bytes(flipped))
                 self.trace.record(
                     self.now, "bus", "bus.tamper",
                     **{"from": sender, "to": to, "seq": seq, "msg_kind": kind,
@@ -303,10 +286,7 @@ class SimBus:
             actor = self._actors.get(env.to)
             if actor is None:
                 continue
-            verify_key = self._sign_keys[env.from_].public_key
-            plaintext = None
-            if crypto.verify(verify_key, env.signing_bytes(), env.signature):
-                plaintext = self._unseal(env)
+            plaintext = self._unseal(env)
             if plaintext is None:
                 self.trace.record(
                     self.now, env.to, "bus.reject_tampered",

@@ -364,10 +364,10 @@ class World:
     def _identity_seed(self, label: str) -> bytes:
         return _derive_bytes(self.config.identity_seed, "identity:" + label)
 
-    def _register(self, actor: Actor, sign_keys: crypto.KeyPair) -> None:
+    def _register(self, actor: Actor) -> None:
         actor.bind(self.bus, random.Random(_derive_int(self.seed, "rng:" + actor.address)))
         box = BoxKeyPair.from_seed(self._identity_seed("box:" + actor.address))
-        self.bus.register(actor, sign_keys, box)
+        self.bus.register(actor, box)
 
     def _build(self) -> None:
         config = self.config
@@ -425,11 +425,11 @@ class World:
                     genesis=genesis,
                     pool=pool,
                 )
-                self._register(node, node_keys[address])
+                self._register(node)
                 nodes.append(node)
             self.iin_nodes[iin_id] = nodes
             steward = StewardService(steward_address, steward_did, steward_keys, pool)
-            self._register(steward, steward_keys)
+            self._register(steward)
             self.stewards[iin_id] = steward
 
         # trust anchors
@@ -462,7 +462,7 @@ class World:
                 pool=self.pools[spec.iin],
                 eligibility=eligibility,
             )
-            self._register(anchor, anchor_keys[spec.name])
+            self._register(anchor)
             self.anchors[spec.name] = anchor
 
         # permissioned networks: MSPs, ledgers, and agents
@@ -494,10 +494,7 @@ class World:
                 },
             )
             ledger = net.LedgerNode(f"ledger:{network.network_id}", genesis)
-            self._register(
-                ledger,
-                crypto.KeyPair.from_seed(self._identity_seed(f"ledger:{network.network_id}")),
-            )
+            self._register(ledger)
             self.ledgers[network.network_id] = ledger
 
         for org in config.all_org_names():
@@ -523,7 +520,7 @@ class World:
                 },
             )
             agent = IinAgent(agent_config)
-            self._register(agent, org_keys[org])
+            self._register(agent)
             self.agents[org] = agent
 
         self.trace.record(

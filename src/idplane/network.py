@@ -447,11 +447,6 @@ class LedgerNode(Actor):
             return {"networks": list(self.state.interop_networks)}
         if what == "trust":
             return {"entries": [list(e) for e in self.state.trust_entries]}
-        if what == "record":
-            record = self.state.get_record(body["network"], body["org"])
-            if record is None:
-                return {"found": False}
-            return {"found": True, "record": _record_to_body(record)}
         if what == "records":
             return {
                 "records": [

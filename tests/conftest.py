@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from idplane import crypto, harness
+from idplane import harness
 from idplane.actors import Actor
 from idplane.bus import BoxKeyPair
 
@@ -44,5 +44,5 @@ def add_probe(world, address="probe") -> Probe:
 
     probe.bind(world.bus, random.Random(4711))
     seed = hashlib.sha256(address.encode()).digest()
-    world.bus.register(probe, crypto.KeyPair.from_seed(seed), BoxKeyPair.from_seed(seed))
+    world.bus.register(probe, BoxKeyPair.from_seed(seed))
     return probe

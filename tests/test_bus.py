@@ -1,11 +1,12 @@
 """Deterministic bus: ordering, faults, sealing, and trace hygiene."""
 
 import hashlib
+import heapq
 import random
+from dataclasses import replace
 
 import pytest
 
-from idplane import crypto
 from idplane.actors import Actor, Gather, Message, Request, Sleep
 from idplane.bus import BoxKeyPair, BusConfig, FaultRule, SimBus, TickCeilingExceeded, UnknownEndpoint
 
@@ -44,7 +45,7 @@ def build(config: BusConfig, names=("echo", "driver")):
     for name in names:
         actor = EchoActor(name) if name.startswith("echo") else DriverActor(name)
         actor.bind(bus, random.Random(7))
-        bus.register(actor, crypto.KeyPair.from_seed(seed32("s" + name)), BoxKeyPair.from_seed(seed32("b" + name)))
+        bus.register(actor, BoxKeyPair.from_seed(seed32("b" + name)))
         actors[name] = actor
     return bus, actors
 
@@ -149,11 +150,7 @@ class TestFaults:
         for address in ("pa", "pb"):
             actor = Looper(address)
             actor.bind(bus, random.Random(0))
-            bus.register(
-                actor,
-                crypto.KeyPair.from_seed(seed32(address)),
-                BoxKeyPair.from_seed(seed32("x" + address)),
-            )
+            bus.register(actor, BoxKeyPair.from_seed(seed32("x" + address)))
         bus.send("pa", "pb", "ping", Message("ping", {}).to_bytes())
         with pytest.raises(TickCeilingExceeded):
             bus.run_until_quiescent(tick_ceiling=200)
@@ -192,14 +189,32 @@ class TestConfidentialityAndAuthenticity:
 
         bus, _ = build(BusConfig(seed=5), names=("echo", "echo2", "driver"))
         plaintext = b"for echo only"
-        ciphertext = bus._seal("driver", "echo", 17, plaintext)
+        ciphertext = bus._seal("driver", "echo", 17, "ping", plaintext)
+        header = bus._header("driver", "echo", 17, "ping")
         assert bus._cipher_for("driver", "echo").decrypt(
-            bus._nonce(17), ciphertext, None
+            bus._nonce(17), ciphertext, header
         ) == plaintext
         with pytest.raises(InvalidTag):
-            bus._cipher_for("driver", "echo2").decrypt(bus._nonce(17), ciphertext, None)
+            bus._cipher_for("driver", "echo2").decrypt(bus._nonce(17), ciphertext, header)
         with pytest.raises(InvalidTag):
-            bus._cipher_for("echo", "driver").decrypt(bus._nonce(17), ciphertext, None)
+            bus._cipher_for("echo", "driver").decrypt(bus._nonce(17), ciphertext, header)
+        # the header is associated data: the same pair cannot open it under another kind
+        with pytest.raises(InvalidTag):
+            bus._cipher_for("driver", "echo").decrypt(
+                bus._nonce(17), ciphertext, bus._header("driver", "echo", 17, "pong")
+            )
+
+    def test_relabelled_kind_is_rejected(self):
+        bus, actors = build(BusConfig(seed=5))
+        seq = bus.send("driver", "echo", "ping", Message("ping", {"n": 0}).to_bytes())
+        time, order, event, env = heapq.heappop(bus._queue)
+        assert env.seq == seq and env.kind == "ping"
+        heapq.heappush(bus._queue, (time, order, event, replace(env, kind="pong")))
+        bus.run_until_quiescent()
+        rejected = [e for e in bus.trace.events if e.kind == "bus.reject_tampered"]
+        assert [(e.detail["seq"], e.detail["msg_kind"]) for e in rejected] == [(seq, "pong")]
+        assert not any(e.kind == "bus.deliver" for e in bus.trace.events)
+        assert actors["echo"].seen == []
 
 
 class TestGatherSemantics:

@@ -301,13 +301,11 @@ def build_pool(seed=0, rules=None, n=4):
     for i, address in enumerate(addresses):
         node = registry.IinNode(address, f"{IIN}:{i}", node_keys[address], genesis, pool)
         node.bind(bus, random.Random(i))
-        bus.register(node, node_keys[address], BoxKeyPair.from_seed(seed32("bx" + address)))
+        bus.register(node, BoxKeyPair.from_seed(seed32("bx" + address)))
         nodes.append(node)
     client = Client("client")
     client.bind(bus, random.Random(99))
-    bus.register(
-        client, crypto.KeyPair.from_seed(seed32("client")), BoxKeyPair.from_seed(seed32("bxc"))
-    )
+    bus.register(client, BoxKeyPair.from_seed(seed32("bxc")))
     return bus, pool, nodes, client, (steward_keys, steward_did, steward_doc)
 
 
