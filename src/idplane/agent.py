@@ -161,6 +161,8 @@ class IinAgent(Actor):
         self._interop_cache: dict[str, tuple[str, ...]] = {}
         self._trust_cache: dict[str, tuple[tuple[str, str, str], ...]] = {}
         self._roster_versions: dict[str, int] = {}
+        # (query kind, id) -> schema or cred_def; both are write-once
+        self._write_once: dict[tuple[str, str], object] = {}
 
     # --- inbound messages ---------------------------------------------------
 
@@ -309,6 +311,16 @@ class IinAgent(Actor):
         )
         return [net.record_from_body(b) for b in body["records"]]
 
+    def _read_write_once(self, what: str, ident: str, read) -> Generator:
+        """Schemas and credential definitions never change once written (a
+        second write is DuplicateId), so the first successful quorum read is
+        kept for the agent's lifetime. NotFound and InconsistentReplicas
+        propagate and are never cached."""
+        key = (what, ident)
+        if key not in self._write_once:
+            self._write_once[key] = yield from read(self.pool, ident)
+        return self._write_once[key]
+
     # --- step B: validate membership ------------------------------------------
 
     def _fetch_memberlist(self, home_network: str, foreign_network: str) -> Generator:
@@ -334,8 +346,10 @@ class IinAgent(Actor):
         memberlist = creds.MemberlistCredential.from_bytes(payload)
         if memberlist.issuer_did != anchor_did or memberlist.network_id != foreign_network:
             raise NoTrustedPMV("memberlist not issued by the trusted validator")
-        cred_def = yield from registry.read_cred_def(
-            self.pool, cred_def_id_for(anchor_did, creds.MEMBERLIST_SCHEMA_NAME)
+        cred_def = yield from self._read_write_once(
+            registry.QUERY_CRED_DEF,
+            cred_def_id_for(anchor_did, creds.MEMBERLIST_SCHEMA_NAME),
+            registry.read_cred_def,
         )
         if not crypto.verify(
             cred_def.authentication_public_key,
@@ -371,14 +385,18 @@ class IinAgent(Actor):
             pass  # verification will fail at the schema check
         schema = cred_def = revocation = None
         try:
-            schema = yield from registry.read_schema(
-                self.pool, schema_id_for(creds.MEMBERSHIP_SCHEMA_NAME)
+            schema = yield from self._read_write_once(
+                registry.QUERY_SCHEMA,
+                schema_id_for(creds.MEMBERSHIP_SCHEMA_NAME),
+                registry.read_schema,
             )
         except registry.NotFound:
             pass
         if cred_def_id is not None:
             try:
-                cred_def = yield from registry.read_cred_def(self.pool, cred_def_id)
+                cred_def = yield from self._read_write_once(
+                    registry.QUERY_CRED_DEF, cred_def_id, registry.read_cred_def
+                )
             except registry.NotFound:
                 pass
             try:
@@ -587,7 +605,11 @@ class IinAgent(Actor):
         if home_network not in self.config.home_networks:
             respond(RESULT_VALIDATION_FAILED, reason="NotLocal")
             return
-        interop = yield from self._interop(home_network)
+        try:
+            interop = yield from self._interop(home_network)
+        except LedgerUnreachable as e:
+            respond(RESULT_VALIDATION_FAILED, reason=type(e).__name__)
+            return
         if foreign_network not in interop:
             respond(RESULT_VALIDATION_FAILED, reason="PolicyViolation")
             return
@@ -659,7 +681,11 @@ class IinAgent(Actor):
         if still_valid:
             respond(RESULT_VALIDATION_FAILED, reason="MemberStillValid")
             return
-        records = yield from self._ledger_records(home_network, foreign_network)
+        try:
+            records = yield from self._ledger_records(home_network, foreign_network)
+        except LedgerUnreachable as e:
+            respond(RESULT_VALIDATION_FAILED, reason=type(e).__name__)
+            return
         record = next((r for r in records if r.org_id == foreign_org), None)
         if record is None or record.bundle_digest != digest:
             respond(

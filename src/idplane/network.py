@@ -25,6 +25,7 @@ STATUS_REVOKED = "REVOKED"
 
 OUTCOME_APPLIED = "APPLIED"
 OUTCOME_NOOP = "NOOP"
+OUTCOME_REPLAYED = "ReplayedNonce"
 
 
 class NetworkError(Exception):
@@ -275,8 +276,10 @@ def cmdac_update_foreign_identity(
 ) -> tuple[LocalLedgerState, str]:
     """The configuration-management contract: commit a foreign identity record
     iff every local organization endorsed (network, org, bundle digest, status,
-    nonce) with its registered admin key. Identical-content re-commits are
-    no-op successes; different content replaces the record."""
+    nonce) with its registered admin key and no APPLIED or NOOP entry for the
+    same record used the nonce before. Identical-content re-commits are no-op
+    successes; different content replaces the record. Rejected entries consume
+    no nonce, so no single org can burn one ahead of an honest commit."""
     digest = crypto.digest(bundle)
     message = endorsement_bytes(foreign_network, foreign_org, digest, status, nonce)
     provided = dict(endorsements)
@@ -289,6 +292,14 @@ def cmdac_update_foreign_identity(
         if not crypto.verify(state.admin_keys[org], message, crypto.Signature(sig)):
             outcome = f"BadEndorsementSignature:{org}"
             break
+
+    if outcome is None and any(
+        (e.nonce, e.foreign_network, e.foreign_org) == (nonce, foreign_network, foreign_org)
+        and e.outcome in (OUTCOME_APPLIED, OUTCOME_NOOP)
+        for e in state.block_log
+    ):
+        # endorsements bind (network, org), so a replay reuses both as well
+        outcome = OUTCOME_REPLAYED
 
     key = state.record_key(foreign_network, foreign_org)
     new_foreign = state.foreign

@@ -7,7 +7,10 @@ acknowledgment signatures from a 2f+1 quorum over (sequence, tx digest). Every
 replica folds the same ordered log with the same pure validation rules, so
 non-faulty replicas stay byte-identical; invalid transactions commit to the
 log as explicit rejections. Reads are open: any client may query, and a result
-counts once f+1 replicas return byte-identical answers.
+counts once f+1 replicas return byte-identical answers. A client asks the first
+f+1 nodes (the sequencer first, since it holds the freshest state) and asks
+the other nodes only when those replies disagree or one is missing at the
+timeout, so a read fails only when no f+1 replies of the whole pool match.
 
 The sequencer is assumed honest (it may crash but not equivocate); Byzantine
 ordering is out of scope for this registry.
@@ -729,34 +732,34 @@ def submit_transaction(pool: PoolInfo, tx: RegistryTransaction) -> Generator:
 
 
 def quorum_query(pool: PoolInfo, what: str, ident: str) -> Generator:
-    """Read from all pool nodes; succeed once f+1 byte-identical replies agree.
+    """Read from the first f+1 pool nodes (the sequencer first); ask the other
+    nodes only when those replies disagree or one is missing at the timeout.
+    Succeed once f+1 byte-identical replies agree across both rounds.
     Returns (found, payload, verinym); raises InconsistentReplicas otherwise."""
     threshold = pool.read_quorum
+    body = {"what": what, "id": ident}
 
-    def agreed(results: list) -> bool:
+    def tally(results: list) -> dict[str, int]:
         counts: dict[str, int] = {}
         for r in results:
             if r is not None and r.kind == "iin.query.reply":
                 value = r.body.get("result", "")
                 counts[value] = counts.get(value, 0) + 1
-                if counts[value] >= threshold:
-                    return True
-        return False
+        return counts
 
-    replies = yield Gather(
-        tuple(
-            (addr, "iin.query", {"what": what, "id": ident})
-            for addr in pool.node_addresses
-        ),
-        timeout=90,
-        early=agreed,
-    )
-    counts: dict[str, int] = {}
-    for r in replies:
-        if r is not None and r.kind == "iin.query.reply":
-            value = r.body.get("result", "")
-            counts[value] = counts.get(value, 0) + 1
-    for value, n in counts.items():
+    def agreed(results: list) -> bool:
+        return any(n >= threshold for n in tally(results).values())
+
+    first, rest = pool.node_addresses[:threshold], pool.node_addresses[threshold:]
+    replies = yield Gather(tuple((addr, "iin.query", body) for addr in first), timeout=90)
+    if not agreed(replies):
+        more = yield Gather(
+            tuple((addr, "iin.query", body) for addr in rest),
+            timeout=90,
+            early=lambda later: agreed(replies + later),
+        )
+        replies = replies + more
+    for value, n in tally(replies).items():
         if n >= threshold:
             _, _, found, payload, verinym = parse_query_reply(bytes.fromhex(value))
             return found, payload, verinym

@@ -123,6 +123,24 @@ def test_criterion_04_unilateral_write_impossible():
     )
 
 
+def test_criterion_04_replayed_endorsements_rejected():
+    """A fully endorsed submission replayed later (revoke-carrier's block 0,
+    the old ACTIVE commit for Carrier) must not roll the REVOKED record back."""
+    runner = harness.ScenarioRunner(scenario_config("revoke-carrier"))
+    assert runner.run().ok
+    ledger = runner.world.ledgers["SWT"]
+    old = ledger.state.block_log[0]
+    assert (old.foreign_org, old.status, old.outcome) == ("Carrier", "ACTIVE", "APPLIED")
+    state, outcome = net.cmdac_update_foreign_identity(
+        ledger.state, old.foreign_network, old.foreign_org, old.bundle, old.status,
+        old.nonce, old.endorsements, now=runner.world.bus.now,
+    )
+    assert outcome == net.OUTCOME_REPLAYED
+    assert state.get_record("STL", "Carrier").status == net.STATUS_REVOKED
+    assert state.state_hash() == ledger.state.state_hash()
+    assert net.replay_block_log(ledger.genesis, state.block_log).state_hash() == state.state_hash()
+
+
 def test_criterion_05_concurrent_idempotent_commit_100_seeds():
     serial = harness.run_scenario(scenario_config("concurrent-commit-serial"))
     assert serial.ok, serial.summary_lines()

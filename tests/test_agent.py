@@ -2,12 +2,13 @@
 
 from idplane import agent as agent_mod
 from idplane import credentials as creds
-from idplane import crypto
+from idplane import crypto, harness, registry
 from idplane import network as net
 from idplane.actors import Request
+from idplane.anchors import schema_id_for
 from idplane.bus import FaultRule
 
-from conftest import add_probe, bootstrapped_runner
+from conftest import add_probe, bootstrapped_runner, scenario_config
 
 
 def run_sync(world, initiator, home, foreign, targets=None):
@@ -174,6 +175,101 @@ class TestCountersigning:
         outcome = record.result[world.org_dids["Carrier"]]
         assert outcome["status"] == "FAILED"
         assert outcome["error"] == "MissingCountersignature"
+
+    def test_countersigner_without_ledger_names_the_failure(self, world):
+        world.bus.config.rules.append(
+            FaultRule(action="drop", to="agent:Seller", kind="ledger.reply")
+        )
+        start = world.bus.now
+        record = run_sync(world, "Buyer", "SWT", "STL",
+                          targets=(world.org_dids["Carrier"],))
+        assert record.error is None
+        outcome = record.result[world.org_dids["Carrier"]]
+        assert outcome == {"status": "FAILED", "error": "CounterpartyValidationFailed"}
+        session = world.agents["Buyer"].sync_sessions[-1]
+        assert session.error == "Seller:LedgerUnreachable"
+        failed = next(e for e in world.trace.events if e.kind == "agent.sync_failed")
+        assert failed.tick - start < 1500 // 2  # the countersign gather waits 1500
+
+    def test_revoked_countersign_without_ledger_records_names_the_failure(self, world):
+        # a first sync fills Seller's interop cache, so the drop below hits
+        # the records query; an empty foreign_did skips re-validation
+        run_sync(world, "Buyer", "SWT", "STL", targets=(world.org_dids["Carrier"],))
+        world.bus.config.rules.append(
+            FaultRule(action="drop", to="agent:Seller", kind="ledger.reply")
+        )
+        probe = add_probe(world)
+        result = {}
+
+        def ask():
+            reply = yield Request(
+                "agent:Seller",
+                "agent.countersign.request",
+                {
+                    "home_network": "SWT",
+                    "foreign_network": "STL",
+                    "foreign_org": "Carrier",
+                    "foreign_did": "",
+                    "bundle": "",
+                    "digest": (b"\x00" * 32).hex(),
+                    "status": "REVOKED",
+                    "nonce": probe.nonce().hex(),
+                },
+                timeout=1500,
+            )
+            result["body"] = reply.body
+
+        probe.start_session("ask", ask())
+        world.settle()
+        assert result["body"]["result"] == "validation_failed"
+        assert result["body"]["reason"] == "LedgerUnreachable"
+
+
+class TestWriteOnceCache:
+    def test_missing_schema_is_read_again_after_publication(self):
+        runner = harness.ScenarioRunner(scenario_config("two-network"))
+        world = runner.world
+        agent = world.agents["Buyer"]
+        schema_id = schema_id_for(creds.MEMBERSHIP_SCHEMA_NAME)
+
+        def read():
+            record = agent.start_session(
+                "read",
+                agent._read_write_once(registry.QUERY_SCHEMA, schema_id, registry.read_schema),
+            )
+            world.settle()
+            return record
+
+        assert isinstance(read().error, registry.NotFound)
+        runner._execute(0, {"step": "bootstrap"})
+        after = read()
+        assert after.error is None
+        assert after.result.schema_id == schema_id
+
+    def test_verification_artifacts_are_read_once_per_agent(self, world, monkeypatch):
+        kinds = []
+        quorum_query = registry.quorum_query
+
+        def counting(pool, what, ident):
+            kinds.append(what)
+            return quorum_query(pool, what, ident)
+
+        monkeypatch.setattr(registry, "quorum_query", counting)
+        write_once = (registry.QUERY_SCHEMA, registry.QUERY_CRED_DEF)
+
+        def validate(org):
+            kinds.clear()
+            agent = world.agents[org]
+            record = agent.start_session(
+                "validate", agent.validate_org("SWT", "STL", world.org_dids["Carrier"])
+            )
+            world.settle()
+            assert record.result["status"] == "ok", record.result
+            return [k for k in kinds if k in write_once]
+
+        assert sorted(validate("Buyer")) == sorted(write_once)
+        assert validate("Buyer") == []
+        assert sorted(validate("Seller")) == sorted(write_once)
 
 
 class TestBundleValidation:

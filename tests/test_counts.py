@@ -2,7 +2,8 @@
 
 The bus is deterministic, so these counts are exact. A change that adds or
 removes a message or an Ed25519 operation fails here and must update the pin
-on purpose.
+on purpose. The `iin.query` sends are pinned on their own, so that a change
+that widens registry reads again fails even when other sends move.
 """
 
 import pytest
@@ -13,13 +14,14 @@ from conftest import scenario_config
 
 
 @pytest.mark.parametrize(
-    "name, sends, signs, verifies",
+    "name, sends, queries, signs, verifies",
     [
-        ("two-network", 714, 172, 424),
-        ("concurrent-commit", 358, 146, 322),
+        ("two-network", 446, 90, 172, 388),
+        ("concurrent-commit", 286, 36, 146, 306),
     ],
+    ids=("two-network", "concurrent-commit"),  # stable across re-pins
 )
-def test_bundled_scenario_counts(monkeypatch, name, sends, signs, verifies):
+def test_bundled_scenario_counts(monkeypatch, name, sends, queries, signs, verifies):
     calls = {"sign": 0, "verify": 0}
 
     def counting(op, fn):
@@ -34,5 +36,6 @@ def test_bundled_scenario_counts(monkeypatch, name, sends, signs, verifies):
     runner = harness.ScenarioRunner(scenario_config(name))
     report = runner.run()
     assert report.ok, report.errors
-    got_sends = sum(1 for e in runner.world.trace.events if e.kind == "bus.send")
-    assert (got_sends, calls["sign"], calls["verify"]) == (sends, signs, verifies)
+    sent = [e.detail["msg_kind"] for e in runner.world.trace.events if e.kind == "bus.send"]
+    got = (len(sent), sent.count("iin.query"), calls["sign"], calls["verify"])
+    assert got == (sends, queries, signs, verifies)

@@ -316,6 +316,35 @@ def org_nym_tx(steward):
     return registry.make_transaction(registry.KIND_NYM, doc.to_bytes(), s_did, s_keys), org_did
 
 
+def query_sends(bus) -> list[str]:
+    return [
+        e.detail["to"]
+        for e in bus.trace.events
+        if e.kind == "bus.send" and e.detail["msg_kind"] == "iin.query"
+    ]
+
+
+def with_endpoint(state: registry.RegistryState, did: str, endpoint: str):
+    """A copy of `state` whose document for `did` names another endpoint."""
+    doc = state.docs[did]
+    forged = registry.DidDocument(
+        did=doc.did,
+        verification_keys=doc.verification_keys,
+        service_endpoint=endpoint,
+        attestations=doc.attestations,
+        version=doc.version,
+    )
+    return registry.RegistryState(
+        docs={**state.docs, did: forged},
+        schemas=state.schemas,
+        cred_defs=state.cred_defs,
+        revocation=state.revocation,
+        roles=state.roles,
+        verinym_threshold=state.verinym_threshold,
+        applied=state.applied,
+    )
+
+
 class TestPoolArithmetic:
     def test_quorums_for_four_nodes(self):
         _, pool, _, _, _ = build_pool()
@@ -450,6 +479,42 @@ class TestPoolProtocol:
         record = client.start_session("resolve", registry.resolve_did(pool, org_did))
         bus.run_until_quiescent()
         assert isinstance(record.error, registry.InconsistentReplicas)
+
+    def test_lossless_read_asks_only_the_first_f_plus_1_nodes(self):
+        bus, pool, nodes, client, steward = build_pool()
+        tx, org_did = org_nym_tx(steward)
+        client.start_session("submit", registry.submit_transaction(pool, tx))
+        bus.run_until_quiescent()
+        record = client.start_session("resolve", registry.resolve_did(pool, org_did))
+        bus.run_until_quiescent()
+        assert record.result[0].did == org_did
+        assert query_sends(bus) == list(pool.node_addresses[: pool.read_quorum])
+
+    def test_disagreeing_first_stage_falls_back_to_the_other_nodes(self):
+        bus, pool, nodes, client, steward = build_pool()
+        tx, org_did = org_nym_tx(steward)
+        client.start_session("submit", registry.submit_transaction(pool, tx))
+        bus.run_until_quiescent()
+        nodes[1].state = with_endpoint(nodes[1].state, org_did, "forged:1")
+        record = client.start_session("resolve", registry.resolve_did(pool, org_did))
+        bus.run_until_quiescent()
+        assert record.error is None
+        doc, _ = record.result
+        assert doc == nodes[0].state.docs[org_did]
+        assert sorted(query_sends(bus)) == sorted(pool.node_addresses)
+
+    def test_lost_first_stage_query_falls_back_after_the_timeout(self):
+        rules = [FaultRule(action="drop", kind="iin.query", occurrence=1)]
+        bus, pool, nodes, client, steward = build_pool(rules=rules)
+        tx, org_did = org_nym_tx(steward)
+        client.start_session("submit", registry.submit_transaction(pool, tx))
+        bus.run_until_quiescent()
+        record = client.start_session("resolve", registry.resolve_did(pool, org_did))
+        bus.run_until_quiescent()
+        assert record.error is None
+        doc, _ = record.result
+        assert doc.did == org_did
+        assert len(query_sends(bus)) == pool.n
 
     def test_catch_up_after_missed_order(self):
         # node 3 misses the first ORDER, must fetch it before acking later ones
