@@ -160,7 +160,8 @@ class IinAgent(Actor):
         self._session_counter = 0
         self._interop_cache: dict[str, tuple[str, ...]] = {}
         self._trust_cache: dict[str, tuple[tuple[str, str, str], ...]] = {}
-        self._roster_versions: dict[str, int] = {}
+        # foreign network -> last verified memberlist (also the rollback floor)
+        self._memberlists: dict[str, creds.MemberlistCredential] = {}
         # (query kind, id) -> schema or cred_def; both are write-once
         self._write_once: dict[tuple[str, str], object] = {}
 
@@ -357,12 +358,13 @@ class IinAgent(Actor):
             memberlist.issuer_signature,
         ):
             raise NoTrustedPMV("memberlist signature invalid")
-        previous = self._roster_versions.get(foreign_network)
-        if previous is not None and memberlist.roster_version < previous:
+        previous = self._memberlists.get(foreign_network)
+        if previous is not None and memberlist.roster_version < previous.roster_version:
             raise StaleMemberlist(
-                f"{foreign_network} roster went backwards: {memberlist.roster_version} < {previous}"
+                f"{foreign_network} roster went backwards: "
+                f"{memberlist.roster_version} < {previous.roster_version}"
             )
-        self._roster_versions[foreign_network] = memberlist.roster_version
+        self._memberlists[foreign_network] = memberlist
         self.trace(
             "agent.memberlist",
             network=foreign_network,
@@ -507,7 +509,12 @@ class IinAgent(Actor):
         bundle: bytes,
         digest: bytes,
         status: str,
+        roster_version: Optional[int] = None,
     ) -> Generator:
+        """Collect a countersignature from every other local org and submit.
+        `roster_version` is the version of the memberlist the target was
+        validated against; countersigners whose own verified copy is at least
+        that new skip refetching it."""
         nonce = self.nonce()
         message = net.endorsement_bytes(foreign_network, foreign_org, digest, status, nonce)
         own_signature = self.keys.sign(message)
@@ -526,6 +533,8 @@ class IinAgent(Actor):
             "status": status,
             "nonce": nonce.hex(),
         }
+        if roster_version is not None:
+            request_body["roster_version"] = roster_version
         replies = yield Gather(
             tuple((addr, "agent.countersign.request", request_body) for _, addr in peers),
             timeout=1500,
@@ -617,10 +626,21 @@ class IinAgent(Actor):
         if status == net.STATUS_ACTIVE:
             identity = self.cache.get((foreign_network, foreign_did))
             if identity is None:
+                # A cached list at least as new as the initiator's is reused: a
+                # member revoked since still fails the fresh accumulator check
+                # in _validate_member, and a low hint only fails the
+                # initiator's own commit with NotListed.
+                memberlist = self._memberlists.get(foreign_network)
+                hint = body.get("roster_version")
                 try:
-                    memberlist = yield from self._fetch_memberlist(
-                        home_network, foreign_network
-                    )
+                    if (
+                        memberlist is None
+                        or not isinstance(hint, int)
+                        or memberlist.roster_version < hint
+                    ):
+                        memberlist = yield from self._fetch_memberlist(
+                            home_network, foreign_network
+                        )
                     _, doc, verinym = yield from self._validate_member(
                         home_network, foreign_network, foreign_did, memberlist
                     )
@@ -662,7 +682,9 @@ class IinAgent(Actor):
             respond(RESULT_SIGNED, sig=signature.bytes_.hex())
             return
 
-        # REVOKED: endorse only when the member no longer validates here either
+        # REVOKED: endorse only when the member no longer validates here either.
+        # Always against a fresh memberlist: a cached one that lacks a
+        # re-admitted member would endorse a lying initiator's revocation.
         still_valid = False
         try:
             memberlist = yield from self._fetch_memberlist(home_network, foreign_network)
@@ -718,12 +740,15 @@ class IinAgent(Actor):
             target_did=target_did,
         )
         self.sync_sessions.append(session)
-        current_memberlist = memberlist
         while True:
             try:
                 session.advance(PHASE_B)
+                if session.attempt > 1:
+                    memberlist = yield from self._fetch_memberlist(
+                        home_network, foreign_network
+                    )
                 claim, doc, verinym = yield from self._validate_member(
-                    home_network, foreign_network, target_did, current_memberlist
+                    home_network, foreign_network, target_did, memberlist
                 )
                 session.claim = claim
                 session.advance(PHASE_C)
@@ -740,6 +765,7 @@ class IinAgent(Actor):
                     identity.bundle,
                     identity.digest,
                     net.STATUS_ACTIVE,
+                    roster_version=memberlist.roster_version,
                 )
             except creds.MembershipVerificationError as e:
                 session.advance(PHASE_FAILED)
@@ -798,9 +824,6 @@ class IinAgent(Actor):
             session.attempt += 1
             self.cache.pop((foreign_network, target_did), None)
             yield Sleep(self.config.retry_backoff)
-            current_memberlist = yield from self._fetch_memberlist(
-                home_network, foreign_network
-            )
 
     def _revoke_record(
         self, home_network: str, foreign_network: str, record: net.ForeignIdentityRecord

@@ -234,6 +234,9 @@ class AnchorService(Actor):
         except registry.NotFound:
             fail("NoVerinym")
             return
+        except registry.RegistryError as e:
+            fail(type(e).__name__)
+            return
         if not verinym:
             fail("NoVerinym")
             return

@@ -220,6 +220,11 @@ class RegistryState:
     roles: dict[str, frozenset[str]] = field(default_factory=dict)
     verinym_threshold: int = 1
     applied: frozenset[bytes] = frozenset()
+    # did -> verinym_status. Sound because every write builds a new state
+    # (and `replace` starts it empty); outside to_bytes, so not hashed.
+    _verinym_memo: dict[str, bool] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @staticmethod
     def genesis(
@@ -235,6 +240,11 @@ class RegistryState:
         return role in self.roles.get(did, frozenset())
 
     def verinym_status(self, did: str) -> bool:
+        if did not in self._verinym_memo:
+            self._verinym_memo[did] = self._attested(did)
+        return self._verinym_memo[did]
+
+    def _attested(self, did: str) -> bool:
         doc = self.docs.get(did)
         if doc is None:
             return False

@@ -18,6 +18,43 @@ def run_sync(world, initiator, home, foreign, targets=None):
     return record
 
 
+def memberlist_requests(world, sender, since=0):
+    return [
+        e for e in world.trace.events[since:]
+        if e.kind == "bus.send" and e.detail["from"] == sender
+        and e.detail["msg_kind"] == "anchor.memberlist.request"
+    ]
+
+
+def ask_countersign(probe, world, foreign_did, digest, status, **extra):
+    """Ask Seller to countersign a commit of STL's Carrier into SWT; returns
+    the reply body."""
+    result = {}
+
+    def ask():
+        reply = yield Request(
+            "agent:Seller",
+            "agent.countersign.request",
+            {
+                "home_network": "SWT",
+                "foreign_network": "STL",
+                "foreign_org": "Carrier",
+                "foreign_did": foreign_did,
+                "bundle": "",
+                "digest": digest.hex(),
+                "status": status,
+                "nonce": probe.nonce().hex(),
+                **extra,
+            },
+            timeout=2000,
+        )
+        result["body"] = reply.body
+
+    probe.start_session("ask", ask())
+    world.settle()
+    return result["body"]
+
+
 class TestPolicyGates:
     def test_network_off_interop_list_refused_before_any_anchor_traffic(self, world):
         sends_before = [
@@ -165,6 +202,34 @@ class TestCountersigning:
         assert sessions[-1].attempt == 3
         assert sessions[-1].phase == "FAILED"
 
+    def test_failed_memberlist_refetch_on_retry_fails_only_that_target(self, world):
+        seller = world.agents["Seller"]
+
+        def always_mismatch(sender, msg):
+            seller.reply(
+                sender, msg, "agent.countersign.reply",
+                {"result": "digest_mismatch", "own_digest": "00" * 32, "org": "Seller"},
+            )
+            return
+            yield  # generator form expected by the dispatcher
+
+        seller._handle_countersign = always_mismatch
+        # the first reply answers sync_network's fetch, the second the retry's
+        world.bus.config.rules.append(
+            FaultRule(action="drop", to="agent:Buyer", kind="anchor.memberlist.reply",
+                      occurrence=2)
+        )
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        assert record.error is None
+        first, second = sorted((world.org_dids["Seller"], world.org_dids["Carrier"]))
+        assert record.result[first] == {"status": "FAILED", "error": "NoTrustedPMV"}
+        assert record.result[second] == {"status": "FAILED", "error": "RetriesExhausted"}
+        session = next(
+            s for s in world.agents["Buyer"].sync_sessions if s.target_did == first
+        )
+        assert session.history == ["B", "C", "D", "FAILED", "B", "FAILED"]
+        assert session.error != "DigestMismatch"
+
     def test_unreachable_countersigner_reported_as_missing(self, world):
         world.bus.config.rules.append(
             FaultRule(action="drop", to="agent:Seller", kind="agent.countersign.request")
@@ -270,6 +335,89 @@ class TestWriteOnceCache:
         assert sorted(validate("Buyer")) == sorted(write_once)
         assert validate("Buyer") == []
         assert sorted(validate("Seller")) == sorted(write_once)
+
+
+class TestMemberlistReuse:
+    def test_each_countersigner_fetches_the_memberlist_once_per_round(self, world):
+        start = len(world.trace.events)
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        assert record.error is None
+        assert len(record.result) == 2  # Seller and Carrier
+        assert all(r["status"] == "DONE" for r in record.result.values()), record.result
+        for agent in ("agent:Buyer", "agent:Seller"):
+            assert len(memberlist_requests(world, agent, start)) == 1
+
+    @staticmethod
+    def revoke_carrier(world):
+        anchor = world.anchors["AnchorSTL"]
+        anchor.enqueue_serialized(
+            "revoke", lambda: anchor.revoke_membership(world.org_dids["Carrier"], "STL")
+        )
+        world.settle()
+
+    @classmethod
+    def readmit_after_seller_cached(cls, world):
+        """Revoke Carrier, let Seller verify the memberlist without it, then
+        re-admit Carrier. Returns (Seller's stale list, the new version)."""
+        cls.revoke_carrier(world)
+        seller = world.agents["Seller"]
+        record = seller.start_session("ml", seller._fetch_memberlist("SWT", "STL"))
+        world.settle()
+        stale = record.result
+        assert world.org_dids["Carrier"] not in stale.member_dids
+        carrier = world.agents["Carrier"]
+        record = carrier.start_session("step_a", carrier.step_a())
+        world.settle()
+        assert record.error is None
+        version = world.anchors["AnchorSTL"].memberlists["STL"].roster_version
+        assert version > stale.roster_version
+        return stale, version
+
+    def test_newer_hint_after_readmission_makes_the_countersigner_refetch(self, world):
+        carrier_did = world.org_dids["Carrier"]
+        stale, version = self.readmit_after_seller_cached(world)
+        digest = world.organizations[("STL", "Carrier")].bundle_digest()
+        probe = add_probe(world)
+        # a hint no newer than the cached list is trusted: Carrier is not listed
+        body = ask_countersign(probe, world, carrier_did, digest, "ACTIVE",
+                               roster_version=stale.roster_version)
+        assert body["result"] == "validation_failed"
+        assert body["reason"] == "NotListed"
+        start = len(world.trace.events)
+        body = ask_countersign(probe, world, carrier_did, digest, "ACTIVE",
+                               roster_version=version)
+        assert body["result"] == "signed"
+        assert len(memberlist_requests(world, "agent:Seller", start)) == 1
+
+    def test_member_revoked_since_the_cache_filled_is_still_refused(self, world):
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        assert record.error is None
+        seller = world.agents["Seller"]
+        cached = seller._memberlists["STL"]
+        carrier_did = world.org_dids["Carrier"]
+        assert carrier_did in cached.member_dids
+        digest = seller.cache[("STL", carrier_did)].digest
+        self.revoke_carrier(world)
+        seller.cache.clear()
+        probe = add_probe(world)
+        start = len(world.trace.events)
+        body = ask_countersign(probe, world, carrier_did, digest, "ACTIVE",
+                               roster_version=cached.roster_version)
+        assert body["result"] == "validation_failed"
+        assert body["reason"] == "MembershipVerificationError"
+        assert memberlist_requests(world, "agent:Seller", start) == []
+
+    def test_revoked_request_always_fetches_a_fresh_memberlist(self, world):
+        carrier_did = world.org_dids["Carrier"]
+        stale, _ = self.readmit_after_seller_cached(world)
+        probe = add_probe(world)
+        start = len(world.trace.events)
+        digest = world.organizations[("STL", "Carrier")].bundle_digest()
+        body = ask_countersign(probe, world, carrier_did, digest, "REVOKED",
+                               roster_version=stale.roster_version)
+        assert body["result"] == "validation_failed"
+        assert body["reason"] == "MemberStillValid"
+        assert len(memberlist_requests(world, "agent:Seller", start)) == 1
 
 
 class TestBundleValidation:

@@ -3,7 +3,9 @@
 from idplane import credentials as creds
 from idplane import crypto, registry
 from idplane.actors import Request
+from idplane.agent import AgentError
 from idplane.anchors import NotAMember
+from idplane.bus import FaultRule
 
 from conftest import add_probe, bootstrapped_runner
 
@@ -175,6 +177,24 @@ class TestIssuanceGates:
         probe.start_session("ask", ask())
         world.settle()
         assert result["body"] == {"ok": False, "error": "NoVerinym"}
+
+    def test_unreadable_registry_is_named_in_step_a(self):
+        runner = bootstrapped_runner(through_step_a=False)
+        world = runner.world
+        world.bus.config.rules.append(
+            FaultRule(action="drop", to="anchor:AnchorSWT", kind="iin.query.reply")
+        )
+        agent = world.agents["Buyer"]
+        start = world.bus.now
+        record = agent.start_session("step_a", agent.step_a())
+        world.settle()
+        assert isinstance(record.error, AgentError)
+        assert str(record.error) == "InconsistentReplicas"
+        failed = next(
+            e for e in world.trace.events
+            if e.kind == "session.failed" and e.detail["label"] == "step_a"
+        )
+        assert failed.tick - start < 600 // 2  # step A waits 600 for the credential
 
     def test_unrepresented_network_refused(self, world):
         probe = add_probe(world)

@@ -2,8 +2,9 @@
 
 The bus is deterministic, so these counts are exact. A change that adds or
 removes a message or an Ed25519 operation fails here and must update the pin
-on purpose. The `iin.query` sends are pinned on their own, so that a change
-that widens registry reads again fails even when other sends move.
+on purpose. The `iin.query` and `anchor.memberlist.request` sends are pinned
+on their own, so that a change that widens registry reads again, or fetches
+the foreign memberlist per target again, fails even when other sends move.
 """
 
 import pytest
@@ -14,14 +15,16 @@ from conftest import scenario_config
 
 
 @pytest.mark.parametrize(
-    "name, sends, queries, signs, verifies",
+    "name, sends, queries, memberlists, signs, verifies",
     [
-        ("two-network", 446, 90, 172, 388),
-        ("concurrent-commit", 286, 36, 146, 306),
+        ("two-network", 434, 86, 4, 170, 366),
+        ("concurrent-commit", 286, 36, 2, 146, 302),
     ],
     ids=("two-network", "concurrent-commit"),  # stable across re-pins
 )
-def test_bundled_scenario_counts(monkeypatch, name, sends, queries, signs, verifies):
+def test_bundled_scenario_counts(
+    monkeypatch, name, sends, queries, memberlists, signs, verifies
+):
     calls = {"sign": 0, "verify": 0}
 
     def counting(op, fn):
@@ -37,5 +40,11 @@ def test_bundled_scenario_counts(monkeypatch, name, sends, queries, signs, verif
     report = runner.run()
     assert report.ok, report.errors
     sent = [e.detail["msg_kind"] for e in runner.world.trace.events if e.kind == "bus.send"]
-    got = (len(sent), sent.count("iin.query"), calls["sign"], calls["verify"])
-    assert got == (sends, queries, signs, verifies)
+    got = (
+        len(sent),
+        sent.count("iin.query"),
+        sent.count("anchor.memberlist.request"),
+        calls["sign"],
+        calls["verify"],
+    )
+    assert got == (sends, queries, memberlists, signs, verifies)

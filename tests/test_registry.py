@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -515,6 +516,55 @@ class TestPoolProtocol:
         doc, _ = record.result
         assert doc.did == org_did
         assert len(query_sends(bus)) == pool.n
+
+    def test_repeated_did_read_reuses_each_replicas_verinym_status(self, monkeypatch):
+        bus, pool, nodes, client, steward = build_pool()
+        tx, org_did = org_nym_tx(steward)
+        client.start_session("submit", registry.submit_transaction(pool, tx))
+        bus.run_until_quiescent()
+        verifies = []
+        verify = crypto.verify
+
+        def counting(*args):
+            verifies.append(args)
+            return verify(*args)
+
+        monkeypatch.setattr(crypto, "verify", counting)
+        for expected in (pool.read_quorum, 0):  # one attestation per replica, once
+            verifies.clear()
+            record = client.start_session("resolve", registry.resolve_did(pool, org_did))
+            bus.run_until_quiescent()
+            assert record.result[1] is True
+            assert len(verifies) == expected
+
+    @pytest.mark.parametrize("write", ["nym", "anchor_grant"])
+    def test_write_between_reads_gives_the_new_verinym_status(self, write):
+        bus, pool, nodes, client, steward = build_pool()
+        s_keys, s_did, _ = steward
+        org_keys, org_did, org_doc = make_identity("org")
+
+        def commit(tx):
+            record = client.start_session("submit", registry.submit_transaction(pool, tx))
+            bus.run_until_quiescent()
+            assert record.result["outcome"] == "APPLIED"
+
+        def verinym():
+            record = client.start_session("resolve", registry.resolve_did(pool, org_did))
+            bus.run_until_quiescent()
+            return record.result[1]
+
+        commit(registry.make_transaction(
+            registry.KIND_NYM, org_doc.to_bytes(), org_did, org_keys
+        ))
+        assert verinym() is False  # self-registered: a pseudonym
+        if write == "nym":
+            bumped = attested(replace(org_doc, version=2), s_did, s_keys)
+            kind, payload = registry.KIND_NYM, bumped.to_bytes()
+        else:
+            kind = registry.KIND_ANCHOR_GRANT
+            payload = registry.anchor_grant_payload(org_did, registry.ROLE_STEWARD)
+        commit(registry.make_transaction(kind, payload, s_did, s_keys))
+        assert verinym() is True
 
     def test_catch_up_after_missed_order(self):
         # node 3 misses the first ORDER, must fetch it before acking later ones
