@@ -139,9 +139,6 @@ class Actor:
     def on_message(self, sender: str, msg: Message) -> None:
         """Handle a non-reply message. Subclasses dispatch on msg.kind."""
 
-    def on_session_end(self, record: SessionRecord) -> None:
-        """Called when a session completes or fails."""
-
     # --- helpers -------------------------------------------------------------
 
     def trace(self, kind: str, **detail) -> None:
@@ -181,7 +178,6 @@ class Actor:
             except StopIteration as stop:
                 record.done = True
                 record.result = stop.value
-                self.on_session_end(record)
                 return
             except Exception as error:  # session-level protocol failure
                 record.done = True
@@ -192,7 +188,6 @@ class Actor:
                     error=type(error).__name__,
                     detail=str(error),
                 )
-                self.on_session_end(record)
                 return
             exc = None
             if isinstance(effect, Fire):

@@ -77,6 +77,10 @@ class StaleMemberlist(AgentError):
     pass
 
 
+class OrgMismatch(AgentError):
+    """A bundle committed under another org's name than the one it carries."""
+
+
 class MissingCountersignature(AgentError):
     pass
 
@@ -95,6 +99,11 @@ class LedgerUnreachable(AgentError):
 
 class CommitRejected(AgentError):
     pass
+
+
+# Everything a protocol step may raise on bad or missing input from a peer,
+# the registry or the ledger; a session that catches these names the failure.
+PROTOCOL_ERRORS = (AgentError, creds.CredentialError, crypto.CryptoError, registry.RegistryError)
 
 
 @dataclass
@@ -244,15 +253,11 @@ class IinAgent(Actor):
         vc: creds.MembershipCredential,
         witness: crypto.AccumulatorWitness,
     ) -> Generator:
-        """Witnesses bind to the registry epoch; re-request after any bump. A
-        revoked holder's refresh is refused, leaving a stale witness that the
-        verifier will reject."""
-        try:
-            current = yield from registry.read_revocation_state(self.pool, vc.issuer_did)
-        except (registry.NotFound, registry.InconsistentReplicas):
-            return witness
-        if current.epoch == witness.epoch:
-            return witness
+        """Ask the issuing anchor for a witness at its current epoch. The anchor
+        alone writes the revocation state, so it needs no registry read to know
+        the epoch. A revoked holder's refresh is refused (NotAMember) and a
+        silent anchor leaves the stored witness; either way the verifier's
+        accumulator check decides."""
         reply = yield Request(
             self.config.home_pmv[network_id],
             "anchor.witness.request",
@@ -528,7 +533,6 @@ class IinAgent(Actor):
             "foreign_network": foreign_network,
             "foreign_org": foreign_org,
             "foreign_did": foreign_did,
-            "bundle": bundle.hex(),
             "digest": digest.hex(),
             "status": status,
             "nonce": nonce.hex(),
@@ -624,43 +628,43 @@ class IinAgent(Actor):
             return
 
         if status == net.STATUS_ACTIVE:
+            # One memberlist gate for cached and fresh identities alike. A
+            # cached list at least as new as the initiator's is reused: a
+            # member revoked since still fails the fresh accumulator check in
+            # _validate_member, and a low hint only fails the initiator's own
+            # commit with NotListed. A cached identity skips steps B and C only
+            # while its DID is listed, so a revoked member's old bundle cannot
+            # be signed back to ACTIVE.
+            memberlist = self._memberlists.get(foreign_network)
+            hint = body.get("roster_version")
             identity = self.cache.get((foreign_network, foreign_did))
-            if identity is None:
-                # A cached list at least as new as the initiator's is reused: a
-                # member revoked since still fails the fresh accumulator check
-                # in _validate_member, and a low hint only fails the
-                # initiator's own commit with NotListed.
-                memberlist = self._memberlists.get(foreign_network)
-                hint = body.get("roster_version")
-                try:
-                    if (
-                        memberlist is None
-                        or not isinstance(hint, int)
-                        or memberlist.roster_version < hint
-                    ):
-                        memberlist = yield from self._fetch_memberlist(
-                            home_network, foreign_network
-                        )
+            try:
+                if (
+                    memberlist is None
+                    or not isinstance(hint, int)
+                    or memberlist.roster_version < hint
+                ):
+                    memberlist = yield from self._fetch_memberlist(
+                        home_network, foreign_network
+                    )
+                if identity is None or foreign_did not in memberlist.member_dids:
                     _, doc, verinym = yield from self._validate_member(
                         home_network, foreign_network, foreign_did, memberlist
                     )
                     identity = yield from self._fetch_identity(
                         foreign_network, foreign_did, doc, verinym
                     )
-                except (
-                    AgentError,
-                    creds.CredentialError,
-                    crypto.CryptoError,
-                    registry.RegistryError,
-                ) as e:
-                    self.trace(
-                        "agent.countersign_refused",
-                        network=foreign_network,
-                        org=foreign_org,
-                        reason=type(e).__name__,
-                    )
-                    respond(RESULT_VALIDATION_FAILED, reason=type(e).__name__)
-                    return
+                if identity.org_id != foreign_org:
+                    raise OrgMismatch(f"{identity.org_id} presented as {foreign_org}")
+            except PROTOCOL_ERRORS as e:
+                self.trace(
+                    "agent.countersign_refused",
+                    network=foreign_network,
+                    org=foreign_org,
+                    reason=type(e).__name__,
+                )
+                respond(RESULT_VALIDATION_FAILED, reason=type(e).__name__)
+                return
             if identity.digest != digest:
                 # stale copy on one side; drop ours so the retry refetches
                 self.cache.pop((foreign_network, foreign_did), None)
@@ -693,12 +697,7 @@ class IinAgent(Actor):
                     home_network, foreign_network, foreign_did, memberlist
                 )
                 still_valid = True
-        except (
-            AgentError,
-            creds.CredentialError,
-            crypto.CryptoError,
-            registry.RegistryError,
-        ):
+        except PROTOCOL_ERRORS:
             still_valid = False
         if still_valid:
             respond(RESULT_VALIDATION_FAILED, reason="MemberStillValid")
@@ -779,12 +778,7 @@ class IinAgent(Actor):
                 )
                 return {"status": PHASE_FAILED, "error": "MembershipVerificationError",
                         "check": e.check}
-            except (
-                AgentError,
-                creds.CredentialError,
-                crypto.CryptoError,
-                registry.RegistryError,
-            ) as e:
+            except PROTOCOL_ERRORS as e:
                 session.advance(PHASE_FAILED)
                 session.error = str(e)
                 self.trace(
@@ -839,7 +833,7 @@ class IinAgent(Actor):
                 record.bundle_digest,
                 net.STATUS_REVOKED,
             )
-        except (AgentError, creds.CredentialError, registry.RegistryError) as e:
+        except PROTOCOL_ERRORS as e:
             self.trace(
                 "agent.revoke_failed",
                 network=foreign_network,
@@ -937,10 +931,5 @@ class IinAgent(Actor):
                 "error": "MembershipVerificationError",
                 "check": e.check,
             }
-        except (
-            AgentError,
-            creds.CredentialError,
-            crypto.CryptoError,
-            registry.RegistryError,
-        ) as e:
+        except PROTOCOL_ERRORS as e:
             return {"status": "failed", "error": type(e).__name__, "check": 0}

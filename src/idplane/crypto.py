@@ -382,32 +382,29 @@ def _normalize(elements) -> tuple[bytes, ...]:
     return tuple(sorted(set(elements)))
 
 
+def _accumulator(
+    issuer_did: str, epoch: int, leaves: tuple[bytes, ...]
+) -> tuple[RevocationRegistryState, tuple[bytes, ...]]:
+    root = _root_of(_leaf_level(leaves))
+    state = RevocationRegistryState(
+        issuer_did=issuer_did, epoch=epoch, root=root, size_hint=_padded_size(len(leaves))
+    )
+    return state, leaves
+
+
 def accumulator_init(
     issuer_did: str, elements=()
 ) -> tuple[RevocationRegistryState, tuple[bytes, ...]]:
     """Epoch-0 registry over the sorted, deduplicated element set. Returns the
     public state and the issuer-private leaf set."""
-    leaves = _normalize(elements)
-    root = _root_of(_leaf_level(leaves))
-    state = RevocationRegistryState(
-        issuer_did=issuer_did, epoch=0, root=root, size_hint=_padded_size(len(leaves))
-    )
-    return state, leaves
+    return _accumulator(issuer_did, 0, _normalize(elements))
 
 
 def accumulator_add(
     state: RevocationRegistryState, leaves: tuple[bytes, ...], element: bytes
 ) -> tuple[RevocationRegistryState, tuple[bytes, ...]]:
     """Next-epoch registry with the element included."""
-    new_leaves = _normalize(leaves + (element,))
-    root = _root_of(_leaf_level(new_leaves))
-    new_state = RevocationRegistryState(
-        issuer_did=state.issuer_did,
-        epoch=state.epoch + 1,
-        root=root,
-        size_hint=_padded_size(len(new_leaves)),
-    )
-    return new_state, new_leaves
+    return _accumulator(state.issuer_did, state.epoch + 1, _normalize(leaves + (element,)))
 
 
 def accumulator_revoke(
@@ -417,15 +414,9 @@ def accumulator_revoke(
     epochs no longer verify."""
     if element not in leaves:
         raise ElementNotPresent(element.hex())
-    new_leaves = tuple(e for e in leaves if e != element)
-    root = _root_of(_leaf_level(new_leaves))
-    new_state = RevocationRegistryState(
-        issuer_did=state.issuer_did,
-        epoch=state.epoch + 1,
-        root=root,
-        size_hint=_padded_size(len(new_leaves)),
+    return _accumulator(
+        state.issuer_did, state.epoch + 1, tuple(e for e in leaves if e != element)
     )
-    return new_state, new_leaves
 
 
 def witness_for(

@@ -513,7 +513,6 @@ class IinNode(Actor):
         self.log: list[tuple[int, bytes, str]] = []
         self.next_seq = 0
         self._holdback: dict[int, tuple[bytes, str, Message]] = {}
-        self._assign_seq = 0
         self._fetching = False
 
     @property
@@ -579,8 +578,7 @@ class IinNode(Actor):
 
     def _sequence(self, client: str, msg: Message) -> Generator:
         tx_bytes = bytes.fromhex(msg.body["tx"])
-        seq = self._assign_seq
-        self._assign_seq += 1
+        seq = self.next_seq
         outcome = self._apply_in_order(seq, tx_bytes)
         tx_digest = crypto.digest(RegistryTransaction.from_bytes(tx_bytes).to_bytes())
         own_ack = self._ack_body(seq, tx_bytes)

@@ -52,9 +52,6 @@ class TraceLog:
     def write(self, path: str | Path) -> None:
         Path(path).write_text("".join(e.to_json() + "\n" for e in self.events), encoding="utf-8")
 
-    def dumps(self) -> str:
-        return "".join(e.to_json() + "\n" for e in self.events)
-
 
 def read_trace(path: str | Path) -> list[TraceEvent]:
     events = []

@@ -40,7 +40,6 @@ def ask_countersign(probe, world, foreign_did, digest, status, **extra):
                 "foreign_network": "STL",
                 "foreign_org": "Carrier",
                 "foreign_did": foreign_did,
-                "bundle": "",
                 "digest": digest.hex(),
                 "status": status,
                 "nonce": probe.nonce().hex(),
@@ -129,7 +128,6 @@ class TestCountersigning:
                     "foreign_network": "STL",
                     "foreign_org": "Carrier",
                     "foreign_did": world.org_dids["Carrier"],
-                    "bundle": world.organizations[("STL", "Carrier")].bundle_bytes().hex(),
                     "digest": old_digest.hex(),
                     "status": "ACTIVE",
                     "nonce": probe.nonce().hex(),
@@ -162,7 +160,6 @@ class TestCountersigning:
                     "foreign_network": "STL",
                     "foreign_org": "Carrier",
                     "foreign_did": world.org_dids["Carrier"],
-                    "bundle": "",
                     "digest": (b"\x00" * 32).hex(),
                     "status": "ACTIVE",
                     "nonce": probe.nonce().hex(),
@@ -275,7 +272,6 @@ class TestCountersigning:
                     "foreign_network": "STL",
                     "foreign_org": "Carrier",
                     "foreign_did": "",
-                    "bundle": "",
                     "digest": (b"\x00" * 32).hex(),
                     "status": "REVOKED",
                     "nonce": probe.nonce().hex(),
@@ -418,6 +414,97 @@ class TestMemberlistReuse:
         assert body["result"] == "validation_failed"
         assert body["reason"] == "MemberStillValid"
         assert len(memberlist_requests(world, "agent:Seller", start)) == 1
+
+
+def commit_alone(world, org_id, foreign_did, bundle, **kwargs):
+    """Buyer alone asks for an ACTIVE commit of STL's `org_id` into SWT;
+    returns the session record."""
+    buyer = world.agents["Buyer"]
+    record = buyer.start_session(
+        "commit",
+        buyer._commit_identity(
+            "SWT", "STL", org_id, foreign_did, bundle, crypto.digest(bundle), "ACTIVE",
+            **kwargs,
+        ),
+    )
+    world.settle()
+    return record
+
+
+class TestCountersignGate:
+    @staticmethod
+    def revoke_carrier_and_resync(world):
+        """Revoke Carrier; only Buyer resyncs, which flips its record to
+        REVOKED while Seller keeps Carrier's identity cached."""
+        TestMemberlistReuse.revoke_carrier(world)
+        buyer = world.agents["Buyer"]
+        record = buyer.start_session("resync", buyer.resync("SWT", "periodic"))
+        world.settle()
+        assert record.error is None
+        assert world.ledger_state("SWT").get_record("STL", "Carrier").status == "REVOKED"
+
+    def test_cached_identity_of_a_revoked_member_is_not_signed_back_to_active(self, world):
+        carrier_did = world.org_dids["Carrier"]
+        assert run_sync(world, "Buyer", "SWT", "STL").error is None
+        assert ("STL", carrier_did) in world.agents["Seller"].cache
+        roster_version = world.agents["Buyer"]._memberlists["STL"].roster_version
+        self.revoke_carrier_and_resync(world)
+        old = world.ledger_state("SWT").get_record("STL", "Carrier")
+        record = commit_alone(world, "Carrier", carrier_did, old.bundle,
+                              roster_version=roster_version)
+        assert isinstance(record.error, agent_mod.CounterpartyValidationFailed)
+        assert str(record.error) == "Seller:NotListed"
+        assert world.ledger_state("SWT").get_record("STL", "Carrier").status == "REVOKED"
+
+    def test_bundle_committed_under_another_orgs_name_is_refused(self, world):
+        bundle = world.organizations[("STL", "Seller")].bundle_bytes()
+        record = commit_alone(world, "Carrier", world.org_dids["Seller"], bundle)
+        assert isinstance(record.error, agent_mod.CounterpartyValidationFailed)
+        assert str(record.error) == "Seller:OrgMismatch"
+        assert world.ledger_state("SWT").get_record("STL", "Carrier") is None
+
+    def test_readmitted_member_is_committed_active_by_a_full_resync(self, world):
+        assert run_sync(world, "Buyer", "SWT", "STL").error is None
+        self.revoke_carrier_and_resync(world)
+        carrier = world.agents["Carrier"]
+        record = carrier.start_session("step_a", carrier.step_a())
+        world.settle()
+        assert record.error is None
+        buyer = world.agents["Buyer"]
+        record = buyer.start_session("resync", buyer.resync("SWT", "periodic"))
+        world.settle()
+        assert record.error is None
+        ledger = world.ledger_state("SWT")
+        assert ledger.get_record("STL", "Carrier").status == "ACTIVE"
+        last = [e for e in ledger.block_log if e.foreign_org == "Carrier"][-1]
+        assert (last.status, last.outcome) == ("ACTIVE", "APPLIED")
+        assert {org for org, _ in last.endorsements} == {"Buyer", "Seller"}
+
+
+class TestWitnessSource:
+    def test_holder_asks_its_issuer_only(self, world):
+        probe = add_probe(world)
+        result = {}
+
+        def ask():
+            reply = yield Request(
+                "agent:Buyer",
+                "agent.membership_vp.request",
+                {"network_id": "SWT", "nonce": probe.nonce().hex()},
+                timeout=500,
+            )
+            result["body"] = reply.body
+
+        start = len(world.trace.events)
+        probe.start_session("ask", ask())
+        world.settle()
+        assert result["body"]["ok"]
+        sent = [
+            e.detail["msg_kind"] for e in world.trace.events[start:]
+            if e.kind == "bus.send" and e.detail["from"] == "agent:Buyer"
+        ]
+        assert "iin.query" not in sent
+        assert sent.count("anchor.witness.request") == 1
 
 
 class TestBundleValidation:

@@ -17,8 +17,8 @@ from conftest import scenario_config
 @pytest.mark.parametrize(
     "name, sends, queries, memberlists, signs, verifies",
     [
-        ("two-network", 434, 86, 4, 170, 366),
-        ("concurrent-commit", 286, 36, 2, 146, 302),
+        ("two-network", 414, 70, 4, 170, 366),
+        ("concurrent-commit", 278, 32, 2, 146, 302),
     ],
     ids=("two-network", "concurrent-commit"),  # stable across re-pins
 )
