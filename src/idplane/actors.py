@@ -4,7 +4,9 @@ Every protocol participant (registry node, trust anchor, agent, ledger) is an
 Actor: a state machine that reacts to delivered messages and timers, one event
 at a time. Multi-round-trip operations are written as generators that yield
 effects (Request, Gather, Sleep, Fire); the actor runtime sends envelopes,
-parks the generator, and resumes it when replies or timeouts arrive. Sessions
+parks the generator, and resumes it when replies or timeouts arrive. A Request
+is a one-element Gather: both wait on the same path and resume the session
+with the reply (or None) once it arrives or the timeout fires. Sessions
 interleave within an actor but each inbound event is processed atomically.
 """
 
@@ -13,6 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import Callable, Generator, Optional
+
+from .encoding import canonical_json
 
 DEFAULT_TIMEOUT = 120
 
@@ -27,16 +31,14 @@ class Message:
     reply_to: Optional[str] = None
 
     def to_bytes(self) -> bytes:
-        return json.dumps(
+        return canonical_json(
             {
                 "kind": self.kind,
                 "body": self.body,
                 "request_id": self.request_id,
                 "reply_to": self.reply_to,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode("utf-8")
+            }
+        )
 
     @staticmethod
     def from_bytes(data: bytes) -> "Message":
@@ -54,7 +56,8 @@ class Message:
 
 @dataclass(frozen=True)
 class Request:
-    """Send one message; resume with the reply Message, or None on timeout."""
+    """Send one message; resume with the reply Message, or None on timeout.
+    The runtime waits on it as a one-element Gather."""
 
     to: str
     kind: str
@@ -99,20 +102,14 @@ class SessionRecord:
 
 
 @dataclass
-class _SingleWait:
-    sid: int
-    timer_id: int
-
-
-@dataclass
 class _GatherWait:
     sid: int
     results: list
-    index_by_rid: dict[str, int]
+    rids: list[str]
     pending: int
     early: Optional[Callable[[list], bool]]
     timer_id: int
-    gather_id: int
+    single: bool  # the effect was a Request: resume with results[0]
 
 
 class Actor:
@@ -125,9 +122,9 @@ class Actor:
         self._sessions: dict[int, SessionRecord] = {}
         self._next_sid = 0
         self._next_rid = 0
-        self._waiters: dict[str, _SingleWait] = {}
         self._gathers: dict[int, _GatherWait] = {}
         self._gather_routes: dict[str, tuple[int, int]] = {}
+        self._waiters = self._gather_routes  # perfbench/tracer.py reads this name
         self._next_gather = 0
 
     def bind(self, bus, rng) -> None:
@@ -195,12 +192,9 @@ class Actor:
                 self.bus.send(self.address, effect.to, effect.kind, msg.to_bytes())
                 value = None
                 continue
-            if isinstance(effect, Request):
-                rid = self._new_rid()
-                timer = self.bus.schedule_timer(self.address, effect.timeout, ("req", rid))
-                self._waiters[rid] = _SingleWait(sid=sid, timer_id=timer)
-                self._send_message(effect.to, effect.kind, effect.body, rid)
-                return
+            single = isinstance(effect, Request)
+            if single:
+                effect = Gather(((effect.to, effect.kind, effect.body),), effect.timeout)
             if isinstance(effect, Gather):
                 if not effect.requests:
                     value = []
@@ -211,16 +205,16 @@ class Actor:
                 wait = _GatherWait(
                     sid=sid,
                     results=[None] * len(effect.requests),
-                    index_by_rid={},
+                    rids=[],
                     pending=len(effect.requests),
                     early=effect.early,
                     timer_id=timer,
-                    gather_id=gid,
+                    single=single,
                 )
                 self._gathers[gid] = wait
                 for i, (to, kind, body) in enumerate(effect.requests):
                     rid = self._new_rid()
-                    wait.index_by_rid[rid] = i
+                    wait.rids.append(rid)
                     self._gather_routes[rid] = (gid, i)
                     self._send_message(to, kind, body, rid)
                 return
@@ -232,43 +226,31 @@ class Actor:
     def on_delivery(self, sender: str, plaintext: bytes) -> None:
         msg = Message.from_bytes(plaintext)
         rid = msg.reply_to
-        if rid is not None:
-            wait = self._waiters.pop(rid, None)
-            if wait is not None:
-                self.bus.cancel_timer(wait.timer_id)
-                self._advance(wait.sid, msg)
-                return
-            route = self._gather_routes.pop(rid, None)
-            if route is not None:
-                gid, index = route
-                gather = self._gathers.get(gid)
-                if gather is None:
-                    return
-                if gather.results[index] is None:
-                    gather.results[index] = msg
-                    gather.pending -= 1
-                if gather.pending == 0 or (gather.early and gather.early(gather.results)):
-                    self._finish_gather(gid)
-                return
+        if rid is None:
+            self.on_message(sender, msg)
+            return
+        route = self._gather_routes.pop(rid, None)
+        if route is None:
             return  # reply to a request that already timed out
-        self.on_message(sender, msg)
+        gid, index = route
+        gather = self._gathers[gid]
+        gather.results[index] = msg
+        gather.pending -= 1
+        if gather.pending == 0 or (gather.early and gather.early(gather.results)):
+            self._finish_gather(gid)
 
     def _finish_gather(self, gid: int) -> None:
         gather = self._gathers.pop(gid, None)
         if gather is None:
             return
         self.bus.cancel_timer(gather.timer_id)
-        for rid in list(gather.index_by_rid):
+        for rid in gather.rids:
             self._gather_routes.pop(rid, None)
-        self._advance(gather.sid, gather.results)
+        self._advance(gather.sid, gather.results[0] if gather.single else gather.results)
 
     def on_timer(self, token) -> None:
         kind, key = token
-        if kind == "req":
-            wait = self._waiters.pop(key, None)
-            if wait is not None:
-                self._advance(wait.sid, None)
-        elif kind == "gather":
+        if kind == "gather":
             self._finish_gather(key)
         else:  # "sleep"
             self._advance(key, None)

@@ -121,7 +121,6 @@ class AgentConfig:
     organizations: dict[str, net.Organization] = field(default_factory=dict)
     retry_limit: int = 3
     retry_backoff: int = 1
-    resync_interval: int = 0  # ticks between periodic resyncs; 0 = scripted only
 
 
 @dataclass
@@ -484,7 +483,7 @@ class IinAgent(Actor):
         if bundle_network != foreign_network or not chains:
             raise MalformedBundle(f"bundle for {bundle_network!r} with {len(chains)} chains")
         for chain in chains:
-            crypto.verify_certificate_chain(chain, chain[0], self.bus.now)
+            crypto.verify_certificate_chain(chain, self.bus.now)
         identity = CachedIdentity(
             org_id=org_id,
             network_id=foreign_network,
@@ -878,21 +877,9 @@ class IinAgent(Actor):
                     )
         return results
 
-    def periodic_resync(self, home_network: str, cycles: int) -> Generator:
-        """Run `cycles` periodic resyncs, one every resync_interval ticks.
-        Bounded so that a run still reaches quiescence; open-ended periodic
-        operation is modeled by scheduled scenario triggers."""
-        if self.config.resync_interval <= 0:
-            raise AgentError("resync_interval not configured")
-        results = []
-        for _ in range(cycles):
-            yield Sleep(self.config.resync_interval)
-            results.append((yield from self.resync(home_network, "periodic")))
-        return results
-
     def resync(self, home_network: str, trigger: str) -> Generator:
         """Re-run B-D for every foreign network on the interoperation list.
-        Triggered periodically or by a data-plane proof failure."""
+        Triggered by a scheduled scenario step or a data-plane proof failure."""
         self.trace("agent.resync", network=home_network, trigger=trigger)
         self.cache.clear()
         interop = yield from self._interop(home_network)

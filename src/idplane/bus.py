@@ -302,6 +302,3 @@ class SimBus:
             )
             actor.on_delivery(env.from_, plaintext)
         return self.now
-
-    def pending_events(self) -> int:
-        return len(self._queue)

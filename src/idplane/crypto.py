@@ -51,10 +51,6 @@ class ChainVerificationError(CryptoError):
         super().__init__(f"{type(self).__name__} at link {index}" + (f": {detail}" if detail else ""))
 
 
-class UntrustedRoot(ChainVerificationError):
-    pass
-
-
 class BrokenLink(ChainVerificationError):
     pass
 
@@ -259,17 +255,18 @@ def issue_certificate_chain(
     return tuple(chain)
 
 
-def verify_certificate_chain(
-    chain: Sequence[Certificate], trusted_root: Certificate, now: int
-) -> bool:
-    """True iff the chain is rooted at trusted_root, every link signature
-    verifies, and every validity window contains `now`. Raises UntrustedRoot,
-    BrokenLink, or Expired naming the first failing link.
+def verify_certificate_chain(chain: Sequence[Certificate], now: int) -> bool:
+    """True iff chain[0] is a self-signed root, every link signature verifies,
+    and every validity window contains `now`. Raises BrokenLink or Expired
+    naming the first failing link.
+
+    The root is trusted because of where the chain comes from, not because of
+    a pinned certificate: it travels in an org's identity bundle, which its DID
+    signs when step C fetches it and which every local org endorses before the
+    ledger records it.
     """
     if not chain:
-        raise UntrustedRoot(0, "empty chain")
-    if chain[0].to_bytes() != trusted_root.to_bytes():
-        raise UntrustedRoot(0)
+        raise BrokenLink(0, "empty chain")
     for i, cert in enumerate(chain):
         signer = cert if i == 0 else chain[i - 1]
         if cert.issuer_name != signer.subject_name:

@@ -123,5 +123,6 @@ class DecodeError(ValueError):
 
 
 def canonical_json(obj) -> bytes:
-    """Deterministic JSON used for actor message bodies and trace records."""
+    """Deterministic JSON (sorted keys, compact separators) used for actor
+    messages and trace records."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")

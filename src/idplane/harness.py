@@ -727,17 +727,10 @@ class ScenarioRunner:
         )
         if "expect" in step:
             expected = step["expect"]
-            if expected == "ok":
-                ok = outcome["status"] == "ok"
-            else:  # e.g. "check:6"
-                ok = (
-                    outcome["status"] == "failed"
-                    and f"check:{outcome.get('check')}" == expected
-                )
             self.report.assertions.append(
                 AssertionResult(
                     name=f"validate:{step['id']}",
-                    ok=ok,
+                    ok=_outcome_matches(outcome, expected),
                     detail=f"expected {expected}, got {outcome}",
                 )
             )
@@ -865,13 +858,7 @@ class ScenarioRunner:
             return got == step["expect"], f"outcome={got}"
         if kind == "validate_outcome":
             got = self.report.validate_outcomes.get(step["id"], {})
-            expected = step["expect"]
-            if expected == "ok":
-                return got.get("status") == "ok", f"outcome={got}"
-            return (
-                got.get("status") == "failed"
-                and f"check:{got.get('check')}" == expected
-            ), f"outcome={got}"
+            return _outcome_matches(got, step["expect"]), f"outcome={got}"
         if kind == "epoch":
             anchor = world.anchors[step["anchor"]]
             epoch = anchor.acc_state.epoch if anchor.acc_state else -1
@@ -934,6 +921,14 @@ class ScenarioRunner:
             top = max(attempts) if attempts else 0
             return top <= int(step["max"]), f"max_attempts={top}"
         return False, f"unknown assertion {kind}"
+
+
+def _outcome_matches(outcome: dict, expected: str) -> bool:
+    """A validate outcome against a step's `expect`: "ok", or "check:N" for a
+    failure at verification check N."""
+    if expected == "ok":
+        return outcome.get("status") == "ok"
+    return outcome.get("status") == "failed" and f"check:{outcome.get('check')}" == expected
 
 
 def run_scenario(

@@ -12,7 +12,6 @@ record (status flip) for auditability.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -361,53 +360,6 @@ def replay_block_log(genesis: LocalLedgerState, log: tuple[BlockEntry, ...]) -> 
     return state
 
 
-def dump_block_log(log: tuple[BlockEntry, ...]) -> str:
-    """One JSON record per line; load_block_log + replay_block_log reproduce
-    the ledger state."""
-    lines = []
-    for e in log:
-        lines.append(
-            json.dumps(
-                {
-                    "seq": e.seq,
-                    "foreign_network": e.foreign_network,
-                    "foreign_org": e.foreign_org,
-                    "bundle": e.bundle.hex(),
-                    "status": e.status,
-                    "nonce": e.nonce.hex(),
-                    "endorsements": [[org, sig.hex()] for org, sig in e.endorsements],
-                    "outcome": e.outcome,
-                    "tick": e.tick,
-                }
-            )
-        )
-    return "".join(line + "\n" for line in lines)
-
-
-def load_block_log(text: str) -> tuple[BlockEntry, ...]:
-    entries = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        entries.append(
-            BlockEntry(
-                seq=obj["seq"],
-                foreign_network=obj["foreign_network"],
-                foreign_org=obj["foreign_org"],
-                bundle=bytes.fromhex(obj["bundle"]),
-                status=obj["status"],
-                nonce=bytes.fromhex(obj["nonce"]),
-                endorsements=tuple(
-                    (org, bytes.fromhex(sig)) for org, sig in obj["endorsements"]
-                ),
-                outcome=obj["outcome"],
-                tick=obj["tick"],
-            )
-        )
-    return tuple(entries)
-
-
 class LedgerNode(Actor):
     """Single sequencer for one network's shared ledger: applies contract
     submissions in arrival order and answers policy/record queries."""
@@ -556,7 +508,7 @@ def verify_data_proof(
         if chain is None:
             raise BadProofSignature(org_id, f"peer {peer_name} not in recorded bundle")
         try:
-            crypto.verify_certificate_chain(chain, chain[0], now)
+            crypto.verify_certificate_chain(chain, now)
         except crypto.Expired as e:
             raise ExpiredCertificate(org_id, str(e))
         except crypto.ChainVerificationError as e:

@@ -18,7 +18,6 @@ ordering is out of scope for this registry.
 
 from __future__ import annotations
 
-import json
 import base64
 from dataclasses import dataclass, field, replace
 from typing import Generator, Optional
@@ -441,24 +440,6 @@ def replay_log(
     return state
 
 
-def dump_log(entries: list[tuple[int, bytes, str]]) -> str:
-    """One JSON record per line; load_log + replay_log reproduce the state."""
-    return "".join(
-        json.dumps({"seq": seq, "tx": tx.hex(), "outcome": outcome}) + "\n"
-        for seq, tx, outcome in entries
-    )
-
-
-def load_log(text: str) -> list[tuple[int, bytes, str]]:
-    entries = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        entries.append((obj["seq"], bytes.fromhex(obj["tx"]), obj["outcome"]))
-    return entries
-
-
 # --- pool --------------------------------------------------------------------
 
 
@@ -586,17 +567,20 @@ class IinNode(Actor):
         others = tuple(a for a in self.pool.node_addresses if a != self.address)
         need = self.pool.write_quorum - 1  # own ack counts
 
-        def enough(results: list) -> bool:
-            return sum(1 for r in results if self._valid_ack(r, seq, tx_digest)) >= need
+        verdicts: dict[int, bool] = {}  # reply index -> valid ack; checked once per reply
+
+        def valid_acks(results: list) -> list:
+            for i, r in enumerate(results):
+                if r is not None and i not in verdicts:
+                    verdicts[i] = self._valid_ack(r, seq, tx_digest)
+            return [r.body for i, r in enumerate(results) if verdicts.get(i)]
 
         replies = yield Gather(
             tuple((a, "iin.order", {"seq": seq, "tx": msg.body["tx"]}) for a in others),
             timeout=60,
-            early=enough,
+            early=lambda results: len(valid_acks(results)) >= need,
         )
-        acks = [own_ack] + [
-            r.body for r in replies if self._valid_ack(r, seq, tx_digest)
-        ]
+        acks = [own_ack] + valid_acks(replies)
         if len(acks) < self.pool.write_quorum:
             self.reply(client, msg, "iin.submit.reply", {"error": "QuorumUnavailable"})
             return

@@ -9,6 +9,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .encoding import canonical_json
+
 # Bus-level events may carry only routing metadata and digests, never payloads.
 BUS_EVENT_KEYS = {"from", "to", "seq", "msg_kind", "payload_digest", "action", "rule"}
 
@@ -28,11 +30,9 @@ class TraceEvent:
     detail: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"tick": self.tick, "actor": self.actor, "kind": self.kind, "detail": self.detail},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return canonical_json(
+            {"tick": self.tick, "actor": self.actor, "kind": self.kind, "detail": self.detail}
+        ).decode("utf-8")
 
     @staticmethod
     def from_json(line: str) -> "TraceEvent":

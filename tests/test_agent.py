@@ -611,23 +611,6 @@ class TestResync:
         assert len(applied_after) == len(applied_before)
         assert any(e.outcome == "NOOP" for e in log)
 
-    def test_periodic_resync_runs_on_the_configured_interval(self, world):
-        run_sync(world, "Buyer", "SWT", "STL")
-        agent = world.agents["Buyer"]
-        agent.config.resync_interval = 50
-        start = world.bus.now
-        record = agent.start_session("periodic", agent.periodic_resync("SWT", 2))
-        world.settle()
-        assert record.error is None
-        assert len(record.result) == 2
-        resync_events = [
-            e for e in world.trace.events
-            if e.kind == "agent.resync" and e.tick > start
-        ]
-        assert len(resync_events) == 2
-        assert resync_events[0].tick >= start + 50
-        assert resync_events[1].tick >= resync_events[0].tick + 50
-
     def test_resync_message_event_starts_sessions(self, world):
         run_sync(world, "Buyer", "SWT", "STL")
         probe = add_probe(world)

@@ -116,15 +116,33 @@ class TestFaults:
         driver.start_session("s", driver.script("echo", 1))
         bus.run_until_quiescent()
         assert [b["n"] for _, _, b in actors["echo"].seen] == [0, 0]
+        # Both pongs reach the driver; the second is a late reply and is dropped.
+        pongs = [
+            e for e in bus.trace.events
+            if e.kind == "bus.deliver" and e.detail["msg_kind"] == "pong"
+        ]
+        assert len(pongs) == 2
+        assert driver.log == [0, "done"]
 
     def test_delay_rule_postpones_delivery(self):
-        rule = FaultRule(action="delay", kind="ping", delay=20)
-        bus, actors = build(BusConfig(seed=3, latency_min=1, latency_max=1, rules=[rule]))
-        driver = actors["driver"]
-        driver.start_session("s", driver.script("echo", 1))
-        bus.run_until_quiescent()
-        deliver = next(e for e in bus.trace.events if e.kind == "bus.deliver")
-        assert deliver.tick >= 21
+        # Each Request times out after 40 ticks: a 20-tick delay stays inside
+        # it, a 60-tick delay does not. Each delay runs in a fresh bus.
+        for delay, log in ((20, [0, 1, "done"]), (60, [None, None, "done"])):
+            rule = FaultRule(action="delay", kind="ping", delay=delay)
+            bus, actors = build(BusConfig(seed=3, latency_min=1, latency_max=1, rules=[rule]))
+            driver = actors["driver"]
+            driver.start_session("s", driver.script("echo", 2))
+            bus.run_until_quiescent()
+            deliver = next(e for e in bus.trace.events if e.kind == "bus.deliver")
+            assert deliver.tick >= delay + 1
+            pongs = [
+                e for e in bus.trace.events
+                if e.kind == "bus.deliver" and e.detail["msg_kind"] == "pong"
+            ]
+            assert len(pongs) == 2
+            # After a timeout, the first pong arrives while the session waits
+            # for the second one, and must not resume it.
+            assert driver.log == log
 
     def test_occurrence_matches_nth_only(self):
         rule = FaultRule(action="drop", kind="ping", occurrence=2)

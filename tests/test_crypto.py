@@ -100,27 +100,22 @@ class TestCertificateChains:
     def test_root_only_chain_verifies(self):
         chain, _, _ = make_chain(depth3=False)
         assert len(chain) == 1
-        assert crypto.verify_certificate_chain(chain, chain[0], now=10)
+        assert crypto.verify_certificate_chain(chain, now=10)
 
     def test_depth3_chain_verifies_inside_validity(self):
         chain, _, _ = make_chain()
         assert len(chain) == 3
         for now in (0, 50, 99):
-            assert crypto.verify_certificate_chain(chain, chain[0], now=now)
+            assert crypto.verify_certificate_chain(chain, now=now)
 
     def test_truncating_root_gives_untrusted_root(self):
         chain, _, _ = make_chain()
-        with pytest.raises(crypto.UntrustedRoot):
-            crypto.verify_certificate_chain(chain[1:], chain[0], now=50)
-
-    def test_different_trusted_root_rejected(self):
-        chain, _, _ = make_chain()
-        other_keys = seeded_keys("other-root")
-        other = crypto.issue_certificate_chain(
-            other_keys, crypto.CertSpec("other.root", other_keys.public_key, 0, 1000)
-        )
-        with pytest.raises(crypto.UntrustedRoot):
-            crypto.verify_certificate_chain(chain, other[0], now=50)
+        # Without its root, the chain's first certificate is not self-signed;
+        # an empty chain has no root at all.
+        for truncated in (chain[1:], ()):
+            with pytest.raises(crypto.BrokenLink) as err:
+                crypto.verify_certificate_chain(truncated, now=50)
+            assert err.value.index == 0
 
     def test_middle_cert_resigned_with_wrong_key_breaks_link_1(self):
         chain, _, _ = make_chain()
@@ -135,13 +130,13 @@ class TestCertificateChains:
         )
         tampered = (chain[0], tampered_middle, chain[2])
         with pytest.raises(crypto.BrokenLink) as err:
-            crypto.verify_certificate_chain(tampered, chain[0], now=50)
+            crypto.verify_certificate_chain(tampered, now=50)
         assert err.value.index == 1
 
     def test_expired_leaf_names_its_index(self):
         chain, _, _ = make_chain(lifetime=100)
         with pytest.raises(crypto.Expired) as err:
-            crypto.verify_certificate_chain(chain, chain[0], now=100)
+            crypto.verify_certificate_chain(chain, now=100)
         assert err.value.index == 2
 
     def test_time_before_validity_is_expired(self):
@@ -149,8 +144,8 @@ class TestCertificateChains:
         spec = crypto.CertSpec("r", root_keys.public_key, 10, 20)
         chain = crypto.issue_certificate_chain(root_keys, spec)
         with pytest.raises(crypto.Expired):
-            crypto.verify_certificate_chain(chain, chain[0], now=5)
-        assert crypto.verify_certificate_chain(chain, chain[0], now=10)
+            crypto.verify_certificate_chain(chain, now=5)
+        assert crypto.verify_certificate_chain(chain, now=10)
 
     def test_empty_validity_window_rejected_at_issuance(self):
         keys = seeded_keys("k")

@@ -354,19 +354,6 @@ class TestPoolArithmetic:
         assert pool.write_quorum == 3  # 2f+1
         assert pool.read_quorum == 2  # f+1
 
-    def test_log_dump_roundtrip(self):
-        bus, pool, nodes, client, steward = build_pool()
-        tx, _ = org_nym_tx(steward)
-        client.start_session("submit", registry.submit_transaction(pool, tx))
-        bus.run_until_quiescent()
-        dumped = registry.dump_log(nodes[0].log)
-        _, _, steward_doc = steward
-        restored = registry.replay_log(
-            registry.RegistryState.genesis((steward_doc,)), registry.load_log(dumped)
-        )
-        assert restored.state_hash() == nodes[0].state.state_hash()
-
-
 class TestPoolProtocol:
     def test_submit_commits_with_quorum_receipt(self):
         bus, pool, nodes, client, steward = build_pool()
