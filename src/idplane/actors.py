@@ -3,11 +3,11 @@
 Every protocol participant (registry node, trust anchor, agent, ledger) is an
 Actor: a state machine that reacts to delivered messages and timers, one event
 at a time. Multi-round-trip operations are written as generators that yield
-effects (Request, Gather, Sleep, Fire); the actor runtime sends envelopes,
-parks the generator, and resumes it when replies or timeouts arrive. A Request
-is a one-element Gather: both wait on the same path and resume the session
-with the reply (or None) once it arrives or the timeout fires. Sessions
-interleave within an actor but each inbound event is processed atomically.
+effects (Request, Gather, Sleep); the actor runtime sends envelopes, parks the
+generator, and resumes it when replies or timeouts arrive. A Request is a
+one-element Gather: both wait on the same path and resume the session with the
+reply (or None) once it arrives or the timeout fires. Sessions interleave
+within an actor but each inbound event is processed atomically.
 """
 
 from __future__ import annotations
@@ -79,16 +79,6 @@ class Gather:
 @dataclass(frozen=True)
 class Sleep:
     ticks: int
-
-
-@dataclass(frozen=True)
-class Fire:
-    """Send without awaiting a reply."""
-
-    to: str
-    kind: str
-    body: dict
-    reply_to: Optional[str] = None
 
 
 @dataclass
@@ -187,11 +177,6 @@ class Actor:
                 )
                 return
             exc = None
-            if isinstance(effect, Fire):
-                msg = Message(kind=effect.kind, body=effect.body, reply_to=effect.reply_to)
-                self.bus.send(self.address, effect.to, effect.kind, msg.to_bytes())
-                value = None
-                continue
             single = isinstance(effect, Request)
             if single:
                 effect = Gather(((effect.to, effect.kind, effect.body),), effect.timeout)

@@ -16,9 +16,10 @@ The agent is the org's protocol engine for the identity plane:
           the contract transaction; on a digest mismatch the agent refetches
           and retries up to its retry budget.
 
-A resync trigger (periodic, or proof-failure from the data plane) re-runs
-B-D for every network on the interoperation list, updating rotated bundles
-and flipping records to REVOKED for members that no longer validate.
+A resync (a scheduled scenario step, or a proof failure in the data plane;
+the harness starts it, no message does) re-runs B-D for every network on the
+interoperation list, updating rotated bundles and flipping records to REVOKED
+for members that no longer validate.
 
 One agent serves all of its organization's network memberships: the DID
 document has a single service endpoint, and an org that belongs to several
@@ -105,6 +106,11 @@ class CommitRejected(AgentError):
 # the registry or the ledger; a session that catches these names the failure.
 PROTOCOL_ERRORS = (AgentError, creds.CredentialError, crypto.CryptoError, registry.RegistryError)
 
+# Attempts per sync target while countersigners report a digest mismatch, and
+# the ticks waited before each new attempt.
+RETRY_LIMIT = 3
+RETRY_BACKOFF = 1
+
 
 @dataclass
 class AgentConfig:
@@ -119,8 +125,6 @@ class AgentConfig:
     ledgers: dict[str, str]  # home network -> ledger address
     peer_agents: dict[str, dict[str, str]]  # home network -> org id -> agent address
     organizations: dict[str, net.Organization] = field(default_factory=dict)
-    retry_limit: int = 3
-    retry_backoff: int = 1
 
 
 @dataclass
@@ -184,11 +188,6 @@ class IinAgent(Actor):
             return
         if msg.kind == "agent.countersign.request":
             self.start_session("countersign", self._handle_countersign(sender, msg))
-            return
-        if msg.kind == "agent.resync":
-            home = msg.body["network_id"]
-            trigger = msg.body.get("trigger", "periodic")
-            self.start_session(f"resync:{trigger}", self.resync(home, trigger))
             return
 
     # --- step A: configure identity -----------------------------------------
@@ -765,28 +764,16 @@ class IinAgent(Actor):
                     net.STATUS_ACTIVE,
                     roster_version=memberlist.roster_version,
                 )
-            except creds.MembershipVerificationError as e:
-                session.advance(PHASE_FAILED)
-                session.error = str(e)
-                self.trace(
-                    "agent.sync_failed",
-                    network=foreign_network,
-                    target=target_did,
-                    error="MembershipVerificationError",
-                    check=e.check,
-                )
-                return {"status": PHASE_FAILED, "error": "MembershipVerificationError",
-                        "check": e.check}
             except PROTOCOL_ERRORS as e:
                 session.advance(PHASE_FAILED)
                 session.error = str(e)
+                failure = {"error": type(e).__name__}
+                if isinstance(e, creds.MembershipVerificationError):
+                    failure["check"] = e.check
                 self.trace(
-                    "agent.sync_failed",
-                    network=foreign_network,
-                    target=target_did,
-                    error=type(e).__name__,
+                    "agent.sync_failed", network=foreign_network, target=target_did, **failure
                 )
-                return {"status": PHASE_FAILED, "error": type(e).__name__}
+                return {"status": PHASE_FAILED, **failure}
 
             if outcome != "DIGEST_MISMATCH":
                 session.advance(PHASE_DONE)
@@ -806,7 +793,7 @@ class IinAgent(Actor):
 
             session.advance(PHASE_FAILED)
             session.error = "DigestMismatch"
-            if session.attempt >= self.config.retry_limit:
+            if session.attempt >= RETRY_LIMIT:
                 self.trace(
                     "agent.sync_failed",
                     network=foreign_network,
@@ -816,7 +803,7 @@ class IinAgent(Actor):
                 return {"status": PHASE_FAILED, "error": "RetriesExhausted"}
             session.attempt += 1
             self.cache.pop((foreign_network, target_did), None)
-            yield Sleep(self.config.retry_backoff)
+            yield Sleep(RETRY_BACKOFF)
 
     def _revoke_record(
         self, home_network: str, foreign_network: str, record: net.ForeignIdentityRecord
@@ -912,11 +899,6 @@ class IinAgent(Actor):
                 home_network, foreign_network, target_did
             )
             return {"status": "ok", "holder": claim.holder_did, "network": claim.network_id}
-        except creds.MembershipVerificationError as e:
-            return {
-                "status": "failed",
-                "error": "MembershipVerificationError",
-                "check": e.check,
-            }
         except PROTOCOL_ERRORS as e:
-            return {"status": "failed", "error": type(e).__name__, "check": 0}
+            check = e.check if isinstance(e, creds.MembershipVerificationError) else 0
+            return {"status": "failed", "error": type(e).__name__, "check": check}

@@ -11,6 +11,8 @@ counts once f+1 replicas return byte-identical answers. A client asks the first
 f+1 nodes (the sequencer first, since it holds the freshest state) and asks
 the other nodes only when those replies disagree or one is missing at the
 timeout, so a read fails only when no f+1 replies of the whole pool match.
+Each attestation is verified once, when its NYM applies, so a DID read looks
+up verinym status; only a DID's owner or a STEWARD/OIV may rewrite its document.
 
 The sequencer is assumed honest (it may crash but not equivocate); Byzantine
 ordering is out of scope for this registry.
@@ -219,11 +221,6 @@ class RegistryState:
     roles: dict[str, frozenset[str]] = field(default_factory=dict)
     verinym_threshold: int = 1
     applied: frozenset[bytes] = frozenset()
-    # did -> verinym_status. Sound because every write builds a new state
-    # (and `replace` starts it empty); outside to_bytes, so not hashed.
-    _verinym_memo: dict[str, bool] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
 
     @staticmethod
     def genesis(
@@ -239,26 +236,19 @@ class RegistryState:
         return role in self.roles.get(did, frozenset())
 
     def verinym_status(self, did: str) -> bool:
-        if did not in self._verinym_memo:
-            self._verinym_memo[did] = self._attested(did)
-        return self._verinym_memo[did]
-
-    def _attested(self, did: str) -> bool:
+        """A STEWARD's document, or one carrying `verinym_threshold`
+        attestations. A lookup suffices: `_apply_nym` admits a document only
+        when each attestation verifies under the primary key of a STEWARD or
+        OIV signer; `did_matches_key` pins that key to the signer's DID, so
+        no later NYM changes it; roles are only ever granted; and the
+        threshold is fixed at genesis. A stored attestation stays valid."""
         doc = self.docs.get(did)
         if doc is None:
             return False
-        if self.has_role(did, ROLE_STEWARD):
-            return True  # genesis stewards are the root of trust
-        valid = 0
-        for signer, sig in doc.attestations:
-            signer_doc = self.docs.get(signer)
-            if signer_doc is None:
-                continue
-            if not (self.roles.get(signer, frozenset()) & VERINYM_ATTESTER_ROLES):
-                continue
-            if crypto.verify(signer_doc.primary_key(), doc.attestation_bytes(), sig):
-                valid += 1
-        return valid >= self.verinym_threshold
+        return (
+            self.has_role(did, ROLE_STEWARD)  # genesis stewards are the root of trust
+            or len(doc.attestations) >= self.verinym_threshold
+        )
 
     def to_bytes(self) -> bytes:
         return enc.record(
@@ -350,6 +340,10 @@ def _apply_nym(state: RegistryState, tx: RegistryTransaction) -> tuple[RegistryS
             return state, "BadSignature"
     existing = state.docs.get(doc.did)
     if existing is not None:
+        if tx.submitter_did != doc.did and not (
+            state.roles.get(tx.submitter_did, frozenset()) & VERINYM_ATTESTER_ROLES
+        ):
+            return state, "UnauthorizedRole"  # only the owner or a validator rewrites
         if doc.version == existing.version:
             return state, "Duplicate"
         if doc.version != existing.version + 1:
@@ -517,10 +511,7 @@ class IinNode(Actor):
         )
         return outcome
 
-    def _ack_body(self, seq: int, tx_bytes: bytes) -> dict:
-        tx_digest = crypto.digest(
-            RegistryTransaction.from_bytes(tx_bytes).to_bytes()
-        )
+    def _ack_body(self, seq: int, tx_digest: bytes) -> dict:
         sig = self.keys.sign(ack_bytes(seq, tx_digest))
         return {
             "seq": seq,
@@ -561,8 +552,8 @@ class IinNode(Actor):
         tx_bytes = bytes.fromhex(msg.body["tx"])
         seq = self.next_seq
         outcome = self._apply_in_order(seq, tx_bytes)
-        tx_digest = crypto.digest(RegistryTransaction.from_bytes(tx_bytes).to_bytes())
-        own_ack = self._ack_body(seq, tx_bytes)
+        tx_digest = crypto.digest(tx_bytes)  # the encoding is canonical
+        own_ack = self._ack_body(seq, tx_digest)
 
         others = tuple(a for a in self.pool.node_addresses if a != self.address)
         need = self.pool.write_quorum - 1  # own ack counts
@@ -613,18 +604,17 @@ class IinNode(Actor):
 
     def _handle_order(self, sender: str, msg: Message) -> None:
         seq = int(msg.body["seq"])
-        tx_hex = msg.body["tx"]
+        tx_bytes = bytes.fromhex(msg.body["tx"])
         if seq < self.next_seq:
-            self.reply(sender, msg, "iin.ack", self._ack_body(seq, bytes.fromhex(tx_hex)))
+            self.reply(sender, msg, "iin.ack", self._ack_body(seq, crypto.digest(tx_bytes)))
             return
         if seq == self.next_seq:
-            tx_bytes = bytes.fromhex(tx_hex)
             self._apply_in_order(seq, tx_bytes)
-            self.reply(sender, msg, "iin.ack", self._ack_body(seq, tx_bytes))
+            self.reply(sender, msg, "iin.ack", self._ack_body(seq, crypto.digest(tx_bytes)))
             self._drain_holdback()
             return
         # gap: hold the order back and catch up from the sequencer
-        self._holdback[seq] = (bytes.fromhex(tx_hex), sender, msg)
+        self._holdback[seq] = (tx_bytes, sender, msg)
         if not self._fetching:
             self._fetching = True
             self.start_session("catchup", self._catch_up(seq - 1))
@@ -650,7 +640,7 @@ class IinNode(Actor):
             tx_bytes, sender, msg = self._holdback.pop(self.next_seq)
             seq = self.next_seq
             self._apply_in_order(seq, tx_bytes)
-            self.reply(sender, msg, "iin.ack", self._ack_body(seq, tx_bytes))
+            self.reply(sender, msg, "iin.ack", self._ack_body(seq, crypto.digest(tx_bytes)))
 
     # --- open reads --------------------------------------------------------
 

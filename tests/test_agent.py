@@ -611,22 +611,6 @@ class TestResync:
         assert len(applied_after) == len(applied_before)
         assert any(e.outcome == "NOOP" for e in log)
 
-    def test_resync_message_event_starts_sessions(self, world):
-        run_sync(world, "Buyer", "SWT", "STL")
-        probe = add_probe(world)
-        from idplane.actors import Fire
-
-        def trigger():
-            yield Fire(
-                "agent:Buyer", "agent.resync",
-                {"network_id": "SWT", "trigger": "proof_failure"},
-            )
-
-        probe.start_session("t", trigger())
-        world.settle()
-        resyncs = [e for e in world.trace.events if e.kind == "agent.resync"]
-        assert any(e.detail["trigger"] == "proof_failure" for e in resyncs)
-
 
 def phases_are_monotone(history):
     """B -> C -> D -> DONE within an attempt; only FAILED may restart at B."""

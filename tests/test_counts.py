@@ -20,8 +20,8 @@ from conftest import scenario_config
 @pytest.mark.parametrize(
     "name, sends, queries, memberlists, signs, verifies",
     [
-        ("two-network", 414, 70, 4, 170, 303),
-        ("concurrent-commit", 278, 32, 2, 146, 239),
+        ("two-network", 414, 70, 4, 170, 285),
+        ("concurrent-commit", 278, 32, 2, 146, 227),
     ],
     ids=("two-network", "concurrent-commit"),  # stable across re-pins
 )
