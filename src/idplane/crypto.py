@@ -48,6 +48,7 @@ class ChainVerificationError(CryptoError):
 
     def __init__(self, index: int, detail: str = ""):
         self.index = index
+        self.detail = detail
         super().__init__(f"{type(self).__name__} at link {index}" + (f": {detail}" if detail else ""))
 
 
@@ -255,27 +256,53 @@ def issue_certificate_chain(
     return tuple(chain)
 
 
+def chain_link_failure(chain: Sequence[Certificate]) -> BrokenLink | None:
+    """The first link, root first, whose issuer name or issuer signature does
+    not check, as a BrokenLink; None when chain[0] is a self-signed root and
+    every later link is signed by its predecessor. The result depends only on
+    the certificates, not on the time, so a holder of immutable chain bytes
+    may keep it."""
+    if not chain:
+        return BrokenLink(0, "empty chain")
+    for i, cert in enumerate(chain):
+        signer = cert if i == 0 else chain[i - 1]
+        if cert.issuer_name != signer.subject_name:
+            return BrokenLink(i, "issuer name mismatch")
+        if not verify(signer.subject_public_key, cert.signing_bytes(), cert.issuer_signature):
+            return BrokenLink(i)
+    return None
+
+
+def check_chain_windows(
+    chain: Sequence[Certificate], now: int, link_failure: BrokenLink | None
+) -> bool:
+    """Finish a chain check from its `chain_link_failure` verdict: raise
+    Expired(i) for the first certificate before the broken link whose validity
+    window excludes `now`, else a fresh copy of the broken link, else return
+    True. The first failing link thus wins, and at one index a broken link
+    comes before an expired window."""
+    end = len(chain) if link_failure is None else link_failure.index
+    for i in range(end):
+        if not chain[i].valid_from <= now < chain[i].valid_to:
+            raise Expired(i)
+    if link_failure is not None:
+        raise BrokenLink(link_failure.index, link_failure.detail)
+    return True
+
+
 def verify_certificate_chain(chain: Sequence[Certificate], now: int) -> bool:
     """True iff chain[0] is a self-signed root, every link signature verifies,
     and every validity window contains `now`. Raises BrokenLink or Expired
-    naming the first failing link.
+    naming the first failing link. It is `chain_link_failure` followed by
+    `check_chain_windows`; a caller that keeps the link verdict runs only the
+    second.
 
     The root is trusted because of where the chain comes from, not because of
     a pinned certificate: it travels in an org's identity bundle, which its DID
     signs when step C fetches it and which every local org endorses before the
     ledger records it.
     """
-    if not chain:
-        raise BrokenLink(0, "empty chain")
-    for i, cert in enumerate(chain):
-        signer = cert if i == 0 else chain[i - 1]
-        if cert.issuer_name != signer.subject_name:
-            raise BrokenLink(i, "issuer name mismatch")
-        if not verify(signer.subject_public_key, cert.signing_bytes(), cert.issuer_signature):
-            raise BrokenLink(i)
-        if not cert.valid_from <= now < cert.valid_to:
-            raise Expired(i)
-    return True
+    return check_chain_windows(chain, now, chain_link_failure(chain))
 
 
 # --- Merkle accumulator revocation registry ---------------------------------

@@ -13,7 +13,7 @@ record (status flip) for auditability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from . import crypto
 from . import encoding as enc
@@ -144,17 +144,21 @@ class Organization:
         self._enroll_peers(len(self.peers), now)
 
     def bundle_bytes(self) -> bytes:
-        return enc.record(
-            enc.TAG_BUNDLE,
-            enc.encode_str(self.org_id),
-            enc.encode_str(self.network_id),
-            enc.encode_list(
-                enc.encode_bytes(crypto.chain_to_bytes(p.chain)) for p in self.peers
-            ),
-        )
+        return encode_bundle(self.org_id, self.network_id, [p.chain for p in self.peers])
 
     def bundle_digest(self) -> bytes:
         return crypto.digest(self.bundle_bytes())
+
+
+def encode_bundle(
+    org_id: str, network_id: str, chains: Sequence[Sequence[crypto.Certificate]]
+) -> bytes:
+    return enc.record(
+        enc.TAG_BUNDLE,
+        enc.encode_str(org_id),
+        enc.encode_str(network_id),
+        enc.encode_list(enc.encode_bytes(crypto.chain_to_bytes(c)) for c in chains),
+    )
 
 
 def parse_bundle(data: bytes) -> tuple[str, str, tuple[tuple[crypto.Certificate, ...], ...]]:
@@ -169,6 +173,18 @@ def parse_bundle(data: bytes) -> tuple[str, str, tuple[tuple[crypto.Certificate,
 # --- local ledger -------------------------------------------------------------
 
 
+class _BundleMemo:
+    """What a record has learnt about its bundle: the chains by peer name,
+    parsed on the first proof, and each peer's link verdict, checked on the
+    first proof that names that peer."""
+
+    __slots__ = ("chains", "links")
+
+    def __init__(self):
+        self.chains: Optional[dict[str, tuple[crypto.Certificate, ...]]] = None
+        self.links: dict[str, Optional[crypto.BrokenLink]] = {}
+
+
 @dataclass(frozen=True)
 class ForeignIdentityRecord:
     network_id: str
@@ -177,6 +193,32 @@ class ForeignIdentityRecord:
     bundle_digest: bytes
     status: str
     synced_at: int
+    # derived from `bundle` alone, so it is no part of the record's content
+    _memo: _BundleMemo = field(
+        default_factory=_BundleMemo, init=False, compare=False, repr=False
+    )
+
+    def peer_chain(
+        self, peer_name: str
+    ) -> Optional[tuple[tuple[crypto.Certificate, ...], Optional[crypto.BrokenLink]]]:
+        """The recorded chain whose leaf is `peer_name` and its
+        `crypto.chain_link_failure` verdict, or None if the bundle holds no
+        such chain. The bundle bytes never change, so the record parses them
+        once and checks each peer's links once; a record committed later
+        starts with an empty memo."""
+        memo = self._memo
+        if memo.chains is None:
+            chains: dict[str, tuple[crypto.Certificate, ...]] = {}
+            for chain in parse_bundle(self.bundle)[2]:
+                if chain:
+                    chains.setdefault(chain[-1].subject_name, chain)
+            memo.chains = chains
+        chain = memo.chains.get(peer_name)
+        if chain is None:
+            return None
+        if peer_name not in memo.links:
+            memo.links[peer_name] = crypto.chain_link_failure(chain)
+        return chain, memo.links[peer_name]
 
     def content_bytes(self) -> bytes:
         # synced_at is timing metadata, not replicated content
@@ -490,7 +532,12 @@ def verify_data_proof(
     signing peer's certificate chains (validly, at `now`) to the recorded
     bundle, and its signature over the data digest verifies. Failures raise
     NoIdentityRecord / RevokedMember / ExpiredCertificate / BadProofSignature,
-    which callers may convert into a proof-failure resync trigger."""
+    which callers may convert into a proof-failure resync trigger.
+
+    The chain's links are checked once per record and peer
+    (`ForeignIdentityRecord.peer_chain`), a stored broken link is raised
+    again on every proof, and the validity windows and the data signature are
+    checked on every call, since `now` and the data differ each time."""
     message = proof_signing_bytes(proof.data)
     by_org = {org: (peer, sig) for org, peer, sig in proof.signatures}
     for org_id in sorted(policy.required_orgs):
@@ -503,12 +550,12 @@ def verify_data_proof(
         if entry is None:
             raise BadProofSignature(org_id, "no signature supplied")
         peer_name, sig = entry
-        _, _, chains = parse_bundle(record.bundle)
-        chain = next((c for c in chains if c[-1].subject_name == peer_name), None)
-        if chain is None:
+        found = record.peer_chain(peer_name)
+        if found is None:
             raise BadProofSignature(org_id, f"peer {peer_name} not in recorded bundle")
+        chain, link_failure = found
         try:
-            crypto.verify_certificate_chain(chain, now)
+            crypto.check_chain_windows(chain, now, link_failure)
         except crypto.Expired as e:
             raise ExpiredCertificate(org_id, str(e))
         except crypto.ChainVerificationError as e:

@@ -1,6 +1,7 @@
 """Structured run traces: append-only event log, JSONL emission, and replay
 verification against trace invariants (monotone ticks, digest-only bus events,
-endorsement completeness for ledger commits).
+endorsement completeness for ledger commits, an error named by every failed
+session).
 """
 
 from __future__ import annotations
@@ -92,6 +93,9 @@ def verify_events(events: list[TraceEvent]) -> list[tuple[str, int, str]]:
                 violations.append(
                     ("bus-digest-only", i, f"disallowed bus detail keys: {sorted(extra)}")
                 )
+
+        if ev.kind == "session.failed" and not ev.detail.get("error"):
+            violations.append(("session-failed-named", i, "failed session names no error"))
 
         if ev.kind == "ledger.commit" and ev.detail.get("outcome") in ("APPLIED", "NOOP"):
             required = network_orgs.get(ev.detail.get("network", ""), set())

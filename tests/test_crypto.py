@@ -4,8 +4,11 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idplane import crypto
+from idplane import network as net
 
 
 def seeded_keys(label: str) -> crypto.KeyPair:
@@ -162,3 +165,122 @@ class TestCertificateChains:
         chain, _, _ = make_chain()
         data = crypto.chain_to_bytes(chain)
         assert crypto.chain_from_bytes(data) == chain
+
+
+# --- split link and window checks against the single-loop check ---------------
+
+
+def single_loop_chain_check(chain, now):
+    """The one-pass chain check the split replaced, kept as the oracle: links
+    and windows interleaved per index, root first."""
+    if not chain:
+        raise crypto.BrokenLink(0, "empty chain")
+    for i, cert in enumerate(chain):
+        signer = cert if i == 0 else chain[i - 1]
+        if cert.issuer_name != signer.subject_name:
+            raise crypto.BrokenLink(i, "issuer name mismatch")
+        if not crypto.verify(
+            signer.subject_public_key, cert.signing_bytes(), cert.issuer_signature
+        ):
+            raise crypto.BrokenLink(i)
+        if not cert.valid_from <= now < cert.valid_to:
+            raise crypto.Expired(i)
+    return True
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except crypto.ChainVerificationError as e:
+        return type(e), e.index
+
+
+LINK_KEYS = [seeded_keys(f"link{i}") for i in range(3)]
+ROGUE = seeded_keys("rogue")
+KEY_BY_PUBLIC = {k.public_key: k for k in LINK_KEYS + [ROGUE]}
+
+
+def signed(cert, keys):
+    return crypto.Certificate(
+        cert.subject_name, cert.subject_public_key, cert.issuer_name,
+        cert.valid_from, cert.valid_to, keys.sign(cert.signing_bytes()),
+    )
+
+
+def mutated(cert, kind, shift, keys):
+    if kind == "issuer":
+        return crypto.Certificate(
+            cert.subject_name, cert.subject_public_key, "x" + cert.issuer_name,
+            cert.valid_from, cert.valid_to, cert.issuer_signature,
+        )
+    if kind == "forge":
+        return signed(cert, ROGUE)
+    if kind == "swap_key":
+        return crypto.Certificate(
+            cert.subject_name, ROGUE.public_key, cert.issuer_name,
+            cert.valid_from, cert.valid_to, cert.issuer_signature,
+        )
+    # "shift": a moved window, re-signed by the rightful issuer
+    moved = crypto.Certificate(
+        cert.subject_name, cert.subject_public_key, cert.issuer_name,
+        max(0, cert.valid_from + shift), max(0, cert.valid_to + shift),
+        cert.issuer_signature,
+    )
+    return signed(moved, keys)
+
+
+@st.composite
+def mutated_chains(draw):
+    depth = draw(st.integers(1, 3))
+    chain = []
+    for i in range(depth):
+        start = draw(st.integers(0, 60))
+        cert = crypto.Certificate(
+            f"link{i}", LINK_KEYS[i].public_key, f"link{max(i - 1, 0)}",
+            start, start + draw(st.integers(1, 300)), crypto.Signature(b""),
+        )
+        chain.append(signed(cert, LINK_KEYS[max(i - 1, 0)]))
+    mutations = st.tuples(
+        st.sampled_from(("issuer", "forge", "swap_key", "shift")),
+        st.integers(0, depth - 1),
+        st.integers(-100, 100),
+    )
+    for kind, i, shift in draw(st.lists(mutations, max_size=3)):
+        chain[i] = mutated(chain[i], kind, shift, LINK_KEYS[max(i - 1, 0)])
+    return tuple(chain)
+
+
+def data_proof_outcome(ledger, chain, now):
+    """verify_data_proof's verdict on a proof signed by the chain's leaf, as
+    the chain error class and index it wraps."""
+    policy = net.VerificationPolicy("AWAY", ("FarOrg",))
+    leaf = KEY_BY_PUBLIC[chain[-1].subject_public_key]
+    proof = net.DataProof(b"d", (("FarOrg", chain[-1].subject_name,
+                                  leaf.sign(net.proof_signing_bytes(b"d"))),))
+    try:
+        return net.verify_data_proof(ledger, "AWAY", proof, policy, now)
+    except (net.ExpiredCertificate, net.BadProofSignature) as e:
+        return type(e.__context__), e.__context__.index
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_chains(), st.lists(st.integers(0, 200), min_size=1, max_size=4))
+def test_split_chain_check_matches_single_loop(chain, nows):
+    """The link check, then the window check, raises what the single loop
+    raises: the first failing link, an expired window before a later broken
+    link, a broken link before an expired window at the same index. That
+    holds for a link verdict computed once and reused at later times, and
+    for a ledger record that keeps the verdict across proofs."""
+    verdict = crypto.chain_link_failure(chain)
+    bundle = net.encode_bundle("FarOrg", "AWAY", [chain])
+    record = net.ForeignIdentityRecord(
+        "AWAY", "FarOrg", bundle, crypto.digest(bundle), net.STATUS_ACTIVE, 0
+    )
+    ledger = net.LocalLedgerState(
+        "HOME", ("AWAY",), (), {}, foreign={net.LocalLedgerState.record_key("AWAY", "FarOrg"): record}
+    )
+    for now in nows:
+        expected = outcome(single_loop_chain_check, chain, now)
+        assert outcome(crypto.verify_certificate_chain, chain, now) == expected
+        assert outcome(crypto.check_chain_windows, chain, now, verdict) == expected
+        assert data_proof_outcome(ledger, chain, now) == expected

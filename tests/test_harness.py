@@ -127,6 +127,22 @@ class TestTraceVerification:
         violations = verify_events(events)
         assert any(rule == "bus-digest-only" for rule, _, _ in violations)
 
+    def test_unnamed_session_failure_violates_rule(self, trace_path):
+        events = read_trace(trace_path)
+        last = events[-1]
+        events.append(TraceEvent(
+            tick=last.tick, actor="agent:Buyer", kind="session.failed",
+            detail={"label": "sync", "detail": "gave up"},
+        ))
+        violations = verify_events(events)
+        assert ("session-failed-named", len(events), "failed session names no error") in violations
+
+    @pytest.mark.parametrize("name", sorted(harness.bundled_scenarios()))
+    def test_every_bundled_scenario_trace_verifies(self, tmp_path, name):
+        path = tmp_path / "trace.jsonl"
+        harness.run_scenario(scenario_config(name), trace_path=path)
+        assert verify_trace(path) == []
+
     def test_trace_has_no_sealed_plaintext(self, trace_path):
         # a unique marker embedded in every VC body: an org DID suffix
         text = trace_path.read_text(encoding="utf-8")

@@ -173,16 +173,9 @@ class TestDataProofs:
         self.org_b = make_source_org("FarB", peers=1)
         self.policy = net.VerificationPolicy("AWAY", ("FarA", "FarB"))
         self.sources = {"FarA": self.org_a, "FarB": self.org_b}
-        ledger = make_ledger()
+        self.ledger = make_ledger()
         for org in (self.org_a, self.org_b):
-            sigs = endorse(
-                ("OrgA", "OrgB"), "AWAY", org.org_id, org.bundle_bytes(), "ACTIVE", b"n"
-            )
-            ledger, outcome = net.cmdac_update_foreign_identity(
-                ledger, "AWAY", org.org_id, org.bundle_bytes(), "ACTIVE", b"n", sigs, now=1
-            )
-            assert outcome == "APPLIED"
-        self.ledger = ledger
+            self.ledger = self.commit(self.ledger, org.org_id, org.bundle_bytes(), b"n", now=1)
 
     def test_honest_proof_verifies(self):
         proof = net.generate_data_proof(self.sources, b"BL#1", self.policy)
@@ -245,6 +238,85 @@ class TestDataProofs:
         swapped = net.DataProof(data=b"payload-2", signatures=proof.signatures)
         with pytest.raises(net.BadProofSignature):
             net.verify_data_proof(self.ledger, "AWAY", swapped, self.policy, now=10)
+
+    # --- the per-record memo of recorded chains --------------------------------
+
+    def count_verifies(self, monkeypatch):
+        calls = []
+        real = crypto.verify
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(crypto, "verify", counting)
+        return calls
+
+    def commit(self, ledger, org_id, bundle, nonce, now=3):
+        sigs = endorse(("OrgA", "OrgB"), "AWAY", org_id, bundle, "ACTIVE", nonce)
+        ledger, outcome = net.cmdac_update_foreign_identity(
+            ledger, "AWAY", org_id, bundle, "ACTIVE", nonce, sigs, now=now
+        )
+        assert outcome == "APPLIED"
+        return ledger
+
+    def test_second_proof_verifies_only_the_data_signatures(self, monkeypatch):
+        calls = self.count_verifies(monkeypatch)
+        proof = net.generate_data_proof(self.sources, b"x", self.policy)
+        assert net.verify_data_proof(self.ledger, "AWAY", proof, self.policy, now=10)
+        assert len(calls) == 6  # per org: root and leaf links, then the data
+        calls.clear()
+        assert net.verify_data_proof(self.ledger, "AWAY", proof, self.policy, now=11)
+        assert len(calls) == len(self.policy.required_orgs)
+
+    def test_window_still_checked_after_a_memoized_success(self):
+        proof = net.generate_data_proof(self.sources, b"x", self.policy)
+        assert net.verify_data_proof(self.ledger, "AWAY", proof, self.policy, now=10)
+        with pytest.raises(net.ExpiredCertificate) as err:
+            net.verify_data_proof(self.ledger, "AWAY", proof, self.policy, now=1500)
+        assert err.value.org_id == "FarA"
+
+    def test_forged_link_in_an_endorsed_bundle_fails_every_proof(self, monkeypatch):
+        rogue = crypto.KeyPair.from_seed(seed32("rogue"))
+        root, leaf = self.org_a.peers[0].chain
+        forged_leaf = crypto.Certificate(
+            leaf.subject_name, leaf.subject_public_key, leaf.issuer_name,
+            leaf.valid_from, leaf.valid_to, rogue.sign(leaf.signing_bytes()),
+        )
+        bundle = net.encode_bundle("FarA", "AWAY", [(root, forged_leaf)])
+        ledger = self.commit(self.ledger, "FarA", bundle, b"forged")
+        proof = net.generate_data_proof(self.sources, b"x", self.policy)
+        calls = self.count_verifies(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(net.BadProofSignature) as err:
+                net.verify_data_proof(ledger, "AWAY", proof, self.policy, now=10)
+            assert err.value.org_id == "FarA"
+            assert "BrokenLink at link 1" in str(err.value)
+        assert len(calls) == 2  # the links once; the second proof re-raises
+
+    def test_rotated_bundle_pays_its_own_link_verifies(self, monkeypatch):
+        proof = net.generate_data_proof(self.sources, b"x", self.policy)
+        assert net.verify_data_proof(self.ledger, "AWAY", proof, self.policy, now=10)
+        self.org_a.rotate(now=5)
+        ledger = self.commit(self.ledger, "FarA", self.org_a.bundle_bytes(), b"rotated")
+        calls = self.count_verifies(monkeypatch)
+        proof = net.generate_data_proof(self.sources, b"x", self.policy)
+        assert net.verify_data_proof(ledger, "AWAY", proof, self.policy, now=10)
+        assert len(calls) == 2 + 2  # FarA's new links, then both data signatures
+
+    def test_memo_is_per_ledger_and_no_part_of_the_state(self, monkeypatch):
+        proof = net.generate_data_proof(self.sources, b"x", self.policy)
+        assert net.verify_data_proof(self.ledger, "AWAY", proof, self.policy, now=10)
+        other = make_ledger()
+        for org in (self.org_a, self.org_b):
+            other = self.commit(other, org.org_id, org.bundle_bytes(), b"n", now=1)
+        # warm records equal, print and hash like the cold ones
+        assert other.foreign == self.ledger.foreign
+        assert repr(other.foreign) == repr(self.ledger.foreign)
+        assert other.state_hash() == self.ledger.state_hash()
+        calls = self.count_verifies(monkeypatch)
+        assert net.verify_data_proof(other, "AWAY", proof, self.policy, now=10)
+        assert len(calls) == 6
 
     def test_policy_requires_nonempty_signers(self):
         with pytest.raises(net.NetworkError):
