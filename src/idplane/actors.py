@@ -3,17 +3,20 @@
 Every protocol participant (registry node, trust anchor, agent, ledger) is an
 Actor: a state machine that reacts to delivered messages and timers, one event
 at a time. Multi-round-trip operations are written as generators that yield
-effects (Request, Gather, Sleep); the actor runtime sends envelopes, parks the
-generator, and resumes it when replies or timeouts arrive. A Request is a
+effects (Request, Gather, Join, Sleep); the actor runtime sends envelopes, parks
+the generator, and resumes it when replies or timeouts arrive. A Request is a
 one-element Gather: both wait on the same path and resume the session with the
-reply (or None) once it arrives or the timeout fires. Sessions interleave
+reply (or None) once it arrives or the timeout fires. A Join waits for other
+sessions of the same actor (started with `start_session`) and resumes with
+their results in order when the last of them ends, at once if all have ended;
+a joined session that raised is re-raised in the waiter. Sessions interleave
 within an actor but each inbound event is processed atomically.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional
 
 from .encoding import canonical_json
@@ -89,6 +92,16 @@ class SessionRecord:
     done: bool = False
     result: object = None
     error: Optional[BaseException] = None
+    joiners: list[int] = field(default_factory=list)  # sids parked on a Join
+
+
+@dataclass(frozen=True)
+class Join:
+    """Wait for sessions of this actor; resume with their results in order
+    once every one has ended (at once if all have), or raise the first
+    joined session's error."""
+
+    sessions: tuple[SessionRecord, ...]
 
 
 @dataclass
@@ -109,13 +122,14 @@ class Actor:
         self.address = address
         self.bus = None
         self.rng = None
-        self._sessions: dict[int, SessionRecord] = {}
+        self._sessions: dict[int, SessionRecord] = {}  # running sessions only
         self._next_sid = 0
         self._next_rid = 0
         self._gathers: dict[int, _GatherWait] = {}
         self._gather_routes: dict[str, tuple[int, int]] = {}
         self._waiters = self._gather_routes  # perfbench/tracer.py reads this name
         self._next_gather = 0
+        self._joins: dict[int, tuple[SessionRecord, ...]] = {}  # waiter sid -> joined
 
     def bind(self, bus, rng) -> None:
         self.bus = bus
@@ -157,17 +171,16 @@ class Actor:
 
     def _advance(self, sid: int, value, exc: Optional[BaseException] = None) -> None:
         record = self._sessions.get(sid)
-        if record is None or record.done:
+        if record is None:
             return
         while True:
             try:
                 effect = record.gen.throw(exc) if exc is not None else record.gen.send(value)
             except StopIteration as stop:
-                record.done = True
                 record.result = stop.value
+                self._end(record)
                 return
             except Exception as error:  # session-level protocol failure
-                record.done = True
                 record.error = error
                 self.trace(
                     "session.failed",
@@ -175,6 +188,7 @@ class Actor:
                     error=type(error).__name__,
                     detail=str(error),
                 )
+                self._end(record)
                 return
             exc = None
             single = isinstance(effect, Request)
@@ -203,10 +217,30 @@ class Actor:
                     self._gather_routes[rid] = (gid, i)
                     self._send_message(to, kind, body, rid)
                 return
+            if isinstance(effect, Join):
+                running = [s for s in effect.sessions if not s.done]
+                if not running:
+                    value, exc = _join_outcome(effect.sessions)
+                    continue
+                self._joins[sid] = effect.sessions
+                for joined in running:
+                    joined.joiners.append(sid)
+                return
             if isinstance(effect, Sleep):
                 self.bus.schedule_timer(self.address, effect.ticks, ("sleep", sid))
                 return
             raise TypeError(f"unknown effect {effect!r} from session {record.label}")
+
+    def _end(self, record: SessionRecord) -> None:
+        """Forget an ended session, and resume each session joined on it whose
+        joined sessions have now all ended."""
+        record.done = True
+        del self._sessions[record.sid]
+        for waiter in record.joiners:
+            sessions = self._joins.get(waiter)
+            if sessions is not None and all(s.done for s in sessions):
+                del self._joins[waiter]
+                self._advance(waiter, *_join_outcome(sessions))
 
     def on_delivery(self, sender: str, plaintext: bytes) -> None:
         msg = Message.from_bytes(plaintext)
@@ -239,3 +273,8 @@ class Actor:
             self._finish_gather(key)
         else:  # "sleep"
             self._advance(key, None)
+
+
+def _join_outcome(sessions: tuple[SessionRecord, ...]) -> tuple[list, Optional[BaseException]]:
+    error = next((s.error for s in sessions if s.error is not None), None)
+    return [s.result for s in sessions], error

@@ -16,10 +16,17 @@ The agent is the org's protocol engine for the identity plane:
           the contract transaction; on a digest mismatch the agent refetches
           and retries up to its retry budget.
 
-A resync (a scheduled scenario step, or a proof failure in the data plane;
-the harness starts it, no message does) re-runs B-D for every network on the
+A sync runs B-D for all of its targets at once, one session per target, and
+flips records to REVOKED, one at a time, only after every target has ended. A
+resync (a scheduled scenario step, or a proof failure in the data plane; the
+harness starts it, no message does) re-runs B-D for every network on the
 interoperation list, updating rotated bundles and flipping records to REVOKED
 for members that no longer validate.
+
+Concurrent sessions of one agent share reads: while a read of the
+interoperation list, the trust list, a write-once registry artifact or a
+countersigner's memberlist is in flight, a second session that needs the same
+one waits for it instead of sending its own (`_shared`).
 
 One agent serves all of its organization's network memberships: the DID
 document has a single service endpoint, and an org that belongs to several
@@ -36,7 +43,7 @@ from . import credentials as creds
 from . import crypto
 from . import network as net
 from . import registry
-from .actors import Actor, Gather, Message, Request, Sleep
+from .actors import Actor, Gather, Join, Message, Request, SessionRecord, Sleep
 from .anchors import cred_def_id_for, schema_id_for
 
 PHASE_B = "B"
@@ -167,7 +174,6 @@ class IinAgent(Actor):
         self.doc: Optional[registry.DidDocument] = None
         self.wallet: dict[str, tuple[creds.MembershipCredential, crypto.AccumulatorWitness]] = {}
         self.cache: dict[tuple[str, str], CachedIdentity] = {}
-        self.did_by_org: dict[tuple[str, str], str] = {}
         self.sync_sessions: list[SyncSession] = []
         self._session_counter = 0
         self._interop_cache: dict[str, tuple[str, ...]] = {}
@@ -176,6 +182,8 @@ class IinAgent(Actor):
         self._memberlists: dict[str, creds.MemberlistCredential] = {}
         # (query kind, id) -> schema or cred_def; both are write-once
         self._write_once: dict[tuple[str, str], object] = {}
+        # read key -> the session running that read now (see _shared)
+        self._in_flight: dict[tuple, SessionRecord] = {}
 
     # --- inbound messages ---------------------------------------------------
 
@@ -293,10 +301,38 @@ class IinAgent(Actor):
             raise LedgerUnreachable(home_network)
         return reply.body
 
+    def _shared(self, key: tuple, gen: Generator) -> Generator:
+        """Run the read `gen` once for all sessions that need `key` at the
+        same time: the first caller starts it as a session of its own, and
+        every caller, that one included, joins it; later callers' `gen` is
+        never run. The read's protocol error is raised in each waiter, which
+        names it as its own, and no `session.failed` is traced for it. A
+        caller after the read has ended starts a fresh one."""
+        record = self._in_flight.get(key)
+        if record is None:
+            record = self.start_session(f"shared:{key[0]}", self._run_shared(key, gen))
+            if not record.done:
+                self._in_flight[key] = record
+        [result] = yield Join((record,))
+        if isinstance(result, PROTOCOL_ERRORS):
+            raise result
+        return result
+
+    def _run_shared(self, key: tuple, gen: Generator) -> Generator:
+        try:
+            return (yield from gen)
+        except PROTOCOL_ERRORS as e:
+            return e
+        finally:
+            self._in_flight.pop(key, None)
+
     def _interop(self, home_network: str) -> Generator:
         cached = self._interop_cache.get(home_network)
         if cached is None:
-            body = yield from self._ledger_query(home_network, {"what": "interop"})
+            body = yield from self._shared(
+                ("interop", home_network),
+                self._ledger_query(home_network, {"what": "interop"}),
+            )
             cached = tuple(body["networks"])
             self._interop_cache[home_network] = cached
         return cached
@@ -304,7 +340,10 @@ class IinAgent(Actor):
     def _trust_entries(self, home_network: str) -> Generator:
         cached = self._trust_cache.get(home_network)
         if cached is None:
-            body = yield from self._ledger_query(home_network, {"what": "trust"})
+            body = yield from self._shared(
+                ("trust", home_network),
+                self._ledger_query(home_network, {"what": "trust"}),
+            )
             cached = tuple((i, a, n) for i, a, n in body["entries"])
             self._trust_cache[home_network] = cached
         return cached
@@ -322,7 +361,7 @@ class IinAgent(Actor):
         propagate and are never cached."""
         key = (what, ident)
         if key not in self._write_once:
-            self._write_once[key] = yield from read(self.pool, ident)
+            self._write_once[key] = yield from self._shared(key, read(self.pool, ident))
         return self._write_once[key]
 
     # --- step B: validate membership ------------------------------------------
@@ -492,7 +531,6 @@ class IinAgent(Actor):
             fetched_at=self.bus.now,
         )
         self.cache[(foreign_network, target_did)] = identity
-        self.did_by_org[(foreign_network, org_id)] = target_did
         self.trace(
             "agent.identity_fetched",
             network=foreign_network,
@@ -515,11 +553,14 @@ class IinAgent(Actor):
         roster_version: Optional[int] = None,
     ) -> Generator:
         """Collect a countersignature from every other local org and submit.
+        Every endorsement covers `foreign_did`, which the record keeps.
         `roster_version` is the version of the memberlist the target was
         validated against; countersigners whose own verified copy is at least
         that new skip refetching it."""
         nonce = self.nonce()
-        message = net.endorsement_bytes(foreign_network, foreign_org, digest, status, nonce)
+        message = net.endorsement_bytes(
+            foreign_network, foreign_org, foreign_did, digest, status, nonce
+        )
         own_signature = self.keys.sign(message)
         peers = sorted(
             (org, addr)
@@ -576,6 +617,7 @@ class IinAgent(Actor):
             {
                 "foreign_network": foreign_network,
                 "foreign_org": foreign_org,
+                "holder_did": foreign_did,
                 "bundle": bundle.hex(),
                 "status": status,
                 "nonce": nonce.hex(),
@@ -642,8 +684,9 @@ class IinAgent(Actor):
                     or not isinstance(hint, int)
                     or memberlist.roster_version < hint
                 ):
-                    memberlist = yield from self._fetch_memberlist(
-                        home_network, foreign_network
+                    memberlist = yield from self._shared(
+                        ("memberlist", home_network, foreign_network),
+                        self._fetch_memberlist(home_network, foreign_network),
                     )
                 if identity is None or foreign_did not in memberlist.member_dids:
                     _, doc, verinym = yield from self._validate_member(
@@ -675,31 +718,17 @@ class IinAgent(Actor):
                 )
                 respond(RESULT_DIGEST_MISMATCH, own_digest=identity.digest.hex())
                 return
-            signature = self.keys.sign(
-                net.endorsement_bytes(foreign_network, foreign_org, digest, status, nonce)
-            )
-            self.trace(
-                "agent.countersigned", network=foreign_network, org=foreign_org, status=status
-            )
-            respond(RESULT_SIGNED, sig=signature.bytes_.hex())
+            respond(RESULT_SIGNED, sig=self._endorse(
+                foreign_network, foreign_org, foreign_did, digest, status, nonce
+            ))
             return
 
-        # REVOKED: endorse only when the member no longer validates here either.
-        # Always against a fresh memberlist: a cached one that lacks a
-        # re-admitted member would endorse a lying initiator's revocation.
-        still_valid = False
-        try:
-            memberlist = yield from self._fetch_memberlist(home_network, foreign_network)
-            if foreign_did and foreign_did in memberlist.member_dids:
-                yield from self._validate_member(
-                    home_network, foreign_network, foreign_did, memberlist
-                )
-                still_valid = True
-        except PROTOCOL_ERRORS:
-            still_valid = False
-        if still_valid:
-            respond(RESULT_VALIDATION_FAILED, reason="MemberStillValid")
-            return
+        # REVOKED: endorse only when the member no longer validates here either,
+        # under the DID its ledger record was committed with; the request's
+        # foreign_did is ignored, so an initiator cannot name no DID or
+        # another org's to skip the check. Always against a fresh memberlist:
+        # a cached one that lacks a re-admitted member would endorse a lying
+        # initiator's revocation.
         try:
             records = yield from self._ledger_records(home_network, foreign_network)
         except LedgerUnreachable as e:
@@ -712,13 +741,39 @@ class IinAgent(Actor):
                 own_digest=record.bundle_digest.hex() if record else "",
             )
             return
+        still_valid = False
+        try:
+            memberlist = yield from self._fetch_memberlist(home_network, foreign_network)
+            if record.holder_did in memberlist.member_dids:
+                yield from self._validate_member(
+                    home_network, foreign_network, record.holder_did, memberlist
+                )
+                still_valid = True
+        except PROTOCOL_ERRORS:
+            still_valid = False
+        if still_valid:
+            respond(RESULT_VALIDATION_FAILED, reason="MemberStillValid")
+            return
+        respond(RESULT_SIGNED, sig=self._endorse(
+            foreign_network, foreign_org, record.holder_did, digest, status, nonce
+        ))
+
+    def _endorse(
+        self,
+        foreign_network: str,
+        foreign_org: str,
+        holder_did: str,
+        digest: bytes,
+        status: str,
+        nonce: bytes,
+    ) -> str:
         signature = self.keys.sign(
-            net.endorsement_bytes(foreign_network, foreign_org, digest, status, nonce)
+            net.endorsement_bytes(foreign_network, foreign_org, holder_did, digest, status, nonce)
         )
         self.trace(
             "agent.countersigned", network=foreign_network, org=foreign_org, status=status
         )
-        respond(RESULT_SIGNED, sig=signature.bytes_.hex())
+        return signature.bytes_.hex()
 
     # --- whole-target sessions ---------------------------------------------
 
@@ -808,13 +863,12 @@ class IinAgent(Actor):
     def _revoke_record(
         self, home_network: str, foreign_network: str, record: net.ForeignIdentityRecord
     ) -> Generator:
-        target_did = self.did_by_org.get((foreign_network, record.org_id), "")
         try:
             outcome = yield from self._commit_identity(
                 home_network,
                 foreign_network,
                 record.org_id,
-                target_did,
+                record.holder_did,
                 record.bundle,
                 record.bundle_digest,
                 net.STATUS_REVOKED,
@@ -839,19 +893,25 @@ class IinAgent(Actor):
         targets: Optional[tuple[str, ...]] = None,
     ) -> Generator:
         """Steps B-D against every listed member of the foreign network (or an
-        explicit target subset); a full pass also flips records to REVOKED for
-        orgs that no longer validate."""
+        explicit target subset), all targets at once, one session each; a
+        full pass then flips records to REVOKED, one at a time, for orgs that
+        no longer validate. The targets' sessions share the agent's reads
+        (`_shared`), so a cold cache is filled once per sync."""
         interop = yield from self._interop(home_network)
         if foreign_network not in interop:
             self.trace("agent.policy_violation", network=foreign_network)
             raise PolicyViolation(f"{foreign_network} not on interoperation list")
         memberlist = yield from self._fetch_memberlist(home_network, foreign_network)
         dids = tuple(targets) if targets is not None else memberlist.member_dids
-        results: dict[str, dict] = {}
-        for target_did in dids:
-            results[target_did] = yield from self._sync_target(
-                home_network, foreign_network, target_did, memberlist
+        sessions = tuple(
+            self.start_session(
+                "sync-target",
+                self._sync_target(home_network, foreign_network, target_did, memberlist),
             )
+            for target_did in dids
+        )
+        outcomes = yield Join(sessions)
+        results: dict[str, dict] = dict(zip(dids, outcomes))
         if targets is None:
             synced_orgs = {
                 r["org_id"] for r in results.values() if r["status"] == PHASE_DONE

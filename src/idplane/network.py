@@ -189,6 +189,7 @@ class _BundleMemo:
 class ForeignIdentityRecord:
     network_id: str
     org_id: str
+    holder_did: str  # the DID every endorser validated the org under
     bundle: bytes  # canonical bundle payload
     bundle_digest: bytes
     status: str
@@ -225,6 +226,7 @@ class ForeignIdentityRecord:
         return (
             enc.encode_str(self.network_id)
             + enc.encode_str(self.org_id)
+            + enc.encode_str(self.holder_did)
             + enc.encode_bytes(self.bundle)
             + enc.encode_bytes(self.bundle_digest)
             + enc.encode_str(self.status)
@@ -232,12 +234,18 @@ class ForeignIdentityRecord:
 
 
 def endorsement_bytes(
-    foreign_network: str, foreign_org: str, bundle_digest: bytes, status: str, nonce: bytes
+    foreign_network: str,
+    foreign_org: str,
+    holder_did: str,
+    bundle_digest: bytes,
+    status: str,
+    nonce: bytes,
 ) -> bytes:
     return enc.record(
         enc.TAG_ENDORSEMENT,
         enc.encode_str(foreign_network),
         enc.encode_str(foreign_org),
+        enc.encode_str(holder_did),
         enc.encode_bytes(bundle_digest),
         enc.encode_str(status),
         enc.encode_bytes(nonce),
@@ -249,6 +257,7 @@ class BlockEntry:
     seq: int
     foreign_network: str
     foreign_org: str
+    holder_did: str
     bundle: bytes
     status: str
     nonce: bytes
@@ -309,6 +318,7 @@ def cmdac_update_foreign_identity(
     state: LocalLedgerState,
     foreign_network: str,
     foreign_org: str,
+    holder_did: str,
     bundle: bytes,
     status: str,
     nonce: bytes,
@@ -316,13 +326,16 @@ def cmdac_update_foreign_identity(
     now: int,
 ) -> tuple[LocalLedgerState, str]:
     """The configuration-management contract: commit a foreign identity record
-    iff every local organization endorsed (network, org, bundle digest, status,
-    nonce) with its registered admin key and no APPLIED or NOOP entry for the
-    same record used the nonce before. Identical-content re-commits are no-op
-    successes; different content replaces the record. Rejected entries consume
-    no nonce, so no single org can burn one ahead of an honest commit."""
+    iff every local organization endorsed (network, org, holder DID, bundle
+    digest, status, nonce) with its registered admin key and no APPLIED or
+    NOOP entry for the same record used the nonce before. Identical-content
+    re-commits are no-op successes; different content replaces the record.
+    Rejected entries consume no nonce, so no single org can burn one ahead of
+    an honest commit."""
     digest = crypto.digest(bundle)
-    message = endorsement_bytes(foreign_network, foreign_org, digest, status, nonce)
+    message = endorsement_bytes(
+        foreign_network, foreign_org, holder_did, digest, status, nonce
+    )
     provided = dict(endorsements)
     outcome = None
     for org in sorted(state.admin_keys):
@@ -348,6 +361,7 @@ def cmdac_update_foreign_identity(
         existing = state.foreign.get(key)
         if (
             existing is not None
+            and existing.holder_did == holder_did
             and existing.bundle == bundle
             and existing.status == status
         ):
@@ -359,6 +373,7 @@ def cmdac_update_foreign_identity(
                 key: ForeignIdentityRecord(
                     network_id=foreign_network,
                     org_id=foreign_org,
+                    holder_did=holder_did,
                     bundle=bundle,
                     bundle_digest=digest,
                     status=status,
@@ -370,6 +385,7 @@ def cmdac_update_foreign_identity(
         seq=len(state.block_log),
         foreign_network=foreign_network,
         foreign_org=foreign_org,
+        holder_did=holder_did,
         bundle=bundle,
         status=status,
         nonce=nonce,
@@ -391,6 +407,7 @@ def replay_block_log(genesis: LocalLedgerState, log: tuple[BlockEntry, ...]) -> 
             state,
             entry.foreign_network,
             entry.foreign_org,
+            entry.holder_did,
             entry.bundle,
             entry.status,
             entry.nonce,
@@ -421,6 +438,7 @@ class LedgerNode(Actor):
                 self.state,
                 body["foreign_network"],
                 body["foreign_org"],
+                body["holder_did"],
                 bytes.fromhex(body["bundle"]),
                 body["status"],
                 bytes.fromhex(body["nonce"]),
@@ -433,6 +451,7 @@ class LedgerNode(Actor):
                 foreign_network=body["foreign_network"],
                 foreign_org=body["foreign_org"],
                 status=body["status"],
+                nonce=body["nonce"],
                 outcome=outcome,
                 endorsers=",".join(sorted(org for org, _ in endorsements)),
                 payload_digest=crypto.digest(bytes.fromhex(body["bundle"])).hex(),
@@ -465,6 +484,7 @@ def _record_to_body(record: ForeignIdentityRecord) -> dict:
     return {
         "network_id": record.network_id,
         "org_id": record.org_id,
+        "holder_did": record.holder_did,
         "bundle": record.bundle.hex(),
         "bundle_digest": record.bundle_digest.hex(),
         "status": record.status,
@@ -476,6 +496,7 @@ def record_from_body(body: dict) -> ForeignIdentityRecord:
     return ForeignIdentityRecord(
         network_id=body["network_id"],
         org_id=body["org_id"],
+        holder_did=body["holder_did"],
         bundle=bytes.fromhex(body["bundle"]),
         bundle_digest=bytes.fromhex(body["bundle_digest"]),
         status=body["status"],

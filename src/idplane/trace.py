@@ -1,7 +1,7 @@
 """Structured run traces: append-only event log, JSONL emission, and replay
 verification against trace invariants (monotone ticks, digest-only bus events,
-endorsement completeness for ledger commits, an error named by every failed
-session).
+endorsement completeness for ledger commits, no accepted ledger commit reusing
+a record's nonce, an error named by every failed session).
 """
 
 from __future__ import annotations
@@ -72,6 +72,8 @@ def verify_events(events: list[TraceEvent]) -> list[tuple[str, int, str]]:
     violations: list[tuple[str, int, str]] = []
     last_tick = -1
     network_orgs: dict[str, set[str]] = {}
+    # (network, "foreign network/foreign org", nonce) of accepted commits
+    used_nonces: set[tuple[str, str, str]] = set()
     for i, ev in enumerate(events, start=1):
         if ev.tick < last_tick:
             violations.append(
@@ -112,6 +114,16 @@ def verify_events(events: list[TraceEvent]) -> list[tuple[str, int, str]]:
                         f"missing endorsers {sorted(required - endorsers)}",
                     )
                 )
+            # the contract refuses a nonce that an accepted commit of the
+            # same record used before, so an accepted reuse is a replay
+            record = f"{ev.detail.get('foreign_network')}/{ev.detail.get('foreign_org')}"
+            nonce = ev.detail.get("nonce")
+            use = (ev.detail.get("network", ""), record, nonce)
+            if not nonce:
+                violations.append(("nonce-unique", i, "commit names no nonce"))
+            elif use in used_nonces:
+                violations.append(("nonce-unique", i, f"nonce {nonce} reused for {record}"))
+            used_nonces.add(use)
     return violations
 
 

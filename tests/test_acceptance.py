@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from idplane import agent
 from idplane import credentials as creds
 from idplane import crypto, harness
 from idplane import network as net
@@ -103,13 +104,16 @@ def test_criterion_04_unilateral_write_impossible():
     )
     bundle = source.bundle_bytes()
     nonce = b"acceptance-4"
-    message = net.endorsement_bytes("AWAY", "FarOrg", crypto.digest(bundle), "ACTIVE", nonce)
+    holder = "did:iin:iin0:far"
+    message = net.endorsement_bytes(
+        "AWAY", "FarOrg", holder, crypto.digest(bundle), "ACTIVE", nonce
+    )
     rejected, committed = 0, 0
     for r in range(len(orgs) + 1):
         for subset in itertools.combinations(orgs, r):
             sigs = tuple((o, keys[o].sign(message).bytes_) for o in subset)
             state, outcome = net.cmdac_update_foreign_identity(
-                ledger, "AWAY", "FarOrg", bundle, "ACTIVE", nonce, sigs, now=1
+                ledger, "AWAY", "FarOrg", holder, bundle, "ACTIVE", nonce, sigs, now=1
             )
             if set(subset) == set(orgs):
                 committed += outcome == "APPLIED"
@@ -124,21 +128,47 @@ def test_criterion_04_unilateral_write_impossible():
 
 
 def test_criterion_04_replayed_endorsements_rejected():
-    """A fully endorsed submission replayed later (revoke-carrier's block 0,
-    the old ACTIVE commit for Carrier) must not roll the REVOKED record back."""
+    """A fully endorsed submission replayed later (revoke-carrier's first
+    commit for Carrier, the old ACTIVE one) must not roll the REVOKED record
+    back."""
     runner = harness.ScenarioRunner(scenario_config("revoke-carrier"))
     assert runner.run().ok
     ledger = runner.world.ledgers["SWT"]
-    old = ledger.state.block_log[0]
-    assert (old.foreign_org, old.status, old.outcome) == ("Carrier", "ACTIVE", "APPLIED")
+    old = next(e for e in ledger.state.block_log if e.foreign_org == "Carrier")
+    assert (old.status, old.outcome) == ("ACTIVE", "APPLIED")
     state, outcome = net.cmdac_update_foreign_identity(
-        ledger.state, old.foreign_network, old.foreign_org, old.bundle, old.status,
-        old.nonce, old.endorsements, now=runner.world.bus.now,
+        ledger.state, old.foreign_network, old.foreign_org, old.holder_did, old.bundle,
+        old.status, old.nonce, old.endorsements, now=runner.world.bus.now,
     )
     assert outcome == net.OUTCOME_REPLAYED
     assert state.get_record("STL", "Carrier").status == net.STATUS_REVOKED
     assert state.state_hash() == ledger.state.state_hash()
     assert net.replay_block_log(ledger.genesis, state.block_log).state_hash() == state.state_hash()
+
+
+def test_criterion_04_lying_revoked_initiator_refused():
+    """One org asking to revoke a member that still validates, naming no DID,
+    is refused by the other org, which re-validates the DID the record was
+    committed under; the record stays ACTIVE."""
+    world = bootstrapped_runner().world
+    buyer = world.agents["Buyer"]
+    record = buyer.start_session("sync", buyer.sync_network("SWT", "STL"))
+    world.settle()
+    assert record.error is None
+    carrier = world.ledger_state("SWT").get_record("STL", "Carrier")
+    assert carrier.status == net.STATUS_ACTIVE
+    seller = world.agents["Seller"]
+    record = seller.start_session(
+        "revoke",
+        seller._commit_identity(
+            "SWT", "STL", "Carrier", "", carrier.bundle, carrier.bundle_digest,
+            net.STATUS_REVOKED,
+        ),
+    )
+    world.settle()
+    assert isinstance(record.error, agent.CounterpartyValidationFailed), record.error
+    assert str(record.error) == "Buyer:MemberStillValid"
+    assert world.ledger_state("SWT").get_record("STL", "Carrier").status == net.STATUS_ACTIVE
 
 
 def test_criterion_05_concurrent_idempotent_commit_100_seeds():

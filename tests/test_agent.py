@@ -211,18 +211,19 @@ class TestCountersigning:
             yield  # generator form expected by the dispatcher
 
         seller._handle_countersign = always_mismatch
-        # the first reply answers sync_network's fetch, the second the retry's
+        # the first reply answers sync_network's fetch, the second the retry
+        # refetch of whichever of the two concurrent targets gets it first
         world.bus.config.rules.append(
             FaultRule(action="drop", to="agent:Buyer", kind="anchor.memberlist.reply",
                       occurrence=2)
         )
         record = run_sync(world, "Buyer", "SWT", "STL")
         assert record.error is None
-        first, second = sorted((world.org_dids["Seller"], world.org_dids["Carrier"]))
-        assert record.result[first] == {"status": "FAILED", "error": "NoTrustedPMV"}
-        assert record.result[second] == {"status": "FAILED", "error": "RetriesExhausted"}
+        errors = {did: r["error"] for did, r in record.result.items() if r["status"] == "FAILED"}
+        assert sorted(errors.values()) == ["NoTrustedPMV", "RetriesExhausted"]
+        refetch_lost = next(did for did, error in errors.items() if error == "NoTrustedPMV")
         session = next(
-            s for s in world.agents["Buyer"].sync_sessions if s.target_did == first
+            s for s in world.agents["Buyer"].sync_sessions if s.target_did == refetch_lost
         )
         assert session.history == ["B", "C", "D", "FAILED", "B", "FAILED"]
         assert session.error != "DigestMismatch"
@@ -405,6 +406,8 @@ class TestMemberlistReuse:
 
     def test_revoked_request_always_fetches_a_fresh_memberlist(self, world):
         carrier_did = world.org_dids["Carrier"]
+        # a REVOKED request is checked against the committed record
+        assert run_sync(world, "Buyer", "SWT", "STL").error is None
         stale, _ = self.readmit_after_seller_cached(world)
         probe = add_probe(world)
         start = len(world.trace.events)
@@ -414,6 +417,85 @@ class TestMemberlistReuse:
         assert body["result"] == "validation_failed"
         assert body["reason"] == "MemberStillValid"
         assert len(memberlist_requests(world, "agent:Seller", start)) == 1
+
+
+class TestConcurrentSync:
+    def test_targets_are_challenged_before_the_first_commit(self, world):
+        start = len(world.trace.events)
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        assert record.error is None
+        assert all(r["status"] == "DONE" for r in record.result.values()), record.result
+        sent = [
+            e.detail for e in world.trace.events[start:]
+            if e.kind == "bus.send" and e.detail["from"] == "agent:Buyer"
+        ]
+        first_submit = next(i for i, d in enumerate(sent) if d["msg_kind"] == "cmdac.submit")
+        challenged = {
+            d["to"] for d in sent[:first_submit]
+            if d["msg_kind"] == "agent.membership_vp.request"
+        }
+        assert challenged == {"agent:Seller", "agent:Carrier"}
+
+    @staticmethod
+    def countersign_both_at_once(world):
+        """Ask Seller, with cold caches, to countersign STL's Seller and
+        Carrier at the same time; returns the reply bodies and the ledger
+        queries Seller ran."""
+        seller = world.agents["Seller"]
+        queries = []
+        ledger_query = seller._ledger_query
+
+        def counting(home_network, body):
+            queries.append(body["what"])
+            return (yield from ledger_query(home_network, body))
+
+        seller._ledger_query = counting
+        probe = add_probe(world)
+        replies = {}
+
+        def ask(org):
+            reply = yield Request(
+                "agent:Seller",
+                "agent.countersign.request",
+                {
+                    "home_network": "SWT",
+                    "foreign_network": "STL",
+                    "foreign_org": org,
+                    "foreign_did": world.org_dids[org],
+                    "digest": world.organizations[("STL", org)].bundle_digest().hex(),
+                    "status": "ACTIVE",
+                    "nonce": probe.nonce().hex(),
+                },
+                timeout=2000,
+            )
+            replies[org] = reply.body
+
+        for org in ("Seller", "Carrier"):
+            probe.start_session(f"ask-{org}", ask(org))
+        world.settle()
+        return replies, queries
+
+    def test_concurrent_countersigns_share_cold_reads(self, world):
+        start = len(world.trace.events)
+        replies, queries = self.countersign_both_at_once(world)
+        assert {org: r["result"] for org, r in replies.items()} == {
+            "Seller": "signed", "Carrier": "signed"
+        }
+        assert queries.count("interop") == 1
+        assert len(memberlist_requests(world, "agent:Seller", start)) == 1
+
+    def test_lost_shared_memberlist_fails_each_request_by_name(self, world):
+        world.bus.config.rules.append(
+            FaultRule(action="drop", to="agent:Seller", kind="anchor.memberlist.reply")
+        )
+        start = len(world.trace.events)
+        replies, _ = self.countersign_both_at_once(world)
+        assert {org: (r["result"], r["reason"]) for org, r in replies.items()} == {
+            "Seller": ("validation_failed", "NoTrustedPMV"),
+            "Carrier": ("validation_failed", "NoTrustedPMV"),
+        }
+        assert len(memberlist_requests(world, "agent:Seller", start)) == 1
+        assert not [e for e in world.trace.events[start:] if e.kind == "session.failed"]
 
 
 def commit_alone(world, org_id, foreign_did, bundle, **kwargs):

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from idplane.actors import Actor, Gather, Message, Request, Sleep
+from idplane.actors import Actor, Gather, Join, Message, Request, Sleep
 from idplane.bus import BoxKeyPair, BusConfig, FaultRule, SimBus, TickCeilingExceeded, UnknownEndpoint
 
 
@@ -271,3 +271,86 @@ class TestGatherSemantics:
         bus.run_until_quiescent()
         assert results_box["r"][0] is not None
         assert results_box["r"][1] is None
+
+
+class TestJoinSemantics:
+    @staticmethod
+    def after(host, ticks, value, ended):
+        yield Sleep(ticks)
+        ended.append((value, host.bus.now))
+        return value
+
+    def test_join_on_ended_sessions_resumes_at_once(self):
+        bus, actors = build(BusConfig(seed=9), names=("echo", "host"))
+        host = actors["host"]
+
+        def ended_with(value):
+            return value
+            yield  # a session that ends on its first step
+
+        sessions = (host.start_session("a", ended_with(1)),
+                    host.start_session("b", ended_with(2)))
+        box = {}
+
+        def waiter():
+            box["r"] = yield Join(sessions)
+
+        record = host.start_session("w", waiter())
+        assert record.done and box["r"] == [1, 2]
+        assert bus.now == 0 and not bus.trace.events
+
+    def test_results_come_back_in_session_order(self):
+        bus, actors = build(BusConfig(seed=9), names=("echo", "host"))
+        host = actors["host"]
+        ended = []
+        sessions = (host.start_session("slow", self.after(host, 9, "slow", ended)),
+                    host.start_session("fast", self.after(host, 2, "fast", ended)))
+        box = {}
+
+        def waiter():
+            box["r"] = yield Join(sessions)
+
+        host.start_session("w", waiter())
+        bus.run_until_quiescent()
+        assert [value for value, _ in ended] == ["fast", "slow"]
+        assert box["r"] == ["slow", "fast"]
+
+    def test_waiter_resumes_only_when_the_last_session_ends(self):
+        bus, actors = build(BusConfig(seed=9), names=("echo", "host"))
+        host = actors["host"]
+        ended = []
+        sessions = tuple(
+            host.start_session(f"s{t}", self.after(host, t, t, ended)) for t in (3, 7, 5)
+        )
+        resumed = []
+
+        def waiter():
+            yield Join(sessions)
+            resumed.append(bus.now)
+
+        host.start_session("w", waiter())
+        bus.run_until_quiescent()
+        assert ended == [(3, 3), (5, 5), (7, 7)]
+        assert resumed == [7]
+
+    def test_error_of_a_joined_session_is_raised_in_the_waiter(self):
+        bus, actors = build(BusConfig(seed=9), names=("echo", "host"))
+        host = actors["host"]
+
+        def failing():
+            yield Sleep(2)
+            raise ValueError("boom")
+
+        sessions = (host.start_session("ok", self.after(host, 4, "ok", [])),
+                    host.start_session("bad", failing()))
+        caught = []
+
+        def waiter():
+            try:
+                yield Join(sessions)
+            except ValueError as e:
+                caught.append((str(e), bus.now))
+
+        host.start_session("w", waiter())
+        bus.run_until_quiescent()
+        assert caught == [("boom", 4)]

@@ -54,12 +54,12 @@ def test_bundled_scenario_counts(
 
 
 TRACE_DIGESTS = {
-    "concurrent-commit": "82973c43176694b2f540fc9571f611f4d26c2e6f1b7906d132535e13663959d0",
-    "concurrent-commit-serial": "df287199754152e3b0b3978e0c1a92aff55fa1ba5062b32d7c70877756c5f46b",
-    "digest-mismatch-retry": "c57a116f0a1ba9f3d458626cf048d5d9f845b832ab8ffe68cd7f9d1256da9043",
-    "revoke-carrier": "cd28b9665950d8e7f79b0ab9e27dffdb262adefdc24f236dabec6236975c7022",
-    "rotate-resync": "892b1ae4c1110cdc3f2ba0343f62fe17be6959d19cbad4885a2f05c90d292368",
-    "two-network": "5b7c0c799eb79678b5e2796463fa45bf3dc52b8903d3880ae593b672edc63c24",
+    "concurrent-commit": "4735379c1d97bf68bc8562bcd209cbb2faa613d759b7c347398e2842d96b4da7",
+    "concurrent-commit-serial": "83a6799de320341ef9c959e294a8fe214cb8267df56259bfb8547274496591f8",
+    "digest-mismatch-retry": "ea597e1728aa50080dba77ccf453cd83354f07ecd8afd7b8fb91e0746c9bd6f7",
+    "revoke-carrier": "fdf82e3eb3686b45778a3357deaf0381ad42d01096c0cb99aaa7b51da8503cf3",
+    "rotate-resync": "ed6e2df5cb38c4f38abc59d8dd2366d5854b8c9d64cb364c9f27d58bd4909895",
+    "two-network": "a8c81f9e85289e14d10874d45fd8c60fc9383e46d9a50eedfda9b0637a44caf8",
 }
 
 

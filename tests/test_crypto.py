@@ -274,7 +274,7 @@ def test_split_chain_check_matches_single_loop(chain, nows):
     verdict = crypto.chain_link_failure(chain)
     bundle = net.encode_bundle("FarOrg", "AWAY", [chain])
     record = net.ForeignIdentityRecord(
-        "AWAY", "FarOrg", bundle, crypto.digest(bundle), net.STATUS_ACTIVE, 0
+        "AWAY", "FarOrg", "did:iin:iin0:far", bundle, crypto.digest(bundle), net.STATUS_ACTIVE, 0
     )
     ledger = net.LocalLedgerState(
         "HOME", ("AWAY",), (), {}, foreign={net.LocalLedgerState.record_key("AWAY", "FarOrg"): record}

@@ -17,6 +17,8 @@ def seed_fn(label: str) -> bytes:
     return seed32("world:" + label)
 
 
+FAR_DID = "did:iin:iin0:far"  # the holder DID every test record is endorsed under
+
 ORG_KEYS = {name: crypto.KeyPair.from_seed(seed32("admin:" + name)) for name in
             ("OrgA", "OrgB", "OrgC")}
 
@@ -44,7 +46,7 @@ def make_source_org(org_id="FarOrg", peers=1, now=0, lifetime=1000) -> net.Organ
 
 def endorse(orgs, foreign_net, foreign_org, bundle, status, nonce):
     digest = crypto.digest(bundle)
-    message = net.endorsement_bytes(foreign_net, foreign_org, digest, status, nonce)
+    message = net.endorsement_bytes(foreign_net, foreign_org, FAR_DID, digest, status, nonce)
     return tuple((o, ORG_KEYS[o].sign(message).bytes_) for o in orgs)
 
 
@@ -55,7 +57,7 @@ class TestCmdacContract:
         bundle = org.bundle_bytes()
         sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "ACTIVE", b"n1")
         state, outcome = net.cmdac_update_foreign_identity(
-            ledger, "AWAY", "FarOrg", bundle, "ACTIVE", b"n1", sigs, now=5
+            ledger, "AWAY", "FarOrg", FAR_DID, bundle, "ACTIVE", b"n1", sigs, now=5
         )
         assert outcome == "APPLIED"
         record = state.get_record("AWAY", "FarOrg")
@@ -72,7 +74,7 @@ class TestCmdacContract:
             for subset in itertools.combinations(orgs, r):
                 sigs = endorse(subset, "AWAY", "FarOrg", bundle, "ACTIVE", b"n")
                 state, outcome = net.cmdac_update_foreign_identity(
-                    ledger, "AWAY", "FarOrg", bundle, "ACTIVE", b"n", sigs, now=1
+                    ledger, "AWAY", "FarOrg", FAR_DID, bundle, "ACTIVE", b"n", sigs, now=1
                 )
                 if set(subset) == set(orgs):
                     assert outcome == "APPLIED"
@@ -87,7 +89,7 @@ class TestCmdacContract:
         good = endorse(("OrgA",), "AWAY", "FarOrg", bundle, "ACTIVE", b"n")
         forged = (("OrgB", ORG_KEYS["OrgB"].sign(b"something else").bytes_),)
         state, outcome = net.cmdac_update_foreign_identity(
-            ledger, "AWAY", "FarOrg", bundle, "ACTIVE", b"n", good + forged, now=1
+            ledger, "AWAY", "FarOrg", FAR_DID, bundle, "ACTIVE", b"n", good + forged, now=1
         )
         assert outcome == "BadEndorsementSignature:OrgB"
         assert state.get_record("AWAY", "FarOrg") is None
@@ -97,7 +99,7 @@ class TestCmdacContract:
         bundle = make_source_org().bundle_bytes()
         sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "ACTIVE", b"n1")
         _, outcome = net.cmdac_update_foreign_identity(
-            ledger, "AWAY", "FarOrg", bundle, "ACTIVE", b"other-nonce", sigs, now=1
+            ledger, "AWAY", "FarOrg", FAR_DID, bundle, "ACTIVE", b"other-nonce", sigs, now=1
         )
         assert outcome.startswith("BadEndorsementSignature")
 
@@ -106,12 +108,12 @@ class TestCmdacContract:
         bundle = make_source_org().bundle_bytes()
         sigs1 = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "ACTIVE", b"n1")
         state, _ = net.cmdac_update_foreign_identity(
-            ledger, "AWAY", "FarOrg", bundle, "ACTIVE", b"n1", sigs1, now=1
+            ledger, "AWAY", "FarOrg", FAR_DID, bundle, "ACTIVE", b"n1", sigs1, now=1
         )
         # a second initiator, different nonce, same content
         sigs2 = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "ACTIVE", b"n2")
         state2, outcome = net.cmdac_update_foreign_identity(
-            state, "AWAY", "FarOrg", bundle, "ACTIVE", b"n2", sigs2, now=9
+            state, "AWAY", "FarOrg", FAR_DID, bundle, "ACTIVE", b"n2", sigs2, now=9
         )
         assert outcome == "NOOP"
         assert state2.get_record("AWAY", "FarOrg").synced_at == 1  # unchanged
@@ -124,14 +126,14 @@ class TestCmdacContract:
         old_bundle = org.bundle_bytes()
         sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", old_bundle, "ACTIVE", b"n1")
         state, _ = net.cmdac_update_foreign_identity(
-            ledger, "AWAY", "FarOrg", old_bundle, "ACTIVE", b"n1", sigs, now=1
+            ledger, "AWAY", "FarOrg", FAR_DID, old_bundle, "ACTIVE", b"n1", sigs, now=1
         )
         org.rotate(now=10)
         new_bundle = org.bundle_bytes()
         assert new_bundle != old_bundle
         sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", new_bundle, "ACTIVE", b"n2")
         state2, outcome = net.cmdac_update_foreign_identity(
-            state, "AWAY", "FarOrg", new_bundle, "ACTIVE", b"n2", sigs, now=12
+            state, "AWAY", "FarOrg", FAR_DID, new_bundle, "ACTIVE", b"n2", sigs, now=12
         )
         assert outcome == "APPLIED"
         record = state2.get_record("AWAY", "FarOrg")
@@ -143,11 +145,11 @@ class TestCmdacContract:
         bundle = make_source_org().bundle_bytes()
         sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "ACTIVE", b"n1")
         state, _ = net.cmdac_update_foreign_identity(
-            ledger, "AWAY", "FarOrg", bundle, "ACTIVE", b"n1", sigs, now=1
+            ledger, "AWAY", "FarOrg", FAR_DID, bundle, "ACTIVE", b"n1", sigs, now=1
         )
         sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "REVOKED", b"n2")
         state2, outcome = net.cmdac_update_foreign_identity(
-            state, "AWAY", "FarOrg", bundle, "REVOKED", b"n2", sigs, now=2
+            state, "AWAY", "FarOrg", FAR_DID, bundle, "REVOKED", b"n2", sigs, now=2
         )
         assert outcome == "APPLIED"
         assert state2.get_record("AWAY", "FarOrg").status == "REVOKED"
@@ -161,7 +163,8 @@ class TestCmdacContract:
             nonce = bytes([i]) * 4
             sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", org.bundle_bytes(), status, nonce)
             state, _ = net.cmdac_update_foreign_identity(
-                state, "AWAY", "FarOrg", org.bundle_bytes(), status, nonce, sigs, now=i
+                state, "AWAY", "FarOrg", FAR_DID, org.bundle_bytes(), status, nonce, sigs,
+                now=i,
             )
         replayed = net.replay_block_log(ledger, state.block_log)
         assert replayed.state_hash() == state.state_hash()
@@ -202,7 +205,8 @@ class TestDataProofs:
             ("OrgA", "OrgB"), "AWAY", "FarA", self.org_a.bundle_bytes(), "REVOKED", b"r"
         )
         ledger, _ = net.cmdac_update_foreign_identity(
-            self.ledger, "AWAY", "FarA", self.org_a.bundle_bytes(), "REVOKED", b"r", sigs, now=2
+            self.ledger, "AWAY", "FarA", FAR_DID, self.org_a.bundle_bytes(), "REVOKED", b"r",
+            sigs, now=2,
         )
         proof = net.generate_data_proof(self.sources, b"x", self.policy)
         with pytest.raises(net.RevokedMember) as err:
@@ -255,7 +259,7 @@ class TestDataProofs:
     def commit(self, ledger, org_id, bundle, nonce, now=3):
         sigs = endorse(("OrgA", "OrgB"), "AWAY", org_id, bundle, "ACTIVE", nonce)
         ledger, outcome = net.cmdac_update_foreign_identity(
-            ledger, "AWAY", org_id, bundle, "ACTIVE", nonce, sigs, now=now
+            ledger, "AWAY", org_id, FAR_DID, bundle, "ACTIVE", nonce, sigs, now=now
         )
         assert outcome == "APPLIED"
         return ledger
