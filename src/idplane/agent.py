@@ -26,7 +26,10 @@ for members that no longer validate.
 Concurrent sessions of one agent share reads: while a read of the
 interoperation list, the trust list, a write-once registry artifact or a
 countersigner's memberlist is in flight, a second session that needs the same
-one waits for it instead of sending its own (`_shared`).
+one waits for it instead of sending its own (`_shared`); values that never
+change are kept after their first successful read (`_read_once`). A target's
+outcome is recorded only in the trace: `agent.sync_done` and
+`agent.sync_failed` carry `attempts`, and a protocol failure its `detail`.
 
 One agent serves all of its organization's network memberships: the DID
 document has a single service endpoint, and an org that belongs to several
@@ -46,9 +49,6 @@ from . import registry
 from .actors import Actor, Gather, Join, Message, Request, SessionRecord, Sleep
 from .anchors import cred_def_id_for, schema_id_for
 
-PHASE_B = "B"
-PHASE_C = "C"
-PHASE_D = "D"
 PHASE_DONE = "DONE"
 PHASE_FAILED = "FAILED"
 
@@ -123,34 +123,13 @@ RETRY_BACKOFF = 1
 class AgentConfig:
     org_id: str
     address: str
-    iin_id: str
     keys: crypto.KeyPair
     pool: registry.PoolInfo
     oiv_address: str
-    home_networks: tuple[str, ...]
     home_pmv: dict[str, str]  # home network -> issuing anchor address
-    ledgers: dict[str, str]  # home network -> ledger address
+    ledgers: dict[str, str]  # home network -> ledger address, in home-network order
     peer_agents: dict[str, dict[str, str]]  # home network -> org id -> agent address
     organizations: dict[str, net.Organization] = field(default_factory=dict)
-
-
-@dataclass
-class SyncSession:
-    session_id: int
-    home_network: str
-    counterparty_network: str
-    target_did: str
-    phase: str = PHASE_B
-    attempt: int = 1
-    claim: Optional[creds.VerifiedClaim] = None
-    bundle_digest: Optional[bytes] = None
-    error: Optional[str] = None
-    history: list[str] = field(default_factory=list)
-
-    def advance(self, phase: str) -> None:
-        # monotone within an attempt; only FAILED may restart at B
-        self.phase = phase
-        self.history.append(phase)
 
 
 @dataclass
@@ -170,18 +149,14 @@ class IinAgent(Actor):
         self.keys = config.keys
         self.org_id = config.org_id
         self.pool = config.pool
-        self.did = registry.make_did(config.iin_id, config.keys.public_key)
+        self.did = registry.make_did(config.pool.iin_id, config.keys.public_key)
         self.doc: Optional[registry.DidDocument] = None
         self.wallet: dict[str, tuple[creds.MembershipCredential, crypto.AccumulatorWitness]] = {}
         self.cache: dict[tuple[str, str], CachedIdentity] = {}
-        self.sync_sessions: list[SyncSession] = []
-        self._session_counter = 0
-        self._interop_cache: dict[str, tuple[str, ...]] = {}
-        self._trust_cache: dict[str, tuple[tuple[str, str, str], ...]] = {}
         # foreign network -> last verified memberlist (also the rollback floor)
         self._memberlists: dict[str, creds.MemberlistCredential] = {}
-        # (query kind, id) -> schema or cred_def; both are write-once
-        self._write_once: dict[tuple[str, str], object] = {}
+        # read key -> first successful result of a read that never changes
+        self._kept: dict[tuple, object] = {}
         # read key -> the session running that read now (see _shared)
         self._in_flight: dict[tuple, SessionRecord] = {}
 
@@ -204,7 +179,7 @@ class IinAgent(Actor):
         """Register the verinym and obtain a membership VC per home network.
         Safe to re-run: re-registration surfaces as a registry duplicate, and
         re-issuance returns the existing credential with a fresh witness."""
-        doc = registry.new_did_document(self.config.iin_id, self.keys, self.address)
+        doc = registry.new_did_document(self.pool.iin_id, self.keys, self.address)
         reply = yield Request(
             self.config.oiv_address,
             "anchor.verinym.request",
@@ -216,7 +191,7 @@ class IinAgent(Actor):
         if not reply.body.get("ok"):
             raise AgentError(reply.body.get("error", "verinym registration failed"))
         self.doc = registry.DidDocument.from_bytes(bytes.fromhex(reply.body["doc"]))
-        for network_id in self.config.home_networks:
+        for network_id in self.config.ledgers:
             reply = yield Request(
                 self.config.home_pmv[network_id],
                 "anchor.vc.request",
@@ -230,7 +205,7 @@ class IinAgent(Actor):
             vc = creds.MembershipCredential.from_bytes(bytes.fromhex(reply.body["vc"]))
             witness = crypto.AccumulatorWitness.from_bytes(bytes.fromhex(reply.body["witness"]))
             self.wallet[network_id] = (vc, witness)
-        self.trace("agent.configured", did=self.did, networks=",".join(self.config.home_networks))
+        self.trace("agent.configured", did=self.did, networks=",".join(self.config.ledgers))
         return self.did
 
     # --- serving counterparties ----------------------------------------------
@@ -326,43 +301,32 @@ class IinAgent(Actor):
         finally:
             self._in_flight.pop(key, None)
 
+    def _read_once(self, key: tuple, gen: Generator) -> Generator:
+        """Keep the first successful result of the shared read `gen` for the
+        agent's lifetime: the interoperation and trust lists, schemas and
+        credential definitions never change (a second write is DuplicateId).
+        Errors propagate and are never kept."""
+        if key not in self._kept:
+            self._kept[key] = yield from self._shared(key, gen)
+        return self._kept[key]
+
     def _interop(self, home_network: str) -> Generator:
-        cached = self._interop_cache.get(home_network)
-        if cached is None:
-            body = yield from self._shared(
-                ("interop", home_network),
-                self._ledger_query(home_network, {"what": "interop"}),
-            )
-            cached = tuple(body["networks"])
-            self._interop_cache[home_network] = cached
-        return cached
+        body = yield from self._read_once(
+            ("interop", home_network), self._ledger_query(home_network, {"what": "interop"})
+        )
+        return body["networks"]
 
     def _trust_entries(self, home_network: str) -> Generator:
-        cached = self._trust_cache.get(home_network)
-        if cached is None:
-            body = yield from self._shared(
-                ("trust", home_network),
-                self._ledger_query(home_network, {"what": "trust"}),
-            )
-            cached = tuple((i, a, n) for i, a, n in body["entries"])
-            self._trust_cache[home_network] = cached
-        return cached
+        body = yield from self._read_once(
+            ("trust", home_network), self._ledger_query(home_network, {"what": "trust"})
+        )
+        return body["entries"]
 
     def _ledger_records(self, home_network: str, foreign_network: str) -> Generator:
         body = yield from self._ledger_query(
             home_network, {"what": "records", "network": foreign_network}
         )
         return [net.record_from_body(b) for b in body["records"]]
-
-    def _read_write_once(self, what: str, ident: str, read) -> Generator:
-        """Schemas and credential definitions never change once written (a
-        second write is DuplicateId), so the first successful quorum read is
-        kept for the agent's lifetime. NotFound and InconsistentReplicas
-        propagate and are never cached."""
-        key = (what, ident)
-        if key not in self._write_once:
-            self._write_once[key] = yield from self._shared(key, read(self.pool, ident))
-        return self._write_once[key]
 
     # --- step B: validate membership ------------------------------------------
 
@@ -389,10 +353,10 @@ class IinAgent(Actor):
         memberlist = creds.MemberlistCredential.from_bytes(payload)
         if memberlist.issuer_did != anchor_did or memberlist.network_id != foreign_network:
             raise NoTrustedPMV("memberlist not issued by the trusted validator")
-        cred_def = yield from self._read_write_once(
-            registry.QUERY_CRED_DEF,
-            cred_def_id_for(anchor_did, creds.MEMBERLIST_SCHEMA_NAME),
-            registry.read_cred_def,
+        cred_def_id = cred_def_id_for(anchor_did, creds.MEMBERLIST_SCHEMA_NAME)
+        cred_def = yield from self._read_once(
+            (registry.QUERY_CRED_DEF, cred_def_id),
+            registry.read_cred_def(self.pool, cred_def_id),
         )
         if not crypto.verify(
             cred_def.authentication_public_key,
@@ -429,17 +393,17 @@ class IinAgent(Actor):
             pass  # verification will fail at the schema check
         schema = cred_def = revocation = None
         try:
-            schema = yield from self._read_write_once(
-                registry.QUERY_SCHEMA,
-                schema_id_for(creds.MEMBERSHIP_SCHEMA_NAME),
-                registry.read_schema,
+            schema_id = schema_id_for(creds.MEMBERSHIP_SCHEMA_NAME)
+            schema = yield from self._read_once(
+                (registry.QUERY_SCHEMA, schema_id), registry.read_schema(self.pool, schema_id)
             )
         except registry.NotFound:
             pass
         if cred_def_id is not None:
             try:
-                cred_def = yield from self._read_write_once(
-                    registry.QUERY_CRED_DEF, cred_def_id, registry.read_cred_def
+                cred_def = yield from self._read_once(
+                    (registry.QUERY_CRED_DEF, cred_def_id),
+                    registry.read_cred_def(self.pool, cred_def_id),
                 )
             except registry.NotFound:
                 pass
@@ -655,7 +619,7 @@ class IinAgent(Actor):
                 {"result": result, "org": self.org_id, **extra},
             )
 
-        if home_network not in self.config.home_networks:
+        if home_network not in self.config.ledgers:
             respond(RESULT_VALIDATION_FAILED, reason="NotLocal")
             return
         try:
@@ -784,31 +748,19 @@ class IinAgent(Actor):
         target_did: str,
         memberlist: creds.MemberlistCredential,
     ) -> Generator:
-        self._session_counter += 1
-        session = SyncSession(
-            session_id=self._session_counter,
-            home_network=home_network,
-            counterparty_network=foreign_network,
-            target_did=target_did,
-        )
-        self.sync_sessions.append(session)
+        attempt = 1
         while True:
             try:
-                session.advance(PHASE_B)
-                if session.attempt > 1:
+                if attempt > 1:
                     memberlist = yield from self._fetch_memberlist(
                         home_network, foreign_network
                     )
-                claim, doc, verinym = yield from self._validate_member(
+                _, doc, verinym = yield from self._validate_member(
                     home_network, foreign_network, target_did, memberlist
                 )
-                session.claim = claim
-                session.advance(PHASE_C)
                 identity = yield from self._fetch_identity(
                     foreign_network, target_did, doc, verinym
                 )
-                session.bundle_digest = identity.digest
-                session.advance(PHASE_D)
                 outcome = yield from self._commit_identity(
                     home_network,
                     foreign_network,
@@ -820,43 +772,40 @@ class IinAgent(Actor):
                     roster_version=memberlist.roster_version,
                 )
             except PROTOCOL_ERRORS as e:
-                session.advance(PHASE_FAILED)
-                session.error = str(e)
                 failure = {"error": type(e).__name__}
                 if isinstance(e, creds.MembershipVerificationError):
                     failure["check"] = e.check
                 self.trace(
-                    "agent.sync_failed", network=foreign_network, target=target_did, **failure
+                    "agent.sync_failed", network=foreign_network, target=target_did,
+                    attempts=attempt, detail=str(e), **failure,
                 )
                 return {"status": PHASE_FAILED, **failure}
 
             if outcome != "DIGEST_MISMATCH":
-                session.advance(PHASE_DONE)
                 self.trace(
                     "agent.sync_done",
                     network=foreign_network,
                     org=identity.org_id,
-                    attempts=session.attempt,
+                    attempts=attempt,
                     outcome=outcome,
                 )
                 return {
                     "status": PHASE_DONE,
                     "org_id": identity.org_id,
                     "outcome": outcome,
-                    "attempts": session.attempt,
+                    "attempts": attempt,
                 }
 
-            session.advance(PHASE_FAILED)
-            session.error = "DigestMismatch"
-            if session.attempt >= RETRY_LIMIT:
+            if attempt >= RETRY_LIMIT:
                 self.trace(
                     "agent.sync_failed",
                     network=foreign_network,
                     target=target_did,
+                    attempts=attempt,
                     error="RetriesExhausted",
                 )
                 return {"status": PHASE_FAILED, "error": "RetriesExhausted"}
-            session.attempt += 1
+            attempt += 1
             self.cache.pop((foreign_network, target_did), None)
             yield Sleep(RETRY_BACKOFF)
 

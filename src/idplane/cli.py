@@ -47,11 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(config: harness.ScenarioConfig, seed, trace_path, report_path=None) -> int:
-    try:
-        report = harness.run_scenario(config, seed=seed, trace_path=trace_path)
-    except harness.TickCeilingExceeded as e:
-        print(f"runtime error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+    report = harness.run_scenario(config, seed=seed, trace_path=trace_path)
     for line in report.summary_lines():
         print(line)
     if report_path:

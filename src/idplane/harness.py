@@ -502,11 +502,9 @@ class World:
             agent_config = AgentConfig(
                 org_id=org,
                 address=f"agent:{org}",
-                iin_id=primary_iin,
                 keys=org_keys[org],
                 pool=self.pools[primary_iin],
                 oiv_address=self._oiv_address_for(org),
-                home_networks=homes,
                 home_pmv={
                     n: f"anchor:{config.network(n).pmv}" for n in homes
                 },
@@ -905,18 +903,19 @@ class ScenarioRunner:
             orgs = self._selected_orgs(step) if "network" in step or "orgs" in step else sorted(
                 world.agents
             )
+            org_of = {world.agents[org].address: org for org in orgs}
             failed = [
-                f"{org}:{s.target_did[-8:]}:{s.error}"
-                for org in orgs
-                for s in world.agents[org].sync_sessions
-                if s.phase == "FAILED"
+                f"{org_of[e.actor]}:{e.detail['target'][-8:]}:{e.detail['error']}"
+                + (f"({e.detail['detail']})" if e.detail.get("detail") else "")
+                for e in world.trace.events
+                if e.kind == "agent.sync_failed" and e.actor in org_of
             ]
             return not failed, f"failed={failed}" if failed else "all sessions clean"
         if kind == "session_attempts_max":
             attempts = [
-                s.attempt
-                for org in sorted(world.agents)
-                for s in world.agents[org].sync_sessions
+                e.detail["attempts"]
+                for e in world.trace.events
+                if e.kind in ("agent.sync_done", "agent.sync_failed")
             ]
             top = max(attempts) if attempts else 0
             return top <= int(step["max"]), f"max_attempts={top}"

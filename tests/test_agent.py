@@ -26,6 +26,14 @@ def memberlist_requests(world, sender, since=0):
     ]
 
 
+def agent_events(world, org, kinds, since=0):
+    """The trace events of `kinds` that `org`'s agent recorded, in order."""
+    return [
+        e for e in world.trace.events[since:]
+        if e.actor == f"agent:{org}" and e.kind in kinds
+    ]
+
+
 def ask_countersign(probe, world, foreign_did, digest, status, **extra):
     """Ask Seller to countersign a commit of STL's Carrier into SWT; returns
     the reply body."""
@@ -195,9 +203,9 @@ class TestCountersigning:
             e for e in world.trace.events if e.kind == "agent.sync.digest_mismatch"
         ]
         assert len(mismatches) == 3  # one per attempt, budget R=3
-        sessions = [s for s in world.agents["Buyer"].sync_sessions]
-        assert sessions[-1].attempt == 3
-        assert sessions[-1].phase == "FAILED"
+        [failed] = agent_events(world, "Buyer", {"agent.sync_failed"})
+        assert failed.detail["attempts"] == 3
+        assert failed.detail["error"] == "RetriesExhausted"
 
     def test_failed_memberlist_refetch_on_retry_fails_only_that_target(self, world):
         seller = world.agents["Seller"]
@@ -222,11 +230,14 @@ class TestCountersigning:
         errors = {did: r["error"] for did, r in record.result.items() if r["status"] == "FAILED"}
         assert sorted(errors.values()) == ["NoTrustedPMV", "RetriesExhausted"]
         refetch_lost = next(did for did, error in errors.items() if error == "NoTrustedPMV")
-        session = next(
-            s for s in world.agents["Buyer"].sync_sessions if s.target_did == refetch_lost
-        )
-        assert session.history == ["B", "C", "D", "FAILED", "B", "FAILED"]
-        assert session.error != "DigestMismatch"
+        failed = {
+            e.detail["target"]: e.detail
+            for e in agent_events(world, "Buyer", {"agent.sync_failed"})
+        }
+        # B, C and D once, a digest mismatch, then the second attempt's B fails
+        assert failed[refetch_lost]["attempts"] == 2
+        assert failed[refetch_lost]["error"] == "NoTrustedPMV"
+        assert "unavailable" in failed[refetch_lost]["detail"]
 
     def test_unreachable_countersigner_reported_as_missing(self, world):
         world.bus.config.rules.append(
@@ -249,9 +260,8 @@ class TestCountersigning:
         assert record.error is None
         outcome = record.result[world.org_dids["Carrier"]]
         assert outcome == {"status": "FAILED", "error": "CounterpartyValidationFailed"}
-        session = world.agents["Buyer"].sync_sessions[-1]
-        assert session.error == "Seller:LedgerUnreachable"
         failed = next(e for e in world.trace.events if e.kind == "agent.sync_failed")
+        assert failed.detail["detail"] == "Seller:LedgerUnreachable"
         assert failed.tick - start < 1500 // 2  # the countersign gather waits 1500
 
     def test_revoked_countersign_without_ledger_records_names_the_failure(self, world):
@@ -297,7 +307,10 @@ class TestWriteOnceCache:
         def read():
             record = agent.start_session(
                 "read",
-                agent._read_write_once(registry.QUERY_SCHEMA, schema_id, registry.read_schema),
+                agent._read_once(
+                    (registry.QUERY_SCHEMA, schema_id),
+                    registry.read_schema(agent.pool, schema_id),
+                ),
             )
             world.settle()
             return record
@@ -605,14 +618,16 @@ class TestBundleValidation:
             issuer_signature=rogue.sign(leaf.signing_bytes()),
         )
         peer.chain = peer.chain[:-1] + (forged_leaf,)
+        start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL",
                           targets=(world.org_dids["Carrier"],))
         assert record.error is None
         outcome = record.result[world.org_dids["Carrier"]]
         assert outcome["status"] == "FAILED"
         assert outcome["error"] == "BrokenLink"
-        session = world.agents["Buyer"].sync_sessions[-1]
-        assert session.history == ["B", "C", "FAILED"]
+        # step B passed, step C failed, step D never ran
+        phases = agent_events(world, "Buyer", PHASE_EVENTS, start)
+        assert [e.kind for e in phases] == ["agent.member_validated", "agent.sync_failed"]
         assert world.ledger_state("SWT").get_record("STL", "Carrier") is None
 
 
@@ -694,20 +709,16 @@ class TestResync:
         assert any(e.outcome == "NOOP" for e in log)
 
 
-def phases_are_monotone(history):
-    """B -> C -> D -> DONE within an attempt; only FAILED may restart at B."""
-    order = {"B": 0, "C": 1, "D": 2, "DONE": 3}
-    previous = None
-    for phase in history:
-        if previous is None or previous == "FAILED":
-            if phase != "B":
-                return False
-        elif phase == "FAILED":
-            pass
-        elif order.get(phase, -1) != order[previous] + 1:
-            return False
-        previous = phase
-    return True
+# the events that mark a sync target's phases: B validated, C fetched, D
+# committed or mismatched, then the target's outcome
+PHASE_EVENTS = {
+    "agent.member_validated",
+    "agent.identity_fetched",
+    "agent.sync.digest_mismatch",
+    "agent.committed",
+    "agent.sync_done",
+    "agent.sync_failed",
+}
 
 
 class TestSessionBookkeeping:
@@ -719,21 +730,36 @@ class TestSessionBookkeeping:
         )
         report = runner.run()
         assert report.ok
-        buyer_sessions = runner.world.agents["Buyer"].sync_sessions
-        retried = [s for s in buyer_sessions if s.attempt > 1]
-        assert retried, "scenario should have produced a retried session"
-        for session in buyer_sessions:
-            assert phases_are_monotone(session.history), session.history
-        assert retried[0].history == ["B", "C", "D", "FAILED", "B", "C", "D", "DONE"]
+        phases = agent_events(runner.world, "Buyer", PHASE_EVENTS)
+        assert [e.kind for e in phases] == [
+            "agent.member_validated",
+            "agent.identity_fetched",
+            "agent.sync.digest_mismatch",
+            "agent.member_validated",
+            "agent.identity_fetched",
+            "agent.committed",
+            "agent.sync_done",
+        ]
+        assert phases[-1].detail["attempts"] == 2
 
     def test_sessions_record_phase_and_digest(self, world):
+        start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL")
         assert record.error is None
-        sessions = world.agents["Buyer"].sync_sessions
-        assert sessions and all(s.phase == "DONE" for s in sessions)
-        assert all(s.attempt == 1 for s in sessions)
-        assert all(s.bundle_digest is not None for s in sessions)
-        assert all(s.claim is not None for s in sessions)
+        assert record.result and all(
+            r["status"] == "DONE" and r["attempts"] == 1 for r in record.result.values()
+        )
+        validated = agent_events(world, "Buyer", {"agent.member_validated"}, start)
+        assert {e.detail["holder"] for e in validated} == set(record.result)
+        fetched = {
+            e.detail["org"]: e.detail["digest"]
+            for e in agent_events(world, "Buyer", {"agent.identity_fetched"}, start)
+        }
+        state = world.ledger_state("SWT")
+        assert fetched == {
+            r["org_id"]: state.get_record("STL", r["org_id"]).bundle_digest.hex()
+            for r in record.result.values()
+        }
 
     def test_step_a_rerun_keeps_credentials_and_refreshes_witness(self, world):
         agent = world.agents["Carrier"]

@@ -227,6 +227,41 @@ class TestRunnerAndReport:
         replayed = net.replay_block_log(ledger.genesis, ledger.state.block_log)
         assert replayed.state_hash() == ledger.state.state_hash()
 
+    def test_no_failed_sessions_names_org_target_and_error(self, tmp_path):
+        raw = minimal_raw()
+        # lose every countersign request to Seller, the one countersigner of
+        # both syncs, after step A
+        raw["script"].insert(2, {
+            "step": "fault", "action": "drop",
+            "to": "agent:Seller", "kind": "agent.countersign.request",
+        })
+        path = tmp_path / "lossy.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        runner = harness.ScenarioRunner(harness.load_scenario(path))
+        report = runner.run()
+        result = next(r for r in report.assertions if r.name == "all-sync-sessions-clean")
+        assert not result.ok
+        dids = runner.world.org_dids
+        for initiator, target in (
+            ("Buyer", "Carrier"), ("Buyer", "Seller"),
+            ("Carrier", "Buyer"), ("Carrier", "Seller"),
+        ):
+            assert f"{initiator}:{dids[target][-8:]}:" in result.detail
+        assert "Seller" in result.detail  # the countersigner that never answered
+
+    def test_session_attempts_max_fails_above_the_bound(self, tmp_path):
+        raw = yaml.safe_load(
+            (harness.SCENARIO_DIR / "digest_mismatch_retry.yaml").read_text(encoding="utf-8")
+        )
+        step = next(s for s in raw["script"] if s.get("kind") == "session_attempts_max")
+        step["max"] = 1
+        path = tmp_path / "strict.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        report = harness.run_scenario(harness.load_scenario(path))
+        result = next(r for r in report.assertions if r.name == step["name"])
+        assert not result.ok
+        assert result.detail == "max_attempts=2"
+
     def test_tick_ceiling_becomes_runtime_error(self):
         config = scenario_config("two-network")
         config.tick_ceiling = 5
