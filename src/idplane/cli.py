@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 all assertions passed, 1 assertion failure, 2 configuration
-error, 3 runtime error.
+Exit codes: 0 all assertions passed, 1 assertion failure (a run's broken
+trace rule is one), 2 configuration error, 3 runtime error.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """Scenario runner: loads a declarative YAML scenario, wires identity networks,
 anchors, permissioned networks, and agents onto one deterministic bus, executes
 the scripted steps, and evaluates the scenario's assertions into a run report.
+Every run also replays its own trace against the rules of `trace.verify_events`;
+each broken rule is one failed `trace:<rule>` assertion.
 
 A scenario's identity material (keys, DIDs, MSP hierarchies) derives from
 `identity_seed`, while message timing, nonces, and sealing derive from the run
@@ -27,7 +29,7 @@ from .actors import Actor
 from .agent import AgentConfig, IinAgent
 from .anchors import AnchorService, StewardService, TrustAnchorProfile
 from .bus import BoxKeyPair, BusConfig, FaultRule, SimBus, TickCeilingExceeded
-from .trace import TraceLog
+from .trace import TraceLog, verify_events
 
 SCENARIO_DIR = Path(__file__).parent / "scenarios"
 
@@ -49,14 +51,8 @@ STEP_KINDS = {
 ASSERT_KINDS = {
     "record_status",
     "record_digest_matches",
-    "records_count",
-    "proof_outcome",
-    "validate_outcome",
-    "epoch",
     "trace_count",
     "trace_order",
-    "ledger_commits",
-    "endorsement_complete",
     "no_failed_sessions",
     "session_attempts_max",
 }
@@ -586,6 +582,10 @@ class ScenarioRunner:
             self.report.errors.append(str(e))
         except Exception as e:  # a malformed step must not escape as a traceback
             self.report.errors.append(f"{type(e).__name__}: {e}")
+        for rule, line, message in verify_events(self.world.trace.events):
+            self.report.assertions.append(
+                AssertionResult(name=f"trace:{rule}", ok=False, detail=f"line {line}: {message}")
+            )
         self.report.final_tick = self.world.bus.now
         self.report.state_hashes = self.world.collect_state_hashes()
         self.world.trace.record(
@@ -724,12 +724,13 @@ class ScenarioRunner:
             id=step["id"], outcome=outcome["status"], check=outcome.get("check", 0),
         )
         if "expect" in step:
-            expected = step["expect"]
+            # `expect` is "ok", or "check:N" for a failure at verification check N
+            got = "ok" if outcome["status"] == "ok" else f"check:{outcome['check']}"
             self.report.assertions.append(
                 AssertionResult(
                     name=f"validate:{step['id']}",
-                    ok=_outcome_matches(outcome, expected),
-                    detail=f"expected {expected}, got {outcome}",
+                    ok=got == step["expect"],
+                    detail=f"expected {step['expect']}, got {outcome}",
                 )
             )
 
@@ -846,21 +847,6 @@ class ScenarioRunner:
                 and record.bundle == source.bundle_bytes()
             )
             return ok, f"record={record.bundle_digest.hex()[:16]} source={expected.hex()[:16]}"
-        if kind == "records_count":
-            records = world.ledger_state(step["network"]).records_for(step["foreign"])
-            if "status" in step:
-                records = [r for r in records if r.status == step["status"]]
-            return len(records) == int(step["count"]), f"count={len(records)}"
-        if kind == "proof_outcome":
-            got = self.report.proof_outcomes.get(step["id"], "<missing>")
-            return got == step["expect"], f"outcome={got}"
-        if kind == "validate_outcome":
-            got = self.report.validate_outcomes.get(step["id"], {})
-            return _outcome_matches(got, step["expect"]), f"outcome={got}"
-        if kind == "epoch":
-            anchor = world.anchors[step["anchor"]]
-            epoch = anchor.acc_state.epoch if anchor.acc_state else -1
-            return epoch == int(step["value"]), f"epoch={epoch}"
         if kind == "trace_count":
             events = [
                 e for e in world.trace.events
@@ -881,34 +867,19 @@ class ScenarioRunner:
                     if position == len(expected):
                         return True, f"matched all {len(expected)} events in order"
             return False, f"matched {position}/{len(expected)} events"
-        if kind == "ledger_commits":
-            log = world.ledger_state(step["network"]).block_log
-            entries = [e for e in log if e.outcome == step["outcome"]]
-            if "foreign" in step:
-                entries = [e for e in entries if e.foreign_network == step["foreign"]]
-            return len(entries) == int(step["count"]), f"count={len(entries)}"
-        if kind == "endorsement_complete":
-            # every effective commit carries an endorsement from every local org
-            state = world.ledger_state(step["network"])
-            required = set(self.config.network(step["network"]).org_names())
-            incomplete = [
-                e.seq
-                for e in state.block_log
-                if e.outcome in ("APPLIED", "NOOP")
-                and not required <= {org for org, _ in e.endorsements}
-            ]
-            total = len([e for e in state.block_log if e.outcome in ("APPLIED", "NOOP")])
-            return not incomplete, f"{total} commits, incomplete={incomplete or 'none'}"
         if kind == "no_failed_sessions":
             orgs = self._selected_orgs(step) if "network" in step or "orgs" in step else sorted(
                 world.agents
             )
             org_of = {world.agents[org].address: org for org in orgs}
+            # a failed target names its DID; a whole failed session its label
             failed = [
-                f"{org_of[e.actor]}:{e.detail['target'][-8:]}:{e.detail['error']}"
+                f"{org_of[e.actor]}:"
+                + (e.detail["target"][-8:] if "target" in e.detail else e.detail["label"])
+                + f":{e.detail['error']}"
                 + (f"({e.detail['detail']})" if e.detail.get("detail") else "")
                 for e in world.trace.events
-                if e.kind == "agent.sync_failed" and e.actor in org_of
+                if e.kind in ("agent.sync_failed", "session.failed") and e.actor in org_of
             ]
             return not failed, f"failed={failed}" if failed else "all sessions clean"
         if kind == "session_attempts_max":
@@ -920,14 +891,6 @@ class ScenarioRunner:
             top = max(attempts) if attempts else 0
             return top <= int(step["max"]), f"max_attempts={top}"
         return False, f"unknown assertion {kind}"
-
-
-def _outcome_matches(outcome: dict, expected: str) -> bool:
-    """A validate outcome against a step's `expect`: "ok", or "check:N" for a
-    failure at verification check N."""
-    if expected == "ok":
-        return outcome.get("status") == "ok"
-    return outcome.get("status") == "failed" and f"check:{outcome.get('check')}" == expected
 
 
 def run_scenario(

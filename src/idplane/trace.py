@@ -1,7 +1,8 @@
 """Structured run traces: append-only event log, JSONL emission, and replay
 verification against trace invariants (monotone ticks, digest-only bus events,
 endorsement completeness for ledger commits, no accepted ledger commit reusing
-a record's nonce, an error named by every failed session).
+a record's nonce, an error named by every failed session). Every scenario run
+checks its own trace against these rules; `verify-trace` checks a file.
 """
 
 from __future__ import annotations

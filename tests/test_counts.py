@@ -54,12 +54,12 @@ def test_bundled_scenario_counts(
 
 
 TRACE_DIGESTS = {
-    "concurrent-commit": "4735379c1d97bf68bc8562bcd209cbb2faa613d759b7c347398e2842d96b4da7",
-    "concurrent-commit-serial": "83a6799de320341ef9c959e294a8fe214cb8267df56259bfb8547274496591f8",
+    "concurrent-commit": "38d2acf001f2d1b8e486d40be2ce1011b612be7709736a1bbf2ccbb65cdfe3d1",
+    "concurrent-commit-serial": "b531a73dbe55628f23ad1e5d13064159ed35f69049e3a353f31ca5493a012906",
     "digest-mismatch-retry": "ea597e1728aa50080dba77ccf453cd83354f07ecd8afd7b8fb91e0746c9bd6f7",
-    "revoke-carrier": "fdf82e3eb3686b45778a3357deaf0381ad42d01096c0cb99aaa7b51da8503cf3",
+    "revoke-carrier": "92f99baa954741ab6dfee01a6f6bd1e6f418798de6d27b53e4aa5cd0f45f83a8",
     "rotate-resync": "ed6e2df5cb38c4f38abc59d8dd2366d5854b8c9d64cb364c9f27d58bd4909895",
-    "two-network": "a8c81f9e85289e14d10874d45fd8c60fc9383e46d9a50eedfda9b0637a44caf8",
+    "two-network": "da58d5e140b106e53b55fe42b891c0a41932aa98a0a6f9345facb7a0ec1bdcd1",
 }
 
 

@@ -71,6 +71,8 @@ class TestLoadScenario:
         raw["iins"][0]["nodes"] = 5
         raw["script"].append({"step": "explode"})
         raw["script"].append({"step": "assert", "kind": "nonsense"})
+        # a deleted kind: trace rule endorsement-complete checks this every run
+        raw["script"].append({"step": "assert", "kind": "endorsement_complete"})
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(raw))
         with pytest.raises(harness.ScenarioValidationError) as err:
@@ -79,6 +81,16 @@ class TestLoadScenario:
         assert "3f+1" in problems
         assert "explode" in problems
         assert "nonsense" in problems
+        assert "unknown assert kind 'endorsement_complete'" in problems
+
+    def test_every_assert_kind_is_used_by_a_bundled_scenario(self):
+        used = {
+            step["kind"]
+            for path in harness.bundled_scenarios().values()
+            for step in harness.load_scenario(path).script
+            if step["step"] == "assert"
+        }
+        assert used == harness.ASSERT_KINDS
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +260,28 @@ class TestRunnerAndReport:
         ):
             assert f"{initiator}:{dids[target][-8:]}:" in result.detail
         assert "Seller" in result.detail  # the countersigner that never answered
+
+    def test_no_failed_sessions_names_a_whole_failed_session(self):
+        config = scenario_config("two-network")
+        config.drop_rate = 0.01
+        # at this seed a lost ledger query ends Buyer's whole sync session
+        report = harness.run_scenario(config, seed=2)
+        result = next(r for r in report.assertions if r.name == "all-sync-sessions-clean")
+        assert not result.ok
+        assert "Buyer:sync:STL:LedgerUnreachable(SWT)" in result.detail
+
+    def test_run_fails_on_its_own_bad_trace(self):
+        runner = harness.ScenarioRunner(scenario_config("concurrent-commit"))
+        runner.world.trace.record(0, "anchor:AnchorSWT", "session.failed", label="publish")
+        line = len(runner.world.trace.events)
+        report = runner.run()
+        assert report.ok is False
+        assert not report.errors
+        failed = [r for r in report.assertions if not r.ok]
+        assert [(r.name, r.detail) for r in failed] == [
+            ("trace:session-failed-named", f"line {line}: failed session names no error")
+        ]
+        assert runner.world.trace.events[-1].detail == {"ok": False}
 
     def test_session_attempts_max_fails_above_the_bound(self, tmp_path):
         raw = yaml.safe_load(
