@@ -97,10 +97,6 @@ class CounterpartyValidationFailed(AgentError):
     pass
 
 
-class RetriesExhausted(AgentError):
-    pass
-
-
 class LedgerUnreachable(AgentError):
     pass
 
@@ -135,11 +131,8 @@ class AgentConfig:
 @dataclass
 class CachedIdentity:
     org_id: str
-    network_id: str
-    did: str
     bundle: bytes
     digest: bytes
-    fetched_at: int
 
 
 class IinAgent(Actor):
@@ -488,11 +481,8 @@ class IinAgent(Actor):
             crypto.verify_certificate_chain(chain, self.bus.now)
         identity = CachedIdentity(
             org_id=org_id,
-            network_id=foreign_network,
-            did=target_did,
             bundle=payload,
             digest=crypto.digest(payload),
-            fetched_at=self.bus.now,
         )
         self.cache[(foreign_network, target_did)] = identity
         self.trace(

@@ -5,44 +5,32 @@ registry: as an organization identity validator (OIV) it attests DID documents
 against an evidence whitelist and submits the verinym registration; as a
 participant membership validator (PMV) it issues and revokes membership
 credentials for the networks it represents, maintains the per-network rosters
-and the memberlist credential, and runs the revocation registry (a Merkle
-accumulator over currently valid credential ids, re-published to the registry
-at every epoch bump).
+(holder DID -> membership credential) and the memberlist credential, and runs
+the revocation registry: a Merkle accumulator whose leaves are the credential
+ids of every roster, re-published to the registry at every epoch bump.
 
-Issuance and revocation are serialized per anchor so accumulator epochs never
-race; holders whose witnesses go stale after someone else's epoch bump come
-back for a witness refresh.
+Issuance and revocation are serialized per anchor, each op a session that
+first Joins the op enqueued before it, so accumulator epochs never race;
+holders whose witnesses go stale after someone else's epoch bump come back for
+a witness refresh.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from . import credentials as creds
 from . import crypto
 from . import registry
-from .actors import Actor, Message
+from .actors import Actor, Join, Message, SessionRecord
 
 
 class AnchorError(Exception):
     pass
 
 
-class EvidenceMismatch(AnchorError):
-    pass
-
-
 class NotRepresented(AnchorError):
-    pass
-
-
-class NoVerinym(AnchorError):
-    pass
-
-
-class NotEligible(AnchorError):
     pass
 
 
@@ -62,7 +50,7 @@ class TrustAnchorProfile:
 @dataclass
 class MembershipRoster:
     network_id: str
-    members: dict[str, bytes] = field(default_factory=dict)  # member DID -> credential id
+    members: dict[str, creds.MembershipCredential] = field(default_factory=dict)  # by holder DID
     version: int = 0
 
 
@@ -82,17 +70,13 @@ class AnchorService(Actor):
         self.keys = keys
         self.pool = pool
         self.eligibility = eligibility
-        self.doc: Optional[registry.DidDocument] = None
         self.rosters: dict[str, MembershipRoster] = {
             net: MembershipRoster(network_id=net) for net in profile.represented_networks
         }
         self.acc_state: Optional[crypto.RevocationRegistryState] = None
-        self.acc_leaves: tuple[bytes, ...] = ()
-        self.issued: dict[bytes, creds.MembershipCredential] = {}
         self.memberlists: dict[str, creds.MemberlistCredential] = {}
         self.issuance_counter = 0
-        self._op_queue: deque = deque()
-        self._op_running = False
+        self._last_op: Optional[SessionRecord] = None
 
     @property
     def membership_cred_def_id(self) -> str:
@@ -105,23 +89,25 @@ class AnchorService(Actor):
     # --- serialized mutating operations -------------------------------------
 
     def enqueue_serialized(self, label: str, gen_factory) -> None:
-        self._op_queue.append((label, gen_factory))
-        if not self._op_running:
-            self._dequeue_op()
+        """Run `gen_factory()` as a session once the op enqueued before it has
+        ended, whether or not that op failed."""
+        previous = self._last_op
 
-    def _dequeue_op(self) -> None:
-        if not self._op_queue:
-            return
-        self._op_running = True
-        label, gen_factory = self._op_queue.popleft()
-        self.start_session(label, self._run_serialized(gen_factory))
+        def op() -> Generator:
+            if previous is not None:
+                try:
+                    yield Join((previous,))
+                except Exception:
+                    pass  # the runtime traced it as session.failed
+            return (yield from gen_factory())
 
-    def _run_serialized(self, gen_factory) -> Generator:
-        try:
-            yield from gen_factory()
-        finally:
-            self._op_running = False
-            self._dequeue_op()
+        self._last_op = self.start_session(label, op())
+
+    def _leaves(self) -> tuple[bytes, ...]:
+        """The accumulator's leaves: the credential ids of every roster, sorted."""
+        return tuple(sorted(
+            vc.credential_id for roster in self.rosters.values() for vc in roster.members.values()
+        ))
 
     # --- bootstrap ------------------------------------------------------------
 
@@ -141,14 +127,14 @@ class AnchorService(Actor):
                 registry.KIND_CRED_DEF, cred_def.to_bytes(), self.profile.did, self.keys
             )
             yield from registry.submit_transaction(self.pool, tx)
-        state, leaves = crypto.accumulator_init(self.profile.did)
+        state, _ = crypto.accumulator_init(self.profile.did)
         tx = registry.make_transaction(
             registry.KIND_REVOC_INIT, state.to_bytes(), self.profile.did, self.keys
         )
         receipt = yield from registry.submit_transaction(self.pool, tx)
         if receipt["outcome"] != registry.OUTCOME_APPLIED:
             raise AnchorError(f"revocation init rejected: {receipt['outcome']}")
-        self.acc_state, self.acc_leaves = state, leaves
+        self.acc_state = state
         for net in self.profile.represented_networks:
             self._rebuild_memberlist(net)
         self.trace("anchor.ready", anchor=self.profile.name)
@@ -190,13 +176,7 @@ class AnchorService(Actor):
                 sender, msg, "anchor.verinym.reply", {"ok": False, "error": "EvidenceMismatch"}
             )
             return
-        attested = registry.DidDocument(
-            did=doc.did,
-            verification_keys=doc.verification_keys,
-            service_endpoint=doc.service_endpoint,
-            attestations=((self.profile.did, self.keys.sign(doc.attestation_bytes())),),
-            version=doc.version,
-        )
+        attested = registry.attest(doc, self.profile.did, self.keys)
         tx = registry.make_transaction(
             registry.KIND_NYM, attested.to_bytes(), self.profile.did, self.keys
         )
@@ -247,9 +227,8 @@ class AnchorService(Actor):
         roster = self.rosters[network_id]
         if holder_did in roster.members:
             # idempotent re-issue: same credential, fresh witness, no epoch bump
-            credential_id = roster.members[holder_did]
-            vc = self.issued[credential_id]
-            witness = crypto.witness_for(self.acc_state, self.acc_leaves, credential_id)
+            vc = roster.members[holder_did]
+            witness = crypto.witness_for(self.acc_state, self._leaves(), vc.credential_id)
             self.reply(
                 sender,
                 msg,
@@ -268,9 +247,7 @@ class AnchorService(Actor):
             network_id=network_id,
             issuance_counter=self.issuance_counter,
         )
-        new_state, new_leaves = crypto.accumulator_add(
-            self.acc_state, self.acc_leaves, vc.credential_id
-        )
+        new_state, _ = crypto.accumulator_add(self.acc_state, self._leaves(), vc.credential_id)
         tx = registry.make_transaction(
             registry.KIND_REVOC_UPDATE, new_state.to_bytes(), self.profile.did, self.keys
         )
@@ -282,12 +259,11 @@ class AnchorService(Actor):
         if receipt["outcome"] != registry.OUTCOME_APPLIED:
             fail(f"RegistryRejected:{receipt['outcome']}")
             return
-        self.acc_state, self.acc_leaves = new_state, new_leaves
-        roster.members[holder_did] = vc.credential_id
+        self.acc_state = new_state
+        roster.members[holder_did] = vc
         roster.version += 1
-        self.issued[vc.credential_id] = vc
         self._rebuild_memberlist(network_id)
-        witness = crypto.witness_for(self.acc_state, self.acc_leaves, vc.credential_id)
+        witness = crypto.witness_for(self.acc_state, self._leaves(), vc.credential_id)
         self.trace(
             "anchor.vc_issued",
             network=network_id,
@@ -311,9 +287,8 @@ class AnchorService(Actor):
         roster = self.rosters[network_id]
         if holder_did not in roster.members:
             raise NotAMember(holder_did)
-        credential_id = roster.members[holder_did]
-        new_state, new_leaves = crypto.accumulator_revoke(
-            self.acc_state, self.acc_leaves, credential_id
+        new_state, _ = crypto.accumulator_revoke(
+            self.acc_state, self._leaves(), roster.members[holder_did].credential_id
         )
         tx = registry.make_transaction(
             registry.KIND_REVOC_UPDATE, new_state.to_bytes(), self.profile.did, self.keys
@@ -321,7 +296,7 @@ class AnchorService(Actor):
         receipt = yield from registry.submit_transaction(self.pool, tx)
         if receipt["outcome"] != registry.OUTCOME_APPLIED:
             raise AnchorError(f"revocation update rejected: {receipt['outcome']}")
-        self.acc_state, self.acc_leaves = new_state, new_leaves
+        self.acc_state = new_state
         del roster.members[holder_did]
         roster.version += 1
         self._rebuild_memberlist(network_id)
@@ -366,26 +341,17 @@ class AnchorService(Actor):
 
     def _refresh_witness(self, sender: str, msg: Message) -> None:
         credential_id = bytes.fromhex(msg.body["credential_id"])
-        if self.acc_state is None or credential_id not in self.acc_leaves:
+        leaves = self._leaves()
+        if self.acc_state is None or credential_id not in leaves:
             self.reply(
                 sender, msg, "anchor.witness.reply", {"ok": False, "error": "NotAMember"}
             )
             return
-        witness = crypto.witness_for(self.acc_state, self.acc_leaves, credential_id)
+        witness = crypto.witness_for(self.acc_state, leaves, credential_id)
         self.reply(
             sender, msg, "anchor.witness.reply",
             {"ok": True, "witness": witness.to_bytes().hex()},
         )
-
-    # --- invariants ---------------------------------------------------------
-
-    def roster_accumulator_coherent(self) -> bool:
-        """Issuer-side check: the accumulator leaf set equals the union of all
-        roster credential ids."""
-        roster_ids = sorted(
-            cred_id for roster in self.rosters.values() for cred_id in roster.members.values()
-        )
-        return tuple(roster_ids) == tuple(sorted(self.acc_leaves))
 
 
 def schema_id_for(schema_name: str) -> str:
@@ -439,13 +405,7 @@ class StewardService(Actor):
             )
             yield from registry.submit_transaction(self.pool, tx)
         for doc, roles in anchor_docs:
-            attested = registry.DidDocument(
-                did=doc.did,
-                verification_keys=doc.verification_keys,
-                service_endpoint=doc.service_endpoint,
-                attestations=((self.did, self.keys.sign(doc.attestation_bytes())),),
-                version=doc.version,
-            )
+            attested = registry.attest(doc, self.did, self.keys)
             tx = registry.make_transaction(
                 registry.KIND_NYM, attested.to_bytes(), self.did, self.keys
             )

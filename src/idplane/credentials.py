@@ -23,7 +23,7 @@ so failures are reported deterministically:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
 from . import crypto
@@ -217,14 +217,7 @@ def issue_membership_credential(
         cred_def_id=cred_def_id,
         issuer_signature=crypto.Signature(b""),
     )
-    return MembershipCredential(
-        credential_id=credential_id,
-        holder_did=holder_did,
-        network_id=network_id,
-        issuer_did=issuer_did,
-        cred_def_id=cred_def_id,
-        issuer_signature=issuer_keys.sign(unsigned.signing_bytes()),
-    )
+    return replace(unsigned, issuer_signature=issuer_keys.sign(unsigned.signing_bytes()))
 
 
 @dataclass(frozen=True)
@@ -280,14 +273,7 @@ def issue_memberlist_credential(
         cred_def_id=cred_def_id,
         issuer_signature=crypto.Signature(b""),
     )
-    return MemberlistCredential(
-        network_id=network_id,
-        member_dids=member_dids,
-        roster_version=roster_version,
-        issuer_did=issuer_did,
-        cred_def_id=cred_def_id,
-        issuer_signature=issuer_keys.sign(unsigned.signing_bytes()),
-    )
+    return replace(unsigned, issuer_signature=issuer_keys.sign(unsigned.signing_bytes()))
 
 
 @dataclass(frozen=True)
@@ -348,13 +334,7 @@ def _sign_vp(
         challenge_nonce=nonce,
         presenter_signature=crypto.Signature(b""),
     )
-    return VerifiablePresentation(
-        kind=kind,
-        body=body,
-        presenter_did=presenter_did,
-        challenge_nonce=nonce,
-        presenter_signature=keys.sign(unsigned.signing_bytes()),
-    )
+    return replace(unsigned, presenter_signature=keys.sign(unsigned.signing_bytes()))
 
 
 def build_membership_vp(

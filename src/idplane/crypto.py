@@ -12,7 +12,7 @@ return new states.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -232,15 +232,7 @@ def issue_certificate_chain(
             valid_to=spec.valid_to,
             issuer_signature=Signature(b"\x00" * SIGNATURE_LEN),
         )
-        sig = issuer_key.sign(unsigned.signing_bytes())
-        return Certificate(
-            subject_name=spec.name,
-            subject_public_key=spec.public_key,
-            issuer_name=issuer_name,
-            valid_from=spec.valid_from,
-            valid_to=spec.valid_to,
-            issuer_signature=sig,
-        )
+        return replace(unsigned, issuer_signature=issuer_key.sign(unsigned.signing_bytes()))
 
     chain = [make(root_spec, root_spec.name, root_key)]
     signer_name, signer_key = root_spec.name, root_key

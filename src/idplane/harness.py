@@ -142,13 +142,25 @@ def parse_scenario(raw: dict, source: str = "<inline>") -> ScenarioConfig:
             return None
         return raw.get(key, default)
 
+    def complete(where: str, entry, *keys: str) -> bool:
+        """Record one problem per required key the entry lacks."""
+        if not isinstance(entry, dict):
+            problems.append(f"{where}: must be a mapping")
+            return False
+        missing = [k for k in keys if k not in entry]
+        problems.extend(f"{where}: missing field {k!r}" for k in missing)
+        return not missing
+
     name = need("name") or "unnamed"
     iins_raw = need("iins") or []
     networks_raw = need("networks") or []
     anchors_raw = need("anchors") or []
     script_raw = raw.get("script", [])
 
-    iins = tuple((i["id"], int(i.get("nodes", 4))) for i in iins_raw)
+    iins = tuple(
+        (i["id"], int(i.get("nodes", 4)))
+        for idx, i in enumerate(iins_raw) if complete(f"iins[{idx}]", i, "id")
+    )
     iin_ids = {i for i, _ in iins}
     for iin_id, nodes in iins:
         if nodes < 4 or (nodes - 1) % 3 != 0:
@@ -161,7 +173,7 @@ def parse_scenario(raw: dict, source: str = "<inline>") -> ScenarioConfig:
             whitelist=tuple(a.get("whitelist", [])),
             represents=tuple(a.get("represents", [])),
         )
-        for a in anchors_raw
+        for idx, a in enumerate(anchors_raw) if complete(f"anchors[{idx}]", a, "name", "iin")
     )
     anchor_names = {a.name for a in anchors}
     for a in anchors:
@@ -169,10 +181,13 @@ def parse_scenario(raw: dict, source: str = "<inline>") -> ScenarioConfig:
             problems.append(f"anchor {a.name}: unknown iin {a.iin!r}")
 
     networks = []
-    for n in networks_raw:
+    for idx, n in enumerate(networks_raw):
+        if not complete(f"networks[{idx}]", n, "id"):
+            continue
         orgs = tuple(
             (o["name"], int(o.get("peers", 1))) if isinstance(o, dict) else (o, 1)
-            for o in n.get("orgs", [])
+            for j, o in enumerate(n.get("orgs", []))
+            if not isinstance(o, dict) or complete(f"networks[{idx}].orgs[{j}]", o, "name")
         )
         networks.append(
             NetworkSpec(
@@ -180,7 +195,9 @@ def parse_scenario(raw: dict, source: str = "<inline>") -> ScenarioConfig:
                 orgs=orgs,
                 interop=tuple(n.get("interop", [])),
                 trust=tuple(
-                    (t["iin"], t["anchor"], t["network"]) for t in n.get("trust", [])
+                    (t["iin"], t["anchor"], t["network"])
+                    for j, t in enumerate(n.get("trust", []))
+                    if complete(f"networks[{idx}].trust[{j}]", t, "iin", "anchor", "network")
                 ),
                 pmv=n.get("pmv", ""),
             )
@@ -391,13 +408,7 @@ class World:
         for iin_id, node_count in config.iins:
             steward_address = f"steward:{iin_id}"
             steward_keys = crypto.KeyPair.from_seed(self._identity_seed(f"steward:{iin_id}"))
-            steward_did = registry.make_did(iin_id, steward_keys.public_key)
-            steward_doc = registry.DidDocument(
-                did=steward_did,
-                verification_keys=(steward_keys.public_key,),
-                service_endpoint=steward_address,
-                attestations=(),
-            )
+            steward_doc = registry.new_did_document(iin_id, steward_keys, steward_address)
             genesis = registry.RegistryState.genesis(
                 (steward_doc,), verinym_threshold=config.verinym_threshold
             )
@@ -424,7 +435,7 @@ class World:
                 self._register(node)
                 nodes.append(node)
             self.iin_nodes[iin_id] = nodes
-            steward = StewardService(steward_address, steward_did, steward_keys, pool)
+            steward = StewardService(steward_address, steward_doc.did, steward_keys, pool)
             self._register(steward)
             self.stewards[iin_id] = steward
 
@@ -651,13 +662,7 @@ class ScenarioRunner:
                 if spec.iin != iin_id:
                     continue
                 anchor = world.anchors[spec.name]
-                doc = registry.DidDocument(
-                    did=anchor.profile.did,
-                    verification_keys=(anchor.keys.public_key,),
-                    service_endpoint=anchor.address,
-                    attestations=(),
-                )
-                anchor.doc = doc
+                doc = registry.new_did_document(iin_id, anchor.keys, anchor.address)
                 anchor_docs.append((doc, anchor.profile.roles))
             record = steward.start_session("bootstrap", steward.bootstrap(anchor_docs))
             world.settle()

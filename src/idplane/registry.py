@@ -148,6 +148,11 @@ def new_did_document(
     )
 
 
+def attest(doc: DidDocument, signer_did: str, signer_keys: crypto.KeyPair) -> DidDocument:
+    """The document with the signer's attestation as its only one."""
+    return replace(doc, attestations=((signer_did, signer_keys.sign(doc.attestation_bytes())),))
+
+
 @dataclass(frozen=True)
 class RegistryTransaction:
     kind: str
@@ -191,12 +196,7 @@ def make_transaction(
         submitter_did=submitter_did,
         submitter_signature=crypto.Signature(b""),
     )
-    return RegistryTransaction(
-        kind=kind,
-        payload=payload,
-        submitter_did=submitter_did,
-        submitter_signature=submitter_keys.sign(unsigned.signing_bytes()),
-    )
+    return replace(unsigned, submitter_signature=submitter_keys.sign(unsigned.signing_bytes()))
 
 
 def anchor_grant_payload(target_did: str, role: str) -> bytes:

@@ -10,6 +10,18 @@ from idplane.bus import FaultRule
 from conftest import add_probe, bootstrapped_runner
 
 
+def assert_accumulator_published(world, anchor):
+    """The anchor's accumulator is the one over its rosters' credential ids,
+    and every registry replica holds that state."""
+    cred_ids = [
+        vc.credential_id for roster in anchor.rosters.values() for vc in roster.members.values()
+    ]
+    state, _ = crypto.accumulator_init(anchor.profile.did, cred_ids)
+    assert state.root == anchor.acc_state.root
+    for node in world.iin_nodes[anchor.pool.iin_id]:
+        assert node.state.revocation[anchor.profile.did] == anchor.acc_state
+
+
 class TestVerinymRegistration:
     def test_whitelisted_orgs_got_verinyms(self, world):
         node = world.iin_nodes["iin0"][0]
@@ -80,7 +92,7 @@ class TestMembershipIssuance:
 
     def test_roster_accumulator_coherence(self, world):
         for anchor in world.anchors.values():
-            assert anchor.roster_accumulator_coherent()
+            assert_accumulator_published(world, anchor)
 
     def test_duplicate_issue_returns_same_credential_no_epoch_bump(self, world):
         anchor = world.anchors["AnchorSWT"]
@@ -272,7 +284,7 @@ class TestRevocation:
         assert anchor.acc_state.epoch == epoch_before + 1
         assert carrier_did not in anchor.rosters["STL"].members
         assert anchor.rosters["STL"].version == version_before + 1
-        assert anchor.roster_accumulator_coherent()
+        assert_accumulator_published(world, anchor)
         assert anchor.memberlists["STL"].roster_version == version_before + 1
 
     def test_outstanding_witnesses_invalidated_then_refreshable_for_survivors(self, world):
@@ -325,6 +337,30 @@ class TestRevocation:
         anchor.enqueue_serialized("revoke", capture)
         world.settle()
         assert isinstance(records["error"], NotAMember)
+
+    def test_failed_serialized_op_does_not_block_the_next(self, world):
+        anchor = world.anchors["AnchorSTL"]
+        buyer_did = world.org_dids["Buyer"]  # not an STL member: the op raises
+        carrier_did = world.org_dids["Carrier"]
+        epoch_before = anchor.acc_state.epoch
+        version_before = anchor.rosters["STL"].version
+        first_event = len(world.trace.events)
+        anchor.enqueue_serialized(
+            "revoke", lambda: anchor.revoke_membership(buyer_did, "STL")
+        )
+        anchor.enqueue_serialized(
+            "revoke", lambda: anchor.revoke_membership(carrier_did, "STL")
+        )
+        world.settle()
+        kinds = [
+            (e.kind, e.detail.get("error") or e.detail.get("holder"))
+            for e in world.trace.events[first_event:]
+            if e.actor == anchor.address and e.kind in ("session.failed", "anchor.revoked")
+        ]
+        assert kinds == [("session.failed", "NotAMember"), ("anchor.revoked", carrier_did)]
+        assert anchor.acc_state.epoch == epoch_before + 1
+        assert anchor.rosters["STL"].version == version_before + 1
+        assert carrier_did not in anchor.rosters["STL"].members
 
     def test_revoke_then_reissue_mints_fresh_credential_id(self, world):
         anchor = world.anchors["AnchorSTL"]

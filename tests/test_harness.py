@@ -328,12 +328,26 @@ class TestCli:
         path.write_text(yaml.safe_dump(raw))
         assert cli.main(["run", "--scenario", str(path)]) == cli.EXIT_ASSERTION
 
-    def test_config_error_exit_two(self, tmp_path):
+    @pytest.mark.parametrize("breakage, problem", [
+        (lambda raw: raw["networks"][0].update(pmv="Nobody"),
+         "network STL: unknown pmv anchor 'Nobody'"),
+        (lambda raw: raw.update(iins=[{"nodes": 4}]), "iins[0]: missing field 'id'"),
+        (lambda raw: raw["networks"][1]["trust"][0].pop("network"),
+         "networks[1].trust[0]: missing field 'network'"),
+        (lambda raw: raw["networks"][0]["orgs"][1].pop("name"),
+         "networks[0].orgs[1]: missing field 'name'"),
+        (lambda raw: raw["networks"].append(5), "networks[2]: must be a mapping"),
+    ], ids=[
+        "unknown-pmv", "iin-without-id", "trust-without-network", "org-without-name",
+        "network-not-a-mapping",
+    ])
+    def test_config_error_exit_two(self, tmp_path, capsys, breakage, problem):
         raw = minimal_raw()
-        raw["networks"][0]["pmv"] = "Nobody"
+        breakage(raw)
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(raw))
         assert cli.main(["run", "--scenario", str(path)]) == cli.EXIT_CONFIG
+        assert f"config error: {problem}" in capsys.readouterr().err.splitlines()
 
     def test_missing_file_exit_two(self):
         assert cli.main(["run", "--scenario", "/no/such.yaml"]) == cli.EXIT_CONFIG
