@@ -377,14 +377,18 @@ class IinAgent(Actor):
         vp: creds.VerifiablePresentation,
         presenter_doc: registry.DidDocument,
         presenter_verinym: bool,
+        revocation: dict[str, crypto.RevocationRegistryState],
     ) -> Generator:
+        """The registry inputs of the seven checks: the holder's snapshot
+        (document, verinym status, `revocation` states by issuer) plus the
+        write-once schema and credential definition the presentation names."""
         cred_def_id = issuer_did = None
         try:
             vc, _ = creds.parse_membership_body(vp.body)
             cred_def_id, issuer_did = vc.cred_def_id, vc.issuer_did
         except Exception:
             pass  # verification will fail at the schema check
-        schema = cred_def = revocation = None
+        schema = cred_def = None
         try:
             schema_id = schema_id_for(creds.MEMBERSHIP_SCHEMA_NAME)
             schema = yield from self._read_once(
@@ -400,24 +404,32 @@ class IinAgent(Actor):
                 )
             except registry.NotFound:
                 pass
-            try:
-                revocation = yield from registry.read_revocation_state(self.pool, issuer_did)
-            except registry.NotFound:
-                pass
         return creds.VerificationArtifacts(
             presenter_doc=presenter_doc,
             presenter_verinym=presenter_verinym,
             schema=schema,
             cred_def=cred_def,
-            revocation_state=revocation,
+            revocation_state=revocation.get(issuer_did),
         )
 
     def _challenge_and_verify(
         self, home_network: str, foreign_network: str, target_did: str
     ) -> Generator:
         """Resolve, challenge, and verify one foreign member's membership
-        presentation. Returns (claim, doc, verinym)."""
-        doc, verinym = yield from registry.resolve_did(self.pool, target_did)
+        presentation. Returns (claim, doc, verinym).
+
+        One registry read before the challenge (`registry.resolve_member`)
+        gives the holder's document, its verinym status and the revocation
+        state of every anchor on the trust list, which are all the issuers
+        check 5 can accept, from one replica state. The revocation state is
+        thus as of the start of the validation: a revocation committed before
+        the read fails check 6, one committed during the challenge round trip
+        is not seen until the next validation."""
+        entries = yield from self._trust_entries(home_network)
+        trusted = frozenset((anchor, network) for _, anchor, network in entries)
+        doc, verinym, revocation = yield from registry.resolve_member(
+            self.pool, target_did, tuple(sorted({anchor for anchor, _ in trusted}))
+        )
         nonce = self.nonce()
         reply = yield Request(
             doc.service_endpoint,
@@ -428,9 +440,7 @@ class IinAgent(Actor):
         if reply is None or not reply.body.get("ok"):
             raise MemberUnreachable(target_did)
         vp = creds.VerifiablePresentation.from_bytes(bytes.fromhex(reply.body["vp"]))
-        artifacts = yield from self._verification_artifacts(vp, doc, verinym)
-        entries = yield from self._trust_entries(home_network)
-        trusted = frozenset((anchor, network) for _, anchor, network in entries)
+        artifacts = yield from self._verification_artifacts(vp, doc, verinym, revocation)
         claim = creds.verify_membership_vp(vp, foreign_network, nonce, trusted, artifacts)
         self.trace(
             "agent.member_validated", network=foreign_network, holder=claim.holder_did

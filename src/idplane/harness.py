@@ -151,6 +151,15 @@ def parse_scenario(raw: dict, source: str = "<inline>") -> ScenarioConfig:
         problems.extend(f"{where}: missing field {k!r}" for k in missing)
         return not missing
 
+    def number(where: str, value, kind=int):
+        """`value` as `kind`; a wrong-typed value is a problem naming `where`."""
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            expected = "an integer" if kind is int else "a number"
+            problems.append(f"{where}: expected {expected}, got {value!r}")
+            return None
+
     name = need("name") or "unnamed"
     iins_raw = need("iins") or []
     networks_raw = need("networks") or []
@@ -158,12 +167,12 @@ def parse_scenario(raw: dict, source: str = "<inline>") -> ScenarioConfig:
     script_raw = raw.get("script", [])
 
     iins = tuple(
-        (i["id"], int(i.get("nodes", 4)))
+        (i["id"], number(f"iins[{idx}].nodes", i.get("nodes", 4)))
         for idx, i in enumerate(iins_raw) if complete(f"iins[{idx}]", i, "id")
     )
     iin_ids = {i for i, _ in iins}
     for iin_id, nodes in iins:
-        if nodes < 4 or (nodes - 1) % 3 != 0:
+        if nodes is not None and (nodes < 4 or (nodes - 1) % 3 != 0):
             problems.append(f"iin {iin_id}: node count must be 3f+1 with f >= 1")
 
     anchors = tuple(
@@ -185,7 +194,8 @@ def parse_scenario(raw: dict, source: str = "<inline>") -> ScenarioConfig:
         if not complete(f"networks[{idx}]", n, "id"):
             continue
         orgs = tuple(
-            (o["name"], int(o.get("peers", 1))) if isinstance(o, dict) else (o, 1)
+            (o["name"], number(f"networks[{idx}].orgs[{j}].peers", o.get("peers", 1)))
+            if isinstance(o, dict) else (o, 1)
             for j, o in enumerate(n.get("orgs", []))
             if not isinstance(o, dict) or complete(f"networks[{idx}].orgs[{j}]", o, "name")
         )
@@ -257,18 +267,30 @@ def parse_scenario(raw: dict, source: str = "<inline>") -> ScenarioConfig:
                 problems.append(f"script[{idx}]: unknown org {step[key]!r} in {key!r}")
         script.append(step)
 
+    scalars = {
+        key: number(key, raw.get(key, default), type(default))
+        for key, default in (
+            ("seed", 0),
+            ("identity_seed", 7),
+            ("tick_ceiling", 60_000),
+            ("verinym_threshold", 1),
+            ("cert_lifetime", 20_000),
+            ("drop_rate", 0.0),
+        )
+    }
+    latency = raw.get("latency", [1, 3])
+    if isinstance(latency, (list, tuple)) and len(latency) == 2:
+        latency = tuple(number(f"latency[{j}]", v) for j, v in enumerate(latency))
+    else:
+        problems.append(f"latency: expected [min, max] ticks, got {latency!r}")
+
     if problems:
         raise ScenarioValidationError(problems)
 
     return ScenarioConfig(
         name=name,
-        seed=int(raw.get("seed", 0)),
-        identity_seed=int(raw.get("identity_seed", 7)),
-        tick_ceiling=int(raw.get("tick_ceiling", 60_000)),
-        verinym_threshold=int(raw.get("verinym_threshold", 1)),
-        cert_lifetime=int(raw.get("cert_lifetime", 20_000)),
-        latency=tuple(raw.get("latency", (1, 3))),
-        drop_rate=float(raw.get("drop_rate", 0.0)),
+        **scalars,
+        latency=latency,
         iins=iins,
         anchors=anchors,
         networks=networks,
@@ -366,7 +388,7 @@ class World:
         self.iin_nodes: dict[str, list[registry.IinNode]] = {}
         self.stewards: dict[str, StewardService] = {}
         self.anchors: dict[str, AnchorService] = {}
-        self.anchor_dids: dict[str, str] = {}
+        self.anchor_docs: dict[str, registry.DidDocument] = {}
         self.ledgers: dict[str, net.LedgerNode] = {}
         self.agents: dict[str, IinAgent] = {}
         self.org_dids: dict[str, str] = {}
@@ -399,8 +421,8 @@ class World:
             a.name: crypto.KeyPair.from_seed(self._identity_seed(f"anchor:{a.name}"))
             for a in config.anchors
         }
-        self.anchor_dids = {
-            a.name: registry.make_did(a.iin, anchor_keys[a.name].public_key)
+        self.anchor_docs = {
+            a.name: registry.new_did_document(a.iin, anchor_keys[a.name], f"anchor:{a.name}")
             for a in config.anchors
         }
 
@@ -441,6 +463,7 @@ class World:
 
         # trust anchors
         for spec in config.anchors:
+            doc = self.anchor_docs[spec.name]
             roles = set()
             if spec.whitelist:
                 roles.add(registry.ROLE_OIV)
@@ -448,7 +471,7 @@ class World:
                 roles.add(registry.ROLE_PMV)
             profile = TrustAnchorProfile(
                 name=spec.name,
-                did=self.anchor_dids[spec.name],
+                did=doc.did,
                 roles=frozenset(roles),
                 represented_networks=spec.represents,
                 evidence_whitelist={
@@ -463,7 +486,7 @@ class World:
                 if n.network_id in spec.represents
             }
             anchor = AnchorService(
-                address=f"anchor:{spec.name}",
+                address=doc.service_endpoint,
                 profile=profile,
                 keys=anchor_keys[spec.name],
                 pool=self.pools[spec.iin],
@@ -493,7 +516,7 @@ class World:
                 network_id=network.network_id,
                 interop_networks=network.interop,
                 trust_entries=tuple(
-                    (iin, self.anchor_dids[anchor], target)
+                    (iin, self.anchor_docs[anchor].did, target)
                     for iin, anchor, target in network.trust
                 ),
                 admin_keys={
@@ -657,13 +680,11 @@ class ScenarioRunner:
         world = self.world
         for iin_id, _ in self.config.iins:
             steward = world.stewards[iin_id]
-            anchor_docs = []
-            for spec in self.config.anchors:
-                if spec.iin != iin_id:
-                    continue
-                anchor = world.anchors[spec.name]
-                doc = registry.new_did_document(iin_id, anchor.keys, anchor.address)
-                anchor_docs.append((doc, anchor.profile.roles))
+            anchor_docs = [
+                (world.anchor_docs[spec.name], world.anchors[spec.name].profile.roles)
+                for spec in self.config.anchors
+                if spec.iin == iin_id
+            ]
             record = steward.start_session("bootstrap", steward.bootstrap(anchor_docs))
             world.settle()
             if record.error is not None:

@@ -11,6 +11,10 @@ counts once f+1 replicas return byte-identical answers. A client asks the first
 f+1 nodes (the sequencer first, since it holds the freshest state) and asks
 the other nodes only when those replies disagree or one is missing at the
 timeout, so a read fails only when no f+1 replies of the whole pool match.
+Member validation makes one such read (`resolve_member`): a replica answers
+with the holder's DID document, its verinym status and the revocation state
+of each issuer asked for, all from its one current state, so the three
+cannot come from different registry states.
 Each attestation is verified once, when its NYM applies, so a DID read looks
 up verinym status; only a DID's owner or a STEWARD/OIV may rewrite its document.
 
@@ -53,7 +57,10 @@ OUTCOME_APPLIED = "APPLIED"
 QUERY_DID = "did"
 QUERY_SCHEMA = "schema"
 QUERY_CRED_DEF = "cred_def"
+# Revocation states are read only inside a QUERY_MEMBER snapshot; the kind
+# name stays because the benchmark tracer files reads by it.
 QUERY_REVOCATION = "revocation_state"
+QUERY_MEMBER = "member"
 
 
 class RegistryError(Exception):
@@ -496,7 +503,7 @@ class IinNode(Actor):
 
     # --- shared apply path ---------------------------------------------------
 
-    def _apply_in_order(self, seq: int, tx_bytes: bytes) -> str:
+    def _apply_in_order(self, seq: int, tx_bytes: bytes, tx_digest: bytes) -> str:
         assert seq == self.next_seq
         tx = RegistryTransaction.from_bytes(tx_bytes)
         self.state, outcome = apply_transaction(self.state, tx)
@@ -504,8 +511,10 @@ class IinNode(Actor):
         self.next_seq += 1
         self.trace(
             "registry.commit",
+            iin=self.pool.iin_id,
             seq=seq,
             tx_kind=tx.kind,
+            tx_digest=tx_digest.hex(),
             submitter=tx.submitter_did,
             outcome=outcome,
         )
@@ -551,8 +560,8 @@ class IinNode(Actor):
     def _sequence(self, client: str, msg: Message) -> Generator:
         tx_bytes = bytes.fromhex(msg.body["tx"])
         seq = self.next_seq
-        outcome = self._apply_in_order(seq, tx_bytes)
         tx_digest = crypto.digest(tx_bytes)  # the encoding is canonical
+        outcome = self._apply_in_order(seq, tx_bytes, tx_digest)
         own_ack = self._ack_body(seq, tx_digest)
 
         others = tuple(a for a in self.pool.node_addresses if a != self.address)
@@ -609,8 +618,9 @@ class IinNode(Actor):
             self.reply(sender, msg, "iin.ack", self._ack_body(seq, crypto.digest(tx_bytes)))
             return
         if seq == self.next_seq:
-            self._apply_in_order(seq, tx_bytes)
-            self.reply(sender, msg, "iin.ack", self._ack_body(seq, crypto.digest(tx_bytes)))
+            tx_digest = crypto.digest(tx_bytes)
+            self._apply_in_order(seq, tx_bytes, tx_digest)
+            self.reply(sender, msg, "iin.ack", self._ack_body(seq, tx_digest))
             self._drain_holdback()
             return
         # gap: hold the order back and catch up from the sequencer
@@ -630,7 +640,8 @@ class IinNode(Actor):
             if reply is not None and reply.kind == "iin.fetch.reply":
                 for seq, tx_hex, _outcome in reply.body["entries"]:
                     if seq == self.next_seq:
-                        self._apply_in_order(seq, bytes.fromhex(tx_hex))
+                        tx_bytes = bytes.fromhex(tx_hex)
+                        self._apply_in_order(seq, tx_bytes, crypto.digest(tx_bytes))
                 self._drain_holdback()
         finally:
             self._fetching = False
@@ -639,22 +650,36 @@ class IinNode(Actor):
         while self.next_seq in self._holdback:
             tx_bytes, sender, msg = self._holdback.pop(self.next_seq)
             seq = self.next_seq
-            self._apply_in_order(seq, tx_bytes)
-            self.reply(sender, msg, "iin.ack", self._ack_body(seq, crypto.digest(tx_bytes)))
+            tx_digest = crypto.digest(tx_bytes)
+            self._apply_in_order(seq, tx_bytes, tx_digest)
+            self.reply(sender, msg, "iin.ack", self._ack_body(seq, tx_digest))
 
     # --- open reads --------------------------------------------------------
 
     def _query(self, body: dict) -> bytes:
-        what = body.get("what", "")
-        ident = body.get("id", "")
+        what, ident = body.get("what", ""), body.get("id", "")
+        issuers = body.get("issuers", [])
+        if not (
+            isinstance(what, str)
+            and isinstance(ident, str)
+            and isinstance(issuers, list)
+            and all(isinstance(i, str) for i in issuers)
+        ):
+            what, ident, issuers = "", "", []  # anyone may query: a malformed one misses
         found = 0
         payload = b""
         verinym = 0
-        if what == QUERY_DID:
+        if what in (QUERY_DID, QUERY_MEMBER):
             doc = self.state.docs.get(ident)
             if doc is not None:
                 found, payload = 1, doc.to_bytes()
                 verinym = 1 if self.state.verinym_status(ident) else 0
+                if what == QUERY_MEMBER:
+                    payload = enc.encode_bytes(payload) + enc.encode_list(
+                        enc.encode_bytes(self.state.revocation[issuer].to_bytes())
+                        for issuer in issuers
+                        if issuer in self.state.revocation
+                    )
         elif what == QUERY_SCHEMA:
             schema = self.state.schemas.get(ident)
             if schema is not None:
@@ -663,10 +688,6 @@ class IinNode(Actor):
             cred_def = self.state.cred_defs.get(ident)
             if cred_def is not None:
                 found, payload = 1, cred_def.to_bytes()
-        elif what == QUERY_REVOCATION:
-            reg = self.state.revocation.get(ident)
-            if reg is not None:
-                found, payload = 1, reg.to_bytes()
         return enc.record(
             enc.TAG_QUERY_REPLY,
             enc.encode_str(what),
@@ -713,13 +734,18 @@ def submit_transaction(pool: PoolInfo, tx: RegistryTransaction) -> Generator:
     return receipt
 
 
-def quorum_query(pool: PoolInfo, what: str, ident: str) -> Generator:
+def quorum_query(
+    pool: PoolInfo, what: str, ident: str, issuers: tuple[str, ...] = ()
+) -> Generator:
     """Read from the first f+1 pool nodes (the sequencer first); ask the other
     nodes only when those replies disagree or one is missing at the timeout.
     Succeed once f+1 byte-identical replies agree across both rounds.
+    `issuers` names the revocation states a QUERY_MEMBER read asks for.
     Returns (found, payload, verinym); raises InconsistentReplicas otherwise."""
     threshold = pool.read_quorum
-    body = {"what": what, "id": ident}
+    body: dict = {"what": what, "id": ident}
+    if issuers:
+        body["issuers"] = list(issuers)
 
     def tally(results: list) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -770,11 +796,29 @@ def read_cred_def(pool: PoolInfo, cred_def_id: str) -> Generator:
     return CredentialDefinition.from_bytes(payload)
 
 
-def read_revocation_state(pool: PoolInfo, issuer_did: str) -> Generator:
-    found, payload, _ = yield from quorum_query(pool, QUERY_REVOCATION, issuer_did)
+def resolve_member(pool: PoolInfo, holder_did: str, issuer_dids: tuple[str, ...]) -> Generator:
+    """One snapshot read for member validation: the holder's DID document, its
+    verinym status, and the revocation state of each issuer in `issuer_dids`
+    that has one, keyed by issuer DID. All three come from one replica state,
+    and f+1 replies must match on all of them, so a read answered from mixed
+    states raises InconsistentReplicas. The validator makes this read before
+    it challenges the holder, so the revocation state is as of the start of
+    the validation, not of the presentation's arrival: a revocation committed
+    before the read is seen, one committed during the challenge round trip is
+    not. Raises NotFound for an unknown holder."""
+    found, payload, verinym = yield from quorum_query(
+        pool, QUERY_MEMBER, holder_did, issuer_dids
+    )
     if not found:
-        raise NotFound(issuer_did)
-    return crypto.RevocationRegistryState.from_bytes(payload)
+        raise NotFound(holder_did)
+    reader = enc.Reader(payload)
+    doc = DidDocument.from_bytes(reader.bytes_())
+    states = [
+        crypto.RevocationRegistryState.from_bytes(reader.bytes_())
+        for _ in range(reader.count())
+    ]
+    reader.done()
+    return doc, verinym, {s.issuer_did: s for s in states}
 
 
 def artifacts_from_state(

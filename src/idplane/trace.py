@@ -1,8 +1,9 @@
 """Structured run traces: append-only event log, JSONL emission, and replay
 verification against trace invariants (monotone ticks, digest-only bus events,
 endorsement completeness for ledger commits, no accepted ledger commit reusing
-a record's nonce, an error named by every failed session). Every scenario run
-checks its own trace against these rules; `verify-trace` checks a file.
+a record's nonce, an error named by every failed session, one tx digest and
+outcome per registry sequence number across an IIN's replicas). Every scenario
+run checks its own trace against these rules; `verify-trace` checks a file.
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ def verify_events(events: list[TraceEvent]) -> list[tuple[str, int, str]]:
     network_orgs: dict[str, set[str]] = {}
     # (network, "foreign network/foreign org", nonce) of accepted commits
     used_nonces: set[tuple[str, str, str]] = set()
+    # (iin, seq) -> (tx digest, outcome, replica) of the first commit seen
+    registry_commits: dict[tuple, tuple] = {}
     for i, ev in enumerate(events, start=1):
         if ev.tick < last_tick:
             violations.append(
@@ -96,6 +99,18 @@ def verify_events(events: list[TraceEvent]) -> list[tuple[str, int, str]]:
                 violations.append(
                     ("bus-digest-only", i, f"disallowed bus detail keys: {sorted(extra)}")
                 )
+
+        if ev.kind == "registry.commit":
+            key = (ev.detail.get("iin"), ev.detail.get("seq"))
+            tx_digest, outcome = ev.detail.get("tx_digest"), ev.detail.get("outcome")
+            first = registry_commits.setdefault(key, (tx_digest, outcome, ev.actor))
+            if first[:2] != (tx_digest, outcome):
+                violations.append((
+                    "registry-commit-agree",
+                    i,
+                    f"{key[0]} seq {key[1]}: {ev.actor} committed {tx_digest} {outcome}, "
+                    f"{first[2]} committed {first[0]} {first[1]}",
+                ))
 
         if ev.kind == "session.failed" and not ev.detail.get("error"):
             violations.append(("session-failed-named", i, "failed session names no error"))

@@ -34,6 +34,19 @@ def agent_events(world, org, kinds, since=0):
     ]
 
 
+def count_query_kinds(monkeypatch) -> list:
+    """The `what` of every `registry.quorum_query` call from now on."""
+    kinds = []
+    quorum_query = registry.quorum_query
+
+    def counting(pool, what, *rest):
+        kinds.append(what)
+        return quorum_query(pool, what, *rest)
+
+    monkeypatch.setattr(registry, "quorum_query", counting)
+    return kinds
+
+
 def ask_countersign(probe, world, foreign_did, digest, status, **extra):
     """Ask Seller to countersign a commit of STL's Carrier into SWT; returns
     the reply body."""
@@ -322,14 +335,7 @@ class TestWriteOnceCache:
         assert after.result.schema_id == schema_id
 
     def test_verification_artifacts_are_read_once_per_agent(self, world, monkeypatch):
-        kinds = []
-        quorum_query = registry.quorum_query
-
-        def counting(pool, what, ident):
-            kinds.append(what)
-            return quorum_query(pool, what, ident)
-
-        monkeypatch.setattr(registry, "quorum_query", counting)
+        kinds = count_query_kinds(monkeypatch)
         write_once = (registry.QUERY_SCHEMA, registry.QUERY_CRED_DEF)
 
         def validate(org):
@@ -345,6 +351,57 @@ class TestWriteOnceCache:
         assert sorted(validate("Buyer")) == sorted(write_once)
         assert validate("Buyer") == []
         assert sorted(validate("Seller")) == sorted(write_once)
+
+
+class TestMemberSnapshot:
+    """Member validation reads the holder's document and the revocation
+    state in one quorum read, made before the challenge."""
+
+    def test_cold_validation_makes_one_changing_read(self, world, monkeypatch):
+        kinds = count_query_kinds(monkeypatch)
+        agent = world.agents["Buyer"]
+        record = agent.start_session(
+            "validate", agent.validate_org("SWT", "STL", world.org_dids["Carrier"])
+        )
+        world.settle()
+        assert record.result["status"] == "ok", record.result
+        write_once = (registry.QUERY_SCHEMA, registry.QUERY_CRED_DEF)
+        assert [k for k in kinds if k not in write_once] == [registry.QUERY_MEMBER]
+
+    def test_revocation_committed_before_the_snapshot_read_fails_check_6(self, world):
+        agent = world.agents["Buyer"]
+        carrier_did = world.org_dids["Carrier"]
+        record = agent.start_session("fetch", agent._fetch_memberlist("SWT", "STL"))
+        world.settle()
+        memberlist = record.result
+        assert carrier_did in memberlist.member_dids
+        # Buyer's first-stage snapshot queries reach the replicas late, so the
+        # revocation, started with the validation, commits before they answer
+        world.bus.config.rules.append(FaultRule(
+            action="delay", from_="agent:Buyer", kind="iin.query", times=2, delay=40,
+        ))
+        start = len(world.trace.events)
+        record = agent.start_session(
+            "validate", agent._validate_member("SWT", "STL", carrier_did, memberlist)
+        )
+        TestMemberlistReuse.revoke_carrier(world)
+        assert isinstance(record.error, creds.MembershipVerificationError)
+        assert record.error.check == creds.CHECK_REVOCATION
+        events = world.trace.events[start:]
+        commits = [
+            e.tick for e in events
+            if e.kind == "registry.commit" and e.detail["tx_kind"] == registry.KIND_REVOC_UPDATE
+        ]
+        first_send = next(
+            e for e in events if e.kind == "bus.send" and e.detail["from"] == "agent:Buyer"
+        )
+        snapshot_read = next(
+            e.tick for e in events
+            if e.kind == "bus.deliver" and e.detail["from"] == "agent:Buyer"
+            and e.detail["msg_kind"] == "iin.query"
+        )
+        assert first_send.detail["msg_kind"] == "iin.query"  # the snapshot query
+        assert first_send.tick < min(commits) <= max(commits) < snapshot_read
 
 
 class TestMemberlistReuse:

@@ -20,8 +20,8 @@ from conftest import scenario_config
 @pytest.mark.parametrize(
     "name, sends, queries, memberlists, signs, verifies",
     [
-        ("two-network", 414, 70, 4, 170, 285),
-        ("concurrent-commit", 278, 32, 2, 146, 227),
+        ("two-network", 382, 54, 4, 170, 285),
+        ("concurrent-commit", 270, 28, 2, 146, 227),
     ],
     ids=("two-network", "concurrent-commit"),  # stable across re-pins
 )
@@ -54,12 +54,12 @@ def test_bundled_scenario_counts(
 
 
 TRACE_DIGESTS = {
-    "concurrent-commit": "38d2acf001f2d1b8e486d40be2ce1011b612be7709736a1bbf2ccbb65cdfe3d1",
-    "concurrent-commit-serial": "b531a73dbe55628f23ad1e5d13064159ed35f69049e3a353f31ca5493a012906",
-    "digest-mismatch-retry": "ea597e1728aa50080dba77ccf453cd83354f07ecd8afd7b8fb91e0746c9bd6f7",
-    "revoke-carrier": "92f99baa954741ab6dfee01a6f6bd1e6f418798de6d27b53e4aa5cd0f45f83a8",
-    "rotate-resync": "ed6e2df5cb38c4f38abc59d8dd2366d5854b8c9d64cb364c9f27d58bd4909895",
-    "two-network": "da58d5e140b106e53b55fe42b891c0a41932aa98a0a6f9345facb7a0ec1bdcd1",
+    "concurrent-commit": "cd1c18b6038915b6368c81a92951ee4c3de88d2c79f4c73c309772fde23cd343",
+    "concurrent-commit-serial": "c1b565380a012ec9eb51ae61722ec57714018790f05c991144839f48ea442149",
+    "digest-mismatch-retry": "305b7fc25f8a83a7e496cf9d3aa86ca4f49ec50ac847d14793146e6c54578908",
+    "revoke-carrier": "3abc4343e9c5ed7c5b373cef7131d4aa2067b40f5bd40a64673a9e6ea127353d",
+    "rotate-resync": "d07e5eaa370b3006e678afbc5996791b04e89d098a4298461e961b817bb99d89",
+    "two-network": "a83b00de5e2f9c5bcec7d61091f2a1669de064b87a29649860360ac90140700f",
 }
 
 

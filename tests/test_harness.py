@@ -165,6 +165,26 @@ class TestTraceVerification:
         violations = verify_events(events)
         assert any(rule == "bus-digest-only" for rule, _, _ in violations)
 
+    @pytest.mark.parametrize("field", ["tx_digest", "outcome"])
+    def test_replicas_committing_apart_violate_agreement(self, trace_path, field):
+        events = read_trace(trace_path)
+        assert verify_events(events) == []
+        commits = [i for i, e in enumerate(events) if e.kind == "registry.commit"]
+        first = events[commits[0]]
+        at = next(
+            i for i in commits[1:]
+            if events[i].detail["seq"] == first.detail["seq"] and events[i].actor != first.actor
+        )
+        detail = dict(events[at].detail, **{field: "forged"})
+        events[at] = TraceEvent(
+            tick=events[at].tick, actor=events[at].actor, kind=events[at].kind, detail=detail
+        )
+        violations = verify_events(events)
+        assert [(rule, line) for rule, line, _ in violations] == [
+            ("registry-commit-agree", at + 1)
+        ]
+        assert first.actor in violations[0][2] and events[at].actor in violations[0][2]
+
     def test_unnamed_session_failure_violates_rule(self, trace_path):
         events = read_trace(trace_path)
         last = events[-1]
@@ -337,9 +357,22 @@ class TestCli:
         (lambda raw: raw["networks"][0]["orgs"][1].pop("name"),
          "networks[0].orgs[1]: missing field 'name'"),
         (lambda raw: raw["networks"].append(5), "networks[2]: must be a mapping"),
+        (lambda raw: raw["iins"][0].update(nodes="four"),
+         "iins[0].nodes: expected an integer, got 'four'"),
+        (lambda raw: raw["networks"][0]["orgs"][1].update(peers="x"),
+         "networks[0].orgs[1].peers: expected an integer, got 'x'"),
+        (lambda raw: raw.update(seed="high"), "seed: expected an integer, got 'high'"),
+        (lambda raw: raw.update(tick_ceiling="high"),
+         "tick_ceiling: expected an integer, got 'high'"),
+        (lambda raw: raw.update(drop_rate="high"), "drop_rate: expected a number, got 'high'"),
+        (lambda raw: raw.update(latency="high"),
+         "latency: expected [min, max] ticks, got 'high'"),
+        (lambda raw: raw.update(latency=[1, "x"]), "latency[1]: expected an integer, got 'x'"),
     ], ids=[
         "unknown-pmv", "iin-without-id", "trust-without-network", "org-without-name",
-        "network-not-a-mapping",
+        "network-not-a-mapping", "nodes-not-a-number", "peers-not-a-number",
+        "seed-not-a-number", "tick-ceiling-not-a-number", "drop-rate-not-a-number",
+        "latency-not-a-pair", "latency-bound-not-a-number",
     ])
     def test_config_error_exit_two(self, tmp_path, capsys, breakage, problem):
         raw = minimal_raw()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from idplane import credentials as creds
 from idplane import crypto, registry
-from idplane.actors import Actor
+from idplane.actors import Actor, Request
 from idplane.anchors import membership_schema
 from idplane.bus import BoxKeyPair, BusConfig, FaultRule, SimBus
 
@@ -737,3 +737,81 @@ class TestPoolProtocol:
         )
         bus.run_until_quiescent()
         assert record.result["outcome"] == "UnauthorizedRole"
+
+
+class TestMemberSnapshot:
+    """`resolve_member`: a holder's document and issuers' revocation states
+    from one replica state, under the f+1-matching rule."""
+
+    ISSUER = "did:iin:iin0:issuer"
+
+    def setup_pool(self):
+        bus, pool, nodes, client, steward = build_pool()
+        tx, org_did = org_nym_tx(steward)
+        client.start_session("submit", registry.submit_transaction(pool, tx))
+        bus.run_until_quiescent()
+        return bus, pool, nodes, client, org_did
+
+    def set_epochs(self, nodes, epochs):
+        """Give replica i the issuer's revocation state at `epochs[i]`; the
+        DID documents stay as committed."""
+        base, _ = crypto.accumulator_init(self.ISSUER)
+        for node, epoch in zip(nodes, epochs):
+            node.state = replace(
+                node.state, revocation={self.ISSUER: replace(base, epoch=epoch)}
+            )
+
+    def resolve(self, bus, pool, client, did, issuers=(ISSUER,)):
+        record = client.start_session("resolve", registry.resolve_member(pool, did, issuers))
+        bus.run_until_quiescent()
+        return record
+
+    def test_one_read_returns_document_verinym_and_revocation_states(self):
+        bus, pool, nodes, client, org_did = self.setup_pool()
+        self.set_epochs(nodes, (3, 3, 3, 3))
+        record = self.resolve(bus, pool, client, org_did, (self.ISSUER, "did:iin:iin0:none"))
+        doc, verinym, revocation = record.result
+        assert doc == nodes[0].state.docs[org_did]
+        assert verinym is True
+        assert revocation == {self.ISSUER: nodes[0].state.revocation[self.ISSUER]}
+        assert query_sends(bus) == list(pool.node_addresses[: pool.read_quorum])
+
+    def test_unknown_holder_not_found(self):
+        bus, pool, nodes, client, _ = self.setup_pool()
+        record = self.resolve(bus, pool, client, "did:iin:iin0:nosuch")
+        assert isinstance(record.error, registry.NotFound)
+
+    def test_one_replica_at_another_epoch_still_resolves(self):
+        bus, pool, nodes, client, org_did = self.setup_pool()
+        self.set_epochs(nodes, (1, 2, 1, 1))
+        record = self.resolve(bus, pool, client, org_did)
+        assert record.error is None
+        _, _, revocation = record.result
+        assert revocation[self.ISSUER].epoch == 1
+        assert sorted(query_sends(bus)) == sorted(pool.node_addresses)
+
+    def test_mixed_epochs_with_matching_documents_are_inconsistent(self):
+        bus, pool, nodes, client, org_did = self.setup_pool()
+        self.set_epochs(nodes, (0, 1, 2, 3))
+        assert len({node.state.docs[org_did] for node in nodes}) == 1
+        record = self.resolve(bus, pool, client, org_did)
+        assert isinstance(record.error, registry.InconsistentReplicas)
+
+    @pytest.mark.parametrize("body", [
+        {"what": registry.QUERY_MEMBER, "issuers": 5},
+        {"what": registry.QUERY_MEMBER, "issuers": [5]},
+        {"what": 5},
+        {"what": registry.QUERY_DID, "id": ["x"]},
+    ], ids=["issuers-not-a-list", "issuer-not-a-string", "what-not-a-string", "id-not-a-string"])
+    def test_malformed_query_is_a_miss_and_the_replica_keeps_serving(self, body):
+        bus, pool, nodes, client, org_did = self.setup_pool()
+        body = {"id": org_did, **body}
+
+        def ask():
+            reply = yield Request(pool.sequencer, "iin.query", body, timeout=50)
+            return registry.parse_query_reply(bytes.fromhex(reply.body["result"]))
+
+        record = client.start_session("ask", ask())
+        bus.run_until_quiescent()
+        assert record.result == ("", "", False, b"", False)
+        assert self.resolve(bus, pool, client, org_did).result[0].did == org_did
