@@ -374,20 +374,14 @@ class IinAgent(Actor):
 
     def _verification_artifacts(
         self,
-        vp: creds.VerifiablePresentation,
+        vc: Optional[creds.MembershipCredential],
         presenter_doc: registry.DidDocument,
         presenter_verinym: bool,
         revocation: dict[str, crypto.RevocationRegistryState],
     ) -> Generator:
         """The registry inputs of the seven checks: the holder's snapshot
         (document, verinym status, `revocation` states by issuer) plus the
-        write-once schema and credential definition the presentation names."""
-        cred_def_id = issuer_did = None
-        try:
-            vc, _ = creds.parse_membership_body(vp.body)
-            cred_def_id, issuer_did = vc.cred_def_id, vc.issuer_did
-        except Exception:
-            pass  # verification will fail at the schema check
+        write-once schema and the credential definition `vc` names."""
         schema = cred_def = None
         try:
             schema_id = schema_id_for(creds.MEMBERSHIP_SCHEMA_NAME)
@@ -396,11 +390,11 @@ class IinAgent(Actor):
             )
         except registry.NotFound:
             pass
-        if cred_def_id is not None:
+        if vc is not None:
             try:
                 cred_def = yield from self._read_once(
-                    (registry.QUERY_CRED_DEF, cred_def_id),
-                    registry.read_cred_def(self.pool, cred_def_id),
+                    (registry.QUERY_CRED_DEF, vc.cred_def_id),
+                    registry.read_cred_def(self.pool, vc.cred_def_id),
                 )
             except registry.NotFound:
                 pass
@@ -409,7 +403,7 @@ class IinAgent(Actor):
             presenter_verinym=presenter_verinym,
             schema=schema,
             cred_def=cred_def,
-            revocation_state=revocation.get(issuer_did),
+            revocation_state=revocation.get(vc.issuer_did) if vc is not None else None,
         )
 
     def _challenge_and_verify(
@@ -420,15 +414,24 @@ class IinAgent(Actor):
 
         One registry read before the challenge (`registry.resolve_member`)
         gives the holder's document, its verinym status and the revocation
-        state of every anchor on the trust list, which are all the issuers
-        check 5 can accept, from one replica state. The revocation state is
-        thus as of the start of the validation: a revocation committed before
-        the read fails check 6, one committed during the challenge round trip
-        is not seen until the next validation."""
+        state of each trusted anchor of `foreign_network` from one replica
+        state. A credential of any other issuer fails check 5, or check 6 if
+        the trust list names its issuer for another network, as the snapshot
+        holds no state for it. The revocation state is as of the start of the
+        validation: a revocation committed before the read fails check 6.
+        Any issuance or revocation by the issuer moves its epoch, and the
+        holder's witness is made at the anchor's epoch when the challenge
+        arrives, so a witness newer than the snapshot means such a commit
+        landed during the round trip: the snapshot is read once more, so an
+        honest holder is not refused for it. The holder's own revocation
+        committed during the round trip is seen only by the next validation:
+        its refresh is refused, so it presents its witness at the snapshot's
+        epoch."""
         entries = yield from self._trust_entries(home_network)
         trusted = frozenset((anchor, network) for _, anchor, network in entries)
+        issuers = tuple(sorted(a for a, network in trusted if network == foreign_network))
         doc, verinym, revocation = yield from registry.resolve_member(
-            self.pool, target_did, tuple(sorted({anchor for anchor, _ in trusted}))
+            self.pool, target_did, issuers
         )
         nonce = self.nonce()
         reply = yield Request(
@@ -440,7 +443,16 @@ class IinAgent(Actor):
         if reply is None or not reply.body.get("ok"):
             raise MemberUnreachable(target_did)
         vp = creds.VerifiablePresentation.from_bytes(bytes.fromhex(reply.body["vp"]))
-        artifacts = yield from self._verification_artifacts(vp, doc, verinym, revocation)
+        try:
+            vc, witness = creds.parse_membership_body(vp.body)
+        except Exception:
+            vc = witness = None  # verification will fail at the schema check
+        state = revocation.get(vc.issuer_did) if vc is not None else None
+        if state is not None and witness.epoch > state.epoch:
+            doc, verinym, revocation = yield from registry.resolve_member(
+                self.pool, target_did, issuers
+            )
+        artifacts = yield from self._verification_artifacts(vc, doc, verinym, revocation)
         claim = creds.verify_membership_vp(vp, foreign_network, nonce, trusted, artifacts)
         self.trace(
             "agent.member_validated", network=foreign_network, holder=claim.holder_did

@@ -804,8 +804,10 @@ def resolve_member(pool: PoolInfo, holder_did: str, issuer_dids: tuple[str, ...]
     states raises InconsistentReplicas. The validator makes this read before
     it challenges the holder, so the revocation state is as of the start of
     the validation, not of the presentation's arrival: a revocation committed
-    before the read is seen, one committed during the challenge round trip is
-    not. Raises NotFound for an unknown holder."""
+    before the read is seen. The validator reads again once when the holder's
+    witness is for a later epoch than the snapshot's state (an issuance or
+    revocation by that issuer committed during the challenge round trip).
+    Raises NotFound for an unknown holder."""
     found, payload, verinym = yield from quorum_query(
         pool, QUERY_MEMBER, holder_did, issuer_dids
     )

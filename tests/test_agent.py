@@ -4,7 +4,7 @@ from idplane import agent as agent_mod
 from idplane import credentials as creds
 from idplane import crypto, harness, registry
 from idplane import network as net
-from idplane.actors import Request
+from idplane.actors import Request, Sleep
 from idplane.anchors import schema_id_for
 from idplane.bus import FaultRule
 
@@ -402,6 +402,50 @@ class TestMemberSnapshot:
         )
         assert first_send.detail["msg_kind"] == "iin.query"  # the snapshot query
         assert first_send.tick < min(commits) <= max(commits) < snapshot_read
+
+    def test_epoch_moved_during_the_challenge_rereads_the_snapshot(self, world, monkeypatch):
+        """STL's anchor revokes Seller after Buyer's snapshot read and before
+        Carrier makes its witness, so Carrier presents a witness one epoch
+        ahead of the snapshot: Buyer reads the snapshot again and Carrier,
+        never revoked, still validates."""
+        kinds = count_query_kinds(monkeypatch)
+        anchor = world.anchors["AnchorSTL"]
+        epoch = anchor.acc_state.epoch
+        world.bus.config.rules.append(FaultRule(
+            action="delay", from_="agent:Buyer", kind="agent.membership_vp.request",
+            times=1, delay=100,
+        ))
+        agent = world.agents["Buyer"]
+        start = len(world.trace.events)
+        record = agent.start_session(
+            "validate", agent.validate_org("SWT", "STL", world.org_dids["Carrier"])
+        )
+
+        def revoke_seller():
+            yield Sleep(20)
+            yield from anchor.revoke_membership(world.org_dids["Seller"], "STL")
+
+        anchor.enqueue_serialized("revoke", revoke_seller)
+        world.settle()
+        assert record.result["status"] == "ok", record.result
+        assert anchor.acc_state.epoch == epoch + 1
+        assert kinds.count(registry.QUERY_MEMBER) == 2
+        events = world.trace.events[start:]
+        snapshot_answered = next(
+            e.tick for e in events
+            if e.kind == "bus.deliver" and e.detail["to"] == "agent:Buyer"
+            and e.detail["msg_kind"] == "iin.query.reply"
+        )
+        commit = next(
+            e.tick for e in events
+            if e.kind == "registry.commit" and e.detail["tx_kind"] == registry.KIND_REVOC_UPDATE
+        )
+        witness_asked = next(
+            e.tick for e in events
+            if e.kind == "bus.send" and e.detail["from"] == "agent:Carrier"
+            and e.detail["msg_kind"] == "anchor.witness.request"
+        )
+        assert snapshot_answered < commit < witness_asked
 
 
 class TestMemberlistReuse:
