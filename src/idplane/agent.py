@@ -143,7 +143,6 @@ class IinAgent(Actor):
         self.org_id = config.org_id
         self.pool = config.pool
         self.did = registry.make_did(config.pool.iin_id, config.keys.public_key)
-        self.doc: Optional[registry.DidDocument] = None
         self.wallet: dict[str, tuple[creds.MembershipCredential, crypto.AccumulatorWitness]] = {}
         self.cache: dict[tuple[str, str], CachedIdentity] = {}
         # foreign network -> last verified memberlist (also the rollback floor)
@@ -183,7 +182,6 @@ class IinAgent(Actor):
             raise AgentError("identity validator unreachable")
         if not reply.body.get("ok"):
             raise AgentError(reply.body.get("error", "verinym registration failed"))
-        self.doc = registry.DidDocument.from_bytes(bytes.fromhex(reply.body["doc"]))
         for network_id in self.config.ledgers:
             reply = yield Request(
                 self.config.home_pmv[network_id],

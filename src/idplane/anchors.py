@@ -126,7 +126,9 @@ class AnchorService(Actor):
             tx = registry.make_transaction(
                 registry.KIND_CRED_DEF, cred_def.to_bytes(), self.profile.did, self.keys
             )
-            yield from registry.submit_transaction(self.pool, tx)
+            receipt = yield from registry.submit_transaction(self.pool, tx)
+            if receipt["outcome"] != registry.OUTCOME_APPLIED:
+                raise AnchorError(f"credential definition rejected: {receipt['outcome']}")
         state, _ = crypto.accumulator_init(self.profile.did)
         tx = registry.make_transaction(
             registry.KIND_REVOC_INIT, state.to_bytes(), self.profile.did, self.keys

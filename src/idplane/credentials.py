@@ -93,7 +93,8 @@ class PresenterNotFound(CredentialError):
 
 
 @dataclass(frozen=True)
-class CredentialSchema:
+class CredentialSchema(enc.Record):
+    TAG = enc.TAG_SCHEMA
     schema_id: str
     name: str
     version: str
@@ -103,92 +104,25 @@ class CredentialSchema:
         if len(set(self.attribute_names)) != len(self.attribute_names):
             raise CredentialError("schema attribute names must be unique")
 
-    def to_bytes(self) -> bytes:
-        return enc.record(
-            enc.TAG_SCHEMA,
-            enc.encode_str(self.schema_id),
-            enc.encode_str(self.name),
-            enc.encode_str(self.version),
-            enc.encode_list(enc.encode_str(a) for a in self.attribute_names),
-        )
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "CredentialSchema":
-        reader = enc.Reader(data, expect_tag=enc.TAG_SCHEMA)
-        schema = CredentialSchema(
-            schema_id=reader.str_(),
-            name=reader.str_(),
-            version=reader.str_(),
-            attribute_names=tuple(reader.str_() for _ in range(reader.count())),
-        )
-        reader.done()
-        return schema
-
 
 @dataclass(frozen=True)
-class CredentialDefinition:
+class CredentialDefinition(enc.Record):
+    TAG = enc.TAG_CRED_DEF
     cred_def_id: str
     schema_id: str
     issuer_did: str
     authentication_public_key: bytes
 
-    def to_bytes(self) -> bytes:
-        return enc.record(
-            enc.TAG_CRED_DEF,
-            enc.encode_str(self.cred_def_id),
-            enc.encode_str(self.schema_id),
-            enc.encode_str(self.issuer_did),
-            enc.encode_bytes(self.authentication_public_key),
-        )
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "CredentialDefinition":
-        reader = enc.Reader(data, expect_tag=enc.TAG_CRED_DEF)
-        cred_def = CredentialDefinition(
-            cred_def_id=reader.str_(),
-            schema_id=reader.str_(),
-            issuer_did=reader.str_(),
-            authentication_public_key=reader.bytes_(),
-        )
-        reader.done()
-        return cred_def
-
 
 @dataclass(frozen=True)
-class MembershipCredential:
+class MembershipCredential(enc.Signed):
+    TAG = enc.TAG_MEMBERSHIP_VC
     credential_id: bytes
     holder_did: str
     network_id: str
     issuer_did: str
     cred_def_id: str
     issuer_signature: crypto.Signature
-
-    def signing_bytes(self) -> bytes:
-        return enc.record(
-            enc.TAG_MEMBERSHIP_VC,
-            enc.encode_bytes(self.credential_id),
-            enc.encode_str(self.holder_did),
-            enc.encode_str(self.network_id),
-            enc.encode_str(self.issuer_did),
-            enc.encode_str(self.cred_def_id),
-        )
-
-    def to_bytes(self) -> bytes:
-        return self.signing_bytes() + self.issuer_signature.to_bytes()
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "MembershipCredential":
-        reader = enc.Reader(data, expect_tag=enc.TAG_MEMBERSHIP_VC)
-        vc = MembershipCredential(
-            credential_id=reader.bytes_(),
-            holder_did=reader.str_(),
-            network_id=reader.str_(),
-            issuer_did=reader.str_(),
-            cred_def_id=reader.str_(),
-            issuer_signature=crypto.Signature.read(reader),
-        )
-        reader.done()
-        return vc
 
 
 def issue_membership_credential(
@@ -221,40 +155,14 @@ def issue_membership_credential(
 
 
 @dataclass(frozen=True)
-class MemberlistCredential:
+class MemberlistCredential(enc.Signed):
+    TAG = enc.TAG_MEMBERLIST_VC
     network_id: str
     member_dids: tuple[str, ...]
     roster_version: int
     issuer_did: str
     cred_def_id: str
     issuer_signature: crypto.Signature
-
-    def signing_bytes(self) -> bytes:
-        return enc.record(
-            enc.TAG_MEMBERLIST_VC,
-            enc.encode_str(self.network_id),
-            enc.encode_list(enc.encode_str(d) for d in self.member_dids),
-            enc.encode_u64(self.roster_version),
-            enc.encode_str(self.issuer_did),
-            enc.encode_str(self.cred_def_id),
-        )
-
-    def to_bytes(self) -> bytes:
-        return self.signing_bytes() + self.issuer_signature.to_bytes()
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "MemberlistCredential":
-        reader = enc.Reader(data, expect_tag=enc.TAG_MEMBERLIST_VC)
-        vc = MemberlistCredential(
-            network_id=reader.str_(),
-            member_dids=tuple(reader.str_() for _ in range(reader.count())),
-            roster_version=reader.u64(),
-            issuer_did=reader.str_(),
-            cred_def_id=reader.str_(),
-            issuer_signature=crypto.Signature.read(reader),
-        )
-        reader.done()
-        return vc
 
 
 def issue_memberlist_credential(
@@ -277,37 +185,13 @@ def issue_memberlist_credential(
 
 
 @dataclass(frozen=True)
-class VerifiablePresentation:
+class VerifiablePresentation(enc.Signed):
+    TAG = enc.TAG_VP
     kind: str  # VP_MEMBERSHIP or VP_SELF_SIGNED
     body: bytes
     presenter_did: str
     challenge_nonce: bytes
     presenter_signature: crypto.Signature
-
-    def signing_bytes(self) -> bytes:
-        return enc.record(
-            enc.TAG_VP,
-            enc.encode_str(self.kind),
-            enc.encode_bytes(self.body),
-            enc.encode_str(self.presenter_did),
-            enc.encode_bytes(self.challenge_nonce),
-        )
-
-    def to_bytes(self) -> bytes:
-        return self.signing_bytes() + self.presenter_signature.to_bytes()
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "VerifiablePresentation":
-        reader = enc.Reader(data, expect_tag=enc.TAG_VP)
-        vp = VerifiablePresentation(
-            kind=reader.str_(),
-            body=reader.bytes_(),
-            presenter_did=reader.str_(),
-            challenge_nonce=reader.bytes_(),
-            presenter_signature=crypto.Signature.read(reader),
-        )
-        reader.done()
-        return vp
 
 
 def membership_body(vc: MembershipCredential, witness: crypto.AccumulatorWitness) -> bytes:

@@ -73,16 +73,9 @@ def digest(data: bytes) -> bytes:
 
 
 @dataclass(frozen=True)
-class Signature:
+class Signature(enc.Record):
     bytes_: bytes
     scheme_id: str = SCHEME_ED25519
-
-    def to_bytes(self) -> bytes:
-        return enc.encode_bytes(self.bytes_) + enc.encode_str(self.scheme_id)
-
-    @staticmethod
-    def read(reader: enc.Reader) -> "Signature":
-        return Signature(reader.bytes_(), reader.str_())
 
 
 @dataclass(frozen=True)
@@ -138,45 +131,14 @@ def verify(public_key: bytes, message: bytes, signature: Signature) -> bool:
 
 
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(enc.Signed):
+    TAG = enc.TAG_CERT
     subject_name: str
     subject_public_key: bytes
     issuer_name: str
     valid_from: int
     valid_to: int
     issuer_signature: Signature
-
-    def signing_bytes(self) -> bytes:
-        # issuer_signature covers every other field
-        return enc.record(
-            enc.TAG_CERT,
-            enc.encode_str(self.subject_name),
-            enc.encode_bytes(self.subject_public_key),
-            enc.encode_str(self.issuer_name),
-            enc.encode_u64(self.valid_from),
-            enc.encode_u64(self.valid_to),
-        )
-
-    def to_bytes(self) -> bytes:
-        return self.signing_bytes() + self.issuer_signature.to_bytes()
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "Certificate":
-        reader = enc.Reader(data, expect_tag=enc.TAG_CERT)
-        cert = Certificate._read_body(reader)
-        reader.done()
-        return cert
-
-    @staticmethod
-    def _read_body(reader: enc.Reader) -> "Certificate":
-        return Certificate(
-            subject_name=reader.str_(),
-            subject_public_key=reader.bytes_(),
-            issuer_name=reader.str_(),
-            valid_from=reader.u64(),
-            valid_to=reader.u64(),
-            issuer_signature=Signature.read(reader),
-        )
 
 
 @dataclass(frozen=True)
@@ -301,62 +263,23 @@ def verify_certificate_chain(chain: Sequence[Certificate], now: int) -> bool:
 
 
 @dataclass(frozen=True)
-class RevocationRegistryState:
+class RevocationRegistryState(enc.Record):
+    TAG = enc.TAG_REVOCATION_STATE
     issuer_did: str
     epoch: int
     root: bytes
     size_hint: int
 
-    def to_bytes(self) -> bytes:
-        return enc.record(
-            enc.TAG_REVOCATION_STATE,
-            enc.encode_str(self.issuer_did),
-            enc.encode_u64(self.epoch),
-            enc.encode_bytes(self.root),
-            enc.encode_u64(self.size_hint),
-        )
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "RevocationRegistryState":
-        reader = enc.Reader(data, expect_tag=enc.TAG_REVOCATION_STATE)
-        state = RevocationRegistryState(
-            issuer_did=reader.str_(),
-            epoch=reader.u64(),
-            root=reader.bytes_(),
-            size_hint=reader.u64(),
-        )
-        reader.done()
-        return state
-
 
 @dataclass(frozen=True)
-class AccumulatorWitness:
+class AccumulatorWitness(enc.Record):
+    TAG = enc.TAG_WITNESS
     element: bytes
     epoch: int
     path: tuple[tuple[bytes, int], ...]  # (sibling digest, side); side 0 = sibling left
 
     SIBLING_LEFT = 0
     SIBLING_RIGHT = 1
-
-    def to_bytes(self) -> bytes:
-        return enc.record(
-            enc.TAG_WITNESS,
-            enc.encode_bytes(self.element),
-            enc.encode_u64(self.epoch),
-            enc.encode_list(
-                enc.encode_bytes(sib) + enc.encode_u64(side) for sib, side in self.path
-            ),
-        )
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "AccumulatorWitness":
-        reader = enc.Reader(data, expect_tag=enc.TAG_WITNESS)
-        element = reader.bytes_()
-        epoch = reader.u64()
-        n = reader.count()
-        path = tuple((reader.bytes_(), reader.u64()) for _ in range(n))
-        reader.done()
-        return AccumulatorWitness(element=element, epoch=epoch, path=path)
 
 
 def _leaf_hash(element: bytes) -> bytes:

@@ -5,13 +5,21 @@ domain tag followed by its fields in declared order, each field length-prefixed.
 Distinct domain tags keep signatures and digests of different structure kinds
 from colliding. The encoding is part of the wire/test surface: fixtures compare
 these bytes exactly.
+
+A dataclass's format is defined once, by its field types, through the
+`Record` and `Signed` mixins: str, bytes and int (u64) fields are
+length-prefixed, a nested Record is inline, `tuple[T, ...]` is a counted list
+and `tuple[A, B]` is A then B. Other formats call the functions below.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
-from typing import Iterable
+import sys
+from functools import cache
+from typing import Any, Callable, ClassVar, Iterable, get_args, get_origin, get_type_hints
 
 # Domain tags. One per structure kind; never reuse a value.
 TAG_LEAF = 0x01
@@ -39,7 +47,6 @@ TAG_ATTESTATION = 0x16
 TAG_CREDENTIAL_ID = 0x17
 TAG_QUERY_REPLY = 0x18
 TAG_ANCHOR_GRANT = 0x19
-TAG_LEDGER_BLOCK = 0x1A
 
 
 def encode_bytes(value: bytes) -> bytes:
@@ -77,16 +84,12 @@ class Reader:
         self._data = data
         self._pos = 0
         if expect_tag is not None:
-            tag = self.u8()
-            if tag != expect_tag:
-                raise DecodeError(f"expected tag {expect_tag:#x}, got {tag:#x}")
+            self.tag(expect_tag)
 
-    def u8(self) -> int:
-        if self._pos >= len(self._data):
-            raise DecodeError("truncated input")
-        value = self._data[self._pos]
-        self._pos += 1
-        return value
+    def tag(self, expected: int) -> None:
+        tag = self.raw(1)[0]
+        if tag != expected:
+            raise DecodeError(f"expected tag {expected:#x}, got {tag:#x}")
 
     def raw(self, n: int) -> bytes:
         if self._pos + n > len(self._data):
@@ -96,8 +99,7 @@ class Reader:
         return value
 
     def bytes_(self) -> bytes:
-        (length,) = struct.unpack(">I", self.raw(4))
-        return self.raw(length)
+        return self.raw(self.count())
 
     def str_(self) -> str:
         return self.bytes_().decode("utf-8")
@@ -120,6 +122,98 @@ class Reader:
 
 class DecodeError(ValueError):
     pass
+
+
+class Record:
+    """Mixin for a frozen dataclass written as its `TAG` (None for one only ever
+    nested in another record), then its fields in declared order."""
+
+    TAG: ClassVar[int | None] = None
+
+    def to_bytes(self) -> bytes:
+        return _codec(type(self)).encode(self)
+
+    @classmethod
+    def read(cls, reader: Reader) -> Any:
+        return _codec(cls).read(reader)
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> Any:
+        reader = Reader(data)
+        value = _codec(cls).read(reader)
+        reader.done()
+        return value
+
+
+class Signed(Record):
+    """A Record whose last field signs the others: `signing_bytes` is their
+    tagged encoding, and `to_bytes` is that followed by the signature."""
+
+    def signing_bytes(self) -> bytes:
+        return _codec(type(self)).encode(self)
+
+    def to_bytes(self) -> bytes:
+        codec = _codec(type(self))
+        return codec.encode(self) + getattr(self, codec.signature).to_bytes()
+
+
+class _Codec:
+    """A Record class's field plan, built on its first use, once the dataclass
+    decorator has made its fields. `encode` writes all but a Signed class's
+    signature; it is generated, as dataclasses generates `__init__`, because a
+    loop over the fields costs about 1 us more per call."""
+
+    def __init__(self, cls: type):
+        hints = get_type_hints(cls)
+        names = [f.name for f in dataclasses.fields(cls)]
+        self.cls, self.tag = cls, cls.TAG
+        self.decoders = tuple(_field(hints[name])[1] for name in names)
+        self.signature = names.pop() if issubclass(cls, Signed) else None
+        env = {"enc": sys.modules[__name__]}  # enc.record is looked up at each call
+        env.update((f"encode_{name}", _field(hints[name])[0]) for name in names)
+        fields = ", ".join(f"encode_{name}(obj.{name})" for name in names)
+        body = f'b"".join([{fields}])' if self.tag is None else f"enc.record({self.tag}, {fields})"
+        exec(f"def encode(obj):\n    return {body}\n", env)
+        self.encode = env["encode"]
+
+    def read(self, reader: Reader) -> Record:
+        if self.tag is not None:
+            reader.tag(self.tag)
+        return self.cls(*[decode(reader) for decode in self.decoders])
+
+
+@cache
+def _codec(cls: type) -> _Codec:
+    return _Codec(cls)
+
+
+def _field(tp: Any) -> tuple[Callable[[Any], bytes], Callable[[Reader], Any]]:
+    """The encoder and the decoder of one field type."""
+    if tp in _PRIMITIVES:
+        return _PRIMITIVES[tp]
+    if isinstance(tp, type) and issubclass(tp, Record):
+        return tp.to_bytes, tp.read
+    if get_origin(tp) is not tuple:
+        raise TypeError(f"no wire format for field type {tp!r}")
+    items = get_args(tp)
+    if items[-1] is Ellipsis:
+        encode, decode = _field(items[0])
+        return (
+            lambda values: encode_list([encode(v) for v in values]),
+            lambda reader: tuple([decode(reader) for _ in range(reader.count())]),
+        )
+    parts = [_field(t) for t in items]
+    return (
+        lambda values: b"".join([encode(v) for (encode, _), v in zip(parts, values)]),
+        lambda reader: tuple([decode(reader) for _, decode in parts]),
+    )
+
+
+_PRIMITIVES = {
+    str: (encode_str, Reader.str_),
+    bytes: (encode_bytes, Reader.bytes_),
+    int: (encode_u64, Reader.u64),
+}
 
 
 def canonical_json(obj) -> bytes:

@@ -503,7 +503,6 @@ class World:
                 organization = net.Organization.create(
                     org_id=org,
                     network_id=network.network_id,
-                    agent_address=f"agent:{org}",
                     seed_fn=self._identity_seed,
                     peer_count=peer_count,
                     now=0,

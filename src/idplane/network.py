@@ -79,7 +79,6 @@ class Organization:
     root_keys: crypto.KeyPair
     root_cert: crypto.Certificate
     peers: list[PeerIdentity]
-    agent_address: str
     cert_lifetime: int
     _seed_fn: Callable[[str], bytes]
     _rotation: int = 0
@@ -88,7 +87,6 @@ class Organization:
     def create(
         org_id: str,
         network_id: str,
-        agent_address: str,
         seed_fn: Callable[[str], bytes],
         peer_count: int,
         now: int,
@@ -107,7 +105,6 @@ class Organization:
             root_keys=root_keys,
             root_cert=crypto.issue_certificate_chain(root_keys, root_spec)[0],
             peers=[],
-            agent_address=agent_address,
             cert_lifetime=cert_lifetime,
             _seed_fn=seed_fn,
         )

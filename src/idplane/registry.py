@@ -92,7 +92,8 @@ def did_matches_key(did: str, public_key: bytes) -> bool:
 
 
 @dataclass(frozen=True)
-class DidDocument:
+class DidDocument(enc.Record):
+    TAG = enc.TAG_DID_DOC
     did: str
     verification_keys: tuple[bytes, ...]
     service_endpoint: str
@@ -109,37 +110,6 @@ class DidDocument:
             enc.encode_str(self.did),
             enc.encode_list(enc.encode_bytes(k) for k in self.verification_keys),
             enc.encode_str(self.service_endpoint),
-        )
-
-    def to_bytes(self) -> bytes:
-        return enc.record(
-            enc.TAG_DID_DOC,
-            enc.encode_str(self.did),
-            enc.encode_list(enc.encode_bytes(k) for k in self.verification_keys),
-            enc.encode_str(self.service_endpoint),
-            enc.encode_list(
-                enc.encode_str(signer) + sig.to_bytes() for signer, sig in self.attestations
-            ),
-            enc.encode_u64(self.version),
-        )
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "DidDocument":
-        reader = enc.Reader(data, expect_tag=enc.TAG_DID_DOC)
-        did = reader.str_()
-        keys = tuple(reader.bytes_() for _ in range(reader.count()))
-        endpoint = reader.str_()
-        attestations = tuple(
-            (reader.str_(), crypto.Signature.read(reader)) for _ in range(reader.count())
-        )
-        version = reader.u64()
-        reader.done()
-        return DidDocument(
-            did=did,
-            verification_keys=keys,
-            service_endpoint=endpoint,
-            attestations=attestations,
-            version=version,
         )
 
 
@@ -161,37 +131,15 @@ def attest(doc: DidDocument, signer_did: str, signer_keys: crypto.KeyPair) -> Di
 
 
 @dataclass(frozen=True)
-class RegistryTransaction:
+class RegistryTransaction(enc.Signed):
+    TAG = enc.TAG_TX
     kind: str
     payload: bytes
     submitter_did: str
     submitter_signature: crypto.Signature
 
-    def signing_bytes(self) -> bytes:
-        return enc.record(
-            enc.TAG_TX,
-            enc.encode_str(self.kind),
-            enc.encode_bytes(self.payload),
-            enc.encode_str(self.submitter_did),
-        )
-
-    def to_bytes(self) -> bytes:
-        return self.signing_bytes() + self.submitter_signature.to_bytes()
-
     def digest(self) -> bytes:
         return crypto.digest(self.to_bytes())
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "RegistryTransaction":
-        reader = enc.Reader(data, expect_tag=enc.TAG_TX)
-        tx = RegistryTransaction(
-            kind=reader.str_(),
-            payload=reader.bytes_(),
-            submitter_did=reader.str_(),
-            submitter_signature=crypto.Signature.read(reader),
-        )
-        reader.done()
-        return tx
 
 
 def make_transaction(
@@ -377,6 +325,8 @@ def _apply_cred_def(state: RegistryState, tx: RegistryTransaction) -> tuple[Regi
         cred_def = CredentialDefinition.from_bytes(tx.payload)
     except enc.DecodeError:
         return state, "BadSignature"
+    if cred_def.issuer_did != tx.submitter_did:
+        return state, "UnauthorizedRole"
     if cred_def.cred_def_id in state.cred_defs:
         return state, "DuplicateId"
     return _committed(state, tx, cred_defs={**state.cred_defs, cred_def.cred_def_id: cred_def})
@@ -545,7 +495,9 @@ class IinNode(Actor):
             self._handle_order(sender, msg)
             return
         if msg.kind == "iin.fetch":
-            lo, hi = int(msg.body["from"]), int(msg.body["to"])
+            lo, hi = msg.body.get("from"), msg.body.get("to")
+            if not (isinstance(lo, int) and isinstance(hi, int)):
+                lo, hi = 0, -1  # a malformed fetch gets no entries
             entries = [
                 [seq, tx.hex(), outcome]
                 for seq, tx, outcome in self.log

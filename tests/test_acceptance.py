@@ -98,7 +98,7 @@ def test_criterion_04_unilateral_write_impossible():
         admin_keys={o: keys[o].public_key for o in orgs},
     )
     source = net.Organization.create(
-        "FarOrg", "AWAY", "agent:FarOrg",
+        "FarOrg", "AWAY",
         lambda label: hashlib.sha256(b"acc4" + label.encode()).digest(),
         peer_count=1, now=0, cert_lifetime=1000,
     )

@@ -4,7 +4,7 @@ from idplane import credentials as creds
 from idplane import crypto, registry
 from idplane.actors import Request
 from idplane.agent import AgentError
-from idplane.anchors import NotAMember
+from idplane.anchors import AnchorError, NotAMember, schema_id_for
 from idplane.bus import FaultRule
 
 from conftest import add_probe, bootstrapped_runner
@@ -242,6 +242,32 @@ class TestIssuanceGates:
         probe.start_session("ask", ask())
         world.settle()
         assert result["body"] == {"ok": False, "error": "NotEligible"}
+
+
+class TestCredentialDefinitionOwnership:
+    def test_anchor_cannot_publish_a_definition_in_another_anchors_name(self, world):
+        swt, stl = world.anchors["AnchorSWT"], world.anchors["AnchorSTL"]
+        forged = creds.CredentialDefinition(
+            cred_def_id="creddef:forged",
+            schema_id=schema_id_for(creds.MEMBERSHIP_SCHEMA_NAME),
+            issuer_did=stl.profile.did,
+            authentication_public_key=swt.keys.public_key,
+        )
+        tx = registry.make_transaction(
+            registry.KIND_CRED_DEF, forged.to_bytes(), swt.profile.did, swt.keys
+        )
+        record = swt.start_session("forge", registry.submit_transaction(swt.pool, tx))
+        world.settle()
+        assert record.result["outcome"] == "UnauthorizedRole"
+        for node in world.iin_nodes[swt.pool.iin_id]:
+            assert "creddef:forged" not in node.state.cred_defs
+
+    def test_rejected_definition_fails_publication(self, world):
+        anchor = world.anchors["AnchorSWT"]  # its definitions are already registered
+        record = anchor.start_session("republish", anchor.publish_artifacts())
+        world.settle()
+        assert isinstance(record.error, AnchorError)
+        assert str(record.error) == "credential definition rejected: Duplicate"
 
 
 class TestMemberlistFreshness:

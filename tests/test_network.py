@@ -36,7 +36,6 @@ def make_source_org(org_id="FarOrg", peers=1, now=0, lifetime=1000) -> net.Organ
     return net.Organization.create(
         org_id=org_id,
         network_id="AWAY",
-        agent_address=f"agent:{org_id}",
         seed_fn=seed_fn,
         peer_count=peers,
         now=now,

@@ -672,6 +672,26 @@ class TestPoolProtocol:
         assert len({node.state.state_hash() for node in nodes}) == 1
         assert nodes[3].next_seq == 2
 
+    @pytest.mark.parametrize("body", [
+        {"from": "x", "to": 1}, {"to": 1}, {"from": 0},
+    ], ids=["from-not-an-int", "from-missing", "to-missing"])
+    def test_malformed_fetch_gets_no_entries_and_the_replica_keeps_serving(self, body):
+        bus, pool, nodes, client, steward = build_pool()
+        tx, _ = org_nym_tx(steward)
+        client.start_session("submit", registry.submit_transaction(pool, tx))
+        bus.run_until_quiescent()
+
+        def fetch(body):
+            reply = yield Request(pool.sequencer, "iin.fetch", body, timeout=50)
+            return reply.body["entries"]
+
+        malformed = client.start_session("fetch", fetch(body))
+        bus.run_until_quiescent()
+        assert malformed.error is None and malformed.result == []
+        wellformed = client.start_session("fetch", fetch({"from": 0, "to": 0}))
+        bus.run_until_quiescent()
+        assert [seq for seq, _, _ in wellformed.result] == [0]
+
     def test_log_replay_reproduces_state_hash(self):
         bus, pool, nodes, client, steward = build_pool(seed=8)
         s_keys, s_did, _ = steward
