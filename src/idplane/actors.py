@@ -11,19 +11,27 @@ sessions of the same actor (started with `start_session`) and resumes with
 their results in order when the last of them ends, at once if all have ended;
 a joined session that raised is re-raised in the waiter. Sessions interleave
 within an actor but each inbound event is processed atomically.
+
+An actor serves each request kind in its `REQUESTS` table as a session
+(`_serve`): the handler returns the reply body and the runtime sends it; a
+handler that raises is answered with the error's name. A plaintext that is no
+message at all is dropped and traced.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Optional
+from types import GeneratorType
+from typing import Callable, ClassVar, Generator, Optional
 
 from .encoding import canonical_json
 
 DEFAULT_TIMEOUT = 120
 
 Session = Generator  # yields effects, receives results
+
+_ID_TYPES = (str, type(None))
 
 
 @dataclass(frozen=True)
@@ -45,13 +53,28 @@ class Message:
 
     @staticmethod
     def from_bytes(data: bytes) -> "Message":
+        """Raises ValueError unless `data` is a JSON object with a string
+        `kind`, a dict `body` and string-or-null request ids."""
         obj = json.loads(data.decode("utf-8"))
-        return Message(
-            kind=obj["kind"],
-            body=obj["body"],
-            request_id=obj.get("request_id"),
-            reply_to=obj.get("reply_to"),
-        )
+        if not isinstance(obj, dict):
+            raise ValueError("not an actor message")
+        msg = Message(obj.get("kind"), obj.get("body"), obj.get("request_id"), obj.get("reply_to"))
+        if not (
+            isinstance(msg.kind, str)
+            and isinstance(msg.body, dict)
+            and isinstance(msg.request_id, _ID_TYPES)
+            and isinstance(msg.reply_to, _ID_TYPES)
+        ):
+            raise ValueError("not an actor message")
+        return msg
+
+    def fields(self, *names: str) -> tuple:
+        """The named body fields; raises KeyError or TypeError unless each is a string."""
+        values = tuple([self.body[name] for name in names])
+        for value in values:
+            if not isinstance(value, str):
+                raise TypeError(f"{self.kind}: {', '.join(names)} must be strings")
+        return values
 
 
 # --- effects yielded by sessions ---------------------------------------------
@@ -116,7 +139,10 @@ class _GatherWait:
 
 
 class Actor:
-    """Base class: binds to a bus, dispatches deliveries, and drives sessions."""
+    """Base class: binds to a bus, serves requests, and drives sessions."""
+
+    # request kind -> (handler method name, reply kind); see _serve
+    REQUESTS: ClassVar[dict[str, tuple[str, str]]] = {}
 
     def __init__(self, address: str):
         self.address = address
@@ -138,7 +164,25 @@ class Actor:
     # --- subclass surface --------------------------------------------------
 
     def on_message(self, sender: str, msg: Message) -> None:
-        """Handle a non-reply message. Subclasses dispatch on msg.kind."""
+        """Serve a request kind named in REQUESTS; ignore any other message."""
+        entry = self.REQUESTS.get(msg.kind)
+        if entry is not None:
+            self.start_session(msg.kind, self._serve(sender, msg, *entry))
+
+    def _serve(self, sender: str, msg: Message, handler: str, reply_kind: str) -> Session:
+        """Run the handler and send the body it returns as the `reply_kind`
+        reply; a handler that returns None has replied, or will reply,
+        itself. A handler that raises is answered with the error's name, and
+        the error re-raised so that the runtime traces `session.failed`."""
+        try:
+            body = getattr(self, handler)(sender, msg)
+            if isinstance(body, GeneratorType):
+                body = yield from body
+        except Exception as error:
+            self.reply(sender, msg, reply_kind, {"ok": False, "error": type(error).__name__})
+            raise
+        if body is not None:
+            self.reply(sender, msg, reply_kind, body)
 
     # --- helpers -------------------------------------------------------------
 
@@ -242,8 +286,13 @@ class Actor:
                 del self._joins[waiter]
                 self._advance(waiter, *_join_outcome(sessions))
 
-    def on_delivery(self, sender: str, plaintext: bytes) -> None:
-        msg = Message.from_bytes(plaintext)
+    def on_delivery(self, sender: str, plaintext: bytes, kind: str) -> None:
+        """Route one delivered plaintext (sent under envelope kind `kind`)."""
+        try:
+            msg = Message.from_bytes(plaintext)
+        except (ValueError, RecursionError):  # json.loads recurses per nesting level
+            self.trace("actor.malformed", sender=sender, msg_kind=kind)
+            return
         rid = msg.reply_to
         if rid is None:
             self.on_message(sender, msg)

@@ -47,7 +47,6 @@ from . import crypto
 from . import network as net
 from . import registry
 from .actors import Actor, Gather, Join, Message, Request, SessionRecord, Sleep
-from .anchors import cred_def_id_for, schema_id_for
 
 PHASE_DONE = "DONE"
 PHASE_FAILED = "FAILED"
@@ -101,6 +100,10 @@ class LedgerUnreachable(AgentError):
     pass
 
 
+class LedgerRefused(AgentError):
+    """The ledger answered a query with an error."""
+
+
 class CommitRejected(AgentError):
     pass
 
@@ -152,18 +155,11 @@ class IinAgent(Actor):
         # read key -> the session running that read now (see _shared)
         self._in_flight: dict[tuple, SessionRecord] = {}
 
-    # --- inbound messages ---------------------------------------------------
-
-    def on_message(self, sender: str, msg: Message) -> None:
-        if msg.kind == "agent.membership_vp.request":
-            self.start_session("serve-membership-vp", self._serve_membership_vp(sender, msg))
-            return
-        if msg.kind == "agent.identity_vp.request":
-            self._serve_identity_vp(sender, msg)
-            return
-        if msg.kind == "agent.countersign.request":
-            self.start_session("countersign", self._handle_countersign(sender, msg))
-            return
+    REQUESTS = {
+        "agent.membership_vp.request": ("_serve_membership_vp", "agent.membership_vp.reply"),
+        "agent.identity_vp.request": ("_serve_identity_vp", "agent.identity_vp.reply"),
+        "agent.countersign.request": ("_handle_countersign", "agent.countersign.reply"),
+    }
 
     # --- step A: configure identity -----------------------------------------
 
@@ -202,22 +198,15 @@ class IinAgent(Actor):
     # --- serving counterparties ----------------------------------------------
 
     def _serve_membership_vp(self, sender: str, msg: Message) -> Generator:
-        network_id = msg.body["network_id"]
-        nonce = bytes.fromhex(msg.body["nonce"])
+        network_id, nonce = msg.fields("network_id", "nonce")
+        nonce = bytes.fromhex(nonce)
         entry = self.wallet.get(network_id)
         if entry is None:
-            self.reply(
-                sender, msg, "agent.membership_vp.reply",
-                {"ok": False, "error": "NoCredential"},
-            )
-            return
+            return {"ok": False, "error": "NoCredential"}
         vc, witness = entry
         witness = yield from self._freshen_witness(network_id, vc, witness)
         vp = creds.build_membership_vp(self.did, self.keys, vc, witness, nonce)
-        self.reply(
-            sender, msg, "agent.membership_vp.reply",
-            {"ok": True, "vp": vp.to_bytes().hex()},
-        )
+        return {"ok": True, "vp": vp.to_bytes().hex()}
 
     def _freshen_witness(
         self,
@@ -241,21 +230,14 @@ class IinAgent(Actor):
             self.wallet[network_id] = (vc, witness)
         return witness
 
-    def _serve_identity_vp(self, sender: str, msg: Message) -> None:
-        network_id = msg.body["network_id"]
+    def _serve_identity_vp(self, sender: str, msg: Message) -> dict:
+        network_id, nonce = msg.fields("network_id", "nonce")
+        nonce = bytes.fromhex(nonce)
         organization = self.config.organizations.get(network_id)
         if organization is None:
-            self.reply(
-                sender, msg, "agent.identity_vp.reply",
-                {"ok": False, "error": "NotAMemberHere"},
-            )
-            return
-        vp = creds.build_self_signed_vp(
-            self.did, self.keys, organization.bundle_bytes(), bytes.fromhex(msg.body["nonce"])
-        )
-        self.reply(
-            sender, msg, "agent.identity_vp.reply", {"ok": True, "vp": vp.to_bytes().hex()}
-        )
+            return {"ok": False, "error": "NotAMemberHere"}
+        vp = creds.build_self_signed_vp(self.did, self.keys, organization.bundle_bytes(), nonce)
+        return {"ok": True, "vp": vp.to_bytes().hex()}
 
     # --- local ledger views ---------------------------------------------------
 
@@ -265,6 +247,8 @@ class IinAgent(Actor):
         )
         if reply is None:
             raise LedgerUnreachable(home_network)
+        if "error" in reply.body:
+            raise LedgerRefused(f"{home_network}: {reply.body['error']}")
         return reply.body
 
     def _shared(self, key: tuple, gen: Generator) -> Generator:
@@ -344,7 +328,9 @@ class IinAgent(Actor):
         memberlist = creds.MemberlistCredential.from_bytes(payload)
         if memberlist.issuer_did != anchor_did or memberlist.network_id != foreign_network:
             raise NoTrustedPMV("memberlist not issued by the trusted validator")
-        cred_def_id = cred_def_id_for(anchor_did, creds.MEMBERLIST_SCHEMA_NAME)
+        cred_def_id = creds.cred_def_id_for(
+            anchor_did, creds.schema_id_for(creds.MEMBERLIST_SCHEMA_NAME)
+        )
         cred_def = yield from self._read_once(
             (registry.QUERY_CRED_DEF, cred_def_id),
             registry.read_cred_def(self.pool, cred_def_id),
@@ -382,7 +368,7 @@ class IinAgent(Actor):
         write-once schema and the credential definition `vc` names."""
         schema = cred_def = None
         try:
-            schema_id = schema_id_for(creds.MEMBERSHIP_SCHEMA_NAME)
+            schema_id = creds.schema_id_for(creds.MEMBERSHIP_SCHEMA_NAME)
             schema = yield from self._read_once(
                 (registry.QUERY_SCHEMA, schema_id), registry.read_schema(self.pool, schema_id)
             )
@@ -559,12 +545,12 @@ class IinAgent(Actor):
         missing = [org for (org, _), r in zip(peers, replies) if r is None]
         if missing:
             raise MissingCountersignature(",".join(missing))
-        if any(r.body.get("result") == RESULT_DIGEST_MISMATCH for r in replies):
-            theirs = [
-                r.body.get("own_digest", "")
-                for r in replies
-                if r.body.get("result") == RESULT_DIGEST_MISMATCH
-            ]
+        theirs = [
+            r.body.get("own_digest", "")
+            for r in replies
+            if r.body.get("result") == RESULT_DIGEST_MISMATCH
+        ]
+        if theirs:
             self.trace(
                 "agent.sync.digest_mismatch",
                 network=foreign_network,
@@ -574,9 +560,9 @@ class IinAgent(Actor):
             )
             return "DIGEST_MISMATCH"
         failed = [
-            (org, r.body.get("reason", ""))
+            (org, r.body.get("reason", r.body.get("error", "")))
             for (org, _), r in zip(peers, replies)
-            if r.body.get("result") == RESULT_VALIDATION_FAILED
+            if r.body.get("result") != RESULT_SIGNED
         ]
         if failed:
             raise CounterpartyValidationFailed(
@@ -601,7 +587,7 @@ class IinAgent(Actor):
         )
         if reply is None:
             raise LedgerUnreachable(home_network)
-        outcome = reply.body["outcome"]
+        outcome = reply.body.get("error") or reply.body["outcome"]
         if outcome not in (net.OUTCOME_APPLIED, net.OUTCOME_NOOP):
             raise CommitRejected(outcome)
         self.trace(
@@ -614,32 +600,25 @@ class IinAgent(Actor):
         return outcome
 
     def _handle_countersign(self, sender: str, msg: Message) -> Generator:
-        body = msg.body
-        home_network = body["home_network"]
-        foreign_network = body["foreign_network"]
-        foreign_org = body["foreign_org"]
-        foreign_did = body["foreign_did"]
-        digest = bytes.fromhex(body["digest"])
-        status = body["status"]
-        nonce = bytes.fromhex(body["nonce"])
-
-        def respond(result: str, **extra) -> None:
-            self.reply(
-                sender, msg, "agent.countersign.reply",
-                {"result": result, "org": self.org_id, **extra},
+        home_network, foreign_network, foreign_org, foreign_did, digest, status, nonce = (
+            msg.fields(
+                "home_network", "foreign_network", "foreign_org", "foreign_did",
+                "digest", "status", "nonce",
             )
+        )
+        digest, nonce = bytes.fromhex(digest), bytes.fromhex(nonce)
+
+        def respond(result: str, **extra) -> dict:
+            return {"result": result, "org": self.org_id, **extra}
 
         if home_network not in self.config.ledgers:
-            respond(RESULT_VALIDATION_FAILED, reason="NotLocal")
-            return
+            return respond(RESULT_VALIDATION_FAILED, reason="NotLocal")
         try:
             interop = yield from self._interop(home_network)
         except LedgerUnreachable as e:
-            respond(RESULT_VALIDATION_FAILED, reason=type(e).__name__)
-            return
+            return respond(RESULT_VALIDATION_FAILED, reason=type(e).__name__)
         if foreign_network not in interop:
-            respond(RESULT_VALIDATION_FAILED, reason="PolicyViolation")
-            return
+            return respond(RESULT_VALIDATION_FAILED, reason="PolicyViolation")
 
         if status == net.STATUS_ACTIVE:
             # One memberlist gate for cached and fresh identities alike. A
@@ -650,7 +629,7 @@ class IinAgent(Actor):
             # while its DID is listed, so a revoked member's old bundle cannot
             # be signed back to ACTIVE.
             memberlist = self._memberlists.get(foreign_network)
-            hint = body.get("roster_version")
+            hint = msg.body.get("roster_version")
             identity = self.cache.get((foreign_network, foreign_did))
             try:
                 if (
@@ -678,8 +657,7 @@ class IinAgent(Actor):
                     org=foreign_org,
                     reason=type(e).__name__,
                 )
-                respond(RESULT_VALIDATION_FAILED, reason=type(e).__name__)
-                return
+                return respond(RESULT_VALIDATION_FAILED, reason=type(e).__name__)
             if identity.digest != digest:
                 # stale copy on one side; drop ours so the retry refetches
                 self.cache.pop((foreign_network, foreign_did), None)
@@ -690,12 +668,10 @@ class IinAgent(Actor):
                     ours=identity.digest.hex(),
                     theirs=digest.hex(),
                 )
-                respond(RESULT_DIGEST_MISMATCH, own_digest=identity.digest.hex())
-                return
-            respond(RESULT_SIGNED, sig=self._endorse(
+                return respond(RESULT_DIGEST_MISMATCH, own_digest=identity.digest.hex())
+            return respond(RESULT_SIGNED, sig=self._endorse(
                 foreign_network, foreign_org, foreign_did, digest, status, nonce
             ))
-            return
 
         # REVOKED: endorse only when the member no longer validates here either,
         # under the DID its ledger record was committed with; the request's
@@ -706,15 +682,13 @@ class IinAgent(Actor):
         try:
             records = yield from self._ledger_records(home_network, foreign_network)
         except LedgerUnreachable as e:
-            respond(RESULT_VALIDATION_FAILED, reason=type(e).__name__)
-            return
+            return respond(RESULT_VALIDATION_FAILED, reason=type(e).__name__)
         record = next((r for r in records if r.org_id == foreign_org), None)
         if record is None or record.bundle_digest != digest:
-            respond(
+            return respond(
                 RESULT_DIGEST_MISMATCH,
                 own_digest=record.bundle_digest.hex() if record else "",
             )
-            return
         still_valid = False
         try:
             memberlist = yield from self._fetch_memberlist(home_network, foreign_network)
@@ -726,9 +700,8 @@ class IinAgent(Actor):
         except PROTOCOL_ERRORS:
             still_valid = False
         if still_valid:
-            respond(RESULT_VALIDATION_FAILED, reason="MemberStillValid")
-            return
-        respond(RESULT_SIGNED, sig=self._endorse(
+            return respond(RESULT_VALIDATION_FAILED, reason="MemberStillValid")
+        return respond(RESULT_SIGNED, sig=self._endorse(
             foreign_network, foreign_org, record.holder_did, digest, status, nonce
         ))
 

@@ -24,6 +24,7 @@ from . import credentials as creds
 from . import crypto
 from . import registry
 from .actors import Actor, Join, Message, SessionRecord
+from .credentials import cred_def_id_for, schema_id_for
 
 
 class AnchorError(Exception):
@@ -80,11 +81,11 @@ class AnchorService(Actor):
 
     @property
     def membership_cred_def_id(self) -> str:
-        return cred_def_id_for(self.profile.did, creds.MEMBERSHIP_SCHEMA_NAME)
+        return cred_def_id_for(self.profile.did, schema_id_for(creds.MEMBERSHIP_SCHEMA_NAME))
 
     @property
     def memberlist_cred_def_id(self) -> str:
-        return cred_def_id_for(self.profile.did, creds.MEMBERLIST_SCHEMA_NAME)
+        return cred_def_id_for(self.profile.did, schema_id_for(creds.MEMBERLIST_SCHEMA_NAME))
 
     # --- serialized mutating operations -------------------------------------
 
@@ -117,9 +118,10 @@ class AnchorService(Actor):
         if registry.ROLE_PMV not in self.profile.roles:
             return
         for schema_name in (creds.MEMBERSHIP_SCHEMA_NAME, creds.MEMBERLIST_SCHEMA_NAME):
+            schema_id = schema_id_for(schema_name)
             cred_def = creds.CredentialDefinition(
-                cred_def_id=cred_def_id_for(self.profile.did, schema_name),
-                schema_id=schema_id_for(schema_name),
+                cred_def_id=cred_def_id_for(self.profile.did, schema_id),
+                schema_id=schema_id,
                 issuer_did=self.profile.did,
                 authentication_public_key=self.keys.public_key,
             )
@@ -143,41 +145,34 @@ class AnchorService(Actor):
 
     # --- message handling -------------------------------------------------
 
+    REQUESTS = {
+        "anchor.verinym.request": ("_register_verinym", "anchor.verinym.reply"),
+        "anchor.vc.request": ("_issue_membership", "anchor.vc.reply"),
+        "anchor.memberlist.request": ("_serve_memberlist", "anchor.memberlist.reply"),
+        "anchor.witness.request": ("_refresh_witness", "anchor.witness.reply"),
+    }
+
     def on_message(self, sender: str, msg: Message) -> None:
-        if msg.kind == "anchor.verinym.request":
-            self.enqueue_serialized(
-                "verinym", lambda s=sender, m=msg: self._register_verinym(s, m)
-            )
-            return
-        if msg.kind == "anchor.vc.request":
-            self.enqueue_serialized(
-                "issue-vc", lambda s=sender, m=msg: self._issue_membership(s, m)
-            )
-            return
-        if msg.kind == "anchor.memberlist.request":
-            self._serve_memberlist(sender, msg)
-            return
-        if msg.kind == "anchor.witness.request":
-            self._refresh_witness(sender, msg)
-            return
+        # the two requests that write the registry run one at a time
+        if msg.kind in ("anchor.verinym.request", "anchor.vc.request"):
+            entry = self.REQUESTS[msg.kind]
+            self.enqueue_serialized(msg.kind, lambda: self._serve(sender, msg, *entry))
+        else:
+            super().on_message(sender, msg)
 
     # --- OIV: verinym registration ---------------------------------------
 
     def _register_verinym(self, sender: str, msg: Message) -> Generator:
-        org_name = msg.body["org_name"]
+        org_name, doc_hex = msg.fields("org_name", "doc")
         try:
-            doc = registry.DidDocument.from_bytes(bytes.fromhex(msg.body["doc"]))
-        except Exception:
-            self.reply(sender, msg, "anchor.verinym.reply", {"ok": False, "error": "BadDocument"})
-            return
+            doc = registry.DidDocument.from_bytes(bytes.fromhex(doc_hex))
+        except ValueError:
+            return {"ok": False, "error": "BadDocument"}
         expected = self.profile.evidence_whitelist.get(org_name)
         if expected is None or doc.primary_key() != expected:
             # out-of-band vetting failed: no transaction leaves the anchor
             self.trace("anchor.evidence_mismatch", org=org_name)
-            self.reply(
-                sender, msg, "anchor.verinym.reply", {"ok": False, "error": "EvidenceMismatch"}
-            )
-            return
+            return {"ok": False, "error": "EvidenceMismatch"}
         attested = registry.attest(doc, self.profile.did, self.keys)
         tx = registry.make_transaction(
             registry.KIND_NYM, attested.to_bytes(), self.profile.did, self.keys
@@ -185,60 +180,35 @@ class AnchorService(Actor):
         try:
             receipt = yield from registry.submit_transaction(self.pool, tx)
         except registry.QuorumUnavailable as e:
-            self.reply(sender, msg, "anchor.verinym.reply", {"ok": False, "error": str(e)})
-            return
+            return {"ok": False, "error": str(e)}
         outcome = receipt["outcome"]
         if outcome not in (registry.OUTCOME_APPLIED, "Duplicate"):
-            self.reply(sender, msg, "anchor.verinym.reply", {"ok": False, "error": outcome})
-            return
+            return {"ok": False, "error": outcome}
         self.trace("anchor.verinym_registered", org=org_name, did=doc.did, outcome=outcome)
-        self.reply(
-            sender,
-            msg,
-            "anchor.verinym.reply",
-            {"ok": True, "did": doc.did, "doc": attested.to_bytes().hex(), "outcome": outcome},
-        )
+        return {"ok": True, "did": doc.did, "doc": attested.to_bytes().hex(), "outcome": outcome}
 
     # --- PMV: membership issuance / revocation ------------------------------
 
     def _issue_membership(self, sender: str, msg: Message) -> Generator:
-        holder_did = msg.body["holder_did"]
-        network_id = msg.body["network_id"]
-
-        def fail(error: str) -> None:
-            self.reply(sender, msg, "anchor.vc.reply", {"ok": False, "error": error})
-
+        holder_did, network_id = msg.fields("holder_did", "network_id")
         if network_id not in self.profile.represented_networks or self.acc_state is None:
-            fail("NotRepresented")
-            return
+            return {"ok": False, "error": "NotRepresented"}
         try:
             _, verinym = yield from registry.resolve_did(self.pool, holder_did)
         except registry.NotFound:
-            fail("NoVerinym")
-            return
-        except registry.RegistryError as e:
-            fail(type(e).__name__)
-            return
+            verinym = False
         if not verinym:
-            fail("NoVerinym")
-            return
+            return {"ok": False, "error": "NoVerinym"}
         if self.eligibility.get(network_id, {}).get(holder_did) is None:
-            fail("NotEligible")
-            return
+            return {"ok": False, "error": "NotEligible"}
 
         roster = self.rosters[network_id]
         if holder_did in roster.members:
             # idempotent re-issue: same credential, fresh witness, no epoch bump
             vc = roster.members[holder_did]
             witness = crypto.witness_for(self.acc_state, self._leaves(), vc.credential_id)
-            self.reply(
-                sender,
-                msg,
-                "anchor.vc.reply",
-                {"ok": True, "vc": vc.to_bytes().hex(), "witness": witness.to_bytes().hex(),
-                 "already_member": True},
-            )
-            return
+            return {"ok": True, "vc": vc.to_bytes().hex(), "witness": witness.to_bytes().hex(),
+                    "already_member": True}
 
         self.issuance_counter += 1
         vc = creds.issue_membership_credential(
@@ -256,11 +226,9 @@ class AnchorService(Actor):
         try:
             receipt = yield from registry.submit_transaction(self.pool, tx)
         except registry.QuorumUnavailable as e:
-            fail(str(e))
-            return
+            return {"ok": False, "error": str(e)}
         if receipt["outcome"] != registry.OUTCOME_APPLIED:
-            fail(f"RegistryRejected:{receipt['outcome']}")
-            return
+            return {"ok": False, "error": f"RegistryRejected:{receipt['outcome']}"}
         self.acc_state = new_state
         roster.members[holder_did] = vc
         roster.version += 1
@@ -273,12 +241,7 @@ class AnchorService(Actor):
             epoch=self.acc_state.epoch,
             roster_version=roster.version,
         )
-        self.reply(
-            sender,
-            msg,
-            "anchor.vc.reply",
-            {"ok": True, "vc": vc.to_bytes().hex(), "witness": witness.to_bytes().hex()},
-        )
+        return {"ok": True, "vc": vc.to_bytes().hex(), "witness": witness.to_bytes().hex()}
 
     def revoke_membership(self, holder_did: str, network_id: str) -> Generator:
         """Remove the holder's credential from the accumulator (next epoch),
@@ -323,45 +286,22 @@ class AnchorService(Actor):
             roster_version=roster.version,
         )
 
-    def _serve_memberlist(self, sender: str, msg: Message) -> None:
-        network_id = msg.body["network_id"]
+    def _serve_memberlist(self, sender: str, msg: Message) -> dict:
+        network_id, nonce = msg.fields("network_id", "nonce")
+        nonce = bytes.fromhex(nonce)
         memberlist = self.memberlists.get(network_id)
         if memberlist is None:
-            self.reply(
-                sender, msg, "anchor.memberlist.reply", {"ok": False, "error": "NotRepresented"}
-            )
-            return
-        vp = creds.build_self_signed_vp(
-            signer_did=self.profile.did,
-            signer_keys=self.keys,
-            payload=memberlist.to_bytes(),
-            challenge_nonce=bytes.fromhex(msg.body["nonce"]),
-        )
-        self.reply(
-            sender, msg, "anchor.memberlist.reply", {"ok": True, "vp": vp.to_bytes().hex()}
-        )
+            return {"ok": False, "error": "NotRepresented"}
+        vp = creds.build_self_signed_vp(self.profile.did, self.keys, memberlist.to_bytes(), nonce)
+        return {"ok": True, "vp": vp.to_bytes().hex()}
 
-    def _refresh_witness(self, sender: str, msg: Message) -> None:
+    def _refresh_witness(self, sender: str, msg: Message) -> dict:
         credential_id = bytes.fromhex(msg.body["credential_id"])
         leaves = self._leaves()
         if self.acc_state is None or credential_id not in leaves:
-            self.reply(
-                sender, msg, "anchor.witness.reply", {"ok": False, "error": "NotAMember"}
-            )
-            return
+            return {"ok": False, "error": "NotAMember"}
         witness = crypto.witness_for(self.acc_state, leaves, credential_id)
-        self.reply(
-            sender, msg, "anchor.witness.reply",
-            {"ok": True, "witness": witness.to_bytes().hex()},
-        )
-
-
-def schema_id_for(schema_name: str) -> str:
-    return f"schema:{schema_name}:1"
-
-
-def cred_def_id_for(issuer_did: str, schema_name: str) -> str:
-    return f"creddef:{issuer_did}:{schema_id_for(schema_name)}"
+        return {"ok": True, "witness": witness.to_bytes().hex()}
 
 
 def membership_schema() -> creds.CredentialSchema:

@@ -300,5 +300,5 @@ class SimBus:
                    "msg_kind": env.kind,
                    "payload_digest": crypto.digest(env.ciphertext).hex()},
             )
-            actor.on_delivery(env.from_, plaintext)
+            actor.on_delivery(env.from_, plaintext, env.kind)
         return self.now

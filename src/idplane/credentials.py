@@ -105,6 +105,16 @@ class CredentialSchema(enc.Record):
             raise CredentialError("schema attribute names must be unique")
 
 
+def schema_id_for(schema_name: str) -> str:
+    return f"schema:{schema_name}:1"
+
+
+def cred_def_id_for(issuer_did: str, schema_id: str) -> str:
+    """The one id the registry admits for `issuer_did`'s definition over
+    `schema_id`, so no anchor can take another's id first."""
+    return f"creddef:{issuer_did}:{schema_id}"
+
+
 @dataclass(frozen=True)
 class CredentialDefinition(enc.Record):
     TAG = enc.TAG_CRED_DEF

@@ -102,7 +102,10 @@ class Reader:
         return self.raw(self.count())
 
     def str_(self) -> str:
-        return self.bytes_().decode("utf-8")
+        try:
+            return self.bytes_().decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise DecodeError(f"invalid UTF-8: {e.reason}") from None
 
     def u64(self) -> int:
         payload = self.bytes_()

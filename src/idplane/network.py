@@ -425,56 +425,54 @@ class LedgerNode(Actor):
         self.state = genesis
         self.genesis = genesis
 
-    def on_message(self, sender: str, msg: Message) -> None:
-        if msg.kind == "cmdac.submit":
-            body = msg.body
-            endorsements = tuple(
-                (org, bytes.fromhex(sig)) for org, sig in body["endorsements"]
-            )
-            self.state, outcome = cmdac_update_foreign_identity(
-                self.state,
-                body["foreign_network"],
-                body["foreign_org"],
-                body["holder_did"],
-                bytes.fromhex(body["bundle"]),
-                body["status"],
-                bytes.fromhex(body["nonce"]),
-                endorsements,
-                self.bus.now,
-            )
-            self.trace(
-                "ledger.commit",
-                network=self.state.network_id,
-                foreign_network=body["foreign_network"],
-                foreign_org=body["foreign_org"],
-                status=body["status"],
-                nonce=body["nonce"],
-                outcome=outcome,
-                endorsers=",".join(sorted(org for org, _ in endorsements)),
-                payload_digest=crypto.digest(bytes.fromhex(body["bundle"])).hex(),
-            )
-            self.reply(
-                sender, msg, "cmdac.reply",
-                {"outcome": outcome, "seq": len(self.state.block_log) - 1},
-            )
-            return
-        if msg.kind == "ledger.query":
-            self.reply(sender, msg, "ledger.reply", self._query(msg.body))
-            return
+    REQUESTS = {
+        "cmdac.submit": ("_submit", "cmdac.reply"),
+        "ledger.query": ("_query", "ledger.reply"),
+    }
 
-    def _query(self, body: dict) -> dict:
-        what = body.get("what", "")
+    def _submit(self, sender: str, msg: Message) -> dict:
+        foreign_network, foreign_org, holder_did, bundle, status, nonce = msg.fields(
+            "foreign_network", "foreign_org", "holder_did", "bundle", "status", "nonce"
+        )
+        endorsements = tuple(
+            (org, bytes.fromhex(sig)) for org, sig in msg.body["endorsements"]
+        )
+        endorsers = ",".join(sorted(org for org, _ in endorsements))  # orgs must be strings
+        bundle = bytes.fromhex(bundle)
+        self.state, outcome = cmdac_update_foreign_identity(
+            self.state,
+            foreign_network,
+            foreign_org,
+            holder_did,
+            bundle,
+            status,
+            bytes.fromhex(nonce),
+            endorsements,
+            self.bus.now,
+        )
+        self.trace(
+            "ledger.commit",
+            network=self.state.network_id,
+            foreign_network=foreign_network,
+            foreign_org=foreign_org,
+            status=status,
+            nonce=nonce,
+            outcome=outcome,
+            endorsers=endorsers,
+            payload_digest=crypto.digest(bundle).hex(),
+        )
+        return {"outcome": outcome, "seq": len(self.state.block_log) - 1}
+
+    def _query(self, sender: str, msg: Message) -> dict:
+        (what,) = msg.fields("what")
         if what == "interop":
             return {"networks": list(self.state.interop_networks)}
         if what == "trust":
             return {"entries": [list(e) for e in self.state.trust_entries]}
         if what == "records":
-            return {
-                "records": [
-                    _record_to_body(r) for r in self.state.records_for(body["network"])
-                ]
-            }
-        return {"error": f"unknown query {what!r}"}
+            (network,) = msg.fields("network")
+            return {"records": [_record_to_body(r) for r in self.state.records_for(network)]}
+        raise NetworkError(f"unknown query {what!r}")
 
 
 def _record_to_body(record: ForeignIdentityRecord) -> dict:

@@ -36,6 +36,7 @@ from .credentials import (
     CredentialError,
     CredentialSchema,
     VerificationArtifacts,
+    cred_def_id_for,
 )
 
 ROLE_STEWARD = "STEWARD"
@@ -325,8 +326,9 @@ def _apply_cred_def(state: RegistryState, tx: RegistryTransaction) -> tuple[Regi
         cred_def = CredentialDefinition.from_bytes(tx.payload)
     except enc.DecodeError:
         return state, "BadSignature"
-    if cred_def.issuer_did != tx.submitter_did:
-        return state, "UnauthorizedRole"
+    own_id = cred_def_id_for(tx.submitter_did, cred_def.schema_id)
+    if cred_def.issuer_did != tx.submitter_did or cred_def.cred_def_id != own_id:
+        return state, "UnauthorizedRole"  # the id names its issuer: no one takes another's
     if cred_def.cred_def_id in state.cred_defs:
         return state, "DuplicateId"
     return _committed(state, tx, cred_defs={**state.cred_defs, cred_def.cred_def_id: cred_def})
@@ -482,34 +484,16 @@ class IinNode(Actor):
 
     # --- message handling ------------------------------------------------
 
-    def on_message(self, sender: str, msg: Message) -> None:
-        if msg.kind == "iin.submit":
-            if not self.is_sequencer:
-                self.reply(sender, msg, "iin.submit.reply", {"error": "NotSequencer"})
-                return
-            self.start_session("sequence", self._sequence(sender, msg))
-            return
-        if msg.kind == "iin.order":
-            if sender != self.pool.sequencer:
-                return
-            self._handle_order(sender, msg)
-            return
-        if msg.kind == "iin.fetch":
-            lo, hi = msg.body.get("from"), msg.body.get("to")
-            if not (isinstance(lo, int) and isinstance(hi, int)):
-                lo, hi = 0, -1  # a malformed fetch gets no entries
-            entries = [
-                [seq, tx.hex(), outcome]
-                for seq, tx, outcome in self.log
-                if lo <= seq <= hi
-            ]
-            self.reply(sender, msg, "iin.fetch.reply", {"entries": entries})
-            return
-        if msg.kind == "iin.query":
-            self.reply(sender, msg, "iin.query.reply", {"result": self._query(msg.body).hex()})
-            return
+    REQUESTS = {
+        "iin.submit": ("_sequence", "iin.submit.reply"),
+        "iin.order": ("_handle_order", "iin.ack"),
+        "iin.fetch": ("_serve_fetch", "iin.fetch.reply"),
+        "iin.query": ("_query", "iin.query.reply"),
+    }
 
     def _sequence(self, client: str, msg: Message) -> Generator:
+        if not self.is_sequencer:
+            return {"error": "NotSequencer"}
         tx_bytes = bytes.fromhex(msg.body["tx"])
         seq = self.next_seq
         tx_digest = crypto.digest(tx_bytes)  # the encoding is canonical
@@ -534,21 +518,13 @@ class IinNode(Actor):
         )
         acks = [own_ack] + valid_acks(replies)
         if len(acks) < self.pool.write_quorum:
-            self.reply(client, msg, "iin.submit.reply", {"error": "QuorumUnavailable"})
-            return
-        self.reply(
-            client,
-            msg,
-            "iin.submit.reply",
-            {
-                "seq": seq,
-                "outcome": outcome,
-                "tx_digest": tx_digest.hex(),
-                "acks": [
-                    [a["address"], a["ack"]] for a in sorted(acks, key=lambda a: a["address"])
-                ],
-            },
-        )
+            return {"error": "QuorumUnavailable"}
+        return {
+            "seq": seq,
+            "outcome": outcome,
+            "tx_digest": tx_digest.hex(),
+            "acks": [[a["address"], a["ack"]] for a in sorted(acks, key=lambda a: a["address"])],
+        }
 
     def _valid_ack(self, reply: Optional[Message], seq: int, tx_digest: bytes) -> bool:
         if reply is None or reply.kind != "iin.ack":
@@ -563,23 +539,24 @@ class IinNode(Actor):
             node_key, ack_bytes(seq, tx_digest), crypto.Signature(bytes.fromhex(body["ack"]))
         )
 
-    def _handle_order(self, sender: str, msg: Message) -> None:
+    def _handle_order(self, sender: str, msg: Message) -> Optional[dict]:
+        """Ack an order for an applied seq at once. Any other waits in the
+        holdback until every earlier seq has applied (caught up from the
+        sequencer across a gap), and `_drain_holdback` acks it as it applies.
+        Only the sequencer orders."""
+        if sender != self.pool.sequencer:
+            return None
         seq = int(msg.body["seq"])
         tx_bytes = bytes.fromhex(msg.body["tx"])
         if seq < self.next_seq:
-            self.reply(sender, msg, "iin.ack", self._ack_body(seq, crypto.digest(tx_bytes)))
-            return
-        if seq == self.next_seq:
-            tx_digest = crypto.digest(tx_bytes)
-            self._apply_in_order(seq, tx_bytes, tx_digest)
-            self.reply(sender, msg, "iin.ack", self._ack_body(seq, tx_digest))
-            self._drain_holdback()
-            return
-        # gap: hold the order back and catch up from the sequencer
+            return self._ack_body(seq, crypto.digest(tx_bytes))
         self._holdback[seq] = (tx_bytes, sender, msg)
-        if not self._fetching:
+        if seq == self.next_seq:
+            self._drain_holdback()
+        elif not self._fetching:
             self._fetching = True
             self.start_session("catchup", self._catch_up(seq - 1))
+        return None
 
     def _catch_up(self, upto: int) -> Generator:
         try:
@@ -608,9 +585,16 @@ class IinNode(Actor):
 
     # --- open reads --------------------------------------------------------
 
-    def _query(self, body: dict) -> bytes:
-        what, ident = body.get("what", ""), body.get("id", "")
-        issuers = body.get("issuers", [])
+    def _serve_fetch(self, sender: str, msg: Message) -> dict:
+        lo, hi = msg.body.get("from"), msg.body.get("to")
+        if not (isinstance(lo, int) and isinstance(hi, int)):
+            lo, hi = 0, -1  # a malformed fetch gets no entries
+        entries = [[seq, tx.hex(), outcome] for seq, tx, outcome in self.log if lo <= seq <= hi]
+        return {"entries": entries}
+
+    def _query(self, sender: str, msg: Message) -> dict:
+        what, ident = msg.body.get("what", ""), msg.body.get("id", "")
+        issuers = msg.body.get("issuers", [])
         if not (
             isinstance(what, str)
             and isinstance(ident, str)
@@ -640,7 +624,7 @@ class IinNode(Actor):
             cred_def = self.state.cred_defs.get(ident)
             if cred_def is not None:
                 found, payload = 1, cred_def.to_bytes()
-        return enc.record(
+        reply = enc.record(
             enc.TAG_QUERY_REPLY,
             enc.encode_str(what),
             enc.encode_str(ident),
@@ -648,6 +632,7 @@ class IinNode(Actor):
             enc.encode_bytes(payload),
             enc.encode_u64(verinym),
         )
+        return {"result": reply.hex()}
 
 
 def parse_query_reply(data: bytes) -> tuple[str, str, bool, bytes, bool]:

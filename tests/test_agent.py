@@ -263,6 +263,27 @@ class TestCountersigning:
         assert outcome["status"] == "FAILED"
         assert outcome["error"] == "MissingCountersignature"
 
+    def test_raising_countersigner_fails_the_initiator_by_name(self, world):
+        seller = world.agents["Seller"]
+
+        def broken(sender, msg):
+            raise KeyError("digest")
+            yield  # a session handler, failing part-way
+
+        seller._handle_countersign = broken
+        record = run_sync(world, "Buyer", "SWT", "STL",
+                          targets=(world.org_dids["Carrier"],))
+        asked = next(
+            e for e in world.trace.events
+            if e.kind == "bus.send" and e.detail["msg_kind"] == "agent.countersign.request"
+        )
+        assert record.error is None
+        outcome = record.result[world.org_dids["Carrier"]]
+        assert outcome == {"status": "FAILED", "error": "CounterpartyValidationFailed"}
+        [failed] = agent_events(world, "Buyer", {"agent.sync_failed"})
+        assert failed.detail["detail"] == "Seller:KeyError"
+        assert failed.tick - asked.tick <= 100  # not the 1,500-tick gather timeout
+
     def test_countersigner_without_ledger_names_the_failure(self, world):
         world.bus.config.rules.append(
             FaultRule(action="drop", to="agent:Seller", kind="ledger.reply")

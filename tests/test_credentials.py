@@ -55,7 +55,7 @@ class VerificationWorld:
         )
         self.schema = membership_schema()
         self.cred_def = creds.CredentialDefinition(
-            cred_def_id=cred_def_id_for(self.anchor_did, creds.MEMBERSHIP_SCHEMA_NAME),
+            cred_def_id=cred_def_id_for(self.anchor_did, self.schema.schema_id),
             schema_id=self.schema.schema_id,
             issuer_did=self.anchor_did,
             authentication_public_key=self.anchor_keys.public_key,
@@ -313,7 +313,7 @@ class TestSchemas:
     def test_memberlist_roundtrip(self, world):
         ml = creds.issue_memberlist_credential(
             world.anchor_keys, world.anchor_did,
-            cred_def_id_for(world.anchor_did, "memberlist"),
+            cred_def_id_for(world.anchor_did, schema_id_for("memberlist")),
             NET_B, (world.holder_did,), roster_version=3,
         )
         assert creds.MemberlistCredential.from_bytes(ml.to_bytes()) == ml

@@ -339,3 +339,8 @@ def test_wrong_tag_is_a_decode_error(value, tag):
     assume(tag != value.TAG)
     with pytest.raises(enc.DecodeError):
         type(value).from_bytes(bytes([tag]) + value.to_bytes()[1:])
+
+
+def test_invalid_utf8_string_is_a_decode_error():
+    with pytest.raises(enc.DecodeError):
+        enc.Reader(enc.encode_bytes(b"\xff")).str_()

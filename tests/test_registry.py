@@ -107,6 +107,19 @@ class TestApplyRules:
         assert outcome == "BadSignature"
         assert other_did not in state.docs
 
+    @pytest.mark.parametrize("submitter", ["steward", "self"])
+    def test_nym_with_invalid_utf8_is_rejected_not_raised(self, steward, genesis, submitter):
+        s_keys, s_did, _ = steward
+        org_keys, org_did, org_doc = make_identity("org", endpoint="agent:~")
+        if submitter == "steward":
+            org_doc = attested(org_doc, s_did, s_keys)
+        payload = org_doc.to_bytes().replace(b"agent:~", b"agent:\xff")
+        keys, did = (s_keys, s_did) if submitter == "steward" else (org_keys, org_did)
+        tx = registry.make_transaction(registry.KIND_NYM, payload, did, keys)
+        state, outcome = registry.apply_transaction(genesis, tx)
+        assert outcome == "BadSignature"
+        assert org_did not in state.docs
+
     def test_attestation_by_unroled_did_rejected(self, genesis):
         rogue_keys, rogue_did, rogue_doc = make_identity("rogue")
         state, _ = registry.apply_transaction(
@@ -170,6 +183,39 @@ class TestApplyRules:
         )
         assert outcome == "StaleEpoch"
         assert state2.revocation[pmv_did].epoch == 0
+
+    def test_anchor_cannot_take_another_anchors_cred_def_id(self, steward, genesis):
+        s_keys, s_did, _ = steward
+        anchors = [make_identity(label) for label in ("pmvA", "pmvB")]
+        state = genesis
+        for _, did, doc in anchors:
+            for tx in (
+                registry.make_transaction(
+                    registry.KIND_NYM, attested(doc, s_did, s_keys).to_bytes(), s_did, s_keys
+                ),
+                registry.make_transaction(
+                    registry.KIND_ANCHOR_GRANT,
+                    registry.anchor_grant_payload(did, registry.ROLE_PMV), s_did, s_keys,
+                ),
+            ):
+                state, outcome = registry.apply_transaction(state, tx)
+                assert outcome == "APPLIED"
+        (a_keys, a_did, _), (b_keys, b_did, _) = anchors
+        schema_id = creds.schema_id_for(creds.MEMBERSHIP_SCHEMA_NAME)
+        b_id = creds.cred_def_id_for(b_did, schema_id)
+
+        def cred_def_tx(issuer_did, keys):
+            cred_def = creds.CredentialDefinition(b_id, schema_id, issuer_did, keys.public_key)
+            return registry.make_transaction(
+                registry.KIND_CRED_DEF, cred_def.to_bytes(), issuer_did, keys
+            )
+
+        state, outcome = registry.apply_transaction(state, cred_def_tx(a_did, a_keys))
+        assert outcome == "UnauthorizedRole"
+        assert b_id not in state.cred_defs
+        state, outcome = registry.apply_transaction(state, cred_def_tx(b_did, b_keys))
+        assert outcome == "APPLIED"
+        assert state.cred_defs[b_id].issuer_did == b_did
 
     def test_registered_org_cannot_rewrite_another_orgs_document(self, steward, genesis):
         s_keys, s_did, _ = steward
@@ -285,8 +331,10 @@ def test_authorization_soundness_exhaustive(role, kind, steward):
     elif kind == registry.KIND_SCHEMA:
         payload = membership_schema().to_bytes()
     elif kind == registry.KIND_CRED_DEF:
+        schema_id = creds.schema_id_for(creds.MEMBERSHIP_SCHEMA_NAME)
         payload = creds.CredentialDefinition(
-            "creddef:x", "schema:membership:1", actor_did, actor_keys.public_key
+            creds.cred_def_id_for(actor_did, schema_id), schema_id, actor_did,
+            actor_keys.public_key,
         ).to_bytes()
     elif kind == registry.KIND_REVOC_INIT:
         payload = crypto.accumulator_init(actor_did)[0].to_bytes()

@@ -1,0 +1,155 @@
+"""One request path: every actor serves its `REQUESTS` table through
+`Actor._serve`, answers a malformed request with the error's name, and drops a
+plaintext that is no message at all, so no bad message ends the bus run."""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import idplane
+from idplane.actors import Actor, Message, Request
+from idplane.agent import IinAgent
+from idplane.anchors import AnchorService
+from idplane.network import LedgerNode
+from idplane.registry import IinNode
+
+from conftest import add_probe, bootstrapped_runner
+
+SERVERS = (IinAgent, AnchorService, IinNode, LedgerNode)
+
+# request kind -> a body whose fields are all present, one of them wrong-typed
+WRONG_TYPED = {
+    "agent.membership_vp.request": {"network_id": 5, "nonce": "00"},
+    "agent.identity_vp.request": {"network_id": "SWT", "nonce": 5},
+    "agent.countersign.request": {
+        "home_network": "SWT", "foreign_network": "STL", "foreign_org": "Carrier",
+        "foreign_did": "did:iin:x", "digest": 5, "status": "ACTIVE", "nonce": "00",
+    },
+    "anchor.verinym.request": {"org_name": "Seller", "doc": 5},
+    "anchor.vc.request": {"holder_did": 5, "network_id": "SWT"},
+    "anchor.memberlist.request": {"network_id": 5, "nonce": "00"},
+    "anchor.witness.request": {"credential_id": 5},
+    "iin.submit": {"tx": 5},
+    "iin.order": {"seq": "x", "tx": 5},
+    "iin.fetch": {"from": "x", "to": 1},
+    "iin.query": {"what": 5, "id": "x"},
+    "cmdac.submit": {
+        "foreign_network": 5, "foreign_org": "Carrier", "holder_did": "did:iin:x",
+        "bundle": "00", "status": "ACTIVE", "nonce": "00", "endorsements": [],
+    },
+    "ledger.query": {"what": 5},
+}
+
+# Open registry reads answer a malformed body as an ordinary miss or an
+# empty fetch, and a replica ignores an order from anyone but its sequencer.
+LENIENT = {"iin.query", "iin.fetch"}
+UNANSWERED = {"iin.order"}
+
+
+def server_address(world, cls) -> str:
+    if cls is IinAgent:
+        return world.agents["Seller"].address
+    if cls is AnchorService:
+        return world.anchors["AnchorSWT"].address
+    if cls is IinNode:
+        return next(iter(world.iin_nodes.values()))[0].address  # the sequencer
+    return world.ledgers["SWT"].address
+
+
+ENTRIES = [(cls, kind) for cls in SERVERS for kind in sorted(cls.REQUESTS)]
+
+
+@pytest.fixture(scope="module")
+def served():
+    """Two-network after step A, with a probe; shared, as each probe request
+    leaves the served state as it was."""
+    world = bootstrapped_runner().world
+    return world, add_probe(world)
+
+
+@pytest.mark.parametrize("shape", ["empty", "wrong-typed"])
+@pytest.mark.parametrize(
+    "cls, kind", ENTRIES, ids=[f"{cls.__name__}:{kind}" for cls, kind in ENTRIES]
+)
+def test_malformed_request_is_answered_with_the_error_name(served, cls, kind, shape):
+    world, probe = served
+    target = server_address(world, cls)
+    body = {} if shape == "empty" else WRONG_TYPED[kind]
+    start, sent_at = len(world.trace.events), world.bus.now
+    result = {}
+
+    def ask():
+        reply = yield Request(target, kind, body, timeout=10)
+        result["reply"] = reply
+
+    probe.start_session("ask", ask())
+    world.settle()  # the run goes on: no handler error escapes the bus loop
+    failed = [
+        e for e in world.trace.events[start:]
+        if e.kind == "session.failed" and e.actor == target
+    ]
+    reply = result["reply"]
+    if kind in UNANSWERED:
+        assert reply is None and failed == []
+        return
+    assert reply is not None, f"no reply within 10 ticks of tick {sent_at}"
+    assert reply.kind == cls.REQUESTS[kind][1]
+    if kind in LENIENT:
+        assert "error" not in reply.body and failed == []
+        return
+    error = "KeyError" if shape == "empty" else "TypeError"
+    assert reply.body == {"ok": False, "error": error}
+    assert [(e.detail["label"], e.detail["error"]) for e in failed] == [(kind, error)]
+
+
+@pytest.mark.parametrize("plaintext", [
+    b"not json",
+    b"\xff\xfe",
+    b"[]",
+    b'{"kind": 5, "body": {}}',
+    b'{"kind": "ledger.query", "body": []}',
+    b'{"kind": "ledger.query", "body": {}, "reply_to": ["x"]}',
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["not-json", "not-utf8", "not-an-object", "kind-not-a-string", "body-not-a-dict",
+        "reply-to-not-a-string", "nested-too-deep"])
+def test_malformed_plaintext_is_dropped_and_traced(plaintext):
+    world = bootstrapped_runner(through_step_a=False).world
+    add_probe(world)
+    start = len(world.trace.events)
+    world.bus.send("probe", "ledger:SWT", "ledger.query", plaintext)
+    world.settle()
+    dropped = [e for e in world.trace.events[start:] if e.kind == "actor.malformed"]
+    assert [(e.actor, e.detail) for e in dropped] == [
+        ("ledger:SWT", {"sender": "probe", "msg_kind": "ledger.query"})
+    ]
+
+
+@pytest.mark.parametrize("data", [b'{"kind": "k", "body": {}, "request_id": 3}', b"null"])
+def test_message_from_bytes_refuses_a_non_message(data):
+    with pytest.raises(ValueError):
+        Message.from_bytes(data)
+
+
+def src_actor_classes() -> list[type]:
+    for info in pkgutil.iter_modules(idplane.__path__):
+        importlib.import_module(f"idplane.{info.name}")
+    found, todo = [], [Actor]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("idplane."):
+                found.append(sub)
+    return found
+
+
+def test_each_actor_serves_requests_through_its_table_only():
+    classes = src_actor_classes()
+    assert set(SERVERS) <= set(classes)
+    for cls in classes:
+        for kind, (handler, reply_kind) in cls.REQUESTS.items():
+            assert inspect.isfunction(getattr(cls, handler, None)), f"{cls.__name__}: {kind}"
+            assert reply_kind
+        if cls is not AnchorService:
+            assert "on_message" not in vars(cls), f"{cls.__name__} dispatches by hand"
