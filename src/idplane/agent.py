@@ -6,11 +6,14 @@ The agent is the org's protocol engine for the identity plane:
           identity validator, then obtain a membership credential (plus
           revocation witness) from each home network's membership validator;
   step B  validate a foreign network's membership: fetch the memberlist from
-          the trusted validator, resolve each member's DID document, challenge
-          the member at its service endpoint, and verify the returned
-          membership presentation against registry artifacts;
-  step C  fetch the member's network-issued certificate bundle as a
-          self-signed presentation and check its internal consistency;
+          the trusted validator, read each member's snapshot (DID document,
+          verinym status, the trusted issuers' revocation states), challenge
+          the member at its service endpoint naming the snapshot's epochs, and
+          verify the returned membership presentation against registry
+          artifacts;
+  step C  check the member's network-issued certificate bundle, a
+          self-signed presentation that the same challenge reply carries
+          when step C follows, and its internal consistency;
   step D  commit the bundle to the local ledger: collect a countersignature
           from every other local org (each validates independently) and submit
           the contract transaction; on a digest mismatch the agent refetches
@@ -74,6 +77,11 @@ class NotListed(AgentError):
 
 class MemberUnreachable(AgentError):
     pass
+
+
+class WitnessUnavailable(AgentError):
+    """The holder's witness is older than the challenge's epoch and its
+    issuing anchor did not answer the refresh."""
 
 
 class MalformedBundle(AgentError):
@@ -157,7 +165,6 @@ class IinAgent(Actor):
 
     REQUESTS = {
         "agent.membership_vp.request": ("_serve_membership_vp", "agent.membership_vp.reply"),
-        "agent.identity_vp.request": ("_serve_identity_vp", "agent.identity_vp.reply"),
         "agent.countersign.request": ("_handle_countersign", "agent.countersign.reply"),
     }
 
@@ -198,46 +205,58 @@ class IinAgent(Actor):
     # --- serving counterparties ----------------------------------------------
 
     def _serve_membership_vp(self, sender: str, msg: Message) -> Generator:
+        """Answer a challenge with the membership presentation and, when it
+        carries a `bundle_nonce`, the bundle presentation as `identity_vp`."""
         network_id, nonce = msg.fields("network_id", "nonce")
+        epochs = msg.body.get("epochs", {})
+        if not isinstance(epochs, dict) or not all(isinstance(e, int) for e in epochs.values()):
+            raise TypeError(f"{msg.kind}: epochs must map issuer DIDs to integers")
+        bundle_nonce = msg.body.get("bundle_nonce")
+        if bundle_nonce is not None:
+            bundle_nonce = bytes.fromhex(*msg.fields("bundle_nonce"))
         nonce = bytes.fromhex(nonce)
         entry = self.wallet.get(network_id)
         if entry is None:
             return {"ok": False, "error": "NoCredential"}
         vc, witness = entry
-        witness = yield from self._freshen_witness(network_id, vc, witness)
+        epoch = epochs.get(vc.issuer_did)
+        if epoch is None or witness.epoch < epoch:
+            witness = yield from self._freshen_witness(network_id, vc, witness, epoch)
         vp = creds.build_membership_vp(self.did, self.keys, vc, witness, nonce)
-        return {"ok": True, "vp": vp.to_bytes().hex()}
+        reply = {"ok": True, "vp": vp.to_bytes().hex()}
+        if bundle_nonce is not None:
+            bundle = self.config.organizations[network_id].bundle_bytes()
+            vp = creds.build_self_signed_vp(self.did, self.keys, bundle, bundle_nonce)
+            reply["identity_vp"] = vp.to_bytes().hex()
+        return reply
 
     def _freshen_witness(
         self,
         network_id: str,
         vc: creds.MembershipCredential,
         witness: crypto.AccumulatorWitness,
+        epoch: Optional[int],
     ) -> Generator:
-        """Ask the issuing anchor for a witness at its current epoch. The anchor
-        alone writes the revocation state, so it needs no registry read to know
-        the epoch. A revoked holder's refresh is refused (NotAMember) and a
-        silent anchor leaves the stored witness; either way the verifier's
-        accumulator check decides."""
+        """Ask the issuing anchor for a witness at its current epoch; the
+        holder asks only when the challenge names no `epoch` for the issuer
+        or a newer one than its witness's, so a wrong epoch can fail only its
+        verifier's check 6. The anchor alone writes the revocation state, so
+        it needs no registry read to know the epoch. A revoked holder's
+        refresh is refused (NotAMember): it presents the stored witness and
+        the verifier's accumulator check refutes it. A lost refresh raises
+        WitnessUnavailable when the stored witness is behind a named epoch."""
         reply = yield Request(
             self.config.home_pmv[network_id],
             "anchor.witness.request",
             {"credential_id": vc.credential_id.hex()},
             timeout=120,
         )
+        if reply is None and epoch is not None:
+            raise WitnessUnavailable(f"{network_id}: witness at {witness.epoch} < {epoch}")
         if reply is not None and reply.body.get("ok"):
             witness = crypto.AccumulatorWitness.from_bytes(bytes.fromhex(reply.body["witness"]))
             self.wallet[network_id] = (vc, witness)
         return witness
-
-    def _serve_identity_vp(self, sender: str, msg: Message) -> dict:
-        network_id, nonce = msg.fields("network_id", "nonce")
-        nonce = bytes.fromhex(nonce)
-        organization = self.config.organizations.get(network_id)
-        if organization is None:
-            return {"ok": False, "error": "NotAMemberHere"}
-        vp = creds.build_self_signed_vp(self.did, self.keys, organization.bundle_bytes(), nonce)
-        return {"ok": True, "vp": vp.to_bytes().hex()}
 
     # --- local ledger views ---------------------------------------------------
 
@@ -391,10 +410,12 @@ class IinAgent(Actor):
         )
 
     def _challenge_and_verify(
-        self, home_network: str, foreign_network: str, target_did: str
+        self, home_network: str, foreign_network: str, target_did: str, with_bundle: bool = False
     ) -> Generator:
         """Resolve, challenge, and verify one foreign member's membership
-        presentation. Returns (claim, doc, verinym).
+        presentation. Returns (claim, doc, verinym, bundle): with
+        `with_bundle`, the challenge also asks for the bundle presentation,
+        and `bundle` is its nonce and the reply's `identity_vp` as received.
 
         One registry read before the challenge (`registry.resolve_member`)
         gives the holder's document, its verinym status and the revocation
@@ -403,29 +424,34 @@ class IinAgent(Actor):
         the trust list names its issuer for another network, as the snapshot
         holds no state for it. The revocation state is as of the start of the
         validation: a revocation committed before the read fails check 6.
-        Any issuance or revocation by the issuer moves its epoch, and the
-        holder's witness is made at the anchor's epoch when the challenge
-        arrives, so a witness newer than the snapshot means such a commit
-        landed during the round trip: the snapshot is read once more, so an
-        honest holder is not refused for it. The holder's own revocation
-        committed during the round trip is seen only by the next validation:
-        its refresh is refused, so it presents its witness at the snapshot's
-        epoch."""
+        The challenge names each state's epoch, and a holder whose witness is
+        older refreshes it at its anchor, which makes it at the anchor's epoch
+        when the refresh arrives. Any issuance or revocation by the issuer
+        moves its epoch, so a witness newer than the snapshot means such a
+        commit landed during the round trip: the snapshot is read once more,
+        so an honest holder is not refused for it. The holder's own
+        revocation committed during the round trip is seen only by the next
+        validation: its refresh is refused, so it presents a witness no newer
+        than the snapshot. A holder whose refresh got no reply answers
+        WitnessUnavailable, raised here as MemberUnreachable."""
         entries = yield from self._trust_entries(home_network)
         trusted = frozenset((anchor, network) for _, anchor, network in entries)
         issuers = tuple(sorted(a for a, network in trusted if network == foreign_network))
         doc, verinym, revocation = yield from registry.resolve_member(
             self.pool, target_did, issuers
         )
-        nonce = self.nonce()
+        epochs = {issuer: state.epoch for issuer, state in revocation.items()}
+        nonce, bundle_nonce = self.nonce(), (self.nonce() if with_bundle else None)
+        body = {"network_id": foreign_network, "nonce": nonce.hex(), "epochs": epochs}
+        if with_bundle:
+            body["bundle_nonce"] = bundle_nonce.hex()
         reply = yield Request(
-            doc.service_endpoint,
-            "agent.membership_vp.request",
-            {"network_id": foreign_network, "nonce": nonce.hex()},
-            timeout=400,
+            doc.service_endpoint, "agent.membership_vp.request", body, timeout=400
         )
         if reply is None or not reply.body.get("ok"):
-            raise MemberUnreachable(target_did)
+            raise MemberUnreachable(
+                target_did + (f": {reply.body.get('error')}" if reply else "")
+            )
         vp = creds.VerifiablePresentation.from_bytes(bytes.fromhex(reply.body["vp"]))
         try:
             vc, witness = creds.parse_membership_body(vp.body)
@@ -441,7 +467,7 @@ class IinAgent(Actor):
         self.trace(
             "agent.member_validated", network=foreign_network, holder=claim.holder_did
         )
-        return claim, doc, verinym
+        return claim, doc, verinym, (bundle_nonce, reply.body.get("identity_vp"))
 
     def _validate_member(
         self,
@@ -449,15 +475,15 @@ class IinAgent(Actor):
         foreign_network: str,
         target_did: str,
         memberlist: creds.MemberlistCredential,
+        with_bundle: bool = False,
     ) -> Generator:
         if target_did not in memberlist.member_dids:
             raise NotListed(target_did)
-        result = yield from self._challenge_and_verify(
-            home_network, foreign_network, target_did
-        )
-        return result
+        return (yield from self._challenge_and_verify(
+            home_network, foreign_network, target_did, with_bundle
+        ))
 
-    # --- step C: fetch network identity ----------------------------------------
+    # --- step C: check network identity ----------------------------------------
 
     def _fetch_identity(
         self,
@@ -465,17 +491,16 @@ class IinAgent(Actor):
         target_did: str,
         doc: registry.DidDocument,
         verinym: bool,
+        bundle: tuple[bytes, object],
     ) -> Generator:
-        nonce = self.nonce()
-        reply = yield Request(
-            doc.service_endpoint,
-            "agent.identity_vp.request",
-            {"network_id": foreign_network, "nonce": nonce.hex()},
-            timeout=150,
-        )
-        if reply is None or not reply.body.get("ok"):
-            raise MemberUnreachable(target_did)
-        vp = creds.VerifiablePresentation.from_bytes(bytes.fromhex(reply.body["vp"]))
+        """Check the bundle presentation that step B's challenge reply
+        carried. A generator though it sends nothing, as the benchmark's
+        tracer drives steps B, C and D as generators."""
+        yield from ()
+        nonce, vp = bundle
+        if not isinstance(vp, str):
+            raise MemberUnreachable(f"{target_did}: no bundle presentation")
+        vp = creds.VerifiablePresentation.from_bytes(bytes.fromhex(vp))
         payload = creds.verify_self_signed_vp(vp, nonce, doc, verinym)
         try:
             org_id, bundle_network, chains = net.parse_bundle(payload)
@@ -642,11 +667,11 @@ class IinAgent(Actor):
                         self._fetch_memberlist(home_network, foreign_network),
                     )
                 if identity is None or foreign_did not in memberlist.member_dids:
-                    _, doc, verinym = yield from self._validate_member(
-                        home_network, foreign_network, foreign_did, memberlist
+                    _, doc, verinym, bundle = yield from self._validate_member(
+                        home_network, foreign_network, foreign_did, memberlist, with_bundle=True
                     )
                     identity = yield from self._fetch_identity(
-                        foreign_network, foreign_did, doc, verinym
+                        foreign_network, foreign_did, doc, verinym, bundle
                     )
                 if identity.org_id != foreign_org:
                     raise OrgMismatch(f"{identity.org_id} presented as {foreign_org}")
@@ -738,11 +763,11 @@ class IinAgent(Actor):
                     memberlist = yield from self._fetch_memberlist(
                         home_network, foreign_network
                     )
-                _, doc, verinym = yield from self._validate_member(
-                    home_network, foreign_network, target_did, memberlist
+                _, doc, verinym, bundle = yield from self._validate_member(
+                    home_network, foreign_network, target_did, memberlist, with_bundle=True
                 )
                 identity = yield from self._fetch_identity(
-                    foreign_network, target_did, doc, verinym
+                    foreign_network, target_did, doc, verinym, bundle
                 )
                 outcome = yield from self._commit_identity(
                     home_network,
@@ -875,10 +900,12 @@ class IinAgent(Actor):
         """Run steps B and C for one member without committing, populating the
         countersigner cache."""
         memberlist = yield from self._fetch_memberlist(home_network, foreign_network)
-        _, doc, verinym = yield from self._validate_member(
-            home_network, foreign_network, target_did, memberlist
+        _, doc, verinym, bundle = yield from self._validate_member(
+            home_network, foreign_network, target_did, memberlist, with_bundle=True
         )
-        identity = yield from self._fetch_identity(foreign_network, target_did, doc, verinym)
+        identity = yield from self._fetch_identity(
+            foreign_network, target_did, doc, verinym, bundle
+        )
         return identity.digest.hex()
 
     def validate_org(
@@ -887,7 +914,7 @@ class IinAgent(Actor):
         """Directly challenge one foreign org and verify its membership
         presentation (no memberlist gate); used to probe revoked members."""
         try:
-            claim, _, _ = yield from self._challenge_and_verify(
+            claim, *_ = yield from self._challenge_and_verify(
                 home_network, foreign_network, target_did
             )
             return {"status": "ok", "holder": claim.holder_did, "network": claim.network_id}

@@ -1,5 +1,7 @@
 """Agent protocol behavior: policy gates, countersigning, retries, resync."""
 
+import pytest
+
 from idplane import agent as agent_mod
 from idplane import credentials as creds
 from idplane import crypto, harness, registry
@@ -45,6 +47,33 @@ def count_query_kinds(monkeypatch) -> list:
 
     monkeypatch.setattr(registry, "quorum_query", counting)
     return kinds
+
+
+def witness_requests(world, org, since=0):
+    return [
+        e for e in world.trace.events[since:]
+        if e.kind == "bus.send" and e.detail["from"] == f"agent:{org}"
+        and e.detail["msg_kind"] == "anchor.witness.request"
+    ]
+
+
+def challenge(probe, world, holder, network_id, **extra):
+    """Challenge `holder`'s agent from `probe`; returns (reply body, nonce)."""
+    nonce = probe.nonce()
+    result = {}
+
+    def ask():
+        reply = yield Request(
+            f"agent:{holder}",
+            "agent.membership_vp.request",
+            {"network_id": network_id, "nonce": nonce.hex(), **extra},
+            timeout=500,
+        )
+        result["body"] = reply.body
+
+    probe.start_session("ask", ask())
+    world.settle()
+    return result["body"], nonce
 
 
 def ask_countersign(probe, world, foreign_did, digest, status, **extra):
@@ -432,6 +461,10 @@ class TestMemberSnapshot:
         kinds = count_query_kinds(monkeypatch)
         anchor = world.anchors["AnchorSTL"]
         epoch = anchor.acc_state.epoch
+        # Carrier's witness predates the last step-A issuance, so it is behind
+        # the challenge's epoch and Carrier refreshes it
+        _, witness = world.agents["Carrier"].wallet["STL"]
+        assert witness.epoch < epoch
         world.bus.config.rules.append(FaultRule(
             action="delay", from_="agent:Buyer", kind="agent.membership_vp.request",
             times=1, delay=100,
@@ -794,25 +827,119 @@ class TestServingPresentations:
         assert b"SWT" not in results["STL"]
         assert b"STL" not in results["SWT"]
 
-    def test_identity_vp_serves_requested_network_bundle(self, world):
+    def test_challenge_with_bundle_nonce_returns_the_requested_networks_bundle(self, world):
+        seller = world.agents["Seller"]
         probe = add_probe(world)
-        result = {}
-
-        def ask():
-            reply = yield Request(
-                "agent:Seller",
-                "agent.identity_vp.request",
-                {"network_id": "STL", "nonce": probe.nonce().hex()},
-                timeout=500,
-            )
-            result["body"] = reply.body
-
-        probe.start_session("ask", ask())
-        world.settle()
-        vp = creds.VerifiablePresentation.from_bytes(bytes.fromhex(result["body"]["vp"]))
-        org_id, network_id, chains = net.parse_bundle(vp.body)
+        bundle_nonce = b"b" * 16
+        body, _ = challenge(probe, world, "Seller", "STL", bundle_nonce=bundle_nonce.hex())
+        vp = creds.VerifiablePresentation.from_bytes(bytes.fromhex(body["identity_vp"]))
+        doc = registry.new_did_document(seller.pool.iin_id, seller.keys, seller.address)
+        payload = creds.verify_self_signed_vp(vp, bundle_nonce, doc, True)
+        org_id, network_id, chains = net.parse_bundle(payload)
         assert (org_id, network_id) == ("Seller", "STL")
         assert chains  # one per peer
+
+    def test_challenge_without_bundle_nonce_signs_only_the_membership_vp(
+        self, world, monkeypatch
+    ):
+        signs = []
+        sign = crypto.sign
+        monkeypatch.setattr(crypto, "sign", lambda *args: signs.append(1) or sign(*args))
+        probe = add_probe(world)
+        body, _ = challenge(probe, world, "Seller", "STL")
+        assert body["ok"] and "identity_vp" not in body
+        assert len(signs) == 1
+        body, _ = challenge(probe, world, "Seller", "STL", bundle_nonce=(b"b" * 16).hex())
+        assert "identity_vp" in body
+        assert len(signs) == 3
+
+
+class TestChallengeEpochs:
+    """The challenge names the epoch of the verifier's snapshot per issuer,
+    and the holder refreshes its witness only when it is older."""
+
+    @staticmethod
+    def validate(world, verifier, holder):
+        agent = world.agents[verifier]
+        record = agent.start_session(
+            "validate", agent.validate_org("SWT", "STL", world.org_dids[holder])
+        )
+        world.settle()
+        return record.result
+
+    @staticmethod
+    def revoke_seller_from_stl(world):
+        anchor = world.anchors["AnchorSTL"]
+        anchor.enqueue_serialized(
+            "revoke", lambda: anchor.revoke_membership(world.org_dids["Seller"], "STL")
+        )
+        world.settle()
+
+    def test_holder_at_the_challenges_epoch_does_not_refresh(self, world):
+        assert self.validate(world, "Buyer", "Carrier")["status"] == "ok"
+        start = len(world.trace.events)
+        assert self.validate(world, "Seller", "Carrier")["status"] == "ok"
+        assert witness_requests(world, "Carrier", start) == []
+
+    def test_holder_behind_a_moved_anchor_refreshes_once(self, world):
+        assert self.validate(world, "Buyer", "Carrier")["status"] == "ok"
+        self.revoke_seller_from_stl(world)
+        start = len(world.trace.events)
+        assert self.validate(world, "Buyer", "Carrier")["status"] == "ok"
+        assert len(witness_requests(world, "Carrier", start)) == 1
+        _, witness = world.agents["Carrier"].wallet["STL"]
+        assert witness.epoch == world.anchors["AnchorSTL"].acc_state.epoch
+
+    def test_revoked_holder_still_fails_check_6(self, world):
+        TestMemberlistReuse.revoke_carrier(world)
+        start = len(world.trace.events)
+        assert self.validate(world, "Buyer", "Carrier") == {
+            "status": "failed",
+            "error": "MembershipVerificationError",
+            "check": creds.CHECK_REVOCATION,
+        }
+        assert len(witness_requests(world, "Carrier", start)) == 1  # refused
+
+    def test_a_stale_epoch_fails_only_its_own_verifier(self, world):
+        anchor = world.anchors["AnchorSTL"]
+        stale = anchor.acc_state
+        self.revoke_seller_from_stl(world)
+        assert self.validate(world, "Buyer", "Carrier")["status"] == "ok"
+        probe = add_probe(world)
+        start = len(world.trace.events)
+        body, nonce = challenge(
+            probe, world, "Carrier", "STL", epochs={anchor.profile.did: stale.epoch}
+        )
+        assert witness_requests(world, "Carrier", start) == []
+        vp = creds.VerifiablePresentation.from_bytes(bytes.fromhex(body["vp"]))
+        vc, _ = creds.parse_membership_body(vp.body)
+        replica = world.iin_nodes[world.agents["Buyer"].pool.iin_id][0]
+        artifacts = registry.artifacts_from_state(
+            replica.state, world.org_dids["Carrier"], anchor.profile.did,
+            schema_id_for(creds.MEMBERSHIP_SCHEMA_NAME), vc.cred_def_id,
+        )
+        artifacts.revocation_state = stale
+        trusted = frozenset({(anchor.profile.did, "STL")})
+        with pytest.raises(creds.MembershipVerificationError) as refused:
+            creds.verify_membership_vp(vp, "STL", nonce, trusted, artifacts)
+        assert refused.value.check == creds.CHECK_REVOCATION
+        assert self.validate(world, "Seller", "Carrier")["status"] == "ok"
+
+    def test_lost_refresh_behind_the_named_epoch_is_witness_unavailable(self, world):
+        self.revoke_seller_from_stl(world)
+        world.bus.config.rules.append(FaultRule(
+            action="drop", from_="agent:Carrier", kind="anchor.witness.request", times=1,
+        ))
+        agent = world.agents["Buyer"]
+        start = len(world.trace.events)
+        record = agent.start_session(
+            "validate", agent._challenge_and_verify("SWT", "STL", world.org_dids["Carrier"])
+        )
+        world.settle()
+        assert isinstance(record.error, agent_mod.MemberUnreachable)
+        assert str(record.error).endswith(": WitnessUnavailable")
+        failed = agent_events(world, "Carrier", ("session.failed",), start)
+        assert [e.detail["error"] for e in failed] == ["WitnessUnavailable"]
 
 
 class TestResync:

@@ -5,9 +5,10 @@ program's side would break the benchmark without failing any other test.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
-from idplane import anchors, harness, registry
+from idplane import agent, anchors, harness, registry
 
 from conftest import scenario_config
 
@@ -36,3 +37,11 @@ def test_tracer_installs_counts_and_uninstalls():
     assert tracer.n_calls("crypto.accumulator") > 0
     assert registry.quorum_query is quorum_query
     assert anchors.AnchorService.enqueue_serialized is enqueue_serialized
+
+
+def test_traced_methods_keep_their_names_and_shapes():
+    """The tracer drives these agent methods as generators and wraps the
+    anchor's witness handler as a plain call, each by name."""
+    for name in ("_validate_member", "_fetch_identity", "_commit_identity"):
+        assert inspect.isgeneratorfunction(getattr(agent.IinAgent, name)), name
+    assert callable(getattr(anchors.AnchorService, "_refresh_witness", None))

@@ -3,9 +3,11 @@
 The bus is deterministic, so these counts are exact. A change that adds or
 removes a message or an Ed25519 operation fails here and must update the pin
 on purpose. The SHA-256 of each bundled scenario's trace file is pinned too,
-so a refactor that claims to keep traffic unchanged proves it byte for byte. The `iin.query` and `anchor.memberlist.request` sends are pinned
-on their own, so that a change that widens registry reads again, or fetches
-the foreign memberlist per target again, fails even when other sends move.
+so a refactor that claims to keep traffic unchanged proves it byte for byte.
+The `iin.query`, `anchor.memberlist.request` and `anchor.witness.request`
+sends are pinned on their own, so that a change that widens registry reads
+again, fetches the foreign memberlist per target again, or refreshes a
+holder's witness on every challenge again fails even when other sends move.
 """
 
 import hashlib
@@ -18,15 +20,15 @@ from conftest import scenario_config
 
 
 @pytest.mark.parametrize(
-    "name, sends, queries, memberlists, signs, verifies",
+    "name, sends, queries, memberlists, witnesses, signs, verifies",
     [
-        ("two-network", 382, 54, 4, 170, 285),
-        ("concurrent-commit", 270, 28, 2, 146, 227),
+        ("two-network", 354, 54, 4, 2, 170, 285),
+        ("concurrent-commit", 266, 28, 2, 2, 146, 227),
     ],
     ids=("two-network", "concurrent-commit"),  # stable across re-pins
 )
 def test_bundled_scenario_counts(
-    monkeypatch, name, sends, queries, memberlists, signs, verifies
+    monkeypatch, name, sends, queries, memberlists, witnesses, signs, verifies
 ):
     calls = {"sign": 0, "verify": 0}
 
@@ -47,19 +49,20 @@ def test_bundled_scenario_counts(
         len(sent),
         sent.count("iin.query"),
         sent.count("anchor.memberlist.request"),
+        sent.count("anchor.witness.request"),
         calls["sign"],
         calls["verify"],
     )
-    assert got == (sends, queries, memberlists, signs, verifies)
+    assert got == (sends, queries, memberlists, witnesses, signs, verifies)
 
 
 TRACE_DIGESTS = {
-    "concurrent-commit": "cd1c18b6038915b6368c81a92951ee4c3de88d2c79f4c73c309772fde23cd343",
-    "concurrent-commit-serial": "c1b565380a012ec9eb51ae61722ec57714018790f05c991144839f48ea442149",
-    "digest-mismatch-retry": "305b7fc25f8a83a7e496cf9d3aa86ca4f49ec50ac847d14793146e6c54578908",
-    "revoke-carrier": "3abc4343e9c5ed7c5b373cef7131d4aa2067b40f5bd40a64673a9e6ea127353d",
-    "rotate-resync": "d07e5eaa370b3006e678afbc5996791b04e89d098a4298461e961b817bb99d89",
-    "two-network": "a83b00de5e2f9c5bcec7d61091f2a1669de064b87a29649860360ac90140700f",
+    "concurrent-commit": "dd2a701e7b539d0801cf5cce7a6faf7fa13e97db921edd2753c0af4e687339ec",
+    "concurrent-commit-serial": "d0a75250fd5ed5f9fe2139f40e6097357dfe5699371a27ef38ff60fbfb049fee",
+    "digest-mismatch-retry": "6562a0885f731a33fe66eb19cfa0d2fed0e2080bd619d258c81de4c089ad2717",
+    "revoke-carrier": "f7b25d3b8c7d03ef6b18b3126e76f0827495d9045a761848d42665065f42435a",
+    "rotate-resync": "2c217c518f84dc463e25444e83732fb1f70aab1c15a15d9bce81bc45e44d3177",
+    "two-network": "dcafe1e83d3a0b48346bbaa4388e6fe0588d9cd571f5a8693a6012b381acfef3",
 }
 
 

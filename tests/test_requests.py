@@ -22,7 +22,6 @@ SERVERS = (IinAgent, AnchorService, IinNode, LedgerNode)
 # request kind -> a body whose fields are all present, one of them wrong-typed
 WRONG_TYPED = {
     "agent.membership_vp.request": {"network_id": 5, "nonce": "00"},
-    "agent.identity_vp.request": {"network_id": "SWT", "nonce": 5},
     "agent.countersign.request": {
         "home_network": "SWT", "foreign_network": "STL", "foreign_org": "Carrier",
         "foreign_did": "did:iin:x", "digest": 5, "status": "ACTIVE", "nonce": "00",
@@ -42,6 +41,14 @@ WRONG_TYPED = {
     "ledger.query": {"what": 5},
 }
 
+# request kind -> optional field -> a valid body but for that field, wrong-typed
+WRONG_TYPED_OPTIONAL = {
+    "agent.membership_vp.request": {
+        "epochs": {"network_id": "STL", "nonce": "00", "epochs": {"did:iin:x": "1"}},
+        "bundle_nonce": {"network_id": "STL", "nonce": "00", "bundle_nonce": 5},
+    },
+}
+
 # Open registry reads answer a malformed body as an ordinary miss or an
 # empty fetch, and a replica ignores an order from anyone but its sequencer.
 LENIENT = {"iin.query", "iin.fetch"}
@@ -59,6 +66,15 @@ def server_address(world, cls) -> str:
 
 
 ENTRIES = [(cls, kind) for cls in SERVERS for kind in sorted(cls.REQUESTS)]
+CASES = [
+    (cls, kind, shape, body)
+    for cls, kind in ENTRIES
+    for shape, body in [
+        ("empty", {}),
+        ("wrong-typed", WRONG_TYPED[kind]),
+        *((f"wrong-typed-{name}", b) for name, b in WRONG_TYPED_OPTIONAL.get(kind, {}).items()),
+    ]
+]
 
 
 @pytest.fixture(scope="module")
@@ -69,14 +85,13 @@ def served():
     return world, add_probe(world)
 
 
-@pytest.mark.parametrize("shape", ["empty", "wrong-typed"])
 @pytest.mark.parametrize(
-    "cls, kind", ENTRIES, ids=[f"{cls.__name__}:{kind}" for cls, kind in ENTRIES]
+    "cls, kind, shape, body", CASES,
+    ids=[f"{cls.__name__}:{kind}-{shape}" for cls, kind, shape, _ in CASES],
 )
-def test_malformed_request_is_answered_with_the_error_name(served, cls, kind, shape):
+def test_malformed_request_is_answered_with_the_error_name(served, cls, kind, shape, body):
     world, probe = served
     target = server_address(world, cls)
-    body = {} if shape == "empty" else WRONG_TYPED[kind]
     start, sent_at = len(world.trace.events), world.bus.now
     result = {}
 
