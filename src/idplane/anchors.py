@@ -117,6 +117,7 @@ class AnchorService(Actor):
         Run once after the steward has granted this anchor its roles."""
         if registry.ROLE_PMV not in self.profile.roles:
             return
+        writes = []
         for schema_name in (creds.MEMBERSHIP_SCHEMA_NAME, creds.MEMBERLIST_SCHEMA_NAME):
             schema_id = schema_id_for(schema_name)
             cred_def = creds.CredentialDefinition(
@@ -125,19 +126,12 @@ class AnchorService(Actor):
                 issuer_did=self.profile.did,
                 authentication_public_key=self.keys.public_key,
             )
-            tx = registry.make_transaction(
-                registry.KIND_CRED_DEF, cred_def.to_bytes(), self.profile.did, self.keys
+            writes.append(
+                (registry.KIND_CRED_DEF, cred_def.to_bytes(), "credential definition rejected")
             )
-            receipt = yield from registry.submit_transaction(self.pool, tx)
-            if receipt["outcome"] != registry.OUTCOME_APPLIED:
-                raise AnchorError(f"credential definition rejected: {receipt['outcome']}")
         state, _ = crypto.accumulator_init(self.profile.did)
-        tx = registry.make_transaction(
-            registry.KIND_REVOC_INIT, state.to_bytes(), self.profile.did, self.keys
-        )
-        receipt = yield from registry.submit_transaction(self.pool, tx)
-        if receipt["outcome"] != registry.OUTCOME_APPLIED:
-            raise AnchorError(f"revocation init rejected: {receipt['outcome']}")
+        writes.append((registry.KIND_REVOC_INIT, state.to_bytes(), "revocation init rejected"))
+        yield from submit_all(self.pool, self.profile.did, self.keys, writes)
         self.acc_state = state
         for net in self.profile.represented_networks:
             self._rebuild_memberlist(net)
@@ -181,7 +175,7 @@ class AnchorService(Actor):
             receipt = yield from registry.submit_transaction(self.pool, tx)
         except registry.QuorumUnavailable as e:
             return {"ok": False, "error": str(e)}
-        outcome = receipt["outcome"]
+        outcome = receipt["outcomes"][0]
         if outcome not in (registry.OUTCOME_APPLIED, "Duplicate"):
             return {"ok": False, "error": outcome}
         self.trace("anchor.verinym_registered", org=org_name, did=doc.did, outcome=outcome)
@@ -220,15 +214,10 @@ class AnchorService(Actor):
             issuance_counter=self.issuance_counter,
         )
         new_state, _ = crypto.accumulator_add(self.acc_state, self._leaves(), vc.credential_id)
-        tx = registry.make_transaction(
-            registry.KIND_REVOC_UPDATE, new_state.to_bytes(), self.profile.did, self.keys
-        )
         try:
-            receipt = yield from registry.submit_transaction(self.pool, tx)
-        except registry.QuorumUnavailable as e:
+            yield from self._publish_revocation_state(new_state)
+        except (registry.QuorumUnavailable, AnchorError) as e:
             return {"ok": False, "error": str(e)}
-        if receipt["outcome"] != registry.OUTCOME_APPLIED:
-            return {"ok": False, "error": f"RegistryRejected:{receipt['outcome']}"}
         self.acc_state = new_state
         roster.members[holder_did] = vc
         roster.version += 1
@@ -255,12 +244,7 @@ class AnchorService(Actor):
         new_state, _ = crypto.accumulator_revoke(
             self.acc_state, self._leaves(), roster.members[holder_did].credential_id
         )
-        tx = registry.make_transaction(
-            registry.KIND_REVOC_UPDATE, new_state.to_bytes(), self.profile.did, self.keys
-        )
-        receipt = yield from registry.submit_transaction(self.pool, tx)
-        if receipt["outcome"] != registry.OUTCOME_APPLIED:
-            raise AnchorError(f"revocation update rejected: {receipt['outcome']}")
+        yield from self._publish_revocation_state(new_state)
         self.acc_state = new_state
         del roster.members[holder_did]
         roster.version += 1
@@ -272,6 +256,27 @@ class AnchorService(Actor):
             epoch=self.acc_state.epoch,
             roster_version=roster.version,
         )
+
+    def _publish_revocation_state(self, new_state: crypto.RevocationRegistryState) -> Generator:
+        """Submit `new_state` as this anchor's next revocation state. When no
+        receipt comes back, read the anchor's own state from the pool: one
+        equal to `new_state` byte for byte means the update applied, so the
+        anchor does not keep an epoch the registry has left. Raises
+        QuorumUnavailable otherwise, or AnchorError when the registry refused
+        the update."""
+        update = (registry.KIND_REVOC_UPDATE, new_state.to_bytes(), "revocation update rejected")
+        try:
+            yield from submit_all(self.pool, self.profile.did, self.keys, [update])
+        except registry.QuorumUnavailable as lost:
+            try:
+                _, _, states = yield from registry.resolve_member(
+                    self.pool, self.profile.did, (self.profile.did,)
+                )
+            except registry.RegistryError:
+                raise lost from None
+            applied = states.get(self.profile.did)
+            if applied is None or applied.to_bytes() != new_state.to_bytes():
+                raise lost
 
     # --- PMV: read-side services ---------------------------------------------
 
@@ -341,27 +346,40 @@ class StewardService(Actor):
     def bootstrap(
         self, anchor_docs: list[tuple[registry.DidDocument, frozenset[str]]]
     ) -> Generator:
-        for schema in (membership_schema(), memberlist_schema()):
-            tx = registry.make_transaction(
-                registry.KIND_SCHEMA, schema.to_bytes(), self.did, self.keys
-            )
-            yield from registry.submit_transaction(self.pool, tx)
+        writes = [
+            (registry.KIND_SCHEMA, schema.to_bytes(), "schema rejected")
+            for schema in (membership_schema(), memberlist_schema())
+        ]
         for doc, roles in anchor_docs:
             attested = registry.attest(doc, self.did, self.keys)
-            tx = registry.make_transaction(
-                registry.KIND_NYM, attested.to_bytes(), self.did, self.keys
-            )
-            receipt = yield from registry.submit_transaction(self.pool, tx)
-            if receipt["outcome"] != registry.OUTCOME_APPLIED:
-                raise AnchorError(f"anchor registration rejected: {receipt['outcome']}")
-            for role in sorted(roles):
-                tx = registry.make_transaction(
+            writes.append((registry.KIND_NYM, attested.to_bytes(), "anchor registration rejected"))
+            writes += [
+                (
                     registry.KIND_ANCHOR_GRANT,
                     registry.anchor_grant_payload(doc.did, role),
-                    self.did,
-                    self.keys,
+                    "role grant rejected",
                 )
-                receipt = yield from registry.submit_transaction(self.pool, tx)
-                if receipt["outcome"] != registry.OUTCOME_APPLIED:
-                    raise AnchorError(f"role grant rejected: {receipt['outcome']}")
+                for role in sorted(roles)
+            ]
+        yield from submit_all(self.pool, self.did, self.keys, writes)
         self.trace("steward.bootstrap_complete", anchors=len(anchor_docs))
+
+
+def submit_all(
+    pool: registry.PoolInfo,
+    submitter_did: str,
+    keys: crypto.KeyPair,
+    writes: list[tuple[str, bytes, str]],
+) -> Generator:
+    """Submit one transaction per (kind, payload, refusal) in `writes` as one
+    registry batch. Raises AnchorError("<refusal>: <outcome>") for the first
+    transaction that did not apply, and QuorumUnavailable as the registry
+    does."""
+    txs = [
+        registry.make_transaction(kind, payload, submitter_did, keys)
+        for kind, payload, _ in writes
+    ]
+    receipt = yield from registry.submit_transaction(pool, *txs)
+    for (_, _, refusal), outcome in zip(writes, receipt["outcomes"]):
+        if outcome != registry.OUTCOME_APPLIED:
+            raise AnchorError(f"{refusal}: {outcome}")

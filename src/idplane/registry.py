@@ -2,8 +2,10 @@
 
 A pool of N = 3f+1 nodes maintains DID documents, credential schemas,
 credential definitions, revocation registry states, and anchor roles. A
-designated sequencer orders submitted transactions; a commit receipt requires
-acknowledgment signatures from a 2f+1 quorum over (sequence, tx digest). Every
+designated sequencer orders each submitted batch of transactions at contiguous
+sequence numbers first..last, in one order message; a commit receipt requires
+acknowledgment signatures from a 2f+1 quorum over (first, last, batch digest),
+where the batch digest covers the ordered list of transaction digests. Every
 replica folds the same ordered log with the same pure validation rules, so
 non-faulty replicas stay byte-identical; invalid transactions commit to the
 log as explicit rejections. Reads are open: any client may query, and a result
@@ -77,6 +79,10 @@ class InconsistentReplicas(RegistryError):
 
 
 class NotFound(RegistryError):
+    pass
+
+
+class EmptyBatch(RegistryError):
     pass
 
 
@@ -423,8 +429,27 @@ class PoolInfo:
         return self.node_addresses[0]
 
 
-def ack_bytes(seq: int, tx_digest: bytes) -> bytes:
-    return enc.record(enc.TAG_ACK, enc.encode_u64(seq), enc.encode_bytes(tx_digest))
+def batch_digest(tx_digests: list[bytes]) -> bytes:
+    """The digest of a batch: of its transactions' digests, in order."""
+    return crypto.digest(enc.encode_list(enc.encode_bytes(d) for d in tx_digests))
+
+
+def ack_bytes(first: int, last: int, digest: bytes) -> bytes:
+    return enc.record(
+        enc.TAG_ACK, enc.encode_u64(first), enc.encode_u64(last), enc.encode_bytes(digest)
+    )
+
+
+def decode_batch(hexes) -> list[tuple[bytes, RegistryTransaction]]:
+    """Each hex-encoded transaction of a batch, as (bytes, transaction).
+    Raises TypeError unless `hexes` is a list of strings, ValueError for an
+    entry that is no transaction, and EmptyBatch for an empty list."""
+    if not isinstance(hexes, list):
+        raise TypeError("txs must be a list")
+    if not hexes:
+        raise EmptyBatch("a batch needs at least one transaction")
+    batch = [bytes.fromhex(h) for h in hexes]
+    return [(tx_bytes, RegistryTransaction.from_bytes(tx_bytes)) for tx_bytes in batch]
 
 
 class IinNode(Actor):
@@ -444,10 +469,8 @@ class IinNode(Actor):
         self.pool = pool
         self.state = genesis
         self.genesis = genesis
-        self.log: list[tuple[int, bytes, str]] = []
+        self.log: list[tuple[int, bytes, str]] = []  # entry i holds seq i
         self.next_seq = 0
-        self._holdback: dict[int, tuple[bytes, str, Message]] = {}
-        self._fetching = False
 
     @property
     def is_sequencer(self) -> bool:
@@ -455,9 +478,8 @@ class IinNode(Actor):
 
     # --- shared apply path ---------------------------------------------------
 
-    def _apply_in_order(self, seq: int, tx_bytes: bytes, tx_digest: bytes) -> str:
-        assert seq == self.next_seq
-        tx = RegistryTransaction.from_bytes(tx_bytes)
+    def _apply_in_order(self, tx_bytes: bytes, tx: RegistryTransaction) -> str:
+        seq = self.next_seq
         self.state, outcome = apply_transaction(self.state, tx)
         self.log.append((seq, tx_bytes, outcome))
         self.next_seq += 1
@@ -466,19 +488,20 @@ class IinNode(Actor):
             iin=self.pool.iin_id,
             seq=seq,
             tx_kind=tx.kind,
-            tx_digest=tx_digest.hex(),
+            tx_digest=crypto.digest(tx_bytes).hex(),
             submitter=tx.submitter_did,
             outcome=outcome,
         )
         return outcome
 
-    def _ack_body(self, seq: int, tx_digest: bytes) -> dict:
-        sig = self.keys.sign(ack_bytes(seq, tx_digest))
+    def _ack_body(self, first: int, last: int, digest: bytes) -> dict:
+        sig = self.keys.sign(ack_bytes(first, last, digest))
         return {
-            "seq": seq,
+            "first": first,
+            "last": last,
             "node": self.node_id,
             "address": self.address,
-            "tx_digest": tx_digest.hex(),
+            "batch_digest": digest.hex(),
             "ack": sig.bytes_.hex(),
         }
 
@@ -492,13 +515,19 @@ class IinNode(Actor):
     }
 
     def _sequence(self, client: str, msg: Message) -> Generator:
+        """Apply a client's batch at the next seqs, order it to every other
+        replica in one message, and answer with a receipt once 2f+1 replicas,
+        this one included, have acked the batch."""
         if not self.is_sequencer:
             return {"error": "NotSequencer"}
-        tx_bytes = bytes.fromhex(msg.body["tx"])
-        seq = self.next_seq
-        tx_digest = crypto.digest(tx_bytes)  # the encoding is canonical
-        outcome = self._apply_in_order(seq, tx_bytes, tx_digest)
-        own_ack = self._ack_body(seq, tx_digest)
+        batch = decode_batch(msg.body["txs"])
+        first = self.next_seq
+        outcomes = [self._apply_in_order(tx_bytes, tx) for tx_bytes, tx in batch]
+        last = self.next_seq - 1
+        # the encoding is canonical: these are the digests a client computes
+        tx_digests = [crypto.digest(tx_bytes) for tx_bytes, _ in batch]
+        digest = batch_digest(tx_digests)
+        own_ack = self._ack_body(first, last, digest)
 
         others = tuple(a for a in self.pool.node_addresses if a != self.address)
         need = self.pool.write_quorum - 1  # own ack counts
@@ -508,11 +537,12 @@ class IinNode(Actor):
         def valid_acks(results: list) -> list:
             for i, r in enumerate(results):
                 if r is not None and i not in verdicts:
-                    verdicts[i] = self._valid_ack(r, seq, tx_digest)
+                    verdicts[i] = self._valid_ack(r, first, last, digest)
             return [r.body for i, r in enumerate(results) if verdicts.get(i)]
 
+        order = {"first": first, "txs": msg.body["txs"]}
         replies = yield Gather(
-            tuple((a, "iin.order", {"seq": seq, "tx": msg.body["tx"]}) for a in others),
+            tuple((a, "iin.order", order) for a in others),
             timeout=60,
             early=lambda results: len(valid_acks(results)) >= need,
         )
@@ -520,68 +550,61 @@ class IinNode(Actor):
         if len(acks) < self.pool.write_quorum:
             return {"error": "QuorumUnavailable"}
         return {
-            "seq": seq,
-            "outcome": outcome,
-            "tx_digest": tx_digest.hex(),
+            "first": first,
+            "last": last,
+            "outcomes": outcomes,
+            "tx_digests": [d.hex() for d in tx_digests],
             "acks": [[a["address"], a["ack"]] for a in sorted(acks, key=lambda a: a["address"])],
         }
 
-    def _valid_ack(self, reply: Optional[Message], seq: int, tx_digest: bytes) -> bool:
+    def _valid_ack(self, reply: Optional[Message], first: int, last: int, digest: bytes) -> bool:
         if reply is None or reply.kind != "iin.ack":
             return False
         body = reply.body
-        if body.get("seq") != seq or body.get("tx_digest") != tx_digest.hex():
+        if (body.get("first"), body.get("last"), body.get("batch_digest")) != (
+            first, last, digest.hex()
+        ):
             return False
         node_key = self.pool.node_public_keys.get(body.get("address", ""))
         if node_key is None:
             return False
         return crypto.verify(
-            node_key, ack_bytes(seq, tx_digest), crypto.Signature(bytes.fromhex(body["ack"]))
+            node_key, ack_bytes(first, last, digest), crypto.Signature(bytes.fromhex(body["ack"]))
         )
 
-    def _handle_order(self, sender: str, msg: Message) -> Optional[dict]:
-        """Ack an order for an applied seq at once. Any other waits in the
-        holdback until every earlier seq has applied (caught up from the
-        sequencer across a gap), and `_drain_holdback` acks it as it applies.
-        Only the sequencer orders."""
+    def _handle_order(self, sender: str, msg: Message) -> Generator:
+        """Apply an ordered batch and ack it once. A replica whose log ends
+        before the batch's first seq first fetches the missing entries from
+        the sequencer. A batch whose range is already applied is acked only
+        when the log holds exactly its transactions at those seqs. Only the
+        sequencer orders; anything else stays unanswered."""
         if sender != self.pool.sequencer:
             return None
-        seq = int(msg.body["seq"])
-        tx_bytes = bytes.fromhex(msg.body["tx"])
-        if seq < self.next_seq:
-            return self._ack_body(seq, crypto.digest(tx_bytes))
-        self._holdback[seq] = (tx_bytes, sender, msg)
-        if seq == self.next_seq:
-            self._drain_holdback()
-        elif not self._fetching:
-            self._fetching = True
-            self.start_session("catchup", self._catch_up(seq - 1))
-        return None
+        first, batch = int(msg.body["first"]), decode_batch(msg.body["txs"])
+        if first > self.next_seq:
+            yield from self._catch_up(first - 1)
+        last = first + len(batch) - 1
+        if first == self.next_seq:
+            for tx_bytes, tx in batch:
+                self._apply_in_order(tx_bytes, tx)
+        elif [entry[1] for entry in self.log[first:last + 1]] != [b for b, _ in batch]:
+            return None  # the log holds other transactions there, or none yet
+        return self._ack_body(first, last, batch_digest([crypto.digest(b) for b, _ in batch]))
 
     def _catch_up(self, upto: int) -> Generator:
-        try:
-            reply = yield Request(
-                self.pool.sequencer,
-                "iin.fetch",
-                {"from": self.next_seq, "to": upto},
-                timeout=60,
-            )
-            if reply is not None and reply.kind == "iin.fetch.reply":
-                for seq, tx_hex, _outcome in reply.body["entries"]:
-                    if seq == self.next_seq:
-                        tx_bytes = bytes.fromhex(tx_hex)
-                        self._apply_in_order(seq, tx_bytes, crypto.digest(tx_bytes))
-                self._drain_holdback()
-        finally:
-            self._fetching = False
-
-    def _drain_holdback(self) -> None:
-        while self.next_seq in self._holdback:
-            tx_bytes, sender, msg = self._holdback.pop(self.next_seq)
-            seq = self.next_seq
-            tx_digest = crypto.digest(tx_bytes)
-            self._apply_in_order(seq, tx_bytes, tx_digest)
-            self.reply(sender, msg, "iin.ack", self._ack_body(seq, tx_digest))
+        """Apply the sequencer's log entries from this replica's next seq
+        through `upto`."""
+        reply = yield Request(
+            self.pool.sequencer,
+            "iin.fetch",
+            {"from": self.next_seq, "to": upto},
+            timeout=60,
+        )
+        if reply is not None and reply.kind == "iin.fetch.reply":
+            for seq, tx_hex, _outcome in reply.body["entries"]:
+                if seq == self.next_seq:
+                    tx_bytes = bytes.fromhex(tx_hex)
+                    self._apply_in_order(tx_bytes, RegistryTransaction.from_bytes(tx_bytes))
 
     # --- open reads --------------------------------------------------------
 
@@ -649,25 +672,36 @@ def parse_query_reply(data: bytes) -> tuple[str, str, bool, bytes, bool]:
 # --- client-side pool protocols (run inside an actor session) ----------------
 
 
-def submit_transaction(pool: PoolInfo, tx: RegistryTransaction) -> Generator:
-    """Submit to the sequencer and await a quorum-backed receipt. Returns the
-    receipt body; raises QuorumUnavailable when the pool cannot commit."""
-    reply = yield Request(pool.sequencer, "iin.submit", {"tx": tx.to_bytes().hex()}, timeout=150)
+def submit_transaction(pool: PoolInfo, *txs: RegistryTransaction) -> Generator:
+    """Submit `txs` to the sequencer as one batch, applied in this order at
+    contiguous seqs, and await a quorum-backed receipt. Returns the receipt
+    body, whose `outcomes` align with `txs`; raises QuorumUnavailable when the
+    pool cannot commit the batch, or when the receipt names other
+    transactions or carries fewer than 2f+1 valid acks over this batch."""
+    tx_digests = [tx.digest() for tx in txs]
+    reply = yield Request(
+        pool.sequencer, "iin.submit", {"txs": [tx.to_bytes().hex() for tx in txs]}, timeout=150
+    )
     if reply is None:
         raise QuorumUnavailable("no reply from sequencer")
     if reply.body.get("error"):
         raise QuorumUnavailable(reply.body["error"])
     receipt = reply.body
-    tx_digest = bytes.fromhex(receipt["tx_digest"])
-    valid = 0
-    for address, sig_hex in receipt.get("acks", []):
-        key = pool.node_public_keys.get(address)
-        if key is not None and crypto.verify(
-            key, ack_bytes(receipt["seq"], tx_digest), crypto.Signature(bytes.fromhex(sig_hex))
-        ):
-            valid += 1
-    if valid < pool.write_quorum:
-        raise QuorumUnavailable(f"receipt carries {valid} valid acks")
+    if receipt.get("tx_digests") != [d.hex() for d in tx_digests] or len(
+        receipt.get("outcomes", ())
+    ) != len(txs):
+        raise QuorumUnavailable("receipt names other transactions")
+    signed = ack_bytes(receipt["first"], receipt["last"], batch_digest(tx_digests))
+    valid = {
+        address
+        for address, sig_hex in receipt.get("acks", [])
+        if address in pool.node_public_keys
+        and crypto.verify(
+            pool.node_public_keys[address], signed, crypto.Signature(bytes.fromhex(sig_hex))
+        )
+    }
+    if len(valid) < pool.write_quorum:
+        raise QuorumUnavailable(f"receipt carries {len(valid)} valid acks")
     return receipt
 
 

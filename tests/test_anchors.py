@@ -1,7 +1,9 @@
 """Trust-anchor services inside a bootstrapped world."""
 
+import yaml
+
 from idplane import credentials as creds
-from idplane import crypto, registry
+from idplane import crypto, harness, registry
 from idplane.actors import Request
 from idplane.agent import AgentError
 from idplane.anchors import AnchorError, NotAMember, schema_id_for
@@ -258,7 +260,7 @@ class TestCredentialDefinitionOwnership:
         )
         record = swt.start_session("forge", registry.submit_transaction(swt.pool, tx))
         world.settle()
-        assert record.result["outcome"] == "UnauthorizedRole"
+        assert record.result["outcomes"] == ["UnauthorizedRole"]
         for node in world.iin_nodes[swt.pool.iin_id]:
             assert "creddef:forged" not in node.state.cred_defs
 
@@ -402,3 +404,64 @@ class TestRevocation:
         new_vc, new_witness = carrier.wallet["STL"]
         assert new_vc.credential_id != old_vc.credential_id
         assert crypto.witness_verify(anchor.acc_state, new_witness)
+
+
+class TestLostRevocationReceipt:
+    """An update the registry applied stays applied for the anchor even when
+    its receipt is lost: the anchor reads its own revocation state back."""
+
+    def test_lost_receipt_of_an_applied_issuance_keeps_members_valid(self, tmp_path):
+        raw = yaml.safe_load(
+            (harness.SCENARIO_DIR / "two_network.yaml").read_text(encoding="utf-8")
+        )
+        # after bootstrap AnchorSWT writes two verinym NYMs, then its first REVOC_UPDATE
+        raw["script"].insert(1, {
+            "step": "fault", "action": "drop", "to": "anchor:AnchorSWT",
+            "kind": "iin.submit.reply", "occurrence": 3,
+        })
+        path = tmp_path / "lost-receipt.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        runner = harness.ScenarioRunner(harness.load_scenario(path))
+        report = runner.run()
+        world = runner.world
+        anchor = world.anchors["AnchorSWT"]
+        updates = [
+            e.tick for e in world.trace.events
+            if e.kind == "registry.commit" and e.actor == anchor.pool.sequencer
+            and e.detail["submitter"] == anchor.profile.did
+            and e.detail["tx_kind"] == registry.KIND_REVOC_UPDATE
+        ]
+        dropped = [e for e in world.trace.events if e.kind == "bus.drop"]
+        assert len(dropped) == 1 and updates[0] <= dropped[0].tick < updates[1]
+        assert report.ok, (report.errors, [a for a in report.assertions if not a.ok])
+        assert any(
+            e.kind == "agent.member_validated" and e.actor == "agent:Carrier"
+            and e.detail["holder"] == world.org_dids["Buyer"]
+            for e in world.trace.events
+        )
+        assert_accumulator_published(world, anchor)
+
+    def test_lost_receipt_of_an_applied_revocation_completes_it(self, world):
+        anchor = world.anchors["AnchorSTL"]
+        carrier_did = world.org_dids["Carrier"]
+        world.bus.config.rules.append(
+            FaultRule(action="drop", to=anchor.address, kind="iin.submit.reply")
+        )
+        anchor.enqueue_serialized("revoke", lambda: anchor.revoke_membership(carrier_did, "STL"))
+        world.settle()
+        assert carrier_did not in anchor.rosters["STL"].members
+        assert_accumulator_published(world, anchor)
+
+    def test_lost_submission_still_fails_the_revocation(self, world):
+        anchor = world.anchors["AnchorSTL"]
+        carrier_did = world.org_dids["Carrier"]
+        epoch_before = anchor.acc_state.epoch
+        world.bus.config.rules.append(
+            FaultRule(action="drop", from_=anchor.address, kind="iin.submit")
+        )
+        record = anchor.start_session("revoke", anchor.revoke_membership(carrier_did, "STL"))
+        world.settle()
+        assert isinstance(record.error, registry.QuorumUnavailable)
+        assert anchor.acc_state.epoch == epoch_before
+        assert carrier_did in anchor.rosters["STL"].members
+        assert_accumulator_published(world, anchor)

@@ -4,10 +4,11 @@ The bus is deterministic, so these counts are exact. A change that adds or
 removes a message or an Ed25519 operation fails here and must update the pin
 on purpose. The SHA-256 of each bundled scenario's trace file is pinned too,
 so a refactor that claims to keep traffic unchanged proves it byte for byte.
-The `iin.query`, `anchor.memberlist.request` and `anchor.witness.request`
-sends are pinned on their own, so that a change that widens registry reads
-again, fetches the foreign memberlist per target again, or refreshes a
-holder's witness on every challenge again fails even when other sends move.
+The `iin.query`, `anchor.memberlist.request`, `anchor.witness.request` and
+`iin.order` sends are pinned on their own, so that a change that widens
+registry reads again, fetches the foreign memberlist per target again,
+refreshes a holder's witness on every challenge again, or orders registry
+writes one transaction at a time again fails even when other sends move.
 """
 
 import hashlib
@@ -20,15 +21,15 @@ from conftest import scenario_config
 
 
 @pytest.mark.parametrize(
-    "name, sends, queries, memberlists, witnesses, signs, verifies",
+    "name, sends, queries, memberlists, witnesses, orders, signs, verifies",
     [
-        ("two-network", 354, 54, 4, 2, 170, 285),
-        ("concurrent-commit", 266, 28, 2, 2, 146, 227),
+        ("two-network", 266, 54, 4, 2, 30, 126, 230),
+        ("concurrent-commit", 182, 30, 2, 1, 30, 104, 177),
     ],
     ids=("two-network", "concurrent-commit"),  # stable across re-pins
 )
 def test_bundled_scenario_counts(
-    monkeypatch, name, sends, queries, memberlists, witnesses, signs, verifies
+    monkeypatch, name, sends, queries, memberlists, witnesses, orders, signs, verifies
 ):
     calls = {"sign": 0, "verify": 0}
 
@@ -50,19 +51,20 @@ def test_bundled_scenario_counts(
         sent.count("iin.query"),
         sent.count("anchor.memberlist.request"),
         sent.count("anchor.witness.request"),
+        sent.count("iin.order"),
         calls["sign"],
         calls["verify"],
     )
-    assert got == (sends, queries, memberlists, witnesses, signs, verifies)
+    assert got == (sends, queries, memberlists, witnesses, orders, signs, verifies)
 
 
 TRACE_DIGESTS = {
-    "concurrent-commit": "dd2a701e7b539d0801cf5cce7a6faf7fa13e97db921edd2753c0af4e687339ec",
-    "concurrent-commit-serial": "d0a75250fd5ed5f9fe2139f40e6097357dfe5699371a27ef38ff60fbfb049fee",
-    "digest-mismatch-retry": "6562a0885f731a33fe66eb19cfa0d2fed0e2080bd619d258c81de4c089ad2717",
-    "revoke-carrier": "f7b25d3b8c7d03ef6b18b3126e76f0827495d9045a761848d42665065f42435a",
-    "rotate-resync": "2c217c518f84dc463e25444e83732fb1f70aab1c15a15d9bce81bc45e44d3177",
-    "two-network": "dcafe1e83d3a0b48346bbaa4388e6fe0588d9cd571f5a8693a6012b381acfef3",
+    "concurrent-commit": "fdca7a27c45454f21e2e07c051921a970fba9374c59d565f08fb2dfc48f47ab1",
+    "concurrent-commit-serial": "e7de298d95f8728d2a08db24cffd69ffcc9e40ce99a26277b1d88bc885cb064b",
+    "digest-mismatch-retry": "93a7b18dd7d0d005683e5f98a047a8aa9c6c52ef6977e0daad7a4e1dfb1c9ba1",
+    "revoke-carrier": "4cdb8c6c547d60ffb731eca3223a3eed46fa9c536eb4bfb62dc06912d6d3b6a8",
+    "rotate-resync": "37921d6ce5b5ddbeb630cc980ee11c9abef271669835e8784c06517e5d446535",
+    "two-network": "15cf524bb50cee60ba87d479dd327855b66ce283a2663934876cbe56854e62ca",
 }
 
 

@@ -281,11 +281,18 @@ class TestRunnerAndReport:
             assert f"{initiator}:{dids[target][-8:]}:" in result.detail
         assert "Seller" in result.detail  # the countersigner that never answered
 
-    def test_no_failed_sessions_names_a_whole_failed_session(self):
-        config = scenario_config("two-network")
-        config.drop_rate = 0.01
-        # at this seed a lost ledger query ends Buyer's whole sync session
-        report = harness.run_scenario(config, seed=2)
+    def test_no_failed_sessions_names_a_whole_failed_session(self, tmp_path):
+        raw = minimal_raw()
+        # the reply to Buyer's first ledger query of its sync is lost, which
+        # ends Buyer's whole sync session
+        first_sync = next(i for i, s in enumerate(raw["script"]) if s["step"] == "sync")
+        raw["script"].insert(first_sync, {
+            "step": "fault", "action": "drop", "from": "ledger:SWT", "to": "agent:Buyer",
+            "kind": "ledger.reply", "occurrence": 1,
+        })
+        path = tmp_path / "lost-ledger-reply.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        report = harness.run_scenario(harness.load_scenario(path))
         result = next(r for r in report.assertions if r.name == "all-sync-sessions-clean")
         assert not result.ok
         assert "Buyer:sync:STL:LedgerUnreachable(SWT)" in result.detail

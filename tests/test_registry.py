@@ -514,7 +514,7 @@ class TestPoolProtocol:
         bus.run_until_quiescent()
         assert record.error is None
         receipt = record.result
-        assert receipt["outcome"] == "APPLIED"
+        assert receipt["outcomes"] == ["APPLIED"]
         assert len(receipt["acks"]) >= pool.write_quorum
         for node in nodes:
             assert org_did in node.state.docs
@@ -553,8 +553,8 @@ class TestPoolProtocol:
         hash_before = nodes[0].state.state_hash()
         r2 = client.start_session("submit", registry.submit_transaction(pool, tx))
         bus.run_until_quiescent()
-        assert r1.result["outcome"] == "APPLIED"
-        assert r2.result["outcome"] == "Duplicate"
+        assert r1.result["outcomes"] == ["APPLIED"]
+        assert r2.result["outcomes"] == ["Duplicate"]
         assert nodes[0].state.state_hash() == hash_before
         # the rejection is part of every replica's log
         for node in nodes:
@@ -685,7 +685,7 @@ class TestPoolProtocol:
         def commit(tx):
             record = client.start_session("submit", registry.submit_transaction(pool, tx))
             bus.run_until_quiescent()
-            assert record.result["outcome"] == "APPLIED"
+            assert record.result["outcomes"] == ["APPLIED"]
 
         def verinym():
             record = client.start_session("resolve", registry.resolve_did(pool, org_did))
@@ -804,7 +804,187 @@ class TestPoolProtocol:
             "submit", registry.submit_transaction(pool, schema_tx)
         )
         bus.run_until_quiescent()
-        assert record.result["outcome"] == "UnauthorizedRole"
+        assert record.result["outcomes"] == ["UnauthorizedRole"]
+
+
+def org_nym_txs(steward, *labels):
+    s_keys, s_did, _ = steward
+    return [
+        registry.make_transaction(
+            registry.KIND_NYM,
+            attested(make_identity("org" + label)[2], s_did, s_keys).to_bytes(),
+            s_did,
+            s_keys,
+        )
+        for label in labels
+    ]
+
+
+def doctor_receipts(sequencer, change):
+    """Make the sequencer answer each submit with `change(receipt)`."""
+    original = sequencer._sequence
+
+    def doctored(sender, msg):
+        receipt = yield from original(sender, msg)
+        return change(receipt)
+
+    sequencer._sequence = doctored
+
+
+def forge_acks(node, forged_bytes):
+    """Make `node` sign its acks over `forged_bytes(first, last, digest)`
+    while its ack bodies name the batch it applied."""
+    original = node._ack_body
+
+    def forged(first, last, digest):
+        return {**original(first, last, digest),
+                "ack": node.keys.sign(forged_bytes(first, last, digest)).bytes_.hex()}
+
+    node._ack_body = forged
+
+
+OTHER_ACKS = {
+    "other-range": lambda first, last, digest: registry.ack_bytes(first + 1, last + 1, digest),
+    "other-digest": lambda first, last, digest: registry.ack_bytes(
+        first, last, crypto.digest(b"another batch")
+    ),
+}
+
+
+class TestBatches:
+    """One order and one 2f+1 ack set per batch of a client's transactions."""
+
+    def submit(self, bus, client, pool, txs):
+        record = client.start_session("submit", registry.submit_transaction(pool, *txs))
+        bus.run_until_quiescent()
+        return record
+
+    def order_sends(self, bus) -> int:
+        return sum(
+            1 for e in bus.trace.events
+            if e.kind == "bus.send" and e.detail["msg_kind"] == "iin.order"
+        )
+
+    def test_batch_applies_in_order_with_one_order_per_replica(self):
+        bus, pool, nodes, client, steward = build_pool()
+        txs = org_nym_txs(steward, "a", "b", "c")
+        receipt = self.submit(bus, client, pool, txs).result
+        assert (receipt["first"], receipt["last"]) == (0, 2)
+        assert receipt["outcomes"] == ["APPLIED"] * 3
+        assert receipt["tx_digests"] == [tx.digest().hex() for tx in txs]
+        assert self.order_sends(bus) == pool.n - 1
+        for node in nodes:
+            assert [entry[1] for entry in node.log] == [tx.to_bytes() for tx in txs]
+        assert len({node.state.state_hash() for node in nodes}) == 1
+
+    @pytest.mark.parametrize("change", [
+        lambda txs: txs[::-1],
+        lambda txs: txs[:1],
+    ], ids=["reordered", "missing-one"])
+    def test_receipt_for_another_batch_is_refused(self, change):
+        bus, pool, nodes, client, steward = build_pool()
+        # the pool orders and acks the changed batch, so every ack is valid
+        sequence = nodes[0]._sequence
+        nodes[0]._sequence = lambda sender, msg: sequence(
+            sender, replace(msg, body={"txs": change(msg.body["txs"])})
+        )
+        record = self.submit(bus, client, pool, org_nym_txs(steward, "a", "b"))
+        assert isinstance(record.error, registry.QuorumUnavailable)
+        assert str(record.error) == "receipt names other transactions"
+
+    @pytest.mark.parametrize("forged", sorted(OTHER_ACKS))
+    def test_sequencer_counts_no_ack_over_another_batch(self, forged):
+        bus, pool, nodes, client, steward = build_pool()
+        for node in nodes[2:]:
+            forge_acks(node, OTHER_ACKS[forged])
+        record = self.submit(bus, client, pool, org_nym_txs(steward, "a", "b"))
+        assert isinstance(record.error, registry.QuorumUnavailable)
+        assert str(record.error) == "QuorumUnavailable"
+
+    @pytest.mark.parametrize("forged", [*sorted(OTHER_ACKS), "forger-key"])
+    def test_client_counts_no_ack_over_another_batch(self, forged):
+        bus, pool, nodes, client, steward = build_pool()
+        txs = org_nym_txs(steward, "a", "b")
+        digest = registry.batch_digest([tx.digest() for tx in txs])
+
+        def sign(node):
+            if forged == "forger-key":
+                return FORGER_KEYS.sign(registry.ack_bytes(0, 1, digest))
+            return node.keys.sign(OTHER_ACKS[forged](0, 1, digest))
+
+        acks = [[node.address, sign(node).bytes_.hex()] for node in nodes]
+        doctor_receipts(nodes[0], lambda receipt: {**receipt, "acks": acks})
+        record = self.submit(bus, client, pool, txs)
+        assert isinstance(record.error, registry.QuorumUnavailable)
+        assert str(record.error) == "receipt carries 0 valid acks"
+
+    def test_repeated_ack_counts_once(self):
+        bus, pool, nodes, client, steward = build_pool()
+        doctor_receipts(nodes[0], lambda receipt: {
+            **receipt, "acks": receipt["acks"][:1] * pool.write_quorum
+        })
+        record = self.submit(bus, client, pool, org_nym_txs(steward, "a"))
+        assert str(record.error) == "receipt carries 1 valid acks"
+
+    def test_replica_that_missed_a_batch_catches_up_on_the_next_and_acks_it(self):
+        rules = [
+            FaultRule(action="drop", to="iin:iin0:3", kind="iin.order", occurrence=1),
+            # without node 2's ack the second receipt needs node 3's
+            FaultRule(action="drop", to="iin:iin0:2", kind="iin.order", occurrence=2),
+        ]
+        bus, pool, nodes, client, steward = build_pool(rules=rules)
+        first = self.submit(bus, client, pool, org_nym_txs(steward, "a", "b"))
+        assert nodes[3].next_seq == 0
+        second = self.submit(bus, client, pool, org_nym_txs(steward, "c", "d"))
+        assert first.error is None and second.error is None
+        assert "iin:iin0:3" in [address for address, _ in second.result["acks"]]
+        assert nodes[3].next_seq == 4
+        assert nodes[3].state.state_hash() == nodes[0].state.state_hash()
+        assert nodes[3].log == nodes[0].log
+
+    def test_empty_batch_is_refused_by_name_and_takes_no_seq(self):
+        bus, pool, nodes, client, steward = build_pool()
+
+        def ask():
+            return (yield Request(pool.sequencer, "iin.submit", {"txs": []}, timeout=50))
+
+        record = client.start_session("ask", ask())
+        bus.run_until_quiescent()
+        assert record.result.body == {"ok": False, "error": "EmptyBatch"}
+        assert self.submit(bus, client, pool, []).error.args == ("EmptyBatch",)
+        assert [node.next_seq for node in nodes] == [0] * pool.n
+        assert self.order_sends(bus) == 0
+
+    @pytest.mark.parametrize("resent, acked", [
+        ("same", True), ("other-tx", False), ("reordered", False), ("longer", False),
+    ])
+    def test_applied_range_is_acked_only_for_the_logged_transactions(self, resent, acked):
+        bus, pool, nodes, client, steward = build_pool()
+        txs = org_nym_txs(steward, "a", "b")
+        self.submit(bus, client, pool, txs)
+        other = org_nym_txs(steward, "c")
+        batch = {
+            "same": txs, "other-tx": [txs[0], *other], "reordered": txs[::-1],
+            "longer": [*txs, *other],
+        }[resent]
+
+        def reorder():  # as the sequencer, re-send an order for seqs 0..
+            body = {"first": 0, "txs": [tx.to_bytes().hex() for tx in batch]}
+            return (yield Request(nodes[1].address, "iin.order", body, timeout=50))
+
+        record = nodes[0].start_session("reorder", reorder())
+        bus.run_until_quiescent()
+        if acked:
+            digest = registry.batch_digest([tx.digest() for tx in txs])
+            assert (record.result.body["first"], record.result.body["last"]) == (0, 1)
+            assert crypto.verify(
+                nodes[1].keys.public_key,
+                registry.ack_bytes(0, 1, digest),
+                crypto.Signature(bytes.fromhex(record.result.body["ack"])),
+            )
+        else:
+            assert record.result is None
+        assert nodes[1].next_seq == 2
 
 
 class TestMemberSnapshot:

@@ -30,8 +30,8 @@ WRONG_TYPED = {
     "anchor.vc.request": {"holder_did": 5, "network_id": "SWT"},
     "anchor.memberlist.request": {"network_id": 5, "nonce": "00"},
     "anchor.witness.request": {"credential_id": 5},
-    "iin.submit": {"tx": 5},
-    "iin.order": {"seq": "x", "tx": 5},
+    "iin.submit": {"txs": "00"},
+    "iin.order": {"first": "x", "txs": 5},
     "iin.fetch": {"from": "x", "to": 1},
     "iin.query": {"what": 5, "id": "x"},
     "cmdac.submit": {
@@ -47,6 +47,11 @@ WRONG_TYPED_OPTIONAL = {
         "epochs": {"network_id": "STL", "nonce": "00", "epochs": {"did:iin:x": "1"}},
         "bundle_nonce": {"network_id": "STL", "nonce": "00", "bundle_nonce": 5},
     },
+}
+
+# request kind -> shape -> a body of the right types but a malformed value
+MALFORMED_VALUE = {
+    "iin.submit": {"entry-not-hex": {"txs": ["zz"]}},
 }
 
 # Open registry reads answer a malformed body as an ordinary miss or an
@@ -67,12 +72,14 @@ def server_address(world, cls) -> str:
 
 ENTRIES = [(cls, kind) for cls in SERVERS for kind in sorted(cls.REQUESTS)]
 CASES = [
-    (cls, kind, shape, body)
+    (cls, kind, shape, body, error)
     for cls, kind in ENTRIES
-    for shape, body in [
-        ("empty", {}),
-        ("wrong-typed", WRONG_TYPED[kind]),
-        *((f"wrong-typed-{name}", b) for name, b in WRONG_TYPED_OPTIONAL.get(kind, {}).items()),
+    for shape, body, error in [
+        ("empty", {}, "KeyError"),
+        ("wrong-typed", WRONG_TYPED[kind], "TypeError"),
+        *((f"wrong-typed-{name}", b, "TypeError")
+          for name, b in WRONG_TYPED_OPTIONAL.get(kind, {}).items()),
+        *((shape, b, "ValueError") for shape, b in MALFORMED_VALUE.get(kind, {}).items()),
     ]
 ]
 
@@ -86,10 +93,12 @@ def served():
 
 
 @pytest.mark.parametrize(
-    "cls, kind, shape, body", CASES,
-    ids=[f"{cls.__name__}:{kind}-{shape}" for cls, kind, shape, _ in CASES],
+    "cls, kind, shape, body, error", CASES,
+    ids=[f"{cls.__name__}:{kind}-{shape}" for cls, kind, shape, _, _ in CASES],
 )
-def test_malformed_request_is_answered_with_the_error_name(served, cls, kind, shape, body):
+def test_malformed_request_is_answered_with_the_error_name(
+    served, cls, kind, shape, body, error
+):
     world, probe = served
     target = server_address(world, cls)
     start, sent_at = len(world.trace.events), world.bus.now
@@ -114,7 +123,6 @@ def test_malformed_request_is_answered_with_the_error_name(served, cls, kind, sh
     if kind in LENIENT:
         assert "error" not in reply.body and failed == []
         return
-    error = "KeyError" if shape == "empty" else "TypeError"
     assert reply.body == {"ok": False, "error": error}
     assert [(e.detail["label"], e.detail["error"]) for e in failed] == [(kind, error)]
 
