@@ -168,14 +168,17 @@ class AnchorService(Actor):
             self.trace("anchor.evidence_mismatch", org=org_name)
             return {"ok": False, "error": "EvidenceMismatch"}
         attested = registry.attest(doc, self.profile.did, self.keys)
-        tx = registry.make_transaction(
-            registry.KIND_NYM, attested.to_bytes(), self.profile.did, self.keys
-        )
+
+        def read_back() -> Generator:
+            resolved, _ = yield from registry.resolve_did(self.pool, doc.did)
+            return resolved.to_bytes()
+
         try:
-            receipt = yield from registry.submit_transaction(self.pool, tx)
+            outcome = yield from self._submit_read_back(
+                registry.KIND_NYM, attested.to_bytes(), read_back
+            )
         except registry.QuorumUnavailable as e:
             return {"ok": False, "error": str(e)}
-        outcome = receipt["outcomes"][0]
         if outcome not in (registry.OUTCOME_APPLIED, "Duplicate"):
             return {"ok": False, "error": outcome}
         self.trace("anchor.verinym_registered", org=org_name, did=doc.did, outcome=outcome)
@@ -258,25 +261,38 @@ class AnchorService(Actor):
         )
 
     def _publish_revocation_state(self, new_state: crypto.RevocationRegistryState) -> Generator:
-        """Submit `new_state` as this anchor's next revocation state. When no
-        receipt comes back, read the anchor's own state from the pool: one
-        equal to `new_state` byte for byte means the update applied, so the
-        anchor does not keep an epoch the registry has left. Raises
-        QuorumUnavailable otherwise, or AnchorError when the registry refused
-        the update."""
-        update = (registry.KIND_REVOC_UPDATE, new_state.to_bytes(), "revocation update rejected")
+        """Submit `new_state` as this anchor's next revocation state, so that
+        the anchor does not keep an epoch the registry has left. Raises
+        QuorumUnavailable, or AnchorError when the registry refused it."""
+        did = self.profile.did
+
+        def read_back() -> Generator:
+            _, _, states = yield from registry.resolve_member(self.pool, did, (did,))
+            return states[did].to_bytes() if did in states else None
+
+        outcome = yield from self._submit_read_back(
+            registry.KIND_REVOC_UPDATE, new_state.to_bytes(), read_back
+        )
+        if outcome != registry.OUTCOME_APPLIED:
+            raise AnchorError(f"revocation update rejected: {outcome}")
+
+    def _submit_read_back(self, kind: str, payload: bytes, read_back) -> Generator:
+        """Submit one transaction and return its outcome. When no receipt comes
+        back, `read_back()` reads from the pool the value the transaction
+        writes: bytes equal to `payload` mean the write applied. Raises
+        QuorumUnavailable otherwise."""
+        tx = registry.make_transaction(kind, payload, self.profile.did, self.keys)
         try:
-            yield from submit_all(self.pool, self.profile.did, self.keys, [update])
+            receipt = yield from registry.submit_transaction(self.pool, tx)
         except registry.QuorumUnavailable as lost:
             try:
-                _, _, states = yield from registry.resolve_member(
-                    self.pool, self.profile.did, (self.profile.did,)
-                )
+                applied = yield from read_back()
             except registry.RegistryError:
                 raise lost from None
-            applied = states.get(self.profile.did)
-            if applied is None or applied.to_bytes() != new_state.to_bytes():
+            if applied != payload:
                 raise lost
+            return registry.OUTCOME_APPLIED
+        return receipt["outcomes"][0]
 
     # --- PMV: read-side services ---------------------------------------------
 

@@ -14,11 +14,13 @@ content is seed-independent.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Annotated, Literal, NewType, Optional, Union
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -28,34 +30,16 @@ from . import registry
 from .actors import Actor
 from .agent import AgentConfig, IinAgent
 from .anchors import AnchorService, StewardService, TrustAnchorProfile
-from .bus import BoxKeyPair, BusConfig, FaultRule, SimBus, TickCeilingExceeded
+from .bus import BoxKeyPair, BusConfig, FaultRule, SimBus
 from .trace import TraceLog, verify_events
 
 SCENARIO_DIR = Path(__file__).parent / "scenarios"
 
-STEP_KINDS = {
-    "bootstrap",
-    "step_a",
-    "sync",
-    "prefetch",
-    "validate",
-    "revoke",
-    "rotate_cert",
-    "advance_time",
-    "resync",
-    "data_proof",
-    "fault",
-    "assert",
-}
-
-ASSERT_KINDS = {
-    "record_status",
-    "record_digest_matches",
-    "trace_count",
-    "trace_order",
-    "no_failed_sessions",
-    "session_attempts_max",
-}
+# "all" is every org of the step's network, or of the scenario for a step without one
+Orgs = Union[Literal["all"], tuple[str, ...]]
+Scalar = Union[str, bool, int, float]
+# a script entry, {"step": kind, parameter: value}, read by its handler's parameters
+Step = NewType("Step", dict)
 
 
 class ScenarioError(Exception):
@@ -74,51 +58,78 @@ class ScenarioValidationError(ScenarioError):
         super().__init__("; ".join(problems))
 
 
-@dataclass
+@dataclass(kw_only=True)
+class IinSpec:
+    id: str
+    nodes: int = 4
+
+
+@dataclass(kw_only=True)
 class AnchorSpec:
     name: str
     iin: str
-    whitelist: tuple[str, ...]
-    represents: tuple[str, ...]
+    whitelist: tuple[str, ...] = ()
+    represents: tuple[str, ...] = ()
 
 
-@dataclass
+@dataclass(kw_only=True)
+class OrgSpec:
+    name: str
+    peers: int = 1
+
+
+@dataclass(kw_only=True)
+class TrustSpec:
+    iin: str
+    anchor: str
+    network: str
+
+
+@dataclass(kw_only=True)
 class NetworkSpec:
-    network_id: str
-    orgs: tuple[tuple[str, int], ...]  # (org name, peer count)
-    interop: tuple[str, ...]
-    trust: tuple[tuple[str, str, str], ...]  # (iin, anchor name, network)
-    pmv: str
+    id: str
+    orgs: tuple[OrgSpec, ...] = ()
+    interop: tuple[str, ...] = ()
+    trust: tuple[TrustSpec, ...] = ()
+    pmv: str = ""
 
     def org_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.orgs)
+        return tuple(org.name for org in self.orgs)
 
 
-@dataclass
+@dataclass(kw_only=True)
+class EventPattern:
+    """Matches a trace event of `kind` whose detail holds `detail`, compared as text."""
+
+    kind: str
+    detail: dict[str, Scalar] = field(default_factory=dict)
+
+    def matches(self, event) -> bool:
+        return event.kind == self.kind and all(
+            str(event.detail.get(k)) == str(v) for k, v in self.detail.items()
+        )
+
+
+@dataclass(kw_only=True)
 class ScenarioConfig:
     name: str
-    seed: int
-    identity_seed: int
-    tick_ceiling: int
-    verinym_threshold: int
-    cert_lifetime: int
-    latency: tuple[int, int]
-    drop_rate: float
-    iins: tuple[tuple[str, int], ...]  # (iin id, node count)
+    iins: tuple[IinSpec, ...]
     anchors: tuple[AnchorSpec, ...]
     networks: tuple[NetworkSpec, ...]
-    script: tuple[dict, ...]
+    script: tuple[Step, ...] = ()
+    seed: int = 0
+    identity_seed: int = 7
+    tick_ceiling: int = 60_000
+    verinym_threshold: int = 1
+    cert_lifetime: int = 20_000
+    latency: Annotated[tuple[int, int], "[min, max] ticks"] = (1, 3)
+    drop_rate: float = 0.0
 
     def network(self, network_id: str) -> NetworkSpec:
-        return next(n for n in self.networks if n.network_id == network_id)
+        return next(n for n in self.networks if n.id == network_id)
 
     def all_org_names(self) -> tuple[str, ...]:
-        names: list[str] = []
-        for network in self.networks:
-            for name in network.org_names():
-                if name not in names:
-                    names.append(name)
-        return tuple(names)
+        return tuple(dict.fromkeys(o for n in self.networks for o in n.org_names()))
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -134,168 +145,209 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
 
 def parse_scenario(raw: dict, source: str = "<inline>") -> ScenarioConfig:
+    """Read `raw` as a ScenarioConfig; raises ScenarioValidationError naming
+    every problem: an unknown key, a missing field or a wrong-typed value,
+    found by the declared types, and each bad reference between entries."""
     problems: list[str] = []
-
-    def need(key: str, default=None):
-        if key not in raw and default is None:
-            problems.append(f"missing required field {key!r}")
-            return None
-        return raw.get(key, default)
-
-    def complete(where: str, entry, *keys: str) -> bool:
-        """Record one problem per required key the entry lacks."""
-        if not isinstance(entry, dict):
-            problems.append(f"{where}: must be a mapping")
-            return False
-        missing = [k for k in keys if k not in entry]
-        problems.extend(f"{where}: missing field {k!r}" for k in missing)
-        return not missing
-
-    def number(where: str, value, kind=int):
-        """`value` as `kind`; a wrong-typed value is a problem naming `where`."""
-        try:
-            return kind(value)
-        except (TypeError, ValueError):
-            expected = "an integer" if kind is int else "a number"
-            problems.append(f"{where}: expected {expected}, got {value!r}")
-            return None
-
-    name = need("name") or "unnamed"
-    iins_raw = need("iins") or []
-    networks_raw = need("networks") or []
-    anchors_raw = need("anchors") or []
-    script_raw = raw.get("script", [])
-
-    iins = tuple(
-        (i["id"], number(f"iins[{idx}].nodes", i.get("nodes", 4)))
-        for idx, i in enumerate(iins_raw) if complete(f"iins[{idx}]", i, "id")
-    )
-    iin_ids = {i for i, _ in iins}
-    for iin_id, nodes in iins:
-        if nodes is not None and (nodes < 4 or (nodes - 1) % 3 != 0):
-            problems.append(f"iin {iin_id}: node count must be 3f+1 with f >= 1")
-
-    anchors = tuple(
-        AnchorSpec(
-            name=a["name"],
-            iin=a["iin"],
-            whitelist=tuple(a.get("whitelist", [])),
-            represents=tuple(a.get("represents", [])),
-        )
-        for idx, a in enumerate(anchors_raw) if complete(f"anchors[{idx}]", a, "name", "iin")
-    )
-    anchor_names = {a.name for a in anchors}
-    for a in anchors:
-        if a.iin not in iin_ids:
-            problems.append(f"anchor {a.name}: unknown iin {a.iin!r}")
-
-    networks = []
-    for idx, n in enumerate(networks_raw):
-        if not complete(f"networks[{idx}]", n, "id"):
-            continue
-        orgs = tuple(
-            (o["name"], number(f"networks[{idx}].orgs[{j}].peers", o.get("peers", 1)))
-            if isinstance(o, dict) else (o, 1)
-            for j, o in enumerate(n.get("orgs", []))
-            if not isinstance(o, dict) or complete(f"networks[{idx}].orgs[{j}]", o, "name")
-        )
-        networks.append(
-            NetworkSpec(
-                network_id=n["id"],
-                orgs=orgs,
-                interop=tuple(n.get("interop", [])),
-                trust=tuple(
-                    (t["iin"], t["anchor"], t["network"])
-                    for j, t in enumerate(n.get("trust", []))
-                    if complete(f"networks[{idx}].trust[{j}]", t, "iin", "anchor", "network")
-                ),
-                pmv=n.get("pmv", ""),
-            )
-        )
-    networks = tuple(networks)
-    network_ids = {n.network_id for n in networks}
-    org_names = set()
-    for n in networks:
-        if not n.orgs:
-            problems.append(f"network {n.network_id}: needs at least one org")
-        org_names.update(n.org_names())
-        if n.pmv not in anchor_names:
-            problems.append(f"network {n.network_id}: unknown pmv anchor {n.pmv!r}")
-        else:
-            pmv = next(a for a in anchors if a.name == n.pmv)
-            if n.network_id not in pmv.represents:
-                problems.append(
-                    f"network {n.network_id}: anchor {n.pmv} does not represent it"
-                )
-        for other in n.interop:
-            if other not in network_ids:
-                problems.append(f"network {n.network_id}: unknown interop network {other!r}")
-        for iin_id, anchor, target in n.trust:
-            if iin_id not in iin_ids:
-                problems.append(f"network {n.network_id}: trust entry unknown iin {iin_id!r}")
-            if anchor not in anchor_names:
-                problems.append(
-                    f"network {n.network_id}: trust entry unknown anchor {anchor!r}"
-                )
-            if target not in network_ids:
-                problems.append(
-                    f"network {n.network_id}: trust entry unknown network {target!r}"
-                )
-    for a in anchors:
-        for w in a.whitelist:
-            if w not in org_names:
-                problems.append(f"anchor {a.name}: whitelisted org {w!r} not in any network")
-        for r in a.represents:
-            if r not in network_ids:
-                problems.append(f"anchor {a.name}: represents unknown network {r!r}")
-
-    script = []
-    for idx, step in enumerate(script_raw):
-        if isinstance(step, str):
-            step = {"step": step}
-        kind = step.get("step")
-        if kind not in STEP_KINDS:
-            problems.append(f"script[{idx}]: unknown step {kind!r}")
-            continue
-        if kind == "assert" and step.get("kind") not in ASSERT_KINDS:
-            problems.append(f"script[{idx}]: unknown assert kind {step.get('kind')!r}")
-        for key in ("network", "foreign", "source", "dest"):
-            if key in step and step[key] not in network_ids:
-                problems.append(f"script[{idx}]: unknown network {step[key]!r} in {key!r}")
-        for key in ("org", "target"):
-            if key in step and kind != "assert" and step[key] not in org_names:
-                problems.append(f"script[{idx}]: unknown org {step[key]!r} in {key!r}")
-        script.append(step)
-
-    scalars = {
-        key: number(key, raw.get(key, default), type(default))
-        for key, default in (
-            ("seed", 0),
-            ("identity_seed", 7),
-            ("tick_ceiling", 60_000),
-            ("verinym_threshold", 1),
-            ("cert_lifetime", 20_000),
-            ("drop_rate", 0.0),
-        )
-    }
-    latency = raw.get("latency", [1, 3])
-    if isinstance(latency, (list, tuple)) and len(latency) == 2:
-        latency = tuple(number(f"latency[{j}]", v) for j, v in enumerate(latency))
-    else:
-        problems.append(f"latency: expected [min, max] ticks, got {latency!r}")
-
+    config = _read(raw, ScenarioConfig, "", problems)
+    if config is not None:
+        problems += _reference_problems(config)
     if problems:
         raise ScenarioValidationError(problems)
+    return config
 
-    return ScenarioConfig(
-        name=name,
-        **scalars,
-        latency=latency,
-        iins=iins,
-        anchors=anchors,
-        networks=networks,
-        script=tuple(script),
+
+# --- reading declared types ---------------------------------------------------------
+
+
+def _fields(declared) -> dict[str, tuple[str, object, bool]]:
+    """The keyword parameters of a dataclass or a step handler, by the key that
+    names each in a scenario (`from_` is `from`): (name, type, required)."""
+    hints = get_type_hints(declared, include_extras=True)
+    return {
+        p.name.rstrip("_"): (p.name, hints[p.name], p.default is p.empty)
+        for p in inspect.signature(declared).parameters.values()
+        if p.name != "self" and p.kind is not p.VAR_KEYWORD
+    }
+
+
+_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false"}
+
+
+def _describe(tp) -> str:
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Annotated:
+        return args[1]
+    if origin is Union:
+        return " or ".join(_describe(a) for a in args if a is not type(None))
+    if origin is Literal:
+        return " or ".join(map(repr, args))
+    if origin is tuple:
+        return "a list" if args[-1] is ... else f"a list of {len(args)}"
+    return _NAMES.get(tp, "a mapping")
+
+
+def _at(path: str) -> str:
+    return f"{path}: " if path else ""
+
+
+def _read(value, tp, path: str, problems: list[str]):
+    """`value` read as type `tp`. Each misfit adds one problem naming its path
+    to `problems`; a misfit reads as None, and a list keeps the items that read."""
+    expected = _describe(tp)
+    if get_origin(tp) is Annotated:
+        tp = get_args(tp)[0]
+    origin, args = get_origin(tp), get_args(tp)
+    if tp is Step:
+        return _read_step(value, path, problems)
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            problems.append(f"{_at(path)}must be a mapping")
+            return None
+        declared = _fields(tp)
+        fields = _read_fields(declared, value, path, problems)
+        if all(name in fields for name, _, required in declared.values() if required):
+            return tp(**fields)
+        return None
+    if origin is Union:
+        options = [a for a in args if a is not type(None)]
+        if value is None and len(options) < len(args):
+            return None
+        if len(options) == 1:
+            return _read(value, options[0], path, problems)
+        for option in options:
+            misfits: list[str] = []
+            result = _read(value, option, path, misfits)
+            if not misfits:
+                return result
+    elif origin is Literal:
+        if value in args:
+            return value
+    elif origin is tuple and isinstance(value, (list, tuple)):
+        types = [args[0]] * len(value) if args[-1] is ... else args
+        if len(types) == len(value):
+            items = [_read(v, types[i], f"{path}[{i}]", problems) for i, v in enumerate(value)]
+            return tuple(item for item in items if item is not None)
+    elif origin is dict and isinstance(value, dict):
+        return {
+            _read(k, args[0], path, problems): _read(v, args[1], f"{path}.{k}", problems)
+            for k, v in value.items()
+        }
+    elif tp is float and type(value) in (int, float):
+        return float(value)
+    elif type(value) is tp:
+        return value
+    problems.append(f"{_at(path)}expected {expected}, got {value!r}")
+    return None
+
+
+def _read_fields(declared: dict, raw: dict, path: str, problems: list[str]) -> dict:
+    """The entries of `raw` read as their `declared` fields (see `_fields`), by
+    parameter name; each unknown, missing or misfit entry is one problem. A
+    list or a step read in part is kept, so that its references are checked."""
+    fields = {}
+    for key, value in raw.items():
+        if key not in declared:
+            problems.append(f"{_at(path)}unknown field {key!r}")
+            continue
+        name, tp, _ = declared[key]
+        before = len(problems)
+        value = _read(value, tp, f"{path}.{key}" if path else key, problems)
+        if value is not None or len(problems) == before:
+            fields[name] = value
+    problems.extend(
+        f"{_at(path)}missing field {key!r}"
+        for key, (_, _, required) in declared.items() if required and key not in raw
     )
+    return fields
+
+
+def _read_step(raw, path: str, problems: list[str]) -> dict:
+    """A script entry as `{"step": kind, parameter: value}`: its fields are the
+    keyword parameters of the kind's handler, and of its check for an assert.
+    An entry that does not read is `{}`, so that later entries keep their index."""
+    if not isinstance(raw, dict):
+        problems.append(f"{path}: must be a mapping")
+        return {}
+    kind = raw.get("step")
+    if not isinstance(kind, str) or kind not in STEPS:
+        problems.append(f"{path}: unknown step {kind!r}")
+        return {}
+    declared = STEPS[kind]
+    if kind == "assert":
+        check = raw.get("kind")
+        if not isinstance(check, str) or check not in CHECKS:
+            problems.append(f"{path}: unknown assert kind {check!r}")
+            return {}
+        declared = {**declared, **CHECKS[check]}
+    fields = {k: v for k, v in raw.items() if k != "step"}
+    return {"step": kind, **_read_fields(declared, fields, path, problems)}
+
+
+# the network each org-naming step field names a member of; an assert's `org` is foreign
+_ORG_HOMES = {
+    "org": "network", "initiators": "network", "orgs": "network",
+    "target": "foreign", "targets": "foreign", "signers": "source",
+}
+
+
+def _reference_problems(config: ScenarioConfig) -> list[str]:
+    """What the types cannot say: every name refers to a declared iin, anchor,
+    network or org, each pool is 3f+1 nodes, and each pmv represents its network."""
+    problems = []
+    iin_ids = {i.id for i in config.iins}
+    anchors = {a.name: a for a in config.anchors}
+    members = {n.id: n.org_names() for n in config.networks}
+    org_names = set(config.all_org_names())
+    for i in config.iins:
+        if i.nodes < 4 or (i.nodes - 1) % 3 != 0:
+            problems.append(f"iin {i.id}: node count must be 3f+1 with f >= 1")
+    for a in config.anchors:
+        if a.iin not in iin_ids:
+            problems.append(f"anchor {a.name}: unknown iin {a.iin!r}")
+        problems += [
+            f"anchor {a.name}: whitelisted org {w!r} not in any network"
+            for w in a.whitelist if w not in org_names
+        ]
+        problems += [
+            f"anchor {a.name}: represents unknown network {r!r}"
+            for r in a.represents if r not in members
+        ]
+    for n in config.networks:
+        where = f"network {n.id}"
+        if not n.orgs:
+            problems.append(f"{where}: needs at least one org")
+        if n.pmv not in anchors:
+            problems.append(f"{where}: unknown pmv anchor {n.pmv!r}")
+        elif n.id not in anchors[n.pmv].represents:
+            problems.append(f"{where}: anchor {n.pmv} does not represent it")
+        problems += [
+            f"{where}: unknown interop network {o!r}" for o in n.interop if o not in members
+        ]
+        for t in n.trust:
+            for what, ref, known in (
+                ("iin", t.iin, iin_ids), ("anchor", t.anchor, anchors),
+                ("network", t.network, members),
+            ):
+                if ref not in known:
+                    problems.append(f"{where}: trust entry unknown {what} {ref!r}")
+    for idx, step in enumerate(config.script):
+        for key in ("network", "foreign", "source", "dest"):
+            if key in step and step[key] not in members:
+                problems.append(f"script[{idx}].{key}: unknown network {step[key]!r}")
+        homes = dict(_ORG_HOMES, org="foreign") if step.get("step") == "assert" else _ORG_HOMES
+        for key, home in homes.items():
+            value = step.get(key)
+            if value is None or value == "all" and key in ("initiators", "orgs"):
+                continue
+            for name in (value,) if isinstance(value, str) else value:
+                if name not in org_names:
+                    problems.append(f"script[{idx}].{key}: unknown org {name!r}")
+                elif step.get(home) in members and name not in members[step[home]]:
+                    problems.append(
+                        f"script[{idx}].{key}: org {name!r} is not in network {step[home]!r}"
+                    )
+    return problems
 
 
 def bundled_scenarios() -> dict[str, Path]:
@@ -338,23 +390,7 @@ class RunReport:
         return lines
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "scenario": self.scenario,
-                "seed": self.seed,
-                "ok": self.ok,
-                "final_tick": self.final_tick,
-                "assertions": [
-                    {"name": a.name, "ok": a.ok, "detail": a.detail} for a in self.assertions
-                ],
-                "proof_outcomes": self.proof_outcomes,
-                "validate_outcomes": self.validate_outcomes,
-                "state_hashes": self.state_hashes,
-                "errors": self.errors,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps({**asdict(self), "ok": self.ok}, indent=2, sort_keys=True)
 
 
 # --- world ----------------------------------------------------------------------
@@ -375,14 +411,9 @@ class World:
         self.config = config
         self.seed = seed
         self.trace = TraceLog()
+        latency_min, latency_max = config.latency
         self.bus = SimBus(
-            BusConfig(
-                seed=seed,
-                latency_min=config.latency[0],
-                latency_max=config.latency[1],
-                drop_rate=config.drop_rate,
-            ),
-            self.trace,
+            BusConfig(seed, latency_min, latency_max, drop_rate=config.drop_rate), self.trace
         )
         self.pools: dict[str, registry.PoolInfo] = {}
         self.iin_nodes: dict[str, list[registry.IinNode]] = {}
@@ -406,7 +437,7 @@ class World:
 
     def _build(self) -> None:
         config = self.config
-        primary_iin = config.iins[0][0]
+        primary_iin = config.iins[0].id
 
         org_keys = {
             name: crypto.KeyPair.from_seed(self._identity_seed(f"org:{name}"))
@@ -427,14 +458,15 @@ class World:
         }
 
         # identity networks
-        for iin_id, node_count in config.iins:
+        for iin in config.iins:
+            iin_id = iin.id
             steward_address = f"steward:{iin_id}"
             steward_keys = crypto.KeyPair.from_seed(self._identity_seed(f"steward:{iin_id}"))
             steward_doc = registry.new_did_document(iin_id, steward_keys, steward_address)
             genesis = registry.RegistryState.genesis(
                 (steward_doc,), verinym_threshold=config.verinym_threshold
             )
-            addresses = tuple(f"iin:{iin_id}:{i}" for i in range(node_count))
+            addresses = tuple(f"iin:{iin_id}:{i}" for i in range(iin.nodes))
             node_keys = {
                 address: crypto.KeyPair.from_seed(self._identity_seed(f"node:{address}"))
                 for address in addresses
@@ -474,92 +506,68 @@ class World:
                 did=doc.did,
                 roles=frozenset(roles),
                 represented_networks=spec.represents,
-                evidence_whitelist={
-                    org: org_keys[org].public_key for org in spec.whitelist
-                },
+                evidence_whitelist={org: org_keys[org].public_key for org in spec.whitelist},
             )
             eligibility = {
-                n.network_id: {
-                    self.org_dids[org]: org for org in n.org_names()
-                }
+                n.id: {self.org_dids[org]: org for org in n.org_names()}
                 for n in config.networks
-                if n.network_id in spec.represents
+                if n.id in spec.represents
             }
             anchor = AnchorService(
-                address=doc.service_endpoint,
-                profile=profile,
-                keys=anchor_keys[spec.name],
-                pool=self.pools[spec.iin],
-                eligibility=eligibility,
+                doc.service_endpoint, profile, anchor_keys[spec.name], self.pools[spec.iin],
+                eligibility,
             )
             self._register(anchor)
             self.anchors[spec.name] = anchor
 
         # permissioned networks: MSPs, ledgers, and agents
-        org_home_networks: dict[str, list[str]] = {}
         for network in config.networks:
-            for org, peer_count in network.orgs:
-                org_home_networks.setdefault(org, []).append(network.network_id)
-                organization = net.Organization.create(
-                    org_id=org,
-                    network_id=network.network_id,
+            for org in network.orgs:
+                self.organizations[(network.id, org.name)] = net.Organization.create(
+                    org_id=org.name,
+                    network_id=network.id,
                     seed_fn=self._identity_seed,
-                    peer_count=peer_count,
+                    peer_count=org.peers,
                     now=0,
                     cert_lifetime=config.cert_lifetime,
                 )
-                self.organizations[(network.network_id, org)] = organization
 
         for network in config.networks:
             genesis = net.LocalLedgerState(
-                network_id=network.network_id,
+                network_id=network.id,
                 interop_networks=network.interop,
                 trust_entries=tuple(
-                    (iin, self.anchor_docs[anchor].did, target)
-                    for iin, anchor, target in network.trust
+                    (t.iin, self.anchor_docs[t.anchor].did, t.network) for t in network.trust
                 ),
-                admin_keys={
-                    org: org_keys[org].public_key for org in network.org_names()
-                },
+                admin_keys={org: org_keys[org].public_key for org in network.org_names()},
             )
-            ledger = net.LedgerNode(f"ledger:{network.network_id}", genesis)
+            ledger = net.LedgerNode(f"ledger:{network.id}", genesis)
             self._register(ledger)
-            self.ledgers[network.network_id] = ledger
+            self.ledgers[network.id] = ledger
 
         for org in config.all_org_names():
-            homes = tuple(org_home_networks.get(org, ()))
+            homes = tuple(n.id for n in config.networks if org in n.org_names())
             agent_config = AgentConfig(
                 org_id=org,
                 address=f"agent:{org}",
                 keys=org_keys[org],
                 pool=self.pools[primary_iin],
                 oiv_address=self._oiv_address_for(org),
-                home_pmv={
-                    n: f"anchor:{config.network(n).pmv}" for n in homes
-                },
+                home_pmv={n: f"anchor:{config.network(n).pmv}" for n in homes},
                 ledgers={n: f"ledger:{n}" for n in homes},
                 peer_agents={
-                    n: {o: f"agent:{o}" for o in config.network(n).org_names()}
-                    for n in homes
+                    n: {o: f"agent:{o}" for o in config.network(n).org_names()} for n in homes
                 },
-                organizations={
-                    n: self.organizations[(n, org)] for n in homes
-                },
+                organizations={n: self.organizations[(n, org)] for n in homes},
             )
             agent = IinAgent(agent_config)
             self._register(agent)
             self.agents[org] = agent
 
+        networks = {n.id: sorted(n.org_names()) for n in config.networks}
         self.trace.record(
-            0,
-            "harness",
-            "scenario.start",
-            scenario=config.name,
-            seed=self.seed,
-            networks=json.dumps(
-                {n.network_id: sorted(n.org_names()) for n in config.networks},
-                sort_keys=True,
-            ),
+            0, "harness", "scenario.start", scenario=config.name, seed=self.seed,
+            networks=json.dumps(networks, sort_keys=True),
         )
 
     def _oiv_address_for(self, org: str) -> str:
@@ -592,6 +600,16 @@ class World:
 # --- scenario execution -----------------------------------------------------------
 
 
+# each step kind's fields, by the keyword parameters of its handler `_<kind>`
+STEPS: dict[str, dict] = {}
+
+
+def _handles_step(handler):
+    """Declare `handler`, named `_<kind>`, to run the script steps of that kind."""
+    STEPS[handler.__name__[1:]] = _fields(handler)
+    return handler
+
+
 class ScenarioRunner:
     def __init__(
         self,
@@ -609,8 +627,6 @@ class ScenarioRunner:
         try:
             for index, step in enumerate(self.config.script):
                 self._execute(index, step)
-        except TickCeilingExceeded as e:
-            self.report.errors.append(f"TickCeilingExceeded: {e}")
         except ScenarioError as e:
             self.report.errors.append(str(e))
         except Exception as e:  # a malformed step must not escape as a traceback
@@ -628,61 +644,23 @@ class ScenarioRunner:
             self.world.trace.write(self.trace_path)
         return self.report
 
-    # --- steps -----------------------------------------------------------
+    # --- steps: each kind's fields are its handler's keyword parameters ----
 
     def _execute(self, index: int, step: dict) -> None:
         kind = step["step"]
         world = self.world
         world.trace.record(world.bus.now, "harness", "scenario.step", step=kind, index=index)
-        if kind == "bootstrap":
-            self._bootstrap()
-        elif kind == "step_a":
-            self._step_a(step)
-        elif kind == "sync":
-            self._sync(step)
-        elif kind == "prefetch":
-            agent = world.agents[step["org"]]
-            record = agent.start_session(
-                "prefetch",
-                agent.prefetch(
-                    step["network"], step["foreign"], world.org_dids[step["target"]]
-                ),
-            )
-            world.settle()
-            if record.error is not None:
-                self.report.errors.append(f"prefetch {step['org']}: {record.error}")
-        elif kind == "validate":
-            self._validate(step)
-        elif kind == "revoke":
-            self._revoke(step)
-        elif kind == "rotate_cert":
-            org = world.organizations[(step["network"], step["org"])]
-            org.rotate(world.bus.now)
-            world.trace.record(
-                world.bus.now, "harness", "scenario.rotate_cert",
-                network=step["network"], org=step["org"],
-                digest=org.bundle_digest().hex(),
-            )
-        elif kind == "advance_time":
-            world.bus.now += int(step["ticks"])
-            world.trace.record(world.bus.now, "harness", "scenario.advance_time")
-        elif kind == "resync":
-            self._resync(step)
-        elif kind == "data_proof":
-            self._data_proof(step)
-        elif kind == "fault":
-            self._fault(step)
-        elif kind == "assert":
-            self._assert(step)
+        getattr(self, "_" + kind)(**{k: v for k, v in step.items() if k != "step"})
 
+    @_handles_step
     def _bootstrap(self) -> None:
         world = self.world
-        for iin_id, _ in self.config.iins:
-            steward = world.stewards[iin_id]
+        for iin in self.config.iins:
+            steward = world.stewards[iin.id]
             anchor_docs = [
                 (world.anchor_docs[spec.name], world.anchors[spec.name].profile.roles)
                 for spec in self.config.anchors
-                if spec.iin == iin_id
+                if spec.iin == iin.id
             ]
             record = steward.start_session("bootstrap", steward.bootstrap(anchor_docs))
             world.settle()
@@ -696,18 +674,18 @@ class ScenarioRunner:
                 raise ScenarioError(f"anchor {name} bootstrap failed: {record.error}")
         world.trace.record(world.bus.now, "harness", "scenario.bootstrap_complete")
 
-    def _selected_orgs(self, step: dict, key: str = "orgs") -> list[str]:
-        value = step.get(key, "all")
-        if value == "all":
-            if "network" in step:
-                return sorted(self.config.network(step["network"]).org_names())
+    def _selected_orgs(self, orgs: Orgs, network: Optional[str] = None) -> list[str]:
+        if orgs != "all":
+            return list(orgs)
+        if network is None:
             return sorted(self.config.all_org_names())
-        return list(value)
+        return sorted(self.config.network(network).org_names())
 
-    def _step_a(self, step: dict) -> None:
+    @_handles_step
+    def _step_a(self, orgs: Orgs = "all") -> None:
         world = self.world
         records = []
-        for org in self._selected_orgs(step):
+        for org in self._selected_orgs(orgs):
             agent = world.agents[org]
             records.append((org, agent.start_session("step_a", agent.step_a())))
         world.settle()
@@ -715,207 +693,203 @@ class ScenarioRunner:
             if record.error is not None:
                 self.report.errors.append(f"step_a {org}: {record.error}")
 
-    def _sync(self, step: dict) -> None:
+    @_handles_step
+    def _sync(
+        self, network: str, foreign: str, initiators: Orgs = "all",
+        targets: Optional[tuple[str, ...]] = None,
+    ) -> None:
         world = self.world
-        home = step["network"]
-        foreign = step["foreign"]
-        initiators = step.get("initiators", "all")
-        if initiators == "all":
-            initiators = sorted(self.config.network(home).org_names())
-        targets = step.get("targets")
         if targets is not None:
             targets = tuple(world.org_dids[name] for name in targets)
-        for org in initiators:
+        for org in self._selected_orgs(initiators, network):
             agent = world.agents[org]
-            agent.start_session(
-                f"sync:{foreign}", agent.sync_network(home, foreign, targets)
-            )
+            agent.start_session(f"sync:{foreign}", agent.sync_network(network, foreign, targets))
         world.settle()
 
-    def _validate(self, step: dict) -> None:
+    @_handles_step
+    def _prefetch(self, network: str, org: str, foreign: str, target: str) -> None:
         world = self.world
-        agent = world.agents[step["org"]]
-        target_did = world.org_dids[step["target"]]
+        agent = world.agents[org]
         record = agent.start_session(
-            "validate", agent.validate_org(step["network"], step["foreign"], target_did)
+            "prefetch", agent.prefetch(network, foreign, world.org_dids[target])
+        )
+        world.settle()
+        if record.error is not None:
+            self.report.errors.append(f"prefetch {org}: {record.error}")
+
+    @_handles_step
+    def _validate(
+        self, id: str, org: str, network: str, foreign: str, target: str,
+        expect: Optional[str] = None,
+    ) -> None:
+        """`expect` is "ok", or "check:N" for a failure at verification check N."""
+        world = self.world
+        agent = world.agents[org]
+        record = agent.start_session(
+            "validate", agent.validate_org(network, foreign, world.org_dids[target])
         )
         world.settle()
         outcome = record.result if record.result is not None else {
             "status": "failed", "error": str(record.error), "check": 0
         }
-        self.report.validate_outcomes[step["id"]] = outcome
+        self.report.validate_outcomes[id] = outcome
         world.trace.record(
             world.bus.now, "harness", "scenario.validate",
-            id=step["id"], outcome=outcome["status"], check=outcome.get("check", 0),
+            id=id, outcome=outcome["status"], check=outcome.get("check", 0),
         )
-        if "expect" in step:
-            # `expect` is "ok", or "check:N" for a failure at verification check N
+        if expect is not None:
             got = "ok" if outcome["status"] == "ok" else f"check:{outcome['check']}"
-            self.report.assertions.append(
-                AssertionResult(
-                    name=f"validate:{step['id']}",
-                    ok=got == step["expect"],
-                    detail=f"expected {step['expect']}, got {outcome}",
-                )
-            )
+            detail = f"expected {expect}, got {outcome}"
+            self.report.assertions.append(AssertionResult(f"validate:{id}", got == expect, detail))
 
-    def _revoke(self, step: dict) -> None:
+    @_handles_step
+    def _revoke(self, network: str, org: str) -> None:
         world = self.world
-        network_id = step["network"]
-        anchor = world.anchors[self.config.network(network_id).pmv]
-        holder_did = world.org_dids[step["org"]]
-        anchor.enqueue_serialized(
-            "revoke", lambda: anchor.revoke_membership(holder_did, network_id)
-        )
+        anchor = world.anchors[self.config.network(network).pmv]
+        holder_did = world.org_dids[org]
+        anchor.enqueue_serialized("revoke", lambda: anchor.revoke_membership(holder_did, network))
         world.settle()
 
-    def _resync(self, step: dict) -> None:
+    @_handles_step
+    def _rotate_cert(self, network: str, org: str) -> None:
         world = self.world
-        home = step["network"]
-        trigger = step.get("trigger", "periodic")
-        for org in self._selected_orgs(step):
+        organization = world.organizations[(network, org)]
+        organization.rotate(world.bus.now)
+        world.trace.record(
+            world.bus.now, "harness", "scenario.rotate_cert",
+            network=network, org=org, digest=organization.bundle_digest().hex(),
+        )
+
+    @_handles_step
+    def _advance_time(self, ticks: int) -> None:
+        self.world.bus.now += ticks
+        self.world.trace.record(self.world.bus.now, "harness", "scenario.advance_time")
+
+    @_handles_step
+    def _resync(self, network: str, orgs: Orgs = "all", trigger: str = "periodic") -> None:
+        world = self.world
+        for org in self._selected_orgs(orgs, network):
             agent = world.agents[org]
-            agent.start_session(f"resync:{trigger}", agent.resync(home, trigger))
+            agent.start_session(f"resync:{trigger}", agent.resync(network, trigger))
         world.settle()
 
-    def _data_proof(self, step: dict) -> None:
+    @_handles_step
+    def _data_proof(
+        self, id: str, source: str, dest: str, payload: str = "",
+        signers: Optional[tuple[str, ...]] = None, expect: Optional[str] = None,
+        resync_on_failure: bool = False,
+    ) -> None:
         world = self.world
-        source = step["source"]
-        dest = step["dest"]
-        payload = step.get("payload", "").encode("utf-8")
-        signers = step.get("signers") or sorted(self.config.network(source).org_names())
-        policy = net.VerificationPolicy(
-            source_network_id=source, required_orgs=tuple(signers)
-        )
-        organizations = {
-            org: world.organizations[(source, org)] for org in signers
-        }
-        proof = net.generate_data_proof(organizations, payload, policy)
+        signers = signers or tuple(sorted(self.config.network(source).org_names()))
+        policy = net.VerificationPolicy(source_network_id=source, required_orgs=signers)
+        organizations = {org: world.organizations[(source, org)] for org in signers}
+        proof = net.generate_data_proof(organizations, payload.encode("utf-8"), policy)
         try:
-            net.verify_data_proof(
-                world.ledger_state(dest), source, proof, policy, world.bus.now
-            )
+            net.verify_data_proof(world.ledger_state(dest), source, proof, policy, world.bus.now)
             outcome = "ok"
         except net.DataProofError as e:
             outcome = type(e).__name__
-        self.report.proof_outcomes[step["id"]] = outcome
+        self.report.proof_outcomes[id] = outcome
         world.trace.record(
             world.bus.now, "harness", "dataplane.verify",
-            id=step["id"], source=source, dest=dest, outcome=outcome,
+            id=id, source=source, dest=dest, outcome=outcome,
         )
-        if "expect" in step:
-            self.report.assertions.append(
-                AssertionResult(
-                    name=f"proof:{step['id']}",
-                    ok=outcome == step["expect"],
-                    detail=f"expected {step['expect']}, got {outcome}",
-                )
-            )
-        if outcome != "ok" and step.get("resync_on_failure"):
+        if expect is not None:
+            ok, detail = outcome == expect, f"expected {expect}, got {outcome}"
+            self.report.assertions.append(AssertionResult(f"proof:{id}", ok, detail))
+        if outcome != "ok" and resync_on_failure:
             world.trace.record(
-                world.bus.now, "harness", "dataplane.resync_trigger",
-                dest=dest, reason=outcome,
+                world.bus.now, "harness", "dataplane.resync_trigger", dest=dest, reason=outcome
             )
-            for org in sorted(self.config.network(dest).org_names()):
-                agent = world.agents[org]
-                agent.start_session(
-                    "resync:proof_failure", agent.resync(dest, "proof_failure")
-                )
-            world.settle()
+            self._resync(dest, trigger="proof_failure")
 
-    def _fault(self, step: dict) -> None:
-        if step.get("clear"):
-            self.world.bus.config.rules.clear()
-            return
+    @_handles_step
+    def _fault(
+        self, action: Literal["drop", "tamper", "duplicate", "delay"],
+        from_: Optional[str] = None, to: Optional[str] = None, kind: Optional[str] = None,
+        occurrence: Optional[int] = None, times: Optional[int] = None, delay: int = 1,
+    ) -> None:
+        # a fresh rule on each execution: a rule counts its own hits
         self.world.bus.config.rules.append(
-            FaultRule(
-                action=step["action"],
-                from_=step.get("from"),
-                to=step.get("to"),
-                kind=step.get("kind"),
-                occurrence=step.get("occurrence"),
-                times=step.get("times"),
-                delay=step.get("delay", 1),
-            )
+            FaultRule(action, from_, to, kind, occurrence, times, delay)
         )
 
-    # --- assertions ------------------------------------------------------------
+    # --- assertions: each kind's fields are its check's keyword parameters ----
 
-    def _assert(self, step: dict) -> None:
-        kind = step["kind"]
-        name = step.get("name", f"{kind}")
+    @_handles_step
+    def _assert(self, kind: str, name: Optional[str] = None, **fields) -> None:
         try:
-            ok, detail = self._evaluate_assert(kind, step)
+            ok, detail = getattr(self, "_check_" + kind)(**fields)
         except Exception as e:  # assertion evaluation must not abort the run
             ok, detail = False, f"evaluation error: {type(e).__name__}: {e}"
-        self.report.assertions.append(AssertionResult(name=name, ok=ok, detail=detail))
+        self.report.assertions.append(AssertionResult(name=name or kind, ok=ok, detail=detail))
 
-    def _evaluate_assert(self, kind: str, step: dict) -> tuple[bool, str]:
+    def _check_record_status(
+        self, network: str, foreign: str, org: str, status: Literal["ACTIVE", "REVOKED"]
+    ) -> tuple[bool, str]:
+        record = self.world.ledger_state(network).get_record(foreign, org)
+        if record is None:
+            return False, "no record"
+        return record.status == status, f"status={record.status}"
+
+    def _check_record_digest_matches(
+        self, network: str, foreign: str, org: str
+    ) -> tuple[bool, str]:
         world = self.world
-        if kind == "record_status":
-            record = world.ledger_state(step["network"]).get_record(
-                step["foreign"], step["org"]
-            )
-            if record is None:
-                return False, "no record"
-            return record.status == step["status"], f"status={record.status}"
-        if kind == "record_digest_matches":
-            record = world.ledger_state(step["network"]).get_record(
-                step["foreign"], step["org"]
-            )
-            if record is None:
-                return False, "no record"
-            source = world.organizations[(step["foreign"], step["org"])]
-            expected = source.bundle_digest()
-            ok = (
-                record.bundle_digest == expected
-                and record.bundle == source.bundle_bytes()
-            )
-            return ok, f"record={record.bundle_digest.hex()[:16]} source={expected.hex()[:16]}"
-        if kind == "trace_count":
-            events = [
-                e for e in world.trace.events
-                if e.kind == step["event"]
-                and all(str(e.detail.get(k)) == str(v) for k, v in step.get("detail", {}).items())
-            ]
-            return len(events) == int(step["count"]), f"count={len(events)}"
-        if kind == "trace_order":
-            expected = step["events"]
-            position = 0
-            for event in world.trace.events:
-                want = expected[position]
-                if event.kind == want.get("kind") and all(
-                    str(event.detail.get(k)) == str(v)
-                    for k, v in want.get("detail", {}).items()
-                ):
-                    position += 1
-                    if position == len(expected):
-                        return True, f"matched all {len(expected)} events in order"
-            return False, f"matched {position}/{len(expected)} events"
-        if kind == "no_failed_sessions":
-            orgs = self._selected_orgs(step) if "network" in step or "orgs" in step else sorted(
-                world.agents
-            )
-            org_of = {world.agents[org].address: org for org in orgs}
-            # a failed target names its DID; a whole failed session its label
-            failed = [
-                f"{org_of[e.actor]}:"
-                + (e.detail["target"][-8:] if "target" in e.detail else e.detail["label"])
-                + f":{e.detail['error']}"
-                + (f"({e.detail['detail']})" if e.detail.get("detail") else "")
-                for e in world.trace.events
-                if e.kind in ("agent.sync_failed", "session.failed") and e.actor in org_of
-            ]
-            return not failed, f"failed={failed}" if failed else "all sessions clean"
-        if kind == "session_attempts_max":
-            attempts = [
-                e.detail["attempts"]
-                for e in world.trace.events
-                if e.kind in ("agent.sync_done", "agent.sync_failed")
-            ]
-            top = max(attempts) if attempts else 0
-            return top <= int(step["max"]), f"max_attempts={top}"
-        return False, f"unknown assertion {kind}"
+        record = world.ledger_state(network).get_record(foreign, org)
+        if record is None:
+            return False, "no record"
+        source = world.organizations[(foreign, org)]
+        expected = source.bundle_digest()
+        ok = record.bundle_digest == expected and record.bundle == source.bundle_bytes()
+        return ok, f"record={record.bundle_digest.hex()[:16]} source={expected.hex()[:16]}"
+
+    def _check_trace_count(
+        self, event: str, count: int, detail: Optional[dict[str, Scalar]] = None
+    ) -> tuple[bool, str]:
+        pattern = EventPattern(kind=event, detail=detail or {})
+        seen = sum(1 for e in self.world.trace.events if pattern.matches(e))
+        return seen == count, f"count={seen}"
+
+    def _check_trace_order(self, events: tuple[EventPattern, ...]) -> tuple[bool, str]:
+        position = 0
+        for event in self.world.trace.events:
+            if events[position].matches(event):
+                position += 1
+                if position == len(events):
+                    return True, f"matched all {len(events)} events in order"
+        return False, f"matched {position}/{len(events)} events"
+
+    def _check_no_failed_sessions(
+        self, network: Optional[str] = None, orgs: Orgs = "all"
+    ) -> tuple[bool, str]:
+        world = self.world
+        org_of = {world.agents[org].address: org for org in self._selected_orgs(orgs, network)}
+        # a failed target names its DID; a whole failed session its label
+        failed = [
+            f"{org_of[e.actor]}:"
+            + (e.detail["target"][-8:] if "target" in e.detail else e.detail["label"])
+            + f":{e.detail['error']}"
+            + (f"({e.detail['detail']})" if e.detail.get("detail") else "")
+            for e in world.trace.events
+            if e.kind in ("agent.sync_failed", "session.failed") and e.actor in org_of
+        ]
+        return not failed, f"failed={failed}" if failed else "all sessions clean"
+
+    def _check_session_attempts_max(self, max_: int) -> tuple[bool, str]:
+        top = max((
+            e.detail["attempts"] for e in self.world.trace.events
+            if e.kind in ("agent.sync_done", "agent.sync_failed")
+        ), default=0)
+        return top <= max_, f"max_attempts={top}"
+
+
+CHECKS = {
+    name.removeprefix("_check_"): _fields(check)
+    for name, check in vars(ScenarioRunner).items() if name.startswith("_check_")
+}
+STEP_KINDS = frozenset(STEPS)
+ASSERT_KINDS = frozenset(CHECKS)
 
 
 def run_scenario(

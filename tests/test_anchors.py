@@ -465,3 +465,29 @@ class TestLostRevocationReceipt:
         assert anchor.acc_state.epoch == epoch_before
         assert carrier_did in anchor.rosters["STL"].members
         assert_accumulator_published(world, anchor)
+
+
+class TestLostVerinymReceipt:
+    """A NYM the registry applied is registered for the anchor even when its
+    receipt is lost: the anchor resolves the DID and compares the document."""
+
+    def test_lost_receipt_of_an_applied_nym_keeps_step_a(self, tmp_path):
+        raw = yaml.safe_load(
+            (harness.SCENARIO_DIR / "two_network.yaml").read_text(encoding="utf-8")
+        )
+        # the first write after bootstrap is the verinym NYM of an SWT org
+        raw["script"].insert(1, {
+            "step": "fault", "action": "drop", "from": "iin:iin0:0",
+            "to": "anchor:AnchorSWT", "kind": "iin.submit.reply", "occurrence": 1,
+        })
+        path = tmp_path / "lost-nym-receipt.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        runner = harness.ScenarioRunner(harness.load_scenario(path))
+        report = runner.run()
+        world = runner.world
+        dropped = [e for e in world.trace.events if e.kind == "bus.drop"]
+        assert len(dropped) == 1
+        assert not [e for e in report.errors if e.startswith("step_a")], report.errors
+        assert report.ok, (report.errors, [a for a in report.assertions if not a.ok])
+        record = world.ledger_state("STL").get_record("SWT", "Buyer")
+        assert record is not None and record.status == "ACTIVE"

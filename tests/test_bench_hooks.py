@@ -12,14 +12,18 @@ from idplane import agent, anchors, harness, registry
 
 from conftest import scenario_config
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def load_perfbench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer_module():
+    return load_perfbench_module("tracer")
 
 
 def test_tracer_installs_counts_and_uninstalls():
@@ -34,6 +38,8 @@ def test_tracer_installs_counts_and_uninstalls():
         inst.uninstall()
     assert report.ok, report.errors
     assert tracer.n_calls("anchors.issue") > 0
+    assert tracer.n_calls("harness.bootstrap") > 0
+    assert tracer.n_calls("harness.step_a") > 0
     assert tracer.n_calls("crypto.accumulator") > 0
     assert registry.quorum_query is quorum_query
     assert anchors.AnchorService.enqueue_serialized is enqueue_serialized
@@ -45,3 +51,11 @@ def test_traced_methods_keep_their_names_and_shapes():
     for name in ("_validate_member", "_fetch_identity", "_commit_identity"):
         assert inspect.isgeneratorfunction(getattr(agent.IinAgent, name)), name
     assert callable(getattr(anchors.AnchorService, "_refresh_witness", None))
+
+
+def test_benchmark_worlds_parse():
+    """The benchmark builds its worlds from scenario mappings of its own."""
+    sc = load_perfbench_module("scenarios")
+    for raw in (sc.two_networks("t", 2), sc.criterion05_shape(7)):
+        config = harness.parse_scenario(raw)
+        assert [step["step"] for step in config.script] == ["bootstrap", "step_a"]

@@ -33,12 +33,12 @@ class TestLoadScenario:
 
     def test_two_network_shape_matches_use_case(self):
         config = scenario_config("two-network")
-        assert [(i, n) for i, n in config.iins] == [("iin0", 4)]
+        assert config.iins == (harness.IinSpec(id="iin0", nodes=4),)
         assert {a.name for a in config.anchors} == {"AnchorSWT", "AnchorSTL"}
         stl = config.network("STL")
         swt = config.network("SWT")
-        assert dict(stl.orgs) == {"Seller": 1, "Carrier": 1}
-        assert dict(swt.orgs) == {"Seller": 2, "Buyer": 2}
+        assert {o.name: o.peers for o in stl.orgs} == {"Seller": 1, "Carrier": 1}
+        assert {o.name: o.peers for o in swt.orgs} == {"Seller": 2, "Buyer": 2}
 
     def test_empty_file_is_parse_error(self, tmp_path):
         path = tmp_path / "empty.yaml"
@@ -323,6 +323,22 @@ class TestRunnerAndReport:
         assert not result.ok
         assert result.detail == "max_attempts=2"
 
+    def test_scripted_fault_runs_are_deterministic(self, tmp_path):
+        raw = minimal_raw()
+        # each run starts with a fresh rule: a rule shared across runs would
+        # keep its hit count and drop nothing in the second run
+        first_sync = next(i for i, s in enumerate(raw["script"]) if s["step"] == "sync")
+        raw["script"].insert(first_sync, {
+            "step": "fault", "action": "drop", "from": "ledger:SWT", "to": "agent:Buyer",
+            "kind": "ledger.reply", "occurrence": 1,
+        })
+        config = harness.parse_scenario(raw)
+        paths = [tmp_path / f"run{i}.jsonl" for i in range(2)]
+        for path in paths:
+            harness.run_scenario(config, seed=2024, trace_path=path)
+        assert '"bus.drop"' in paths[1].read_text(encoding="utf-8")
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_tick_ceiling_becomes_runtime_error(self):
         config = scenario_config("two-network")
         config.tick_ceiling = 5
@@ -375,11 +391,37 @@ class TestCli:
         (lambda raw: raw.update(latency="high"),
          "latency: expected [min, max] ticks, got 'high'"),
         (lambda raw: raw.update(latency=[1, "x"]), "latency[1]: expected an integer, got 'x'"),
+        (lambda raw: raw.update(tick_ceilling=5), "unknown field 'tick_ceilling'"),
+        (lambda raw: raw["script"][3].update(initiator=raw["script"][3].pop("initiators")),
+         "script[3]: unknown field 'initiator'"),
+        (lambda raw: raw["script"][3].update(initiators=["Buyr"]),
+         "script[3].initiators: unknown org 'Buyr'"),
+        (lambda raw: raw["script"][2].update(signers=["Seller", "Carier"]),
+         "script[2].signers: unknown org 'Carier'"),
+        (lambda raw: raw["script"].insert(2, {"step": "rotate_cert", "network": "STL",
+                                              "org": "Buyer"}),
+         "script[2].org: org 'Buyer' is not in network 'STL'"),
+        (lambda raw: raw["script"].insert(2, {"step": "fault", "action": "drop",
+                                              "too": "agent:Seller"}),
+         "script[2]: unknown field 'too'"),
+        (lambda raw: raw["script"].insert(2, {"step": "fault", "action": "dorp"}),
+         "script[2].action: expected 'drop' or 'tamper' or 'duplicate' or 'delay', got 'dorp'"),
+        (lambda raw: raw["script"].insert(2, {"step": "advance_time", "ticks": "soon"}),
+         "script[2].ticks: expected an integer, got 'soon'"),
+        (lambda raw: raw["script"].insert(2, {"step": "validate", "org": "Buyer",
+                                              "network": "SWT", "foreign": "STL",
+                                              "target": "Carrier"}),
+         "script[2]: missing field 'id'"),
+        (lambda raw: raw["script"][7].update(staus=raw["script"][7].pop("status")),
+         "script[7]: unknown field 'staus'"),
     ], ids=[
         "unknown-pmv", "iin-without-id", "trust-without-network", "org-without-name",
         "network-not-a-mapping", "nodes-not-a-number", "peers-not-a-number",
         "seed-not-a-number", "tick-ceiling-not-a-number", "drop-rate-not-a-number",
-        "latency-not-a-pair", "latency-bound-not-a-number",
+        "latency-not-a-pair", "latency-bound-not-a-number", "misspelled-top-level-key",
+        "misspelled-step-key", "unknown-initiator", "unknown-signer", "org-of-other-network",
+        "misspelled-fault-key", "unknown-fault-action", "ticks-not-a-number",
+        "validate-without-id", "misspelled-assert-key",
     ])
     def test_config_error_exit_two(self, tmp_path, capsys, breakage, problem):
         raw = minimal_raw()
