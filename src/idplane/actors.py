@@ -171,9 +171,9 @@ class Actor:
 
     def _serve(self, sender: str, msg: Message, handler: str, reply_kind: str) -> Session:
         """Run the handler and send the body it returns as the `reply_kind`
-        reply; a handler that returns None has replied, or will reply,
-        itself. A handler that raises is answered with the error's name, and
-        the error re-raised so that the runtime traces `session.failed`."""
+        reply; for a handler that returns None no reply is sent. A handler
+        that raises is answered with the error's name, and the error
+        re-raised so that the runtime traces `session.failed`."""
         try:
             body = getattr(self, handler)(sender, msg)
             if isinstance(body, GeneratorType):

@@ -104,6 +104,10 @@ class CounterpartyValidationFailed(AgentError):
     pass
 
 
+class RetriesExhausted(AgentError):
+    """Countersigners reported a digest mismatch on every attempt."""
+
+
 class LedgerUnreachable(AgentError):
     pass
 
@@ -124,6 +128,15 @@ PROTOCOL_ERRORS = (AgentError, creds.CredentialError, crypto.CryptoError, regist
 # the ticks waited before each new attempt.
 RETRY_LIMIT = 3
 RETRY_BACKOFF = 1
+
+
+def _decode_vp(hex_vp: object, error: type[AgentError], peer: str) -> creds.VerifiablePresentation:
+    """Decode a presentation `peer` sent as hex; a missing or undecodable one
+    raises `error` naming `peer`."""
+    try:
+        return creds.VerifiablePresentation.from_bytes(bytes.fromhex(hex_vp))
+    except (TypeError, ValueError) as e:
+        raise error(f"{peer}: undecodable presentation: {e}") from None
 
 
 @dataclass
@@ -342,7 +355,7 @@ class IinAgent(Actor):
                 f"memberlist for {foreign_network} unavailable"
                 + (f": {reply.body.get('error')}" if reply else "")
             )
-        vp = creds.VerifiablePresentation.from_bytes(bytes.fromhex(reply.body["vp"]))
+        vp = _decode_vp(reply.body.get("vp"), NoTrustedPMV, anchor_did)
         payload = creds.verify_self_signed_vp(vp, nonce, anchor_doc, anchor_verinym)
         memberlist = creds.MemberlistCredential.from_bytes(payload)
         if memberlist.issuer_did != anchor_did or memberlist.network_id != foreign_network:
@@ -409,13 +422,19 @@ class IinAgent(Actor):
             revocation_state=revocation.get(vc.issuer_did) if vc is not None else None,
         )
 
-    def _challenge_and_verify(
-        self, home_network: str, foreign_network: str, target_did: str, with_bundle: bool = False
+    def _validate_member(
+        self,
+        home_network: str,
+        foreign_network: str,
+        target_did: str,
+        memberlist: Optional[creds.MemberlistCredential] = None,
+        with_bundle: bool = False,
     ) -> Generator:
-        """Resolve, challenge, and verify one foreign member's membership
-        presentation. Returns (claim, doc, verinym, bundle): with
-        `with_bundle`, the challenge also asks for the bundle presentation,
-        and `bundle` is its nonce and the reply's `identity_vp` as received.
+        """Resolve, challenge, and verify one foreign member (step B) and,
+        with `with_bundle`, check the certificate bundle the same challenge
+        reply carries (step C). A `memberlist`, when given, must list
+        `target_did` (NotListed). Returns (claim, identity): `identity` is the
+        checked CachedIdentity with `with_bundle`, else None.
 
         One registry read before the challenge (`registry.resolve_member`)
         gives the holder's document, its verinym status and the revocation
@@ -433,7 +452,10 @@ class IinAgent(Actor):
         revocation committed during the round trip is seen only by the next
         validation: its refresh is refused, so it presents a witness no newer
         than the snapshot. A holder whose refresh got no reply answers
-        WitnessUnavailable, raised here as MemberUnreachable."""
+        WitnessUnavailable, raised here as MemberUnreachable, as is a reply
+        whose presentation does not decode."""
+        if memberlist is not None and target_did not in memberlist.member_dids:
+            raise NotListed(target_did)
         entries = yield from self._trust_entries(home_network)
         trusted = frozenset((anchor, network) for _, anchor, network in entries)
         issuers = tuple(sorted(a for a, network in trusted if network == foreign_network))
@@ -452,10 +474,10 @@ class IinAgent(Actor):
             raise MemberUnreachable(
                 target_did + (f": {reply.body.get('error')}" if reply else "")
             )
-        vp = creds.VerifiablePresentation.from_bytes(bytes.fromhex(reply.body["vp"]))
+        vp = _decode_vp(reply.body.get("vp"), MemberUnreachable, target_did)
         try:
             vc, witness = creds.parse_membership_body(vp.body)
-        except Exception:
+        except ValueError:
             vc = witness = None  # verification will fail at the schema check
         state = revocation.get(vc.issuer_did) if vc is not None else None
         if state is not None and witness.epoch > state.epoch:
@@ -467,21 +489,13 @@ class IinAgent(Actor):
         self.trace(
             "agent.member_validated", network=foreign_network, holder=claim.holder_did
         )
-        return claim, doc, verinym, (bundle_nonce, reply.body.get("identity_vp"))
-
-    def _validate_member(
-        self,
-        home_network: str,
-        foreign_network: str,
-        target_did: str,
-        memberlist: creds.MemberlistCredential,
-        with_bundle: bool = False,
-    ) -> Generator:
-        if target_did not in memberlist.member_dids:
-            raise NotListed(target_did)
-        return (yield from self._challenge_and_verify(
-            home_network, foreign_network, target_did, with_bundle
-        ))
+        identity = None
+        if with_bundle:
+            identity = yield from self._fetch_identity(
+                foreign_network, target_did, doc, verinym, bundle_nonce,
+                reply.body.get("identity_vp"),
+            )
+        return claim, identity
 
     # --- step C: check network identity ----------------------------------------
 
@@ -491,16 +505,15 @@ class IinAgent(Actor):
         target_did: str,
         doc: registry.DidDocument,
         verinym: bool,
-        bundle: tuple[bytes, object],
+        nonce: bytes,
+        identity_vp: object,
     ) -> Generator:
-        """Check the bundle presentation that step B's challenge reply
-        carried. A generator though it sends nothing, as the benchmark's
-        tracer drives steps B, C and D as generators."""
+        """Check the bundle presentation `identity_vp` (hex, as received)
+        that step B's challenge reply carried under `nonce`. A generator
+        though it sends nothing, as the benchmark's tracer drives steps B, C
+        and D as generators."""
         yield from ()
-        nonce, vp = bundle
-        if not isinstance(vp, str):
-            raise MemberUnreachable(f"{target_did}: no bundle presentation")
-        vp = creds.VerifiablePresentation.from_bytes(bytes.fromhex(vp))
+        vp = _decode_vp(identity_vp, MalformedBundle, target_did)
         payload = creds.verify_self_signed_vp(vp, nonce, doc, verinym)
         try:
             org_id, bundle_network, chains = net.parse_bundle(payload)
@@ -585,9 +598,9 @@ class IinAgent(Actor):
             )
             return "DIGEST_MISMATCH"
         failed = [
-            (org, r.body.get("reason", r.body.get("error", "")))
+            (org, r.body.get("reason", r.body.get("error", "NoSignature")))
             for (org, _), r in zip(peers, replies)
-            if r.body.get("result") != RESULT_SIGNED
+            if r.body.get("result") != RESULT_SIGNED or not isinstance(r.body.get("sig"), str)
         ]
         if failed:
             raise CounterpartyValidationFailed(
@@ -667,11 +680,8 @@ class IinAgent(Actor):
                         self._fetch_memberlist(home_network, foreign_network),
                     )
                 if identity is None or foreign_did not in memberlist.member_dids:
-                    _, doc, verinym, bundle = yield from self._validate_member(
+                    _, identity = yield from self._validate_member(
                         home_network, foreign_network, foreign_did, memberlist, with_bundle=True
-                    )
-                    identity = yield from self._fetch_identity(
-                        foreign_network, foreign_did, doc, verinym, bundle
                     )
                 if identity.org_id != foreign_org:
                     raise OrgMismatch(f"{identity.org_id} presented as {foreign_org}")
@@ -714,18 +724,13 @@ class IinAgent(Actor):
                 RESULT_DIGEST_MISMATCH,
                 own_digest=record.bundle_digest.hex() if record else "",
             )
-        still_valid = False
         try:
             memberlist = yield from self._fetch_memberlist(home_network, foreign_network)
             if record.holder_did in memberlist.member_dids:
-                yield from self._validate_member(
-                    home_network, foreign_network, record.holder_did, memberlist
-                )
-                still_valid = True
+                yield from self._validate_member(home_network, foreign_network, record.holder_did)
+                return respond(RESULT_VALIDATION_FAILED, reason="MemberStillValid")
         except PROTOCOL_ERRORS:
-            still_valid = False
-        if still_valid:
-            return respond(RESULT_VALIDATION_FAILED, reason="MemberStillValid")
+            pass
         return respond(RESULT_SIGNED, sig=self._endorse(
             foreign_network, foreign_org, record.holder_did, digest, status, nonce
         ))
@@ -763,11 +768,8 @@ class IinAgent(Actor):
                     memberlist = yield from self._fetch_memberlist(
                         home_network, foreign_network
                     )
-                _, doc, verinym, bundle = yield from self._validate_member(
+                _, identity = yield from self._validate_member(
                     home_network, foreign_network, target_did, memberlist, with_bundle=True
-                )
-                identity = yield from self._fetch_identity(
-                    foreign_network, target_did, doc, verinym, bundle
                 )
                 outcome = yield from self._commit_identity(
                     home_network,
@@ -779,6 +781,8 @@ class IinAgent(Actor):
                     net.STATUS_ACTIVE,
                     roster_version=memberlist.roster_version,
                 )
+                if outcome == "DIGEST_MISMATCH" and attempt >= RETRY_LIMIT:
+                    raise RetriesExhausted("countersigners' digests differ on every attempt")
             except PROTOCOL_ERRORS as e:
                 failure = {"error": type(e).__name__}
                 if isinstance(e, creds.MembershipVerificationError):
@@ -804,15 +808,6 @@ class IinAgent(Actor):
                     "attempts": attempt,
                 }
 
-            if attempt >= RETRY_LIMIT:
-                self.trace(
-                    "agent.sync_failed",
-                    network=foreign_network,
-                    target=target_did,
-                    attempts=attempt,
-                    error="RetriesExhausted",
-                )
-                return {"status": PHASE_FAILED, "error": "RetriesExhausted"}
             attempt += 1
             self.cache.pop((foreign_network, target_did), None)
             yield Sleep(RETRY_BACKOFF)
@@ -900,11 +895,8 @@ class IinAgent(Actor):
         """Run steps B and C for one member without committing, populating the
         countersigner cache."""
         memberlist = yield from self._fetch_memberlist(home_network, foreign_network)
-        _, doc, verinym, bundle = yield from self._validate_member(
+        _, identity = yield from self._validate_member(
             home_network, foreign_network, target_did, memberlist, with_bundle=True
-        )
-        identity = yield from self._fetch_identity(
-            foreign_network, target_did, doc, verinym, bundle
         )
         return identity.digest.hex()
 
@@ -914,9 +906,7 @@ class IinAgent(Actor):
         """Directly challenge one foreign org and verify its membership
         presentation (no memberlist gate); used to probe revoked members."""
         try:
-            claim, *_ = yield from self._challenge_and_verify(
-                home_network, foreign_network, target_did
-            )
+            claim, _ = yield from self._validate_member(home_network, foreign_network, target_did)
             return {"status": "ok", "holder": claim.holder_did, "network": claim.network_id}
         except PROTOCOL_ERRORS as e:
             check = e.check if isinstance(e, creds.MembershipVerificationError) else 0

@@ -51,11 +51,12 @@ class ParseError(ScenarioError):
 
 
 class ScenarioValidationError(ScenarioError):
-    """Carries every validation problem found, not just the first."""
+    """Carries every validation problem found, not just the first; the
+    message names the scenario's `source` first."""
 
-    def __init__(self, problems: list[str]):
+    def __init__(self, problems: list[str], source: str):
         self.problems = problems
-        super().__init__("; ".join(problems))
+        super().__init__(f"{source}: " + "; ".join(problems))
 
 
 @dataclass(kw_only=True)
@@ -153,7 +154,7 @@ def parse_scenario(raw: dict, source: str = "<inline>") -> ScenarioConfig:
     if config is not None:
         problems += _reference_problems(config)
     if problems:
-        raise ScenarioValidationError(problems)
+        raise ScenarioValidationError(problems, source)
     return config
 
 

@@ -104,6 +104,20 @@ def ask_countersign(probe, world, foreign_did, digest, status, **extra):
     return result["body"]
 
 
+def assert_only_carrier_failed(world, record, start, error):
+    """Buyer's sync of STL ran to its end: Carrier's target failed with
+    `error`, Seller's committed, and no session failed. Returns Carrier's
+    `agent.sync_failed` event."""
+    assert record.error is None
+    assert agent_events(world, "Buyer", {"session.failed"}, start) == []
+    carrier, seller = world.org_dids["Carrier"], world.org_dids["Seller"]
+    assert record.result[seller]["status"] == "DONE"
+    assert record.result[carrier] == {"status": "FAILED", "error": error}
+    [failed] = agent_events(world, "Buyer", {"agent.sync_failed"}, start)
+    assert failed.detail["target"] == carrier
+    return failed
+
+
 class TestPolicyGates:
     def test_network_off_interop_list_refused_before_any_anchor_traffic(self, world):
         sends_before = [
@@ -312,6 +326,40 @@ class TestCountersigning:
         [failed] = agent_events(world, "Buyer", {"agent.sync_failed"})
         assert failed.detail["detail"] == "Seller:KeyError"
         assert failed.tick - asked.tick <= 100  # not the 1,500-tick gather timeout
+
+    @pytest.mark.parametrize("field, error", [
+        ("vp", "MemberUnreachable"), ("identity_vp", "MalformedBundle"),
+    ])
+    def test_undecodable_presentation_fails_only_its_own_target(self, world, field, error):
+        carrier = world.agents["Carrier"]
+        serve = carrier._serve_membership_vp
+
+        def garbled(sender, msg):
+            body = yield from serve(sender, msg)
+            return {**body, field: "zz"}
+
+        carrier._serve_membership_vp = garbled
+        start = len(world.trace.events)
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        failed = assert_only_carrier_failed(world, record, start, error)
+        assert "undecodable presentation" in failed.detail["detail"]
+
+    def test_signed_reply_without_a_signature_fails_only_its_own_target(self, world):
+        seller = world.agents["Seller"]
+        countersign = seller._handle_countersign
+
+        def unsigned_for_carrier(sender, msg):
+            if msg.body["foreign_org"] == "Carrier":
+                return {"result": "signed", "org": "Seller"}
+            return countersign(sender, msg)
+
+        seller._handle_countersign = unsigned_for_carrier
+        start = len(world.trace.events)
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        failed = assert_only_carrier_failed(
+            world, record, start, "CounterpartyValidationFailed"
+        )
+        assert failed.detail["detail"] == "Seller:NoSignature"
 
     def test_countersigner_without_ledger_names_the_failure(self, world):
         world.bus.config.rules.append(
@@ -585,6 +633,43 @@ class TestMemberlistReuse:
         assert body["result"] == "validation_failed"
         assert body["reason"] == "MemberStillValid"
         assert len(memberlist_requests(world, "agent:Seller", start)) == 1
+
+
+def reissued_memberlist(anchor, keys=None, network_id="STL"):
+    """AnchorSTL's STL memberlist issued again, by `keys` or for `network_id`."""
+    memberlist = anchor.memberlists["STL"]
+    return creds.issue_memberlist_credential(
+        keys or anchor.keys, anchor.profile.did, anchor.memberlist_cred_def_id,
+        network_id, memberlist.member_dids, memberlist.roster_version,
+    )
+
+
+class TestMemberlistTrust:
+    """A memberlist the agent cannot trust fails with NoTrustedPMV at its own
+    check; the anchor serves each one inside its own valid presentation."""
+
+    @pytest.mark.parametrize("sabotage, foreign, message", [
+        (lambda anchor: None, "XNET", "no trusted membership validator for XNET"),
+        (lambda anchor: anchor.memberlists.update(STL=reissued_memberlist(
+            anchor, keys=crypto.KeyPair.from_seed(b"\x66" * 32)
+        )), "STL", "memberlist signature invalid"),
+        (lambda anchor: anchor.memberlists.update(STL=reissued_memberlist(
+            anchor, network_id="SWT"
+        )), "STL", "memberlist not issued by the trusted validator"),
+        (lambda anchor: setattr(
+            anchor, "_serve_memberlist", lambda sender, msg: {"ok": True, "vp": "zz"}
+        ), "STL", "undecodable presentation"),
+    ], ids=[
+        "network-off-the-trust-list", "signed-by-another-key", "for-another-network",
+        "undecodable-presentation",
+    ])
+    def test_untrusted_memberlist_is_refused(self, world, sabotage, foreign, message):
+        sabotage(world.anchors["AnchorSTL"])
+        agent = world.agents["Buyer"]
+        record = agent.start_session("ml", agent._fetch_memberlist("SWT", foreign))
+        world.settle()
+        assert isinstance(record.error, agent_mod.NoTrustedPMV)
+        assert message in str(record.error)
 
 
 class TestConcurrentSync:
@@ -933,7 +1018,7 @@ class TestChallengeEpochs:
         agent = world.agents["Buyer"]
         start = len(world.trace.events)
         record = agent.start_session(
-            "validate", agent._challenge_and_verify("SWT", "STL", world.org_dids["Carrier"])
+            "validate", agent._validate_member("SWT", "STL", world.org_dids["Carrier"])
         )
         world.settle()
         assert isinstance(record.error, agent_mod.MemberUnreachable)

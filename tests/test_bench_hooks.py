@@ -41,6 +41,11 @@ def test_tracer_installs_counts_and_uninstalls():
     assert tracer.n_calls("harness.bootstrap") > 0
     assert tracer.n_calls("harness.step_a") > 0
     assert tracer.n_calls("crypto.accumulator") > 0
+    # run.py reads phase B and the countersign re-validations from where the
+    # validate spans nest; step C runs inside step B's span
+    assert tracer.tick_spans("agent.validate", "agent.sync_target")
+    assert tracer.tick_spans("agent.validate", "agent.countersign")
+    assert tracer.n_calls("agent.fetch") > 0
     assert registry.quorum_query is quorum_query
     assert anchors.AnchorService.enqueue_serialized is enqueue_serialized
 

@@ -214,6 +214,35 @@ class TestSabotageMatrix:
     def test_7_wrong_network(self, world):
         self.check(world, world.vp(network=NET_C), creds.CHECK_NETWORK, expected=NET_B)
 
+    @pytest.mark.parametrize("expected_check, detail, sabotage", [
+        (creds.CHECK_PRESENTER_SIGNATURE, "presenter unresolved",
+         lambda w: (w.vp(), {"presenter_doc": None})),
+        (creds.CHECK_SCHEMA, "not a membership presentation", lambda w: (
+            creds.build_self_signed_vp(w.holder_did, w.holder_keys, b"payload", b"n" * 16), {}
+        )),
+        (creds.CHECK_SCHEMA, "membership schema unavailable",
+         lambda w: (w.vp(), {"schema": None})),
+        (creds.CHECK_ISSUER, "credential definition mismatch", lambda w: (
+            w.vp(), {"cred_def": replace(w.cred_def, issuer_did=w.holder_did)}
+        )),
+        (creds.CHECK_ISSUER, "issuer signature invalid", lambda w: (
+            w.vp(vc=creds.issue_membership_credential(
+                crypto.KeyPair.from_seed(seed32("rogue")), w.anchor_did,
+                w.cred_def.cred_def_id, w.holder_did, NET_B, issuance_counter=1,
+            )), {},
+        )),
+    ], ids=[
+        "2-presenter-document-missing", "4-self-signed-presentation", "4-schema-missing",
+        "5-cred-def-of-another-issuer", "5-vc-signed-by-a-rogue-key",
+    ])
+    def test_sabotage(self, world, expected_check, detail, sabotage):
+        vp, artifacts = sabotage(world)
+        with pytest.raises(creds.MembershipVerificationError, match=detail) as err:
+            creds.verify_membership_vp(
+                vp, NET_B, b"n" * 16, world.trusted, world.artifacts(**artifacts)
+            )
+        assert err.value.check == expected_check
+
     def test_build_time_holder_mismatch(self, world):
         stranger_keys = crypto.KeyPair.from_seed(seed32("stranger"))
         stranger_did = registry.make_did(IIN, stranger_keys.public_key)

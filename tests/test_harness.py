@@ -83,6 +83,15 @@ class TestLoadScenario:
         assert "nonsense" in problems
         assert "unknown assert kind 'endorsement_complete'" in problems
 
+    def test_problems_name_the_scenario_source(self):
+        raw = minimal_raw()
+        raw["script"].append({"step": "explode"})
+        with pytest.raises(harness.ScenarioValidationError) as err:
+            harness.parse_scenario(raw, source="<perfbench:wide-sync>")
+        assert str(err.value).startswith("<perfbench:wide-sync>: script[")
+        # `idplane run` prints each problem on its own line, without the source
+        assert all(p.startswith("script[") for p in err.value.problems)
+
     def test_every_assert_kind_is_used_by_a_bundled_scenario(self):
         used = {
             step["kind"]

@@ -254,6 +254,82 @@ class TestApplyRules:
         assert outcome == "BadSignature"
 
 
+@pytest.fixture(scope="module")
+def published():
+    """A registry with the steward, an anchor `pmv` holding a revocation state,
+    a schema and a credential definition, and an anchor `pmv2` with none."""
+    s_keys, s_did, s_doc = make_identity("steward")
+    pmv, pmv2 = make_identity("pmv"), make_identity("pmv2")
+    state = registry.RegistryState.genesis((s_doc,))
+    txs = []
+    for _, did, doc in (pmv, pmv2):
+        txs += [
+            registry.make_transaction(
+                registry.KIND_NYM, attested(doc, s_did, s_keys).to_bytes(), s_did, s_keys
+            ),
+            registry.make_transaction(
+                registry.KIND_ANCHOR_GRANT,
+                registry.anchor_grant_payload(did, registry.ROLE_PMV), s_did, s_keys,
+            ),
+        ]
+    keys, did, _ = pmv
+    schema = membership_schema()
+    cred_def = creds.CredentialDefinition(
+        creds.cred_def_id_for(did, schema.schema_id), schema.schema_id, did, keys.public_key
+    )
+    for kind, payload in (
+        (registry.KIND_REVOC_INIT, crypto.accumulator_init(did)[0].to_bytes()),
+        (registry.KIND_SCHEMA, schema.to_bytes()),
+        (registry.KIND_CRED_DEF, cred_def.to_bytes()),
+    ):
+        txs.append(registry.make_transaction(kind, payload, did, keys))
+    for tx in txs:
+        state, outcome = registry.apply_transaction(state, tx)
+        assert outcome == "APPLIED"
+    return state, {"steward": (s_keys, s_did), "pmv": pmv[:2], "pmv2": pmv2[:2]}, cred_def
+
+
+@pytest.mark.parametrize("submitter, kind, payload, outcome", [
+    ("pmv2", registry.KIND_REVOC_INIT,
+     lambda ids, _: crypto.accumulator_init(ids["pmv"][1])[0].to_bytes(), "UnauthorizedRole"),
+    ("pmv", registry.KIND_REVOC_INIT,
+     lambda ids, _: crypto.accumulator_init(ids["pmv"][1], (b"x",))[0].to_bytes(), "DuplicateId"),
+    ("pmv2", registry.KIND_REVOC_INIT, lambda ids, _: crypto.RevocationRegistryState(
+        issuer_did=ids["pmv2"][1], epoch=1, root=b"\x00" * 32, size_hint=0
+    ).to_bytes(), "StaleEpoch"),
+    ("pmv", registry.KIND_SCHEMA, lambda ids, _: replace(
+        membership_schema(), version="2"
+    ).to_bytes(), "DuplicateId"),
+    ("pmv", registry.KIND_CRED_DEF, lambda ids, cred_def: replace(
+        cred_def, authentication_public_key=ids["pmv2"][0].public_key
+    ).to_bytes(), "DuplicateId"),
+    ("steward", registry.KIND_ANCHOR_GRANT,
+     lambda ids, _: registry.anchor_grant_payload(ids["pmv2"][1], "KING"), "BadSignature"),
+    *[
+        (submitter, kind, lambda ids, _: b"\xffjunk", "BadSignature")
+        for submitter, kind in (
+            ("steward", registry.KIND_NYM), ("pmv", registry.KIND_SCHEMA),
+            ("pmv", registry.KIND_CRED_DEF), ("pmv2", registry.KIND_REVOC_INIT),
+            ("pmv", registry.KIND_REVOC_UPDATE), ("steward", registry.KIND_ANCHOR_GRANT),
+        )
+    ],
+    ("steward", "BOGUS", lambda ids, _: b"", "BadSignature"),
+], ids=[
+    "revoc-init-naming-another-issuer", "second-revoc-init", "revoc-init-at-epoch-1",
+    "existing-schema-id", "existing-cred-def-id", "grant-of-an-unknown-role",
+    "undecodable-nym", "undecodable-schema", "undecodable-cred-def",
+    "undecodable-revoc-init", "undecodable-revoc-update", "undecodable-anchor-grant",
+    "unknown-kind",
+])
+def test_write_rule_rejects_and_leaves_the_state(published, submitter, kind, payload, outcome):
+    state, ids, cred_def = published
+    keys, did = ids[submitter]
+    tx = registry.make_transaction(kind, payload(ids, cred_def), did, keys)
+    after, got = registry.apply_transaction(state, tx)
+    assert got == outcome
+    assert after.state_hash() == state.state_hash()
+
+
 def expected_outcome(role, kind):
     """Rule table: which single role may apply which transaction kind."""
     if kind == registry.KIND_NYM:  # attestation signer needs STEWARD or OIV
