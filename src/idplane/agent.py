@@ -43,7 +43,7 @@ the requested one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from typing import Generator, Optional, TypeVar
 
 from . import credentials as creds
 from . import crypto
@@ -81,7 +81,8 @@ class MemberUnreachable(AgentError):
 
 class WitnessUnavailable(AgentError):
     """The holder's witness is older than the challenge's epoch and its
-    issuing anchor did not answer the refresh."""
+    issuing anchor did not answer the refresh, or answered it with a witness
+    that does not decode."""
 
 
 class MalformedBundle(AgentError):
@@ -130,13 +131,16 @@ RETRY_LIMIT = 3
 RETRY_BACKOFF = 1
 
 
-def _decode_vp(hex_vp: object, error: type[AgentError], peer: str) -> creds.VerifiablePresentation:
-    """Decode a presentation `peer` sent as hex; a missing or undecodable one
-    raises `error` naming `peer`."""
+R = TypeVar("R")
+
+
+def _decode(record_cls: type[R], raw: object, error: type[AgentError], peer: str) -> R:
+    """The `record_cls` that `peer` sent, as bytes or as hex; a missing or
+    undecodable one raises `error` naming `peer`."""
     try:
-        return creds.VerifiablePresentation.from_bytes(bytes.fromhex(hex_vp))
+        return record_cls.from_bytes(raw if isinstance(raw, bytes) else bytes.fromhex(raw))
     except (TypeError, ValueError) as e:
-        raise error(f"{peer}: undecodable presentation: {e}") from None
+        raise error(f"{peer}: undecodable {record_cls.__name__}: {e}") from None
 
 
 @dataclass
@@ -199,8 +203,9 @@ class IinAgent(Actor):
         if not reply.body.get("ok"):
             raise AgentError(reply.body.get("error", "verinym registration failed"))
         for network_id in self.config.ledgers:
+            anchor = self.config.home_pmv[network_id]
             reply = yield Request(
-                self.config.home_pmv[network_id],
+                anchor,
                 "anchor.vc.request",
                 {"holder_did": self.did, "network_id": network_id},
                 timeout=600,
@@ -209,8 +214,10 @@ class IinAgent(Actor):
                 raise AgentError(f"membership validator for {network_id} unreachable")
             if not reply.body.get("ok"):
                 raise AgentError(reply.body.get("error", "issuance failed"))
-            vc = creds.MembershipCredential.from_bytes(bytes.fromhex(reply.body["vc"]))
-            witness = crypto.AccumulatorWitness.from_bytes(bytes.fromhex(reply.body["witness"]))
+            vc = _decode(creds.MembershipCredential, reply.body.get("vc"), AgentError, anchor)
+            witness = _decode(
+                crypto.AccumulatorWitness, reply.body.get("witness"), AgentError, anchor
+            )
             self.wallet[network_id] = (vc, witness)
         self.trace("agent.configured", did=self.did, networks=",".join(self.config.ledgers))
         return self.did
@@ -257,9 +264,11 @@ class IinAgent(Actor):
         it needs no registry read to know the epoch. A revoked holder's
         refresh is refused (NotAMember): it presents the stored witness and
         the verifier's accumulator check refutes it. A lost refresh raises
-        WitnessUnavailable when the stored witness is behind a named epoch."""
+        WitnessUnavailable when the stored witness is behind a named epoch,
+        and an undecodable one always does."""
+        anchor = self.config.home_pmv[network_id]
         reply = yield Request(
-            self.config.home_pmv[network_id],
+            anchor,
             "anchor.witness.request",
             {"credential_id": vc.credential_id.hex()},
             timeout=120,
@@ -267,7 +276,9 @@ class IinAgent(Actor):
         if reply is None and epoch is not None:
             raise WitnessUnavailable(f"{network_id}: witness at {witness.epoch} < {epoch}")
         if reply is not None and reply.body.get("ok"):
-            witness = crypto.AccumulatorWitness.from_bytes(bytes.fromhex(reply.body["witness"]))
+            witness = _decode(
+                crypto.AccumulatorWitness, reply.body.get("witness"), WitnessUnavailable, anchor
+            )
             self.wallet[network_id] = (vc, witness)
         return witness
 
@@ -355,9 +366,9 @@ class IinAgent(Actor):
                 f"memberlist for {foreign_network} unavailable"
                 + (f": {reply.body.get('error')}" if reply else "")
             )
-        vp = _decode_vp(reply.body.get("vp"), NoTrustedPMV, anchor_did)
+        vp = _decode(creds.VerifiablePresentation, reply.body.get("vp"), NoTrustedPMV, anchor_did)
         payload = creds.verify_self_signed_vp(vp, nonce, anchor_doc, anchor_verinym)
-        memberlist = creds.MemberlistCredential.from_bytes(payload)
+        memberlist = _decode(creds.MemberlistCredential, payload, NoTrustedPMV, anchor_did)
         if memberlist.issuer_did != anchor_did or memberlist.network_id != foreign_network:
             raise NoTrustedPMV("memberlist not issued by the trusted validator")
         cred_def_id = creds.cred_def_id_for(
@@ -474,9 +485,12 @@ class IinAgent(Actor):
             raise MemberUnreachable(
                 target_did + (f": {reply.body.get('error')}" if reply else "")
             )
-        vp = _decode_vp(reply.body.get("vp"), MemberUnreachable, target_did)
+        vp = _decode(
+            creds.VerifiablePresentation, reply.body.get("vp"), MemberUnreachable, target_did
+        )
         try:
-            vc, witness = creds.parse_membership_body(vp.body)
+            body = creds.MembershipBody.from_bytes(vp.body)
+            vc, witness = body.vc, body.witness
         except ValueError:
             vc = witness = None  # verification will fail at the schema check
         state = revocation.get(vc.issuer_did) if vc is not None else None
@@ -513,18 +527,17 @@ class IinAgent(Actor):
         though it sends nothing, as the benchmark's tracer drives steps B, C
         and D as generators."""
         yield from ()
-        vp = _decode_vp(identity_vp, MalformedBundle, target_did)
+        vp = _decode(creds.VerifiablePresentation, identity_vp, MalformedBundle, target_did)
         payload = creds.verify_self_signed_vp(vp, nonce, doc, verinym)
-        try:
-            org_id, bundle_network, chains = net.parse_bundle(payload)
-        except Exception as e:
-            raise MalformedBundle(str(e))
-        if bundle_network != foreign_network or not chains:
-            raise MalformedBundle(f"bundle for {bundle_network!r} with {len(chains)} chains")
-        for chain in chains:
-            crypto.verify_certificate_chain(chain, self.bus.now)
+        bundle = _decode(net.Bundle, payload, MalformedBundle, target_did)
+        if bundle.network_id != foreign_network or not bundle.chains:
+            raise MalformedBundle(
+                f"bundle for {bundle.network_id!r} with {len(bundle.chains)} chains"
+            )
+        for chain in bundle.chains:
+            crypto.verify_certificate_chain(chain.certificates, self.bus.now)
         identity = CachedIdentity(
-            org_id=org_id,
+            org_id=bundle.org_id,
             bundle=payload,
             digest=crypto.digest(payload),
         )
@@ -532,7 +545,7 @@ class IinAgent(Actor):
         self.trace(
             "agent.identity_fetched",
             network=foreign_network,
-            org=org_id,
+            org=bundle.org_id,
             digest=identity.digest.hex(),
         )
         return identity
@@ -583,11 +596,12 @@ class IinAgent(Actor):
         missing = [org for (org, _), r in zip(peers, replies) if r is None]
         if missing:
             raise MissingCountersignature(",".join(missing))
-        theirs = [
+        mismatched = [
             r.body.get("own_digest", "")
             for r in replies
             if r.body.get("result") == RESULT_DIGEST_MISMATCH
         ]
+        theirs = [d for d in mismatched if isinstance(d, str)]  # others fail below
         if theirs:
             self.trace(
                 "agent.sync.digest_mismatch",

@@ -372,7 +372,7 @@ class StewardService(Actor):
             writes += [
                 (
                     registry.KIND_ANCHOR_GRANT,
-                    registry.anchor_grant_payload(doc.did, role),
+                    registry.AnchorGrant(doc.did, role).to_bytes(),
                     "role grant rejected",
                 )
                 for role in sorted(roles)

@@ -46,7 +46,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(config: harness.ScenarioConfig, seed, trace_path, report_path=None) -> int:
+def _load_and_run(path, seed, trace_path, ticks=None, report_path=None) -> int:
+    try:
+        config = harness.load_scenario(path)
+    except FileNotFoundError:
+        print(f"no such scenario file: {path}", file=sys.stderr)
+        return EXIT_CONFIG
+    except harness.ScenarioValidationError as e:
+        for problem in e.problems:
+            print(f"config error: {problem}", file=sys.stderr)
+        return EXIT_CONFIG
+    except harness.ScenarioError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    if ticks is not None:
+        config.tick_ceiling = ticks
     report = harness.run_scenario(config, seed=seed, trace_path=trace_path)
     for line in report.summary_lines():
         print(line)
@@ -89,29 +103,9 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return EXIT_CONFIG
-        try:
-            config = harness.load_scenario(scenarios[args.name])
-        except harness.ScenarioError as e:
-            print(f"config error: {e}", file=sys.stderr)
-            return EXIT_CONFIG
-        return _run(config, args.seed, args.trace)
+        return _load_and_run(scenarios[args.name], args.seed, args.trace)
 
-    # run
-    try:
-        config = harness.load_scenario(args.scenario)
-    except FileNotFoundError:
-        print(f"no such scenario file: {args.scenario}", file=sys.stderr)
-        return EXIT_CONFIG
-    except harness.ScenarioValidationError as e:
-        for problem in e.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return EXIT_CONFIG
-    except harness.ScenarioError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.ticks is not None:
-        config.tick_ceiling = args.ticks
-    return _run(config, args.seed, args.trace, args.report)
+    return _load_and_run(args.scenario, args.seed, args.trace, args.ticks, args.report)
 
 
 if __name__ == "__main__":

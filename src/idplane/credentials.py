@@ -204,18 +204,12 @@ class VerifiablePresentation(enc.Signed):
     presenter_signature: crypto.Signature
 
 
-def membership_body(vc: MembershipCredential, witness: crypto.AccumulatorWitness) -> bytes:
-    return enc.encode_bytes(vc.to_bytes()) + enc.encode_bytes(witness.to_bytes())
+@dataclass(frozen=True)
+class MembershipBody(enc.Record):
+    """A MEMBERSHIP presentation's body: one VC and its revocation witness."""
 
-
-def parse_membership_body(
-    body: bytes,
-) -> tuple[MembershipCredential, crypto.AccumulatorWitness]:
-    reader = enc.Reader(body)
-    vc = MembershipCredential.from_bytes(reader.bytes_())
-    witness = crypto.AccumulatorWitness.from_bytes(reader.bytes_())
-    reader.done()
-    return vc, witness
+    vc: enc.Framed[MembershipCredential]
+    witness: enc.Framed[crypto.AccumulatorWitness]
 
 
 def _sign_vp(
@@ -242,9 +236,8 @@ def build_membership_vp(
     serialization discloses no other membership the holder may have."""
     if vc.holder_did != holder_did:
         raise HolderKeyMismatch(f"credential held by {vc.holder_did}, presenter {holder_did}")
-    return _sign_vp(
-        VP_MEMBERSHIP, membership_body(vc, witness), holder_did, holder_keys, challenge_nonce
-    )
+    body = MembershipBody(vc, witness).to_bytes()
+    return _sign_vp(VP_MEMBERSHIP, body, holder_did, holder_keys, challenge_nonce)
 
 
 def build_self_signed_vp(
@@ -297,9 +290,10 @@ def verify_membership_vp(
     if vp.kind != VP_MEMBERSHIP:
         raise MembershipVerificationError(CHECK_SCHEMA, "not a membership presentation")
     try:
-        vc, witness = parse_membership_body(vp.body)
+        body = MembershipBody.from_bytes(vp.body)
     except enc.DecodeError as e:
         raise MembershipVerificationError(CHECK_SCHEMA, str(e))
+    vc, witness = body.vc, body.witness
     schema = artifacts.schema
     if schema is None or schema.attribute_names != MEMBERSHIP_ATTRS:
         raise MembershipVerificationError(CHECK_SCHEMA, "membership schema unavailable")

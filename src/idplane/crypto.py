@@ -155,18 +155,12 @@ class CertSpec:
             raise CryptoError(f"empty validity window for {self.name!r}")
 
 
-def chain_to_bytes(chain: Sequence[Certificate]) -> bytes:
-    return enc.record(
-        enc.TAG_CHAIN, enc.encode_list(enc.encode_bytes(c.to_bytes()) for c in chain)
-    )
+@dataclass(frozen=True)
+class Chain(enc.Record):
+    """A certificate chain, root first, as an MSP bundle carries it."""
 
-
-def chain_from_bytes(data: bytes) -> tuple[Certificate, ...]:
-    reader = enc.Reader(data, expect_tag=enc.TAG_CHAIN)
-    n = reader.count()
-    certs = tuple(Certificate.from_bytes(reader.bytes_()) for _ in range(n))
-    reader.done()
-    return certs
+    TAG = enc.TAG_CHAIN
+    certificates: tuple[enc.Framed[Certificate], ...]
 
 
 def issue_certificate_chain(

@@ -8,8 +8,9 @@ these bytes exactly.
 
 A dataclass's format is defined once, by its field types, through the
 `Record` and `Signed` mixins: str, bytes and int (u64) fields are
-length-prefixed, a nested Record is inline, `tuple[T, ...]` is a counted list
-and `tuple[A, B]` is A then B. Other formats call the functions below.
+length-prefixed, a nested Record is inline, `Framed[R]` is the Record R as a
+length-prefixed byte string, `tuple[T, ...]` is a counted list and
+`tuple[A, B]` is A then B. Other formats call the functions below.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import json
 import struct
 import sys
 from functools import cache
-from typing import Any, Callable, ClassVar, Iterable, get_args, get_origin, get_type_hints
+from typing import Annotated, Any, Callable, ClassVar, Iterable, TypeVar
+from typing import get_args, get_origin, get_type_hints
 
 # Domain tags. One per structure kind; never reuse a value.
 TAG_LEAF = 0x01
@@ -160,6 +162,13 @@ class Signed(Record):
         return codec.encode(self) + getattr(self, codec.signature).to_bytes()
 
 
+R = TypeVar("R")
+_FRAMED = "framed"
+# A field of type Framed[R] holds a Record R, written as a byte string: its
+# length, then its encoding. A field of type R writes the encoding inline.
+Framed = Annotated[R, _FRAMED]
+
+
 class _Codec:
     """A Record class's field plan, built on its first use, once the dataclass
     decorator has made its fields. `encode` writes all but a Signed class's
@@ -167,7 +176,7 @@ class _Codec:
     loop over the fields costs about 1 us more per call."""
 
     def __init__(self, cls: type):
-        hints = get_type_hints(cls)
+        hints = get_type_hints(cls, include_extras=True)
         names = [f.name for f in dataclasses.fields(cls)]
         self.cls, self.tag = cls, cls.TAG
         self.decoders = tuple(_field(hints[name])[1] for name in names)
@@ -196,6 +205,12 @@ def _field(tp: Any) -> tuple[Callable[[Any], bytes], Callable[[Reader], Any]]:
         return _PRIMITIVES[tp]
     if isinstance(tp, type) and issubclass(tp, Record):
         return tp.to_bytes, tp.read
+    if get_origin(tp) is Annotated and tp.__metadata__ == (_FRAMED,):
+        inner = get_args(tp)[0]
+        return (
+            lambda value: encode_bytes(value.to_bytes()),
+            lambda reader: inner.from_bytes(reader.bytes_()),
+        )
     if get_origin(tp) is not tuple:
         raise TypeError(f"no wire format for field type {tp!r}")
     items = get_args(tp)

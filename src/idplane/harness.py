@@ -121,7 +121,6 @@ class ScenarioConfig:
     seed: int = 0
     identity_seed: int = 7
     tick_ceiling: int = 60_000
-    verinym_threshold: int = 1
     cert_lifetime: int = 20_000
     latency: Annotated[tuple[int, int], "[min, max] ticks"] = (1, 3)
     drop_rate: float = 0.0
@@ -464,9 +463,7 @@ class World:
             steward_address = f"steward:{iin_id}"
             steward_keys = crypto.KeyPair.from_seed(self._identity_seed(f"steward:{iin_id}"))
             steward_doc = registry.new_did_document(iin_id, steward_keys, steward_address)
-            genesis = registry.RegistryState.genesis(
-                (steward_doc,), verinym_threshold=config.verinym_threshold
-            )
+            genesis = registry.RegistryState.genesis((steward_doc,))
             addresses = tuple(f"iin:{iin_id}:{i}" for i in range(iin.nodes))
             node_keys = {
                 address: crypto.KeyPair.from_seed(self._identity_seed(f"node:{address}"))

@@ -13,7 +13,7 @@ record (status flip) for auditability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from . import crypto
 from . import encoding as enc
@@ -141,30 +141,21 @@ class Organization:
         self._enroll_peers(len(self.peers), now)
 
     def bundle_bytes(self) -> bytes:
-        return encode_bundle(self.org_id, self.network_id, [p.chain for p in self.peers])
+        chains = tuple(crypto.Chain(p.chain) for p in self.peers)
+        return Bundle(self.org_id, self.network_id, chains).to_bytes()
 
     def bundle_digest(self) -> bytes:
         return crypto.digest(self.bundle_bytes())
 
 
-def encode_bundle(
-    org_id: str, network_id: str, chains: Sequence[Sequence[crypto.Certificate]]
-) -> bytes:
-    return enc.record(
-        enc.TAG_BUNDLE,
-        enc.encode_str(org_id),
-        enc.encode_str(network_id),
-        enc.encode_list(enc.encode_bytes(crypto.chain_to_bytes(c)) for c in chains),
-    )
+@dataclass(frozen=True)
+class Bundle(enc.Record):
+    """An org's MSP bundle in one network: one certificate chain per peer."""
 
-
-def parse_bundle(data: bytes) -> tuple[str, str, tuple[tuple[crypto.Certificate, ...], ...]]:
-    reader = enc.Reader(data, expect_tag=enc.TAG_BUNDLE)
-    org_id = reader.str_()
-    network_id = reader.str_()
-    chains = tuple(crypto.chain_from_bytes(reader.bytes_()) for _ in range(reader.count()))
-    reader.done()
-    return org_id, network_id, chains
+    TAG = enc.TAG_BUNDLE
+    org_id: str
+    network_id: str
+    chains: tuple[enc.Framed[crypto.Chain], ...]
 
 
 # --- local ledger -------------------------------------------------------------
@@ -207,9 +198,9 @@ class ForeignIdentityRecord:
         memo = self._memo
         if memo.chains is None:
             chains: dict[str, tuple[crypto.Certificate, ...]] = {}
-            for chain in parse_bundle(self.bundle)[2]:
-                if chain:
-                    chains.setdefault(chain[-1].subject_name, chain)
+            for chain in Bundle.from_bytes(self.bundle).chains:
+                if chain.certificates:
+                    chains.setdefault(chain.certificates[-1].subject_name, chain.certificates)
             memo.chains = chains
         chain = memo.chains.get(peer_name)
         if chain is None:

@@ -161,15 +161,13 @@ def make_transaction(
     return replace(unsigned, submitter_signature=submitter_keys.sign(unsigned.signing_bytes()))
 
 
-def anchor_grant_payload(target_did: str, role: str) -> bytes:
-    return enc.record(enc.TAG_ANCHOR_GRANT, enc.encode_str(target_did), enc.encode_str(role))
+@dataclass(frozen=True)
+class AnchorGrant(enc.Record):
+    """The payload of an ANCHOR_GRANT transaction."""
 
-
-def parse_anchor_grant(payload: bytes) -> tuple[str, str]:
-    reader = enc.Reader(payload, expect_tag=enc.TAG_ANCHOR_GRANT)
-    target, role = reader.str_(), reader.str_()
-    reader.done()
-    return target, role
+    TAG = enc.TAG_ANCHOR_GRANT
+    target_did: str
+    role: str
 
 
 @dataclass(frozen=True)
@@ -181,36 +179,30 @@ class RegistryState:
     cred_defs: dict[str, CredentialDefinition] = field(default_factory=dict)
     revocation: dict[str, crypto.RevocationRegistryState] = field(default_factory=dict)
     roles: dict[str, frozenset[str]] = field(default_factory=dict)
-    verinym_threshold: int = 1
     applied: frozenset[bytes] = frozenset()
 
     @staticmethod
-    def genesis(
-        steward_docs: tuple[DidDocument, ...], verinym_threshold: int = 1
-    ) -> "RegistryState":
+    def genesis(steward_docs: tuple[DidDocument, ...]) -> "RegistryState":
         return RegistryState(
             docs={d.did: d for d in sorted(steward_docs, key=lambda d: d.did)},
             roles={d.did: frozenset({ROLE_STEWARD}) for d in steward_docs},
-            verinym_threshold=verinym_threshold,
         )
 
     def has_role(self, did: str, role: str) -> bool:
         return role in self.roles.get(did, frozenset())
 
     def verinym_status(self, did: str) -> bool:
-        """A STEWARD's document, or one carrying `verinym_threshold`
-        attestations. A lookup suffices: `_apply_nym` admits a document only
-        when each attestation verifies under the primary key of a STEWARD or
-        OIV signer; `did_matches_key` pins that key to the signer's DID, so
-        no later NYM changes it; roles are only ever granted; and the
-        threshold is fixed at genesis. A stored attestation stays valid."""
+        """A STEWARD's document, or one carrying an attestation. A lookup
+        suffices: `_apply_nym` admits a document only when each attestation
+        verifies under the primary key of a STEWARD or OIV signer;
+        `did_matches_key` pins that key to the signer's DID, so no later NYM
+        changes it; and roles are only ever granted. A stored attestation
+        stays valid."""
         doc = self.docs.get(did)
         if doc is None:
             return False
-        return (
-            self.has_role(did, ROLE_STEWARD)  # genesis stewards are the root of trust
-            or len(doc.attestations) >= self.verinym_threshold
-        )
+        # genesis stewards are the root of trust
+        return self.has_role(did, ROLE_STEWARD) or bool(doc.attestations)
 
     def to_bytes(self) -> bytes:
         return enc.record(
@@ -234,7 +226,6 @@ class RegistryState:
                 )
                 for did in sorted(self.roles)
             ),
-            enc.encode_u64(self.verinym_threshold),
             enc.encode_list(enc.encode_bytes(d) for d in sorted(self.applied)),
         )
 
@@ -373,15 +364,15 @@ def _apply_anchor_grant(state: RegistryState, tx: RegistryTransaction) -> tuple[
     if not state.has_role(tx.submitter_did, ROLE_STEWARD):
         return state, "UnauthorizedRole"
     try:
-        target, role = parse_anchor_grant(tx.payload)
+        grant = AnchorGrant.from_bytes(tx.payload)
     except enc.DecodeError:
         return state, "BadSignature"
-    if role not in ROLES:
+    if grant.role not in ROLES:
         return state, "BadSignature"
-    held = state.roles.get(target, frozenset())
-    if role in held:
+    held = state.roles.get(grant.target_did, frozenset())
+    if grant.role in held:
         return state, "Duplicate"
-    return _committed(state, tx, roles={**state.roles, target: held | {role}})
+    return _committed(state, tx, roles={**state.roles, grant.target_did: held | {grant.role}})
 
 
 def replay_log(
@@ -565,12 +556,15 @@ class IinNode(Actor):
             first, last, digest.hex()
         ):
             return False
-        node_key = self.pool.node_public_keys.get(body.get("address", ""))
-        if node_key is None:
+        address, ack = body.get("address"), body.get("ack")
+        node_key = self.pool.node_public_keys.get(address) if isinstance(address, str) else None
+        if node_key is None or not isinstance(ack, str):
             return False
-        return crypto.verify(
-            node_key, ack_bytes(first, last, digest), crypto.Signature(bytes.fromhex(body["ack"]))
-        )
+        try:
+            signature = crypto.Signature(bytes.fromhex(ack))
+        except ValueError:
+            return False
+        return crypto.verify(node_key, ack_bytes(first, last, digest), signature)
 
     def _handle_order(self, sender: str, msg: Message) -> Generator:
         """Apply an ordered batch and ack it once. A replica whose log ends
@@ -631,14 +625,14 @@ class IinNode(Actor):
         if what in (QUERY_DID, QUERY_MEMBER):
             doc = self.state.docs.get(ident)
             if doc is not None:
-                found, payload = 1, doc.to_bytes()
+                found = 1
                 verinym = 1 if self.state.verinym_status(ident) else 0
-                if what == QUERY_MEMBER:
-                    payload = enc.encode_bytes(payload) + enc.encode_list(
-                        enc.encode_bytes(self.state.revocation[issuer].to_bytes())
-                        for issuer in issuers
-                        if issuer in self.state.revocation
-                    )
+                if what == QUERY_DID:
+                    payload = doc.to_bytes()
+                else:
+                    revocation = self.state.revocation
+                    states = tuple(revocation[i] for i in issuers if i in revocation)
+                    payload = MemberSnapshot(doc, states).to_bytes()
         elif what == QUERY_SCHEMA:
             schema = self.state.schemas.get(ident)
             if schema is not None:
@@ -647,26 +641,29 @@ class IinNode(Actor):
             cred_def = self.state.cred_defs.get(ident)
             if cred_def is not None:
                 found, payload = 1, cred_def.to_bytes()
-        reply = enc.record(
-            enc.TAG_QUERY_REPLY,
-            enc.encode_str(what),
-            enc.encode_str(ident),
-            enc.encode_u64(found),
-            enc.encode_bytes(payload),
-            enc.encode_u64(verinym),
-        )
-        return {"result": reply.hex()}
+        return {"result": QueryReply(what, ident, found, payload, verinym).to_bytes().hex()}
 
 
-def parse_query_reply(data: bytes) -> tuple[str, str, bool, bytes, bool]:
-    reader = enc.Reader(data, expect_tag=enc.TAG_QUERY_REPLY)
-    what = reader.str_()
-    ident = reader.str_()
-    found = reader.u64() == 1
-    payload = reader.bytes_()
-    verinym = reader.u64() == 1
-    reader.done()
-    return what, ident, found, payload, verinym
+@dataclass(frozen=True)
+class QueryReply(enc.Record):
+    """A replica's answer to `iin.query`; `found` and `verinym` are 1 or 0,
+    and `payload` is the record asked for (a MemberSnapshot for a member)."""
+
+    TAG = enc.TAG_QUERY_REPLY
+    what: str
+    ident: str
+    found: int
+    payload: bytes
+    verinym: int
+
+
+@dataclass(frozen=True)
+class MemberSnapshot(enc.Record):
+    """A member read's payload: the holder's DID document and the revocation
+    state of each issuer asked for that has one."""
+
+    doc: enc.Framed[DidDocument]
+    states: tuple[enc.Framed[crypto.RevocationRegistryState], ...]
 
 
 # --- client-side pool protocols (run inside an actor session) ----------------
@@ -721,8 +718,8 @@ def quorum_query(
     def tally(results: list) -> dict[str, int]:
         counts: dict[str, int] = {}
         for r in results:
-            if r is not None and r.kind == "iin.query.reply":
-                value = r.body.get("result", "")
+            value = r.body.get("result") if r is not None and r.kind == "iin.query.reply" else None
+            if isinstance(value, str):  # any other result matches no reply
                 counts[value] = counts.get(value, 0) + 1
         return counts
 
@@ -740,8 +737,8 @@ def quorum_query(
         replies = replies + more
     for value, n in tally(replies).items():
         if n >= threshold:
-            _, _, found, payload, verinym = parse_query_reply(bytes.fromhex(value))
-            return found, payload, verinym
+            reply = QueryReply.from_bytes(bytes.fromhex(value))
+            return reply.found == 1, reply.payload, reply.verinym == 1
     raise InconsistentReplicas(f"{what}:{ident} had no {threshold} matching replies")
 
 
@@ -784,14 +781,8 @@ def resolve_member(pool: PoolInfo, holder_did: str, issuer_dids: tuple[str, ...]
     )
     if not found:
         raise NotFound(holder_did)
-    reader = enc.Reader(payload)
-    doc = DidDocument.from_bytes(reader.bytes_())
-    states = [
-        crypto.RevocationRegistryState.from_bytes(reader.bytes_())
-        for _ in range(reader.count())
-    ]
-    reader.done()
-    return doc, verinym, {s.issuer_did: s for s in states}
+    snapshot = MemberSnapshot.from_bytes(payload)
+    return snapshot.doc, verinym, {s.issuer_did: s for s in snapshot.states}
 
 
 def artifacts_from_state(

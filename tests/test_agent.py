@@ -342,7 +342,7 @@ class TestCountersigning:
         start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL")
         failed = assert_only_carrier_failed(world, record, start, error)
-        assert "undecodable presentation" in failed.detail["detail"]
+        assert "undecodable VerifiablePresentation" in failed.detail["detail"]
 
     def test_signed_reply_without_a_signature_fails_only_its_own_target(self, world):
         seller = world.agents["Seller"]
@@ -360,6 +360,53 @@ class TestCountersigning:
             world, record, start, "CounterpartyValidationFailed"
         )
         assert failed.detail["detail"] == "Seller:NoSignature"
+
+    def test_mismatch_reply_without_a_string_digest_fails_only_its_own_target(self, world):
+        seller = world.agents["Seller"]
+        countersign = seller._handle_countersign
+
+        def listed_digest_for_carrier(sender, msg):
+            if msg.body["foreign_org"] == "Carrier":
+                return {"result": "digest_mismatch", "own_digest": ["00"], "org": "Seller"}
+            return countersign(sender, msg)
+
+        seller._handle_countersign = listed_digest_for_carrier
+        start = len(world.trace.events)
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        failed = assert_only_carrier_failed(
+            world, record, start, "CounterpartyValidationFailed"
+        )
+        assert failed.detail["detail"] == "Seller:NoSignature"
+
+    @pytest.mark.parametrize("synced", [True, False], ids=["with-record", "without-record"])
+    def test_revoked_countersign_of_another_digest_answers_the_records(self, world, synced):
+        if synced:
+            run_sync(world, "Buyer", "SWT", "STL", targets=(world.org_dids["Carrier"],))
+        record = world.ledger_state("SWT").get_record("STL", "Carrier")
+        assert (record is not None) == synced
+        body = ask_countersign(
+            add_probe(world), world, world.org_dids["Carrier"], b"\x00" * 32, "REVOKED"
+        )
+        assert body == {
+            "result": "digest_mismatch",
+            "org": "Seller",
+            "own_digest": record.bundle_digest.hex() if synced else "",
+        }
+
+    def test_lost_revocation_commit_reply_fails_the_revocation_by_name(self, world):
+        assert run_sync(world, "Buyer", "SWT", "STL").error is None
+        TestMemberlistReuse.revoke_carrier(world)
+        world.bus.config.rules.append(
+            FaultRule(action="drop", to="agent:Buyer", kind="cmdac.reply")
+        )
+        buyer = world.agents["Buyer"]
+        carrier = world.ledger_state("SWT").get_record("STL", "Carrier")
+        start = len(world.trace.events)
+        record = buyer.start_session("revoke", buyer._revoke_record("SWT", "STL", carrier))
+        world.settle()
+        assert record.result == {"status": "FAILED", "error": "LedgerUnreachable"}
+        [failed] = agent_events(world, "Buyer", {"agent.revoke_failed"}, start)
+        assert failed.detail == {"network": "STL", "org": "Carrier", "error": "LedgerUnreachable"}
 
     def test_countersigner_without_ledger_names_the_failure(self, world):
         world.bus.config.rules.append(
@@ -658,10 +705,16 @@ class TestMemberlistTrust:
         )), "STL", "memberlist not issued by the trusted validator"),
         (lambda anchor: setattr(
             anchor, "_serve_memberlist", lambda sender, msg: {"ok": True, "vp": "zz"}
-        ), "STL", "undecodable presentation"),
+        ), "STL", "undecodable VerifiablePresentation"),
+        (lambda anchor: setattr(anchor, "_serve_memberlist", lambda sender, msg: {
+            "ok": True,
+            "vp": creds.build_self_signed_vp(
+                anchor.profile.did, anchor.keys, b"junk", bytes.fromhex(msg.body["nonce"])
+            ).to_bytes().hex(),
+        }), "STL", "undecodable MemberlistCredential"),
     ], ids=[
         "network-off-the-trust-list", "signed-by-another-key", "for-another-network",
-        "undecodable-presentation",
+        "undecodable-presentation", "undecodable-memberlist",
     ])
     def test_untrusted_memberlist_is_refused(self, world, sabotage, foreign, message):
         sabotage(world.anchors["AnchorSTL"])
@@ -907,7 +960,7 @@ class TestServingPresentations:
         probe.start_session("b", ask("SWT"))
         world.settle()
         vp_stl = creds.VerifiablePresentation.from_bytes(results["STL"])
-        vc_stl, _ = creds.parse_membership_body(vp_stl.body)
+        vc_stl = creds.MembershipBody.from_bytes(vp_stl.body).vc
         assert vc_stl.network_id == "STL"
         assert b"SWT" not in results["STL"]
         assert b"STL" not in results["SWT"]
@@ -920,9 +973,9 @@ class TestServingPresentations:
         vp = creds.VerifiablePresentation.from_bytes(bytes.fromhex(body["identity_vp"]))
         doc = registry.new_did_document(seller.pool.iin_id, seller.keys, seller.address)
         payload = creds.verify_self_signed_vp(vp, bundle_nonce, doc, True)
-        org_id, network_id, chains = net.parse_bundle(payload)
-        assert (org_id, network_id) == ("Seller", "STL")
-        assert chains  # one per peer
+        bundle = net.Bundle.from_bytes(payload)
+        assert (bundle.org_id, bundle.network_id) == ("Seller", "STL")
+        assert bundle.chains  # one per peer
 
     def test_challenge_without_bundle_nonce_signs_only_the_membership_vp(
         self, world, monkeypatch
@@ -997,7 +1050,7 @@ class TestChallengeEpochs:
         )
         assert witness_requests(world, "Carrier", start) == []
         vp = creds.VerifiablePresentation.from_bytes(bytes.fromhex(body["vp"]))
-        vc, _ = creds.parse_membership_body(vp.body)
+        vc = creds.MembershipBody.from_bytes(vp.body).vc
         replica = world.iin_nodes[world.agents["Buyer"].pool.iin_id][0]
         artifacts = registry.artifacts_from_state(
             replica.state, world.org_dids["Carrier"], anchor.profile.did,

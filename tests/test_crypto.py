@@ -163,8 +163,8 @@ class TestCertificateChains:
 
     def test_chain_serialization_roundtrip(self):
         chain, _, _ = make_chain()
-        data = crypto.chain_to_bytes(chain)
-        assert crypto.chain_from_bytes(data) == chain
+        data = crypto.Chain(chain).to_bytes()
+        assert crypto.Chain.from_bytes(data).certificates == chain
 
 
 # --- split link and window checks against the single-loop check ---------------
@@ -272,7 +272,7 @@ def test_split_chain_check_matches_single_loop(chain, nows):
     holds for a link verdict computed once and reused at later times, and
     for a ledger record that keeps the verdict across proofs."""
     verdict = crypto.chain_link_failure(chain)
-    bundle = net.encode_bundle("FarOrg", "AWAY", [chain])
+    bundle = net.Bundle("FarOrg", "AWAY", (crypto.Chain(chain),)).to_bytes()
     record = net.ForeignIdentityRecord(
         "AWAY", "FarOrg", "did:iin:iin0:far", bundle, crypto.digest(bundle), net.STATUS_ACTIVE, 0
     )

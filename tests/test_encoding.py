@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from idplane import credentials as creds
 from idplane import crypto, registry
+from idplane import network as net
 from idplane import encoding as enc
 
 
@@ -194,34 +195,80 @@ def old_tx_signing(tx):
     )
 
 
+def old_chain(c):
+    return enc.record(
+        enc.TAG_CHAIN, enc.encode_list(enc.encode_bytes(cert.to_bytes()) for cert in c.certificates)
+    )
+
+
+def old_bundle(b):
+    return enc.record(
+        enc.TAG_BUNDLE,
+        enc.encode_str(b.org_id),
+        enc.encode_str(b.network_id),
+        enc.encode_list(enc.encode_bytes(old_chain(c)) for c in b.chains),
+    )
+
+
+def old_membership_body(b):
+    return enc.encode_bytes(b.vc.to_bytes()) + enc.encode_bytes(b.witness.to_bytes())
+
+
+def old_anchor_grant(g):
+    return enc.record(enc.TAG_ANCHOR_GRANT, enc.encode_str(g.target_did), enc.encode_str(g.role))
+
+
+def old_query_reply(r):
+    return enc.record(
+        enc.TAG_QUERY_REPLY,
+        enc.encode_str(r.what),
+        enc.encode_str(r.ident),
+        enc.encode_u64(r.found),
+        enc.encode_bytes(r.payload),
+        enc.encode_u64(r.verinym),
+    )
+
+
+def old_member_snapshot(s):
+    return enc.encode_bytes(s.doc.to_bytes()) + enc.encode_list(
+        enc.encode_bytes(state.to_bytes()) for state in s.states
+    )
+
+
 text = st.text(max_size=12)
 blob = st.binary(max_size=40)
 u64 = st.integers(0, 2**64 - 1)
 signature = st.builds(crypto.Signature, blob, text)
+certificate = st.builds(crypto.Certificate, text, blob, text, u64, u64, signature)
+chain = st.builds(crypto.Chain, st.lists(certificate, max_size=3).map(tuple))
+revocation_state = st.builds(crypto.RevocationRegistryState, text, u64, blob, u64)
+witness = st.builds(
+    crypto.AccumulatorWitness,
+    blob,
+    u64,
+    st.lists(st.tuples(blob, st.integers(0, 1)), max_size=4).map(tuple),
+)
+membership_vc = st.builds(creds.MembershipCredential, blob, text, text, text, text, signature)
+did_doc = st.builds(
+    registry.DidDocument,
+    text,
+    st.lists(blob, max_size=3).map(tuple),
+    text,
+    st.lists(st.tuples(text, signature), max_size=3).map(tuple),
+    u64,
+)
 
 # class -> (example strategy, old signing_bytes or None, old to_bytes)
 RECORDS = {
     crypto.Signature: (signature, None, old_signature),
     crypto.Certificate: (
-        st.builds(crypto.Certificate, text, blob, text, u64, u64, signature),
+        certificate,
         old_cert_signing,
         lambda c: old_cert_signing(c) + old_signature(c.issuer_signature),
     ),
-    crypto.RevocationRegistryState: (
-        st.builds(crypto.RevocationRegistryState, text, u64, blob, u64),
-        None,
-        old_revocation_state,
-    ),
-    crypto.AccumulatorWitness: (
-        st.builds(
-            crypto.AccumulatorWitness,
-            blob,
-            u64,
-            st.lists(st.tuples(blob, st.integers(0, 1)), max_size=4).map(tuple),
-        ),
-        None,
-        old_witness,
-    ),
+    crypto.RevocationRegistryState: (revocation_state, None, old_revocation_state),
+    crypto.AccumulatorWitness: (witness, None, old_witness),
+    crypto.Chain: (chain, None, old_chain),
     creds.CredentialSchema: (
         st.builds(
             creds.CredentialSchema,
@@ -239,7 +286,7 @@ RECORDS = {
         old_cred_def,
     ),
     creds.MembershipCredential: (
-        st.builds(creds.MembershipCredential, blob, text, text, text, text, signature),
+        membership_vc,
         old_membership_signing,
         lambda vc: old_membership_signing(vc) + old_signature(vc.issuer_signature),
     ),
@@ -261,22 +308,34 @@ RECORDS = {
         old_vp_signing,
         lambda vp: old_vp_signing(vp) + old_signature(vp.presenter_signature),
     ),
-    registry.DidDocument: (
-        st.builds(
-            registry.DidDocument,
-            text,
-            st.lists(blob, max_size=3).map(tuple),
-            text,
-            st.lists(st.tuples(text, signature), max_size=3).map(tuple),
-            u64,
-        ),
+    creds.MembershipBody: (
+        st.builds(creds.MembershipBody, membership_vc, witness),
         None,
-        old_did_doc,
+        old_membership_body,
     ),
+    registry.DidDocument: (did_doc, None, old_did_doc),
     registry.RegistryTransaction: (
         st.builds(registry.RegistryTransaction, text, blob, text, signature),
         old_tx_signing,
         lambda tx: old_tx_signing(tx) + old_signature(tx.submitter_signature),
+    ),
+    registry.AnchorGrant: (st.builds(registry.AnchorGrant, text, text), None, old_anchor_grant),
+    registry.QueryReply: (
+        st.builds(registry.QueryReply, text, text, u64, blob, u64),
+        None,
+        old_query_reply,
+    ),
+    registry.MemberSnapshot: (
+        st.builds(
+            registry.MemberSnapshot, did_doc, st.lists(revocation_state, max_size=3).map(tuple)
+        ),
+        None,
+        old_member_snapshot,
+    ),
+    net.Bundle: (
+        st.builds(net.Bundle, text, text, st.lists(chain, max_size=3).map(tuple)),
+        None,
+        old_bundle,
     ),
 }
 

@@ -456,6 +456,19 @@ class TestCli:
         assert cli.main(["demo", "concurrent-commit"]) == cli.EXIT_OK
         assert cli.main(["demo", "no-such-demo"]) == cli.EXIT_CONFIG
 
+    def test_bad_bundled_scenario_prints_one_line_per_problem(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        raw = minimal_raw()
+        raw.update(seed="high", tick_ceiling="high")
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        monkeypatch.setattr(harness, "bundled_scenarios", lambda: {"bad": path})
+        assert cli.main(["demo", "bad"]) == cli.EXIT_CONFIG
+        errors = capsys.readouterr().err.splitlines()
+        assert "config error: seed: expected an integer, got 'high'" in errors
+        assert "config error: tick_ceiling: expected an integer, got 'high'" in errors
+
     def test_verify_trace_cli(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
         harness.run_scenario(scenario_config("concurrent-commit"), trace_path=trace)

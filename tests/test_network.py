@@ -286,7 +286,7 @@ class TestDataProofs:
             leaf.subject_name, leaf.subject_public_key, leaf.issuer_name,
             leaf.valid_from, leaf.valid_to, rogue.sign(leaf.signing_bytes()),
         )
-        bundle = net.encode_bundle("FarA", "AWAY", [(root, forged_leaf)])
+        bundle = net.Bundle("FarA", "AWAY", (crypto.Chain((root, forged_leaf)),)).to_bytes()
         ledger = self.commit(self.ledger, "FarA", bundle, b"forged")
         proof = net.generate_data_proof(self.sources, b"x", self.policy)
         calls = self.count_verifies(monkeypatch)
@@ -330,18 +330,18 @@ class TestBundles:
     def test_bundle_roundtrip_and_digest(self):
         org = make_source_org(peers=3)
         payload = org.bundle_bytes()
-        org_id, network_id, chains = net.parse_bundle(payload)
-        assert (org_id, network_id) == ("FarOrg", "AWAY")
-        assert len(chains) == 3
-        for chain in chains:
-            assert crypto.verify_certificate_chain(chain, now=10)
+        bundle = net.Bundle.from_bytes(payload)
+        assert (bundle.org_id, bundle.network_id) == ("FarOrg", "AWAY")
+        assert len(bundle.chains) == 3
+        for chain in bundle.chains:
+            assert crypto.verify_certificate_chain(chain.certificates, now=10)
         assert org.bundle_digest() == crypto.digest(payload)
 
     def test_rotation_changes_leaves_not_root(self):
         org = make_source_org()
-        before = net.parse_bundle(org.bundle_bytes())[2]
+        before = [c.certificates for c in net.Bundle.from_bytes(org.bundle_bytes()).chains]
         org.rotate(now=50)
-        after = net.parse_bundle(org.bundle_bytes())[2]
+        after = [c.certificates for c in net.Bundle.from_bytes(org.bundle_bytes()).chains]
         assert before[0][0] == after[0][0]  # same root cert
         assert before[0][-1] != after[0][-1]  # fresh leaf
         assert after[0][-1].valid_from == 50

@@ -158,7 +158,7 @@ class TestApplyRules:
             state,
             registry.make_transaction(
                 registry.KIND_ANCHOR_GRANT,
-                registry.anchor_grant_payload(pmv_did, registry.ROLE_PMV),
+                registry.AnchorGrant(pmv_did, registry.ROLE_PMV).to_bytes(),
                 s_did,
                 s_keys,
             ),
@@ -195,7 +195,7 @@ class TestApplyRules:
                 ),
                 registry.make_transaction(
                     registry.KIND_ANCHOR_GRANT,
-                    registry.anchor_grant_payload(did, registry.ROLE_PMV), s_did, s_keys,
+                    registry.AnchorGrant(did, registry.ROLE_PMV).to_bytes(), s_did, s_keys,
                 ),
             ):
                 state, outcome = registry.apply_transaction(state, tx)
@@ -269,7 +269,7 @@ def published():
             ),
             registry.make_transaction(
                 registry.KIND_ANCHOR_GRANT,
-                registry.anchor_grant_payload(did, registry.ROLE_PMV), s_did, s_keys,
+                registry.AnchorGrant(did, registry.ROLE_PMV).to_bytes(), s_did, s_keys,
             ),
         ]
     keys, did, _ = pmv
@@ -304,7 +304,7 @@ def published():
         cred_def, authentication_public_key=ids["pmv2"][0].public_key
     ).to_bytes(), "DuplicateId"),
     ("steward", registry.KIND_ANCHOR_GRANT,
-     lambda ids, _: registry.anchor_grant_payload(ids["pmv2"][1], "KING"), "BadSignature"),
+     lambda ids, _: registry.AnchorGrant(ids["pmv2"][1], "KING").to_bytes(), "BadSignature"),
     *[
         (submitter, kind, lambda ids, _: b"\xffjunk", "BadSignature")
         for submitter, kind in (
@@ -372,7 +372,7 @@ def test_authorization_soundness_exhaustive(role, kind, steward):
             state,
             registry.make_transaction(
                 registry.KIND_ANCHOR_GRANT,
-                registry.anchor_grant_payload(actor_did, role),
+                registry.AnchorGrant(actor_did, role).to_bytes(),
                 s_did,
                 s_keys,
             ),
@@ -386,7 +386,6 @@ def test_authorization_soundness_exhaustive(role, kind, steward):
             cred_defs=state.cred_defs,
             revocation=state.revocation,
             roles={**state.roles, actor_did: frozenset({"STEWARD"})},
-            verinym_threshold=state.verinym_threshold,
             applied=state.applied,
         )
     if kind == registry.KIND_REVOC_UPDATE and role == "PMV":
@@ -422,7 +421,7 @@ def test_authorization_soundness_exhaustive(role, kind, steward):
             payload = next_state.to_bytes()
         else:
             _, target_did, _ = make_identity("target")
-            payload = registry.anchor_grant_payload(target_did, registry.ROLE_OIV)
+            payload = registry.AnchorGrant(target_did, registry.ROLE_OIV).to_bytes()
 
     tx = registry.make_transaction(kind, payload, actor_did, actor_keys)
     _, outcome = registry.apply_transaction(state, tx)
@@ -446,7 +445,7 @@ def reverified_status(state: registry.RegistryState, did: str) -> bool:
             continue
         if crypto.verify(signer_doc.primary_key(), doc.attestation_bytes(), sig):
             valid += 1
-    return valid >= state.verinym_threshold
+    return valid > 0
 
 
 PARTIES = tuple(make_identity(label) for label in ("steward", "party1", "party2", "party3"))
@@ -477,7 +476,7 @@ def step_transaction(state: registry.RegistryState, step) -> registry.RegistryTr
     if kind == registry.KIND_ANCHOR_GRANT:
         (role,) = rest
         return registry.make_transaction(
-            kind, registry.anchor_grant_payload(t_did, role), s_did, s_keys
+            kind, registry.AnchorGrant(t_did, role).to_bytes(), s_did, s_keys
         )
     bump, endpoint, attestations = rest
     stored = state.docs.get(t_did)
@@ -491,14 +490,11 @@ def step_transaction(state: registry.RegistryState, step) -> registry.RegistryTr
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    st.integers(1, 2),
-    st.lists(st.one_of(nym_steps, grant_steps), min_size=1, max_size=12),
-)
-def test_verinym_lookup_matches_reverified_attestations(threshold, steps):
+@given(st.lists(st.one_of(nym_steps, grant_steps), min_size=1, max_size=12))
+def test_verinym_lookup_matches_reverified_attestations(steps):
     """Reading the status from write-validated state agrees with re-verifying
     every stored attestation, after every NYM and role grant."""
-    state = registry.RegistryState.genesis((PARTIES[0][2],), verinym_threshold=threshold)
+    state = registry.RegistryState.genesis((PARTIES[0][2],))
     for keys, did, doc in PARTIES[1:3]:  # two pseudonyms; the last party starts unknown
         tx = registry.make_transaction(registry.KIND_NYM, doc.to_bytes(), did, keys)
         state, _ = registry.apply_transaction(state, tx)
@@ -569,7 +565,6 @@ def with_endpoint(state: registry.RegistryState, did: str, endpoint: str):
         cred_defs=state.cred_defs,
         revocation=state.revocation,
         roles=state.roles,
-        verinym_threshold=state.verinym_threshold,
         applied=state.applied,
     )
 
@@ -689,12 +684,28 @@ class TestPoolProtocol:
                 cred_defs=node.state.cred_defs,
                 revocation=node.state.revocation,
                 roles=node.state.roles,
-                verinym_threshold=node.state.verinym_threshold,
                 applied=node.state.applied,
             )
         record = client.start_session("resolve", registry.resolve_did(pool, org_did))
         bus.run_until_quiescent()
         assert isinstance(record.error, registry.InconsistentReplicas)
+
+    @pytest.mark.parametrize("stage", ["first", "second"])
+    def test_reply_with_a_non_string_result_matches_no_other(self, stage):
+        # the second stage's honest reply comes last, so the faulty one is tallied
+        rules = [FaultRule(action="delay", from_="iin:iin0:3", kind="iin.query.reply", delay=30)]
+        bus, pool, nodes, client, steward = build_pool(rules=rules)
+        tx, org_did = org_nym_tx(steward)
+        client.start_session("submit", registry.submit_transaction(pool, tx))
+        bus.run_until_quiescent()
+        faulty = nodes[1] if stage == "first" else nodes[2]
+        if stage == "second":
+            nodes[1].state = with_endpoint(nodes[1].state, org_did, "forged:1")
+        faulty._query = lambda sender, msg: {"result": ["not", "hex"]}
+        record = client.start_session("resolve", registry.resolve_did(pool, org_did))
+        bus.run_until_quiescent()
+        assert record.error is None
+        assert record.result[0] == nodes[0].state.docs[org_did]
 
     def test_lossless_read_asks_only_the_first_f_plus_1_nodes(self):
         bus, pool, nodes, client, steward = build_pool()
@@ -777,7 +788,7 @@ class TestPoolProtocol:
             kind, payload = registry.KIND_NYM, bumped.to_bytes()
         else:
             kind = registry.KIND_ANCHOR_GRANT
-            payload = registry.anchor_grant_payload(org_did, registry.ROLE_STEWARD)
+            payload = registry.AnchorGrant(org_did, registry.ROLE_STEWARD).to_bytes()
         commit(registry.make_transaction(kind, payload, s_did, s_keys))
         assert verinym() is True
 
@@ -994,6 +1005,24 @@ class TestBatches:
         assert isinstance(record.error, registry.QuorumUnavailable)
         assert str(record.error) == "receipt carries 0 valid acks"
 
+    @pytest.mark.parametrize("garble", [
+        {"ack": "zz"}, {"ack": 5}, {"address": ["iin:iin0:1"]},
+    ], ids=["ack-not-hex", "ack-not-a-string", "address-not-a-string"])
+    def test_malformed_ack_counts_as_invalid(self, garble):
+        bus, pool, nodes, client, steward = build_pool()
+        handle_order = nodes[1]._handle_order
+
+        def garbled(sender, msg):
+            body = yield from handle_order(sender, msg)
+            return {**body, **garble}
+
+        nodes[1]._handle_order = garbled
+        receipt = self.submit(bus, client, pool, org_nym_txs(steward, "a")).result
+        assert receipt["outcomes"] == ["APPLIED"]
+        assert sorted(address for address, _ in receipt["acks"]) == [
+            node.address for node in nodes if node is not nodes[1]
+        ]
+
     def test_repeated_ack_counts_once(self):
         bus, pool, nodes, client, steward = build_pool()
         doctor_receipts(nodes[0], lambda receipt: {
@@ -1133,9 +1162,9 @@ class TestMemberSnapshot:
 
         def ask():
             reply = yield Request(pool.sequencer, "iin.query", body, timeout=50)
-            return registry.parse_query_reply(bytes.fromhex(reply.body["result"]))
+            return registry.QueryReply.from_bytes(bytes.fromhex(reply.body["result"]))
 
         record = client.start_session("ask", ask())
         bus.run_until_quiescent()
-        assert record.result == ("", "", False, b"", False)
+        assert record.result == registry.QueryReply("", "", 0, b"", 0)
         assert self.resolve(bus, pool, client, org_did).result[0].did == org_did
