@@ -488,18 +488,17 @@ class IinAgent(Actor):
         vp = _decode(
             creds.VerifiablePresentation, reply.body.get("vp"), MemberUnreachable, target_did
         )
-        try:
-            body = creds.MembershipBody.from_bytes(vp.body)
-            vc, witness = body.vc, body.witness
-        except ValueError:
-            vc = witness = None  # verification will fail at the schema check
+        vp_body = creds.read_membership_body(vp)  # an error fails the schema check
+        vc = vp_body.vc if isinstance(vp_body, creds.MembershipBody) else None
         state = revocation.get(vc.issuer_did) if vc is not None else None
-        if state is not None and witness.epoch > state.epoch:
+        if state is not None and vp_body.witness.epoch > state.epoch:
             doc, verinym, revocation = yield from registry.resolve_member(
                 self.pool, target_did, issuers
             )
         artifacts = yield from self._verification_artifacts(vc, doc, verinym, revocation)
-        claim = creds.verify_membership_vp(vp, foreign_network, nonce, trusted, artifacts)
+        claim = creds.verify_membership_vp(
+            vp, foreign_network, nonce, trusted, artifacts, vp_body
+        )
         self.trace(
             "agent.member_validated", network=foreign_network, holder=claim.holder_did
         )
@@ -569,9 +568,9 @@ class IinAgent(Actor):
         validated against; countersigners whose own verified copy is at least
         that new skip refetching it."""
         nonce = self.nonce()
-        message = net.endorsement_bytes(
+        message = net.Endorsement(
             foreign_network, foreign_org, foreign_did, digest, status, nonce
-        )
+        ).to_bytes()
         own_signature = self.keys.sign(message)
         peers = sorted(
             (org, addr)
@@ -718,9 +717,9 @@ class IinAgent(Actor):
                     theirs=digest.hex(),
                 )
                 return respond(RESULT_DIGEST_MISMATCH, own_digest=identity.digest.hex())
-            return respond(RESULT_SIGNED, sig=self._endorse(
+            return respond(RESULT_SIGNED, sig=self._endorse(net.Endorsement(
                 foreign_network, foreign_org, foreign_did, digest, status, nonce
-            ))
+            )))
 
         # REVOKED: endorse only when the member no longer validates here either,
         # under the DID its ledger record was committed with; the request's
@@ -745,26 +744,18 @@ class IinAgent(Actor):
                 return respond(RESULT_VALIDATION_FAILED, reason="MemberStillValid")
         except PROTOCOL_ERRORS:
             pass
-        return respond(RESULT_SIGNED, sig=self._endorse(
+        return respond(RESULT_SIGNED, sig=self._endorse(net.Endorsement(
             foreign_network, foreign_org, record.holder_did, digest, status, nonce
-        ))
+        )))
 
-    def _endorse(
-        self,
-        foreign_network: str,
-        foreign_org: str,
-        holder_did: str,
-        digest: bytes,
-        status: str,
-        nonce: bytes,
-    ) -> str:
-        signature = self.keys.sign(
-            net.endorsement_bytes(foreign_network, foreign_org, holder_did, digest, status, nonce)
-        )
+    def _endorse(self, endorsement: net.Endorsement) -> str:
         self.trace(
-            "agent.countersigned", network=foreign_network, org=foreign_org, status=status
+            "agent.countersigned",
+            network=endorsement.foreign_network,
+            org=endorsement.foreign_org,
+            status=endorsement.status,
         )
-        return signature.bytes_.hex()
+        return self.keys.sign(endorsement.to_bytes()).bytes_.hex()
 
     # --- whole-target sessions ---------------------------------------------
 

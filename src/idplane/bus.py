@@ -64,11 +64,19 @@ class BoxKeyPair:
 
 
 @dataclass(frozen=True)
-class Envelope:
+class Header(enc.Record):
+    """An envelope's header, bound to its ciphertext as AEAD associated data."""
+
+    TAG = enc.TAG_ENVELOPE
     from_: str
     to: str
     seq: int
     kind: str
+
+
+@dataclass(frozen=True)
+class Envelope:
+    header: Header
     ciphertext: bytes
 
 
@@ -86,12 +94,12 @@ class FaultRule:
     delay: int = 1
     hits: int = 0
 
-    def matches(self, env: Envelope) -> bool:
-        if self.from_ is not None and env.from_ != self.from_:
+    def matches(self, header: Header) -> bool:
+        if self.from_ is not None and header.from_ != self.from_:
             return False
-        if self.to is not None and env.to != self.to:
+        if self.to is not None and header.to != self.to:
             return False
-        if self.kind is not None and env.kind != self.kind:
+        if self.kind is not None and header.kind != self.kind:
             return False
         self.hits += 1
         if self.occurrence is not None:
@@ -167,27 +175,16 @@ class SimBus:
     def _nonce(seq: int) -> bytes:
         return seq.to_bytes(12, "big")
 
-    @staticmethod
-    def _header(sender: str, recipient: str, seq: int, kind: str) -> bytes:
-        """The envelope header, bound to the ciphertext as AEAD associated data."""
-        return enc.record(
-            enc.TAG_ENVELOPE,
-            enc.encode_str(sender),
-            enc.encode_str(recipient),
-            enc.encode_u64(seq),
-            enc.encode_str(kind),
-        )
-
-    def _seal(self, sender: str, recipient: str, seq: int, kind: str, plaintext: bytes) -> bytes:
-        return self._cipher_for(sender, recipient).encrypt(
-            self._nonce(seq), plaintext, self._header(sender, recipient, seq, kind)
+    def _seal(self, header: Header, plaintext: bytes) -> bytes:
+        return self._cipher_for(header.from_, header.to).encrypt(
+            self._nonce(header.seq), plaintext, header.to_bytes()
         )
 
     def _unseal(self, env: Envelope) -> bytes | None:
-        header = self._header(env.from_, env.to, env.seq, env.kind)
+        header = env.header
         try:
-            return self._cipher_for(env.from_, env.to).decrypt(
-                self._nonce(env.seq), env.ciphertext, header
+            return self._cipher_for(header.from_, header.to).decrypt(
+                self._nonce(header.seq), env.ciphertext, header.to_bytes()
             )
         except InvalidTag:
             return None
@@ -206,8 +203,9 @@ class SimBus:
             raise UnknownEndpoint(to)
         seq = self._seq
         self._seq += 1
-        ciphertext = self._seal(sender, to, seq, kind, plaintext)
-        env = Envelope(from_=sender, to=to, seq=seq, kind=kind, ciphertext=ciphertext)
+        header = Header(sender, to, seq, kind)
+        ciphertext = self._seal(header, plaintext)
+        env = Envelope(header, ciphertext)
         digest_hex = crypto.digest(ciphertext).hex()
         self.trace.record(
             self.now, sender, "bus.send",
@@ -218,7 +216,7 @@ class SimBus:
         deliveries = 1
         extra_delay = 0
         for rule in self.config.rules:
-            if not rule.matches(env):
+            if not rule.matches(header):
                 continue
             if rule.action == "drop":
                 self.trace.record(
@@ -283,22 +281,23 @@ class SimBus:
                     actor.on_timer(token)
                 continue
             env: Envelope = item
-            actor = self._actors.get(env.to)
+            header = env.header
+            actor = self._actors.get(header.to)
             if actor is None:
                 continue
             plaintext = self._unseal(env)
             if plaintext is None:
                 self.trace.record(
-                    self.now, env.to, "bus.reject_tampered",
-                    **{"from": env.from_, "to": env.to, "seq": env.seq,
-                       "msg_kind": env.kind},
+                    self.now, header.to, "bus.reject_tampered",
+                    **{"from": header.from_, "to": header.to, "seq": header.seq,
+                       "msg_kind": header.kind},
                 )
                 continue
             self.trace.record(
-                self.now, env.to, "bus.deliver",
-                **{"from": env.from_, "to": env.to, "seq": env.seq,
-                   "msg_kind": env.kind,
+                self.now, header.to, "bus.deliver",
+                **{"from": header.from_, "to": header.to, "seq": header.seq,
+                   "msg_kind": header.kind,
                    "payload_digest": crypto.digest(env.ciphertext).hex()},
             )
-            actor.on_delivery(env.from_, plaintext, env.kind)
+            actor.on_delivery(header.from_, plaintext, header.kind)
         return self.now

@@ -23,7 +23,7 @@ so failures are reported deterministically:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from . import crypto
@@ -135,6 +135,16 @@ class MembershipCredential(enc.Signed):
     issuer_signature: crypto.Signature
 
 
+@dataclass(frozen=True)
+class CredentialIdSeed(enc.Record):
+    """What a membership credential's id is the digest of."""
+
+    TAG = enc.TAG_CREDENTIAL_ID
+    holder_did: str
+    network_id: str
+    issuance_counter: int
+
+
 def issue_membership_credential(
     issuer_keys: crypto.KeyPair,
     issuer_did: str,
@@ -145,23 +155,10 @@ def issue_membership_credential(
 ) -> MembershipCredential:
     """Mint a membership VC; the credential id commits to holder, network, and
     the issuer's monotone issuance counter so re-issued credentials differ."""
-    credential_id = crypto.digest(
-        enc.record(
-            enc.TAG_CREDENTIAL_ID,
-            enc.encode_str(holder_did),
-            enc.encode_str(network_id),
-            enc.encode_u64(issuance_counter),
-        )
+    seed = CredentialIdSeed(holder_did, network_id, issuance_counter).to_bytes()
+    return MembershipCredential.sign(
+        issuer_keys, crypto.digest(seed), holder_did, network_id, issuer_did, cred_def_id
     )
-    unsigned = MembershipCredential(
-        credential_id=credential_id,
-        holder_did=holder_did,
-        network_id=network_id,
-        issuer_did=issuer_did,
-        cred_def_id=cred_def_id,
-        issuer_signature=crypto.Signature(b""),
-    )
-    return replace(unsigned, issuer_signature=issuer_keys.sign(unsigned.signing_bytes()))
 
 
 @dataclass(frozen=True)
@@ -183,15 +180,9 @@ def issue_memberlist_credential(
     member_dids: tuple[str, ...],
     roster_version: int,
 ) -> MemberlistCredential:
-    unsigned = MemberlistCredential(
-        network_id=network_id,
-        member_dids=member_dids,
-        roster_version=roster_version,
-        issuer_did=issuer_did,
-        cred_def_id=cred_def_id,
-        issuer_signature=crypto.Signature(b""),
+    return MemberlistCredential.sign(
+        issuer_keys, network_id, member_dids, roster_version, issuer_did, cred_def_id
     )
-    return replace(unsigned, issuer_signature=issuer_keys.sign(unsigned.signing_bytes()))
 
 
 @dataclass(frozen=True)
@@ -212,19 +203,6 @@ class MembershipBody(enc.Record):
     witness: enc.Framed[crypto.AccumulatorWitness]
 
 
-def _sign_vp(
-    kind: str, body: bytes, presenter_did: str, keys: crypto.KeyPair, nonce: bytes
-) -> VerifiablePresentation:
-    unsigned = VerifiablePresentation(
-        kind=kind,
-        body=body,
-        presenter_did=presenter_did,
-        challenge_nonce=nonce,
-        presenter_signature=crypto.Signature(b""),
-    )
-    return replace(unsigned, presenter_signature=keys.sign(unsigned.signing_bytes()))
-
-
 def build_membership_vp(
     holder_did: str,
     holder_keys: crypto.KeyPair,
@@ -237,13 +215,17 @@ def build_membership_vp(
     if vc.holder_did != holder_did:
         raise HolderKeyMismatch(f"credential held by {vc.holder_did}, presenter {holder_did}")
     body = MembershipBody(vc, witness).to_bytes()
-    return _sign_vp(VP_MEMBERSHIP, body, holder_did, holder_keys, challenge_nonce)
+    return VerifiablePresentation.sign(
+        holder_keys, VP_MEMBERSHIP, body, holder_did, challenge_nonce
+    )
 
 
 def build_self_signed_vp(
     signer_did: str, signer_keys: crypto.KeyPair, payload: bytes, challenge_nonce: bytes
 ) -> VerifiablePresentation:
-    return _sign_vp(VP_SELF_SIGNED, payload, signer_did, signer_keys, challenge_nonce)
+    return VerifiablePresentation.sign(
+        signer_keys, VP_SELF_SIGNED, payload, signer_did, challenge_nonce
+    )
 
 
 @dataclass(frozen=True)
@@ -266,15 +248,25 @@ class VerificationArtifacts:
     revocation_state: Optional[crypto.RevocationRegistryState] = None
 
 
+def read_membership_body(vp: VerifiablePresentation) -> MembershipBody | enc.DecodeError:
+    """The presentation's body, or the error its decoding raised."""
+    try:
+        return MembershipBody.from_bytes(vp.body)
+    except enc.DecodeError as e:
+        return e
+
+
 def verify_membership_vp(
     vp: VerifiablePresentation,
     expected_network_id: str,
     challenge_nonce: bytes,
     trusted_issuers: frozenset[tuple[str, str]],  # (anchor did, represented network)
     artifacts: VerificationArtifacts,
+    body: MembershipBody | enc.DecodeError | None = None,
 ) -> VerifiedClaim:
     """Run the seven verification checks in order; raises
-    MembershipVerificationError naming the first failing check."""
+    MembershipVerificationError naming the first failing check. `body` is
+    `read_membership_body(vp)` when the caller has read it already."""
     if vp.challenge_nonce != challenge_nonce:
         raise MembershipVerificationError(CHECK_NONCE)
 
@@ -289,10 +281,10 @@ def verify_membership_vp(
 
     if vp.kind != VP_MEMBERSHIP:
         raise MembershipVerificationError(CHECK_SCHEMA, "not a membership presentation")
-    try:
-        body = MembershipBody.from_bytes(vp.body)
-    except enc.DecodeError as e:
-        raise MembershipVerificationError(CHECK_SCHEMA, str(e))
+    if body is None:
+        body = read_membership_body(vp)
+    if isinstance(body, enc.DecodeError):
+        raise MembershipVerificationError(CHECK_SCHEMA, str(body))
     vc, witness = body.vc, body.witness
     schema = artifacts.schema
     if schema is None or schema.attribute_names != MEMBERSHIP_ATTRS:

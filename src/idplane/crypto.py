@@ -12,7 +12,7 @@ return new states.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -25,7 +25,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 from . import encoding as enc
 
 SCHEME_ED25519 = "ed25519"
-DIGEST_LEN = 32
 PUBLIC_KEY_LEN = 32
 SECRET_KEY_LEN = 32
 SIGNATURE_LEN = 64
@@ -180,15 +179,9 @@ def issue_certificate_chain(
         raise CryptoError("root spec key does not match the signing keypair")
 
     def make(spec: CertSpec, issuer_name: str, issuer_key: KeyPair) -> Certificate:
-        unsigned = Certificate(
-            subject_name=spec.name,
-            subject_public_key=spec.public_key,
-            issuer_name=issuer_name,
-            valid_from=spec.valid_from,
-            valid_to=spec.valid_to,
-            issuer_signature=Signature(b"\x00" * SIGNATURE_LEN),
+        return Certificate.sign(
+            issuer_key, spec.name, spec.public_key, issuer_name, spec.valid_from, spec.valid_to
         )
-        return replace(unsigned, issuer_signature=issuer_key.sign(unsigned.signing_bytes()))
 
     chain = [make(root_spec, root_spec.name, root_key)]
     signer_name, signer_key = root_spec.name, root_key

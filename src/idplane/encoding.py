@@ -6,11 +6,19 @@ Distinct domain tags keep signatures and digests of different structure kinds
 from colliding. The encoding is part of the wire/test surface: fixtures compare
 these bytes exactly.
 
-A dataclass's format is defined once, by its field types, through the
+Every format is a dataclass declared once, by its field types, through the
 `Record` and `Signed` mixins: str, bytes and int (u64) fields are
 length-prefixed, a nested Record is inline, `Framed[R]` is the Record R as a
 length-prefixed byte string, `tuple[T, ...]` is a counted list and
-`tuple[A, B]` is A then B. Other formats call the functions below.
+`tuple[A, B]` is A then B. A Record without a tag is untagged bytes. The
+functions below serve the codec; no other module of the program calls them.
+
+Two hashed formats stay hand-composed: the accumulator's leaf, node and pad
+hashes (`crypto._leaf_hash`, `_node_hash`, `_pad_hash`: a tag byte, then the
+raw inputs) and the harness's key seeds (`harness._derive_bytes`: a prefix,
+the 8-byte seed, then the label). Neither length-prefixes its inputs, so as
+Records they would hash other bytes and move every accumulator root and every
+scenario identity.
 """
 
 from __future__ import annotations
@@ -153,6 +161,14 @@ class Record:
 class Signed(Record):
     """A Record whose last field signs the others: `signing_bytes` is their
     tagged encoding, and `to_bytes` is that followed by the signature."""
+
+    @classmethod
+    def sign(cls, keys: Any, *values: Any, **fields: Any) -> Any:
+        """The record of all fields but the last, given as to the constructor,
+        with the last set to `keys.sign` of its signing bytes."""
+        codec = _codec(cls)
+        unsigned = cls(*values, **fields, **{codec.signature: None})
+        return cls(*values, **fields, **{codec.signature: keys.sign(codec.encode(unsigned))})
 
     def signing_bytes(self) -> bytes:
         return _codec(type(self)).encode(self)

@@ -886,7 +886,6 @@ CHECKS = {
     name.removeprefix("_check_"): _fields(check)
     for name, check in vars(ScenarioRunner).items() if name.startswith("_check_")
 }
-STEP_KINDS = frozenset(STEPS)
 ASSERT_KINDS = frozenset(CHECKS)
 
 

@@ -111,27 +111,21 @@ class Organization:
         org._enroll_peers(peer_count, now)
         return org
 
-    def _root_spec(self) -> crypto.CertSpec:
-        return crypto.CertSpec(
-            name=self.root_cert.subject_name,
-            public_key=self.root_cert.subject_public_key,
-            valid_from=self.root_cert.valid_from,
-            valid_to=self.root_cert.valid_to,
-        )
-
     def _enroll_peers(self, count: int, now: int) -> None:
         self.peers = []
         for i in range(count):
             label = f"peer:{self.network_id}:{self.org_id}:{i}:r{self._rotation}"
             keys = crypto.KeyPair.from_seed(self._seed_fn(label))
-            leaf = crypto.CertSpec(
-                name=f"{self.network_id}.{self.org_id}.peer{i}",
-                public_key=keys.public_key,
+            leaf = crypto.Certificate.sign(
+                self.root_keys,
+                subject_name=f"{self.network_id}.{self.org_id}.peer{i}",
+                subject_public_key=keys.public_key,
+                issuer_name=self.root_cert.subject_name,
                 valid_from=now,
                 valid_to=now + self.cert_lifetime,
             )
-            chain = crypto.issue_certificate_chain(self.root_keys, self._root_spec(), leaf=leaf)
-            self.peers.append(PeerIdentity(name=leaf.name, keys=keys, chain=chain))
+            chain = (self.root_cert, leaf)
+            self.peers.append(PeerIdentity(name=leaf.subject_name, keys=keys, chain=chain))
 
     def rotate(self, now: int) -> None:
         """Re-enroll every peer with fresh keys and a fresh validity window;
@@ -209,35 +203,36 @@ class ForeignIdentityRecord:
             memo.links[peer_name] = crypto.chain_link_failure(chain)
         return chain, memo.links[peer_name]
 
-    def content_bytes(self) -> bytes:
-        # synced_at is timing metadata, not replicated content
-        return (
-            enc.encode_str(self.network_id)
-            + enc.encode_str(self.org_id)
-            + enc.encode_str(self.holder_did)
-            + enc.encode_bytes(self.bundle)
-            + enc.encode_bytes(self.bundle_digest)
-            + enc.encode_str(self.status)
+    def content(self) -> "RecordContent":
+        return RecordContent(
+            self.network_id, self.org_id, self.holder_did,
+            self.bundle, self.bundle_digest, self.status,
         )
 
 
-def endorsement_bytes(
-    foreign_network: str,
-    foreign_org: str,
-    holder_did: str,
-    bundle_digest: bytes,
-    status: str,
-    nonce: bytes,
-) -> bytes:
-    return enc.record(
-        enc.TAG_ENDORSEMENT,
-        enc.encode_str(foreign_network),
-        enc.encode_str(foreign_org),
-        enc.encode_str(holder_did),
-        enc.encode_bytes(bundle_digest),
-        enc.encode_str(status),
-        enc.encode_bytes(nonce),
-    )
+@dataclass(frozen=True)
+class RecordContent(enc.Record):
+    """A foreign identity record's replicated content: all but its timing, `synced_at`."""
+
+    network_id: str
+    org_id: str
+    holder_did: str
+    bundle: bytes
+    bundle_digest: bytes
+    status: str
+
+
+@dataclass(frozen=True)
+class Endorsement(enc.Record):
+    """What every local org signs to admit a foreign identity record."""
+
+    TAG = enc.TAG_ENDORSEMENT
+    foreign_network: str
+    foreign_org: str
+    holder_did: str
+    bundle_digest: bytes
+    status: str
+    nonce: bytes
 
 
 @dataclass(frozen=True)
@@ -281,25 +276,26 @@ class LocalLedgerState:
         """Hash of replicated content: policy config plus foreign records
         (bundle, digest, status). Excludes block ordering and sync ticks so
         equivalent interleavings hash identically."""
-        return crypto.digest(
-            enc.record(
-                enc.TAG_LEDGER_STATE,
-                enc.encode_str(self.network_id),
-                enc.encode_list(enc.encode_str(n) for n in self.interop_networks),
-                enc.encode_list(
-                    enc.encode_str(i) + enc.encode_str(a) + enc.encode_str(n)
-                    for i, a, n in self.trust_entries
-                ),
-                enc.encode_list(
-                    enc.encode_str(org) + enc.encode_bytes(self.admin_keys[org])
-                    for org in sorted(self.admin_keys)
-                ),
-                enc.encode_list(
-                    enc.encode_bytes(self.foreign[k].content_bytes())
-                    for k in sorted(self.foreign)
-                ),
-            )
+        image = LedgerImage(
+            self.network_id,
+            self.interop_networks,
+            self.trust_entries,
+            tuple(sorted(self.admin_keys.items())),
+            tuple(self.foreign[k].content() for k in sorted(self.foreign)),
         )
+        return crypto.digest(image.to_bytes())
+
+
+@dataclass(frozen=True)
+class LedgerImage(enc.Record):
+    """What a ledger's state hash digests: its policy, then its records sorted by key."""
+
+    TAG = enc.TAG_LEDGER_STATE
+    network_id: str
+    interop_networks: tuple[str, ...]
+    trust_entries: tuple[tuple[str, str, str], ...]
+    admin_keys: tuple[tuple[str, bytes], ...]
+    foreign: tuple[enc.Framed[RecordContent], ...]
 
 
 def cmdac_update_foreign_identity(
@@ -321,9 +317,8 @@ def cmdac_update_foreign_identity(
     Rejected entries consume no nonce, so no single org can burn one ahead of
     an honest commit."""
     digest = crypto.digest(bundle)
-    message = endorsement_bytes(
-        foreign_network, foreign_org, holder_did, digest, status, nonce
-    )
+    endorsement = Endorsement(foreign_network, foreign_org, holder_did, digest, status, nonce)
+    message = endorsement.to_bytes()
     provided = dict(endorsements)
     outcome = None
     for org in sorted(state.admin_keys):
@@ -509,8 +504,16 @@ class DataProof:
     signatures: tuple[tuple[str, str, crypto.Signature], ...]  # (org, peer name, sig)
 
 
+@dataclass(frozen=True)
+class ProofStatement(enc.Record):
+    """What each required org's peer signs in a data proof."""
+
+    TAG = enc.TAG_DATA_PROOF
+    data_digest: bytes
+
+
 def proof_signing_bytes(data: bytes) -> bytes:
-    return enc.record(enc.TAG_DATA_PROOF, enc.encode_bytes(crypto.digest(data)))
+    return ProofStatement(crypto.digest(data)).to_bytes()
 
 
 def generate_data_proof(

@@ -111,13 +111,17 @@ class DidDocument(enc.Record):
         return self.verification_keys[0]
 
     def attestation_bytes(self) -> bytes:
-        # what an anchor signs: did + keys + endpoint, independent of version
-        return enc.record(
-            enc.TAG_ATTESTATION,
-            enc.encode_str(self.did),
-            enc.encode_list(enc.encode_bytes(k) for k in self.verification_keys),
-            enc.encode_str(self.service_endpoint),
-        )
+        return Attestation(self.did, self.verification_keys, self.service_endpoint).to_bytes()
+
+
+@dataclass(frozen=True)
+class Attestation(enc.Record):
+    """What an anchor signs to attest a DID document: all but its attestations and version."""
+
+    TAG = enc.TAG_ATTESTATION
+    did: str
+    verification_keys: tuple[bytes, ...]
+    service_endpoint: str
 
 
 def new_did_document(
@@ -152,13 +156,7 @@ class RegistryTransaction(enc.Signed):
 def make_transaction(
     kind: str, payload: bytes, submitter_did: str, submitter_keys: crypto.KeyPair
 ) -> RegistryTransaction:
-    unsigned = RegistryTransaction(
-        kind=kind,
-        payload=payload,
-        submitter_did=submitter_did,
-        submitter_signature=crypto.Signature(b""),
-    )
-    return replace(unsigned, submitter_signature=submitter_keys.sign(unsigned.signing_bytes()))
+    return RegistryTransaction.sign(submitter_keys, kind, payload, submitter_did)
 
 
 @dataclass(frozen=True)
@@ -204,33 +202,27 @@ class RegistryState:
         # genesis stewards are the root of trust
         return self.has_role(did, ROLE_STEWARD) or bool(doc.attestations)
 
-    def to_bytes(self) -> bytes:
-        return enc.record(
-            enc.TAG_REGISTRY_STATE,
-            enc.encode_list(
-                enc.encode_bytes(self.docs[k].to_bytes()) for k in sorted(self.docs)
-            ),
-            enc.encode_list(
-                enc.encode_bytes(self.schemas[k].to_bytes()) for k in sorted(self.schemas)
-            ),
-            enc.encode_list(
-                enc.encode_bytes(self.cred_defs[k].to_bytes()) for k in sorted(self.cred_defs)
-            ),
-            enc.encode_list(
-                enc.encode_bytes(self.revocation[k].to_bytes())
-                for k in sorted(self.revocation)
-            ),
-            enc.encode_list(
-                enc.encode_str(did) + enc.encode_list(
-                    enc.encode_str(r) for r in sorted(self.roles[did])
-                )
-                for did in sorted(self.roles)
-            ),
-            enc.encode_list(enc.encode_bytes(d) for d in sorted(self.applied)),
-        )
-
     def state_hash(self) -> bytes:
-        return crypto.digest(self.to_bytes())
+        tables = (self.docs, self.schemas, self.cred_defs, self.revocation)
+        image = RegistryImage(
+            *(tuple(table[k] for k in sorted(table)) for table in tables),
+            tuple((did, tuple(sorted(self.roles[did]))) for did in sorted(self.roles)),
+            tuple(sorted(self.applied)),
+        )
+        return crypto.digest(image.to_bytes())
+
+
+@dataclass(frozen=True)
+class RegistryImage(enc.Record):
+    """What a replica's state hash digests: each table, and each DID's roles, sorted."""
+
+    TAG = enc.TAG_REGISTRY_STATE
+    docs: tuple[enc.Framed[DidDocument], ...]
+    schemas: tuple[enc.Framed[CredentialSchema], ...]
+    cred_defs: tuple[enc.Framed[CredentialDefinition], ...]
+    revocation: tuple[enc.Framed[crypto.RevocationRegistryState], ...]
+    roles: tuple[tuple[str, tuple[str, ...]], ...]
+    applied: tuple[bytes, ...]
 
 
 def apply_transaction(state: RegistryState, tx: RegistryTransaction) -> tuple[RegistryState, str]:
@@ -420,15 +412,25 @@ class PoolInfo:
         return self.node_addresses[0]
 
 
+@dataclass(frozen=True)
+class Batch(enc.Record):
+    """An ordered batch, by its transactions' digests."""
+
+    tx_digests: tuple[bytes, ...]
+
+
 def batch_digest(tx_digests: list[bytes]) -> bytes:
-    """The digest of a batch: of its transactions' digests, in order."""
-    return crypto.digest(enc.encode_list(enc.encode_bytes(d) for d in tx_digests))
+    return crypto.digest(Batch(tuple(tx_digests)).to_bytes())
 
 
-def ack_bytes(first: int, last: int, digest: bytes) -> bytes:
-    return enc.record(
-        enc.TAG_ACK, enc.encode_u64(first), enc.encode_u64(last), enc.encode_bytes(digest)
-    )
+@dataclass(frozen=True)
+class Ack(enc.Record):
+    """What a replica signs to acknowledge the batch it ordered at first..last."""
+
+    TAG = enc.TAG_ACK
+    first: int
+    last: int
+    batch_digest: bytes
 
 
 def decode_batch(hexes) -> list[tuple[bytes, RegistryTransaction]]:
@@ -486,7 +488,7 @@ class IinNode(Actor):
         return outcome
 
     def _ack_body(self, first: int, last: int, digest: bytes) -> dict:
-        sig = self.keys.sign(ack_bytes(first, last, digest))
+        sig = self.keys.sign(Ack(first, last, digest).to_bytes())
         return {
             "first": first,
             "last": last,
@@ -564,7 +566,7 @@ class IinNode(Actor):
             signature = crypto.Signature(bytes.fromhex(ack))
         except ValueError:
             return False
-        return crypto.verify(node_key, ack_bytes(first, last, digest), signature)
+        return crypto.verify(node_key, Ack(first, last, digest).to_bytes(), signature)
 
     def _handle_order(self, sender: str, msg: Message) -> Generator:
         """Apply an ordered batch and ack it once. A replica whose log ends
@@ -688,7 +690,7 @@ def submit_transaction(pool: PoolInfo, *txs: RegistryTransaction) -> Generator:
         receipt.get("outcomes", ())
     ) != len(txs):
         raise QuorumUnavailable("receipt names other transactions")
-    signed = ack_bytes(receipt["first"], receipt["last"], batch_digest(tx_digests))
+    signed = Ack(receipt["first"], receipt["last"], batch_digest(tx_digests)).to_bytes()
     valid = {
         address
         for address, sig_hex in receipt.get("acks", [])

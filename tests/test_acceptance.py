@@ -105,9 +105,9 @@ def test_criterion_04_unilateral_write_impossible():
     bundle = source.bundle_bytes()
     nonce = b"acceptance-4"
     holder = "did:iin:iin0:far"
-    message = net.endorsement_bytes(
+    message = net.Endorsement(
         "AWAY", "FarOrg", holder, crypto.digest(bundle), "ACTIVE", nonce
-    )
+    ).to_bytes()
     rejected, committed = 0, 0
     for r in range(len(orgs) + 1):
         for subset in itertools.combinations(orgs, r):

@@ -422,6 +422,18 @@ class TestCountersigning:
         assert failed.detail["detail"] == "Seller:LedgerUnreachable"
         assert failed.tick - start < 1500 // 2  # the countersign gather waits 1500
 
+    @pytest.mark.parametrize("networks, reason", [
+        ({"home_network": "NOWHERE"}, "NotLocal"),
+        ({"foreign_network": "SWT"}, "PolicyViolation"),
+    ])
+    def test_request_outside_the_countersigners_policy_is_refused(self, world, networks, reason):
+        probe = add_probe(world)
+        start = len(world.trace.events)
+        carrier = world.org_dids["Carrier"]
+        body = ask_countersign(probe, world, carrier, b"\x00" * 32, "ACTIVE", **networks)
+        assert (body["result"], body["reason"]) == ("validation_failed", reason)
+        assert agent_events(world, "Seller", {"agent.countersigned"}, start) == []
+
     def test_revoked_countersign_without_ledger_records_names_the_failure(self, world):
         # a first sync fills Seller's interop cache, so the drop below hits
         # the records query; an empty foreign_did skips re-validation
@@ -1062,6 +1074,22 @@ class TestChallengeEpochs:
             creds.verify_membership_vp(vp, "STL", nonce, trusted, artifacts)
         assert refused.value.check == creds.CHECK_REVOCATION
         assert self.validate(world, "Seller", "Carrier")["status"] == "ok"
+
+    def test_membership_body_that_does_not_decode_fails_check_4(self, world, monkeypatch):
+        def junk_body(holder_did, holder_keys, vc, witness, nonce):
+            return creds.VerifiablePresentation.sign(
+                holder_keys, kind=creds.VP_MEMBERSHIP, body=b"junk",
+                presenter_did=holder_did, challenge_nonce=nonce,
+            )
+
+        monkeypatch.setattr(creds, "build_membership_vp", junk_body)
+        agent = world.agents["Buyer"]
+        record = agent.start_session(
+            "validate", agent._validate_member("SWT", "STL", world.org_dids["Carrier"])
+        )
+        world.settle()
+        assert isinstance(record.error, creds.MembershipVerificationError)
+        assert str(record.error) == "check 4 (schema_conformance) failed: truncated input"
 
     def test_lost_refresh_behind_the_named_epoch_is_witness_unavailable(self, world):
         self.revoke_seller_from_stl(world)

@@ -8,7 +8,9 @@ from dataclasses import replace
 import pytest
 
 from idplane.actors import Actor, Gather, Join, Message, Request, Sleep
-from idplane.bus import BoxKeyPair, BusConfig, FaultRule, SimBus, TickCeilingExceeded, UnknownEndpoint
+from idplane.bus import (
+    BoxKeyPair, BusConfig, FaultRule, Header, SimBus, TickCeilingExceeded, UnknownEndpoint,
+)
 
 
 def seed32(label: str) -> bytes:
@@ -207,8 +209,8 @@ class TestConfidentialityAndAuthenticity:
 
         bus, _ = build(BusConfig(seed=5), names=("echo", "echo2", "driver"))
         plaintext = b"for echo only"
-        ciphertext = bus._seal("driver", "echo", 17, "ping", plaintext)
-        header = bus._header("driver", "echo", 17, "ping")
+        ciphertext = bus._seal(Header("driver", "echo", 17, "ping"), plaintext)
+        header = Header("driver", "echo", 17, "ping").to_bytes()
         assert bus._cipher_for("driver", "echo").decrypt(
             bus._nonce(17), ciphertext, header
         ) == plaintext
@@ -219,15 +221,16 @@ class TestConfidentialityAndAuthenticity:
         # the header is associated data: the same pair cannot open it under another kind
         with pytest.raises(InvalidTag):
             bus._cipher_for("driver", "echo").decrypt(
-                bus._nonce(17), ciphertext, bus._header("driver", "echo", 17, "pong")
+                bus._nonce(17), ciphertext, Header("driver", "echo", 17, "pong").to_bytes()
             )
 
     def test_relabelled_kind_is_rejected(self):
         bus, actors = build(BusConfig(seed=5))
         seq = bus.send("driver", "echo", "ping", Message("ping", {"n": 0}).to_bytes())
         time, order, event, env = heapq.heappop(bus._queue)
-        assert env.seq == seq and env.kind == "ping"
-        heapq.heappush(bus._queue, (time, order, event, replace(env, kind="pong")))
+        assert env.header.seq == seq and env.header.kind == "ping"
+        relabelled = replace(env, header=replace(env.header, kind="pong"))
+        heapq.heappush(bus._queue, (time, order, event, relabelled))
         bus.run_until_quiescent()
         rejected = [e for e in bus.trace.events if e.kind == "bus.reject_tampered"]
         assert [(e.detail["seq"], e.detail["msg_kind"]) for e in rejected] == [(seq, "pong")]

@@ -23,8 +23,8 @@ from conftest import scenario_config
 @pytest.mark.parametrize(
     "name, sends, queries, memberlists, witnesses, orders, signs, verifies",
     [
-        ("two-network", 266, 54, 4, 2, 30, 126, 230),
-        ("concurrent-commit", 182, 30, 2, 1, 30, 104, 177),
+        ("two-network", 266, 54, 4, 2, 30, 120, 230),
+        ("concurrent-commit", 182, 30, 2, 1, 30, 98, 177),
     ],
     ids=("two-network", "concurrent-commit"),  # stable across re-pins
 )

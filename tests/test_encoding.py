@@ -1,11 +1,15 @@
 """Canonical encoding: roundtrips, determinism, and strictness."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from idplane import credentials as creds
-from idplane import crypto, registry
+from idplane import bus, crypto, registry
 from idplane import network as net
 from idplane import encoding as enc
 
@@ -235,6 +239,149 @@ def old_member_snapshot(s):
     )
 
 
+def old_attestation(a):
+    return enc.record(
+        enc.TAG_ATTESTATION,
+        enc.encode_str(a.did),
+        enc.encode_list(enc.encode_bytes(k) for k in a.verification_keys),
+        enc.encode_str(a.service_endpoint),
+    )
+
+
+def old_registry_image(i):
+    return enc.record(
+        enc.TAG_REGISTRY_STATE,
+        *(
+            enc.encode_list(enc.encode_bytes(v.to_bytes()) for v in table)
+            for table in (i.docs, i.schemas, i.cred_defs, i.revocation)
+        ),
+        enc.encode_list(
+            enc.encode_str(did) + enc.encode_list(enc.encode_str(r) for r in roles)
+            for did, roles in i.roles
+        ),
+        enc.encode_list(enc.encode_bytes(d) for d in i.applied),
+    )
+
+
+def old_registry_state(state):
+    """`RegistryState.to_bytes` as it was: each table sorted by key."""
+    return enc.record(
+        enc.TAG_REGISTRY_STATE,
+        enc.encode_list(
+            enc.encode_bytes(state.docs[k].to_bytes()) for k in sorted(state.docs)
+        ),
+        enc.encode_list(
+            enc.encode_bytes(state.schemas[k].to_bytes()) for k in sorted(state.schemas)
+        ),
+        enc.encode_list(
+            enc.encode_bytes(state.cred_defs[k].to_bytes()) for k in sorted(state.cred_defs)
+        ),
+        enc.encode_list(
+            enc.encode_bytes(state.revocation[k].to_bytes()) for k in sorted(state.revocation)
+        ),
+        enc.encode_list(
+            enc.encode_str(did) + enc.encode_list(
+                enc.encode_str(r) for r in sorted(state.roles[did])
+            )
+            for did in sorted(state.roles)
+        ),
+        enc.encode_list(enc.encode_bytes(d) for d in sorted(state.applied)),
+    )
+
+
+def old_batch(b):
+    return enc.encode_list(enc.encode_bytes(d) for d in b.tx_digests)
+
+
+def old_ack(a):
+    return enc.record(
+        enc.TAG_ACK,
+        enc.encode_u64(a.first),
+        enc.encode_u64(a.last),
+        enc.encode_bytes(a.batch_digest),
+    )
+
+
+def old_record_content(r):
+    return (
+        enc.encode_str(r.network_id)
+        + enc.encode_str(r.org_id)
+        + enc.encode_str(r.holder_did)
+        + enc.encode_bytes(r.bundle)
+        + enc.encode_bytes(r.bundle_digest)
+        + enc.encode_str(r.status)
+    )
+
+
+def old_ledger_image(i):
+    return enc.record(
+        enc.TAG_LEDGER_STATE,
+        enc.encode_str(i.network_id),
+        enc.encode_list(enc.encode_str(n) for n in i.interop_networks),
+        enc.encode_list(
+            enc.encode_str(iin) + enc.encode_str(a) + enc.encode_str(n)
+            for iin, a, n in i.trust_entries
+        ),
+        enc.encode_list(enc.encode_str(org) + enc.encode_bytes(key) for org, key in i.admin_keys),
+        enc.encode_list(enc.encode_bytes(old_record_content(r)) for r in i.foreign),
+    )
+
+
+def old_ledger_state(state):
+    """What `LocalLedgerState.state_hash` hashed: the tables sorted by key."""
+    return enc.record(
+        enc.TAG_LEDGER_STATE,
+        enc.encode_str(state.network_id),
+        enc.encode_list(enc.encode_str(n) for n in state.interop_networks),
+        enc.encode_list(
+            enc.encode_str(i) + enc.encode_str(a) + enc.encode_str(n)
+            for i, a, n in state.trust_entries
+        ),
+        enc.encode_list(
+            enc.encode_str(org) + enc.encode_bytes(state.admin_keys[org])
+            for org in sorted(state.admin_keys)
+        ),
+        enc.encode_list(
+            enc.encode_bytes(old_record_content(state.foreign[k])) for k in sorted(state.foreign)
+        ),
+    )
+
+
+def old_endorsement(e):
+    return enc.record(
+        enc.TAG_ENDORSEMENT,
+        enc.encode_str(e.foreign_network),
+        enc.encode_str(e.foreign_org),
+        enc.encode_str(e.holder_did),
+        enc.encode_bytes(e.bundle_digest),
+        enc.encode_str(e.status),
+        enc.encode_bytes(e.nonce),
+    )
+
+
+def old_proof_statement(p):
+    return enc.record(enc.TAG_DATA_PROOF, enc.encode_bytes(p.data_digest))
+
+
+def old_credential_id_seed(c):
+    return enc.record(
+        enc.TAG_CREDENTIAL_ID,
+        enc.encode_str(c.holder_did),
+        enc.encode_str(c.network_id),
+        enc.encode_u64(c.issuance_counter),
+    )
+
+
+def old_header(h):
+    return enc.record(
+        enc.TAG_ENVELOPE,
+        enc.encode_str(h.from_),
+        enc.encode_str(h.to),
+        enc.encode_u64(h.seq),
+        enc.encode_str(h.kind),
+    )
+
+
 text = st.text(max_size=12)
 blob = st.binary(max_size=40)
 u64 = st.integers(0, 2**64 - 1)
@@ -257,6 +404,19 @@ did_doc = st.builds(
     st.lists(st.tuples(text, signature), max_size=3).map(tuple),
     u64,
 )
+schema = st.builds(
+    creds.CredentialSchema,
+    text,
+    text,
+    text,
+    st.lists(text, unique=True, max_size=4).map(tuple),
+)
+cred_def = st.builds(creds.CredentialDefinition, text, text, text, blob)
+record_content = st.builds(net.RecordContent, text, text, text, blob, blob, text)
+
+
+def up_to_3(strategy):
+    return st.lists(strategy, max_size=3).map(tuple)
 
 # class -> (example strategy, old signing_bytes or None, old to_bytes)
 RECORDS = {
@@ -269,21 +429,10 @@ RECORDS = {
     crypto.RevocationRegistryState: (revocation_state, None, old_revocation_state),
     crypto.AccumulatorWitness: (witness, None, old_witness),
     crypto.Chain: (chain, None, old_chain),
-    creds.CredentialSchema: (
-        st.builds(
-            creds.CredentialSchema,
-            text,
-            text,
-            text,
-            st.lists(text, unique=True, max_size=4).map(tuple),
-        ),
-        None,
-        old_schema,
-    ),
-    creds.CredentialDefinition: (
-        st.builds(creds.CredentialDefinition, text, text, text, blob),
-        None,
-        old_cred_def,
+    creds.CredentialSchema: (schema, None, old_schema),
+    creds.CredentialDefinition: (cred_def, None, old_cred_def),
+    creds.CredentialIdSeed: (
+        st.builds(creds.CredentialIdSeed, text, text, u64), None, old_credential_id_seed
     ),
     creds.MembershipCredential: (
         membership_vc,
@@ -314,6 +463,24 @@ RECORDS = {
         old_membership_body,
     ),
     registry.DidDocument: (did_doc, None, old_did_doc),
+    registry.Attestation: (
+        st.builds(registry.Attestation, text, up_to_3(blob), text), None, old_attestation
+    ),
+    registry.RegistryImage: (
+        st.builds(
+            registry.RegistryImage,
+            up_to_3(did_doc),
+            up_to_3(schema),
+            up_to_3(cred_def),
+            up_to_3(revocation_state),
+            up_to_3(st.tuples(text, up_to_3(text))),
+            up_to_3(blob),
+        ),
+        None,
+        old_registry_image,
+    ),
+    registry.Batch: (st.builds(registry.Batch, up_to_3(blob)), None, old_batch),
+    registry.Ack: (st.builds(registry.Ack, u64, u64, blob), None, old_ack),
     registry.RegistryTransaction: (
         st.builds(registry.RegistryTransaction, text, blob, text, signature),
         old_tx_signing,
@@ -337,6 +504,24 @@ RECORDS = {
         None,
         old_bundle,
     ),
+    net.RecordContent: (record_content, None, old_record_content),
+    net.LedgerImage: (
+        st.builds(
+            net.LedgerImage,
+            text,
+            up_to_3(text),
+            up_to_3(st.tuples(text, text, text)),
+            up_to_3(st.tuples(text, blob)),
+            up_to_3(record_content),
+        ),
+        None,
+        old_ledger_image,
+    ),
+    net.Endorsement: (
+        st.builds(net.Endorsement, text, text, text, blob, text, blob), None, old_endorsement
+    ),
+    net.ProofStatement: (st.builds(net.ProofStatement, blob), None, old_proof_statement),
+    bus.Header: (st.builds(bus.Header, text, text, u64, text), None, old_header),
 }
 
 
@@ -403,3 +588,85 @@ def test_wrong_tag_is_a_decode_error(value, tag):
 def test_invalid_utf8_string_is_a_decode_error():
     with pytest.raises(enc.DecodeError):
         enc.Reader(enc.encode_bytes(b"\xff")).str_()
+
+
+@settings(max_examples=50)
+@given(
+    st.dictionaries(text, did_doc, max_size=3),
+    st.dictionaries(text, schema, max_size=3),
+    st.dictionaries(text, cred_def, max_size=3),
+    st.dictionaries(text, revocation_state, max_size=3),
+    st.dictionaries(text, st.frozensets(text, max_size=3), max_size=3),
+    st.frozensets(blob, max_size=3),
+)
+def test_registry_state_hash_is_over_the_old_image(
+    docs, schemas, cred_defs, revocation, roles, applied
+):
+    state = registry.RegistryState(docs, schemas, cred_defs, revocation, roles, applied)
+    assert state.state_hash() == crypto.digest(old_registry_state(state))
+
+
+@settings(max_examples=50)
+@given(
+    text,
+    up_to_3(text),
+    up_to_3(st.tuples(text, text, text)),
+    st.dictionaries(text, blob, max_size=3),
+    st.dictionaries(
+        text,
+        st.builds(net.ForeignIdentityRecord, text, text, text, blob, blob, text, u64),
+        max_size=3,
+    ),
+)
+def test_ledger_state_hash_is_over_the_old_image(
+    network_id, interop, trust_entries, admin_keys, foreign
+):
+    state = net.LocalLedgerState(network_id, interop, trust_entries, admin_keys, foreign)
+    assert state.state_hash() == crypto.digest(old_ledger_state(state))
+
+
+@pytest.mark.parametrize(
+    "cls, fields",
+    [
+        (crypto.Certificate, dict(
+            subject_name="leaf", subject_public_key=b"k", issuer_name="root",
+            valid_from=1, valid_to=2,
+        )),
+        (registry.RegistryTransaction, dict(kind="NYM", payload=b"p", submitter_did="did")),
+    ],
+)
+def test_sign_fills_the_last_field_with_a_signature_over_the_others(cls, fields):
+    keys = crypto.KeyPair.from_seed(bytes(32))
+    signed = cls.sign(keys, **fields)
+    *names, last = [f.name for f in dataclasses.fields(cls)]
+    assert {name: getattr(signed, name) for name in names} == fields
+    assert signed.signing_bytes() == cls(**fields, **{last: None}).signing_bytes()
+    assert crypto.verify(keys.public_key, signed.signing_bytes(), getattr(signed, last))
+
+
+SRC = Path(enc.__file__).resolve().parent
+
+
+def test_only_the_codec_composes_bytes_and_signing_goes_through_sign():
+    """Every other module declares its formats as Records and signs a Signed
+    record with `sign`, rather than composing bytes or filling a placeholder
+    signature by hand."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                path.name != "encoding.py"
+                and isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "enc"
+                and (node.attr == "record" or node.attr.startswith("encode_"))
+            ):
+                found.append(f"{path.name}:{node.lineno} enc.{node.attr}")
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "replace"
+                and node.args
+                and getattr(node.args[0], "id", None) == "unsigned"
+            ):
+                found.append(f"{path.name}:{node.lineno} replace(unsigned, ...)")
+    assert found == []

@@ -45,7 +45,7 @@ def make_source_org(org_id="FarOrg", peers=1, now=0, lifetime=1000) -> net.Organ
 
 def endorse(orgs, foreign_net, foreign_org, bundle, status, nonce):
     digest = crypto.digest(bundle)
-    message = net.endorsement_bytes(foreign_net, foreign_org, FAR_DID, digest, status, nonce)
+    message = net.Endorsement(foreign_net, foreign_org, FAR_DID, digest, status, nonce).to_bytes()
     return tuple((o, ORG_KEYS[o].sign(message).bytes_) for o in orgs)
 
 

@@ -931,10 +931,12 @@ def forge_acks(node, forged_bytes):
 
 
 OTHER_ACKS = {
-    "other-range": lambda first, last, digest: registry.ack_bytes(first + 1, last + 1, digest),
-    "other-digest": lambda first, last, digest: registry.ack_bytes(
+    "other-range": lambda first, last, digest: registry.Ack(
+        first + 1, last + 1, digest
+    ).to_bytes(),
+    "other-digest": lambda first, last, digest: registry.Ack(
         first, last, crypto.digest(b"another batch")
-    ),
+    ).to_bytes(),
 }
 
 
@@ -996,7 +998,7 @@ class TestBatches:
 
         def sign(node):
             if forged == "forger-key":
-                return FORGER_KEYS.sign(registry.ack_bytes(0, 1, digest))
+                return FORGER_KEYS.sign(registry.Ack(0, 1, digest).to_bytes())
             return node.keys.sign(OTHER_ACKS[forged](0, 1, digest))
 
         acks = [[node.address, sign(node).bytes_.hex()] for node in nodes]
@@ -1084,7 +1086,7 @@ class TestBatches:
             assert (record.result.body["first"], record.result.body["last"]) == (0, 1)
             assert crypto.verify(
                 nodes[1].keys.public_key,
-                registry.ack_bytes(0, 1, digest),
+                registry.Ack(0, 1, digest).to_bytes(),
                 crypto.Signature(bytes.fromhex(record.result.body["ack"])),
             )
         else:
