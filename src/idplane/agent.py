@@ -42,7 +42,7 @@ the requested one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Generator, Optional, TypeVar
 
 from . import credentials as creds
@@ -344,7 +344,8 @@ class IinAgent(Actor):
         body = yield from self._ledger_query(
             home_network, {"what": "records", "network": foreign_network}
         )
-        return [net.record_from_body(b) for b in body["records"]]
+        ledger = self.config.ledgers[home_network]
+        return [_decode(net.RecordContent, r, LedgerRefused, ledger) for r in body["records"]]
 
     # --- step B: validate membership ------------------------------------------
 
@@ -562,30 +563,22 @@ class IinAgent(Actor):
         status: str,
         roster_version: Optional[int] = None,
     ) -> Generator:
-        """Collect a countersignature from every other local org and submit.
-        Every endorsement covers `foreign_did`, which the record keeps.
+        """Build the statement (`net.Endorsement`) once, collect every other
+        local org's signature of it, and submit it with the bundle. Every
+        endorsement covers `foreign_did`, which the record keeps.
         `roster_version` is the version of the memberlist the target was
         validated against; countersigners whose own verified copy is at least
         that new skip refetching it."""
-        nonce = self.nonce()
-        message = net.Endorsement(
-            foreign_network, foreign_org, foreign_did, digest, status, nonce
+        statement = net.Endorsement(
+            foreign_network, foreign_org, foreign_did, digest, status, self.nonce()
         ).to_bytes()
-        own_signature = self.keys.sign(message)
+        own_signature = self.keys.sign(statement)
         peers = sorted(
             (org, addr)
             for org, addr in self.config.peer_agents[home_network].items()
             if org != self.org_id
         )
-        request_body = {
-            "home_network": home_network,
-            "foreign_network": foreign_network,
-            "foreign_org": foreign_org,
-            "foreign_did": foreign_did,
-            "digest": digest.hex(),
-            "status": status,
-            "nonce": nonce.hex(),
-        }
+        request_body = {"home_network": home_network, "statement": statement.hex()}
         if roster_version is not None:
             request_body["roster_version"] = roster_version
         replies = yield Gather(
@@ -626,12 +619,8 @@ class IinAgent(Actor):
             self.config.ledgers[home_network],
             "cmdac.submit",
             {
-                "foreign_network": foreign_network,
-                "foreign_org": foreign_org,
-                "holder_did": foreign_did,
+                "statement": statement.hex(),
                 "bundle": bundle.hex(),
-                "status": status,
-                "nonce": nonce.hex(),
                 "endorsements": endorsements,
             },
             timeout=150,
@@ -651,13 +640,11 @@ class IinAgent(Actor):
         return outcome
 
     def _handle_countersign(self, sender: str, msg: Message) -> Generator:
-        home_network, foreign_network, foreign_org, foreign_did, digest, status, nonce = (
-            msg.fields(
-                "home_network", "foreign_network", "foreign_org", "foreign_did",
-                "digest", "status", "nonce",
-            )
-        )
-        digest, nonce = bytes.fromhex(digest), bytes.fromhex(nonce)
+        """Validate the initiator's statement here and answer with this org's
+        signature of it, a digest mismatch or the reason it failed."""
+        home_network, statement = msg.fields("home_network", "statement")
+        statement = net.Endorsement.from_bytes(bytes.fromhex(statement))
+        foreign_network, foreign_org = statement.foreign_network, statement.foreign_org
 
         def respond(result: str, **extra) -> dict:
             return {"result": result, "org": self.org_id, **extra}
@@ -671,7 +658,7 @@ class IinAgent(Actor):
         if foreign_network not in interop:
             return respond(RESULT_VALIDATION_FAILED, reason="PolicyViolation")
 
-        if status == net.STATUS_ACTIVE:
+        if statement.status == net.STATUS_ACTIVE:
             # One memberlist gate for cached and fresh identities alike. A
             # cached list at least as new as the initiator's is reused: a
             # member revoked since still fails the fresh accumulator check in
@@ -679,6 +666,7 @@ class IinAgent(Actor):
             # commit with NotListed. A cached identity skips steps B and C only
             # while its DID is listed, so a revoked member's old bundle cannot
             # be signed back to ACTIVE.
+            foreign_did = statement.holder_did
             memberlist = self._memberlists.get(foreign_network)
             hint = msg.body.get("roster_version")
             identity = self.cache.get((foreign_network, foreign_did))
@@ -706,7 +694,7 @@ class IinAgent(Actor):
                     reason=type(e).__name__,
                 )
                 return respond(RESULT_VALIDATION_FAILED, reason=type(e).__name__)
-            if identity.digest != digest:
+            if identity.digest != statement.bundle_digest:
                 # stale copy on one side; drop ours so the retry refetches
                 self.cache.pop((foreign_network, foreign_did), None)
                 self.trace(
@@ -714,25 +702,23 @@ class IinAgent(Actor):
                     network=foreign_network,
                     org=foreign_org,
                     ours=identity.digest.hex(),
-                    theirs=digest.hex(),
+                    theirs=statement.bundle_digest.hex(),
                 )
                 return respond(RESULT_DIGEST_MISMATCH, own_digest=identity.digest.hex())
-            return respond(RESULT_SIGNED, sig=self._endorse(net.Endorsement(
-                foreign_network, foreign_org, foreign_did, digest, status, nonce
-            )))
+            return respond(RESULT_SIGNED, sig=self._endorse(statement))
 
         # REVOKED: endorse only when the member no longer validates here either,
-        # under the DID its ledger record was committed with; the request's
-        # foreign_did is ignored, so an initiator cannot name no DID or
-        # another org's to skip the check. Always against a fresh memberlist:
-        # a cached one that lacks a re-admitted member would endorse a lying
-        # initiator's revocation.
+        # under the DID its ledger record was committed with; the statement's
+        # holder DID is ignored, so an initiator cannot name no DID or another
+        # org's to skip the check. Always against a fresh memberlist: a cached
+        # one that lacks a re-admitted member would endorse a lying initiator's
+        # revocation.
         try:
             records = yield from self._ledger_records(home_network, foreign_network)
         except LedgerUnreachable as e:
             return respond(RESULT_VALIDATION_FAILED, reason=type(e).__name__)
         record = next((r for r in records if r.org_id == foreign_org), None)
-        if record is None or record.bundle_digest != digest:
+        if record is None or record.bundle_digest != statement.bundle_digest:
             return respond(
                 RESULT_DIGEST_MISMATCH,
                 own_digest=record.bundle_digest.hex() if record else "",
@@ -744,9 +730,9 @@ class IinAgent(Actor):
                 return respond(RESULT_VALIDATION_FAILED, reason="MemberStillValid")
         except PROTOCOL_ERRORS:
             pass
-        return respond(RESULT_SIGNED, sig=self._endorse(net.Endorsement(
-            foreign_network, foreign_org, record.holder_did, digest, status, nonce
-        )))
+        return respond(
+            RESULT_SIGNED, sig=self._endorse(replace(statement, holder_did=record.holder_did))
+        )
 
     def _endorse(self, endorsement: net.Endorsement) -> str:
         self.trace(
@@ -818,7 +804,7 @@ class IinAgent(Actor):
             yield Sleep(RETRY_BACKOFF)
 
     def _revoke_record(
-        self, home_network: str, foreign_network: str, record: net.ForeignIdentityRecord
+        self, home_network: str, foreign_network: str, record: net.RecordContent
     ) -> Generator:
         try:
             outcome = yield from self._commit_identity(

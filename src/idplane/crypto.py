@@ -38,10 +38,6 @@ class ElementNotPresent(CryptoError):
     """Accumulator operation on an element outside the private leaf set."""
 
 
-class EmptySpec(CryptoError):
-    """Certificate chain issuance without a root spec."""
-
-
 class ChainVerificationError(CryptoError):
     """Base for certificate chain failures; carries the failing link index."""
 
@@ -141,60 +137,11 @@ class Certificate(enc.Signed):
 
 
 @dataclass(frozen=True)
-class CertSpec:
-    """What to certify: a name, a public key, and a validity window."""
-
-    name: str
-    public_key: bytes
-    valid_from: int
-    valid_to: int
-
-    def validate(self) -> None:
-        if not self.valid_from < self.valid_to:
-            raise CryptoError(f"empty validity window for {self.name!r}")
-
-
-@dataclass(frozen=True)
 class Chain(enc.Record):
     """A certificate chain, root first, as an MSP bundle carries it."""
 
     TAG = enc.TAG_CHAIN
     certificates: tuple[enc.Framed[Certificate], ...]
-
-
-def issue_certificate_chain(
-    root_key: KeyPair,
-    root_spec: CertSpec,
-    intermediates: Sequence[tuple[CertSpec, KeyPair]] = (),
-    leaf: CertSpec | None = None,
-) -> tuple[Certificate, ...]:
-    """Issue a root-first chain: self-signed root, then each link signed by its
-    predecessor's key. Intermediate specs carry keypairs because each one signs
-    the next link; the leaf needs only a public key.
-    """
-    if root_spec is None:
-        raise EmptySpec("a root spec is required")
-    root_spec.validate()
-    if root_spec.public_key != root_key.public_key:
-        raise CryptoError("root spec key does not match the signing keypair")
-
-    def make(spec: CertSpec, issuer_name: str, issuer_key: KeyPair) -> Certificate:
-        return Certificate.sign(
-            issuer_key, spec.name, spec.public_key, issuer_name, spec.valid_from, spec.valid_to
-        )
-
-    chain = [make(root_spec, root_spec.name, root_key)]
-    signer_name, signer_key = root_spec.name, root_key
-    for spec, keypair in intermediates:
-        spec.validate()
-        if spec.public_key != keypair.public_key:
-            raise CryptoError(f"spec key mismatch for intermediate {spec.name!r}")
-        chain.append(make(spec, signer_name, signer_key))
-        signer_name, signer_key = spec.name, keypair
-    if leaf is not None:
-        leaf.validate()
-        chain.append(make(leaf, signer_name, signer_key))
-    return tuple(chain)
 
 
 def chain_link_failure(chain: Sequence[Certificate]) -> BrokenLink | None:

@@ -292,9 +292,17 @@ _ORG_HOMES = {
 
 
 def _reference_problems(config: ScenarioConfig) -> list[str]:
-    """What the types cannot say: every name refers to a declared iin, anchor,
-    network or org, each pool is 3f+1 nodes, and each pmv represents its network."""
+    """What the types cannot say: every number is in range, every name refers
+    to a declared iin, anchor, network or org, each pool is 3f+1 nodes, and
+    each pmv represents its network."""
     problems = []
+    if config.cert_lifetime < 1:
+        problems.append(f"cert_lifetime: must be at least 1, got {config.cert_lifetime}")
+    # a latency read in part has its problem already
+    if len(config.latency) == 2 and not 0 <= config.latency[0] <= config.latency[1]:
+        problems.append(f"latency: expected 0 <= min <= max, got {list(config.latency)}")
+    if not 0 <= config.drop_rate <= 1:
+        problems.append(f"drop_rate: must be between 0 and 1, got {config.drop_rate}")
     iin_ids = {i.id for i in config.iins}
     anchors = {a.name: a for a in config.anchors}
     members = {n.id: n.org_names() for n in config.networks}
@@ -317,6 +325,10 @@ def _reference_problems(config: ScenarioConfig) -> list[str]:
         where = f"network {n.id}"
         if not n.orgs:
             problems.append(f"{where}: needs at least one org")
+        problems += [
+            f"{where}: org {o.name} needs at least one peer, got {o.peers}"
+            for o in n.orgs if o.peers < 1
+        ]
         if n.pmv not in anchors:
             problems.append(f"{where}: unknown pmv anchor {n.pmv!r}")
         elif n.id not in anchors[n.pmv].represents:

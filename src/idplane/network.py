@@ -4,10 +4,10 @@ identity records, the configuration-management contract that admits those
 records under an all-orgs endorsement policy, and the data-plane proof hook.
 
 The ledger is a single-writer state machine per network; the contract is a
-pure function of (state, payload, endorsements), so replaying the block log
-reproduces the state exactly. Foreign identity records flip between ACTIVE and
-REVOKED only through committed contract transactions; revocation keeps the
-record (status flip) for auditability.
+pure function of (state, statement, bundle, endorsements), so replaying the
+block log reproduces the state exactly. Foreign identity records flip between
+ACTIVE and REVOKED only through committed contract transactions; revocation
+keeps the record (status flip) for auditability.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ STATUS_REVOKED = "REVOKED"
 OUTCOME_APPLIED = "APPLIED"
 OUTCOME_NOOP = "NOOP"
 OUTCOME_REPLAYED = "ReplayedNonce"
+OUTCOME_DIGEST_MISMATCH = "BundleDigestMismatch"
 
 
 class NetworkError(Exception):
@@ -93,17 +94,16 @@ class Organization:
         cert_lifetime: int,
     ) -> "Organization":
         root_keys = crypto.KeyPair.from_seed(seed_fn(f"msp-root:{network_id}:{org_id}"))
-        root_spec = crypto.CertSpec(
-            name=f"{network_id}.{org_id}.root",
-            public_key=root_keys.public_key,
-            valid_from=now,
-            valid_to=now + 100 * cert_lifetime,  # roots outlive several leaf rotations
-        )
+        root_name = f"{network_id}.{org_id}.root"
         org = Organization(
             org_id=org_id,
             network_id=network_id,
             root_keys=root_keys,
-            root_cert=crypto.issue_certificate_chain(root_keys, root_spec)[0],
+            # self-signed; roots outlive several leaf rotations
+            root_cert=crypto.Certificate.sign(
+                root_keys, root_name, root_keys.public_key, root_name,
+                now, now + 100 * cert_lifetime,
+            ),
             peers=[],
             cert_lifetime=cert_lifetime,
             _seed_fn=seed_fn,
@@ -224,7 +224,9 @@ class RecordContent(enc.Record):
 
 @dataclass(frozen=True)
 class Endorsement(enc.Record):
-    """What every local org signs to admit a foreign identity record."""
+    """The statement that admits a foreign identity record: every local org
+    signs it, and step D carries it from the initiator, through each
+    countersigner, into the block log."""
 
     TAG = enc.TAG_ENDORSEMENT
     foreign_network: str
@@ -238,12 +240,8 @@ class Endorsement(enc.Record):
 @dataclass(frozen=True)
 class BlockEntry:
     seq: int
-    foreign_network: str
-    foreign_org: str
-    holder_did: str
+    statement: Endorsement
     bundle: bytes
-    status: str
-    nonce: bytes
     endorsements: tuple[tuple[str, bytes], ...]
     outcome: str
     tick: int
@@ -300,53 +298,29 @@ class LedgerImage(enc.Record):
 
 def cmdac_update_foreign_identity(
     state: LocalLedgerState,
-    foreign_network: str,
-    foreign_org: str,
-    holder_did: str,
+    statement: Endorsement,
     bundle: bytes,
-    status: str,
-    nonce: bytes,
     endorsements: tuple[tuple[str, bytes], ...],
     now: int,
 ) -> tuple[LocalLedgerState, str]:
-    """The configuration-management contract: commit a foreign identity record
-    iff every local organization endorsed (network, org, holder DID, bundle
-    digest, status, nonce) with its registered admin key and no APPLIED or
-    NOOP entry for the same record used the nonce before. Identical-content
-    re-commits are no-op successes; different content replaces the record.
-    Rejected entries consume no nonce, so no single org can burn one ahead of
-    an honest commit."""
-    digest = crypto.digest(bundle)
-    endorsement = Endorsement(foreign_network, foreign_org, holder_did, digest, status, nonce)
-    message = endorsement.to_bytes()
-    provided = dict(endorsements)
-    outcome = None
-    for org in sorted(state.admin_keys):
-        sig = provided.get(org)
-        if sig is None:
-            outcome = f"MissingEndorsement:{org}"
-            break
-        if not crypto.verify(state.admin_keys[org], message, crypto.Signature(sig)):
-            outcome = f"BadEndorsementSignature:{org}"
-            break
-
-    if outcome is None and any(
-        (e.nonce, e.foreign_network, e.foreign_org) == (nonce, foreign_network, foreign_org)
-        and e.outcome in (OUTCOME_APPLIED, OUTCOME_NOOP)
-        for e in state.block_log
-    ):
-        # endorsements bind (network, org), so a replay reuses both as well
-        outcome = OUTCOME_REPLAYED
-
-    key = state.record_key(foreign_network, foreign_org)
+    """The configuration-management contract: commit `bundle` as the foreign
+    identity record that `statement` names iff the statement's digest is the
+    bundle's, every local organization signed the statement with its
+    registered admin key, and no APPLIED or NOOP entry for the same record
+    used the statement's nonce before. Identical-content re-commits are no-op
+    successes; different content replaces the record. Rejected entries
+    consume no nonce, so no single org can burn one ahead of an honest
+    commit."""
+    outcome = _refusal(state, statement, bundle, endorsements)
+    key = state.record_key(statement.foreign_network, statement.foreign_org)
     new_foreign = state.foreign
     if outcome is None:
         existing = state.foreign.get(key)
         if (
             existing is not None
-            and existing.holder_did == holder_did
+            and existing.holder_did == statement.holder_did
             and existing.bundle == bundle
-            and existing.status == status
+            and existing.status == statement.status
         ):
             outcome = OUTCOME_NOOP
         else:
@@ -354,24 +328,20 @@ def cmdac_update_foreign_identity(
             new_foreign = {
                 **state.foreign,
                 key: ForeignIdentityRecord(
-                    network_id=foreign_network,
-                    org_id=foreign_org,
-                    holder_did=holder_did,
+                    network_id=statement.foreign_network,
+                    org_id=statement.foreign_org,
+                    holder_did=statement.holder_did,
                     bundle=bundle,
-                    bundle_digest=digest,
-                    status=status,
+                    bundle_digest=statement.bundle_digest,
+                    status=statement.status,
                     synced_at=now,
                 ),
             }
 
     entry = BlockEntry(
         seq=len(state.block_log),
-        foreign_network=foreign_network,
-        foreign_org=foreign_org,
-        holder_did=holder_did,
+        statement=statement,
         bundle=bundle,
-        status=status,
-        nonce=nonce,
         endorsements=tuple(sorted(endorsements)),
         outcome=outcome,
         tick=now,
@@ -382,20 +352,43 @@ def cmdac_update_foreign_identity(
     )
 
 
+def _refusal(
+    state: LocalLedgerState,
+    statement: Endorsement,
+    bundle: bytes,
+    endorsements: tuple[tuple[str, bytes], ...],
+) -> Optional[str]:
+    """Why the contract refuses an entry, or None: a digest that is not the
+    bundle's, then each local org's endorsement in org order, then a nonce an
+    accepted entry for the same record used before."""
+    if statement.bundle_digest != crypto.digest(bundle):
+        return OUTCOME_DIGEST_MISMATCH
+    message = statement.to_bytes()
+    provided = dict(endorsements)
+    for org in sorted(state.admin_keys):
+        sig = provided.get(org)
+        if sig is None:
+            return f"MissingEndorsement:{org}"
+        if not crypto.verify(state.admin_keys[org], message, crypto.Signature(sig)):
+            return f"BadEndorsementSignature:{org}"
+    record = (statement.foreign_network, statement.foreign_org)
+    if any(
+        e.outcome in (OUTCOME_APPLIED, OUTCOME_NOOP)
+        and e.statement.nonce == statement.nonce
+        and (e.statement.foreign_network, e.statement.foreign_org) == record
+        for e in state.block_log
+    ):
+        # endorsements bind (network, org), so a replay reuses both as well
+        return OUTCOME_REPLAYED
+    return None
+
+
 def replay_block_log(genesis: LocalLedgerState, log: tuple[BlockEntry, ...]) -> LocalLedgerState:
     """Refold recorded contract transactions; recorded outcomes must match."""
     state = genesis
     for entry in log:
         state, outcome = cmdac_update_foreign_identity(
-            state,
-            entry.foreign_network,
-            entry.foreign_org,
-            entry.holder_did,
-            entry.bundle,
-            entry.status,
-            entry.nonce,
-            entry.endorsements,
-            entry.tick,
+            state, entry.statement, entry.bundle, entry.endorsements, entry.tick
         )
         if outcome != entry.outcome:
             raise NetworkError(f"replay divergence at block {entry.seq}: {outcome}")
@@ -417,35 +410,25 @@ class LedgerNode(Actor):
     }
 
     def _submit(self, sender: str, msg: Message) -> dict:
-        foreign_network, foreign_org, holder_did, bundle, status, nonce = msg.fields(
-            "foreign_network", "foreign_org", "holder_did", "bundle", "status", "nonce"
-        )
+        statement, bundle = msg.fields("statement", "bundle")
+        statement = Endorsement.from_bytes(bytes.fromhex(statement))
         endorsements = tuple(
             (org, bytes.fromhex(sig)) for org, sig in msg.body["endorsements"]
         )
         endorsers = ",".join(sorted(org for org, _ in endorsements))  # orgs must be strings
-        bundle = bytes.fromhex(bundle)
         self.state, outcome = cmdac_update_foreign_identity(
-            self.state,
-            foreign_network,
-            foreign_org,
-            holder_did,
-            bundle,
-            status,
-            bytes.fromhex(nonce),
-            endorsements,
-            self.bus.now,
+            self.state, statement, bytes.fromhex(bundle), endorsements, self.bus.now
         )
         self.trace(
             "ledger.commit",
             network=self.state.network_id,
-            foreign_network=foreign_network,
-            foreign_org=foreign_org,
-            status=status,
-            nonce=nonce,
+            foreign_network=statement.foreign_network,
+            foreign_org=statement.foreign_org,
+            status=statement.status,
+            nonce=statement.nonce.hex(),
             outcome=outcome,
             endorsers=endorsers,
-            payload_digest=crypto.digest(bundle).hex(),
+            payload_digest=statement.bundle_digest.hex(),
         )
         return {"outcome": outcome, "seq": len(self.state.block_log) - 1}
 
@@ -457,32 +440,9 @@ class LedgerNode(Actor):
             return {"entries": [list(e) for e in self.state.trust_entries]}
         if what == "records":
             (network,) = msg.fields("network")
-            return {"records": [_record_to_body(r) for r in self.state.records_for(network)]}
+            records = self.state.records_for(network)
+            return {"records": [r.content().to_bytes().hex() for r in records]}
         raise NetworkError(f"unknown query {what!r}")
-
-
-def _record_to_body(record: ForeignIdentityRecord) -> dict:
-    return {
-        "network_id": record.network_id,
-        "org_id": record.org_id,
-        "holder_did": record.holder_did,
-        "bundle": record.bundle.hex(),
-        "bundle_digest": record.bundle_digest.hex(),
-        "status": record.status,
-        "synced_at": record.synced_at,
-    }
-
-
-def record_from_body(body: dict) -> ForeignIdentityRecord:
-    return ForeignIdentityRecord(
-        network_id=body["network_id"],
-        org_id=body["org_id"],
-        holder_did=body["holder_did"],
-        bundle=bytes.fromhex(body["bundle"]),
-        bundle_digest=bytes.fromhex(body["bundle_digest"]),
-        status=body["status"],
-        synced_at=body["synced_at"],
-    )
 
 
 # --- data plane hook ----------------------------------------------------------

@@ -227,52 +227,58 @@ class RegistryImage(enc.Record):
 
 def apply_transaction(state: RegistryState, tx: RegistryTransaction) -> tuple[RegistryState, str]:
     """Pure, deterministic validation and application. Returns the next state
-    and an outcome: APPLIED, or a rejection reason leaving the state unchanged."""
+    and an outcome: APPLIED, or a rejection reason leaving the state unchanged.
+
+    The checks run in one order: the submitter's key, its signature,
+    Duplicate, an unknown kind (BadSignature), the kind's role gate
+    (UnauthorizedRole), the payload's decoding (BadSignature), then the
+    kind's own rules. A payload that passes the gate is decoded once, up
+    front, as a first NYM's document also gives its submitter's key."""
+    gate, payload_type, apply = TX_RULES.get(tx.kind, (None, None, None))
+    allowed = apply is not None and (
+        gate is None or bool(state.roles.get(tx.submitter_did, frozenset()) & gate)
+    )
+    payload = None
+    if allowed:
+        try:
+            payload = payload_type.from_bytes(tx.payload)
+        except (enc.DecodeError, CredentialError):
+            pass
+
     submitter_doc = state.docs.get(tx.submitter_did)
     if submitter_doc is not None:
         submitter_key = submitter_doc.primary_key()
-    elif tx.kind == KIND_NYM:
+    elif (
         # self-certifying first registration: the submitter is the document
-        try:
-            doc = DidDocument.from_bytes(tx.payload)
-        except enc.DecodeError:
-            return state, "BadSignature"
-        if doc.did != tx.submitter_did or not doc.verification_keys:
-            return state, "BadSignature"
-        submitter_key = doc.primary_key()
+        tx.kind == KIND_NYM
+        and payload is not None
+        and payload.did == tx.submitter_did
+        and payload.verification_keys
+    ):
+        submitter_key = payload.primary_key()
     else:
         return state, "BadSignature"
 
     if not crypto.verify(submitter_key, tx.signing_bytes(), tx.submitter_signature):
         return state, "BadSignature"
-
     if tx.digest() in state.applied:
         return state, "Duplicate"
-
-    if tx.kind == KIND_NYM:
-        return _apply_nym(state, tx)
-    if tx.kind == KIND_SCHEMA:
-        return _apply_schema(state, tx)
-    if tx.kind == KIND_CRED_DEF:
-        return _apply_cred_def(state, tx)
-    if tx.kind == KIND_REVOC_INIT:
-        return _apply_revoc_init(state, tx)
-    if tx.kind == KIND_REVOC_UPDATE:
-        return _apply_revoc_update(state, tx)
-    if tx.kind == KIND_ANCHOR_GRANT:
-        return _apply_anchor_grant(state, tx)
-    return state, "BadSignature"
+    if apply is None:
+        return state, "BadSignature"
+    if not allowed:
+        return state, "UnauthorizedRole"
+    if payload is None:
+        return state, "BadSignature"
+    return apply(state, tx, payload)
 
 
 def _committed(state: RegistryState, tx: RegistryTransaction, **changes) -> tuple[RegistryState, str]:
     return replace(state, applied=state.applied | {tx.digest()}, **changes), OUTCOME_APPLIED
 
 
-def _apply_nym(state: RegistryState, tx: RegistryTransaction) -> tuple[RegistryState, str]:
-    try:
-        doc = DidDocument.from_bytes(tx.payload)
-    except enc.DecodeError:
-        return state, "BadSignature"
+def _apply_nym(
+    state: RegistryState, tx: RegistryTransaction, doc: DidDocument
+) -> tuple[RegistryState, str]:
     if not doc.verification_keys or not did_matches_key(doc.did, doc.primary_key()):
         return state, "BadSignature"
     for signer, sig in doc.attestations:
@@ -296,25 +302,17 @@ def _apply_nym(state: RegistryState, tx: RegistryTransaction) -> tuple[RegistryS
     return _committed(state, tx, docs={**state.docs, doc.did: doc})
 
 
-def _apply_schema(state: RegistryState, tx: RegistryTransaction) -> tuple[RegistryState, str]:
-    if not (state.roles.get(tx.submitter_did, frozenset()) & ANCHOR_ROLES):
-        return state, "UnauthorizedRole"
-    try:
-        schema = CredentialSchema.from_bytes(tx.payload)
-    except (enc.DecodeError, CredentialError):
-        return state, "BadSignature"
+def _apply_schema(
+    state: RegistryState, tx: RegistryTransaction, schema: CredentialSchema
+) -> tuple[RegistryState, str]:
     if schema.schema_id in state.schemas:
         return state, "DuplicateId"
     return _committed(state, tx, schemas={**state.schemas, schema.schema_id: schema})
 
 
-def _apply_cred_def(state: RegistryState, tx: RegistryTransaction) -> tuple[RegistryState, str]:
-    if not (state.roles.get(tx.submitter_did, frozenset()) & ANCHOR_ROLES):
-        return state, "UnauthorizedRole"
-    try:
-        cred_def = CredentialDefinition.from_bytes(tx.payload)
-    except enc.DecodeError:
-        return state, "BadSignature"
+def _apply_cred_def(
+    state: RegistryState, tx: RegistryTransaction, cred_def: CredentialDefinition
+) -> tuple[RegistryState, str]:
     own_id = cred_def_id_for(tx.submitter_did, cred_def.schema_id)
     if cred_def.issuer_did != tx.submitter_did or cred_def.cred_def_id != own_id:
         return state, "UnauthorizedRole"  # the id names its issuer: no one takes another's
@@ -323,13 +321,9 @@ def _apply_cred_def(state: RegistryState, tx: RegistryTransaction) -> tuple[Regi
     return _committed(state, tx, cred_defs={**state.cred_defs, cred_def.cred_def_id: cred_def})
 
 
-def _apply_revoc_init(state: RegistryState, tx: RegistryTransaction) -> tuple[RegistryState, str]:
-    if not state.has_role(tx.submitter_did, ROLE_PMV):
-        return state, "UnauthorizedRole"
-    try:
-        reg = crypto.RevocationRegistryState.from_bytes(tx.payload)
-    except enc.DecodeError:
-        return state, "BadSignature"
+def _apply_revoc_init(
+    state: RegistryState, tx: RegistryTransaction, reg: crypto.RevocationRegistryState
+) -> tuple[RegistryState, str]:
     if reg.issuer_did != tx.submitter_did:
         return state, "UnauthorizedRole"
     if reg.issuer_did in state.revocation:
@@ -339,11 +333,9 @@ def _apply_revoc_init(state: RegistryState, tx: RegistryTransaction) -> tuple[Re
     return _committed(state, tx, revocation={**state.revocation, reg.issuer_did: reg})
 
 
-def _apply_revoc_update(state: RegistryState, tx: RegistryTransaction) -> tuple[RegistryState, str]:
-    try:
-        reg = crypto.RevocationRegistryState.from_bytes(tx.payload)
-    except enc.DecodeError:
-        return state, "BadSignature"
+def _apply_revoc_update(
+    state: RegistryState, tx: RegistryTransaction, reg: crypto.RevocationRegistryState
+) -> tuple[RegistryState, str]:
     current = state.revocation.get(reg.issuer_did)
     if current is None or reg.issuer_did != tx.submitter_did:
         return state, "UnauthorizedRole"
@@ -352,19 +344,26 @@ def _apply_revoc_update(state: RegistryState, tx: RegistryTransaction) -> tuple[
     return _committed(state, tx, revocation={**state.revocation, reg.issuer_did: reg})
 
 
-def _apply_anchor_grant(state: RegistryState, tx: RegistryTransaction) -> tuple[RegistryState, str]:
-    if not state.has_role(tx.submitter_did, ROLE_STEWARD):
-        return state, "UnauthorizedRole"
-    try:
-        grant = AnchorGrant.from_bytes(tx.payload)
-    except enc.DecodeError:
-        return state, "BadSignature"
+def _apply_anchor_grant(
+    state: RegistryState, tx: RegistryTransaction, grant: AnchorGrant
+) -> tuple[RegistryState, str]:
     if grant.role not in ROLES:
         return state, "BadSignature"
     held = state.roles.get(grant.target_did, frozenset())
     if grant.role in held:
         return state, "Duplicate"
     return _committed(state, tx, roles={**state.roles, grant.target_did: held | {grant.role}})
+
+
+# kind -> (roles of which the submitter must hold one, or None; payload Record; apply)
+TX_RULES = {
+    KIND_NYM: (None, DidDocument, _apply_nym),
+    KIND_SCHEMA: (ANCHOR_ROLES, CredentialSchema, _apply_schema),
+    KIND_CRED_DEF: (ANCHOR_ROLES, CredentialDefinition, _apply_cred_def),
+    KIND_REVOC_INIT: (frozenset({ROLE_PMV}), crypto.RevocationRegistryState, _apply_revoc_init),
+    KIND_REVOC_UPDATE: (None, crypto.RevocationRegistryState, _apply_revoc_update),
+    KIND_ANCHOR_GRANT: (frozenset({ROLE_STEWARD}), AnchorGrant, _apply_anchor_grant),
+}
 
 
 def replay_log(

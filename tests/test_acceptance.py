@@ -105,15 +105,16 @@ def test_criterion_04_unilateral_write_impossible():
     bundle = source.bundle_bytes()
     nonce = b"acceptance-4"
     holder = "did:iin:iin0:far"
-    message = net.Endorsement(
+    statement = net.Endorsement(
         "AWAY", "FarOrg", holder, crypto.digest(bundle), "ACTIVE", nonce
-    ).to_bytes()
+    )
+    message = statement.to_bytes()
     rejected, committed = 0, 0
     for r in range(len(orgs) + 1):
         for subset in itertools.combinations(orgs, r):
             sigs = tuple((o, keys[o].sign(message).bytes_) for o in subset)
             state, outcome = net.cmdac_update_foreign_identity(
-                ledger, "AWAY", "FarOrg", holder, bundle, "ACTIVE", nonce, sigs, now=1
+                ledger, statement, bundle, sigs, now=1
             )
             if set(subset) == set(orgs):
                 committed += outcome == "APPLIED"
@@ -134,11 +135,10 @@ def test_criterion_04_replayed_endorsements_rejected():
     runner = harness.ScenarioRunner(scenario_config("revoke-carrier"))
     assert runner.run().ok
     ledger = runner.world.ledgers["SWT"]
-    old = next(e for e in ledger.state.block_log if e.foreign_org == "Carrier")
-    assert (old.status, old.outcome) == ("ACTIVE", "APPLIED")
+    old = next(e for e in ledger.state.block_log if e.statement.foreign_org == "Carrier")
+    assert (old.statement.status, old.outcome) == ("ACTIVE", "APPLIED")
     state, outcome = net.cmdac_update_foreign_identity(
-        ledger.state, old.foreign_network, old.foreign_org, old.holder_did, old.bundle,
-        old.status, old.nonce, old.endorsements, now=runner.world.bus.now,
+        ledger.state, old.statement, old.bundle, old.endorsements, now=runner.world.bus.now,
     )
     assert outcome == net.OUTCOME_REPLAYED
     assert state.get_record("STL", "Carrier").status == net.STATUS_REVOKED

@@ -76,6 +76,21 @@ def challenge(probe, world, holder, network_id, **extra):
     return result["body"], nonce
 
 
+def countersign_request(
+    probe, foreign_did, digest, status, org="Carrier", home_network="SWT",
+    foreign_network="STL", **extra,
+):
+    """The body of a countersign request for a commit of `foreign_network`'s
+    `org` into `home_network`: the statement, under a fresh nonce of `probe`."""
+    statement = net.Endorsement(foreign_network, org, foreign_did, digest, status, probe.nonce())
+    return {"home_network": home_network, "statement": statement.to_bytes().hex(), **extra}
+
+
+def statement_of(msg) -> net.Endorsement:
+    """The statement a countersign request carries."""
+    return net.Endorsement.from_bytes(bytes.fromhex(msg.body["statement"]))
+
+
 def ask_countersign(probe, world, foreign_did, digest, status, **extra):
     """Ask Seller to countersign a commit of STL's Carrier into SWT; returns
     the reply body."""
@@ -85,16 +100,7 @@ def ask_countersign(probe, world, foreign_did, digest, status, **extra):
         reply = yield Request(
             "agent:Seller",
             "agent.countersign.request",
-            {
-                "home_network": "SWT",
-                "foreign_network": "STL",
-                "foreign_org": "Carrier",
-                "foreign_did": foreign_did,
-                "digest": digest.hex(),
-                "status": status,
-                "nonce": probe.nonce().hex(),
-                **extra,
-            },
+            countersign_request(probe, foreign_did, digest, status, **extra),
             timeout=2000,
         )
         result["body"] = reply.body
@@ -187,15 +193,7 @@ class TestCountersigning:
             reply = yield Request(
                 "agent:Seller",
                 "agent.countersign.request",
-                {
-                    "home_network": "SWT",
-                    "foreign_network": "STL",
-                    "foreign_org": "Carrier",
-                    "foreign_did": world.org_dids["Carrier"],
-                    "digest": old_digest.hex(),
-                    "status": "ACTIVE",
-                    "nonce": probe.nonce().hex(),
-                },
+                countersign_request(probe, world.org_dids["Carrier"], old_digest, "ACTIVE"),
                 timeout=2000,
             )
             result["body"] = reply.body
@@ -219,15 +217,7 @@ class TestCountersigning:
             reply = yield Request(
                 "agent:Seller",
                 "agent.countersign.request",
-                {
-                    "home_network": "SWT",
-                    "foreign_network": "STL",
-                    "foreign_org": "Carrier",
-                    "foreign_did": world.org_dids["Carrier"],
-                    "digest": (b"\x00" * 32).hex(),
-                    "status": "ACTIVE",
-                    "nonce": probe.nonce().hex(),
-                },
+                countersign_request(probe, world.org_dids["Carrier"], b"\x00" * 32, "ACTIVE"),
                 timeout=2000,
             )
             result["body"] = reply.body
@@ -349,7 +339,7 @@ class TestCountersigning:
         countersign = seller._handle_countersign
 
         def unsigned_for_carrier(sender, msg):
-            if msg.body["foreign_org"] == "Carrier":
+            if statement_of(msg).foreign_org == "Carrier":
                 return {"result": "signed", "org": "Seller"}
             return countersign(sender, msg)
 
@@ -366,7 +356,7 @@ class TestCountersigning:
         countersign = seller._handle_countersign
 
         def listed_digest_for_carrier(sender, msg):
-            if msg.body["foreign_org"] == "Carrier":
+            if statement_of(msg).foreign_org == "Carrier":
                 return {"result": "digest_mismatch", "own_digest": ["00"], "org": "Seller"}
             return countersign(sender, msg)
 
@@ -436,7 +426,7 @@ class TestCountersigning:
 
     def test_revoked_countersign_without_ledger_records_names_the_failure(self, world):
         # a first sync fills Seller's interop cache, so the drop below hits
-        # the records query; an empty foreign_did skips re-validation
+        # the records query; an empty holder DID skips re-validation
         run_sync(world, "Buyer", "SWT", "STL", targets=(world.org_dids["Carrier"],))
         world.bus.config.rules.append(
             FaultRule(action="drop", to="agent:Seller", kind="ledger.reply")
@@ -448,15 +438,7 @@ class TestCountersigning:
             reply = yield Request(
                 "agent:Seller",
                 "agent.countersign.request",
-                {
-                    "home_network": "SWT",
-                    "foreign_network": "STL",
-                    "foreign_org": "Carrier",
-                    "foreign_did": "",
-                    "digest": (b"\x00" * 32).hex(),
-                    "status": "REVOKED",
-                    "nonce": probe.nonce().hex(),
-                },
+                countersign_request(probe, "", b"\x00" * 32, "REVOKED"),
                 timeout=1500,
             )
             result["body"] = reply.body
@@ -775,15 +757,10 @@ class TestConcurrentSync:
             reply = yield Request(
                 "agent:Seller",
                 "agent.countersign.request",
-                {
-                    "home_network": "SWT",
-                    "foreign_network": "STL",
-                    "foreign_org": org,
-                    "foreign_did": world.org_dids[org],
-                    "digest": world.organizations[("STL", org)].bundle_digest().hex(),
-                    "status": "ACTIVE",
-                    "nonce": probe.nonce().hex(),
-                },
+                countersign_request(
+                    probe, world.org_dids[org],
+                    world.organizations[("STL", org)].bundle_digest(), "ACTIVE", org=org,
+                ),
                 timeout=2000,
             )
             replies[org] = reply.body
@@ -876,8 +853,8 @@ class TestCountersignGate:
         assert record.error is None
         ledger = world.ledger_state("SWT")
         assert ledger.get_record("STL", "Carrier").status == "ACTIVE"
-        last = [e for e in ledger.block_log if e.foreign_org == "Carrier"][-1]
-        assert (last.status, last.outcome) == ("ACTIVE", "APPLIED")
+        last = [e for e in ledger.block_log if e.statement.foreign_org == "Carrier"][-1]
+        assert (last.statement.status, last.outcome) == ("ACTIVE", "APPLIED")
         assert {org for org, _ in last.endorsements} == {"Buyer", "Seller"}
 
 
@@ -1122,6 +1099,26 @@ class TestResync:
         applied_after = [e for e in log if e.outcome == "APPLIED"]
         assert len(applied_after) == len(applied_before)
         assert any(e.outcome == "NOOP" for e in log)
+
+
+class TestLedgerRecords:
+    def read_records(self, world):
+        buyer = world.agents["Buyer"]
+        record = buyer.start_session("records", buyer._ledger_records("SWT", "STL"))
+        world.settle()
+        return record
+
+    def test_records_reply_carries_each_records_content(self, world):
+        assert run_sync(world, "Buyer", "SWT", "STL").error is None
+        expected = [r.content() for r in world.ledger_state("SWT").records_for("STL")]
+        assert len(expected) == 2
+        assert self.read_records(world).result == expected
+
+    def test_undecodable_record_is_refused_by_name(self, world):
+        world.ledgers["SWT"]._query = lambda sender, msg: {"records": ["00"]}
+        record = self.read_records(world)
+        assert isinstance(record.error, agent_mod.LedgerRefused)
+        assert "ledger:SWT: undecodable RecordContent" in str(record.error)
 
 
 # the events that mark a sync target's phases: B validated, C fetched, D

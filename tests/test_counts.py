@@ -59,12 +59,12 @@ def test_bundled_scenario_counts(
 
 
 TRACE_DIGESTS = {
-    "concurrent-commit": "fdca7a27c45454f21e2e07c051921a970fba9374c59d565f08fb2dfc48f47ab1",
-    "concurrent-commit-serial": "e7de298d95f8728d2a08db24cffd69ffcc9e40ce99a26277b1d88bc885cb064b",
-    "digest-mismatch-retry": "93a7b18dd7d0d005683e5f98a047a8aa9c6c52ef6977e0daad7a4e1dfb1c9ba1",
-    "revoke-carrier": "4cdb8c6c547d60ffb731eca3223a3eed46fa9c536eb4bfb62dc06912d6d3b6a8",
-    "rotate-resync": "37921d6ce5b5ddbeb630cc980ee11c9abef271669835e8784c06517e5d446535",
-    "two-network": "15cf524bb50cee60ba87d479dd327855b66ce283a2663934876cbe56854e62ca",
+    "concurrent-commit": "20a58a0d3473478a526d354d632ff951c743846dcf641e784fab3378caed286f",
+    "concurrent-commit-serial": "8a559cf0be59f59df69c72305c598471a06cd372081ace8e05c2529d89a55fb2",
+    "digest-mismatch-retry": "2da481cb6d47ebc52c133012bf649d92960fe319efbd4c4f4b71668c300c3827",
+    "revoke-carrier": "a89dc962571bef9f3811e4eae111f6bf822d0f12b2aca1a499bd551af4424e73",
+    "rotate-resync": "ab08f41d44f95f9d97e06e5945e98c4cf77f25bf15aa955f974d857197fc6aff",
+    "two-network": "0ba8559f1e2e82796d9e5d37fc1e2febd1a3b2194055b18539610b08ce57c213",
 }
 
 

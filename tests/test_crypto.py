@@ -84,19 +84,23 @@ class TestSignatures:
 
 
 def make_chain(depth3: bool = True, now: int = 50, lifetime: int = 100):
+    """A self-signed root, then (with `depth3`) an intermediate and a leaf,
+    each signed by its predecessor's key."""
     root_keys = seeded_keys("root")
     inter_keys = seeded_keys("inter")
     leaf_keys = seeded_keys("leaf")
-    root_spec = crypto.CertSpec("net.org.root", root_keys.public_key, 0, lifetime * 10)
-    inter_spec = crypto.CertSpec("net.org.ica", inter_keys.public_key, 0, lifetime * 5)
-    leaf_spec = crypto.CertSpec("net.org.peer0", leaf_keys.public_key, 0, lifetime)
-    if depth3:
-        chain = crypto.issue_certificate_chain(
-            root_keys, root_spec, intermediates=[(inter_spec, inter_keys)], leaf=leaf_spec
-        )
-    else:
-        chain = crypto.issue_certificate_chain(root_keys, root_spec)
-    return chain, root_keys, leaf_keys
+    root = crypto.Certificate.sign(
+        root_keys, "net.org.root", root_keys.public_key, "net.org.root", 0, lifetime * 10
+    )
+    if not depth3:
+        return (root,), root_keys, leaf_keys
+    inter = crypto.Certificate.sign(
+        root_keys, "net.org.ica", inter_keys.public_key, "net.org.root", 0, lifetime * 5
+    )
+    leaf = crypto.Certificate.sign(
+        inter_keys, "net.org.peer0", leaf_keys.public_key, "net.org.ica", 0, lifetime
+    )
+    return (root, inter, leaf), root_keys, leaf_keys
 
 
 class TestCertificateChains:
@@ -144,22 +148,10 @@ class TestCertificateChains:
 
     def test_time_before_validity_is_expired(self):
         root_keys = seeded_keys("root")
-        spec = crypto.CertSpec("r", root_keys.public_key, 10, 20)
-        chain = crypto.issue_certificate_chain(root_keys, spec)
+        chain = (crypto.Certificate.sign(root_keys, "r", root_keys.public_key, "r", 10, 20),)
         with pytest.raises(crypto.Expired):
             crypto.verify_certificate_chain(chain, now=5)
         assert crypto.verify_certificate_chain(chain, now=10)
-
-    def test_empty_validity_window_rejected_at_issuance(self):
-        keys = seeded_keys("k")
-        with pytest.raises(crypto.CryptoError):
-            crypto.issue_certificate_chain(
-                keys, crypto.CertSpec("r", keys.public_key, 5, 5)
-            )
-
-    def test_missing_root_spec_rejected(self):
-        with pytest.raises(crypto.EmptySpec):
-            crypto.issue_certificate_chain(seeded_keys("k"), None)
 
     def test_chain_serialization_roundtrip(self):
         chain, _, _ = make_chain()

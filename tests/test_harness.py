@@ -423,6 +423,14 @@ class TestCli:
          "script[2]: missing field 'id'"),
         (lambda raw: raw["script"][7].update(staus=raw["script"][7].pop("status")),
          "script[7]: unknown field 'staus'"),
+        (lambda raw: raw.update(cert_lifetime=0), "cert_lifetime: must be at least 1, got 0"),
+        (lambda raw: raw.update(latency=[3, 1]), "latency: expected 0 <= min <= max, got [3, 1]"),
+        (lambda raw: raw.update(latency=[-1, 2]),
+         "latency: expected 0 <= min <= max, got [-1, 2]"),
+        (lambda raw: raw.update(drop_rate=1.5), "drop_rate: must be between 0 and 1, got 1.5"),
+        (lambda raw: raw.update(drop_rate=-0.1), "drop_rate: must be between 0 and 1, got -0.1"),
+        (lambda raw: raw["networks"][0]["orgs"][1].update(peers=0),
+         "network STL: org Carrier needs at least one peer, got 0"),
     ], ids=[
         "unknown-pmv", "iin-without-id", "trust-without-network", "org-without-name",
         "network-not-a-mapping", "nodes-not-a-number", "peers-not-a-number",
@@ -430,7 +438,9 @@ class TestCli:
         "latency-not-a-pair", "latency-bound-not-a-number", "misspelled-top-level-key",
         "misspelled-step-key", "unknown-initiator", "unknown-signer", "org-of-other-network",
         "misspelled-fault-key", "unknown-fault-action", "ticks-not-a-number",
-        "validate-without-id", "misspelled-assert-key",
+        "validate-without-id", "misspelled-assert-key", "cert-lifetime-zero",
+        "latency-min-above-max", "latency-negative", "drop-rate-above-one",
+        "drop-rate-negative", "no-peers",
     ])
     def test_config_error_exit_two(self, tmp_path, capsys, breakage, problem):
         raw = minimal_raw()

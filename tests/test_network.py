@@ -43,9 +43,13 @@ def make_source_org(org_id="FarOrg", peers=1, now=0, lifetime=1000) -> net.Organ
     )
 
 
+def statement(foreign_net, foreign_org, bundle, status, nonce) -> net.Endorsement:
+    """The statement that admits `bundle` under FAR_DID."""
+    return net.Endorsement(foreign_net, foreign_org, FAR_DID, crypto.digest(bundle), status, nonce)
+
+
 def endorse(orgs, foreign_net, foreign_org, bundle, status, nonce):
-    digest = crypto.digest(bundle)
-    message = net.Endorsement(foreign_net, foreign_org, FAR_DID, digest, status, nonce).to_bytes()
+    message = statement(foreign_net, foreign_org, bundle, status, nonce).to_bytes()
     return tuple((o, ORG_KEYS[o].sign(message).bytes_) for o in orgs)
 
 
@@ -56,7 +60,8 @@ class TestCmdacContract:
         bundle = org.bundle_bytes()
         sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "ACTIVE", b"n1")
         state, outcome = net.cmdac_update_foreign_identity(
-            ledger, "AWAY", "FarOrg", FAR_DID, bundle, "ACTIVE", b"n1", sigs, now=5
+            ledger, statement("AWAY", "FarOrg", bundle, "ACTIVE", b"n1"),
+            bundle, sigs, now=5,
         )
         assert outcome == "APPLIED"
         record = state.get_record("AWAY", "FarOrg")
@@ -73,7 +78,8 @@ class TestCmdacContract:
             for subset in itertools.combinations(orgs, r):
                 sigs = endorse(subset, "AWAY", "FarOrg", bundle, "ACTIVE", b"n")
                 state, outcome = net.cmdac_update_foreign_identity(
-                    ledger, "AWAY", "FarOrg", FAR_DID, bundle, "ACTIVE", b"n", sigs, now=1
+                    ledger, statement("AWAY", "FarOrg", bundle, "ACTIVE", b"n"),
+                    bundle, sigs, now=1,
                 )
                 if set(subset) == set(orgs):
                     assert outcome == "APPLIED"
@@ -88,7 +94,8 @@ class TestCmdacContract:
         good = endorse(("OrgA",), "AWAY", "FarOrg", bundle, "ACTIVE", b"n")
         forged = (("OrgB", ORG_KEYS["OrgB"].sign(b"something else").bytes_),)
         state, outcome = net.cmdac_update_foreign_identity(
-            ledger, "AWAY", "FarOrg", FAR_DID, bundle, "ACTIVE", b"n", good + forged, now=1
+            ledger, statement("AWAY", "FarOrg", bundle, "ACTIVE", b"n"),
+            bundle, good + forged, now=1,
         )
         assert outcome == "BadEndorsementSignature:OrgB"
         assert state.get_record("AWAY", "FarOrg") is None
@@ -98,7 +105,8 @@ class TestCmdacContract:
         bundle = make_source_org().bundle_bytes()
         sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "ACTIVE", b"n1")
         _, outcome = net.cmdac_update_foreign_identity(
-            ledger, "AWAY", "FarOrg", FAR_DID, bundle, "ACTIVE", b"other-nonce", sigs, now=1
+            ledger, statement("AWAY", "FarOrg", bundle, "ACTIVE", b"other-nonce"),
+            bundle, sigs, now=1,
         )
         assert outcome.startswith("BadEndorsementSignature")
 
@@ -107,12 +115,14 @@ class TestCmdacContract:
         bundle = make_source_org().bundle_bytes()
         sigs1 = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "ACTIVE", b"n1")
         state, _ = net.cmdac_update_foreign_identity(
-            ledger, "AWAY", "FarOrg", FAR_DID, bundle, "ACTIVE", b"n1", sigs1, now=1
+            ledger, statement("AWAY", "FarOrg", bundle, "ACTIVE", b"n1"),
+            bundle, sigs1, now=1,
         )
         # a second initiator, different nonce, same content
         sigs2 = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "ACTIVE", b"n2")
         state2, outcome = net.cmdac_update_foreign_identity(
-            state, "AWAY", "FarOrg", FAR_DID, bundle, "ACTIVE", b"n2", sigs2, now=9
+            state, statement("AWAY", "FarOrg", bundle, "ACTIVE", b"n2"),
+            bundle, sigs2, now=9,
         )
         assert outcome == "NOOP"
         assert state2.get_record("AWAY", "FarOrg").synced_at == 1  # unchanged
@@ -125,14 +135,16 @@ class TestCmdacContract:
         old_bundle = org.bundle_bytes()
         sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", old_bundle, "ACTIVE", b"n1")
         state, _ = net.cmdac_update_foreign_identity(
-            ledger, "AWAY", "FarOrg", FAR_DID, old_bundle, "ACTIVE", b"n1", sigs, now=1
+            ledger, statement("AWAY", "FarOrg", old_bundle, "ACTIVE", b"n1"),
+            old_bundle, sigs, now=1,
         )
         org.rotate(now=10)
         new_bundle = org.bundle_bytes()
         assert new_bundle != old_bundle
         sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", new_bundle, "ACTIVE", b"n2")
         state2, outcome = net.cmdac_update_foreign_identity(
-            state, "AWAY", "FarOrg", FAR_DID, new_bundle, "ACTIVE", b"n2", sigs, now=12
+            state, statement("AWAY", "FarOrg", new_bundle, "ACTIVE", b"n2"),
+            new_bundle, sigs, now=12,
         )
         assert outcome == "APPLIED"
         record = state2.get_record("AWAY", "FarOrg")
@@ -144,15 +156,44 @@ class TestCmdacContract:
         bundle = make_source_org().bundle_bytes()
         sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "ACTIVE", b"n1")
         state, _ = net.cmdac_update_foreign_identity(
-            ledger, "AWAY", "FarOrg", FAR_DID, bundle, "ACTIVE", b"n1", sigs, now=1
+            ledger, statement("AWAY", "FarOrg", bundle, "ACTIVE", b"n1"),
+            bundle, sigs, now=1,
         )
         sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "REVOKED", b"n2")
         state2, outcome = net.cmdac_update_foreign_identity(
-            state, "AWAY", "FarOrg", FAR_DID, bundle, "REVOKED", b"n2", sigs, now=2
+            state, statement("AWAY", "FarOrg", bundle, "REVOKED", b"n2"),
+            bundle, sigs, now=2,
         )
         assert outcome == "APPLIED"
         assert state2.get_record("AWAY", "FarOrg").status == "REVOKED"
         assert len(state2.block_log) == 2  # history preserved, record not deleted
+
+    def test_statement_of_another_bundle_is_refused_first(self):
+        """The ledger digests the bundle it stores: a statement every org
+        endorsed is refused, before any signature check, when its digest is
+        not that bundle's, and consumes no nonce."""
+        ledger = make_ledger()
+        org = make_source_org()
+        bundle = org.bundle_bytes()
+        org.rotate(now=10)
+        endorsed = statement("AWAY", "FarOrg", org.bundle_bytes(), "ACTIVE", b"n1")
+        for sigs in (endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", org.bundle_bytes(),
+                             "ACTIVE", b"n1"), ()):
+            state, outcome = net.cmdac_update_foreign_identity(
+                ledger, endorsed, bundle, sigs, now=1
+            )
+            assert outcome == "BundleDigestMismatch"
+            assert state.foreign == ledger.foreign
+            assert state.state_hash() == ledger.state_hash()
+        sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "ACTIVE", b"n1")
+        state, outcome = net.cmdac_update_foreign_identity(
+            state, statement("AWAY", "FarOrg", bundle, "ACTIVE", b"n1"), bundle, sigs, now=2
+        )
+        assert outcome == "APPLIED"
+        assert state.get_record("AWAY", "FarOrg").bundle == bundle
+        assert [e.outcome for e in state.block_log] == ["BundleDigestMismatch", "APPLIED"]
+        replayed = net.replay_block_log(ledger, state.block_log)
+        assert replayed.state_hash() == state.state_hash()
 
     def test_replay_block_log_reproduces_state(self):
         ledger = make_ledger()
@@ -162,8 +203,8 @@ class TestCmdacContract:
             nonce = bytes([i]) * 4
             sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", org.bundle_bytes(), status, nonce)
             state, _ = net.cmdac_update_foreign_identity(
-                state, "AWAY", "FarOrg", FAR_DID, org.bundle_bytes(), status, nonce, sigs,
-                now=i,
+                state, statement("AWAY", "FarOrg", org.bundle_bytes(), status, nonce),
+                org.bundle_bytes(), sigs, now=i,
             )
         replayed = net.replay_block_log(ledger, state.block_log)
         assert replayed.state_hash() == state.state_hash()
@@ -204,8 +245,8 @@ class TestDataProofs:
             ("OrgA", "OrgB"), "AWAY", "FarA", self.org_a.bundle_bytes(), "REVOKED", b"r"
         )
         ledger, _ = net.cmdac_update_foreign_identity(
-            self.ledger, "AWAY", "FarA", FAR_DID, self.org_a.bundle_bytes(), "REVOKED", b"r",
-            sigs, now=2,
+            self.ledger, statement("AWAY", "FarA", self.org_a.bundle_bytes(), "REVOKED", b"r"),
+            self.org_a.bundle_bytes(), sigs, now=2,
         )
         proof = net.generate_data_proof(self.sources, b"x", self.policy)
         with pytest.raises(net.RevokedMember) as err:
@@ -258,7 +299,8 @@ class TestDataProofs:
     def commit(self, ledger, org_id, bundle, nonce, now=3):
         sigs = endorse(("OrgA", "OrgB"), "AWAY", org_id, bundle, "ACTIVE", nonce)
         ledger, outcome = net.cmdac_update_foreign_identity(
-            ledger, "AWAY", org_id, FAR_DID, bundle, "ACTIVE", nonce, sigs, now=now
+            ledger, statement("AWAY", org_id, bundle, "ACTIVE", nonce),
+            bundle, sigs, now=now,
         )
         assert outcome == "APPLIED"
         return ledger

@@ -257,11 +257,13 @@ class TestApplyRules:
 @pytest.fixture(scope="module")
 def published():
     """A registry with the steward, an anchor `pmv` holding a revocation state,
-    a schema and a credential definition, and an anchor `pmv2` with none."""
+    a schema and a credential definition, an anchor `pmv2` with none, and a
+    self-registered `member` that holds no role."""
     s_keys, s_did, s_doc = make_identity("steward")
     pmv, pmv2 = make_identity("pmv"), make_identity("pmv2")
+    m_keys, m_did, m_doc = make_identity("member")
     state = registry.RegistryState.genesis((s_doc,))
-    txs = []
+    txs = [registry.make_transaction(registry.KIND_NYM, m_doc.to_bytes(), m_did, m_keys)]
     for _, did, doc in (pmv, pmv2):
         txs += [
             registry.make_transaction(
@@ -286,7 +288,8 @@ def published():
     for tx in txs:
         state, outcome = registry.apply_transaction(state, tx)
         assert outcome == "APPLIED"
-    return state, {"steward": (s_keys, s_did), "pmv": pmv[:2], "pmv2": pmv2[:2]}, cred_def
+    ids = {"steward": (s_keys, s_did), "pmv": pmv[:2], "pmv2": pmv2[:2], "member": (m_keys, m_did)}
+    return state, ids, cred_def
 
 
 @pytest.mark.parametrize("submitter, kind, payload, outcome", [
@@ -314,12 +317,22 @@ def published():
         )
     ],
     ("steward", "BOGUS", lambda ids, _: b"", "BadSignature"),
+    # the role gate comes before the payload's decoding
+    *[
+        (submitter, kind, lambda ids, _: b"\xffjunk", "UnauthorizedRole")
+        for submitter, kind in (
+            ("member", registry.KIND_SCHEMA), ("member", registry.KIND_CRED_DEF),
+            ("steward", registry.KIND_REVOC_INIT), ("pmv", registry.KIND_ANCHOR_GRANT),
+        )
+    ],
 ], ids=[
     "revoc-init-naming-another-issuer", "second-revoc-init", "revoc-init-at-epoch-1",
     "existing-schema-id", "existing-cred-def-id", "grant-of-an-unknown-role",
     "undecodable-nym", "undecodable-schema", "undecodable-cred-def",
     "undecodable-revoc-init", "undecodable-revoc-update", "undecodable-anchor-grant",
     "unknown-kind",
+    "undecodable-schema-without-role", "undecodable-cred-def-without-role",
+    "undecodable-revoc-init-without-role", "undecodable-anchor-grant-without-role",
 ])
 def test_write_rule_rejects_and_leaves_the_state(published, submitter, kind, payload, outcome):
     state, ids, cred_def = published

@@ -22,10 +22,7 @@ SERVERS = (IinAgent, AnchorService, IinNode, LedgerNode)
 # request kind -> a body whose fields are all present, one of them wrong-typed
 WRONG_TYPED = {
     "agent.membership_vp.request": {"network_id": 5, "nonce": "00"},
-    "agent.countersign.request": {
-        "home_network": "SWT", "foreign_network": "STL", "foreign_org": "Carrier",
-        "foreign_did": "did:iin:x", "digest": 5, "status": "ACTIVE", "nonce": "00",
-    },
+    "agent.countersign.request": {"home_network": "SWT", "statement": 5},
     "anchor.verinym.request": {"org_name": "Seller", "doc": 5},
     "anchor.vc.request": {"holder_did": 5, "network_id": "SWT"},
     "anchor.memberlist.request": {"network_id": 5, "nonce": "00"},
@@ -34,10 +31,7 @@ WRONG_TYPED = {
     "iin.order": {"first": "x", "txs": 5},
     "iin.fetch": {"from": "x", "to": 1},
     "iin.query": {"what": 5, "id": "x"},
-    "cmdac.submit": {
-        "foreign_network": 5, "foreign_org": "Carrier", "holder_did": "did:iin:x",
-        "bundle": "00", "status": "ACTIVE", "nonce": "00", "endorsements": [],
-    },
+    "cmdac.submit": {"statement": 5, "bundle": "00", "endorsements": []},
     "ledger.query": {"what": 5},
 }
 
@@ -49,9 +43,17 @@ WRONG_TYPED_OPTIONAL = {
     },
 }
 
-# request kind -> shape -> a body of the right types but a malformed value
+# request kind -> shape -> (a body of the right types but a malformed value, error)
 MALFORMED_VALUE = {
-    "iin.submit": {"entry-not-hex": {"txs": ["zz"]}},
+    "iin.submit": {"entry-not-hex": ({"txs": ["zz"]}, "ValueError")},
+    "agent.countersign.request": {
+        "undecodable-statement": ({"home_network": "SWT", "statement": "00"}, "DecodeError"),
+    },
+    "cmdac.submit": {
+        "undecodable-statement": (
+            {"statement": "00", "bundle": "00", "endorsements": []}, "DecodeError"
+        ),
+    },
 }
 
 # Open registry reads answer a malformed body as an ordinary miss or an
@@ -79,7 +81,7 @@ CASES = [
         ("wrong-typed", WRONG_TYPED[kind], "TypeError"),
         *((f"wrong-typed-{name}", b, "TypeError")
           for name, b in WRONG_TYPED_OPTIONAL.get(kind, {}).items()),
-        *((shape, b, "ValueError") for shape, b in MALFORMED_VALUE.get(kind, {}).items()),
+        *((shape, b, e) for shape, (b, e) in MALFORMED_VALUE.get(kind, {}).items()),
     ]
 ]
 
