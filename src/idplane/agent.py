@@ -14,14 +14,21 @@ The agent is the org's protocol engine for the identity plane:
   step C  check the member's network-issued certificate bundle, a
           self-signed presentation that the same challenge reply carries
           when step C follows, and its internal consistency;
-  step D  commit the bundle to the local ledger: collect a countersignature
-          from every other local org (each validates independently) and submit
-          the contract transaction; on a digest mismatch the agent refetches
-          and retries up to its retry budget.
+  step D  commit the bundles to the local ledger: send every other local org
+          one countersign request that lists the statement of each bundle,
+          all of one foreign network;
+          each org validates every statement independently and answers per
+          statement. Each statement every org signed is submitted as its own
+          contract transaction; on a digest mismatch the agent refetches and
+          retries up to its retry budget.
 
-A sync runs B-D for all of its targets at once, one session per target, and
-flips records to REVOKED, one at a time, only after every target has ended. A
-resync (a scheduled scenario step, or a proof failure in the data plane; the
+A sync runs in rounds. A round reads the registry snapshot of all of its
+targets at once, runs B and C for each target in a session of its own, and
+then step D for every target that passed, as one batch. The targets with a
+digest mismatch run again as the next round, which starts as soon as the
+countersign replies are in. One refused statement fails only its own target.
+Once every target has ended, the sync flips records to REVOKED, one at a time.
+A resync (a scheduled scenario step, or a proof failure in the data plane; the
 harness starts it, no message does) re-runs B-D for every network on the
 interoperation list, updating rotated bundles and flipping records to REVOKED
 for members that no longer validate.
@@ -57,6 +64,9 @@ PHASE_FAILED = "FAILED"
 RESULT_SIGNED = "signed"
 RESULT_DIGEST_MISMATCH = "digest_mismatch"
 RESULT_VALIDATION_FAILED = "validation_failed"
+
+# Step D's verdict on a statement whose countersigners hold another bundle.
+DIGEST_MISMATCH = "DIGEST_MISMATCH"
 
 
 class AgentError(Exception):
@@ -143,6 +153,34 @@ def _decode(record_cls: type[R], raw: object, error: type[AgentError], peer: str
         raise error(f"{peer}: undecodable {record_cls.__name__}: {e}") from None
 
 
+def _caught(gen: Generator) -> Generator:
+    """Run `gen`, returning the protocol error it raises instead: a session
+    running it ends without `session.failed`, and whoever joins it names the
+    error as its own."""
+    try:
+        return (yield from gen)
+    except PROTOCOL_ERRORS as e:
+        return e
+
+
+def _refusal(reason: str) -> dict:
+    """A countersigner's answer to a statement it does not sign."""
+    return {"result": RESULT_VALIDATION_FAILED, "reason": reason}
+
+
+def _batch_answers(reply: Optional[Message], n: int) -> Optional[list[dict]]:
+    """A countersigner's answer to each statement of an `n`-statement batch,
+    or None when it did not reply. A reply whose `results` is not a list of
+    `n` signs none of them: an error reply for the error it names, any other
+    for NoSignature; so does an entry that is not a dict."""
+    if reply is None:
+        return None
+    results = reply.body.get("results")
+    if isinstance(results, list) and len(results) == n:
+        return [r if isinstance(r, dict) else {} for r in results]
+    return [{"error": reply.body.get("error", "NoSignature")}] * n
+
+
 @dataclass
 class AgentConfig:
     org_id: str
@@ -190,7 +228,8 @@ class IinAgent(Actor):
     def step_a(self) -> Generator:
         """Register the verinym and obtain a membership VC per home network.
         Safe to re-run: re-registration surfaces as a registry duplicate, and
-        re-issuance returns the existing credential with a fresh witness."""
+        re-issuance returns the existing credential with a fresh witness, so a
+        credential request whose reply is lost is sent once more."""
         doc = registry.new_did_document(self.pool.iin_id, self.keys, self.address)
         reply = yield Request(
             self.config.oiv_address,
@@ -204,12 +243,12 @@ class IinAgent(Actor):
             raise AgentError(reply.body.get("error", "verinym registration failed"))
         for network_id in self.config.ledgers:
             anchor = self.config.home_pmv[network_id]
-            reply = yield Request(
-                anchor,
-                "anchor.vc.request",
-                {"holder_did": self.did, "network_id": network_id},
-                timeout=600,
-            )
+            body = {"holder_did": self.did, "network_id": network_id}
+            reply = yield Request(anchor, "anchor.vc.request", body, timeout=600)
+            if reply is None:
+                # asked once more: the anchor answers a repeat with the
+                # credential it already issued (`already_member`)
+                reply = yield Request(anchor, "anchor.vc.request", body, timeout=600)
             if reply is None:
                 raise AgentError(f"membership validator for {network_id} unreachable")
             if not reply.body.get("ok"):
@@ -313,9 +352,7 @@ class IinAgent(Actor):
 
     def _run_shared(self, key: tuple, gen: Generator) -> Generator:
         try:
-            return (yield from gen)
-        except PROTOCOL_ERRORS as e:
-            return e
+            return (yield from _caught(gen))
         finally:
             self._in_flight.pop(key, None)
 
@@ -434,6 +471,21 @@ class IinAgent(Actor):
             revocation_state=revocation.get(vc.issuer_did) if vc is not None else None,
         )
 
+    def _trusted(self, home_network: str, foreign_network: str) -> Generator:
+        """The trust list's (anchor DID, network) pairs, and the anchors it
+        names for `foreign_network`, sorted."""
+        entries = yield from self._trust_entries(home_network)
+        trusted = frozenset((anchor, network) for _, anchor, network in entries)
+        return trusted, tuple(sorted(a for a, network in trusted if network == foreign_network))
+
+    def _read_members(
+        self, home_network: str, foreign_network: str, dids: tuple[str, ...]
+    ) -> Generator:
+        """One registry snapshot of the holders `dids`, with the revocation
+        state of each anchor the trust list names for `foreign_network`."""
+        _, issuers = yield from self._trusted(home_network, foreign_network)
+        return (yield from registry.resolve_member(self.pool, dids, issuers))
+
     def _validate_member(
         self,
         home_network: str,
@@ -441,6 +493,7 @@ class IinAgent(Actor):
         target_did: str,
         memberlist: Optional[creds.MemberlistCredential] = None,
         with_bundle: bool = False,
+        snapshot: Optional[registry.MemberSnapshot] = None,
     ) -> Generator:
         """Resolve, challenge, and verify one foreign member (step B) and,
         with `with_bundle`, check the certificate bundle the same challenge
@@ -451,10 +504,12 @@ class IinAgent(Actor):
         One registry read before the challenge (`registry.resolve_member`)
         gives the holder's document, its verinym status and the revocation
         state of each trusted anchor of `foreign_network` from one replica
-        state. A credential of any other issuer fails check 5, or check 6 if
-        the trust list names its issuer for another network, as the snapshot
-        holds no state for it. The revocation state is as of the start of the
-        validation: a revocation committed before the read fails check 6.
+        state; a `snapshot` given is that read, made for several holders at
+        once (`_read_members`). A credential of any other issuer fails check
+        5, or check 6 if the trust list names its issuer for another network,
+        as the snapshot holds no state for it. The revocation state is as of
+        the start of the validation: a revocation committed before the read
+        fails check 6.
         The challenge names each state's epoch, and a holder whose witness is
         older refreshes it at its anchor, which makes it at the anchor's epoch
         when the refresh arrives. Any issuance or revocation by the issuer
@@ -468,12 +523,10 @@ class IinAgent(Actor):
         whose presentation does not decode."""
         if memberlist is not None and target_did not in memberlist.member_dids:
             raise NotListed(target_did)
-        entries = yield from self._trust_entries(home_network)
-        trusted = frozenset((anchor, network) for _, anchor, network in entries)
-        issuers = tuple(sorted(a for a, network in trusted if network == foreign_network))
-        doc, verinym, revocation = yield from registry.resolve_member(
-            self.pool, target_did, issuers
-        )
+        trusted, issuers = yield from self._trusted(home_network, foreign_network)
+        if snapshot is None:
+            snapshot = yield from registry.resolve_member(self.pool, (target_did,), issuers)
+        (doc, verinym), revocation = snapshot.holder(target_did), snapshot.revocation()
         epochs = {issuer: state.epoch for issuer, state in revocation.items()}
         nonce, bundle_nonce = self.nonce(), (self.nonce() if with_bundle else None)
         body = {"network_id": foreign_network, "nonce": nonce.hex(), "epochs": epochs}
@@ -493,9 +546,8 @@ class IinAgent(Actor):
         vc = vp_body.vc if isinstance(vp_body, creds.MembershipBody) else None
         state = revocation.get(vc.issuer_did) if vc is not None else None
         if state is not None and vp_body.witness.epoch > state.epoch:
-            doc, verinym, revocation = yield from registry.resolve_member(
-                self.pool, target_did, issuers
-            )
+            snapshot = yield from registry.resolve_member(self.pool, (target_did,), issuers)
+            (doc, verinym), revocation = snapshot.holder(target_did), snapshot.revocation()
         artifacts = yield from self._verification_artifacts(vc, doc, verinym, revocation)
         claim = creds.verify_membership_vp(
             vp, foreign_network, nonce, trusted, artifacts, vp_body
@@ -555,71 +607,96 @@ class IinAgent(Actor):
     def _commit_identity(
         self,
         home_network: str,
-        foreign_network: str,
-        foreign_org: str,
-        foreign_did: str,
-        bundle: bytes,
-        digest: bytes,
-        status: str,
+        records: list[net.RecordContent],
         roster_version: Optional[int] = None,
     ) -> Generator:
-        """Build the statement (`net.Endorsement`) once, collect every other
-        local org's signature of it, and submit it with the bundle. Every
-        endorsement covers `foreign_did`, which the record keeps.
-        `roster_version` is the version of the memberlist the target was
-        validated against; countersigners whose own verified copy is at least
-        that new skip refetching it."""
-        statement = net.Endorsement(
-            foreign_network, foreign_org, foreign_did, digest, status, self.nonce()
-        ).to_bytes()
-        own_signature = self.keys.sign(statement)
+        """Step D for a batch of `records`: make each one's statement
+        (`net.Endorsement`) under a fresh nonce and ask every other local org
+        to countersign all of them in one request. Each statement that every
+        org signed is signed here too and submitted, one `cmdac.submit` each,
+        by a session of its own. Returns one verdict per record, in order, as
+        soon as the countersign replies are in: DIGEST_MISMATCH, the
+        AgentError that refused it, or the session that submits it (see
+        `_settled`). Every endorsement covers the record's holder DID, which
+        the ledger keeps. `roster_version` is the version of the memberlist
+        the records were validated against; countersigners whose own verified
+        copy is at least that new skip refetching it."""
+        if not records:
+            return []
+        statements = [r.statement(self.nonce()) for r in records]
         peers = sorted(
             (org, addr)
             for org, addr in self.config.peer_agents[home_network].items()
             if org != self.org_id
         )
-        request_body = {"home_network": home_network, "statement": statement.hex()}
+        request_body = {
+            "home_network": home_network,
+            "statements": [s.to_bytes().hex() for s in statements],
+        }
         if roster_version is not None:
             request_body["roster_version"] = roster_version
         replies = yield Gather(
             tuple((addr, "agent.countersign.request", request_body) for _, addr in peers),
             timeout=1500,
         )
-        missing = [org for (org, _), r in zip(peers, replies) if r is None]
+        answers = [_batch_answers(r, len(statements)) for r in replies]
+        verdicts = []
+        for i, (record, statement) in enumerate(zip(records, statements)):
+            verdict = self._verdict(statement, [
+                (org, None if a is None else a[i]) for (org, _), a in zip(peers, answers)
+            ])
+            if isinstance(verdict, list):
+                submit = self._submit(home_network, statement, record.bundle, verdict)
+                verdict = self.start_session("submit", _caught(submit))
+            verdicts.append(verdict)
+        return verdicts
+
+    def _verdict(
+        self, statement: net.Endorsement, answers: list[tuple[str, Optional[dict]]]
+    ) -> object:
+        """What every other org's answer (org, answer or None) to `statement`
+        decides: its endorsements, this org's first, when every org signed
+        it; else DIGEST_MISMATCH or the AgentError that refuses it."""
+        missing = [org for org, a in answers if a is None]
         if missing:
-            raise MissingCountersignature(",".join(missing))
+            return MissingCountersignature(",".join(missing))
         mismatched = [
-            r.body.get("own_digest", "")
-            for r in replies
-            if r.body.get("result") == RESULT_DIGEST_MISMATCH
+            a.get("own_digest", "")
+            for _, a in answers
+            if a.get("result") == RESULT_DIGEST_MISMATCH
         ]
         theirs = [d for d in mismatched if isinstance(d, str)]  # others fail below
         if theirs:
             self.trace(
                 "agent.sync.digest_mismatch",
-                network=foreign_network,
-                org=foreign_org,
-                ours=digest.hex(),
+                network=statement.foreign_network,
+                org=statement.foreign_org,
+                ours=statement.bundle_digest.hex(),
                 theirs=",".join(theirs),
             )
-            return "DIGEST_MISMATCH"
+            return DIGEST_MISMATCH
         failed = [
-            (org, r.body.get("reason", r.body.get("error", "NoSignature")))
-            for (org, _), r in zip(peers, replies)
-            if r.body.get("result") != RESULT_SIGNED or not isinstance(r.body.get("sig"), str)
+            (org, a.get("reason", a.get("error", "NoSignature")))
+            for org, a in answers
+            if a.get("result") != RESULT_SIGNED or not isinstance(a.get("sig"), str)
         ]
         if failed:
-            raise CounterpartyValidationFailed(
+            return CounterpartyValidationFailed(
                 ";".join(f"{org}:{reason}" for org, reason in failed)
             )
-        endorsements = [[self.org_id, own_signature.bytes_.hex()]] + [
-            [org, r.body["sig"]] for (org, _), r in zip(peers, replies)
-        ]
+        own = self.keys.sign(statement.to_bytes()).bytes_.hex()
+        return [[self.org_id, own]] + [[org, a["sig"]] for org, a in answers]
+
+    def _submit(
+        self, home_network: str, statement: net.Endorsement, bundle: bytes, endorsements: list
+    ) -> Generator:
+        """Submit one fully endorsed statement with its bundle; returns the
+        ledger's outcome, APPLIED or NOOP."""
         reply = yield Request(
             self.config.ledgers[home_network],
             "cmdac.submit",
             {
-                "statement": statement.hex(),
+                "statement": statement.to_bytes().hex(),
                 "bundle": bundle.hex(),
                 "endorsements": endorsements,
             },
@@ -632,44 +709,61 @@ class IinAgent(Actor):
             raise CommitRejected(outcome)
         self.trace(
             "agent.committed",
-            network=foreign_network,
-            org=foreign_org,
-            status=status,
+            network=statement.foreign_network,
+            org=statement.foreign_org,
+            status=statement.status,
             outcome=outcome,
         )
         return outcome
 
-    def _handle_countersign(self, sender: str, msg: Message) -> Generator:
-        """Validate the initiator's statement here and answer with this org's
-        signature of it, a digest mismatch or the reason it failed."""
-        home_network, statement = msg.fields("home_network", "statement")
-        statement = net.Endorsement.from_bytes(bytes.fromhex(statement))
-        foreign_network, foreign_org = statement.foreign_network, statement.foreign_org
+    def _settled(self, verdicts: list) -> Generator:
+        """`_commit_identity`'s verdicts once every submit has ended, each
+        submit session replaced by its result: the ledger's outcome or the
+        AgentError that failed the submit."""
+        yield Join(tuple(v for v in verdicts if isinstance(v, SessionRecord)))
+        return [v.result if isinstance(v, SessionRecord) else v for v in verdicts]
 
-        def respond(result: str, **extra) -> dict:
-            return {"result": result, "org": self.org_id, **extra}
+    def _handle_countersign(self, sender: str, msg: Message) -> Generator:
+        """Check each statement of the initiator's batch here and answer, per
+        statement and in order, with this org's signature of it, a digest
+        mismatch or the reason it failed. Every statement of a batch names
+        one foreign network: initiators batch one network's records at a
+        time. The ACTIVE ones share one memberlist gate and one registry read
+        for the holders that are listed but not cached; a gate or read that
+        fails refuses each statement that needed it, by name. A cached list
+        at least as new as the initiator's `roster_version` is reused: a
+        member revoked since still fails the fresh accumulator check in
+        _validate_member, and a low hint only fails the initiator's own
+        commit with NotListed."""
+        (home_network,) = msg.fields("home_network")
+        raw = msg.body["statements"]
+        if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
+            raise TypeError(f"{msg.kind}: statements must be a list of strings")
+        if not raw:
+            raise ValueError(f"{msg.kind}: no statements")
+        statements = [net.Endorsement.from_bytes(bytes.fromhex(s)) for s in raw]
+        networks = {s.foreign_network for s in statements}
+        if len(networks) > 1:
+            raise ValueError(f"{msg.kind}: statements of {len(networks)} foreign networks")
+        (foreign_network,) = networks
+        hint = msg.body.get("roster_version")
+
+        def answer(results: list) -> dict:
+            return {"org": self.org_id, "results": results}
 
         if home_network not in self.config.ledgers:
-            return respond(RESULT_VALIDATION_FAILED, reason="NotLocal")
+            return answer([_refusal("NotLocal")] * len(statements))
         try:
             interop = yield from self._interop(home_network)
         except LedgerUnreachable as e:
-            return respond(RESULT_VALIDATION_FAILED, reason=type(e).__name__)
+            return answer([_refusal(type(e).__name__)] * len(statements))
         if foreign_network not in interop:
-            return respond(RESULT_VALIDATION_FAILED, reason="PolicyViolation")
-
-        if statement.status == net.STATUS_ACTIVE:
-            # One memberlist gate for cached and fresh identities alike. A
-            # cached list at least as new as the initiator's is reused: a
-            # member revoked since still fails the fresh accumulator check in
-            # _validate_member, and a low hint only fails the initiator's own
-            # commit with NotListed. A cached identity skips steps B and C only
-            # while its DID is listed, so a revoked member's old bundle cannot
-            # be signed back to ACTIVE.
-            foreign_did = statement.holder_did
-            memberlist = self._memberlists.get(foreign_network)
-            hint = msg.body.get("roster_version")
-            identity = self.cache.get((foreign_network, foreign_did))
+            return answer([_refusal("PolicyViolation")] * len(statements))
+        active = [s for s in statements if s.status == net.STATUS_ACTIVE]
+        memberlist = self._memberlists.get(foreign_network)
+        snapshot, unchecked = None, ()
+        errors: dict[str, Exception] = {}  # holder DID -> what refuses its ACTIVE statements
+        if active:
             try:
                 if (
                     memberlist is None
@@ -680,59 +774,106 @@ class IinAgent(Actor):
                         ("memberlist", home_network, foreign_network),
                         self._fetch_memberlist(home_network, foreign_network),
                     )
-                if identity is None or foreign_did not in memberlist.member_dids:
-                    _, identity = yield from self._validate_member(
-                        home_network, foreign_network, foreign_did, memberlist, with_bundle=True
+                unchecked = tuple(dict.fromkeys(
+                    s.holder_did for s in active
+                    if s.holder_did in memberlist.member_dids
+                    and (foreign_network, s.holder_did) not in self.cache
+                ))
+                if unchecked:
+                    snapshot = yield from self._read_members(
+                        home_network, foreign_network, unchecked
                     )
-                if identity.org_id != foreign_org:
-                    raise OrgMismatch(f"{identity.org_id} presented as {foreign_org}")
             except PROTOCOL_ERRORS as e:
-                self.trace(
-                    "agent.countersign_refused",
-                    network=foreign_network,
-                    org=foreign_org,
-                    reason=type(e).__name__,
+                # a failed gate refuses every ACTIVE statement, a failed read
+                # those whose holders it named
+                errors = dict.fromkeys(unchecked or [s.holder_did for s in active], e)
+        sessions = []
+        for s in statements:
+            if s.status != net.STATUS_ACTIVE:
+                check = self._countersign_revoked(home_network, s)
+            else:
+                # a holder cached before the read but dropped since reads alone
+                read = snapshot if s.holder_did in unchecked else None
+                check = self._countersign_active(
+                    home_network, s, memberlist, read, errors.get(s.holder_did)
                 )
-                return respond(RESULT_VALIDATION_FAILED, reason=type(e).__name__)
-            if identity.digest != statement.bundle_digest:
-                # stale copy on one side; drop ours so the retry refetches
-                self.cache.pop((foreign_network, foreign_did), None)
-                self.trace(
-                    "agent.countersign_mismatch",
-                    network=foreign_network,
-                    org=foreign_org,
-                    ours=identity.digest.hex(),
-                    theirs=statement.bundle_digest.hex(),
-                )
-                return respond(RESULT_DIGEST_MISMATCH, own_digest=identity.digest.hex())
-            return respond(RESULT_SIGNED, sig=self._endorse(statement))
+            sessions.append(self.start_session("countersign", check))
+        return answer(list((yield Join(tuple(sessions)))))
 
-        # REVOKED: endorse only when the member no longer validates here either,
-        # under the DID its ledger record was committed with; the statement's
-        # holder DID is ignored, so an initiator cannot name no DID or another
-        # org's to skip the check. Always against a fresh memberlist: a cached
-        # one that lacks a re-admitted member would endorse a lying initiator's
-        # revocation.
+    def _countersign_active(
+        self,
+        home_network: str,
+        statement: net.Endorsement,
+        memberlist: Optional[creds.MemberlistCredential],
+        snapshot: Optional[registry.MemberSnapshot],
+        error: Optional[Exception],
+    ) -> Generator:
+        """Answer an ACTIVE statement: refused by `error` when its gate or
+        read failed. A cached identity skips steps B and C only while its DID
+        is listed, so a revoked member's old bundle cannot be signed back to
+        ACTIVE."""
+        foreign_network, foreign_did = statement.foreign_network, statement.holder_did
+        identity = self.cache.get((foreign_network, foreign_did))
+        try:
+            if error is not None:
+                raise error
+            if identity is None or foreign_did not in memberlist.member_dids:
+                _, identity = yield from self._validate_member(
+                    home_network, foreign_network, foreign_did, memberlist,
+                    with_bundle=True, snapshot=snapshot,
+                )
+            if identity.org_id != statement.foreign_org:
+                raise OrgMismatch(f"{identity.org_id} presented as {statement.foreign_org}")
+        except PROTOCOL_ERRORS as e:
+            self.trace(
+                "agent.countersign_refused",
+                network=foreign_network,
+                org=statement.foreign_org,
+                reason=type(e).__name__,
+            )
+            return _refusal(type(e).__name__)
+        if identity.digest != statement.bundle_digest:
+            # stale copy on one side; drop ours so the retry refetches
+            self.cache.pop((foreign_network, foreign_did), None)
+            self.trace(
+                "agent.countersign_mismatch",
+                network=foreign_network,
+                org=statement.foreign_org,
+                ours=identity.digest.hex(),
+                theirs=statement.bundle_digest.hex(),
+            )
+            return {"result": RESULT_DIGEST_MISMATCH, "own_digest": identity.digest.hex()}
+        return {"result": RESULT_SIGNED, "sig": self._endorse(statement)}
+
+    def _countersign_revoked(self, home_network: str, statement: net.Endorsement) -> Generator:
+        """Answer a REVOKED statement: endorse only when the member no longer
+        validates here either, under the DID its ledger record was committed
+        with; the statement's holder DID is ignored, so an initiator cannot
+        name no DID or another org's to skip the check. Always against a fresh
+        memberlist: a cached one that lacks a re-admitted member would endorse
+        a lying initiator's revocation."""
+        foreign_network, foreign_org = statement.foreign_network, statement.foreign_org
         try:
             records = yield from self._ledger_records(home_network, foreign_network)
         except LedgerUnreachable as e:
-            return respond(RESULT_VALIDATION_FAILED, reason=type(e).__name__)
+            return _refusal(type(e).__name__)
         record = next((r for r in records if r.org_id == foreign_org), None)
         if record is None or record.bundle_digest != statement.bundle_digest:
-            return respond(
-                RESULT_DIGEST_MISMATCH,
-                own_digest=record.bundle_digest.hex() if record else "",
-            )
+            return {
+                "result": RESULT_DIGEST_MISMATCH,
+                "own_digest": record.bundle_digest.hex() if record else "",
+            }
         try:
             memberlist = yield from self._fetch_memberlist(home_network, foreign_network)
             if record.holder_did in memberlist.member_dids:
                 yield from self._validate_member(home_network, foreign_network, record.holder_did)
-                return respond(RESULT_VALIDATION_FAILED, reason="MemberStillValid")
+                return _refusal("MemberStillValid")
         except PROTOCOL_ERRORS:
             pass
-        return respond(
-            RESULT_SIGNED, sig=self._endorse(replace(statement, holder_did=record.holder_did))
-        )
+        return {
+            "result": RESULT_SIGNED,
+            "sig": self._endorse(replace(statement, holder_did=record.holder_did)),
+        }
 
     def _endorse(self, endorsement: net.Endorsement) -> str:
         self.trace(
@@ -743,7 +884,7 @@ class IinAgent(Actor):
         )
         return self.keys.sign(endorsement.to_bytes()).bytes_.hex()
 
-    # --- whole-target sessions ---------------------------------------------
+    # --- sync rounds -------------------------------------------------------
 
     def _sync_target(
         self,
@@ -751,81 +892,131 @@ class IinAgent(Actor):
         foreign_network: str,
         target_did: str,
         memberlist: creds.MemberlistCredential,
+        snapshot: Optional[registry.MemberSnapshot],
     ) -> Generator:
-        attempt = 1
-        while True:
-            try:
-                if attempt > 1:
-                    memberlist = yield from self._fetch_memberlist(
-                        home_network, foreign_network
-                    )
-                _, identity = yield from self._validate_member(
-                    home_network, foreign_network, target_did, memberlist, with_bundle=True
-                )
-                outcome = yield from self._commit_identity(
-                    home_network,
-                    foreign_network,
-                    identity.org_id,
-                    target_did,
-                    identity.bundle,
-                    identity.digest,
+        """Steps B and C for one target of a sync round; returns its checked
+        CachedIdentity."""
+        _, identity = yield from self._validate_member(
+            home_network, foreign_network, target_did, memberlist,
+            with_bundle=True, snapshot=snapshot,
+        )
+        return identity
+
+    def _target_failed(
+        self, foreign_network: str, target_did: str, attempt: int, error: Exception
+    ) -> dict:
+        failure = {"error": type(error).__name__}
+        if isinstance(error, creds.MembershipVerificationError):
+            failure["check"] = error.check
+        self.trace(
+            "agent.sync_failed", network=foreign_network, target=target_did,
+            attempts=attempt, detail=str(error), **failure,
+        )
+        return {"status": PHASE_FAILED, **failure}
+
+    def _sync_round(
+        self,
+        home_network: str,
+        foreign_network: str,
+        dids: tuple[str, ...],
+        attempt: int,
+        memberlist: Optional[creds.MemberlistCredential] = None,
+    ) -> Generator:
+        """Steps B-D for the targets `dids` at once: one registry read for
+        the listed ones, steps B and C for each in a session of its own, then
+        one step D batch for those that passed. A retry round (no
+        `memberlist`) first waits out the backoff and fetches the memberlist
+        afresh. The targets whose countersigners hold another bundle run
+        again as the next round, which starts as soon as the countersign
+        replies are in. A memberlist fetch or registry read that fails fails
+        each target of the round by name. Returns each target's result, in
+        the order of `dids`."""
+        try:
+            if memberlist is None:
+                yield Sleep(RETRY_BACKOFF)
+                memberlist = yield from self._fetch_memberlist(home_network, foreign_network)
+            snapshot = None
+            listed = tuple(d for d in dids if d in memberlist.member_dids)
+            if listed:
+                snapshot = yield from self._read_members(home_network, foreign_network, listed)
+        except PROTOCOL_ERRORS as e:
+            return {did: self._target_failed(foreign_network, did, attempt, e) for did in dids}
+        checked = yield Join(tuple(
+            self.start_session("sync-target", _caught(self._sync_target(
+                home_network, foreign_network, did, memberlist, snapshot
+            )))
+            for did in dids
+        ))
+        results: dict[str, dict] = {}
+        ready = []
+        for did, identity in zip(dids, checked):
+            if isinstance(identity, CachedIdentity):
+                ready.append((did, identity))
+            else:
+                results[did] = self._target_failed(foreign_network, did, attempt, identity)
+        verdicts = yield from self._commit_identity(
+            home_network,
+            [
+                net.RecordContent(
+                    foreign_network, identity.org_id, did, identity.bundle, identity.digest,
                     net.STATUS_ACTIVE,
-                    roster_version=memberlist.roster_version,
                 )
-                if outcome == "DIGEST_MISMATCH" and attempt >= RETRY_LIMIT:
-                    raise RetriesExhausted("countersigners' digests differ on every attempt")
-            except PROTOCOL_ERRORS as e:
-                failure = {"error": type(e).__name__}
-                if isinstance(e, creds.MembershipVerificationError):
-                    failure["check"] = e.check
-                self.trace(
-                    "agent.sync_failed", network=foreign_network, target=target_did,
-                    attempts=attempt, detail=str(e), **failure,
-                )
-                return {"status": PHASE_FAILED, **failure}
-
-            if outcome != "DIGEST_MISMATCH":
-                self.trace(
-                    "agent.sync_done",
-                    network=foreign_network,
-                    org=identity.org_id,
-                    attempts=attempt,
-                    outcome=outcome,
-                )
-                return {
-                    "status": PHASE_DONE,
-                    "org_id": identity.org_id,
-                    "outcome": outcome,
-                    "attempts": attempt,
-                }
-
-            attempt += 1
-            self.cache.pop((foreign_network, target_did), None)
-            yield Sleep(RETRY_BACKOFF)
+                for did, identity in ready
+            ],
+            roster_version=memberlist.roster_version,
+        )
+        retry = tuple(did for (did, _), v in zip(ready, verdicts) if v == DIGEST_MISMATCH)
+        next_round = None
+        if retry and attempt < RETRY_LIMIT:
+            for did in retry:
+                self.cache.pop((foreign_network, did), None)
+            next_round = self.start_session(
+                "sync-round", self._sync_round(home_network, foreign_network, retry, attempt + 1)
+            )
+        verdicts = yield from self._settled(verdicts)
+        for (did, identity), verdict in zip(ready, verdicts):
+            if verdict == DIGEST_MISMATCH:
+                if next_round is not None:
+                    continue
+                verdict = RetriesExhausted("countersigners' digests differ on every attempt")
+            if isinstance(verdict, Exception):
+                results[did] = self._target_failed(foreign_network, did, attempt, verdict)
+                continue
+            self.trace(
+                "agent.sync_done",
+                network=foreign_network,
+                org=identity.org_id,
+                attempts=attempt,
+                outcome=verdict,
+            )
+            results[did] = {
+                "status": PHASE_DONE,
+                "org_id": identity.org_id,
+                "outcome": verdict,
+                "attempts": attempt,
+            }
+        if next_round is not None:
+            [retried] = yield Join((next_round,))
+            results.update(retried)
+        return {did: results[did] for did in dids}
 
     def _revoke_record(
         self, home_network: str, foreign_network: str, record: net.RecordContent
     ) -> Generator:
-        try:
-            outcome = yield from self._commit_identity(
-                home_network,
-                foreign_network,
-                record.org_id,
-                record.holder_did,
-                record.bundle,
-                record.bundle_digest,
-                net.STATUS_REVOKED,
-            )
-        except PROTOCOL_ERRORS as e:
+        verdicts = yield from self._commit_identity(
+            home_network, [replace(record, status=net.STATUS_REVOKED)]
+        )
+        [outcome] = yield from self._settled(verdicts)
+        if outcome == DIGEST_MISMATCH:
+            return {"status": PHASE_FAILED, "error": "DigestMismatch"}
+        if isinstance(outcome, Exception):
             self.trace(
                 "agent.revoke_failed",
                 network=foreign_network,
                 org=record.org_id,
-                error=type(e).__name__,
+                error=type(outcome).__name__,
             )
-            return {"status": PHASE_FAILED, "error": type(e).__name__}
-        if outcome == "DIGEST_MISMATCH":
-            return {"status": PHASE_FAILED, "error": "DigestMismatch"}
+            return {"status": PHASE_FAILED, "error": type(outcome).__name__}
         self.trace("agent.record_revoked", network=foreign_network, org=record.org_id)
         return {"status": PHASE_DONE, "org_id": record.org_id, "outcome": outcome}
 
@@ -836,25 +1027,19 @@ class IinAgent(Actor):
         targets: Optional[tuple[str, ...]] = None,
     ) -> Generator:
         """Steps B-D against every listed member of the foreign network (or an
-        explicit target subset), all targets at once, one session each; a
-        full pass then flips records to REVOKED, one at a time, for orgs that
-        no longer validate. The targets' sessions share the agent's reads
-        (`_shared`), so a cold cache is filled once per sync."""
+        explicit target subset), in rounds (`_sync_round`); a full pass then
+        flips records to REVOKED, one at a time, for orgs that no longer
+        validate. The targets' sessions share the agent's reads (`_shared`),
+        so a cold cache is filled once per sync."""
         interop = yield from self._interop(home_network)
         if foreign_network not in interop:
             self.trace("agent.policy_violation", network=foreign_network)
             raise PolicyViolation(f"{foreign_network} not on interoperation list")
         memberlist = yield from self._fetch_memberlist(home_network, foreign_network)
         dids = tuple(targets) if targets is not None else memberlist.member_dids
-        sessions = tuple(
-            self.start_session(
-                "sync-target",
-                self._sync_target(home_network, foreign_network, target_did, memberlist),
-            )
-            for target_did in dids
+        results = yield from self._sync_round(
+            home_network, foreign_network, dids, 1, memberlist
         )
-        outcomes = yield Join(sessions)
-        results: dict[str, dict] = dict(zip(dids, outcomes))
         if targets is None:
             synced_orgs = {
                 r["org_id"] for r in results.values() if r["status"] == PHASE_DONE

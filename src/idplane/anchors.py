@@ -267,8 +267,9 @@ class AnchorService(Actor):
         did = self.profile.did
 
         def read_back() -> Generator:
-            _, _, states = yield from registry.resolve_member(self.pool, did, (did,))
-            return states[did].to_bytes() if did in states else None
+            snapshot = yield from registry.resolve_member(self.pool, (), (did,))
+            state = snapshot.revocation().get(did)
+            return state.to_bytes() if state is not None else None
 
         outcome = yield from self._submit_read_back(
             registry.KIND_REVOC_UPDATE, new_state.to_bytes(), read_back

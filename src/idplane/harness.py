@@ -840,7 +840,7 @@ class ScenarioRunner:
         record = self.world.ledger_state(network).get_record(foreign, org)
         if record is None:
             return False, "no record"
-        return record.status == status, f"status={record.status}"
+        return record.content.status == status, f"status={record.content.status}"
 
     def _check_record_digest_matches(
         self, network: str, foreign: str, org: str
@@ -851,8 +851,9 @@ class ScenarioRunner:
             return False, "no record"
         source = world.organizations[(foreign, org)]
         expected = source.bundle_digest()
-        ok = record.bundle_digest == expected and record.bundle == source.bundle_bytes()
-        return ok, f"record={record.bundle_digest.hex()[:16]} source={expected.hex()[:16]}"
+        content = record.content
+        ok = content.bundle_digest == expected and content.bundle == source.bundle_bytes()
+        return ok, f"record={content.bundle_digest.hex()[:16]} source={expected.hex()[:16]}"
 
     def _check_trace_count(
         self, event: str, count: int, detail: Optional[dict[str, Scalar]] = None

@@ -13,10 +13,10 @@ counts once f+1 replicas return byte-identical answers. A client asks the first
 f+1 nodes (the sequencer first, since it holds the freshest state) and asks
 the other nodes only when those replies disagree or one is missing at the
 timeout, so a read fails only when no f+1 replies of the whole pool match.
-Member validation makes one such read (`resolve_member`): a replica answers
-with the holder's DID document, its verinym status and the revocation state
-of each issuer asked for, all from its one current state, so the three
-cannot come from different registry states.
+Member validation makes one such read for a whole batch of holders
+(`resolve_member`): a replica answers with each holder's DID document and
+verinym status and the revocation state of each issuer asked for, all from its
+one current state, so none of them can come from a different registry state.
 Each attestation is verified once, when its NYM applies, so a DID read looks
 up verinym status; only a DID's owner or a STEWARD/OIV may rewrite its document.
 
@@ -612,28 +612,36 @@ class IinNode(Actor):
 
     def _query(self, sender: str, msg: Message) -> dict:
         what, ident = msg.body.get("what", ""), msg.body.get("id", "")
-        issuers = msg.body.get("issuers", [])
+        holders, issuers = msg.body.get("holders", []), msg.body.get("issuers", [])
         if not (
             isinstance(what, str)
             and isinstance(ident, str)
-            and isinstance(issuers, list)
-            and all(isinstance(i, str) for i in issuers)
+            and all(
+                isinstance(dids, list) and all(isinstance(d, str) for d in dids)
+                for dids in (holders, issuers)
+            )
         ):
-            what, ident, issuers = "", "", []  # anyone may query: a malformed one misses
+            what, ident = "", ""  # anyone may query: a malformed one misses
         found = 0
         payload = b""
         verinym = 0
-        if what in (QUERY_DID, QUERY_MEMBER):
+        if what == QUERY_DID:
             doc = self.state.docs.get(ident)
             if doc is not None:
-                found = 1
+                found, payload = 1, doc.to_bytes()
                 verinym = 1 if self.state.verinym_status(ident) else 0
-                if what == QUERY_DID:
-                    payload = doc.to_bytes()
-                else:
-                    revocation = self.state.revocation
-                    states = tuple(revocation[i] for i in issuers if i in revocation)
-                    payload = MemberSnapshot(doc, states).to_bytes()
+        elif what == QUERY_MEMBER:
+            state = self.state
+            entries = tuple(
+                MemberEntry(
+                    did,
+                    (state.docs[did],) if did in state.docs else (),
+                    1 if state.verinym_status(did) else 0,
+                )
+                for did in holders
+            )
+            states = tuple(state.revocation[i] for i in issuers if i in state.revocation)
+            found, payload = 1, MemberSnapshot(entries, states).to_bytes()
         elif what == QUERY_SCHEMA:
             schema = self.state.schemas.get(ident)
             if schema is not None:
@@ -659,12 +667,34 @@ class QueryReply(enc.Record):
 
 
 @dataclass(frozen=True)
-class MemberSnapshot(enc.Record):
-    """A member read's payload: the holder's DID document and the revocation
-    state of each issuer asked for that has one."""
+class MemberEntry(enc.Record):
+    """One holder of a member read: its DID, its document (none when the
+    registry holds no document for it) and its verinym status, 1 or 0."""
 
-    doc: enc.Framed[DidDocument]
+    did: str
+    doc: tuple[enc.Framed[DidDocument], ...]
+    verinym: int
+
+
+@dataclass(frozen=True)
+class MemberSnapshot(enc.Record):
+    """A member read's payload: one entry per holder asked for, in the order
+    asked, and the revocation state of each issuer asked for that has one."""
+
+    holders: tuple[MemberEntry, ...]
     states: tuple[enc.Framed[crypto.RevocationRegistryState], ...]
+
+    def holder(self, did: str) -> tuple[DidDocument, bool]:
+        """`did`'s document and verinym status; raises NotFound when the
+        registry holds no document for it, or the read did not ask for it."""
+        entry = next((e for e in self.holders if e.did == did and e.doc), None)
+        if entry is None:
+            raise NotFound(did)
+        return entry.doc[0], entry.verinym == 1
+
+    def revocation(self) -> dict[str, crypto.RevocationRegistryState]:
+        """The revocation states read, by issuer DID."""
+        return {s.issuer_did: s for s in self.states}
 
 
 # --- client-side pool protocols (run inside an actor session) ----------------
@@ -704,15 +734,22 @@ def submit_transaction(pool: PoolInfo, *txs: RegistryTransaction) -> Generator:
 
 
 def quorum_query(
-    pool: PoolInfo, what: str, ident: str, issuers: tuple[str, ...] = ()
+    pool: PoolInfo,
+    what: str,
+    ident: str = "",
+    holders: tuple[str, ...] = (),
+    issuers: tuple[str, ...] = (),
 ) -> Generator:
     """Read from the first f+1 pool nodes (the sequencer first); ask the other
     nodes only when those replies disagree or one is missing at the timeout.
-    Succeed once f+1 byte-identical replies agree across both rounds.
-    `issuers` names the revocation states a QUERY_MEMBER read asks for.
-    Returns (found, payload, verinym); raises InconsistentReplicas otherwise."""
+    Succeed once f+1 byte-identical replies agree across both rounds. A
+    QUERY_MEMBER read names no `ident`, but its `holders` and the `issuers`
+    whose revocation states it asks for. Returns (found, payload, verinym);
+    raises InconsistentReplicas otherwise."""
     threshold = pool.read_quorum
     body: dict = {"what": what, "id": ident}
+    if holders:
+        body["holders"] = list(holders)
     if issuers:
         body["issuers"] = list(issuers)
 
@@ -765,25 +802,27 @@ def read_cred_def(pool: PoolInfo, cred_def_id: str) -> Generator:
     return CredentialDefinition.from_bytes(payload)
 
 
-def resolve_member(pool: PoolInfo, holder_did: str, issuer_dids: tuple[str, ...]) -> Generator:
-    """One snapshot read for member validation: the holder's DID document, its
-    verinym status, and the revocation state of each issuer in `issuer_dids`
-    that has one, keyed by issuer DID. All three come from one replica state,
-    and f+1 replies must match on all of them, so a read answered from mixed
-    states raises InconsistentReplicas. The validator makes this read before
-    it challenges the holder, so the revocation state is as of the start of
-    the validation, not of the presentation's arrival: a revocation committed
-    before the read is seen. The validator reads again once when the holder's
-    witness is for a later epoch than the snapshot's state (an issuance or
-    revocation by that issuer committed during the challenge round trip).
-    Raises NotFound for an unknown holder."""
-    found, payload, verinym = yield from quorum_query(
-        pool, QUERY_MEMBER, holder_did, issuer_dids
+def resolve_member(
+    pool: PoolInfo, holder_dids: tuple[str, ...], issuer_dids: tuple[str, ...]
+) -> Generator:
+    """One snapshot read for member validation: each holder's DID document
+    and verinym status, and the revocation state of each issuer in
+    `issuer_dids` that has one. A verifier reads all the holders it is about
+    to validate at once; an anchor reads back its own revocation state with no
+    holders. All of it comes from one replica state, and f+1 replies must
+    match on all of it, so a read answered from mixed states raises
+    InconsistentReplicas and fails every holder it names. The validator makes
+    this read before it challenges the holders, so the revocation state is as
+    of the start of the validation, not of a presentation's arrival: a
+    revocation committed before the read is seen. The validator reads one
+    holder again when that holder's witness is for a later epoch than the
+    snapshot's state (an issuance or revocation by that issuer committed
+    during the challenge round trip). Returns the `MemberSnapshot`, whose
+    `holder` raises NotFound for an unknown holder."""
+    _, payload, _ = yield from quorum_query(
+        pool, QUERY_MEMBER, holders=holder_dids, issuers=issuer_dids
     )
-    if not found:
-        raise NotFound(holder_did)
-    snapshot = MemberSnapshot.from_bytes(payload)
-    return snapshot.doc, verinym, {s.issuer_did: s for s in snapshot.states}
+    return MemberSnapshot.from_bytes(payload)
 
 
 def artifacts_from_state(

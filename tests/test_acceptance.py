@@ -141,7 +141,7 @@ def test_criterion_04_replayed_endorsements_rejected():
         ledger.state, old.statement, old.bundle, old.endorsements, now=runner.world.bus.now,
     )
     assert outcome == net.OUTCOME_REPLAYED
-    assert state.get_record("STL", "Carrier").status == net.STATUS_REVOKED
+    assert state.get_record("STL", "Carrier").content.status == net.STATUS_REVOKED
     assert state.state_hash() == ledger.state.state_hash()
     assert net.replay_block_log(ledger.genesis, state.block_log).state_hash() == state.state_hash()
 
@@ -155,20 +155,18 @@ def test_criterion_04_lying_revoked_initiator_refused():
     record = buyer.start_session("sync", buyer.sync_network("SWT", "STL"))
     world.settle()
     assert record.error is None
-    carrier = world.ledger_state("SWT").get_record("STL", "Carrier")
+    carrier = world.ledger_state("SWT").get_record("STL", "Carrier").content
     assert carrier.status == net.STATUS_ACTIVE
     seller = world.agents["Seller"]
-    record = seller.start_session(
-        "revoke",
-        seller._commit_identity(
-            "SWT", "STL", "Carrier", "", carrier.bundle, carrier.bundle_digest,
-            net.STATUS_REVOKED,
-        ),
+    lie = net.RecordContent(
+        "STL", "Carrier", "", carrier.bundle, carrier.bundle_digest, net.STATUS_REVOKED
     )
+    record = seller.start_session("revoke", seller._commit_identity("SWT", [lie]))
     world.settle()
-    assert isinstance(record.error, agent.CounterpartyValidationFailed), record.error
-    assert str(record.error) == "Buyer:MemberStillValid"
-    assert world.ledger_state("SWT").get_record("STL", "Carrier").status == net.STATUS_ACTIVE
+    [verdict] = record.result
+    assert isinstance(verdict, agent.CounterpartyValidationFailed), verdict
+    assert str(verdict) == "Buyer:MemberStillValid"
+    assert world.ledger_state("SWT").get_record("STL", "Carrier").content.status == net.STATUS_ACTIVE
 
 
 def test_criterion_05_concurrent_idempotent_commit_100_seeds():

@@ -41,9 +41,9 @@ def count_query_kinds(monkeypatch) -> list:
     kinds = []
     quorum_query = registry.quorum_query
 
-    def counting(pool, what, *rest):
+    def counting(pool, what, *rest, **named):
         kinds.append(what)
-        return quorum_query(pool, what, *rest)
+        return quorum_query(pool, what, *rest, **named)
 
     monkeypatch.setattr(registry, "quorum_query", counting)
     return kinds
@@ -76,31 +76,36 @@ def challenge(probe, world, holder, network_id, **extra):
     return result["body"], nonce
 
 
-def countersign_request(
-    probe, foreign_did, digest, status, org="Carrier", home_network="SWT",
-    foreign_network="STL", **extra,
-):
-    """The body of a countersign request for a commit of `foreign_network`'s
-    `org` into `home_network`: the statement, under a fresh nonce of `probe`."""
-    statement = net.Endorsement(foreign_network, org, foreign_did, digest, status, probe.nonce())
-    return {"home_network": home_network, "statement": statement.to_bytes().hex(), **extra}
+def statement(probe, foreign_did, digest, status, org="Carrier", foreign_network="STL"):
+    """The statement of a commit of `foreign_network`'s `org`, under a fresh
+    nonce of `probe`."""
+    return net.Endorsement(foreign_network, org, foreign_did, digest, status, probe.nonce())
 
 
-def statement_of(msg) -> net.Endorsement:
-    """The statement a countersign request carries."""
-    return net.Endorsement.from_bytes(bytes.fromhex(msg.body["statement"]))
+def countersign_request(statements, home_network="SWT", **extra):
+    """The body of a countersign request for `statements` into `home_network`."""
+    return {
+        "home_network": home_network,
+        "statements": [s.to_bytes().hex() for s in statements],
+        **extra,
+    }
 
 
-def ask_countersign(probe, world, foreign_did, digest, status, **extra):
-    """Ask Seller to countersign a commit of STL's Carrier into SWT; returns
-    the reply body."""
+def statements_of(msg) -> list[net.Endorsement]:
+    """The statements a countersign request carries."""
+    return [net.Endorsement.from_bytes(bytes.fromhex(s)) for s in msg.body["statements"]]
+
+
+def ask_countersign_batch(probe, world, statements, **extra):
+    """Ask Seller to countersign `statements` in one request; returns the
+    reply body."""
     result = {}
 
     def ask():
         reply = yield Request(
             "agent:Seller",
             "agent.countersign.request",
-            countersign_request(probe, foreign_did, digest, status, **extra),
+            countersign_request(statements, **extra),
             timeout=2000,
         )
         result["body"] = reply.body
@@ -108,6 +113,22 @@ def ask_countersign(probe, world, foreign_did, digest, status, **extra):
     probe.start_session("ask", ask())
     world.settle()
     return result["body"]
+
+
+def ask_countersign(
+    probe, world, foreign_did, digest, status, home_network="SWT", foreign_network="STL",
+    **extra,
+):
+    """Ask Seller to countersign a commit of STL's Carrier into SWT, alone in
+    its batch; returns Seller's answer to it."""
+    body = ask_countersign_batch(
+        probe, world,
+        [statement(probe, foreign_did, digest, status, foreign_network=foreign_network)],
+        home_network=home_network, **extra,
+    )
+    assert body["org"] == "Seller"
+    [answer] = body["results"]
+    return answer
 
 
 def assert_only_carrier_failed(world, record, start, error):
@@ -187,20 +208,8 @@ class TestCountersigning:
         # a countersign request for the now-revoked member, cold cache
         world.agents["Seller"].cache.clear()
         probe = add_probe(world)
-        result = {}
-
-        def ask():
-            reply = yield Request(
-                "agent:Seller",
-                "agent.countersign.request",
-                countersign_request(probe, world.org_dids["Carrier"], old_digest, "ACTIVE"),
-                timeout=2000,
-            )
-            result["body"] = reply.body
-
-        probe.start_session("ask", ask())
-        world.settle()
-        assert result["body"]["result"] == "validation_failed"
+        answer = ask_countersign(probe, world, world.org_dids["Carrier"], old_digest, "ACTIVE")
+        assert answer["result"] == "validation_failed"
 
     def test_digest_mismatch_reply_carries_own_digest_and_drops_cache(self, world):
         seller = world.agents["Seller"]
@@ -211,33 +220,19 @@ class TestCountersigning:
         assert record.error is None
         own_digest = bytes.fromhex(record.result)
         probe = add_probe(world)
-        result = {}
-
-        def ask():
-            reply = yield Request(
-                "agent:Seller",
-                "agent.countersign.request",
-                countersign_request(probe, world.org_dids["Carrier"], b"\x00" * 32, "ACTIVE"),
-                timeout=2000,
-            )
-            result["body"] = reply.body
-
-        probe.start_session("ask", ask())
-        world.settle()
-        assert result["body"]["result"] == "digest_mismatch"
-        assert result["body"]["own_digest"] == own_digest.hex()
+        answer = ask_countersign(
+            probe, world, world.org_dids["Carrier"], b"\x00" * 32, "ACTIVE"
+        )
+        assert answer == {"result": "digest_mismatch", "own_digest": own_digest.hex()}
         assert ("STL", world.org_dids["Carrier"]) not in seller.cache
 
     def test_permanent_mismatch_exhausts_retries_before_ceiling(self, world):
         seller = world.agents["Seller"]
 
         def always_mismatch(sender, msg):
-            seller.reply(
-                sender, msg, "agent.countersign.reply",
-                {"result": "digest_mismatch", "own_digest": "00" * 32, "org": "Seller"},
-            )
-            return
-            yield  # generator form expected by the dispatcher
+            answer = {"result": "digest_mismatch", "own_digest": "00" * 32}
+            return {"org": "Seller", "results": [answer] * len(msg.body["statements"])}
+            yield  # a session handler
 
         seller._handle_countersign = always_mismatch
         record = run_sync(world, "Buyer", "SWT", "STL",
@@ -255,35 +250,61 @@ class TestCountersigning:
 
     def test_failed_memberlist_refetch_on_retry_fails_only_that_target(self, world):
         seller = world.agents["Seller"]
+        countersign = seller._handle_countersign
 
-        def always_mismatch(sender, msg):
-            seller.reply(
-                sender, msg, "agent.countersign.reply",
-                {"result": "digest_mismatch", "own_digest": "00" * 32, "org": "Seller"},
-            )
-            return
-            yield  # generator form expected by the dispatcher
+        def mismatch_for_carrier(sender, msg):
+            body = yield from countersign(sender, msg)
+            for s, answer in zip(statements_of(msg), body["results"]):
+                if s.foreign_org == "Carrier":
+                    answer.clear()
+                    answer.update(result="digest_mismatch", own_digest="00" * 32)
+            return body
 
-        seller._handle_countersign = always_mismatch
-        # the first reply answers sync_network's fetch, the second the retry
-        # refetch of whichever of the two concurrent targets gets it first
+        seller._handle_countersign = mismatch_for_carrier
+        # the first reply answers sync_network's fetch, the second the refetch
+        # of the retry round, which holds Carrier alone
         world.bus.config.rules.append(
             FaultRule(action="drop", to="agent:Buyer", kind="anchor.memberlist.reply",
                       occurrence=2)
         )
+        start = len(world.trace.events)
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        failed = assert_only_carrier_failed(world, record, start, "NoTrustedPMV")
+        # B, C and D once, a digest mismatch, then the second round's refetch fails
+        assert failed.detail["attempts"] == 2
+        assert "unavailable" in failed.detail["detail"]
+
+    def test_failed_memberlist_refetch_fails_every_target_of_the_retry_round(self, world):
+        seller = world.agents["Seller"]
+
+        def always_mismatch(sender, msg):
+            answer = {"result": "digest_mismatch", "own_digest": "00" * 32}
+            return {"org": "Seller", "results": [answer] * len(msg.body["statements"])}
+            yield  # a session handler
+
+        seller._handle_countersign = always_mismatch
+        # the first reply answers sync_network's fetch, the second the one
+        # refetch of the retry round, which holds both targets
+        world.bus.config.rules.append(
+            FaultRule(action="drop", to="agent:Buyer", kind="anchor.memberlist.reply",
+                      occurrence=2)
+        )
+        start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL")
         assert record.error is None
-        errors = {did: r["error"] for did, r in record.result.items() if r["status"] == "FAILED"}
-        assert sorted(errors.values()) == ["NoTrustedPMV", "RetriesExhausted"]
-        refetch_lost = next(did for did, error in errors.items() if error == "NoTrustedPMV")
-        failed = {
-            e.detail["target"]: e.detail
-            for e in agent_events(world, "Buyer", {"agent.sync_failed"})
+        assert agent_events(world, "Buyer", {"session.failed"}, start) == []
+        targets = {world.org_dids["Carrier"], world.org_dids["Seller"]}
+        assert record.result == {
+            did: {"status": "FAILED", "error": "NoTrustedPMV"} for did in targets
         }
-        # B, C and D once, a digest mismatch, then the second attempt's B fails
-        assert failed[refetch_lost]["attempts"] == 2
-        assert failed[refetch_lost]["error"] == "NoTrustedPMV"
-        assert "unavailable" in failed[refetch_lost]["detail"]
+        failed = agent_events(world, "Buyer", {"agent.sync_failed"}, start)
+        assert {e.detail["target"] for e in failed} == targets
+        for e in failed:
+            # B, C and D once, a digest mismatch, then the round's refetch fails
+            assert e.detail["attempts"] == 2
+            assert e.detail["error"] == "NoTrustedPMV"
+            assert "unavailable" in e.detail["detail"]
+        assert len(memberlist_requests(world, "agent:Buyer", start)) == 2
 
     def test_unreachable_countersigner_reported_as_missing(self, world):
         world.bus.config.rules.append(
@@ -339,9 +360,11 @@ class TestCountersigning:
         countersign = seller._handle_countersign
 
         def unsigned_for_carrier(sender, msg):
-            if statement_of(msg).foreign_org == "Carrier":
-                return {"result": "signed", "org": "Seller"}
-            return countersign(sender, msg)
+            body = yield from countersign(sender, msg)
+            for s, answer in zip(statements_of(msg), body["results"]):
+                if s.foreign_org == "Carrier":
+                    del answer["sig"]
+            return body
 
         seller._handle_countersign = unsigned_for_carrier
         start = len(world.trace.events)
@@ -356,9 +379,12 @@ class TestCountersigning:
         countersign = seller._handle_countersign
 
         def listed_digest_for_carrier(sender, msg):
-            if statement_of(msg).foreign_org == "Carrier":
-                return {"result": "digest_mismatch", "own_digest": ["00"], "org": "Seller"}
-            return countersign(sender, msg)
+            body = yield from countersign(sender, msg)
+            for s, answer in zip(statements_of(msg), body["results"]):
+                if s.foreign_org == "Carrier":
+                    answer.clear()
+                    answer.update(result="digest_mismatch", own_digest=["00"])
+            return body
 
         seller._handle_countersign = listed_digest_for_carrier
         start = len(world.trace.events)
@@ -374,13 +400,12 @@ class TestCountersigning:
             run_sync(world, "Buyer", "SWT", "STL", targets=(world.org_dids["Carrier"],))
         record = world.ledger_state("SWT").get_record("STL", "Carrier")
         assert (record is not None) == synced
-        body = ask_countersign(
+        answer = ask_countersign(
             add_probe(world), world, world.org_dids["Carrier"], b"\x00" * 32, "REVOKED"
         )
-        assert body == {
+        assert answer == {
             "result": "digest_mismatch",
-            "org": "Seller",
-            "own_digest": record.bundle_digest.hex() if synced else "",
+            "own_digest": record.content.bundle_digest.hex() if synced else "",
         }
 
     def test_lost_revocation_commit_reply_fails_the_revocation_by_name(self, world):
@@ -390,7 +415,7 @@ class TestCountersigning:
             FaultRule(action="drop", to="agent:Buyer", kind="cmdac.reply")
         )
         buyer = world.agents["Buyer"]
-        carrier = world.ledger_state("SWT").get_record("STL", "Carrier")
+        carrier = world.ledger_state("SWT").get_record("STL", "Carrier").content
         start = len(world.trace.events)
         record = buyer.start_session("revoke", buyer._revoke_record("SWT", "STL", carrier))
         world.settle()
@@ -420,8 +445,8 @@ class TestCountersigning:
         probe = add_probe(world)
         start = len(world.trace.events)
         carrier = world.org_dids["Carrier"]
-        body = ask_countersign(probe, world, carrier, b"\x00" * 32, "ACTIVE", **networks)
-        assert (body["result"], body["reason"]) == ("validation_failed", reason)
+        answer = ask_countersign(probe, world, carrier, b"\x00" * 32, "ACTIVE", **networks)
+        assert answer == {"result": "validation_failed", "reason": reason}
         assert agent_events(world, "Seller", {"agent.countersigned"}, start) == []
 
     def test_revoked_countersign_without_ledger_records_names_the_failure(self, world):
@@ -432,21 +457,8 @@ class TestCountersigning:
             FaultRule(action="drop", to="agent:Seller", kind="ledger.reply")
         )
         probe = add_probe(world)
-        result = {}
-
-        def ask():
-            reply = yield Request(
-                "agent:Seller",
-                "agent.countersign.request",
-                countersign_request(probe, "", b"\x00" * 32, "REVOKED"),
-                timeout=1500,
-            )
-            result["body"] = reply.body
-
-        probe.start_session("ask", ask())
-        world.settle()
-        assert result["body"]["result"] == "validation_failed"
-        assert result["body"]["reason"] == "LedgerUnreachable"
+        answer = ask_countersign(probe, world, "", b"\x00" * 32, "REVOKED")
+        assert answer == {"result": "validation_failed", "reason": "LedgerUnreachable"}
 
 
 class TestWriteOnceCache:
@@ -754,16 +766,15 @@ class TestConcurrentSync:
         replies = {}
 
         def ask(org):
+            s = statement(
+                probe, world.org_dids[org], world.organizations[("STL", org)].bundle_digest(),
+                "ACTIVE", org=org,
+            )
             reply = yield Request(
-                "agent:Seller",
-                "agent.countersign.request",
-                countersign_request(
-                    probe, world.org_dids[org],
-                    world.organizations[("STL", org)].bundle_digest(), "ACTIVE", org=org,
-                ),
+                "agent:Seller", "agent.countersign.request", countersign_request([s]),
                 timeout=2000,
             )
-            replies[org] = reply.body
+            [replies[org]] = reply.body["results"]
 
         for org in ("Seller", "Carrier"):
             probe.start_session(f"ask-{org}", ask(org))
@@ -794,18 +805,21 @@ class TestConcurrentSync:
 
 
 def commit_alone(world, org_id, foreign_did, bundle, **kwargs):
-    """Buyer alone asks for an ACTIVE commit of STL's `org_id` into SWT;
-    returns the session record."""
+    """Buyer alone asks for an ACTIVE commit of STL's `org_id` into SWT, the
+    one record of its batch; returns the verdict on it once settled."""
     buyer = world.agents["Buyer"]
-    record = buyer.start_session(
-        "commit",
-        buyer._commit_identity(
-            "SWT", "STL", org_id, foreign_did, bundle, crypto.digest(bundle), "ACTIVE",
-            **kwargs,
-        ),
+    content = net.RecordContent(
+        "STL", org_id, foreign_did, bundle, crypto.digest(bundle), "ACTIVE"
     )
+
+    def commit():
+        verdicts = yield from buyer._commit_identity("SWT", [content], **kwargs)
+        return (yield from buyer._settled(verdicts))
+
+    record = buyer.start_session("commit", commit())
     world.settle()
-    return record
+    [verdict] = record.result
+    return verdict
 
 
 class TestCountersignGate:
@@ -818,7 +832,7 @@ class TestCountersignGate:
         record = buyer.start_session("resync", buyer.resync("SWT", "periodic"))
         world.settle()
         assert record.error is None
-        assert world.ledger_state("SWT").get_record("STL", "Carrier").status == "REVOKED"
+        assert world.ledger_state("SWT").get_record("STL", "Carrier").content.status == "REVOKED"
 
     def test_cached_identity_of_a_revoked_member_is_not_signed_back_to_active(self, world):
         carrier_did = world.org_dids["Carrier"]
@@ -826,18 +840,18 @@ class TestCountersignGate:
         assert ("STL", carrier_did) in world.agents["Seller"].cache
         roster_version = world.agents["Buyer"]._memberlists["STL"].roster_version
         self.revoke_carrier_and_resync(world)
-        old = world.ledger_state("SWT").get_record("STL", "Carrier")
-        record = commit_alone(world, "Carrier", carrier_did, old.bundle,
-                              roster_version=roster_version)
-        assert isinstance(record.error, agent_mod.CounterpartyValidationFailed)
-        assert str(record.error) == "Seller:NotListed"
-        assert world.ledger_state("SWT").get_record("STL", "Carrier").status == "REVOKED"
+        old = world.ledger_state("SWT").get_record("STL", "Carrier").content
+        verdict = commit_alone(world, "Carrier", carrier_did, old.bundle,
+                               roster_version=roster_version)
+        assert isinstance(verdict, agent_mod.CounterpartyValidationFailed)
+        assert str(verdict) == "Seller:NotListed"
+        assert world.ledger_state("SWT").get_record("STL", "Carrier").content.status == "REVOKED"
 
     def test_bundle_committed_under_another_orgs_name_is_refused(self, world):
         bundle = world.organizations[("STL", "Seller")].bundle_bytes()
-        record = commit_alone(world, "Carrier", world.org_dids["Seller"], bundle)
-        assert isinstance(record.error, agent_mod.CounterpartyValidationFailed)
-        assert str(record.error) == "Seller:OrgMismatch"
+        verdict = commit_alone(world, "Carrier", world.org_dids["Seller"], bundle)
+        assert isinstance(verdict, agent_mod.CounterpartyValidationFailed)
+        assert str(verdict) == "Seller:OrgMismatch"
         assert world.ledger_state("SWT").get_record("STL", "Carrier") is None
 
     def test_readmitted_member_is_committed_active_by_a_full_resync(self, world):
@@ -852,7 +866,7 @@ class TestCountersignGate:
         world.settle()
         assert record.error is None
         ledger = world.ledger_state("SWT")
-        assert ledger.get_record("STL", "Carrier").status == "ACTIVE"
+        assert ledger.get_record("STL", "Carrier").content.status == "ACTIVE"
         last = [e for e in ledger.block_log if e.statement.foreign_org == "Carrier"][-1]
         assert (last.statement.status, last.outcome) == ("ACTIVE", "APPLIED")
         assert {org for org, _ in last.endorsements} == {"Buyer", "Seller"}
@@ -1110,7 +1124,7 @@ class TestLedgerRecords:
 
     def test_records_reply_carries_each_records_content(self, world):
         assert run_sync(world, "Buyer", "SWT", "STL").error is None
-        expected = [r.content() for r in world.ledger_state("SWT").records_for("STL")]
+        expected = [r.content for r in world.ledger_state("SWT").records_for("STL")]
         assert len(expected) == 2
         assert self.read_records(world).result == expected
 
@@ -1131,6 +1145,207 @@ PHASE_EVENTS = {
     "agent.sync_done",
     "agent.sync_failed",
 }
+
+
+def two_networks_world(k):
+    """Two networks of `k` orgs each, NA (NA0..) and NB (NB0..), on one IIN,
+    after step A."""
+    networks = {net_id: [f"{net_id}{i}" for i in range(k)] for net_id in ("NA", "NB")}
+    config = harness.parse_scenario({
+        "name": f"two-networks-{k}",
+        "seed": 0,
+        "identity_seed": 7,
+        "tick_ceiling": 60_000,
+        "cert_lifetime": 20_000,
+        "iins": [{"id": "iin0", "nodes": 4}],
+        "anchors": [
+            {"name": f"Anchor{n}", "iin": "iin0", "whitelist": orgs, "represents": [n]}
+            for n, orgs in networks.items()
+        ],
+        "networks": [
+            {
+                "id": n,
+                "orgs": [{"name": o, "peers": 1} for o in orgs],
+                "interop": [other],
+                "trust": [{"iin": "iin0", "anchor": f"Anchor{other}", "network": other}],
+                "pmv": f"Anchor{n}",
+            }
+            for (n, orgs), other in zip(networks.items(), ("NB", "NA"))
+        ],
+        "script": [{"step": "bootstrap"}, {"step": "step_a", "orgs": "all"}],
+    })
+    runner = harness.ScenarioRunner(config)
+    report = runner.run()
+    assert report.ok, report.errors
+    return runner.world
+
+
+class TestBatchedStepD:
+    """Step D asks each countersigner once per round, for every statement
+    of the round, and each agent reads the registry snapshot of a round's
+    holders once; every check stays per statement."""
+
+    def test_one_member_read_per_agent_per_round(self, monkeypatch):
+        world = two_networks_world(4)
+        kinds = count_query_kinds(monkeypatch)
+        reads = []
+        read_members = agent_mod.IinAgent._read_members
+
+        def recording(agent, home_network, foreign_network, dids):
+            reads.append((agent.org_id, dids))
+            return read_members(agent, home_network, foreign_network, dids)
+
+        monkeypatch.setattr(agent_mod.IinAgent, "_read_members", recording)
+        start = len(world.trace.events)
+        record = run_sync(world, "NA0", "NA", "NB")
+        assert record.error is None
+        assert [r["status"] for r in record.result.values()] == ["DONE"] * 4
+        members = sorted(world.org_dids[f"NB{i}"] for i in range(4))
+        assert sorted((org, sorted(dids)) for org, dids in reads) == [
+            (f"NA{i}", members) for i in range(4)
+        ]
+        assert kinds.count(registry.QUERY_MEMBER) == 4
+        requests = [
+            e.detail["to"] for e in world.trace.events[start:]
+            if e.kind == "bus.send" and e.detail["msg_kind"] == "agent.countersign.request"
+        ]
+        assert sorted(requests) == [f"agent:NA{i}" for i in range(1, 4)]
+
+    def test_one_refused_statement_leaves_the_others_signed(self, world):
+        probe = add_probe(world)
+        carrier, seller = world.org_dids["Carrier"], world.org_dids["Seller"]
+        digest = world.organizations[("STL", "Carrier")].bundle_digest()
+        start = len(world.trace.events)
+        body = ask_countersign_batch(probe, world, [
+            statement(probe, carrier, digest, "ACTIVE"),
+            statement(probe, seller, digest, "ACTIVE"),  # Seller's DID presented as Carrier
+        ])
+        signed, refused = body["results"]
+        assert signed["result"] == "signed"
+        assert refused == {"result": "validation_failed", "reason": "OrgMismatch"}
+        [countersigned] = agent_events(world, "Seller", {"agent.countersigned"}, start)
+        assert countersigned.detail["org"] == "Carrier"
+
+    @pytest.mark.parametrize("body", [
+        {"org": "Seller", "results": []},
+        {"org": "Seller", "results": "signed"},
+        {"org": "Seller"},
+    ], ids=["too-few-results", "results-not-a-list", "no-results"])
+    def test_results_of_the_wrong_shape_sign_no_statement(self, world, body):
+        def answer(sender, msg):
+            return body
+            yield  # a session handler
+
+        world.agents["Seller"]._handle_countersign = answer
+        start = len(world.trace.events)
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        assert record.error is None
+        assert list(record.result.values()) == [
+            {"status": "FAILED", "error": "CounterpartyValidationFailed"}
+        ] * 2
+        failed = agent_events(world, "Buyer", {"agent.sync_failed"}, start)
+        assert [e.detail["detail"] for e in failed] == ["Seller:NoSignature"] * 2
+        assert agent_events(world, "Buyer", {"session.failed"}, start) == []
+
+    @staticmethod
+    def lose_member_read(world, org):
+        """Lose every reply to `org`'s first member read of a cold start: its
+        memberlist fetch reads the anchor's document and the memberlist's
+        credential definition first (replies 1-4), then the snapshot read
+        asks two replicas and, on no answer, the other two (5-8). A dropping
+        rule hides its envelope from the rules after it, so the later
+        occurrences go first."""
+        for occurrence in range(8, 4, -1):
+            world.bus.config.rules.append(FaultRule(
+                action="drop", to=f"agent:{org}", kind="iin.query.reply", occurrence=occurrence,
+            ))
+
+    def test_failed_member_read_fails_each_target_of_the_round(self, world):
+        self.lose_member_read(world, "Buyer")
+        start = len(world.trace.events)
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        assert record.error is None
+        assert list(record.result.values()) == [
+            {"status": "FAILED", "error": "InconsistentReplicas"}
+        ] * 2
+        assert agent_events(world, "Buyer", {"session.failed"}, start) == []
+        sent = [
+            e.detail["msg_kind"] for e in world.trace.events[start:]
+            if e.kind == "bus.send" and e.detail["from"] == "agent:Buyer"
+        ]
+        assert "agent.membership_vp.request" not in sent
+
+    def test_failed_member_read_refuses_each_statement_it_named(self, world):
+        self.lose_member_read(world, "Seller")
+        probe = add_probe(world)
+        start = len(world.trace.events)
+        body = ask_countersign_batch(probe, world, [
+            statement(
+                probe, world.org_dids[org], world.organizations[("STL", org)].bundle_digest(),
+                "ACTIVE", org=org,
+            )
+            for org in ("Seller", "Carrier")
+        ])
+        assert body["results"] == [
+            {"result": "validation_failed", "reason": "InconsistentReplicas"}
+        ] * 2
+        assert agent_events(world, "Seller", {"session.failed"}, start) == []
+
+    def test_retry_round_starts_before_the_ledger_replies(self, world):
+        seller = world.agents["Seller"]
+        countersign = seller._handle_countersign
+
+        def mismatch_for_carrier_once(sender, msg):
+            body = yield from countersign(sender, msg)
+            for s, answer in zip(statements_of(msg), body["results"]):
+                if s.foreign_org == "Carrier" and not mismatched:
+                    mismatched.append(s)
+                    answer.clear()
+                    answer.update(result="digest_mismatch", own_digest="00" * 32)
+            return body
+
+        mismatched = []
+        seller._handle_countersign = mismatch_for_carrier_once
+        start = len(world.trace.events)
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        assert record.result[world.org_dids["Carrier"]]["attempts"] == 2
+        assert record.result[world.org_dids["Seller"]]["attempts"] == 1
+        events = world.trace.events[start:]
+        mismatch = next(
+            i for i, e in enumerate(events) if e.kind == "agent.sync.digest_mismatch"
+        )
+        retry_read = next(
+            i for i, e in enumerate(events)
+            if i > mismatch and e.kind == "bus.send" and e.detail["from"] == "agent:Buyer"
+        )
+        ledger_reply = next(
+            i for i, e in enumerate(events)
+            if e.kind == "bus.deliver" and e.detail["to"] == "agent:Buyer"
+            and e.detail["msg_kind"] == "cmdac.reply"
+        )
+        assert retry_read < ledger_reply
+
+
+class TestStepA:
+    def test_lost_credential_reply_is_asked_once_more(self):
+        world = bootstrapped_runner(through_step_a=False).world
+        world.bus.config.rules.append(
+            FaultRule(action="drop", to="agent:Buyer", kind="anchor.vc.reply", occurrence=1)
+        )
+        buyer = world.agents["Buyer"]
+        record = buyer.start_session("step_a", buyer.step_a())
+        world.settle()
+        assert record.error is None
+        vc, witness = buyer.wallet["SWT"]
+        anchor = world.anchors["AnchorSWT"]
+        assert buyer.did in anchor.memberlists["SWT"].member_dids
+        assert anchor.rosters["SWT"].members[buyer.did] == vc
+        assert crypto.witness_verify(anchor.acc_state, witness)
+        asked = [
+            e for e in world.trace.events
+            if e.kind == "bus.send" and e.detail["msg_kind"] == "anchor.vc.request"
+        ]
+        assert len(asked) == 2
 
 
 class TestSessionBookkeeping:
@@ -1169,7 +1384,7 @@ class TestSessionBookkeeping:
         }
         state = world.ledger_state("SWT")
         assert fetched == {
-            r["org_id"]: state.get_record("STL", r["org_id"]).bundle_digest.hex()
+            r["org_id"]: state.get_record("STL", r["org_id"]).content.bundle_digest.hex()
             for r in record.result.values()
         }
 

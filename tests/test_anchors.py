@@ -490,4 +490,4 @@ class TestLostVerinymReceipt:
         assert not [e for e in report.errors if e.startswith("step_a")], report.errors
         assert report.ok, (report.errors, [a for a in report.assertions if not a.ok])
         record = world.ledger_state("STL").get_record("SWT", "Buyer")
-        assert record is not None and record.status == "ACTIVE"
+        assert record is not None and record.content.status == "ACTIVE"

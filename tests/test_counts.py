@@ -4,11 +4,12 @@ The bus is deterministic, so these counts are exact. A change that adds or
 removes a message or an Ed25519 operation fails here and must update the pin
 on purpose. The SHA-256 of each bundled scenario's trace file is pinned too,
 so a refactor that claims to keep traffic unchanged proves it byte for byte.
-The `iin.query`, `anchor.memberlist.request`, `anchor.witness.request` and
-`iin.order` sends are pinned on their own, so that a change that widens
-registry reads again, fetches the foreign memberlist per target again,
-refreshes a holder's witness on every challenge again, or orders registry
-writes one transaction at a time again fails even when other sends move.
+The `iin.query`, `anchor.memberlist.request`, `anchor.witness.request`,
+`iin.order` and `agent.countersign.request` sends are pinned on their own, so
+that a change that widens registry reads again, fetches the foreign memberlist
+per target again, refreshes a holder's witness on every challenge again,
+orders registry writes one transaction at a time again, or asks a
+countersigner once per record again fails even when other sends move.
 """
 
 import hashlib
@@ -21,15 +22,16 @@ from conftest import scenario_config
 
 
 @pytest.mark.parametrize(
-    "name, sends, queries, memberlists, witnesses, orders, signs, verifies",
+    "name, sends, queries, memberlists, witnesses, orders, countersigns, signs, verifies",
     [
-        ("two-network", 266, 54, 4, 2, 30, 120, 230),
-        ("concurrent-commit", 182, 30, 2, 1, 30, 98, 177),
+        ("two-network", 246, 46, 4, 2, 30, 2, 120, 230),
+        ("concurrent-commit", 180, 30, 2, 1, 30, 2, 96, 172),
     ],
     ids=("two-network", "concurrent-commit"),  # stable across re-pins
 )
 def test_bundled_scenario_counts(
-    monkeypatch, name, sends, queries, memberlists, witnesses, orders, signs, verifies
+    monkeypatch, name, sends, queries, memberlists, witnesses, orders, countersigns, signs,
+    verifies,
 ):
     calls = {"sign": 0, "verify": 0}
 
@@ -52,19 +54,20 @@ def test_bundled_scenario_counts(
         sent.count("anchor.memberlist.request"),
         sent.count("anchor.witness.request"),
         sent.count("iin.order"),
+        sent.count("agent.countersign.request"),
         calls["sign"],
         calls["verify"],
     )
-    assert got == (sends, queries, memberlists, witnesses, orders, signs, verifies)
+    assert got == (sends, queries, memberlists, witnesses, orders, countersigns, signs, verifies)
 
 
 TRACE_DIGESTS = {
-    "concurrent-commit": "20a58a0d3473478a526d354d632ff951c743846dcf641e784fab3378caed286f",
-    "concurrent-commit-serial": "8a559cf0be59f59df69c72305c598471a06cd372081ace8e05c2529d89a55fb2",
-    "digest-mismatch-retry": "2da481cb6d47ebc52c133012bf649d92960fe319efbd4c4f4b71668c300c3827",
-    "revoke-carrier": "a89dc962571bef9f3811e4eae111f6bf822d0f12b2aca1a499bd551af4424e73",
-    "rotate-resync": "ab08f41d44f95f9d97e06e5945e98c4cf77f25bf15aa955f974d857197fc6aff",
-    "two-network": "0ba8559f1e2e82796d9e5d37fc1e2febd1a3b2194055b18539610b08ce57c213",
+    "concurrent-commit": "4a0bd7adfcf23eaefa1eecd5eed169ba47ca915c4b1b2bc2a3c9b9c6ee6fcad0",
+    "concurrent-commit-serial": "317597ff81613c617c5e9ae6e2b23a4ec8fed09a87d249ece3cea197ca0d38eb",
+    "digest-mismatch-retry": "265cb6b86193f7ec8ffed04380e1f7a9487e14ef4abb4ba014e4feafdc1285a1",
+    "revoke-carrier": "000a42e619a98e19cc99871e54c393f0aed50e7136dd488d5ad1969debe91c5f",
+    "rotate-resync": "430d0d8743aa7e35af54b89b2f4027989ba9f4898e914f1ad1d02d30bb3ef1d4",
+    "two-network": "b8d718cbffa482ea8bbfe523d46f34d791a7bb21f6ccd53541c4ea2c21799ac7",
 }
 
 

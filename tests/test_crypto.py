@@ -266,7 +266,10 @@ def test_split_chain_check_matches_single_loop(chain, nows):
     verdict = crypto.chain_link_failure(chain)
     bundle = net.Bundle("FarOrg", "AWAY", (crypto.Chain(chain),)).to_bytes()
     record = net.ForeignIdentityRecord(
-        "AWAY", "FarOrg", "did:iin:iin0:far", bundle, crypto.digest(bundle), net.STATUS_ACTIVE, 0
+        net.RecordContent(
+            "AWAY", "FarOrg", "did:iin:iin0:far", bundle, crypto.digest(bundle), net.STATUS_ACTIVE
+        ),
+        0,
     )
     ledger = net.LocalLedgerState(
         "HOME", ("AWAY",), (), {}, foreign={net.LocalLedgerState.record_key("AWAY", "FarOrg"): record}

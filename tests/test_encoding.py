@@ -233,8 +233,16 @@ def old_query_reply(r):
     )
 
 
+def old_member_entry(e):
+    return (
+        enc.encode_str(e.did)
+        + enc.encode_list(enc.encode_bytes(doc.to_bytes()) for doc in e.doc)
+        + enc.encode_u64(e.verinym)
+    )
+
+
 def old_member_snapshot(s):
-    return enc.encode_bytes(s.doc.to_bytes()) + enc.encode_list(
+    return enc.encode_list(old_member_entry(e) for e in s.holders) + enc.encode_list(
         enc.encode_bytes(state.to_bytes()) for state in s.states
     )
 
@@ -342,7 +350,8 @@ def old_ledger_state(state):
             for org in sorted(state.admin_keys)
         ),
         enc.encode_list(
-            enc.encode_bytes(old_record_content(state.foreign[k])) for k in sorted(state.foreign)
+            enc.encode_bytes(old_record_content(state.foreign[k].content))
+            for k in sorted(state.foreign)
         ),
     )
 
@@ -403,6 +412,9 @@ did_doc = st.builds(
     text,
     st.lists(st.tuples(text, signature), max_size=3).map(tuple),
     u64,
+)
+member_entry = st.builds(
+    registry.MemberEntry, text, st.lists(did_doc, max_size=1).map(tuple), u64
 )
 schema = st.builds(
     creds.CredentialSchema,
@@ -492,9 +504,12 @@ RECORDS = {
         None,
         old_query_reply,
     ),
+    registry.MemberEntry: (member_entry, None, old_member_entry),
     registry.MemberSnapshot: (
         st.builds(
-            registry.MemberSnapshot, did_doc, st.lists(revocation_state, max_size=3).map(tuple)
+            registry.MemberSnapshot,
+            st.lists(member_entry, max_size=3).map(tuple),
+            st.lists(revocation_state, max_size=3).map(tuple),
         ),
         None,
         old_member_snapshot,
@@ -614,7 +629,7 @@ def test_registry_state_hash_is_over_the_old_image(
     st.dictionaries(text, blob, max_size=3),
     st.dictionaries(
         text,
-        st.builds(net.ForeignIdentityRecord, text, text, text, blob, blob, text, u64),
+        st.builds(net.ForeignIdentityRecord, record_content, u64),
         max_size=3,
     ),
 )

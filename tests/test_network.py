@@ -65,8 +65,8 @@ class TestCmdacContract:
         )
         assert outcome == "APPLIED"
         record = state.get_record("AWAY", "FarOrg")
-        assert record.status == "ACTIVE"
-        assert record.bundle_digest == crypto.digest(bundle)
+        assert record.content.status == "ACTIVE"
+        assert record.content.bundle_digest == crypto.digest(bundle)
         assert record.synced_at == 5
 
     def test_unilateral_write_impossible_3_org_exhaustive(self):
@@ -148,7 +148,7 @@ class TestCmdacContract:
         )
         assert outcome == "APPLIED"
         record = state2.get_record("AWAY", "FarOrg")
-        assert record.bundle == new_bundle
+        assert record.content.bundle == new_bundle
         assert record.synced_at == 12
 
     def test_status_flip_keeps_audit_history(self):
@@ -165,7 +165,7 @@ class TestCmdacContract:
             bundle, sigs, now=2,
         )
         assert outcome == "APPLIED"
-        assert state2.get_record("AWAY", "FarOrg").status == "REVOKED"
+        assert state2.get_record("AWAY", "FarOrg").content.status == "REVOKED"
         assert len(state2.block_log) == 2  # history preserved, record not deleted
 
     def test_statement_of_another_bundle_is_refused_first(self):
@@ -190,7 +190,7 @@ class TestCmdacContract:
             state, statement("AWAY", "FarOrg", bundle, "ACTIVE", b"n1"), bundle, sigs, now=2
         )
         assert outcome == "APPLIED"
-        assert state.get_record("AWAY", "FarOrg").bundle == bundle
+        assert state.get_record("AWAY", "FarOrg").content.bundle == bundle
         assert [e.outcome for e in state.block_log] == ["BundleDigestMismatch", "APPLIED"]
         replayed = net.replay_block_log(ledger, state.block_log)
         assert replayed.state_hash() == state.state_hash()
@@ -209,6 +209,39 @@ class TestCmdacContract:
         replayed = net.replay_block_log(ledger, state.block_log)
         assert replayed.state_hash() == state.state_hash()
         assert replayed.foreign == state.foreign
+
+
+def commit(state, status, nonce, orgs=("OrgA", "OrgB"), now=1):
+    """Commit FarOrg's bundle with `status` under `nonce`, endorsed by `orgs`."""
+    bundle = make_source_org().bundle_bytes()
+    sigs = endorse(orgs, "AWAY", "FarOrg", bundle, status, nonce)
+    return net.cmdac_update_foreign_identity(
+        state, statement("AWAY", "FarOrg", bundle, status, nonce), bundle, sigs, now=now
+    )
+
+
+class TestNonceReplay:
+    def test_replay_is_refused_after_several_noop_resyncs(self):
+        ledger = make_ledger()
+        state, outcome = commit(ledger, "ACTIVE", b"first")
+        assert outcome == "APPLIED"
+        for i in range(4):
+            state, outcome = commit(state, "ACTIVE", bytes([i]) * 4, now=2 + i)
+            assert outcome == "NOOP"
+        state, outcome = commit(state, "REVOKED", b"flip", now=9)
+        assert outcome == "APPLIED"
+        for nonce in (b"first", b"\x02" * 4):
+            replayed, outcome = commit(state, "ACTIVE", nonce, now=10)
+            assert outcome == "ReplayedNonce"
+            assert replayed.get_record("AWAY", "FarOrg").content.status == "REVOKED"
+
+    def test_nonce_of_a_rejected_entry_stays_usable(self):
+        ledger = make_ledger()
+        state, outcome = commit(ledger, "ACTIVE", b"n1", orgs=("OrgA",))
+        assert outcome == "MissingEndorsement:OrgB"
+        state, outcome = commit(state, "ACTIVE", b"n1", now=2)
+        assert outcome == "APPLIED"
+
 
 class TestDataProofs:
     def setup_method(self):

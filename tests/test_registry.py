@@ -1108,7 +1108,7 @@ class TestBatches:
 
 
 class TestMemberSnapshot:
-    """`resolve_member`: a holder's document and issuers' revocation states
+    """`resolve_member`: holders' documents and issuers' revocation states
     from one replica state, under the f+1-matching rule."""
 
     ISSUER = "did:iin:iin0:issuer"
@@ -1129,48 +1129,65 @@ class TestMemberSnapshot:
                 node.state, revocation={self.ISSUER: replace(base, epoch=epoch)}
             )
 
-    def resolve(self, bus, pool, client, did, issuers=(ISSUER,)):
-        record = client.start_session("resolve", registry.resolve_member(pool, did, issuers))
+    def resolve(self, bus, pool, client, dids, issuers=(ISSUER,)):
+        record = client.start_session("resolve", registry.resolve_member(pool, dids, issuers))
         bus.run_until_quiescent()
         return record
 
     def test_one_read_returns_document_verinym_and_revocation_states(self):
         bus, pool, nodes, client, org_did = self.setup_pool()
+        steward_did = next(iter(nodes[0].state.roles))
         self.set_epochs(nodes, (3, 3, 3, 3))
-        record = self.resolve(bus, pool, client, org_did, (self.ISSUER, "did:iin:iin0:none"))
-        doc, verinym, revocation = record.result
-        assert doc == nodes[0].state.docs[org_did]
-        assert verinym is True
-        assert revocation == {self.ISSUER: nodes[0].state.revocation[self.ISSUER]}
+        record = self.resolve(
+            bus, pool, client, (org_did, steward_did), (self.ISSUER, "did:iin:iin0:none")
+        )
+        snapshot = record.result
+        assert snapshot.holder(org_did) == (nodes[0].state.docs[org_did], True)
+        assert snapshot.holder(steward_did) == (nodes[0].state.docs[steward_did], True)
+        assert snapshot.revocation() == {self.ISSUER: nodes[0].state.revocation[self.ISSUER]}
         assert query_sends(bus) == list(pool.node_addresses[: pool.read_quorum])
 
     def test_unknown_holder_not_found(self):
+        bus, pool, nodes, client, org_did = self.setup_pool()
+        record = self.resolve(bus, pool, client, ("did:iin:iin0:nosuch", org_did))
+        snapshot = record.result
+        with pytest.raises(registry.NotFound):
+            snapshot.holder("did:iin:iin0:nosuch")
+        with pytest.raises(registry.NotFound):
+            snapshot.holder("did:iin:iin0:not-asked")
+        assert snapshot.holder(org_did)[0].did == org_did
+
+    def test_a_read_of_no_holders_returns_the_revocation_states(self):
         bus, pool, nodes, client, _ = self.setup_pool()
-        record = self.resolve(bus, pool, client, "did:iin:iin0:nosuch")
-        assert isinstance(record.error, registry.NotFound)
+        self.set_epochs(nodes, (2, 2, 2, 2))
+        snapshot = self.resolve(bus, pool, client, ()).result
+        assert snapshot.holders == ()
+        assert snapshot.revocation()[self.ISSUER].epoch == 2
 
     def test_one_replica_at_another_epoch_still_resolves(self):
         bus, pool, nodes, client, org_did = self.setup_pool()
         self.set_epochs(nodes, (1, 2, 1, 1))
-        record = self.resolve(bus, pool, client, org_did)
+        record = self.resolve(bus, pool, client, (org_did,))
         assert record.error is None
-        _, _, revocation = record.result
-        assert revocation[self.ISSUER].epoch == 1
+        assert record.result.revocation()[self.ISSUER].epoch == 1
         assert sorted(query_sends(bus)) == sorted(pool.node_addresses)
 
     def test_mixed_epochs_with_matching_documents_are_inconsistent(self):
         bus, pool, nodes, client, org_did = self.setup_pool()
         self.set_epochs(nodes, (0, 1, 2, 3))
         assert len({node.state.docs[org_did] for node in nodes}) == 1
-        record = self.resolve(bus, pool, client, org_did)
+        record = self.resolve(bus, pool, client, (org_did,))
         assert isinstance(record.error, registry.InconsistentReplicas)
 
     @pytest.mark.parametrize("body", [
         {"what": registry.QUERY_MEMBER, "issuers": 5},
         {"what": registry.QUERY_MEMBER, "issuers": [5]},
+        {"what": registry.QUERY_MEMBER, "holders": "x"},
+        {"what": registry.QUERY_MEMBER, "holders": [["x"]]},
         {"what": 5},
         {"what": registry.QUERY_DID, "id": ["x"]},
-    ], ids=["issuers-not-a-list", "issuer-not-a-string", "what-not-a-string", "id-not-a-string"])
+    ], ids=["issuers-not-a-list", "issuer-not-a-string", "holders-not-a-list",
+            "holder-not-a-string", "what-not-a-string", "id-not-a-string"])
     def test_malformed_query_is_a_miss_and_the_replica_keeps_serving(self, body):
         bus, pool, nodes, client, org_did = self.setup_pool()
         body = {"id": org_did, **body}
@@ -1182,4 +1199,4 @@ class TestMemberSnapshot:
         record = client.start_session("ask", ask())
         bus.run_until_quiescent()
         assert record.result == registry.QueryReply("", "", 0, b"", 0)
-        assert self.resolve(bus, pool, client, org_did).result[0].did == org_did
+        assert self.resolve(bus, pool, client, (org_did,)).result.holder(org_did)[0].did == org_did

@@ -12,7 +12,7 @@ import idplane
 from idplane.actors import Actor, Message, Request
 from idplane.agent import IinAgent
 from idplane.anchors import AnchorService
-from idplane.network import LedgerNode
+from idplane.network import Endorsement, LedgerNode
 from idplane.registry import IinNode
 
 from conftest import add_probe, bootstrapped_runner
@@ -22,7 +22,7 @@ SERVERS = (IinAgent, AnchorService, IinNode, LedgerNode)
 # request kind -> a body whose fields are all present, one of them wrong-typed
 WRONG_TYPED = {
     "agent.membership_vp.request": {"network_id": 5, "nonce": "00"},
-    "agent.countersign.request": {"home_network": "SWT", "statement": 5},
+    "agent.countersign.request": {"home_network": "SWT", "statements": 5},
     "anchor.verinym.request": {"org_name": "Seller", "doc": 5},
     "anchor.vc.request": {"holder_did": 5, "network_id": "SWT"},
     "anchor.memberlist.request": {"network_id": 5, "nonce": "00"},
@@ -47,7 +47,21 @@ WRONG_TYPED_OPTIONAL = {
 MALFORMED_VALUE = {
     "iin.submit": {"entry-not-hex": ({"txs": ["zz"]}, "ValueError")},
     "agent.countersign.request": {
-        "undecodable-statement": ({"home_network": "SWT", "statement": "00"}, "DecodeError"),
+        "no-statements": ({"home_network": "SWT", "statements": []}, "ValueError"),
+        "statement-not-a-string": ({"home_network": "SWT", "statements": [5]}, "TypeError"),
+        "statement-not-hex": ({"home_network": "SWT", "statements": ["zz"]}, "ValueError"),
+        "undecodable-statement": ({"home_network": "SWT", "statements": ["00"]}, "DecodeError"),
+        "statements-of-two-networks": (
+            {
+                "home_network": "SWT",
+                "statements": [
+                    Endorsement(network, "Carrier", "did:x", bytes(32), "ACTIVE", b"n").to_bytes()
+                    .hex()
+                    for network in ("STL", "OTHER")
+                ],
+            },
+            "ValueError",
+        ),
     },
     "cmdac.submit": {
         "undecodable-statement": (
