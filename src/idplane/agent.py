@@ -33,11 +33,11 @@ harness starts it, no message does) re-runs B-D for every network on the
 interoperation list, updating rotated bundles and flipping records to REVOKED
 for members that no longer validate.
 
-Concurrent sessions of one agent share reads: while a read of the
-interoperation list, the trust list, a write-once registry artifact or a
-countersigner's memberlist is in flight, a second session that needs the same
-one waits for it instead of sending its own (`_shared`); values that never
-change are kept after their first successful read (`_read_once`). A target's
+Concurrent sessions of one agent share reads: while a read of the ledger's
+policy or of a countersigner's memberlist is in flight, a second session that
+needs the same one waits for it instead of sending its own (`_shared`); the
+policy never changes, so it is kept after its first successful read
+(`_read_once`). Registry reads are never kept. A target's
 outcome is recorded only in the trace: `agent.sync_done` and
 `agent.sync_failed` carry `attempts`, and a protocol failure its `detail`.
 
@@ -67,6 +67,8 @@ RESULT_VALIDATION_FAILED = "validation_failed"
 
 # Step D's verdict on a statement whose countersigners hold another bundle.
 DIGEST_MISMATCH = "DIGEST_MISMATCH"
+
+MEMBERSHIP_SCHEMA_ID = creds.schema_id_for(creds.MEMBERSHIP_SCHEMA_NAME)
 
 
 class AgentError(Exception):
@@ -163,6 +165,10 @@ def _caught(gen: Generator) -> Generator:
         return e
 
 
+def _strings(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def _refusal(reason: str) -> dict:
     """A countersigner's answer to a statement it does not sign."""
     return {"result": RESULT_VALIDATION_FAILED, "reason": reason}
@@ -213,8 +219,8 @@ class IinAgent(Actor):
         self.cache: dict[tuple[str, str], CachedIdentity] = {}
         # foreign network -> last verified memberlist (also the rollback floor)
         self._memberlists: dict[str, creds.MemberlistCredential] = {}
-        # read key -> first successful result of a read that never changes
-        self._kept: dict[tuple, object] = {}
+        # home network -> its ledger's policy, once read (see _read_once)
+        self._kept: dict[str, tuple] = {}
         # read key -> the session running that read now (see _shared)
         self._in_flight: dict[tuple, SessionRecord] = {}
 
@@ -356,42 +362,49 @@ class IinAgent(Actor):
         finally:
             self._in_flight.pop(key, None)
 
-    def _read_once(self, key: tuple, gen: Generator) -> Generator:
-        """Keep the first successful result of the shared read `gen` for the
-        agent's lifetime: the interoperation and trust lists, schemas and
-        credential definitions never change (a second write is DuplicateId).
-        Errors propagate and are never kept."""
-        if key not in self._kept:
-            self._kept[key] = yield from self._shared(key, gen)
-        return self._kept[key]
-
-    def _interop(self, home_network: str) -> Generator:
-        body = yield from self._read_once(
-            ("interop", home_network), self._ledger_query(home_network, {"what": "interop"})
-        )
-        return body["networks"]
-
-    def _trust_entries(self, home_network: str) -> Generator:
-        body = yield from self._read_once(
-            ("trust", home_network), self._ledger_query(home_network, {"what": "trust"})
-        )
-        return body["entries"]
+    def _read_once(self, home_network: str) -> Generator:
+        """The home ledger's policy: its interoperation list and its trust
+        list entries (iin id, anchor DID, network), kept after the first
+        successful read, as the ledger's genesis state fixes both. A reply
+        missing a list or holding a wrong-typed field is LedgerRefused."""
+        if home_network not in self._kept:
+            body = yield from self._shared(
+                ("policy", home_network), self._ledger_query(home_network, {"what": "policy"})
+            )
+            networks, entries = body.get("networks"), body.get("entries")
+            if not (
+                _strings(networks)
+                and isinstance(entries, list)
+                and all(_strings(e) and len(e) == 3 for e in entries)
+            ):
+                raise LedgerRefused(f"{home_network}: malformed policy reply")
+            self._kept[home_network] = tuple(networks), tuple(tuple(e) for e in entries)
+        return self._kept[home_network]
 
     def _ledger_records(self, home_network: str, foreign_network: str) -> Generator:
         body = yield from self._ledger_query(
             home_network, {"what": "records", "network": foreign_network}
         )
+        records = body.get("records")
+        if not isinstance(records, list):
+            raise LedgerRefused(f"{home_network}: records must be a list")
         ledger = self.config.ledgers[home_network]
-        return [_decode(net.RecordContent, r, LedgerRefused, ledger) for r in body["records"]]
+        return [_decode(net.RecordContent, r, LedgerRefused, ledger) for r in records]
 
     # --- step B: validate membership ------------------------------------------
 
     def _fetch_memberlist(self, home_network: str, foreign_network: str) -> Generator:
-        entries = yield from self._trust_entries(home_network)
+        _, entries = yield from self._read_once(home_network)
         anchor_did = next((a for _, a, n in entries if n == foreign_network), None)
         if anchor_did is None:
             raise NoTrustedPMV(f"no trusted membership validator for {foreign_network}")
-        anchor_doc, anchor_verinym = yield from registry.resolve_did(self.pool, anchor_did)
+        cred_def_id = creds.cred_def_id_for(
+            anchor_did, creds.schema_id_for(creds.MEMBERLIST_SCHEMA_NAME)
+        )
+        snapshot = yield from registry.resolve_member(
+            self.pool, (anchor_did,), (), cred_def_ids=(cred_def_id,)
+        )
+        anchor_doc, anchor_verinym = snapshot.holder(anchor_did)
         nonce = self.nonce()
         reply = yield Request(
             anchor_doc.service_endpoint,
@@ -409,13 +422,9 @@ class IinAgent(Actor):
         memberlist = _decode(creds.MemberlistCredential, payload, NoTrustedPMV, anchor_did)
         if memberlist.issuer_did != anchor_did or memberlist.network_id != foreign_network:
             raise NoTrustedPMV("memberlist not issued by the trusted validator")
-        cred_def_id = creds.cred_def_id_for(
-            anchor_did, creds.schema_id_for(creds.MEMBERLIST_SCHEMA_NAME)
-        )
-        cred_def = yield from self._read_once(
-            (registry.QUERY_CRED_DEF, cred_def_id),
-            registry.read_cred_def(self.pool, cred_def_id),
-        )
+        cred_def = snapshot.cred_def(cred_def_id)
+        if cred_def is None:
+            raise registry.NotFound(cred_def_id)
         if not crypto.verify(
             cred_def.authentication_public_key,
             memberlist.signing_bytes(),
@@ -437,54 +446,28 @@ class IinAgent(Actor):
         )
         return memberlist
 
-    def _verification_artifacts(
-        self,
-        vc: Optional[creds.MembershipCredential],
-        presenter_doc: registry.DidDocument,
-        presenter_verinym: bool,
-        revocation: dict[str, crypto.RevocationRegistryState],
-    ) -> Generator:
-        """The registry inputs of the seven checks: the holder's snapshot
-        (document, verinym status, `revocation` states by issuer) plus the
-        write-once schema and the credential definition `vc` names."""
-        schema = cred_def = None
-        try:
-            schema_id = creds.schema_id_for(creds.MEMBERSHIP_SCHEMA_NAME)
-            schema = yield from self._read_once(
-                (registry.QUERY_SCHEMA, schema_id), registry.read_schema(self.pool, schema_id)
-            )
-        except registry.NotFound:
-            pass
-        if vc is not None:
-            try:
-                cred_def = yield from self._read_once(
-                    (registry.QUERY_CRED_DEF, vc.cred_def_id),
-                    registry.read_cred_def(self.pool, vc.cred_def_id),
-                )
-            except registry.NotFound:
-                pass
-        return creds.VerificationArtifacts(
-            presenter_doc=presenter_doc,
-            presenter_verinym=presenter_verinym,
-            schema=schema,
-            cred_def=cred_def,
-            revocation_state=revocation.get(vc.issuer_did) if vc is not None else None,
-        )
-
     def _trusted(self, home_network: str, foreign_network: str) -> Generator:
         """The trust list's (anchor DID, network) pairs, and the anchors it
         names for `foreign_network`, sorted."""
-        entries = yield from self._trust_entries(home_network)
+        _, entries = yield from self._read_once(home_network)
         trusted = frozenset((anchor, network) for _, anchor, network in entries)
         return trusted, tuple(sorted(a for a, network in trusted if network == foreign_network))
 
     def _read_members(
         self, home_network: str, foreign_network: str, dids: tuple[str, ...]
     ) -> Generator:
-        """One registry snapshot of the holders `dids`, with the revocation
-        state of each anchor the trust list names for `foreign_network`."""
-        _, issuers = yield from self._trusted(home_network, foreign_network)
-        return (yield from registry.resolve_member(self.pool, dids, issuers))
+        """One registry snapshot of the holders `dids` with every registry
+        input their checks need: the membership schema, the membership
+        credential definition of each anchor on the trust list and the
+        revocation state of each anchor it names for `foreign_network`. No
+        holder chooses what is read: no id a presentation carries is named."""
+        trusted, issuers = yield from self._trusted(home_network, foreign_network)
+        cred_defs = tuple(sorted({
+            creds.cred_def_id_for(anchor, MEMBERSHIP_SCHEMA_ID) for anchor, _ in trusted
+        }))
+        return (yield from registry.resolve_member(
+            self.pool, dids, issuers, (MEMBERSHIP_SCHEMA_ID,), cred_defs
+        ))
 
     def _validate_member(
         self,
@@ -501,32 +484,26 @@ class IinAgent(Actor):
         `target_did` (NotListed). Returns (claim, identity): `identity` is the
         checked CachedIdentity with `with_bundle`, else None.
 
-        One registry read before the challenge (`registry.resolve_member`)
-        gives the holder's document, its verinym status and the revocation
-        state of each trusted anchor of `foreign_network` from one replica
-        state; a `snapshot` given is that read, made for several holders at
-        once (`_read_members`). A credential of any other issuer fails check
-        5, or check 6 if the trust list names its issuer for another network,
-        as the snapshot holds no state for it. The revocation state is as of
-        the start of the validation: a revocation committed before the read
-        fails check 6.
-        The challenge names each state's epoch, and a holder whose witness is
-        older refreshes it at its anchor, which makes it at the anchor's epoch
-        when the refresh arrives. Any issuance or revocation by the issuer
-        moves its epoch, so a witness newer than the snapshot means such a
-        commit landed during the round trip: the snapshot is read once more,
-        so an honest holder is not refused for it. The holder's own
-        revocation committed during the round trip is seen only by the next
-        validation: its refresh is refused, so it presents a witness no newer
-        than the snapshot. A holder whose refresh got no reply answers
-        WitnessUnavailable, raised here as MemberUnreachable, as is a reply
-        whose presentation does not decode."""
+        The checks read nothing but one registry snapshot (`_read_members`),
+        taken before the challenge, so a revocation committed before it fails
+        check 6; a `snapshot` given is that read, made for several holders at
+        once. A credential naming a credential definition the snapshot lacks
+        fails check 5, and one whose issuer the trust list names for another
+        network fails check 6, as the snapshot holds no state for it. The
+        challenge names each state's epoch, and a holder with an older witness
+        refreshes it at its anchor. A witness newer than the snapshot means an
+        issuance or revocation by its issuer landed during the round trip, so
+        the snapshot is read once more and an honest holder is not refused
+        for it; the holder's own revocation then is seen only by the next
+        validation, as its refresh is refused. A holder whose refresh got no
+        reply answers WitnessUnavailable, raised here as MemberUnreachable, as
+        is a reply whose presentation does not decode."""
         if memberlist is not None and target_did not in memberlist.member_dids:
             raise NotListed(target_did)
-        trusted, issuers = yield from self._trusted(home_network, foreign_network)
+        trusted, _ = yield from self._trusted(home_network, foreign_network)
         if snapshot is None:
-            snapshot = yield from registry.resolve_member(self.pool, (target_did,), issuers)
-        (doc, verinym), revocation = snapshot.holder(target_did), snapshot.revocation()
+            snapshot = yield from self._read_members(home_network, foreign_network, (target_did,))
+        (doc, _), revocation = snapshot.holder(target_did), snapshot.revocation()
         epochs = {issuer: state.epoch for issuer, state in revocation.items()}
         nonce, bundle_nonce = self.nonce(), (self.nonce() if with_bundle else None)
         body = {"network_id": foreign_network, "nonce": nonce.hex(), "epochs": epochs}
@@ -544,11 +521,12 @@ class IinAgent(Actor):
         )
         vp_body = creds.read_membership_body(vp)  # an error fails the schema check
         vc = vp_body.vc if isinstance(vp_body, creds.MembershipBody) else None
-        state = revocation.get(vc.issuer_did) if vc is not None else None
+        # a body that does not decode fails check 4 before these are looked at
+        issuer, cred_def_id = (vc.issuer_did, vc.cred_def_id) if vc is not None else ("", "")
+        state = revocation.get(issuer)
         if state is not None and vp_body.witness.epoch > state.epoch:
-            snapshot = yield from registry.resolve_member(self.pool, (target_did,), issuers)
-            (doc, verinym), revocation = snapshot.holder(target_did), snapshot.revocation()
-        artifacts = yield from self._verification_artifacts(vc, doc, verinym, revocation)
+            snapshot = yield from self._read_members(home_network, foreign_network, (target_did,))
+        artifacts = snapshot.artifacts(target_did, issuer, MEMBERSHIP_SCHEMA_ID, cred_def_id)
         claim = creds.verify_membership_vp(
             vp, foreign_network, nonce, trusted, artifacts, vp_body
         )
@@ -558,8 +536,8 @@ class IinAgent(Actor):
         identity = None
         if with_bundle:
             identity = yield from self._fetch_identity(
-                foreign_network, target_did, doc, verinym, bundle_nonce,
-                reply.body.get("identity_vp"),
+                foreign_network, target_did, artifacts.presenter_doc,
+                artifacts.presenter_verinym, bundle_nonce, reply.body.get("identity_vp"),
             )
         return claim, identity
 
@@ -704,7 +682,9 @@ class IinAgent(Actor):
         )
         if reply is None:
             raise LedgerUnreachable(home_network)
-        outcome = reply.body.get("error") or reply.body["outcome"]
+        outcome = reply.body.get("error") or reply.body.get("outcome")
+        if not isinstance(outcome, str):
+            raise LedgerRefused(f"{home_network}: submit reply names no outcome")
         if outcome not in (net.OUTCOME_APPLIED, net.OUTCOME_NOOP):
             raise CommitRejected(outcome)
         self.trace(
@@ -737,7 +717,7 @@ class IinAgent(Actor):
         commit with NotListed."""
         (home_network,) = msg.fields("home_network")
         raw = msg.body["statements"]
-        if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
+        if not _strings(raw):
             raise TypeError(f"{msg.kind}: statements must be a list of strings")
         if not raw:
             raise ValueError(f"{msg.kind}: no statements")
@@ -754,8 +734,8 @@ class IinAgent(Actor):
         if home_network not in self.config.ledgers:
             return answer([_refusal("NotLocal")] * len(statements))
         try:
-            interop = yield from self._interop(home_network)
-        except LedgerUnreachable as e:
+            interop, _ = yield from self._read_once(home_network)
+        except (LedgerUnreachable, LedgerRefused) as e:
             return answer([_refusal(type(e).__name__)] * len(statements))
         if foreign_network not in interop:
             return answer([_refusal("PolicyViolation")] * len(statements))
@@ -855,7 +835,7 @@ class IinAgent(Actor):
         foreign_network, foreign_org = statement.foreign_network, statement.foreign_org
         try:
             records = yield from self._ledger_records(home_network, foreign_network)
-        except LedgerUnreachable as e:
+        except (LedgerUnreachable, LedgerRefused) as e:
             return _refusal(type(e).__name__)
         record = next((r for r in records if r.org_id == foreign_org), None)
         if record is None or record.bundle_digest != statement.bundle_digest:
@@ -1031,7 +1011,7 @@ class IinAgent(Actor):
         flips records to REVOKED, one at a time, for orgs that no longer
         validate. The targets' sessions share the agent's reads (`_shared`),
         so a cold cache is filled once per sync."""
-        interop = yield from self._interop(home_network)
+        interop, _ = yield from self._read_once(home_network)
         if foreign_network not in interop:
             self.trace("agent.policy_violation", network=foreign_network)
             raise PolicyViolation(f"{foreign_network} not on interoperation list")
@@ -1057,7 +1037,7 @@ class IinAgent(Actor):
         Triggered by a scheduled scenario step or a data-plane proof failure."""
         self.trace("agent.resync", network=home_network, trigger=trigger)
         self.cache.clear()
-        interop = yield from self._interop(home_network)
+        interop, _ = yield from self._read_once(home_network)
         results = {}
         for foreign_network in interop:
             results[foreign_network] = yield from self.sync_network(

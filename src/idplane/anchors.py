@@ -168,14 +168,9 @@ class AnchorService(Actor):
             self.trace("anchor.evidence_mismatch", org=org_name)
             return {"ok": False, "error": "EvidenceMismatch"}
         attested = registry.attest(doc, self.profile.did, self.keys)
-
-        def read_back() -> Generator:
-            resolved, _ = yield from registry.resolve_did(self.pool, doc.did)
-            return resolved.to_bytes()
-
         try:
             outcome = yield from self._submit_read_back(
-                registry.KIND_NYM, attested.to_bytes(), read_back
+                registry.KIND_NYM, attested.to_bytes(), holders=(doc.did,)
             )
         except registry.QuorumUnavailable as e:
             return {"ok": False, "error": str(e)}
@@ -264,33 +259,33 @@ class AnchorService(Actor):
         """Submit `new_state` as this anchor's next revocation state, so that
         the anchor does not keep an epoch the registry has left. Raises
         QuorumUnavailable, or AnchorError when the registry refused it."""
-        did = self.profile.did
-
-        def read_back() -> Generator:
-            snapshot = yield from registry.resolve_member(self.pool, (), (did,))
-            state = snapshot.revocation().get(did)
-            return state.to_bytes() if state is not None else None
-
         outcome = yield from self._submit_read_back(
-            registry.KIND_REVOC_UPDATE, new_state.to_bytes(), read_back
+            registry.KIND_REVOC_UPDATE, new_state.to_bytes(), issuers=(self.profile.did,)
         )
         if outcome != registry.OUTCOME_APPLIED:
             raise AnchorError(f"revocation update rejected: {outcome}")
 
-    def _submit_read_back(self, kind: str, payload: bytes, read_back) -> Generator:
+    def _submit_read_back(
+        self,
+        kind: str,
+        payload: bytes,
+        holders: tuple[str, ...] = (),
+        issuers: tuple[str, ...] = (),
+    ) -> Generator:
         """Submit one transaction and return its outcome. When no receipt comes
-        back, `read_back()` reads from the pool the value the transaction
-        writes: bytes equal to `payload` mean the write applied. Raises
-        QuorumUnavailable otherwise."""
+        back, read a snapshot of the `holders` or `issuers` whose document or
+        revocation state the transaction writes: one equal to `payload`, byte
+        for byte, means the write applied. Raises QuorumUnavailable otherwise."""
         tx = registry.make_transaction(kind, payload, self.profile.did, self.keys)
         try:
             receipt = yield from registry.submit_transaction(self.pool, tx)
         except registry.QuorumUnavailable as lost:
             try:
-                applied = yield from read_back()
+                snapshot = yield from registry.resolve_member(self.pool, holders, issuers)
             except registry.RegistryError:
                 raise lost from None
-            if applied != payload:
+            written = [e.doc[0] for e in snapshot.holders if e.doc] + list(snapshot.states)
+            if payload not in [record.to_bytes() for record in written]:
                 raise lost
             return registry.OUTCOME_APPLIED
         return receipt["outcomes"][0]

@@ -55,7 +55,7 @@ TAG_BUNDLE = 0x14
 TAG_DATA_PROOF = 0x15
 TAG_ATTESTATION = 0x16
 TAG_CREDENTIAL_ID = 0x17
-TAG_QUERY_REPLY = 0x18
+# 0x18 tagged the retired registry.QueryReply; it is never reused.
 TAG_ANCHOR_GRANT = 0x19
 
 

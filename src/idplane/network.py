@@ -424,10 +424,11 @@ class LedgerNode(Actor):
 
     def _query(self, sender: str, msg: Message) -> dict:
         (what,) = msg.fields("what")
-        if what == "interop":
-            return {"networks": list(self.state.interop_networks)}
-        if what == "trust":
-            return {"entries": [list(e) for e in self.state.trust_entries]}
+        if what == "policy":
+            return {
+                "networks": list(self.state.interop_networks),
+                "entries": [list(e) for e in self.state.trust_entries],
+            }
         if what == "records":
             (network,) = msg.fields("network")
             records = self.state.records_for(network)

@@ -13,12 +13,12 @@ counts once f+1 replicas return byte-identical answers. A client asks the first
 f+1 nodes (the sequencer first, since it holds the freshest state) and asks
 the other nodes only when those replies disagree or one is missing at the
 timeout, so a read fails only when no f+1 replies of the whole pool match.
-Member validation makes one such read for a whole batch of holders
-(`resolve_member`): a replica answers with each holder's DID document and
-verinym status and the revocation state of each issuer asked for, all from its
-one current state, so none of them can come from a different registry state.
-Each attestation is verified once, when its NYM applies, so a DID read looks
-up verinym status; only a DID's owner or a STEWARD/OIV may rewrite its document.
+The registry's one read, a member snapshot (`resolve_member`), names holder
+DIDs, issuer DIDs, schema ids and credential-definition ids; a replica answers
+with each one it holds from its one current state, so none of them can come
+from a different registry state. Each attestation is verified once, when its
+NYM applies, so a DID read looks up verinym status; only a DID's owner or a
+STEWARD/OIV may rewrite its document.
 
 The sequencer is assumed honest (it may crash but not equivocate); Byzantine
 ordering is out of scope for this registry.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import base64
 from dataclasses import dataclass, field, replace
-from typing import Generator, Optional
+from typing import Generator, Optional, Sequence
 
 from . import crypto
 from . import encoding as enc
@@ -57,13 +57,10 @@ KIND_ANCHOR_GRANT = "ANCHOR_GRANT"
 
 OUTCOME_APPLIED = "APPLIED"
 
-QUERY_DID = "did"
-QUERY_SCHEMA = "schema"
-QUERY_CRED_DEF = "cred_def"
-# Revocation states are read only inside a QUERY_MEMBER snapshot; the kind
-# name stays because the benchmark tracer files reads by it.
-QUERY_REVOCATION = "revocation_state"
+# The registry's one read. QUERY_REVOCATION names no read; the benchmark
+# tracer files reads by it.
 QUERY_MEMBER = "member"
+QUERY_REVOCATION = "revocation_state"
 
 
 class RegistryError(Exception):
@@ -611,59 +608,15 @@ class IinNode(Actor):
         return {"entries": entries}
 
     def _query(self, sender: str, msg: Message) -> dict:
-        what, ident = msg.body.get("what", ""), msg.body.get("id", "")
-        holders, issuers = msg.body.get("holders", []), msg.body.get("issuers", [])
-        if not (
-            isinstance(what, str)
-            and isinstance(ident, str)
-            and all(
-                isinstance(dids, list) and all(isinstance(d, str) for d in dids)
-                for dids in (holders, issuers)
-            )
+        """Answer a member read with a `MemberSnapshot` of this replica's
+        current state. Anyone may read: a malformed query, or one of another
+        `what`, gets the snapshot of nothing (a miss)."""
+        ids = [msg.body.get(name, []) for name in ("holders", "issuers", "schemas", "cred_defs")]
+        if msg.body.get("what") != QUERY_MEMBER or not all(
+            isinstance(names, list) and all(isinstance(n, str) for n in names) for names in ids
         ):
-            what, ident = "", ""  # anyone may query: a malformed one misses
-        found = 0
-        payload = b""
-        verinym = 0
-        if what == QUERY_DID:
-            doc = self.state.docs.get(ident)
-            if doc is not None:
-                found, payload = 1, doc.to_bytes()
-                verinym = 1 if self.state.verinym_status(ident) else 0
-        elif what == QUERY_MEMBER:
-            state = self.state
-            entries = tuple(
-                MemberEntry(
-                    did,
-                    (state.docs[did],) if did in state.docs else (),
-                    1 if state.verinym_status(did) else 0,
-                )
-                for did in holders
-            )
-            states = tuple(state.revocation[i] for i in issuers if i in state.revocation)
-            found, payload = 1, MemberSnapshot(entries, states).to_bytes()
-        elif what == QUERY_SCHEMA:
-            schema = self.state.schemas.get(ident)
-            if schema is not None:
-                found, payload = 1, schema.to_bytes()
-        elif what == QUERY_CRED_DEF:
-            cred_def = self.state.cred_defs.get(ident)
-            if cred_def is not None:
-                found, payload = 1, cred_def.to_bytes()
-        return {"result": QueryReply(what, ident, found, payload, verinym).to_bytes().hex()}
-
-
-@dataclass(frozen=True)
-class QueryReply(enc.Record):
-    """A replica's answer to `iin.query`; `found` and `verinym` are 1 or 0,
-    and `payload` is the record asked for (a MemberSnapshot for a member)."""
-
-    TAG = enc.TAG_QUERY_REPLY
-    what: str
-    ident: str
-    found: int
-    payload: bytes
-    verinym: int
+            ids = [[]] * 4
+        return {"result": MemberSnapshot.of(self.state, *ids).to_bytes().hex()}
 
 
 @dataclass(frozen=True)
@@ -678,11 +631,37 @@ class MemberEntry(enc.Record):
 
 @dataclass(frozen=True)
 class MemberSnapshot(enc.Record):
-    """A member read's payload: one entry per holder asked for, in the order
-    asked, and the revocation state of each issuer asked for that has one."""
+    """A member read's answer: one entry per holder asked for, in the order
+    asked, then the revocation state of each issuer, each schema and each
+    credential definition asked for that the registry holds."""
 
     holders: tuple[MemberEntry, ...]
     states: tuple[enc.Framed[crypto.RevocationRegistryState], ...]
+    schemas: tuple[enc.Framed[CredentialSchema], ...]
+    cred_defs: tuple[enc.Framed[CredentialDefinition], ...]
+
+    @staticmethod
+    def of(
+        state: RegistryState,
+        holders: Sequence[str],
+        issuers: Sequence[str],
+        schemas: Sequence[str],
+        cred_defs: Sequence[str],
+    ) -> "MemberSnapshot":
+        """A replica's answer, at `state`, to a member read of these ids."""
+        return MemberSnapshot(
+            tuple(
+                MemberEntry(
+                    did,
+                    (state.docs[did],) if did in state.docs else (),
+                    int(state.verinym_status(did)),
+                )
+                for did in holders
+            ),
+            tuple(state.revocation[i] for i in issuers if i in state.revocation),
+            tuple(state.schemas[s] for s in schemas if s in state.schemas),
+            tuple(state.cred_defs[c] for c in cred_defs if c in state.cred_defs),
+        )
 
     def holder(self, did: str) -> tuple[DidDocument, bool]:
         """`did`'s document and verinym status; raises NotFound when the
@@ -695,6 +674,24 @@ class MemberSnapshot(enc.Record):
     def revocation(self) -> dict[str, crypto.RevocationRegistryState]:
         """The revocation states read, by issuer DID."""
         return {s.issuer_did: s for s in self.states}
+
+    def cred_def(self, cred_def_id: str) -> Optional[CredentialDefinition]:
+        return next((c for c in self.cred_defs if c.cred_def_id == cred_def_id), None)
+
+    def artifacts(
+        self, presenter_did: str, issuer_did: str, schema_id: str, cred_def_id: str
+    ) -> VerificationArtifacts:
+        """The registry inputs of the seven checks: what the read did not ask
+        for, or the registry does not hold, is None. Raises NotFound for a
+        presenter it holds no document of."""
+        doc, verinym = self.holder(presenter_did)
+        return VerificationArtifacts(
+            presenter_doc=doc,
+            presenter_verinym=verinym,
+            schema=next((s for s in self.schemas if s.schema_id == schema_id), None),
+            cred_def=self.cred_def(cred_def_id),
+            revocation_state=self.revocation().get(issuer_did),
+        )
 
 
 # --- client-side pool protocols (run inside an actor session) ----------------
@@ -736,22 +733,21 @@ def submit_transaction(pool: PoolInfo, *txs: RegistryTransaction) -> Generator:
 def quorum_query(
     pool: PoolInfo,
     what: str,
-    ident: str = "",
     holders: tuple[str, ...] = (),
     issuers: tuple[str, ...] = (),
+    schemas: tuple[str, ...] = (),
+    cred_defs: tuple[str, ...] = (),
 ) -> Generator:
     """Read from the first f+1 pool nodes (the sequencer first); ask the other
     nodes only when those replies disagree or one is missing at the timeout.
-    Succeed once f+1 byte-identical replies agree across both rounds. A
-    QUERY_MEMBER read names no `ident`, but its `holders` and the `issuers`
-    whose revocation states it asks for. Returns (found, payload, verinym);
-    raises InconsistentReplicas otherwise."""
+    Succeed once f+1 byte-identical replies agree across both rounds, and
+    return the agreed payload; raise InconsistentReplicas otherwise. The
+    registry answers only QUERY_MEMBER, for the ids named (`_query`)."""
     threshold = pool.read_quorum
-    body: dict = {"what": what, "id": ident}
-    if holders:
-        body["holders"] = list(holders)
-    if issuers:
-        body["issuers"] = list(issuers)
+    body = {
+        "what": what, "holders": list(holders), "issuers": list(issuers),
+        "schemas": list(schemas), "cred_defs": list(cred_defs),
+    }
 
     def tally(results: list) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -775,64 +771,32 @@ def quorum_query(
         replies = replies + more
     for value, n in tally(replies).items():
         if n >= threshold:
-            reply = QueryReply.from_bytes(bytes.fromhex(value))
-            return reply.found == 1, reply.payload, reply.verinym == 1
-    raise InconsistentReplicas(f"{what}:{ident} had no {threshold} matching replies")
+            return bytes.fromhex(value)
+    raise InconsistentReplicas(f"{what} read had no {threshold} matching replies")
 
 
 def resolve_did(pool: PoolInfo, did: str) -> Generator:
     """Resolve a DID document plus its verinym status; raises NotFound."""
-    found, payload, verinym = yield from quorum_query(pool, QUERY_DID, did)
-    if not found:
-        raise NotFound(did)
-    return DidDocument.from_bytes(payload), verinym
-
-
-def read_schema(pool: PoolInfo, schema_id: str) -> Generator:
-    found, payload, _ = yield from quorum_query(pool, QUERY_SCHEMA, schema_id)
-    if not found:
-        raise NotFound(schema_id)
-    return CredentialSchema.from_bytes(payload)
-
-
-def read_cred_def(pool: PoolInfo, cred_def_id: str) -> Generator:
-    found, payload, _ = yield from quorum_query(pool, QUERY_CRED_DEF, cred_def_id)
-    if not found:
-        raise NotFound(cred_def_id)
-    return CredentialDefinition.from_bytes(payload)
+    snapshot = yield from resolve_member(pool, (did,), ())
+    return snapshot.holder(did)
 
 
 def resolve_member(
-    pool: PoolInfo, holder_dids: tuple[str, ...], issuer_dids: tuple[str, ...]
+    pool: PoolInfo,
+    holder_dids: tuple[str, ...],
+    issuer_dids: tuple[str, ...],
+    schema_ids: tuple[str, ...] = (),
+    cred_def_ids: tuple[str, ...] = (),
 ) -> Generator:
-    """One snapshot read for member validation: each holder's DID document
-    and verinym status, and the revocation state of each issuer in
-    `issuer_dids` that has one. A verifier reads all the holders it is about
-    to validate at once; an anchor reads back its own revocation state with no
-    holders. All of it comes from one replica state, and f+1 replies must
-    match on all of it, so a read answered from mixed states raises
-    InconsistentReplicas and fails every holder it names. The validator makes
-    this read before it challenges the holders, so the revocation state is as
-    of the start of the validation, not of a presentation's arrival: a
-    revocation committed before the read is seen. The validator reads one
-    holder again when that holder's witness is for a later epoch than the
-    snapshot's state (an issuance or revocation by that issuer committed
-    during the challenge round trip). Returns the `MemberSnapshot`, whose
-    `holder` raises NotFound for an unknown holder."""
-    _, payload, _ = yield from quorum_query(
-        pool, QUERY_MEMBER, holders=holder_dids, issuers=issuer_dids
+    """The registry's one read: a `MemberSnapshot` of each holder's DID
+    document and verinym status, and of the revocation state of each issuer,
+    each schema and each credential definition named that the registry
+    holds. A verifier reads all the holders it is about to validate at once,
+    with every artifact its checks need; an anchor reads back its own
+    revocation state with no holders. All of it comes from one replica state,
+    and f+1 replies must match on all of it, so a read answered from mixed
+    states raises InconsistentReplicas and fails every holder it names."""
+    payload = yield from quorum_query(
+        pool, QUERY_MEMBER, holder_dids, issuer_dids, schema_ids, cred_def_ids
     )
     return MemberSnapshot.from_bytes(payload)
-
-
-def artifacts_from_state(
-    state: RegistryState, presenter_did: str, issuer_did: str, schema_id: str, cred_def_id: str
-) -> VerificationArtifacts:
-    """Local-view artifact bundle for direct (non-networked) verification."""
-    return VerificationArtifacts(
-        presenter_doc=state.docs.get(presenter_did),
-        presenter_verinym=state.verinym_status(presenter_did),
-        schema=state.schemas.get(schema_id),
-        cred_def=state.cred_defs.get(cred_def_id),
-        revocation_state=state.revocation.get(issuer_did),
-    )

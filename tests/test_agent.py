@@ -1,5 +1,7 @@
 """Agent protocol behavior: policy gates, countersigning, retries, resync."""
 
+from dataclasses import replace
+
 import pytest
 
 from idplane import agent as agent_mod
@@ -36,17 +38,18 @@ def agent_events(world, org, kinds, since=0):
     ]
 
 
-def count_query_kinds(monkeypatch) -> list:
-    """The `what` of every `registry.quorum_query` call from now on."""
-    kinds = []
+def record_queries(monkeypatch) -> list:
+    """The arguments, `what` first, of every `registry.quorum_query` call
+    from now on."""
+    calls = []
     quorum_query = registry.quorum_query
 
-    def counting(pool, what, *rest, **named):
-        kinds.append(what)
-        return quorum_query(pool, what, *rest, **named)
+    def recording(pool, *args):
+        calls.append(args)
+        return quorum_query(pool, *args)
 
-    monkeypatch.setattr(registry, "quorum_query", counting)
-    return kinds
+    monkeypatch.setattr(registry, "quorum_query", recording)
+    return calls
 
 
 def witness_requests(world, org, since=0):
@@ -461,47 +464,70 @@ class TestCountersigning:
         assert answer == {"result": "validation_failed", "reason": "LedgerUnreachable"}
 
 
-class TestWriteOnceCache:
-    def test_missing_schema_is_read_again_after_publication(self):
-        runner = harness.ScenarioRunner(scenario_config("two-network"))
-        world = runner.world
+class TestSnapshotArtifacts:
+    """A validation takes every registry input of its checks from its one
+    member snapshot, which names the ids of the verifier's own trust list,
+    never the ids a presentation carries."""
+
+    @staticmethod
+    def validate(world, holder="Carrier"):
         agent = world.agents["Buyer"]
-        schema_id = schema_id_for(creds.MEMBERSHIP_SCHEMA_NAME)
+        record = agent.start_session(
+            "validate", agent._validate_member("SWT", "STL", world.org_dids[holder])
+        )
+        world.settle()
+        return record
 
-        def read():
-            record = agent.start_session(
-                "read",
-                agent._read_once(
-                    (registry.QUERY_SCHEMA, schema_id),
-                    registry.read_schema(agent.pool, schema_id),
-                ),
-            )
-            world.settle()
-            return record
+    def test_tampered_cred_def_id_fails_check_5_with_the_honest_reads(self, world, monkeypatch):
+        reads = record_queries(monkeypatch)
+        assert self.validate(world).error is None
+        honest = list(reads)
+        reads.clear()
+        build = creds.build_membership_vp
 
-        assert isinstance(read().error, registry.NotFound)
-        runner._execute(0, {"step": "bootstrap"})
-        after = read()
-        assert after.error is None
-        assert after.result.schema_id == schema_id
+        def tampered(holder_did, holder_keys, vc, witness, nonce):
+            vc = replace(vc, cred_def_id="creddef:chosen-by-the-holder")
+            return build(holder_did, holder_keys, vc, witness, nonce)
 
-    def test_verification_artifacts_are_read_once_per_agent(self, world, monkeypatch):
-        kinds = count_query_kinds(monkeypatch)
-        write_once = (registry.QUERY_SCHEMA, registry.QUERY_CRED_DEF)
+        monkeypatch.setattr(creds, "build_membership_vp", tampered)
+        record = self.validate(world)
+        assert isinstance(record.error, creds.MembershipVerificationError)
+        assert str(record.error) == (
+            "check 5 (issuer_trust) failed: credential definition mismatch"
+        )
+        assert reads == honest
+        assert {what for what, *_ in reads} == {registry.QUERY_MEMBER}
 
-        def validate(org):
-            kinds.clear()
-            agent = world.agents[org]
-            record = agent.start_session(
-                "validate", agent.validate_org("SWT", "STL", world.org_dids["Carrier"])
-            )
-            world.settle()
-            assert record.result["status"] == "ok", record.result
-            return [k for k in kinds if k in write_once]
+    def test_anchor_trusted_for_another_network_fails_check_6(self, world, monkeypatch):
+        """Seller, a member of both networks, answers Buyer's STL challenge
+        with its SWT credential, whose anchor SWT's trust list names for
+        SWT: the snapshot holds that anchor's credential definition but no
+        revocation state, as it names only STL's anchors' states."""
+        ledger = world.ledgers["SWT"]
+        own_anchor = world.anchors["AnchorSWT"].profile.did
+        ledger.state = replace(
+            ledger.state,
+            trust_entries=ledger.state.trust_entries + (("iin0", own_anchor, "SWT"),),
+        )
+        seller = world.agents["Seller"]
+        monkeypatch.setitem(seller.wallet, "STL", seller.wallet["SWT"])
+        record = self.validate(world, holder="Seller")
+        assert isinstance(record.error, creds.MembershipVerificationError)
+        assert str(record.error) == "check 6 (revocation) failed"
 
-        assert sorted(validate("Buyer")) == sorted(write_once)
-        assert validate("Buyer") == []
-        assert sorted(validate("Seller")) == sorted(write_once)
+    def test_validation_before_the_schema_is_published_fails_check_4(self, world):
+        replicas = world.iin_nodes[world.agents["Buyer"].pool.iin_id]
+        published = [node.state for node in replicas]
+        for node in replicas:
+            node.state = replace(node.state, schemas={})
+        record = self.validate(world)
+        assert isinstance(record.error, creds.MembershipVerificationError)
+        assert str(record.error) == (
+            "check 4 (schema_conformance) failed: membership schema unavailable"
+        )
+        for node, state in zip(replicas, published):
+            node.state = state
+        assert self.validate(world).error is None
 
 
 class TestMemberSnapshot:
@@ -509,15 +535,21 @@ class TestMemberSnapshot:
     state in one quorum read, made before the challenge."""
 
     def test_cold_validation_makes_one_changing_read(self, world, monkeypatch):
-        kinds = count_query_kinds(monkeypatch)
+        reads = record_queries(monkeypatch)
         agent = world.agents["Buyer"]
         record = agent.start_session(
             "validate", agent.validate_org("SWT", "STL", world.org_dids["Carrier"])
         )
         world.settle()
         assert record.result["status"] == "ok", record.result
-        write_once = (registry.QUERY_SCHEMA, registry.QUERY_CRED_DEF)
-        assert [k for k in kinds if k not in write_once] == [registry.QUERY_MEMBER]
+        assert [what for what, *_ in reads] == [registry.QUERY_MEMBER]
+
+    def test_every_read_of_a_two_network_run_is_a_member_snapshot(self, monkeypatch):
+        reads = record_queries(monkeypatch)
+        report = harness.run_scenario(scenario_config("two-network"))
+        assert report.ok, report.errors
+        assert reads
+        assert {what for what, *_ in reads} == {registry.QUERY_MEMBER}
 
     def test_revocation_committed_before_the_snapshot_read_fails_check_6(self, world):
         agent = world.agents["Buyer"]
@@ -559,7 +591,7 @@ class TestMemberSnapshot:
         Carrier makes its witness, so Carrier presents a witness one epoch
         ahead of the snapshot: Buyer reads the snapshot again and Carrier,
         never revoked, still validates."""
-        kinds = count_query_kinds(monkeypatch)
+        reads = record_queries(monkeypatch)
         anchor = world.anchors["AnchorSTL"]
         epoch = anchor.acc_state.epoch
         # Carrier's witness predates the last step-A issuance, so it is behind
@@ -584,7 +616,7 @@ class TestMemberSnapshot:
         world.settle()
         assert record.result["status"] == "ok", record.result
         assert anchor.acc_state.epoch == epoch + 1
-        assert kinds.count(registry.QUERY_MEMBER) == 2
+        assert [what for what, *_ in reads] == [registry.QUERY_MEMBER] * 2
         events = world.trace.events[start:]
         snapshot_answered = next(
             e.tick for e in events
@@ -787,7 +819,7 @@ class TestConcurrentSync:
         assert {org: r["result"] for org, r in replies.items()} == {
             "Seller": "signed", "Carrier": "signed"
         }
-        assert queries.count("interop") == 1
+        assert queries.count("policy") == 1
         assert len(memberlist_requests(world, "agent:Seller", start)) == 1
 
     def test_lost_shared_memberlist_fails_each_request_by_name(self, world):
@@ -1055,10 +1087,12 @@ class TestChallengeEpochs:
         vp = creds.VerifiablePresentation.from_bytes(bytes.fromhex(body["vp"]))
         vc = creds.MembershipBody.from_bytes(vp.body).vc
         replica = world.iin_nodes[world.agents["Buyer"].pool.iin_id][0]
-        artifacts = registry.artifacts_from_state(
-            replica.state, world.org_dids["Carrier"], anchor.profile.did,
+        ids = (
+            world.org_dids["Carrier"], anchor.profile.did,
             schema_id_for(creds.MEMBERSHIP_SCHEMA_NAME), vc.cred_def_id,
         )
+        snapshot = registry.MemberSnapshot.of(replica.state, *((i,) for i in ids))
+        artifacts = snapshot.artifacts(*ids)
         artifacts.revocation_state = stale
         trusted = frozenset({(anchor.profile.did, "STL")})
         with pytest.raises(creds.MembershipVerificationError) as refused:
@@ -1135,6 +1169,74 @@ class TestLedgerRecords:
         assert "ledger:SWT: undecodable RecordContent" in str(record.error)
 
 
+class TestMalformedLedgerReplies:
+    """A ledger reply that lacks a field the agent reads, or holds it with
+    the wrong type, is LedgerRefused, as an error reply is: it fails what
+    needed the reply, by name, and nothing else."""
+
+    @staticmethod
+    def doctor(world, what, change):
+        """Pass SWT's ledger's reply to each `what` query through `change`;
+        returns the undoctored query handler."""
+        ledger = world.ledgers["SWT"]
+        serve = ledger._query
+
+        def doctored(sender, msg):
+            reply = serve(sender, msg)
+            return change(reply) if msg.body.get("what") == what else reply
+
+        ledger._query = doctored
+        return serve
+
+    @pytest.mark.parametrize("change", [
+        lambda reply: {"entries": reply["entries"]},
+        lambda reply: {**reply, "entries": [e[:2] for e in reply["entries"]]},
+    ], ids=["no-networks", "entry-not-a-triple"])
+    def test_malformed_policy_fails_the_sync_and_is_not_kept(self, world, change):
+        serve = self.doctor(world, "policy", change)
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        assert isinstance(record.error, agent_mod.LedgerRefused)
+        assert str(record.error) == "SWT: malformed policy reply"
+        world.ledgers["SWT"]._query = serve
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        assert record.error is None
+        assert [r["status"] for r in record.result.values()] == ["DONE"] * 2
+
+    def test_records_that_are_not_a_list_fail_the_revocation_pass(self, world):
+        self.doctor(world, "records", lambda reply: {"records": 5})
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        assert isinstance(record.error, agent_mod.LedgerRefused)
+        assert str(record.error) == "SWT: records must be a list"
+
+    def test_submit_reply_without_an_outcome_fails_only_its_target(self, world):
+        ledger = world.ledgers["SWT"]
+        serve = ledger._submit
+
+        def neither_for_carrier(sender, msg):
+            statement = net.Endorsement.from_bytes(bytes.fromhex(msg.body["statement"]))
+            return {"seq": 0} if statement.foreign_org == "Carrier" else serve(sender, msg)
+
+        ledger._submit = neither_for_carrier
+        start = len(world.trace.events)
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        failed = assert_only_carrier_failed(world, record, start, "LedgerRefused")
+        assert failed.detail["detail"] == "SWT: submit reply names no outcome"
+
+    def test_countersigner_refuses_each_statement_on_a_malformed_policy(self, world):
+        self.doctor(world, "policy", lambda reply: {"entries": reply["entries"]})
+        probe = add_probe(world)
+        body = ask_countersign_batch(probe, world, [
+            statement(
+                probe, world.org_dids[org], world.organizations[("STL", org)].bundle_digest(),
+                "ACTIVE", org=org,
+            )
+            for org in ("Seller", "Carrier")
+        ])
+        assert body["results"] == [
+            {"result": "validation_failed", "reason": "LedgerRefused"}
+        ] * 2
+
+
 # the events that mark a sync target's phases: B validated, C fetched, D
 # committed or mismatched, then the target's outcome
 PHASE_EVENTS = {
@@ -1187,12 +1289,12 @@ class TestBatchedStepD:
 
     def test_one_member_read_per_agent_per_round(self, monkeypatch):
         world = two_networks_world(4)
-        kinds = count_query_kinds(monkeypatch)
-        reads = []
+        reads = record_queries(monkeypatch)
+        members_read = []
         read_members = agent_mod.IinAgent._read_members
 
         def recording(agent, home_network, foreign_network, dids):
-            reads.append((agent.org_id, dids))
+            members_read.append((agent.org_id, dids))
             return read_members(agent, home_network, foreign_network, dids)
 
         monkeypatch.setattr(agent_mod.IinAgent, "_read_members", recording)
@@ -1201,10 +1303,11 @@ class TestBatchedStepD:
         assert record.error is None
         assert [r["status"] for r in record.result.values()] == ["DONE"] * 4
         members = sorted(world.org_dids[f"NB{i}"] for i in range(4))
-        assert sorted((org, sorted(dids)) for org, dids in reads) == [
+        assert sorted((org, sorted(dids)) for org, dids in members_read) == [
             (f"NA{i}", members) for i in range(4)
         ]
-        assert kinds.count(registry.QUERY_MEMBER) == 4
+        # one memberlist fetch and one round read per agent
+        assert [what for what, *_ in reads] == [registry.QUERY_MEMBER] * 8
         requests = [
             e.detail["to"] for e in world.trace.events[start:]
             if e.kind == "bus.send" and e.detail["msg_kind"] == "agent.countersign.request"
@@ -1251,11 +1354,11 @@ class TestBatchedStepD:
     def lose_member_read(world, org):
         """Lose every reply to `org`'s first member read of a cold start: its
         memberlist fetch reads the anchor's document and the memberlist's
-        credential definition first (replies 1-4), then the snapshot read
-        asks two replicas and, on no answer, the other two (5-8). A dropping
-        rule hides its envelope from the rules after it, so the later
-        occurrences go first."""
-        for occurrence in range(8, 4, -1):
+        credential definition in one read first (replies 1-2), then the
+        snapshot read asks two replicas and, on no answer, the other two
+        (3-6). A dropping rule hides its envelope from the rules after it, so
+        the later occurrences go first."""
+        for occurrence in range(6, 2, -1):
             world.bus.config.rules.append(FaultRule(
                 action="drop", to=f"agent:{org}", kind="iin.query.reply", occurrence=occurrence,
             ))

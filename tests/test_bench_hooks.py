@@ -46,6 +46,8 @@ def test_tracer_installs_counts_and_uninstalls():
     assert tracer.tick_spans("agent.validate", "agent.sync_target")
     assert tracer.tick_spans("agent.validate", "agent.countersign")
     assert tracer.n_calls("agent.fetch") > 0
+    # every registry read is a member snapshot, and the tracer files it so
+    assert tracer.counters["registry.read.member.calls"] == tracer.n_calls("registry.read") > 0
     assert registry.quorum_query is quorum_query
     assert anchors.AnchorService.enqueue_serialized is enqueue_serialized
 

@@ -24,8 +24,8 @@ from conftest import scenario_config
 @pytest.mark.parametrize(
     "name, sends, queries, memberlists, witnesses, orders, countersigns, signs, verifies",
     [
-        ("two-network", 246, 46, 4, 2, 30, 2, 120, 230),
-        ("concurrent-commit", 180, 30, 2, 1, 30, 2, 96, 172),
+        ("two-network", 194, 24, 4, 2, 30, 2, 120, 230),
+        ("concurrent-commit", 150, 16, 2, 2, 30, 2, 96, 172),
     ],
     ids=("two-network", "concurrent-commit"),  # stable across re-pins
 )
@@ -62,12 +62,12 @@ def test_bundled_scenario_counts(
 
 
 TRACE_DIGESTS = {
-    "concurrent-commit": "4a0bd7adfcf23eaefa1eecd5eed169ba47ca915c4b1b2bc2a3c9b9c6ee6fcad0",
-    "concurrent-commit-serial": "317597ff81613c617c5e9ae6e2b23a4ec8fed09a87d249ece3cea197ca0d38eb",
-    "digest-mismatch-retry": "265cb6b86193f7ec8ffed04380e1f7a9487e14ef4abb4ba014e4feafdc1285a1",
-    "revoke-carrier": "000a42e619a98e19cc99871e54c393f0aed50e7136dd488d5ad1969debe91c5f",
-    "rotate-resync": "430d0d8743aa7e35af54b89b2f4027989ba9f4898e914f1ad1d02d30bb3ef1d4",
-    "two-network": "b8d718cbffa482ea8bbfe523d46f34d791a7bb21f6ccd53541c4ea2c21799ac7",
+    "concurrent-commit": "a76db8c10208c721a807047e6ef15183698ba9420dc28b77763b06cf0df46463",
+    "concurrent-commit-serial": "2c933794d151c5dbd8cc1e82f8dacb7b87fd6c559687bf3a2c1a1512f7138c76",
+    "digest-mismatch-retry": "71d85e959ba907e954e60da253d07228db29e4ac0faa0c0434071e965bcef5f8",
+    "revoke-carrier": "340c4b9331984cd3b202cd9f8fa0465f389e4596a01e80cd5f1ac62897826b58",
+    "rotate-resync": "394f555843749a5ecc9e247e5a670f9399588a918c802b04195501154d97ba1b",
+    "two-network": "4ff4febcb677c916d802087c8adb7b6a62e87c881b7033aac9d14226cc720174",
 }
 
 

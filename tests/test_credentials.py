@@ -96,13 +96,8 @@ class VerificationWorld:
         return crypto.witness_for(self.acc_state, self.acc_leaves, vc.credential_id)
 
     def artifacts(self, **overrides) -> creds.VerificationArtifacts:
-        base = registry.artifacts_from_state(
-            self.state,
-            self.holder_did,
-            self.anchor_did,
-            self.schema.schema_id,
-            self.cred_def.cred_def_id,
-        )
+        ids = (self.holder_did, self.anchor_did, self.schema.schema_id, self.cred_def.cred_def_id)
+        base = registry.MemberSnapshot.of(self.state, *((i,) for i in ids)).artifacts(*ids)
         for key, value in overrides.items():
             setattr(base, key, value)
         return base

@@ -222,17 +222,6 @@ def old_anchor_grant(g):
     return enc.record(enc.TAG_ANCHOR_GRANT, enc.encode_str(g.target_did), enc.encode_str(g.role))
 
 
-def old_query_reply(r):
-    return enc.record(
-        enc.TAG_QUERY_REPLY,
-        enc.encode_str(r.what),
-        enc.encode_str(r.ident),
-        enc.encode_u64(r.found),
-        enc.encode_bytes(r.payload),
-        enc.encode_u64(r.verinym),
-    )
-
-
 def old_member_entry(e):
     return (
         enc.encode_str(e.did)
@@ -242,8 +231,9 @@ def old_member_entry(e):
 
 
 def old_member_snapshot(s):
-    return enc.encode_list(old_member_entry(e) for e in s.holders) + enc.encode_list(
-        enc.encode_bytes(state.to_bytes()) for state in s.states
+    return enc.encode_list(old_member_entry(e) for e in s.holders) + b"".join(
+        enc.encode_list(enc.encode_bytes(r.to_bytes()) for r in table)
+        for table in (s.states, s.schemas, s.cred_defs)
     )
 
 
@@ -499,17 +489,14 @@ RECORDS = {
         lambda tx: old_tx_signing(tx) + old_signature(tx.submitter_signature),
     ),
     registry.AnchorGrant: (st.builds(registry.AnchorGrant, text, text), None, old_anchor_grant),
-    registry.QueryReply: (
-        st.builds(registry.QueryReply, text, text, u64, blob, u64),
-        None,
-        old_query_reply,
-    ),
     registry.MemberEntry: (member_entry, None, old_member_entry),
     registry.MemberSnapshot: (
         st.builds(
             registry.MemberSnapshot,
             st.lists(member_entry, max_size=3).map(tuple),
             st.lists(revocation_state, max_size=3).map(tuple),
+            up_to_3(schema),
+            up_to_3(cred_def),
         ),
         None,
         old_member_snapshot,

@@ -870,21 +870,21 @@ class TestPoolProtocol:
         )
         bus.run_until_quiescent()
         record = client.start_session(
-            "read", registry.read_schema(pool, "schema:membership:1")
+            "read", registry.resolve_member(pool, (), (), ("schema:membership:1",))
         )
         bus.run_until_quiescent()
         assert record.error is None
-        assert record.result.attribute_names == ("holder_did", "network_id")
+        [schema] = record.result.schemas
+        assert schema.attribute_names == ("holder_did", "network_id")
 
     def test_reads_need_no_role_writes_do(self):
         bus, pool, nodes, client, steward = build_pool()
         # unprivileged client can read
         record = client.start_session(
-            "read", registry.quorum_query(pool, registry.QUERY_SCHEMA, "schema:membership:1")
+            "read", registry.resolve_member(pool, (), (), ("schema:membership:1",))
         )
         bus.run_until_quiescent()
-        found, _, _ = record.result
-        assert found is False  # open read, clean miss
+        assert record.result.schemas == ()  # open read, clean miss
         # unprivileged write is rejected, not errored
         rogue_keys, rogue_did, rogue_doc = make_identity("rogue")
         client.start_session(
@@ -1184,19 +1184,25 @@ class TestMemberSnapshot:
         {"what": registry.QUERY_MEMBER, "issuers": [5]},
         {"what": registry.QUERY_MEMBER, "holders": "x"},
         {"what": registry.QUERY_MEMBER, "holders": [["x"]]},
+        {"what": registry.QUERY_MEMBER, "schemas": "schema:membership:1"},
+        {"what": registry.QUERY_MEMBER, "schemas": [5]},
+        {"what": registry.QUERY_MEMBER, "cred_defs": {}},
+        {"what": registry.QUERY_MEMBER, "cred_defs": [None]},
         {"what": 5},
-        {"what": registry.QUERY_DID, "id": ["x"]},
+        {"what": "did"},
     ], ids=["issuers-not-a-list", "issuer-not-a-string", "holders-not-a-list",
-            "holder-not-a-string", "what-not-a-string", "id-not-a-string"])
+            "holder-not-a-string", "schemas-not-a-list", "schema-not-a-string",
+            "cred-defs-not-a-list", "cred-def-not-a-string", "what-not-a-string",
+            "what-not-member"])
     def test_malformed_query_is_a_miss_and_the_replica_keeps_serving(self, body):
         bus, pool, nodes, client, org_did = self.setup_pool()
-        body = {"id": org_did, **body}
+        body = {"holders": [org_did], "schemas": ["schema:membership:1"], **body}
 
         def ask():
             reply = yield Request(pool.sequencer, "iin.query", body, timeout=50)
-            return registry.QueryReply.from_bytes(bytes.fromhex(reply.body["result"]))
+            return registry.MemberSnapshot.from_bytes(bytes.fromhex(reply.body["result"]))
 
         record = client.start_session("ask", ask())
         bus.run_until_quiescent()
-        assert record.result == registry.QueryReply("", "", 0, b"", 0)
+        assert record.result == registry.MemberSnapshot((), (), (), ())
         assert self.resolve(bus, pool, client, (org_did,)).result.holder(org_did)[0].did == org_did
