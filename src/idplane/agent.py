@@ -33,12 +33,9 @@ harness starts it, no message does) re-runs B-D for every network on the
 interoperation list, updating rotated bundles and flipping records to REVOKED
 for members that no longer validate.
 
-Concurrent sessions of one agent share reads: while a read of the ledger's
-policy or of a countersigner's memberlist is in flight, a second session that
-needs the same one waits for it instead of sending its own (`_shared`); the
-policy never changes, so it is kept after its first successful read
-(`_read_once`). Registry reads are never kept. A target's
-outcome is recorded only in the trace: `agent.sync_done` and
+The ledger's policy never changes, so it is kept after its first successful
+read (`_read_once`); registry reads are never kept. A target's outcome is
+recorded only in the trace: `agent.sync_done` and
 `agent.sync_failed` carry `attempts`, and a protocol failure its `detail`.
 
 One agent serves all of its organization's network memberships: the DID
@@ -200,13 +197,6 @@ class AgentConfig:
     organizations: dict[str, net.Organization] = field(default_factory=dict)
 
 
-@dataclass
-class CachedIdentity:
-    org_id: str
-    bundle: bytes
-    digest: bytes
-
-
 class IinAgent(Actor):
     def __init__(self, config: AgentConfig):
         super().__init__(config.address)
@@ -216,13 +206,12 @@ class IinAgent(Actor):
         self.pool = config.pool
         self.did = registry.make_did(config.pool.iin_id, config.keys.public_key)
         self.wallet: dict[str, tuple[creds.MembershipCredential, crypto.AccumulatorWitness]] = {}
-        self.cache: dict[tuple[str, str], CachedIdentity] = {}
+        # (foreign network, holder DID) -> the ACTIVE record steps B and C checked
+        self.cache: dict[tuple[str, str], net.RecordContent] = {}
         # foreign network -> last verified memberlist (also the rollback floor)
         self._memberlists: dict[str, creds.MemberlistCredential] = {}
         # home network -> its ledger's policy, once read (see _read_once)
         self._kept: dict[str, tuple] = {}
-        # read key -> the session running that read now (see _shared)
-        self._in_flight: dict[tuple, SessionRecord] = {}
 
     REQUESTS = {
         "agent.membership_vp.request": ("_serve_membership_vp", "agent.membership_vp.reply"),
@@ -339,38 +328,13 @@ class IinAgent(Actor):
             raise LedgerRefused(f"{home_network}: {reply.body['error']}")
         return reply.body
 
-    def _shared(self, key: tuple, gen: Generator) -> Generator:
-        """Run the read `gen` once for all sessions that need `key` at the
-        same time: the first caller starts it as a session of its own, and
-        every caller, that one included, joins it; later callers' `gen` is
-        never run. The read's protocol error is raised in each waiter, which
-        names it as its own, and no `session.failed` is traced for it. A
-        caller after the read has ended starts a fresh one."""
-        record = self._in_flight.get(key)
-        if record is None:
-            record = self.start_session(f"shared:{key[0]}", self._run_shared(key, gen))
-            if not record.done:
-                self._in_flight[key] = record
-        [result] = yield Join((record,))
-        if isinstance(result, PROTOCOL_ERRORS):
-            raise result
-        return result
-
-    def _run_shared(self, key: tuple, gen: Generator) -> Generator:
-        try:
-            return (yield from _caught(gen))
-        finally:
-            self._in_flight.pop(key, None)
-
     def _read_once(self, home_network: str) -> Generator:
         """The home ledger's policy: its interoperation list and its trust
         list entries (iin id, anchor DID, network), kept after the first
         successful read, as the ledger's genesis state fixes both. A reply
         missing a list or holding a wrong-typed field is LedgerRefused."""
         if home_network not in self._kept:
-            body = yield from self._shared(
-                ("policy", home_network), self._ledger_query(home_network, {"what": "policy"})
-            )
+            body = yield from self._ledger_query(home_network, {"what": "policy"})
             networks, entries = body.get("networks"), body.get("entries")
             if not (
                 _strings(networks)
@@ -431,6 +395,8 @@ class IinAgent(Actor):
             memberlist.issuer_signature,
         ):
             raise NoTrustedPMV("memberlist signature invalid")
+        # the rollback floor: of two fetches in flight at once, an older list
+        # that arrives second fails only the fetch that asked for it
         previous = self._memberlists.get(foreign_network)
         if previous is not None and memberlist.roster_version < previous.roster_version:
             raise StaleMemberlist(
@@ -481,8 +447,8 @@ class IinAgent(Actor):
         """Resolve, challenge, and verify one foreign member (step B) and,
         with `with_bundle`, check the certificate bundle the same challenge
         reply carries (step C). A `memberlist`, when given, must list
-        `target_did` (NotListed). Returns (claim, identity): `identity` is the
-        checked CachedIdentity with `with_bundle`, else None.
+        `target_did` (NotListed). Returns (claim, record): `record` is the
+        checked ACTIVE `net.RecordContent` with `with_bundle`, else None.
 
         The checks read nothing but one registry snapshot (`_read_members`),
         taken before the challenge, so a revocation committed before it fails
@@ -533,13 +499,13 @@ class IinAgent(Actor):
         self.trace(
             "agent.member_validated", network=foreign_network, holder=claim.holder_did
         )
-        identity = None
+        record = None
         if with_bundle:
-            identity = yield from self._fetch_identity(
+            record = yield from self._fetch_identity(
                 foreign_network, target_did, artifacts.presenter_doc,
                 artifacts.presenter_verinym, bundle_nonce, reply.body.get("identity_vp"),
             )
-        return claim, identity
+        return claim, record
 
     # --- step C: check network identity ----------------------------------------
 
@@ -553,9 +519,10 @@ class IinAgent(Actor):
         identity_vp: object,
     ) -> Generator:
         """Check the bundle presentation `identity_vp` (hex, as received)
-        that step B's challenge reply carried under `nonce`. A generator
-        though it sends nothing, as the benchmark's tracer drives steps B, C
-        and D as generators."""
+        that step B's challenge reply carried under `nonce`; returns and
+        caches the ACTIVE record that step D commits. A generator though it
+        sends nothing, as the benchmark's tracer drives steps B, C and D as
+        generators."""
         yield from ()
         vp = _decode(creds.VerifiablePresentation, identity_vp, MalformedBundle, target_did)
         payload = creds.verify_self_signed_vp(vp, nonce, doc, verinym)
@@ -566,19 +533,18 @@ class IinAgent(Actor):
             )
         for chain in bundle.chains:
             crypto.verify_certificate_chain(chain.certificates, self.bus.now)
-        identity = CachedIdentity(
-            org_id=bundle.org_id,
-            bundle=payload,
-            digest=crypto.digest(payload),
+        record = net.RecordContent(
+            foreign_network, bundle.org_id, target_did, payload, crypto.digest(payload),
+            net.STATUS_ACTIVE,
         )
-        self.cache[(foreign_network, target_did)] = identity
+        self.cache[(foreign_network, target_did)] = record
         self.trace(
             "agent.identity_fetched",
             network=foreign_network,
             org=bundle.org_id,
-            digest=identity.digest.hex(),
+            digest=record.bundle_digest.hex(),
         )
-        return identity
+        return record
 
     # --- step D: consensus commit ----------------------------------------------
 
@@ -711,10 +677,12 @@ class IinAgent(Actor):
         time. The ACTIVE ones share one memberlist gate and one registry read
         for the holders that are listed but not cached; a gate or read that
         fails refuses each statement that needed it, by name. A cached list
-        at least as new as the initiator's `roster_version` is reused: a
-        member revoked since still fails the fresh accumulator check in
-        _validate_member, and a low hint only fails the initiator's own
-        commit with NotListed."""
+        at least as new as the initiator's `roster_version` is reused, and a
+        low hint only fails the initiator's own commit with NotListed. A
+        member revoked since the list was fetched fails the fresh
+        accumulator check in _validate_member only when its identity is not
+        cached: a cached identity skips steps B and C, so while the reused
+        list still names the member, its ACTIVE statement is signed."""
         (home_network,) = msg.fields("home_network")
         raw = msg.body["statements"]
         if not _strings(raw):
@@ -750,10 +718,7 @@ class IinAgent(Actor):
                     or not isinstance(hint, int)
                     or memberlist.roster_version < hint
                 ):
-                    memberlist = yield from self._shared(
-                        ("memberlist", home_network, foreign_network),
-                        self._fetch_memberlist(home_network, foreign_network),
-                    )
+                    memberlist = yield from self._fetch_memberlist(home_network, foreign_network)
                 unchecked = tuple(dict.fromkeys(
                     s.holder_did for s in active
                     if s.holder_did in memberlist.member_dids
@@ -812,17 +777,17 @@ class IinAgent(Actor):
                 reason=type(e).__name__,
             )
             return _refusal(type(e).__name__)
-        if identity.digest != statement.bundle_digest:
+        if identity.bundle_digest != statement.bundle_digest:
             # stale copy on one side; drop ours so the retry refetches
             self.cache.pop((foreign_network, foreign_did), None)
             self.trace(
                 "agent.countersign_mismatch",
                 network=foreign_network,
                 org=statement.foreign_org,
-                ours=identity.digest.hex(),
+                ours=identity.bundle_digest.hex(),
                 theirs=statement.bundle_digest.hex(),
             )
-            return {"result": RESULT_DIGEST_MISMATCH, "own_digest": identity.digest.hex()}
+            return {"result": RESULT_DIGEST_MISMATCH, "own_digest": identity.bundle_digest.hex()}
         return {"result": RESULT_SIGNED, "sig": self._endorse(statement)}
 
     def _countersign_revoked(self, home_network: str, statement: net.Endorsement) -> Generator:
@@ -874,13 +839,13 @@ class IinAgent(Actor):
         memberlist: creds.MemberlistCredential,
         snapshot: Optional[registry.MemberSnapshot],
     ) -> Generator:
-        """Steps B and C for one target of a sync round; returns its checked
-        CachedIdentity."""
-        _, identity = yield from self._validate_member(
+        """Steps B and C for one target of a sync round; returns the ACTIVE
+        record they checked."""
+        _, record = yield from self._validate_member(
             home_network, foreign_network, target_did, memberlist,
             with_bundle=True, snapshot=snapshot,
         )
-        return identity
+        return record
 
     def _target_failed(
         self, foreign_network: str, target_did: str, attempt: int, error: Exception
@@ -929,21 +894,13 @@ class IinAgent(Actor):
         ))
         results: dict[str, dict] = {}
         ready = []
-        for did, identity in zip(dids, checked):
-            if isinstance(identity, CachedIdentity):
-                ready.append((did, identity))
+        for did, record in zip(dids, checked):
+            if isinstance(record, net.RecordContent):
+                ready.append((did, record))
             else:
-                results[did] = self._target_failed(foreign_network, did, attempt, identity)
+                results[did] = self._target_failed(foreign_network, did, attempt, record)
         verdicts = yield from self._commit_identity(
-            home_network,
-            [
-                net.RecordContent(
-                    foreign_network, identity.org_id, did, identity.bundle, identity.digest,
-                    net.STATUS_ACTIVE,
-                )
-                for did, identity in ready
-            ],
-            roster_version=memberlist.roster_version,
+            home_network, [record for _, record in ready], roster_version=memberlist.roster_version
         )
         retry = tuple(did for (did, _), v in zip(ready, verdicts) if v == DIGEST_MISMATCH)
         next_round = None
@@ -954,7 +911,7 @@ class IinAgent(Actor):
                 "sync-round", self._sync_round(home_network, foreign_network, retry, attempt + 1)
             )
         verdicts = yield from self._settled(verdicts)
-        for (did, identity), verdict in zip(ready, verdicts):
+        for (did, record), verdict in zip(ready, verdicts):
             if verdict == DIGEST_MISMATCH:
                 if next_round is not None:
                     continue
@@ -965,13 +922,13 @@ class IinAgent(Actor):
             self.trace(
                 "agent.sync_done",
                 network=foreign_network,
-                org=identity.org_id,
+                org=record.org_id,
                 attempts=attempt,
                 outcome=verdict,
             )
             results[did] = {
                 "status": PHASE_DONE,
-                "org_id": identity.org_id,
+                "org_id": record.org_id,
                 "outcome": verdict,
                 "attempts": attempt,
             }
@@ -987,16 +944,12 @@ class IinAgent(Actor):
             home_network, [replace(record, status=net.STATUS_REVOKED)]
         )
         [outcome] = yield from self._settled(verdicts)
-        if outcome == DIGEST_MISMATCH:
-            return {"status": PHASE_FAILED, "error": "DigestMismatch"}
-        if isinstance(outcome, Exception):
+        if outcome == DIGEST_MISMATCH or isinstance(outcome, Exception):
+            error = "DigestMismatch" if outcome == DIGEST_MISMATCH else type(outcome).__name__
             self.trace(
-                "agent.revoke_failed",
-                network=foreign_network,
-                org=record.org_id,
-                error=type(outcome).__name__,
+                "agent.revoke_failed", network=foreign_network, org=record.org_id, error=error
             )
-            return {"status": PHASE_FAILED, "error": type(outcome).__name__}
+            return {"status": PHASE_FAILED, "error": error}
         self.trace("agent.record_revoked", network=foreign_network, org=record.org_id)
         return {"status": PHASE_DONE, "org_id": record.org_id, "outcome": outcome}
 
@@ -1009,8 +962,7 @@ class IinAgent(Actor):
         """Steps B-D against every listed member of the foreign network (or an
         explicit target subset), in rounds (`_sync_round`); a full pass then
         flips records to REVOKED, one at a time, for orgs that no longer
-        validate. The targets' sessions share the agent's reads (`_shared`),
-        so a cold cache is filled once per sync."""
+        validate."""
         interop, _ = yield from self._read_once(home_network)
         if foreign_network not in interop:
             self.trace("agent.policy_violation", network=foreign_network)
@@ -1051,10 +1003,10 @@ class IinAgent(Actor):
         """Run steps B and C for one member without committing, populating the
         countersigner cache."""
         memberlist = yield from self._fetch_memberlist(home_network, foreign_network)
-        _, identity = yield from self._validate_member(
+        _, record = yield from self._validate_member(
             home_network, foreign_network, target_did, memberlist, with_bundle=True
         )
-        return identity.digest.hex()
+        return record.bundle_digest.hex()
 
     def validate_org(
         self, home_network: str, foreign_network: str, target_did: str

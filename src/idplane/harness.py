@@ -293,8 +293,8 @@ _ORG_HOMES = {
 
 def _reference_problems(config: ScenarioConfig) -> list[str]:
     """What the types cannot say: every number is in range, every name refers
-    to a declared iin, anchor, network or org, each pool is 3f+1 nodes, and
-    each pmv represents its network."""
+    to a declared iin, anchor, network or org, each pool is 3f+1 nodes, each
+    pmv represents its network, and an anchor whitelists every org."""
     problems = []
     if config.cert_lifetime < 1:
         problems.append(f"cert_lifetime: must be at least 1, got {config.cert_lifetime}")
@@ -321,6 +321,10 @@ def _reference_problems(config: ScenarioConfig) -> list[str]:
             f"anchor {a.name}: represents unknown network {r!r}"
             for r in a.represents if r not in members
         ]
+    vouched = {w for a in config.anchors for w in a.whitelist}
+    problems += [
+        f"org {o}: no anchor whitelists it" for o in config.all_org_names() if o not in vouched
+    ]
     for n in config.networks:
         where = f"network {n.id}"
         if not n.orgs:
@@ -581,15 +585,9 @@ class World:
         )
 
     def _oiv_address_for(self, org: str) -> str:
-        for spec in self.config.anchors:
-            if org in spec.whitelist:
-                return f"anchor:{spec.name}"
-        # no anchor vouches for this org; point at the first OIV so the
-        # evidence check fails explicitly rather than the send failing
-        for spec in self.config.anchors:
-            if spec.whitelist:
-                return f"anchor:{spec.name}"
-        return f"anchor:{self.config.anchors[0].name}"
+        """The first anchor that whitelists `org`; a scenario loads only if
+        one does."""
+        return next(f"anchor:{s.name}" for s in self.config.anchors if org in s.whitelist)
 
     def settle(self) -> int:
         return self.bus.run_until_quiescent(self.config.tick_ceiling)

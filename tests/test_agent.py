@@ -201,7 +201,7 @@ class TestCountersigning:
         assert record.error is None
         old_digest = world.agents["Buyer"].cache[
             ("STL", world.org_dids["Carrier"])
-        ].digest
+        ].bundle_digest
         anchor = world.anchors["AnchorSTL"]
         anchor.enqueue_serialized(
             "revoke",
@@ -425,6 +425,20 @@ class TestCountersigning:
         assert record.result == {"status": "FAILED", "error": "LedgerUnreachable"}
         [failed] = agent_events(world, "Buyer", {"agent.revoke_failed"}, start)
         assert failed.detail == {"network": "STL", "org": "Carrier", "error": "LedgerUnreachable"}
+
+    def test_revocation_of_another_digest_is_traced_as_a_mismatch(self, world):
+        assert run_sync(world, "Buyer", "SWT", "STL").error is None
+        buyer = world.agents["Buyer"]
+        carrier = world.ledger_state("SWT").get_record("STL", "Carrier").content
+        start = len(world.trace.events)
+        record = buyer.start_session("revoke", buyer._revoke_record(
+            "SWT", "STL", replace(carrier, bundle_digest=b"\x00" * 32)
+        ))
+        world.settle()
+        assert record.result == {"status": "FAILED", "error": "DigestMismatch"}
+        [failed] = agent_events(world, "Buyer", {"agent.revoke_failed"}, start)
+        assert failed.detail == {"network": "STL", "org": "Carrier", "error": "DigestMismatch"}
+        assert world.ledger_state("SWT").get_record("STL", "Carrier").content.status == "ACTIVE"
 
     def test_countersigner_without_ledger_names_the_failure(self, world):
         world.bus.config.rules.append(
@@ -694,7 +708,7 @@ class TestMemberlistReuse:
         cached = seller._memberlists["STL"]
         carrier_did = world.org_dids["Carrier"]
         assert carrier_did in cached.member_dids
-        digest = seller.cache[("STL", carrier_did)].digest
+        digest = seller.cache[("STL", carrier_did)].bundle_digest
         self.revoke_carrier(world)
         seller.cache.clear()
         probe = add_probe(world)
@@ -813,16 +827,16 @@ class TestConcurrentSync:
         world.settle()
         return replies, queries
 
-    def test_concurrent_countersigns_share_cold_reads(self, world):
+    def test_concurrent_cold_countersigns_each_read_their_own(self, world):
         start = len(world.trace.events)
         replies, queries = self.countersign_both_at_once(world)
         assert {org: r["result"] for org, r in replies.items()} == {
             "Seller": "signed", "Carrier": "signed"
         }
-        assert queries.count("policy") == 1
-        assert len(memberlist_requests(world, "agent:Seller", start)) == 1
+        assert queries.count("policy") == 2
+        assert len(memberlist_requests(world, "agent:Seller", start)) == 2
 
-    def test_lost_shared_memberlist_fails_each_request_by_name(self, world):
+    def test_lost_memberlist_fails_each_concurrent_request_by_name(self, world):
         world.bus.config.rules.append(
             FaultRule(action="drop", to="agent:Seller", kind="anchor.memberlist.reply")
         )
@@ -832,7 +846,7 @@ class TestConcurrentSync:
             "Seller": ("validation_failed", "NoTrustedPMV"),
             "Carrier": ("validation_failed", "NoTrustedPMV"),
         }
-        assert len(memberlist_requests(world, "agent:Seller", start)) == 1
+        assert len(memberlist_requests(world, "agent:Seller", start)) == 2
         assert not [e for e in world.trace.events[start:] if e.kind == "session.failed"]
 
 

@@ -1,4 +1,5 @@
-"""The benchmark's tracer still attaches to the program.
+"""The benchmark's tracer still attaches to the program, and its workloads
+still send the traffic they did.
 
 `perfbench/tracer.py` wraps program attributes by name; a rename on the
 program's side would break the benchmark without failing any other test.
@@ -6,7 +7,10 @@ program's side would break the benchmark without failing any other test.
 
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
+
+import pytest
 
 from idplane import agent, anchors, harness, registry
 
@@ -66,3 +70,27 @@ def test_benchmark_worlds_parse():
     for raw in (sc.two_networks("t", 2), sc.criterion05_shape(7)):
         config = harness.parse_scenario(raw)
         assert [step["step"] for step in config.script] == ["bootstrap", "step_a"]
+
+
+@pytest.mark.parametrize("workload, sends, applied, sync_ticks", [
+    ("wide-sync", 540, 16, [75, 71]),
+    ("commit-race", 40, 1, [37]),
+    ("proof-churn", 258, 3, [65, 51, 63]),
+])
+def test_one_unit_of_each_workload_keeps_its_exact_traffic(
+    monkeypatch, workload, sends, applied, sync_ticks
+):
+    """One seeded unit of each benchmark workload: the bus sends, APPLIED
+    commits and sync tick spans its end-to-end metrics are made of."""
+    # workloads.py imports the other two by bare name; all three leave
+    # sys.modules when the test ends
+    for name in ("scenarios", "probe", "workloads"):
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+    workloads = sys.modules["workloads"]
+    run = workloads.Run(seed=7, n_units=1)
+    workloads.WORKLOADS[workload][0](run)
+    assert run.failed == 0, run.failures
+    assert (run.sends, run.applied, run.sync_ticks) == (sends, applied, sync_ticks)

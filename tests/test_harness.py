@@ -66,6 +66,14 @@ class TestLoadScenario:
         # every problem reported, not just the first
         assert "Nobody" in problems and "AlsoNobody" in problems
 
+    def test_org_that_no_anchor_whitelists_is_rejected(self):
+        raw = minimal_raw()
+        for anchor in raw["anchors"]:
+            anchor["whitelist"] = [o for o in anchor["whitelist"] if o != "Carrier"]
+        with pytest.raises(harness.ScenarioValidationError) as err:
+            harness.parse_scenario(raw)
+        assert err.value.problems == ["org Carrier: no anchor whitelists it"]
+
     def test_invalid_step_and_bad_pool_size_reported(self, tmp_path):
         raw = minimal_raw()
         raw["iins"][0]["nodes"] = 5
