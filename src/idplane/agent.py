@@ -27,11 +27,16 @@ targets at once, runs B and C for each target in a session of its own, and
 then step D for every target that passed, as one batch. The targets with a
 digest mismatch run again as the next round, which starts as soon as the
 countersign replies are in. One refused statement fails only its own target.
-Once every target has ended, the sync flips records to REVOKED, one at a time.
-A resync (a scheduled scenario step, or a proof failure in the data plane; the
-harness starts it, no message does) re-runs B-D for every network on the
-interoperation list, updating rotated bundles and flipping records to REVOKED
-for members that no longer validate.
+A full sync (every listed member) reads the ledger's records of the foreign
+network once, before its first round: a target whose checked record the
+ledger already holds skips step D and ends UNCHANGED. Once every target has
+ended, it flips each of those records that is ACTIVE to REVOKED, one at a
+time, when its org did not end DONE. A targeted sync reads no records and
+commits every target that passed. A resync (a scheduled scenario step, or a
+proof failure in the data plane; the harness starts it, no message does)
+runs a full sync of every network on the interoperation list, committing
+rotated bundles and re-admissions and flipping records to REVOKED for
+members that no longer validate.
 
 The ledger's policy never changes, so it is kept after its first successful
 read (`_read_once`); registry reads are never kept. A target's outcome is
@@ -47,7 +52,7 @@ the requested one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Generator, Optional, TypeVar
+from typing import Generator, Optional, Sequence, TypeVar
 
 from . import credentials as creds
 from . import crypto
@@ -64,6 +69,8 @@ RESULT_VALIDATION_FAILED = "validation_failed"
 
 # Step D's verdict on a statement whose countersigners hold another bundle.
 DIGEST_MISMATCH = "DIGEST_MISMATCH"
+# A full sync's outcome for a target whose checked record the ledger holds.
+UNCHANGED = "UNCHANGED"
 
 MEMBERSHIP_SCHEMA_ID = creds.schema_id_for(creds.MEMBERSHIP_SCHEMA_NAME)
 
@@ -847,6 +854,23 @@ class IinAgent(Actor):
         )
         return record
 
+    def _target_done(
+        self, foreign_network: str, record: net.RecordContent, attempt: int, outcome: str
+    ) -> dict:
+        self.trace(
+            "agent.sync_done",
+            network=foreign_network,
+            org=record.org_id,
+            attempts=attempt,
+            outcome=outcome,
+        )
+        return {
+            "status": PHASE_DONE,
+            "org_id": record.org_id,
+            "outcome": outcome,
+            "attempts": attempt,
+        }
+
     def _target_failed(
         self, foreign_network: str, target_did: str, attempt: int, error: Exception
     ) -> dict:
@@ -866,16 +890,19 @@ class IinAgent(Actor):
         dids: tuple[str, ...],
         attempt: int,
         memberlist: Optional[creds.MemberlistCredential] = None,
+        held: Sequence[net.RecordContent] = (),
     ) -> Generator:
         """Steps B-D for the targets `dids` at once: one registry read for
         the listed ones, steps B and C for each in a session of its own, then
-        one step D batch for those that passed. A retry round (no
-        `memberlist`) first waits out the backoff and fetches the memberlist
-        afresh. The targets whose countersigners hold another bundle run
-        again as the next round, which starts as soon as the countersign
-        replies are in. A memberlist fetch or registry read that fails fails
-        each target of the round by name. Returns each target's result, in
-        the order of `dids`."""
+        one step D batch for those that passed and whose checked record is
+        not one of the ledger's records `held`; those that are end DONE as
+        UNCHANGED, and a round of only those sends no batch. A retry round
+        (no `memberlist`) first waits out the backoff and fetches the
+        memberlist afresh. The targets whose countersigners hold another
+        bundle run again as the next round, which starts as soon as the
+        countersign replies are in. A memberlist fetch or registry read that
+        fails fails each target of the round by name. Returns each target's
+        result, in the order of `dids`."""
         try:
             if memberlist is None:
                 yield Sleep(RETRY_BACKOFF)
@@ -895,10 +922,12 @@ class IinAgent(Actor):
         results: dict[str, dict] = {}
         ready = []
         for did, record in zip(dids, checked):
-            if isinstance(record, net.RecordContent):
-                ready.append((did, record))
-            else:
+            if not isinstance(record, net.RecordContent):
                 results[did] = self._target_failed(foreign_network, did, attempt, record)
+            elif record in held:
+                results[did] = self._target_done(foreign_network, record, attempt, UNCHANGED)
+            else:
+                ready.append((did, record))
         verdicts = yield from self._commit_identity(
             home_network, [record for _, record in ready], roster_version=memberlist.roster_version
         )
@@ -907,9 +936,9 @@ class IinAgent(Actor):
         if retry and attempt < RETRY_LIMIT:
             for did in retry:
                 self.cache.pop((foreign_network, did), None)
-            next_round = self.start_session(
-                "sync-round", self._sync_round(home_network, foreign_network, retry, attempt + 1)
-            )
+            next_round = self.start_session("sync-round", self._sync_round(
+                home_network, foreign_network, retry, attempt + 1, held=held
+            ))
         verdicts = yield from self._settled(verdicts)
         for (did, record), verdict in zip(ready, verdicts):
             if verdict == DIGEST_MISMATCH:
@@ -918,20 +947,8 @@ class IinAgent(Actor):
                 verdict = RetriesExhausted("countersigners' digests differ on every attempt")
             if isinstance(verdict, Exception):
                 results[did] = self._target_failed(foreign_network, did, attempt, verdict)
-                continue
-            self.trace(
-                "agent.sync_done",
-                network=foreign_network,
-                org=record.org_id,
-                attempts=attempt,
-                outcome=verdict,
-            )
-            results[did] = {
-                "status": PHASE_DONE,
-                "org_id": record.org_id,
-                "outcome": verdict,
-                "attempts": attempt,
-            }
+            else:
+                results[did] = self._target_done(foreign_network, record, attempt, verdict)
         if next_round is not None:
             [retried] = yield Join((next_round,))
             results.update(retried)
@@ -960,33 +977,38 @@ class IinAgent(Actor):
         targets: Optional[tuple[str, ...]] = None,
     ) -> Generator:
         """Steps B-D against every listed member of the foreign network (or an
-        explicit target subset), in rounds (`_sync_round`); a full pass then
-        flips records to REVOKED, one at a time, for orgs that no longer
-        validate."""
+        explicit target subset), in rounds (`_sync_round`). A full pass reads
+        the ledger's records of the foreign network once, before step D: a
+        target whose checked record the ledger already holds skips step D,
+        and once the rounds have ended the same records are flipped to
+        REVOKED, one at a time, for orgs that no longer validate. A targeted
+        sync reads no records and commits every target that passes."""
         interop, _ = yield from self._read_once(home_network)
         if foreign_network not in interop:
             self.trace("agent.policy_violation", network=foreign_network)
             raise PolicyViolation(f"{foreign_network} not on interoperation list")
         memberlist = yield from self._fetch_memberlist(home_network, foreign_network)
-        dids = tuple(targets) if targets is not None else memberlist.member_dids
-        results = yield from self._sync_round(
-            home_network, foreign_network, dids, 1, memberlist
-        )
         if targets is None:
-            synced_orgs = {
-                r["org_id"] for r in results.values() if r["status"] == PHASE_DONE
-            }
+            dids = memberlist.member_dids
             records = yield from self._ledger_records(home_network, foreign_network)
-            for record in records:
-                if record.status == net.STATUS_ACTIVE and record.org_id not in synced_orgs:
-                    results[f"revoke:{record.org_id}"] = yield from self._revoke_record(
-                        home_network, foreign_network, record
-                    )
+        else:
+            dids, records = tuple(targets), []
+        results = yield from self._sync_round(
+            home_network, foreign_network, dids, 1, memberlist, records
+        )
+        synced_orgs = {r["org_id"] for r in results.values() if r["status"] == PHASE_DONE}
+        for record in records:
+            if record.status == net.STATUS_ACTIVE and record.org_id not in synced_orgs:
+                results[f"revoke:{record.org_id}"] = yield from self._revoke_record(
+                    home_network, foreign_network, record
+                )
         return results
 
     def resync(self, home_network: str, trigger: str) -> Generator:
-        """Re-run B-D for every foreign network on the interoperation list.
-        Triggered by a scheduled scenario step or a data-plane proof failure."""
+        """A full sync of every foreign network on the interoperation list,
+        with steps B and C re-run from an empty cache; only records that
+        changed are committed. Triggered by a scheduled scenario step or a
+        data-plane proof failure."""
         self.trace("agent.resync", network=home_network, trigger=trigger)
         self.cache.clear()
         interop, _ = yield from self._read_once(home_network)

@@ -52,12 +52,16 @@ def record_queries(monkeypatch) -> list:
     return calls
 
 
-def witness_requests(world, org, since=0):
+def sends_from(world, org, kind, since=0):
     return [
         e for e in world.trace.events[since:]
         if e.kind == "bus.send" and e.detail["from"] == f"agent:{org}"
-        and e.detail["msg_kind"] == "anchor.witness.request"
+        and e.detail["msg_kind"] == kind
     ]
+
+
+def witness_requests(world, org, since=0):
+    return sends_from(world, org, "anchor.witness.request", since)
 
 
 def challenge(probe, world, holder, network_id, **extra):
@@ -901,20 +905,23 @@ class TestCountersignGate:
         assert world.ledger_state("SWT").get_record("STL", "Carrier") is None
 
     def test_readmitted_member_is_committed_active_by_a_full_resync(self, world):
+        """Its bundle is the one the REVOKED record holds, and only the
+        status differs, so the resync commits it; Seller is unchanged."""
         assert run_sync(world, "Buyer", "SWT", "STL").error is None
         self.revoke_carrier_and_resync(world)
+        revoked = world.ledger_state("SWT").get_record("STL", "Carrier").content
         carrier = world.agents["Carrier"]
         record = carrier.start_session("step_a", carrier.step_a())
         world.settle()
         assert record.error is None
-        buyer = world.agents["Buyer"]
-        record = buyer.start_session("resync", buyer.resync("SWT", "periodic"))
-        world.settle()
-        assert record.error is None
+        results, added = TestResync.resync(world)
+        assert added == [("Carrier", "ACTIVE", "APPLIED")]
+        assert TestResync.outcomes(world, results) == {
+            "Seller": ("DONE", "UNCHANGED"), "Carrier": ("DONE", "APPLIED"),
+        }
         ledger = world.ledger_state("SWT")
-        assert ledger.get_record("STL", "Carrier").content.status == "ACTIVE"
-        last = [e for e in ledger.block_log if e.statement.foreign_org == "Carrier"][-1]
-        assert (last.statement.status, last.outcome) == ("ACTIVE", "APPLIED")
+        assert ledger.get_record("STL", "Carrier").content == replace(revoked, status="ACTIVE")
+        last = ledger.block_log[-1]
         assert {org for org, _ in last.endorsements} == {"Buyer", "Seller"}
 
 
@@ -1148,19 +1155,121 @@ class TestChallengeEpochs:
 
 
 class TestResync:
-    def test_no_upstream_changes_means_only_noops(self, world):
-        run_sync(world, "Buyer", "SWT", "STL")
-        applied_before = [
-            e for e in world.ledger_state("SWT").block_log if e.outcome == "APPLIED"
-        ]
-        agent = world.agents["Buyer"]
+    """A full sync reads its ledger's records once, before step D: a target
+    whose checked record the ledger already holds ends DONE as UNCHANGED and
+    is not committed. A targeted sync reads no records and commits every
+    target."""
+
+    @staticmethod
+    def resync(world, org="Buyer"):
+        """`org`'s resync of SWT; returns its STL results and the block log
+        entries it added, as (org, status, outcome)."""
+        before = len(world.ledger_state("SWT").block_log)
+        agent = world.agents[org]
         record = agent.start_session("resync", agent.resync("SWT", "periodic"))
         world.settle()
         assert record.error is None
+        added = [
+            (e.statement.foreign_org, e.statement.status, e.outcome)
+            for e in world.ledger_state("SWT").block_log[before:]
+        ]
+        return record.result["STL"], added
+
+    @staticmethod
+    def outcomes(world, results):
+        org_of = {did: org for org, did in world.org_dids.items()}
+        return {
+            org_of.get(key, key): (r["status"], r.get("outcome")) for key, r in results.items()
+        }
+
+    def test_unchanged_resync_sends_no_step_d(self, world):
+        assert run_sync(world, "Buyer", "SWT", "STL").error is None
+        start = len(world.trace.events)
+        results, added = self.resync(world)
+        assert sends_from(world, "Buyer", "agent.countersign.request", start) == []
+        assert sends_from(world, "Buyer", "cmdac.submit", start) == []
+        assert added == []
+        assert self.outcomes(world, results) == {
+            "Seller": ("DONE", "UNCHANGED"), "Carrier": ("DONE", "UNCHANGED"),
+        }
+        done = agent_events(world, "Buyer", {"agent.sync_done"}, start)
+        assert sorted((e.detail["org"], e.detail["outcome"]) for e in done) == [
+            ("Carrier", "UNCHANGED"), ("Seller", "UNCHANGED"),
+        ]
+
+    def test_rotation_resync_commits_only_the_rotated_record(self, world):
+        assert run_sync(world, "Buyer", "SWT", "STL").error is None
+        world.organizations[("STL", "Carrier")].rotate(world.bus.now)
+        start = len(world.trace.events)
+        results, added = self.resync(world)
+        assert added == [("Carrier", "ACTIVE", "APPLIED")]
+        assert self.outcomes(world, results) == {
+            "Seller": ("DONE", "UNCHANGED"), "Carrier": ("DONE", "APPLIED"),
+        }
+        record = world.ledger_state("SWT").get_record("STL", "Carrier").content
+        assert record.bundle_digest == world.organizations[("STL", "Carrier")].bundle_digest()
+        # one records read, before step D, though Seller's stale cached copy
+        # sends Carrier's target into a retry round
+        [query] = sends_from(world, "Buyer", "ledger.query", start)
+        first = sends_from(world, "Buyer", "agent.countersign.request", start)
+        assert len(first) == 2 and query.detail["seq"] < first[0].detail["seq"]
+
+    def test_revoke_resync_flips_the_revoked_member_and_skips_the_rest(self, world):
+        assert run_sync(world, "Buyer", "SWT", "STL").error is None
+        TestMemberlistReuse.revoke_carrier(world)
+        results, added = self.resync(world)
+        assert added == [("Carrier", "REVOKED", "APPLIED")]
+        outcomes = self.outcomes(world, results)
+        assert outcomes["Seller"] == ("DONE", "UNCHANGED")
+        assert outcomes["revoke:Carrier"] == ("DONE", "APPLIED")
+        assert world.ledger_state("SWT").get_record("STL", "Carrier").content.status == "REVOKED"
+
+    def test_lost_records_read_fails_the_sync_before_step_d(self, world):
+        assert run_sync(world, "Buyer", "SWT", "STL").error is None
+        world.organizations[("STL", "Carrier")].rotate(world.bus.now)
+        world.bus.config.rules.append(
+            FaultRule(action="drop", from_="agent:Buyer", kind="ledger.query")
+        )
+        start = len(world.trace.events)
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        assert isinstance(record.error, agent_mod.LedgerUnreachable)
+        assert str(record.error) == "SWT"
+        assert sends_from(world, "Buyer", "agent.countersign.request", start) == []
+        assert world.ledger_state("SWT").get_record("STL", "Carrier").content.bundle_digest != (
+            world.organizations[("STL", "Carrier")].bundle_digest()
+        )
+
+    def test_targeted_sync_reads_no_records_and_commits_its_target(self, world):
+        assert run_sync(world, "Buyer", "SWT", "STL").error is None
+        carrier = world.org_dids["Carrier"]
+        start = len(world.trace.events)
+        record = run_sync(world, "Buyer", "SWT", "STL", targets=(carrier,))
+        assert record.error is None
+        assert record.result[carrier]["outcome"] == "NOOP"
+        assert sends_from(world, "Buyer", "ledger.query", start) == []
+        assert len(sends_from(world, "Buyer", "cmdac.submit", start)) == 1
+
+    def test_racing_targeted_syncs_both_submit_and_match_the_serial_oracle(self, monkeypatch):
+        serial = harness.run_scenario(scenario_config("concurrent-commit-serial"))
+        assert serial.ok, serial.errors
+        asked = []
+        serve = net.LedgerNode._query
+
+        def recording(ledger, sender, msg):
+            asked.append(msg.body.get("what"))
+            return serve(ledger, sender, msg)
+
+        monkeypatch.setattr(net.LedgerNode, "_query", recording)
+        runner = harness.ScenarioRunner(scenario_config("concurrent-commit"))
+        report = runner.run()
+        assert report.ok, report.errors
+        assert "records" not in asked
+        world = runner.world
+        for org in ("Buyer", "Seller"):
+            assert len(sends_from(world, org, "cmdac.submit")) == 1
         log = world.ledger_state("SWT").block_log
-        applied_after = [e for e in log if e.outcome == "APPLIED"]
-        assert len(applied_after) == len(applied_before)
-        assert any(e.outcome == "NOOP" for e in log)
+        assert sorted(e.outcome for e in log) == ["APPLIED", "NOOP"]
+        assert report.state_hashes["ledger:SWT"] == serial.state_hashes["ledger:SWT"]
 
 
 class TestLedgerRecords:
@@ -1216,11 +1325,12 @@ class TestMalformedLedgerReplies:
         assert record.error is None
         assert [r["status"] for r in record.result.values()] == ["DONE"] * 2
 
-    def test_records_that_are_not_a_list_fail_the_revocation_pass(self, world):
+    def test_records_that_are_not_a_list_fail_the_full_sync_before_step_d(self, world):
         self.doctor(world, "records", lambda reply: {"records": 5})
         record = run_sync(world, "Buyer", "SWT", "STL")
         assert isinstance(record.error, agent_mod.LedgerRefused)
         assert str(record.error) == "SWT: records must be a list"
+        assert sends_from(world, "Buyer", "agent.countersign.request") == []
 
     def test_submit_reply_without_an_outcome_fails_only_its_target(self, world):
         ledger = world.ledgers["SWT"]

@@ -73,9 +73,9 @@ def test_benchmark_worlds_parse():
 
 
 @pytest.mark.parametrize("workload, sends, applied, sync_ticks", [
-    ("wide-sync", 540, 16, [75, 71]),
+    ("wide-sync", 540, 16, [72, 70]),
     ("commit-race", 40, 1, [37]),
-    ("proof-churn", 258, 3, [65, 51, 63]),
+    ("proof-churn", 216, 3, [46, 47, 61]),
 ])
 def test_one_unit_of_each_workload_keeps_its_exact_traffic(
     monkeypatch, workload, sends, applied, sync_ticks

@@ -65,9 +65,9 @@ TRACE_DIGESTS = {
     "concurrent-commit": "a76db8c10208c721a807047e6ef15183698ba9420dc28b77763b06cf0df46463",
     "concurrent-commit-serial": "2c933794d151c5dbd8cc1e82f8dacb7b87fd6c559687bf3a2c1a1512f7138c76",
     "digest-mismatch-retry": "71d85e959ba907e954e60da253d07228db29e4ac0faa0c0434071e965bcef5f8",
-    "revoke-carrier": "340c4b9331984cd3b202cd9f8fa0465f389e4596a01e80cd5f1ac62897826b58",
-    "rotate-resync": "394f555843749a5ecc9e247e5a670f9399588a918c802b04195501154d97ba1b",
-    "two-network": "4ff4febcb677c916d802087c8adb7b6a62e87c881b7033aac9d14226cc720174",
+    "revoke-carrier": "0067db7d1d55efe3b3250cc8f3eab5e8643582f653b24d8a1ccca6271e4d65fc",
+    "rotate-resync": "65a9783dc41b79b6ccd191c9bc024cca8f2cf7b72d4e5ee3a0c4a8f8e33fcf9e",
+    "two-network": "d607e0de7e350b854a5db97fccd5ffcda2ad99c87ee927c851713d1faccf40c9",
 }
 
 
