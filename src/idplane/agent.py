@@ -24,19 +24,20 @@ The agent is the org's protocol engine for the identity plane:
 
 A sync runs in rounds. A round reads the registry snapshot of all of its
 targets at once, runs B and C for each target in a session of its own, and
-then step D for every target that passed, as one batch. The targets with a
-digest mismatch run again as the next round, which starts as soon as the
-countersign replies are in. One refused statement fails only its own target.
+then step D for every target that passed, as one batch whose every record
+has its final verdict when the batch returns. The targets with a digest
+mismatch run again as the next round, which starts once the round's submits
+have settled. One refused statement fails only its own target.
 A full sync (every listed member) reads the ledger's records of the foreign
 network once, before its first round: a target whose checked record the
 ledger already holds skips step D and ends UNCHANGED. Once every target has
-ended, it flips each of those records that is ACTIVE to REVOKED, one at a
-time, when its org did not end DONE. A targeted sync reads no records and
-commits every target that passed. A resync (a scheduled scenario step, or a
-proof failure in the data plane; the harness starts it, no message does)
-runs a full sync of every network on the interoperation list, committing
-rotated bundles and re-admissions and flipping records to REVOKED for
-members that no longer validate.
+ended, it flips each of those records that is ACTIVE to REVOKED when its org
+did not end DONE, all in one step D batch. A targeted sync reads no records
+and commits every target that passed. A resync (a scheduled scenario step,
+or a proof failure in the data plane; the harness starts it, no message
+does) runs a full sync of every network on the interoperation list,
+committing rotated bundles and re-admissions and flipping records to REVOKED
+for members that no longer validate.
 
 The ledger's policy never changes, so it is kept after its first successful
 read (`_read_once`); registry reads are never kept. A target's outcome is
@@ -561,19 +562,17 @@ class IinAgent(Actor):
         records: list[net.RecordContent],
         roster_version: Optional[int] = None,
     ) -> Generator:
-        """Step D for a batch of `records`: make each one's statement
-        (`net.Endorsement`) under a fresh nonce and ask every other local org
-        to countersign all of them in one request. Each statement that every
-        org signed is signed here too and submitted, one `cmdac.submit` each,
-        by a session of its own. Returns one verdict per record, in order, as
-        soon as the countersign replies are in: DIGEST_MISMATCH, the
-        AgentError that refused it, or the session that submits it (see
-        `_settled`). Every endorsement covers the record's holder DID, which
-        the ledger keeps. `roster_version` is the version of the memberlist
-        the records were validated against; countersigners whose own verified
+        """Step D for a non-empty batch of `records`: make each one's
+        statement (`net.Endorsement`) under a fresh nonce and ask every other
+        local org to countersign all of them in one request. Each statement
+        that every org signed is signed here too and submitted, one
+        `cmdac.submit` each, by a session of its own. Returns one verdict per
+        record, in order, once every submit has ended: the ledger's outcome
+        (APPLIED or NOOP), DIGEST_MISMATCH, or the AgentError that refused the
+        record. Every endorsement covers the record's holder DID, which the
+        ledger keeps. `roster_version` is the version of the memberlist the
+        records were validated against; countersigners whose own verified
         copy is at least that new skip refetching it."""
-        if not records:
-            return []
         statements = [r.statement(self.nonce()) for r in records]
         peers = sorted(
             (org, addr)
@@ -600,7 +599,8 @@ class IinAgent(Actor):
                 submit = self._submit(home_network, statement, record.bundle, verdict)
                 verdict = self.start_session("submit", _caught(submit))
             verdicts.append(verdict)
-        return verdicts
+        yield Join(tuple(v for v in verdicts if isinstance(v, SessionRecord)))
+        return [v.result if isinstance(v, SessionRecord) else v for v in verdicts]
 
     def _verdict(
         self, statement: net.Endorsement, answers: list[tuple[str, Optional[dict]]]
@@ -668,13 +668,6 @@ class IinAgent(Actor):
             outcome=outcome,
         )
         return outcome
-
-    def _settled(self, verdicts: list) -> Generator:
-        """`_commit_identity`'s verdicts once every submit has ended, each
-        submit session replaced by its result: the ledger's outcome or the
-        AgentError that failed the submit."""
-        yield Join(tuple(v for v in verdicts if isinstance(v, SessionRecord)))
-        return [v.result if isinstance(v, SessionRecord) else v for v in verdicts]
 
     def _handle_countersign(self, sender: str, msg: Message) -> Generator:
         """Check each statement of the initiator's batch here and answer, per
@@ -889,8 +882,8 @@ class IinAgent(Actor):
         foreign_network: str,
         dids: tuple[str, ...],
         attempt: int,
-        memberlist: Optional[creds.MemberlistCredential] = None,
-        held: Sequence[net.RecordContent] = (),
+        memberlist: Optional[creds.MemberlistCredential],
+        held: Sequence[net.RecordContent],
     ) -> Generator:
         """Steps B-D for the targets `dids` at once: one registry read for
         the listed ones, steps B and C for each in a session of its own, then
@@ -898,11 +891,11 @@ class IinAgent(Actor):
         not one of the ledger's records `held`; those that are end DONE as
         UNCHANGED, and a round of only those sends no batch. A retry round
         (no `memberlist`) first waits out the backoff and fetches the
-        memberlist afresh. The targets whose countersigners hold another
-        bundle run again as the next round, which starts as soon as the
-        countersign replies are in. A memberlist fetch or registry read that
-        fails fails each target of the round by name. Returns each target's
-        result, in the order of `dids`."""
+        memberlist afresh. A memberlist fetch or registry read that fails
+        fails each target of the round by name. Returns the result of each
+        target that ended, by DID, and the targets whose countersigners hold
+        another bundle, which run again as the next round while `attempt` is
+        below RETRY_LIMIT."""
         try:
             if memberlist is None:
                 yield Sleep(RETRY_BACKOFF)
@@ -912,7 +905,7 @@ class IinAgent(Actor):
             if listed:
                 snapshot = yield from self._read_members(home_network, foreign_network, listed)
         except PROTOCOL_ERRORS as e:
-            return {did: self._target_failed(foreign_network, did, attempt, e) for did in dids}
+            return {did: self._target_failed(foreign_network, did, attempt, e) for did in dids}, ()
         checked = yield Join(tuple(
             self.start_session("sync-target", _caught(self._sync_target(
                 home_network, foreign_network, did, memberlist, snapshot
@@ -928,47 +921,24 @@ class IinAgent(Actor):
                 results[did] = self._target_done(foreign_network, record, attempt, UNCHANGED)
             else:
                 ready.append((did, record))
+        if not ready:
+            return results, ()
         verdicts = yield from self._commit_identity(
             home_network, [record for _, record in ready], roster_version=memberlist.roster_version
         )
-        retry = tuple(did for (did, _), v in zip(ready, verdicts) if v == DIGEST_MISMATCH)
-        next_round = None
-        if retry and attempt < RETRY_LIMIT:
-            for did in retry:
-                self.cache.pop((foreign_network, did), None)
-            next_round = self.start_session("sync-round", self._sync_round(
-                home_network, foreign_network, retry, attempt + 1, held=held
-            ))
-        verdicts = yield from self._settled(verdicts)
+        retry = []
         for (did, record), verdict in zip(ready, verdicts):
             if verdict == DIGEST_MISMATCH:
-                if next_round is not None:
+                if attempt < RETRY_LIMIT:
+                    self.cache.pop((foreign_network, did), None)
+                    retry.append(did)
                     continue
                 verdict = RetriesExhausted("countersigners' digests differ on every attempt")
             if isinstance(verdict, Exception):
                 results[did] = self._target_failed(foreign_network, did, attempt, verdict)
             else:
                 results[did] = self._target_done(foreign_network, record, attempt, verdict)
-        if next_round is not None:
-            [retried] = yield Join((next_round,))
-            results.update(retried)
-        return {did: results[did] for did in dids}
-
-    def _revoke_record(
-        self, home_network: str, foreign_network: str, record: net.RecordContent
-    ) -> Generator:
-        verdicts = yield from self._commit_identity(
-            home_network, [replace(record, status=net.STATUS_REVOKED)]
-        )
-        [outcome] = yield from self._settled(verdicts)
-        if outcome == DIGEST_MISMATCH or isinstance(outcome, Exception):
-            error = "DigestMismatch" if outcome == DIGEST_MISMATCH else type(outcome).__name__
-            self.trace(
-                "agent.revoke_failed", network=foreign_network, org=record.org_id, error=error
-            )
-            return {"status": PHASE_FAILED, "error": error}
-        self.trace("agent.record_revoked", network=foreign_network, org=record.org_id)
-        return {"status": PHASE_DONE, "org_id": record.org_id, "outcome": outcome}
+        return results, tuple(retry)
 
     def sync_network(
         self,
@@ -977,12 +947,14 @@ class IinAgent(Actor):
         targets: Optional[tuple[str, ...]] = None,
     ) -> Generator:
         """Steps B-D against every listed member of the foreign network (or an
-        explicit target subset), in rounds (`_sync_round`). A full pass reads
-        the ledger's records of the foreign network once, before step D: a
-        target whose checked record the ledger already holds skips step D,
-        and once the rounds have ended the same records are flipped to
-        REVOKED, one at a time, for orgs that no longer validate. A targeted
-        sync reads no records and commits every target that passes."""
+        explicit target subset), in rounds (`_sync_round`) until no target is
+        left: a retry round starts once the previous round's submits have
+        settled. A full pass reads the ledger's records of the foreign
+        network once, before step D: a target whose checked record the ledger
+        already holds skips step D, and once the rounds have ended the same
+        records are flipped to REVOKED, as one step D batch, for orgs that no
+        longer validate. A targeted sync reads no records and commits every
+        target that passes."""
         interop, _ = yield from self._read_once(home_network)
         if foreign_network not in interop:
             self.trace("agent.policy_violation", network=foreign_network)
@@ -993,16 +965,36 @@ class IinAgent(Actor):
             records = yield from self._ledger_records(home_network, foreign_network)
         else:
             dids, records = tuple(targets), []
-        results = yield from self._sync_round(
-            home_network, foreign_network, dids, 1, memberlist, records
-        )
+        ended: dict[str, dict] = {}
+        pending, attempt = dids, 1
+        while pending:
+            round_ended, pending = yield from self._sync_round(
+                home_network, foreign_network, pending, attempt, memberlist, records
+            )
+            ended.update(round_ended)
+            attempt, memberlist = attempt + 1, None
+        results = {did: ended[did] for did in dids}
         synced_orgs = {r["org_id"] for r in results.values() if r["status"] == PHASE_DONE}
-        for record in records:
-            if record.status == net.STATUS_ACTIVE and record.org_id not in synced_orgs:
-                results[f"revoke:{record.org_id}"] = yield from self._revoke_record(
-                    home_network, foreign_network, record
+        flips = [
+            replace(record, status=net.STATUS_REVOKED) for record in records
+            if record.status == net.STATUS_ACTIVE and record.org_id not in synced_orgs
+        ]
+        if flips:
+            verdicts = yield from self._commit_identity(home_network, flips)
+            for record, verdict in zip(flips, verdicts):
+                results[f"revoke:{record.org_id}"] = self._flipped(
+                    foreign_network, record.org_id, verdict
                 )
         return results
+
+    def _flipped(self, foreign_network: str, org_id: str, verdict: object) -> dict:
+        """The result of one REVOKED flip from its step D verdict."""
+        if verdict == DIGEST_MISMATCH or isinstance(verdict, Exception):
+            error = "DigestMismatch" if verdict == DIGEST_MISMATCH else type(verdict).__name__
+            self.trace("agent.revoke_failed", network=foreign_network, org=org_id, error=error)
+            return {"status": PHASE_FAILED, "error": error}
+        self.trace("agent.record_revoked", network=foreign_network, org=org_id)
+        return {"status": PHASE_DONE, "org_id": org_id, "outcome": verdict}
 
     def resync(self, home_network: str, trigger: str) -> Generator:
         """A full sync of every foreign network on the interoperation list,

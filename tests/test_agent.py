@@ -421,25 +421,32 @@ class TestCountersigning:
         world.bus.config.rules.append(
             FaultRule(action="drop", to="agent:Buyer", kind="cmdac.reply")
         )
-        buyer = world.agents["Buyer"]
-        carrier = world.ledger_state("SWT").get_record("STL", "Carrier").content
         start = len(world.trace.events)
-        record = buyer.start_session("revoke", buyer._revoke_record("SWT", "STL", carrier))
-        world.settle()
-        assert record.result == {"status": "FAILED", "error": "LedgerUnreachable"}
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        assert record.result["revoke:Carrier"] == {"status": "FAILED", "error": "LedgerUnreachable"}
         [failed] = agent_events(world, "Buyer", {"agent.revoke_failed"}, start)
         assert failed.detail == {"network": "STL", "org": "Carrier", "error": "LedgerUnreachable"}
 
-    def test_revocation_of_another_digest_is_traced_as_a_mismatch(self, world):
+    def test_revocation_of_another_digest_is_traced_as_a_mismatch(self, world, monkeypatch):
+        """Buyer's records read returns Carrier's record with another digest,
+        so the REVOKED statement names a bundle the countersigner's ledger
+        does not hold."""
         assert run_sync(world, "Buyer", "SWT", "STL").error is None
+        TestMemberlistReuse.revoke_carrier(world)
         buyer = world.agents["Buyer"]
-        carrier = world.ledger_state("SWT").get_record("STL", "Carrier").content
+        read_records = buyer._ledger_records
+
+        def another_digest_for_carrier(home_network, foreign_network):
+            records = yield from read_records(home_network, foreign_network)
+            return [
+                replace(r, bundle_digest=b"\x00" * 32) if r.org_id == "Carrier" else r
+                for r in records
+            ]
+
+        monkeypatch.setattr(buyer, "_ledger_records", another_digest_for_carrier)
         start = len(world.trace.events)
-        record = buyer.start_session("revoke", buyer._revoke_record(
-            "SWT", "STL", replace(carrier, bundle_digest=b"\x00" * 32)
-        ))
-        world.settle()
-        assert record.result == {"status": "FAILED", "error": "DigestMismatch"}
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        assert record.result["revoke:Carrier"] == {"status": "FAILED", "error": "DigestMismatch"}
         [failed] = agent_events(world, "Buyer", {"agent.revoke_failed"}, start)
         assert failed.detail == {"network": "STL", "org": "Carrier", "error": "DigestMismatch"}
         assert world.ledger_state("SWT").get_record("STL", "Carrier").content.status == "ACTIVE"
@@ -856,17 +863,15 @@ class TestConcurrentSync:
 
 def commit_alone(world, org_id, foreign_did, bundle, **kwargs):
     """Buyer alone asks for an ACTIVE commit of STL's `org_id` into SWT, the
-    one record of its batch; returns the verdict on it once settled."""
+    one record of its batch; returns the verdict on it."""
     buyer = world.agents["Buyer"]
     content = net.RecordContent(
         "STL", org_id, foreign_did, bundle, crypto.digest(bundle), "ACTIVE"
     )
 
-    def commit():
-        verdicts = yield from buyer._commit_identity("SWT", [content], **kwargs)
-        return (yield from buyer._settled(verdicts))
-
-    record = buyer.start_session("commit", commit())
+    record = buyer.start_session(
+        "commit", buyer._commit_identity("SWT", [content], **kwargs)
+    )
     world.settle()
     [verdict] = record.result
     return verdict
@@ -1224,6 +1229,26 @@ class TestResync:
         assert outcomes["revoke:Carrier"] == ("DONE", "APPLIED")
         assert world.ledger_state("SWT").get_record("STL", "Carrier").content.status == "REVOKED"
 
+    def test_two_flips_are_one_step_d_batch(self, world):
+        assert run_sync(world, "Buyer", "SWT", "STL").error is None
+        anchor = world.anchors["AnchorSTL"]
+        for org in ("Seller", "Carrier"):
+            anchor.enqueue_serialized(
+                "revoke", lambda did=world.org_dids[org]: anchor.revoke_membership(did, "STL")
+            )
+        world.settle()
+        start = len(world.trace.events)
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        assert record.error is None
+        assert self.outcomes(world, record.result) == {
+            "revoke:Seller": ("DONE", "APPLIED"), "revoke:Carrier": ("DONE", "APPLIED"),
+        }
+        assert len(sends_from(world, "Buyer", "agent.countersign.request", start)) == 1
+        for org in ("Seller", "Carrier"):
+            assert world.ledger_state("SWT").get_record("STL", org).content.status == "REVOKED"
+        revoked = agent_events(world, "Buyer", {"agent.record_revoked"}, start)
+        assert sorted(e.detail["org"] for e in revoked) == ["Carrier", "Seller"]
+
     def test_lost_records_read_fails_the_sync_before_step_d(self, world):
         assert run_sync(world, "Buyer", "SWT", "STL").error is None
         world.organizations[("STL", "Carrier")].rotate(world.bus.now)
@@ -1518,7 +1543,10 @@ class TestBatchedStepD:
         ] * 2
         assert agent_events(world, "Seller", {"session.failed"}, start) == []
 
-    def test_retry_round_starts_before_the_ledger_replies(self, world):
+    def test_retry_round_starts_once_the_rounds_submits_have_settled(self, world):
+        """Seller's mismatch on Carrier sends Carrier into a retry round while
+        Seller's own record is submitted; the retry's first registry read
+        goes out only after the ledger has answered that submit."""
         seller = world.agents["Seller"]
         countersign = seller._handle_countersign
 
@@ -1541,16 +1569,22 @@ class TestBatchedStepD:
         mismatch = next(
             i for i, e in enumerate(events) if e.kind == "agent.sync.digest_mismatch"
         )
+        submit = next(
+            i for i, e in enumerate(events)
+            if e.kind == "bus.send" and e.detail["from"] == "agent:Buyer"
+            and e.detail["msg_kind"] == "cmdac.submit"
+        )
         retry_read = next(
             i for i, e in enumerate(events)
             if i > mismatch and e.kind == "bus.send" and e.detail["from"] == "agent:Buyer"
+            and e.detail["msg_kind"] == "iin.query"
         )
         ledger_reply = next(
             i for i, e in enumerate(events)
             if e.kind == "bus.deliver" and e.detail["to"] == "agent:Buyer"
             and e.detail["msg_kind"] == "cmdac.reply"
         )
-        assert retry_read < ledger_reply
+        assert submit < ledger_reply < retry_read
 
 
 class TestStepA:

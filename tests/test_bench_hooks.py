@@ -58,9 +58,13 @@ def test_tracer_installs_counts_and_uninstalls():
 
 def test_traced_methods_keep_their_names_and_shapes():
     """The tracer drives these agent methods as generators and wraps the
-    anchor's witness handler as a plain call, each by name."""
-    for name in ("_validate_member", "_fetch_identity", "_commit_identity"):
-        assert inspect.isgeneratorfunction(getattr(agent.IinAgent, name)), name
+    anchor's witness handler as a plain call, each by name. It reads each
+    agent method from `IinAgent.__dict__`, so an inherited one breaks it."""
+    for name in (
+        "_sync_target", "_validate_member", "_fetch_identity", "_commit_identity",
+        "_handle_countersign",
+    ):
+        assert inspect.isgeneratorfunction(agent.IinAgent.__dict__.get(name)), name
     assert callable(getattr(anchors.AnchorService, "_refresh_witness", None))
 
 
