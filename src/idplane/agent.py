@@ -676,7 +676,10 @@ class IinAgent(Actor):
         one foreign network: initiators batch one network's records at a
         time. The ACTIVE ones share one memberlist gate and one registry read
         for the holders that are listed but not cached; a gate or read that
-        fails refuses each statement that needed it, by name. A cached list
+        fails refuses each statement that needed it, by name. The REVOKED
+        ones share one read of the ledger's records, whose failure refuses
+        each of them by name, and one fresh memberlist, fetched when one of
+        them matches its record. A cached list
         at least as new as the initiator's `roster_version` is reused, and a
         low hint only fails the initiator's own commit with NotListed. A
         member revoked since the list was fetched fails the fresh
@@ -732,10 +735,30 @@ class IinAgent(Actor):
                 # a failed gate refuses every ACTIVE statement, a failed read
                 # those whose holders it named
                 errors = dict.fromkeys(unchecked or [s.holder_did for s in active], e)
+        revoked = [s for s in statements if s.status != net.STATUS_ACTIVE]
+        records: dict[str, net.RecordContent] = {}
+        fresh, refused = None, None
+        if revoked:
+            try:
+                for record in (yield from self._ledger_records(home_network, foreign_network)):
+                    records.setdefault(record.org_id, record)
+            except (LedgerUnreachable, LedgerRefused) as e:
+                refused = e
+            if any(
+                s.foreign_org in records
+                and records[s.foreign_org].bundle_digest == s.bundle_digest
+                for s in revoked
+            ):
+                try:
+                    fresh = yield from self._fetch_memberlist(home_network, foreign_network)
+                except PROTOCOL_ERRORS:
+                    pass
         sessions = []
         for s in statements:
             if s.status != net.STATUS_ACTIVE:
-                check = self._countersign_revoked(home_network, s)
+                check = self._countersign_revoked(
+                    home_network, s, records.get(s.foreign_org), fresh, refused
+                )
             else:
                 # a holder cached before the read but dropped since reads alone
                 read = snapshot if s.holder_did in unchecked else None
@@ -790,31 +813,37 @@ class IinAgent(Actor):
             return {"result": RESULT_DIGEST_MISMATCH, "own_digest": identity.bundle_digest.hex()}
         return {"result": RESULT_SIGNED, "sig": self._endorse(statement)}
 
-    def _countersign_revoked(self, home_network: str, statement: net.Endorsement) -> Generator:
-        """Answer a REVOKED statement: endorse only when the member no longer
-        validates here either, under the DID its ledger record was committed
-        with; the statement's holder DID is ignored, so an initiator cannot
-        name no DID or another org's to skip the check. Always against a fresh
-        memberlist: a cached one that lacks a re-admitted member would endorse
-        a lying initiator's revocation."""
-        foreign_network, foreign_org = statement.foreign_network, statement.foreign_org
-        try:
-            records = yield from self._ledger_records(home_network, foreign_network)
-        except (LedgerUnreachable, LedgerRefused) as e:
-            return _refusal(type(e).__name__)
-        record = next((r for r in records if r.org_id == foreign_org), None)
+    def _countersign_revoked(
+        self,
+        home_network: str,
+        statement: net.Endorsement,
+        record: Optional[net.RecordContent],
+        memberlist: Optional[creds.MemberlistCredential],
+        error: Optional[Exception],
+    ) -> Generator:
+        """Answer a REVOKED statement: refused by `error` when the batch's
+        records read failed; otherwise endorse only when the member no longer
+        validates here either, under the DID of its ledger `record`; the
+        statement's holder DID is ignored, so an initiator cannot name no DID
+        or another org's to skip the check. `memberlist` is the one fresh
+        list _handle_countersign fetched for the batch (None when that fetch
+        failed): a cached one that lacks a re-admitted member would endorse a
+        lying initiator's revocation."""
+        if error is not None:
+            return _refusal(type(error).__name__)
         if record is None or record.bundle_digest != statement.bundle_digest:
             return {
                 "result": RESULT_DIGEST_MISMATCH,
                 "own_digest": record.bundle_digest.hex() if record else "",
             }
-        try:
-            memberlist = yield from self._fetch_memberlist(home_network, foreign_network)
-            if record.holder_did in memberlist.member_dids:
-                yield from self._validate_member(home_network, foreign_network, record.holder_did)
+        if memberlist is not None and record.holder_did in memberlist.member_dids:
+            try:
+                yield from self._validate_member(
+                    home_network, statement.foreign_network, record.holder_did
+                )
                 return _refusal("MemberStillValid")
-        except PROTOCOL_ERRORS:
-            pass
+            except PROTOCOL_ERRORS:
+                pass
         return {
             "result": RESULT_SIGNED,
             "sig": self._endorse(replace(statement, holder_did=record.holder_did)),

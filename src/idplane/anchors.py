@@ -9,16 +9,25 @@ credentials for the networks it represents, maintains the per-network rosters
 the revocation registry: a Merkle accumulator whose leaves are the credential
 ids of every roster, re-published to the registry at every epoch bump.
 
-Issuance and revocation are serialized per anchor, each op a session that
-first Joins the op enqueued before it, so accumulator epochs never race;
-holders whose witnesses go stale after someone else's epoch bump come back for
-a witness refresh.
+An anchor writes the registry one write at a time, from one queue, so
+accumulator epochs never race. While a write is in flight, verinym and
+credential requests queue; when it ends, the anchor takes every request
+queued before the next serialized op (a revocation) as one batch, in the
+manner of database group commit: one registry read of every credential
+holder's verinym, then one registry batch holding a NYM per registration and
+one revocation update that adds every new credential id in a single epoch
+step. Each request is answered from its own checks and its own transaction's
+outcome, so one bad request fails alone. A serialized op runs alone, in its
+turn. Nothing waits on purpose: a request that finds the queue idle goes out
+at once. Holders whose witnesses go stale after an epoch bump come back for a
+witness refresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from itertools import takewhile
+from typing import Callable, Generator, Optional, Union
 
 from . import credentials as creds
 from . import crypto
@@ -46,6 +55,20 @@ class TrustAnchorProfile:
     roles: frozenset[str]
     represented_networks: tuple[str, ...] = ()
     evidence_whitelist: dict[str, bytes] = field(default_factory=dict)  # org name -> key
+
+
+@dataclass(eq=False)
+class _Queued:
+    """One write waiting its turn at an anchor: a verinym or credential
+    request (its `kind` and checked fields), served in a batch with the
+    requests queued beside it, or a serialized op (its session label as
+    `kind`, and its `factory`), run alone."""
+
+    kind: str
+    args: tuple = ()
+    factory: Optional[Callable[[], Generator]] = None
+    write: Optional[SessionRecord] = None  # the write session that took it
+    reply: Union[dict, Exception, None] = None  # a request's reply, or the error it raises
 
 
 @dataclass
@@ -77,7 +100,8 @@ class AnchorService(Actor):
         self.acc_state: Optional[crypto.RevocationRegistryState] = None
         self.memberlists: dict[str, creds.MemberlistCredential] = {}
         self.issuance_counter = 0
-        self._last_op: Optional[SessionRecord] = None
+        self._queue: list[_Queued] = []
+        self._writing: Optional[SessionRecord] = None  # the write in flight, or the last one
 
     @property
     def membership_cred_def_id(self) -> str:
@@ -87,22 +111,43 @@ class AnchorService(Actor):
     def memberlist_cred_def_id(self) -> str:
         return cred_def_id_for(self.profile.did, schema_id_for(creds.MEMBERLIST_SCHEMA_NAME))
 
-    # --- serialized mutating operations -------------------------------------
+    # --- the write queue ---------------------------------------------------
 
     def enqueue_serialized(self, label: str, gen_factory) -> None:
-        """Run `gen_factory()` as a session once the op enqueued before it has
-        ended, whether or not that op failed."""
-        previous = self._last_op
+        """Run `gen_factory()` alone, as a session labelled `label`, once every
+        write queued before it has ended, whether or not that write failed."""
+        self.start_session(label, self._queued(_Queued(label, factory=gen_factory)))
 
-        def op() -> Generator:
-            if previous is not None:
-                try:
-                    yield Join((previous,))
-                except Exception:
-                    pass  # the runtime traced it as session.failed
-            return (yield from gen_factory())
+    def _queued(self, entry: _Queued) -> Generator:
+        """Queue `entry` and wait until the write that takes it has ended;
+        whenever no write is in flight, start the next one. Returns the
+        entry's reply, or raises the error it holds."""
+        self._queue.append(entry)
+        while entry.write is None or not entry.write.done:
+            if self._writing is None or self._writing.done:
+                self._writing = self._start_write()
+            try:
+                yield Join((self._writing,))
+            except Exception:
+                pass  # a serialized op's own session traced its failure
+        if isinstance(entry.reply, Exception):
+            raise entry.reply
+        return entry.reply
 
-        self._last_op = self.start_session(label, op())
+    def _start_write(self) -> SessionRecord:
+        """Start the next write: the serialized op at the head of the queue
+        alone, or every request queued before the next op as one batch."""
+        head = self._queue[0]
+        if head.factory is not None:
+            taken, label, gen = [head], head.kind, head.factory()
+        else:
+            taken = list(takewhile(lambda e: e.factory is None, self._queue))
+            label, gen = "anchor.batch", self._write_batch(taken)
+        del self._queue[:len(taken)]
+        record = self.start_session(label, gen)
+        for entry in taken:
+            entry.write = record
+        return record
 
     def _leaves(self) -> tuple[bytes, ...]:
         """The accumulator's leaves: the credential ids of every roster, sorted."""
@@ -146,14 +191,6 @@ class AnchorService(Actor):
         "anchor.witness.request": ("_refresh_witness", "anchor.witness.reply"),
     }
 
-    def on_message(self, sender: str, msg: Message) -> None:
-        # the two requests that write the registry run one at a time
-        if msg.kind in ("anchor.verinym.request", "anchor.vc.request"):
-            entry = self.REQUESTS[msg.kind]
-            self.enqueue_serialized(msg.kind, lambda: self._serve(sender, msg, *entry))
-        else:
-            super().on_message(sender, msg)
-
     # --- OIV: verinym registration ---------------------------------------
 
     def _register_verinym(self, sender: str, msg: Message) -> Generator:
@@ -167,17 +204,7 @@ class AnchorService(Actor):
             # out-of-band vetting failed: no transaction leaves the anchor
             self.trace("anchor.evidence_mismatch", org=org_name)
             return {"ok": False, "error": "EvidenceMismatch"}
-        attested = registry.attest(doc, self.profile.did, self.keys)
-        try:
-            outcome = yield from self._submit_read_back(
-                registry.KIND_NYM, attested.to_bytes(), holders=(doc.did,)
-            )
-        except registry.QuorumUnavailable as e:
-            return {"ok": False, "error": str(e)}
-        if outcome not in (registry.OUTCOME_APPLIED, "Duplicate"):
-            return {"ok": False, "error": outcome}
-        self.trace("anchor.verinym_registered", org=org_name, did=doc.did, outcome=outcome)
-        return {"ok": True, "did": doc.did, "doc": attested.to_bytes().hex(), "outcome": outcome}
+        return (yield from self._queued(_Queued(msg.kind, (org_name, doc))))
 
     # --- PMV: membership issuance / revocation ------------------------------
 
@@ -185,50 +212,121 @@ class AnchorService(Actor):
         holder_did, network_id = msg.fields("holder_did", "network_id")
         if network_id not in self.profile.represented_networks or self.acc_state is None:
             return {"ok": False, "error": "NotRepresented"}
-        try:
-            _, verinym = yield from registry.resolve_did(self.pool, holder_did)
-        except registry.NotFound:
-            verinym = False
-        if not verinym:
-            return {"ok": False, "error": "NoVerinym"}
         if self.eligibility.get(network_id, {}).get(holder_did) is None:
             return {"ok": False, "error": "NotEligible"}
+        return (yield from self._queued(_Queued(msg.kind, (holder_did, network_id))))
 
-        roster = self.rosters[network_id]
-        if holder_did in roster.members:
-            # idempotent re-issue: same credential, fresh witness, no epoch bump
-            vc = roster.members[holder_did]
-            witness = crypto.witness_for(self.acc_state, self._leaves(), vc.credential_id)
-            return {"ok": True, "vc": vc.to_bytes().hex(), "witness": witness.to_bytes().hex(),
-                    "already_member": True}
+    def _write_batch(self, batch: list[_Queued]) -> Generator:
+        """Serve queued verinym and credential requests as one registry write:
+        the credential holders' verinym read (`_mint`), then one registry
+        batch of a NYM per registration and one revocation update that adds
+        every new credential id in one epoch step. Sets each request's reply
+        from its own checks and its own transaction's outcome. A holder asked
+        for twice gets the one credential, the second time `already_member`,
+        as does a holder already on the roster (a fresh witness, no epoch
+        bump). A lost receipt that the read-back does not confirm whole fails
+        every request of the batch."""
+        nyms = [e for e in batch if e.kind == "anchor.verinym.request"]
+        vcs = [e for e in batch if e.kind == "anchor.vc.request"]
+        minted = (yield from self._mint(vcs)) if vcs else {}
+        docs = [registry.attest(e.args[1], self.profile.did, self.keys) for e in nyms]
+        writes = [(registry.KIND_NYM, doc.to_bytes()) for doc in docs]
+        if minted:
+            new_state, _ = crypto.accumulator_add(
+                self.acc_state, self._leaves(), *(vc.credential_id for vc in minted.values())
+            )
+            writes.append((registry.KIND_REVOC_UPDATE, new_state.to_bytes()))
+        outcomes, lost = [], None
+        if writes:
+            outcomes, lost = yield from self._submit_read_back(
+                writes,
+                holders=tuple(doc.did for doc in docs),
+                issuers=(self.profile.did,) if minted else (),
+            )
+        if None in outcomes:
+            # a lost receipt that the read-back did not confirm whole
+            for entry in batch:
+                if entry.reply is None:
+                    entry.reply = {"ok": False, "error": str(lost)}
 
-        self.issuance_counter += 1
-        vc = creds.issue_membership_credential(
-            issuer_keys=self.keys,
-            issuer_did=self.profile.did,
-            cred_def_id=self.membership_cred_def_id,
-            holder_did=holder_did,
-            network_id=network_id,
-            issuance_counter=self.issuance_counter,
-        )
-        new_state, _ = crypto.accumulator_add(self.acc_state, self._leaves(), vc.credential_id)
+        for entry, doc, outcome in zip(nyms, docs, outcomes):
+            if entry.reply is not None:
+                continue
+            if outcome not in (registry.OUTCOME_APPLIED, "Duplicate"):
+                entry.reply = {"ok": False, "error": outcome}
+                continue
+            self.trace("anchor.verinym_registered", org=entry.args[0], did=doc.did, outcome=outcome)
+            entry.reply = {
+                "ok": True, "did": doc.did, "doc": doc.to_bytes().hex(), "outcome": outcome
+            }
+        if minted and outcomes[-1] == registry.OUTCOME_APPLIED:
+            # the registry holds the new state, even when the batch failed:
+            # an anchor left at the old epoch could never update it again
+            self.acc_state = new_state
+            for (holder_did, network_id), vc in minted.items():
+                self.rosters[network_id].members[holder_did] = vc
+            for network_id in dict.fromkeys(network_id for _, network_id in minted):
+                self.rosters[network_id].version += 1
+                self._rebuild_memberlist(network_id)
+            for holder_did, network_id in minted:
+                self.trace(
+                    "anchor.vc_issued",
+                    network=network_id,
+                    holder=holder_did,
+                    epoch=self.acc_state.epoch,
+                    roster_version=self.rosters[network_id].version,
+                )
+        leaves = self._leaves()
+        for entry in vcs:
+            if entry.reply is not None:
+                continue
+            holder_did, network_id = entry.args
+            vc = self.rosters[network_id].members.get(holder_did)
+            if vc is None:  # the revocation update that adds it did not apply
+                entry.reply = {"ok": False, "error": f"revocation update rejected: {outcomes[-1]}"}
+                continue
+            witness = crypto.witness_for(self.acc_state, leaves, vc.credential_id)
+            entry.reply = {
+                "ok": True, "vc": vc.to_bytes().hex(), "witness": witness.to_bytes().hex()
+            }
+            # the first request for a new credential is its issuance
+            if minted.pop(entry.args, None) is None:
+                entry.reply["already_member"] = True
+
+    def _mint(self, requests: list[_Queued]) -> Generator:
+        """Read the verinym of every credential request's holder at once,
+        answer those without one, and mint one credential for each other
+        holder not yet on its roster, however often it is asked for. Returns
+        the new credentials by (holder DID, network). A failed read fails
+        every request with its error."""
         try:
-            yield from self._publish_revocation_state(new_state)
-        except (registry.QuorumUnavailable, AnchorError) as e:
-            return {"ok": False, "error": str(e)}
-        self.acc_state = new_state
-        roster.members[holder_did] = vc
-        roster.version += 1
-        self._rebuild_memberlist(network_id)
-        witness = crypto.witness_for(self.acc_state, self._leaves(), vc.credential_id)
-        self.trace(
-            "anchor.vc_issued",
-            network=network_id,
-            holder=holder_did,
-            epoch=self.acc_state.epoch,
-            roster_version=roster.version,
-        )
-        return {"ok": True, "vc": vc.to_bytes().hex(), "witness": witness.to_bytes().hex()}
+            snapshot = yield from registry.resolve_member(
+                self.pool, tuple(dict.fromkeys(e.args[0] for e in requests)), ()
+            )
+        except registry.RegistryError as e:
+            for entry in requests:
+                entry.reply = e
+            return {}
+        minted: dict[tuple[str, str], creds.MembershipCredential] = {}
+        for entry in requests:
+            holder_did, network_id = entry.args
+            try:
+                _, verinym = snapshot.holder(holder_did)
+            except registry.NotFound:
+                verinym = False
+            if not verinym:
+                entry.reply = {"ok": False, "error": "NoVerinym"}
+            elif holder_did not in self.rosters[network_id].members and entry.args not in minted:
+                self.issuance_counter += 1
+                minted[entry.args] = creds.issue_membership_credential(
+                    issuer_keys=self.keys,
+                    issuer_did=self.profile.did,
+                    cred_def_id=self.membership_cred_def_id,
+                    holder_did=holder_did,
+                    network_id=network_id,
+                    issuance_counter=self.issuance_counter,
+                )
+        return minted
 
     def revoke_membership(self, holder_did: str, network_id: str) -> Generator:
         """Remove the holder's credential from the accumulator (next epoch),
@@ -259,36 +357,44 @@ class AnchorService(Actor):
         """Submit `new_state` as this anchor's next revocation state, so that
         the anchor does not keep an epoch the registry has left. Raises
         QuorumUnavailable, or AnchorError when the registry refused it."""
-        outcome = yield from self._submit_read_back(
-            registry.KIND_REVOC_UPDATE, new_state.to_bytes(), issuers=(self.profile.did,)
+        (outcome,), lost = yield from self._submit_read_back(
+            [(registry.KIND_REVOC_UPDATE, new_state.to_bytes())], issuers=(self.profile.did,)
         )
+        if outcome is None:
+            raise lost
         if outcome != registry.OUTCOME_APPLIED:
             raise AnchorError(f"revocation update rejected: {outcome}")
 
     def _submit_read_back(
         self,
-        kind: str,
-        payload: bytes,
+        writes: list[tuple[str, bytes]],
         holders: tuple[str, ...] = (),
         issuers: tuple[str, ...] = (),
     ) -> Generator:
-        """Submit one transaction and return its outcome. When no receipt comes
-        back, read a snapshot of the `holders` or `issuers` whose document or
-        revocation state the transaction writes: one equal to `payload`, byte
-        for byte, means the write applied. Raises QuorumUnavailable otherwise."""
-        tx = registry.make_transaction(kind, payload, self.profile.did, self.keys)
+        """Submit one transaction per (kind, payload) in `writes` as one
+        registry batch; return their outcomes and None. When no receipt comes
+        back, read one snapshot of the `holders` and `issuers` whose documents
+        and revocation state the batch writes, and return APPLIED for each
+        payload it holds, byte for byte, None for each other (all None when
+        that read fails too), and the QuorumUnavailable that lost the
+        receipt. The batch applied whole only when no outcome is None."""
+        txs = [
+            registry.make_transaction(kind, payload, self.profile.did, self.keys)
+            for kind, payload in writes
+        ]
         try:
-            receipt = yield from registry.submit_transaction(self.pool, tx)
+            receipt = yield from registry.submit_transaction(self.pool, *txs)
         except registry.QuorumUnavailable as lost:
             try:
                 snapshot = yield from registry.resolve_member(self.pool, holders, issuers)
             except registry.RegistryError:
-                raise lost from None
+                return [None] * len(writes), lost
             written = [e.doc[0] for e in snapshot.holders if e.doc] + list(snapshot.states)
-            if payload not in [record.to_bytes() for record in written]:
-                raise lost
-            return registry.OUTCOME_APPLIED
-        return receipt["outcomes"][0]
+            present = {record.to_bytes() for record in written}
+            return [
+                registry.OUTCOME_APPLIED if payload in present else None for _, payload in writes
+            ], lost
+        return receipt["outcomes"], None
 
     # --- PMV: read-side services ---------------------------------------------
 

@@ -274,10 +274,11 @@ def accumulator_init(
 
 
 def accumulator_add(
-    state: RevocationRegistryState, leaves: tuple[bytes, ...], element: bytes
+    state: RevocationRegistryState, leaves: tuple[bytes, ...], *elements: bytes
 ) -> tuple[RevocationRegistryState, tuple[bytes, ...]]:
-    """Next-epoch registry with the element included."""
-    return _accumulator(state.issuer_did, state.epoch + 1, _normalize(leaves + (element,)))
+    """Next-epoch registry with every element included: one epoch step
+    however many elements join."""
+    return _accumulator(state.issuer_did, state.epoch + 1, _normalize(leaves + elements))
 
 
 def accumulator_revoke(

@@ -1244,6 +1244,9 @@ class TestResync:
             "revoke:Seller": ("DONE", "APPLIED"), "revoke:Carrier": ("DONE", "APPLIED"),
         }
         assert len(sends_from(world, "Buyer", "agent.countersign.request", start)) == 1
+        # the countersigner reads its records and a fresh list once for the batch
+        assert len(sends_from(world, "Seller", "ledger.query", start)) == 1
+        assert len(memberlist_requests(world, "agent:Seller", start)) == 1
         for org in ("Seller", "Carrier"):
             assert world.ledger_state("SWT").get_record("STL", org).content.status == "REVOKED"
         revoked = agent_events(world, "Buyer", {"agent.record_revoked"}, start)

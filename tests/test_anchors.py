@@ -1,15 +1,23 @@
 """Trust-anchor services inside a bootstrapped world."""
 
+import importlib.util
+import itertools
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
 import yaml
 
 from idplane import credentials as creds
 from idplane import crypto, harness, registry
-from idplane.actors import Request
+from idplane.actors import Message, Request, Sleep
 from idplane.agent import AgentError
 from idplane.anchors import AnchorError, NotAMember, schema_id_for
 from idplane.bus import FaultRule
 
 from conftest import add_probe, bootstrapped_runner
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios.py"
 
 
 def assert_accumulator_published(world, anchor):
@@ -491,3 +499,224 @@ class TestLostVerinymReceipt:
         assert report.ok, (report.errors, [a for a in report.assertions if not a.ok])
         record = world.ledger_state("STL").get_record("SWT", "Buyer")
         assert record is not None and record.content.status == "ACTIVE"
+
+
+def two_networks_runner(k: int):
+    """The benchmark's world of two networks of `k` orgs each, one anchor per
+    network, after bootstrap and step A."""
+    spec = importlib.util.spec_from_file_location("perfbench_scenarios", SCENARIOS)
+    sc = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sc)
+    runner = harness.ScenarioRunner(sc.config(sc.two_networks(f"group-commit-{k}", k)))
+    runner._execute(0, {"step": "bootstrap"})
+    start = runner.world.bus.now
+    runner._execute(1, {"step": "step_a", "orgs": "all"})
+    assert not runner.report.errors, runner.report.errors
+    return runner, runner.world.bus.now - start
+
+
+def ask(anchor, kind, **body):
+    """Start one request's handler on `anchor` now, as its runtime does when
+    the request is delivered; the session's result is the reply body."""
+    handler, _ = anchor.REQUESTS[kind]
+    return anchor.start_session(kind, getattr(anchor, handler)("probe", Message(kind, body)))
+
+
+def hold(anchor, ticks=5):
+    """Keep `anchor`'s queue busy for `ticks`, so that the requests asked
+    next wait and go out as one batch."""
+
+    def busy():
+        yield Sleep(ticks)
+
+    anchor.enqueue_serialized("hold", busy)
+
+
+def ask_verinym(world, anchor, org, **changes):
+    """Ask `anchor` to register the document `org`'s agent registers in step
+    A, with `changes` made to it."""
+    agent = world.agents[org]
+    doc = registry.new_did_document(agent.pool.iin_id, agent.keys, agent.address)
+    doc = replace(doc, **changes).to_bytes().hex()
+    return ask(anchor, "anchor.verinym.request", org_name=org, doc=doc)
+
+
+def anchor_sends(world, anchor, kinds, since=0):
+    return [
+        e.detail["msg_kind"] for e in world.trace.events[since:]
+        if e.kind == "bus.send" and e.detail["from"] == anchor.address
+        and e.detail["msg_kind"] in kinds
+    ]
+
+
+class TestGroupCommit:
+    """While one registry write is in flight, an anchor's verinym and
+    credential requests queue; the next write takes all of them at once."""
+
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_two_networks_set_up_with_eleven_submits(self, k):
+        runner, step_a_ticks = two_networks_runner(k)
+        world = runner.world
+        submits = [
+            e for e in world.trace.events
+            if e.kind == "bus.send" and e.detail["msg_kind"] == "iin.submit"
+        ]
+        # the bootstrap, two publications, then per anchor a first NYM alone,
+        # the rest as one batch, and the same for the credentials
+        assert len(submits) == 11
+        assert step_a_ticks <= 170
+        for anchor in world.anchors.values():
+            assert anchor.acc_state.epoch == 2
+            assert all(len(roster.members) == k for roster in anchor.rosters.values())
+            assert_accumulator_published(world, anchor)
+
+    def test_a_whitelist_mismatch_fails_alone(self):
+        world = bootstrapped_runner(through_step_a=False).world
+        anchor = world.anchors["AnchorSWT"]
+        node = world.iin_nodes["iin0"][0]
+        mallory = crypto.KeyPair.from_seed(b"\x13" * 32)
+        forged = registry.new_did_document("iin0", mallory, "probe").to_bytes().hex()
+        start = len(world.trace.events)
+        hold(anchor)
+        seller = ask_verinym(world, anchor, "Seller")
+        lying = ask(anchor, "anchor.verinym.request", org_name="Buyer", doc=forged)
+        buyer = ask_verinym(world, anchor, "Buyer")
+        world.settle()
+        assert lying.result == {"ok": False, "error": "EvidenceMismatch"}
+        for record, org in ((seller, "Seller"), (buyer, "Buyer")):
+            assert record.result["ok"] and record.result["outcome"] == "APPLIED"
+            assert node.state.verinym_status(world.org_dids[org]), org
+        assert anchor_sends(world, anchor, {"iin.submit"}, start) == ["iin.submit"]
+        mismatches = [
+            e.detail["org"] for e in world.trace.events[start:]
+            if e.kind == "anchor.evidence_mismatch"
+        ]
+        assert mismatches == ["Buyer"]
+
+    def test_a_repeated_credential_request_in_one_batch_is_already_member(self):
+        world = bootstrapped_runner(through_step_a=False).world
+        anchor = world.anchors["AnchorSWT"]
+        buyer_did = world.org_dids["Buyer"]
+        ask_verinym(world, anchor, "Buyer")
+        world.settle()
+        start = len(world.trace.events)
+        hold(anchor)
+        first, second = (
+            ask(anchor, "anchor.vc.request", holder_did=buyer_did, network_id="SWT")
+            for _ in range(2)
+        )
+        world.settle()
+        assert first.result["ok"] and "already_member" not in first.result
+        assert second.result["ok"] and second.result["already_member"] is True
+        assert first.result["vc"] == second.result["vc"]
+        assert anchor.acc_state.epoch == 1
+        for record in (first, second):
+            witness = crypto.AccumulatorWitness.from_bytes(bytes.fromhex(record.result["witness"]))
+            assert crypto.witness_verify(anchor.acc_state, witness)
+        # one read and one submit serve both requests
+        assert sorted(anchor_sends(world, anchor, {"iin.query", "iin.submit"}, start)) == [
+            "iin.query", "iin.query", "iin.submit"
+        ]
+        issued = [e for e in world.trace.events[start:] if e.kind == "anchor.vc_issued"]
+        assert [e.detail["holder"] for e in issued] == [buyer_did]
+
+    def test_a_revocation_runs_between_the_batch_in_flight_and_the_next(self, world):
+        anchor = world.anchors["AnchorSTL"]
+        seller_did, carrier_did = world.org_dids["Seller"], world.org_dids["Carrier"]
+        epoch = anchor.acc_state.epoch
+        start = len(world.trace.events)
+        before = ask(anchor, "anchor.vc.request", holder_did=seller_did, network_id="STL")
+        anchor.enqueue_serialized("revoke", lambda: anchor.revoke_membership(carrier_did, "STL"))
+        after = [
+            ask(anchor, "anchor.vc.request", holder_did=seller_did, network_id="STL")
+            for _ in range(2)
+        ]
+        world.settle()
+        epochs = [
+            crypto.AccumulatorWitness.from_bytes(bytes.fromhex(r.result["witness"])).epoch
+            for r in (before, *after)
+        ]
+        assert epochs == [epoch, epoch + 1, epoch + 1]
+        # a read, the revocation's update, then one read for both later requests
+        sends = anchor_sends(world, anchor, {"iin.query", "iin.submit"}, start)
+        assert [kind for kind, _ in itertools.groupby(sends)] == [
+            "iin.query", "iin.submit", "iin.query"
+        ]
+        assert sends.count("iin.query") == 4  # two reads of f+1 replicas each
+        assert carrier_did not in anchor.rosters["STL"].members
+
+    def test_lost_receipt_of_an_applied_batch_applies_every_request(self, monkeypatch):
+        world = bootstrapped_runner(through_step_a=False).world
+        anchor = world.anchors["AnchorSWT"]
+        buyer_did, seller_did = world.org_dids["Buyer"], world.org_dids["Seller"]
+        ask_verinym(world, anchor, "Buyer")
+        world.settle()
+        reads = []
+        resolve_member = registry.resolve_member
+
+        def recording(pool, holders, issuers, *rest, **kw):
+            reads.append((tuple(holders), tuple(issuers)))
+            return (yield from resolve_member(pool, holders, issuers, *rest, **kw))
+
+        monkeypatch.setattr(registry, "resolve_member", recording)
+        world.bus.config.rules.append(
+            FaultRule(action="drop", to=anchor.address, kind="iin.submit.reply")
+        )
+        hold(anchor)
+        seller = ask_verinym(world, anchor, "Seller")
+        buyer = ask(anchor, "anchor.vc.request", holder_did=buyer_did, network_id="SWT")
+        world.settle()
+        assert reads == [((buyer_did,), ()), ((seller_did,), (anchor.profile.did,))]
+        assert seller.result["ok"] and seller.result["outcome"] == "APPLIED"
+        assert buyer.result["ok"]
+        assert buyer_did in anchor.rosters["SWT"].members
+        assert world.iin_nodes["iin0"][0].state.verinym_status(seller_did)
+        assert_accumulator_published(world, anchor)
+
+    def test_lost_receipt_with_one_payload_missing_fails_every_request(self):
+        world = bootstrapped_runner(through_step_a=False).world
+        anchor = world.anchors["AnchorSWT"]
+        node = world.iin_nodes["iin0"][0]
+        buyer_did = world.org_dids["Buyer"]
+        ask_verinym(world, anchor, "Buyer")
+        world.settle()
+        lost_receipt = FaultRule(action="drop", to=anchor.address, kind="iin.submit.reply")
+        world.bus.config.rules.append(lost_receipt)
+        hold(anchor)
+        batch = [
+            ask_verinym(world, anchor, "Seller"),
+            # a version skip the registry refuses: its document is never written
+            ask_verinym(world, anchor, "Buyer", version=3),
+            ask(anchor, "anchor.vc.request", holder_did=buyer_did, network_id="SWT"),
+        ]
+        world.settle()
+        lost = {"ok": False, "error": "no reply from sequencer"}
+        assert [record.result for record in batch] == [lost] * 3
+        assert node.state.verinym_status(world.org_dids["Seller"])  # applied, unconfirmed
+        # the anchor keeps the revocation state the registry holds, so it can
+        # still update it, traces the issuance, and answers the credential's
+        # next request from it
+        assert_accumulator_published(world, anchor)
+        issued = [e.detail["holder"] for e in world.trace.events if e.kind == "anchor.vc_issued"]
+        assert issued == [buyer_did]
+        world.bus.config.rules.remove(lost_receipt)
+        again = ask(anchor, "anchor.vc.request", holder_did=buyer_did, network_id="SWT")
+        world.settle()
+        assert again.result["ok"] and again.result["already_member"] is True
+
+    def test_a_holder_revoked_after_batched_issuance_fails_check_6(self):
+        runner, _ = two_networks_runner(4)
+        world = runner.world
+        anchor = world.anchors["AnchorNA"]
+        revoked, kept = world.org_dids["NAo02"], world.org_dids["NAo01"]
+        assert anchor.acc_state.epoch == 2  # NAo01-NAo03 were issued in one batch
+        anchor.enqueue_serialized("revoke", lambda: anchor.revoke_membership(revoked, "NA"))
+        world.settle()
+        verifier = world.agents["NBo00"]
+        outcomes = {}
+        for did in (revoked, kept):
+            record = verifier.start_session("validate", verifier.validate_org("NB", "NA", did))
+            world.settle()
+            outcomes[did] = record.result
+        assert outcomes[revoked]["check"] == 6, outcomes[revoked]
+        assert outcomes[kept]["status"] == "ok", outcomes[kept]

@@ -57,15 +57,21 @@ def test_tracer_installs_counts_and_uninstalls():
 
 
 def test_traced_methods_keep_their_names_and_shapes():
-    """The tracer drives these agent methods as generators and wraps the
-    anchor's witness handler as a plain call, each by name. It reads each
-    agent method from `IinAgent.__dict__`, so an inherited one breaks it."""
+    """The tracer drives these agent and anchor methods as generators and
+    wraps the anchor's two read-side handlers as plain calls, each by name.
+    It reads each method from its class's `__dict__`, so an inherited one
+    breaks it."""
     for name in (
         "_sync_target", "_validate_member", "_fetch_identity", "_commit_identity",
         "_handle_countersign",
     ):
         assert inspect.isgeneratorfunction(agent.IinAgent.__dict__.get(name)), name
-    assert callable(getattr(anchors.AnchorService, "_refresh_witness", None))
+    methods = anchors.AnchorService.__dict__
+    for name in ("_issue_membership", "revoke_membership"):
+        assert inspect.isgeneratorfunction(methods.get(name)), name
+    for name in ("_serve_memberlist", "_refresh_witness"):
+        assert inspect.isfunction(methods.get(name)), name
+        assert not inspect.isgeneratorfunction(methods[name]), name
 
 
 def test_benchmark_worlds_parse():
@@ -77,9 +83,9 @@ def test_benchmark_worlds_parse():
 
 
 @pytest.mark.parametrize("workload, sends, applied, sync_ticks", [
-    ("wide-sync", 540, 16, [72, 70]),
+    ("wide-sync", 516, 16, [65, 67]),
     ("commit-race", 40, 1, [37]),
-    ("proof-churn", 216, 3, [46, 47, 61]),
+    ("proof-churn", 216, 3, [51, 43, 60]),
 ])
 def test_one_unit_of_each_workload_keeps_its_exact_traffic(
     monkeypatch, workload, sends, applied, sync_ticks

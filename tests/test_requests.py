@@ -190,5 +190,4 @@ def test_each_actor_serves_requests_through_its_table_only():
         for kind, (handler, reply_kind) in cls.REQUESTS.items():
             assert inspect.isfunction(getattr(cls, handler, None)), f"{cls.__name__}: {kind}"
             assert reply_kind
-        if cls is not AnchorService:
-            assert "on_message" not in vars(cls), f"{cls.__name__} dispatches by hand"
+        assert "on_message" not in vars(cls), f"{cls.__name__} dispatches by hand"
