@@ -10,7 +10,10 @@ The agent is the org's protocol engine for the identity plane:
           verinym status, the trusted issuers' revocation states), challenge
           the member at its service endpoint naming the snapshot's epochs, and
           verify the returned membership presentation against registry
-          artifacts;
+          artifacts. The fetch makes one registry read, of the validator's
+          document and the memberlist's credential definition, and names in
+          it every member the caller already knows it will check, so those
+          members need no read of their own;
   step C  check the member's network-issued certificate bundle, a
           self-signed presentation that the same challenge reply carries
           when step C follows, and its internal consistency;
@@ -27,12 +30,17 @@ targets at once, runs B and C for each target in a session of its own, and
 then step D for every target that passed, as one batch whose every record
 has its final verdict when the batch returns. The targets with a digest
 mismatch run again as the next round, which starts once the round's submits
-have settled. One refused statement fails only its own target.
+have settled and fetches the memberlist afresh. One refused statement fails
+only its own target. A round whose targets are known before its memberlist
+fetch (a targeted sync's first round, every retry round) reads them in the
+fetch's own registry read; a full sync's first round learns its targets from
+the list and reads them after it.
 A full sync (every listed member) reads the ledger's records of the foreign
-network once, before its first round: a target whose checked record the
-ledger already holds skips step D and ends UNCHANGED. Once every target has
-ended, it flips each of those records that is ACTIVE to REVOKED when its org
-did not end DONE, all in one step D batch. A targeted sync reads no records
+network once, in a session that runs alongside its memberlist fetch and ends
+before its first round: a target whose checked record the ledger already
+holds skips step D and ends UNCHANGED. Once every target has ended, it flips
+each of those records that is ACTIVE to REVOKED when its org did not end
+DONE, all in one step D batch. A targeted sync reads no records
 and commits every target that passed. A resync (a scheduled scenario step,
 or a proof failure in the data plane; the harness starts it, no message
 does) runs a full sync of every network on the interoperation list,
@@ -365,7 +373,15 @@ class IinAgent(Actor):
 
     # --- step B: validate membership ------------------------------------------
 
-    def _fetch_memberlist(self, home_network: str, foreign_network: str) -> Generator:
+    def _fetch_memberlist(
+        self, home_network: str, foreign_network: str, holders: tuple[str, ...] = ()
+    ) -> Generator:
+        """The foreign network's memberlist, fetched from the anchor the trust
+        list names for it, and the registry snapshot read before the fetch;
+        returns (memberlist, snapshot). The snapshot is one `_read_members`
+        read of the anchor's document, the memberlist's credential definition
+        and the `holders`, so a caller that knows its holders validates them
+        from it with no second read."""
         _, entries = yield from self._read_once(home_network)
         anchor_did = next((a for _, a, n in entries if n == foreign_network), None)
         if anchor_did is None:
@@ -373,8 +389,8 @@ class IinAgent(Actor):
         cred_def_id = creds.cred_def_id_for(
             anchor_did, creds.schema_id_for(creds.MEMBERLIST_SCHEMA_NAME)
         )
-        snapshot = yield from registry.resolve_member(
-            self.pool, (anchor_did,), (), cred_def_ids=(cred_def_id,)
+        snapshot = yield from self._read_members(
+            home_network, foreign_network, (anchor_did, *holders), cred_def_id
         )
         anchor_doc, anchor_verinym = snapshot.holder(anchor_did)
         nonce = self.nonce()
@@ -418,7 +434,7 @@ class IinAgent(Actor):
             version=memberlist.roster_version,
             members=len(memberlist.member_dids),
         )
-        return memberlist
+        return memberlist, snapshot
 
     def _trusted(self, home_network: str, foreign_network: str) -> Generator:
         """The trust list's (anchor DID, network) pairs, and the anchors it
@@ -428,17 +444,18 @@ class IinAgent(Actor):
         return trusted, tuple(sorted(a for a, network in trusted if network == foreign_network))
 
     def _read_members(
-        self, home_network: str, foreign_network: str, dids: tuple[str, ...]
+        self, home_network: str, foreign_network: str, dids: tuple[str, ...], *cred_def_ids: str
     ) -> Generator:
         """One registry snapshot of the holders `dids` with every registry
         input their checks need: the membership schema, the membership
         credential definition of each anchor on the trust list and the
-        revocation state of each anchor it names for `foreign_network`. No
-        holder chooses what is read: no id a presentation carries is named."""
+        revocation state of each anchor it names for `foreign_network`, and
+        any further `cred_def_ids`. No holder chooses what is read: no id a
+        presentation carries is named."""
         trusted, issuers = yield from self._trusted(home_network, foreign_network)
         cred_defs = tuple(sorted({
             creds.cred_def_id_for(anchor, MEMBERSHIP_SCHEMA_ID) for anchor, _ in trusted
-        }))
+        }.union(cred_def_ids)))
         return (yield from registry.resolve_member(
             self.pool, dids, issuers, (MEMBERSHIP_SCHEMA_ID,), cred_defs
         ))
@@ -461,9 +478,11 @@ class IinAgent(Actor):
         The checks read nothing but one registry snapshot (`_read_members`),
         taken before the challenge, so a revocation committed before it fails
         check 6; a `snapshot` given is that read, made for several holders at
-        once. A credential naming a credential definition the snapshot lacks
-        fails check 5, and one whose issuer the trust list names for another
-        network fails check 6, as the snapshot holds no state for it. The
+        once, most often by the memberlist fetch that gates them
+        (`_fetch_memberlist`). A credential naming a credential definition
+        the snapshot lacks fails check 5, and one whose issuer the trust list
+        names for another network fails check 6, as the snapshot holds no
+        state for it. The
         challenge names each state's epoch, and a holder with an older witness
         refreshes it at its anchor. A witness newer than the snapshot means an
         issuance or revocation by its issuer landed during the round trip, so
@@ -674,18 +693,23 @@ class IinAgent(Actor):
         statement and in order, with this org's signature of it, a digest
         mismatch or the reason it failed. Every statement of a batch names
         one foreign network: initiators batch one network's records at a
-        time. The ACTIVE ones share one memberlist gate and one registry read
-        for the holders that are listed but not cached; a gate or read that
-        fails refuses each statement that needed it, by name. The REVOKED
-        ones share one read of the ledger's records, whose failure refuses
-        each of them by name, and one fresh memberlist, fetched when one of
-        them matches its record. A cached list
-        at least as new as the initiator's `roster_version` is reused, and a
-        low hint only fails the initiator's own commit with NotListed. A
-        member revoked since the list was fetched fails the fresh
-        accumulator check in _validate_member only when its identity is not
-        cached: a cached identity skips steps B and C, so while the reused
-        list still names the member, its ACTIVE statement is signed."""
+        time. The REVOKED ones share one read of the ledger's records, whose
+        failure refuses each of them by name. The batch then makes one
+        memberlist gate and one registry read. It fetches a fresh list when
+        a REVOKED statement matches its record or the ACTIVE ones cannot
+        reuse the cached list, and the fetch's read names every holder the
+        checks need: the ACTIVE ones not cached and the recorded holder of
+        each REVOKED statement that matches its record. A failed fetch
+        refuses every ACTIVE statement by name. Otherwise the ACTIVE ones
+        reuse a cached list at least as new as the initiator's
+        `roster_version` and read the holders that are listed but not
+        cached, and a failed read refuses each statement whose holder it
+        named; a low hint only fails the initiator's own commit with
+        NotListed. A member revoked since the list was fetched fails the
+        fresh accumulator check in _validate_member only when its identity
+        is not cached: a cached identity skips steps B and C, so while the
+        reused list still names the member, its ACTIVE statement is
+        signed."""
         (home_network,) = msg.fields("home_network")
         raw = msg.body["statements"]
         if not _strings(raw):
@@ -711,57 +735,58 @@ class IinAgent(Actor):
         if foreign_network not in interop:
             return answer([_refusal("PolicyViolation")] * len(statements))
         active = [s for s in statements if s.status == net.STATUS_ACTIVE]
-        memberlist = self._memberlists.get(foreign_network)
-        snapshot, unchecked = None, ()
-        errors: dict[str, Exception] = {}  # holder DID -> what refuses its ACTIVE statements
-        if active:
-            try:
-                if (
-                    memberlist is None
-                    or not isinstance(hint, int)
-                    or memberlist.roster_version < hint
-                ):
-                    memberlist = yield from self._fetch_memberlist(home_network, foreign_network)
-                unchecked = tuple(dict.fromkeys(
-                    s.holder_did for s in active
-                    if s.holder_did in memberlist.member_dids
-                    and (foreign_network, s.holder_did) not in self.cache
-                ))
-                if unchecked:
-                    snapshot = yield from self._read_members(
-                        home_network, foreign_network, unchecked
-                    )
-            except PROTOCOL_ERRORS as e:
-                # a failed gate refuses every ACTIVE statement, a failed read
-                # those whose holders it named
-                errors = dict.fromkeys(unchecked or [s.holder_did for s in active], e)
         revoked = [s for s in statements if s.status != net.STATUS_ACTIVE]
         records: dict[str, net.RecordContent] = {}
-        fresh, refused = None, None
+        refused = None
         if revoked:
             try:
                 for record in (yield from self._ledger_records(home_network, foreign_network)):
                     records.setdefault(record.org_id, record)
             except (LedgerUnreachable, LedgerRefused) as e:
                 refused = e
-            if any(
-                s.foreign_org in records
-                and records[s.foreign_org].bundle_digest == s.bundle_digest
-                for s in revoked
-            ):
-                try:
-                    fresh = yield from self._fetch_memberlist(home_network, foreign_network)
-                except PROTOCOL_ERRORS:
-                    pass
+        recorded = tuple(dict.fromkeys(
+            records[s.foreign_org].holder_did for s in revoked
+            if s.foreign_org in records
+            and records[s.foreign_org].bundle_digest == s.bundle_digest
+        ))
+        uncached = tuple(dict.fromkeys(
+            s.holder_did for s in active if (foreign_network, s.holder_did) not in self.cache
+        ))
+        memberlist = self._memberlists.get(foreign_network)
+        reuse = (
+            not recorded and memberlist is not None
+            and isinstance(hint, int) and memberlist.roster_version >= hint
+        )
+        fresh = snapshot = None
+        named: tuple[str, ...] = ()  # the holders `snapshot` reads
+        errors: dict[str, Exception] = {}  # holder DID -> what refuses its ACTIVE statements
+        if active or recorded:
+            try:
+                if reuse:
+                    named = tuple(d for d in uncached if d in memberlist.member_dids)
+                    if named:
+                        snapshot = yield from self._read_members(
+                            home_network, foreign_network, named
+                        )
+                else:
+                    named = tuple(dict.fromkeys(uncached + recorded))
+                    memberlist, snapshot = yield from self._fetch_memberlist(
+                        home_network, foreign_network, named
+                    )
+                    fresh = memberlist
+            except PROTOCOL_ERRORS as e:
+                # a failed gate refuses every ACTIVE statement, a failed read
+                # of a reused list those whose holders it named
+                errors = dict.fromkeys(named if reuse else [s.holder_did for s in active], e)
         sessions = []
         for s in statements:
             if s.status != net.STATUS_ACTIVE:
                 check = self._countersign_revoked(
-                    home_network, s, records.get(s.foreign_org), fresh, refused
+                    home_network, s, records.get(s.foreign_org), fresh, snapshot, refused
                 )
             else:
                 # a holder cached before the read but dropped since reads alone
-                read = snapshot if s.holder_did in unchecked else None
+                read = snapshot if s.holder_did in named else None
                 check = self._countersign_active(
                     home_network, s, memberlist, read, errors.get(s.holder_did)
                 )
@@ -819,6 +844,7 @@ class IinAgent(Actor):
         statement: net.Endorsement,
         record: Optional[net.RecordContent],
         memberlist: Optional[creds.MemberlistCredential],
+        snapshot: Optional[registry.MemberSnapshot],
         error: Optional[Exception],
     ) -> Generator:
         """Answer a REVOKED statement: refused by `error` when the batch's
@@ -828,7 +854,9 @@ class IinAgent(Actor):
         or another org's to skip the check. `memberlist` is the one fresh
         list _handle_countersign fetched for the batch (None when that fetch
         failed): a cached one that lacks a re-admitted member would endorse a
-        lying initiator's revocation."""
+        lying initiator's revocation. `snapshot` is the registry read made
+        with that fetch, which names the holder of every record a statement
+        of the batch matches."""
         if error is not None:
             return _refusal(type(error).__name__)
         if record is None or record.bundle_digest != statement.bundle_digest:
@@ -839,7 +867,8 @@ class IinAgent(Actor):
         if memberlist is not None and record.holder_did in memberlist.member_dids:
             try:
                 yield from self._validate_member(
-                    home_network, statement.foreign_network, record.holder_did
+                    home_network, statement.foreign_network, record.holder_did,
+                    snapshot=snapshot,
                 )
                 return _refusal("MemberStillValid")
             except PROTOCOL_ERRORS:
@@ -912,15 +941,18 @@ class IinAgent(Actor):
         dids: tuple[str, ...],
         attempt: int,
         memberlist: Optional[creds.MemberlistCredential],
+        snapshot: Optional[registry.MemberSnapshot],
         held: Sequence[net.RecordContent],
     ) -> Generator:
         """Steps B-D for the targets `dids` at once: one registry read for
-        the listed ones, steps B and C for each in a session of its own, then
-        one step D batch for those that passed and whose checked record is
-        not one of the ledger's records `held`; those that are end DONE as
-        UNCHANGED, and a round of only those sends no batch. A retry round
-        (no `memberlist`) first waits out the backoff and fetches the
-        memberlist afresh. A memberlist fetch or registry read that fails
+        them, steps B and C for each in a session of its own, then one step D
+        batch for those that passed and whose checked record is not one of
+        the ledger's records `held`; those that are end DONE as UNCHANGED,
+        and a round of only those sends no batch. The read is the `snapshot`
+        given, which names the targets; without one, the listed targets are
+        read after `memberlist`. A retry round (no `memberlist`) first waits out
+        the backoff and fetches the memberlist afresh, naming every target in
+        the fetch's own read. A memberlist fetch or registry read that fails
         fails each target of the round by name. Returns the result of each
         target that ended, by DID, and the targets whose countersigners hold
         another bundle, which run again as the next round while `attempt` is
@@ -928,11 +960,15 @@ class IinAgent(Actor):
         try:
             if memberlist is None:
                 yield Sleep(RETRY_BACKOFF)
-                memberlist = yield from self._fetch_memberlist(home_network, foreign_network)
-            snapshot = None
-            listed = tuple(d for d in dids if d in memberlist.member_dids)
-            if listed:
-                snapshot = yield from self._read_members(home_network, foreign_network, listed)
+                memberlist, snapshot = yield from self._fetch_memberlist(
+                    home_network, foreign_network, dids
+                )
+            elif snapshot is None:
+                listed = tuple(d for d in dids if d in memberlist.member_dids)
+                if listed:
+                    snapshot = yield from self._read_members(
+                        home_network, foreign_network, listed
+                    )
         except PROTOCOL_ERRORS as e:
             return {did: self._target_failed(foreign_network, did, attempt, e) for did in dids}, ()
         checked = yield Join(tuple(
@@ -978,30 +1014,42 @@ class IinAgent(Actor):
         """Steps B-D against every listed member of the foreign network (or an
         explicit target subset), in rounds (`_sync_round`) until no target is
         left: a retry round starts once the previous round's submits have
-        settled. A full pass reads the ledger's records of the foreign
-        network once, before step D: a target whose checked record the ledger
-        already holds skips step D, and once the rounds have ended the same
-        records are flipped to REVOKED, as one step D batch, for orgs that no
-        longer validate. A targeted sync reads no records and commits every
-        target that passes."""
+        settled. A targeted sync names its targets in its memberlist fetch's
+        registry read, which its first round checks them against; it reads
+        no records and commits every target that passes. A full pass reads
+        the ledger's records of the foreign network once, in a session
+        started before the memberlist fetch and joined before the first
+        round, whose failure fails the sync by name: a target whose checked
+        record the ledger already holds skips step D, and once the rounds
+        have ended the same records are flipped to REVOKED, as one step D
+        batch, for orgs that no longer validate."""
         interop, _ = yield from self._read_once(home_network)
         if foreign_network not in interop:
             self.trace("agent.policy_violation", network=foreign_network)
             raise PolicyViolation(f"{foreign_network} not on interoperation list")
-        memberlist = yield from self._fetch_memberlist(home_network, foreign_network)
         if targets is None:
-            dids = memberlist.member_dids
-            records = yield from self._ledger_records(home_network, foreign_network)
+            # the records read runs alongside the memberlist fetch
+            reading = self.start_session(
+                "records", _caught(self._ledger_records(home_network, foreign_network))
+            )
+            memberlist, _ = yield from self._fetch_memberlist(home_network, foreign_network)
+            dids, snapshot = memberlist.member_dids, None
+            (records,) = yield Join((reading,))
+            if isinstance(records, Exception):
+                raise records
         else:
             dids, records = tuple(targets), []
+            memberlist, snapshot = yield from self._fetch_memberlist(
+                home_network, foreign_network, dids
+            )
         ended: dict[str, dict] = {}
         pending, attempt = dids, 1
         while pending:
             round_ended, pending = yield from self._sync_round(
-                home_network, foreign_network, pending, attempt, memberlist, records
+                home_network, foreign_network, pending, attempt, memberlist, snapshot, records
             )
             ended.update(round_ended)
-            attempt, memberlist = attempt + 1, None
+            attempt, memberlist, snapshot = attempt + 1, None, None
         results = {did: ended[did] for did in dids}
         synced_orgs = {r["org_id"] for r in results.values() if r["status"] == PHASE_DONE}
         flips = [
@@ -1045,9 +1093,12 @@ class IinAgent(Actor):
     ) -> Generator:
         """Run steps B and C for one member without committing, populating the
         countersigner cache."""
-        memberlist = yield from self._fetch_memberlist(home_network, foreign_network)
+        memberlist, snapshot = yield from self._fetch_memberlist(
+            home_network, foreign_network, (target_did,)
+        )
         _, record = yield from self._validate_member(
-            home_network, foreign_network, target_did, memberlist, with_bundle=True
+            home_network, foreign_network, target_did, memberlist,
+            with_bundle=True, snapshot=snapshot,
         )
         return record.bundle_digest.hex()
 

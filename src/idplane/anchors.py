@@ -224,8 +224,10 @@ class AnchorService(Actor):
         from its own checks and its own transaction's outcome. A holder asked
         for twice gets the one credential, the second time `already_member`,
         as does a holder already on the roster (a fresh witness, no epoch
-        bump). A lost receipt that the read-back does not confirm whole fails
-        every request of the batch."""
+        bump). On a lost receipt each request is answered from the read-back
+        of its own payload: a registration whose document, or an issuance
+        whose revocation update, the read-back lacks fails with the lost
+        receipt's error, and the others are answered as if it had come."""
         nyms = [e for e in batch if e.kind == "anchor.verinym.request"]
         vcs = [e for e in batch if e.kind == "anchor.vc.request"]
         minted = (yield from self._mint(vcs)) if vcs else {}
@@ -243,25 +245,19 @@ class AnchorService(Actor):
                 holders=tuple(doc.did for doc in docs),
                 issuers=(self.profile.did,) if minted else (),
             )
-        if None in outcomes:
-            # a lost receipt that the read-back did not confirm whole
-            for entry in batch:
-                if entry.reply is None:
-                    entry.reply = {"ok": False, "error": str(lost)}
-
         for entry, doc, outcome in zip(nyms, docs, outcomes):
-            if entry.reply is not None:
-                continue
             if outcome not in (registry.OUTCOME_APPLIED, "Duplicate"):
-                entry.reply = {"ok": False, "error": outcome}
+                # None: a lost receipt whose read-back lacks the document
+                entry.reply = {"ok": False, "error": str(lost) if outcome is None else outcome}
                 continue
             self.trace("anchor.verinym_registered", org=entry.args[0], did=doc.did, outcome=outcome)
             entry.reply = {
                 "ok": True, "did": doc.did, "doc": doc.to_bytes().hex(), "outcome": outcome
             }
         if minted and outcomes[-1] == registry.OUTCOME_APPLIED:
-            # the registry holds the new state, even when the batch failed:
-            # an anchor left at the old epoch could never update it again
+            # the registry holds the new state, even when a registration of
+            # the batch failed: an anchor left at the old epoch could never
+            # update it again
             self.acc_state = new_state
             for (holder_did, network_id), vc in minted.items():
                 self.rosters[network_id].members[holder_did] = vc
@@ -283,7 +279,11 @@ class AnchorService(Actor):
             holder_did, network_id = entry.args
             vc = self.rosters[network_id].members.get(holder_did)
             if vc is None:  # the revocation update that adds it did not apply
-                entry.reply = {"ok": False, "error": f"revocation update rejected: {outcomes[-1]}"}
+                error = outcomes[-1]
+                entry.reply = {
+                    "ok": False,
+                    "error": str(lost) if error is None else f"revocation update rejected: {error}",
+                }
                 continue
             witness = crypto.witness_for(self.acc_state, leaves, vc.credential_id)
             entry.reply = {

@@ -140,7 +140,10 @@ class SimBus:
         self._timer_ids = 0
         self._cancelled: set[int] = set()
         self._actors: dict[str, object] = {}
-        self._box_keys: dict[str, BoxKeyPair] = {}
+        # endpoint -> its X25519 private key and public key, built at register
+        self._box_keys: dict[str, tuple[X25519PrivateKey, X25519PublicKey]] = {}
+        # (lower, higher) endpoint -> the pair's X25519 shared secret
+        self._pair_secrets: dict[tuple[str, str], bytes] = {}
         self._pair_ciphers: dict[tuple[str, str], ChaCha20Poly1305] = {}
 
     # --- registration --------------------------------------------------
@@ -150,7 +153,10 @@ class SimBus:
         if address in self._actors:
             raise TransportError(f"duplicate endpoint {address}")
         self._actors[address] = actor
-        self._box_keys[address] = box_keys
+        self._box_keys[address] = (
+            X25519PrivateKey.from_private_bytes(box_keys.secret_key),
+            X25519PublicKey.from_public_bytes(box_keys.public_key),
+        )
 
     # --- sealing ---------------------------------------------------------
 
@@ -158,9 +164,13 @@ class SimBus:
         cached = self._pair_ciphers.get((sender, recipient))
         if cached is not None:
             return cached
-        secret = X25519PrivateKey.from_private_bytes(
-            self._box_keys[sender].secret_key
-        ).exchange(X25519PublicKey.from_public_bytes(self._box_keys[recipient].public_key))
+        # X25519 is symmetric, so both directions of a pair share one
+        # exchange; the HKDF info below still gives each direction its key
+        pair = (sender, recipient) if sender < recipient else (recipient, sender)
+        secret = self._pair_secrets.get(pair)
+        if secret is None:
+            secret = self._box_keys[sender][0].exchange(self._box_keys[recipient][1])
+            self._pair_secrets[pair] = secret
         key = HKDF(
             algorithm=hashes.SHA256(),
             length=32,

@@ -581,7 +581,7 @@ class TestMemberSnapshot:
         carrier_did = world.org_dids["Carrier"]
         record = agent.start_session("fetch", agent._fetch_memberlist("SWT", "STL"))
         world.settle()
-        memberlist = record.result
+        memberlist, _ = record.result
         assert carrier_did in memberlist.member_dids
         # Buyer's first-stage snapshot queries reach the replicas late, so the
         # revocation, started with the validation, commits before they answer
@@ -686,7 +686,7 @@ class TestMemberlistReuse:
         seller = world.agents["Seller"]
         record = seller.start_session("ml", seller._fetch_memberlist("SWT", "STL"))
         world.settle()
-        stale = record.result
+        stale, _ = record.result
         assert world.org_dids["Carrier"] not in stale.member_dids
         carrier = world.agents["Carrier"]
         record = carrier.start_session("step_a", carrier.step_a())
@@ -1442,12 +1442,12 @@ class TestBatchedStepD:
     def test_one_member_read_per_agent_per_round(self, monkeypatch):
         world = two_networks_world(4)
         reads = record_queries(monkeypatch)
-        members_read = []
+        members_read = {}
         read_members = agent_mod.IinAgent._read_members
 
-        def recording(agent, home_network, foreign_network, dids):
-            members_read.append((agent.org_id, dids))
-            return read_members(agent, home_network, foreign_network, dids)
+        def recording(agent, home_network, foreign_network, dids, *cred_def_ids):
+            members_read.setdefault(agent.org_id, []).append(sorted(dids))
+            return read_members(agent, home_network, foreign_network, dids, *cred_def_ids)
 
         monkeypatch.setattr(agent_mod.IinAgent, "_read_members", recording)
         start = len(world.trace.events)
@@ -1455,11 +1455,15 @@ class TestBatchedStepD:
         assert record.error is None
         assert [r["status"] for r in record.result.values()] == ["DONE"] * 4
         members = sorted(world.org_dids[f"NB{i}"] for i in range(4))
-        assert sorted((org, sorted(dids)) for org, dids in members_read) == [
-            (f"NA{i}", members) for i in range(4)
-        ]
-        # one memberlist fetch and one round read per agent
-        assert [what for what, *_ in reads] == [registry.QUERY_MEMBER] * 8
+        anchor = world.anchors["AnchorNB"].profile.did
+        # the initiator's fetch reads the anchor alone, as the members are
+        # not known before the list, then its round reads them; each
+        # countersigner reads the anchor and the batch's holders in one read
+        assert members_read == {
+            "NA0": [[anchor], members],
+            **{f"NA{i}": [sorted([anchor, *members])] for i in range(1, 4)},
+        }
+        assert [what for what, *_ in reads] == [registry.QUERY_MEMBER] * 5
         requests = [
             e.detail["to"] for e in world.trace.events[start:]
             if e.kind == "bus.send" and e.detail["msg_kind"] == "agent.countersign.request"
@@ -1503,20 +1507,21 @@ class TestBatchedStepD:
         assert agent_events(world, "Buyer", {"session.failed"}, start) == []
 
     @staticmethod
-    def lose_member_read(world, org):
-        """Lose every reply to `org`'s first member read of a cold start: its
-        memberlist fetch reads the anchor's document and the memberlist's
-        credential definition in one read first (replies 1-2), then the
-        snapshot read asks two replicas and, on no answer, the other two
-        (3-6). A dropping rule hides its envelope from the rules after it, so
-        the later occurrences go first."""
-        for occurrence in range(6, 2, -1):
+    def lose_read(world, org, answered=0):
+        """Lose every reply to the registry read that `org` makes after its
+        next `answered` reads, each of which two replicas answer: the lost
+        read asks two replicas and, on no answer, the other two. A dropping
+        rule hides its envelope from the rules after it, so the later
+        occurrences go first."""
+        for occurrence in range(2 * answered + 4, 2 * answered, -1):
             world.bus.config.rules.append(FaultRule(
                 action="drop", to=f"agent:{org}", kind="iin.query.reply", occurrence=occurrence,
             ))
 
     def test_failed_member_read_fails_each_target_of_the_round(self, world):
-        self.lose_member_read(world, "Buyer")
+        # a full sync's memberlist fetch reads the anchor alone; its round
+        # then reads the listed members
+        self.lose_read(world, "Buyer", answered=1)
         start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL")
         assert record.error is None
@@ -1530,21 +1535,52 @@ class TestBatchedStepD:
         ]
         assert "agent.membership_vp.request" not in sent
 
-    def test_failed_member_read_refuses_each_statement_it_named(self, world):
-        self.lose_member_read(world, "Seller")
+    @staticmethod
+    def ask_both_active(world, **extra):
+        """Ask Seller to countersign ACTIVE commits of STL's Seller and
+        Carrier in one batch; returns its answers."""
         probe = add_probe(world)
-        start = len(world.trace.events)
         body = ask_countersign_batch(probe, world, [
             statement(
                 probe, world.org_dids[org], world.organizations[("STL", org)].bundle_digest(),
                 "ACTIVE", org=org,
             )
             for org in ("Seller", "Carrier")
-        ])
-        assert body["results"] == [
+        ], **extra)
+        return body["results"]
+
+    def test_failed_member_read_refuses_each_statement_it_named(self, world):
+        """A countersigner that reuses its cached list reads only the holders
+        it has not cached, and a lost read refuses only their statements."""
+        assert run_sync(world, "Buyer", "SWT", "STL").error is None
+        seller = world.agents["Seller"]
+        version = seller._memberlists["STL"].roster_version
+        seller.cache.pop(("STL", world.org_dids["Carrier"]))
+        self.lose_read(world, "Seller")
+        start = len(world.trace.events)
+        signed, refused = self.ask_both_active(world, roster_version=version)
+        assert signed["result"] == "signed"
+        assert refused == {"result": "validation_failed", "reason": "InconsistentReplicas"}
+        assert memberlist_requests(world, "agent:Seller", start) == []
+        assert agent_events(world, "Seller", {"session.failed"}, start) == []
+
+    def test_lost_merged_read_refuses_each_active_statement(self, world, monkeypatch):
+        """A cold countersigner's one read, made with its memberlist fetch,
+        is its gate: losing it refuses every ACTIVE statement by name."""
+        self.lose_read(world, "Seller")
+        reads = record_queries(monkeypatch)
+        start = len(world.trace.events)
+        assert self.ask_both_active(world) == [
             {"result": "validation_failed", "reason": "InconsistentReplicas"}
         ] * 2
+        [(_, holders, *_)] = reads
+        assert set(holders) == {
+            world.anchors["AnchorSTL"].profile.did,
+            world.org_dids["Seller"],
+            world.org_dids["Carrier"],
+        }
         assert agent_events(world, "Seller", {"session.failed"}, start) == []
+        assert sends_from(world, "Seller", "agent.membership_vp.request", start) == []
 
     def test_retry_round_starts_once_the_rounds_submits_have_settled(self, world):
         """Seller's mismatch on Carrier sends Carrier into a retry round while
@@ -1588,6 +1624,108 @@ class TestBatchedStepD:
             and e.detail["msg_kind"] == "cmdac.reply"
         )
         assert submit < ledger_reply < retry_read
+
+
+class TestOneReadPerGate:
+    """Where the holders are known before the memberlist gate, the gate's one
+    registry read names them and their checks read nothing more: a targeted
+    sync's first round, every retry round, a countersign batch that fetches
+    its list and `prefetch`."""
+
+    @staticmethod
+    def queries_before_challenge(world, org, start=0):
+        """The `iin.query` sends of `org`'s agent before its first challenge."""
+        sent = [
+            e.detail["msg_kind"] for e in world.trace.events[start:]
+            if e.kind == "bus.send" and e.detail["from"] == f"agent:{org}"
+        ]
+        return sent[:sent.index("agent.membership_vp.request")].count("iin.query")
+
+    def test_countersigner_that_fetches_its_list_reads_once_before_its_challenges(self, world):
+        start = len(world.trace.events)
+        assert run_sync(world, "Buyer", "SWT", "STL").error is None
+        assert len(memberlist_requests(world, "agent:Seller", start)) == 1
+        # one read, of two replicas
+        assert self.queries_before_challenge(world, "Seller", start) == 2
+        assert len(sends_from(world, "Seller", "iin.query", start)) == 2
+
+    def test_targeted_sync_reads_once_before_its_challenges(self):
+        runner = harness.ScenarioRunner(scenario_config("concurrent-commit"))
+        report = runner.run()
+        assert report.ok, report.errors
+        for org in ("Buyer", "Seller"):
+            assert self.queries_before_challenge(runner.world, org) == 2, org
+
+    def test_full_sync_asks_for_its_records_before_the_memberlist_arrives(self, world):
+        buyer = world.agents["Buyer"]
+        buyer.start_session("policy", buyer._read_once("SWT"))
+        world.settle()
+        start = len(world.trace.events)
+        assert run_sync(world, "Buyer", "SWT", "STL").error is None
+        events = world.trace.events[start:]
+        [query] = sends_from(world, "Buyer", "ledger.query", start)
+        memberlist = next(
+            e for e in events
+            if e.kind == "bus.deliver" and e.detail["to"] == "agent:Buyer"
+            and e.detail["msg_kind"] == "anchor.memberlist.reply"
+        )
+        assert events.index(query) < events.index(memberlist)
+
+    def test_two_revoked_statements_share_the_gates_read(self, world, monkeypatch):
+        """Both members still validate, so Seller refuses both revocations,
+        having read the registry once for its list and both re-validations."""
+        assert run_sync(world, "Buyer", "SWT", "STL").error is None
+        probe = add_probe(world)
+        reads = record_queries(monkeypatch)
+        start = len(world.trace.events)
+        body = ask_countersign_batch(probe, world, [
+            statement(
+                probe, world.org_dids[org],
+                world.ledger_state("SWT").get_record("STL", org).content.bundle_digest,
+                "REVOKED", org=org,
+            )
+            for org in ("Seller", "Carrier")
+        ])
+        assert body["results"] == [
+            {"result": "validation_failed", "reason": "MemberStillValid"}
+        ] * 2
+        assert len(memberlist_requests(world, "agent:Seller", start)) == 1
+        assert len(sends_from(world, "Seller", "agent.membership_vp.request", start)) == 2
+        assert [what for what, *_ in reads] == [registry.QUERY_MEMBER]
+
+    def test_retry_round_reads_once_before_its_challenges(self, world):
+        seller = world.agents["Seller"]
+        countersign = seller._handle_countersign
+
+        def mismatch_once(sender, msg):
+            body = yield from countersign(sender, msg)
+            if not mismatched:
+                mismatched.append(msg)
+                for answer in body["results"]:
+                    answer.clear()
+                    answer.update(result="digest_mismatch", own_digest="00" * 32)
+            return body
+
+        mismatched = []
+        seller._handle_countersign = mismatch_once
+        carrier = world.org_dids["Carrier"]
+        record = run_sync(world, "Buyer", "SWT", "STL", targets=(carrier,))
+        assert record.result[carrier]["attempts"] == 2
+        retry = next(
+            i for i, e in enumerate(world.trace.events)
+            if e.kind == "agent.sync.digest_mismatch"
+        )
+        assert self.queries_before_challenge(world, "Buyer", retry) == 2
+
+    def test_prefetch_reads_once(self, world, monkeypatch):
+        reads = record_queries(monkeypatch)
+        seller = world.agents["Seller"]
+        carrier = world.org_dids["Carrier"]
+        record = seller.start_session("prefetch", seller.prefetch("SWT", "STL", carrier))
+        world.settle()
+        assert record.error is None
+        assert ("STL", carrier) in seller.cache
+        assert [what for what, *_ in reads] == [registry.QUERY_MEMBER]
 
 
 class TestStepA:

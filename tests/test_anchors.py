@@ -288,7 +288,8 @@ class TestMemberlistFreshness:
         )
         world.settle()
         assert record.error is None
-        fresh_version = record.result.roster_version
+        memberlist, _ = record.result
+        fresh_version = memberlist.roster_version
         # an anchor serving an older roster than previously observed is stale
         anchor = world.anchors["AnchorSTL"]
         rolled_back = creds.issue_memberlist_credential(
@@ -673,26 +674,30 @@ class TestGroupCommit:
         assert world.iin_nodes["iin0"][0].state.verinym_status(seller_did)
         assert_accumulator_published(world, anchor)
 
-    def test_lost_receipt_with_one_payload_missing_fails_every_request(self):
+    def test_lost_receipt_with_one_payload_missing_fails_only_its_request(self):
         world = bootstrapped_runner(through_step_a=False).world
         anchor = world.anchors["AnchorSWT"]
         node = world.iin_nodes["iin0"][0]
-        buyer_did = world.org_dids["Buyer"]
+        buyer_did, seller_did = world.org_dids["Buyer"], world.org_dids["Seller"]
         ask_verinym(world, anchor, "Buyer")
         world.settle()
         lost_receipt = FaultRule(action="drop", to=anchor.address, kind="iin.submit.reply")
         world.bus.config.rules.append(lost_receipt)
         hold(anchor)
-        batch = [
+        seller, skipped, issued_vc = (
             ask_verinym(world, anchor, "Seller"),
             # a version skip the registry refuses: its document is never written
             ask_verinym(world, anchor, "Buyer", version=3),
             ask(anchor, "anchor.vc.request", holder_did=buyer_did, network_id="SWT"),
-        ]
+        )
         world.settle()
-        lost = {"ok": False, "error": "no reply from sequencer"}
-        assert [record.result for record in batch] == [lost] * 3
-        assert node.state.verinym_status(world.org_dids["Seller"])  # applied, unconfirmed
+        # each request is answered from its own payload's read-back
+        assert seller.result["ok"] and seller.result["outcome"] == "APPLIED"
+        assert node.state.verinym_status(seller_did)
+        assert skipped.result == {"ok": False, "error": "no reply from sequencer"}
+        assert issued_vc.result["ok"] and "already_member" not in issued_vc.result
+        witness = crypto.AccumulatorWitness.from_bytes(bytes.fromhex(issued_vc.result["witness"]))
+        assert crypto.witness_verify(anchor.acc_state, witness)
         # the anchor keeps the revocation state the registry holds, so it can
         # still update it, traces the issuance, and answers the credential's
         # next request from it

@@ -6,7 +6,9 @@ import random
 from dataclasses import replace
 
 import pytest
+from cryptography.exceptions import InvalidTag
 
+from idplane import bus as bus_mod
 from idplane.actors import Actor, Gather, Join, Message, Request, Sleep
 from idplane.bus import (
     BoxKeyPair, BusConfig, FaultRule, Header, SimBus, TickCeilingExceeded, UnknownEndpoint,
@@ -223,6 +225,43 @@ class TestConfidentialityAndAuthenticity:
             bus._cipher_for("driver", "echo").decrypt(
                 bus._nonce(17), ciphertext, Header("driver", "echo", 17, "pong").to_bytes()
             )
+
+    def test_a_pair_makes_one_exchange_for_both_directions(self, monkeypatch):
+        """Each endpoint's private key is built once, at register, and a pair
+        seals both directions from one X25519 exchange under two keys."""
+        built, exchanges = [], []
+        x25519 = bus_mod.X25519PrivateKey
+
+        class Counting:
+            def __init__(self, key):
+                self.key = key
+
+            @staticmethod
+            def from_private_bytes(data):
+                built.append(data)
+                return Counting(x25519.from_private_bytes(data))
+
+            def exchange(self, peer):
+                exchanges.append(peer)
+                return self.key.exchange(peer)
+
+        keys = {name: BoxKeyPair.from_seed(seed32("b" + name)) for name in ("echo", "driver")}
+        monkeypatch.setattr(bus_mod, "X25519PrivateKey", Counting)
+        bus = SimBus(BusConfig(seed=5))
+        actors = {"echo": EchoActor("echo"), "driver": DriverActor("driver")}
+        for name, actor in actors.items():
+            actor.bind(bus, random.Random(7))
+            bus.register(actor, keys[name])
+        assert len(built) == 2
+        actors["driver"].start_session("s", actors["driver"].script("echo", 3))
+        bus.run_until_quiescent()
+        assert actors["driver"].log == [0, 1, 2, "done"]
+        assert len(built) == 2
+        assert len(exchanges) == 1
+        header = Header("driver", "echo", 9, "ping").to_bytes()
+        ciphertext = bus._cipher_for("driver", "echo").encrypt(bus._nonce(9), b"x", header)
+        with pytest.raises(InvalidTag):
+            bus._cipher_for("echo", "driver").decrypt(bus._nonce(9), ciphertext, header)
 
     def test_relabelled_kind_is_rejected(self):
         bus, actors = build(BusConfig(seed=5))

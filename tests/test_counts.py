@@ -24,8 +24,8 @@ from conftest import scenario_config
 @pytest.mark.parametrize(
     "name, sends, queries, memberlists, witnesses, orders, countersigns, signs, verifies",
     [
-        ("two-network", 194, 24, 4, 2, 30, 2, 120, 230),
-        ("concurrent-commit", 150, 16, 2, 2, 30, 2, 96, 172),
+        ("two-network", 186, 20, 4, 2, 30, 2, 120, 230),
+        ("concurrent-commit", 142, 12, 2, 2, 30, 2, 96, 172),
     ],
     ids=("two-network", "concurrent-commit"),  # stable across re-pins
 )
@@ -62,12 +62,12 @@ def test_bundled_scenario_counts(
 
 
 TRACE_DIGESTS = {
-    "concurrent-commit": "a76db8c10208c721a807047e6ef15183698ba9420dc28b77763b06cf0df46463",
-    "concurrent-commit-serial": "2c933794d151c5dbd8cc1e82f8dacb7b87fd6c559687bf3a2c1a1512f7138c76",
-    "digest-mismatch-retry": "71d85e959ba907e954e60da253d07228db29e4ac0faa0c0434071e965bcef5f8",
-    "revoke-carrier": "0067db7d1d55efe3b3250cc8f3eab5e8643582f653b24d8a1ccca6271e4d65fc",
-    "rotate-resync": "65a9783dc41b79b6ccd191c9bc024cca8f2cf7b72d4e5ee3a0c4a8f8e33fcf9e",
-    "two-network": "d607e0de7e350b854a5db97fccd5ffcda2ad99c87ee927c851713d1faccf40c9",
+    "concurrent-commit": "556fc398408ecd6418a8bb44c338f1fb7c19520369ab908a56794eb4c4b644d1",
+    "concurrent-commit-serial": "0c09dd817791c368d51a25df40f54c94279672976c16d59888fa4b5d3be248e5",
+    "digest-mismatch-retry": "b144de7e648499690f9bf774c905e8da8d55e2b3d12f2b84276bae6aaa7d4657",
+    "revoke-carrier": "5f74d7714b4f015ae52077051759701f7c88c79be2ad31ceae09c6a08d8f9f23",
+    "rotate-resync": "6b6c545ea3e4f0e840b2521353ef6df4300baddff4e6a67414bbbbe7e5eb1fcc",
+    "two-network": "7e35919e81b5ca759f08fa7c4db08431762ea75d90a165852b106a9487d9ecc9",
 }
 
 
