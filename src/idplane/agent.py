@@ -575,12 +575,7 @@ class IinAgent(Actor):
 
     # --- step D: consensus commit ----------------------------------------------
 
-    def _commit_identity(
-        self,
-        home_network: str,
-        records: list[net.RecordContent],
-        roster_version: Optional[int] = None,
-    ) -> Generator:
+    def _commit_identity(self, home_network: str, records: list[net.RecordContent]) -> Generator:
         """Step D for a non-empty batch of `records`: make each one's
         statement (`net.Endorsement`) under a fresh nonce and ask every other
         local org to countersign all of them in one request. Each statement
@@ -589,9 +584,9 @@ class IinAgent(Actor):
         record, in order, once every submit has ended: the ledger's outcome
         (APPLIED or NOOP), DIGEST_MISMATCH, or the AgentError that refused the
         record. Every endorsement covers the record's holder DID, which the
-        ledger keeps. `roster_version` is the version of the memberlist the
-        records were validated against; countersigners whose own verified
-        copy is at least that new skip refetching it."""
+        ledger keeps. The request carries the statements alone: each
+        countersigner decides from its own memberlist whether to fetch a
+        fresh one."""
         statements = [r.statement(self.nonce()) for r in records]
         peers = sorted(
             (org, addr)
@@ -602,8 +597,6 @@ class IinAgent(Actor):
             "home_network": home_network,
             "statements": [s.to_bytes().hex() for s in statements],
         }
-        if roster_version is not None:
-            request_body["roster_version"] = roster_version
         replies = yield Gather(
             tuple((addr, "agent.countersign.request", request_body) for _, addr in peers),
             timeout=1500,
@@ -695,21 +688,18 @@ class IinAgent(Actor):
         one foreign network: initiators batch one network's records at a
         time. The REVOKED ones share one read of the ledger's records, whose
         failure refuses each of them by name. The batch then makes one
-        memberlist gate and one registry read. It fetches a fresh list when
-        a REVOKED statement matches its record or the ACTIVE ones cannot
-        reuse the cached list, and the fetch's read names every holder the
-        checks need: the ACTIVE ones not cached and the recorded holder of
-        each REVOKED statement that matches its record. A failed fetch
-        refuses every ACTIVE statement by name. Otherwise the ACTIVE ones
-        reuse a cached list at least as new as the initiator's
-        `roster_version` and read the holders that are listed but not
-        cached, and a failed read refuses each statement whose holder it
-        named; a low hint only fails the initiator's own commit with
-        NotListed. A member revoked since the list was fetched fails the
-        fresh accumulator check in _validate_member only when its identity
-        is not cached: a cached identity skips steps B and C, so while the
-        reused list still names the member, its ACTIVE statement is
-        signed."""
+        memberlist gate, decided from this org's own state alone, and one
+        registry read. It reuses the cached list when no REVOKED statement
+        matches its record and that list names every ACTIVE holder;
+        otherwise it fetches a fresh list. Either way the read names the
+        ACTIVE holders not cached and the recorded holder of each REVOKED
+        statement that matches its record. A failed fetch refuses every
+        ACTIVE statement by name; a failed read of a reused list refuses
+        each statement whose holder it named. A member revoked since the
+        list was fetched fails the fresh accumulator check in
+        _validate_member only when its identity is not cached: a cached
+        identity skips steps B and C, so while the reused list still names
+        the member, its ACTIVE statement is signed."""
         (home_network,) = msg.fields("home_network")
         raw = msg.body["statements"]
         if not _strings(raw):
@@ -721,7 +711,6 @@ class IinAgent(Actor):
         if len(networks) > 1:
             raise ValueError(f"{msg.kind}: statements of {len(networks)} foreign networks")
         (foreign_network,) = networks
-        hint = msg.body.get("roster_version")
 
         def answer(results: list) -> dict:
             return {"org": self.org_id, "results": results}
@@ -744,36 +733,31 @@ class IinAgent(Actor):
                     records.setdefault(record.org_id, record)
             except (LedgerUnreachable, LedgerRefused) as e:
                 refused = e
-        recorded = tuple(dict.fromkeys(
+        recorded = [
             records[s.foreign_org].holder_did for s in revoked
             if s.foreign_org in records
             and records[s.foreign_org].bundle_digest == s.bundle_digest
-        ))
-        uncached = tuple(dict.fromkeys(
+        ]
+        # the holders the batch's one read names, on either path
+        named = tuple(dict.fromkeys([
             s.holder_did for s in active if (foreign_network, s.holder_did) not in self.cache
-        ))
+        ] + recorded))
         memberlist = self._memberlists.get(foreign_network)
         reuse = (
             not recorded and memberlist is not None
-            and isinstance(hint, int) and memberlist.roster_version >= hint
+            and all(s.holder_did in memberlist.member_dids for s in active)
         )
-        fresh = snapshot = None
-        named: tuple[str, ...] = ()  # the holders `snapshot` reads
+        snapshot = None
         errors: dict[str, Exception] = {}  # holder DID -> what refuses its ACTIVE statements
         if active or recorded:
             try:
-                if reuse:
-                    named = tuple(d for d in uncached if d in memberlist.member_dids)
-                    if named:
-                        snapshot = yield from self._read_members(
-                            home_network, foreign_network, named
-                        )
-                else:
-                    named = tuple(dict.fromkeys(uncached + recorded))
+                if not reuse:
+                    memberlist = None  # the REVOKED checks' list when the fetch fails
                     memberlist, snapshot = yield from self._fetch_memberlist(
                         home_network, foreign_network, named
                     )
-                    fresh = memberlist
+                elif named:
+                    snapshot = yield from self._read_members(home_network, foreign_network, named)
             except PROTOCOL_ERRORS as e:
                 # a failed gate refuses every ACTIVE statement, a failed read
                 # of a reused list those whose holders it named
@@ -782,7 +766,7 @@ class IinAgent(Actor):
         for s in statements:
             if s.status != net.STATUS_ACTIVE:
                 check = self._countersign_revoked(
-                    home_network, s, records.get(s.foreign_org), fresh, snapshot, refused
+                    home_network, s, records.get(s.foreign_org), memberlist, snapshot, refused
                 )
             else:
                 # a holder cached before the read but dropped since reads alone
@@ -949,26 +933,23 @@ class IinAgent(Actor):
         batch for those that passed and whose checked record is not one of
         the ledger's records `held`; those that are end DONE as UNCHANGED,
         and a round of only those sends no batch. The read is the `snapshot`
-        given, which names the targets; without one, the listed targets are
-        read after `memberlist`. A retry round (no `memberlist`) first waits out
-        the backoff and fetches the memberlist afresh, naming every target in
-        the fetch's own read. A memberlist fetch or registry read that fails
-        fails each target of the round by name. Returns the result of each
-        target that ended, by DID, and the targets whose countersigners hold
-        another bundle, which run again as the next round while `attempt` is
-        below RETRY_LIMIT."""
+        given, which names the targets; without one (a full sync's first
+        round, whose targets are the members `memberlist` lists), the
+        targets are read after `memberlist`. A retry round (no `memberlist`)
+        first waits out the backoff and fetches the memberlist afresh, naming
+        every target in the fetch's own read. A memberlist fetch or registry
+        read that fails fails each target of the round by name. Returns the
+        result of each target that ended, by DID, and the targets whose
+        countersigners hold another bundle, which run again as the next round
+        while `attempt` is below RETRY_LIMIT."""
         try:
             if memberlist is None:
                 yield Sleep(RETRY_BACKOFF)
                 memberlist, snapshot = yield from self._fetch_memberlist(
                     home_network, foreign_network, dids
                 )
-            elif snapshot is None:
-                listed = tuple(d for d in dids if d in memberlist.member_dids)
-                if listed:
-                    snapshot = yield from self._read_members(
-                        home_network, foreign_network, listed
-                    )
+            elif snapshot is None and dids:
+                snapshot = yield from self._read_members(home_network, foreign_network, dids)
         except PROTOCOL_ERRORS as e:
             return {did: self._target_failed(foreign_network, did, attempt, e) for did in dids}, ()
         checked = yield Join(tuple(
@@ -988,9 +969,7 @@ class IinAgent(Actor):
                 ready.append((did, record))
         if not ready:
             return results, ()
-        verdicts = yield from self._commit_identity(
-            home_network, [record for _, record in ready], roster_version=memberlist.roster_version
-        )
+        verdicts = yield from self._commit_identity(home_network, [record for _, record in ready])
         retry = []
         for (did, record), verdict in zip(ready, verdicts):
             if verdict == DIGEST_MISMATCH:

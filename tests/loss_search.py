@@ -1,0 +1,112 @@
+"""Exhaustive single-drop search over bundled scenarios, and a drop-rate sweep.
+
+The bus is deterministic, so a scenario's lossless run fixes its sends in
+order. `single` runs each scenario once per send n with one
+`FaultRule(action="drop", occurrence=n)`, which drops the n-th envelope of
+the run, and prints how many runs failed, per dropped message kind. `rates`
+runs two-network at a few `drop_rate`s over a range of bus seeds and prints
+how many runs passed. Both modes print every APPLIED REVOKED `ledger.commit`:
+neither scenario revokes anyone, so each one is a wrongful revocation.
+
+Pytest does not collect this file (its name does not start with `test_`).
+Run it from the repository root:
+
+    PYTHONPATH=src python3 tests/loss_search.py single [scenario ...]
+    PYTHONPATH=src python3 tests/loss_search.py rates [--seeds N] [rate ...]
+"""
+
+import argparse
+import collections
+from dataclasses import replace
+
+from idplane import harness
+from idplane.bus import FaultRule
+
+from conftest import scenario_config
+
+SCENARIOS = ("two-network", "concurrent-commit")
+RATES = (0.005, 0.01, 0.02)
+
+
+def wrongful_revocations(runner: harness.ScenarioRunner) -> list:
+    return [
+        e for e in runner.world.trace.events
+        if e.kind == "ledger.commit" and e.detail["status"] == "REVOKED"
+        and e.detail["outcome"] == "APPLIED"
+    ]
+
+
+def run(cfg: harness.ScenarioConfig, seed=None, rules=()) -> harness.ScenarioRunner:
+    runner = harness.ScenarioRunner(cfg, seed=seed)
+    runner.world.bus.config.rules[:0] = rules
+    runner.run()
+    return runner
+
+
+def single(name: str) -> list:
+    """Drop each send of `name`'s lossless run in turn; prints the failed
+    runs per dropped kind and returns the wrongful revocations."""
+    cfg = scenario_config(name)
+    lossless = run(cfg)
+    assert lossless.report.ok, lossless.report.errors
+    sends = sum(1 for e in lossless.world.trace.events if e.kind == "bus.send")
+    runs, failed = collections.Counter(), collections.Counter()
+    revoked = []
+    for n in range(1, sends + 1):
+        runner = run(cfg, rules=[FaultRule(action="drop", occurrence=n)])
+        [drop] = [e for e in runner.world.trace.events if e.kind == "bus.drop"]
+        kind = drop.detail["msg_kind"]
+        runs[kind] += 1
+        failed[kind] += not runner.report.ok
+        for e in wrongful_revocations(runner):
+            revoked.append((name, f"drop {n} ({kind})", e.tick, e.detail["foreign_org"]))
+    print(f"{name}: {sum(failed.values())} of {sends} single drops fail the run")
+    for kind in sorted(runs, key=lambda k: (-failed[k], k)):
+        print(f"  {kind:32} {failed[kind]:3} of {runs[kind]:3} fail")
+    return revoked
+
+
+def sweep(rates: tuple[float, ...], seeds: int) -> list:
+    """Two-network at each drop rate over bus seeds 0..seeds-1; prints the
+    passing runs per rate and returns the wrongful revocations."""
+    revoked = []
+    passed_total = 0
+    for rate in rates:
+        cfg = replace(scenario_config("two-network"), drop_rate=rate)
+        passed = 0
+        for seed in range(seeds):
+            runner = run(cfg, seed=seed)
+            passed += runner.report.ok
+            for e in wrongful_revocations(runner):
+                revoked.append(("two-network", f"rate {rate} seed {seed}", e.tick,
+                                e.detail["foreign_org"]))
+        passed_total += passed
+        print(f"two-network drop_rate {rate}: {passed} of {seeds} seeds pass")
+    print(f"two-network: {passed_total} passing runs in all")
+    return revoked
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="mode", required=True)
+    p_single = sub.add_parser("single", help="drop each send of a lossless run in turn")
+    p_single.add_argument("scenarios", nargs="*", metavar="scenario", help=", ".join(SCENARIOS))
+    p_rates = sub.add_parser("rates", help="sweep two-network over drop rates and seeds")
+    p_rates.add_argument("rates", nargs="*", type=float, default=RATES)
+    p_rates.add_argument("--seeds", type=int, default=100)
+    args = parser.parse_args(argv)
+    if args.mode == "single":
+        unknown = set(args.scenarios) - set(SCENARIOS)
+        if unknown:
+            parser.error(f"no single-drop search for {', '.join(sorted(unknown))}")
+        revoked = [r for name in args.scenarios or SCENARIOS for r in single(name)]
+    else:
+        revoked = sweep(tuple(args.rates), args.seeds)
+    for scenario, cause, tick, org in revoked:
+        print(f"APPLIED REVOKED commit: {scenario}, {cause}, tick {tick}, {org}")
+    print(f"{len(revoked)} APPLIED REVOKED commits")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -670,6 +670,23 @@ class TestMemberlistReuse:
         for agent in ("agent:Buyer", "agent:Seller"):
             assert len(memberlist_requests(world, agent, start)) == 1
 
+    def test_countersign_request_carries_the_statements_alone(self, world):
+        seller = world.agents["Seller"]
+        countersign = seller._handle_countersign
+        bodies = []
+
+        def capturing(sender, msg):
+            bodies.append(msg.body)
+            return (yield from countersign(sender, msg))
+
+        seller._handle_countersign = capturing
+        for initiator, home, foreign in (("Buyer", "SWT", "STL"), ("Carrier", "STL", "SWT")):
+            record = run_sync(world, initiator, home, foreign)
+            assert record.error is None
+            assert all(r["status"] == "DONE" for r in record.result.values()), record.result
+        assert [b["home_network"] for b in bodies] == ["SWT", "STL"]
+        assert all(set(b) == {"home_network", "statements"} for b in bodies)
+
     @staticmethod
     def revoke_carrier(world):
         anchor = world.anchors["AnchorSTL"]
@@ -681,7 +698,7 @@ class TestMemberlistReuse:
     @classmethod
     def readmit_after_seller_cached(cls, world):
         """Revoke Carrier, let Seller verify the memberlist without it, then
-        re-admit Carrier. Returns (Seller's stale list, the new version)."""
+        re-admit Carrier. Returns Seller's stale list."""
         cls.revoke_carrier(world)
         seller = world.agents["Seller"]
         record = seller.start_session("ml", seller._fetch_memberlist("SWT", "STL"))
@@ -692,23 +709,46 @@ class TestMemberlistReuse:
         record = carrier.start_session("step_a", carrier.step_a())
         world.settle()
         assert record.error is None
-        version = world.anchors["AnchorSTL"].memberlists["STL"].roster_version
-        assert version > stale.roster_version
-        return stale, version
+        assert world.anchors["AnchorSTL"].memberlists["STL"].roster_version > stale.roster_version
+        return stale
 
-    def test_newer_hint_after_readmission_makes_the_countersigner_refetch(self, world):
+    @pytest.mark.parametrize("hint", [None, 0, 10**6], ids=["absent", "zero", "huge"])
+    def test_list_naming_every_active_holder_is_reused_whatever_the_request_says(
+        self, world, hint
+    ):
+        """Seller's cached list names Carrier though the anchor's roster has
+        moved on since (Seller's own STL membership is revoked): the gate is
+        Seller's own, so no field of the request makes it fetch."""
+        assert run_sync(world, "Buyer", "SWT", "STL").error is None
+        seller = world.agents["Seller"]
         carrier_did = world.org_dids["Carrier"]
-        stale, version = self.readmit_after_seller_cached(world)
+        cached = seller._memberlists["STL"]
+        assert carrier_did in cached.member_dids
+        anchor = world.anchors["AnchorSTL"]
+        anchor.enqueue_serialized(
+            "revoke", lambda: anchor.revoke_membership(world.org_dids["Seller"], "STL")
+        )
+        world.settle()
+        assert anchor.memberlists["STL"].roster_version > cached.roster_version
+        digest = seller.cache[("STL", carrier_did)].bundle_digest
+        probe = add_probe(world)
+        start = len(world.trace.events)
+        extra = {} if hint is None else {"roster_version": hint}
+        body = ask_countersign(probe, world, carrier_did, digest, "ACTIVE", **extra)
+        assert body["result"] == "signed"
+        assert memberlist_requests(world, "agent:Seller", start) == []
+
+    @pytest.mark.parametrize("stale_hint", [False, True], ids=["absent", "stale"])
+    def test_list_lacking_a_readmitted_holder_is_fetched_afresh(self, world, stale_hint):
+        """Seller's cached list lacks the re-admitted Carrier, so it fetches
+        the list once and signs, whatever version the request names."""
+        carrier_did = world.org_dids["Carrier"]
+        stale = self.readmit_after_seller_cached(world)
         digest = world.organizations[("STL", "Carrier")].bundle_digest()
         probe = add_probe(world)
-        # a hint no newer than the cached list is trusted: Carrier is not listed
-        body = ask_countersign(probe, world, carrier_did, digest, "ACTIVE",
-                               roster_version=stale.roster_version)
-        assert body["result"] == "validation_failed"
-        assert body["reason"] == "NotListed"
         start = len(world.trace.events)
-        body = ask_countersign(probe, world, carrier_did, digest, "ACTIVE",
-                               roster_version=version)
+        extra = {"roster_version": stale.roster_version} if stale_hint else {}
+        body = ask_countersign(probe, world, carrier_did, digest, "ACTIVE", **extra)
         assert body["result"] == "signed"
         assert len(memberlist_requests(world, "agent:Seller", start)) == 1
 
@@ -724,8 +764,7 @@ class TestMemberlistReuse:
         seller.cache.clear()
         probe = add_probe(world)
         start = len(world.trace.events)
-        body = ask_countersign(probe, world, carrier_did, digest, "ACTIVE",
-                               roster_version=cached.roster_version)
+        body = ask_countersign(probe, world, carrier_did, digest, "ACTIVE")
         assert body["result"] == "validation_failed"
         assert body["reason"] == "MembershipVerificationError"
         assert memberlist_requests(world, "agent:Seller", start) == []
@@ -734,12 +773,11 @@ class TestMemberlistReuse:
         carrier_did = world.org_dids["Carrier"]
         # a REVOKED request is checked against the committed record
         assert run_sync(world, "Buyer", "SWT", "STL").error is None
-        stale, _ = self.readmit_after_seller_cached(world)
+        self.readmit_after_seller_cached(world)
         probe = add_probe(world)
         start = len(world.trace.events)
         digest = world.organizations[("STL", "Carrier")].bundle_digest()
-        body = ask_countersign(probe, world, carrier_did, digest, "REVOKED",
-                               roster_version=stale.roster_version)
+        body = ask_countersign(probe, world, carrier_did, digest, "REVOKED")
         assert body["result"] == "validation_failed"
         assert body["reason"] == "MemberStillValid"
         assert len(memberlist_requests(world, "agent:Seller", start)) == 1
@@ -892,14 +930,18 @@ class TestCountersignGate:
     def test_cached_identity_of_a_revoked_member_is_not_signed_back_to_active(self, world):
         carrier_did = world.org_dids["Carrier"]
         assert run_sync(world, "Buyer", "SWT", "STL").error is None
-        assert ("STL", carrier_did) in world.agents["Seller"].cache
-        roster_version = world.agents["Buyer"]._memberlists["STL"].roster_version
+        seller = world.agents["Seller"]
+        assert ("STL", carrier_did) in seller.cache
         self.revoke_carrier_and_resync(world)
+        # countersigning the REVOKED flip left Seller a list without Carrier
+        assert carrier_did not in seller._memberlists["STL"].member_dids
+        assert ("STL", carrier_did) in seller.cache
         old = world.ledger_state("SWT").get_record("STL", "Carrier").content
-        verdict = commit_alone(world, "Carrier", carrier_did, old.bundle,
-                               roster_version=roster_version)
+        start = len(world.trace.events)
+        verdict = commit_alone(world, "Carrier", carrier_did, old.bundle)
         assert isinstance(verdict, agent_mod.CounterpartyValidationFailed)
         assert str(verdict) == "Seller:NotListed"
+        assert len(memberlist_requests(world, "agent:Seller", start)) == 1
         assert world.ledger_state("SWT").get_record("STL", "Carrier").content.status == "REVOKED"
 
     def test_bundle_committed_under_another_orgs_name_is_refused(self, world):
@@ -1554,11 +1596,10 @@ class TestBatchedStepD:
         it has not cached, and a lost read refuses only their statements."""
         assert run_sync(world, "Buyer", "SWT", "STL").error is None
         seller = world.agents["Seller"]
-        version = seller._memberlists["STL"].roster_version
         seller.cache.pop(("STL", world.org_dids["Carrier"]))
         self.lose_read(world, "Seller")
         start = len(world.trace.events)
-        signed, refused = self.ask_both_active(world, roster_version=version)
+        signed, refused = self.ask_both_active(world)
         assert signed["result"] == "signed"
         assert refused == {"result": "validation_failed", "reason": "InconsistentReplicas"}
         assert memberlist_requests(world, "agent:Seller", start) == []

@@ -4,6 +4,9 @@ The bus is deterministic, so these counts are exact. A change that adds or
 removes a message or an Ed25519 operation fails here and must update the pin
 on purpose. The SHA-256 of each bundled scenario's trace file is pinned too,
 so a refactor that claims to keep traffic unchanged proves it byte for byte.
+Each scenario's traffic digest hashes the same events with every
+`payload_digest` left out, so a change to message bodies alone re-pins the
+byte digests and must leave the traffic digests as they are.
 The `iin.query`, `anchor.memberlist.request`, `anchor.witness.request`,
 `iin.order` and `agent.countersign.request` sends are pinned on their own, so
 that a change that widens registry reads again, fetches the foreign memberlist
@@ -13,6 +16,7 @@ countersigner once per record again fails even when other sends move.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -62,12 +66,12 @@ def test_bundled_scenario_counts(
 
 
 TRACE_DIGESTS = {
-    "concurrent-commit": "556fc398408ecd6418a8bb44c338f1fb7c19520369ab908a56794eb4c4b644d1",
-    "concurrent-commit-serial": "0c09dd817791c368d51a25df40f54c94279672976c16d59888fa4b5d3be248e5",
-    "digest-mismatch-retry": "b144de7e648499690f9bf774c905e8da8d55e2b3d12f2b84276bae6aaa7d4657",
-    "revoke-carrier": "5f74d7714b4f015ae52077051759701f7c88c79be2ad31ceae09c6a08d8f9f23",
-    "rotate-resync": "6b6c545ea3e4f0e840b2521353ef6df4300baddff4e6a67414bbbbe7e5eb1fcc",
-    "two-network": "7e35919e81b5ca759f08fa7c4db08431762ea75d90a165852b106a9487d9ecc9",
+    "concurrent-commit": "25350246adafee1adb05d3930690f5b83e723e27006a61eca5c12444a0061be6",
+    "concurrent-commit-serial": "df33d22071609a9a23e2f9863ab143793c2856aa639070772343da3188fa1a31",
+    "digest-mismatch-retry": "ea80934b8dab46d57d579c9a8dee4001d1c65491a8460fefc2636ee1e4d7ecd6",
+    "revoke-carrier": "8e75be92b7e78c2e7f6edc347dd57ecc6809ff5d423d9e1b48f91d41c7b21649",
+    "rotate-resync": "5a8b5ec4b0df6507dea49592862bd37278d039b281c749d9c2eacbbf84f83ecc",
+    "two-network": "c9b5a72c471ac002767d128ef81223907af3d13e2317416e403ceb721cfdd96c",
 }
 
 
@@ -77,3 +81,25 @@ def test_bundled_scenario_trace_digest(tmp_path, name):
     report = harness.run_scenario(scenario_config(name), trace_path=path)
     assert report.ok, report.errors
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_DIGESTS[name]
+
+
+TRAFFIC_DIGESTS = {
+    "concurrent-commit": "531cb7cbf0ab984e70f4b41a8335f3c7f0ea5abef882102c95f8044ead95f86d",
+    "concurrent-commit-serial": "d8bfbece18f54edb106681df27a5f0dc5ca67849c809ec8ce5ec3b396765bae2",
+    "digest-mismatch-retry": "18b91f998047819696dd86a76b9be070bc4972c2ae7536c56bbff068498880b5",
+    "revoke-carrier": "efd0243457b7117a054270397c0e20da3334273691717491770dcc54fc9f36c9",
+    "rotate-resync": "3b6e9e4588aea058ae74b62ee7ce0f40f42d94153e9472581b01a08b5f88c53c",
+    "two-network": "752d4a2b2cb6ec197b5b617e33152f957b362bb9876ff93a0d97bef321b44d91",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAFFIC_DIGESTS))
+def test_bundled_scenario_traffic_digest(name):
+    runner = harness.ScenarioRunner(scenario_config(name))
+    report = runner.run()
+    assert report.ok, report.errors
+    digest = hashlib.sha256()
+    for event in runner.world.trace.events:
+        detail = {k: v for k, v in event.detail.items() if k != "payload_digest"}
+        digest.update((replace(event, detail=detail).to_json() + "\n").encode())
+    assert digest.hexdigest() == TRAFFIC_DIGESTS[name]
