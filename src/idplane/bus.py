@@ -12,6 +12,14 @@ AEAD tag is the envelope's only authenticator: only that pair can produce it,
 and it covers both the header and the ciphertext. Tampered or re-labelled
 envelopes fail the tag check at delivery and are discarded with a trace
 event; the plaintext never appears in bus trace events, only its digest.
+Each header is encoded once, on first use, and that encoding both seals and
+opens its envelope.
+
+Each bus owns the Ed25519 verdict memo of its world (`crypto.verdict_memo`)
+and installs it only while `run_until_quiescent` runs: every actor still
+checks every signature it is shown, but the process runs Ed25519 once per
+distinct (key, message, signature) triple per world. Verifies outside the
+loop, and every other world, never see this memo.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -72,6 +81,12 @@ class Header(enc.Record):
     to: str
     seq: int
     kind: str
+
+    @cached_property
+    def associated_data(self) -> bytes:
+        """The header's encoding, computed once: a relabelled copy, which
+        `dataclasses.replace` builds as a new Header, encodes its own."""
+        return self.to_bytes()
 
 
 @dataclass(frozen=True)
@@ -145,6 +160,8 @@ class SimBus:
         # (lower, higher) endpoint -> the pair's X25519 shared secret
         self._pair_secrets: dict[tuple[str, str], bytes] = {}
         self._pair_ciphers: dict[tuple[str, str], ChaCha20Poly1305] = {}
+        # this world's Ed25519 verdicts, active only inside run_until_quiescent
+        self._verdicts: dict[tuple[bytes, bytes, bytes], bool] = {}
 
     # --- registration --------------------------------------------------
 
@@ -187,14 +204,14 @@ class SimBus:
 
     def _seal(self, header: Header, plaintext: bytes) -> bytes:
         return self._cipher_for(header.from_, header.to).encrypt(
-            self._nonce(header.seq), plaintext, header.to_bytes()
+            self._nonce(header.seq), plaintext, header.associated_data
         )
 
     def _unseal(self, env: Envelope) -> bytes | None:
         header = env.header
         try:
             return self._cipher_for(header.from_, header.to).decrypt(
-                self._nonce(header.seq), env.ciphertext, header.to_bytes()
+                self._nonce(header.seq), env.ciphertext, header.associated_data
             )
         except InvalidTag:
             return None
@@ -275,39 +292,41 @@ class SimBus:
 
     def run_until_quiescent(self, tick_ceiling: int = 100_000) -> int:
         """Process the queue in (time, order) sequence until empty. Returns the
-        final tick; raises TickCeilingExceeded if events outlive the ceiling."""
-        while self._queue:
-            time, _, kind, item = heapq.heappop(self._queue)
-            if kind == _TIMER and item[0] in self._cancelled:
-                self._cancelled.discard(item[0])
-                continue
-            if time > tick_ceiling:
-                raise TickCeilingExceeded(f"event at tick {time} > ceiling {tick_ceiling}")
-            self.now = max(self.now, time)
-            if kind == _TIMER:
-                _, address, token = item
-                actor = self._actors.get(address)
-                if actor is not None:
-                    actor.on_timer(token)
-                continue
-            env: Envelope = item
-            header = env.header
-            actor = self._actors.get(header.to)
-            if actor is None:
-                continue
-            plaintext = self._unseal(env)
-            if plaintext is None:
+        final tick; raises TickCeilingExceeded if events outlive the ceiling.
+        Signature checks made meanwhile share this world's verdict memo."""
+        with crypto.verdict_memo(self._verdicts):
+            while self._queue:
+                time, _, kind, item = heapq.heappop(self._queue)
+                if kind == _TIMER and item[0] in self._cancelled:
+                    self._cancelled.discard(item[0])
+                    continue
+                if time > tick_ceiling:
+                    raise TickCeilingExceeded(f"event at tick {time} > ceiling {tick_ceiling}")
+                self.now = max(self.now, time)
+                if kind == _TIMER:
+                    _, address, token = item
+                    actor = self._actors.get(address)
+                    if actor is not None:
+                        actor.on_timer(token)
+                    continue
+                env: Envelope = item
+                header = env.header
+                actor = self._actors.get(header.to)
+                if actor is None:
+                    continue
+                plaintext = self._unseal(env)
+                if plaintext is None:
+                    self.trace.record(
+                        self.now, header.to, "bus.reject_tampered",
+                        **{"from": header.from_, "to": header.to, "seq": header.seq,
+                           "msg_kind": header.kind},
+                    )
+                    continue
                 self.trace.record(
-                    self.now, header.to, "bus.reject_tampered",
+                    self.now, header.to, "bus.deliver",
                     **{"from": header.from_, "to": header.to, "seq": header.seq,
-                       "msg_kind": header.kind},
+                       "msg_kind": header.kind,
+                       "payload_digest": crypto.digest(env.ciphertext).hex()},
                 )
-                continue
-            self.trace.record(
-                self.now, header.to, "bus.deliver",
-                **{"from": header.from_, "to": header.to, "seq": header.seq,
-                   "msg_kind": header.kind,
-                   "payload_digest": crypto.digest(env.ciphertext).hex()},
-            )
-            actor.on_delivery(header.from_, plaintext, header.kind)
-        return self.now
+                actor.on_delivery(header.from_, plaintext, header.kind)
+            return self.now

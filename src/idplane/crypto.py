@@ -7,14 +7,21 @@ over the sorted set of currently valid credential ids, padded with tagged
 padding leaves to a power of two; each update bumps an epoch and invalidates
 every witness issued for earlier epochs. All values are immutable; operations
 return new states.
+
+`verify` is a pure function of its (public key, message, signature) triple.
+While a verdict memo is active (`verdict_memo`, which each `SimBus` installs
+for the length of its event loop), it runs Ed25519 once per distinct triple
+and answers a repeat from the memo, a failed verdict as failed. Outside such
+a block every call runs Ed25519.
 """
 
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -109,17 +116,49 @@ def sign(secret_key: bytes, message: bytes) -> Signature:
     return Signature(_private_key(secret_key).sign(message))
 
 
-def verify(public_key: bytes, message: bytes, signature: Signature) -> bool:
-    """True iff the signature is valid; never raises on malformed input."""
-    if signature.scheme_id != SCHEME_ED25519:
-        return False
-    if len(signature.bytes_) != SIGNATURE_LEN or len(public_key) != PUBLIC_KEY_LEN:
-        return False
+# the active verdict memo, (public key, message, signature bytes) -> verdict;
+# None outside a `verdict_memo` block
+_verdicts: dict[tuple[bytes, bytes, bytes], bool] | None = None
+
+
+@contextmanager
+def verdict_memo(memo: dict[tuple[bytes, bytes, bytes], bool]) -> Iterator[None]:
+    """Make `verify` consult and fill `memo` until the block exits, then
+    restore the memo active before it. The caller owns `memo` and decides its
+    lifetime; a `SimBus` keeps one per world."""
+    global _verdicts
+    previous, _verdicts = _verdicts, memo
     try:
-        _public_key(public_key).verify(signature.bytes_, message)
+        yield
+    finally:
+        _verdicts = previous
+
+
+def _ed25519_verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
+    try:
+        _public_key(public_key).verify(signature, message)
         return True
     except (InvalidSignature, ValueError):
         return False
+
+
+def verify(public_key: bytes, message: bytes, signature: Signature) -> bool:
+    """True iff the signature is valid; never raises on malformed input. A
+    wrong scheme, a wrong key or signature length, or a message that is not
+    `bytes` is False before any memo is consulted. Inside a `verdict_memo`
+    block, the Ed25519 check runs only for a triple the memo does not hold."""
+    if signature.scheme_id != SCHEME_ED25519 or not isinstance(message, bytes):
+        return False
+    if len(signature.bytes_) != SIGNATURE_LEN or len(public_key) != PUBLIC_KEY_LEN:
+        return False
+    memo = _verdicts
+    if memo is None:
+        return _ed25519_verify(public_key, message, signature.bytes_)
+    triple = (public_key, message, signature.bytes_)
+    verdict = memo.get(triple)
+    if verdict is None:
+        verdict = memo[triple] = _ed25519_verify(*triple)
+    return verdict
 
 
 # --- certificates -----------------------------------------------------------

@@ -9,10 +9,13 @@ import pytest
 from cryptography.exceptions import InvalidTag
 
 from idplane import bus as bus_mod
+from idplane import crypto, harness
 from idplane.actors import Actor, Gather, Join, Message, Request, Sleep
 from idplane.bus import (
     BoxKeyPair, BusConfig, FaultRule, Header, SimBus, TickCeilingExceeded, UnknownEndpoint,
 )
+
+from conftest import scenario_config
 
 
 def seed32(label: str) -> bytes:
@@ -263,6 +266,18 @@ class TestConfidentialityAndAuthenticity:
         with pytest.raises(InvalidTag):
             bus._cipher_for("echo", "driver").decrypt(bus._nonce(9), ciphertext, header)
 
+    def test_each_header_is_encoded_once(self, monkeypatch):
+        """One encoding per envelope both seals and opens it."""
+        encodes = []
+        to_bytes = Header.to_bytes
+        monkeypatch.setattr(Header, "to_bytes", lambda h: encodes.append(h) or to_bytes(h))
+        bus, actors = build(BusConfig(seed=5))
+        actors["driver"].start_session("s", actors["driver"].script("echo", 3))
+        bus.run_until_quiescent()
+        sends = [e for e in bus.trace.events if e.kind == "bus.send"]
+        assert actors["driver"].log == [0, 1, 2, "done"]
+        assert len(encodes) == len(sends) == 6
+
     def test_relabelled_kind_is_rejected(self):
         bus, actors = build(BusConfig(seed=5))
         seq = bus.send("driver", "echo", "ping", Message("ping", {"n": 0}).to_bytes())
@@ -396,3 +411,128 @@ class TestJoinSemantics:
         host.start_session("w", waiter())
         bus.run_until_quiescent()
         assert caught == [("boom", 4)]
+
+
+class VerifierActor(Actor):
+    """Checks each timer token, a (key, message, signature) triple, inside the
+    bus loop; a token None raises instead."""
+
+    def __init__(self, address):
+        super().__init__(address)
+        self.verdicts = []
+
+    def on_timer(self, token):
+        if token is None:
+            raise RuntimeError("actor failed")
+        self.verdicts.append(crypto.verify(*token))
+
+
+def verify_in_run(*checks, seed=5):
+    """Run each check in turn inside one bus run; returns the bus and the
+    verdicts."""
+    bus, actors = build(BusConfig(seed=seed), names=())
+    verifier = VerifierActor("verifier")
+    verifier.bind(bus, random.Random(7))
+    bus.register(verifier, BoxKeyPair.from_seed(seed32("bverifier")))
+    for i, check in enumerate(checks):
+        bus.schedule_timer("verifier", i + 1, check)
+    bus.run_until_quiescent()
+    return bus, verifier.verdicts
+
+
+@pytest.fixture
+def executed(monkeypatch):
+    """The triples Ed25519 actually checks, in order."""
+    ran = []
+    ed25519 = crypto._ed25519_verify
+
+    def counting(*triple):
+        ran.append(triple)
+        return ed25519(*triple)
+
+    monkeypatch.setattr(crypto, "_ed25519_verify", counting)
+    return ran
+
+
+class TestVerdictMemo:
+    keys = crypto.KeyPair.from_seed(seed32("signer"))
+    other = crypto.KeyPair.from_seed(seed32("other"))
+    message = b"statement"
+    sig = keys.sign(message)
+    flipped = crypto.Signature(bytes([sig.bytes_[0] ^ 1]) + sig.bytes_[1:])
+
+    def test_a_cached_success_does_not_carry_over_to_a_changed_triple(self, executed):
+        good = (self.keys.public_key, self.message, self.sig)
+        bus, verdicts = verify_in_run(
+            good, good,
+            (self.keys.public_key, self.message + b"!", self.sig),
+            (self.other.public_key, self.message, self.sig),
+            (self.keys.public_key, self.message, self.flipped),
+            good,
+        )
+        assert verdicts == [True, True, False, False, False, True]
+        assert len(executed) == len(bus._verdicts) == 4
+        assert sorted(bus._verdicts.values()) == [False, False, False, True]
+
+    def test_a_bad_signature_is_rejected_on_its_second_check(self, executed):
+        bad = (self.keys.public_key, self.message, self.flipped)
+        bus, verdicts = verify_in_run(bad, bad)
+        assert verdicts == [False, False]
+        assert bus._verdicts == {(self.keys.public_key, self.message, self.flipped.bytes_): False}
+        assert len(executed) == 1
+
+    def test_malformed_input_is_false_without_raising(self, executed):
+        checks = (
+            (self.keys.public_key, self.message, crypto.Signature(self.sig.bytes_, "rsa")),
+            (self.keys.public_key[:31], self.message, self.sig),
+            (self.keys.public_key, self.message, crypto.Signature(self.sig.bytes_[:63])),
+            (self.keys.public_key, self.message.decode(), self.sig),
+            (self.keys.public_key, None, self.sig),
+        )
+        bus, verdicts = verify_in_run(*checks)
+        assert verdicts == [False] * len(checks)
+        assert [crypto.verify(*check) for check in checks] == [False] * len(checks)
+        assert bus._verdicts == {} and executed == []
+
+    def test_two_worlds_from_one_identity_seed_share_no_entry(self, executed):
+        memos = []
+        for _ in range(2):
+            runner = harness.ScenarioRunner(scenario_config("concurrent-commit"))
+            assert runner.run().ok
+            memos.append(runner.world.bus._verdicts)
+        assert memos[0] is not memos[1] and memos[0] == memos[1]
+        # the second world runs Ed25519 on every triple the first one did
+        in_run = [t for t in executed if t in memos[0]]
+        assert len(in_run) == 2 * len(memos[0]) == 140
+
+    def test_no_memo_is_active_after_a_run_returns_or_raises(self):
+        checks = [(self.keys.public_key, self.message, self.sig)]
+        verify_in_run(*checks)
+        assert crypto._verdicts is None
+        outer = {}
+        with crypto.verdict_memo(outer):
+            bus, _ = verify_in_run(*checks)
+            assert crypto._verdicts is outer
+        assert outer == {} and len(bus._verdicts) == 1
+
+        bus, _ = build(BusConfig(seed=1), names=())
+        verifier = VerifierActor("verifier")
+        verifier.bind(bus, random.Random(0))
+        bus.register(verifier, BoxKeyPair.from_seed(seed32("bverifier")))
+        bus.schedule_timer("verifier", 1, checks[0])
+        bus.schedule_timer("verifier", 2, None)
+        with pytest.raises(RuntimeError):
+            bus.run_until_quiescent()
+        assert crypto._verdicts is None and len(bus._verdicts) == 1
+        bus.schedule_timer("verifier", 500, checks[0])
+        with pytest.raises(TickCeilingExceeded):
+            bus.run_until_quiescent(tick_ceiling=100)
+        assert crypto._verdicts is None
+
+    def test_a_verify_outside_a_run_leaves_the_memo_untouched(self, executed):
+        bus, _ = verify_in_run((self.keys.public_key, self.message, self.sig))
+        before = dict(bus._verdicts)
+        other_sig = self.other.sign(self.message)
+        assert crypto.verify(self.other.public_key, self.message, other_sig)
+        assert crypto.verify(self.keys.public_key, self.message, self.sig)
+        assert bus._verdicts == before and len(executed) == 3

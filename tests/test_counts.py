@@ -13,6 +13,9 @@ that a change that widens registry reads again, fetches the foreign memberlist
 per target again, refreshes a holder's witness on every challenge again,
 orders registry writes one transaction at a time again, or asks a
 countersigner once per record again fails even when other sends move.
+Beside the logical Ed25519 verifies, each scenario pins the verifies its
+world's verdict memo executes: one per distinct triple checked inside the bus
+loop, so a memo that shares verdicts too widely or too narrowly fails.
 """
 
 import hashlib
@@ -63,6 +66,34 @@ def test_bundled_scenario_counts(
         calls["verify"],
     )
     assert got == (sends, queries, memberlists, witnesses, orders, countersigns, signs, verifies)
+
+
+@pytest.mark.parametrize(
+    "name, logical, outside, executed",
+    [
+        ("two-network", 230, 12, 100),
+        ("concurrent-commit", 172, 0, 70),
+        ("revoke-carrier", 257, 6, 118),
+        ("rotate-resync", 226, 12, 97),
+    ],
+)
+def test_bundled_scenario_executed_verifies(monkeypatch, name, logical, outside, executed):
+    runner = harness.ScenarioRunner(scenario_config(name))
+    memo = runner.world.bus._verdicts
+    calls, in_run = [], set()
+    verify = crypto.verify
+
+    def wrapped(public_key, message, signature):
+        calls.append(crypto._verdicts is memo)
+        if calls[-1]:
+            in_run.add((public_key, message, signature.bytes_))
+        return verify(public_key, message, signature)
+
+    monkeypatch.setattr(crypto, "verify", wrapped)
+    report = runner.run()
+    assert report.ok, report.errors
+    assert (len(calls), calls.count(False), len(memo)) == (logical, outside, executed)
+    assert memo.keys() == in_run
 
 
 TRACE_DIGESTS = {
