@@ -5,15 +5,14 @@ The agent is the org's protocol engine for the identity plane:
   step A  configure identity: register the org's DID as a verinym through an
           identity validator, then obtain a membership credential (plus
           revocation witness) from each home network's membership validator;
-  step B  validate a foreign network's membership: fetch the memberlist from
-          the trusted validator, read each member's snapshot (DID document,
-          verinym status, the trusted issuers' revocation states), challenge
-          the member at its service endpoint naming the snapshot's epochs, and
-          verify the returned membership presentation against registry
-          artifacts. The fetch makes one registry read, of the validator's
-          document and the memberlist's credential definition, and names in
-          it every member the caller already knows it will check, so those
-          members need no read of their own;
+  step B  validate a foreign network's membership: pass the memberlist
+          gate, one registry read of the trusted validator's memberlist with
+          the snapshot of every member it lists (DID document, verinym
+          status, the trusted issuers' revocation states), then challenge
+          each member at its service endpoint naming the snapshot's epochs,
+          and verify the returned membership presentation against those
+          registry artifacts. The validator writes its list to the registry
+          with each revocation state, so the gate asks it nothing;
   step C  check the member's network-issued certificate bundle, a
           self-signed presentation that the same challenge reply carries
           when step C follows, and its internal consistency;
@@ -25,18 +24,15 @@ The agent is the org's protocol engine for the identity plane:
           contract transaction; on a digest mismatch the agent refetches and
           retries up to its retry budget.
 
-A sync runs in rounds. A round reads the registry snapshot of all of its
-targets at once, runs B and C for each target in a session of its own, and
-then step D for every target that passed, as one batch whose every record
-has its final verdict when the batch returns. The targets with a digest
-mismatch run again as the next round, which starts once the round's submits
-have settled and fetches the memberlist afresh. One refused statement fails
-only its own target. A round whose targets are known before its memberlist
-fetch (a targeted sync's first round, every retry round) reads them in the
-fetch's own registry read; a full sync's first round learns its targets from
-the list and reads them after it.
+A sync runs in rounds. A round passes the memberlist gate, whose one read
+holds the snapshot of all of its targets, runs B and C for each target in a
+session of its own, and then step D for every target that passed, as one
+batch whose every record has its final verdict when the batch returns. The
+targets with a digest mismatch run again as the next round, which starts
+once the round's submits have settled and passes the gate afresh. One
+refused statement fails only its own target.
 A full sync (every listed member) reads the ledger's records of the foreign
-network once, in a session that runs alongside its memberlist fetch and ends
+network once, in a session that runs alongside its memberlist gate and ends
 before its first round: a target whose checked record the ledger already
 holds skips step D and ends UNCHANGED. Once every target has ended, it flips
 each of those records that is ACTIVE to REVOKED when its org did not end
@@ -226,6 +222,8 @@ class IinAgent(Actor):
         self.cache: dict[tuple[str, str], net.RecordContent] = {}
         # foreign network -> last verified memberlist (also the rollback floor)
         self._memberlists: dict[str, creds.MemberlistCredential] = {}
+        # home network -> the witness refresh last started (see _freshen_witness)
+        self._refreshing: dict[str, SessionRecord] = {}
         # home network -> its ledger's policy, once read (see _read_once)
         self._kept: dict[str, tuple] = {}
 
@@ -291,7 +289,7 @@ class IinAgent(Actor):
         vc, witness = entry
         epoch = epochs.get(vc.issuer_did)
         if epoch is None or witness.epoch < epoch:
-            witness = yield from self._freshen_witness(network_id, vc, witness, epoch)
+            witness = yield from self._freshen_witness(network_id, epoch)
         vp = creds.build_membership_vp(self.did, self.keys, vc, witness, nonce)
         reply = {"ok": True, "vp": vp.to_bytes().hex()}
         if bundle_nonce is not None:
@@ -300,22 +298,40 @@ class IinAgent(Actor):
             reply["identity_vp"] = vp.to_bytes().hex()
         return reply
 
-    def _freshen_witness(
-        self,
-        network_id: str,
-        vc: creds.MembershipCredential,
-        witness: crypto.AccumulatorWitness,
-        epoch: Optional[int],
-    ) -> Generator:
-        """Ask the issuing anchor for a witness at its current epoch; the
-        holder asks only when the challenge names no `epoch` for the issuer
-        or a newer one than its witness's, so a wrong epoch can fail only its
-        verifier's check 6. The anchor alone writes the revocation state, so
-        it needs no registry read to know the epoch. A revoked holder's
-        refresh is refused (NotAMember): it presents the stored witness and
-        the verifier's accumulator check refutes it. A lost refresh raises
+    def _freshen_witness(self, network_id: str, epoch: Optional[int]) -> Generator:
+        """The wallet's witness for `network_id` once the issuing anchor has
+        been asked for one at its current epoch; the holder asks only when
+        the challenge names no `epoch` for the issuer or a newer one than its
+        witness's, so a wrong epoch can fail only its verifier's check 6. The
+        anchor alone writes the revocation state, so it needs no registry
+        read to know the epoch. One refresh per network is in flight at a
+        time: a challenge that finds one joins it and rechecks its epoch,
+        asking on its own only when the joined refresh left the witness
+        behind a named epoch. A revoked holder's refresh is refused
+        (NotAMember): it presents the stored witness and the verifier's
+        accumulator check refutes it. A lost refresh raises
         WitnessUnavailable when the stored witness is behind a named epoch,
         and an undecodable one always does."""
+        refresh = self._refreshing.get(network_id)
+        if refresh is not None and not refresh.done:
+            yield Join((refresh,))
+            witness = self.wallet[network_id][1]
+            if epoch is None or witness.epoch >= epoch:
+                return witness
+        refresh = self.start_session("witness", _caught(self._ask_witness(network_id)))
+        self._refreshing[network_id] = refresh
+        (reply,) = yield Join((refresh,))
+        if isinstance(reply, Exception):
+            raise reply
+        witness = self.wallet[network_id][1]
+        if reply is None and epoch is not None and witness.epoch < epoch:
+            raise WitnessUnavailable(f"{network_id}: witness at {witness.epoch} < {epoch}")
+        return witness
+
+    def _ask_witness(self, network_id: str) -> Generator:
+        """One witness refresh at the issuing anchor: keeps the witness it
+        answers with in the wallet, and returns the reply (None when lost)."""
+        vc, _ = self.wallet[network_id]
         anchor = self.config.home_pmv[network_id]
         reply = yield Request(
             anchor,
@@ -323,14 +339,12 @@ class IinAgent(Actor):
             {"credential_id": vc.credential_id.hex()},
             timeout=120,
         )
-        if reply is None and epoch is not None:
-            raise WitnessUnavailable(f"{network_id}: witness at {witness.epoch} < {epoch}")
         if reply is not None and reply.body.get("ok"):
             witness = _decode(
                 crypto.AccumulatorWitness, reply.body.get("witness"), WitnessUnavailable, anchor
             )
             self.wallet[network_id] = (vc, witness)
-        return witness
+        return reply
 
     # --- local ledger views ---------------------------------------------------
 
@@ -373,15 +387,19 @@ class IinAgent(Actor):
 
     # --- step B: validate membership ------------------------------------------
 
-    def _fetch_memberlist(
-        self, home_network: str, foreign_network: str, holders: tuple[str, ...] = ()
-    ) -> Generator:
-        """The foreign network's memberlist, fetched from the anchor the trust
-        list names for it, and the registry snapshot read before the fetch;
-        returns (memberlist, snapshot). The snapshot is one `_read_members`
-        read of the anchor's document, the memberlist's credential definition
-        and the `holders`, so a caller that knows its holders validates them
-        from it with no second read."""
+    def _fetch_memberlist(self, home_network: str, foreign_network: str) -> Generator:
+        """The foreign network's memberlist, as the anchor the trust list
+        names for it last wrote it to the registry, and the snapshot it came
+        in; returns (memberlist, snapshot). The gate is one `_read_members`
+        read, and no anchor round trip: the anchor's current list, the
+        document of every member it lists, the list's credential definition
+        and the trusted issuers' revocation states, all from one registry
+        state. The anchor writes a list in the same transaction as the
+        revocation state of its roster step, so the two cannot disagree, and
+        a caller validates every listed holder from this snapshot with no
+        second read. A missing list, or one that does not verify under the
+        anchor's memberlist credential definition, is NoTrustedPMV, as is a
+        snapshot whose holders are not exactly the list's members."""
         _, entries = yield from self._read_once(home_network)
         anchor_did = next((a for _, a, n in entries if n == foreign_network), None)
         if anchor_did is None:
@@ -390,24 +408,12 @@ class IinAgent(Actor):
             anchor_did, creds.schema_id_for(creds.MEMBERLIST_SCHEMA_NAME)
         )
         snapshot = yield from self._read_members(
-            home_network, foreign_network, (anchor_did, *holders), cred_def_id
+            home_network, foreign_network, (), cred_def_id,
+            memberlists=((anchor_did, foreign_network),),
         )
-        anchor_doc, anchor_verinym = snapshot.holder(anchor_did)
-        nonce = self.nonce()
-        reply = yield Request(
-            anchor_doc.service_endpoint,
-            "anchor.memberlist.request",
-            {"network_id": foreign_network, "nonce": nonce.hex()},
-            timeout=150,
-        )
-        if reply is None or not reply.body.get("ok"):
-            raise NoTrustedPMV(
-                f"memberlist for {foreign_network} unavailable"
-                + (f": {reply.body.get('error')}" if reply else "")
-            )
-        vp = _decode(creds.VerifiablePresentation, reply.body.get("vp"), NoTrustedPMV, anchor_did)
-        payload = creds.verify_self_signed_vp(vp, nonce, anchor_doc, anchor_verinym)
-        memberlist = _decode(creds.MemberlistCredential, payload, NoTrustedPMV, anchor_did)
+        memberlist = next(iter(snapshot.memberlists), None)
+        if memberlist is None:
+            raise NoTrustedPMV(f"registry holds no memberlist for {foreign_network}")
         if memberlist.issuer_did != anchor_did or memberlist.network_id != foreign_network:
             raise NoTrustedPMV("memberlist not issued by the trusted validator")
         cred_def = snapshot.cred_def(cred_def_id)
@@ -419,6 +425,8 @@ class IinAgent(Actor):
             memberlist.issuer_signature,
         ):
             raise NoTrustedPMV("memberlist signature invalid")
+        if tuple(e.did for e in snapshot.holders) != memberlist.member_dids:
+            raise NoTrustedPMV("snapshot holders are not the memberlist's members")
         # the rollback floor: of two fetches in flight at once, an older list
         # that arrives second fails only the fetch that asked for it
         previous = self._memberlists.get(foreign_network)
@@ -444,20 +452,26 @@ class IinAgent(Actor):
         return trusted, tuple(sorted(a for a, network in trusted if network == foreign_network))
 
     def _read_members(
-        self, home_network: str, foreign_network: str, dids: tuple[str, ...], *cred_def_ids: str
+        self,
+        home_network: str,
+        foreign_network: str,
+        dids: tuple[str, ...],
+        *cred_def_ids: str,
+        memberlists: tuple[tuple[str, str], ...] = (),
     ) -> Generator:
         """One registry snapshot of the holders `dids` with every registry
         input their checks need: the membership schema, the membership
         credential definition of each anchor on the trust list and the
         revocation state of each anchor it names for `foreign_network`, and
-        any further `cred_def_ids`. No holder chooses what is read: no id a
+        any further `cred_def_ids` and (issuer, network) `memberlists`, with
+        the holders those lists list. No holder chooses what is read: no id a
         presentation carries is named."""
         trusted, issuers = yield from self._trusted(home_network, foreign_network)
         cred_defs = tuple(sorted({
             creds.cred_def_id_for(anchor, MEMBERSHIP_SCHEMA_ID) for anchor, _ in trusted
         }.union(cred_def_ids)))
         return (yield from registry.resolve_member(
-            self.pool, dids, issuers, (MEMBERSHIP_SCHEMA_ID,), cred_defs
+            self.pool, dids, issuers, (MEMBERSHIP_SCHEMA_ID,), cred_defs, memberlists
         ))
 
     def _validate_member(
@@ -478,7 +492,7 @@ class IinAgent(Actor):
         The checks read nothing but one registry snapshot (`_read_members`),
         taken before the challenge, so a revocation committed before it fails
         check 6; a `snapshot` given is that read, made for several holders at
-        once, most often by the memberlist fetch that gates them
+        once, most often by the memberlist gate that passed them
         (`_fetch_memberlist`). A credential naming a credential definition
         the snapshot lacks fails check 5, and one whose issuer the trust list
         names for another network fails check 6, as the snapshot holds no
@@ -687,19 +701,18 @@ class IinAgent(Actor):
         mismatch or the reason it failed. Every statement of a batch names
         one foreign network: initiators batch one network's records at a
         time. The REVOKED ones share one read of the ledger's records, whose
-        failure refuses each of them by name. The batch then makes one
-        memberlist gate, decided from this org's own state alone, and one
-        registry read. It reuses the cached list when no REVOKED statement
-        matches its record and that list names every ACTIVE holder;
-        otherwise it fetches a fresh list. Either way the read names the
-        ACTIVE holders not cached and the recorded holder of each REVOKED
-        statement that matches its record. A failed fetch refuses every
-        ACTIVE statement by name; a failed read of a reused list refuses
-        each statement whose holder it named. A member revoked since the
-        list was fetched fails the fresh accumulator check in
-        _validate_member only when its identity is not cached: a cached
-        identity skips steps B and C, so while the reused list still names
-        the member, its ACTIVE statement is signed."""
+        failure refuses each of them by name. The batch then makes at most
+        one registry read, decided from this org's own state alone. It reads
+        nothing when no REVOKED statement matches its record and every
+        ACTIVE holder is cached and on the last list verified here (the
+        reused list). Otherwise its one read is the memberlist gate
+        (`_fetch_memberlist`): the registry's current list, in the same
+        state as the revocation states and the documents of every listed
+        holder, so any holder the batch checks is read with no second read.
+        A failed gate refuses every ACTIVE statement by name. A member
+        revoked since the reused list was verified is signed while it stays
+        cached: a cached identity skips steps B and C, and the batch that
+        reads nothing sees no fresh revocation state."""
         (home_network,) = msg.fields("home_network")
         raw = msg.body["statements"]
         if not _strings(raw):
@@ -738,30 +751,20 @@ class IinAgent(Actor):
             if s.foreign_org in records
             and records[s.foreign_org].bundle_digest == s.bundle_digest
         ]
-        # the holders the batch's one read names, on either path
-        named = tuple(dict.fromkeys([
-            s.holder_did for s in active if (foreign_network, s.holder_did) not in self.cache
-        ] + recorded))
         memberlist = self._memberlists.get(foreign_network)
-        reuse = (
-            not recorded and memberlist is not None
-            and all(s.holder_did in memberlist.member_dids for s in active)
+        reads = bool(recorded) or any(
+            (foreign_network, s.holder_did) not in self.cache
+            or memberlist is None or s.holder_did not in memberlist.member_dids
+            for s in active
         )
-        snapshot = None
-        errors: dict[str, Exception] = {}  # holder DID -> what refuses its ACTIVE statements
-        if active or recorded:
+        snapshot, error = None, None
+        if reads:
             try:
-                if not reuse:
-                    memberlist = None  # the REVOKED checks' list when the fetch fails
-                    memberlist, snapshot = yield from self._fetch_memberlist(
-                        home_network, foreign_network, named
-                    )
-                elif named:
-                    snapshot = yield from self._read_members(home_network, foreign_network, named)
+                memberlist, snapshot = yield from self._fetch_memberlist(
+                    home_network, foreign_network
+                )
             except PROTOCOL_ERRORS as e:
-                # a failed gate refuses every ACTIVE statement, a failed read
-                # of a reused list those whose holders it named
-                errors = dict.fromkeys(named if reuse else [s.holder_did for s in active], e)
+                memberlist, error = None, e  # None: the REVOKED checks' list
         sessions = []
         for s in statements:
             if s.status != net.STATUS_ACTIVE:
@@ -769,11 +772,7 @@ class IinAgent(Actor):
                     home_network, s, records.get(s.foreign_org), memberlist, snapshot, refused
                 )
             else:
-                # a holder cached before the read but dropped since reads alone
-                read = snapshot if s.holder_did in named else None
-                check = self._countersign_active(
-                    home_network, s, memberlist, read, errors.get(s.holder_did)
-                )
+                check = self._countersign_active(home_network, s, memberlist, snapshot, error)
             sessions.append(self.start_session("countersign", check))
         return answer(list((yield Join(tuple(sessions)))))
 
@@ -785,10 +784,11 @@ class IinAgent(Actor):
         snapshot: Optional[registry.MemberSnapshot],
         error: Optional[Exception],
     ) -> Generator:
-        """Answer an ACTIVE statement: refused by `error` when its gate or
-        read failed. A cached identity skips steps B and C only while its DID
-        is listed, so a revoked member's old bundle cannot be signed back to
-        ACTIVE."""
+        """Answer an ACTIVE statement: refused by `error` when its gate
+        failed. A cached identity skips steps B and C only while its DID is
+        listed, so a revoked member's old bundle cannot be signed back to
+        ACTIVE. A holder validated here is read from `snapshot`, the gate's
+        read, or on its own when the batch read nothing."""
         foreign_network, foreign_did = statement.foreign_network, statement.holder_did
         identity = self.cache.get((foreign_network, foreign_did))
         try:
@@ -839,8 +839,7 @@ class IinAgent(Actor):
         list _handle_countersign fetched for the batch (None when that fetch
         failed): a cached one that lacks a re-admitted member would endorse a
         lying initiator's revocation. `snapshot` is the registry read made
-        with that fetch, which names the holder of every record a statement
-        of the batch matches."""
+        with that fetch, which holds every listed holder's document."""
         if error is not None:
             return _refusal(type(error).__name__)
         if record is None or record.bundle_digest != statement.bundle_digest:
@@ -928,30 +927,26 @@ class IinAgent(Actor):
         snapshot: Optional[registry.MemberSnapshot],
         held: Sequence[net.RecordContent],
     ) -> Generator:
-        """Steps B-D for the targets `dids` at once: one registry read for
-        them, steps B and C for each in a session of its own, then one step D
-        batch for those that passed and whose checked record is not one of
-        the ledger's records `held`; those that are end DONE as UNCHANGED,
-        and a round of only those sends no batch. The read is the `snapshot`
-        given, which names the targets; without one (a full sync's first
-        round, whose targets are the members `memberlist` lists), the
-        targets are read after `memberlist`. A retry round (no `memberlist`)
-        first waits out the backoff and fetches the memberlist afresh, naming
-        every target in the fetch's own read. A memberlist fetch or registry
-        read that fails fails each target of the round by name. Returns the
-        result of each target that ended, by DID, and the targets whose
-        countersigners hold another bundle, which run again as the next round
-        while `attempt` is below RETRY_LIMIT."""
-        try:
-            if memberlist is None:
-                yield Sleep(RETRY_BACKOFF)
+        """Steps B-D for the targets `dids` at once: steps B and C for each
+        in a session of its own, all read from the `snapshot` of the
+        memberlist gate that passed `memberlist`, then one step D batch for
+        those that passed and whose checked record is not one of the
+        ledger's records `held`; those that are end DONE as UNCHANGED, and a
+        round of only those sends no batch. A retry round (no `memberlist`)
+        first waits out the backoff and passes the gate afresh; a gate that
+        fails fails each target of the round by name. Returns the result of
+        each target that ended, by DID, and the targets whose countersigners
+        hold another bundle, which run again as the next round while
+        `attempt` is below RETRY_LIMIT."""
+        if memberlist is None:
+            yield Sleep(RETRY_BACKOFF)
+            try:
                 memberlist, snapshot = yield from self._fetch_memberlist(
-                    home_network, foreign_network, dids
+                    home_network, foreign_network
                 )
-            elif snapshot is None and dids:
-                snapshot = yield from self._read_members(home_network, foreign_network, dids)
-        except PROTOCOL_ERRORS as e:
-            return {did: self._target_failed(foreign_network, did, attempt, e) for did in dids}, ()
+            except PROTOCOL_ERRORS as e:
+                failed = {did: self._target_failed(foreign_network, did, attempt, e) for did in dids}
+                return failed, ()
         checked = yield Join(tuple(
             self.start_session("sync-target", _caught(self._sync_target(
                 home_network, foreign_network, did, memberlist, snapshot
@@ -993,34 +988,31 @@ class IinAgent(Actor):
         """Steps B-D against every listed member of the foreign network (or an
         explicit target subset), in rounds (`_sync_round`) until no target is
         left: a retry round starts once the previous round's submits have
-        settled. A targeted sync names its targets in its memberlist fetch's
-        registry read, which its first round checks them against; it reads
-        no records and commits every target that passes. A full pass reads
-        the ledger's records of the foreign network once, in a session
-        started before the memberlist fetch and joined before the first
-        round, whose failure fails the sync by name: a target whose checked
-        record the ledger already holds skips step D, and once the rounds
-        have ended the same records are flipped to REVOKED, as one step D
-        batch, for orgs that no longer validate."""
+        settled. The first round's one registry read is the memberlist gate,
+        whose snapshot holds every listed member, so a first sync and a
+        resync alike read once. A targeted sync reads no records and commits
+        every target that passes. A full pass reads the ledger's records of
+        the foreign network once, in a session started before the gate and
+        joined before the first round, whose failure fails the sync by name:
+        a target whose checked record the ledger already holds skips step D,
+        and once the rounds have ended the same records are flipped to
+        REVOKED, as one step D batch, for orgs that no longer validate."""
         interop, _ = yield from self._read_once(home_network)
         if foreign_network not in interop:
             self.trace("agent.policy_violation", network=foreign_network)
             raise PolicyViolation(f"{foreign_network} not on interoperation list")
+        reading = None
         if targets is None:
-            # the records read runs alongside the memberlist fetch
+            # the records read runs alongside the memberlist gate
             reading = self.start_session(
                 "records", _caught(self._ledger_records(home_network, foreign_network))
             )
-            memberlist, _ = yield from self._fetch_memberlist(home_network, foreign_network)
-            dids, snapshot = memberlist.member_dids, None
+        memberlist, snapshot = yield from self._fetch_memberlist(home_network, foreign_network)
+        dids, records = memberlist.member_dids if targets is None else tuple(targets), []
+        if reading is not None:
             (records,) = yield Join((reading,))
             if isinstance(records, Exception):
                 raise records
-        else:
-            dids, records = tuple(targets), []
-            memberlist, snapshot = yield from self._fetch_memberlist(
-                home_network, foreign_network, dids
-            )
         ended: dict[str, dict] = {}
         pending, attempt = dids, 1
         while pending:
@@ -1072,9 +1064,7 @@ class IinAgent(Actor):
     ) -> Generator:
         """Run steps B and C for one member without committing, populating the
         countersigner cache."""
-        memberlist, snapshot = yield from self._fetch_memberlist(
-            home_network, foreign_network, (target_did,)
-        )
+        memberlist, snapshot = yield from self._fetch_memberlist(home_network, foreign_network)
         _, record = yield from self._validate_member(
             home_network, foreign_network, target_did, memberlist,
             with_bundle=True, snapshot=snapshot,

@@ -9,6 +9,15 @@ credentials for the networks it represents, maintains the per-network rosters
 the revocation registry: a Merkle accumulator whose leaves are the credential
 ids of every roster, re-published to the registry at every epoch bump.
 
+The memberlist lives in the registry beside the revocation state. Every
+roster change is an epoch bump, so the anchor signs the next list of each
+network the change touches (roster version + 1) before it writes, and that
+one revocation transaction carries both (`registry.RevocationUpdate`); the
+epoch-0 init carries each network's empty list. The anchor adopts state and
+lists only once the write applies, so the registry, the anchor and every
+reader see the same list at the same epoch. Verifiers read the list from the
+registry; `_serve_memberlist` still answers anyone who asks the anchor.
+
 An anchor writes the registry one write at a time, from one queue, so
 accumulator epochs never race. While a write is in flight, verinym and
 credential requests queue; when it ends, the anchor takes every request
@@ -75,7 +84,6 @@ class _Queued:
 class MembershipRoster:
     network_id: str
     members: dict[str, creds.MembershipCredential] = field(default_factory=dict)  # by holder DID
-    version: int = 0
 
 
 class AnchorService(Actor):
@@ -175,11 +183,11 @@ class AnchorService(Actor):
                 (registry.KIND_CRED_DEF, cred_def.to_bytes(), "credential definition rejected")
             )
         state, _ = crypto.accumulator_init(self.profile.did)
-        writes.append((registry.KIND_REVOC_INIT, state.to_bytes(), "revocation init rejected"))
+        lists = [self._memberlist(net, (), 0) for net in self.profile.represented_networks]
+        init = registry.RevocationUpdate(state, tuple(lists))
+        writes.append((registry.KIND_REVOC_INIT, init.to_bytes(), "revocation init rejected"))
         yield from submit_all(self.pool, self.profile.did, self.keys, writes)
-        self.acc_state = state
-        for net in self.profile.represented_networks:
-            self._rebuild_memberlist(net)
+        self._adopt(init)
         self.trace("anchor.ready", anchor=self.profile.name)
 
     # --- message handling -------------------------------------------------
@@ -220,7 +228,8 @@ class AnchorService(Actor):
         """Serve queued verinym and credential requests as one registry write:
         the credential holders' verinym read (`_mint`), then one registry
         batch of a NYM per registration and one revocation update that adds
-        every new credential id in one epoch step. Sets each request's reply
+        every new credential id in one epoch step, carrying the next
+        memberlist of each network it adds to. Sets each request's reply
         from its own checks and its own transaction's outcome. A holder asked
         for twice gets the one credential, the second time `already_member`,
         as does a holder already on the roster (a fresh witness, no epoch
@@ -232,19 +241,20 @@ class AnchorService(Actor):
         vcs = [e for e in batch if e.kind == "anchor.vc.request"]
         minted = (yield from self._mint(vcs)) if vcs else {}
         docs = [registry.attest(e.args[1], self.profile.did, self.keys) for e in nyms]
-        writes = [(registry.KIND_NYM, doc.to_bytes()) for doc in docs]
+        writes: list = [(registry.KIND_NYM, doc) for doc in docs]
         if minted:
             new_state, _ = crypto.accumulator_add(
                 self.acc_state, self._leaves(), *(vc.credential_id for vc in minted.values())
             )
-            writes.append((registry.KIND_REVOC_UPDATE, new_state.to_bytes()))
+            # the same transaction carries the next list of each network it adds to
+            update = registry.RevocationUpdate(new_state, tuple(
+                self._next_memberlist(net, added=tuple(h for h, n in minted if n == net))
+                for net in dict.fromkeys(network_id for _, network_id in minted)
+            ))
+            writes.append((registry.KIND_REVOC_UPDATE, update))
         outcomes, lost = [], None
         if writes:
-            outcomes, lost = yield from self._submit_read_back(
-                writes,
-                holders=tuple(doc.did for doc in docs),
-                issuers=(self.profile.did,) if minted else (),
-            )
+            outcomes, lost = yield from self._submit_read_back(writes)
         for entry, doc, outcome in zip(nyms, docs, outcomes):
             if outcome not in (registry.OUTCOME_APPLIED, "Duplicate"):
                 # None: a lost receipt whose read-back lacks the document
@@ -258,19 +268,16 @@ class AnchorService(Actor):
             # the registry holds the new state, even when a registration of
             # the batch failed: an anchor left at the old epoch could never
             # update it again
-            self.acc_state = new_state
             for (holder_did, network_id), vc in minted.items():
                 self.rosters[network_id].members[holder_did] = vc
-            for network_id in dict.fromkeys(network_id for _, network_id in minted):
-                self.rosters[network_id].version += 1
-                self._rebuild_memberlist(network_id)
+            self._adopt(update)
             for holder_did, network_id in minted:
                 self.trace(
                     "anchor.vc_issued",
                     network=network_id,
                     holder=holder_did,
                     epoch=self.acc_state.epoch,
-                    roster_version=self.rosters[network_id].version,
+                    roster_version=self.memberlists[network_id].roster_version,
                 )
         leaves = self._leaves()
         for entry in vcs:
@@ -340,74 +347,100 @@ class AnchorService(Actor):
         new_state, _ = crypto.accumulator_revoke(
             self.acc_state, self._leaves(), roster.members[holder_did].credential_id
         )
-        yield from self._publish_revocation_state(new_state)
-        self.acc_state = new_state
+        update = registry.RevocationUpdate(
+            new_state, (self._next_memberlist(network_id, removed=holder_did),)
+        )
+        yield from self._publish_revocation_state(update)
         del roster.members[holder_did]
-        roster.version += 1
-        self._rebuild_memberlist(network_id)
+        self._adopt(update)
         self.trace(
             "anchor.revoked",
             network=network_id,
             holder=holder_did,
             epoch=self.acc_state.epoch,
-            roster_version=roster.version,
+            roster_version=self.memberlists[network_id].roster_version,
         )
 
-    def _publish_revocation_state(self, new_state: crypto.RevocationRegistryState) -> Generator:
-        """Submit `new_state` as this anchor's next revocation state, so that
-        the anchor does not keep an epoch the registry has left. Raises
-        QuorumUnavailable, or AnchorError when the registry refused it."""
+    def _publish_revocation_state(self, update: registry.RevocationUpdate) -> Generator:
+        """Submit `update` as this anchor's next revocation state and lists,
+        so that the anchor does not keep an epoch the registry has left.
+        Raises QuorumUnavailable, or AnchorError when the registry refused it."""
         (outcome,), lost = yield from self._submit_read_back(
-            [(registry.KIND_REVOC_UPDATE, new_state.to_bytes())], issuers=(self.profile.did,)
+            [(registry.KIND_REVOC_UPDATE, update)]
         )
         if outcome is None:
             raise lost
         if outcome != registry.OUTCOME_APPLIED:
             raise AnchorError(f"revocation update rejected: {outcome}")
 
-    def _submit_read_back(
-        self,
-        writes: list[tuple[str, bytes]],
-        holders: tuple[str, ...] = (),
-        issuers: tuple[str, ...] = (),
-    ) -> Generator:
-        """Submit one transaction per (kind, payload) in `writes` as one
-        registry batch; return their outcomes and None. When no receipt comes
-        back, read one snapshot of the `holders` and `issuers` whose documents
-        and revocation state the batch writes, and return APPLIED for each
-        payload it holds, byte for byte, None for each other (all None when
-        that read fails too), and the QuorumUnavailable that lost the
-        receipt. The batch applied whole only when no outcome is None."""
+    def _submit_read_back(self, writes: list[tuple[str, object]]) -> Generator:
+        """Submit one transaction per (kind, payload record) in `writes` as
+        one registry batch: a DID document, or a `RevocationUpdate`; return
+        their outcomes and None. When no receipt comes back, read one
+        snapshot of the documents, revocation state and memberlists the
+        batch writes, and return APPLIED for each payload whose every part it
+        holds, byte for byte, None for each other (all None when that read
+        fails too), and the QuorumUnavailable that lost the receipt. The
+        batch applied whole only when no outcome is None."""
         txs = [
-            registry.make_transaction(kind, payload, self.profile.did, self.keys)
+            registry.make_transaction(kind, payload.to_bytes(), self.profile.did, self.keys)
             for kind, payload in writes
         ]
         try:
             receipt = yield from registry.submit_transaction(self.pool, *txs)
         except registry.QuorumUnavailable as lost:
+            updates = [p for _, p in writes if isinstance(p, registry.RevocationUpdate)]
             try:
-                snapshot = yield from registry.resolve_member(self.pool, holders, issuers)
+                snapshot = yield from registry.resolve_member(
+                    self.pool,
+                    tuple(p.did for _, p in writes if isinstance(p, registry.DidDocument)),
+                    (self.profile.did,) if updates else (),
+                    memberlists=tuple(
+                        (self.profile.did, m.network_id) for u in updates for m in u.memberlists
+                    ),
+                )
             except registry.RegistryError:
                 return [None] * len(writes), lost
-            written = [e.doc[0] for e in snapshot.holders if e.doc] + list(snapshot.states)
-            present = {record.to_bytes() for record in written}
+            held = [e.doc[0] for e in snapshot.holders if e.doc]
+            present = {r.to_bytes() for r in (*held, *snapshot.states, *snapshot.memberlists)}
             return [
-                registry.OUTCOME_APPLIED if payload in present else None for _, payload in writes
+                registry.OUTCOME_APPLIED
+                if all(r.to_bytes() in present for r in _parts(payload)) else None
+                for _, payload in writes
             ], lost
         return receipt["outcomes"], None
 
-    # --- PMV: read-side services ---------------------------------------------
+    # --- PMV: memberlists ------------------------------------------------------
 
-    def _rebuild_memberlist(self, network_id: str) -> None:
-        roster = self.rosters[network_id]
-        self.memberlists[network_id] = creds.issue_memberlist_credential(
+    def _memberlist(
+        self, network_id: str, member_dids, roster_version: int
+    ) -> creds.MemberlistCredential:
+        return creds.issue_memberlist_credential(
             issuer_keys=self.keys,
             issuer_did=self.profile.did,
             cred_def_id=self.memberlist_cred_def_id,
             network_id=network_id,
-            member_dids=tuple(sorted(roster.members)),
-            roster_version=roster.version,
+            member_dids=tuple(sorted(member_dids)),
+            roster_version=roster_version,
         )
+
+    def _next_memberlist(
+        self, network_id: str, added: tuple[str, ...] = (), removed: Optional[str] = None
+    ) -> creds.MemberlistCredential:
+        """The list of `network_id` after one roster step that adds the
+        holders `added` and drops `removed`: at the next roster version."""
+        members = set(self.rosters[network_id].members).union(added) - {removed}
+        return self._memberlist(
+            network_id, members, self.memberlists[network_id].roster_version + 1
+        )
+
+    def _adopt(self, update: registry.RevocationUpdate) -> None:
+        """Take `update`, once the registry holds it, as this anchor's
+        revocation state and current lists."""
+        self.acc_state = update.state
+        self.memberlists.update((m.network_id, m) for m in update.memberlists)
+
+    # --- PMV: read-side services ---------------------------------------------
 
     def _serve_memberlist(self, sender: str, msg: Message) -> dict:
         network_id, nonce = msg.fields("network_id", "nonce")
@@ -425,6 +458,14 @@ class AnchorService(Actor):
             return {"ok": False, "error": "NotAMember"}
         witness = crypto.witness_for(self.acc_state, leaves, credential_id)
         return {"ok": True, "witness": witness.to_bytes().hex()}
+
+
+def _parts(payload) -> tuple:
+    """The records a write's payload leaves in registry state, each read
+    back on its own."""
+    if isinstance(payload, registry.RevocationUpdate):
+        return (payload.state, *payload.memberlists)
+    return (payload,)
 
 
 def membership_schema() -> creds.CredentialSchema:

@@ -57,6 +57,7 @@ TAG_ATTESTATION = 0x16
 TAG_CREDENTIAL_ID = 0x17
 # 0x18 tagged the retired registry.QueryReply; it is never reused.
 TAG_ANCHOR_GRANT = 0x19
+TAG_REVOCATION_UPDATE = 0x1A
 
 
 def encode_bytes(value: bytes) -> bytes:

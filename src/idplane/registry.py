@@ -1,11 +1,12 @@
 """Interoperation identity network: a replicated verifiable data registry.
 
 A pool of N = 3f+1 nodes maintains DID documents, credential schemas,
-credential definitions, revocation registry states, and anchor roles. A
-designated sequencer orders each submitted batch of transactions at contiguous
-sequence numbers first..last, in one order message; a commit receipt requires
-acknowledgment signatures from a 2f+1 quorum over (first, last, batch digest),
-where the batch digest covers the ordered list of transaction digests. Every
+credential definitions, revocation registry states, memberlists, and anchor
+roles. A designated sequencer orders each submitted batch of transactions at
+contiguous sequence numbers first..last, in one order message; a commit
+receipt requires acknowledgment signatures from a 2f+1 quorum over (first,
+last, batch digest), where the batch digest covers the ordered list of
+transaction digests. Every
 replica folds the same ordered log with the same pure validation rules, so
 non-faulty replicas stay byte-identical; invalid transactions commit to the
 log as explicit rejections. Reads are open: any client may query, and a result
@@ -14,11 +15,22 @@ f+1 nodes (the sequencer first, since it holds the freshest state) and asks
 the other nodes only when those replies disagree or one is missing at the
 timeout, so a read fails only when no f+1 replies of the whole pool match.
 The registry's one read, a member snapshot (`resolve_member`), names holder
-DIDs, issuer DIDs, schema ids and credential-definition ids; a replica answers
-with each one it holds from its one current state, so none of them can come
-from a different registry state. Each attestation is verified once, when its
-NYM applies, so a DID read looks up verinym status; only a DID's owner or a
-STEWARD/OIV may rewrite its document.
+DIDs, issuer DIDs, schema ids, credential-definition ids and memberlists by
+(issuer, network); a replica answers with each one it holds, and with the
+document of every member each named list lists, from its one current state,
+so none of them can come from a different registry state. Each attestation is
+verified once, when its NYM applies, so a DID read looks up verinym status;
+only a DID's owner or a STEWARD/OIV may rewrite its document.
+
+A membership validator's memberlist credential lives here, one per (issuer,
+network), beside its revocation state. Both arrive in one transaction: a
+REVOC_INIT or REVOC_UPDATE carries the issuer's next revocation state and the
+next list of each network whose roster that step changes (`RevocationUpdate`),
+and applies whole or not at all, so a read never finds a list and a
+revocation state of different roster steps. Only a list's issuer writes it,
+and each write raises its `roster_version`. The fold does not verify the
+list's signature: every reader does, under the issuer's memberlist credential
+definition, as it would a list the issuer handed it.
 
 The sequencer is assumed honest (it may crash but not equivocate); Byzantine
 ordering is out of scope for this registry.
@@ -37,6 +49,7 @@ from .credentials import (
     CredentialDefinition,
     CredentialError,
     CredentialSchema,
+    MemberlistCredential,
     VerificationArtifacts,
     cred_def_id_for,
 )
@@ -166,6 +179,17 @@ class AnchorGrant(enc.Record):
 
 
 @dataclass(frozen=True)
+class RevocationUpdate(enc.Record):
+    """The payload of a REVOC_INIT or REVOC_UPDATE transaction: the
+    issuer's next revocation state, and the next memberlist of each network
+    whose roster the same step changes."""
+
+    TAG = enc.TAG_REVOCATION_UPDATE
+    state: enc.Framed[crypto.RevocationRegistryState]
+    memberlists: tuple[enc.Framed[MemberlistCredential], ...] = ()
+
+
+@dataclass(frozen=True)
 class RegistryState:
     """Deterministic fold of the ordered transaction log."""
 
@@ -175,6 +199,8 @@ class RegistryState:
     revocation: dict[str, crypto.RevocationRegistryState] = field(default_factory=dict)
     roles: dict[str, frozenset[str]] = field(default_factory=dict)
     applied: frozenset[bytes] = frozenset()
+    # (issuer DID, network id) -> the issuer's current memberlist of that network
+    memberlists: dict[tuple[str, str], MemberlistCredential] = field(default_factory=dict)
 
     @staticmethod
     def genesis(steward_docs: tuple[DidDocument, ...]) -> "RegistryState":
@@ -200,7 +226,7 @@ class RegistryState:
         return self.has_role(did, ROLE_STEWARD) or bool(doc.attestations)
 
     def state_hash(self) -> bytes:
-        tables = (self.docs, self.schemas, self.cred_defs, self.revocation)
+        tables = (self.docs, self.schemas, self.cred_defs, self.revocation, self.memberlists)
         image = RegistryImage(
             *(tuple(table[k] for k in sorted(table)) for table in tables),
             tuple((did, tuple(sorted(self.roles[did]))) for did in sorted(self.roles)),
@@ -218,6 +244,7 @@ class RegistryImage(enc.Record):
     schemas: tuple[enc.Framed[CredentialSchema], ...]
     cred_defs: tuple[enc.Framed[CredentialDefinition], ...]
     revocation: tuple[enc.Framed[crypto.RevocationRegistryState], ...]
+    memberlists: tuple[enc.Framed[MemberlistCredential], ...]
     roles: tuple[tuple[str, tuple[str, ...]], ...]
     applied: tuple[bytes, ...]
 
@@ -319,26 +346,50 @@ def _apply_cred_def(
 
 
 def _apply_revoc_init(
-    state: RegistryState, tx: RegistryTransaction, reg: crypto.RevocationRegistryState
+    state: RegistryState, tx: RegistryTransaction, update: RevocationUpdate
 ) -> tuple[RegistryState, str]:
+    reg = update.state
     if reg.issuer_did != tx.submitter_did:
         return state, "UnauthorizedRole"
     if reg.issuer_did in state.revocation:
         return state, "DuplicateId"
     if reg.epoch != 0:
         return state, "StaleEpoch"
-    return _committed(state, tx, revocation={**state.revocation, reg.issuer_did: reg})
+    return _committed_revocation(state, tx, update)
 
 
 def _apply_revoc_update(
-    state: RegistryState, tx: RegistryTransaction, reg: crypto.RevocationRegistryState
+    state: RegistryState, tx: RegistryTransaction, update: RevocationUpdate
 ) -> tuple[RegistryState, str]:
+    reg = update.state
     current = state.revocation.get(reg.issuer_did)
     if current is None or reg.issuer_did != tx.submitter_did:
         return state, "UnauthorizedRole"
     if reg.epoch != current.epoch + 1:
         return state, "StaleEpoch"
-    return _committed(state, tx, revocation={**state.revocation, reg.issuer_did: reg})
+    return _committed_revocation(state, tx, update)
+
+
+def _committed_revocation(
+    state: RegistryState, tx: RegistryTransaction, update: RevocationUpdate
+) -> tuple[RegistryState, str]:
+    """Commit the update's revocation state and memberlists together, or
+    none of them: a list its submitter did not issue is UnauthorizedRole,
+    and one whose `roster_version` does not rise above the list the registry
+    holds for its (issuer, network) is StaleRoster. The list's signature is
+    its readers' to verify."""
+    memberlists = dict(state.memberlists)
+    for memberlist in update.memberlists:
+        key = (memberlist.issuer_did, memberlist.network_id)
+        if memberlist.issuer_did != tx.submitter_did:
+            return state, "UnauthorizedRole"
+        if key in memberlists and memberlist.roster_version <= memberlists[key].roster_version:
+            return state, "StaleRoster"
+        memberlists[key] = memberlist
+    reg = update.state
+    return _committed(
+        state, tx, revocation={**state.revocation, reg.issuer_did: reg}, memberlists=memberlists
+    )
 
 
 def _apply_anchor_grant(
@@ -357,8 +408,8 @@ TX_RULES = {
     KIND_NYM: (None, DidDocument, _apply_nym),
     KIND_SCHEMA: (ANCHOR_ROLES, CredentialSchema, _apply_schema),
     KIND_CRED_DEF: (ANCHOR_ROLES, CredentialDefinition, _apply_cred_def),
-    KIND_REVOC_INIT: (frozenset({ROLE_PMV}), crypto.RevocationRegistryState, _apply_revoc_init),
-    KIND_REVOC_UPDATE: (None, crypto.RevocationRegistryState, _apply_revoc_update),
+    KIND_REVOC_INIT: (frozenset({ROLE_PMV}), RevocationUpdate, _apply_revoc_init),
+    KIND_REVOC_UPDATE: (None, RevocationUpdate, _apply_revoc_update),
     KIND_ANCHOR_GRANT: (frozenset({ROLE_STEWARD}), AnchorGrant, _apply_anchor_grant),
 }
 
@@ -611,12 +662,19 @@ class IinNode(Actor):
         """Answer a member read with a `MemberSnapshot` of this replica's
         current state. Anyone may read: a malformed query, or one of another
         `what`, gets the snapshot of nothing (a miss)."""
+        def strings(value) -> bool:
+            return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
         ids = [msg.body.get(name, []) for name in ("holders", "issuers", "schemas", "cred_defs")]
-        if msg.body.get("what") != QUERY_MEMBER or not all(
-            isinstance(names, list) and all(isinstance(n, str) for n in names) for names in ids
+        pairs = msg.body.get("memberlists", [])  # (issuer, network) pairs
+        if (
+            msg.body.get("what") != QUERY_MEMBER
+            or not all(strings(names) for names in ids)
+            or not (isinstance(pairs, list) and all(strings(p) and len(p) == 2 for p in pairs))
         ):
-            ids = [[]] * 4
-        return {"result": MemberSnapshot.of(self.state, *ids).to_bytes().hex()}
+            ids, pairs = [[]] * 4, []
+        snapshot = MemberSnapshot.of(self.state, *ids, [tuple(p) for p in pairs])
+        return {"result": snapshot.to_bytes().hex()}
 
 
 @dataclass(frozen=True)
@@ -632,13 +690,16 @@ class MemberEntry(enc.Record):
 @dataclass(frozen=True)
 class MemberSnapshot(enc.Record):
     """A member read's answer: one entry per holder asked for, in the order
-    asked, then the revocation state of each issuer, each schema and each
-    credential definition asked for that the registry holds."""
+    asked, then one per member of the lists read that was not asked for, in
+    list order; the revocation state of each issuer, each schema and each
+    credential definition asked for that the registry holds; and the
+    memberlist of each (issuer, network) asked for that it holds."""
 
     holders: tuple[MemberEntry, ...]
     states: tuple[enc.Framed[crypto.RevocationRegistryState], ...]
     schemas: tuple[enc.Framed[CredentialSchema], ...]
     cred_defs: tuple[enc.Framed[CredentialDefinition], ...]
+    memberlists: tuple[enc.Framed[MemberlistCredential], ...] = ()
 
     @staticmethod
     def of(
@@ -647,8 +708,11 @@ class MemberSnapshot(enc.Record):
         issuers: Sequence[str],
         schemas: Sequence[str],
         cred_defs: Sequence[str],
+        memberlists: Sequence[tuple[str, str]] = (),
     ) -> "MemberSnapshot":
         """A replica's answer, at `state`, to a member read of these ids."""
+        lists = tuple(state.memberlists[k] for k in memberlists if k in state.memberlists)
+        listed = (did for memberlist in lists for did in memberlist.member_dids)
         return MemberSnapshot(
             tuple(
                 MemberEntry(
@@ -656,11 +720,12 @@ class MemberSnapshot(enc.Record):
                     (state.docs[did],) if did in state.docs else (),
                     int(state.verinym_status(did)),
                 )
-                for did in holders
+                for did in dict.fromkeys([*holders, *listed])
             ),
             tuple(state.revocation[i] for i in issuers if i in state.revocation),
             tuple(state.schemas[s] for s in schemas if s in state.schemas),
             tuple(state.cred_defs[c] for c in cred_defs if c in state.cred_defs),
+            lists,
         )
 
     def holder(self, did: str) -> tuple[DidDocument, bool]:
@@ -737,6 +802,7 @@ def quorum_query(
     issuers: tuple[str, ...] = (),
     schemas: tuple[str, ...] = (),
     cred_defs: tuple[str, ...] = (),
+    memberlists: tuple[tuple[str, str], ...] = (),
 ) -> Generator:
     """Read from the first f+1 pool nodes (the sequencer first); ask the other
     nodes only when those replies disagree or one is missing at the timeout.
@@ -747,6 +813,7 @@ def quorum_query(
     body = {
         "what": what, "holders": list(holders), "issuers": list(issuers),
         "schemas": list(schemas), "cred_defs": list(cred_defs),
+        "memberlists": [list(pair) for pair in memberlists],
     }
 
     def tally(results: list) -> dict[str, int]:
@@ -787,16 +854,19 @@ def resolve_member(
     issuer_dids: tuple[str, ...],
     schema_ids: tuple[str, ...] = (),
     cred_def_ids: tuple[str, ...] = (),
+    memberlists: tuple[tuple[str, str], ...] = (),
 ) -> Generator:
     """The registry's one read: a `MemberSnapshot` of each holder's DID
     document and verinym status, and of the revocation state of each issuer,
-    each schema and each credential definition named that the registry
-    holds. A verifier reads all the holders it is about to validate at once,
-    with every artifact its checks need; an anchor reads back its own
-    revocation state with no holders. All of it comes from one replica state,
-    and f+1 replies must match on all of it, so a read answered from mixed
-    states raises InconsistentReplicas and fails every holder it names."""
+    each schema, each credential definition and each (issuer, network)
+    memberlist named that the registry holds, with the document and verinym
+    status of every member each of those lists names. A verifier reads a
+    memberlist, its members and every artifact their checks need at once; an
+    anchor reads back its own revocation state and lists. All of it comes
+    from one replica state, and f+1 replies must match on all of it, so a
+    read answered from mixed states raises InconsistentReplicas and fails
+    every holder it names."""
     payload = yield from quorum_query(
-        pool, QUERY_MEMBER, holder_dids, issuer_dids, schema_ids, cred_def_ids
+        pool, QUERY_MEMBER, holder_dids, issuer_dids, schema_ids, cred_def_ids, memberlists
     )
     return MemberSnapshot.from_bytes(payload)

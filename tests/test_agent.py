@@ -22,12 +22,21 @@ def run_sync(world, initiator, home, foreign, targets=None):
     return record
 
 
-def memberlist_requests(world, sender, since=0):
-    return [
-        e for e in world.trace.events[since:]
-        if e.kind == "bus.send" and e.detail["from"] == sender
-        and e.detail["msg_kind"] == "anchor.memberlist.request"
-    ]
+def gates(world, org, since=0):
+    """The memberlist gates `org`'s agent passed: each is one registry read
+    that verified the list it carried."""
+    return agent_events(world, org, {"agent.memberlist"}, since)
+
+
+def lose_read(world, org, answered=0):
+    """Lose every reply to the registry read that `org` makes after its next
+    `answered` reads, each of which two replicas answer: the lost read asks
+    two replicas and, on no answer, the other two. A dropping rule hides its
+    envelope from the rules after it, so the later occurrences go first."""
+    for occurrence in range(2 * answered + 4, 2 * answered, -1):
+        world.bus.config.rules.append(FaultRule(
+            action="drop", to=f"agent:{org}", kind="iin.query.reply", occurrence=occurrence,
+        ))
 
 
 def agent_events(world, org, kinds, since=0):
@@ -268,18 +277,15 @@ class TestCountersigning:
             return body
 
         seller._handle_countersign = mismatch_for_carrier
-        # the first reply answers sync_network's fetch, the second the refetch
-        # of the retry round, which holds Carrier alone
-        world.bus.config.rules.append(
-            FaultRule(action="drop", to="agent:Buyer", kind="anchor.memberlist.reply",
-                      occurrence=2)
-        )
+        # Buyer's first read is sync_network's gate, its second the gate of
+        # the retry round, which holds Carrier alone
+        lose_read(world, "Buyer", answered=1)
         start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL")
-        failed = assert_only_carrier_failed(world, record, start, "NoTrustedPMV")
-        # B, C and D once, a digest mismatch, then the second round's refetch fails
+        failed = assert_only_carrier_failed(world, record, start, "InconsistentReplicas")
+        # B, C and D once, a digest mismatch, then the second round's gate fails
         assert failed.detail["attempts"] == 2
-        assert "unavailable" in failed.detail["detail"]
+        assert "no 2 matching replies" in failed.detail["detail"]
 
     def test_failed_memberlist_refetch_fails_every_target_of_the_retry_round(self, world):
         seller = world.agents["Seller"]
@@ -290,28 +296,27 @@ class TestCountersigning:
             yield  # a session handler
 
         seller._handle_countersign = always_mismatch
-        # the first reply answers sync_network's fetch, the second the one
-        # refetch of the retry round, which holds both targets
-        world.bus.config.rules.append(
-            FaultRule(action="drop", to="agent:Buyer", kind="anchor.memberlist.reply",
-                      occurrence=2)
-        )
+        # Buyer's first read is sync_network's gate, its second the one gate
+        # of the retry round, which holds both targets
+        lose_read(world, "Buyer", answered=1)
         start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL")
         assert record.error is None
         assert agent_events(world, "Buyer", {"session.failed"}, start) == []
         targets = {world.org_dids["Carrier"], world.org_dids["Seller"]}
         assert record.result == {
-            did: {"status": "FAILED", "error": "NoTrustedPMV"} for did in targets
+            did: {"status": "FAILED", "error": "InconsistentReplicas"} for did in targets
         }
         failed = agent_events(world, "Buyer", {"agent.sync_failed"}, start)
         assert {e.detail["target"] for e in failed} == targets
         for e in failed:
-            # B, C and D once, a digest mismatch, then the round's refetch fails
+            # B, C and D once, a digest mismatch, then the round's gate fails
             assert e.detail["attempts"] == 2
-            assert e.detail["error"] == "NoTrustedPMV"
-            assert "unavailable" in e.detail["detail"]
-        assert len(memberlist_requests(world, "agent:Buyer", start)) == 2
+            assert e.detail["error"] == "InconsistentReplicas"
+            assert "no 2 matching replies" in e.detail["detail"]
+        # two gates, one read each: the first passed, the second was lost
+        assert len(gates(world, "Buyer", start)) == 1
+        assert len(sends_from(world, "Buyer", "iin.query", start)) == 2 + 4
 
     def test_unreachable_countersigner_reported_as_missing(self, world):
         world.bus.config.rules.append(
@@ -667,8 +672,10 @@ class TestMemberlistReuse:
         assert record.error is None
         assert len(record.result) == 2  # Seller and Carrier
         assert all(r["status"] == "DONE" for r in record.result.values()), record.result
-        for agent in ("agent:Buyer", "agent:Seller"):
-            assert len(memberlist_requests(world, agent, start)) == 1
+        for org in ("Buyer", "Seller"):
+            assert len(gates(world, org, start)) == 1
+            # the gate is the one registry read, of two replicas
+            assert len(sends_from(world, org, "iin.query", start)) == 2
 
     def test_countersign_request_carries_the_statements_alone(self, world):
         seller = world.agents["Seller"]
@@ -736,7 +743,8 @@ class TestMemberlistReuse:
         extra = {} if hint is None else {"roster_version": hint}
         body = ask_countersign(probe, world, carrier_did, digest, "ACTIVE", **extra)
         assert body["result"] == "signed"
-        assert memberlist_requests(world, "agent:Seller", start) == []
+        assert gates(world, "Seller", start) == []
+        assert sends_from(world, "Seller", "iin.query", start) == []
 
     @pytest.mark.parametrize("stale_hint", [False, True], ids=["absent", "stale"])
     def test_list_lacking_a_readmitted_holder_is_fetched_afresh(self, world, stale_hint):
@@ -750,9 +758,12 @@ class TestMemberlistReuse:
         extra = {"roster_version": stale.roster_version} if stale_hint else {}
         body = ask_countersign(probe, world, carrier_did, digest, "ACTIVE", **extra)
         assert body["result"] == "signed"
-        assert len(memberlist_requests(world, "agent:Seller", start)) == 1
+        assert len(gates(world, "Seller", start)) == 1
 
     def test_member_revoked_since_the_cache_filled_is_still_refused(self, world):
+        """Seller's list still names Carrier, but its identity is no longer
+        cached: the batch reads, and its read carries the registry's current
+        list, which no longer lists Carrier."""
         record = run_sync(world, "Buyer", "SWT", "STL")
         assert record.error is None
         seller = world.agents["Seller"]
@@ -766,8 +777,9 @@ class TestMemberlistReuse:
         start = len(world.trace.events)
         body = ask_countersign(probe, world, carrier_did, digest, "ACTIVE")
         assert body["result"] == "validation_failed"
-        assert body["reason"] == "MembershipVerificationError"
-        assert memberlist_requests(world, "agent:Seller", start) == []
+        assert body["reason"] == "NotListed"
+        assert len(gates(world, "Seller", start)) == 1
+        assert carrier_did not in seller._memberlists["STL"].member_dids
 
     def test_revoked_request_always_fetches_a_fresh_memberlist(self, world):
         carrier_did = world.org_dids["Carrier"]
@@ -780,7 +792,7 @@ class TestMemberlistReuse:
         body = ask_countersign(probe, world, carrier_did, digest, "REVOKED")
         assert body["result"] == "validation_failed"
         assert body["reason"] == "MemberStillValid"
-        assert len(memberlist_requests(world, "agent:Seller", start)) == 1
+        assert len(gates(world, "Seller", start)) == 1
 
 
 def reissued_memberlist(anchor, keys=None, network_id="STL"):
@@ -792,33 +804,61 @@ def reissued_memberlist(anchor, keys=None, network_id="STL"):
     )
 
 
+def plant(world, memberlist):
+    """Hold `memberlist` as AnchorSTL's STL list in every registry replica,
+    so that a read agrees on it; None removes the list."""
+    key = (world.anchors["AnchorSTL"].profile.did, "STL")
+    for node in world.iin_nodes["iin0"]:
+        lists = {k: v for k, v in node.state.memberlists.items() if k != key}
+        if memberlist is not None:
+            lists[key] = memberlist
+        node.state = replace(node.state, memberlists=lists)
+
+
+def drop_last_holder(world):
+    """Every replica answers a member read with its last holder left out."""
+    for node in world.iin_nodes["iin0"]:
+        def query(sender, msg, answer=node._query):
+            snapshot = registry.MemberSnapshot.from_bytes(
+                bytes.fromhex(answer(sender, msg)["result"])
+            )
+            return {"result": replace(snapshot, holders=snapshot.holders[:-1]).to_bytes().hex()}
+
+        node._query = query
+
+
+def foreign_anchors_list(world):
+    """A list of STL's members issued and signed by AnchorSWT."""
+    anchor, stl = world.anchors["AnchorSWT"], world.anchors["AnchorSTL"]
+    return creds.issue_memberlist_credential(
+        anchor.keys, anchor.profile.did, anchor.memberlist_cred_def_id, "STL",
+        stl.memberlists["STL"].member_dids, stl.memberlists["STL"].roster_version,
+    )
+
+
 class TestMemberlistTrust:
     """A memberlist the agent cannot trust fails with NoTrustedPMV at its own
-    check; the anchor serves each one inside its own valid presentation."""
+    check. The registry holds each list below at every replica, as it would
+    one its issuer wrote: it does not verify a list's signature."""
 
     @pytest.mark.parametrize("sabotage, foreign, message", [
-        (lambda anchor: None, "XNET", "no trusted membership validator for XNET"),
-        (lambda anchor: anchor.memberlists.update(STL=reissued_memberlist(
-            anchor, keys=crypto.KeyPair.from_seed(b"\x66" * 32)
+        (lambda world: None, "XNET", "no trusted membership validator for XNET"),
+        (lambda world: plant(world, reissued_memberlist(
+            world.anchors["AnchorSTL"], keys=crypto.KeyPair.from_seed(b"\x66" * 32)
         )), "STL", "memberlist signature invalid"),
-        (lambda anchor: anchor.memberlists.update(STL=reissued_memberlist(
-            anchor, network_id="SWT"
+        (lambda world: plant(world, reissued_memberlist(
+            world.anchors["AnchorSTL"], network_id="SWT"
         )), "STL", "memberlist not issued by the trusted validator"),
-        (lambda anchor: setattr(
-            anchor, "_serve_memberlist", lambda sender, msg: {"ok": True, "vp": "zz"}
-        ), "STL", "undecodable VerifiablePresentation"),
-        (lambda anchor: setattr(anchor, "_serve_memberlist", lambda sender, msg: {
-            "ok": True,
-            "vp": creds.build_self_signed_vp(
-                anchor.profile.did, anchor.keys, b"junk", bytes.fromhex(msg.body["nonce"])
-            ).to_bytes().hex(),
-        }), "STL", "undecodable MemberlistCredential"),
+        (lambda world: plant(world, foreign_anchors_list(world)),
+         "STL", "memberlist not issued by the trusted validator"),
+        (lambda world: plant(world, None), "STL", "registry holds no memberlist for STL"),
+        (drop_last_holder, "STL", "snapshot holders are not the memberlist's members"),
     ], ids=[
         "network-off-the-trust-list", "signed-by-another-key", "for-another-network",
-        "undecodable-presentation", "undecodable-memberlist",
+        "issued-by-another-anchor", "absent-from-the-registry", "snapshot-missing-a-member",
     ])
     def test_untrusted_memberlist_is_refused(self, world, sabotage, foreign, message):
-        sabotage(world.anchors["AnchorSTL"])
+        sabotage(world)
         agent = world.agents["Buyer"]
         record = agent.start_session("ml", agent._fetch_memberlist("SWT", foreign))
         world.settle()
@@ -883,19 +923,21 @@ class TestConcurrentSync:
             "Seller": "signed", "Carrier": "signed"
         }
         assert queries.count("policy") == 2
-        assert len(memberlist_requests(world, "agent:Seller", start)) == 2
+        assert len(gates(world, "Seller", start)) == 2
 
     def test_lost_memberlist_fails_each_concurrent_request_by_name(self, world):
         world.bus.config.rules.append(
-            FaultRule(action="drop", to="agent:Seller", kind="anchor.memberlist.reply")
+            FaultRule(action="drop", to="agent:Seller", kind="iin.query.reply")
         )
         start = len(world.trace.events)
         replies, _ = self.countersign_both_at_once(world)
         assert {org: (r["result"], r["reason"]) for org, r in replies.items()} == {
-            "Seller": ("validation_failed", "NoTrustedPMV"),
-            "Carrier": ("validation_failed", "NoTrustedPMV"),
+            "Seller": ("validation_failed", "InconsistentReplicas"),
+            "Carrier": ("validation_failed", "InconsistentReplicas"),
         }
-        assert len(memberlist_requests(world, "agent:Seller", start)) == 2
+        # each request's gate asked all four replicas, and none answered
+        assert len(sends_from(world, "Seller", "iin.query", start)) == 2 * 4
+        assert gates(world, "Seller", start) == []
         assert not [e for e in world.trace.events[start:] if e.kind == "session.failed"]
 
 
@@ -941,7 +983,7 @@ class TestCountersignGate:
         verdict = commit_alone(world, "Carrier", carrier_did, old.bundle)
         assert isinstance(verdict, agent_mod.CounterpartyValidationFailed)
         assert str(verdict) == "Seller:NotListed"
-        assert len(memberlist_requests(world, "agent:Seller", start)) == 1
+        assert len(gates(world, "Seller", start)) == 1
         assert world.ledger_state("SWT").get_record("STL", "Carrier").content.status == "REVOKED"
 
     def test_bundle_committed_under_another_orgs_name_is_refused(self, world):
@@ -1184,6 +1226,62 @@ class TestChallengeEpochs:
         assert isinstance(record.error, creds.MembershipVerificationError)
         assert str(record.error) == "check 4 (schema_conformance) failed: truncated input"
 
+    @staticmethod
+    def challenge_twice_at_once(world, epoch):
+        """Two challenges of Carrier, sent at once, each naming AnchorSTL's
+        `epoch`; returns the reply bodies."""
+        anchor = world.anchors["AnchorSTL"]
+        probe = add_probe(world)
+        replies = []
+
+        def ask():
+            reply = yield Request(
+                "agent:Carrier", "agent.membership_vp.request",
+                {"network_id": "STL", "nonce": probe.nonce().hex(),
+                 "epochs": {anchor.profile.did: epoch}},
+                timeout=500,
+            )
+            replies.append(reply.body)
+
+        for i in range(2):
+            probe.start_session(f"ask-{i}", ask())
+        world.settle()
+        return replies
+
+    def test_concurrent_challenges_share_one_refresh(self, world):
+        """The second challenge finds the first one's refresh in flight (its
+        reply held back), joins it and presents the witness it brought."""
+        self.revoke_seller_from_stl(world)
+        epoch = world.anchors["AnchorSTL"].acc_state.epoch
+        assert world.agents["Carrier"].wallet["STL"][1].epoch < epoch
+        world.bus.config.rules.append(FaultRule(
+            action="delay", to="agent:Carrier", kind="anchor.witness.reply", times=1, delay=20,
+        ))
+        start = len(world.trace.events)
+        presented = [
+            creds.MembershipBody.from_bytes(
+                creds.VerifiablePresentation.from_bytes(bytes.fromhex(body["vp"])).body
+            ).witness.epoch
+            for body in self.challenge_twice_at_once(world, epoch)
+        ]
+        assert presented == [epoch, epoch]
+        assert len(witness_requests(world, "Carrier", start)) == 1
+
+    def test_a_challenge_whose_joined_refresh_is_lost_asks_on_its_own(self, world):
+        """The joined refresh left the witness behind the named epoch, so the
+        second challenge rechecks it and refreshes once more: the first
+        challenge is refused, the second answered."""
+        self.revoke_seller_from_stl(world)
+        epoch = world.anchors["AnchorSTL"].acc_state.epoch
+        world.bus.config.rules.append(FaultRule(
+            action="drop", from_="agent:Carrier", kind="anchor.witness.request", times=1,
+        ))
+        start = len(world.trace.events)
+        replies = self.challenge_twice_at_once(world, epoch)
+        assert sorted(r["ok"] for r in replies) == [False, True]
+        assert [r["error"] for r in replies if not r["ok"]] == ["WitnessUnavailable"]
+        assert len(witness_requests(world, "Carrier", start)) == 2
+
     def test_lost_refresh_behind_the_named_epoch_is_witness_unavailable(self, world):
         self.revoke_seller_from_stl(world)
         world.bus.config.rules.append(FaultRule(
@@ -1288,7 +1386,7 @@ class TestResync:
         assert len(sends_from(world, "Buyer", "agent.countersign.request", start)) == 1
         # the countersigner reads its records and a fresh list once for the batch
         assert len(sends_from(world, "Seller", "ledger.query", start)) == 1
-        assert len(memberlist_requests(world, "agent:Seller", start)) == 1
+        assert len(gates(world, "Seller", start)) == 1
         for org in ("Seller", "Carrier"):
             assert world.ledger_state("SWT").get_record("STL", org).content.status == "REVOKED"
         revoked = agent_events(world, "Buyer", {"agent.record_revoked"}, start)
@@ -1484,28 +1582,22 @@ class TestBatchedStepD:
     def test_one_member_read_per_agent_per_round(self, monkeypatch):
         world = two_networks_world(4)
         reads = record_queries(monkeypatch)
-        members_read = {}
-        read_members = agent_mod.IinAgent._read_members
-
-        def recording(agent, home_network, foreign_network, dids, *cred_def_ids):
-            members_read.setdefault(agent.org_id, []).append(sorted(dids))
-            return read_members(agent, home_network, foreign_network, dids, *cred_def_ids)
-
-        monkeypatch.setattr(agent_mod.IinAgent, "_read_members", recording)
         start = len(world.trace.events)
         record = run_sync(world, "NA0", "NA", "NB")
         assert record.error is None
         assert [r["status"] for r in record.result.values()] == ["DONE"] * 4
         members = sorted(world.org_dids[f"NB{i}"] for i in range(4))
         anchor = world.anchors["AnchorNB"].profile.did
-        # the initiator's fetch reads the anchor alone, as the members are
-        # not known before the list, then its round reads them; each
-        # countersigner reads the anchor and the batch's holders in one read
-        assert members_read == {
-            "NA0": [[anchor], members],
-            **{f"NA{i}": [sorted([anchor, *members])] for i in range(1, 4)},
-        }
-        assert [what for what, *_ in reads] == [registry.QUERY_MEMBER] * 5
+        # the initiator and each countersigner read once: the gate, which
+        # names the anchor's list and no holder, as the list brings its
+        # members along
+        assert len(reads) == 4
+        for what, holders, issuers, _, _, memberlists in reads:
+            assert (what, holders, issuers) == (registry.QUERY_MEMBER, (), (anchor,))
+            assert memberlists == ((anchor, "NB"),)
+        for org in [f"NA{i}" for i in range(4)]:
+            [gate] = gates(world, org, start)
+            assert gate.detail["members"] == len(members)
         requests = [
             e.detail["to"] for e in world.trace.events[start:]
             if e.kind == "bus.send" and e.detail["msg_kind"] == "agent.countersign.request"
@@ -1548,29 +1640,14 @@ class TestBatchedStepD:
         assert [e.detail["detail"] for e in failed] == ["Seller:NoSignature"] * 2
         assert agent_events(world, "Buyer", {"session.failed"}, start) == []
 
-    @staticmethod
-    def lose_read(world, org, answered=0):
-        """Lose every reply to the registry read that `org` makes after its
-        next `answered` reads, each of which two replicas answer: the lost
-        read asks two replicas and, on no answer, the other two. A dropping
-        rule hides its envelope from the rules after it, so the later
-        occurrences go first."""
-        for occurrence in range(2 * answered + 4, 2 * answered, -1):
-            world.bus.config.rules.append(FaultRule(
-                action="drop", to=f"agent:{org}", kind="iin.query.reply", occurrence=occurrence,
-            ))
-
-    def test_failed_member_read_fails_each_target_of_the_round(self, world):
-        # a full sync's memberlist fetch reads the anchor alone; its round
-        # then reads the listed members
-        self.lose_read(world, "Buyer", answered=1)
+    def test_lost_gate_read_fails_the_sync_before_any_challenge(self, world):
+        """A full sync's one read is its gate: losing it fails the sync by
+        name, and no target is challenged."""
+        lose_read(world, "Buyer")
         start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL")
-        assert record.error is None
-        assert list(record.result.values()) == [
-            {"status": "FAILED", "error": "InconsistentReplicas"}
-        ] * 2
-        assert agent_events(world, "Buyer", {"session.failed"}, start) == []
+        assert isinstance(record.error, registry.InconsistentReplicas)
+        assert gates(world, "Buyer", start) == []
         sent = [
             e.detail["msg_kind"] for e in world.trace.events[start:]
             if e.kind == "bus.send" and e.detail["from"] == "agent:Buyer"
@@ -1591,35 +1668,33 @@ class TestBatchedStepD:
         ], **extra)
         return body["results"]
 
-    def test_failed_member_read_refuses_each_statement_it_named(self, world):
-        """A countersigner that reuses its cached list reads only the holders
-        it has not cached, and a lost read refuses only their statements."""
+    def test_lost_gate_of_a_warm_countersigner_refuses_each_active_statement(self, world):
+        """A countersigner that has not cached every holder reads, and its
+        one read is the gate, which carries a fresh list: a lost gate
+        refuses every ACTIVE statement, the cached holder's too."""
         assert run_sync(world, "Buyer", "SWT", "STL").error is None
         seller = world.agents["Seller"]
         seller.cache.pop(("STL", world.org_dids["Carrier"]))
-        self.lose_read(world, "Seller")
+        lose_read(world, "Seller")
         start = len(world.trace.events)
-        signed, refused = self.ask_both_active(world)
-        assert signed["result"] == "signed"
-        assert refused == {"result": "validation_failed", "reason": "InconsistentReplicas"}
-        assert memberlist_requests(world, "agent:Seller", start) == []
+        assert self.ask_both_active(world) == [
+            {"result": "validation_failed", "reason": "InconsistentReplicas"}
+        ] * 2
+        assert gates(world, "Seller", start) == []
         assert agent_events(world, "Seller", {"session.failed"}, start) == []
 
     def test_lost_merged_read_refuses_each_active_statement(self, world, monkeypatch):
         """A cold countersigner's one read, made with its memberlist fetch,
         is its gate: losing it refuses every ACTIVE statement by name."""
-        self.lose_read(world, "Seller")
+        lose_read(world, "Seller")
         reads = record_queries(monkeypatch)
         start = len(world.trace.events)
         assert self.ask_both_active(world) == [
             {"result": "validation_failed", "reason": "InconsistentReplicas"}
         ] * 2
-        [(_, holders, *_)] = reads
-        assert set(holders) == {
-            world.anchors["AnchorSTL"].profile.did,
-            world.org_dids["Seller"],
-            world.org_dids["Carrier"],
-        }
+        [(_, holders, _, _, _, memberlists)] = reads
+        assert holders == ()
+        assert memberlists == ((world.anchors["AnchorSTL"].profile.did, "STL"),)
         assert agent_events(world, "Seller", {"session.failed"}, start) == []
         assert sends_from(world, "Seller", "agent.membership_vp.request", start) == []
 
@@ -1668,10 +1743,11 @@ class TestBatchedStepD:
 
 
 class TestOneReadPerGate:
-    """Where the holders are known before the memberlist gate, the gate's one
-    registry read names them and their checks read nothing more: a targeted
-    sync's first round, every retry round, a countersign batch that fetches
-    its list and `prefetch`."""
+    """Every memberlist gate is one registry read, with no anchor round
+    trip: it carries the list and the document of every member the list
+    names, so the checks of the holders it gates read nothing more. So it
+    goes for a full sync, a targeted sync's first round, every retry round,
+    a countersign batch that reads and `prefetch`."""
 
     @staticmethod
     def queries_before_challenge(world, org, start=0):
@@ -1685,10 +1761,22 @@ class TestOneReadPerGate:
     def test_countersigner_that_fetches_its_list_reads_once_before_its_challenges(self, world):
         start = len(world.trace.events)
         assert run_sync(world, "Buyer", "SWT", "STL").error is None
-        assert len(memberlist_requests(world, "agent:Seller", start)) == 1
+        assert len(gates(world, "Seller", start)) == 1
         # one read, of two replicas
         assert self.queries_before_challenge(world, "Seller", start) == 2
         assert len(sends_from(world, "Seller", "iin.query", start)) == 2
+
+    def test_full_sync_reads_once_before_its_challenges(self, world):
+        """A first sync and a resync each read once: the gate's snapshot
+        holds every listed member."""
+        for _ in range(2):
+            start = len(world.trace.events)
+            buyer = world.agents["Buyer"]
+            record = buyer.start_session("resync", buyer.resync("SWT", "periodic"))
+            world.settle()
+            assert record.error is None
+            assert self.queries_before_challenge(world, "Buyer", start) == 2
+            assert len(sends_from(world, "Buyer", "iin.query", start)) == 2
 
     def test_targeted_sync_reads_once_before_its_challenges(self):
         runner = harness.ScenarioRunner(scenario_config("concurrent-commit"))
@@ -1708,7 +1796,7 @@ class TestOneReadPerGate:
         memberlist = next(
             e for e in events
             if e.kind == "bus.deliver" and e.detail["to"] == "agent:Buyer"
-            and e.detail["msg_kind"] == "anchor.memberlist.reply"
+            and e.detail["msg_kind"] == "iin.query.reply"
         )
         assert events.index(query) < events.index(memberlist)
 
@@ -1730,7 +1818,7 @@ class TestOneReadPerGate:
         assert body["results"] == [
             {"result": "validation_failed", "reason": "MemberStillValid"}
         ] * 2
-        assert len(memberlist_requests(world, "agent:Seller", start)) == 1
+        assert len(gates(world, "Seller", start)) == 1
         assert len(sends_from(world, "Seller", "agent.membership_vp.request", start)) == 2
         assert [what for what, *_ in reads] == [registry.QUERY_MEMBER]
 

@@ -22,14 +22,19 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios.py"
 
 def assert_accumulator_published(world, anchor):
     """The anchor's accumulator is the one over its rosters' credential ids,
-    and every registry replica holds that state."""
+    each of its memberlists lists its roster, and every registry replica
+    holds that state and those lists."""
     cred_ids = [
         vc.credential_id for roster in anchor.rosters.values() for vc in roster.members.values()
     ]
     state, _ = crypto.accumulator_init(anchor.profile.did, cred_ids)
     assert state.root == anchor.acc_state.root
+    for network_id, roster in anchor.rosters.items():
+        assert anchor.memberlists[network_id].member_dids == tuple(sorted(roster.members))
     for node in world.iin_nodes[anchor.pool.iin_id]:
         assert node.state.revocation[anchor.profile.did] == anchor.acc_state
+        for network_id, memberlist in anchor.memberlists.items():
+            assert node.state.memberlists[(anchor.profile.did, network_id)] == memberlist
 
 
 class TestVerinymRegistration:
@@ -98,7 +103,7 @@ class TestMembershipIssuance:
         assert anchor.acc_state.epoch == 2  # Carrier + Seller joined STL
         roster = anchor.rosters["STL"]
         assert set(roster.members) == {world.org_dids["Carrier"], world.org_dids["Seller"]}
-        assert roster.version == 2
+        assert anchor.memberlists["STL"].roster_version == 2
 
     def test_roster_accumulator_coherence(self, world):
         for anchor in world.anchors.values():
@@ -173,6 +178,14 @@ class TestMemberlist:
         memberlist = creds.MemberlistCredential.from_bytes(payload)
         assert memberlist.member_dids == ()
         assert memberlist.roster_version == 0
+
+    def test_registry_holds_each_list_from_bootstrap_on(self):
+        """The epoch-0 revocation init carries each represented network's
+        empty list, so a reader finds a list before any issuance."""
+        world = bootstrapped_runner(through_step_a=False).world
+        assert world.anchors["AnchorSWT"].memberlists["SWT"].member_dids == ()
+        for anchor in world.anchors.values():
+            assert_accumulator_published(world, anchor)
 
     def test_unrepresented_network_refused(self, world):
         body, _ = self.fetch_memberlist(world, "AnchorSTL", "SWT")
@@ -290,7 +303,8 @@ class TestMemberlistFreshness:
         assert record.error is None
         memberlist, _ = record.result
         fresh_version = memberlist.roster_version
-        # an anchor serving an older roster than previously observed is stale
+        # a registry that serves an older roster than previously observed
+        # (every replica rolled back, so the read still agrees) is stale
         anchor = world.anchors["AnchorSTL"]
         rolled_back = creds.issue_memberlist_credential(
             anchor.keys,
@@ -300,7 +314,9 @@ class TestMemberlistFreshness:
             (),
             roster_version=fresh_version - 1,
         )
-        anchor.memberlists["STL"] = rolled_back
+        for node in world.iin_nodes["iin0"]:
+            lists = {**node.state.memberlists, (anchor.profile.did, "STL"): rolled_back}
+            node.state = replace(node.state, memberlists=lists)
         record = agent.start_session("ml2", agent._fetch_memberlist("SWT", "STL"))
         world.settle()
         from idplane.agent import StaleMemberlist
@@ -313,14 +329,13 @@ class TestRevocation:
         anchor = world.anchors["AnchorSTL"]
         carrier_did = world.org_dids["Carrier"]
         epoch_before = anchor.acc_state.epoch
-        version_before = anchor.rosters["STL"].version
+        version_before = anchor.memberlists["STL"].roster_version
         anchor.enqueue_serialized(
             "revoke", lambda: anchor.revoke_membership(carrier_did, "STL")
         )
         world.settle()
         assert anchor.acc_state.epoch == epoch_before + 1
         assert carrier_did not in anchor.rosters["STL"].members
-        assert anchor.rosters["STL"].version == version_before + 1
         assert_accumulator_published(world, anchor)
         assert anchor.memberlists["STL"].roster_version == version_before + 1
 
@@ -380,7 +395,7 @@ class TestRevocation:
         buyer_did = world.org_dids["Buyer"]  # not an STL member: the op raises
         carrier_did = world.org_dids["Carrier"]
         epoch_before = anchor.acc_state.epoch
-        version_before = anchor.rosters["STL"].version
+        version_before = anchor.memberlists["STL"].roster_version
         first_event = len(world.trace.events)
         anchor.enqueue_serialized(
             "revoke", lambda: anchor.revoke_membership(buyer_did, "STL")
@@ -396,7 +411,7 @@ class TestRevocation:
         ]
         assert kinds == [("session.failed", "NotAMember"), ("anchor.revoked", carrier_did)]
         assert anchor.acc_state.epoch == epoch_before + 1
-        assert anchor.rosters["STL"].version == version_before + 1
+        assert anchor.memberlists["STL"].roster_version == version_before + 1
         assert carrier_did not in anchor.rosters["STL"].members
 
     def test_revoke_then_reissue_mints_fresh_credential_id(self, world):

@@ -83,9 +83,9 @@ def test_benchmark_worlds_parse():
 
 
 @pytest.mark.parametrize("workload, sends, applied, sync_ticks", [
-    ("wide-sync", 460, 16, [54, 63]),
-    ("commit-race", 36, 1, [32]),
-    ("proof-churn", 208, 3, [43, 35, 57]),
+    ("wide-sync", 420, 16, [43, 47]),
+    ("commit-race", 26, 1, [27]),
+    ("proof-churn", 174, 3, [31, 28, 40]),
 ], ids=("wide-sync", "commit-race", "proof-churn"))  # stable across re-pins
 def test_one_unit_of_each_workload_keeps_its_exact_traffic(
     monkeypatch, workload, sends, applied, sync_ticks

@@ -9,10 +9,11 @@ Each scenario's traffic digest hashes the same events with every
 byte digests and must leave the traffic digests as they are.
 The `iin.query`, `anchor.memberlist.request`, `anchor.witness.request`,
 `iin.order` and `agent.countersign.request` sends are pinned on their own, so
-that a change that widens registry reads again, fetches the foreign memberlist
-per target again, refreshes a holder's witness on every challenge again,
-orders registry writes one transaction at a time again, or asks a
-countersigner once per record again fails even when other sends move.
+that a change that widens registry reads again, asks the anchor for a
+memberlist the registry read already carries, refreshes a holder's witness on
+every challenge or twice at once again, orders registry writes one
+transaction at a time again, or asks a countersigner once per record again
+fails even when other sends move.
 Beside the logical Ed25519 verifies, each scenario pins the verifies its
 world's verdict memo executes: one per distinct triple checked inside the bus
 loop, so a memo that shares verdicts too widely or too narrowly fails.
@@ -31,8 +32,8 @@ from conftest import scenario_config
 @pytest.mark.parametrize(
     "name, sends, queries, memberlists, witnesses, orders, countersigns, signs, verifies",
     [
-        ("two-network", 186, 20, 4, 2, 30, 2, 120, 230),
-        ("concurrent-commit", 142, 12, 2, 2, 30, 2, 96, 172),
+        ("two-network", 170, 16, 0, 2, 30, 2, 116, 226),
+        ("concurrent-commit", 136, 12, 0, 1, 30, 2, 94, 170),
     ],
     ids=("two-network", "concurrent-commit"),  # stable across re-pins
 )
@@ -71,10 +72,10 @@ def test_bundled_scenario_counts(
 @pytest.mark.parametrize(
     "name, logical, outside, executed",
     [
-        ("two-network", 230, 12, 100),
-        ("concurrent-commit", 172, 0, 70),
-        ("revoke-carrier", 257, 6, 118),
-        ("rotate-resync", 226, 12, 97),
+        ("two-network", 226, 12, 96),
+        ("concurrent-commit", 170, 0, 68),
+        ("revoke-carrier", 249, 6, 110),
+        ("rotate-resync", 222, 12, 93),
     ],
 )
 def test_bundled_scenario_executed_verifies(monkeypatch, name, logical, outside, executed):
@@ -97,12 +98,12 @@ def test_bundled_scenario_executed_verifies(monkeypatch, name, logical, outside,
 
 
 TRACE_DIGESTS = {
-    "concurrent-commit": "25350246adafee1adb05d3930690f5b83e723e27006a61eca5c12444a0061be6",
-    "concurrent-commit-serial": "df33d22071609a9a23e2f9863ab143793c2856aa639070772343da3188fa1a31",
-    "digest-mismatch-retry": "ea80934b8dab46d57d579c9a8dee4001d1c65491a8460fefc2636ee1e4d7ecd6",
-    "revoke-carrier": "8e75be92b7e78c2e7f6edc347dd57ecc6809ff5d423d9e1b48f91d41c7b21649",
-    "rotate-resync": "5a8b5ec4b0df6507dea49592862bd37278d039b281c749d9c2eacbbf84f83ecc",
-    "two-network": "c9b5a72c471ac002767d128ef81223907af3d13e2317416e403ceb721cfdd96c",
+    "concurrent-commit": "0e5545e6d370f420cf69e2ae4702e0ffd8c5b9eaf56a3eb1f3b7bb33f0a63ddc",
+    "concurrent-commit-serial": "f9bcaa20b1e87c22f71ef29f0152b8028946da978ba662099ec7617f5512032b",
+    "digest-mismatch-retry": "316cf1c3201c11cea440c81f1a87c39bec097c9206f734b9c0380013fa4d67c8",
+    "revoke-carrier": "1bf3d896fe78ed076c1d01cffebe2d194a1e1d73daa45825c1e54503f7d61235",
+    "rotate-resync": "7322526f24dd17cbcad91d34c71f149f81b56ebcd483f64557a705d7ca7cf54a",
+    "two-network": "13800b854011b819978f17295c4a65a8f36e032757514a277828af2deb993547",
 }
 
 
@@ -115,12 +116,12 @@ def test_bundled_scenario_trace_digest(tmp_path, name):
 
 
 TRAFFIC_DIGESTS = {
-    "concurrent-commit": "531cb7cbf0ab984e70f4b41a8335f3c7f0ea5abef882102c95f8044ead95f86d",
-    "concurrent-commit-serial": "d8bfbece18f54edb106681df27a5f0dc5ca67849c809ec8ce5ec3b396765bae2",
-    "digest-mismatch-retry": "18b91f998047819696dd86a76b9be070bc4972c2ae7536c56bbff068498880b5",
-    "revoke-carrier": "efd0243457b7117a054270397c0e20da3334273691717491770dcc54fc9f36c9",
-    "rotate-resync": "3b6e9e4588aea058ae74b62ee7ce0f40f42d94153e9472581b01a08b5f88c53c",
-    "two-network": "752d4a2b2cb6ec197b5b617e33152f957b362bb9876ff93a0d97bef321b44d91",
+    "concurrent-commit": "a33d05960e9b616b720f2b4b64840bd94941850442d253374586b870b4102fb1",
+    "concurrent-commit-serial": "3c7c609d0503c4f4ee0da1810be1bcae6ef922c8d6103df061fea9f80f5c132c",
+    "digest-mismatch-retry": "becee92e442bf932b2a9f34b0229171fb928c4c3198bc6f708cc268d4b2f9bfc",
+    "revoke-carrier": "d43018b8fe37c7fb7583dda1dbac4fadb3c999473e3dab78268fb8d359d6ea7a",
+    "rotate-resync": "82e84b1cf044e14a769b0628ebef052ed0c5faf97f0f4868ddacc18ac7fa1572",
+    "two-network": "5857205d01a2506811a5de047f0d26be323c88dc417a96309d141abe17a9d9c4",
 }
 
 
@@ -134,3 +135,17 @@ def test_bundled_scenario_traffic_digest(name):
         detail = {k: v for k, v in event.detail.items() if k != "payload_digest"}
         digest.update((replace(event, detail=detail).to_json() + "\n").encode())
     assert digest.hexdigest() == TRAFFIC_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(TRAFFIC_DIGESTS))
+def test_no_agent_asks_an_anchor_for_a_memberlist(name):
+    """Every memberlist gate reads the list from the registry: no agent sends
+    `anchor.memberlist.request` in any bundled scenario."""
+    runner = harness.ScenarioRunner(scenario_config(name))
+    report = runner.run()
+    assert report.ok, report.errors
+    asked = [
+        e for e in runner.world.trace.events
+        if e.kind == "bus.send" and e.detail["msg_kind"] == "anchor.memberlist.request"
+    ]
+    assert asked == []

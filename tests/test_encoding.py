@@ -233,7 +233,15 @@ def old_member_entry(e):
 def old_member_snapshot(s):
     return enc.encode_list(old_member_entry(e) for e in s.holders) + b"".join(
         enc.encode_list(enc.encode_bytes(r.to_bytes()) for r in table)
-        for table in (s.states, s.schemas, s.cred_defs)
+        for table in (s.states, s.schemas, s.cred_defs, s.memberlists)
+    )
+
+
+def old_revocation_update(u):
+    return enc.record(
+        enc.TAG_REVOCATION_UPDATE,
+        enc.encode_bytes(u.state.to_bytes()),
+        enc.encode_list(enc.encode_bytes(m.to_bytes()) for m in u.memberlists),
     )
 
 
@@ -251,7 +259,7 @@ def old_registry_image(i):
         enc.TAG_REGISTRY_STATE,
         *(
             enc.encode_list(enc.encode_bytes(v.to_bytes()) for v in table)
-            for table in (i.docs, i.schemas, i.cred_defs, i.revocation)
+            for table in (i.docs, i.schemas, i.cred_defs, i.revocation, i.memberlists)
         ),
         enc.encode_list(
             enc.encode_str(did) + enc.encode_list(enc.encode_str(r) for r in roles)
@@ -276,6 +284,9 @@ def old_registry_state(state):
         ),
         enc.encode_list(
             enc.encode_bytes(state.revocation[k].to_bytes()) for k in sorted(state.revocation)
+        ),
+        enc.encode_list(
+            enc.encode_bytes(state.memberlists[k].to_bytes()) for k in sorted(state.memberlists)
         ),
         enc.encode_list(
             enc.encode_str(did) + enc.encode_list(
@@ -414,6 +425,15 @@ schema = st.builds(
     st.lists(text, unique=True, max_size=4).map(tuple),
 )
 cred_def = st.builds(creds.CredentialDefinition, text, text, text, blob)
+memberlist_vc = st.builds(
+    creds.MemberlistCredential,
+    text,
+    st.lists(text, max_size=4).map(tuple),
+    u64,
+    text,
+    text,
+    signature,
+)
 record_content = st.builds(net.RecordContent, text, text, text, blob, blob, text)
 
 
@@ -442,15 +462,7 @@ RECORDS = {
         lambda vc: old_membership_signing(vc) + old_signature(vc.issuer_signature),
     ),
     creds.MemberlistCredential: (
-        st.builds(
-            creds.MemberlistCredential,
-            text,
-            st.lists(text, max_size=4).map(tuple),
-            u64,
-            text,
-            text,
-            signature,
-        ),
+        memberlist_vc,
         old_memberlist_signing,
         lambda vc: old_memberlist_signing(vc) + old_signature(vc.issuer_signature),
     ),
@@ -475,11 +487,17 @@ RECORDS = {
             up_to_3(schema),
             up_to_3(cred_def),
             up_to_3(revocation_state),
+            up_to_3(memberlist_vc),
             up_to_3(st.tuples(text, up_to_3(text))),
             up_to_3(blob),
         ),
         None,
         old_registry_image,
+    ),
+    registry.RevocationUpdate: (
+        st.builds(registry.RevocationUpdate, revocation_state, up_to_3(memberlist_vc)),
+        None,
+        old_revocation_update,
     ),
     registry.Batch: (st.builds(registry.Batch, up_to_3(blob)), None, old_batch),
     registry.Ack: (st.builds(registry.Ack, u64, u64, blob), None, old_ack),
@@ -497,6 +515,7 @@ RECORDS = {
             st.lists(revocation_state, max_size=3).map(tuple),
             up_to_3(schema),
             up_to_3(cred_def),
+            up_to_3(memberlist_vc),
         ),
         None,
         old_member_snapshot,
@@ -600,11 +619,14 @@ def test_invalid_utf8_string_is_a_decode_error():
     st.dictionaries(text, revocation_state, max_size=3),
     st.dictionaries(text, st.frozensets(text, max_size=3), max_size=3),
     st.frozensets(blob, max_size=3),
+    st.dictionaries(st.tuples(text, text), memberlist_vc, max_size=3),
 )
 def test_registry_state_hash_is_over_the_old_image(
-    docs, schemas, cred_defs, revocation, roles, applied
+    docs, schemas, cred_defs, revocation, roles, applied, memberlists
 ):
-    state = registry.RegistryState(docs, schemas, cred_defs, revocation, roles, applied)
+    state = registry.RegistryState(
+        docs, schemas, cred_defs, revocation, roles, applied, memberlists
+    )
     assert state.state_hash() == crypto.digest(old_registry_state(state))
 
 

@@ -45,6 +45,11 @@ def attested(doc: registry.DidDocument, signer_did: str, signer_keys: crypto.Key
     )
 
 
+def revocation(state: crypto.RevocationRegistryState, *memberlists) -> bytes:
+    """A REVOC_INIT or REVOC_UPDATE payload: `state` and `memberlists`."""
+    return registry.RevocationUpdate(state, memberlists).to_bytes()
+
+
 @pytest.fixture
 def steward():
     return make_identity("steward")
@@ -168,7 +173,7 @@ class TestApplyRules:
         state, outcome = registry.apply_transaction(
             state,
             registry.make_transaction(
-                registry.KIND_REVOC_INIT, reg0.to_bytes(), pmv_did, pmv_keys
+                registry.KIND_REVOC_INIT, revocation(reg0), pmv_did, pmv_keys
             ),
         )
         assert outcome == "APPLIED"
@@ -178,7 +183,7 @@ class TestApplyRules:
         state2, outcome = registry.apply_transaction(
             state,
             registry.make_transaction(
-                registry.KIND_REVOC_UPDATE, jumped.to_bytes(), pmv_did, pmv_keys
+                registry.KIND_REVOC_UPDATE, revocation(jumped), pmv_did, pmv_keys
             ),
         )
         assert outcome == "StaleEpoch"
@@ -280,7 +285,7 @@ def published():
         creds.cred_def_id_for(did, schema.schema_id), schema.schema_id, did, keys.public_key
     )
     for kind, payload in (
-        (registry.KIND_REVOC_INIT, crypto.accumulator_init(did)[0].to_bytes()),
+        (registry.KIND_REVOC_INIT, revocation(crypto.accumulator_init(did)[0])),
         (registry.KIND_SCHEMA, schema.to_bytes()),
         (registry.KIND_CRED_DEF, cred_def.to_bytes()),
     ):
@@ -294,12 +299,12 @@ def published():
 
 @pytest.mark.parametrize("submitter, kind, payload, outcome", [
     ("pmv2", registry.KIND_REVOC_INIT,
-     lambda ids, _: crypto.accumulator_init(ids["pmv"][1])[0].to_bytes(), "UnauthorizedRole"),
+     lambda ids, _: revocation(crypto.accumulator_init(ids["pmv"][1])[0]), "UnauthorizedRole"),
     ("pmv", registry.KIND_REVOC_INIT,
-     lambda ids, _: crypto.accumulator_init(ids["pmv"][1], (b"x",))[0].to_bytes(), "DuplicateId"),
-    ("pmv2", registry.KIND_REVOC_INIT, lambda ids, _: crypto.RevocationRegistryState(
+     lambda ids, _: revocation(crypto.accumulator_init(ids["pmv"][1], (b"x",))[0]), "DuplicateId"),
+    ("pmv2", registry.KIND_REVOC_INIT, lambda ids, _: revocation(crypto.RevocationRegistryState(
         issuer_did=ids["pmv2"][1], epoch=1, root=b"\x00" * 32, size_hint=0
-    ).to_bytes(), "StaleEpoch"),
+    )), "StaleEpoch"),
     ("pmv", registry.KIND_SCHEMA, lambda ids, _: replace(
         membership_schema(), version="2"
     ).to_bytes(), "DuplicateId"),
@@ -341,6 +346,74 @@ def test_write_rule_rejects_and_leaves_the_state(published, submitter, kind, pay
     after, got = registry.apply_transaction(state, tx)
     assert got == outcome
     assert after.state_hash() == state.state_hash()
+
+
+def memberlist(ids, issuer="pmv", network="NET", members=(), version=1, signer=None):
+    """A memberlist credential of `network` naming `issuer`, signed by `signer`'s keys."""
+    return creds.issue_memberlist_credential(
+        ids[signer or issuer][0], ids[issuer][1], creds.cred_def_id_for(ids[issuer][1], "memberlist"), network,
+        members, version,
+    )
+
+
+def next_epoch(state: registry.RegistryState, did: str) -> crypto.RevocationRegistryState:
+    return replace(state.revocation[did], epoch=state.revocation[did].epoch + 1)
+
+
+class TestMemberlistWrites:
+    """A memberlist rides its issuer's revocation transaction: one list per
+    (issuer, network), written only by its issuer, at a rising roster
+    version, and committed with the revocation state or not at all."""
+
+    def apply(self, state, ids, *lists, submitter="pmv", kind=registry.KIND_REVOC_UPDATE):
+        keys, did = ids[submitter]
+        update = next_epoch(state, ids["pmv"][1])
+        tx = registry.make_transaction(kind, revocation(update, *lists), did, keys)
+        return registry.apply_transaction(state, tx)
+
+    def test_issuer_writes_its_list_with_the_epoch_step(self, published):
+        state, ids, _ = published
+        ml = memberlist(ids, members=(ids["member"][1],))
+        after, outcome = self.apply(state, ids, ml)
+        assert outcome == "APPLIED"
+        assert after.memberlists == {(ids["pmv"][1], "NET"): ml}
+        assert after.revocation[ids["pmv"][1]].epoch == 1
+
+    @pytest.mark.parametrize("issuer, signer", [("pmv2", "pmv2"), ("pmv2", "pmv")],
+                             ids=["issued-by-another-anchor", "naming-another-issuer"])
+    def test_a_list_of_another_issuer_is_refused(self, published, issuer, signer):
+        state, ids, _ = published
+        after, outcome = self.apply(state, ids, memberlist(ids, issuer=issuer, signer=signer))
+        assert outcome == "UnauthorizedRole"
+        assert after.state_hash() == state.state_hash()
+
+    @pytest.mark.parametrize("version", [1, 0], ids=["same-version", "lower-version"])
+    def test_a_list_that_does_not_raise_its_roster_version_is_refused(self, published, version):
+        state, ids, _ = published
+        state, outcome = self.apply(state, ids, memberlist(ids, version=1))
+        assert outcome == "APPLIED"
+        after, outcome = self.apply(state, ids, memberlist(ids, version=version, members=("x",)))
+        assert outcome == "StaleRoster"
+        assert after.state_hash() == state.state_hash()
+        # the refused list takes the epoch step down with it
+        assert after.revocation == state.revocation
+
+    def test_two_lists_of_one_network_in_one_write_must_rise_too(self, published):
+        state, ids, _ = published
+        first, second = memberlist(ids, version=2), memberlist(ids, version=2, members=("x",))
+        assert self.apply(state, ids, first, second)[1] == "StaleRoster"
+        after, outcome = self.apply(state, ids, first, memberlist(ids, network="OTHER"))
+        assert outcome == "APPLIED"
+        assert sorted(after.memberlists) == [(ids["pmv"][1], "NET"), (ids["pmv"][1], "OTHER")]
+
+    def test_the_fold_does_not_verify_the_lists_signature(self, published):
+        """Readers verify a list under its issuer's credential definition;
+        the registry only checks who wrote it."""
+        state, ids, _ = published
+        forged = memberlist(ids, signer="pmv2")
+        after, outcome = self.apply(state, ids, forged)
+        assert outcome == "APPLIED"
+        assert after.memberlists[(ids["pmv"][1], "NET")] == forged
 
 
 def expected_outcome(role, kind):
@@ -408,7 +481,7 @@ def test_authorization_soundness_exhaustive(role, kind, steward):
         state, outcome = registry.apply_transaction(
             state,
             registry.make_transaction(
-                registry.KIND_REVOC_INIT, reg0.to_bytes(), actor_did, actor_keys
+                registry.KIND_REVOC_INIT, revocation(reg0), actor_did, actor_keys
             ),
         )
         assert outcome == "APPLIED"
@@ -425,13 +498,13 @@ def test_authorization_soundness_exhaustive(role, kind, steward):
             actor_keys.public_key,
         ).to_bytes()
     elif kind == registry.KIND_REVOC_INIT:
-        payload = crypto.accumulator_init(actor_did)[0].to_bytes()
+        payload = revocation(crypto.accumulator_init(actor_did)[0])
     else:  # REVOC_UPDATE / ANCHOR_GRANT
         if kind == registry.KIND_REVOC_UPDATE:
             next_state, _ = crypto.accumulator_add(
                 crypto.accumulator_init(actor_did)[0], (), seed32("cred")
             )
-            payload = next_state.to_bytes()
+            payload = revocation(next_state)
         else:
             _, target_did, _ = make_identity("target")
             payload = registry.AnchorGrant(target_did, registry.ROLE_OIV).to_bytes()
@@ -1172,6 +1245,52 @@ class TestMemberSnapshot:
         assert record.result.revocation()[self.ISSUER].epoch == 1
         assert sorted(query_sends(bus)) == sorted(pool.node_addresses)
 
+    def test_one_read_returns_the_list_its_revocation_state_and_its_holders(self):
+        """A read naming an (issuer, network) memberlist gets the list, the
+        documents of every member it lists (after the holders named) and the
+        issuer's revocation state, all from the one state the replicas
+        hold."""
+        bus, pool, nodes, client, org_did = self.setup_pool()
+        steward_did = next(iter(nodes[0].state.roles))
+        keys = crypto.KeyPair.from_seed(seed32("issuer"))
+        ml = creds.issue_memberlist_credential(
+            keys, self.ISSUER, "cd", "NET", (org_did, "did:iin:iin0:gone"), 4
+        )
+        base, _ = crypto.accumulator_init(self.ISSUER)
+        for node in nodes:
+            node.state = replace(
+                node.state,
+                revocation={self.ISSUER: replace(base, epoch=4)},
+                memberlists={(self.ISSUER, "NET"): ml},
+            )
+        record = client.start_session("resolve", registry.resolve_member(
+            pool, (steward_did, org_did), (self.ISSUER,),
+            memberlists=((self.ISSUER, "NET"), (self.ISSUER, "NONE")),
+        ))
+        bus.run_until_quiescent()
+        snapshot = record.result
+        assert snapshot.memberlists == (ml,)
+        assert [e.did for e in snapshot.holders] == [steward_did, org_did, "did:iin:iin0:gone"]
+        assert snapshot.holder(org_did) == (nodes[0].state.docs[org_did], True)
+        assert snapshot.holders[-1].doc == ()
+        assert snapshot.revocation()[self.ISSUER].epoch == 4
+        assert len(query_sends(bus)) == pool.read_quorum
+
+    def test_replicas_at_different_lists_are_inconsistent(self):
+        """A list from one state and a revocation state from another never
+        make one answer: replicas whose lists differ do not match."""
+        bus, pool, nodes, client, org_did = self.setup_pool()
+        keys = crypto.KeyPair.from_seed(seed32("issuer"))
+        self.set_epochs(nodes, (1, 1, 1, 1))
+        for i, node in enumerate(nodes):
+            ml = creds.issue_memberlist_credential(keys, self.ISSUER, "cd", "NET", (), i)
+            node.state = replace(node.state, memberlists={(self.ISSUER, "NET"): ml})
+        record = client.start_session("resolve", registry.resolve_member(
+            pool, (), (self.ISSUER,), memberlists=((self.ISSUER, "NET"),)
+        ))
+        bus.run_until_quiescent()
+        assert isinstance(record.error, registry.InconsistentReplicas)
+
     def test_mixed_epochs_with_matching_documents_are_inconsistent(self):
         bus, pool, nodes, client, org_did = self.setup_pool()
         self.set_epochs(nodes, (0, 1, 2, 3))
@@ -1188,11 +1307,15 @@ class TestMemberSnapshot:
         {"what": registry.QUERY_MEMBER, "schemas": [5]},
         {"what": registry.QUERY_MEMBER, "cred_defs": {}},
         {"what": registry.QUERY_MEMBER, "cred_defs": [None]},
+        {"what": registry.QUERY_MEMBER, "memberlists": "x"},
+        {"what": registry.QUERY_MEMBER, "memberlists": [["issuer"]]},
+        {"what": registry.QUERY_MEMBER, "memberlists": [["issuer", 5]]},
         {"what": 5},
         {"what": "did"},
     ], ids=["issuers-not-a-list", "issuer-not-a-string", "holders-not-a-list",
             "holder-not-a-string", "schemas-not-a-list", "schema-not-a-string",
-            "cred-defs-not-a-list", "cred-def-not-a-string", "what-not-a-string",
+            "cred-defs-not-a-list", "cred-def-not-a-string", "memberlists-not-a-list",
+            "memberlist-not-a-pair", "memberlist-pair-not-strings", "what-not-a-string",
             "what-not-member"])
     def test_malformed_query_is_a_miss_and_the_replica_keeps_serving(self, body):
         bus, pool, nodes, client, org_did = self.setup_pool()
@@ -1204,5 +1327,5 @@ class TestMemberSnapshot:
 
         record = client.start_session("ask", ask())
         bus.run_until_quiescent()
-        assert record.result == registry.MemberSnapshot((), (), (), ())
+        assert record.result == registry.MemberSnapshot((), (), (), (), ())
         assert self.resolve(bus, pool, client, (org_did,)).result.holder(org_did)[0].did == org_did
