@@ -12,14 +12,18 @@ AEAD tag is the envelope's only authenticator: only that pair can produce it,
 and it covers both the header and the ciphertext. Tampered or re-labelled
 envelopes fail the tag check at delivery and are discarded with a trace
 event; the plaintext never appears in bus trace events, only its digest.
-Each header is encoded once, on first use, and that encoding both seals and
-opens its envelope.
+A header, like every Record, keeps its encoding once made, so one encoding
+both seals and opens its envelope.
 
-Each bus owns the Ed25519 verdict memo of its world (`crypto.verdict_memo`)
-and installs it only while `run_until_quiescent` runs: every actor still
-checks every signature it is shown, but the process runs Ed25519 once per
-distinct (key, message, signature) triple per world. Verifies outside the
-loop, and every other world, never see this memo.
+Each bus owns two memos of its world and installs them only while
+`run_until_quiescent` runs: the Ed25519 verdict memo (`crypto.verdict_memo`)
+and the decode memo (`encoding.decode_memo`). Every actor still checks every
+signature it is shown and decodes every record it receives, but the process
+runs Ed25519 once per distinct (key, message, signature) triple and decodes
+once per distinct (record class, bytes) pair per world; actors that receive
+the same bytes share one frozen record, which also keeps those bytes. Both
+memos live as long as their bus; verifies and decodes outside the loop, and
+every other world, never see them.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -81,12 +84,6 @@ class Header(enc.Record):
     to: str
     seq: int
     kind: str
-
-    @cached_property
-    def associated_data(self) -> bytes:
-        """The header's encoding, computed once: a relabelled copy, which
-        `dataclasses.replace` builds as a new Header, encodes its own."""
-        return self.to_bytes()
 
 
 @dataclass(frozen=True)
@@ -162,6 +159,8 @@ class SimBus:
         self._pair_ciphers: dict[tuple[str, str], ChaCha20Poly1305] = {}
         # this world's Ed25519 verdicts, active only inside run_until_quiescent
         self._verdicts: dict[tuple[bytes, bytes, bytes], bool] = {}
+        # this world's decoded records, active only inside run_until_quiescent
+        self._decoded: dict[tuple[type, bytes], enc.Record] = {}
 
     # --- registration --------------------------------------------------
 
@@ -204,14 +203,14 @@ class SimBus:
 
     def _seal(self, header: Header, plaintext: bytes) -> bytes:
         return self._cipher_for(header.from_, header.to).encrypt(
-            self._nonce(header.seq), plaintext, header.associated_data
+            self._nonce(header.seq), plaintext, header.to_bytes()
         )
 
     def _unseal(self, env: Envelope) -> bytes | None:
         header = env.header
         try:
             return self._cipher_for(header.from_, header.to).decrypt(
-                self._nonce(header.seq), env.ciphertext, header.associated_data
+                self._nonce(header.seq), env.ciphertext, header.to_bytes()
             )
         except InvalidTag:
             return None
@@ -293,8 +292,9 @@ class SimBus:
     def run_until_quiescent(self, tick_ceiling: int = 100_000) -> int:
         """Process the queue in (time, order) sequence until empty. Returns the
         final tick; raises TickCeilingExceeded if events outlive the ceiling.
-        Signature checks made meanwhile share this world's verdict memo."""
-        with crypto.verdict_memo(self._verdicts):
+        Signature checks and record decodes made meanwhile share this world's
+        verdict memo and decode memo."""
+        with crypto.verdict_memo(self._verdicts), enc.decode_memo(self._decoded):
             while self._queue:
                 time, _, kind, item = heapq.heappop(self._queue)
                 if kind == _TIMER and item[0] in self._cancelled:

@@ -19,6 +19,21 @@ raw inputs) and the harness's key seeds (`harness._derive_bytes`: a prefix,
 the 8-byte seed, then the label). Neither length-prefixes its inputs, so as
 Records they would hash other bytes and move every accumulator root and every
 scenario identity.
+
+Every Record keeps its canonical bytes: `to_bytes` encodes on its first call
+and keeps the result, `from_bytes` keeps the exact bytes it decoded, and a
+Signed record keeps its signing bytes (or slices them from its kept bytes),
+so no record is encoded twice. The kept bytes are an instance attribute, not
+a field: equality, hashing, repr and `dataclasses.replace` ignore them, and a
+replaced copy encodes its own.
+
+Decoding is a pure function of (record class, bytes). While a decode memo is
+active (`decode_memo`, which each `bus.SimBus` installs for the length of its
+event loop, beside its verdict memo), `from_bytes` decodes each distinct
+(class, bytes) pair once and hands every later caller the same record. That
+sharing is safe because records are frozen and hold only str, bytes, int,
+tuples and records. Bytes that fail to decode are never kept: they raise
+again on every call. Outside such a block every call decodes.
 """
 
 from __future__ import annotations
@@ -27,8 +42,9 @@ import dataclasses
 import json
 import struct
 import sys
+from contextlib import contextmanager
 from functools import cache
-from typing import Annotated, Any, Callable, ClassVar, Iterable, TypeVar
+from typing import Annotated, Any, Callable, ClassVar, Iterable, Iterator, TypeVar
 from typing import get_args, get_origin, get_type_hints
 
 # Domain tags. One per structure kind; never reuse a value.
@@ -143,9 +159,15 @@ class Record:
     nested in another record), then its fields in declared order."""
 
     TAG: ClassVar[int | None] = None
+    # the record's canonical bytes, set on the instance once known
+    _encoding: ClassVar[bytes | None] = None
 
     def to_bytes(self) -> bytes:
-        return _codec(type(self)).encode(self)
+        data = self._encoding
+        if data is None:
+            data = _codec(type(self)).encode(self)
+            object.__setattr__(self, "_encoding", data)
+        return data
 
     @classmethod
     def read(cls, reader: Reader) -> Any:
@@ -153,9 +175,17 @@ class Record:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> Any:
+        memo = _decoded
+        if memo is not None:
+            value = memo.get((cls, data))
+            if value is not None:
+                return value
         reader = Reader(data)
         value = _codec(cls).read(reader)
         reader.done()
+        object.__setattr__(value, "_encoding", data)
+        if memo is not None:
+            memo[cls, data] = value
         return value
 
 
@@ -163,20 +193,56 @@ class Signed(Record):
     """A Record whose last field signs the others: `signing_bytes` is their
     tagged encoding, and `to_bytes` is that followed by the signature."""
 
+    # the tagged encoding of all fields but the signature, set once known
+    _signing: ClassVar[bytes | None] = None
+
     @classmethod
     def sign(cls, keys: Any, *values: Any, **fields: Any) -> Any:
         """The record of all fields but the last, given as to the constructor,
         with the last set to `keys.sign` of its signing bytes."""
         codec = _codec(cls)
-        unsigned = cls(*values, **fields, **{codec.signature: None})
-        return cls(*values, **fields, **{codec.signature: keys.sign(codec.encode(unsigned))})
+        message = codec.encode(cls(*values, **fields, **{codec.signature: None}))
+        signed = cls(*values, **fields, **{codec.signature: keys.sign(message)})
+        object.__setattr__(signed, "_signing", message)
+        return signed
 
     def signing_bytes(self) -> bytes:
-        return _codec(type(self)).encode(self)
+        data = self._signing
+        if data is None:
+            codec = _codec(type(self))
+            encoding = self._encoding
+            if encoding is None:
+                data = codec.encode(self)
+            else:  # the signature is the kept encoding's last field
+                data = encoding[: -len(getattr(self, codec.signature).to_bytes())]
+            object.__setattr__(self, "_signing", data)
+        return data
 
     def to_bytes(self) -> bytes:
-        codec = _codec(type(self))
-        return codec.encode(self) + getattr(self, codec.signature).to_bytes()
+        data = self._encoding
+        if data is None:
+            signature = getattr(self, _codec(type(self)).signature)
+            data = self.signing_bytes() + signature.to_bytes()
+            object.__setattr__(self, "_encoding", data)
+        return data
+
+
+# the active decode memo, (record class, bytes) -> record; None outside a
+# `decode_memo` block
+_decoded: dict[tuple[type, bytes], Record] | None = None
+
+
+@contextmanager
+def decode_memo(memo: dict[tuple[type, bytes], Record]) -> Iterator[None]:
+    """Make `Record.from_bytes` consult and fill `memo` until the block exits,
+    then restore the memo active before it. The caller owns `memo` and
+    decides its lifetime; a `SimBus` keeps one per world."""
+    global _decoded
+    previous, _decoded = _decoded, memo
+    try:
+        yield
+    finally:
+        _decoded = previous
 
 
 R = TypeVar("R")

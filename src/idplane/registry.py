@@ -249,9 +249,12 @@ class RegistryImage(enc.Record):
     applied: tuple[bytes, ...]
 
 
-def apply_transaction(state: RegistryState, tx: RegistryTransaction) -> tuple[RegistryState, str]:
+def apply_transaction(
+    state: RegistryState, tx: RegistryTransaction, digest: bytes | None = None
+) -> tuple[RegistryState, str]:
     """Pure, deterministic validation and application. Returns the next state
     and an outcome: APPLIED, or a rejection reason leaving the state unchanged.
+    `digest` is the transaction's digest, if the caller has hashed it already.
 
     The checks run in one order: the submitter's key, its signature,
     Duplicate, an unknown kind (BadSignature), the kind's role gate
@@ -285,7 +288,9 @@ def apply_transaction(state: RegistryState, tx: RegistryTransaction) -> tuple[Re
 
     if not crypto.verify(submitter_key, tx.signing_bytes(), tx.submitter_signature):
         return state, "BadSignature"
-    if tx.digest() in state.applied:
+    if digest is None:
+        digest = tx.digest()
+    if digest in state.applied:
         return state, "Duplicate"
     if apply is None:
         return state, "BadSignature"
@@ -293,114 +298,115 @@ def apply_transaction(state: RegistryState, tx: RegistryTransaction) -> tuple[Re
         return state, "UnauthorizedRole"
     if payload is None:
         return state, "BadSignature"
-    return apply(state, tx, payload)
+    changes = apply(state, tx, payload)
+    if isinstance(changes, str):
+        return state, changes
+    return replace(state, applied=state.applied | {digest}, **changes), OUTCOME_APPLIED
 
 
-def _committed(state: RegistryState, tx: RegistryTransaction, **changes) -> tuple[RegistryState, str]:
-    return replace(state, applied=state.applied | {tx.digest()}, **changes), OUTCOME_APPLIED
+# Each kind's rules below return the tables a valid transaction changes, or
+# the reason it is rejected.
 
 
 def _apply_nym(
     state: RegistryState, tx: RegistryTransaction, doc: DidDocument
-) -> tuple[RegistryState, str]:
+) -> dict | str:
     if not doc.verification_keys or not did_matches_key(doc.did, doc.primary_key()):
-        return state, "BadSignature"
+        return "BadSignature"
     for signer, sig in doc.attestations:
         signer_doc = state.docs.get(signer)
         if signer_doc is None or not (
             state.roles.get(signer, frozenset()) & VERINYM_ATTESTER_ROLES
         ):
-            return state, "UnauthorizedRole"
+            return "UnauthorizedRole"
         if not crypto.verify(signer_doc.primary_key(), doc.attestation_bytes(), sig):
-            return state, "BadSignature"
+            return "BadSignature"
     existing = state.docs.get(doc.did)
     if existing is not None:
         if tx.submitter_did != doc.did and not (
             state.roles.get(tx.submitter_did, frozenset()) & VERINYM_ATTESTER_ROLES
         ):
-            return state, "UnauthorizedRole"  # only the owner or a validator rewrites
+            return "UnauthorizedRole"  # only the owner or a validator rewrites
         if doc.version == existing.version:
-            return state, "Duplicate"
+            return "Duplicate"
         if doc.version != existing.version + 1:
-            return state, "StaleEpoch"
-    return _committed(state, tx, docs={**state.docs, doc.did: doc})
+            return "StaleEpoch"
+    return {"docs": {**state.docs, doc.did: doc}}
 
 
 def _apply_schema(
     state: RegistryState, tx: RegistryTransaction, schema: CredentialSchema
-) -> tuple[RegistryState, str]:
+) -> dict | str:
     if schema.schema_id in state.schemas:
-        return state, "DuplicateId"
-    return _committed(state, tx, schemas={**state.schemas, schema.schema_id: schema})
+        return "DuplicateId"
+    return {"schemas": {**state.schemas, schema.schema_id: schema}}
 
 
 def _apply_cred_def(
     state: RegistryState, tx: RegistryTransaction, cred_def: CredentialDefinition
-) -> tuple[RegistryState, str]:
+) -> dict | str:
     own_id = cred_def_id_for(tx.submitter_did, cred_def.schema_id)
     if cred_def.issuer_did != tx.submitter_did or cred_def.cred_def_id != own_id:
-        return state, "UnauthorizedRole"  # the id names its issuer: no one takes another's
+        return "UnauthorizedRole"  # the id names its issuer: no one takes another's
     if cred_def.cred_def_id in state.cred_defs:
-        return state, "DuplicateId"
-    return _committed(state, tx, cred_defs={**state.cred_defs, cred_def.cred_def_id: cred_def})
+        return "DuplicateId"
+    return {"cred_defs": {**state.cred_defs, cred_def.cred_def_id: cred_def}}
 
 
 def _apply_revoc_init(
     state: RegistryState, tx: RegistryTransaction, update: RevocationUpdate
-) -> tuple[RegistryState, str]:
+) -> dict | str:
     reg = update.state
     if reg.issuer_did != tx.submitter_did:
-        return state, "UnauthorizedRole"
+        return "UnauthorizedRole"
     if reg.issuer_did in state.revocation:
-        return state, "DuplicateId"
+        return "DuplicateId"
     if reg.epoch != 0:
-        return state, "StaleEpoch"
+        return "StaleEpoch"
     return _committed_revocation(state, tx, update)
 
 
 def _apply_revoc_update(
     state: RegistryState, tx: RegistryTransaction, update: RevocationUpdate
-) -> tuple[RegistryState, str]:
+) -> dict | str:
     reg = update.state
     current = state.revocation.get(reg.issuer_did)
     if current is None or reg.issuer_did != tx.submitter_did:
-        return state, "UnauthorizedRole"
+        return "UnauthorizedRole"
     if reg.epoch != current.epoch + 1:
-        return state, "StaleEpoch"
+        return "StaleEpoch"
     return _committed_revocation(state, tx, update)
 
 
 def _committed_revocation(
     state: RegistryState, tx: RegistryTransaction, update: RevocationUpdate
-) -> tuple[RegistryState, str]:
-    """Commit the update's revocation state and memberlists together, or
-    none of them: a list its submitter did not issue is UnauthorizedRole,
-    and one whose `roster_version` does not rise above the list the registry
-    holds for its (issuer, network) is StaleRoster. The list's signature is
-    its readers' to verify."""
+) -> dict | str:
+    """The tables that commit the update's revocation state and memberlists
+    together, or the reason none of them commits: a list its submitter did
+    not issue is UnauthorizedRole, and one whose `roster_version` does not
+    rise above the list the registry holds for its (issuer, network) is
+    StaleRoster. The list's signature is its readers' to verify."""
     memberlists = dict(state.memberlists)
     for memberlist in update.memberlists:
         key = (memberlist.issuer_did, memberlist.network_id)
         if memberlist.issuer_did != tx.submitter_did:
-            return state, "UnauthorizedRole"
+            return "UnauthorizedRole"
         if key in memberlists and memberlist.roster_version <= memberlists[key].roster_version:
-            return state, "StaleRoster"
+            return "StaleRoster"
         memberlists[key] = memberlist
     reg = update.state
-    return _committed(
-        state, tx, revocation={**state.revocation, reg.issuer_did: reg}, memberlists=memberlists
-    )
+    return {"revocation": {**state.revocation, reg.issuer_did: reg}, "memberlists": memberlists}
 
 
 def _apply_anchor_grant(
     state: RegistryState, tx: RegistryTransaction, grant: AnchorGrant
-) -> tuple[RegistryState, str]:
+) -> dict | str:
     if grant.role not in ROLES:
-        return state, "BadSignature"
+        return "BadSignature"
     held = state.roles.get(grant.target_did, frozenset())
     if grant.role in held:
-        return state, "Duplicate"
-    return _committed(state, tx, roles={**state.roles, grant.target_did: held | {grant.role}})
+        return "Duplicate"
+    return {"roles": {**state.roles, grant.target_did: held | {grant.role}}}
 
 
 # kind -> (roles of which the submitter must hold one, or None; payload Record; apply)
@@ -480,16 +486,17 @@ class Ack(enc.Record):
     batch_digest: bytes
 
 
-def decode_batch(hexes) -> list[tuple[bytes, RegistryTransaction]]:
-    """Each hex-encoded transaction of a batch, as (bytes, transaction).
-    Raises TypeError unless `hexes` is a list of strings, ValueError for an
-    entry that is no transaction, and EmptyBatch for an empty list."""
+def decode_batch(hexes) -> list[tuple[RegistryTransaction, bytes]]:
+    """Each hex-encoded transaction of a batch, as (transaction, digest); the
+    transaction keeps the bytes it was decoded from. Raises TypeError unless
+    `hexes` is a list of strings, ValueError for an entry that is no
+    transaction, and EmptyBatch for an empty list."""
     if not isinstance(hexes, list):
         raise TypeError("txs must be a list")
     if not hexes:
         raise EmptyBatch("a batch needs at least one transaction")
     batch = [bytes.fromhex(h) for h in hexes]
-    return [(tx_bytes, RegistryTransaction.from_bytes(tx_bytes)) for tx_bytes in batch]
+    return [(RegistryTransaction.from_bytes(b), crypto.digest(b)) for b in batch]
 
 
 class IinNode(Actor):
@@ -518,17 +525,19 @@ class IinNode(Actor):
 
     # --- shared apply path ---------------------------------------------------
 
-    def _apply_in_order(self, tx_bytes: bytes, tx: RegistryTransaction) -> str:
+    def _apply_in_order(self, tx: RegistryTransaction, digest: bytes) -> str:
+        """Apply a decoded transaction, whose kept bytes the log records and
+        whose `digest` the caller hashed once from them."""
         seq = self.next_seq
-        self.state, outcome = apply_transaction(self.state, tx)
-        self.log.append((seq, tx_bytes, outcome))
+        self.state, outcome = apply_transaction(self.state, tx, digest)
+        self.log.append((seq, tx.to_bytes(), outcome))
         self.next_seq += 1
         self.trace(
             "registry.commit",
             iin=self.pool.iin_id,
             seq=seq,
             tx_kind=tx.kind,
-            tx_digest=crypto.digest(tx_bytes).hex(),
+            tx_digest=digest.hex(),
             submitter=tx.submitter_did,
             outcome=outcome,
         )
@@ -562,10 +571,10 @@ class IinNode(Actor):
             return {"error": "NotSequencer"}
         batch = decode_batch(msg.body["txs"])
         first = self.next_seq
-        outcomes = [self._apply_in_order(tx_bytes, tx) for tx_bytes, tx in batch]
+        outcomes = [self._apply_in_order(tx, digest) for tx, digest in batch]
         last = self.next_seq - 1
         # the encoding is canonical: these are the digests a client computes
-        tx_digests = [crypto.digest(tx_bytes) for tx_bytes, _ in batch]
+        tx_digests = [digest for _, digest in batch]
         digest = batch_digest(tx_digests)
         own_ack = self._ack_body(first, last, digest)
 
@@ -628,11 +637,11 @@ class IinNode(Actor):
             yield from self._catch_up(first - 1)
         last = first + len(batch) - 1
         if first == self.next_seq:
-            for tx_bytes, tx in batch:
-                self._apply_in_order(tx_bytes, tx)
-        elif [entry[1] for entry in self.log[first:last + 1]] != [b for b, _ in batch]:
+            for tx, digest in batch:
+                self._apply_in_order(tx, digest)
+        elif [entry[1] for entry in self.log[first:last + 1]] != [tx.to_bytes() for tx, _ in batch]:
             return None  # the log holds other transactions there, or none yet
-        return self._ack_body(first, last, batch_digest([crypto.digest(b) for b, _ in batch]))
+        return self._ack_body(first, last, batch_digest([digest for _, digest in batch]))
 
     def _catch_up(self, upto: int) -> Generator:
         """Apply the sequencer's log entries from this replica's next seq
@@ -647,7 +656,8 @@ class IinNode(Actor):
             for seq, tx_hex, _outcome in reply.body["entries"]:
                 if seq == self.next_seq:
                     tx_bytes = bytes.fromhex(tx_hex)
-                    self._apply_in_order(tx_bytes, RegistryTransaction.from_bytes(tx_bytes))
+                    tx = RegistryTransaction.from_bytes(tx_bytes)
+                    self._apply_in_order(tx, crypto.digest(tx_bytes))
 
     # --- open reads --------------------------------------------------------
 

@@ -10,6 +10,7 @@ from cryptography.exceptions import InvalidTag
 
 from idplane import bus as bus_mod
 from idplane import crypto, harness
+from idplane import encoding as enc
 from idplane.actors import Actor, Gather, Join, Message, Request, Sleep
 from idplane.bus import (
     BoxKeyPair, BusConfig, FaultRule, Header, SimBus, TickCeilingExceeded, UnknownEndpoint,
@@ -269,8 +270,9 @@ class TestConfidentialityAndAuthenticity:
     def test_each_header_is_encoded_once(self, monkeypatch):
         """One encoding per envelope both seals and opens it."""
         encodes = []
-        to_bytes = Header.to_bytes
-        monkeypatch.setattr(Header, "to_bytes", lambda h: encodes.append(h) or to_bytes(h))
+        codec = enc._codec(Header)
+        encode = codec.encode
+        monkeypatch.setattr(codec, "encode", lambda h: encodes.append(h) or encode(h))
         bus, actors = build(BusConfig(seed=5))
         actors["driver"].start_session("s", actors["driver"].script("echo", 3))
         bus.run_until_quiescent()
@@ -413,31 +415,42 @@ class TestJoinSemantics:
         assert caught == [("boom", 4)]
 
 
-class VerifierActor(Actor):
-    """Checks each timer token, a (key, message, signature) triple, inside the
-    bus loop; a token None raises instead."""
+class CallerActor(Actor):
+    """Calls `call(*token)` for each timer token inside the bus loop and keeps
+    what it returns; a token None raises instead."""
 
-    def __init__(self, address):
+    def __init__(self, address, call):
         super().__init__(address)
-        self.verdicts = []
+        self.call = call
+        self.results = []
 
     def on_timer(self, token):
         if token is None:
             raise RuntimeError("actor failed")
-        self.verdicts.append(crypto.verify(*token))
+        self.results.append(self.call(*token))
 
 
-def verify_in_run(*checks, seed=5):
-    """Run each check in turn inside one bus run; returns the bus and the
-    verdicts."""
-    bus, actors = build(BusConfig(seed=seed), names=())
-    verifier = VerifierActor("verifier")
-    verifier.bind(bus, random.Random(7))
-    bus.register(verifier, BoxKeyPair.from_seed(seed32("bverifier")))
-    for i, check in enumerate(checks):
-        bus.schedule_timer("verifier", i + 1, check)
+def caller_bus(call, *tokens):
+    """A bus whose actor "caller" calls `call` on each token in turn."""
+    bus, _ = build(BusConfig(seed=5), names=())
+    caller = CallerActor("caller", call)
+    caller.bind(bus, random.Random(7))
+    bus.register(caller, BoxKeyPair.from_seed(seed32("bcaller")))
+    for i, token in enumerate(tokens):
+        bus.schedule_timer("caller", i + 1, token)
+    return bus, caller
+
+
+def in_run(call, *tokens):
+    """Call `call` on each token in turn inside one bus run; returns the bus
+    and the results."""
+    bus, caller = caller_bus(call, *tokens)
     bus.run_until_quiescent()
-    return bus, verifier.verdicts
+    return bus, caller.results
+
+
+def verify_in_run(*checks):
+    return in_run(crypto.verify, *checks)
 
 
 @pytest.fixture
@@ -515,16 +528,11 @@ class TestVerdictMemo:
             assert crypto._verdicts is outer
         assert outer == {} and len(bus._verdicts) == 1
 
-        bus, _ = build(BusConfig(seed=1), names=())
-        verifier = VerifierActor("verifier")
-        verifier.bind(bus, random.Random(0))
-        bus.register(verifier, BoxKeyPair.from_seed(seed32("bverifier")))
-        bus.schedule_timer("verifier", 1, checks[0])
-        bus.schedule_timer("verifier", 2, None)
+        bus, _ = caller_bus(crypto.verify, checks[0], None)
         with pytest.raises(RuntimeError):
             bus.run_until_quiescent()
         assert crypto._verdicts is None and len(bus._verdicts) == 1
-        bus.schedule_timer("verifier", 500, checks[0])
+        bus.schedule_timer("caller", 500, checks[0])
         with pytest.raises(TickCeilingExceeded):
             bus.run_until_quiescent(tick_ceiling=100)
         assert crypto._verdicts is None
@@ -536,3 +544,67 @@ class TestVerdictMemo:
         assert crypto.verify(self.other.public_key, self.message, other_sig)
         assert crypto.verify(self.keys.public_key, self.message, self.sig)
         assert bus._verdicts == before and len(executed) == 3
+
+
+def decode(cls, data):
+    """The record of class `cls` that `data` encodes, or the error it raises."""
+    try:
+        return cls.from_bytes(data)
+    except enc.DecodeError as e:
+        return e
+
+
+def decode_in_run(*tokens):
+    return in_run(decode, *tokens)
+
+
+class TestDecodeMemo:
+    keys = crypto.KeyPair.from_seed(seed32("signer"))
+    cert = crypto.Certificate.sign(keys, "leaf", keys.public_key, "root", 1, 2)
+    data = cert.to_bytes()
+
+    def test_a_repeat_inside_a_run_is_the_same_record(self):
+        token = (crypto.Certificate, self.data)
+        bus, decoded = decode_in_run(token, token)
+        assert decoded[0] is decoded[1] and decoded[0] == self.cert
+        assert bus._decoded == {(crypto.Certificate, self.data): self.cert}
+
+    def test_the_memo_is_consulted_only_inside_a_run(self):
+        bus, decoded = decode_in_run((crypto.Certificate, self.data))
+        assert enc._decoded is None
+        outside = [crypto.Certificate.from_bytes(self.data) for _ in range(2)]
+        assert outside[0] is not outside[1] and outside[0] is not decoded[0]
+        assert outside[0].to_bytes() is self.data
+        assert list(bus._decoded.values()) == decoded
+
+    def test_an_undecodable_string_is_not_kept(self):
+        bad = self.data[:-1]
+        bus, decoded = decode_in_run((crypto.Certificate, bad), (crypto.Certificate, bad))
+        assert [type(e) for e in decoded] == [enc.DecodeError, enc.DecodeError]
+        assert decoded[0] is not decoded[1]
+        assert bus._decoded == {}
+
+    def test_the_outer_memo_is_restored_after_a_run_returns_or_raises(self):
+        outer = {}
+        with enc.decode_memo(outer):
+            bus, _ = decode_in_run((crypto.Certificate, self.data))
+            assert enc._decoded is outer
+            with enc.decode_memo({}):
+                crypto.Certificate.from_bytes(self.data)
+            assert enc._decoded is outer
+        assert enc._decoded is None
+        assert outer == {} and len(bus._decoded) == 1
+
+        bus, _ = caller_bus(decode, (crypto.Certificate, self.data), None)
+        with pytest.raises(RuntimeError):
+            bus.run_until_quiescent()
+        assert enc._decoded is None and len(bus._decoded) == 1
+
+    def test_two_worlds_from_one_identity_seed_share_no_entry(self):
+        memos = []
+        for _ in range(2):
+            runner = harness.ScenarioRunner(scenario_config("concurrent-commit"))
+            assert runner.run().ok
+            memos.append(runner.world.bus._decoded)
+        assert memos[0] is not memos[1] and memos[0] == memos[1]
+        assert not any(memos[0][key] is memos[1][key] for key in memos[0])

@@ -16,7 +16,10 @@ transaction at a time again, or asks a countersigner once per record again
 fails even when other sends move.
 Beside the logical Ed25519 verifies, each scenario pins the verifies its
 world's verdict memo executes: one per distinct triple checked inside the bus
-loop, so a memo that shares verdicts too widely or too narrowly fails.
+loop, so a memo that shares verdicts too widely or too narrowly fails. In the
+same way each scenario pins the record decodes asked for inside the bus loop
+and the entries of its world's decode memo, one per distinct (record class,
+bytes) pair: a nested record is decoded only when its enclosing one misses.
 """
 
 import hashlib
@@ -25,6 +28,7 @@ from dataclasses import replace
 import pytest
 
 from idplane import crypto, harness
+from idplane import encoding as enc
 
 from conftest import scenario_config
 
@@ -96,6 +100,33 @@ def test_bundled_scenario_executed_verifies(monkeypatch, name, logical, outside,
     assert (len(calls), calls.count(False), len(memo)) == (logical, outside, executed)
     assert memo.keys() == in_run
 
+
+
+@pytest.mark.parametrize(
+    "name, in_loop, entries",
+    [
+        ("two-network", 284, 116),
+        ("concurrent-commit", 225, 81),
+        ("revoke-carrier", 334, 133),
+        ("rotate-resync", 274, 110),
+    ],
+)
+def test_bundled_scenario_decodes(monkeypatch, name, in_loop, entries):
+    runner = harness.ScenarioRunner(scenario_config(name))
+    memo = runner.world.bus._decoded
+    calls = []
+    from_bytes = enc.Record.from_bytes.__func__
+
+    def wrapped(cls, data):
+        if enc._decoded is memo:
+            calls.append((cls, data))
+        return from_bytes(cls, data)
+
+    monkeypatch.setattr(enc.Record, "from_bytes", classmethod(wrapped))
+    report = runner.run()
+    assert report.ok, report.errors
+    assert (len(calls), len(memo)) == (in_loop, entries)
+    assert memo.keys() == set(calls)
 
 TRACE_DIGESTS = {
     "concurrent-commit": "0e5545e6d370f420cf69e2ae4702e0ffd8c5b9eaf56a3eb1f3b7bb33f0a63ddc",

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -582,6 +583,57 @@ def test_record_bytes_match_the_oracle_and_roundtrip(value):
     assert type(value).from_bytes(data) == value
 
 
+@contextmanager
+def encoder_runs():
+    """The records the codec encodes (all fields, or all but a Signed
+    record's signature) while the block runs."""
+    ran = []
+    codecs = [enc._codec(cls) for cls in RECORDS]
+    encoders = [codec.encode for codec in codecs]
+    for codec, encode in zip(codecs, encoders):
+        codec.encode = lambda value, encode=encode: ran.append(value) or encode(value)
+    try:
+        yield ran
+    finally:
+        for codec, encode in zip(codecs, encoders):
+            codec.encode = encode
+
+
+@settings(max_examples=200)
+@given(any_record())
+def test_a_decoded_record_keeps_the_bytes_it_was_decoded_from(value):
+    data = value.to_bytes()
+    with encoder_runs() as ran:
+        decoded = type(value).from_bytes(data)
+        assert decoded.to_bytes() is data
+    assert ran == []
+
+
+@settings(max_examples=200)
+@given(any_record())
+def test_kept_bytes_are_the_oracles(value):
+    _, old_signing, old_to_bytes = RECORDS[type(value)]
+    fresh = dataclasses.replace(value)
+    assert fresh._encoding is None
+    for record in (fresh, type(value).from_bytes(value.to_bytes())):
+        record.to_bytes()
+        assert record._encoding == old_to_bytes(value)
+        if old_signing is not None:
+            record.signing_bytes()
+            assert record._signing == old_signing(value)
+
+
+@settings(max_examples=200)
+@given(any_record())
+def test_a_decoded_record_equals_and_hashes_as_a_fresh_one(value):
+    decoded = type(value).from_bytes(value.to_bytes())
+    fresh = dataclasses.replace(value)
+    assert decoded == fresh and hash(decoded) == hash(fresh)
+    assert repr(decoded) == repr(fresh)
+    copy = dataclasses.replace(decoded)
+    assert copy == decoded and copy._encoding is None
+
+
 @settings(max_examples=100)
 @given(any_record(), st.data())
 def test_truncated_input_is_a_decode_error(value, data):
@@ -662,6 +714,10 @@ def test_ledger_state_hash_is_over_the_old_image(
 def test_sign_fills_the_last_field_with_a_signature_over_the_others(cls, fields):
     keys = crypto.KeyPair.from_seed(bytes(32))
     signed = cls.sign(keys, **fields)
+    with encoder_runs() as ran:  # the signed record keeps the bytes it signed
+        signed.to_bytes()
+        assert signed.signing_bytes() is signed.signing_bytes()
+    assert [value for value in ran if type(value) is cls] == []
     *names, last = [f.name for f in dataclasses.fields(cls)]
     assert {name: getattr(signed, name) for name in names} == fields
     assert signed.signing_bytes() == cls(**fields, **{last: None}).signing_bytes()

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from idplane import credentials as creds
 from idplane import crypto, registry
-from idplane.actors import Actor, Request
+from idplane import encoding as enc
+from idplane.actors import Actor, Message, Request
 from idplane.anchors import membership_schema
 from idplane.bus import BoxKeyPair, BusConfig, FaultRule, SimBus
 
@@ -1134,6 +1135,28 @@ class TestBatches:
         assert nodes[3].next_seq == 4
         assert nodes[3].state.state_hash() == nodes[0].state.state_hash()
         assert nodes[3].log == nodes[0].log
+
+    def test_replica_hashes_each_ordered_transaction_once_and_encodes_none(self, monkeypatch):
+        """A replica applies the transactions it decoded from an order by
+        their kept bytes: the codec encodes neither a transaction nor its
+        signing bytes, and each transaction is hashed once."""
+        bus, pool, nodes, client, steward = build_pool()
+        txs = org_nym_txs(steward, "a", "b", "c")
+        order = Message("iin.order", {"first": 0, "txs": [tx.to_bytes().hex() for tx in txs]})
+        encodes, hashed = [], []
+        codec = enc._codec(registry.RegistryTransaction)
+        encode, digest = codec.encode, crypto.digest
+        monkeypatch.setattr(codec, "encode", lambda tx: encodes.append(tx) or encode(tx))
+        monkeypatch.setattr(crypto, "digest", lambda data: hashed.append(data) or digest(data))
+        with pytest.raises(StopIteration) as done:
+            next(nodes[1]._handle_order(pool.sequencer, order))
+        assert done.value.value["batch_digest"] == registry.batch_digest(
+            [digest(tx.to_bytes()) for tx in txs]
+        ).hex()
+        assert [outcome for _, _, outcome in nodes[1].log] == ["APPLIED"] * 3
+        assert encodes == []
+        sent = [tx.to_bytes() for tx in txs]
+        assert [data for data in hashed if data in sent] == sent
 
     def test_empty_batch_is_refused_by_name_and_takes_no_seq(self):
         bus, pool, nodes, client, steward = build_pool()
