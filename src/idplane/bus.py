@@ -88,8 +88,16 @@ class Header(enc.Record):
 
 @dataclass(frozen=True)
 class Envelope:
+    """A sealed message. `digest`, the ciphertext's hash that the trace
+    records, is computed once per envelope; a copy made by `replace` (a
+    tampered one) computes its own."""
+
     header: Header
     ciphertext: bytes
+    digest: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "digest", crypto.digest(self.ciphertext))
 
 
 @dataclass
@@ -232,11 +240,10 @@ class SimBus:
         header = Header(sender, to, seq, kind)
         ciphertext = self._seal(header, plaintext)
         env = Envelope(header, ciphertext)
-        digest_hex = crypto.digest(ciphertext).hex()
         self.trace.record(
             self.now, sender, "bus.send",
             **{"from": sender, "to": to, "seq": seq, "msg_kind": kind,
-               "payload_digest": digest_hex},
+               "payload_digest": env.digest.hex()},
         )
 
         deliveries = 1
@@ -326,7 +333,7 @@ class SimBus:
                     self.now, header.to, "bus.deliver",
                     **{"from": header.from_, "to": header.to, "seq": header.seq,
                        "msg_kind": header.kind,
-                       "payload_digest": crypto.digest(env.ciphertext).hex()},
+                       "payload_digest": env.digest.hex()},
                 )
                 actor.on_delivery(header.from_, plaintext, header.kind)
             return self.now

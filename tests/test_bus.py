@@ -280,6 +280,31 @@ class TestConfidentialityAndAuthenticity:
         assert actors["driver"].log == [0, 1, 2, "done"]
         assert len(encodes) == len(sends) == 6
 
+    def test_each_ciphertext_is_hashed_once(self, monkeypatch):
+        """The envelope keeps its ciphertext's digest: the send and the
+        deliver event name it without hashing it again, even for a duplicate."""
+        hashed = []
+        digest = crypto.digest
+        monkeypatch.setattr(crypto, "digest", lambda data: hashed.append(data) or digest(data))
+        rule = FaultRule(action="duplicate", kind="pong", occurrence=1)
+        bus, actors = build(BusConfig(seed=5, rules=[rule]))
+        actors["driver"].start_session("s", actors["driver"].script("echo", 3))
+        bus.run_until_quiescent()
+        sends = [e for e in bus.trace.events if e.kind == "bus.send"]
+        delivered = [e for e in bus.trace.events if e.kind == "bus.deliver"]
+        assert len(delivered) == len(sends) + 1 == 7
+        assert len(hashed) == len(sends)
+        digests = {e.detail["seq"]: e.detail["payload_digest"] for e in sends}
+        assert all(e.detail["payload_digest"] == digests[e.detail["seq"]] for e in delivered)
+
+    def test_a_tampered_copy_carries_its_own_digest(self):
+        bus, _ = build(BusConfig(seed=5))
+        bus.send("driver", "echo", "ping", Message("ping", {"n": 0}).to_bytes())
+        env = heapq.heappop(bus._queue)[3]
+        flipped = replace(env, ciphertext=bytes([env.ciphertext[0] ^ 1]) + env.ciphertext[1:])
+        assert env.digest == crypto.digest(env.ciphertext)
+        assert flipped.digest == crypto.digest(flipped.ciphertext) != env.digest
+
     def test_relabelled_kind_is_rejected(self):
         bus, actors = build(BusConfig(seed=5))
         seq = bus.send("driver", "echo", "ping", Message("ping", {"n": 0}).to_bytes())
