@@ -22,10 +22,11 @@ scenario identity.
 
 Every Record keeps its canonical bytes: `to_bytes` encodes on its first call
 and keeps the result, `from_bytes` keeps the exact bytes it decoded, and a
-Signed record keeps its signing bytes (or slices them from its kept bytes),
-so no record is encoded twice. The kept bytes are an instance attribute, not
-a field: equality, hashing, repr and `dataclasses.replace` ignore them, and a
-replaced copy encodes its own.
+Signed record keeps its signing bytes (for a decoded one, the kept bytes up
+to where the decoder began the signature field), so no record is encoded
+twice. The kept bytes are an instance attribute, not a field: equality,
+hashing, repr and `dataclasses.replace` ignore them, and a replaced copy
+encodes its own.
 
 Decoding is a pure function of (record class, bytes). While a decode memo is
 active (`decode_memo`, which each `bus.SimBus` installs for the length of its
@@ -110,6 +111,8 @@ class Reader:
     def __init__(self, data: bytes, expect_tag: int | None = None):
         self._data = data
         self._pos = 0
+        # where the last Signed record read began its signature field
+        self.signature_at: int | None = None
         if expect_tag is not None:
             self.tag(expect_tag)
 
@@ -184,6 +187,8 @@ class Record:
         value = _codec(cls).read(reader)
         reader.done()
         object.__setattr__(value, "_encoding", data)
+        if isinstance(value, Signed):
+            object.__setattr__(value, "_signing", data[: reader.signature_at])
         if memo is not None:
             memo[cls, data] = value
         return value
@@ -209,12 +214,7 @@ class Signed(Record):
     def signing_bytes(self) -> bytes:
         data = self._signing
         if data is None:
-            codec = _codec(type(self))
-            encoding = self._encoding
-            if encoding is None:
-                data = codec.encode(self)
-            else:  # the signature is the kept encoding's last field
-                data = encoding[: -len(getattr(self, codec.signature).to_bytes())]
+            data = _codec(type(self)).encode(self)
             object.__setattr__(self, "_signing", data)
         return data
 
@@ -274,7 +274,11 @@ class _Codec:
     def read(self, reader: Reader) -> Record:
         if self.tag is not None:
             reader.tag(self.tag)
-        return self.cls(*[decode(reader) for decode in self.decoders])
+        if self.signature is None:
+            return self.cls(*[decode(reader) for decode in self.decoders])
+        values = [decode(reader) for decode in self.decoders[:-1]]
+        reader.signature_at = reader._pos
+        return self.cls(*values, self.decoders[-1](reader))
 
 
 @cache

@@ -610,6 +610,19 @@ def test_a_decoded_record_keeps_the_bytes_it_was_decoded_from(value):
 
 
 @settings(max_examples=200)
+@given(any_record().filter(lambda value: isinstance(value, enc.Signed)))
+def test_a_decoded_signed_record_keeps_its_signing_bytes_from_the_decoder(value):
+    """The signing bytes are the decoded bytes up to the signature field: no
+    encoder runs, not even the signature's, to find where that field starts."""
+    data = value.to_bytes()
+    decoded = type(value).from_bytes(data)
+    with encoder_runs() as ran:
+        signing = decoded.signing_bytes()
+    assert ran == []
+    assert signing == value.signing_bytes() and data.startswith(signing)
+
+
+@settings(max_examples=200)
 @given(any_record())
 def test_kept_bytes_are_the_oracles(value):
     _, old_signing, old_to_bytes = RECORDS[type(value)]
