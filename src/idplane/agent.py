@@ -13,8 +13,8 @@ The agent is the org's protocol engine for the identity plane:
           and verify the returned membership presentation against those
           registry artifacts. The validator writes its list to the registry
           with each revocation state, so the gate asks it nothing;
-  step C  check the member's network-issued certificate bundle, a
-          self-signed presentation that the same challenge reply carries
+  step C  check the member's network-issued certificate bundle, which the
+          same membership presentation carries, under its one signature,
           when step C follows, and its internal consistency;
   step D  commit the bundles to the local ledger: send every other local org
           one countersign request that lists the statement of each bundle,
@@ -273,15 +273,16 @@ class IinAgent(Actor):
     # --- serving counterparties ----------------------------------------------
 
     def _serve_membership_vp(self, sender: str, msg: Message) -> Generator:
-        """Answer a challenge with the membership presentation and, when it
-        carries a `bundle_nonce`, the bundle presentation as `identity_vp`."""
+        """Answer a challenge with one membership presentation, signed once,
+        that carries the org's certificate bundle for the network too when
+        the challenge asks for it (`"bundle": true`)."""
         network_id, nonce = msg.fields("network_id", "nonce")
         epochs = msg.body.get("epochs", {})
         if not isinstance(epochs, dict) or not all(isinstance(e, int) for e in epochs.values()):
             raise TypeError(f"{msg.kind}: epochs must map issuer DIDs to integers")
-        bundle_nonce = msg.body.get("bundle_nonce")
-        if bundle_nonce is not None:
-            bundle_nonce = bytes.fromhex(*msg.fields("bundle_nonce"))
+        with_bundle = msg.body.get("bundle", False)
+        if not isinstance(with_bundle, bool):
+            raise TypeError(f"{msg.kind}: bundle must be a bool")
         nonce = bytes.fromhex(nonce)
         entry = self.wallet.get(network_id)
         if entry is None:
@@ -290,13 +291,9 @@ class IinAgent(Actor):
         epoch = epochs.get(vc.issuer_did)
         if epoch is None or witness.epoch < epoch:
             witness = yield from self._freshen_witness(network_id, epoch)
-        vp = creds.build_membership_vp(self.did, self.keys, vc, witness, nonce)
-        reply = {"ok": True, "vp": vp.to_bytes().hex()}
-        if bundle_nonce is not None:
-            bundle = self.config.organizations[network_id].bundle_bytes()
-            vp = creds.build_self_signed_vp(self.did, self.keys, bundle, bundle_nonce)
-            reply["identity_vp"] = vp.to_bytes().hex()
-        return reply
+        bundle = self.config.organizations[network_id].bundle_bytes() if with_bundle else b""
+        vp = creds.build_membership_vp(self.did, self.keys, vc, witness, nonce, bundle)
+        return {"ok": True, "vp": vp.to_bytes().hex()}
 
     def _freshen_witness(self, network_id: str, epoch: Optional[int]) -> Generator:
         """The wallet's witness for `network_id` once the issuing anchor has
@@ -484,8 +481,8 @@ class IinAgent(Actor):
         snapshot: Optional[registry.MemberSnapshot] = None,
     ) -> Generator:
         """Resolve, challenge, and verify one foreign member (step B) and,
-        with `with_bundle`, check the certificate bundle the same challenge
-        reply carries (step C). A `memberlist`, when given, must list
+        with `with_bundle`, check the certificate bundle that the same
+        presentation carries (step C). A `memberlist`, when given, must list
         `target_did` (NotListed). Returns (claim, record): `record` is the
         checked ACTIVE `net.RecordContent` with `with_bundle`, else None.
 
@@ -512,10 +509,10 @@ class IinAgent(Actor):
             snapshot = yield from self._read_members(home_network, foreign_network, (target_did,))
         (doc, _), revocation = snapshot.holder(target_did), snapshot.revocation()
         epochs = {issuer: state.epoch for issuer, state in revocation.items()}
-        nonce, bundle_nonce = self.nonce(), (self.nonce() if with_bundle else None)
+        nonce = self.nonce()
         body = {"network_id": foreign_network, "nonce": nonce.hex(), "epochs": epochs}
         if with_bundle:
-            body["bundle_nonce"] = bundle_nonce.hex()
+            body["bundle"] = True
         reply = yield Request(
             doc.service_endpoint, "agent.membership_vp.request", body, timeout=400
         )
@@ -542,31 +539,21 @@ class IinAgent(Actor):
         )
         record = None
         if with_bundle:
-            record = yield from self._fetch_identity(
-                foreign_network, target_did, artifacts.presenter_doc,
-                artifacts.presenter_verinym, bundle_nonce, reply.body.get("identity_vp"),
-            )
+            record = yield from self._fetch_identity(foreign_network, target_did, vp_body.bundle)
         return claim, record
 
     # --- step C: check network identity ----------------------------------------
 
-    def _fetch_identity(
-        self,
-        foreign_network: str,
-        target_did: str,
-        doc: registry.DidDocument,
-        verinym: bool,
-        nonce: bytes,
-        identity_vp: object,
-    ) -> Generator:
-        """Check the bundle presentation `identity_vp` (hex, as received)
-        that step B's challenge reply carried under `nonce`; returns and
-        caches the ACTIVE record that step D commits. A generator though it
-        sends nothing, as the benchmark's tracer drives steps B, C and D as
-        generators."""
+    def _fetch_identity(self, foreign_network: str, target_did: str, payload: bytes) -> Generator:
+        """Check the certificate bundle `payload` that `target_did`'s
+        membership presentation carried, once that presentation has passed
+        checks 1-7, so its one signature, under the holder's DID key and
+        bound to this challenge's nonce, already covers the bundle. Returns
+        and caches the ACTIVE record that step D commits; an empty bundle,
+        one that does not decode, or one of another network is
+        MalformedBundle. A generator though it sends nothing, as the
+        benchmark's tracer drives steps B, C and D as generators."""
         yield from ()
-        vp = _decode(creds.VerifiablePresentation, identity_vp, MalformedBundle, target_did)
-        payload = creds.verify_self_signed_vp(vp, nonce, doc, verinym)
         bundle = _decode(net.Bundle, payload, MalformedBundle, target_did)
         if bundle.network_id != foreign_network or not bundle.chains:
             raise MalformedBundle(

@@ -4,9 +4,11 @@ A membership VC binds (holder DID, network id) under an issuing anchor's
 credential-definition key; a memberlist VC enumerates a network's member DIDs
 at a roster version. Holders package credentials into challenge-bound
 verifiable presentations: a MEMBERSHIP presentation carries exactly one VC plus
-its revocation witness (so other memberships are never disclosed), a
-SELF_SIGNED presentation carries an opaque payload (certificate bundle or
-memberlist) under the presenter's own DID key.
+its revocation witness (so other memberships are never disclosed) and, when
+the challenge asks for it, the holder's certificate bundle for that VC's
+network, all under the one presenter signature. A SELF_SIGNED presentation
+carries an opaque payload under the presenter's own DID key; only the
+anchor's memberlist endpoint serves one.
 
 Verification of a membership presentation runs seven checks in a fixed order
 so failures are reported deterministically:
@@ -197,10 +199,13 @@ class VerifiablePresentation(enc.Signed):
 
 @dataclass(frozen=True)
 class MembershipBody(enc.Record):
-    """A MEMBERSHIP presentation's body: one VC and its revocation witness."""
+    """A MEMBERSHIP presentation's body: one VC, its revocation witness and
+    the holder's certificate bundle for the VC's network (empty when the
+    challenge did not ask for it)."""
 
     vc: enc.Framed[MembershipCredential]
     witness: enc.Framed[crypto.AccumulatorWitness]
+    bundle: bytes
 
 
 def build_membership_vp(
@@ -209,12 +214,14 @@ def build_membership_vp(
     vc: MembershipCredential,
     witness: crypto.AccumulatorWitness,
     challenge_nonce: bytes,
+    bundle: bytes = b"",
 ) -> VerifiablePresentation:
-    """Presentation carrying exactly the one VC for the requested network; the
+    """Presentation carrying exactly the one VC for the requested network and,
+    when given, the bundle for that network, all under one signature; the
     serialization discloses no other membership the holder may have."""
     if vc.holder_did != holder_did:
         raise HolderKeyMismatch(f"credential held by {vc.holder_did}, presenter {holder_did}")
-    body = MembershipBody(vc, witness).to_bytes()
+    body = MembershipBody(vc, witness, bundle).to_bytes()
     return VerifiablePresentation.sign(
         holder_keys, VP_MEMBERSHIP, body, holder_did, challenge_nonce
     )

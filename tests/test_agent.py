@@ -350,21 +350,18 @@ class TestCountersigning:
         assert failed.detail["detail"] == "Seller:KeyError"
         assert failed.tick - asked.tick <= 100  # not the 1,500-tick gather timeout
 
-    @pytest.mark.parametrize("field, error", [
-        ("vp", "MemberUnreachable"), ("identity_vp", "MalformedBundle"),
-    ])
-    def test_undecodable_presentation_fails_only_its_own_target(self, world, field, error):
+    def test_undecodable_presentation_fails_only_its_own_target(self, world):
         carrier = world.agents["Carrier"]
         serve = carrier._serve_membership_vp
 
         def garbled(sender, msg):
             body = yield from serve(sender, msg)
-            return {**body, field: "zz"}
+            return {**body, "vp": "zz"}
 
         carrier._serve_membership_vp = garbled
         start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL")
-        failed = assert_only_carrier_failed(world, record, start, error)
+        failed = assert_only_carrier_failed(world, record, start, "MemberUnreachable")
         assert "undecodable VerifiablePresentation" in failed.detail["detail"]
 
     def test_signed_reply_without_a_signature_fails_only_its_own_target(self, world):
@@ -515,9 +512,9 @@ class TestSnapshotArtifacts:
         reads.clear()
         build = creds.build_membership_vp
 
-        def tampered(holder_did, holder_keys, vc, witness, nonce):
+        def tampered(holder_did, holder_keys, vc, witness, nonce, bundle=b""):
             vc = replace(vc, cred_def_id="creddef:chosen-by-the-holder")
-            return build(holder_did, holder_keys, vc, witness, nonce)
+            return build(holder_did, holder_keys, vc, witness, nonce, bundle)
 
         monkeypatch.setattr(creds, "build_membership_vp", tampered)
         record = self.validate(world)
@@ -1110,31 +1107,133 @@ class TestServingPresentations:
         assert b"SWT" not in results["STL"]
         assert b"STL" not in results["SWT"]
 
-    def test_challenge_with_bundle_nonce_returns_the_requested_networks_bundle(self, world):
+    def test_challenge_asking_for_the_bundle_returns_the_requested_networks_bundle(self, world):
         seller = world.agents["Seller"]
         probe = add_probe(world)
-        bundle_nonce = b"b" * 16
-        body, _ = challenge(probe, world, "Seller", "STL", bundle_nonce=bundle_nonce.hex())
-        vp = creds.VerifiablePresentation.from_bytes(bytes.fromhex(body["identity_vp"]))
+        body, nonce = challenge(probe, world, "Seller", "STL", bundle=True)
+        assert set(body) == {"ok", "vp"}
+        vp = creds.VerifiablePresentation.from_bytes(bytes.fromhex(body["vp"]))
         doc = registry.new_did_document(seller.pool.iin_id, seller.keys, seller.address)
-        payload = creds.verify_self_signed_vp(vp, bundle_nonce, doc, True)
-        bundle = net.Bundle.from_bytes(payload)
+        assert vp.challenge_nonce == nonce
+        assert crypto.verify(doc.primary_key(), vp.signing_bytes(), vp.presenter_signature)
+        bundle = net.Bundle.from_bytes(creds.MembershipBody.from_bytes(vp.body).bundle)
         assert (bundle.org_id, bundle.network_id) == ("Seller", "STL")
         assert bundle.chains  # one per peer
 
-    def test_challenge_without_bundle_nonce_signs_only_the_membership_vp(
+    def test_a_challenge_is_answered_with_one_signature_with_or_without_the_bundle(
         self, world, monkeypatch
     ):
         signs = []
         sign = crypto.sign
         monkeypatch.setattr(crypto, "sign", lambda *args: signs.append(1) or sign(*args))
         probe = add_probe(world)
-        body, _ = challenge(probe, world, "Seller", "STL")
-        assert body["ok"] and "identity_vp" not in body
-        assert len(signs) == 1
-        body, _ = challenge(probe, world, "Seller", "STL", bundle_nonce=(b"b" * 16).hex())
-        assert "identity_vp" in body
+        bundles = []
+        for extra in ({}, {"bundle": False}, {"bundle": True}):
+            body, _ = challenge(probe, world, "Seller", "STL", **extra)
+            assert set(body) == {"ok", "vp"} and body["ok"]
+            vp = creds.VerifiablePresentation.from_bytes(bytes.fromhex(body["vp"]))
+            bundles.append(creds.MembershipBody.from_bytes(vp.body).bundle)
+        assert bundles[:2] == [b"", b""]
+        assert bundles[2] == world.organizations[("STL", "Seller")].bundle_bytes()
         assert len(signs) == 3
+
+
+class TestOnePresentation:
+    """A holder answers a challenge with one membership presentation, whose
+    one signature covers its credential, its witness and its bundle. Each
+    way of presenting a bundle that the same presentation does not vouch for
+    is refused by name, and fails only its own target."""
+
+    @staticmethod
+    def presenting(monkeypatch, world, org, build):
+        """Have `org`'s agent make each membership presentation with `build`,
+        called as `creds.build_membership_vp` is, with the honest builder
+        first; every other holder presents honestly."""
+        did, honest = world.org_dids[org], creds.build_membership_vp
+
+        def patched(holder_did, keys, vc, witness, nonce, bundle=b""):
+            if holder_did != did:
+                return honest(holder_did, keys, vc, witness, nonce, bundle)
+            return build(honest, holder_did, keys, vc, witness, nonce, bundle)
+
+        monkeypatch.setattr(creds, "build_membership_vp", patched)
+
+    @staticmethod
+    def assert_only_failed(world, record, start, org, error, **named):
+        """Buyer's sync of STL ran to its end: `org`'s target failed with
+        `error` (and the `named` check) and every other target committed.
+        Returns the failure's `agent.sync_failed` event."""
+        assert record.error is None
+        assert agent_events(world, "Buyer", {"session.failed"}, start) == []
+        failed_did = world.org_dids[org]
+        for did, outcome in record.result.items():
+            if did == failed_did:
+                assert outcome == {"status": "FAILED", "error": error, **named}
+            else:
+                assert outcome["status"] == "DONE"
+        [failed] = agent_events(world, "Buyer", {"agent.sync_failed"}, start)
+        assert failed.detail["target"] == failed_did
+        return failed
+
+    def test_a_bundle_signed_under_another_key_fails_check_2(self, world, monkeypatch):
+        rogue = crypto.KeyPair.from_seed(b"\x66" * 32)
+        self.presenting(
+            monkeypatch, world, "Carrier",
+            lambda honest, did, keys, *rest: honest(did, rogue, *rest),
+        )
+        start = len(world.trace.events)
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        failed = self.assert_only_failed(
+            world, record, start, "Carrier", "MembershipVerificationError", check=2
+        )
+        assert failed.detail["detail"] == "check 2 (presenter_signature) failed"
+        assert world.ledger_state("SWT").get_record("STL", "Carrier") is None
+
+    def test_a_presentation_replayed_from_another_challenge_fails_check_1(
+        self, world, monkeypatch
+    ):
+        # a presentation, bundle and all, that Carrier made for a probe's challenge
+        body, _ = challenge(add_probe(world), world, "Carrier", "STL", bundle=True)
+        replayed = creds.VerifiablePresentation.from_bytes(bytes.fromhex(body["vp"]))
+        assert creds.MembershipBody.from_bytes(replayed.body).bundle
+        self.presenting(monkeypatch, world, "Carrier", lambda *args: replayed)
+        start = len(world.trace.events)
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        failed = self.assert_only_failed(
+            world, record, start, "Carrier", "MembershipVerificationError", check=1
+        )
+        assert failed.detail["detail"] == "check 1 (nonce) failed"
+
+    def test_a_signed_bundle_of_another_network_is_malformed(self, world, monkeypatch):
+        # Seller belongs to both networks: it presents its SWT bundle for STL
+        other = world.organizations[("SWT", "Seller")].bundle_bytes()
+        self.presenting(
+            monkeypatch, world, "Seller",
+            lambda honest, *args: honest(*args[:-1], other),
+        )
+        start = len(world.trace.events)
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        failed = self.assert_only_failed(world, record, start, "Seller", "MalformedBundle")
+        assert failed.detail["detail"] == "bundle for 'SWT' with 2 chains"
+        # step B passed: the presentation itself is sound
+        validated = agent_events(world, "Buyer", {"agent.member_validated"}, start)
+        assert world.org_dids["Seller"] in [e.detail["holder"] for e in validated]
+
+    @pytest.mark.parametrize("bundle, detail", [
+        (b"", "undecodable Bundle: truncated input"),
+        (b"junk", "undecodable Bundle: expected tag 0x14, got 0x6a"),
+    ], ids=("empty", "undecodable"))
+    def test_an_empty_or_undecodable_bundle_is_malformed(
+        self, world, monkeypatch, bundle, detail
+    ):
+        self.presenting(
+            monkeypatch, world, "Carrier",
+            lambda honest, *args: honest(*args[:-1], bundle),
+        )
+        start = len(world.trace.events)
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        failed = self.assert_only_failed(world, record, start, "Carrier", "MalformedBundle")
+        assert failed.detail["detail"] == f"{world.org_dids['Carrier']}: {detail}"
 
 
 class TestChallengeEpochs:
@@ -1211,7 +1310,7 @@ class TestChallengeEpochs:
         assert self.validate(world, "Seller", "Carrier")["status"] == "ok"
 
     def test_membership_body_that_does_not_decode_fails_check_4(self, world, monkeypatch):
-        def junk_body(holder_did, holder_keys, vc, witness, nonce):
+        def junk_body(holder_did, holder_keys, vc, witness, nonce, bundle=b""):
             return creds.VerifiablePresentation.sign(
                 holder_keys, kind=creds.VP_MEMBERSHIP, body=b"junk",
                 presenter_did=holder_did, challenge_nonce=nonce,

@@ -541,7 +541,7 @@ class TestVerdictMemo:
         assert memos[0] is not memos[1] and memos[0] == memos[1]
         # the second world runs Ed25519 on every triple the first one did
         in_run = [t for t in executed if t in memos[0]]
-        assert len(in_run) == 2 * len(memos[0]) == 136
+        assert len(in_run) == 2 * len(memos[0]) == 132
 
     def test_no_memo_is_active_after_a_run_returns_or_raises(self):
         checks = [(self.keys.public_key, self.message, self.sig)]

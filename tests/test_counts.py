@@ -20,6 +20,9 @@ loop, so a memo that shares verdicts too widely or too narrowly fails. In the
 same way each scenario pins the record decodes asked for inside the bus loop
 and the entries of its world's decode memo, one per distinct (record class,
 bytes) pair: a nested record is decoded only when its enclosing one misses.
+Every scenario signs exactly one presentation per holder challenge, so a
+holder that signs its bundle apart from its membership fails even where the
+other pins would move with it.
 """
 
 import hashlib
@@ -36,8 +39,8 @@ from conftest import scenario_config
 @pytest.mark.parametrize(
     "name, sends, queries, memberlists, witnesses, orders, countersigns, signs, verifies",
     [
-        ("two-network", 170, 16, 0, 2, 30, 2, 116, 226),
-        ("concurrent-commit", 136, 12, 0, 1, 30, 2, 94, 170),
+        ("two-network", 170, 16, 0, 2, 30, 2, 108, 218),
+        ("concurrent-commit", 136, 12, 0, 1, 30, 2, 92, 168),
     ],
     ids=("two-network", "concurrent-commit"),  # stable across re-pins
 )
@@ -76,10 +79,10 @@ def test_bundled_scenario_counts(
 @pytest.mark.parametrize(
     "name, logical, outside, executed",
     [
-        ("two-network", 226, 12, 96),
-        ("concurrent-commit", 170, 0, 68),
-        ("revoke-carrier", 249, 6, 110),
-        ("rotate-resync", 222, 12, 93),
+        ("two-network", 218, 12, 88),
+        ("concurrent-commit", 168, 0, 66),
+        ("revoke-carrier", 239, 6, 100),
+        ("rotate-resync", 214, 12, 85),
     ],
 )
 def test_bundled_scenario_executed_verifies(monkeypatch, name, logical, outside, executed):
@@ -105,10 +108,10 @@ def test_bundled_scenario_executed_verifies(monkeypatch, name, logical, outside,
 @pytest.mark.parametrize(
     "name, in_loop, entries",
     [
-        ("two-network", 284, 116),
-        ("concurrent-commit", 225, 81),
-        ("revoke-carrier", 334, 133),
-        ("rotate-resync", 274, 110),
+        ("two-network", 276, 108),
+        ("concurrent-commit", 223, 79),
+        ("revoke-carrier", 326, 124),
+        ("rotate-resync", 270, 104),
     ],
 )
 def test_bundled_scenario_decodes(monkeypatch, name, in_loop, entries):
@@ -128,13 +131,14 @@ def test_bundled_scenario_decodes(monkeypatch, name, in_loop, entries):
     assert (len(calls), len(memo)) == (in_loop, entries)
     assert memo.keys() == set(calls)
 
+
 TRACE_DIGESTS = {
-    "concurrent-commit": "0e5545e6d370f420cf69e2ae4702e0ffd8c5b9eaf56a3eb1f3b7bb33f0a63ddc",
-    "concurrent-commit-serial": "f9bcaa20b1e87c22f71ef29f0152b8028946da978ba662099ec7617f5512032b",
-    "digest-mismatch-retry": "316cf1c3201c11cea440c81f1a87c39bec097c9206f734b9c0380013fa4d67c8",
-    "revoke-carrier": "1bf3d896fe78ed076c1d01cffebe2d194a1e1d73daa45825c1e54503f7d61235",
-    "rotate-resync": "7322526f24dd17cbcad91d34c71f149f81b56ebcd483f64557a705d7ca7cf54a",
-    "two-network": "13800b854011b819978f17295c4a65a8f36e032757514a277828af2deb993547",
+    "concurrent-commit": "60323c805f7b29db655a769df8e90626001d209786d41c9fdc511c772299e395",
+    "concurrent-commit-serial": "323d31fc4675d0f937350e37e2f14225789584c0297e4bfddba1983d06262e95",
+    "digest-mismatch-retry": "cce7d07e1b2770709873bd13248dfe3a233363e210b7af64535470d1b6eef9c4",
+    "revoke-carrier": "147a370fc7df9b02c98c419427093fcb4bb436cf3f722f25f4d327fe0a47fc99",
+    "rotate-resync": "e0a358352e3cd51b32a255f53fc468d389ede4af12d2e6ea7fbeaa8adaba9f23",
+    "two-network": "575468d3748776cbd50a6b5bda39cdd39973ac420bf227eead6d92e7d1e64346",
 }
 
 
@@ -147,12 +151,12 @@ def test_bundled_scenario_trace_digest(tmp_path, name):
 
 
 TRAFFIC_DIGESTS = {
-    "concurrent-commit": "a33d05960e9b616b720f2b4b64840bd94941850442d253374586b870b4102fb1",
-    "concurrent-commit-serial": "3c7c609d0503c4f4ee0da1810be1bcae6ef922c8d6103df061fea9f80f5c132c",
-    "digest-mismatch-retry": "becee92e442bf932b2a9f34b0229171fb928c4c3198bc6f708cc268d4b2f9bfc",
-    "revoke-carrier": "d43018b8fe37c7fb7583dda1dbac4fadb3c999473e3dab78268fb8d359d6ea7a",
-    "rotate-resync": "82e84b1cf044e14a769b0628ebef052ed0c5faf97f0f4868ddacc18ac7fa1572",
-    "two-network": "5857205d01a2506811a5de047f0d26be323c88dc417a96309d141abe17a9d9c4",
+    "concurrent-commit": "051fbcd6035ec6b70ee186c394aff74ee61671d67bb8fc67179a0632f6dc1697",
+    "concurrent-commit-serial": "c743dd469871b24cd817cc82d7afae7a118b03791dea6b90b6306f5560844c18",
+    "digest-mismatch-retry": "75d9d34a5abe0e90909670751b0a47b8e265908ad4ebffd45028da1f162f51e0",
+    "revoke-carrier": "54a9b030c90b7e2a3b122be806a26fef6ef2864e671730c916dd28f024ed61f3",
+    "rotate-resync": "04d1602cb9da0c79900d13f3775b7fca0bc539b76fdb6128459347463e17ed5f",
+    "two-network": "a08be979bc5461d9a00a32f3be65e02d7d883deaf5e8fd5af8c1ef7d8fe86e80",
 }
 
 
@@ -180,3 +184,25 @@ def test_no_agent_asks_an_anchor_for_a_memberlist(name):
         if e.kind == "bus.send" and e.detail["msg_kind"] == "anchor.memberlist.request"
     ]
     assert asked == []
+
+
+@pytest.mark.parametrize("name", sorted(TRAFFIC_DIGESTS))
+def test_each_challenge_is_answered_with_one_presentation(monkeypatch, name):
+    """Every presentation signed is one holder's answer to one challenge, so
+    a holder that signs its bundle apart from its membership fails here."""
+    signed = []
+    sign = crypto.sign
+
+    def counting(secret_key, message):
+        signed.append(message[0])
+        return sign(secret_key, message)
+
+    monkeypatch.setattr(crypto, "sign", counting)
+    runner = harness.ScenarioRunner(scenario_config(name))
+    report = runner.run()
+    assert report.ok, report.errors
+    challenges = [
+        e for e in runner.world.trace.events
+        if e.kind == "bus.send" and e.detail["msg_kind"] == "agent.membership_vp.request"
+    ]
+    assert signed.count(enc.TAG_VP) == len(challenges) > 0

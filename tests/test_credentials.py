@@ -175,7 +175,7 @@ class TestSabotageMatrix:
             world.anchor_keys, world.anchor_did, world.cred_def.cred_def_id,
             stranger_did, NET_B, issuance_counter=9,
         )
-        body = creds.MembershipBody(foreign_vc, world.witness(world.vc_b)).to_bytes()
+        body = creds.MembershipBody(foreign_vc, world.witness(world.vc_b), b"").to_bytes()
         unsigned = creds.VerifiablePresentation(
             kind=creds.VP_MEMBERSHIP,
             body=body,

@@ -216,7 +216,10 @@ def old_bundle(b):
 
 
 def old_membership_body(b):
-    return enc.encode_bytes(b.vc.to_bytes()) + enc.encode_bytes(b.witness.to_bytes())
+    return (
+        enc.encode_bytes(b.vc.to_bytes()) + enc.encode_bytes(b.witness.to_bytes())
+        + enc.encode_bytes(b.bundle)
+    )
 
 
 def old_anchor_grant(g):
@@ -473,7 +476,7 @@ RECORDS = {
         lambda vp: old_vp_signing(vp) + old_signature(vp.presenter_signature),
     ),
     creds.MembershipBody: (
-        st.builds(creds.MembershipBody, membership_vc, witness),
+        st.builds(creds.MembershipBody, membership_vc, witness, blob),
         None,
         old_membership_body,
     ),

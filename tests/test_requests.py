@@ -39,7 +39,7 @@ WRONG_TYPED = {
 WRONG_TYPED_OPTIONAL = {
     "agent.membership_vp.request": {
         "epochs": {"network_id": "STL", "nonce": "00", "epochs": {"did:iin:x": "1"}},
-        "bundle_nonce": {"network_id": "STL", "nonce": "00", "bundle_nonce": 5},
+        "bundle": {"network_id": "STL", "nonce": "00", "bundle": 1},
     },
 }
 
