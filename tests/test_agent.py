@@ -147,17 +147,19 @@ def ask_countersign(
     return answer
 
 
-def assert_only_carrier_failed(world, record, start, error):
-    """Buyer's sync of STL ran to its end: Carrier's target failed with
-    `error`, Seller's committed, and no session failed. Returns Carrier's
-    `agent.sync_failed` event."""
+def assert_only_failed(world, record, start, error, org="Carrier", **named):
+    """Buyer's sync of STL ran to its end: `org`'s target failed with `error`
+    (and the `named` outcome fields), the other STL member's committed, and
+    no session failed. Returns the failed target's `agent.sync_failed`
+    event."""
     assert record.error is None
     assert agent_events(world, "Buyer", {"session.failed"}, start) == []
-    carrier, seller = world.org_dids["Carrier"], world.org_dids["Seller"]
-    assert record.result[seller]["status"] == "DONE"
-    assert record.result[carrier] == {"status": "FAILED", "error": error}
+    target = world.org_dids[org]
+    other = world.org_dids["Seller" if org == "Carrier" else "Carrier"]
+    assert record.result[other]["status"] == "DONE"
+    assert record.result[target] == {"status": "FAILED", "error": error, **named}
     [failed] = agent_events(world, "Buyer", {"agent.sync_failed"}, start)
-    assert failed.detail["target"] == carrier
+    assert failed.detail["target"] == target
     return failed
 
 
@@ -282,7 +284,7 @@ class TestCountersigning:
         lose_read(world, "Buyer", answered=1)
         start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL")
-        failed = assert_only_carrier_failed(world, record, start, "InconsistentReplicas")
+        failed = assert_only_failed(world, record, start, "InconsistentReplicas")
         # B, C and D once, a digest mismatch, then the second round's gate fails
         assert failed.detail["attempts"] == 2
         assert "no 2 matching replies" in failed.detail["detail"]
@@ -361,7 +363,7 @@ class TestCountersigning:
         carrier._serve_membership_vp = garbled
         start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL")
-        failed = assert_only_carrier_failed(world, record, start, "MemberUnreachable")
+        failed = assert_only_failed(world, record, start, "MemberUnreachable")
         assert "undecodable VerifiablePresentation" in failed.detail["detail"]
 
     def test_signed_reply_without_a_signature_fails_only_its_own_target(self, world):
@@ -378,7 +380,7 @@ class TestCountersigning:
         seller._handle_countersign = unsigned_for_carrier
         start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL")
-        failed = assert_only_carrier_failed(
+        failed = assert_only_failed(
             world, record, start, "CounterpartyValidationFailed"
         )
         assert failed.detail["detail"] == "Seller:NoSignature"
@@ -398,7 +400,7 @@ class TestCountersigning:
         seller._handle_countersign = listed_digest_for_carrier
         start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL")
-        failed = assert_only_carrier_failed(
+        failed = assert_only_failed(
             world, record, start, "CounterpartyValidationFailed"
         )
         assert failed.detail["detail"] == "Seller:NoSignature"
@@ -1158,23 +1160,6 @@ class TestOnePresentation:
 
         monkeypatch.setattr(creds, "build_membership_vp", patched)
 
-    @staticmethod
-    def assert_only_failed(world, record, start, org, error, **named):
-        """Buyer's sync of STL ran to its end: `org`'s target failed with
-        `error` (and the `named` check) and every other target committed.
-        Returns the failure's `agent.sync_failed` event."""
-        assert record.error is None
-        assert agent_events(world, "Buyer", {"session.failed"}, start) == []
-        failed_did = world.org_dids[org]
-        for did, outcome in record.result.items():
-            if did == failed_did:
-                assert outcome == {"status": "FAILED", "error": error, **named}
-            else:
-                assert outcome["status"] == "DONE"
-        [failed] = agent_events(world, "Buyer", {"agent.sync_failed"}, start)
-        assert failed.detail["target"] == failed_did
-        return failed
-
     def test_a_bundle_signed_under_another_key_fails_check_2(self, world, monkeypatch):
         rogue = crypto.KeyPair.from_seed(b"\x66" * 32)
         self.presenting(
@@ -1183,9 +1168,7 @@ class TestOnePresentation:
         )
         start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL")
-        failed = self.assert_only_failed(
-            world, record, start, "Carrier", "MembershipVerificationError", check=2
-        )
+        failed = assert_only_failed(world, record, start, "MembershipVerificationError", check=2)
         assert failed.detail["detail"] == "check 2 (presenter_signature) failed"
         assert world.ledger_state("SWT").get_record("STL", "Carrier") is None
 
@@ -1199,9 +1182,7 @@ class TestOnePresentation:
         self.presenting(monkeypatch, world, "Carrier", lambda *args: replayed)
         start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL")
-        failed = self.assert_only_failed(
-            world, record, start, "Carrier", "MembershipVerificationError", check=1
-        )
+        failed = assert_only_failed(world, record, start, "MembershipVerificationError", check=1)
         assert failed.detail["detail"] == "check 1 (nonce) failed"
 
     def test_a_signed_bundle_of_another_network_is_malformed(self, world, monkeypatch):
@@ -1213,7 +1194,7 @@ class TestOnePresentation:
         )
         start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL")
-        failed = self.assert_only_failed(world, record, start, "Seller", "MalformedBundle")
+        failed = assert_only_failed(world, record, start, "MalformedBundle", org="Seller")
         assert failed.detail["detail"] == "bundle for 'SWT' with 2 chains"
         # step B passed: the presentation itself is sound
         validated = agent_events(world, "Buyer", {"agent.member_validated"}, start)
@@ -1232,7 +1213,7 @@ class TestOnePresentation:
         )
         start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL")
-        failed = self.assert_only_failed(world, record, start, "Carrier", "MalformedBundle")
+        failed = assert_only_failed(world, record, start, "MalformedBundle")
         assert failed.detail["detail"] == f"{world.org_dids['Carrier']}: {detail}"
 
 
@@ -1610,7 +1591,7 @@ class TestMalformedLedgerReplies:
         ledger._submit = neither_for_carrier
         start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL")
-        failed = assert_only_carrier_failed(world, record, start, "LedgerRefused")
+        failed = assert_only_failed(world, record, start, "LedgerRefused")
         assert failed.detail["detail"] == "SWT: submit reply names no outcome"
 
     def test_countersigner_refuses_each_statement_on_a_malformed_policy(self, world):
