@@ -696,10 +696,11 @@ class IinAgent(Actor):
         (`_fetch_memberlist`): the registry's current list, in the same
         state as the revocation states and the documents of every listed
         holder, so any holder the batch checks is read with no second read.
-        A failed gate refuses every ACTIVE statement by name. A member
-        revoked since the reused list was verified is signed while it stays
-        cached: a cached identity skips steps B and C, and the batch that
-        reads nothing sees no fresh revocation state."""
+        A failed gate refuses every ACTIVE statement, and every REVOKED one
+        that matches its record, by name. A member revoked since the reused
+        list was verified is signed while it stays cached: a cached identity
+        skips steps B and C, and the batch that reads nothing sees no fresh
+        revocation state."""
         (home_network,) = msg.fields("home_network")
         raw = msg.body["statements"]
         if not _strings(raw):
@@ -751,12 +752,13 @@ class IinAgent(Actor):
                     home_network, foreign_network
                 )
             except PROTOCOL_ERRORS as e:
-                memberlist, error = None, e  # None: the REVOKED checks' list
+                error = e
         sessions = []
         for s in statements:
             if s.status != net.STATUS_ACTIVE:
+                record = records.get(s.foreign_org)
                 check = self._countersign_revoked(
-                    home_network, s, records.get(s.foreign_org), memberlist, snapshot, refused
+                    home_network, s, record, memberlist, snapshot, refused, error
                 )
             else:
                 check = self._countersign_active(home_network, s, memberlist, snapshot, error)
@@ -775,7 +777,8 @@ class IinAgent(Actor):
         failed. A cached identity skips steps B and C only while its DID is
         listed, so a revoked member's old bundle cannot be signed back to
         ACTIVE. A holder validated here is read from `snapshot`, the gate's
-        read, or on its own when the batch read nothing."""
+        read: a batch that read nothing validates no holder, since each of
+        its ACTIVE holders is cached and on the reused list."""
         foreign_network, foreign_did = statement.foreign_network, statement.holder_did
         identity = self.cache.get((foreign_network, foreign_did))
         try:
@@ -816,25 +819,29 @@ class IinAgent(Actor):
         record: Optional[net.RecordContent],
         memberlist: Optional[creds.MemberlistCredential],
         snapshot: Optional[registry.MemberSnapshot],
+        refused: Optional[Exception],
         error: Optional[Exception],
     ) -> Generator:
-        """Answer a REVOKED statement: refused by `error` when the batch's
-        records read failed; otherwise endorse only when the member no longer
-        validates here either, under the DID of its ledger `record`; the
-        statement's holder DID is ignored, so an initiator cannot name no DID
-        or another org's to skip the check. `memberlist` is the one fresh
-        list _handle_countersign fetched for the batch (None when that fetch
-        failed): a cached one that lacks a re-admitted member would endorse a
-        lying initiator's revocation. `snapshot` is the registry read made
-        with that fetch, which holds every listed holder's document."""
-        if error is not None:
-            return _refusal(type(error).__name__)
+        """Answer a REVOKED statement: refused by `refused` when the batch's
+        records read failed, and, once it matches its ledger `record`, by
+        `error` when the batch's memberlist gate failed; otherwise endorse
+        only when the member no longer validates here either, under the DID
+        of that record; the statement's holder DID is ignored, so an
+        initiator cannot name no DID or another org's to skip the check.
+        `memberlist` is the one fresh list the gate read: a cached one that
+        lacks a re-admitted member would endorse a lying initiator's
+        revocation. `snapshot` is the gate's read, which holds every listed
+        holder's document."""
+        if refused is not None:
+            return _refusal(type(refused).__name__)
         if record is None or record.bundle_digest != statement.bundle_digest:
             return {
                 "result": RESULT_DIGEST_MISMATCH,
                 "own_digest": record.bundle_digest.hex() if record else "",
             }
-        if memberlist is not None and record.holder_did in memberlist.member_dids:
+        if error is not None:
+            return _refusal(type(error).__name__)
+        if record.holder_did in memberlist.member_dids:
             try:
                 yield from self._validate_member(
                     home_network, statement.foreign_network, record.holder_did,

@@ -83,6 +83,7 @@ class Organization:
     cert_lifetime: int
     _seed_fn: Callable[[str], bytes]
     _rotation: int = 0
+    _bundle: Optional["Bundle"] = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def create(
@@ -135,8 +136,12 @@ class Organization:
         self._enroll_peers(len(self.peers), now)
 
     def bundle_bytes(self) -> bytes:
-        chains = tuple(crypto.Chain(p.chain) for p in self.peers)
-        return Bundle(self.org_id, self.network_id, chains).to_bytes()
+        """The canonical bundle of the peers' chains, kept until one changes
+        (`rotate`, or a leaf replaced in place)."""
+        chains = tuple(p.chain for p in self.peers)
+        if self._bundle is None or tuple(c.certificates for c in self._bundle.chains) != chains:
+            self._bundle = Bundle(self.org_id, self.network_id, tuple(map(crypto.Chain, chains)))
+        return self._bundle.to_bytes()
 
     def bundle_digest(self) -> bytes:
         return crypto.digest(self.bundle_bytes())
@@ -155,55 +160,36 @@ class Bundle(enc.Record):
 # --- local ledger -------------------------------------------------------------
 
 
-class _BundleMemo:
-    """What a record has learnt about its bundle: the chains by peer name,
-    parsed on the first proof, and each peer's link verdict, checked on the
-    first proof that names that peer."""
-
-    __slots__ = ("chains", "links")
-
-    def __init__(self):
-        self.chains: Optional[dict[str, tuple[crypto.Certificate, ...]]] = None
-        self.links: dict[str, Optional[crypto.BrokenLink]] = {}
-
-
 @dataclass(frozen=True)
 class ForeignIdentityRecord:
     """A committed foreign identity: its replicated `content` and the tick it
-    was committed at."""
+    was committed at. The record derives `chains`, peer name -> (chain, its
+    `crypto.chain_link_failure` verdict), once, when the contract makes it:
+    the bundle bytes never change, so no proof re-checks a link. A bundle
+    that does not decode records no chain. The chains come from the content
+    alone, so they take no part in equality, repr or the state hash."""
 
     content: "RecordContent"
     synced_at: int
-    # derived from the bundle alone, so it is no part of the record's content
-    _memo: _BundleMemo = field(
-        default_factory=_BundleMemo, init=False, compare=False, repr=False
+    chains: dict[str, tuple[tuple[crypto.Certificate, ...], Optional[crypto.BrokenLink]]] = (
+        field(init=False, compare=False, repr=False)
     )
 
     # perfbench/workloads.py's record check reads these two off the record
     status = property(lambda self: self.content.status)
     bundle_digest = property(lambda self: self.content.bundle_digest)
 
-    def peer_chain(
-        self, peer_name: str
-    ) -> Optional[tuple[tuple[crypto.Certificate, ...], Optional[crypto.BrokenLink]]]:
-        """The recorded chain whose leaf is `peer_name` and its
-        `crypto.chain_link_failure` verdict, or None if the bundle holds no
-        such chain. The bundle bytes never change, so the record parses them
-        once and checks each peer's links once; a record committed later
-        starts with an empty memo."""
-        memo = self._memo
-        if memo.chains is None:
-            chains: dict[str, tuple[crypto.Certificate, ...]] = {}
-            for chain in Bundle.from_bytes(self.content.bundle).chains:
-                if chain.certificates:
-                    chains.setdefault(chain.certificates[-1].subject_name, chain.certificates)
-            memo.chains = chains
-        chain = memo.chains.get(peer_name)
-        if chain is None:
-            return None
-        if peer_name not in memo.links:
-            memo.links[peer_name] = crypto.chain_link_failure(chain)
-        return chain, memo.links[peer_name]
+    def __post_init__(self):
+        try:
+            recorded = Bundle.from_bytes(self.content.bundle).chains
+        except enc.DecodeError:
+            recorded = ()
+        chains = {}
+        for chain in recorded:
+            certs = chain.certificates
+            if certs and certs[-1].subject_name not in chains:
+                chains[certs[-1].subject_name] = certs, crypto.chain_link_failure(certs)
+        object.__setattr__(self, "chains", chains)
 
 
 @dataclass(frozen=True)
@@ -495,9 +481,9 @@ def verify_data_proof(
     NoIdentityRecord / RevokedMember / ExpiredCertificate / BadProofSignature,
     which callers may convert into a proof-failure resync trigger.
 
-    The chain's links are checked once per record and peer
-    (`ForeignIdentityRecord.peer_chain`), a stored broken link is raised
-    again on every proof, and the validity windows and the data signature are
+    The chain's links were checked when the record was made
+    (`ForeignIdentityRecord.chains`), and a recorded broken link is raised
+    again on every proof; the validity windows and the data signature are
     checked on every call, since `now` and the data differ each time."""
     message = proof_signing_bytes(proof.data)
     by_org = {org: (peer, sig) for org, peer, sig in proof.signatures}
@@ -511,7 +497,7 @@ def verify_data_proof(
         if entry is None:
             raise BadProofSignature(org_id, "no signature supplied")
         peer_name, sig = entry
-        found = record.peer_chain(peer_name)
+        found = record.chains.get(peer_name)
         if found is None:
             raise BadProofSignature(org_id, f"peer {peer_name} not in recorded bundle")
         chain, link_failure = found

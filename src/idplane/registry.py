@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import base64
 from dataclasses import dataclass, field, replace
-from typing import Generator, Optional, Sequence
+from typing import ClassVar, Generator, Optional, Sequence
 
 from . import crypto
 from . import encoding as enc
@@ -158,9 +158,14 @@ class RegistryTransaction(enc.Signed):
     payload: bytes
     submitter_did: str
     submitter_signature: crypto.Signature
+    # the digest of the canonical bytes, set on the instance once hashed
+    _digest: ClassVar[bytes | None] = None
 
     def digest(self) -> bytes:
-        return crypto.digest(self.to_bytes())
+        """The digest of the canonical bytes, hashed once and kept, as `to_bytes` keeps them."""
+        if self._digest is None:
+            object.__setattr__(self, "_digest", crypto.digest(self.to_bytes()))
+        return self._digest
 
 
 def make_transaction(
@@ -249,12 +254,9 @@ class RegistryImage(enc.Record):
     applied: tuple[bytes, ...]
 
 
-def apply_transaction(
-    state: RegistryState, tx: RegistryTransaction, digest: bytes | None = None
-) -> tuple[RegistryState, str]:
+def apply_transaction(state: RegistryState, tx: RegistryTransaction) -> tuple[RegistryState, str]:
     """Pure, deterministic validation and application. Returns the next state
     and an outcome: APPLIED, or a rejection reason leaving the state unchanged.
-    `digest` is the transaction's digest, if the caller has hashed it already.
 
     The checks run in one order: the submitter's key, its signature,
     Duplicate, an unknown kind (BadSignature), the kind's role gate
@@ -288,9 +290,7 @@ def apply_transaction(
 
     if not crypto.verify(submitter_key, tx.signing_bytes(), tx.submitter_signature):
         return state, "BadSignature"
-    if digest is None:
-        digest = tx.digest()
-    if digest in state.applied:
+    if tx.digest() in state.applied:
         return state, "Duplicate"
     if apply is None:
         return state, "BadSignature"
@@ -301,7 +301,7 @@ def apply_transaction(
     changes = apply(state, tx, payload)
     if isinstance(changes, str):
         return state, changes
-    return replace(state, applied=state.applied | {digest}, **changes), OUTCOME_APPLIED
+    return replace(state, applied=state.applied | {tx.digest()}, **changes), OUTCOME_APPLIED
 
 
 # Each kind's rules below return the tables a valid transaction changes, or
@@ -486,17 +486,16 @@ class Ack(enc.Record):
     batch_digest: bytes
 
 
-def decode_batch(hexes) -> list[tuple[RegistryTransaction, bytes]]:
-    """Each hex-encoded transaction of a batch, as (transaction, digest); the
-    transaction keeps the bytes it was decoded from. Raises TypeError unless
-    `hexes` is a list of strings, ValueError for an entry that is no
-    transaction, and EmptyBatch for an empty list."""
+def decode_batch(hexes) -> list[RegistryTransaction]:
+    """Each hex-encoded transaction of a batch, which keeps the bytes it was
+    decoded from, and so hashes them to its digest only once. Raises
+    TypeError unless `hexes` is a list of strings, ValueError for an entry
+    that is no transaction, and EmptyBatch for an empty list."""
     if not isinstance(hexes, list):
         raise TypeError("txs must be a list")
     if not hexes:
         raise EmptyBatch("a batch needs at least one transaction")
-    batch = [bytes.fromhex(h) for h in hexes]
-    return [(RegistryTransaction.from_bytes(b), crypto.digest(b)) for b in batch]
+    return [RegistryTransaction.from_bytes(bytes.fromhex(h)) for h in hexes]
 
 
 class IinNode(Actor):
@@ -525,11 +524,11 @@ class IinNode(Actor):
 
     # --- shared apply path ---------------------------------------------------
 
-    def _apply_in_order(self, tx: RegistryTransaction, digest: bytes) -> str:
+    def _apply_in_order(self, tx: RegistryTransaction) -> str:
         """Apply a decoded transaction, whose kept bytes the log records and
-        whose `digest` the caller hashed once from them."""
+        whose kept digest the trace names."""
         seq = self.next_seq
-        self.state, outcome = apply_transaction(self.state, tx, digest)
+        self.state, outcome = apply_transaction(self.state, tx)
         self.log.append((seq, tx.to_bytes(), outcome))
         self.next_seq += 1
         self.trace(
@@ -537,7 +536,7 @@ class IinNode(Actor):
             iin=self.pool.iin_id,
             seq=seq,
             tx_kind=tx.kind,
-            tx_digest=digest.hex(),
+            tx_digest=tx.digest().hex(),
             submitter=tx.submitter_did,
             outcome=outcome,
         )
@@ -571,10 +570,10 @@ class IinNode(Actor):
             return {"error": "NotSequencer"}
         batch = decode_batch(msg.body["txs"])
         first = self.next_seq
-        outcomes = [self._apply_in_order(tx, digest) for tx, digest in batch]
+        outcomes = [self._apply_in_order(tx) for tx in batch]
         last = self.next_seq - 1
         # the encoding is canonical: these are the digests a client computes
-        tx_digests = [digest for _, digest in batch]
+        tx_digests = [tx.digest() for tx in batch]
         digest = batch_digest(tx_digests)
         own_ack = self._ack_body(first, last, digest)
 
@@ -637,11 +636,11 @@ class IinNode(Actor):
             yield from self._catch_up(first - 1)
         last = first + len(batch) - 1
         if first == self.next_seq:
-            for tx, digest in batch:
-                self._apply_in_order(tx, digest)
-        elif [entry[1] for entry in self.log[first:last + 1]] != [tx.to_bytes() for tx, _ in batch]:
+            for tx in batch:
+                self._apply_in_order(tx)
+        elif [entry[1] for entry in self.log[first:last + 1]] != [tx.to_bytes() for tx in batch]:
             return None  # the log holds other transactions there, or none yet
-        return self._ack_body(first, last, batch_digest([digest for _, digest in batch]))
+        return self._ack_body(first, last, batch_digest([tx.digest() for tx in batch]))
 
     def _catch_up(self, upto: int) -> Generator:
         """Apply the sequencer's log entries from this replica's next seq
@@ -655,9 +654,7 @@ class IinNode(Actor):
         if reply is not None and reply.kind == "iin.fetch.reply":
             for seq, tx_hex, _outcome in reply.body["entries"]:
                 if seq == self.next_seq:
-                    tx_bytes = bytes.fromhex(tx_hex)
-                    tx = RegistryTransaction.from_bytes(tx_bytes)
-                    self._apply_in_order(tx, crypto.digest(tx_bytes))
+                    self._apply_in_order(RegistryTransaction.from_bytes(bytes.fromhex(tx_hex)))
 
     # --- open reads --------------------------------------------------------
 

@@ -985,6 +985,32 @@ class TestCountersignGate:
         assert len(gates(world, "Seller", start)) == 1
         assert world.ledger_state("SWT").get_record("STL", "Carrier").content.status == "REVOKED"
 
+    def test_a_lost_gate_read_refuses_a_revocation_and_the_member_stays_active(self):
+        """Two drops after two-network's syncs: Buyer's challenge to Seller,
+        so Buyer's resync flips Seller's record, and every registry read
+        reply to Seller, so Seller's memberlist gate fails. The failed gate
+        refuses the REVOKED statement by name; it is no evidence that Seller
+        was revoked."""
+        runner = harness.ScenarioRunner(scenario_config("two-network"))
+        assert runner.run().ok
+        world = runner.world
+        world.bus.config.rules += [
+            FaultRule(action="drop", from_="agent:Buyer", to="agent:Seller",
+                      kind="agent.membership_vp.request"),
+            FaultRule(action="drop", to="agent:Seller", kind="iin.query.reply"),
+        ]
+        start = len(world.trace.events)
+        results, added = TestResync.resync(world)
+        assert results[world.org_dids["Seller"]] == {
+            "status": "FAILED", "error": "MemberUnreachable"
+        }
+        assert results["revoke:Seller"] == {
+            "status": "FAILED", "error": "CounterpartyValidationFailed"
+        }
+        assert added == []
+        assert agent_events(world, "Seller", {"agent.countersigned"}, start) == []
+        assert world.ledger_state("SWT").get_record("STL", "Seller").content.status == "ACTIVE"
+
     def test_bundle_committed_under_another_orgs_name_is_refused(self, world):
         bundle = world.organizations[("STL", "Seller")].bundle_bytes()
         verdict = commit_alone(world, "Carrier", world.org_dids["Seller"], bundle)

@@ -35,12 +35,14 @@ from idplane import encoding as enc
 
 from conftest import scenario_config
 
+SCENARIOS = ("two-network", "concurrent-commit", "revoke-carrier", "rotate-resync")
+
 
 @pytest.mark.parametrize(
     "name, sends, queries, memberlists, witnesses, orders, countersigns, signs, verifies",
     [
-        ("two-network", 170, 16, 0, 2, 30, 2, 108, 218),
-        ("concurrent-commit", 136, 12, 0, 1, 30, 2, 92, 168),
+        ("two-network", 170, 16, 0, 2, 30, 2, 108, 222),
+        ("concurrent-commit", 136, 12, 0, 1, 30, 2, 92, 170),
     ],
     ids=("two-network", "concurrent-commit"),  # stable across re-pins
 )
@@ -79,11 +81,12 @@ def test_bundled_scenario_counts(
 @pytest.mark.parametrize(
     "name, logical, outside, executed",
     [
-        ("two-network", 218, 12, 88),
-        ("concurrent-commit", 168, 0, 66),
-        ("revoke-carrier", 239, 6, 100),
-        ("rotate-resync", 214, 12, 85),
+        ("two-network", 222, 4, 88),
+        ("concurrent-commit", 170, 0, 66),
+        ("revoke-carrier", 249, 2, 100),
+        ("rotate-resync", 214, 4, 85),
     ],
+    ids=SCENARIOS,  # stable across re-pins
 )
 def test_bundled_scenario_executed_verifies(monkeypatch, name, logical, outside, executed):
     runner = harness.ScenarioRunner(scenario_config(name))
@@ -108,11 +111,12 @@ def test_bundled_scenario_executed_verifies(monkeypatch, name, logical, outside,
 @pytest.mark.parametrize(
     "name, in_loop, entries",
     [
-        ("two-network", 276, 108),
-        ("concurrent-commit", 223, 79),
-        ("revoke-carrier", 326, 124),
-        ("rotate-resync", 270, 104),
+        ("two-network", 280, 108),
+        ("concurrent-commit", 224, 79),
+        ("revoke-carrier", 331, 124),
+        ("rotate-resync", 274, 104),
     ],
+    ids=SCENARIOS,  # stable across re-pins
 )
 def test_bundled_scenario_decodes(monkeypatch, name, in_loop, entries):
     runner = harness.ScenarioRunner(scenario_config(name))

@@ -1,11 +1,14 @@
 """Local ledger contract and data-plane proof hook."""
 
+import copy
 import hashlib
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from idplane import crypto
+from idplane import encoding as enc
 from idplane import network as net
 
 
@@ -316,7 +319,7 @@ class TestDataProofs:
         with pytest.raises(net.BadProofSignature):
             net.verify_data_proof(self.ledger, "AWAY", swapped, self.policy, now=10)
 
-    # --- the per-record memo of recorded chains --------------------------------
+    # --- the chains a record derives when it is made ---------------------------
 
     def count_verifies(self, monkeypatch):
         calls = []
@@ -329,6 +332,10 @@ class TestDataProofs:
         monkeypatch.setattr(crypto, "verify", counting)
         return calls
 
+    @staticmethod
+    def link_checks(calls) -> list:
+        return [args for args in calls if args[1][0] == enc.TAG_CERT]
+
     def commit(self, ledger, org_id, bundle, nonce, now=3):
         sigs = endorse(("OrgA", "OrgB"), "AWAY", org_id, bundle, "ACTIVE", nonce)
         ledger, outcome = net.cmdac_update_foreign_identity(
@@ -338,14 +345,19 @@ class TestDataProofs:
         assert outcome == "APPLIED"
         return ledger
 
-    def test_second_proof_verifies_only_the_data_signatures(self, monkeypatch):
+    def test_links_are_checked_when_the_record_is_made_and_no_proof_rechecks_them(
+        self, monkeypatch
+    ):
         calls = self.count_verifies(monkeypatch)
+        ledger = make_ledger()
+        for org in (self.org_a, self.org_b):
+            ledger = self.commit(ledger, org.org_id, org.bundle_bytes(), b"n", now=1)
+        assert len(self.link_checks(calls)) == 2 * 3  # root and leaf of each of 3 peers
         proof = net.generate_data_proof(self.sources, b"x", self.policy)
-        assert net.verify_data_proof(self.ledger, "AWAY", proof, self.policy, now=10)
-        assert len(calls) == 6  # per org: root and leaf links, then the data
-        calls.clear()
-        assert net.verify_data_proof(self.ledger, "AWAY", proof, self.policy, now=11)
-        assert len(calls) == len(self.policy.required_orgs)
+        for now in (10, 11):
+            calls.clear()
+            assert net.verify_data_proof(ledger, "AWAY", proof, self.policy, now=now)
+            assert len(calls) == len(self.policy.required_orgs)  # the data signatures only
 
     def test_window_still_checked_after_a_memoized_success(self):
         proof = net.generate_data_proof(self.sources, b"x", self.policy)
@@ -362,39 +374,51 @@ class TestDataProofs:
             leaf.valid_from, leaf.valid_to, rogue.sign(leaf.signing_bytes()),
         )
         bundle = net.Bundle("FarA", "AWAY", (crypto.Chain((root, forged_leaf)),)).to_bytes()
-        ledger = self.commit(self.ledger, "FarA", bundle, b"forged")
-        proof = net.generate_data_proof(self.sources, b"x", self.policy)
         calls = self.count_verifies(monkeypatch)
+        ledger = self.commit(self.ledger, "FarA", bundle, b"forged")
+        assert len(self.link_checks(calls)) == 2  # the links, once, as the record is made
+        proof = net.generate_data_proof(self.sources, b"x", self.policy)
+        calls.clear()
         for _ in range(2):
             with pytest.raises(net.BadProofSignature) as err:
                 net.verify_data_proof(ledger, "AWAY", proof, self.policy, now=10)
             assert err.value.org_id == "FarA"
             assert "BrokenLink at link 1" in str(err.value)
-        assert len(calls) == 2  # the links once; the second proof re-raises
+        assert calls == []  # each proof raises the recorded verdict again
 
-    def test_rotated_bundle_pays_its_own_link_verifies(self, monkeypatch):
+    def test_rotated_bundle_s_new_record_checks_its_own_links(self, monkeypatch):
         proof = net.generate_data_proof(self.sources, b"x", self.policy)
         assert net.verify_data_proof(self.ledger, "AWAY", proof, self.policy, now=10)
         self.org_a.rotate(now=5)
-        ledger = self.commit(self.ledger, "FarA", self.org_a.bundle_bytes(), b"rotated")
         calls = self.count_verifies(monkeypatch)
+        ledger = self.commit(self.ledger, "FarA", self.org_a.bundle_bytes(), b"rotated")
+        assert len(self.link_checks(calls)) == 2 * 2  # FarA's two new chains
+        calls.clear()
         proof = net.generate_data_proof(self.sources, b"x", self.policy)
         assert net.verify_data_proof(ledger, "AWAY", proof, self.policy, now=10)
-        assert len(calls) == 2 + 2  # FarA's new links, then both data signatures
+        assert len(calls) == 2  # both data signatures
 
-    def test_memo_is_per_ledger_and_no_part_of_the_state(self, monkeypatch):
-        proof = net.generate_data_proof(self.sources, b"x", self.policy)
-        assert net.verify_data_proof(self.ledger, "AWAY", proof, self.policy, now=10)
+    def test_derived_chains_are_no_part_of_equality_repr_or_state(self):
         other = make_ledger()
         for org in (self.org_a, self.org_b):
             other = self.commit(other, org.org_id, org.bundle_bytes(), b"n", now=1)
-        # warm records equal, print and hash like the cold ones
-        assert other.foreign == self.ledger.foreign
-        assert repr(other.foreign) == repr(self.ledger.foreign)
-        assert other.state_hash() == self.ledger.state_hash()
-        calls = self.count_verifies(monkeypatch)
-        assert net.verify_data_proof(other, "AWAY", proof, self.policy, now=10)
-        assert len(calls) == 6
+        record = other.get_record("AWAY", "FarA")
+        assert sorted(record.chains) == [p.name for p in self.org_a.peers]
+        bare = copy.copy(record)
+        object.__setattr__(bare, "chains", {})
+        stripped = replace(other, foreign={**other.foreign, "AWAY/FarA": bare})
+        for ledger in (other, stripped):
+            assert ledger.foreign == self.ledger.foreign
+            assert repr(ledger.foreign) == repr(self.ledger.foreign)
+            assert ledger.state_hash() == self.ledger.state_hash()
+
+    def test_undecodable_recorded_bundle_fails_proofs_by_name(self):
+        ledger = self.commit(self.ledger, "FarA", b"\x14not a bundle", b"junk")
+        assert ledger.get_record("AWAY", "FarA").chains == {}
+        proof = net.generate_data_proof(self.sources, b"x", self.policy)
+        with pytest.raises(net.BadProofSignature) as err:
+            net.verify_data_proof(ledger, "AWAY", proof, self.policy, now=10)
+        assert err.value.org_id == "FarA"
 
     def test_policy_requires_nonempty_signers(self):
         with pytest.raises(net.NetworkError):
@@ -411,6 +435,26 @@ class TestBundles:
         for chain in bundle.chains:
             assert crypto.verify_certificate_chain(chain.certificates, now=10)
         assert org.bundle_digest() == crypto.digest(payload)
+
+    def test_bundle_is_kept_until_a_peer_chain_changes(self, monkeypatch):
+        org = make_source_org(peers=2)
+        codec = enc._codec(net.Bundle)
+        encode, encodes = codec.encode, []
+        monkeypatch.setattr(codec, "encode", lambda b: encodes.append(b) or encode(b))
+        first = org.bundle_bytes()
+        assert (org.bundle_bytes(), len(encodes)) == (first, 1)
+        org.rotate(now=5)
+        rotated = org.bundle_bytes()
+        assert (rotated != first, len(encodes)) == (True, 2)
+        # a leaf re-signed in place, as a test may forge one
+        peer = org.peers[1]
+        root, leaf = peer.chain
+        rogue = crypto.KeyPair.from_seed(seed32("rogue"))
+        peer.chain = (root, replace(leaf, issuer_signature=rogue.sign(leaf.signing_bytes())))
+        forged = net.Bundle.from_bytes(org.bundle_bytes())
+        assert len(encodes) == 3
+        assert forged.chains[1].certificates == peer.chain
+        assert org.bundle_bytes() == forged.to_bytes() and len(encodes) == 3
 
     def test_rotation_changes_leaves_not_root(self):
         org = make_source_org()

@@ -1158,6 +1158,23 @@ class TestBatches:
         sent = [tx.to_bytes() for tx in txs]
         assert [data for data in hashed if data in sent] == sent
 
+    def test_a_transaction_ordered_by_the_pool_is_hashed_once_by_all_its_replicas(
+        self, monkeypatch
+    ):
+        """Inside the bus loop the replicas share the transaction the
+        sequencer decoded, and it keeps its digest: the client hashes its
+        own transaction once, and the four replicas together hash theirs
+        once."""
+        bus, pool, nodes, client, steward = build_pool()
+        txs = org_nym_txs(steward, "a", "b")
+        hashed, digest = [], crypto.digest
+        monkeypatch.setattr(crypto, "digest", lambda data: hashed.append(data) or digest(data))
+        record = self.submit(bus, client, pool, txs)
+        assert record.result["outcomes"] == ["APPLIED"] * 2
+        assert [node.next_seq for node in nodes] == [2] * pool.n
+        sent = [tx.to_bytes() for tx in txs]
+        assert sorted(data for data in hashed if data in sent) == sorted(sent * 2)
+
     def test_empty_batch_is_refused_by_name_and_takes_no_seq(self):
         bus, pool, nodes, client, steward = build_pool()
 
