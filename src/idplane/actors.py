@@ -21,6 +21,7 @@ message at all is dropped and traced.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 from types import GeneratorType
 from typing import Callable, ClassVar, Generator, Optional
@@ -146,7 +147,7 @@ class Actor:
 
     def __init__(self, address: str):
         self.address = address
-        self.bus = None
+        self._bus = lambda: None
         self.rng = None
         self._sessions: dict[int, SessionRecord] = {}  # running sessions only
         self._next_sid = 0
@@ -158,8 +159,14 @@ class Actor:
         self._joins: dict[int, tuple[SessionRecord, ...]] = {}  # waiter sid -> joined
 
     def bind(self, bus, rng) -> None:
-        self.bus = bus
+        self._bus = weakref.ref(bus)
         self.rng = rng
+
+    @property
+    def bus(self):
+        """The bus this actor is bound to, held weakly, as the bus owns its
+        actors; None before `bind` or once the bus is gone."""
+        return self._bus()
 
     # --- subclass surface --------------------------------------------------
 
@@ -225,7 +232,7 @@ class Actor:
                 self._end(record)
                 return
             except Exception as error:  # session-level protocol failure
-                record.error = error
+                record.error = error.with_traceback(None)  # its frames hold the bus
                 self.trace(
                     "session.failed",
                     label=record.label,

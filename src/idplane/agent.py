@@ -61,6 +61,7 @@ from typing import Generator, Optional, Sequence, TypeVar
 
 from . import credentials as creds
 from . import crypto
+from . import encoding as enc
 from . import network as net
 from . import registry
 from .actors import Actor, Gather, Join, Message, Request, SessionRecord, Sleep
@@ -520,9 +521,10 @@ class IinAgent(Actor):
             raise MemberUnreachable(
                 target_did + (f": {reply.body.get('error')}" if reply else "")
             )
-        vp = _decode(
-            creds.VerifiablePresentation, reply.body.get("vp"), MemberUnreachable, target_did
-        )
+        with enc.decode_memo(None):  # bound to this challenge's nonce: never decoded again
+            vp = _decode(
+                creds.VerifiablePresentation, reply.body.get("vp"), MemberUnreachable, target_did
+            )
         vp_body = creds.read_membership_body(vp)  # an error fails the schema check
         vc = vp_body.vc if isinstance(vp_body, creds.MembershipBody) else None
         # a body that does not decode fails check 4 before these are looked at
@@ -562,7 +564,7 @@ class IinAgent(Actor):
         for chain in bundle.chains:
             crypto.verify_certificate_chain(chain.certificates, self.bus.now)
         record = net.RecordContent(
-            foreign_network, bundle.org_id, target_did, payload, crypto.digest(payload),
+            foreign_network, bundle.org_id, target_did, payload, bundle.digest(),
             net.STATUS_ACTIVE,
         )
         self.cache[(foreign_network, target_did)] = record

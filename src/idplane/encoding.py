@@ -24,9 +24,10 @@ Every Record keeps its canonical bytes: `to_bytes` encodes on its first call
 and keeps the result, `from_bytes` keeps the exact bytes it decoded, and a
 Signed record keeps its signing bytes (for a decoded one, the kept bytes up
 to where the decoder began the signature field), so no record is encoded
-twice. The kept bytes are an instance attribute, not a field: equality,
-hashing, repr and `dataclasses.replace` ignore them, and a replaced copy
-encodes its own.
+twice; `digest` hashes them once in the same way. The kept bytes and digest
+are instance attributes, not fields: equality, hashing, repr and
+`dataclasses.replace` ignore them, and a replaced copy encodes and hashes
+its own.
 
 Decoding is a pure function of (record class, bytes). While a decode memo is
 active (`decode_memo`, which each `bus.SimBus` installs for the length of its
@@ -164,6 +165,8 @@ class Record:
     TAG: ClassVar[int | None] = None
     # the record's canonical bytes, set on the instance once known
     _encoding: ClassVar[bytes | None] = None
+    # the digest of the canonical bytes, set on the instance once hashed
+    _digest: ClassVar[bytes | None] = None
 
     def to_bytes(self) -> bytes:
         data = self._encoding
@@ -171,6 +174,13 @@ class Record:
             data = _codec(type(self)).encode(self)
             object.__setattr__(self, "_encoding", data)
         return data
+
+    def digest(self) -> bytes:
+        """`crypto.digest` of the canonical bytes, hashed once and kept as they are."""
+        if self._digest is None:
+            from .crypto import digest  # crypto's records build on this module
+            object.__setattr__(self, "_digest", digest(self.to_bytes()))
+        return self._digest
 
     @classmethod
     def read(cls, reader: Reader) -> Any:
@@ -233,10 +243,11 @@ _decoded: dict[tuple[type, bytes], Record] | None = None
 
 
 @contextmanager
-def decode_memo(memo: dict[tuple[type, bytes], Record]) -> Iterator[None]:
+def decode_memo(memo: dict[tuple[type, bytes], Record] | None) -> Iterator[None]:
     """Make `Record.from_bytes` consult and fill `memo` until the block exits,
-    then restore the memo active before it. The caller owns `memo` and
-    decides its lifetime; a `SimBus` keeps one per world."""
+    then restore the memo active before it; with None, decode without one.
+    The caller owns `memo` and decides its lifetime; a `SimBus` keeps one
+    per world."""
     global _decoded
     previous, _decoded = _decoded, memo
     try:

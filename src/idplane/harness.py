@@ -13,6 +13,7 @@ content is seed-independent.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
@@ -420,6 +421,10 @@ def _derive_int(seed: int, label: str) -> int:
     return int.from_bytes(_derive_bytes(seed, label)[:8], "big")
 
 
+def _identity_bytes(identity_seed: int, label: str) -> bytes:
+    return _derive_bytes(identity_seed, "identity:" + label)
+
+
 class World:
     """Everything a scenario wires together, addressable by name."""
 
@@ -440,11 +445,10 @@ class World:
         self.agents: dict[str, IinAgent] = {}
         self.org_dids: dict[str, str] = {}
         self.organizations: dict[tuple[str, str], net.Organization] = {}
+        # scenario-stable identity material; a partial, not a bound method, as
+        # organizations keep it and must not keep the World alive
+        self._identity_seed = functools.partial(_identity_bytes, config.identity_seed)
         self._build()
-
-    # identity material is scenario-stable; timing material is run-seeded
-    def _identity_seed(self, label: str) -> bytes:
-        return _derive_bytes(self.config.identity_seed, "identity:" + label)
 
     def _register(self, actor: Actor) -> None:
         actor.bind(self.bus, random.Random(_derive_int(self.seed, "rng:" + actor.address)))

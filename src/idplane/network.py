@@ -135,16 +135,19 @@ class Organization:
         self._rotation += 1
         self._enroll_peers(len(self.peers), now)
 
-    def bundle_bytes(self) -> bytes:
-        """The canonical bundle of the peers' chains, kept until one changes
-        (`rotate`, or a leaf replaced in place)."""
+    def _current_bundle(self) -> "Bundle":
+        """The bundle of the peers' chains, kept until one changes (`rotate`,
+        or a leaf replaced in place), and with it its bytes and digest."""
         chains = tuple(p.chain for p in self.peers)
         if self._bundle is None or tuple(c.certificates for c in self._bundle.chains) != chains:
             self._bundle = Bundle(self.org_id, self.network_id, tuple(map(crypto.Chain, chains)))
-        return self._bundle.to_bytes()
+        return self._bundle
+
+    def bundle_bytes(self) -> bytes:
+        return self._current_bundle().to_bytes()
 
     def bundle_digest(self) -> bytes:
-        return crypto.digest(self.bundle_bytes())
+        return self._current_bundle().digest()
 
 
 @dataclass(frozen=True)

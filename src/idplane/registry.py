@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import base64
 from dataclasses import dataclass, field, replace
-from typing import ClassVar, Generator, Optional, Sequence
+from typing import Generator, Optional, Sequence
 
 from . import crypto
 from . import encoding as enc
@@ -158,14 +158,6 @@ class RegistryTransaction(enc.Signed):
     payload: bytes
     submitter_did: str
     submitter_signature: crypto.Signature
-    # the digest of the canonical bytes, set on the instance once hashed
-    _digest: ClassVar[bytes | None] = None
-
-    def digest(self) -> bytes:
-        """The digest of the canonical bytes, hashed once and kept, as `to_bytes` keeps them."""
-        if self._digest is None:
-            object.__setattr__(self, "_digest", crypto.digest(self.to_bytes()))
-        return self._digest
 
 
 def make_transaction(

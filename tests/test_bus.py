@@ -1,8 +1,10 @@
 """Deterministic bus: ordering, faults, sealing, and trace hygiene."""
 
+import gc
 import hashlib
 import heapq
 import random
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -438,6 +440,27 @@ class TestJoinSemantics:
         host.start_session("w", waiter())
         bus.run_until_quiescent()
         assert caught == [("boom", 4)]
+
+
+    def test_a_failed_session_keeps_its_error_but_not_its_bus(self):
+        """A failed session's error keeps no traceback, whose frames would
+        lead back to the session's record and up the stack to the bus."""
+        gc.disable()
+        try:
+            bus, actors = build(BusConfig(seed=9), names=("echo", "host"))
+
+            def failing():
+                yield Sleep(2)
+                raise ValueError("boom")
+
+            record = actors["host"].start_session("bad", failing())
+            bus.run_until_quiescent()
+            assert str(record.error) == "boom" and record.error.__traceback__ is None
+            dropped = weakref.ref(bus)
+            del bus, actors, record
+            assert dropped() is None
+        finally:
+            gc.enable()
 
 
 class CallerActor(Actor):

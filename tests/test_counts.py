@@ -20,9 +20,13 @@ loop, so a memo that shares verdicts too widely or too narrowly fails. In the
 same way each scenario pins the record decodes asked for inside the bus loop
 and the entries of its world's decode memo, one per distinct (record class,
 bytes) pair: a nested record is decoded only when its enclosing one misses.
+A challenge's presentation is bound to its fresh nonce, so it is decoded
+outside the memo and no memo keeps one.
 Every scenario signs exactly one presentation per holder challenge, so a
 holder that signs its bundle apart from its membership fails even where the
 other pins would move with it.
+The benchmark's sweep world, k orgs in each of two networks, pins one
+initiator's full sync as closed forms in k for k = 2..6.
 """
 
 import hashlib
@@ -30,6 +34,7 @@ from dataclasses import replace
 
 import pytest
 
+from idplane import credentials as creds
 from idplane import crypto, harness
 from idplane import encoding as enc
 
@@ -111,10 +116,10 @@ def test_bundled_scenario_executed_verifies(monkeypatch, name, logical, outside,
 @pytest.mark.parametrize(
     "name, in_loop, entries",
     [
-        ("two-network", 280, 108),
-        ("concurrent-commit", 224, 79),
-        ("revoke-carrier", 331, 124),
-        ("rotate-resync", 274, 104),
+        ("two-network", 272, 100),
+        ("concurrent-commit", 222, 77),
+        ("revoke-carrier", 320, 113),
+        ("rotate-resync", 266, 96),
     ],
     ids=SCENARIOS,  # stable across re-pins
 )
@@ -134,6 +139,7 @@ def test_bundled_scenario_decodes(monkeypatch, name, in_loop, entries):
     assert report.ok, report.errors
     assert (len(calls), len(memo)) == (in_loop, entries)
     assert memo.keys() == set(calls)
+    assert not any(cls is creds.VerifiablePresentation for cls, _ in memo)
 
 
 TRACE_DIGESTS = {
@@ -210,3 +216,73 @@ def test_each_challenge_is_answered_with_one_presentation(monkeypatch, name):
         if e.kind == "bus.send" and e.detail["msg_kind"] == "agent.membership_vp.request"
     ]
     assert signed.count(enc.TAG_VP) == len(challenges) > 0
+
+
+def two_networks(k: int) -> dict:
+    """Two networks of `k` orgs with one peer each on one 4-node IIN, each
+    network's anchor validating its own orgs: the benchmark's sweep world."""
+    orgs = {net: [f"{net}o{i:02d}" for i in range(k)] for net in ("NA", "NB")}
+    other = {"NA": "NB", "NB": "NA"}
+    return {
+        "name": f"sweep-k{k}",
+        "seed": 0,
+        "identity_seed": 7,
+        "tick_ceiling": 10_000_000,
+        "cert_lifetime": 20_000,
+        "latency": [1, 3],
+        "iins": [{"id": "iin0", "nodes": 4}],
+        "anchors": [
+            {"name": f"Anchor{net}", "iin": "iin0", "whitelist": orgs[net], "represents": [net]}
+            for net in orgs
+        ],
+        "networks": [
+            {
+                "id": net,
+                "orgs": [{"name": o, "peers": 1} for o in orgs[net]],
+                "interop": [other[net]],
+                "trust": [{"iin": "iin0", "anchor": f"Anchor{other[net]}", "network": other[net]}],
+                "pmv": f"Anchor{net}",
+            }
+            for net in orgs
+        ],
+        "script": [{"step": "bootstrap"}, {"step": "step_a", "orgs": "all"}],
+    }
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_sync_costs_are_closed_forms_in_k(monkeypatch, k):
+    """One initiator's full sync of the k members of the other network, with
+    k orgs per network: each term of each formula is one kind of message or
+    check, so a change that makes the sync grow faster in k fails here."""
+    runner = harness.ScenarioRunner(
+        harness.parse_scenario(two_networks(k), source=f"<sweep-k{k}>"), seed=k
+    )
+    assert runner.run().ok
+    world = runner.world
+    calls = {"sign": 0, "verify": 0, "executed": 0}
+
+    def counting(op, fn):
+        def wrapped(*args):
+            calls[op] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(crypto, "sign", counting("sign", crypto.sign))
+    monkeypatch.setattr(crypto, "verify", counting("verify", crypto.verify))
+    monkeypatch.setattr(
+        crypto, "_ed25519_verify", counting("executed", crypto._ed25519_verify)
+    )
+    first = len(world.trace.events)
+    agent = world.agents["NAo00"]
+    agent.start_session("sync", agent.sync_network("NA", "NB"))
+    world.settle()
+    sent = [e.detail["msg_kind"] for e in world.trace.events[first:] if e.kind == "bus.send"]
+    assert len(sent) == 2 * k * k + 10 * k + 2
+    assert calls["sign"] == 2 * k * k
+    assert calls["verify"] == 5 * k * k + 3 * k
+    assert calls["executed"] == (2 * k + 1) * (k + 1)
+    assert sum(m.startswith("agent.membership_vp.") for m in sent) == 2 * k * k
+    assert sum(m.startswith("agent.countersign.") for m in sent) == 2 * (k - 1)
+    state = world.ledger_state("NA")
+    assert all(state.get_record("NB", f"NBo{i:02d}").status == "ACTIVE" for i in range(k))

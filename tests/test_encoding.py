@@ -634,6 +634,8 @@ def test_kept_bytes_are_the_oracles(value):
     for record in (fresh, type(value).from_bytes(value.to_bytes())):
         record.to_bytes()
         assert record._encoding == old_to_bytes(value)
+        assert record.digest() == crypto.digest(old_to_bytes(value))
+        assert record.digest() is record._digest
         if old_signing is not None:
             record.signing_bytes()
             assert record._signing == old_signing(value)
@@ -646,8 +648,9 @@ def test_a_decoded_record_equals_and_hashes_as_a_fresh_one(value):
     fresh = dataclasses.replace(value)
     assert decoded == fresh and hash(decoded) == hash(fresh)
     assert repr(decoded) == repr(fresh)
+    decoded.digest()
     copy = dataclasses.replace(decoded)
-    assert copy == decoded and copy._encoding is None
+    assert copy == decoded and copy._encoding is None and copy._digest is None
 
 
 @settings(max_examples=100)

@@ -1,6 +1,8 @@
 """Scenario loading, trace verification, and the CLI contract."""
 
+import gc
 import json
+import weakref
 
 import pytest
 import yaml
@@ -355,6 +357,21 @@ class TestRunnerAndReport:
             harness.run_scenario(config, seed=2024, trace_path=path)
         assert '"bus.drop"' in paths[1].read_text(encoding="utf-8")
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(harness.bundled_scenarios()))
+    def test_a_dropped_world_is_freed_by_reference_counting(self, name):
+        """The bus owns its actors and the world owns the bus; no link runs
+        back, so a world needs no cycle collector to be freed."""
+        config = scenario_config(name)
+        gc.disable()
+        try:
+            runner = harness.ScenarioRunner(config)
+            assert runner.run().ok
+            world = weakref.ref(runner.world)
+            del runner
+            assert world() is None
+        finally:
+            gc.enable()
 
     def test_tick_ceiling_becomes_runtime_error(self):
         config = scenario_config("two-network")
