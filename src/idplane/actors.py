@@ -6,76 +6,61 @@ at a time. Multi-round-trip operations are written as generators that yield
 effects (Request, Gather, Join, Sleep); the actor runtime sends envelopes, parks
 the generator, and resumes it when replies or timeouts arrive. A Request is a
 one-element Gather: both wait on the same path and resume the session with the
-reply (or None) once it arrives or the timeout fires. A Join waits for other
+`Reply` (or None) once it arrives or the timeout fires. A Join waits for other
 sessions of the same actor (started with `start_session`) and resumes with
 their results in order when the last of them ends, at once if all have ended;
 a joined session that raised is re-raised in the waiter. Sessions interleave
 within an actor but each inbound event is processed atomically.
 
-An actor serves each request kind in its `REQUESTS` table as a session
-(`_serve`): the handler returns the reply body and the runtime sends it; a
-handler that raises is answered with the error's name. A plaintext that is no
-message at all is dropped and traced.
+Every plaintext is a `Message` record and every body a record of its kind, in
+the one codec of `encoding`; the envelope header carries the kind. An actor
+serves each kind in its `REQUESTS` table as a session (`_serve`) and answers a
+body that does not decode as its kind's record, a handler that raises, or one
+that returns an error name, with that name. A reply that does not decode
+reaches its session as a `Reply` naming the error; a plaintext that is no
+message is dropped and traced. Messages and bodies, one per send, are decoded
+outside the decode memo; the records nested in them (`enc.Framed`) share it.
 """
 
 from __future__ import annotations
 
-import json
 import weakref
 from dataclasses import dataclass, field
 from types import GeneratorType
-from typing import Callable, ClassVar, Generator, Optional
+from typing import Any, Callable, ClassVar, Generator, Optional
 
-from .encoding import canonical_json
+from . import encoding as enc
 
 DEFAULT_TIMEOUT = 120
 
 Session = Generator  # yields effects, receives results
 
-_ID_TYPES = (str, type(None))
+
+@dataclass(frozen=True)
+class Message(enc.Record):  # an envelope's plaintext: a request, or the reply to one
+    TAG = enc.TAG_MESSAGE
+    request_id: str = ""
+    reply_to: str = ""
+    error: str = ""  # the error a reply names, or ""
+    body: bytes = b""  # the body record's bytes; none with an error
 
 
 @dataclass(frozen=True)
-class Message:
-    kind: str
-    body: dict
-    request_id: Optional[str] = None
-    reply_to: Optional[str] = None
+class Reply:  # a reply as its session gets it: the error it names, or "" and the body
+    error: str
+    body: Any = None
 
-    def to_bytes(self) -> bytes:
-        return canonical_json(
-            {
-                "kind": self.kind,
-                "body": self.body,
-                "request_id": self.request_id,
-                "reply_to": self.reply_to,
-            }
-        )
 
-    @staticmethod
-    def from_bytes(data: bytes) -> "Message":
-        """Raises ValueError unless `data` is a JSON object with a string
-        `kind`, a dict `body` and string-or-null request ids."""
-        obj = json.loads(data.decode("utf-8"))
-        if not isinstance(obj, dict):
-            raise ValueError("not an actor message")
-        msg = Message(obj.get("kind"), obj.get("body"), obj.get("request_id"), obj.get("reply_to"))
-        if not (
-            isinstance(msg.kind, str)
-            and isinstance(msg.body, dict)
-            and isinstance(msg.request_id, _ID_TYPES)
-            and isinstance(msg.reply_to, _ID_TYPES)
-        ):
-            raise ValueError("not an actor message")
-        return msg
+def read(cls: type, data: bytes) -> Any:
+    """`data` decoded whole as a `cls` record, outside the decode memo."""
+    reader = enc.Reader(data)
+    value = cls.read(reader)
+    reader.done()
+    return value
 
-    def fields(self, *names: str) -> tuple:
-        """The named body fields; raises KeyError or TypeError unless each is a string."""
-        values = tuple([self.body[name] for name in names])
-        for value in values:
-            if not isinstance(value, str):
-                raise TypeError(f"{self.kind}: {', '.join(names)} must be strings")
-        return values
+
+# request kind -> its reply's body record, of every actor class's REQUESTS
+_REPLIES: dict[str, type] = {}
 
 
 # --- effects yielded by sessions ---------------------------------------------
@@ -83,12 +68,12 @@ class Message:
 
 @dataclass(frozen=True)
 class Request:
-    """Send one message; resume with the reply Message, or None on timeout.
-    The runtime waits on it as a one-element Gather."""
+    """Send one message; resume with its Reply, or None on timeout. The
+    runtime waits on it as a one-element Gather."""
 
     to: str
     kind: str
-    body: dict
+    body: enc.Record
     timeout: int = DEFAULT_TIMEOUT
 
 
@@ -98,7 +83,7 @@ class Gather:
     requests (None where missing) once `early` is satisfied, all replies are
     in, or the timeout fires."""
 
-    requests: tuple[tuple[str, str, dict], ...]  # (to, kind, body)
+    requests: tuple[tuple[str, str, enc.Record], ...]  # (to, kind, body)
     timeout: int = DEFAULT_TIMEOUT
     early: Optional[Callable[[list], bool]] = None
 
@@ -142,8 +127,13 @@ class _GatherWait:
 class Actor:
     """Base class: binds to a bus, serves requests, and drives sessions."""
 
-    # request kind -> (handler method name, reply kind); see _serve
-    REQUESTS: ClassVar[dict[str, tuple[str, str]]] = {}
+    # request kind -> (handler method name, body record, reply kind, reply body record)
+    REQUESTS: ClassVar[dict[str, tuple[str, type, str, type]]] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for kind, (*_, reply_body) in vars(cls).get("REQUESTS", {}).items():
+            _REPLIES[kind] = reply_body
 
     def __init__(self, address: str):
         self.address = address
@@ -153,7 +143,8 @@ class Actor:
         self._next_sid = 0
         self._next_rid = 0
         self._gathers: dict[int, _GatherWait] = {}
-        self._gather_routes: dict[str, tuple[int, int]] = {}
+        # request id -> (gather id, index, the reply's body record)
+        self._gather_routes: dict[str, tuple[int, int, type]] = {}
         self._waiters = self._gather_routes  # perfbench/tracer.py reads this name
         self._next_gather = 0
         self._joins: dict[int, tuple[SessionRecord, ...]] = {}  # waiter sid -> joined
@@ -168,28 +159,31 @@ class Actor:
         actors; None before `bind` or once the bus is gone."""
         return self._bus()
 
-    # --- subclass surface --------------------------------------------------
+    # --- serving requests ----------------------------------------------------
 
-    def on_message(self, sender: str, msg: Message) -> None:
-        """Serve a request kind named in REQUESTS; ignore any other message."""
-        entry = self.REQUESTS.get(msg.kind)
-        if entry is not None:
-            self.start_session(msg.kind, self._serve(sender, msg, *entry))
-
-    def _serve(self, sender: str, msg: Message, handler: str, reply_kind: str) -> Session:
-        """Run the handler and send the body it returns as the `reply_kind`
-        reply; for a handler that returns None no reply is sent. A handler
-        that raises is answered with the error's name, and the error
-        re-raised so that the runtime traces `session.failed`."""
+    def _serve(self, sender: str, msg: Message, handler: str, body: type, reply_kind: str):
+        """Run the handler on the request's body, decoded as a `body` record,
+        and send the record it returns as the `reply_kind` reply, or a reply
+        naming the error name it returns; None sends nothing. A body that
+        does not decode, or a handler that raises, is answered with the
+        error's name, re-raised so that the runtime traces `session.failed`."""
         try:
-            body = getattr(self, handler)(sender, msg)
-            if isinstance(body, GeneratorType):
-                body = yield from body
+            answer = getattr(self, handler)(sender, read(body, msg.body))
+            if isinstance(answer, GeneratorType):
+                answer = yield from answer
         except Exception as error:
-            self.reply(sender, msg, reply_kind, {"ok": False, "error": type(error).__name__})
+            self._reply(sender, msg, reply_kind, type(error).__name__)
             raise
-        if body is not None:
-            self.reply(sender, msg, reply_kind, body)
+        if answer is not None:
+            self._reply(sender, msg, reply_kind, answer)
+
+    def _reply(self, to: str, request: Message, kind: str, answer) -> None:
+        """Send `answer`, a body record or an error name, as the reply to `request`."""
+        if isinstance(answer, str):
+            reply = Message(reply_to=request.request_id, error=answer)
+        else:
+            reply = Message(reply_to=request.request_id, body=answer.to_bytes())
+        self.bus.send(self.address, to, kind, reply.to_bytes())
 
     # --- helpers -------------------------------------------------------------
 
@@ -198,10 +192,6 @@ class Actor:
 
     def nonce(self) -> bytes:
         return self.rng.randbytes(16)
-
-    def reply(self, to: str, request: Message, kind: str, body: dict) -> None:
-        msg = Message(kind=kind, body=body, reply_to=request.request_id)
-        self.bus.send(self.address, to, kind, msg.to_bytes())
 
     def start_session(self, label: str, gen: Session) -> SessionRecord:
         self._next_sid += 1
@@ -216,11 +206,11 @@ class Actor:
         self._next_rid += 1
         return f"{self.address}#{self._next_rid}"
 
-    def _send_message(self, to: str, kind: str, body: dict, rid: Optional[str]) -> None:
-        msg = Message(kind=kind, body=body, request_id=rid)
-        self.bus.send(self.address, to, kind, msg.to_bytes())
-
     def _advance(self, sid: int, value, exc: Optional[BaseException] = None) -> None:
+        """Run session `sid` to its next wait or its end. It ends after the
+        `try`, not in a handler: an error raised in a joiner it wakes would
+        take the exception handled there as its context, whose traceback
+        holds this frame and the stack up to the bus."""
         record = self._sessions.get(sid)
         if record is None:
             return
@@ -229,8 +219,7 @@ class Actor:
                 effect = record.gen.throw(exc) if exc is not None else record.gen.send(value)
             except StopIteration as stop:
                 record.result = stop.value
-                self._end(record)
-                return
+                break
             except Exception as error:  # session-level protocol failure
                 record.error = error.with_traceback(None)  # its frames hold the bus
                 self.trace(
@@ -239,8 +228,7 @@ class Actor:
                     error=type(error).__name__,
                     detail=str(error),
                 )
-                self._end(record)
-                return
+                break
             exc = None
             single = isinstance(effect, Request)
             if single:
@@ -265,8 +253,9 @@ class Actor:
                 for i, (to, kind, body) in enumerate(effect.requests):
                     rid = self._new_rid()
                     wait.rids.append(rid)
-                    self._gather_routes[rid] = (gid, i)
-                    self._send_message(to, kind, body, rid)
+                    self._gather_routes[rid] = (gid, i, _REPLIES[kind])
+                    message = Message(request_id=rid, body=body.to_bytes())
+                    self.bus.send(self.address, to, kind, message.to_bytes())
                 return
             if isinstance(effect, Join):
                 running = [s for s in effect.sessions if not s.done]
@@ -281,6 +270,7 @@ class Actor:
                 self.bus.schedule_timer(self.address, effect.ticks, ("sleep", sid))
                 return
             raise TypeError(f"unknown effect {effect!r} from session {record.label}")
+        self._end(record)
 
     def _end(self, record: SessionRecord) -> None:
         """Forget an ended session, and resume each session joined on it whose
@@ -296,20 +286,26 @@ class Actor:
     def on_delivery(self, sender: str, plaintext: bytes, kind: str) -> None:
         """Route one delivered plaintext (sent under envelope kind `kind`)."""
         try:
-            msg = Message.from_bytes(plaintext)
-        except (ValueError, RecursionError):  # json.loads recurses per nesting level
+            msg = read(Message, plaintext)
+        except enc.DecodeError:
             self.trace("actor.malformed", sender=sender, msg_kind=kind)
             return
-        rid = msg.reply_to
-        if rid is None:
-            self.on_message(sender, msg)
+        if not msg.reply_to:
+            entry = self.REQUESTS.get(kind)
+            if entry is not None:
+                handler, body, reply_kind, _ = entry
+                self.start_session(kind, self._serve(sender, msg, handler, body, reply_kind))
             return
-        route = self._gather_routes.pop(rid, None)
+        route = self._gather_routes.pop(msg.reply_to, None)
         if route is None:
             return  # reply to a request that already timed out
-        gid, index = route
+        gid, index, reply_body = route
+        try:
+            reply = Reply(msg.error, None if msg.error else read(reply_body, msg.body))
+        except enc.DecodeError as error:
+            reply = Reply(type(error).__name__)
         gather = self._gathers[gid]
-        gather.results[index] = msg
+        gather.results[index] = reply
         gather.pending -= 1
         if gather.pending == 0 or (gather.early and gather.early(gather.results)):
             self._finish_gather(gid)

@@ -59,12 +59,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Generator, Optional, Sequence, TypeVar
 
+from . import anchors
 from . import credentials as creds
 from . import crypto
 from . import encoding as enc
 from . import network as net
 from . import registry
-from .actors import Actor, Gather, Join, Message, Request, SessionRecord, Sleep
+from .actors import Actor, Gather, Join, Reply, Request, SessionRecord, Sleep
 
 PHASE_DONE = "DONE"
 PHASE_FAILED = "FAILED"
@@ -156,12 +157,12 @@ RETRY_BACKOFF = 1
 R = TypeVar("R")
 
 
-def _decode(record_cls: type[R], raw: object, error: type[AgentError], peer: str) -> R:
-    """The `record_cls` that `peer` sent, as bytes or as hex; a missing or
-    undecodable one raises `error` naming `peer`."""
+def _decode(record_cls: type[R], raw: bytes, error: type[AgentError], peer: str) -> R:
+    """The `record_cls` that `peer` sent as `raw`; bytes that do not decode
+    raise `error` naming `peer`."""
     try:
-        return record_cls.from_bytes(raw if isinstance(raw, bytes) else bytes.fromhex(raw))
-    except (TypeError, ValueError) as e:
+        return record_cls.from_bytes(raw)
+    except enc.DecodeError as e:
         raise error(f"{peer}: undecodable {record_cls.__name__}: {e}") from None
 
 
@@ -175,26 +176,44 @@ def _caught(gen: Generator) -> Generator:
         return e
 
 
-def _strings(value: object) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+# --- message bodies: one record per request and reply kind (`IinAgent.REQUESTS`)
 
 
-def _refusal(reason: str) -> dict:
+@dataclass(frozen=True)
+class CountersignRequest(enc.Record):  # agent.countersign.request: one network's statements
+    home_network: str
+    statements: tuple[enc.Framed[net.Endorsement], ...]
+
+
+@dataclass(frozen=True)
+class Answer(enc.Record):  # a countersigner's answer to one statement (RESULT_*)
+    result: str
+    sig: bytes = b""
+    own_digest: bytes = b""
+    reason: str = ""
+
+
+@dataclass(frozen=True)
+class Countersigned(enc.Record):  # agent.countersign.reply: one answer per statement
+    results: tuple[Answer, ...]
+
+
+def _refusal(reason: str) -> Answer:
     """A countersigner's answer to a statement it does not sign."""
-    return {"result": RESULT_VALIDATION_FAILED, "reason": reason}
+    return Answer(RESULT_VALIDATION_FAILED, reason=reason)
 
 
-def _batch_answers(reply: Optional[Message], n: int) -> Optional[list[dict]]:
+def _batch_answers(reply: Optional[Reply], n: int) -> Optional[tuple[Answer, ...]]:
     """A countersigner's answer to each statement of an `n`-statement batch,
-    or None when it did not reply. A reply whose `results` is not a list of
-    `n` signs none of them: an error reply for the error it names, any other
-    for NoSignature; so does an entry that is not a dict."""
+    or None when it did not reply: an error reply refuses each by its error,
+    a reply of another number of answers by NoSignature."""
     if reply is None:
         return None
-    results = reply.body.get("results")
-    if isinstance(results, list) and len(results) == n:
-        return [r if isinstance(r, dict) else {} for r in results]
-    return [{"error": reply.body.get("error", "NoSignature")}] * n
+    if reply.error:
+        return (_refusal(reply.error),) * n
+    if len(reply.body.results) != n:
+        return (_refusal("NoSignature"),) * n
+    return reply.body.results
 
 
 @dataclass
@@ -229,8 +248,10 @@ class IinAgent(Actor):
         self._kept: dict[str, tuple] = {}
 
     REQUESTS = {
-        "agent.membership_vp.request": ("_serve_membership_vp", "agent.membership_vp.reply"),
-        "agent.countersign.request": ("_handle_countersign", "agent.countersign.reply"),
+        "agent.membership_vp.request":
+            ("_serve_membership_vp", creds.Challenge, "agent.membership_vp.reply", creds.Presented),
+        "agent.countersign.request":
+            ("_handle_countersign", CountersignRequest, "agent.countersign.reply", Countersigned),
     }
 
     # --- step A: configure identity -----------------------------------------
@@ -241,19 +262,15 @@ class IinAgent(Actor):
         re-issuance returns the existing credential with a fresh witness, so a
         credential request whose reply is lost is sent once more."""
         doc = registry.new_did_document(self.pool.iin_id, self.keys, self.address)
-        reply = yield Request(
-            self.config.oiv_address,
-            "anchor.verinym.request",
-            {"org_name": self.org_id, "doc": doc.to_bytes().hex()},
-            timeout=400,
-        )
+        body = anchors.VerinymRequest(self.org_id, doc)
+        reply = yield Request(self.config.oiv_address, "anchor.verinym.request", body, timeout=400)
         if reply is None:
             raise AgentError("identity validator unreachable")
-        if not reply.body.get("ok"):
-            raise AgentError(reply.body.get("error", "verinym registration failed"))
+        if reply.error:
+            raise AgentError(reply.error)
         for network_id in self.config.ledgers:
             anchor = self.config.home_pmv[network_id]
-            body = {"holder_did": self.did, "network_id": network_id}
+            body = anchors.VcRequest(self.did, network_id)
             reply = yield Request(anchor, "anchor.vc.request", body, timeout=600)
             if reply is None:
                 # asked once more: the anchor answers a repeat with the
@@ -261,40 +278,29 @@ class IinAgent(Actor):
                 reply = yield Request(anchor, "anchor.vc.request", body, timeout=600)
             if reply is None:
                 raise AgentError(f"membership validator for {network_id} unreachable")
-            if not reply.body.get("ok"):
-                raise AgentError(reply.body.get("error", "issuance failed"))
-            vc = _decode(creds.MembershipCredential, reply.body.get("vc"), AgentError, anchor)
-            witness = _decode(
-                crypto.AccumulatorWitness, reply.body.get("witness"), AgentError, anchor
-            )
-            self.wallet[network_id] = (vc, witness)
+            if reply.error:
+                raise AgentError(reply.error)
+            self.wallet[network_id] = (reply.body.vc, reply.body.witness)
         self.trace("agent.configured", did=self.did, networks=",".join(self.config.ledgers))
         return self.did
 
     # --- serving counterparties ----------------------------------------------
 
-    def _serve_membership_vp(self, sender: str, msg: Message) -> Generator:
+    def _serve_membership_vp(self, sender: str, challenge: creds.Challenge) -> Generator:
         """Answer a challenge with one membership presentation, signed once,
         that carries the org's certificate bundle for the network too when
-        the challenge asks for it (`"bundle": true`)."""
-        network_id, nonce = msg.fields("network_id", "nonce")
-        epochs = msg.body.get("epochs", {})
-        if not isinstance(epochs, dict) or not all(isinstance(e, int) for e in epochs.values()):
-            raise TypeError(f"{msg.kind}: epochs must map issuer DIDs to integers")
-        with_bundle = msg.body.get("bundle", False)
-        if not isinstance(with_bundle, bool):
-            raise TypeError(f"{msg.kind}: bundle must be a bool")
-        nonce = bytes.fromhex(nonce)
+        the challenge asks for it (`bundle`)."""
+        network_id = challenge.network_id
         entry = self.wallet.get(network_id)
         if entry is None:
-            return {"ok": False, "error": "NoCredential"}
+            return "NoCredential"
         vc, witness = entry
-        epoch = epochs.get(vc.issuer_did)
+        epoch = dict(challenge.epochs).get(vc.issuer_did)
         if epoch is None or witness.epoch < epoch:
             witness = yield from self._freshen_witness(network_id, epoch)
-        bundle = self.config.organizations[network_id].bundle_bytes() if with_bundle else b""
-        vp = creds.build_membership_vp(self.did, self.keys, vc, witness, nonce, bundle)
-        return {"ok": True, "vp": vp.to_bytes().hex()}
+        bundle = self.config.organizations[network_id].bundle_bytes() if challenge.bundle else b""
+        vp = creds.build_membership_vp(self.did, self.keys, vc, witness, challenge.nonce, bundle)
+        return creds.Presented(vp.to_bytes())
 
     def _freshen_witness(self, network_id: str, epoch: Optional[int]) -> Generator:
         """The wallet's witness for `network_id` once the issuing anchor has
@@ -309,7 +315,7 @@ class IinAgent(Actor):
         (NotAMember): it presents the stored witness and the verifier's
         accumulator check refutes it. A lost refresh raises
         WitnessUnavailable when the stored witness is behind a named epoch,
-        and an undecodable one always does."""
+        and one answered with a witness that does not decode always does."""
         refresh = self._refreshing.get(network_id)
         if refresh is not None and not refresh.done:
             yield Join((refresh,))
@@ -331,57 +337,36 @@ class IinAgent(Actor):
         answers with in the wallet, and returns the reply (None when lost)."""
         vc, _ = self.wallet[network_id]
         anchor = self.config.home_pmv[network_id]
-        reply = yield Request(
-            anchor,
-            "anchor.witness.request",
-            {"credential_id": vc.credential_id.hex()},
-            timeout=120,
-        )
-        if reply is not None and reply.body.get("ok"):
-            witness = _decode(
-                crypto.AccumulatorWitness, reply.body.get("witness"), WitnessUnavailable, anchor
-            )
-            self.wallet[network_id] = (vc, witness)
+        request = anchors.WitnessRequest(vc.credential_id)
+        reply = yield Request(anchor, "anchor.witness.request", request, timeout=120)
+        if reply is not None and reply.error == enc.DecodeError.__name__:
+            raise WitnessUnavailable(f"{anchor}: undecodable witness reply")
+        if reply is not None and not reply.error:
+            self.wallet[network_id] = (vc, reply.body.witness)
         return reply
 
     # --- local ledger views ---------------------------------------------------
 
-    def _ledger_query(self, home_network: str, body: dict) -> Generator:
-        reply = yield Request(
-            self.config.ledgers[home_network], "ledger.query", body, timeout=120
-        )
+    def _ledger_query(self, home_network: str, query: net.LedgerQuery) -> Generator:
+        reply = yield Request(self.config.ledgers[home_network], "ledger.query", query, timeout=120)
         if reply is None:
             raise LedgerUnreachable(home_network)
-        if "error" in reply.body:
-            raise LedgerRefused(f"{home_network}: {reply.body['error']}")
+        if reply.error:
+            raise LedgerRefused(f"{home_network}: {reply.error}")
         return reply.body
 
     def _read_once(self, home_network: str) -> Generator:
         """The home ledger's policy: its interoperation list and its trust
         list entries (iin id, anchor DID, network), kept after the first
-        successful read, as the ledger's genesis state fixes both. A reply
-        missing a list or holding a wrong-typed field is LedgerRefused."""
+        successful read, as the ledger's genesis state fixes both."""
         if home_network not in self._kept:
-            body = yield from self._ledger_query(home_network, {"what": "policy"})
-            networks, entries = body.get("networks"), body.get("entries")
-            if not (
-                _strings(networks)
-                and isinstance(entries, list)
-                and all(_strings(e) and len(e) == 3 for e in entries)
-            ):
-                raise LedgerRefused(f"{home_network}: malformed policy reply")
-            self._kept[home_network] = tuple(networks), tuple(tuple(e) for e in entries)
+            policy = yield from self._ledger_query(home_network, net.LedgerQuery("policy"))
+            self._kept[home_network] = policy.networks, policy.entries
         return self._kept[home_network]
 
     def _ledger_records(self, home_network: str, foreign_network: str) -> Generator:
-        body = yield from self._ledger_query(
-            home_network, {"what": "records", "network": foreign_network}
-        )
-        records = body.get("records")
-        if not isinstance(records, list):
-            raise LedgerRefused(f"{home_network}: records must be a list")
-        ledger = self.config.ledgers[home_network]
-        return [_decode(net.RecordContent, r, LedgerRefused, ledger) for r in records]
+        query = net.LedgerQuery("records", foreign_network)
+        return (yield from self._ledger_query(home_network, query)).records
 
     # --- step B: validate membership ------------------------------------------
 
@@ -511,20 +496,14 @@ class IinAgent(Actor):
         (doc, _), revocation = snapshot.holder(target_did), snapshot.revocation()
         epochs = {issuer: state.epoch for issuer, state in revocation.items()}
         nonce = self.nonce()
-        body = {"network_id": foreign_network, "nonce": nonce.hex(), "epochs": epochs}
-        if with_bundle:
-            body["bundle"] = True
+        challenge = creds.Challenge(foreign_network, nonce, tuple(epochs.items()), int(with_bundle))
         reply = yield Request(
-            doc.service_endpoint, "agent.membership_vp.request", body, timeout=400
+            doc.service_endpoint, "agent.membership_vp.request", challenge, timeout=400
         )
-        if reply is None or not reply.body.get("ok"):
-            raise MemberUnreachable(
-                target_did + (f": {reply.body.get('error')}" if reply else "")
-            )
+        if reply is None or reply.error:
+            raise MemberUnreachable(target_did + (f": {reply.error}" if reply else ""))
         with enc.decode_memo(None):  # bound to this challenge's nonce: never decoded again
-            vp = _decode(
-                creds.VerifiablePresentation, reply.body.get("vp"), MemberUnreachable, target_did
-            )
+            vp = _decode(creds.VerifiablePresentation, reply.body.vp, MemberUnreachable, target_did)
         vp_body = creds.read_membership_body(vp)  # an error fails the schema check
         vc = vp_body.vc if isinstance(vp_body, creds.MembershipBody) else None
         # a body that does not decode fails check 4 before these are looked at
@@ -596,10 +575,7 @@ class IinAgent(Actor):
             for org, addr in self.config.peer_agents[home_network].items()
             if org != self.org_id
         )
-        request_body = {
-            "home_network": home_network,
-            "statements": [s.to_bytes().hex() for s in statements],
-        }
+        request_body = CountersignRequest(home_network, tuple(statements))
         replies = yield Gather(
             tuple((addr, "agent.countersign.request", request_body) for _, addr in peers),
             timeout=1500,
@@ -618,7 +594,7 @@ class IinAgent(Actor):
         return [v.result if isinstance(v, SessionRecord) else v for v in verdicts]
 
     def _verdict(
-        self, statement: net.Endorsement, answers: list[tuple[str, Optional[dict]]]
+        self, statement: net.Endorsement, answers: list[tuple[str, Optional[Answer]]]
     ) -> object:
         """What every other org's answer (org, answer or None) to `statement`
         decides: its endorsements, this org's first, when every org signed
@@ -626,12 +602,7 @@ class IinAgent(Actor):
         missing = [org for org, a in answers if a is None]
         if missing:
             return MissingCountersignature(",".join(missing))
-        mismatched = [
-            a.get("own_digest", "")
-            for _, a in answers
-            if a.get("result") == RESULT_DIGEST_MISMATCH
-        ]
-        theirs = [d for d in mismatched if isinstance(d, str)]  # others fail below
+        theirs = [a.own_digest.hex() for _, a in answers if a.result == RESULT_DIGEST_MISMATCH]
         if theirs:
             self.trace(
                 "agent.sync.digest_mismatch",
@@ -642,37 +613,25 @@ class IinAgent(Actor):
             )
             return DIGEST_MISMATCH
         failed = [
-            (org, a.get("reason", a.get("error", "NoSignature")))
-            for org, a in answers
-            if a.get("result") != RESULT_SIGNED or not isinstance(a.get("sig"), str)
+            (org, a.reason or "NoSignature") for org, a in answers if a.result != RESULT_SIGNED
         ]
         if failed:
             return CounterpartyValidationFailed(
                 ";".join(f"{org}:{reason}" for org, reason in failed)
             )
-        own = self.keys.sign(statement.to_bytes()).bytes_.hex()
-        return [[self.org_id, own]] + [[org, a["sig"]] for org, a in answers]
+        own = self.keys.sign(statement.to_bytes()).bytes_
+        return [(self.org_id, own)] + [(org, a.sig) for org, a in answers]
 
     def _submit(
         self, home_network: str, statement: net.Endorsement, bundle: bytes, endorsements: list
     ) -> Generator:
         """Submit one fully endorsed statement with its bundle; returns the
         ledger's outcome, APPLIED or NOOP."""
-        reply = yield Request(
-            self.config.ledgers[home_network],
-            "cmdac.submit",
-            {
-                "statement": statement.to_bytes().hex(),
-                "bundle": bundle.hex(),
-                "endorsements": endorsements,
-            },
-            timeout=150,
-        )
+        body = net.CommitRequest(statement, bundle, tuple(endorsements))
+        reply = yield Request(self.config.ledgers[home_network], "cmdac.submit", body, timeout=150)
         if reply is None:
             raise LedgerUnreachable(home_network)
-        outcome = reply.body.get("error") or reply.body.get("outcome")
-        if not isinstance(outcome, str):
-            raise LedgerRefused(f"{home_network}: submit reply names no outcome")
+        outcome = reply.error or reply.body.outcome
         if outcome not in (net.OUTCOME_APPLIED, net.OUTCOME_NOOP):
             raise CommitRejected(outcome)
         self.trace(
@@ -684,7 +643,7 @@ class IinAgent(Actor):
         )
         return outcome
 
-    def _handle_countersign(self, sender: str, msg: Message) -> Generator:
+    def _handle_countersign(self, sender: str, request: CountersignRequest) -> Generator:
         """Check each statement of the initiator's batch here and answer, per
         statement and in order, with this org's signature of it, a digest
         mismatch or the reason it failed. Every statement of a batch names
@@ -703,29 +662,21 @@ class IinAgent(Actor):
         list was verified is signed while it stays cached: a cached identity
         skips steps B and C, and the batch that reads nothing sees no fresh
         revocation state."""
-        (home_network,) = msg.fields("home_network")
-        raw = msg.body["statements"]
-        if not _strings(raw):
-            raise TypeError(f"{msg.kind}: statements must be a list of strings")
-        if not raw:
-            raise ValueError(f"{msg.kind}: no statements")
-        statements = [net.Endorsement.from_bytes(bytes.fromhex(s)) for s in raw]
-        networks = {s.foreign_network for s in statements}
-        if len(networks) > 1:
-            raise ValueError(f"{msg.kind}: statements of {len(networks)} foreign networks")
-        (foreign_network,) = networks
+        home_network, statements = request.home_network, request.statements
+        # a batch names exactly one foreign network: none, or two, is a ValueError
+        (foreign_network,) = {s.foreign_network for s in statements}
 
-        def answer(results: list) -> dict:
-            return {"org": self.org_id, "results": results}
+        def refused(reason: str) -> Countersigned:
+            return Countersigned((_refusal(reason),) * len(statements))
 
         if home_network not in self.config.ledgers:
-            return answer([_refusal("NotLocal")] * len(statements))
+            return refused("NotLocal")
         try:
             interop, _ = yield from self._read_once(home_network)
         except (LedgerUnreachable, LedgerRefused) as e:
-            return answer([_refusal(type(e).__name__)] * len(statements))
+            return refused(type(e).__name__)
         if foreign_network not in interop:
-            return answer([_refusal("PolicyViolation")] * len(statements))
+            return refused("PolicyViolation")
         active = [s for s in statements if s.status == net.STATUS_ACTIVE]
         revoked = [s for s in statements if s.status != net.STATUS_ACTIVE]
         records: dict[str, net.RecordContent] = {}
@@ -765,7 +716,7 @@ class IinAgent(Actor):
             else:
                 check = self._countersign_active(home_network, s, memberlist, snapshot, error)
             sessions.append(self.start_session("countersign", check))
-        return answer(list((yield Join(tuple(sessions)))))
+        return Countersigned(tuple((yield Join(tuple(sessions)))))
 
     def _countersign_active(
         self,
@@ -811,8 +762,8 @@ class IinAgent(Actor):
                 ours=identity.bundle_digest.hex(),
                 theirs=statement.bundle_digest.hex(),
             )
-            return {"result": RESULT_DIGEST_MISMATCH, "own_digest": identity.bundle_digest.hex()}
-        return {"result": RESULT_SIGNED, "sig": self._endorse(statement)}
+            return Answer(RESULT_DIGEST_MISMATCH, own_digest=identity.bundle_digest)
+        return Answer(RESULT_SIGNED, sig=self._endorse(statement))
 
     def _countersign_revoked(
         self,
@@ -837,10 +788,8 @@ class IinAgent(Actor):
         if refused is not None:
             return _refusal(type(refused).__name__)
         if record is None or record.bundle_digest != statement.bundle_digest:
-            return {
-                "result": RESULT_DIGEST_MISMATCH,
-                "own_digest": record.bundle_digest.hex() if record else "",
-            }
+            own_digest = record.bundle_digest if record else b""
+            return Answer(RESULT_DIGEST_MISMATCH, own_digest=own_digest)
         if error is not None:
             return _refusal(type(error).__name__)
         if record.holder_did in memberlist.member_dids:
@@ -852,19 +801,18 @@ class IinAgent(Actor):
                 return _refusal("MemberStillValid")
             except PROTOCOL_ERRORS:
                 pass
-        return {
-            "result": RESULT_SIGNED,
-            "sig": self._endorse(replace(statement, holder_did=record.holder_did)),
-        }
+        return Answer(
+            RESULT_SIGNED, sig=self._endorse(replace(statement, holder_did=record.holder_did))
+        )
 
-    def _endorse(self, endorsement: net.Endorsement) -> str:
+    def _endorse(self, endorsement: net.Endorsement) -> bytes:
         self.trace(
             "agent.countersigned",
             network=endorsement.foreign_network,
             org=endorsement.foreign_org,
             status=endorsement.status,
         )
-        return self.keys.sign(endorsement.to_bytes()).bytes_.hex()
+        return self.keys.sign(endorsement.to_bytes()).bytes_
 
     # --- sync rounds -------------------------------------------------------
 

@@ -40,8 +40,9 @@ from typing import Callable, Generator, Optional, Union
 
 from . import credentials as creds
 from . import crypto
+from . import encoding as enc
 from . import registry
-from .actors import Actor, Join, Message, SessionRecord
+from .actors import Actor, Join, SessionRecord
 from .credentials import cred_def_id_for, schema_id_for
 
 
@@ -77,7 +78,44 @@ class _Queued:
     args: tuple = ()
     factory: Optional[Callable[[], Generator]] = None
     write: Optional[SessionRecord] = None  # the write session that took it
-    reply: Union[dict, Exception, None] = None  # a request's reply, or the error it raises
+    reply: Union[enc.Record, str, Exception, None] = None  # a reply, or the error it raises
+
+
+# --- message bodies: one record per request and reply kind (`AnchorService.REQUESTS`)
+
+
+@dataclass(frozen=True)
+class VerinymRequest(enc.Record):  # anchor.verinym.request
+    org_name: str
+    doc: enc.Framed[registry.DidDocument]
+
+
+@dataclass(frozen=True)
+class Registered(enc.Record):  # anchor.verinym.reply: the registry's outcome
+    outcome: str
+
+
+@dataclass(frozen=True)
+class VcRequest(enc.Record):  # anchor.vc.request
+    holder_did: str
+    network_id: str
+
+
+@dataclass(frozen=True)
+class Issued(enc.Record):  # anchor.vc.reply
+    vc: enc.Framed[creds.MembershipCredential]
+    witness: enc.Framed[crypto.AccumulatorWitness]
+    already_member: int  # 1 when the holder held the credential before, else 0
+
+
+@dataclass(frozen=True)
+class WitnessRequest(enc.Record):  # anchor.witness.request
+    credential_id: bytes
+
+
+@dataclass(frozen=True)
+class Witness(enc.Record):  # anchor.witness.reply
+    witness: enc.Framed[crypto.AccumulatorWitness]
 
 
 @dataclass
@@ -193,36 +231,35 @@ class AnchorService(Actor):
     # --- message handling -------------------------------------------------
 
     REQUESTS = {
-        "anchor.verinym.request": ("_register_verinym", "anchor.verinym.reply"),
-        "anchor.vc.request": ("_issue_membership", "anchor.vc.reply"),
-        "anchor.memberlist.request": ("_serve_memberlist", "anchor.memberlist.reply"),
-        "anchor.witness.request": ("_refresh_witness", "anchor.witness.reply"),
+        "anchor.verinym.request":
+            ("_register_verinym", VerinymRequest, "anchor.verinym.reply", Registered),
+        "anchor.vc.request": ("_issue_membership", VcRequest, "anchor.vc.reply", Issued),
+        "anchor.memberlist.request":
+            ("_serve_memberlist", creds.Challenge, "anchor.memberlist.reply", creds.Presented),
+        "anchor.witness.request":
+            ("_refresh_witness", WitnessRequest, "anchor.witness.reply", Witness),
     }
 
     # --- OIV: verinym registration ---------------------------------------
 
-    def _register_verinym(self, sender: str, msg: Message) -> Generator:
-        org_name, doc_hex = msg.fields("org_name", "doc")
-        try:
-            doc = registry.DidDocument.from_bytes(bytes.fromhex(doc_hex))
-        except ValueError:
-            return {"ok": False, "error": "BadDocument"}
+    def _register_verinym(self, sender: str, request: VerinymRequest) -> Generator:
+        org_name, doc = request.org_name, request.doc
         expected = self.profile.evidence_whitelist.get(org_name)
         if expected is None or doc.primary_key() != expected:
             # out-of-band vetting failed: no transaction leaves the anchor
             self.trace("anchor.evidence_mismatch", org=org_name)
-            return {"ok": False, "error": "EvidenceMismatch"}
-        return (yield from self._queued(_Queued(msg.kind, (org_name, doc))))
+            return "EvidenceMismatch"
+        return (yield from self._queued(_Queued("anchor.verinym.request", (org_name, doc))))
 
     # --- PMV: membership issuance / revocation ------------------------------
 
-    def _issue_membership(self, sender: str, msg: Message) -> Generator:
-        holder_did, network_id = msg.fields("holder_did", "network_id")
+    def _issue_membership(self, sender: str, request: VcRequest) -> Generator:
+        holder_did, network_id = request.holder_did, request.network_id
         if network_id not in self.profile.represented_networks or self.acc_state is None:
-            return {"ok": False, "error": "NotRepresented"}
+            return "NotRepresented"
         if self.eligibility.get(network_id, {}).get(holder_did) is None:
-            return {"ok": False, "error": "NotEligible"}
-        return (yield from self._queued(_Queued(msg.kind, (holder_did, network_id))))
+            return "NotEligible"
+        return (yield from self._queued(_Queued("anchor.vc.request", (holder_did, network_id))))
 
     def _write_batch(self, batch: list[_Queued]) -> Generator:
         """Serve queued verinym and credential requests as one registry write:
@@ -258,12 +295,10 @@ class AnchorService(Actor):
         for entry, doc, outcome in zip(nyms, docs, outcomes):
             if outcome not in (registry.OUTCOME_APPLIED, "Duplicate"):
                 # None: a lost receipt whose read-back lacks the document
-                entry.reply = {"ok": False, "error": str(lost) if outcome is None else outcome}
+                entry.reply = str(lost) if outcome is None else outcome
                 continue
             self.trace("anchor.verinym_registered", org=entry.args[0], did=doc.did, outcome=outcome)
-            entry.reply = {
-                "ok": True, "did": doc.did, "doc": doc.to_bytes().hex(), "outcome": outcome
-            }
+            entry.reply = Registered(outcome)
         if minted and outcomes[-1] == registry.OUTCOME_APPLIED:
             # the registry holds the new state, even when a registration of
             # the batch failed: an anchor left at the old epoch could never
@@ -287,18 +322,11 @@ class AnchorService(Actor):
             vc = self.rosters[network_id].members.get(holder_did)
             if vc is None:  # the revocation update that adds it did not apply
                 error = outcomes[-1]
-                entry.reply = {
-                    "ok": False,
-                    "error": str(lost) if error is None else f"revocation update rejected: {error}",
-                }
+                entry.reply = str(lost) if error is None else f"revocation update rejected: {error}"
                 continue
             witness = crypto.witness_for(self.acc_state, leaves, vc.credential_id)
-            entry.reply = {
-                "ok": True, "vc": vc.to_bytes().hex(), "witness": witness.to_bytes().hex()
-            }
             # the first request for a new credential is its issuance
-            if minted.pop(entry.args, None) is None:
-                entry.reply["already_member"] = True
+            entry.reply = Issued(vc, witness, int(minted.pop(entry.args, None) is None))
 
     def _mint(self, requests: list[_Queued]) -> Generator:
         """Read the verinym of every credential request's holder at once,
@@ -322,7 +350,7 @@ class AnchorService(Actor):
             except registry.NotFound:
                 verinym = False
             if not verinym:
-                entry.reply = {"ok": False, "error": "NoVerinym"}
+                entry.reply = "NoVerinym"
             elif holder_did not in self.rosters[network_id].members and entry.args not in minted:
                 self.issuance_counter += 1
                 minted[entry.args] = creds.issue_membership_credential(
@@ -408,7 +436,7 @@ class AnchorService(Actor):
                 if all(r.to_bytes() in present for r in _parts(payload)) else None
                 for _, payload in writes
             ], lost
-        return receipt["outcomes"], None
+        return receipt.outcomes, None
 
     # --- PMV: memberlists ------------------------------------------------------
 
@@ -442,22 +470,20 @@ class AnchorService(Actor):
 
     # --- PMV: read-side services ---------------------------------------------
 
-    def _serve_memberlist(self, sender: str, msg: Message) -> dict:
-        network_id, nonce = msg.fields("network_id", "nonce")
-        nonce = bytes.fromhex(nonce)
-        memberlist = self.memberlists.get(network_id)
+    def _serve_memberlist(self, sender: str, request: creds.Challenge) -> creds.Presented | str:
+        memberlist = self.memberlists.get(request.network_id)
         if memberlist is None:
-            return {"ok": False, "error": "NotRepresented"}
-        vp = creds.build_self_signed_vp(self.profile.did, self.keys, memberlist.to_bytes(), nonce)
-        return {"ok": True, "vp": vp.to_bytes().hex()}
+            return "NotRepresented"
+        vp = creds.build_self_signed_vp(
+            self.profile.did, self.keys, memberlist.to_bytes(), request.nonce
+        )
+        return creds.Presented(vp.to_bytes())
 
-    def _refresh_witness(self, sender: str, msg: Message) -> dict:
-        credential_id = bytes.fromhex(msg.body["credential_id"])
+    def _refresh_witness(self, sender: str, request: WitnessRequest) -> Witness | str:
         leaves = self._leaves()
-        if self.acc_state is None or credential_id not in leaves:
-            return {"ok": False, "error": "NotAMember"}
-        witness = crypto.witness_for(self.acc_state, leaves, credential_id)
-        return {"ok": True, "witness": witness.to_bytes().hex()}
+        if self.acc_state is None or request.credential_id not in leaves:
+            return "NotAMember"
+        return Witness(crypto.witness_for(self.acc_state, leaves, request.credential_id))
 
 
 def _parts(payload) -> tuple:
@@ -539,6 +565,6 @@ def submit_all(
         for kind, payload, _ in writes
     ]
     receipt = yield from registry.submit_transaction(pool, *txs)
-    for (_, _, refusal), outcome in zip(writes, receipt["outcomes"]):
+    for (_, _, refusal), outcome in zip(writes, receipt.outcomes):
         if outcome != registry.OUTCOME_APPLIED:
             raise AnchorError(f"{refusal}: {outcome}")

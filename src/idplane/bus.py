@@ -13,7 +13,8 @@ and it covers both the header and the ciphertext. Tampered or re-labelled
 envelopes fail the tag check at delivery and are discarded with a trace
 event; the plaintext never appears in bus trace events, only its digest.
 A header, like every Record, keeps its encoding once made, so one encoding
-both seals and opens its envelope.
+both seals and opens its envelope. The plaintext is an `actors.Message`
+record, which leaves the kind to the header.
 
 Each bus owns two memos of its world and installs them only while
 `run_until_quiescent` runs: the Ed25519 verdict memo (`crypto.verdict_memo`)

@@ -198,6 +198,19 @@ class VerifiablePresentation(enc.Signed):
 
 
 @dataclass(frozen=True)
+class Challenge(enc.Record):  # a request for a presentation of `network_id`, bound to `nonce`
+    network_id: str
+    nonce: bytes
+    epochs: tuple[tuple[str, int], ...] = ()  # (issuer DID, the epoch of its state read)
+    bundle: int = 0  # 1: carry the holder's bundle of the network too
+
+
+@dataclass(frozen=True)
+class Presented(enc.Record):  # a challenge's reply: its verifier decodes it outside the memo
+    vp: bytes
+
+
+@dataclass(frozen=True)
 class MembershipBody(enc.Record):
     """A MEMBERSHIP presentation's body: one VC, its revocation witness and
     the holder's certificate bundle for the VC's network (empty when the

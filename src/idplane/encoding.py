@@ -1,10 +1,10 @@
-"""Canonical byte encoding for every hashed or signed structure.
+"""Canonical byte encoding for every hashed, signed or sent structure.
 
-Every structure that gets hashed or signed serializes the same way: a 1-byte
-domain tag followed by its fields in declared order, each field length-prefixed.
-Distinct domain tags keep signatures and digests of different structure kinds
-from colliding. The encoding is part of the wire/test surface: fixtures compare
-these bytes exactly.
+Every such structure serializes the same way: a 1-byte domain tag followed by
+its fields in declared order, each field length-prefixed. Distinct domain tags
+keep signatures and digests of different structure kinds from colliding. It is
+the one wire codec: every message and its body is a Record (`actors.Message`),
+and fixtures compare these bytes exactly.
 
 Every format is a dataclass declared once, by its field types, through the
 `Record` and `Signed` mixins: str, bytes and int (u64) fields are
@@ -76,6 +76,7 @@ TAG_CREDENTIAL_ID = 0x17
 # 0x18 tagged the retired registry.QueryReply; it is never reused.
 TAG_ANCHOR_GRANT = 0x19
 TAG_REVOCATION_UPDATE = 0x1A
+TAG_MESSAGE = 0x1B
 
 
 def encode_bytes(value: bytes) -> bytes:
@@ -333,6 +334,6 @@ _PRIMITIVES = {
 
 
 def canonical_json(obj) -> bytes:
-    """Deterministic JSON (sorted keys, compact separators) used for actor
-    messages and trace records."""
+    """Deterministic JSON (sorted keys, compact separators), for traces and
+    reports only: messages are Records."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from . import crypto
 from . import encoding as enc
-from .actors import Actor, Message
+from .actors import Actor
 
 STATUS_ACTIVE = "ACTIVE"
 STATUS_REVOKED = "REVOKED"
@@ -374,6 +374,31 @@ def replay_block_log(genesis: LocalLedgerState, log: tuple[BlockEntry, ...]) -> 
     return state
 
 
+@dataclass(frozen=True)
+class CommitRequest(enc.Record):  # cmdac.submit
+    statement: enc.Framed[Endorsement]
+    bundle: bytes
+    endorsements: tuple[tuple[str, bytes], ...]
+
+
+@dataclass(frozen=True)
+class Committed(enc.Record):  # cmdac.reply: the contract's outcome
+    outcome: str
+
+
+@dataclass(frozen=True)
+class LedgerQuery(enc.Record):  # ledger.query: the "policy", or foreign `network`'s "records"
+    what: str
+    network: str = ""
+
+
+@dataclass(frozen=True)
+class LedgerAnswer(enc.Record):  # ledger.reply: what the query asked for, the rest empty
+    networks: tuple[str, ...] = ()
+    entries: tuple[tuple[str, str, str], ...] = ()
+    records: tuple[enc.Framed[RecordContent], ...] = ()
+
+
 class LedgerNode(Actor):
     """Single sequencer for one network's shared ledger: applies contract
     submissions in arrival order and answers policy/record queries."""
@@ -384,19 +409,14 @@ class LedgerNode(Actor):
         self.genesis = genesis
 
     REQUESTS = {
-        "cmdac.submit": ("_submit", "cmdac.reply"),
-        "ledger.query": ("_query", "ledger.reply"),
+        "cmdac.submit": ("_submit", CommitRequest, "cmdac.reply", Committed),
+        "ledger.query": ("_query", LedgerQuery, "ledger.reply", LedgerAnswer),
     }
 
-    def _submit(self, sender: str, msg: Message) -> dict:
-        statement, bundle = msg.fields("statement", "bundle")
-        statement = Endorsement.from_bytes(bytes.fromhex(statement))
-        endorsements = tuple(
-            (org, bytes.fromhex(sig)) for org, sig in msg.body["endorsements"]
-        )
-        endorsers = ",".join(sorted(org for org, _ in endorsements))  # orgs must be strings
+    def _submit(self, sender: str, request: CommitRequest) -> Committed:
+        statement = request.statement
         self.state, outcome = cmdac_update_foreign_identity(
-            self.state, statement, bytes.fromhex(bundle), endorsements, self.bus.now
+            self.state, statement, request.bundle, request.endorsements, self.bus.now
         )
         self.trace(
             "ledger.commit",
@@ -406,23 +426,18 @@ class LedgerNode(Actor):
             status=statement.status,
             nonce=statement.nonce.hex(),
             outcome=outcome,
-            endorsers=endorsers,
+            endorsers=",".join(sorted(org for org, _ in request.endorsements)),
             payload_digest=statement.bundle_digest.hex(),
         )
-        return {"outcome": outcome, "seq": len(self.state.block_log) - 1}
+        return Committed(outcome)
 
-    def _query(self, sender: str, msg: Message) -> dict:
-        (what,) = msg.fields("what")
-        if what == "policy":
-            return {
-                "networks": list(self.state.interop_networks),
-                "entries": [list(e) for e in self.state.trust_entries],
-            }
-        if what == "records":
-            (network,) = msg.fields("network")
-            records = self.state.records_for(network)
-            return {"records": [r.content.to_bytes().hex() for r in records]}
-        raise NetworkError(f"unknown query {what!r}")
+    def _query(self, sender: str, query: LedgerQuery) -> LedgerAnswer:
+        if query.what == "policy":
+            return LedgerAnswer(self.state.interop_networks, self.state.trust_entries)
+        if query.what == "records":
+            records = self.state.records_for(query.network)
+            return LedgerAnswer(records=tuple(r.content for r in records))
+        raise NetworkError(f"unknown query {query.what!r}")
 
 
 # --- data plane hook ----------------------------------------------------------

@@ -44,7 +44,7 @@ from typing import Generator, Optional, Sequence
 
 from . import crypto
 from . import encoding as enc
-from .actors import Actor, Gather, Message, Request
+from .actors import Actor, Gather, Reply, Request
 from .credentials import (
     CredentialDefinition,
     CredentialError,
@@ -478,16 +478,60 @@ class Ack(enc.Record):
     batch_digest: bytes
 
 
-def decode_batch(hexes) -> list[RegistryTransaction]:
-    """Each hex-encoded transaction of a batch, which keeps the bytes it was
-    decoded from, and so hashes them to its digest only once. Raises
-    TypeError unless `hexes` is a list of strings, ValueError for an entry
-    that is no transaction, and EmptyBatch for an empty list."""
-    if not isinstance(hexes, list):
-        raise TypeError("txs must be a list")
-    if not hexes:
-        raise EmptyBatch("a batch needs at least one transaction")
-    return [RegistryTransaction.from_bytes(bytes.fromhex(h)) for h in hexes]
+# --- message bodies: one record per request and reply kind (`IinNode.REQUESTS`)
+
+
+@dataclass(frozen=True)
+class Submit(enc.Record):  # iin.submit: a client's batch, in the order it applies
+    txs: tuple[enc.Framed[RegistryTransaction], ...]
+
+
+@dataclass(frozen=True)
+class Receipt(enc.Record):  # iin.submit.reply
+    first: int
+    last: int
+    outcomes: tuple[str, ...]
+    tx_digests: tuple[bytes, ...]
+    acks: tuple[tuple[str, bytes], ...]  # (replica address, its signature of the `Ack`)
+
+
+@dataclass(frozen=True)
+class Order(enc.Record):  # iin.order: the sequencer's batch, applied from seq `first` on
+    first: int
+    txs: tuple[enc.Framed[RegistryTransaction], ...]
+
+
+@dataclass(frozen=True)
+class Acked(enc.Record):  # iin.ack: a replica's signature of the `Ack` of the batch it applied
+    address: str
+    ack: Ack
+    signature: bytes
+
+
+@dataclass(frozen=True)
+class Fetch(enc.Record):  # iin.fetch: the log entries from seq `first` through `last`
+    first: int
+    last: int
+
+
+@dataclass(frozen=True)
+class Entries(enc.Record):  # iin.fetch.reply: (seq, transaction bytes, outcome), as logged
+    entries: tuple[tuple[int, bytes, str], ...]
+
+
+@dataclass(frozen=True)
+class Query(enc.Record):  # iin.query: a read of `what`, of the ids it names
+    what: str
+    holders: tuple[str, ...]
+    issuers: tuple[str, ...]
+    schemas: tuple[str, ...]
+    cred_defs: tuple[str, ...]
+    memberlists: tuple[tuple[str, str], ...]
+
+
+@dataclass(frozen=True)
+class QueryResult(enc.Record):  # iin.query.reply: compared across replicas before it decodes
+    snapshot: bytes  # a `MemberSnapshot`'s bytes
 
 
 class IinNode(Actor):
@@ -534,88 +578,66 @@ class IinNode(Actor):
         )
         return outcome
 
-    def _ack_body(self, first: int, last: int, digest: bytes) -> dict:
-        sig = self.keys.sign(Ack(first, last, digest).to_bytes())
-        return {
-            "first": first,
-            "last": last,
-            "node": self.node_id,
-            "address": self.address,
-            "batch_digest": digest.hex(),
-            "ack": sig.bytes_.hex(),
-        }
+    def _acked(self, first: int, last: int, digest: bytes) -> Acked:
+        ack = Ack(first, last, digest)
+        return Acked(self.address, ack, self.keys.sign(ack.to_bytes()).bytes_)
 
     # --- message handling ------------------------------------------------
 
     REQUESTS = {
-        "iin.submit": ("_sequence", "iin.submit.reply"),
-        "iin.order": ("_handle_order", "iin.ack"),
-        "iin.fetch": ("_serve_fetch", "iin.fetch.reply"),
-        "iin.query": ("_query", "iin.query.reply"),
+        "iin.submit": ("_sequence", Submit, "iin.submit.reply", Receipt),
+        "iin.order": ("_handle_order", Order, "iin.ack", Acked),
+        "iin.fetch": ("_serve_fetch", Fetch, "iin.fetch.reply", Entries),
+        "iin.query": ("_query", Query, "iin.query.reply", QueryResult),
     }
 
-    def _sequence(self, client: str, msg: Message) -> Generator:
+    def _sequence(self, client: str, submit: Submit) -> Generator:
         """Apply a client's batch at the next seqs, order it to every other
         replica in one message, and answer with a receipt once 2f+1 replicas,
         this one included, have acked the batch."""
         if not self.is_sequencer:
-            return {"error": "NotSequencer"}
-        batch = decode_batch(msg.body["txs"])
+            return "NotSequencer"
+        if not submit.txs:
+            raise EmptyBatch("a batch needs at least one transaction")
         first = self.next_seq
-        outcomes = [self._apply_in_order(tx) for tx in batch]
+        outcomes = tuple(self._apply_in_order(tx) for tx in submit.txs)
         last = self.next_seq - 1
         # the encoding is canonical: these are the digests a client computes
-        tx_digests = [tx.digest() for tx in batch]
-        digest = batch_digest(tx_digests)
-        own_ack = self._ack_body(first, last, digest)
+        tx_digests = tuple(tx.digest() for tx in submit.txs)
+        own = self._acked(first, last, batch_digest(tx_digests))
 
         others = tuple(a for a in self.pool.node_addresses if a != self.address)
         need = self.pool.write_quorum - 1  # own ack counts
 
         verdicts: dict[int, bool] = {}  # reply index -> valid ack; checked once per reply
 
-        def valid_acks(results: list) -> list:
+        def valid_acks(results: list) -> list[Acked]:
             for i, r in enumerate(results):
                 if r is not None and i not in verdicts:
-                    verdicts[i] = self._valid_ack(r, first, last, digest)
+                    verdicts[i] = self._valid_ack(r, own.ack)
             return [r.body for i, r in enumerate(results) if verdicts.get(i)]
 
-        order = {"first": first, "txs": msg.body["txs"]}
+        order = Order(first, submit.txs)
         replies = yield Gather(
             tuple((a, "iin.order", order) for a in others),
             timeout=60,
             early=lambda results: len(valid_acks(results)) >= need,
         )
-        acks = [own_ack] + valid_acks(replies)
+        acks = [own] + valid_acks(replies)
         if len(acks) < self.pool.write_quorum:
-            return {"error": "QuorumUnavailable"}
-        return {
-            "first": first,
-            "last": last,
-            "outcomes": outcomes,
-            "tx_digests": [d.hex() for d in tx_digests],
-            "acks": [[a["address"], a["ack"]] for a in sorted(acks, key=lambda a: a["address"])],
-        }
+            return "QuorumUnavailable"
+        signatures = tuple(sorted((a.address, a.signature) for a in acks))
+        return Receipt(first, last, outcomes, tx_digests, signatures)
 
-    def _valid_ack(self, reply: Optional[Message], first: int, last: int, digest: bytes) -> bool:
-        if reply is None or reply.kind != "iin.ack":
+    def _valid_ack(self, reply: Reply, ack: Ack) -> bool:
+        if reply.error or reply.body.ack != ack:
             return False
-        body = reply.body
-        if (body.get("first"), body.get("last"), body.get("batch_digest")) != (
-            first, last, digest.hex()
-        ):
-            return False
-        address, ack = body.get("address"), body.get("ack")
-        node_key = self.pool.node_public_keys.get(address) if isinstance(address, str) else None
-        if node_key is None or not isinstance(ack, str):
-            return False
-        try:
-            signature = crypto.Signature(bytes.fromhex(ack))
-        except ValueError:
-            return False
-        return crypto.verify(node_key, Ack(first, last, digest).to_bytes(), signature)
+        node_key = self.pool.node_public_keys.get(reply.body.address)
+        return node_key is not None and crypto.verify(
+            node_key, ack.to_bytes(), crypto.Signature(reply.body.signature)
+        )
 
-    def _handle_order(self, sender: str, msg: Message) -> Generator:
+    def _handle_order(self, sender: str, order: Order) -> Generator:
         """Apply an ordered batch and ack it once. A replica whose log ends
         before the batch's first seq first fetches the missing entries from
         the sequencer. A batch whose range is already applied is acked only
@@ -623,7 +645,9 @@ class IinNode(Actor):
         sequencer orders; anything else stays unanswered."""
         if sender != self.pool.sequencer:
             return None
-        first, batch = int(msg.body["first"]), decode_batch(msg.body["txs"])
+        if not order.txs:
+            raise EmptyBatch("a batch needs at least one transaction")
+        first, batch = order.first, order.txs
         if first > self.next_seq:
             yield from self._catch_up(first - 1)
         last = first + len(batch) - 1
@@ -632,48 +656,32 @@ class IinNode(Actor):
                 self._apply_in_order(tx)
         elif [entry[1] for entry in self.log[first:last + 1]] != [tx.to_bytes() for tx in batch]:
             return None  # the log holds other transactions there, or none yet
-        return self._ack_body(first, last, batch_digest([tx.digest() for tx in batch]))
+        return self._acked(first, last, batch_digest([tx.digest() for tx in batch]))
 
     def _catch_up(self, upto: int) -> Generator:
         """Apply the sequencer's log entries from this replica's next seq
         through `upto`."""
-        reply = yield Request(
-            self.pool.sequencer,
-            "iin.fetch",
-            {"from": self.next_seq, "to": upto},
-            timeout=60,
-        )
-        if reply is not None and reply.kind == "iin.fetch.reply":
-            for seq, tx_hex, _outcome in reply.body["entries"]:
+        fetch = Fetch(self.next_seq, upto)
+        reply = yield Request(self.pool.sequencer, "iin.fetch", fetch, timeout=60)
+        if reply is not None and not reply.error:
+            for seq, tx, _outcome in reply.body.entries:
                 if seq == self.next_seq:
-                    self._apply_in_order(RegistryTransaction.from_bytes(bytes.fromhex(tx_hex)))
+                    self._apply_in_order(RegistryTransaction.from_bytes(tx))
 
     # --- open reads --------------------------------------------------------
 
-    def _serve_fetch(self, sender: str, msg: Message) -> dict:
-        lo, hi = msg.body.get("from"), msg.body.get("to")
-        if not (isinstance(lo, int) and isinstance(hi, int)):
-            lo, hi = 0, -1  # a malformed fetch gets no entries
-        entries = [[seq, tx.hex(), outcome] for seq, tx, outcome in self.log if lo <= seq <= hi]
-        return {"entries": entries}
+    def _serve_fetch(self, sender: str, fetch: Fetch) -> Entries:
+        """The log entries asked for; a range that ends before it starts holds none."""
+        return Entries(tuple(self.log[fetch.first:fetch.last + 1]))
 
-    def _query(self, sender: str, msg: Message) -> dict:
+    def _query(self, sender: str, query: Query) -> QueryResult:
         """Answer a member read with a `MemberSnapshot` of this replica's
-        current state. Anyone may read: a malformed query, or one of another
-        `what`, gets the snapshot of nothing (a miss)."""
-        def strings(value) -> bool:
-            return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-        ids = [msg.body.get(name, []) for name in ("holders", "issuers", "schemas", "cred_defs")]
-        pairs = msg.body.get("memberlists", [])  # (issuer, network) pairs
-        if (
-            msg.body.get("what") != QUERY_MEMBER
-            or not all(strings(names) for names in ids)
-            or not (isinstance(pairs, list) and all(strings(p) and len(p) == 2 for p in pairs))
-        ):
-            ids, pairs = [[]] * 4, []
-        snapshot = MemberSnapshot.of(self.state, *ids, [tuple(p) for p in pairs])
-        return {"result": snapshot.to_bytes().hex()}
+        current state. Anyone may read: a query of another `what` gets the
+        snapshot of nothing (a miss)."""
+        ids = (query.holders, query.issuers, query.schemas, query.cred_defs, query.memberlists)
+        if query.what != QUERY_MEMBER:
+            ids = ((),) * 5
+        return QueryResult(MemberSnapshot.of(self.state, *ids).to_bytes())
 
 
 @dataclass(frozen=True)
@@ -763,31 +771,25 @@ class MemberSnapshot(enc.Record):
 
 def submit_transaction(pool: PoolInfo, *txs: RegistryTransaction) -> Generator:
     """Submit `txs` to the sequencer as one batch, applied in this order at
-    contiguous seqs, and await a quorum-backed receipt. Returns the receipt
-    body, whose `outcomes` align with `txs`; raises QuorumUnavailable when the
+    contiguous seqs, and await a quorum-backed receipt. Returns the
+    `Receipt`, whose `outcomes` align with `txs`; raises QuorumUnavailable when the
     pool cannot commit the batch, or when the receipt names other
     transactions or carries fewer than 2f+1 valid acks over this batch."""
-    tx_digests = [tx.digest() for tx in txs]
-    reply = yield Request(
-        pool.sequencer, "iin.submit", {"txs": [tx.to_bytes().hex() for tx in txs]}, timeout=150
-    )
+    tx_digests = tuple(tx.digest() for tx in txs)
+    reply = yield Request(pool.sequencer, "iin.submit", Submit(txs), timeout=150)
     if reply is None:
         raise QuorumUnavailable("no reply from sequencer")
-    if reply.body.get("error"):
-        raise QuorumUnavailable(reply.body["error"])
+    if reply.error:
+        raise QuorumUnavailable(reply.error)
     receipt = reply.body
-    if receipt.get("tx_digests") != [d.hex() for d in tx_digests] or len(
-        receipt.get("outcomes", ())
-    ) != len(txs):
+    if receipt.tx_digests != tx_digests or len(receipt.outcomes) != len(txs):
         raise QuorumUnavailable("receipt names other transactions")
-    signed = Ack(receipt["first"], receipt["last"], batch_digest(tx_digests)).to_bytes()
+    signed = Ack(receipt.first, receipt.last, batch_digest(tx_digests)).to_bytes()
     valid = {
         address
-        for address, sig_hex in receipt.get("acks", [])
+        for address, signature in receipt.acks
         if address in pool.node_public_keys
-        and crypto.verify(
-            pool.node_public_keys[address], signed, crypto.Signature(bytes.fromhex(sig_hex))
-        )
+        and crypto.verify(pool.node_public_keys[address], signed, crypto.Signature(signature))
     }
     if len(valid) < pool.write_quorum:
         raise QuorumUnavailable(f"receipt carries {len(valid)} valid acks")
@@ -809,18 +811,13 @@ def quorum_query(
     return the agreed payload; raise InconsistentReplicas otherwise. The
     registry answers only QUERY_MEMBER, for the ids named (`_query`)."""
     threshold = pool.read_quorum
-    body = {
-        "what": what, "holders": list(holders), "issuers": list(issuers),
-        "schemas": list(schemas), "cred_defs": list(cred_defs),
-        "memberlists": [list(pair) for pair in memberlists],
-    }
+    body = Query(what, holders, issuers, schemas, cred_defs, memberlists)
 
-    def tally(results: list) -> dict[str, int]:
-        counts: dict[str, int] = {}
+    def tally(results: list) -> dict[bytes, int]:
+        counts: dict[bytes, int] = {}
         for r in results:
-            value = r.body.get("result") if r is not None and r.kind == "iin.query.reply" else None
-            if isinstance(value, str):  # any other result matches no reply
-                counts[value] = counts.get(value, 0) + 1
+            if r is not None and not r.error:
+                counts[r.body.snapshot] = counts.get(r.body.snapshot, 0) + 1
         return counts
 
     def agreed(results: list) -> bool:
@@ -837,7 +834,7 @@ def quorum_query(
         replies = replies + more
     for value, n in tally(replies).items():
         if n >= threshold:
-            return bytes.fromhex(value)
+            return value
     raise InconsistentReplicas(f"{what} read had no {threshold} matching replies")
 
 

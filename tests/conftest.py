@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from idplane import harness
-from idplane.actors import Actor
+from idplane.actors import Actor, Request
 from idplane.bus import BoxKeyPair
 
 
@@ -34,8 +34,32 @@ def world(runner):
     return runner.world
 
 
+class Raw:
+    """A message body given as its bytes, which need not decode as any
+    record: for a request or a reply that does not decode."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    def to_bytes(self) -> bytes:
+        return self.data
+
+
 class Probe(Actor):
     """Outside observer actor for poking services directly."""
+
+
+def ask(probe, world, to, kind, body, timeout=600):
+    """Send one request from `probe` and settle the world; returns its Reply,
+    or None when none came within `timeout`."""
+    result = {}
+
+    def asking():
+        result["reply"] = yield Request(to, kind, body, timeout=timeout)
+
+    probe.start_session("ask", asking())
+    world.settle()
+    return result["reply"]
 
 
 def add_probe(world, address="probe") -> Probe:

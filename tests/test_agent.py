@@ -7,12 +7,13 @@ import pytest
 from idplane import agent as agent_mod
 from idplane import credentials as creds
 from idplane import crypto, harness, registry
+from idplane import encoding as enc
 from idplane import network as net
-from idplane.actors import Request, Sleep
+from idplane.actors import Reply, Request, Sleep
 from idplane.anchors import schema_id_for
 from idplane.bus import FaultRule
 
-from conftest import add_probe, bootstrapped_runner, scenario_config
+from conftest import Raw, add_probe, bootstrapped_runner, scenario_config
 
 
 def run_sync(world, initiator, home, foreign, targets=None):
@@ -74,22 +75,27 @@ def witness_requests(world, org, since=0):
 
 
 def challenge(probe, world, holder, network_id, **extra):
-    """Challenge `holder`'s agent from `probe`; returns (reply body, nonce)."""
+    """Challenge `holder`'s agent from `probe`; returns (reply, nonce)."""
     nonce = probe.nonce()
     result = {}
 
     def ask():
-        reply = yield Request(
+        result["reply"] = yield Request(
             f"agent:{holder}",
             "agent.membership_vp.request",
-            {"network_id": network_id, "nonce": nonce.hex(), **extra},
+            creds.Challenge(network_id, nonce, **extra),
             timeout=500,
         )
-        result["body"] = reply.body
 
     probe.start_session("ask", ask())
     world.settle()
-    return result["body"], nonce
+    return result["reply"], nonce
+
+
+def presented(reply) -> creds.VerifiablePresentation:
+    """The presentation an answered challenge carries."""
+    assert reply.error == "", reply.error
+    return creds.VerifiablePresentation.from_bytes(reply.body.vp)
 
 
 def statement(probe, foreign_did, digest, status, org="Carrier", foreign_network="STL"):
@@ -98,52 +104,59 @@ def statement(probe, foreign_did, digest, status, org="Carrier", foreign_network
     return net.Endorsement(foreign_network, org, foreign_did, digest, status, probe.nonce())
 
 
-def countersign_request(statements, home_network="SWT", **extra):
+def countersign_request(statements, home_network="SWT"):
     """The body of a countersign request for `statements` into `home_network`."""
-    return {
-        "home_network": home_network,
-        "statements": [s.to_bytes().hex() for s in statements],
-        **extra,
-    }
+    return agent_mod.CountersignRequest(home_network, tuple(statements))
 
 
-def statements_of(msg) -> list[net.Endorsement]:
-    """The statements a countersign request carries."""
-    return [net.Endorsement.from_bytes(bytes.fromhex(s)) for s in msg.body["statements"]]
+def answering(seller, change):
+    """Make `seller` answer each statement with `change(statement, answer)`
+    in place of the answer it gives."""
+    countersign = seller._handle_countersign
+
+    def changed(sender, request):
+        reply = yield from countersign(sender, request)
+        return agent_mod.Countersigned(tuple(
+            change(s, answer) for s, answer in zip(request.statements, reply.results)
+        ))
+
+    seller._handle_countersign = changed
 
 
-def ask_countersign_batch(probe, world, statements, **extra):
+def for_carrier(answer):
+    """A `change` for `answering`: `answer` to Carrier's statements."""
+    return lambda s, given: answer if s.foreign_org == "Carrier" else given
+
+
+def ask_countersign_batch(probe, world, statements, home_network="SWT"):
     """Ask Seller to countersign `statements` in one request; returns the
-    reply body."""
+    reply."""
     result = {}
 
     def ask():
-        reply = yield Request(
+        result["reply"] = yield Request(
             "agent:Seller",
             "agent.countersign.request",
-            countersign_request(statements, **extra),
+            countersign_request(statements, home_network),
             timeout=2000,
         )
-        result["body"] = reply.body
 
     probe.start_session("ask", ask())
     world.settle()
-    return result["body"]
+    return result["reply"]
 
 
 def ask_countersign(
     probe, world, foreign_did, digest, status, home_network="SWT", foreign_network="STL",
-    **extra,
 ):
     """Ask Seller to countersign a commit of STL's Carrier into SWT, alone in
     its batch; returns Seller's answer to it."""
-    body = ask_countersign_batch(
+    reply = ask_countersign_batch(
         probe, world,
         [statement(probe, foreign_did, digest, status, foreign_network=foreign_network)],
-        home_network=home_network, **extra,
+        home_network=home_network,
     )
-    assert body["org"] == "Seller"
-    [answer] = body["results"]
+    [answer] = reply.body.results
     return answer
 
 
@@ -227,7 +240,7 @@ class TestCountersigning:
         world.agents["Seller"].cache.clear()
         probe = add_probe(world)
         answer = ask_countersign(probe, world, world.org_dids["Carrier"], old_digest, "ACTIVE")
-        assert answer["result"] == "validation_failed"
+        assert answer.result == "validation_failed"
 
     def test_digest_mismatch_reply_carries_own_digest_and_drops_cache(self, world):
         seller = world.agents["Seller"]
@@ -241,15 +254,15 @@ class TestCountersigning:
         answer = ask_countersign(
             probe, world, world.org_dids["Carrier"], b"\x00" * 32, "ACTIVE"
         )
-        assert answer == {"result": "digest_mismatch", "own_digest": own_digest.hex()}
+        assert answer == agent_mod.Answer("digest_mismatch", own_digest=own_digest)
         assert ("STL", world.org_dids["Carrier"]) not in seller.cache
 
     def test_permanent_mismatch_exhausts_retries_before_ceiling(self, world):
         seller = world.agents["Seller"]
 
-        def always_mismatch(sender, msg):
-            answer = {"result": "digest_mismatch", "own_digest": "00" * 32}
-            return {"org": "Seller", "results": [answer] * len(msg.body["statements"])}
+        def always_mismatch(sender, request):
+            answer = agent_mod.Answer("digest_mismatch", own_digest=bytes(32))
+            return agent_mod.Countersigned((answer,) * len(request.statements))
             yield  # a session handler
 
         seller._handle_countersign = always_mismatch
@@ -267,18 +280,9 @@ class TestCountersigning:
         assert failed.detail["error"] == "RetriesExhausted"
 
     def test_failed_memberlist_refetch_on_retry_fails_only_that_target(self, world):
-        seller = world.agents["Seller"]
-        countersign = seller._handle_countersign
-
-        def mismatch_for_carrier(sender, msg):
-            body = yield from countersign(sender, msg)
-            for s, answer in zip(statements_of(msg), body["results"]):
-                if s.foreign_org == "Carrier":
-                    answer.clear()
-                    answer.update(result="digest_mismatch", own_digest="00" * 32)
-            return body
-
-        seller._handle_countersign = mismatch_for_carrier
+        answering(world.agents["Seller"], for_carrier(
+            agent_mod.Answer("digest_mismatch", own_digest=bytes(32))
+        ))
         # Buyer's first read is sync_network's gate, its second the gate of
         # the retry round, which holds Carrier alone
         lose_read(world, "Buyer", answered=1)
@@ -292,9 +296,9 @@ class TestCountersigning:
     def test_failed_memberlist_refetch_fails_every_target_of_the_retry_round(self, world):
         seller = world.agents["Seller"]
 
-        def always_mismatch(sender, msg):
-            answer = {"result": "digest_mismatch", "own_digest": "00" * 32}
-            return {"org": "Seller", "results": [answer] * len(msg.body["statements"])}
+        def always_mismatch(sender, request):
+            answer = agent_mod.Answer("digest_mismatch", own_digest=bytes(32))
+            return agent_mod.Countersigned((answer,) * len(request.statements))
             yield  # a session handler
 
         seller._handle_countersign = always_mismatch
@@ -334,7 +338,7 @@ class TestCountersigning:
     def test_raising_countersigner_fails_the_initiator_by_name(self, world):
         seller = world.agents["Seller"]
 
-        def broken(sender, msg):
+        def broken(sender, request):
             raise KeyError("digest")
             yield  # a session handler, failing part-way
 
@@ -356,9 +360,9 @@ class TestCountersigning:
         carrier = world.agents["Carrier"]
         serve = carrier._serve_membership_vp
 
-        def garbled(sender, msg):
-            body = yield from serve(sender, msg)
-            return {**body, "vp": "zz"}
+        def garbled(sender, challenge):
+            reply = yield from serve(sender, challenge)
+            return creds.Presented(b"zz" + reply.vp)
 
         carrier._serve_membership_vp = garbled
         start = len(world.trace.events)
@@ -367,37 +371,16 @@ class TestCountersigning:
         assert "undecodable VerifiablePresentation" in failed.detail["detail"]
 
     def test_signed_reply_without_a_signature_fails_only_its_own_target(self, world):
-        seller = world.agents["Seller"]
-        countersign = seller._handle_countersign
-
-        def unsigned_for_carrier(sender, msg):
-            body = yield from countersign(sender, msg)
-            for s, answer in zip(statements_of(msg), body["results"]):
-                if s.foreign_org == "Carrier":
-                    del answer["sig"]
-            return body
-
-        seller._handle_countersign = unsigned_for_carrier
+        """The initiator submits the empty signature, and the contract
+        refuses it by name."""
+        answering(world.agents["Seller"], for_carrier(agent_mod.Answer("signed")))
         start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL")
-        failed = assert_only_failed(
-            world, record, start, "CounterpartyValidationFailed"
-        )
-        assert failed.detail["detail"] == "Seller:NoSignature"
+        failed = assert_only_failed(world, record, start, "CommitRejected")
+        assert failed.detail["detail"] == "BadEndorsementSignature:Seller"
 
-    def test_mismatch_reply_without_a_string_digest_fails_only_its_own_target(self, world):
-        seller = world.agents["Seller"]
-        countersign = seller._handle_countersign
-
-        def listed_digest_for_carrier(sender, msg):
-            body = yield from countersign(sender, msg)
-            for s, answer in zip(statements_of(msg), body["results"]):
-                if s.foreign_org == "Carrier":
-                    answer.clear()
-                    answer.update(result="digest_mismatch", own_digest=["00"])
-            return body
-
-        seller._handle_countersign = listed_digest_for_carrier
+    def test_answer_of_an_unknown_result_fails_only_its_own_target(self, world):
+        answering(world.agents["Seller"], for_carrier(agent_mod.Answer("maybe")))
         start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL")
         failed = assert_only_failed(
@@ -414,10 +397,8 @@ class TestCountersigning:
         answer = ask_countersign(
             add_probe(world), world, world.org_dids["Carrier"], b"\x00" * 32, "REVOKED"
         )
-        assert answer == {
-            "result": "digest_mismatch",
-            "own_digest": record.content.bundle_digest.hex() if synced else "",
-        }
+        own_digest = record.content.bundle_digest if synced else b""
+        assert answer == agent_mod.Answer("digest_mismatch", own_digest=own_digest)
 
     def test_lost_revocation_commit_reply_fails_the_revocation_by_name(self, world):
         assert run_sync(world, "Buyer", "SWT", "STL").error is None
@@ -478,7 +459,7 @@ class TestCountersigning:
         start = len(world.trace.events)
         carrier = world.org_dids["Carrier"]
         answer = ask_countersign(probe, world, carrier, b"\x00" * 32, "ACTIVE", **networks)
-        assert answer == {"result": "validation_failed", "reason": reason}
+        assert answer == agent_mod.Answer("validation_failed", reason=reason)
         assert agent_events(world, "Seller", {"agent.countersigned"}, start) == []
 
     def test_revoked_countersign_without_ledger_records_names_the_failure(self, world):
@@ -490,7 +471,7 @@ class TestCountersigning:
         )
         probe = add_probe(world)
         answer = ask_countersign(probe, world, "", b"\x00" * 32, "REVOKED")
-        assert answer == {"result": "validation_failed", "reason": "LedgerUnreachable"}
+        assert answer == agent_mod.Answer("validation_failed", reason="LedgerUnreachable")
 
 
 class TestSnapshotArtifacts:
@@ -679,19 +660,19 @@ class TestMemberlistReuse:
     def test_countersign_request_carries_the_statements_alone(self, world):
         seller = world.agents["Seller"]
         countersign = seller._handle_countersign
-        bodies = []
+        requests = []
 
-        def capturing(sender, msg):
-            bodies.append(msg.body)
-            return (yield from countersign(sender, msg))
+        def capturing(sender, request):
+            requests.append(request)
+            return (yield from countersign(sender, request))
 
         seller._handle_countersign = capturing
         for initiator, home, foreign in (("Buyer", "SWT", "STL"), ("Carrier", "STL", "SWT")):
             record = run_sync(world, initiator, home, foreign)
             assert record.error is None
             assert all(r["status"] == "DONE" for r in record.result.values()), record.result
-        assert [b["home_network"] for b in bodies] == ["SWT", "STL"]
-        assert all(set(b) == {"home_network", "statements"} for b in bodies)
+        assert [r.home_network for r in requests] == ["SWT", "STL"]
+        assert [{s.foreign_network for s in r.statements} for r in requests] == [{"STL"}, {"SWT"}]
 
     @staticmethod
     def revoke_carrier(world):
@@ -718,13 +699,10 @@ class TestMemberlistReuse:
         assert world.anchors["AnchorSTL"].memberlists["STL"].roster_version > stale.roster_version
         return stale
 
-    @pytest.mark.parametrize("hint", [None, 0, 10**6], ids=["absent", "zero", "huge"])
-    def test_list_naming_every_active_holder_is_reused_whatever_the_request_says(
-        self, world, hint
-    ):
+    def test_list_naming_every_active_holder_is_reused(self, world):
         """Seller's cached list names Carrier though the anchor's roster has
         moved on since (Seller's own STL membership is revoked): the gate is
-        Seller's own, so no field of the request makes it fetch."""
+        Seller's own, and the request names no list version."""
         assert run_sync(world, "Buyer", "SWT", "STL").error is None
         seller = world.agents["Seller"]
         carrier_did = world.org_dids["Carrier"]
@@ -739,24 +717,22 @@ class TestMemberlistReuse:
         digest = seller.cache[("STL", carrier_did)].bundle_digest
         probe = add_probe(world)
         start = len(world.trace.events)
-        extra = {} if hint is None else {"roster_version": hint}
-        body = ask_countersign(probe, world, carrier_did, digest, "ACTIVE", **extra)
-        assert body["result"] == "signed"
+        answer = ask_countersign(probe, world, carrier_did, digest, "ACTIVE")
+        assert answer.result == "signed"
         assert gates(world, "Seller", start) == []
         assert sends_from(world, "Seller", "iin.query", start) == []
 
-    @pytest.mark.parametrize("stale_hint", [False, True], ids=["absent", "stale"])
-    def test_list_lacking_a_readmitted_holder_is_fetched_afresh(self, world, stale_hint):
+    def test_list_lacking_a_readmitted_holder_is_fetched_afresh(self, world):
         """Seller's cached list lacks the re-admitted Carrier, so it fetches
-        the list once and signs, whatever version the request names."""
+        the list once and signs."""
         carrier_did = world.org_dids["Carrier"]
         stale = self.readmit_after_seller_cached(world)
         digest = world.organizations[("STL", "Carrier")].bundle_digest()
         probe = add_probe(world)
         start = len(world.trace.events)
-        extra = {"roster_version": stale.roster_version} if stale_hint else {}
-        body = ask_countersign(probe, world, carrier_did, digest, "ACTIVE", **extra)
-        assert body["result"] == "signed"
+        assert carrier_did not in stale.member_dids
+        answer = ask_countersign(probe, world, carrier_did, digest, "ACTIVE")
+        assert answer.result == "signed"
         assert len(gates(world, "Seller", start)) == 1
 
     def test_member_revoked_since_the_cache_filled_is_still_refused(self, world):
@@ -774,9 +750,8 @@ class TestMemberlistReuse:
         seller.cache.clear()
         probe = add_probe(world)
         start = len(world.trace.events)
-        body = ask_countersign(probe, world, carrier_did, digest, "ACTIVE")
-        assert body["result"] == "validation_failed"
-        assert body["reason"] == "NotListed"
+        answer = ask_countersign(probe, world, carrier_did, digest, "ACTIVE")
+        assert answer == agent_mod.Answer("validation_failed", reason="NotListed")
         assert len(gates(world, "Seller", start)) == 1
         assert carrier_did not in seller._memberlists["STL"].member_dids
 
@@ -788,9 +763,8 @@ class TestMemberlistReuse:
         probe = add_probe(world)
         start = len(world.trace.events)
         digest = world.organizations[("STL", "Carrier")].bundle_digest()
-        body = ask_countersign(probe, world, carrier_did, digest, "REVOKED")
-        assert body["result"] == "validation_failed"
-        assert body["reason"] == "MemberStillValid"
+        answer = ask_countersign(probe, world, carrier_did, digest, "REVOKED")
+        assert answer == agent_mod.Answer("validation_failed", reason="MemberStillValid")
         assert len(gates(world, "Seller", start)) == 1
 
 
@@ -817,11 +791,9 @@ def plant(world, memberlist):
 def drop_last_holder(world):
     """Every replica answers a member read with its last holder left out."""
     for node in world.iin_nodes["iin0"]:
-        def query(sender, msg, answer=node._query):
-            snapshot = registry.MemberSnapshot.from_bytes(
-                bytes.fromhex(answer(sender, msg)["result"])
-            )
-            return {"result": replace(snapshot, holders=snapshot.holders[:-1]).to_bytes().hex()}
+        def query(sender, body, answer=node._query):
+            snapshot = registry.MemberSnapshot.from_bytes(answer(sender, body).snapshot)
+            return registry.QueryResult(replace(snapshot, holders=snapshot.holders[:-1]).to_bytes())
 
         node._query = query
 
@@ -891,9 +863,9 @@ class TestConcurrentSync:
         queries = []
         ledger_query = seller._ledger_query
 
-        def counting(home_network, body):
-            queries.append(body["what"])
-            return (yield from ledger_query(home_network, body))
+        def counting(home_network, query):
+            queries.append(query.what)
+            return (yield from ledger_query(home_network, query))
 
         seller._ledger_query = counting
         probe = add_probe(world)
@@ -908,7 +880,7 @@ class TestConcurrentSync:
                 "agent:Seller", "agent.countersign.request", countersign_request([s]),
                 timeout=2000,
             )
-            [replies[org]] = reply.body["results"]
+            [replies[org]] = reply.body.results
 
         for org in ("Seller", "Carrier"):
             probe.start_session(f"ask-{org}", ask(org))
@@ -918,7 +890,7 @@ class TestConcurrentSync:
     def test_concurrent_cold_countersigns_each_read_their_own(self, world):
         start = len(world.trace.events)
         replies, queries = self.countersign_both_at_once(world)
-        assert {org: r["result"] for org, r in replies.items()} == {
+        assert {org: r.result for org, r in replies.items()} == {
             "Seller": "signed", "Carrier": "signed"
         }
         assert queries.count("policy") == 2
@@ -930,7 +902,7 @@ class TestConcurrentSync:
         )
         start = len(world.trace.events)
         replies, _ = self.countersign_both_at_once(world)
-        assert {org: (r["result"], r["reason"]) for org, r in replies.items()} == {
+        assert {org: (r.result, r.reason) for org, r in replies.items()} == {
             "Seller": ("validation_failed", "InconsistentReplicas"),
             "Carrier": ("validation_failed", "InconsistentReplicas"),
         }
@@ -1042,21 +1014,10 @@ class TestCountersignGate:
 class TestWitnessSource:
     def test_holder_asks_its_issuer_only(self, world):
         probe = add_probe(world)
-        result = {}
-
-        def ask():
-            reply = yield Request(
-                "agent:Buyer",
-                "agent.membership_vp.request",
-                {"network_id": "SWT", "nonce": probe.nonce().hex()},
-                timeout=500,
-            )
-            result["body"] = reply.body
 
         start = len(world.trace.events)
-        probe.start_session("ask", ask())
-        world.settle()
-        assert result["body"]["ok"]
+        reply, _ = challenge(probe, world, "Buyer", "SWT")
+        assert reply.error == ""
         sent = [
             e.detail["msg_kind"] for e in world.trace.events[start:]
             if e.kind == "bus.send" and e.detail["from"] == "agent:Buyer"
@@ -1096,21 +1057,8 @@ class TestBundleValidation:
 
 class TestServingPresentations:
     def test_membership_vp_request_for_unheld_network_refused(self, world):
-        probe = add_probe(world)
-        result = {}
-
-        def ask():
-            reply = yield Request(
-                "agent:Buyer",
-                "agent.membership_vp.request",
-                {"network_id": "STL", "nonce": probe.nonce().hex()},
-                timeout=500,
-            )
-            result["body"] = reply.body
-
-        probe.start_session("ask", ask())
-        world.settle()
-        assert result["body"] == {"ok": False, "error": "NoCredential"}
+        reply, _ = challenge(add_probe(world), world, "Buyer", "STL")
+        assert reply == Reply("NoCredential")
 
     def test_dual_member_serves_each_network_separately(self, world):
         probe = add_probe(world)
@@ -1121,10 +1069,10 @@ class TestServingPresentations:
             reply = yield Request(
                 "agent:Seller",
                 "agent.membership_vp.request",
-                {"network_id": net_id, "nonce": nonce.hex()},
+                creds.Challenge(net_id, nonce),
                 timeout=500,
             )
-            results[net_id] = bytes.fromhex(reply.body["vp"])
+            results[net_id] = reply.body.vp
 
         probe.start_session("a", ask("STL"))
         probe.start_session("b", ask("SWT"))
@@ -1138,9 +1086,8 @@ class TestServingPresentations:
     def test_challenge_asking_for_the_bundle_returns_the_requested_networks_bundle(self, world):
         seller = world.agents["Seller"]
         probe = add_probe(world)
-        body, nonce = challenge(probe, world, "Seller", "STL", bundle=True)
-        assert set(body) == {"ok", "vp"}
-        vp = creds.VerifiablePresentation.from_bytes(bytes.fromhex(body["vp"]))
+        reply, nonce = challenge(probe, world, "Seller", "STL", bundle=1)
+        vp = presented(reply)
         doc = registry.new_did_document(seller.pool.iin_id, seller.keys, seller.address)
         assert vp.challenge_nonce == nonce
         assert crypto.verify(doc.primary_key(), vp.signing_bytes(), vp.presenter_signature)
@@ -1156,10 +1103,9 @@ class TestServingPresentations:
         monkeypatch.setattr(crypto, "sign", lambda *args: signs.append(1) or sign(*args))
         probe = add_probe(world)
         bundles = []
-        for extra in ({}, {"bundle": False}, {"bundle": True}):
-            body, _ = challenge(probe, world, "Seller", "STL", **extra)
-            assert set(body) == {"ok", "vp"} and body["ok"]
-            vp = creds.VerifiablePresentation.from_bytes(bytes.fromhex(body["vp"]))
+        for extra in ({}, {"bundle": 0}, {"bundle": 1}):
+            reply, _ = challenge(probe, world, "Seller", "STL", **extra)
+            vp = presented(reply)
             bundles.append(creds.MembershipBody.from_bytes(vp.body).bundle)
         assert bundles[:2] == [b"", b""]
         assert bundles[2] == world.organizations[("STL", "Seller")].bundle_bytes()
@@ -1202,8 +1148,8 @@ class TestOnePresentation:
         self, world, monkeypatch
     ):
         # a presentation, bundle and all, that Carrier made for a probe's challenge
-        body, _ = challenge(add_probe(world), world, "Carrier", "STL", bundle=True)
-        replayed = creds.VerifiablePresentation.from_bytes(bytes.fromhex(body["vp"]))
+        reply, _ = challenge(add_probe(world), world, "Carrier", "STL", bundle=1)
+        replayed = presented(reply)
         assert creds.MembershipBody.from_bytes(replayed.body).bundle
         self.presenting(monkeypatch, world, "Carrier", lambda *args: replayed)
         start = len(world.trace.events)
@@ -1296,11 +1242,11 @@ class TestChallengeEpochs:
         assert self.validate(world, "Buyer", "Carrier")["status"] == "ok"
         probe = add_probe(world)
         start = len(world.trace.events)
-        body, nonce = challenge(
-            probe, world, "Carrier", "STL", epochs={anchor.profile.did: stale.epoch}
+        reply, nonce = challenge(
+            probe, world, "Carrier", "STL", epochs=((anchor.profile.did, stale.epoch),)
         )
         assert witness_requests(world, "Carrier", start) == []
-        vp = creds.VerifiablePresentation.from_bytes(bytes.fromhex(body["vp"]))
+        vp = presented(reply)
         vc = creds.MembershipBody.from_bytes(vp.body).vc
         replica = world.iin_nodes[world.agents["Buyer"].pool.iin_id][0]
         ids = (
@@ -1335,7 +1281,7 @@ class TestChallengeEpochs:
     @staticmethod
     def challenge_twice_at_once(world, epoch):
         """Two challenges of Carrier, sent at once, each naming AnchorSTL's
-        `epoch`; returns the reply bodies."""
+        `epoch`; returns the replies."""
         anchor = world.anchors["AnchorSTL"]
         probe = add_probe(world)
         replies = []
@@ -1343,11 +1289,10 @@ class TestChallengeEpochs:
         def ask():
             reply = yield Request(
                 "agent:Carrier", "agent.membership_vp.request",
-                {"network_id": "STL", "nonce": probe.nonce().hex(),
-                 "epochs": {anchor.profile.did: epoch}},
+                creds.Challenge("STL", probe.nonce(), ((anchor.profile.did, epoch),)),
                 timeout=500,
             )
-            replies.append(reply.body)
+            replies.append(reply)
 
         for i in range(2):
             probe.start_session(f"ask-{i}", ask())
@@ -1364,13 +1309,11 @@ class TestChallengeEpochs:
             action="delay", to="agent:Carrier", kind="anchor.witness.reply", times=1, delay=20,
         ))
         start = len(world.trace.events)
-        presented = [
-            creds.MembershipBody.from_bytes(
-                creds.VerifiablePresentation.from_bytes(bytes.fromhex(body["vp"])).body
-            ).witness.epoch
-            for body in self.challenge_twice_at_once(world, epoch)
+        epochs = [
+            creds.MembershipBody.from_bytes(presented(reply).body).witness.epoch
+            for reply in self.challenge_twice_at_once(world, epoch)
         ]
-        assert presented == [epoch, epoch]
+        assert epochs == [epoch, epoch]
         assert len(witness_requests(world, "Carrier", start)) == 1
 
     def test_a_challenge_whose_joined_refresh_is_lost_asks_on_its_own(self, world):
@@ -1384,8 +1327,7 @@ class TestChallengeEpochs:
         ))
         start = len(world.trace.events)
         replies = self.challenge_twice_at_once(world, epoch)
-        assert sorted(r["ok"] for r in replies) == [False, True]
-        assert [r["error"] for r in replies if not r["ok"]] == ["WitnessUnavailable"]
+        assert sorted(r.error for r in replies) == ["", "WitnessUnavailable"]
         assert len(witness_requests(world, "Carrier", start)) == 2
 
     def test_lost_refresh_behind_the_named_epoch_is_witness_unavailable(self, world):
@@ -1403,6 +1345,22 @@ class TestChallengeEpochs:
         assert str(record.error).endswith(": WitnessUnavailable")
         failed = agent_events(world, "Carrier", ("session.failed",), start)
         assert [e.detail["error"] for e in failed] == ["WitnessUnavailable"]
+
+    def test_undecodable_refresh_is_witness_unavailable(self, world):
+        """A witness reply that does not decode is no refusal (NotAMember):
+        the holder answers WitnessUnavailable, as for a lost refresh, and
+        does not present its stored witness."""
+        world.anchors["AnchorSTL"]._refresh_witness = lambda sender, request: Raw(b"\x00")
+        agent = world.agents["Buyer"]
+        start = len(world.trace.events)
+        record = agent.start_session(
+            "validate", agent._validate_member("SWT", "STL", world.org_dids["Carrier"])
+        )
+        world.settle()
+        assert isinstance(record.error, agent_mod.MemberUnreachable)
+        assert str(record.error).endswith(": WitnessUnavailable")
+        failed = agent_events(world, "Carrier", ("session.failed",), start)
+        assert [e.detail["detail"] for e in failed] == ["anchor:AnchorSTL: undecodable witness reply"]
 
 
 class TestResync:
@@ -1529,9 +1487,9 @@ class TestResync:
         asked = []
         serve = net.LedgerNode._query
 
-        def recording(ledger, sender, msg):
-            asked.append(msg.body.get("what"))
-            return serve(ledger, sender, msg)
+        def recording(ledger, sender, query):
+            asked.append(query.what)
+            return serve(ledger, sender, query)
 
         monkeypatch.setattr(net.LedgerNode, "_query", recording)
         runner = harness.ScenarioRunner(scenario_config("concurrent-commit"))
@@ -1557,19 +1515,23 @@ class TestLedgerRecords:
         assert run_sync(world, "Buyer", "SWT", "STL").error is None
         expected = [r.content for r in world.ledger_state("SWT").records_for("STL")]
         assert len(expected) == 2
-        assert self.read_records(world).result == expected
+        assert self.read_records(world).result == tuple(expected)
 
     def test_undecodable_record_is_refused_by_name(self, world):
-        world.ledgers["SWT"]._query = lambda sender, msg: {"records": ["00"]}
+        """A records reply one of whose records does not decode does not
+        decode as a whole: the agent names the decode error."""
+        frames = enc.encode_list([enc.encode_bytes(b"\x00")])
+        reply = Raw(enc.encode_list([]) + enc.encode_list([]) + frames)
+        world.ledgers["SWT"]._query = lambda sender, query: reply
         record = self.read_records(world)
         assert isinstance(record.error, agent_mod.LedgerRefused)
-        assert "ledger:SWT: undecodable RecordContent" in str(record.error)
+        assert str(record.error) == "SWT: DecodeError"
 
 
-class TestMalformedLedgerReplies:
-    """A ledger reply that lacks a field the agent reads, or holds it with
-    the wrong type, is LedgerRefused, as an error reply is: it fails what
-    needed the reply, by name, and nothing else."""
+class TestUndecodableLedgerReplies:
+    """A ledger reply that does not decode as its kind's record reaches the
+    agent as a reply naming DecodeError, and is LedgerRefused, as any error
+    reply is: it fails what needed the reply, by name, and nothing else."""
 
     @staticmethod
     def doctor(world, what, change):
@@ -1578,61 +1540,61 @@ class TestMalformedLedgerReplies:
         ledger = world.ledgers["SWT"]
         serve = ledger._query
 
-        def doctored(sender, msg):
-            reply = serve(sender, msg)
-            return change(reply) if msg.body.get("what") == what else reply
+        def doctored(sender, query):
+            reply = serve(sender, query)
+            return change(reply) if query.what == what else reply
 
         ledger._query = doctored
         return serve
 
     @pytest.mark.parametrize("change", [
-        lambda reply: {"entries": reply["entries"]},
-        lambda reply: {**reply, "entries": [e[:2] for e in reply["entries"]]},
-    ], ids=["no-networks", "entry-not-a-triple"])
-    def test_malformed_policy_fails_the_sync_and_is_not_kept(self, world, change):
+        lambda reply: net.Committed("APPLIED"),
+        lambda reply: Raw(reply.to_bytes()[:-1]),
+    ], ids=["another-kinds-record", "truncated"])
+    def test_undecodable_policy_fails_the_sync_and_is_not_kept(self, world, change):
         serve = self.doctor(world, "policy", change)
         record = run_sync(world, "Buyer", "SWT", "STL")
         assert isinstance(record.error, agent_mod.LedgerRefused)
-        assert str(record.error) == "SWT: malformed policy reply"
+        assert str(record.error) == "SWT: DecodeError"
         world.ledgers["SWT"]._query = serve
         record = run_sync(world, "Buyer", "SWT", "STL")
         assert record.error is None
         assert [r["status"] for r in record.result.values()] == ["DONE"] * 2
 
-    def test_records_that_are_not_a_list_fail_the_full_sync_before_step_d(self, world):
-        self.doctor(world, "records", lambda reply: {"records": 5})
+    def test_undecodable_records_fail_the_full_sync_before_step_d(self, world):
+        self.doctor(world, "records", lambda reply: Raw(b"\x00"))
         record = run_sync(world, "Buyer", "SWT", "STL")
         assert isinstance(record.error, agent_mod.LedgerRefused)
-        assert str(record.error) == "SWT: records must be a list"
+        assert str(record.error) == "SWT: DecodeError"
         assert sends_from(world, "Buyer", "agent.countersign.request") == []
 
-    def test_submit_reply_without_an_outcome_fails_only_its_target(self, world):
+    def test_undecodable_submit_reply_fails_only_its_target(self, world):
         ledger = world.ledgers["SWT"]
         serve = ledger._submit
 
-        def neither_for_carrier(sender, msg):
-            statement = net.Endorsement.from_bytes(bytes.fromhex(msg.body["statement"]))
-            return {"seq": 0} if statement.foreign_org == "Carrier" else serve(sender, msg)
+        def undecodable_for_carrier(sender, request):
+            reply = serve(sender, request)
+            return Raw(b"") if request.statement.foreign_org == "Carrier" else reply
 
-        ledger._submit = neither_for_carrier
+        ledger._submit = undecodable_for_carrier
         start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL")
-        failed = assert_only_failed(world, record, start, "LedgerRefused")
-        assert failed.detail["detail"] == "SWT: submit reply names no outcome"
+        failed = assert_only_failed(world, record, start, "CommitRejected")
+        assert failed.detail["detail"] == "DecodeError"
 
-    def test_countersigner_refuses_each_statement_on_a_malformed_policy(self, world):
-        self.doctor(world, "policy", lambda reply: {"entries": reply["entries"]})
+    def test_countersigner_refuses_each_statement_on_an_undecodable_policy(self, world):
+        self.doctor(world, "policy", lambda reply: Raw(b""))
         probe = add_probe(world)
-        body = ask_countersign_batch(probe, world, [
+        reply = ask_countersign_batch(probe, world, [
             statement(
                 probe, world.org_dids[org], world.organizations[("STL", org)].bundle_digest(),
                 "ACTIVE", org=org,
             )
             for org in ("Seller", "Carrier")
         ])
-        assert body["results"] == [
-            {"result": "validation_failed", "reason": "LedgerRefused"}
-        ] * 2
+        assert reply.body.results == (
+            agent_mod.Answer("validation_failed", reason="LedgerRefused"),
+        ) * 2
 
 
 # the events that mark a sync target's phases: B validated, C fetched, D
@@ -1715,23 +1677,24 @@ class TestBatchedStepD:
         carrier, seller = world.org_dids["Carrier"], world.org_dids["Seller"]
         digest = world.organizations[("STL", "Carrier")].bundle_digest()
         start = len(world.trace.events)
-        body = ask_countersign_batch(probe, world, [
+        reply = ask_countersign_batch(probe, world, [
             statement(probe, carrier, digest, "ACTIVE"),
             statement(probe, seller, digest, "ACTIVE"),  # Seller's DID presented as Carrier
         ])
-        signed, refused = body["results"]
-        assert signed["result"] == "signed"
-        assert refused == {"result": "validation_failed", "reason": "OrgMismatch"}
+        signed, refused = reply.body.results
+        assert signed.result == "signed"
+        assert refused == agent_mod.Answer("validation_failed", reason="OrgMismatch")
         [countersigned] = agent_events(world, "Seller", {"agent.countersigned"}, start)
         assert countersigned.detail["org"] == "Carrier"
 
-    @pytest.mark.parametrize("body", [
-        {"org": "Seller", "results": []},
-        {"org": "Seller", "results": "signed"},
-        {"org": "Seller"},
-    ], ids=["too-few-results", "results-not-a-list", "no-results"])
-    def test_results_of_the_wrong_shape_sign_no_statement(self, world, body):
-        def answer(sender, msg):
+    @pytest.mark.parametrize("body, reason", [
+        (agent_mod.Countersigned(()), "NoSignature"),
+        (net.Committed("APPLIED"), "DecodeError"),
+        (Raw(agent_mod.Countersigned((agent_mod.Answer("signed"),) * 2).to_bytes()[:-1]),
+         "DecodeError"),
+    ], ids=["too-few-results", "another-kinds-record", "truncated"])
+    def test_results_of_the_wrong_shape_sign_no_statement(self, world, body, reason):
+        def answer(sender, request):
             return body
             yield  # a session handler
 
@@ -1743,7 +1706,7 @@ class TestBatchedStepD:
             {"status": "FAILED", "error": "CounterpartyValidationFailed"}
         ] * 2
         failed = agent_events(world, "Buyer", {"agent.sync_failed"}, start)
-        assert [e.detail["detail"] for e in failed] == ["Seller:NoSignature"] * 2
+        assert [e.detail["detail"] for e in failed] == [f"Seller:{reason}"] * 2
         assert agent_events(world, "Buyer", {"session.failed"}, start) == []
 
     def test_lost_gate_read_fails_the_sync_before_any_challenge(self, world):
@@ -1761,18 +1724,18 @@ class TestBatchedStepD:
         assert "agent.membership_vp.request" not in sent
 
     @staticmethod
-    def ask_both_active(world, **extra):
+    def ask_both_active(world):
         """Ask Seller to countersign ACTIVE commits of STL's Seller and
         Carrier in one batch; returns its answers."""
         probe = add_probe(world)
-        body = ask_countersign_batch(probe, world, [
+        reply = ask_countersign_batch(probe, world, [
             statement(
                 probe, world.org_dids[org], world.organizations[("STL", org)].bundle_digest(),
                 "ACTIVE", org=org,
             )
             for org in ("Seller", "Carrier")
-        ], **extra)
-        return body["results"]
+        ])
+        return reply.body.results
 
     def test_lost_gate_of_a_warm_countersigner_refuses_each_active_statement(self, world):
         """A countersigner that has not cached every holder reads, and its
@@ -1783,9 +1746,9 @@ class TestBatchedStepD:
         seller.cache.pop(("STL", world.org_dids["Carrier"]))
         lose_read(world, "Seller")
         start = len(world.trace.events)
-        assert self.ask_both_active(world) == [
-            {"result": "validation_failed", "reason": "InconsistentReplicas"}
-        ] * 2
+        assert self.ask_both_active(world) == (
+            agent_mod.Answer("validation_failed", reason="InconsistentReplicas"),
+        ) * 2
         assert gates(world, "Seller", start) == []
         assert agent_events(world, "Seller", {"session.failed"}, start) == []
 
@@ -1795,9 +1758,9 @@ class TestBatchedStepD:
         lose_read(world, "Seller")
         reads = record_queries(monkeypatch)
         start = len(world.trace.events)
-        assert self.ask_both_active(world) == [
-            {"result": "validation_failed", "reason": "InconsistentReplicas"}
-        ] * 2
+        assert self.ask_both_active(world) == (
+            agent_mod.Answer("validation_failed", reason="InconsistentReplicas"),
+        ) * 2
         [(_, holders, _, _, _, memberlists)] = reads
         assert holders == ()
         assert memberlists == ((world.anchors["AnchorSTL"].profile.did, "STL"),)
@@ -1808,20 +1771,14 @@ class TestBatchedStepD:
         """Seller's mismatch on Carrier sends Carrier into a retry round while
         Seller's own record is submitted; the retry's first registry read
         goes out only after the ledger has answered that submit."""
-        seller = world.agents["Seller"]
-        countersign = seller._handle_countersign
-
-        def mismatch_for_carrier_once(sender, msg):
-            body = yield from countersign(sender, msg)
-            for s, answer in zip(statements_of(msg), body["results"]):
-                if s.foreign_org == "Carrier" and not mismatched:
-                    mismatched.append(s)
-                    answer.clear()
-                    answer.update(result="digest_mismatch", own_digest="00" * 32)
-            return body
+        def mismatch_for_carrier_once(s, answer):
+            if s.foreign_org != "Carrier" or mismatched:
+                return answer
+            mismatched.append(s)
+            return agent_mod.Answer("digest_mismatch", own_digest=bytes(32))
 
         mismatched = []
-        seller._handle_countersign = mismatch_for_carrier_once
+        answering(world.agents["Seller"], mismatch_for_carrier_once)
         start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL")
         assert record.result[world.org_dids["Carrier"]]["attempts"] == 2
@@ -1913,7 +1870,7 @@ class TestOneReadPerGate:
         probe = add_probe(world)
         reads = record_queries(monkeypatch)
         start = len(world.trace.events)
-        body = ask_countersign_batch(probe, world, [
+        reply = ask_countersign_batch(probe, world, [
             statement(
                 probe, world.org_dids[org],
                 world.ledger_state("SWT").get_record("STL", org).content.bundle_digest,
@@ -1921,9 +1878,9 @@ class TestOneReadPerGate:
             )
             for org in ("Seller", "Carrier")
         ])
-        assert body["results"] == [
-            {"result": "validation_failed", "reason": "MemberStillValid"}
-        ] * 2
+        assert reply.body.results == (
+            agent_mod.Answer("validation_failed", reason="MemberStillValid"),
+        ) * 2
         assert len(gates(world, "Seller", start)) == 1
         assert len(sends_from(world, "Seller", "agent.membership_vp.request", start)) == 2
         assert [what for what, *_ in reads] == [registry.QUERY_MEMBER]
@@ -1932,14 +1889,13 @@ class TestOneReadPerGate:
         seller = world.agents["Seller"]
         countersign = seller._handle_countersign
 
-        def mismatch_once(sender, msg):
-            body = yield from countersign(sender, msg)
-            if not mismatched:
-                mismatched.append(msg)
-                for answer in body["results"]:
-                    answer.clear()
-                    answer.update(result="digest_mismatch", own_digest="00" * 32)
-            return body
+        def mismatch_once(sender, request):
+            reply = yield from countersign(sender, request)
+            if mismatched:
+                return reply
+            mismatched.append(request)
+            answer = agent_mod.Answer("digest_mismatch", own_digest=bytes(32))
+            return agent_mod.Countersigned((answer,) * len(reply.results))
 
         mismatched = []
         seller._handle_countersign = mismatch_once

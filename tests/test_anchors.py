@@ -10,12 +10,16 @@ import yaml
 
 from idplane import credentials as creds
 from idplane import crypto, harness, registry
-from idplane.actors import Message, Request, Sleep
+from idplane.actors import Reply, Request, Sleep
 from idplane.agent import AgentError
-from idplane.anchors import AnchorError, NotAMember, schema_id_for
+from idplane.anchors import (
+    AnchorError, Issued, NotAMember, Registered, VcRequest, VerinymRequest, WitnessRequest,
+    schema_id_for,
+)
 from idplane.bus import FaultRule
 
 from conftest import add_probe, bootstrapped_runner
+from conftest import ask as request
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios.py"
 
@@ -50,40 +54,22 @@ class TestVerinymRegistration:
         log_before = len(node.log)
         mallory = crypto.KeyPair.from_seed(b"\x13" * 32)
         doc = registry.new_did_document("iin0", mallory, "probe")
-        result = {}
-
-        def ask():
-            reply = yield Request(
-                "anchor:AnchorSWT",
-                "anchor.verinym.request",
-                {"org_name": "Mallory", "doc": doc.to_bytes().hex()},
-                timeout=200,
-            )
-            result["reply"] = reply.body
-
-        probe.start_session("ask", ask())
-        world.settle()
-        assert result["reply"] == {"ok": False, "error": "EvidenceMismatch"}
+        reply = request(
+            probe, world, "anchor:AnchorSWT", "anchor.verinym.request",
+            VerinymRequest("Mallory", doc), timeout=200,
+        )
+        assert reply == Reply("EvidenceMismatch")
         assert len(node.log) == log_before  # nothing was submitted
 
     def test_wrong_key_for_whitelisted_name_is_rejected(self, world):
         probe = add_probe(world)
         mallory = crypto.KeyPair.from_seed(b"\x37" * 32)
         doc = registry.new_did_document("iin0", mallory, "probe")
-        result = {}
-
-        def ask():
-            reply = yield Request(
-                "anchor:AnchorSWT",
-                "anchor.verinym.request",
-                {"org_name": "Buyer", "doc": doc.to_bytes().hex()},
-                timeout=200,
-            )
-            result["reply"] = reply.body
-
-        probe.start_session("ask", ask())
-        world.settle()
-        assert result["reply"]["error"] == "EvidenceMismatch"
+        reply = request(
+            probe, world, "anchor:AnchorSWT", "anchor.verinym.request",
+            VerinymRequest("Buyer", doc), timeout=200,
+        )
+        assert reply == Reply("EvidenceMismatch")
 
     def test_reregistration_surfaces_registry_duplicate(self, world):
         agent = world.agents["Buyer"]
@@ -133,25 +119,16 @@ class TestMemberlist:
     def fetch_memberlist(self, world, anchor_name, network_id):
         probe = add_probe(world, address=f"probe:{anchor_name}:{network_id}")
         nonce = probe.nonce()
-        result = {}
-
-        def ask():
-            reply = yield Request(
-                f"anchor:{anchor_name}",
-                "anchor.memberlist.request",
-                {"network_id": network_id, "nonce": nonce.hex()},
-                timeout=200,
-            )
-            result["body"] = reply.body
-
-        probe.start_session("ask", ask())
-        world.settle()
-        return result["body"], nonce
+        reply = request(
+            probe, world, f"anchor:{anchor_name}", "anchor.memberlist.request",
+            creds.Challenge(network_id, nonce), timeout=200,
+        )
+        return reply, nonce
 
     def test_memberlist_vp_lists_roster(self, world):
-        body, nonce = self.fetch_memberlist(world, "AnchorSTL", "STL")
-        assert body["ok"]
-        vp = creds.VerifiablePresentation.from_bytes(bytes.fromhex(body["vp"]))
+        reply, nonce = self.fetch_memberlist(world, "AnchorSTL", "STL")
+        assert reply.error == ""
+        vp = creds.VerifiablePresentation.from_bytes(reply.body.vp)
         anchor = world.anchors["AnchorSTL"]
         node = world.iin_nodes["iin0"][0]
         payload = creds.verify_self_signed_vp(
@@ -167,9 +144,9 @@ class TestMemberlist:
     def test_empty_roster_memberlist_still_verifiable(self):
         runner = bootstrapped_runner(through_step_a=False)
         world = runner.world
-        body, nonce = self.fetch_memberlist(world, "AnchorSWT", "SWT")
-        assert body["ok"]
-        vp = creds.VerifiablePresentation.from_bytes(bytes.fromhex(body["vp"]))
+        reply, nonce = self.fetch_memberlist(world, "AnchorSWT", "SWT")
+        assert reply.error == ""
+        vp = creds.VerifiablePresentation.from_bytes(reply.body.vp)
         anchor = world.anchors["AnchorSWT"]
         node = world.iin_nodes["iin0"][0]
         payload = creds.verify_self_signed_vp(
@@ -188,8 +165,8 @@ class TestMemberlist:
             assert_accumulator_published(world, anchor)
 
     def test_unrepresented_network_refused(self, world):
-        body, _ = self.fetch_memberlist(world, "AnchorSTL", "SWT")
-        assert body == {"ok": False, "error": "NotRepresented"}
+        reply, _ = self.fetch_memberlist(world, "AnchorSTL", "SWT")
+        assert reply == Reply("NotRepresented")
 
 
 class TestIssuanceGates:
@@ -197,21 +174,11 @@ class TestIssuanceGates:
         # bootstrap only: the orgs are eligible but have no registered DIDs yet
         runner = bootstrapped_runner(through_step_a=False)
         world = runner.world
-        probe = add_probe(world)
-        result = {}
-
-        def ask():
-            reply = yield Request(
-                "anchor:AnchorSWT",
-                "anchor.vc.request",
-                {"holder_did": world.org_dids["Buyer"], "network_id": "SWT"},
-                timeout=600,
-            )
-            result["body"] = reply.body
-
-        probe.start_session("ask", ask())
-        world.settle()
-        assert result["body"] == {"ok": False, "error": "NoVerinym"}
+        reply = request(
+            add_probe(world), world, "anchor:AnchorSWT", "anchor.vc.request",
+            VcRequest(world.org_dids["Buyer"], "SWT"),
+        )
+        assert reply == Reply("NoVerinym")
 
     def test_unreadable_registry_is_named_in_step_a(self):
         runner = bootstrapped_runner(through_step_a=False)
@@ -232,39 +199,19 @@ class TestIssuanceGates:
         assert failed.tick - start < 600 // 2  # step A waits 600 for the credential
 
     def test_unrepresented_network_refused(self, world):
-        probe = add_probe(world)
-        result = {}
-
-        def ask():
-            reply = yield Request(
-                "anchor:AnchorSWT",
-                "anchor.vc.request",
-                {"holder_did": world.org_dids["Carrier"], "network_id": "STL"},
-                timeout=600,
-            )
-            result["body"] = reply.body
-
-        probe.start_session("ask", ask())
-        world.settle()
-        assert result["body"] == {"ok": False, "error": "NotRepresented"}
+        reply = request(
+            add_probe(world), world, "anchor:AnchorSWT", "anchor.vc.request",
+            VcRequest(world.org_dids["Carrier"], "STL"),
+        )
+        assert reply == Reply("NotRepresented")
 
     def test_ineligible_holder_refused(self, world):
         # Carrier has a verinym but is not on SWT's eligibility roster
-        probe = add_probe(world)
-        result = {}
-
-        def ask():
-            reply = yield Request(
-                "anchor:AnchorSWT",
-                "anchor.vc.request",
-                {"holder_did": world.org_dids["Carrier"], "network_id": "SWT"},
-                timeout=600,
-            )
-            result["body"] = reply.body
-
-        probe.start_session("ask", ask())
-        world.settle()
-        assert result["body"] == {"ok": False, "error": "NotEligible"}
+        reply = request(
+            add_probe(world), world, "anchor:AnchorSWT", "anchor.vc.request",
+            VcRequest(world.org_dids["Carrier"], "SWT"),
+        )
+        assert reply == Reply("NotEligible")
 
 
 class TestCredentialDefinitionOwnership:
@@ -281,7 +228,7 @@ class TestCredentialDefinitionOwnership:
         )
         record = swt.start_session("forge", registry.submit_transaction(swt.pool, tx))
         world.settle()
-        assert record.result["outcomes"] == ["UnauthorizedRole"]
+        assert record.result.outcomes == ("UnauthorizedRole",)
         for node in world.iin_nodes[swt.pool.iin_id]:
             assert "creddef:forged" not in node.state.cred_defs
 
@@ -356,23 +303,16 @@ class TestRevocation:
         results = {}
 
         def ask(tag, cred_id):
-            reply = yield Request(
-                "anchor:AnchorSTL",
-                "anchor.witness.request",
-                {"credential_id": cred_id.hex()},
-                timeout=200,
+            results[tag] = yield Request(
+                "anchor:AnchorSTL", "anchor.witness.request", WitnessRequest(cred_id), timeout=200,
             )
-            results[tag] = reply.body
 
         probe.start_session("s", ask("seller", seller_vc.credential_id))
         probe.start_session("c", ask("carrier", carrier_vc.credential_id))
         world.settle()
-        assert results["seller"]["ok"]
-        fresh = crypto.AccumulatorWitness.from_bytes(
-            bytes.fromhex(results["seller"]["witness"])
-        )
-        assert crypto.witness_verify(anchor.acc_state, fresh)
-        assert results["carrier"] == {"ok": False, "error": "NotAMember"}
+        assert results["seller"].error == ""
+        assert crypto.witness_verify(anchor.acc_state, results["seller"].body.witness)
+        assert results["carrier"] == Reply("NotAMember")
 
     def test_revoking_non_member_raises(self, world):
         anchor = world.anchors["AnchorSTL"]
@@ -531,11 +471,12 @@ def two_networks_runner(k: int):
     return runner, runner.world.bus.now - start
 
 
-def ask(anchor, kind, **body):
+def ask(anchor, kind, body):
     """Start one request's handler on `anchor` now, as its runtime does when
-    the request is delivered; the session's result is the reply body."""
-    handler, _ = anchor.REQUESTS[kind]
-    return anchor.start_session(kind, getattr(anchor, handler)("probe", Message(kind, body)))
+    the request is delivered; the session's result is the reply body, or
+    the error it names."""
+    handler, *_ = anchor.REQUESTS[kind]
+    return anchor.start_session(kind, getattr(anchor, handler)("probe", body))
 
 
 def hold(anchor, ticks=5):
@@ -553,8 +494,7 @@ def ask_verinym(world, anchor, org, **changes):
     A, with `changes` made to it."""
     agent = world.agents[org]
     doc = registry.new_did_document(agent.pool.iin_id, agent.keys, agent.address)
-    doc = replace(doc, **changes).to_bytes().hex()
-    return ask(anchor, "anchor.verinym.request", org_name=org, doc=doc)
+    return ask(anchor, "anchor.verinym.request", VerinymRequest(org, replace(doc, **changes)))
 
 
 def anchor_sends(world, anchor, kinds, since=0):
@@ -591,16 +531,16 @@ class TestGroupCommit:
         anchor = world.anchors["AnchorSWT"]
         node = world.iin_nodes["iin0"][0]
         mallory = crypto.KeyPair.from_seed(b"\x13" * 32)
-        forged = registry.new_did_document("iin0", mallory, "probe").to_bytes().hex()
+        forged = registry.new_did_document("iin0", mallory, "probe")
         start = len(world.trace.events)
         hold(anchor)
         seller = ask_verinym(world, anchor, "Seller")
-        lying = ask(anchor, "anchor.verinym.request", org_name="Buyer", doc=forged)
+        lying = ask(anchor, "anchor.verinym.request", VerinymRequest("Buyer", forged))
         buyer = ask_verinym(world, anchor, "Buyer")
         world.settle()
-        assert lying.result == {"ok": False, "error": "EvidenceMismatch"}
+        assert lying.result == "EvidenceMismatch"
         for record, org in ((seller, "Seller"), (buyer, "Buyer")):
-            assert record.result["ok"] and record.result["outcome"] == "APPLIED"
+            assert record.result == Registered("APPLIED")
             assert node.state.verinym_status(world.org_dids[org]), org
         assert anchor_sends(world, anchor, {"iin.submit"}, start) == ["iin.submit"]
         mismatches = [
@@ -618,17 +558,15 @@ class TestGroupCommit:
         start = len(world.trace.events)
         hold(anchor)
         first, second = (
-            ask(anchor, "anchor.vc.request", holder_did=buyer_did, network_id="SWT")
+            ask(anchor, "anchor.vc.request", VcRequest(buyer_did, "SWT"))
             for _ in range(2)
         )
         world.settle()
-        assert first.result["ok"] and "already_member" not in first.result
-        assert second.result["ok"] and second.result["already_member"] is True
-        assert first.result["vc"] == second.result["vc"]
+        assert (first.result.already_member, second.result.already_member) == (0, 1)
+        assert first.result.vc == second.result.vc
         assert anchor.acc_state.epoch == 1
         for record in (first, second):
-            witness = crypto.AccumulatorWitness.from_bytes(bytes.fromhex(record.result["witness"]))
-            assert crypto.witness_verify(anchor.acc_state, witness)
+            assert crypto.witness_verify(anchor.acc_state, record.result.witness)
         # one read and one submit serve both requests
         assert sorted(anchor_sends(world, anchor, {"iin.query", "iin.submit"}, start)) == [
             "iin.query", "iin.query", "iin.submit"
@@ -641,17 +579,14 @@ class TestGroupCommit:
         seller_did, carrier_did = world.org_dids["Seller"], world.org_dids["Carrier"]
         epoch = anchor.acc_state.epoch
         start = len(world.trace.events)
-        before = ask(anchor, "anchor.vc.request", holder_did=seller_did, network_id="STL")
+        before = ask(anchor, "anchor.vc.request", VcRequest(seller_did, "STL"))
         anchor.enqueue_serialized("revoke", lambda: anchor.revoke_membership(carrier_did, "STL"))
         after = [
-            ask(anchor, "anchor.vc.request", holder_did=seller_did, network_id="STL")
+            ask(anchor, "anchor.vc.request", VcRequest(seller_did, "STL"))
             for _ in range(2)
         ]
         world.settle()
-        epochs = [
-            crypto.AccumulatorWitness.from_bytes(bytes.fromhex(r.result["witness"])).epoch
-            for r in (before, *after)
-        ]
+        epochs = [r.result.witness.epoch for r in (before, *after)]
         assert epochs == [epoch, epoch + 1, epoch + 1]
         # a read, the revocation's update, then one read for both later requests
         sends = anchor_sends(world, anchor, {"iin.query", "iin.submit"}, start)
@@ -680,11 +615,11 @@ class TestGroupCommit:
         )
         hold(anchor)
         seller = ask_verinym(world, anchor, "Seller")
-        buyer = ask(anchor, "anchor.vc.request", holder_did=buyer_did, network_id="SWT")
+        buyer = ask(anchor, "anchor.vc.request", VcRequest(buyer_did, "SWT"))
         world.settle()
         assert reads == [((buyer_did,), ()), ((seller_did,), (anchor.profile.did,))]
-        assert seller.result["ok"] and seller.result["outcome"] == "APPLIED"
-        assert buyer.result["ok"]
+        assert seller.result == Registered("APPLIED")
+        assert isinstance(buyer.result, Issued)
         assert buyer_did in anchor.rosters["SWT"].members
         assert world.iin_nodes["iin0"][0].state.verinym_status(seller_did)
         assert_accumulator_published(world, anchor)
@@ -703,16 +638,15 @@ class TestGroupCommit:
             ask_verinym(world, anchor, "Seller"),
             # a version skip the registry refuses: its document is never written
             ask_verinym(world, anchor, "Buyer", version=3),
-            ask(anchor, "anchor.vc.request", holder_did=buyer_did, network_id="SWT"),
+            ask(anchor, "anchor.vc.request", VcRequest(buyer_did, "SWT")),
         )
         world.settle()
         # each request is answered from its own payload's read-back
-        assert seller.result["ok"] and seller.result["outcome"] == "APPLIED"
+        assert seller.result == Registered("APPLIED")
         assert node.state.verinym_status(seller_did)
-        assert skipped.result == {"ok": False, "error": "no reply from sequencer"}
-        assert issued_vc.result["ok"] and "already_member" not in issued_vc.result
-        witness = crypto.AccumulatorWitness.from_bytes(bytes.fromhex(issued_vc.result["witness"]))
-        assert crypto.witness_verify(anchor.acc_state, witness)
+        assert skipped.result == "no reply from sequencer"
+        assert issued_vc.result.already_member == 0
+        assert crypto.witness_verify(anchor.acc_state, issued_vc.result.witness)
         # the anchor keeps the revocation state the registry holds, so it can
         # still update it, traces the issuance, and answers the credential's
         # next request from it
@@ -720,9 +654,9 @@ class TestGroupCommit:
         issued = [e.detail["holder"] for e in world.trace.events if e.kind == "anchor.vc_issued"]
         assert issued == [buyer_did]
         world.bus.config.rules.remove(lost_receipt)
-        again = ask(anchor, "anchor.vc.request", holder_did=buyer_did, network_id="SWT")
+        again = ask(anchor, "anchor.vc.request", VcRequest(buyer_did, "SWT"))
         world.settle()
-        assert again.result["ok"] and again.result["already_member"] is True
+        assert again.result.already_member == 1
 
     def test_a_holder_revoked_after_batched_issuance_fails_check_6(self):
         runner, _ = two_networks_runner(4)

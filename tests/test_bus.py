@@ -5,7 +5,7 @@ import hashlib
 import heapq
 import random
 import weakref
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 from cryptography.exceptions import InvalidTag
@@ -25,15 +25,31 @@ def seed32(label: str) -> bytes:
     return hashlib.sha256(label.encode()).digest()
 
 
+@dataclass(frozen=True)
+class Ping(enc.Record):
+    n: int
+    marker: str = ""
+
+
+@dataclass(frozen=True)
+class Pong(enc.Record):
+    n: int
+
+
 class EchoActor(Actor):
+    REQUESTS = {"ping": ("_pong", Ping, "pong", Pong)}
+
     def __init__(self, address):
         super().__init__(address)
         self.seen = []
 
-    def on_message(self, sender, msg):
-        self.seen.append((sender, msg.kind, dict(msg.body)))
-        if msg.kind == "ping":
-            self.reply(sender, msg, "pong", {"n": msg.body["n"]})
+    def _pong(self, sender, ping):
+        self.seen.append((sender, ping))
+        return Pong(ping.n)
+
+
+def ping_message(n=0) -> bytes:
+    return Message(request_id="driver#0", body=Ping(n).to_bytes()).to_bytes()
 
 
 class DriverActor(Actor):
@@ -43,8 +59,8 @@ class DriverActor(Actor):
 
     def script(self, target, count):
         for i in range(count):
-            reply = yield Request(target, "ping", {"n": i}, timeout=40)
-            self.log.append(reply.body["n"] if reply else None)
+            reply = yield Request(target, "ping", Ping(i), timeout=40)
+            self.log.append(reply.body.n if reply else None)
         yield Sleep(2)
         self.log.append("done")
 
@@ -117,7 +133,7 @@ class TestFaults:
         kinds = [e.kind for e in bus.trace.events]
         assert "bus.tamper" in kinds and "bus.reject_tampered" in kinds
         # the tampered envelope never reached the actor
-        assert [b["n"] for _, _, b in actors["echo"].seen] == [1]
+        assert [ping.n for _, ping in actors["echo"].seen] == [1]
 
     def test_duplicate_rule_delivers_twice(self):
         rule = FaultRule(action="duplicate", kind="ping", occurrence=1)
@@ -125,7 +141,7 @@ class TestFaults:
         driver = actors["driver"]
         driver.start_session("s", driver.script("echo", 1))
         bus.run_until_quiescent()
-        assert [b["n"] for _, _, b in actors["echo"].seen] == [0, 0]
+        assert [ping.n for _, ping in actors["echo"].seen] == [0, 0]
         # Both pongs reach the driver; the second is a late reply and is dropped.
         pongs = [
             e for e in bus.trace.events
@@ -171,15 +187,15 @@ class TestFaults:
         bus, _ = build(BusConfig(seed=1))
 
         class Looper(Actor):
-            def on_message(self, sender, msg):
+            def on_delivery(self, sender, plaintext, kind):
                 # fire a fresh message back forever: a livelock
-                self.bus.send(self.address, sender, "ping", Message("ping", {}).to_bytes())
+                self.bus.send(self.address, sender, "ping", ping_message())
 
         for address in ("pa", "pb"):
             actor = Looper(address)
             actor.bind(bus, random.Random(0))
             bus.register(actor, BoxKeyPair.from_seed(seed32("x" + address)))
-        bus.send("pa", "pb", "ping", Message("ping", {}).to_bytes())
+        bus.send("pa", "pb", "ping", ping_message())
         with pytest.raises(TickCeilingExceeded):
             bus.run_until_quiescent(tick_ceiling=200)
 
@@ -191,15 +207,14 @@ class TestConfidentialityAndAuthenticity:
         marker = "very-secret-payload-marker-76b1c2d9e0f3"
 
         def script():
-            reply = yield Request("echo", "ping", {"n": 1, "marker": marker}, timeout=40)
+            reply = yield Request("echo", "ping", Ping(1, marker), timeout=40)
             return reply
 
         driver.start_session("s", script())
         bus.run_until_quiescent()
         dump = "\n".join(e.to_json() for e in bus.trace.events)
         assert marker not in dump
-        plaintext_hex = Message(kind="ping", body={"n": 1, "marker": marker}).to_bytes().hex()
-        assert plaintext_hex not in dump
+        assert Ping(1, marker).to_bytes().hex() not in dump
 
     def test_bus_events_carry_only_digests(self):
         bus, actors = build(BusConfig(seed=5))
@@ -301,7 +316,7 @@ class TestConfidentialityAndAuthenticity:
 
     def test_a_tampered_copy_carries_its_own_digest(self):
         bus, _ = build(BusConfig(seed=5))
-        bus.send("driver", "echo", "ping", Message("ping", {"n": 0}).to_bytes())
+        bus.send("driver", "echo", "ping", ping_message())
         env = heapq.heappop(bus._queue)[3]
         flipped = replace(env, ciphertext=bytes([env.ciphertext[0] ^ 1]) + env.ciphertext[1:])
         assert env.digest == crypto.digest(env.ciphertext)
@@ -309,7 +324,7 @@ class TestConfidentialityAndAuthenticity:
 
     def test_relabelled_kind_is_rejected(self):
         bus, actors = build(BusConfig(seed=5))
-        seq = bus.send("driver", "echo", "ping", Message("ping", {"n": 0}).to_bytes())
+        seq = bus.send("driver", "echo", "ping", ping_message())
         time, order, event, env = heapq.heappop(bus._queue)
         assert env.header.seq == seq and env.header.kind == "ping"
         relabelled = replace(env, header=replace(env.header, kind="pong"))
@@ -329,7 +344,7 @@ class TestGatherSemantics:
 
         def script():
             results = yield Gather(
-                tuple((f"echo{i}", "ping", {"n": i}) for i in range(3)),
+                tuple((f"echo{i}", "ping", Ping(i)) for i in range(3)),
                 timeout=50,
                 early=lambda rs: sum(r is not None for r in rs) >= 2,
             )
@@ -349,7 +364,7 @@ class TestGatherSemantics:
 
         def script():
             results = yield Gather(
-                tuple((f"echo{i}", "ping", {"n": i}) for i in range(2)), timeout=30
+                tuple((f"echo{i}", "ping", Ping(i)) for i in range(2)), timeout=30
             )
             results_box["r"] = results
 

@@ -25,6 +25,9 @@ outside the memo and no memo keeps one.
 Every scenario signs exactly one presentation per holder challenge, so a
 holder that signs its bundle apart from its membership fails even where the
 other pins would move with it.
+Each scenario's plaintext bytes handed to the bus are pinned too: every
+message and its body are records of the one codec, so a second codec (hex
+or JSON in a body) creeping back moves them even where no send does.
 The benchmark's sweep world, k orgs in each of two networks, pins one
 initiator's full sync as closed forms in k for k = 2..6.
 """
@@ -35,7 +38,7 @@ from dataclasses import replace
 import pytest
 
 from idplane import credentials as creds
-from idplane import crypto, harness
+from idplane import bus, crypto, harness
 from idplane import encoding as enc
 
 from conftest import scenario_config
@@ -81,6 +84,26 @@ def test_bundled_scenario_counts(
         calls["verify"],
     )
     assert got == (sends, queries, memberlists, witnesses, orders, countersigns, signs, verifies)
+
+
+@pytest.mark.parametrize("name, plaintext_bytes", [
+    ("two-network", 92_302),
+    ("concurrent-commit", 70_508),
+    ("revoke-carrier", 123_932),
+    ("rotate-resync", 93_919),
+], ids=SCENARIOS)  # stable across re-pins
+def test_bundled_scenario_wire_bytes(monkeypatch, name, plaintext_bytes):
+    sent = []
+    send = bus.SimBus.send
+
+    def counting(self, sender, to, kind, plaintext):
+        sent.append(len(plaintext))
+        return send(self, sender, to, kind, plaintext)
+
+    monkeypatch.setattr(bus.SimBus, "send", counting)
+    report = harness.run_scenario(scenario_config(name))
+    assert report.ok, report.errors
+    assert sum(sent) == plaintext_bytes
 
 
 @pytest.mark.parametrize(
@@ -143,12 +166,12 @@ def test_bundled_scenario_decodes(monkeypatch, name, in_loop, entries):
 
 
 TRACE_DIGESTS = {
-    "concurrent-commit": "60323c805f7b29db655a769df8e90626001d209786d41c9fdc511c772299e395",
-    "concurrent-commit-serial": "323d31fc4675d0f937350e37e2f14225789584c0297e4bfddba1983d06262e95",
-    "digest-mismatch-retry": "cce7d07e1b2770709873bd13248dfe3a233363e210b7af64535470d1b6eef9c4",
-    "revoke-carrier": "147a370fc7df9b02c98c419427093fcb4bb436cf3f722f25f4d327fe0a47fc99",
-    "rotate-resync": "e0a358352e3cd51b32a255f53fc468d389ede4af12d2e6ea7fbeaa8adaba9f23",
-    "two-network": "575468d3748776cbd50a6b5bda39cdd39973ac420bf227eead6d92e7d1e64346",
+    "concurrent-commit": "b59392643fc8fe9bf6ab03d226c60678a63decb1289dd1153e13e27d7f425ac8",
+    "concurrent-commit-serial": "4026b54f0e315f8db9159895b27d590b4673cf1b231e9286d4069b7685e3aaad",
+    "digest-mismatch-retry": "95c7ae40d8a727840db479d249b5b2875352ed38eb0714a2fb9ce3440ec6107b",
+    "revoke-carrier": "cff68fef2a1a6d67e6e82da5a02f9fe4c93087fcb38e056782ab381b2d252596",
+    "rotate-resync": "86a7a3401daf1024799ca414561e26debb57d0d9bb12d598702e2ee25f9cd41c",
+    "two-network": "d335e339df88082797eb050d96e7b82c4f61be1f9ca9e542b96ae8999ce27bc4",
 }
 
 

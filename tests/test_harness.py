@@ -358,15 +358,28 @@ class TestRunnerAndReport:
         assert '"bus.drop"' in paths[1].read_text(encoding="utf-8")
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    @pytest.mark.parametrize("name", sorted(harness.bundled_scenarios()))
-    def test_a_dropped_world_is_freed_by_reference_counting(self, name):
+    @pytest.mark.parametrize("name, seed", [
+        *(pytest.param(name, None, id=name) for name in sorted(harness.bundled_scenarios())),
+        *(pytest.param(name, seed, id=f"{name}-lossy-{seed}") for name, seed in (
+            ("two-network", 3), ("two-network", 7), ("revoke-carrier", 0), ("revoke-carrier", 4),
+        )),
+    ])
+    def test_a_dropped_world_is_freed_by_reference_counting(self, name, seed):
         """The bus owns its actors and the world owns the bus; no link runs
-        back, so a world needs no cycle collector to be freed."""
+        back, so a world needs no cycle collector to be freed. With a seed,
+        the run drops 5% of its messages: sessions fail, and their errors
+        are re-raised into the sessions joined on them or returned as
+        values, and none of those errors holds a frame of the session that
+        ended."""
         config = scenario_config(name)
         gc.disable()
         try:
-            runner = harness.ScenarioRunner(config)
-            assert runner.run().ok
+            runner = harness.ScenarioRunner(config, seed=seed)
+            if seed is not None:
+                runner.world.bus.config.drop_rate = 0.05
+                assert not runner.run().ok
+            else:
+                assert runner.run().ok
             world = weakref.ref(runner.world)
             del runner
             assert world() is None

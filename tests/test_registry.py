@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idplane import actors
 from idplane import credentials as creds
 from idplane import crypto, registry
 from idplane import encoding as enc
-from idplane.actors import Actor, Message, Request
+from idplane.actors import Actor, Reply, Request
 from idplane.anchors import membership_schema
 from idplane.bus import BoxKeyPair, BusConfig, FaultRule, SimBus
+
+from conftest import Raw
 
 
 def seed32(label: str) -> bytes:
@@ -672,8 +675,8 @@ class TestPoolProtocol:
         bus.run_until_quiescent()
         assert record.error is None
         receipt = record.result
-        assert receipt["outcomes"] == ["APPLIED"]
-        assert len(receipt["acks"]) >= pool.write_quorum
+        assert receipt.outcomes == ("APPLIED",)
+        assert len(receipt.acks) >= pool.write_quorum
         for node in nodes:
             assert org_did in node.state.docs
 
@@ -711,8 +714,8 @@ class TestPoolProtocol:
         hash_before = nodes[0].state.state_hash()
         r2 = client.start_session("submit", registry.submit_transaction(pool, tx))
         bus.run_until_quiescent()
-        assert r1.result["outcomes"] == ["APPLIED"]
-        assert r2.result["outcomes"] == ["Duplicate"]
+        assert r1.result.outcomes == ("APPLIED",)
+        assert r2.result.outcomes == ("Duplicate",)
         assert nodes[0].state.state_hash() == hash_before
         # the rejection is part of every replica's log
         for node in nodes:
@@ -859,7 +862,7 @@ class TestPoolProtocol:
         def commit(tx):
             record = client.start_session("submit", registry.submit_transaction(pool, tx))
             bus.run_until_quiescent()
-            assert record.result["outcomes"] == ["APPLIED"]
+            assert record.result.outcomes == ("APPLIED",)
 
         def verinym():
             record = client.start_session("resolve", registry.resolve_did(pool, org_did))
@@ -894,25 +897,28 @@ class TestPoolProtocol:
         assert len({node.state.state_hash() for node in nodes}) == 1
         assert nodes[3].next_seq == 2
 
-    @pytest.mark.parametrize("body", [
-        {"from": "x", "to": 1}, {"to": 1}, {"from": 0},
-    ], ids=["from-not-an-int", "from-missing", "to-missing"])
-    def test_malformed_fetch_gets_no_entries_and_the_replica_keeps_serving(self, body):
+    @pytest.mark.parametrize("body, reply", [
+        (registry.Fetch(1, 0), Reply("", registry.Entries(()))),
+        (registry.Fetch(5, 9), Reply("", registry.Entries(()))),
+        (registry.Fetch(0, 0).to_bytes()[:-1], Reply("DecodeError")),
+    ], ids=["ends-before-it-starts", "past-the-log", "truncated"])
+    def test_fetch_of_no_entries_gets_none_and_the_replica_keeps_serving(self, body, reply):
         bus, pool, nodes, client, steward = build_pool()
         tx, _ = org_nym_tx(steward)
         client.start_session("submit", registry.submit_transaction(pool, tx))
         bus.run_until_quiescent()
 
         def fetch(body):
-            reply = yield Request(pool.sequencer, "iin.fetch", body, timeout=50)
-            return reply.body["entries"]
+            return (yield Request(pool.sequencer, "iin.fetch", body, timeout=50))
 
-        malformed = client.start_session("fetch", fetch(body))
+        if isinstance(body, bytes):
+            body = Raw(body)
+        asked = client.start_session("fetch", fetch(body))
         bus.run_until_quiescent()
-        assert malformed.error is None and malformed.result == []
-        wellformed = client.start_session("fetch", fetch({"from": 0, "to": 0}))
+        assert asked.error is None and asked.result == reply
+        wellformed = client.start_session("fetch", fetch(registry.Fetch(0, 0)))
         bus.run_until_quiescent()
-        assert [seq for seq, _, _ in wellformed.result] == [0]
+        assert [seq for seq, _, _ in wellformed.result.body.entries] == [0]
 
     def test_log_replay_reproduces_state_hash(self):
         bus, pool, nodes, client, steward = build_pool(seed=8)
@@ -978,7 +984,7 @@ class TestPoolProtocol:
             "submit", registry.submit_transaction(pool, schema_tx)
         )
         bus.run_until_quiescent()
-        assert record.result["outcomes"] == ["UnauthorizedRole"]
+        assert record.result.outcomes == ("UnauthorizedRole",)
 
 
 def org_nym_txs(steward, *labels):
@@ -998,8 +1004,8 @@ def doctor_receipts(sequencer, change):
     """Make the sequencer answer each submit with `change(receipt)`."""
     original = sequencer._sequence
 
-    def doctored(sender, msg):
-        receipt = yield from original(sender, msg)
+    def doctored(sender, submit):
+        receipt = yield from original(sender, submit)
         return change(receipt)
 
     sequencer._sequence = doctored
@@ -1008,13 +1014,13 @@ def doctor_receipts(sequencer, change):
 def forge_acks(node, forged_bytes):
     """Make `node` sign its acks over `forged_bytes(first, last, digest)`
     while its ack bodies name the batch it applied."""
-    original = node._ack_body
+    original = node._acked
 
     def forged(first, last, digest):
-        return {**original(first, last, digest),
-                "ack": node.keys.sign(forged_bytes(first, last, digest)).bytes_.hex()}
+        signature = node.keys.sign(forged_bytes(first, last, digest)).bytes_
+        return replace(original(first, last, digest), signature=signature)
 
-    node._ack_body = forged
+    node._acked = forged
 
 
 OTHER_ACKS = {
@@ -1045,9 +1051,9 @@ class TestBatches:
         bus, pool, nodes, client, steward = build_pool()
         txs = org_nym_txs(steward, "a", "b", "c")
         receipt = self.submit(bus, client, pool, txs).result
-        assert (receipt["first"], receipt["last"]) == (0, 2)
-        assert receipt["outcomes"] == ["APPLIED"] * 3
-        assert receipt["tx_digests"] == [tx.digest().hex() for tx in txs]
+        assert (receipt.first, receipt.last) == (0, 2)
+        assert receipt.outcomes == ("APPLIED",) * 3
+        assert receipt.tx_digests == tuple(tx.digest() for tx in txs)
         assert self.order_sends(bus) == pool.n - 1
         for node in nodes:
             assert [entry[1] for entry in node.log] == [tx.to_bytes() for tx in txs]
@@ -1061,8 +1067,8 @@ class TestBatches:
         bus, pool, nodes, client, steward = build_pool()
         # the pool orders and acks the changed batch, so every ack is valid
         sequence = nodes[0]._sequence
-        nodes[0]._sequence = lambda sender, msg: sequence(
-            sender, replace(msg, body={"txs": change(msg.body["txs"])})
+        nodes[0]._sequence = lambda sender, submit: sequence(
+            sender, registry.Submit(change(submit.txs))
         )
         record = self.submit(bus, client, pool, org_nym_txs(steward, "a", "b"))
         assert isinstance(record.error, registry.QuorumUnavailable)
@@ -1088,35 +1094,37 @@ class TestBatches:
                 return FORGER_KEYS.sign(registry.Ack(0, 1, digest).to_bytes())
             return node.keys.sign(OTHER_ACKS[forged](0, 1, digest))
 
-        acks = [[node.address, sign(node).bytes_.hex()] for node in nodes]
-        doctor_receipts(nodes[0], lambda receipt: {**receipt, "acks": acks})
+        acks = tuple((node.address, sign(node).bytes_) for node in nodes)
+        doctor_receipts(nodes[0], lambda receipt: replace(receipt, acks=acks))
         record = self.submit(bus, client, pool, txs)
         assert isinstance(record.error, registry.QuorumUnavailable)
         assert str(record.error) == "receipt carries 0 valid acks"
 
     @pytest.mark.parametrize("garble", [
-        {"ack": "zz"}, {"ack": 5}, {"address": ["iin:iin0:1"]},
-    ], ids=["ack-not-hex", "ack-not-a-string", "address-not-a-string"])
+        lambda acked: replace(acked, signature=b"zz"),
+        lambda acked: replace(acked, address="iin:iin0:9"),
+        lambda acked: Raw(acked.to_bytes()[:-1]),
+    ], ids=["signature-not-an-ed25519-signature", "unknown-address", "truncated"])
     def test_malformed_ack_counts_as_invalid(self, garble):
         bus, pool, nodes, client, steward = build_pool()
         handle_order = nodes[1]._handle_order
 
-        def garbled(sender, msg):
-            body = yield from handle_order(sender, msg)
-            return {**body, **garble}
+        def garbled(sender, order):
+            acked = yield from handle_order(sender, order)
+            return garble(acked)
 
         nodes[1]._handle_order = garbled
         receipt = self.submit(bus, client, pool, org_nym_txs(steward, "a")).result
-        assert receipt["outcomes"] == ["APPLIED"]
-        assert sorted(address for address, _ in receipt["acks"]) == [
+        assert receipt.outcomes == ("APPLIED",)
+        assert sorted(address for address, _ in receipt.acks) == [
             node.address for node in nodes if node is not nodes[1]
         ]
 
     def test_repeated_ack_counts_once(self):
         bus, pool, nodes, client, steward = build_pool()
-        doctor_receipts(nodes[0], lambda receipt: {
-            **receipt, "acks": receipt["acks"][:1] * pool.write_quorum
-        })
+        doctor_receipts(nodes[0], lambda receipt: replace(
+            receipt, acks=receipt.acks[:1] * pool.write_quorum
+        ))
         record = self.submit(bus, client, pool, org_nym_txs(steward, "a"))
         assert str(record.error) == "receipt carries 1 valid acks"
 
@@ -1131,7 +1139,7 @@ class TestBatches:
         assert nodes[3].next_seq == 0
         second = self.submit(bus, client, pool, org_nym_txs(steward, "c", "d"))
         assert first.error is None and second.error is None
-        assert "iin:iin0:3" in [address for address, _ in second.result["acks"]]
+        assert "iin:iin0:3" in [address for address, _ in second.result.acks]
         assert nodes[3].next_seq == 4
         assert nodes[3].state.state_hash() == nodes[0].state.state_hash()
         assert nodes[3].log == nodes[0].log
@@ -1142,7 +1150,7 @@ class TestBatches:
         signing bytes, and each transaction is hashed once."""
         bus, pool, nodes, client, steward = build_pool()
         txs = org_nym_txs(steward, "a", "b", "c")
-        order = Message("iin.order", {"first": 0, "txs": [tx.to_bytes().hex() for tx in txs]})
+        order = actors.read(registry.Order, registry.Order(0, tuple(txs)).to_bytes())
         encodes, hashed = [], []
         codec = enc._codec(registry.RegistryTransaction)
         encode, digest = codec.encode, crypto.digest
@@ -1150,9 +1158,9 @@ class TestBatches:
         monkeypatch.setattr(crypto, "digest", lambda data: hashed.append(data) or digest(data))
         with pytest.raises(StopIteration) as done:
             next(nodes[1]._handle_order(pool.sequencer, order))
-        assert done.value.value["batch_digest"] == registry.batch_digest(
+        assert done.value.value.ack.batch_digest == registry.batch_digest(
             [digest(tx.to_bytes()) for tx in txs]
-        ).hex()
+        )
         assert [outcome for _, _, outcome in nodes[1].log] == ["APPLIED"] * 3
         assert encodes == []
         sent = [tx.to_bytes() for tx in txs]
@@ -1170,7 +1178,7 @@ class TestBatches:
         hashed, digest = [], crypto.digest
         monkeypatch.setattr(crypto, "digest", lambda data: hashed.append(data) or digest(data))
         record = self.submit(bus, client, pool, txs)
-        assert record.result["outcomes"] == ["APPLIED"] * 2
+        assert record.result.outcomes == ("APPLIED",) * 2
         assert [node.next_seq for node in nodes] == [2] * pool.n
         sent = [tx.to_bytes() for tx in txs]
         assert sorted(data for data in hashed if data in sent) == sorted(sent * 2)
@@ -1179,11 +1187,11 @@ class TestBatches:
         bus, pool, nodes, client, steward = build_pool()
 
         def ask():
-            return (yield Request(pool.sequencer, "iin.submit", {"txs": []}, timeout=50))
+            return (yield Request(pool.sequencer, "iin.submit", registry.Submit(()), timeout=50))
 
         record = client.start_session("ask", ask())
         bus.run_until_quiescent()
-        assert record.result.body == {"ok": False, "error": "EmptyBatch"}
+        assert record.result == Reply("EmptyBatch")
         assert self.submit(bus, client, pool, []).error.args == ("EmptyBatch",)
         assert [node.next_seq for node in nodes] == [0] * pool.n
         assert self.order_sends(bus) == 0
@@ -1202,18 +1210,18 @@ class TestBatches:
         }[resent]
 
         def reorder():  # as the sequencer, re-send an order for seqs 0..
-            body = {"first": 0, "txs": [tx.to_bytes().hex() for tx in batch]}
+            body = registry.Order(0, tuple(batch))
             return (yield Request(nodes[1].address, "iin.order", body, timeout=50))
 
         record = nodes[0].start_session("reorder", reorder())
         bus.run_until_quiescent()
         if acked:
             digest = registry.batch_digest([tx.digest() for tx in txs])
-            assert (record.result.body["first"], record.result.body["last"]) == (0, 1)
+            assert record.result.body.ack == registry.Ack(0, 1, digest)
             assert crypto.verify(
                 nodes[1].keys.public_key,
                 registry.Ack(0, 1, digest).to_bytes(),
-                crypto.Signature(bytes.fromhex(record.result.body["ack"])),
+                crypto.Signature(record.result.body.signature),
             )
         else:
             assert record.result is None
@@ -1338,32 +1346,14 @@ class TestMemberSnapshot:
         record = self.resolve(bus, pool, client, (org_did,))
         assert isinstance(record.error, registry.InconsistentReplicas)
 
-    @pytest.mark.parametrize("body", [
-        {"what": registry.QUERY_MEMBER, "issuers": 5},
-        {"what": registry.QUERY_MEMBER, "issuers": [5]},
-        {"what": registry.QUERY_MEMBER, "holders": "x"},
-        {"what": registry.QUERY_MEMBER, "holders": [["x"]]},
-        {"what": registry.QUERY_MEMBER, "schemas": "schema:membership:1"},
-        {"what": registry.QUERY_MEMBER, "schemas": [5]},
-        {"what": registry.QUERY_MEMBER, "cred_defs": {}},
-        {"what": registry.QUERY_MEMBER, "cred_defs": [None]},
-        {"what": registry.QUERY_MEMBER, "memberlists": "x"},
-        {"what": registry.QUERY_MEMBER, "memberlists": [["issuer"]]},
-        {"what": registry.QUERY_MEMBER, "memberlists": [["issuer", 5]]},
-        {"what": 5},
-        {"what": "did"},
-    ], ids=["issuers-not-a-list", "issuer-not-a-string", "holders-not-a-list",
-            "holder-not-a-string", "schemas-not-a-list", "schema-not-a-string",
-            "cred-defs-not-a-list", "cred-def-not-a-string", "memberlists-not-a-list",
-            "memberlist-not-a-pair", "memberlist-pair-not-strings", "what-not-a-string",
-            "what-not-member"])
-    def test_malformed_query_is_a_miss_and_the_replica_keeps_serving(self, body):
+    @pytest.mark.parametrize("what", ["did", ""], ids=["what-not-member", "what-empty"])
+    def test_query_of_another_what_is_a_miss_and_the_replica_keeps_serving(self, what):
         bus, pool, nodes, client, org_did = self.setup_pool()
-        body = {"holders": [org_did], "schemas": ["schema:membership:1"], **body}
+        body = registry.Query(what, (org_did,), (), ("schema:membership:1",), (), ())
 
         def ask():
             reply = yield Request(pool.sequencer, "iin.query", body, timeout=50)
-            return registry.MemberSnapshot.from_bytes(bytes.fromhex(reply.body["result"]))
+            return registry.MemberSnapshot.from_bytes(reply.body.snapshot)
 
         record = client.start_session("ask", ask())
         bus.run_until_quiescent()

@@ -1,79 +1,105 @@
 """One request path: every actor serves its `REQUESTS` table through
-`Actor._serve`, answers a malformed request with the error's name, and drops a
-plaintext that is no message at all, so no bad message ends the bus run."""
+`Actor._serve`, which decodes each body as its kind's record and answers a
+body that does not decode, or a request its handler refuses, with the
+error's name; a plaintext that is no message at all is dropped and traced.
+No bad message ends the bus run."""
 
 import importlib
 import inspect
 import pkgutil
+import random
 
 import pytest
 
 import idplane
-from idplane.actors import Actor, Message, Request
-from idplane.agent import IinAgent
-from idplane.anchors import AnchorService
-from idplane.network import Endorsement, LedgerNode
-from idplane.registry import IinNode
+from idplane import actors, crypto
+from idplane import encoding as enc
+from idplane.actors import Actor, Message, Reply
+from idplane.agent import CountersignRequest, IinAgent
+from idplane.anchors import AnchorService, VcRequest, VerinymRequest, WitnessRequest
+from idplane.credentials import Challenge
+from idplane.network import CommitRequest, Endorsement, LedgerNode, LedgerQuery
+from idplane.registry import (
+    DidDocument, Entries, Fetch, IinNode, MemberSnapshot, Order, Query, QueryResult,
+    RegistryTransaction, Submit,
+)
 
-from conftest import add_probe, bootstrapped_runner
+from conftest import Raw, add_probe, ask, bootstrapped_runner
 
 SERVERS = (IinAgent, AnchorService, IinNode, LedgerNode)
 
-# request kind -> a body whose fields are all present, one of them wrong-typed
-WRONG_TYPED = {
-    "agent.membership_vp.request": {"network_id": 5, "nonce": "00"},
-    "agent.countersign.request": {"home_network": "SWT", "statements": 5},
-    "anchor.verinym.request": {"org_name": "Seller", "doc": 5},
-    "anchor.vc.request": {"holder_did": 5, "network_id": "SWT"},
-    "anchor.memberlist.request": {"network_id": 5, "nonce": "00"},
-    "anchor.witness.request": {"credential_id": 5},
-    "iin.submit": {"txs": "00"},
-    "iin.order": {"first": "x", "txs": 5},
-    "iin.fetch": {"from": "x", "to": 1},
-    "iin.query": {"what": 5, "id": "x"},
-    "cmdac.submit": {"statement": 5, "bundle": "00", "endorsements": []},
-    "ledger.query": {"what": 5},
+
+def endorsement(network="STL"):
+    return Endorsement(network, "Carrier", "did:x", bytes(32), "ACTIVE", b"n")
+
+
+TX = RegistryTransaction("NYM", b"payload", "did:x", crypto.Signature(bytes(64)))
+
+# request kind -> a well-formed body of that kind
+EXAMPLES = {
+    "agent.countersign.request": CountersignRequest("SWT", (endorsement(),)),
+    "agent.membership_vp.request": Challenge("STL", bytes(16), (("did:x", 1),), 1),
+    "anchor.memberlist.request": Challenge("SWT", bytes(16)),
+    "anchor.vc.request": VcRequest("did:x", "SWT"),
+    "anchor.verinym.request": VerinymRequest("Seller", DidDocument("did:x", (b"k",), "e", ())),
+    "anchor.witness.request": WitnessRequest(bytes(32)),
+    "cmdac.submit": CommitRequest(endorsement(), b"bundle", (("Seller", bytes(64)),)),
+    "iin.fetch": Fetch(0, 0),
+    "iin.order": Order(0, (TX,)),
+    "iin.query": Query("member", ("did:x",), (), (), (), ()),
+    "iin.submit": Submit((TX,)),
+    "ledger.query": LedgerQuery("policy"),
+}
+KINDS = sorted(EXAMPLES)
+# request kind -> the kind whose example body it is sent as its "another kind's
+# record" case. Bodies carry no tag, so one whose fields read as this kind's
+# decodes as it (see REFUSED): each kind here gets a body that does not.
+OTHER = {
+    "agent.countersign.request": "agent.membership_vp.request",
+    "agent.membership_vp.request": "anchor.vc.request",
+    "anchor.memberlist.request": "anchor.verinym.request",
+    "anchor.vc.request": "anchor.witness.request",
+    "anchor.verinym.request": "anchor.witness.request",
+    "anchor.witness.request": "cmdac.submit",
+    "cmdac.submit": "iin.fetch",
+    "iin.fetch": "iin.order",
+    "iin.order": "iin.query",
+    "iin.query": "iin.submit",
+    "iin.submit": "ledger.query",
+    "ledger.query": "agent.countersign.request",
 }
 
-# request kind -> optional field -> a valid body but for that field, wrong-typed
-WRONG_TYPED_OPTIONAL = {
-    "agent.membership_vp.request": {
-        "epochs": {"network_id": "STL", "nonce": "00", "epochs": {"did:iin:x": "1"}},
-        "bundle": {"network_id": "STL", "nonce": "00", "bundle": 1},
+
+def undecodable_statements(*head: bytes) -> Raw:
+    """A body whose one statement frame holds a byte that is no statement."""
+    return Raw(b"".join(head) + enc.encode_list([enc.encode_bytes(b"\x00")]))
+
+
+# request kind -> shape -> (a body its handler refuses, or that does not
+# decode for one nested record, and the error named)
+REFUSED = {
+    "anchor.vc.request": {
+        # the org name reads as the holder DID, the document's bytes as the network
+        "verinym-request-read-by-layout": (EXAMPLES["anchor.verinym.request"], "NotRepresented"),
     },
-}
-
-# request kind -> shape -> (a body of the right types but a malformed value, error)
-MALFORMED_VALUE = {
-    "iin.submit": {"entry-not-hex": ({"txs": ["zz"]}, "ValueError")},
     "agent.countersign.request": {
-        "no-statements": ({"home_network": "SWT", "statements": []}, "ValueError"),
-        "statement-not-a-string": ({"home_network": "SWT", "statements": [5]}, "TypeError"),
-        "statement-not-hex": ({"home_network": "SWT", "statements": ["zz"]}, "ValueError"),
-        "undecodable-statement": ({"home_network": "SWT", "statements": ["00"]}, "DecodeError"),
+        "no-statements": (CountersignRequest("SWT", ()), "ValueError"),
         "statements-of-two-networks": (
-            {
-                "home_network": "SWT",
-                "statements": [
-                    Endorsement(network, "Carrier", "did:x", bytes(32), "ACTIVE", b"n").to_bytes()
-                    .hex()
-                    for network in ("STL", "OTHER")
-                ],
-            },
-            "ValueError",
+            CountersignRequest("SWT", (endorsement("STL"), endorsement("OTHER"))), "ValueError"
         ),
+        "undecodable-statement": (undecodable_statements(enc.encode_str("SWT")), "DecodeError"),
     },
     "cmdac.submit": {
         "undecodable-statement": (
-            {"statement": "00", "bundle": "00", "endorsements": []}, "DecodeError"
+            Raw(enc.encode_bytes(b"\x00") + enc.encode_bytes(b"") + enc.encode_list([])),
+            "DecodeError",
         ),
     },
+    "iin.submit": {
+        "no-transactions": (Submit(()), "EmptyBatch"),
+        "undecodable-transaction": (undecodable_statements(), "DecodeError"),
+    },
 }
-
-# Open registry reads answer a malformed body as an ordinary miss or an
-# empty fetch, and a replica ignores an order from anyone but its sequencer.
-LENIENT = {"iin.query", "iin.fetch"}
-UNANSWERED = {"iin.order"}
 
 
 def server_address(world, cls) -> str:
@@ -91,11 +117,10 @@ CASES = [
     (cls, kind, shape, body, error)
     for cls, kind in ENTRIES
     for shape, body, error in [
-        ("empty", {}, "KeyError"),
-        ("wrong-typed", WRONG_TYPED[kind], "TypeError"),
-        *((f"wrong-typed-{name}", b, "TypeError")
-          for name, b in WRONG_TYPED_OPTIONAL.get(kind, {}).items()),
-        *((shape, b, e) for shape, (b, e) in MALFORMED_VALUE.get(kind, {}).items()),
+        ("another-kinds-record", EXAMPLES[OTHER[kind]], "DecodeError"),
+        ("truncated", Raw(EXAMPLES[kind].to_bytes()[:-1]), "DecodeError"),
+        ("trailing-bytes", Raw(EXAMPLES[kind].to_bytes() + b"\x00"), "DecodeError"),
+        *((shape, b, e) for shape, (b, e) in REFUSED.get(kind, {}).items()),
     ]
 ]
 
@@ -108,6 +133,25 @@ def served():
     return world, add_probe(world)
 
 
+def failed_sessions(world, actor, start) -> list:
+    return [
+        (e.detail["label"], e.detail["error"]) for e in world.trace.events[start:]
+        if e.kind == "session.failed" and e.actor == actor
+    ]
+
+
+# the errors a handler answers with by returning them: its session ends well
+RETURNED = {"NotRepresented"}
+
+
+def test_every_request_kind_has_an_example_and_another_kinds_body():
+    assert sorted(kind for _, kind in ENTRIES) == KINDS == sorted(OTHER)
+    for cls, kind in ENTRIES:
+        body = cls.REQUESTS[kind][1]
+        assert isinstance(EXAMPLES[kind], body)
+        assert not isinstance(EXAMPLES[OTHER[kind]], body)
+
+
 @pytest.mark.parametrize(
     "cls, kind, shape, body, error", CASES,
     ids=[f"{cls.__name__}:{kind}-{shape}" for cls, kind, shape, _, _ in CASES],
@@ -118,41 +162,43 @@ def test_malformed_request_is_answered_with_the_error_name(
     world, probe = served
     target = server_address(world, cls)
     start, sent_at = len(world.trace.events), world.bus.now
-    result = {}
-
-    def ask():
-        reply = yield Request(target, kind, body, timeout=10)
-        result["reply"] = reply
-
-    probe.start_session("ask", ask())
-    world.settle()  # the run goes on: no handler error escapes the bus loop
-    failed = [
-        e for e in world.trace.events[start:]
-        if e.kind == "session.failed" and e.actor == target
-    ]
-    reply = result["reply"]
-    if kind in UNANSWERED:
-        assert reply is None and failed == []
-        return
+    # the run goes on: no handler error escapes the bus loop
+    reply = ask(probe, world, target, kind, body, timeout=10)
     assert reply is not None, f"no reply within 10 ticks of tick {sent_at}"
-    assert reply.kind == cls.REQUESTS[kind][1]
-    if kind in LENIENT:
-        assert "error" not in reply.body and failed == []
-        return
-    assert reply.body == {"ok": False, "error": error}
-    assert [(e.detail["label"], e.detail["error"]) for e in failed] == [(kind, error)]
+    assert reply == Reply(error)
+    raised = [] if error in RETURNED else [(kind, error)]
+    assert failed_sessions(world, target, start) == raised
+
+
+# Open registry reads answer a read of nothing with nothing, and a replica
+# ignores an order from anyone but its sequencer.
+QUIET = [
+    ("iin.query", Query("did", ("did:x",), (), (), (), ()),
+     Reply("", QueryResult(MemberSnapshot((), (), (), ()).to_bytes()))),
+    ("iin.fetch", Fetch(1, 0), Reply("", Entries(()))),
+    ("iin.order", EXAMPLES["iin.order"], None),
+]
+
+
+@pytest.mark.parametrize("kind, body, expected", QUIET, ids=[kind for kind, _, _ in QUIET])
+def test_a_read_of_nothing_or_a_strangers_order_fails_no_session(served, kind, body, expected):
+    world, probe = served
+    target = server_address(world, IinNode)
+    start = len(world.trace.events)
+    assert ask(probe, world, target, kind, body, timeout=10) == expected
+    assert failed_sessions(world, target, start) == []
+
+
+def ledger_query_message() -> bytes:
+    body = LedgerQuery("policy").to_bytes()
+    return Message(request_id="probe#1", body=body).to_bytes()
 
 
 @pytest.mark.parametrize("plaintext", [
-    b"not json",
-    b"\xff\xfe",
-    b"[]",
-    b'{"kind": 5, "body": {}}',
-    b'{"kind": "ledger.query", "body": []}',
-    b'{"kind": "ledger.query", "body": {}, "reply_to": ["x"]}',
-    b"[" * 100_000 + b"]" * 100_000,
-], ids=["not-json", "not-utf8", "not-an-object", "kind-not-a-string", "body-not-a-dict",
-        "reply-to-not-a-string", "nested-too-deep"])
+    ledger_query_message()[:-1],
+    ledger_query_message() + b"\x00",
+    random.Random(0).randbytes(64),
+], ids=["truncated", "trailing-bytes", "random-bytes"])
 def test_malformed_plaintext_is_dropped_and_traced(plaintext):
     world = bootstrapped_runner(through_step_a=False).world
     add_probe(world)
@@ -163,12 +209,14 @@ def test_malformed_plaintext_is_dropped_and_traced(plaintext):
     assert [(e.actor, e.detail) for e in dropped] == [
         ("ledger:SWT", {"sender": "probe", "msg_kind": "ledger.query"})
     ]
+    assert [e for e in world.trace.events[start:] if e.kind == "bus.send"][1:] == []
 
 
-@pytest.mark.parametrize("data", [b'{"kind": "k", "body": {}, "request_id": 3}', b"null"])
-def test_message_from_bytes_refuses_a_non_message(data):
-    with pytest.raises(ValueError):
-        Message.from_bytes(data)
+@pytest.mark.parametrize("data", [LedgerQuery("policy").to_bytes(), b""],
+                         ids=["a-body-alone", "empty"])
+def test_message_read_refuses_a_non_message(data):
+    with pytest.raises(enc.DecodeError):
+        actors.read(Message, data)
 
 
 def src_actor_classes() -> list[type]:
@@ -187,7 +235,8 @@ def test_each_actor_serves_requests_through_its_table_only():
     classes = src_actor_classes()
     assert set(SERVERS) <= set(classes)
     for cls in classes:
-        for kind, (handler, reply_kind) in cls.REQUESTS.items():
+        for kind, (handler, body, reply_kind, reply_body) in cls.REQUESTS.items():
             assert inspect.isfunction(getattr(cls, handler, None)), f"{cls.__name__}: {kind}"
+            assert issubclass(body, enc.Record) and issubclass(reply_body, enc.Record)
             assert reply_kind
-        assert "on_message" not in vars(cls), f"{cls.__name__} dispatches by hand"
+        assert "on_delivery" not in vars(cls), f"{cls.__name__} dispatches by hand"
