@@ -181,7 +181,6 @@ def _caught(gen: Generator) -> Generator:
 
 @dataclass(frozen=True)
 class CountersignRequest(enc.Record):  # agent.countersign.request: one network's statements
-    home_network: str
     statements: tuple[enc.Framed[net.Endorsement], ...]
 
 
@@ -559,23 +558,22 @@ class IinAgent(Actor):
 
     def _commit_identity(self, home_network: str, records: list[net.RecordContent]) -> Generator:
         """Step D for a non-empty batch of `records`: make each one's
-        statement (`net.Endorsement`) under a fresh nonce and ask every other
-        local org to countersign all of them in one request. Each statement
-        that every org signed is signed here too and submitted, one
-        `cmdac.submit` each, by a session of its own. Returns one verdict per
-        record, in order, once every submit has ended: the ledger's outcome
-        (APPLIED or NOOP), DIGEST_MISMATCH, or the AgentError that refused the
-        record. Every endorsement covers the record's holder DID, which the
-        ledger keeps. The request carries the statements alone: each
-        countersigner decides from its own memberlist whether to fetch a
-        fresh one."""
-        statements = [r.statement(self.nonce()) for r in records]
+        statement (`net.Endorsement`) now and ask every other local org to
+        countersign all of them in one request. Each statement that every
+        org signed is signed here too and submitted, one `cmdac.submit` each,
+        by a session of its own. Returns one verdict per record, in order,
+        once every submit has ended: the ledger's outcome (APPLIED or NOOP),
+        DIGEST_MISMATCH, or the AgentError that refused the record. Every
+        endorsement covers the record's holder DID, which the ledger keeps.
+        The request carries the statements alone: each countersigner decides
+        from its own memberlist whether to fetch a fresh one."""
+        statements = [r.statement(home_network, self.bus.now) for r in records]
         peers = sorted(
             (org, addr)
             for org, addr in self.config.peer_agents[home_network].items()
             if org != self.org_id
         )
-        request_body = CountersignRequest(home_network, tuple(statements))
+        request_body = CountersignRequest(tuple(statements))
         replies = yield Gather(
             tuple((addr, "agent.countersign.request", request_body) for _, addr in peers),
             timeout=1500,
@@ -647,13 +645,15 @@ class IinAgent(Actor):
         """Check each statement of the initiator's batch here and answer, per
         statement and in order, with this org's signature of it, a digest
         mismatch or the reason it failed. Every statement of a batch names
-        one foreign network: initiators batch one network's records at a
-        time. The REVOKED ones share one read of the ledger's records, whose
-        failure refuses each of them by name. The batch then makes at most
-        one registry read, decided from this org's own state alone. It reads
-        nothing when no REVOKED statement matches its record and every
-        ACTIVE holder is cached and on the last list verified here (the
-        reused list). Otherwise its one read is the memberlist gate
+        one home and one foreign network: initiators batch one network's
+        records at a time. A statement made later than this org's clock,
+        which no later commit would make stale, refuses the batch as
+        FutureStatement. The REVOKED ones share one read of the ledger's
+        records, whose failure refuses each of them by name. The batch then
+        makes at most one registry read, decided from this org's own state
+        alone. It reads nothing when no REVOKED statement matches its record
+        and every ACTIVE holder is cached and on the last list verified here
+        (the reused list). Otherwise its one read is the memberlist gate
         (`_fetch_memberlist`): the registry's current list, in the same
         state as the revocation states and the documents of every listed
         holder, so any holder the batch checks is read with no second read.
@@ -662,15 +662,17 @@ class IinAgent(Actor):
         list was verified is signed while it stays cached: a cached identity
         skips steps B and C, and the batch that reads nothing sees no fresh
         revocation state."""
-        home_network, statements = request.home_network, request.statements
-        # a batch names exactly one foreign network: none, or two, is a ValueError
-        (foreign_network,) = {s.foreign_network for s in statements}
+        statements = request.statements
+        # a batch names one pair of networks: none, or two, is a ValueError
+        ((home_network, foreign_network),) = {(s.home_network, s.foreign_network) for s in statements}
 
         def refused(reason: str) -> Countersigned:
             return Countersigned((_refusal(reason),) * len(statements))
 
         if home_network not in self.config.ledgers:
             return refused("NotLocal")
+        if any(s.made_at > self.bus.now for s in statements):
+            return refused("FutureStatement")
         try:
             interop, _ = yield from self._read_once(home_network)
         except (LedgerUnreachable, LedgerRefused) as e:

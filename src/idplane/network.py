@@ -4,10 +4,10 @@ identity records, the configuration-management contract that admits those
 records under an all-orgs endorsement policy, and the data-plane proof hook.
 
 The ledger is a single-writer state machine per network; the contract is a
-pure function of (state, statement, bundle, endorsements), so replaying the
-block log reproduces the state exactly. Foreign identity records flip between
-ACTIVE and REVOKED only through committed contract transactions; revocation
-keeps the record (status flip) for auditability.
+pure function of (state, statement, bundle, endorsements, tick), so replaying
+the block log reproduces the state exactly. Foreign identity records flip
+between ACTIVE and REVOKED only through committed contract transactions;
+revocation keeps the record (status flip) for auditability.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ STATUS_REVOKED = "REVOKED"
 
 OUTCOME_APPLIED = "APPLIED"
 OUTCOME_NOOP = "NOOP"
-OUTCOME_REPLAYED = "ReplayedNonce"
+OUTCOME_STALE = "StaleStatement"
+OUTCOME_WRONG_LEDGER = "WrongLedger"
 OUTCOME_DIGEST_MISMATCH = "BundleDigestMismatch"
 
 
@@ -206,26 +207,28 @@ class RecordContent(enc.Record):
     bundle_digest: bytes
     status: str
 
-    def statement(self, nonce: bytes) -> "Endorsement":
-        """The statement that commits this content under `nonce`."""
+    def statement(self, home_network: str, made_at: int) -> "Endorsement":
+        """The statement, made at tick `made_at`, of this content into `home_network`."""
         return Endorsement(
-            self.network_id, self.org_id, self.holder_did, self.bundle_digest, self.status, nonce
+            home_network, self.network_id, self.org_id, self.holder_did,
+            self.bundle_digest, self.status, made_at,
         )
 
 
 @dataclass(frozen=True)
 class Endorsement(enc.Record):
-    """The statement that admits a foreign identity record: every local org
-    signs it, and step D carries it from the initiator, through each
-    countersigner, into the block log."""
+    """The statement, made by an initiator at tick `made_at`, that admits a
+    foreign identity record into `home_network`'s ledger: every local org
+    signs it, and step D carries it through each countersigner."""
 
     TAG = enc.TAG_ENDORSEMENT
+    home_network: str
     foreign_network: str
     foreign_org: str
     holder_did: str
     bundle_digest: bytes
     status: str
-    nonce: bytes
+    made_at: int
 
 
 @dataclass(frozen=True)
@@ -263,8 +266,8 @@ class LocalLedgerState:
 
     def state_hash(self) -> bytes:
         """Hash of replicated content: policy config plus foreign records
-        (bundle, digest, status). Excludes block ordering and sync ticks so
-        equivalent interleavings hash identically."""
+        (bundle, digest, status). Excludes block ordering and the sync ticks
+        that replaying it reproduces, so equivalent interleavings hash alike."""
         image = LedgerImage(
             self.network_id,
             self.interop_networks,
@@ -295,13 +298,12 @@ def cmdac_update_foreign_identity(
     now: int,
 ) -> tuple[LocalLedgerState, str]:
     """The configuration-management contract: commit `bundle` as the foreign
-    identity record that `statement` names iff the statement's digest is the
-    bundle's, every local organization signed the statement with its
-    registered admin key, and no APPLIED or NOOP entry for the same record
-    used the statement's nonce before. Identical-content re-commits are no-op
-    successes; different content replaces the record. Rejected entries
-    consume no nonce, so no single org can burn one ahead of an honest
-    commit."""
+    identity record that `statement` names iff the statement is for this
+    ledger, its digest is the bundle's and every local organization signed
+    it with its registered admin key. Identical-content re-commits are no-op
+    successes. Different content replaces the record only when the statement
+    was made after the record's last change (`synced_at`); one made at or
+    before it is StaleStatement. A refused entry changes nothing."""
     outcome = _refusal(state, statement, bundle, endorsements)
     key = state.record_key(statement.foreign_network, statement.foreign_org)
     foreign = state.foreign
@@ -313,6 +315,8 @@ def cmdac_update_foreign_identity(
         existing = state.foreign.get(key)
         if existing is not None and existing.content == content:
             outcome = OUTCOME_NOOP
+        elif existing is not None and statement.made_at <= existing.synced_at:
+            outcome = OUTCOME_STALE
         else:
             outcome = OUTCOME_APPLIED
             foreign = {**state.foreign, key: ForeignIdentityRecord(content, now)}
@@ -337,9 +341,11 @@ def _refusal(
     bundle: bytes,
     endorsements: tuple[tuple[str, bytes], ...],
 ) -> Optional[str]:
-    """Why the contract refuses an entry, or None: a digest that is not the
-    bundle's, then each local org's endorsement in org order, then a nonce an
-    accepted entry for the same record used before."""
+    """Why the contract refuses an entry, or None: a statement for another
+    ledger, a digest that is not the bundle's, then each local org's
+    endorsement in org order."""
+    if statement.home_network != state.network_id:
+        return OUTCOME_WRONG_LEDGER
     if statement.bundle_digest != crypto.digest(bundle):
         return OUTCOME_DIGEST_MISMATCH
     message = statement.to_bytes()
@@ -350,15 +356,6 @@ def _refusal(
             return f"MissingEndorsement:{org}"
         if not crypto.verify(state.admin_keys[org], message, crypto.Signature(sig)):
             return f"BadEndorsementSignature:{org}"
-    record = (statement.foreign_network, statement.foreign_org)
-    if any(
-        e.outcome in (OUTCOME_APPLIED, OUTCOME_NOOP)
-        and e.statement.nonce == statement.nonce
-        and (e.statement.foreign_network, e.statement.foreign_org) == record
-        for e in state.block_log
-    ):
-        # endorsements bind (network, org), so a replay reuses both as well
-        return OUTCOME_REPLAYED
     return None
 
 
@@ -424,7 +421,7 @@ class LedgerNode(Actor):
             foreign_network=statement.foreign_network,
             foreign_org=statement.foreign_org,
             status=statement.status,
-            nonce=statement.nonce.hex(),
+            made_at=statement.made_at,
             outcome=outcome,
             endorsers=",".join(sorted(org for org, _ in request.endorsements)),
             payload_digest=statement.bundle_digest.hex(),

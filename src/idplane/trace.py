@@ -1,9 +1,9 @@
 """Structured run traces: append-only event log, JSONL emission, and replay
 verification against trace invariants (monotone ticks, digest-only bus events,
-endorsement completeness for ledger commits, no accepted ledger commit reusing
-a record's nonce, an error named by every failed session, one tx digest and
-outcome per registry sequence number across an IIN's replicas). Every scenario
-run checks its own trace against these rules; `verify-trace` checks a file.
+endorsement completeness for ledger commits, each applied commit newer than its
+record's last, an error named by every failed session, one tx digest and outcome
+per registry sequence number across an IIN's replicas). Every scenario run
+checks its own trace against these rules; `verify-trace` checks a file.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ def verify_events(events: list[TraceEvent]) -> list[tuple[str, int, str]]:
     violations: list[tuple[str, int, str]] = []
     last_tick = -1
     network_orgs: dict[str, set[str]] = {}
-    # (network, "foreign network/foreign org", nonce) of accepted commits
-    used_nonces: set[tuple[str, str, str]] = set()
+    # (network, foreign network, foreign org) -> tick of its last APPLIED commit
+    applied_at: dict[tuple, int] = {}
     # (iin, seq) -> (tx digest, outcome, replica) of the first commit seen
     registry_commits: dict[tuple, tuple] = {}
     for i, ev in enumerate(events, start=1):
@@ -130,16 +130,16 @@ def verify_events(events: list[TraceEvent]) -> list[tuple[str, int, str]]:
                         f"missing endorsers {sorted(required - endorsers)}",
                     )
                 )
-            # the contract refuses a nonce that an accepted commit of the
-            # same record used before, so an accepted reuse is a replay
-            record = f"{ev.detail.get('foreign_network')}/{ev.detail.get('foreign_org')}"
-            nonce = ev.detail.get("nonce")
-            use = (ev.detail.get("network", ""), record, nonce)
-            if not nonce:
-                violations.append(("nonce-unique", i, "commit names no nonce"))
-            elif use in used_nonces:
-                violations.append(("nonce-unique", i, f"nonce {nonce} reused for {record}"))
-            used_nonces.add(use)
+            # the contract applies only a statement made after its record's
+            # last APPLIED commit: an older one was held across that commit
+            key = tuple(ev.detail.get(k) for k in ("network", "foreign_network", "foreign_org"))
+            made_at = ev.detail.get("made_at")
+            if not isinstance(made_at, int):
+                violations.append(("commit-current", i, "commit names no made_at"))
+            elif ev.detail["outcome"] == "APPLIED":
+                if made_at <= applied_at.get(key, -1):
+                    violations.append(("commit-current", i, f"{key} made at {made_at}"))
+                applied_at[key] = ev.tick
     return violations
 
 

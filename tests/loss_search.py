@@ -6,7 +6,9 @@ order. `single` runs each scenario once per send n with one
 the run, and prints how many runs failed, per dropped message kind. `rates`
 runs two-network at a few `drop_rate`s over a range of bus seeds and prints
 how many runs passed. Both modes print every APPLIED REVOKED `ledger.commit`:
-neither scenario revokes anyone, so each one is a wrongful revocation.
+neither scenario revokes anyone, so each one is a wrongful revocation. They
+also count the `ledger.commit` entries the contract refused, by outcome name
+(a `StaleStatement` is a statement that a commit overtook under loss).
 
 Pytest does not collect this file (its name does not start with `test_`).
 Run it from the repository root:
@@ -36,6 +38,14 @@ def wrongful_revocations(runner: harness.ScenarioRunner) -> list:
     ]
 
 
+def refusals(runner: harness.ScenarioRunner) -> list[str]:
+    """The outcome of each `ledger.commit` entry the contract refused."""
+    return [
+        e.detail["outcome"] for e in runner.world.trace.events
+        if e.kind == "ledger.commit" and e.detail["outcome"] not in ("APPLIED", "NOOP")
+    ]
+
+
 def run(cfg: harness.ScenarioConfig, seed=None, rules=()) -> harness.ScenarioRunner:
     runner = harness.ScenarioRunner(cfg, seed=seed)
     runner.world.bus.config.rules[:0] = rules
@@ -43,9 +53,10 @@ def run(cfg: harness.ScenarioConfig, seed=None, rules=()) -> harness.ScenarioRun
     return runner
 
 
-def single(name: str) -> list:
+def single(name: str, refused: collections.Counter) -> list:
     """Drop each send of `name`'s lossless run in turn; prints the failed
-    runs per dropped kind and returns the wrongful revocations."""
+    runs per dropped kind, counts refused commits in `refused` and returns
+    the wrongful revocations."""
     cfg = scenario_config(name)
     lossless = run(cfg)
     assert lossless.report.ok, lossless.report.errors
@@ -58,6 +69,7 @@ def single(name: str) -> list:
         kind = drop.detail["msg_kind"]
         runs[kind] += 1
         failed[kind] += not runner.report.ok
+        refused.update(refusals(runner))
         for e in wrongful_revocations(runner):
             revoked.append((name, f"drop {n} ({kind})", e.tick, e.detail["foreign_org"]))
     print(f"{name}: {sum(failed.values())} of {sends} single drops fail the run")
@@ -66,9 +78,10 @@ def single(name: str) -> list:
     return revoked
 
 
-def sweep(rates: tuple[float, ...], seeds: int) -> list:
+def sweep(rates: tuple[float, ...], seeds: int, refused: collections.Counter) -> list:
     """Two-network at each drop rate over bus seeds 0..seeds-1; prints the
-    passing runs per rate and returns the wrongful revocations."""
+    passing runs per rate, counts refused commits in `refused` and returns
+    the wrongful revocations."""
     revoked = []
     passed_total = 0
     for rate in rates:
@@ -77,6 +90,7 @@ def sweep(rates: tuple[float, ...], seeds: int) -> list:
         for seed in range(seeds):
             runner = run(cfg, seed=seed)
             passed += runner.report.ok
+            refused.update(refusals(runner))
             for e in wrongful_revocations(runner):
                 revoked.append(("two-network", f"rate {rate} seed {seed}", e.tick,
                                 e.detail["foreign_org"]))
@@ -95,16 +109,20 @@ def main(argv=None) -> int:
     p_rates.add_argument("rates", nargs="*", type=float, default=RATES)
     p_rates.add_argument("--seeds", type=int, default=100)
     args = parser.parse_args(argv)
+    refused = collections.Counter()
     if args.mode == "single":
         unknown = set(args.scenarios) - set(SCENARIOS)
         if unknown:
             parser.error(f"no single-drop search for {', '.join(sorted(unknown))}")
-        revoked = [r for name in args.scenarios or SCENARIOS for r in single(name)]
+        revoked = [r for name in args.scenarios or SCENARIOS for r in single(name, refused)]
     else:
-        revoked = sweep(tuple(args.rates), args.seeds)
+        revoked = sweep(tuple(args.rates), args.seeds, refused)
     for scenario, cause, tick, org in revoked:
         print(f"APPLIED REVOKED commit: {scenario}, {cause}, tick {tick}, {org}")
     print(f"{len(revoked)} APPLIED REVOKED commits")
+    for outcome, count in sorted(refused.items()):
+        print(f"refused ledger.commit: {outcome} {count}")
+    print(f"{sum(refused.values())} refused ledger.commit entries")
     return 0
 
 

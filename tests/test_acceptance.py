@@ -15,7 +15,7 @@ from idplane import credentials as creds
 from idplane import crypto, harness
 from idplane import network as net
 
-from conftest import bootstrapped_runner, scenario_config
+from conftest import add_probe, ask, bootstrapped_runner, scenario_config
 
 
 def criterion(number: int, description: str, ok: bool, detail: str = ""):
@@ -103,10 +103,9 @@ def test_criterion_04_unilateral_write_impossible():
         peer_count=1, now=0, cert_lifetime=1000,
     )
     bundle = source.bundle_bytes()
-    nonce = b"acceptance-4"
     holder = "did:iin:iin0:far"
     statement = net.Endorsement(
-        "AWAY", "FarOrg", holder, crypto.digest(bundle), "ACTIVE", nonce
+        "HOME", "AWAY", "FarOrg", holder, crypto.digest(bundle), "ACTIVE", 0
     )
     message = statement.to_bytes()
     rejected, committed = 0, 0
@@ -131,7 +130,7 @@ def test_criterion_04_unilateral_write_impossible():
 def test_criterion_04_replayed_endorsements_rejected():
     """A fully endorsed submission replayed later (revoke-carrier's first
     commit for Carrier, the old ACTIVE one) must not roll the REVOKED record
-    back."""
+    back: it was made before the flip, so it is stale."""
     runner = harness.ScenarioRunner(scenario_config("revoke-carrier"))
     assert runner.run().ok
     ledger = runner.world.ledgers["SWT"]
@@ -140,10 +139,114 @@ def test_criterion_04_replayed_endorsements_rejected():
     state, outcome = net.cmdac_update_foreign_identity(
         ledger.state, old.statement, old.bundle, old.endorsements, now=runner.world.bus.now,
     )
-    assert outcome == net.OUTCOME_REPLAYED
+    assert outcome == net.OUTCOME_STALE
     assert state.get_record("STL", "Carrier").content.status == net.STATUS_REVOKED
     assert state.state_hash() == ledger.state.state_hash()
     assert net.replay_block_log(ledger.genesis, state.block_log).state_hash() == state.state_hash()
+
+
+def hold(world, probe, content):
+    """A statement of `content` into SWT that Seller countersigns and Buyer
+    signs, held by Buyer instead of submitted: (statement, endorsements)."""
+    statement = content.statement("SWT", world.bus.now)
+    reply = ask(probe, world, "agent:Seller", "agent.countersign.request",
+                agent.CountersignRequest((statement,)))
+    [answer] = reply.body.results
+    assert answer.result == agent.RESULT_SIGNED, answer
+    own = world.agents["Buyer"].keys.sign(statement.to_bytes()).bytes_
+    return statement, (("Buyer", own), ("Seller", answer.sig))
+
+
+def submit_held(world, probe, content, held):
+    """Buyer submits its held statement of `content`; returns the outcome."""
+    statement, endorsements = held
+    body = net.CommitRequest(statement, content.bundle, endorsements)
+    reply = ask(probe, world, world.agents["Buyer"].config.ledgers["SWT"], "cmdac.submit", body)
+    return reply.error or reply.body.outcome
+
+
+def resync(world):
+    buyer = world.agents["Buyer"]
+    record = buyer.start_session("resync", buyer.resync("SWT", "periodic"))
+    world.settle()
+    assert record.error is None
+    return world.ledger_state("SWT").get_record("STL", "Carrier").content
+
+
+def revoke_carrier(world):
+    anchor = world.anchors["AnchorSTL"]
+    anchor.enqueue_serialized(
+        "revoke", lambda: anchor.revoke_membership(world.org_dids["Carrier"], "STL")
+    )
+    world.settle()
+
+
+def test_criterion_04_held_active_statement_is_stale_after_revocation():
+    """Buyer holds an ACTIVE statement for Carrier that every org signed,
+    Carrier is revoked and the record flipped, and Buyer submits the held
+    statement alone: the ledger refuses it and Carrier stays REVOKED."""
+    world = bootstrapped_runner().world
+    probe = add_probe(world)
+    carrier = resync(world)
+    assert carrier.status == net.STATUS_ACTIVE
+    held = hold(world, probe, carrier)
+    revoke_carrier(world)
+    assert resync(world).status == net.STATUS_REVOKED
+    before = world.ledger_state("SWT")
+    outcome = submit_held(world, probe, carrier, held)
+    after = world.ledger_state("SWT")
+    criterion(
+        4,
+        "a held ACTIVE statement cannot undo a revocation",
+        outcome == net.OUTCOME_STALE and after.foreign == before.foreign,
+        f"outcome={outcome} carrier={after.get_record('STL', 'Carrier').content.status}",
+    )
+
+
+def test_criterion_04_held_revoked_statement_is_stale_after_readmission():
+    """The reverse: Buyer holds a REVOKED statement for the revoked Carrier
+    that every org signed, Carrier is re-admitted and the record flipped
+    back, and Buyer submits the held statement alone: the ledger refuses it
+    and Carrier stays ACTIVE."""
+    world = bootstrapped_runner().world
+    probe = add_probe(world)
+    assert resync(world).status == net.STATUS_ACTIVE
+    revoke_carrier(world)
+    revoked = resync(world)
+    assert revoked.status == net.STATUS_REVOKED
+    held = hold(world, probe, revoked)
+    carrier = world.agents["Carrier"]
+    record = carrier.start_session("step_a", carrier.step_a())
+    world.settle()
+    assert record.error is None
+    assert resync(world).status == net.STATUS_ACTIVE
+    before = world.ledger_state("SWT")
+    outcome = submit_held(world, probe, revoked, held)
+    after = world.ledger_state("SWT")
+    criterion(
+        4,
+        "a held REVOKED statement cannot undo a re-admission",
+        outcome == net.OUTCOME_STALE and after.foreign == before.foreign,
+        f"outcome={outcome} carrier={after.get_record('STL', 'Carrier').content.status}",
+    )
+
+
+def test_criterion_04_statement_from_the_future_is_not_countersigned():
+    """A statement that names a tick later than the countersigner's clock
+    could be held past any later commit without going stale: Seller refuses
+    the whole batch by name and signs nothing."""
+    world = bootstrapped_runner().world
+    probe = add_probe(world)
+    carrier = resync(world)
+    future = carrier.statement("SWT", world.bus.now + 1000)
+    start = len(world.trace.events)
+    reply = ask(probe, world, "agent:Seller", "agent.countersign.request",
+                agent.CountersignRequest((future,)))
+    signed = [e for e in world.trace.events[start:] if e.kind == "agent.countersigned"]
+    assert reply.body.results == (
+        agent.Answer(agent.RESULT_VALIDATION_FAILED, reason="FutureStatement"),
+    )
+    assert signed == []
 
 
 def test_criterion_04_lying_revoked_initiator_refused():

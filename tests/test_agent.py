@@ -98,15 +98,19 @@ def presented(reply) -> creds.VerifiablePresentation:
     return creds.VerifiablePresentation.from_bytes(reply.body.vp)
 
 
-def statement(probe, foreign_did, digest, status, org="Carrier", foreign_network="STL"):
-    """The statement of a commit of `foreign_network`'s `org`, under a fresh
-    nonce of `probe`."""
-    return net.Endorsement(foreign_network, org, foreign_did, digest, status, probe.nonce())
+def statement(
+    probe, foreign_did, digest, status, org="Carrier", foreign_network="STL", home_network="SWT",
+):
+    """The statement of a commit of `foreign_network`'s `org` into
+    `home_network`, made at `probe`'s tick."""
+    return net.Endorsement(
+        home_network, foreign_network, org, foreign_did, digest, status, probe.bus.now
+    )
 
 
-def countersign_request(statements, home_network="SWT"):
-    """The body of a countersign request for `statements` into `home_network`."""
-    return agent_mod.CountersignRequest(home_network, tuple(statements))
+def countersign_request(statements):
+    """The body of a countersign request for `statements`."""
+    return agent_mod.CountersignRequest(tuple(statements))
 
 
 def answering(seller, change):
@@ -128,7 +132,7 @@ def for_carrier(answer):
     return lambda s, given: answer if s.foreign_org == "Carrier" else given
 
 
-def ask_countersign_batch(probe, world, statements, home_network="SWT"):
+def ask_countersign_batch(probe, world, statements):
     """Ask Seller to countersign `statements` in one request; returns the
     reply."""
     result = {}
@@ -137,7 +141,7 @@ def ask_countersign_batch(probe, world, statements, home_network="SWT"):
         result["reply"] = yield Request(
             "agent:Seller",
             "agent.countersign.request",
-            countersign_request(statements, home_network),
+            countersign_request(statements),
             timeout=2000,
         )
 
@@ -153,8 +157,10 @@ def ask_countersign(
     its batch; returns Seller's answer to it."""
     reply = ask_countersign_batch(
         probe, world,
-        [statement(probe, foreign_did, digest, status, foreign_network=foreign_network)],
-        home_network=home_network,
+        [statement(
+            probe, foreign_did, digest, status,
+            foreign_network=foreign_network, home_network=home_network,
+        )],
     )
     [answer] = reply.body.results
     return answer
@@ -671,8 +677,9 @@ class TestMemberlistReuse:
             record = run_sync(world, initiator, home, foreign)
             assert record.error is None
             assert all(r["status"] == "DONE" for r in record.result.values()), record.result
-        assert [r.home_network for r in requests] == ["SWT", "STL"]
-        assert [{s.foreign_network for s in r.statements} for r in requests] == [{"STL"}, {"SWT"}]
+        assert [
+            {(s.home_network, s.foreign_network) for s in r.statements} for r in requests
+        ] == [{("SWT", "STL")}, {("STL", "SWT")}]
 
     @staticmethod
     def revoke_carrier(world):

@@ -87,10 +87,10 @@ def test_bundled_scenario_counts(
 
 
 @pytest.mark.parametrize("name, plaintext_bytes", [
-    ("two-network", 92_302),
-    ("concurrent-commit", 70_508),
-    ("revoke-carrier", 123_932),
-    ("rotate-resync", 93_919),
+    ("two-network", 92_280),
+    ("concurrent-commit", 70_490),
+    ("revoke-carrier", 123_892),
+    ("rotate-resync", 93_886),
 ], ids=SCENARIOS)  # stable across re-pins
 def test_bundled_scenario_wire_bytes(monkeypatch, name, plaintext_bytes):
     sent = []
@@ -166,12 +166,12 @@ def test_bundled_scenario_decodes(monkeypatch, name, in_loop, entries):
 
 
 TRACE_DIGESTS = {
-    "concurrent-commit": "b59392643fc8fe9bf6ab03d226c60678a63decb1289dd1153e13e27d7f425ac8",
-    "concurrent-commit-serial": "4026b54f0e315f8db9159895b27d590b4673cf1b231e9286d4069b7685e3aaad",
-    "digest-mismatch-retry": "95c7ae40d8a727840db479d249b5b2875352ed38eb0714a2fb9ce3440ec6107b",
-    "revoke-carrier": "cff68fef2a1a6d67e6e82da5a02f9fe4c93087fcb38e056782ab381b2d252596",
-    "rotate-resync": "86a7a3401daf1024799ca414561e26debb57d0d9bb12d598702e2ee25f9cd41c",
-    "two-network": "d335e339df88082797eb050d96e7b82c4f61be1f9ca9e542b96ae8999ce27bc4",
+    "concurrent-commit": "280591aa18c23122b9e10484528baebca47009a9f5904ede16d8c4e1f4eb33fa",
+    "concurrent-commit-serial": "85e15a79890a5431faf777316672cfeb054ef2db928ce0c3e3ac21637ec4c05e",
+    "digest-mismatch-retry": "4e53f7ab34695bade08ef27fd9280499a9a2cca38034c4be85f7c43da803c587",
+    "revoke-carrier": "b77b0bcc1e2c2c6c28bb633ef8488b6c4f8a7d6d3f2c63299e19f7ad7b7d4f7d",
+    "rotate-resync": "c963be721b1b20178518a8d6f7ee7319e935ec6ce80caae53c301b32d62b29ac",
+    "two-network": "a071d55991ce28edaf1704b3e48f79af426f515f2ff7b2f2e17a68c59a239e42",
 }
 
 
@@ -184,12 +184,12 @@ def test_bundled_scenario_trace_digest(tmp_path, name):
 
 
 TRAFFIC_DIGESTS = {
-    "concurrent-commit": "051fbcd6035ec6b70ee186c394aff74ee61671d67bb8fc67179a0632f6dc1697",
-    "concurrent-commit-serial": "c743dd469871b24cd817cc82d7afae7a118b03791dea6b90b6306f5560844c18",
-    "digest-mismatch-retry": "75d9d34a5abe0e90909670751b0a47b8e265908ad4ebffd45028da1f162f51e0",
-    "revoke-carrier": "54a9b030c90b7e2a3b122be806a26fef6ef2864e671730c916dd28f024ed61f3",
-    "rotate-resync": "04d1602cb9da0c79900d13f3775b7fca0bc539b76fdb6128459347463e17ed5f",
-    "two-network": "a08be979bc5461d9a00a32f3be65e02d7d883deaf5e8fd5af8c1ef7d8fe86e80",
+    "concurrent-commit": "1dc1a0be27120f770e2f30af81969558763564ff2ba650a25f3381c989aba234",
+    "concurrent-commit-serial": "ff515ef3456aad97850946d9cc3ebbae410fffc5554eea7459fa0f6722159dc0",
+    "digest-mismatch-retry": "c14d156670ba0ed9fe2ed2e2ad4b61ba4e845d93acb5b62a50700bb39d6f936c",
+    "revoke-carrier": "081536596d2432fa1424cc8a54dbd3f372a0d8092cf49e659cd8fb9196591af4",
+    "rotate-resync": "7715a55ec0b76ef1adc08e6dd16e1518f8258845bebe07285165677911486391",
+    "two-network": "54671ee9ed257f153f499a08a3ba58da51240220ba1e96213cae5e67f1e8a265",
 }
 
 

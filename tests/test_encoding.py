@@ -364,12 +364,13 @@ def old_ledger_state(state):
 def old_endorsement(e):
     return enc.record(
         enc.TAG_ENDORSEMENT,
+        enc.encode_str(e.home_network),
         enc.encode_str(e.foreign_network),
         enc.encode_str(e.foreign_org),
         enc.encode_str(e.holder_did),
         enc.encode_bytes(e.bundle_digest),
         enc.encode_str(e.status),
-        enc.encode_bytes(e.nonce),
+        enc.encode_u64(e.made_at),
     )
 
 
@@ -505,7 +506,7 @@ memberlist_vc = st.builds(
 )
 record_content = st.builds(net.RecordContent, text, text, text, blob, blob, text)
 transaction = st.builds(registry.RegistryTransaction, text, blob, text, signature)
-endorsement = st.builds(net.Endorsement, text, text, text, blob, text, blob)
+endorsement = st.builds(net.Endorsement, text, text, text, text, blob, text, u64)
 answer = st.builds(agent.Answer, text, blob, blob, text)
 
 
@@ -611,7 +612,7 @@ RECORDS = {
         old_ledger_image,
     ),
     net.Endorsement: (
-        st.builds(net.Endorsement, text, text, text, blob, text, blob), None, old_endorsement
+        endorsement, None, old_endorsement
     ),
     net.ProofStatement: (st.builds(net.ProofStatement, blob), None, old_proof_statement),
     bus.Header: (st.builds(bus.Header, text, text, u64, text), None, old_header),
@@ -731,9 +732,9 @@ RECORDS = {
         ),
     ),
     agent.CountersignRequest: (
-        st.builds(agent.CountersignRequest, text, up_to_3(endorsement)),
+        st.builds(agent.CountersignRequest, up_to_3(endorsement)),
         None,
-        lambda c: enc.encode_str(c.home_network) + framed(old_endorsement, c.statements),
+        lambda c: framed(old_endorsement, c.statements),
     ),
     agent.Answer: (answer, None, old_answer),
     agent.Countersigned: (

@@ -135,31 +135,31 @@ class TestTraceVerification:
         violations = verify_events(doctored)
         assert any(rule == "endorsement-complete" for rule, _, _ in violations)
 
-    def test_reused_nonce_violates_uniqueness(self, trace_path):
+    def test_held_statement_applied_violates_currency(self, trace_path):
         events = read_trace(trace_path)
         applied = [
             i for i, e in enumerate(events)
             if e.kind == "ledger.commit" and e.detail["outcome"] == "APPLIED"
         ]
         assert verify_events(events) == []
-        replay = events[applied[0]]
-        # the same record committed again later under its first nonce
+        held = events[applied[0]]
+        # the same record applied again later by the statement of its first commit
         events.insert(applied[-1] + 1, TraceEvent(
-            tick=events[applied[-1]].tick, actor=replay.actor, kind=replay.kind,
-            detail=dict(replay.detail),
+            tick=events[applied[-1]].tick, actor=held.actor, kind=held.kind,
+            detail=dict(held.detail),
         ))
         violations = verify_events(events)
-        assert [rule for rule, _, _ in violations] == ["nonce-unique"]
-        assert violations[0][1] == applied[-1] + 2  # 1-based line of the replay
+        assert [rule for rule, _, _ in violations] == ["commit-current"]
+        assert violations[0][1] == applied[-1] + 2  # 1-based line of the held commit
 
-    def test_commit_without_nonce_violates_uniqueness(self, trace_path):
+    def test_commit_without_made_at_violates_currency(self, trace_path):
         events = read_trace(trace_path)
         at = next(i for i, e in enumerate(events) if e.kind == "ledger.commit")
-        detail = {k: v for k, v in events[at].detail.items() if k != "nonce"}
+        detail = {k: v for k, v in events[at].detail.items() if k != "made_at"}
         events[at] = TraceEvent(
             tick=events[at].tick, actor=events[at].actor, kind=events[at].kind, detail=detail
         )
-        assert verify_events(events) == [("nonce-unique", at + 1, "commit names no nonce")]
+        assert verify_events(events) == [("commit-current", at + 1, "commit names no made_at")]
 
     def test_decreasing_tick_violates_monotonicity(self, trace_path):
         events = read_trace(trace_path)

@@ -26,9 +26,9 @@ ORG_KEYS = {name: crypto.KeyPair.from_seed(seed32("admin:" + name)) for name in
             ("OrgA", "OrgB", "OrgC")}
 
 
-def make_ledger(orgs=("OrgA", "OrgB")) -> net.LocalLedgerState:
+def make_ledger(orgs=("OrgA", "OrgB"), network_id="HOME") -> net.LocalLedgerState:
     return net.LocalLedgerState(
-        network_id="HOME",
+        network_id=network_id,
         interop_networks=("AWAY",),
         trust_entries=(("iin0", "did:iin:iin0:anchor", "AWAY"),),
         admin_keys={o: ORG_KEYS[o].public_key for o in orgs},
@@ -46,13 +46,16 @@ def make_source_org(org_id="FarOrg", peers=1, now=0, lifetime=1000) -> net.Organ
     )
 
 
-def statement(foreign_net, foreign_org, bundle, status, nonce) -> net.Endorsement:
-    """The statement that admits `bundle` under FAR_DID."""
-    return net.Endorsement(foreign_net, foreign_org, FAR_DID, crypto.digest(bundle), status, nonce)
+def statement(foreign_net, foreign_org, bundle, status, made_at, home="HOME") -> net.Endorsement:
+    """The statement, made at tick `made_at`, that admits `bundle` under
+    FAR_DID into `home`'s ledger."""
+    return net.Endorsement(
+        home, foreign_net, foreign_org, FAR_DID, crypto.digest(bundle), status, made_at
+    )
 
 
-def endorse(orgs, foreign_net, foreign_org, bundle, status, nonce):
-    message = statement(foreign_net, foreign_org, bundle, status, nonce).to_bytes()
+def endorse(orgs, foreign_net, foreign_org, bundle, status, made_at, home="HOME"):
+    message = statement(foreign_net, foreign_org, bundle, status, made_at, home).to_bytes()
     return tuple((o, ORG_KEYS[o].sign(message).bytes_) for o in orgs)
 
 
@@ -61,9 +64,9 @@ class TestCmdacContract:
         ledger = make_ledger()
         org = make_source_org()
         bundle = org.bundle_bytes()
-        sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "ACTIVE", b"n1")
+        sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "ACTIVE", 0)
         state, outcome = net.cmdac_update_foreign_identity(
-            ledger, statement("AWAY", "FarOrg", bundle, "ACTIVE", b"n1"),
+            ledger, statement("AWAY", "FarOrg", bundle, "ACTIVE", 0),
             bundle, sigs, now=5,
         )
         assert outcome == "APPLIED"
@@ -79,9 +82,9 @@ class TestCmdacContract:
         bundle = make_source_org().bundle_bytes()
         for r in range(len(orgs) + 1):
             for subset in itertools.combinations(orgs, r):
-                sigs = endorse(subset, "AWAY", "FarOrg", bundle, "ACTIVE", b"n")
+                sigs = endorse(subset, "AWAY", "FarOrg", bundle, "ACTIVE", 0)
                 state, outcome = net.cmdac_update_foreign_identity(
-                    ledger, statement("AWAY", "FarOrg", bundle, "ACTIVE", b"n"),
+                    ledger, statement("AWAY", "FarOrg", bundle, "ACTIVE", 0),
                     bundle, sigs, now=1,
                 )
                 if set(subset) == set(orgs):
@@ -94,37 +97,44 @@ class TestCmdacContract:
     def test_bad_endorsement_signature_names_org(self):
         ledger = make_ledger()
         bundle = make_source_org().bundle_bytes()
-        good = endorse(("OrgA",), "AWAY", "FarOrg", bundle, "ACTIVE", b"n")
+        good = endorse(("OrgA",), "AWAY", "FarOrg", bundle, "ACTIVE", 0)
         forged = (("OrgB", ORG_KEYS["OrgB"].sign(b"something else").bytes_),)
         state, outcome = net.cmdac_update_foreign_identity(
-            ledger, statement("AWAY", "FarOrg", bundle, "ACTIVE", b"n"),
+            ledger, statement("AWAY", "FarOrg", bundle, "ACTIVE", 0),
             bundle, good + forged, now=1,
         )
         assert outcome == "BadEndorsementSignature:OrgB"
         assert state.get_record("AWAY", "FarOrg") is None
 
-    def test_endorsement_bound_to_nonce(self):
-        ledger = make_ledger()
+    def test_endorsement_bound_to_made_at(self):
+        """A statement held across a change is stale, and restamping it as
+        made after that change breaks every endorsement of it."""
         bundle = make_source_org().bundle_bytes()
-        sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "ACTIVE", b"n1")
-        _, outcome = net.cmdac_update_foreign_identity(
-            ledger, statement("AWAY", "FarOrg", bundle, "ACTIVE", b"other-nonce"),
-            bundle, sigs, now=1,
-        )
-        assert outcome.startswith("BadEndorsementSignature")
+        state, _ = commit(make_ledger(), "ACTIVE", 0, now=1)
+        held = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "ACTIVE", 2)
+        state, outcome = commit(state, "REVOKED", 3, now=4)
+        assert outcome == "APPLIED"
+        for made_at, refusal in ((2, "StaleStatement"), (5, "BadEndorsementSignature:OrgA")):
+            after, outcome = net.cmdac_update_foreign_identity(
+                state, statement("AWAY", "FarOrg", bundle, "ACTIVE", made_at),
+                bundle, held, now=6,
+            )
+            assert outcome == refusal
+            assert after.foreign == state.foreign
 
     def test_identical_recommit_is_noop(self):
         ledger = make_ledger()
         bundle = make_source_org().bundle_bytes()
-        sigs1 = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "ACTIVE", b"n1")
+        sigs1 = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "ACTIVE", 0)
         state, _ = net.cmdac_update_foreign_identity(
-            ledger, statement("AWAY", "FarOrg", bundle, "ACTIVE", b"n1"),
+            ledger, statement("AWAY", "FarOrg", bundle, "ACTIVE", 0),
             bundle, sigs1, now=1,
         )
-        # a second initiator, different nonce, same content
-        sigs2 = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "ACTIVE", b"n2")
+        # a second initiator's statement of the same content, made before
+        # the first was applied: identical content is checked first
+        sigs2 = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "ACTIVE", 0)
         state2, outcome = net.cmdac_update_foreign_identity(
-            state, statement("AWAY", "FarOrg", bundle, "ACTIVE", b"n2"),
+            state, statement("AWAY", "FarOrg", bundle, "ACTIVE", 0),
             bundle, sigs2, now=9,
         )
         assert outcome == "NOOP"
@@ -136,17 +146,17 @@ class TestCmdacContract:
         ledger = make_ledger()
         org = make_source_org()
         old_bundle = org.bundle_bytes()
-        sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", old_bundle, "ACTIVE", b"n1")
+        sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", old_bundle, "ACTIVE", 0)
         state, _ = net.cmdac_update_foreign_identity(
-            ledger, statement("AWAY", "FarOrg", old_bundle, "ACTIVE", b"n1"),
+            ledger, statement("AWAY", "FarOrg", old_bundle, "ACTIVE", 0),
             old_bundle, sigs, now=1,
         )
         org.rotate(now=10)
         new_bundle = org.bundle_bytes()
         assert new_bundle != old_bundle
-        sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", new_bundle, "ACTIVE", b"n2")
+        sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", new_bundle, "ACTIVE", 10)
         state2, outcome = net.cmdac_update_foreign_identity(
-            state, statement("AWAY", "FarOrg", new_bundle, "ACTIVE", b"n2"),
+            state, statement("AWAY", "FarOrg", new_bundle, "ACTIVE", 10),
             new_bundle, sigs, now=12,
         )
         assert outcome == "APPLIED"
@@ -157,15 +167,15 @@ class TestCmdacContract:
     def test_status_flip_keeps_audit_history(self):
         ledger = make_ledger()
         bundle = make_source_org().bundle_bytes()
-        sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "ACTIVE", b"n1")
+        sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "ACTIVE", 0)
         state, _ = net.cmdac_update_foreign_identity(
-            ledger, statement("AWAY", "FarOrg", bundle, "ACTIVE", b"n1"),
+            ledger, statement("AWAY", "FarOrg", bundle, "ACTIVE", 0),
             bundle, sigs, now=1,
         )
-        sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "REVOKED", b"n2")
+        sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "REVOKED", 2)
         state2, outcome = net.cmdac_update_foreign_identity(
-            state, statement("AWAY", "FarOrg", bundle, "REVOKED", b"n2"),
-            bundle, sigs, now=2,
+            state, statement("AWAY", "FarOrg", bundle, "REVOKED", 2),
+            bundle, sigs, now=3,
         )
         assert outcome == "APPLIED"
         assert state2.get_record("AWAY", "FarOrg").content.status == "REVOKED"
@@ -174,23 +184,23 @@ class TestCmdacContract:
     def test_statement_of_another_bundle_is_refused_first(self):
         """The ledger digests the bundle it stores: a statement every org
         endorsed is refused, before any signature check, when its digest is
-        not that bundle's, and consumes no nonce."""
+        not that bundle's, and changes nothing."""
         ledger = make_ledger()
         org = make_source_org()
         bundle = org.bundle_bytes()
         org.rotate(now=10)
-        endorsed = statement("AWAY", "FarOrg", org.bundle_bytes(), "ACTIVE", b"n1")
+        endorsed = statement("AWAY", "FarOrg", org.bundle_bytes(), "ACTIVE", 0)
         for sigs in (endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", org.bundle_bytes(),
-                             "ACTIVE", b"n1"), ()):
+                             "ACTIVE", 0), ()):
             state, outcome = net.cmdac_update_foreign_identity(
                 ledger, endorsed, bundle, sigs, now=1
             )
             assert outcome == "BundleDigestMismatch"
             assert state.foreign == ledger.foreign
             assert state.state_hash() == ledger.state_hash()
-        sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "ACTIVE", b"n1")
+        sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", bundle, "ACTIVE", 0)
         state, outcome = net.cmdac_update_foreign_identity(
-            state, statement("AWAY", "FarOrg", bundle, "ACTIVE", b"n1"), bundle, sigs, now=2
+            state, statement("AWAY", "FarOrg", bundle, "ACTIVE", 0), bundle, sigs, now=2
         )
         assert outcome == "APPLIED"
         assert state.get_record("AWAY", "FarOrg").content.bundle == bundle
@@ -202,48 +212,65 @@ class TestCmdacContract:
         ledger = make_ledger()
         org = make_source_org()
         state = ledger
-        for i, status in enumerate(("ACTIVE", "REVOKED", "ACTIVE")):
-            nonce = bytes([i]) * 4
-            sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", org.bundle_bytes(), status, nonce)
+        # (status, made at): the fourth was held across the third
+        for i, (status, made_at) in enumerate(
+            (("ACTIVE", 0), ("REVOKED", 2), ("ACTIVE", 4), ("REVOKED", 4))
+        ):
+            sigs = endorse(("OrgA", "OrgB"), "AWAY", "FarOrg", org.bundle_bytes(), status, made_at)
             state, _ = net.cmdac_update_foreign_identity(
-                state, statement("AWAY", "FarOrg", org.bundle_bytes(), status, nonce),
-                org.bundle_bytes(), sigs, now=i,
+                state, statement("AWAY", "FarOrg", org.bundle_bytes(), status, made_at),
+                org.bundle_bytes(), sigs, now=2 * i + 1,
             )
+        assert [e.outcome for e in state.block_log] == ["APPLIED"] * 3 + ["StaleStatement"]
         replayed = net.replay_block_log(ledger, state.block_log)
         assert replayed.state_hash() == state.state_hash()
         assert replayed.foreign == state.foreign
 
 
-def commit(state, status, nonce, orgs=("OrgA", "OrgB"), now=1):
-    """Commit FarOrg's bundle with `status` under `nonce`, endorsed by `orgs`."""
+def commit(state, status, made_at, orgs=("OrgA", "OrgB"), now=1, home="HOME"):
+    """Commit FarOrg's bundle with `status` by a statement for `home`'s
+    ledger made at `made_at`, endorsed by `orgs`."""
     bundle = make_source_org().bundle_bytes()
-    sigs = endorse(orgs, "AWAY", "FarOrg", bundle, status, nonce)
+    sigs = endorse(orgs, "AWAY", "FarOrg", bundle, status, made_at, home)
     return net.cmdac_update_foreign_identity(
-        state, statement("AWAY", "FarOrg", bundle, status, nonce), bundle, sigs, now=now
+        state, statement("AWAY", "FarOrg", bundle, status, made_at, home), bundle, sigs, now=now
     )
 
 
-class TestNonceReplay:
-    def test_replay_is_refused_after_several_noop_resyncs(self):
+class TestHeldStatements:
+    def test_held_statement_is_stale_after_several_noop_resyncs(self):
         ledger = make_ledger()
-        state, outcome = commit(ledger, "ACTIVE", b"first")
+        state, outcome = commit(ledger, "ACTIVE", 0)
         assert outcome == "APPLIED"
         for i in range(4):
-            state, outcome = commit(state, "ACTIVE", bytes([i]) * 4, now=2 + i)
+            state, outcome = commit(state, "ACTIVE", 1 + i, now=2 + i)
             assert outcome == "NOOP"
-        state, outcome = commit(state, "REVOKED", b"flip", now=9)
+        state, outcome = commit(state, "REVOKED", 8, now=9)
         assert outcome == "APPLIED"
-        for nonce in (b"first", b"\x02" * 4):
-            replayed, outcome = commit(state, "ACTIVE", nonce, now=10)
-            assert outcome == "ReplayedNonce"
-            assert replayed.get_record("AWAY", "FarOrg").content.status == "REVOKED"
+        for made_at in (0, 3, 9):  # the first commit's, a resync's, and one made at the flip
+            held, outcome = commit(state, "ACTIVE", made_at, now=10)
+            assert outcome == "StaleStatement"
+            assert held.get_record("AWAY", "FarOrg").content.status == "REVOKED"
+            assert held.foreign == state.foreign
+        state, outcome = commit(state, "ACTIVE", 10, now=11)
+        assert outcome == "APPLIED"
 
-    def test_nonce_of_a_rejected_entry_stays_usable(self):
+    def test_refused_entry_changes_nothing_and_the_statement_then_applies(self):
         ledger = make_ledger()
-        state, outcome = commit(ledger, "ACTIVE", b"n1", orgs=("OrgA",))
+        state, outcome = commit(ledger, "ACTIVE", 0, orgs=("OrgA",))
         assert outcome == "MissingEndorsement:OrgB"
-        state, outcome = commit(state, "ACTIVE", b"n1", now=2)
+        assert state.foreign == ledger.foreign
+        state, outcome = commit(state, "ACTIVE", 0, now=2)
         assert outcome == "APPLIED"
+
+    def test_statement_for_another_ledger_is_refused(self):
+        """Two ledgers with the same orgs: a statement every org endorsed
+        for one is refused by name on the other, and changes nothing."""
+        home, other = make_ledger(), make_ledger(network_id="HOME2")
+        refused, outcome = commit(other, "ACTIVE", 0, home="HOME")
+        assert outcome == "WrongLedger"
+        assert refused.foreign == other.foreign
+        assert commit(home, "ACTIVE", 0, home="HOME")[1] == "APPLIED"
 
 
 class TestDataProofs:
@@ -254,7 +281,7 @@ class TestDataProofs:
         self.sources = {"FarA": self.org_a, "FarB": self.org_b}
         self.ledger = make_ledger()
         for org in (self.org_a, self.org_b):
-            self.ledger = self.commit(self.ledger, org.org_id, org.bundle_bytes(), b"n", now=1)
+            self.ledger = self.commit(self.ledger, org.org_id, org.bundle_bytes(), now=1)
 
     def test_honest_proof_verifies(self):
         proof = net.generate_data_proof(self.sources, b"BL#1", self.policy)
@@ -278,11 +305,11 @@ class TestDataProofs:
 
     def test_revoked_member_rejected(self):
         sigs = endorse(
-            ("OrgA", "OrgB"), "AWAY", "FarA", self.org_a.bundle_bytes(), "REVOKED", b"r"
+            ("OrgA", "OrgB"), "AWAY", "FarA", self.org_a.bundle_bytes(), "REVOKED", 2
         )
         ledger, _ = net.cmdac_update_foreign_identity(
-            self.ledger, statement("AWAY", "FarA", self.org_a.bundle_bytes(), "REVOKED", b"r"),
-            self.org_a.bundle_bytes(), sigs, now=2,
+            self.ledger, statement("AWAY", "FarA", self.org_a.bundle_bytes(), "REVOKED", 2),
+            self.org_a.bundle_bytes(), sigs, now=3,
         )
         proof = net.generate_data_proof(self.sources, b"x", self.policy)
         with pytest.raises(net.RevokedMember) as err:
@@ -336,10 +363,11 @@ class TestDataProofs:
     def link_checks(calls) -> list:
         return [args for args in calls if args[1][0] == enc.TAG_CERT]
 
-    def commit(self, ledger, org_id, bundle, nonce, now=3):
-        sigs = endorse(("OrgA", "OrgB"), "AWAY", org_id, bundle, "ACTIVE", nonce)
+    def commit(self, ledger, org_id, bundle, now=3):
+        """Commit `bundle` by a statement made the tick before `now`."""
+        sigs = endorse(("OrgA", "OrgB"), "AWAY", org_id, bundle, "ACTIVE", now - 1)
         ledger, outcome = net.cmdac_update_foreign_identity(
-            ledger, statement("AWAY", org_id, bundle, "ACTIVE", nonce),
+            ledger, statement("AWAY", org_id, bundle, "ACTIVE", now - 1),
             bundle, sigs, now=now,
         )
         assert outcome == "APPLIED"
@@ -351,7 +379,7 @@ class TestDataProofs:
         calls = self.count_verifies(monkeypatch)
         ledger = make_ledger()
         for org in (self.org_a, self.org_b):
-            ledger = self.commit(ledger, org.org_id, org.bundle_bytes(), b"n", now=1)
+            ledger = self.commit(ledger, org.org_id, org.bundle_bytes(), now=1)
         assert len(self.link_checks(calls)) == 2 * 3  # root and leaf of each of 3 peers
         proof = net.generate_data_proof(self.sources, b"x", self.policy)
         for now in (10, 11):
@@ -375,7 +403,7 @@ class TestDataProofs:
         )
         bundle = net.Bundle("FarA", "AWAY", (crypto.Chain((root, forged_leaf)),)).to_bytes()
         calls = self.count_verifies(monkeypatch)
-        ledger = self.commit(self.ledger, "FarA", bundle, b"forged")
+        ledger = self.commit(self.ledger, "FarA", bundle)
         assert len(self.link_checks(calls)) == 2  # the links, once, as the record is made
         proof = net.generate_data_proof(self.sources, b"x", self.policy)
         calls.clear()
@@ -391,7 +419,7 @@ class TestDataProofs:
         assert net.verify_data_proof(self.ledger, "AWAY", proof, self.policy, now=10)
         self.org_a.rotate(now=5)
         calls = self.count_verifies(monkeypatch)
-        ledger = self.commit(self.ledger, "FarA", self.org_a.bundle_bytes(), b"rotated")
+        ledger = self.commit(self.ledger, "FarA", self.org_a.bundle_bytes())
         assert len(self.link_checks(calls)) == 2 * 2  # FarA's two new chains
         calls.clear()
         proof = net.generate_data_proof(self.sources, b"x", self.policy)
@@ -401,7 +429,7 @@ class TestDataProofs:
     def test_derived_chains_are_no_part_of_equality_repr_or_state(self):
         other = make_ledger()
         for org in (self.org_a, self.org_b):
-            other = self.commit(other, org.org_id, org.bundle_bytes(), b"n", now=1)
+            other = self.commit(other, org.org_id, org.bundle_bytes(), now=1)
         record = other.get_record("AWAY", "FarA")
         assert sorted(record.chains) == [p.name for p in self.org_a.peers]
         bare = copy.copy(record)
@@ -413,7 +441,7 @@ class TestDataProofs:
             assert ledger.state_hash() == self.ledger.state_hash()
 
     def test_undecodable_recorded_bundle_fails_proofs_by_name(self):
-        ledger = self.commit(self.ledger, "FarA", b"\x14not a bundle", b"junk")
+        ledger = self.commit(self.ledger, "FarA", b"\x14not a bundle")
         assert ledger.get_record("AWAY", "FarA").chains == {}
         proof = net.generate_data_proof(self.sources, b"x", self.policy)
         with pytest.raises(net.BadProofSignature) as err:

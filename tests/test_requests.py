@@ -29,15 +29,15 @@ from conftest import Raw, add_probe, ask, bootstrapped_runner
 SERVERS = (IinAgent, AnchorService, IinNode, LedgerNode)
 
 
-def endorsement(network="STL"):
-    return Endorsement(network, "Carrier", "did:x", bytes(32), "ACTIVE", b"n")
+def endorsement(network="STL", home="SWT"):
+    return Endorsement(home, network, "Carrier", "did:x", bytes(32), "ACTIVE", 0)
 
 
 TX = RegistryTransaction("NYM", b"payload", "did:x", crypto.Signature(bytes(64)))
 
 # request kind -> a well-formed body of that kind
 EXAMPLES = {
-    "agent.countersign.request": CountersignRequest("SWT", (endorsement(),)),
+    "agent.countersign.request": CountersignRequest((endorsement(),)),
     "agent.membership_vp.request": Challenge("STL", bytes(16), (("did:x", 1),), 1),
     "anchor.memberlist.request": Challenge("SWT", bytes(16)),
     "anchor.vc.request": VcRequest("did:x", "SWT"),
@@ -83,11 +83,14 @@ REFUSED = {
         "verinym-request-read-by-layout": (EXAMPLES["anchor.verinym.request"], "NotRepresented"),
     },
     "agent.countersign.request": {
-        "no-statements": (CountersignRequest("SWT", ()), "ValueError"),
+        "no-statements": (CountersignRequest(()), "ValueError"),
         "statements-of-two-networks": (
-            CountersignRequest("SWT", (endorsement("STL"), endorsement("OTHER"))), "ValueError"
+            CountersignRequest((endorsement("STL"), endorsement("OTHER"))), "ValueError"
         ),
-        "undecodable-statement": (undecodable_statements(enc.encode_str("SWT")), "DecodeError"),
+        "statements-for-two-ledgers": (
+            CountersignRequest((endorsement(), endorsement(home="OTHER"))), "ValueError"
+        ),
+        "undecodable-statement": (undecodable_statements(), "DecodeError"),
     },
     "cmdac.submit": {
         "undecodable-statement": (
