@@ -19,10 +19,12 @@ The agent is the org's protocol engine for the identity plane:
   step D  commit the bundles to the local ledger: send every other local org
           one countersign request that lists the statement of each bundle,
           all of one foreign network;
-          each org validates every statement independently and answers per
-          statement. Each statement every org signed is submitted as its own
-          contract transaction; on a digest mismatch the agent refetches and
-          retries up to its retry budget.
+          each org validates every statement independently, answers per
+          statement and signs once, over the digests of the statements it
+          endorses. Each statement every org endorsed is submitted as its own
+          contract transaction, with each org's batch and signature; on a
+          digest mismatch the agent refetches and retries up to its retry
+          budget.
 
 A sync runs in rounds. A round passes the memberlist gate, whose one read
 holds the snapshot of all of its targets, runs B and C for each target in a
@@ -187,14 +189,22 @@ class CountersignRequest(enc.Record):  # agent.countersign.request: one network'
 @dataclass(frozen=True)
 class Answer(enc.Record):  # a countersigner's answer to one statement (RESULT_*)
     result: str
-    sig: bytes = b""
     own_digest: bytes = b""
     reason: str = ""
 
 
+SIGNED = Answer(RESULT_SIGNED)
+
+
 @dataclass(frozen=True)
-class Countersigned(enc.Record):  # agent.countersign.reply: one answer per statement
+class Countersigned(enc.Record):
+    """agent.countersign.reply: one answer per statement, and the batch of
+    the statements answered SIGNED with this org's signature over it (none
+    when it signed no statement)."""
+
     results: tuple[Answer, ...]
+    endorsed: enc.Framed[net.Endorsed] = net.Endorsed(())
+    signature: bytes = b""
 
 
 def _refusal(reason: str) -> Answer:
@@ -559,14 +569,15 @@ class IinAgent(Actor):
     def _commit_identity(self, home_network: str, records: list[net.RecordContent]) -> Generator:
         """Step D for a non-empty batch of `records`: make each one's
         statement (`net.Endorsement`) now and ask every other local org to
-        countersign all of them in one request. Each statement that every
-        org signed is signed here too and submitted, one `cmdac.submit` each,
-        by a session of its own. Returns one verdict per record, in order,
-        once every submit has ended: the ledger's outcome (APPLIED or NOOP),
-        DIGEST_MISMATCH, or the AgentError that refused the record. Every
-        endorsement covers the record's holder DID, which the ledger keeps.
-        The request carries the statements alone: each countersigner decides
-        from its own memberlist whether to fetch a fresh one."""
+        countersign all of them in one request. This org signs one batch
+        (`net.Endorsed`) of the statements that every org signed, and submits
+        each of them with every org's batch and signature, one `cmdac.submit`
+        each, by a session of its own. Returns one verdict per record, in
+        order, once every submit has ended: the ledger's outcome (APPLIED or
+        NOOP), DIGEST_MISMATCH, or the AgentError that refused the record.
+        Every endorsement covers the record's holder DID, which the ledger
+        keeps. The request carries the statements alone: each countersigner
+        decides from its own memberlist whether to fetch a fresh one."""
         statements = [r.statement(home_network, self.bus.now) for r in records]
         peers = sorted(
             (org, addr)
@@ -579,15 +590,24 @@ class IinAgent(Actor):
             timeout=1500,
         )
         answers = [_batch_answers(r, len(statements)) for r in replies]
-        verdicts = []
-        for i, (record, statement) in enumerate(zip(records, statements)):
-            verdict = self._verdict(statement, [
+        verdicts = [
+            self._verdict(statement, [
                 (org, None if a is None else a[i]) for (org, _), a in zip(peers, answers)
             ])
-            if isinstance(verdict, list):
-                submit = self._submit(home_network, statement, record.bundle, verdict)
-                verdict = self.start_session("submit", _caught(submit))
-            verdicts.append(verdict)
+            for i, statement in enumerate(statements)
+        ]
+        endorsed = net.Endorsed(tuple(
+            s.digest() for s, verdict in zip(statements, verdicts) if verdict is None
+        ))
+        if endorsed.statements:
+            endorsements = ((self.org_id, endorsed, self.keys.sign(endorsed.to_bytes()).bytes_),)
+            endorsements += tuple(
+                (org, r.body.endorsed, r.body.signature) for (org, _), r in zip(peers, replies)
+            )
+            for i, (record, statement) in enumerate(zip(records, statements)):
+                if verdicts[i] is None:
+                    submit = self._submit(home_network, statement, record.bundle, endorsements)
+                    verdicts[i] = self.start_session("submit", _caught(submit))
         yield Join(tuple(v for v in verdicts if isinstance(v, SessionRecord)))
         return [v.result if isinstance(v, SessionRecord) else v for v in verdicts]
 
@@ -595,8 +615,8 @@ class IinAgent(Actor):
         self, statement: net.Endorsement, answers: list[tuple[str, Optional[Answer]]]
     ) -> object:
         """What every other org's answer (org, answer or None) to `statement`
-        decides: its endorsements, this org's first, when every org signed
-        it; else DIGEST_MISMATCH or the AgentError that refuses it."""
+        decides: None when every org signed it, else DIGEST_MISMATCH or the
+        AgentError that refuses it."""
         missing = [org for org, a in answers if a is None]
         if missing:
             return MissingCountersignature(",".join(missing))
@@ -617,15 +637,14 @@ class IinAgent(Actor):
             return CounterpartyValidationFailed(
                 ";".join(f"{org}:{reason}" for org, reason in failed)
             )
-        own = self.keys.sign(statement.to_bytes()).bytes_
-        return [(self.org_id, own)] + [(org, a.sig) for org, a in answers]
+        return None
 
     def _submit(
-        self, home_network: str, statement: net.Endorsement, bundle: bytes, endorsements: list
+        self, home_network: str, statement: net.Endorsement, bundle: bytes, endorsements: tuple
     ) -> Generator:
         """Submit one fully endorsed statement with its bundle; returns the
         ledger's outcome, APPLIED or NOOP."""
-        body = net.CommitRequest(statement, bundle, tuple(endorsements))
+        body = net.CommitRequest(statement, bundle, endorsements)
         reply = yield Request(self.config.ledgers[home_network], "cmdac.submit", body, timeout=150)
         if reply is None:
             raise LedgerUnreachable(home_network)
@@ -643,8 +662,10 @@ class IinAgent(Actor):
 
     def _handle_countersign(self, sender: str, request: CountersignRequest) -> Generator:
         """Check each statement of the initiator's batch here and answer, per
-        statement and in order, with this org's signature of it, a digest
-        mismatch or the reason it failed. Every statement of a batch names
+        statement and in order, SIGNED, a digest mismatch or the reason it
+        failed; once every answer is settled, sign one batch (`net.Endorsed`)
+        of the digests of the statements answered SIGNED, in request order,
+        or sign nothing when there is none. Every statement of a batch names
         one home and one foreign network: initiators batch one network's
         records at a time. A statement made later than this org's clock,
         which no later commit would make stale, refuses the batch as
@@ -718,7 +739,14 @@ class IinAgent(Actor):
             else:
                 check = self._countersign_active(home_network, s, memberlist, snapshot, error)
             sessions.append(self.start_session("countersign", check))
-        return Countersigned(tuple((yield Join(tuple(sessions)))))
+        # each check ends with its refusal, or the digest it endorsed
+        settled = yield Join(tuple(sessions))
+        endorsed = net.Endorsed(tuple(a for a in settled if isinstance(a, bytes)))
+        return Countersigned(
+            tuple(SIGNED if isinstance(a, bytes) else a for a in settled),
+            endorsed,
+            self.keys.sign(endorsed.to_bytes()).bytes_ if endorsed.statements else b"",
+        )
 
     def _countersign_active(
         self,
@@ -728,12 +756,13 @@ class IinAgent(Actor):
         snapshot: Optional[registry.MemberSnapshot],
         error: Optional[Exception],
     ) -> Generator:
-        """Answer an ACTIVE statement: refused by `error` when its gate
-        failed. A cached identity skips steps B and C only while its DID is
-        listed, so a revoked member's old bundle cannot be signed back to
-        ACTIVE. A holder validated here is read from `snapshot`, the gate's
-        read: a batch that read nothing validates no holder, since each of
-        its ACTIVE holders is cached and on the reused list."""
+        """Answer an ACTIVE statement with the digest it endorses, or its
+        refusal: refused by `error` when its gate failed. A cached identity
+        skips steps B and C only while its DID is listed, so a revoked
+        member's old bundle cannot be signed back to ACTIVE. A holder
+        validated here is read from `snapshot`, the gate's read: a batch that
+        read nothing validates no holder, since each of its ACTIVE holders is
+        cached and on the reused list."""
         foreign_network, foreign_did = statement.foreign_network, statement.holder_did
         identity = self.cache.get((foreign_network, foreign_did))
         try:
@@ -765,7 +794,7 @@ class IinAgent(Actor):
                 theirs=statement.bundle_digest.hex(),
             )
             return Answer(RESULT_DIGEST_MISMATCH, own_digest=identity.bundle_digest)
-        return Answer(RESULT_SIGNED, sig=self._endorse(statement))
+        return self._endorse(statement)
 
     def _countersign_revoked(
         self,
@@ -777,12 +806,13 @@ class IinAgent(Actor):
         refused: Optional[Exception],
         error: Optional[Exception],
     ) -> Generator:
-        """Answer a REVOKED statement: refused by `refused` when the batch's
-        records read failed, and, once it matches its ledger `record`, by
-        `error` when the batch's memberlist gate failed; otherwise endorse
-        only when the member no longer validates here either, under the DID
-        of that record; the statement's holder DID is ignored, so an
-        initiator cannot name no DID or another org's to skip the check.
+        """Answer a REVOKED statement with the digest it endorses, or its
+        refusal: refused by `refused` when the batch's records read failed,
+        and, once it matches its ledger `record`, by `error` when the batch's
+        memberlist gate failed; otherwise endorse only when the member no
+        longer validates here either, the statement under the DID of that
+        record; the statement's holder DID is ignored, so an initiator
+        cannot name no DID or another org's to skip the check.
         `memberlist` is the one fresh list the gate read: a cached one that
         lacks a re-admitted member would endorse a lying initiator's
         revocation. `snapshot` is the gate's read, which holds every listed
@@ -803,18 +833,17 @@ class IinAgent(Actor):
                 return _refusal("MemberStillValid")
             except PROTOCOL_ERRORS:
                 pass
-        return Answer(
-            RESULT_SIGNED, sig=self._endorse(replace(statement, holder_did=record.holder_did))
-        )
+        return self._endorse(replace(statement, holder_did=record.holder_did))
 
     def _endorse(self, endorsement: net.Endorsement) -> bytes:
+        """The digest of `endorsement`, which the batch's signature will cover."""
         self.trace(
             "agent.countersigned",
             network=endorsement.foreign_network,
             org=endorsement.foreign_org,
             status=endorsement.status,
         )
-        return self.keys.sign(endorsement.to_bytes()).bytes_
+        return endorsement.digest()
 
     # --- sync rounds -------------------------------------------------------
 

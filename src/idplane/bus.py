@@ -61,19 +61,14 @@ class TickCeilingExceeded(TransportError):
 
 @dataclass(frozen=True)
 class BoxKeyPair:
-    public_key: bytes
+    """An endpoint's X25519 key pair, held as its 32-byte seed: `SimBus.register`
+    builds the private key once and derives the public key from it."""
+
     secret_key: bytes
 
     @staticmethod
     def from_seed(seed: bytes) -> "BoxKeyPair":
-        private = X25519PrivateKey.from_private_bytes(seed)
-        from cryptography.hazmat.primitives.serialization import (
-            Encoding,
-            PublicFormat,
-        )
-
-        public = private.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-        return BoxKeyPair(public_key=public, secret_key=seed)
+        return BoxKeyPair(secret_key=seed)
 
 
 @dataclass(frozen=True)
@@ -177,11 +172,9 @@ class SimBus:
         address = actor.address
         if address in self._actors:
             raise TransportError(f"duplicate endpoint {address}")
+        private = X25519PrivateKey.from_private_bytes(box_keys.secret_key)
         self._actors[address] = actor
-        self._box_keys[address] = (
-            X25519PrivateKey.from_private_bytes(box_keys.secret_key),
-            X25519PublicKey.from_public_bytes(box_keys.public_key),
-        )
+        self._box_keys[address] = (private, private.public_key())
 
     # --- sealing ---------------------------------------------------------
 

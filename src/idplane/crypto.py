@@ -89,7 +89,7 @@ class KeyPair:
     def from_seed(seed: bytes) -> "KeyPair":
         if len(seed) != SECRET_KEY_LEN:
             raise CryptoError(f"seed must be {SECRET_KEY_LEN} bytes")
-        private = Ed25519PrivateKey.from_private_bytes(seed)
+        private = _private_key(seed)  # the key object every later sign reuses
         from cryptography.hazmat.primitives.serialization import (
             Encoding,
             PublicFormat,

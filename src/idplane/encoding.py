@@ -77,6 +77,7 @@ TAG_CREDENTIAL_ID = 0x17
 TAG_ANCHOR_GRANT = 0x19
 TAG_REVOCATION_UPDATE = 0x1A
 TAG_MESSAGE = 0x1B
+TAG_ENDORSED = 0x1C
 
 
 def encode_bytes(value: bytes) -> bytes:

@@ -219,7 +219,8 @@ class RecordContent(enc.Record):
 class Endorsement(enc.Record):
     """The statement, made by an initiator at tick `made_at`, that admits a
     foreign identity record into `home_network`'s ledger: every local org
-    signs it, and step D carries it through each countersigner."""
+    endorses it, by listing its digest in the batch it signs (`Endorsed`),
+    and step D carries it through each countersigner."""
 
     TAG = enc.TAG_ENDORSEMENT
     home_network: str
@@ -232,11 +233,27 @@ class Endorsement(enc.Record):
 
 
 @dataclass(frozen=True)
+class Endorsed(enc.Record):
+    """What one org signs in one step-D batch: the digests of the statements
+    it endorses there, in request order. The signature over these bytes
+    endorses each listed statement and nothing else, since the digest is
+    collision resistant; every statement of the batch shares it."""
+
+    TAG = enc.TAG_ENDORSED
+    statements: tuple[bytes, ...]
+
+
+# An org's endorsement of a statement: (org, the batch that lists the
+# statement's digest, the org's signature over that batch's bytes).
+Endorsements = tuple[tuple[str, Endorsed, bytes], ...]
+
+
+@dataclass(frozen=True)
 class BlockEntry:
     seq: int
     statement: Endorsement
     bundle: bytes
-    endorsements: tuple[tuple[str, bytes], ...]
+    endorsements: Endorsements
     outcome: str
     tick: int
 
@@ -294,16 +311,17 @@ def cmdac_update_foreign_identity(
     state: LocalLedgerState,
     statement: Endorsement,
     bundle: bytes,
-    endorsements: tuple[tuple[str, bytes], ...],
+    endorsements: Endorsements,
     now: int,
 ) -> tuple[LocalLedgerState, str]:
     """The configuration-management contract: commit `bundle` as the foreign
     identity record that `statement` names iff the statement is for this
-    ledger, its digest is the bundle's and every local organization signed
-    it with its registered admin key. Identical-content re-commits are no-op
-    successes. Different content replaces the record only when the statement
-    was made after the record's last change (`synced_at`); one made at or
-    before it is StaleStatement. A refused entry changes nothing."""
+    ledger, its digest is the bundle's and every local organization endorsed
+    it: listed its digest in a batch signed with its registered admin key.
+    Identical-content re-commits are no-op successes. Different content
+    replaces the record only when the statement was made after the record's
+    last change (`synced_at`); one made at or before it is StaleStatement. A
+    refused entry changes nothing."""
     outcome = _refusal(state, statement, bundle, endorsements)
     key = state.record_key(statement.foreign_network, statement.foreign_org)
     foreign = state.foreign
@@ -325,7 +343,9 @@ def cmdac_update_foreign_identity(
         seq=len(state.block_log),
         statement=statement,
         bundle=bundle,
-        endorsements=tuple(sorted(endorsements)),
+        # by org alone: batches do not order, and a stable sort keeps an org
+        # named twice judged by its last entry on replay too
+        endorsements=tuple(sorted(endorsements, key=lambda e: e[0])),
         outcome=outcome,
         tick=now,
     )
@@ -339,22 +359,27 @@ def _refusal(
     state: LocalLedgerState,
     statement: Endorsement,
     bundle: bytes,
-    endorsements: tuple[tuple[str, bytes], ...],
+    endorsements: Endorsements,
 ) -> Optional[str]:
     """Why the contract refuses an entry, or None: a statement for another
     ledger, a digest that is not the bundle's, then each local org's
-    endorsement in org order."""
+    endorsement in org order: its batch must list the statement's digest
+    and its signature must verify over the batch. Every statement of a batch
+    presents the same batch and signature, so the world's verdict memo runs
+    Ed25519 once per org and batch."""
     if statement.home_network != state.network_id:
         return OUTCOME_WRONG_LEDGER
     if statement.bundle_digest != crypto.digest(bundle):
         return OUTCOME_DIGEST_MISMATCH
-    message = statement.to_bytes()
-    provided = dict(endorsements)
+    digest = statement.digest()
+    provided = {org: (batch, sig) for org, batch, sig in endorsements}
     for org in sorted(state.admin_keys):
-        sig = provided.get(org)
-        if sig is None:
+        if org not in provided:
             return f"MissingEndorsement:{org}"
-        if not crypto.verify(state.admin_keys[org], message, crypto.Signature(sig)):
+        batch, sig = provided[org]
+        if digest not in batch.statements or not crypto.verify(
+            state.admin_keys[org], batch.to_bytes(), crypto.Signature(sig)
+        ):
             return f"BadEndorsementSignature:{org}"
     return None
 
@@ -372,10 +397,10 @@ def replay_block_log(genesis: LocalLedgerState, log: tuple[BlockEntry, ...]) -> 
 
 
 @dataclass(frozen=True)
-class CommitRequest(enc.Record):  # cmdac.submit
+class CommitRequest(enc.Record):  # cmdac.submit: one statement, each org's batch and signature
     statement: enc.Framed[Endorsement]
     bundle: bytes
-    endorsements: tuple[tuple[str, bytes], ...]
+    endorsements: tuple[tuple[str, enc.Framed[Endorsed], bytes], ...]
 
 
 @dataclass(frozen=True)
@@ -423,7 +448,7 @@ class LedgerNode(Actor):
             status=statement.status,
             made_at=statement.made_at,
             outcome=outcome,
-            endorsers=",".join(sorted(org for org, _ in request.endorsements)),
+            endorsers=",".join(sorted(org for org, _, _ in request.endorsements)),
             payload_digest=statement.bundle_digest.hex(),
         )
         return Committed(outcome)

@@ -107,11 +107,11 @@ def test_criterion_04_unilateral_write_impossible():
     statement = net.Endorsement(
         "HOME", "AWAY", "FarOrg", holder, crypto.digest(bundle), "ACTIVE", 0
     )
-    message = statement.to_bytes()
+    batch = net.Endorsed((statement.digest(),))
     rejected, committed = 0, 0
     for r in range(len(orgs) + 1):
         for subset in itertools.combinations(orgs, r):
-            sigs = tuple((o, keys[o].sign(message).bytes_) for o in subset)
+            sigs = tuple((o, batch, keys[o].sign(batch.to_bytes()).bytes_) for o in subset)
             state, outcome = net.cmdac_update_foreign_identity(
                 ledger, statement, bundle, sigs, now=1
             )
@@ -153,8 +153,11 @@ def hold(world, probe, content):
                 agent.CountersignRequest((statement,)))
     [answer] = reply.body.results
     assert answer.result == agent.RESULT_SIGNED, answer
-    own = world.agents["Buyer"].keys.sign(statement.to_bytes()).bytes_
-    return statement, (("Buyer", own), ("Seller", answer.sig))
+    own = net.Endorsed((statement.digest(),))
+    signature = world.agents["Buyer"].keys.sign(own.to_bytes()).bytes_
+    return statement, (
+        ("Buyer", own, signature), ("Seller", reply.body.endorsed, reply.body.signature)
+    )
 
 
 def submit_held(world, probe, content, held):

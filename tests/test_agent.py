@@ -13,7 +13,7 @@ from idplane.actors import Reply, Request, Sleep
 from idplane.anchors import schema_id_for
 from idplane.bus import FaultRule
 
-from conftest import Raw, add_probe, bootstrapped_runner, scenario_config
+from conftest import Raw, add_probe, ask, bootstrapped_runner, scenario_config
 
 
 def run_sync(world, initiator, home, foreign, targets=None):
@@ -115,12 +115,12 @@ def countersign_request(statements):
 
 def answering(seller, change):
     """Make `seller` answer each statement with `change(statement, answer)`
-    in place of the answer it gives."""
+    in place of the answer it gives; the batch it signs is unchanged."""
     countersign = seller._handle_countersign
 
     def changed(sender, request):
         reply = yield from countersign(sender, request)
-        return agent_mod.Countersigned(tuple(
+        return replace(reply, results=tuple(
             change(s, answer) for s, answer in zip(request.statements, reply.results)
         ))
 
@@ -377,9 +377,20 @@ class TestCountersigning:
         assert "undecodable VerifiablePresentation" in failed.detail["detail"]
 
     def test_signed_reply_without_a_signature_fails_only_its_own_target(self, world):
-        """The initiator submits the empty signature, and the contract
+        """Seller answers SIGNED for Carrier but signs a batch that leaves
+        Carrier's statement out: the initiator submits it, and the contract
         refuses it by name."""
-        answering(world.agents["Seller"], for_carrier(agent_mod.Answer("signed")))
+        seller = world.agents["Seller"]
+        countersign = seller._handle_countersign
+
+        def unlisted(sender, request):
+            reply = yield from countersign(sender, request)
+            carrier = {s.digest() for s in request.statements if s.foreign_org == "Carrier"}
+            batch = net.Endorsed(tuple(d for d in reply.endorsed.statements if d not in carrier))
+            signature = seller.keys.sign(batch.to_bytes()).bytes_
+            return replace(reply, endorsed=batch, signature=signature)
+
+        seller._handle_countersign = unlisted
         start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL")
         failed = assert_only_failed(world, record, start, "CommitRejected")
@@ -1015,7 +1026,7 @@ class TestCountersignGate:
         ledger = world.ledger_state("SWT")
         assert ledger.get_record("STL", "Carrier").content == replace(revoked, status="ACTIVE")
         last = ledger.block_log[-1]
-        assert {org for org, _ in last.endorsements} == {"Buyer", "Seller"}
+        assert {org for org, _, _ in last.endorsements} == {"Buyer", "Seller"}
 
 
 class TestWitnessSource:
@@ -1693,6 +1704,36 @@ class TestBatchedStepD:
         assert refused == agent_mod.Answer("validation_failed", reason="OrgMismatch")
         [countersigned] = agent_events(world, "Seller", {"agent.countersigned"}, start)
         assert countersigned.detail["org"] == "Carrier"
+
+    def test_a_refused_statement_cannot_apply_with_the_batch_signature(self, world):
+        """Seller refuses one statement of a two-statement batch and signs one
+        batch that lists only the other. Buyer, signing both, submits each
+        with that batch: the refused one is refused by name and changes
+        nothing, and the signed one still applies."""
+        probe = add_probe(world)
+        carrier, seller = world.org_dids["Carrier"], world.org_dids["Seller"]
+        bundle = world.organizations[("STL", "Carrier")].bundle_bytes()
+        signed, refused = (
+            statement(probe, did, crypto.digest(bundle), "ACTIVE") for did in (carrier, seller)
+        )
+        reply = ask_countersign_batch(probe, world, [signed, refused])
+        assert [a.result for a in reply.body.results] == ["signed", "validation_failed"]
+        assert reply.body.endorsed == net.Endorsed((signed.digest(),))
+        both = net.Endorsed((signed.digest(), refused.digest()))
+        endorsements = (
+            ("Buyer", both, world.agents["Buyer"].keys.sign(both.to_bytes()).bytes_),
+            ("Seller", reply.body.endorsed, reply.body.signature),
+        )
+        ledger = world.agents["Buyer"].config.ledgers["SWT"]
+
+        def submit(s):
+            body = net.CommitRequest(s, bundle, endorsements)
+            return ask(probe, world, ledger, "cmdac.submit", body).body.outcome
+
+        assert submit(refused) == "BadEndorsementSignature:Seller"
+        assert world.ledger_state("SWT").foreign == {}
+        assert submit(signed) == "APPLIED"
+        assert world.ledger_state("SWT").get_record("STL", "Carrier").content.holder_did == carrier
 
     @pytest.mark.parametrize("body, reason", [
         (agent_mod.Countersigned(()), "NoSignature"),

@@ -262,6 +262,9 @@ class TestConfidentialityAndAuthenticity:
                 built.append(data)
                 return Counting(x25519.from_private_bytes(data))
 
+            def public_key(self):
+                return self.key.public_key()
+
             def exchange(self, peer):
                 exchanges.append(peer)
                 return self.key.exchange(peer)

@@ -49,7 +49,7 @@ SCENARIOS = ("two-network", "concurrent-commit", "revoke-carrier", "rotate-resyn
 @pytest.mark.parametrize(
     "name, sends, queries, memberlists, witnesses, orders, countersigns, signs, verifies",
     [
-        ("two-network", 170, 16, 0, 2, 30, 2, 108, 222),
+        ("two-network", 170, 16, 0, 2, 30, 2, 104, 222),
         ("concurrent-commit", 136, 12, 0, 1, 30, 2, 92, 170),
     ],
     ids=("two-network", "concurrent-commit"),  # stable across re-pins
@@ -87,10 +87,10 @@ def test_bundled_scenario_counts(
 
 
 @pytest.mark.parametrize("name, plaintext_bytes", [
-    ("two-network", 92_280),
-    ("concurrent-commit", 70_490),
-    ("revoke-carrier", 123_892),
-    ("rotate-resync", 93_886),
+    ("two-network", 92_954),
+    ("concurrent-commit", 70_760),
+    ("revoke-carrier", 124_836),
+    ("rotate-resync", 94_897),
 ], ids=SCENARIOS)  # stable across re-pins
 def test_bundled_scenario_wire_bytes(monkeypatch, name, plaintext_bytes):
     sent = []
@@ -109,10 +109,10 @@ def test_bundled_scenario_wire_bytes(monkeypatch, name, plaintext_bytes):
 @pytest.mark.parametrize(
     "name, logical, outside, executed",
     [
-        ("two-network", 222, 4, 88),
+        ("two-network", 222, 4, 84),
         ("concurrent-commit", 170, 0, 66),
-        ("revoke-carrier", 249, 2, 100),
-        ("rotate-resync", 214, 4, 85),
+        ("revoke-carrier", 249, 2, 96),
+        ("rotate-resync", 214, 4, 79),
     ],
     ids=SCENARIOS,  # stable across re-pins
 )
@@ -139,10 +139,10 @@ def test_bundled_scenario_executed_verifies(monkeypatch, name, logical, outside,
 @pytest.mark.parametrize(
     "name, in_loop, entries",
     [
-        ("two-network", 272, 100),
-        ("concurrent-commit", 222, 77),
-        ("revoke-carrier", 320, 113),
-        ("rotate-resync", 266, 96),
+        ("two-network", 282, 102),
+        ("concurrent-commit", 228, 79),
+        ("revoke-carrier", 336, 117),
+        ("rotate-resync", 281, 99),
     ],
     ids=SCENARIOS,  # stable across re-pins
 )
@@ -166,12 +166,12 @@ def test_bundled_scenario_decodes(monkeypatch, name, in_loop, entries):
 
 
 TRACE_DIGESTS = {
-    "concurrent-commit": "280591aa18c23122b9e10484528baebca47009a9f5904ede16d8c4e1f4eb33fa",
-    "concurrent-commit-serial": "85e15a79890a5431faf777316672cfeb054ef2db928ce0c3e3ac21637ec4c05e",
-    "digest-mismatch-retry": "4e53f7ab34695bade08ef27fd9280499a9a2cca38034c4be85f7c43da803c587",
-    "revoke-carrier": "b77b0bcc1e2c2c6c28bb633ef8488b6c4f8a7d6d3f2c63299e19f7ad7b7d4f7d",
-    "rotate-resync": "c963be721b1b20178518a8d6f7ee7319e935ec6ce80caae53c301b32d62b29ac",
-    "two-network": "a071d55991ce28edaf1704b3e48f79af426f515f2ff7b2f2e17a68c59a239e42",
+    "concurrent-commit": "72a95252e40a7d7c9caf59d08c3e11b16401af93cb030837458296ae2a10ec96",
+    "concurrent-commit-serial": "9ad4ab27f68134b5cfd1dc47f867855059db883a5450633e11c3d808dd35d190",
+    "digest-mismatch-retry": "1850f4d608a6e6f919576a7e251bfab62d4ad86d1b06bef4f84454b4458d7124",
+    "revoke-carrier": "ca2b69500c5eb3b07816f84e9b051df1e1560ff5c9d854dadf6799f344a1de78",
+    "rotate-resync": "a1a6f290d37109aec61687f7c7911926614fe6c030cea6fd31e2537c9ac72478",
+    "two-network": "a2e3056cfa57447d4819f57678df2217cb6e592c657bf98cc992a0af9879a9ca",
 }
 
 
@@ -302,9 +302,9 @@ def test_sync_costs_are_closed_forms_in_k(monkeypatch, k):
     world.settle()
     sent = [e.detail["msg_kind"] for e in world.trace.events[first:] if e.kind == "bus.send"]
     assert len(sent) == 2 * k * k + 10 * k + 2
-    assert calls["sign"] == 2 * k * k
+    assert calls["sign"] == k * k + k
     assert calls["verify"] == 5 * k * k + 3 * k
-    assert calls["executed"] == (2 * k + 1) * (k + 1)
+    assert calls["executed"] == k * k + 4 * k + 1
     assert sum(m.startswith("agent.membership_vp.") for m in sent) == 2 * k * k
     assert sum(m.startswith("agent.countersign.") for m in sent) == 2 * (k - 1)
     state = world.ledger_state("NA")

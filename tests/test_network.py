@@ -54,9 +54,16 @@ def statement(foreign_net, foreign_org, bundle, status, made_at, home="HOME") ->
     )
 
 
+def sign_batch(org, *statements):
+    """`org`'s endorsement of `statements` in one step-D batch: (org, the
+    batch of their digests, its signature over the batch)."""
+    batch = net.Endorsed(tuple(s.digest() for s in statements))
+    return org, batch, ORG_KEYS[org].sign(batch.to_bytes()).bytes_
+
+
 def endorse(orgs, foreign_net, foreign_org, bundle, status, made_at, home="HOME"):
-    message = statement(foreign_net, foreign_org, bundle, status, made_at, home).to_bytes()
-    return tuple((o, ORG_KEYS[o].sign(message).bytes_) for o in orgs)
+    endorsed = statement(foreign_net, foreign_org, bundle, status, made_at, home)
+    return tuple(sign_batch(o, endorsed) for o in orgs)
 
 
 class TestCmdacContract:
@@ -98,7 +105,8 @@ class TestCmdacContract:
         ledger = make_ledger()
         bundle = make_source_org().bundle_bytes()
         good = endorse(("OrgA",), "AWAY", "FarOrg", bundle, "ACTIVE", 0)
-        forged = (("OrgB", ORG_KEYS["OrgB"].sign(b"something else").bytes_),)
+        _, batch, _ = good[0]
+        forged = (("OrgB", batch, ORG_KEYS["OrgB"].sign(b"something else").bytes_),)
         state, outcome = net.cmdac_update_foreign_identity(
             ledger, statement("AWAY", "FarOrg", bundle, "ACTIVE", 0),
             bundle, good + forged, now=1,
@@ -271,6 +279,90 @@ class TestHeldStatements:
         assert outcome == "WrongLedger"
         assert refused.foreign == other.foreign
         assert commit(home, "ACTIVE", 0, home="HOME")[1] == "APPLIED"
+
+
+class TestBatchEndorsements:
+    """Each org signs one list of statement digests per step-D batch, and
+    every statement of the batch presents that list and signature."""
+
+    def two_statements(self, home="HOME"):
+        """ACTIVE statements for FarOrg and OtherOrg, with their bundles."""
+        bundles = [make_source_org(org).bundle_bytes() for org in ("FarOrg", "OtherOrg")]
+        statements = [
+            statement("AWAY", org, bundle, "ACTIVE", 0, home)
+            for org, bundle in zip(("FarOrg", "OtherOrg"), bundles)
+        ]
+        return statements, bundles
+
+    def test_one_batch_commits_each_statement_with_one_verify_per_org(self, monkeypatch):
+        statements, bundles = self.two_statements()
+        sigs = tuple(sign_batch(o, *statements) for o in ("OrgA", "OrgB"))
+        executed = []
+        real = crypto._ed25519_verify
+        monkeypatch.setattr(crypto, "_ed25519_verify",
+                            lambda *args: executed.append(args) or real(*args))
+        state = make_ledger()
+        with crypto.verdict_memo({}):
+            for endorsed, bundle in zip(statements, bundles):
+                state, outcome = net.cmdac_update_foreign_identity(
+                    state, endorsed, bundle, sigs, now=1
+                )
+                assert outcome == "APPLIED"
+        assert [args[1][0] for args in executed].count(enc.TAG_ENDORSED) == 2
+        assert net.replay_block_log(make_ledger(), state.block_log).foreign == state.foreign
+
+    def test_valid_batch_for_a_statement_it_does_not_list_is_refused(self):
+        """OrgB's batch and signature are genuine, but list only FarOrg's
+        statement: presented for OtherOrg's, they endorse nothing."""
+        (far, other), (_, other_bundle) = self.two_statements()
+        sigs = (sign_batch("OrgA", far, other), sign_batch("OrgB", far))
+        ledger = make_ledger()
+        state, outcome = net.cmdac_update_foreign_identity(
+            ledger, other, other_bundle, sigs, now=1
+        )
+        assert outcome == "BadEndorsementSignature:OrgB"
+        assert state.foreign == ledger.foreign
+
+    def test_digest_added_to_a_signed_batch_is_refused(self):
+        """OrgB signed a batch of FarOrg's statement alone; the same signature
+        over a batch with OtherOrg's digest added verifies over nothing."""
+        (far, other), (_, other_bundle) = self.two_statements()
+        _, batch, sig = sign_batch("OrgB", far)
+        padded = net.Endorsed(batch.statements + (other.digest(),))
+        sigs = (sign_batch("OrgA", far, other), ("OrgB", padded, sig))
+        ledger = make_ledger()
+        state, outcome = net.cmdac_update_foreign_identity(
+            ledger, other, other_bundle, sigs, now=1
+        )
+        assert outcome == "BadEndorsementSignature:OrgB"
+        assert state.foreign == ledger.foreign
+
+    def test_an_org_named_twice_is_judged_by_its_last_entry_in_replay_too(self):
+        """The contract reads the last of an org's entries; the block log
+        keeps them in that order, so replay reaches the same outcome."""
+        (far, _), (far_bundle, _) = self.two_statements()
+        good = sign_batch("OrgB", far)
+        forged = ("OrgB", good[1], ORG_KEYS["OrgB"].sign(b"something else").bytes_)
+        ledger = make_ledger()
+        for entries, outcome in (((good, forged), "BadEndorsementSignature:OrgB"),
+                                 ((forged, good), "APPLIED")):
+            sigs = (sign_batch("OrgA", far),) + entries
+            state, got = net.cmdac_update_foreign_identity(ledger, far, far_bundle, sigs, now=1)
+            assert got == outcome
+            assert net.replay_block_log(ledger, state.block_log).foreign == state.foreign
+
+    def test_batch_endorsed_for_one_ledger_is_refused_by_another(self):
+        """Two ledgers with the same orgs: each statement of a batch every org
+        endorsed for one is refused by name on the other."""
+        statements, bundles = self.two_statements()
+        sigs = tuple(sign_batch(o, *statements) for o in ("OrgA", "OrgB"))
+        other = make_ledger(network_id="HOME2")
+        for endorsed, bundle in zip(statements, bundles):
+            state, outcome = net.cmdac_update_foreign_identity(
+                other, endorsed, bundle, sigs, now=1
+            )
+            assert outcome == "WrongLedger"
+            assert state.foreign == other.foreign
 
 
 class TestDataProofs:

@@ -18,7 +18,7 @@ from idplane.actors import Actor, Message, Reply
 from idplane.agent import CountersignRequest, IinAgent
 from idplane.anchors import AnchorService, VcRequest, VerinymRequest, WitnessRequest
 from idplane.credentials import Challenge
-from idplane.network import CommitRequest, Endorsement, LedgerNode, LedgerQuery
+from idplane.network import CommitRequest, Endorsed, Endorsement, LedgerNode, LedgerQuery
 from idplane.registry import (
     DidDocument, Entries, Fetch, IinNode, MemberSnapshot, Order, Query, QueryResult,
     RegistryTransaction, Submit,
@@ -43,7 +43,9 @@ EXAMPLES = {
     "anchor.vc.request": VcRequest("did:x", "SWT"),
     "anchor.verinym.request": VerinymRequest("Seller", DidDocument("did:x", (b"k",), "e", ())),
     "anchor.witness.request": WitnessRequest(bytes(32)),
-    "cmdac.submit": CommitRequest(endorsement(), b"bundle", (("Seller", bytes(64)),)),
+    "cmdac.submit": CommitRequest(
+        endorsement(), b"bundle", (("Seller", Endorsed((bytes(32),)), bytes(64)),)
+    ),
     "iin.fetch": Fetch(0, 0),
     "iin.order": Order(0, (TX,)),
     "iin.query": Query("member", ("did:x",), (), (), (), ()),
@@ -95,6 +97,14 @@ REFUSED = {
     "cmdac.submit": {
         "undecodable-statement": (
             Raw(enc.encode_bytes(b"\x00") + enc.encode_bytes(b"") + enc.encode_list([])),
+            "DecodeError",
+        ),
+        "undecodable-batch": (
+            Raw(
+                enc.encode_bytes(endorsement().to_bytes()) + enc.encode_bytes(b"")
+                + enc.encode_list([enc.encode_str("Seller") + enc.encode_bytes(b"\x00")
+                                   + enc.encode_bytes(bytes(64))])
+            ),
             "DecodeError",
         ),
     },
