@@ -21,18 +21,20 @@ The agent is the org's protocol engine for the identity plane:
           all of one foreign network;
           each org validates every statement independently, answers per
           statement and signs once, over the digests of the statements it
-          endorses. Each statement every org endorsed is submitted as its own
-          contract transaction, with each org's batch and signature; on a
-          digest mismatch the agent refetches and retries up to its retry
-          budget.
+          endorses. The statements every org endorsed go to the ledger in one
+          `cmdac.submit`, with each org's batch and signature once; the
+          ledger runs the contract on each statement on its own and answers
+          one outcome per statement. On a digest mismatch the agent refetches
+          and retries up to its retry budget.
 
 A sync runs in rounds. A round passes the memberlist gate, whose one read
 holds the snapshot of all of its targets, runs B and C for each target in a
 session of its own, and then step D for every target that passed, as one
 batch whose every record has its final verdict when the batch returns. The
 targets with a digest mismatch run again as the next round, which starts
-once the round's submits have settled and passes the gate afresh. One
-refused statement fails only its own target.
+once the round's submit has settled and passes the gate afresh. One
+refused statement fails only its own target; only a submit lost, or
+answered with an error, fails every target it carried.
 A full sync (every listed member) reads the ledger's records of the foreign
 network once, in a session that runs alongside its memberlist gate and ends
 before its first round: a target whose checked record the ledger already
@@ -139,7 +141,8 @@ class LedgerUnreachable(AgentError):
 
 
 class LedgerRefused(AgentError):
-    """The ledger answered a query with an error."""
+    """The ledger answered a query or a submit with an error, or a submit
+    with another number of outcomes than statements."""
 
 
 class CommitRejected(AgentError):
@@ -571,13 +574,16 @@ class IinAgent(Actor):
         statement (`net.Endorsement`) now and ask every other local org to
         countersign all of them in one request. This org signs one batch
         (`net.Endorsed`) of the statements that every org signed, and submits
-        each of them with every org's batch and signature, one `cmdac.submit`
-        each, by a session of its own. Returns one verdict per record, in
-        order, once every submit has ended: the ledger's outcome (APPLIED or
-        NOOP), DIGEST_MISMATCH, or the AgentError that refused the record.
-        Every endorsement covers the record's holder DID, which the ledger
-        keeps. The request carries the statements alone: each countersigner
-        decides from its own memberlist whether to fetch a fresh one."""
+        them together, each org's batch and signature once, in one
+        `cmdac.submit`. Returns one verdict per record, in order, once the
+        ledger has answered: the ledger's outcome (APPLIED or NOOP),
+        DIGEST_MISMATCH, or the AgentError that refused the record. Every
+        check, the contract's included, is per statement, so a refusal fails
+        only its own record; only a transport failure of the submit fails
+        each record it carried (`_submit`). Every endorsement covers the
+        record's holder DID, which the ledger keeps. The request carries the
+        statements alone: each countersigner decides from its own memberlist
+        whether to fetch a fresh one."""
         statements = [r.statement(home_network, self.bus.now) for r in records]
         peers = sorted(
             (org, addr)
@@ -596,20 +602,19 @@ class IinAgent(Actor):
             ])
             for i, statement in enumerate(statements)
         ]
-        endorsed = net.Endorsed(tuple(
-            s.digest() for s, verdict in zip(statements, verdicts) if verdict is None
-        ))
-        if endorsed.statements:
+        ready = [i for i, verdict in enumerate(verdicts) if verdict is None]
+        if ready:
+            endorsed = net.Endorsed(tuple(statements[i].digest() for i in ready))
             endorsements = ((self.org_id, endorsed, self.keys.sign(endorsed.to_bytes()).bytes_),)
             endorsements += tuple(
                 (org, r.body.endorsed, r.body.signature) for (org, _), r in zip(peers, replies)
             )
-            for i, (record, statement) in enumerate(zip(records, statements)):
-                if verdicts[i] is None:
-                    submit = self._submit(home_network, statement, record.bundle, endorsements)
-                    verdicts[i] = self.start_session("submit", _caught(submit))
-        yield Join(tuple(v for v in verdicts if isinstance(v, SessionRecord)))
-        return [v.result if isinstance(v, SessionRecord) else v for v in verdicts]
+            submitted = yield from self._submit(
+                home_network, [(statements[i], records[i].bundle) for i in ready], endorsements
+            )
+            for i, verdict in zip(ready, submitted):
+                verdicts[i] = verdict
+        return verdicts
 
     def _verdict(
         self, statement: net.Endorsement, answers: list[tuple[str, Optional[Answer]]]
@@ -640,25 +645,38 @@ class IinAgent(Actor):
         return None
 
     def _submit(
-        self, home_network: str, statement: net.Endorsement, bundle: bytes, endorsements: tuple
+        self, home_network: str, statements: list[tuple[net.Endorsement, bytes]],
+        endorsements: net.Endorsements,
     ) -> Generator:
-        """Submit one fully endorsed statement with its bundle; returns the
-        ledger's outcome, APPLIED or NOOP."""
-        body = net.CommitRequest(statement, bundle, endorsements)
+        """Submit fully endorsed (statement, bundle) pairs as one batch;
+        returns one verdict per statement, in order: the ledger's outcome,
+        APPLIED or NOOP, or CommitRejected naming the contract's refusal. A
+        lost request or reply fails each statement as LedgerUnreachable, and
+        an error reply, or one with another number of outcomes, as
+        LedgerRefused naming it."""
+        body = net.CommitRequest(tuple(statements), endorsements)
         reply = yield Request(self.config.ledgers[home_network], "cmdac.submit", body, timeout=150)
         if reply is None:
-            raise LedgerUnreachable(home_network)
-        outcome = reply.error or reply.body.outcome
-        if outcome not in (net.OUTCOME_APPLIED, net.OUTCOME_NOOP):
-            raise CommitRejected(outcome)
-        self.trace(
-            "agent.committed",
-            network=statement.foreign_network,
-            org=statement.foreign_org,
-            status=statement.status,
-            outcome=outcome,
-        )
-        return outcome
+            return [LedgerUnreachable(home_network) for _ in statements]
+        error = reply.error
+        if not error and len(reply.body.outcomes) != len(statements):
+            error = f"answered {len(reply.body.outcomes)} of {len(statements)} statements"
+        if error:
+            return [LedgerRefused(f"{home_network}: {error}") for _ in statements]
+        verdicts = []
+        for (statement, _), outcome in zip(statements, reply.body.outcomes):
+            if outcome not in (net.OUTCOME_APPLIED, net.OUTCOME_NOOP):
+                verdicts.append(CommitRejected(outcome))
+                continue
+            self.trace(
+                "agent.committed",
+                network=statement.foreign_network,
+                org=statement.foreign_org,
+                status=statement.status,
+                outcome=outcome,
+            )
+            verdicts.append(outcome)
+        return verdicts
 
     def _handle_countersign(self, sender: str, request: CountersignRequest) -> Generator:
         """Check each statement of the initiator's batch here and answer, per
@@ -962,7 +980,7 @@ class IinAgent(Actor):
     ) -> Generator:
         """Steps B-D against every listed member of the foreign network (or an
         explicit target subset), in rounds (`_sync_round`) until no target is
-        left: a retry round starts once the previous round's submits have
+        left: a retry round starts once the previous round's submit has
         settled. The first round's one registry read is the memberlist gate,
         whose snapshot holds every listed member, so a first sync and a
         resync alike read once. A targeted sync reads no records and commits

@@ -397,15 +397,17 @@ def replay_block_log(genesis: LocalLedgerState, log: tuple[BlockEntry, ...]) -> 
 
 
 @dataclass(frozen=True)
-class CommitRequest(enc.Record):  # cmdac.submit: one statement, each org's batch and signature
-    statement: enc.Framed[Endorsement]
-    bundle: bytes
+class CommitRequest(enc.Record):
+    """cmdac.submit: one step-D batch, its (statement, bundle) pairs in
+    order, and each org's batch and signature once, shared by them all."""
+
+    statements: tuple[tuple[enc.Framed[Endorsement], bytes], ...]
     endorsements: tuple[tuple[str, enc.Framed[Endorsed], bytes], ...]
 
 
 @dataclass(frozen=True)
-class Committed(enc.Record):  # cmdac.reply: the contract's outcome
-    outcome: str
+class Committed(enc.Record):  # cmdac.reply: the contract's outcome per statement, in order
+    outcomes: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -422,8 +424,9 @@ class LedgerAnswer(enc.Record):  # ledger.reply: what the query asked for, the r
 
 
 class LedgerNode(Actor):
-    """Single sequencer for one network's shared ledger: applies contract
-    submissions in arrival order and answers policy/record queries."""
+    """Single sequencer for one network's shared ledger: applies submitted
+    batches in arrival order, the statements of each in order, and answers
+    policy/record queries."""
 
     def __init__(self, address: str, genesis: LocalLedgerState):
         super().__init__(address)
@@ -436,22 +439,28 @@ class LedgerNode(Actor):
     }
 
     def _submit(self, sender: str, request: CommitRequest) -> Committed:
-        statement = request.statement
-        self.state, outcome = cmdac_update_foreign_identity(
-            self.state, statement, request.bundle, request.endorsements, self.bus.now
-        )
-        self.trace(
-            "ledger.commit",
-            network=self.state.network_id,
-            foreign_network=statement.foreign_network,
-            foreign_org=statement.foreign_org,
-            status=statement.status,
-            made_at=statement.made_at,
-            outcome=outcome,
-            endorsers=",".join(sorted(org for org, _, _ in request.endorsements)),
-            payload_digest=statement.bundle_digest.hex(),
-        )
-        return Committed(outcome)
+        """Fold the batch's statements through the contract in order, each a
+        transaction and block entry of its own: a refused one changes
+        nothing, and its neighbours are judged as if it were not there."""
+        endorsers = ",".join(sorted(org for org, _, _ in request.endorsements))
+        outcomes = []
+        for statement, bundle in request.statements:
+            self.state, outcome = cmdac_update_foreign_identity(
+                self.state, statement, bundle, request.endorsements, self.bus.now
+            )
+            self.trace(
+                "ledger.commit",
+                network=self.state.network_id,
+                foreign_network=statement.foreign_network,
+                foreign_org=statement.foreign_org,
+                status=statement.status,
+                made_at=statement.made_at,
+                outcome=outcome,
+                endorsers=endorsers,
+                payload_digest=statement.bundle_digest.hex(),
+            )
+            outcomes.append(outcome)
+        return Committed(tuple(outcomes))
 
     def _query(self, sender: str, query: LedgerQuery) -> LedgerAnswer:
         if query.what == "policy":

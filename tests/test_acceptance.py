@@ -163,9 +163,9 @@ def hold(world, probe, content):
 def submit_held(world, probe, content, held):
     """Buyer submits its held statement of `content`; returns the outcome."""
     statement, endorsements = held
-    body = net.CommitRequest(statement, content.bundle, endorsements)
+    body = net.CommitRequest(((statement, content.bundle),), endorsements)
     reply = ask(probe, world, world.agents["Buyer"].config.ledgers["SWT"], "cmdac.submit", body)
-    return reply.error or reply.body.outcome
+    return reply.error or reply.body.outcomes[0]
 
 
 def resync(world):

@@ -1586,19 +1586,59 @@ class TestUndecodableLedgerReplies:
         assert str(record.error) == "SWT: DecodeError"
         assert sends_from(world, "Buyer", "agent.countersign.request") == []
 
-    def test_undecodable_submit_reply_fails_only_its_target(self, world):
+    @staticmethod
+    def doctor_submit(world, change, org):
+        """Pass SWT's ledger's reply to each submit that carries a statement
+        for `org` through `change`."""
         ledger = world.ledgers["SWT"]
         serve = ledger._submit
 
-        def undecodable_for_carrier(sender, request):
+        def doctored(sender, request):
             reply = serve(sender, request)
-            return Raw(b"") if request.statement.foreign_org == "Carrier" else reply
+            carries = any(s.foreign_org == org for s, _ in request.statements)
+            return change(reply) if carries else reply
 
-        ledger._submit = undecodable_for_carrier
+        ledger._submit = doctored
+
+    def test_undecodable_submit_reply_fails_only_its_target(self, world):
+        """A targeted sync submits a one-statement batch: an undecodable
+        reply fails its one target as LedgerRefused, and the other org's
+        batch commits."""
+        self.doctor_submit(world, lambda reply: Raw(b""), "Carrier")
+        start = len(world.trace.events)
+        seller, carrier = world.org_dids["Seller"], world.org_dids["Carrier"]
+        assert run_sync(world, "Buyer", "SWT", "STL", targets=(seller,)).result == {
+            seller: {"status": "DONE", "org_id": "Seller", "outcome": "APPLIED", "attempts": 1},
+        }
+        record = run_sync(world, "Buyer", "SWT", "STL", targets=(carrier,))
+        assert record.result == {carrier: {"status": "FAILED", "error": "LedgerRefused"}}
+        [failed] = agent_events(world, "Buyer", {"agent.sync_failed"}, start)
+        assert (failed.detail["target"], failed.detail["detail"]) == (carrier, "SWT: DecodeError")
+        assert agent_events(world, "Buyer", {"session.failed"}, start) == []
+
+    @pytest.mark.parametrize("change, detail", [
+        (lambda reply: Raw(b""), "SWT: DecodeError"),
+        (lambda reply: net.Committed(reply.outcomes[:1]), "SWT: answered 1 of 2 statements"),
+    ], ids=["undecodable", "too-few-outcomes"])
+    def test_submit_error_reply_fails_each_target_of_its_batch_by_name(
+        self, world, change, detail
+    ):
+        """A full sync submits both records in one batch: a reply that names
+        an error, or answers another number of statements, fails each of
+        its targets as LedgerRefused naming it, though the ledger judged and
+        applied both."""
+        self.doctor_submit(world, change, "Carrier")
         start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL")
-        failed = assert_only_failed(world, record, start, "CommitRejected")
-        assert failed.detail["detail"] == "DecodeError"
+        assert record.error is None
+        assert list(record.result.values()) == [{"status": "FAILED", "error": "LedgerRefused"}] * 2
+        failed = agent_events(world, "Buyer", {"agent.sync_failed"}, start)
+        assert sorted(e.detail["target"] for e in failed) == sorted(
+            world.org_dids[org] for org in ("Seller", "Carrier")
+        )
+        assert [e.detail["detail"] for e in failed] == [detail] * 2
+        assert agent_events(world, "Buyer", {"agent.committed", "session.failed"}, start) == []
+        assert [e.outcome for e in world.ledger_state("SWT").block_log] == ["APPLIED"] * 2
 
     def test_countersigner_refuses_each_statement_on_an_undecodable_policy(self, world):
         self.doctor(world, "policy", lambda reply: Raw(b""))
@@ -1707,9 +1747,9 @@ class TestBatchedStepD:
 
     def test_a_refused_statement_cannot_apply_with_the_batch_signature(self, world):
         """Seller refuses one statement of a two-statement batch and signs one
-        batch that lists only the other. Buyer, signing both, submits each
-        with that batch: the refused one is refused by name and changes
-        nothing, and the signed one still applies."""
+        batch that lists only the other. Buyer, signing both, submits both
+        with that batch, the refused one first: it is refused by name and
+        changes nothing, and the signed one still applies."""
         probe = add_probe(world)
         carrier, seller = world.org_dids["Carrier"], world.org_dids["Seller"]
         bundle = world.organizations[("STL", "Carrier")].bundle_bytes()
@@ -1725,14 +1765,10 @@ class TestBatchedStepD:
             ("Seller", reply.body.endorsed, reply.body.signature),
         )
         ledger = world.agents["Buyer"].config.ledgers["SWT"]
-
-        def submit(s):
-            body = net.CommitRequest(s, bundle, endorsements)
-            return ask(probe, world, ledger, "cmdac.submit", body).body.outcome
-
-        assert submit(refused) == "BadEndorsementSignature:Seller"
-        assert world.ledger_state("SWT").foreign == {}
-        assert submit(signed) == "APPLIED"
+        body = net.CommitRequest(((refused, bundle), (signed, bundle)), endorsements)
+        reply = ask(probe, world, ledger, "cmdac.submit", body)
+        assert reply.body.outcomes == ("BadEndorsementSignature:Seller", "APPLIED")
+        assert list(world.ledger_state("SWT").foreign) == ["STL/Carrier"]
         assert world.ledger_state("SWT").get_record("STL", "Carrier").content.holder_did == carrier
 
     @pytest.mark.parametrize("body, reason", [
@@ -1814,6 +1850,39 @@ class TestBatchedStepD:
         assert memberlists == ((world.anchors["AnchorSTL"].profile.did, "STL"),)
         assert agent_events(world, "Seller", {"session.failed"}, start) == []
         assert sends_from(world, "Seller", "agent.membership_vp.request", start) == []
+
+    def test_one_submit_per_batch_with_each_orgs_endorsement_once(self, world):
+        start = len(world.trace.events)
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        assert [r["status"] for r in record.result.values()] == ["DONE"] * 2
+        [submit] = sends_from(world, "Buyer", "cmdac.submit", start)
+        log = world.ledger_state("SWT").block_log
+        assert sorted((e.statement.foreign_org, e.outcome) for e in log) == [
+            ("Carrier", "APPLIED"), ("Seller", "APPLIED"),
+        ]
+        # each entry keeps the batch's one endorsement per org
+        assert log[0].endorsements == log[1].endorsements
+        assert [org for org, _, _ in log[0].endorsements] == ["Buyer", "Seller"]
+        commits = [e for e in world.trace.events[start:] if e.kind == "ledger.commit"]
+        assert len({e.tick for e in commits}) == 1
+
+    def test_lost_submit_fails_each_target_of_its_batch(self, world):
+        world.bus.config.rules.append(
+            FaultRule(action="drop", from_="agent:Buyer", kind="cmdac.submit")
+        )
+        start = len(world.trace.events)
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        assert record.error is None
+        assert list(record.result.values()) == [
+            {"status": "FAILED", "error": "LedgerUnreachable"}
+        ] * 2
+        failed = agent_events(world, "Buyer", {"agent.sync_failed"}, start)
+        assert sorted(e.detail["target"] for e in failed) == sorted(
+            world.org_dids[org] for org in ("Seller", "Carrier")
+        )
+        assert [e.detail["detail"] for e in failed] == ["SWT"] * 2
+        assert agent_events(world, "Buyer", {"session.failed"}, start) == []
+        assert world.ledger_state("SWT").block_log == ()
 
     def test_retry_round_starts_once_the_rounds_submits_have_settled(self, world):
         """Seller's mismatch on Carrier sends Carrier into a retry round while

@@ -49,7 +49,7 @@ SCENARIOS = ("two-network", "concurrent-commit", "revoke-carrier", "rotate-resyn
 @pytest.mark.parametrize(
     "name, sends, queries, memberlists, witnesses, orders, countersigns, signs, verifies",
     [
-        ("two-network", 170, 16, 0, 2, 30, 2, 104, 222),
+        ("two-network", 166, 16, 0, 2, 30, 2, 104, 222),
         ("concurrent-commit", 136, 12, 0, 1, 30, 2, 92, 170),
     ],
     ids=("two-network", "concurrent-commit"),  # stable across re-pins
@@ -87,10 +87,10 @@ def test_bundled_scenario_counts(
 
 
 @pytest.mark.parametrize("name, plaintext_bytes", [
-    ("two-network", 92_954),
-    ("concurrent-commit", 70_760),
-    ("revoke-carrier", 124_836),
-    ("rotate-resync", 94_897),
+    ("two-network", 92_198),
+    ("concurrent-commit", 70_776),
+    ("revoke-carrier", 124_096),
+    ("rotate-resync", 98_412),
 ], ids=SCENARIOS)  # stable across re-pins
 def test_bundled_scenario_wire_bytes(monkeypatch, name, plaintext_bytes):
     sent = []
@@ -112,7 +112,7 @@ def test_bundled_scenario_wire_bytes(monkeypatch, name, plaintext_bytes):
         ("two-network", 222, 4, 84),
         ("concurrent-commit", 170, 0, 66),
         ("revoke-carrier", 249, 2, 96),
-        ("rotate-resync", 214, 4, 79),
+        ("rotate-resync", 215, 4, 79),
     ],
     ids=SCENARIOS,  # stable across re-pins
 )
@@ -139,10 +139,10 @@ def test_bundled_scenario_executed_verifies(monkeypatch, name, logical, outside,
 @pytest.mark.parametrize(
     "name, in_loop, entries",
     [
-        ("two-network", 282, 102),
+        ("two-network", 278, 102),
         ("concurrent-commit", 228, 79),
-        ("revoke-carrier", 336, 117),
-        ("rotate-resync", 281, 99),
+        ("revoke-carrier", 332, 117),
+        ("rotate-resync", 276, 99),
     ],
     ids=SCENARIOS,  # stable across re-pins
 )
@@ -166,12 +166,12 @@ def test_bundled_scenario_decodes(monkeypatch, name, in_loop, entries):
 
 
 TRACE_DIGESTS = {
-    "concurrent-commit": "72a95252e40a7d7c9caf59d08c3e11b16401af93cb030837458296ae2a10ec96",
-    "concurrent-commit-serial": "9ad4ab27f68134b5cfd1dc47f867855059db883a5450633e11c3d808dd35d190",
-    "digest-mismatch-retry": "1850f4d608a6e6f919576a7e251bfab62d4ad86d1b06bef4f84454b4458d7124",
-    "revoke-carrier": "ca2b69500c5eb3b07816f84e9b051df1e1560ff5c9d854dadf6799f344a1de78",
-    "rotate-resync": "a1a6f290d37109aec61687f7c7911926614fe6c030cea6fd31e2537c9ac72478",
-    "two-network": "a2e3056cfa57447d4819f57678df2217cb6e592c657bf98cc992a0af9879a9ca",
+    "concurrent-commit": "903291990e1d533e0fe0a879e39babb087da62cdefb1d195a68b17e003abaad9",
+    "concurrent-commit-serial": "91eb33d33c0def5812206be5b88640241a1e146293fc462535aab9f05b86389d",
+    "digest-mismatch-retry": "8863b80fb28d2c3803b9b2ae5ab08dbe8009b8a8ca8c658b71607c445eb73614",
+    "revoke-carrier": "f3dc6a69e437bf9ae3555131953c7b1611356b39edea338f7d9fc562ddb5b8ab",
+    "rotate-resync": "78575d24d6fad1adc03156a0e5d2753c88ec1078160f0aaad8a1a32dbadf9c2d",
+    "two-network": "b8a1efc16d07605f085b73651b289444f7e17dce78a9a5688db64523dcd0d035",
 }
 
 
@@ -187,9 +187,9 @@ TRAFFIC_DIGESTS = {
     "concurrent-commit": "1dc1a0be27120f770e2f30af81969558763564ff2ba650a25f3381c989aba234",
     "concurrent-commit-serial": "ff515ef3456aad97850946d9cc3ebbae410fffc5554eea7459fa0f6722159dc0",
     "digest-mismatch-retry": "c14d156670ba0ed9fe2ed2e2ad4b61ba4e845d93acb5b62a50700bb39d6f936c",
-    "revoke-carrier": "081536596d2432fa1424cc8a54dbd3f372a0d8092cf49e659cd8fb9196591af4",
-    "rotate-resync": "7715a55ec0b76ef1adc08e6dd16e1518f8258845bebe07285165677911486391",
-    "two-network": "54671ee9ed257f153f499a08a3ba58da51240220ba1e96213cae5e67f1e8a265",
+    "revoke-carrier": "9fd9b9e04dd9f8dcc5f7f39eec28c0dff4f1121e11cd4e8d5a715f1ef9ddb8cd",
+    "rotate-resync": "27400d859f21b0e16473f11e70fc53d24f7483711a02896eb0f6177af993718f",
+    "two-network": "a3c14e545a6a8ad61130abe79a358e9b2887e06f05afe02e3d80c0083142d140",
 }
 
 
@@ -301,11 +301,12 @@ def test_sync_costs_are_closed_forms_in_k(monkeypatch, k):
     agent.start_session("sync", agent.sync_network("NA", "NB"))
     world.settle()
     sent = [e.detail["msg_kind"] for e in world.trace.events[first:] if e.kind == "bus.send"]
-    assert len(sent) == 2 * k * k + 10 * k + 2
+    assert len(sent) == 2 * k * k + 8 * k + 4
     assert calls["sign"] == k * k + k
     assert calls["verify"] == 5 * k * k + 3 * k
     assert calls["executed"] == k * k + 4 * k + 1
     assert sum(m.startswith("agent.membership_vp.") for m in sent) == 2 * k * k
     assert sum(m.startswith("agent.countersign.") for m in sent) == 2 * (k - 1)
+    assert sum(m.startswith("cmdac.") for m in sent) == 2  # one submit per step-D batch
     state = world.ledger_state("NA")
     assert all(state.get_record("NB", f"NBo{i:02d}").status == "ACTIVE" for i in range(k))

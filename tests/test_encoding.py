@@ -669,11 +669,16 @@ RECORDS = {
     ),
     net.CommitRequest: (
         st.builds(
-            net.CommitRequest, endorsement, blob, up_to_3(st.tuples(text, endorsed, blob))
+            net.CommitRequest,
+            up_to_3(st.tuples(endorsement, blob)),
+            up_to_3(st.tuples(text, endorsed, blob)),
         ),
         None,
         lambda c: (
-            enc.encode_bytes(old_endorsement(c.statement)) + enc.encode_bytes(c.bundle)
+            enc.encode_list(
+                enc.encode_bytes(old_endorsement(s)) + enc.encode_bytes(bundle)
+                for s, bundle in c.statements
+            )
             + enc.encode_list(
                 enc.encode_str(o) + enc.encode_bytes(old_endorsed(b)) + enc.encode_bytes(sig)
                 for o, b, sig in c.endorsements
@@ -681,9 +686,9 @@ RECORDS = {
         ),
     ),
     net.Committed: (
-        st.builds(net.Committed, text),
+        st.builds(net.Committed, up_to_3(text)),
         None,
-        lambda c: enc.encode_str(c.outcome),
+        lambda c: enc.encode_list(enc.encode_str(o) for o in c.outcomes),
     ),
     net.LedgerQuery: (
         st.builds(net.LedgerQuery, text, text),

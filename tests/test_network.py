@@ -6,10 +6,13 @@ import itertools
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idplane import crypto
 from idplane import encoding as enc
 from idplane import network as net
+from idplane.bus import BusConfig, SimBus
 
 
 def seed32(label: str) -> bytes:
@@ -363,6 +366,106 @@ class TestBatchEndorsements:
             )
             assert outcome == "WrongLedger"
             assert state.foreign == other.foreign
+
+
+def two_bundles(org_id):
+    """`org_id`'s bundle at its first enrolment and after one rotation."""
+    source = make_source_org(org_id)
+    first = source.bundle_bytes()
+    source.rotate(now=0)
+    return first, source.bundle_bytes()
+
+
+class TestBatchSubmit:
+    """One `cmdac.submit` carries a step-D batch: the ledger folds its
+    statements in order through the contract, one block entry and one
+    `ledger.commit` event each, and answers one outcome per statement."""
+
+    ORGS = ("FarA", "FarB", "FarC")
+    BUNDLES = {org: two_bundles(org) for org in ORGS}
+
+    @staticmethod
+    def submit(state, statements, endorsements, now=3):
+        """`statements`, (statement, bundle) pairs, submitted as one batch to
+        a ledger node holding `state`; returns (node, outcomes, trace)."""
+        bus = SimBus(BusConfig())
+        bus.now = now
+        node = net.LedgerNode("ledger:HOME", state)
+        node.bind(bus, None)
+        reply = node._submit("agent:OrgA", net.CommitRequest(tuple(statements), endorsements))
+        return node, reply.outcomes, bus.trace.events
+
+    def three(self):
+        return [
+            (statement("AWAY", org, self.BUNDLES[org][0], "ACTIVE", 0), self.BUNDLES[org][0])
+            for org in self.ORGS
+        ]
+
+    def test_a_statement_refused_mid_batch_leaves_its_neighbours_applied(self):
+        batch = self.three()
+        first, middle, last = (s for s, _ in batch)
+        endorsements = (sign_batch("OrgA", first, middle, last), sign_batch("OrgB", first, last))
+        node, outcomes, events = self.submit(make_ledger(), batch, endorsements)
+        assert outcomes == ("APPLIED", "BadEndorsementSignature:OrgB", "APPLIED")
+        assert sorted(node.state.foreign) == ["AWAY/FarA", "AWAY/FarC"]
+        assert [e.outcome for e in node.state.block_log] == list(outcomes)
+        assert [e.detail["outcome"] for e in events if e.kind == "ledger.commit"] == list(outcomes)
+
+    def test_a_statement_listed_twice_applies_then_is_a_noop(self):
+        [(s, bundle), *_] = self.three()
+        endorsements = (sign_batch("OrgA", s), sign_batch("OrgB", s))
+        node, outcomes, _ = self.submit(make_ledger(), [(s, bundle)] * 2, endorsements)
+        assert outcomes == ("APPLIED", "NOOP")
+        assert len(node.state.block_log) == 2
+
+    def test_an_empty_batch_changes_nothing(self):
+        ledger = make_ledger()
+        node, outcomes, events = self.submit(ledger, [], ())
+        assert (outcomes, node.state, events) == ((), ledger, [])
+
+    ONE_IN_FIVE = st.integers(0, 4).map(lambda n: n == 0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(ORGS), st.integers(0, 1), st.sampled_from(("ACTIVE", "REVOKED")),
+                st.integers(0, 6), ONE_IN_FIVE, ONE_IN_FIVE,
+            ),
+            min_size=1, max_size=6,
+        ),
+        st.booleans(),
+    )
+    def test_a_batch_submit_equals_its_statements_submitted_one_at_a_time(self, drawn, seeded):
+        """Whatever the batch holds, stale, duplicate, mis-digested or
+        unlisted statements included, the batch gives the same state, block
+        log outcomes and replay as its statements submitted in order, one
+        per request, with the same endorsements."""
+        genesis = make_ledger()
+        if seeded:  # FarA's first bundle already held, committed at tick 3
+            [(held, bundle), *_] = self.three()
+            endorsed = (sign_batch("OrgA", held), sign_batch("OrgB", held))
+            genesis = self.submit(genesis, [(held, bundle)], endorsed)[0].state
+        batch, listed = [], {"OrgA": [], "OrgB": []}
+        for org, rotation, status, made_at, b_omits, other_bundle in drawn:
+            bundle = self.BUNDLES[org][rotation]
+            s = statement("AWAY", org, bundle, status, made_at)
+            batch.append((s, self.BUNDLES[org][1 - rotation] if other_bundle else bundle))
+            listed["OrgA"].append(s)
+            if not b_omits:
+                listed["OrgB"].append(s)
+        endorsements = tuple(sign_batch(org, *listed[org]) for org in ("OrgA", "OrgB"))
+        node, outcomes, _ = self.submit(genesis, batch, endorsements, now=4)
+        state = genesis
+        for pair in batch:
+            one, (outcome,), _ = self.submit(state, [pair], endorsements, now=4)
+            state = one.state
+        assert [e.outcome for e in node.state.block_log] == [e.outcome for e in state.block_log]
+        assert list(outcomes) == [e.outcome for e in state.block_log[len(genesis.block_log):]]
+        assert node.state.state_hash() == state.state_hash()
+        assert node.state.foreign == state.foreign
+        replayed = net.replay_block_log(make_ledger(), node.state.block_log)
+        assert replayed.state_hash() == node.state.state_hash()
 
 
 class TestDataProofs:

@@ -44,7 +44,7 @@ EXAMPLES = {
     "anchor.verinym.request": VerinymRequest("Seller", DidDocument("did:x", (b"k",), "e", ())),
     "anchor.witness.request": WitnessRequest(bytes(32)),
     "cmdac.submit": CommitRequest(
-        endorsement(), b"bundle", (("Seller", Endorsed((bytes(32),)), bytes(64)),)
+        ((endorsement(), b"bundle"),), (("Seller", Endorsed((bytes(32),)), bytes(64)),)
     ),
     "iin.fetch": Fetch(0, 0),
     "iin.order": Order(0, (TX,)),
@@ -96,12 +96,15 @@ REFUSED = {
     },
     "cmdac.submit": {
         "undecodable-statement": (
-            Raw(enc.encode_bytes(b"\x00") + enc.encode_bytes(b"") + enc.encode_list([])),
+            Raw(
+                enc.encode_list([enc.encode_bytes(b"\x00") + enc.encode_bytes(b"")])
+                + enc.encode_list([])
+            ),
             "DecodeError",
         ),
         "undecodable-batch": (
             Raw(
-                enc.encode_bytes(endorsement().to_bytes()) + enc.encode_bytes(b"")
+                enc.encode_list([enc.encode_bytes(endorsement().to_bytes()) + enc.encode_bytes(b"")])
                 + enc.encode_list([enc.encode_str("Seller") + enc.encode_bytes(b"\x00")
                                    + enc.encode_bytes(bytes(64))])
             ),
