@@ -18,8 +18,10 @@ serves each kind in its `REQUESTS` table as a session (`_serve`) and answers a
 body that does not decode as its kind's record, a handler that raises, or one
 that returns an error name, with that name. A reply that does not decode
 reaches its session as a `Reply` naming the error; a plaintext that is no
-message is dropped and traced. Messages and bodies, one per send, are decoded
-outside the decode memo; the records nested in them (`enc.Framed`) share it.
+message, or a reply from another sender than the one its request went to,
+is dropped and traced, so no actor answers in another's place. Messages and
+bodies, one per send, are decoded outside the decode memo; the records
+nested in them (`enc.Framed`) share it.
 """
 
 from __future__ import annotations
@@ -143,8 +145,8 @@ class Actor:
         self._next_sid = 0
         self._next_rid = 0
         self._gathers: dict[int, _GatherWait] = {}
-        # request id -> (gather id, index, the reply's body record)
-        self._gather_routes: dict[str, tuple[int, int, type]] = {}
+        # request id -> (gather id, index, the reply's body record, the recipient)
+        self._gather_routes: dict[str, tuple[int, int, type, str]] = {}
         self._waiters = self._gather_routes  # perfbench/tracer.py reads this name
         self._next_gather = 0
         self._joins: dict[int, tuple[SessionRecord, ...]] = {}  # waiter sid -> joined
@@ -253,7 +255,7 @@ class Actor:
                 for i, (to, kind, body) in enumerate(effect.requests):
                     rid = self._new_rid()
                     wait.rids.append(rid)
-                    self._gather_routes[rid] = (gid, i, _REPLIES[kind])
+                    self._gather_routes[rid] = (gid, i, _REPLIES[kind], to)
                     message = Message(request_id=rid, body=body.to_bytes())
                     self.bus.send(self.address, to, kind, message.to_bytes())
                 return
@@ -296,10 +298,14 @@ class Actor:
                 handler, body, reply_kind, _ = entry
                 self.start_session(kind, self._serve(sender, msg, handler, body, reply_kind))
             return
-        route = self._gather_routes.pop(msg.reply_to, None)
+        route = self._gather_routes.get(msg.reply_to)
         if route is None:
             return  # reply to a request that already timed out
-        gid, index, reply_body = route
+        gid, index, reply_body, recipient = route
+        if sender != recipient:  # request ids are guessable: only the one asked answers
+            self.trace("actor.foreign_reply", sender=sender, expected=recipient, msg_kind=kind)
+            return
+        del self._gather_routes[msg.reply_to]
         try:
             reply = Reply(msg.error, None if msg.error else read(reply_body, msg.body))
         except enc.DecodeError as error:

@@ -651,11 +651,16 @@ class IinAgent(Actor):
         """Submit fully endorsed (statement, bundle) pairs as one batch;
         returns one verdict per statement, in order: the ledger's outcome,
         APPLIED or NOOP, or CommitRejected naming the contract's refusal. A
-        lost request or reply fails each statement as LedgerUnreachable, and
-        an error reply, or one with another number of outcomes, as
-        LedgerRefused naming it."""
+        batch whose request or reply is lost is sent once more, which is safe
+        because the ledger answers a statement it already applied NOOP; a
+        second loss fails each statement as LedgerUnreachable, and an error
+        reply, or one with another number of outcomes, as LedgerRefused
+        naming it."""
         body = net.CommitRequest(tuple(statements), endorsements)
-        reply = yield Request(self.config.ledgers[home_network], "cmdac.submit", body, timeout=150)
+        submit = Request(self.config.ledgers[home_network], "cmdac.submit", body, timeout=150)
+        reply = yield submit
+        if reply is None:
+            reply = yield submit
         if reply is None:
             return [LedgerUnreachable(home_network) for _ in statements]
         error = reply.error

@@ -403,19 +403,19 @@ class AnchorService(Actor):
 
     def _submit_read_back(self, writes: list[tuple[str, object]]) -> Generator:
         """Submit one transaction per (kind, payload record) in `writes` as
-        one registry batch: a DID document, or a `RevocationUpdate`; return
-        their outcomes and None. When no receipt comes back, read one
-        snapshot of the documents, revocation state and memberlists the
-        batch writes, and return APPLIED for each payload whose every part it
-        holds, byte for byte, None for each other (all None when that read
-        fails too), and the QuorumUnavailable that lost the receipt. The
-        batch applied whole only when no outcome is None."""
-        txs = [
-            registry.make_transaction(kind, payload.to_bytes(), self.profile.did, self.keys)
+        one registry batch, signed once: a DID document, or a
+        `RevocationUpdate`; return their outcomes and None. When no receipt
+        comes back, read one snapshot of the documents, revocation state and
+        memberlists the batch writes, and return APPLIED for each payload
+        whose every part it holds, byte for byte, None for each other (all
+        None when that read fails too), and the QuorumUnavailable that lost
+        the receipt. The batch applied whole only when no outcome is None."""
+        batch = registry.sign_batch(self.keys, *(
+            registry.RegistryTransaction(kind, payload.to_bytes(), self.profile.did)
             for kind, payload in writes
-        ]
+        ))
         try:
-            receipt = yield from registry.submit_transaction(self.pool, *txs)
+            receipt = yield from registry.submit_transaction(self.pool, batch)
         except registry.QuorumUnavailable as lost:
             updates = [p for _, p in writes if isinstance(p, registry.RevocationUpdate)]
             try:
@@ -557,14 +557,13 @@ def submit_all(
     writes: list[tuple[str, bytes, str]],
 ) -> Generator:
     """Submit one transaction per (kind, payload, refusal) in `writes` as one
-    registry batch. Raises AnchorError("<refusal>: <outcome>") for the first
-    transaction that did not apply, and QuorumUnavailable as the registry
-    does."""
-    txs = [
-        registry.make_transaction(kind, payload, submitter_did, keys)
-        for kind, payload, _ in writes
-    ]
-    receipt = yield from registry.submit_transaction(pool, *txs)
+    registry batch, signed once with `keys`. Raises AnchorError("<refusal>:
+    <outcome>") for the first transaction that did not apply, and
+    QuorumUnavailable as the registry does."""
+    batch = registry.sign_batch(keys, *(
+        registry.RegistryTransaction(kind, payload, submitter_did) for kind, payload, _ in writes
+    ))
+    receipt = yield from registry.submit_transaction(pool, batch)
     for (_, _, refusal), outcome in zip(writes, receipt.outcomes):
         if outcome != registry.OUTCOME_APPLIED:
             raise AnchorError(f"{refusal}: {outcome}")

@@ -56,7 +56,7 @@ TAG_PAD = 0x03
 TAG_CERT = 0x04
 TAG_CHAIN = 0x05
 TAG_DID_DOC = 0x06
-TAG_TX = 0x07
+TAG_TX = 0x07  # what a registry writer signs: its batch's transaction digests
 TAG_REGISTRY_STATE = 0x08
 TAG_SCHEMA = 0x09
 TAG_CRED_DEF = 0x0A
@@ -78,6 +78,7 @@ TAG_ANCHOR_GRANT = 0x19
 TAG_REVOCATION_UPDATE = 0x1A
 TAG_MESSAGE = 0x1B
 TAG_ENDORSED = 0x1C
+TAG_REGISTRY_TX = 0x1D  # an unsigned registry transaction
 
 
 def encode_bytes(value: bytes) -> bytes:

@@ -2,11 +2,19 @@
 
 A pool of N = 3f+1 nodes maintains DID documents, credential schemas,
 credential definitions, revocation registry states, memberlists, and anchor
-roles. A designated sequencer orders each submitted batch of transactions at
-contiguous sequence numbers first..last, in one order message; a commit
-receipt requires acknowledgment signatures from a 2f+1 quorum over (first,
-last, batch digest), where the batch digest covers the ordered list of
-transaction digests. Every
+roles. A writer submits its transactions as one batch with one signature
+over their ordered digests (`SignedBatch`); every replica checks it once,
+when it applies the batch, and a batch whose signature fails rejects each of
+its transactions. A designated sequencer orders each batch at contiguous
+sequence numbers first..last, in one order message, and every other replica
+acks it with a signature over (first, last, batch digest), where the batch
+digest covers the ordered list of transaction digests. The sequencer's
+receipt carries 2f of those acks, and counts as its own: a client takes a
+reply only from the node it asked (`Actor.on_delivery`), so a receipt that
+reached it came from the sequencer over the bus's authenticated channel, as
+PBFT authenticates its replies. A receipt thus proves that 2f+1 replicas
+applied the batch at first..last: 2f by signatures that no other node can
+forge, and the sequencer by sending it. Every
 replica folds the same ordered log with the same pure validation rules, so
 non-faulty replicas stay byte-identical; invalid transactions commit to the
 log as explicit rejections. Reads are open: any client may query, and a result
@@ -152,18 +160,38 @@ def attest(doc: DidDocument, signer_did: str, signer_keys: crypto.KeyPair) -> Di
 
 
 @dataclass(frozen=True)
-class RegistryTransaction(enc.Signed):
-    TAG = enc.TAG_TX
+class RegistryTransaction(enc.Record):
+    """One write; its batch's signature authorizes it (`SignedBatch`)."""
+
+    TAG = enc.TAG_REGISTRY_TX
     kind: str
     payload: bytes
     submitter_did: str
-    submitter_signature: crypto.Signature
 
 
-def make_transaction(
-    kind: str, payload: bytes, submitter_did: str, submitter_keys: crypto.KeyPair
-) -> RegistryTransaction:
-    return RegistryTransaction.sign(submitter_keys, kind, payload, submitter_did)
+@dataclass(frozen=True)
+class WriteAuthorization(enc.Record):
+    """What a writer signs to submit a batch: its transactions' digests, in
+    the order they apply."""
+
+    TAG = enc.TAG_TX
+    tx_digests: tuple[bytes, ...]
+
+
+@dataclass(frozen=True)
+class SignedBatch(enc.Record):  # iin.submit: one writer's batch, in the order it applies
+    txs: tuple[enc.Framed[RegistryTransaction], ...]
+    signature: crypto.Signature  # the writer's, of `authorization(txs)`
+
+
+def authorization(txs: Sequence[RegistryTransaction]) -> bytes:
+    """What a writer signs to submit `txs` as one batch."""
+    return WriteAuthorization(tuple(tx.digest() for tx in txs)).to_bytes()
+
+
+def sign_batch(keys: crypto.KeyPair, *txs: RegistryTransaction) -> SignedBatch:
+    """`txs` as one batch, signed once with the writer's `keys`."""
+    return SignedBatch(txs, keys.sign(authorization(txs)))
 
 
 @dataclass(frozen=True)
@@ -246,49 +274,69 @@ class RegistryImage(enc.Record):
     applied: tuple[bytes, ...]
 
 
+def apply_batch(
+    state: RegistryState, batch: SignedBatch
+) -> tuple[RegistryState, tuple[str, ...]]:
+    """Pure, deterministic application of one writer's batch: the next state
+    and one outcome per transaction, in order. The batch's signature is
+    checked once, under the key of the one DID that submits every
+    transaction: its document's, or for a first registration the key of the
+    batch's own NYM of that DID. A batch naming two submitters, or whose
+    signature does not verify, rejects each transaction as BadSignature and
+    changes nothing; otherwise each transaction folds in turn."""
+    key = _batch_key(state, batch.txs)
+    if key is None or not crypto.verify(key, authorization(batch.txs), batch.signature):
+        return state, ("BadSignature",) * len(batch.txs)
+    outcomes = []
+    for tx in batch.txs:
+        state, outcome = apply_transaction(state, tx)
+        outcomes.append(outcome)
+    return state, tuple(outcomes)
+
+
+def _batch_key(state: RegistryState, txs: Sequence[RegistryTransaction]) -> Optional[bytes]:
+    """The key that must sign a batch of `txs`, or None when none can."""
+    submitters = {tx.submitter_did for tx in txs}
+    if len(submitters) != 1:
+        return None
+    (did,) = submitters
+    if did in state.docs:
+        return state.docs[did].primary_key()
+    return next((doc.primary_key() for doc in map(_self_nym, txs) if doc is not None), None)
+
+
+def _self_nym(tx: RegistryTransaction) -> Optional[DidDocument]:
+    """The document of a NYM that registers its own submitter, else None."""
+    if tx.kind != KIND_NYM:
+        return None
+    try:
+        doc = DidDocument.from_bytes(tx.payload)
+    except enc.DecodeError:
+        return None
+    return doc if doc.did == tx.submitter_did and doc.verification_keys else None
+
+
 def apply_transaction(state: RegistryState, tx: RegistryTransaction) -> tuple[RegistryState, str]:
-    """Pure, deterministic validation and application. Returns the next state
+    """Pure, deterministic validation and application of one transaction of
+    a batch whose signature `apply_batch` has checked. Returns the next state
     and an outcome: APPLIED, or a rejection reason leaving the state unchanged.
 
-    The checks run in one order: the submitter's key, its signature,
-    Duplicate, an unknown kind (BadSignature), the kind's role gate
-    (UnauthorizedRole), the payload's decoding (BadSignature), then the
-    kind's own rules. A payload that passes the gate is decoded once, up
-    front, as a first NYM's document also gives its submitter's key."""
+    The checks run in one order: a submitter the registry holds no document
+    of, unless the transaction registers it (BadSignature), Duplicate, an
+    unknown kind (BadSignature), the kind's role gate (UnauthorizedRole), the
+    payload's decoding (BadSignature), then the kind's own rules."""
     gate, payload_type, apply = TX_RULES.get(tx.kind, (None, None, None))
-    allowed = apply is not None and (
-        gate is None or bool(state.roles.get(tx.submitter_did, frozenset()) & gate)
-    )
-    payload = None
-    if allowed:
-        try:
-            payload = payload_type.from_bytes(tx.payload)
-        except (enc.DecodeError, CredentialError):
-            pass
-
-    submitter_doc = state.docs.get(tx.submitter_did)
-    if submitter_doc is not None:
-        submitter_key = submitter_doc.primary_key()
-    elif (
-        # self-certifying first registration: the submitter is the document
-        tx.kind == KIND_NYM
-        and payload is not None
-        and payload.did == tx.submitter_did
-        and payload.verification_keys
-    ):
-        submitter_key = payload.primary_key()
-    else:
-        return state, "BadSignature"
-
-    if not crypto.verify(submitter_key, tx.signing_bytes(), tx.submitter_signature):
+    if tx.submitter_did not in state.docs and _self_nym(tx) is None:
         return state, "BadSignature"
     if tx.digest() in state.applied:
         return state, "Duplicate"
     if apply is None:
         return state, "BadSignature"
-    if not allowed:
+    if gate is not None and not state.roles.get(tx.submitter_did, frozenset()) & gate:
         return state, "UnauthorizedRole"
-    if payload is None:
+    try:
+        payload = payload_type.from_bytes(tx.payload)
+    except (enc.DecodeError, CredentialError):
         return state, "BadSignature"
     changes = apply(state, tx, payload)
     if isinstance(changes, str):
@@ -412,17 +460,19 @@ TX_RULES = {
 }
 
 
-def replay_log(
-    genesis: RegistryState, entries: list[tuple[int, bytes, str]]
-) -> RegistryState:
-    """Refold a recorded log (seq, tx bytes, outcome) on a fresh state; the
-    recorded outcomes must reproduce exactly."""
-    state = genesis
-    for seq, tx_bytes, recorded_outcome in entries:
-        state, outcome = apply_transaction(state, RegistryTransaction.from_bytes(tx_bytes))
-        if outcome != recorded_outcome:
+def replay_log(genesis: RegistryState, entries: Sequence["Logged"]) -> RegistryState:
+    """Refold a recorded log on a fresh state, batch by batch, checking each
+    batch's signature once; the batches must follow each other seq by seq,
+    and the recorded outcomes must reproduce exactly."""
+    state, seq = genesis, 0
+    for entry in entries:
+        if entry.first != seq:
+            raise RegistryError(f"replay gap at seq {seq}: the next batch begins at {entry.first}")
+        seq += len(entry.batch.txs)
+        state, outcomes = apply_batch(state, entry.batch)
+        if outcomes != entry.outcomes:
             raise RegistryError(
-                f"replay divergence at seq {seq}: {outcome} != {recorded_outcome}"
+                f"replay divergence at seq {entry.first}: {outcomes} != {entry.outcomes}"
             )
     return state
 
@@ -482,23 +532,19 @@ class Ack(enc.Record):
 
 
 @dataclass(frozen=True)
-class Submit(enc.Record):  # iin.submit: a client's batch, in the order it applies
-    txs: tuple[enc.Framed[RegistryTransaction], ...]
-
-
-@dataclass(frozen=True)
 class Receipt(enc.Record):  # iin.submit.reply
     first: int
     last: int
     outcomes: tuple[str, ...]
     tx_digests: tuple[bytes, ...]
-    acks: tuple[tuple[str, bytes], ...]  # (replica address, its signature of the `Ack`)
+    # (address, its signature of the `Ack`) of 2f replicas other than the sequencer
+    acks: tuple[tuple[str, bytes], ...]
 
 
 @dataclass(frozen=True)
 class Order(enc.Record):  # iin.order: the sequencer's batch, applied from seq `first` on
     first: int
-    txs: tuple[enc.Framed[RegistryTransaction], ...]
+    batch: SignedBatch
 
 
 @dataclass(frozen=True)
@@ -509,14 +555,24 @@ class Acked(enc.Record):  # iin.ack: a replica's signature of the `Ack` of the b
 
 
 @dataclass(frozen=True)
-class Fetch(enc.Record):  # iin.fetch: the log entries from seq `first` through `last`
+class Fetch(enc.Record):  # iin.fetch: the logged batches that begin at seqs first..last
     first: int
     last: int
 
 
 @dataclass(frozen=True)
-class Entries(enc.Record):  # iin.fetch.reply: (seq, transaction bytes, outcome), as logged
-    entries: tuple[tuple[int, bytes, str], ...]
+class Logged(enc.Record):
+    """One applied batch as a replica's log keeps it: its first seq, the
+    signed batch, which `replay_log` re-checks, and each transaction's outcome."""
+
+    first: int
+    batch: SignedBatch
+    outcomes: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class Entries(enc.Record):  # iin.fetch.reply: the logged batches that begin in the range
+    entries: tuple[Logged, ...]
 
 
 @dataclass(frozen=True)
@@ -551,7 +607,7 @@ class IinNode(Actor):
         self.pool = pool
         self.state = genesis
         self.genesis = genesis
-        self.log: list[tuple[int, bytes, str]] = []  # entry i holds seq i
+        self.log: list[Logged] = []  # one entry per batch, in seq order
         self.next_seq = 0
 
     @property
@@ -560,71 +616,67 @@ class IinNode(Actor):
 
     # --- shared apply path ---------------------------------------------------
 
-    def _apply_in_order(self, tx: RegistryTransaction) -> str:
-        """Apply a decoded transaction, whose kept bytes the log records and
-        whose kept digest the trace names."""
-        seq = self.next_seq
-        self.state, outcome = apply_transaction(self.state, tx)
-        self.log.append((seq, tx.to_bytes(), outcome))
-        self.next_seq += 1
-        self.trace(
-            "registry.commit",
-            iin=self.pool.iin_id,
-            seq=seq,
-            tx_kind=tx.kind,
-            tx_digest=tx.digest().hex(),
-            submitter=tx.submitter_did,
-            outcome=outcome,
-        )
-        return outcome
-
-    def _acked(self, first: int, last: int, digest: bytes) -> Acked:
-        ack = Ack(first, last, digest)
-        return Acked(self.address, ack, self.keys.sign(ack.to_bytes()).bytes_)
+    def _apply_in_order(self, batch: SignedBatch) -> tuple[str, ...]:
+        """Apply a decoded batch at the next seqs and log it; the trace names
+        each transaction by its kept digest."""
+        first = self.next_seq
+        self.state, outcomes = apply_batch(self.state, batch)
+        self.log.append(Logged(first, batch, outcomes))
+        self.next_seq += len(outcomes)
+        for seq, tx, outcome in zip(range(first, self.next_seq), batch.txs, outcomes):
+            self.trace(
+                "registry.commit",
+                iin=self.pool.iin_id,
+                seq=seq,
+                tx_kind=tx.kind,
+                tx_digest=tx.digest().hex(),
+                submitter=tx.submitter_did,
+                outcome=outcome,
+            )
+        return outcomes
 
     # --- message handling ------------------------------------------------
 
     REQUESTS = {
-        "iin.submit": ("_sequence", Submit, "iin.submit.reply", Receipt),
+        "iin.submit": ("_sequence", SignedBatch, "iin.submit.reply", Receipt),
         "iin.order": ("_handle_order", Order, "iin.ack", Acked),
         "iin.fetch": ("_serve_fetch", Fetch, "iin.fetch.reply", Entries),
         "iin.query": ("_query", Query, "iin.query.reply", QueryResult),
     }
 
-    def _sequence(self, client: str, submit: Submit) -> Generator:
+    def _sequence(self, client: str, batch: SignedBatch) -> Generator:
         """Apply a client's batch at the next seqs, order it to every other
-        replica in one message, and answer with a receipt once 2f+1 replicas,
-        this one included, have acked the batch."""
+        replica in one message, and answer with a receipt once 2f of them
+        have acked the batch; the receipt is this replica's own ack."""
         if not self.is_sequencer:
             return "NotSequencer"
-        if not submit.txs:
+        if not batch.txs:
             raise EmptyBatch("a batch needs at least one transaction")
         first = self.next_seq
-        outcomes = tuple(self._apply_in_order(tx) for tx in submit.txs)
+        outcomes = self._apply_in_order(batch)
         last = self.next_seq - 1
         # the encoding is canonical: these are the digests a client computes
-        tx_digests = tuple(tx.digest() for tx in submit.txs)
-        own = self._acked(first, last, batch_digest(tx_digests))
+        tx_digests = tuple(tx.digest() for tx in batch.txs)
+        ack = Ack(first, last, batch_digest(tx_digests))
 
         others = tuple(a for a in self.pool.node_addresses if a != self.address)
-        need = self.pool.write_quorum - 1  # own ack counts
+        need = self.pool.write_quorum - 1  # the receipt is the sequencer's ack
 
         verdicts: dict[int, bool] = {}  # reply index -> valid ack; checked once per reply
 
         def valid_acks(results: list) -> list[Acked]:
             for i, r in enumerate(results):
                 if r is not None and i not in verdicts:
-                    verdicts[i] = self._valid_ack(r, own.ack)
+                    verdicts[i] = self._valid_ack(r, ack)
             return [r.body for i, r in enumerate(results) if verdicts.get(i)]
 
-        order = Order(first, submit.txs)
         replies = yield Gather(
-            tuple((a, "iin.order", order) for a in others),
+            tuple((a, "iin.order", Order(first, batch)) for a in others),
             timeout=60,
             early=lambda results: len(valid_acks(results)) >= need,
         )
-        acks = [own] + valid_acks(replies)
-        if len(acks) < self.pool.write_quorum:
+        acks = valid_acks(replies)
+        if len(acks) < need:
             return "QuorumUnavailable"
         signatures = tuple(sorted((a.address, a.signature) for a in acks))
         return Receipt(first, last, outcomes, tx_digests, signatures)
@@ -639,24 +691,24 @@ class IinNode(Actor):
 
     def _handle_order(self, sender: str, order: Order) -> Generator:
         """Apply an ordered batch and ack it once. A replica whose log ends
-        before the batch's first seq first fetches the missing entries from
+        before the batch's first seq first fetches the missing batches from
         the sequencer. A batch whose range is already applied is acked only
-        when the log holds exactly its transactions at those seqs. Only the
+        when the log holds exactly this signed batch from that seq. Only the
         sequencer orders; anything else stays unanswered."""
         if sender != self.pool.sequencer:
             return None
-        if not order.txs:
+        first, batch = order.first, order.batch
+        if not batch.txs:
             raise EmptyBatch("a batch needs at least one transaction")
-        first, batch = order.first, order.txs
         if first > self.next_seq:
             yield from self._catch_up(first - 1)
-        last = first + len(batch) - 1
         if first == self.next_seq:
-            for tx in batch:
-                self._apply_in_order(tx)
-        elif [entry[1] for entry in self.log[first:last + 1]] != [tx.to_bytes() for tx in batch]:
-            return None  # the log holds other transactions there, or none yet
-        return self._acked(first, last, batch_digest([tx.digest() for tx in batch]))
+            self._apply_in_order(batch)
+        elif not any(e.first == first and e.batch == batch for e in self.log):
+            return None  # the log holds another batch there, or none yet
+        last = first + len(batch.txs) - 1
+        ack = Ack(first, last, batch_digest([tx.digest() for tx in batch.txs]))
+        return Acked(self.address, ack, self.keys.sign(ack.to_bytes()).bytes_)
 
     def _catch_up(self, upto: int) -> Generator:
         """Apply the sequencer's log entries from this replica's next seq
@@ -664,15 +716,16 @@ class IinNode(Actor):
         fetch = Fetch(self.next_seq, upto)
         reply = yield Request(self.pool.sequencer, "iin.fetch", fetch, timeout=60)
         if reply is not None and not reply.error:
-            for seq, tx, _outcome in reply.body.entries:
-                if seq == self.next_seq:
-                    self._apply_in_order(RegistryTransaction.from_bytes(tx))
+            for entry in reply.body.entries:
+                if entry.first == self.next_seq:
+                    self._apply_in_order(entry.batch)
 
     # --- open reads --------------------------------------------------------
 
     def _serve_fetch(self, sender: str, fetch: Fetch) -> Entries:
-        """The log entries asked for; a range that ends before it starts holds none."""
-        return Entries(tuple(self.log[fetch.first:fetch.last + 1]))
+        """The logged batches that begin in the range asked for; a range that
+        ends before it starts holds none."""
+        return Entries(tuple(e for e in self.log if fetch.first <= e.first <= fetch.last))
 
     def _query(self, sender: str, query: Query) -> QueryResult:
         """Answer a member read with a `MemberSnapshot` of this replica's
@@ -769,30 +822,34 @@ class MemberSnapshot(enc.Record):
 # --- client-side pool protocols (run inside an actor session) ----------------
 
 
-def submit_transaction(pool: PoolInfo, *txs: RegistryTransaction) -> Generator:
-    """Submit `txs` to the sequencer as one batch, applied in this order at
+def submit_transaction(pool: PoolInfo, batch: SignedBatch) -> Generator:
+    """Submit a signed batch to the sequencer, applied in its order at
     contiguous seqs, and await a quorum-backed receipt. Returns the
-    `Receipt`, whose `outcomes` align with `txs`; raises QuorumUnavailable when the
-    pool cannot commit the batch, or when the receipt names other
-    transactions or carries fewer than 2f+1 valid acks over this batch."""
-    tx_digests = tuple(tx.digest() for tx in txs)
-    reply = yield Request(pool.sequencer, "iin.submit", Submit(txs), timeout=150)
+    `Receipt`, whose `outcomes` align with the batch's transactions; raises
+    QuorumUnavailable when the pool cannot commit the batch, or when the
+    receipt names other transactions or carries fewer than 2f valid acks
+    over this batch from pool nodes other than the sequencer. The receipt
+    itself is the sequencer's ack: this session takes a reply only from the
+    node it asked."""
+    tx_digests = tuple(tx.digest() for tx in batch.txs)
+    reply = yield Request(pool.sequencer, "iin.submit", batch, timeout=150)
     if reply is None:
         raise QuorumUnavailable("no reply from sequencer")
     if reply.error:
         raise QuorumUnavailable(reply.error)
     receipt = reply.body
-    if receipt.tx_digests != tx_digests or len(receipt.outcomes) != len(txs):
+    if receipt.tx_digests != tx_digests or len(receipt.outcomes) != len(tx_digests):
         raise QuorumUnavailable("receipt names other transactions")
     signed = Ack(receipt.first, receipt.last, batch_digest(tx_digests)).to_bytes()
     valid = {
         address
         for address, signature in receipt.acks
-        if address in pool.node_public_keys
+        if address != pool.sequencer
+        and address in pool.node_public_keys
         and crypto.verify(pool.node_public_keys[address], signed, crypto.Signature(signature))
     }
-    if len(valid) < pool.write_quorum:
-        raise QuorumUnavailable(f"receipt carries {len(valid)} valid acks")
+    if 1 + len(valid) < pool.write_quorum:
+        raise QuorumUnavailable(f"receipt carries {len(valid)} valid replica acks")
     return receipt
 
 

@@ -10,8 +10,9 @@ neither scenario revokes anyone, so each one is a wrongful revocation. They
 also count the `ledger.commit` entries the contract refused, by outcome name
 (a `StaleStatement` is a statement that a commit overtook under loss).
 
-Pytest does not collect this file (its name does not start with `test_`).
-Run it from the repository root:
+Pytest does not collect this file (its name does not start with `test_`);
+`tests/test_loss.py` pins `single` on concurrent-commit. Run it from the
+repository root:
 
     PYTHONPATH=src python3 tests/loss_search.py single [scenario ...]
     PYTHONPATH=src python3 tests/loss_search.py rates [--seeds N] [rate ...]
@@ -53,10 +54,12 @@ def run(cfg: harness.ScenarioConfig, seed=None, rules=()) -> harness.ScenarioRun
     return runner
 
 
-def single(name: str, refused: collections.Counter) -> list:
-    """Drop each send of `name`'s lossless run in turn; prints the failed
-    runs per dropped kind, counts refused commits in `refused` and returns
-    the wrongful revocations."""
+def single(
+    name: str, refused: collections.Counter
+) -> tuple[collections.Counter, collections.Counter, list]:
+    """Drop each send of `name`'s lossless run in turn; counts refused
+    commits in `refused` and returns the runs and the failed runs per
+    dropped kind, and the wrongful revocations."""
     cfg = scenario_config(name)
     lossless = run(cfg)
     assert lossless.report.ok, lossless.report.errors
@@ -72,10 +75,13 @@ def single(name: str, refused: collections.Counter) -> list:
         refused.update(refusals(runner))
         for e in wrongful_revocations(runner):
             revoked.append((name, f"drop {n} ({kind})", e.tick, e.detail["foreign_org"]))
-    print(f"{name}: {sum(failed.values())} of {sends} single drops fail the run")
+    return runs, failed, revoked
+
+
+def print_single(name: str, runs: collections.Counter, failed: collections.Counter) -> None:
+    print(f"{name}: {sum(failed.values())} of {sum(runs.values())} single drops fail the run")
     for kind in sorted(runs, key=lambda k: (-failed[k], k)):
         print(f"  {kind:32} {failed[kind]:3} of {runs[kind]:3} fail")
-    return revoked
 
 
 def sweep(rates: tuple[float, ...], seeds: int, refused: collections.Counter) -> list:
@@ -114,7 +120,11 @@ def main(argv=None) -> int:
         unknown = set(args.scenarios) - set(SCENARIOS)
         if unknown:
             parser.error(f"no single-drop search for {', '.join(sorted(unknown))}")
-        revoked = [r for name in args.scenarios or SCENARIOS for r in single(name, refused)]
+        revoked = []
+        for name in args.scenarios or SCENARIOS:
+            runs, failed, found = single(name, refused)
+            print_single(name, runs, failed)
+            revoked += found
     else:
         revoked = sweep(tuple(args.rates), args.seeds, refused)
     for scenario, cause, tick, org in revoked:

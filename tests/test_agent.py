@@ -1884,6 +1884,28 @@ class TestBatchedStepD:
         assert agent_events(world, "Buyer", {"session.failed"}, start) == []
         assert world.ledger_state("SWT").block_log == ()
 
+    @pytest.mark.parametrize("lost, outcome", [
+        (FaultRule(action="drop", from_="agent:Buyer", kind="cmdac.submit", occurrence=1),
+         "APPLIED"),
+        (FaultRule(action="drop", to="agent:Buyer", kind="cmdac.reply", occurrence=1), "NOOP"),
+    ], ids=["submit", "reply"])
+    def test_a_batch_whose_submit_or_reply_is_lost_is_sent_once_more(
+        self, world, lost, outcome
+    ):
+        """The resend is safe: a ledger that applied the batch before its
+        reply was lost answers each statement of the resent one NOOP."""
+        world.bus.config.rules.append(lost)
+        start = len(world.trace.events)
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        assert [r["status"] for r in record.result.values()] == ["DONE"] * 2
+        assert len(sends_from(world, "Buyer", "cmdac.submit", start)) == 2
+        log = world.ledger_state("SWT").block_log
+        assert [e.outcome for e in log] == ["APPLIED"] * 2 + ["NOOP"] * 2 * (outcome == "NOOP")
+        committed = agent_events(world, "Buyer", {"agent.committed"}, start)
+        assert [e.detail["outcome"] for e in committed] == [outcome] * 2
+        for org in ("Seller", "Carrier"):
+            assert world.ledger_state("SWT").get_record("STL", org).status == "ACTIVE"
+
     def test_retry_round_starts_once_the_rounds_submits_have_settled(self, world):
         """Seller's mismatch on Carrier sends Carrier into a retry round while
         Seller's own record is submitted; the retry's first registry read

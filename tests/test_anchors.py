@@ -223,10 +223,10 @@ class TestCredentialDefinitionOwnership:
             issuer_did=stl.profile.did,
             authentication_public_key=swt.keys.public_key,
         )
-        tx = registry.make_transaction(
-            registry.KIND_CRED_DEF, forged.to_bytes(), swt.profile.did, swt.keys
-        )
-        record = swt.start_session("forge", registry.submit_transaction(swt.pool, tx))
+        batch = registry.sign_batch(swt.keys, registry.RegistryTransaction(
+            registry.KIND_CRED_DEF, forged.to_bytes(), swt.profile.did
+        ))
+        record = swt.start_session("forge", registry.submit_transaction(swt.pool, batch))
         world.settle()
         assert record.result.outcomes == ("UnauthorizedRole",)
         for node in world.iin_nodes[swt.pool.iin_id]:

@@ -49,8 +49,8 @@ SCENARIOS = ("two-network", "concurrent-commit", "revoke-carrier", "rotate-resyn
 @pytest.mark.parametrize(
     "name, sends, queries, memberlists, witnesses, orders, countersigns, signs, verifies",
     [
-        ("two-network", 166, 16, 0, 2, 30, 2, 104, 222),
-        ("concurrent-commit", 136, 12, 0, 1, 30, 2, 92, 170),
+        ("two-network", 166, 16, 0, 2, 30, 2, 83, 168),
+        ("concurrent-commit", 136, 12, 0, 1, 30, 2, 71, 116),
     ],
     ids=("two-network", "concurrent-commit"),  # stable across re-pins
 )
@@ -87,10 +87,10 @@ def test_bundled_scenario_counts(
 
 
 @pytest.mark.parametrize("name, plaintext_bytes", [
-    ("two-network", 92_198),
-    ("concurrent-commit", 70_776),
-    ("revoke-carrier", 124_096),
-    ("rotate-resync", 98_412),
+    ("two-network", 87_902),
+    ("concurrent-commit", 66_480),
+    ("revoke-carrier", 119_718),
+    ("rotate-resync", 94_116),
 ], ids=SCENARIOS)  # stable across re-pins
 def test_bundled_scenario_wire_bytes(monkeypatch, name, plaintext_bytes):
     sent = []
@@ -109,10 +109,10 @@ def test_bundled_scenario_wire_bytes(monkeypatch, name, plaintext_bytes):
 @pytest.mark.parametrize(
     "name, logical, outside, executed",
     [
-        ("two-network", 222, 4, 84),
-        ("concurrent-commit", 170, 0, 66),
-        ("revoke-carrier", 249, 2, 96),
-        ("rotate-resync", 215, 4, 79),
+        ("two-network", 168, 4, 63),
+        ("concurrent-commit", 116, 0, 45),
+        ("revoke-carrier", 194, 2, 74),
+        ("rotate-resync", 161, 4, 58),
     ],
     ids=SCENARIOS,  # stable across re-pins
 )
@@ -166,12 +166,12 @@ def test_bundled_scenario_decodes(monkeypatch, name, in_loop, entries):
 
 
 TRACE_DIGESTS = {
-    "concurrent-commit": "903291990e1d533e0fe0a879e39babb087da62cdefb1d195a68b17e003abaad9",
-    "concurrent-commit-serial": "91eb33d33c0def5812206be5b88640241a1e146293fc462535aab9f05b86389d",
-    "digest-mismatch-retry": "8863b80fb28d2c3803b9b2ae5ab08dbe8009b8a8ca8c658b71607c445eb73614",
-    "revoke-carrier": "f3dc6a69e437bf9ae3555131953c7b1611356b39edea338f7d9fc562ddb5b8ab",
-    "rotate-resync": "78575d24d6fad1adc03156a0e5d2753c88ec1078160f0aaad8a1a32dbadf9c2d",
-    "two-network": "b8a1efc16d07605f085b73651b289444f7e17dce78a9a5688db64523dcd0d035",
+    "concurrent-commit": "c4d3c9c56952f1702a1e4951a5393dad56681b541f8a64125de8d89f94935eac",
+    "concurrent-commit-serial": "73875bafff71de5ca0422113ff25e5aab975a1092d2e5044c236466f16c1a407",
+    "digest-mismatch-retry": "5847ea65f0b09a84dd307937ad302d14951065f2db9a48620c270f2f5dbf8e61",
+    "revoke-carrier": "bc8f1fd9734821fa514162f2224bd13bfab157a1b56b228f48bc9cf5a9cb91be",
+    "rotate-resync": "81e0d20ea2347f3cea8eea4f7bf8529cb3d716870ecb446063665fd969556d3a",
+    "two-network": "93782e3813af49e9fcc9a04e4f62e98602c1ca2a195e89e26f260b77843a0bf9",
 }
 
 
@@ -184,12 +184,12 @@ def test_bundled_scenario_trace_digest(tmp_path, name):
 
 
 TRAFFIC_DIGESTS = {
-    "concurrent-commit": "1dc1a0be27120f770e2f30af81969558763564ff2ba650a25f3381c989aba234",
-    "concurrent-commit-serial": "ff515ef3456aad97850946d9cc3ebbae410fffc5554eea7459fa0f6722159dc0",
-    "digest-mismatch-retry": "c14d156670ba0ed9fe2ed2e2ad4b61ba4e845d93acb5b62a50700bb39d6f936c",
-    "revoke-carrier": "9fd9b9e04dd9f8dcc5f7f39eec28c0dff4f1121e11cd4e8d5a715f1ef9ddb8cd",
-    "rotate-resync": "27400d859f21b0e16473f11e70fc53d24f7483711a02896eb0f6177af993718f",
-    "two-network": "a3c14e545a6a8ad61130abe79a358e9b2887e06f05afe02e3d80c0083142d140",
+    "concurrent-commit": "a03be62d9a3fc165e1305d0593be2a679aa36822a670ad2d21d44adc4f77a4a0",
+    "concurrent-commit-serial": "b53beb65243afd55297f67cc2c6388803a2fa83c6d2591772aca3b574602b432",
+    "digest-mismatch-retry": "b5cb94710a596df61f6a35d94eda88764cc38ed38fb38852a94a8e07636eb21f",
+    "revoke-carrier": "0be30f37f890d7118d0c558df5b5865e4874ec5493f7e6ee116c564b46ef2cc2",
+    "rotate-resync": "6fd45d74709dcf7ea3a50db69bc3700c355f716cedbb4c489b2a569db93ce6d1",
+    "two-network": "ebc5ede21fdcbc8c85850f8309e1182d134b84ba4f6d998a910cfb62affa6efc",
 }
 
 

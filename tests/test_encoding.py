@@ -191,9 +191,9 @@ def old_did_doc(d):
     )
 
 
-def old_tx_signing(tx):
+def old_tx(tx):
     return enc.record(
-        enc.TAG_TX,
+        enc.TAG_REGISTRY_TX,
         enc.encode_str(tx.kind),
         enc.encode_bytes(tx.payload),
         enc.encode_str(tx.submitter_did),
@@ -401,8 +401,16 @@ def old_header(h):
 # its wire format field by field.
 
 
-def old_tx(tx):
-    return old_tx_signing(tx) + old_signature(tx.submitter_signature)
+def old_write_authorization(a):
+    return enc.record(enc.TAG_TX, enc.encode_list(enc.encode_bytes(d) for d in a.tx_digests))
+
+
+def old_signed_batch(b):
+    return framed(old_tx, b.txs) + old_signature(b.signature)
+
+
+def old_logged(e):
+    return enc.encode_u64(e.first) + old_signed_batch(e.batch) + strs(e.outcomes)
 
 
 def old_message(m):
@@ -506,7 +514,7 @@ memberlist_vc = st.builds(
     signature,
 )
 record_content = st.builds(net.RecordContent, text, text, text, blob, blob, text)
-transaction = st.builds(registry.RegistryTransaction, text, blob, text, signature)
+transaction = st.builds(registry.RegistryTransaction, text, blob, text)
 endorsement = st.builds(net.Endorsement, text, text, text, text, blob, text, u64)
 answer = st.builds(agent.Answer, text, blob, text)
 
@@ -516,6 +524,8 @@ def up_to_3(strategy):
 
 
 endorsed = st.builds(net.Endorsed, up_to_3(blob))
+signed_batch = st.builds(registry.SignedBatch, up_to_3(transaction), signature)
+logged = st.builds(registry.Logged, u64, signed_batch, up_to_3(text))
 
 # class -> (example strategy, old signing_bytes or None, old to_bytes)
 RECORDS = {
@@ -578,10 +588,9 @@ RECORDS = {
     ),
     registry.Batch: (st.builds(registry.Batch, up_to_3(blob)), None, old_batch),
     registry.Ack: (st.builds(registry.Ack, u64, u64, blob), None, old_ack),
-    registry.RegistryTransaction: (
-        st.builds(registry.RegistryTransaction, text, blob, text, signature),
-        old_tx_signing,
-        lambda tx: old_tx_signing(tx) + old_signature(tx.submitter_signature),
+    registry.RegistryTransaction: (transaction, None, old_tx),
+    registry.WriteAuthorization: (
+        st.builds(registry.WriteAuthorization, up_to_3(blob)), None, old_write_authorization
     ),
     registry.AnchorGrant: (st.builds(registry.AnchorGrant, text, text), None, old_anchor_grant),
     registry.MemberEntry: (member_entry, None, old_member_entry),
@@ -622,9 +631,8 @@ RECORDS = {
     net.ProofStatement: (st.builds(net.ProofStatement, blob), None, old_proof_statement),
     bus.Header: (st.builds(bus.Header, text, text, u64, text), None, old_header),
     actors.Message: (st.builds(actors.Message, text, text, text, blob), None, old_message),
-    registry.Submit: (
-        st.builds(registry.Submit, up_to_3(transaction)), None, lambda b: framed(old_tx, b.txs)
-    ),
+    registry.SignedBatch: (signed_batch, None, old_signed_batch),
+    registry.Logged: (logged, None, old_logged),
     registry.Receipt: (
         st.builds(
             registry.Receipt, u64, u64, up_to_3(text), up_to_3(blob),
@@ -634,9 +642,9 @@ RECORDS = {
         old_receipt,
     ),
     registry.Order: (
-        st.builds(registry.Order, u64, up_to_3(transaction)),
+        st.builds(registry.Order, u64, signed_batch),
         None,
-        lambda o: enc.encode_u64(o.first) + framed(old_tx, o.txs),
+        lambda o: enc.encode_u64(o.first) + old_signed_batch(o.batch),
     ),
     registry.Acked: (
         st.builds(registry.Acked, text, st.builds(registry.Ack, u64, u64, blob), blob),
@@ -649,12 +657,9 @@ RECORDS = {
         lambda f: enc.encode_u64(f.first) + enc.encode_u64(f.last),
     ),
     registry.Entries: (
-        st.builds(registry.Entries, up_to_3(st.tuples(u64, blob, text))),
+        st.builds(registry.Entries, up_to_3(logged)),
         None,
-        lambda e: enc.encode_list(
-            enc.encode_u64(seq) + enc.encode_bytes(tx) + enc.encode_str(outcome)
-            for seq, tx, outcome in e.entries
-        ),
+        lambda e: enc.encode_list(old_logged(entry) for entry in e.entries),
     ),
     registry.Query: (
         st.builds(
@@ -944,7 +949,9 @@ def test_ledger_state_hash_is_over_the_old_image(
             subject_name="leaf", subject_public_key=b"k", issuer_name="root",
             valid_from=1, valid_to=2,
         )),
-        (registry.RegistryTransaction, dict(kind="NYM", payload=b"p", submitter_did="did")),
+        (creds.VerifiablePresentation, dict(
+            kind="membership", body=b"b", presenter_did="did", challenge_nonce=b"n",
+        )),
     ],
 )
 def test_sign_fills_the_last_field_with_a_signature_over_the_others(cls, fields):

@@ -1,0 +1,46 @@
+"""The single-drop search of `loss_search.py`, pinned on concurrent-commit.
+
+Each send of the scenario's lossless run is dropped in turn, one run per
+send. The failed runs per dropped message kind are pinned, so a change that
+makes the protocol lose a run to one more kind of single loss fails here,
+and one that mends a kind must lower its pin on purpose. No run may apply a
+REVOKED statement (the scenario revokes no one) or have a `ledger.commit`
+refused by the contract.
+"""
+
+import collections
+
+import loss_search
+
+# dropped kind -> (failed runs, runs)
+CONCURRENT_COMMIT = {
+    "iin.submit": (10, 10),
+    "anchor.verinym.reply": (3, 3),
+    "anchor.verinym.request": (3, 3),
+    "iin.submit.reply": (3, 10),
+    "agent.countersign.reply": (2, 2),
+    "agent.countersign.request": (2, 2),
+    "agent.membership_vp.reply": (2, 2),
+    "agent.membership_vp.request": (2, 2),
+    "ledger.query": (2, 2),
+    "ledger.reply": (2, 2),
+    "anchor.witness.reply": (1, 1),
+    "anchor.witness.request": (1, 1),
+    "anchor.vc.reply": (0, 4),
+    "anchor.vc.request": (0, 4),
+    "cmdac.reply": (0, 2),  # the lost batch is sent once more
+    "cmdac.submit": (0, 2),
+    "iin.ack": (0, 30),  # 2f of the 3 other replicas' acks suffice
+    "iin.order": (0, 30),
+    "iin.query": (0, 12),  # a read asks the other nodes after its timeout
+    "iin.query.reply": (0, 12),
+}
+
+
+def test_single_drops_of_concurrent_commit_fail_as_pinned():
+    refused = collections.Counter()
+    runs, failed, revoked = loss_search.single("concurrent-commit", refused)
+    assert {kind: (failed[kind], runs[kind]) for kind in runs} == CONCURRENT_COMMIT
+    assert sum(failed.values()) == 33 and sum(runs.values()) == 136
+    assert revoked == []
+    assert refused == {}

@@ -49,6 +49,17 @@ def attested(doc: registry.DidDocument, signer_did: str, signer_keys: crypto.Key
     )
 
 
+def signed(kind: str, payload: bytes, did: str, keys: crypto.KeyPair) -> registry.SignedBatch:
+    """A batch of one transaction of `did`'s, signed with `keys`."""
+    return registry.sign_batch(keys, registry.RegistryTransaction(kind, payload, did))
+
+
+def apply_one(state: registry.RegistryState, batch: registry.SignedBatch):
+    """The state after a one-transaction batch, and its outcome."""
+    state, (outcome,) = registry.apply_batch(state, batch)
+    return state, outcome
+
+
 def revocation(state: crypto.RevocationRegistryState, *memberlists) -> bytes:
     """A REVOC_INIT or REVOC_UPDATE payload: `state` and `memberlists`."""
     return registry.RevocationUpdate(state, memberlists).to_bytes()
@@ -86,17 +97,17 @@ class TestApplyRules:
         s_keys, s_did, _ = steward
         _, org_did, org_doc = make_identity("org")
         doc = attested(org_doc, s_did, s_keys)
-        tx = registry.make_transaction(registry.KIND_NYM, doc.to_bytes(), s_did, s_keys)
-        state, outcome = registry.apply_transaction(genesis, tx)
+        tx = signed(registry.KIND_NYM, doc.to_bytes(), s_did, s_keys)
+        state, outcome = apply_one(genesis, tx)
         assert outcome == "APPLIED"
         assert state.verinym_status(org_did)
 
     def test_unattested_self_registration_is_pseudonymous(self, genesis):
         org_keys, org_did, org_doc = make_identity("org")
-        tx = registry.make_transaction(
+        tx = signed(
             registry.KIND_NYM, org_doc.to_bytes(), org_did, org_keys
         )
-        state, outcome = registry.apply_transaction(genesis, tx)
+        state, outcome = apply_one(genesis, tx)
         assert outcome == "APPLIED"
         assert not state.verinym_status(org_did)
 
@@ -109,10 +120,10 @@ class TestApplyRules:
             service_endpoint="x",
             attestations=(),
         )
-        tx = registry.make_transaction(
+        tx = signed(
             registry.KIND_NYM, forged.to_bytes(), other_did, org_keys
         )
-        state, outcome = registry.apply_transaction(genesis, tx)
+        state, outcome = apply_one(genesis, tx)
         assert outcome == "BadSignature"
         assert other_did not in state.docs
 
@@ -124,48 +135,48 @@ class TestApplyRules:
             org_doc = attested(org_doc, s_did, s_keys)
         payload = org_doc.to_bytes().replace(b"agent:~", b"agent:\xff")
         keys, did = (s_keys, s_did) if submitter == "steward" else (org_keys, org_did)
-        tx = registry.make_transaction(registry.KIND_NYM, payload, did, keys)
-        state, outcome = registry.apply_transaction(genesis, tx)
+        tx = signed(registry.KIND_NYM, payload, did, keys)
+        state, outcome = apply_one(genesis, tx)
         assert outcome == "BadSignature"
         assert org_did not in state.docs
 
     def test_attestation_by_unroled_did_rejected(self, genesis):
         rogue_keys, rogue_did, rogue_doc = make_identity("rogue")
-        state, _ = registry.apply_transaction(
+        state, _ = apply_one(
             genesis,
-            registry.make_transaction(
+            signed(
                 registry.KIND_NYM, rogue_doc.to_bytes(), rogue_did, rogue_keys
             ),
         )
         _, _, org_doc = make_identity("org")
         doc = attested(org_doc, rogue_did, rogue_keys)
-        tx = registry.make_transaction(registry.KIND_NYM, doc.to_bytes(), rogue_did, rogue_keys)
-        state2, outcome = registry.apply_transaction(state, tx)
+        tx = signed(registry.KIND_NYM, doc.to_bytes(), rogue_did, rogue_keys)
+        state2, outcome = apply_one(state, tx)
         assert outcome == "UnauthorizedRole"
 
     def test_identical_reregistration_is_duplicate(self, steward, genesis):
         s_keys, s_did, _ = steward
         _, _, org_doc = make_identity("org")
         doc = attested(org_doc, s_did, s_keys)
-        tx = registry.make_transaction(registry.KIND_NYM, doc.to_bytes(), s_did, s_keys)
-        state, outcome = registry.apply_transaction(genesis, tx)
+        tx = signed(registry.KIND_NYM, doc.to_bytes(), s_did, s_keys)
+        state, outcome = apply_one(genesis, tx)
         assert outcome == "APPLIED"
-        state2, outcome2 = registry.apply_transaction(state, tx)
+        state2, outcome2 = apply_one(state, tx)
         assert outcome2 == "Duplicate"
         assert state2.state_hash() == state.state_hash()
 
     def test_revoc_update_epoch_jump_is_stale(self, steward, genesis):
         s_keys, s_did, _ = steward
         pmv_keys, pmv_did, pmv_doc = make_identity("pmv")
-        state, _ = registry.apply_transaction(
+        state, _ = apply_one(
             genesis,
-            registry.make_transaction(
+            signed(
                 registry.KIND_NYM, attested(pmv_doc, s_did, s_keys).to_bytes(), s_did, s_keys
             ),
         )
-        state, outcome = registry.apply_transaction(
+        state, outcome = apply_one(
             state,
-            registry.make_transaction(
+            signed(
                 registry.KIND_ANCHOR_GRANT,
                 registry.AnchorGrant(pmv_did, registry.ROLE_PMV).to_bytes(),
                 s_did,
@@ -174,9 +185,9 @@ class TestApplyRules:
         )
         assert outcome == "APPLIED"
         reg0, _ = crypto.accumulator_init(pmv_did)
-        state, outcome = registry.apply_transaction(
+        state, outcome = apply_one(
             state,
-            registry.make_transaction(
+            signed(
                 registry.KIND_REVOC_INIT, revocation(reg0), pmv_did, pmv_keys
             ),
         )
@@ -184,9 +195,9 @@ class TestApplyRules:
         jumped = crypto.RevocationRegistryState(
             issuer_did=pmv_did, epoch=2, root=reg0.root, size_hint=1
         )
-        state2, outcome = registry.apply_transaction(
+        state2, outcome = apply_one(
             state,
-            registry.make_transaction(
+            signed(
                 registry.KIND_REVOC_UPDATE, revocation(jumped), pmv_did, pmv_keys
             ),
         )
@@ -199,15 +210,15 @@ class TestApplyRules:
         state = genesis
         for _, did, doc in anchors:
             for tx in (
-                registry.make_transaction(
+                signed(
                     registry.KIND_NYM, attested(doc, s_did, s_keys).to_bytes(), s_did, s_keys
                 ),
-                registry.make_transaction(
+                signed(
                     registry.KIND_ANCHOR_GRANT,
                     registry.AnchorGrant(did, registry.ROLE_PMV).to_bytes(), s_did, s_keys,
                 ),
             ):
-                state, outcome = registry.apply_transaction(state, tx)
+                state, outcome = apply_one(state, tx)
                 assert outcome == "APPLIED"
         (a_keys, a_did, _), (b_keys, b_did, _) = anchors
         schema_id = creds.schema_id_for(creds.MEMBERSHIP_SCHEMA_NAME)
@@ -215,14 +226,14 @@ class TestApplyRules:
 
         def cred_def_tx(issuer_did, keys):
             cred_def = creds.CredentialDefinition(b_id, schema_id, issuer_did, keys.public_key)
-            return registry.make_transaction(
+            return signed(
                 registry.KIND_CRED_DEF, cred_def.to_bytes(), issuer_did, keys
             )
 
-        state, outcome = registry.apply_transaction(state, cred_def_tx(a_did, a_keys))
+        state, outcome = apply_one(state, cred_def_tx(a_did, a_keys))
         assert outcome == "UnauthorizedRole"
         assert b_id not in state.cred_defs
-        state, outcome = registry.apply_transaction(state, cred_def_tx(b_did, b_keys))
+        state, outcome = apply_one(state, cred_def_tx(b_did, b_keys))
         assert outcome == "APPLIED"
         assert state.cred_defs[b_id].issuer_did == b_did
 
@@ -232,18 +243,18 @@ class TestApplyRules:
         _, b_did, b_doc = make_identity("orgB")
         state = genesis
         for tx in (
-            registry.make_transaction(registry.KIND_NYM, a_doc.to_bytes(), a_did, a_keys),
-            registry.make_transaction(
+            signed(registry.KIND_NYM, a_doc.to_bytes(), a_did, a_keys),
+            signed(
                 registry.KIND_NYM, attested(b_doc, s_did, s_keys).to_bytes(), s_did, s_keys
             ),
         ):
-            state, outcome = registry.apply_transaction(state, tx)
+            state, outcome = apply_one(state, tx)
             assert outcome == "APPLIED"
         # A redirects B's endpoint to itself and drops B's attestation
         hijack = replace(b_doc, service_endpoint="agent:A", version=2)
-        after, outcome = registry.apply_transaction(
+        after, outcome = apply_one(
             state,
-            registry.make_transaction(registry.KIND_NYM, hijack.to_bytes(), a_did, a_keys),
+            signed(registry.KIND_NYM, hijack.to_bytes(), a_did, a_keys),
         )
         assert outcome == "UnauthorizedRole"
         assert after.docs[b_did] == state.docs[b_did]
@@ -253,14 +264,11 @@ class TestApplyRules:
         s_keys, s_did, _ = steward
         rogue, _, _ = make_identity("rogue")
         schema = membership_schema()
-        tx = registry.RegistryTransaction(
-            kind=registry.KIND_SCHEMA,
-            payload=schema.to_bytes(),
-            submitter_did=s_did,
-            submitter_signature=rogue.sign(b"not the tx"),
-        )
-        _, outcome = registry.apply_transaction(genesis, tx)
+        tx = registry.RegistryTransaction(registry.KIND_SCHEMA, schema.to_bytes(), s_did)
+        batch = registry.SignedBatch((tx,), rogue.sign(registry.authorization((tx,))))
+        state, outcome = apply_one(genesis, batch)
         assert outcome == "BadSignature"
+        assert state is genesis
 
 
 @pytest.fixture(scope="module")
@@ -272,13 +280,13 @@ def published():
     pmv, pmv2 = make_identity("pmv"), make_identity("pmv2")
     m_keys, m_did, m_doc = make_identity("member")
     state = registry.RegistryState.genesis((s_doc,))
-    txs = [registry.make_transaction(registry.KIND_NYM, m_doc.to_bytes(), m_did, m_keys)]
+    txs = [signed(registry.KIND_NYM, m_doc.to_bytes(), m_did, m_keys)]
     for _, did, doc in (pmv, pmv2):
         txs += [
-            registry.make_transaction(
+            signed(
                 registry.KIND_NYM, attested(doc, s_did, s_keys).to_bytes(), s_did, s_keys
             ),
-            registry.make_transaction(
+            signed(
                 registry.KIND_ANCHOR_GRANT,
                 registry.AnchorGrant(did, registry.ROLE_PMV).to_bytes(), s_did, s_keys,
             ),
@@ -293,9 +301,9 @@ def published():
         (registry.KIND_SCHEMA, schema.to_bytes()),
         (registry.KIND_CRED_DEF, cred_def.to_bytes()),
     ):
-        txs.append(registry.make_transaction(kind, payload, did, keys))
+        txs.append(signed(kind, payload, did, keys))
     for tx in txs:
-        state, outcome = registry.apply_transaction(state, tx)
+        state, outcome = apply_one(state, tx)
         assert outcome == "APPLIED"
     ids = {"steward": (s_keys, s_did), "pmv": pmv[:2], "pmv2": pmv2[:2], "member": (m_keys, m_did)}
     return state, ids, cred_def
@@ -346,8 +354,8 @@ def published():
 def test_write_rule_rejects_and_leaves_the_state(published, submitter, kind, payload, outcome):
     state, ids, cred_def = published
     keys, did = ids[submitter]
-    tx = registry.make_transaction(kind, payload(ids, cred_def), did, keys)
-    after, got = registry.apply_transaction(state, tx)
+    tx = signed(kind, payload(ids, cred_def), did, keys)
+    after, got = apply_one(state, tx)
     assert got == outcome
     assert after.state_hash() == state.state_hash()
 
@@ -372,8 +380,8 @@ class TestMemberlistWrites:
     def apply(self, state, ids, *lists, submitter="pmv", kind=registry.KIND_REVOC_UPDATE):
         keys, did = ids[submitter]
         update = next_epoch(state, ids["pmv"][1])
-        tx = registry.make_transaction(kind, revocation(update, *lists), did, keys)
-        return registry.apply_transaction(state, tx)
+        tx = signed(kind, revocation(update, *lists), did, keys)
+        return apply_one(state, tx)
 
     def test_issuer_writes_its_list_with_the_epoch_step(self, published):
         state, ids, _ = published
@@ -451,16 +459,16 @@ def test_authorization_soundness_exhaustive(role, kind, steward):
     actor_keys, actor_did, actor_doc = make_identity("actor")
     state = registry.RegistryState.genesis((s_doc,))
     # register the acting DID and grant it the role under test
-    state, _ = registry.apply_transaction(
+    state, _ = apply_one(
         state,
-        registry.make_transaction(
+        signed(
             registry.KIND_NYM, attested(actor_doc, s_did, s_keys).to_bytes(), s_did, s_keys
         ),
     )
     if role is not None and role != "STEWARD":
-        state, outcome = registry.apply_transaction(
+        state, outcome = apply_one(
             state,
-            registry.make_transaction(
+            signed(
                 registry.KIND_ANCHOR_GRANT,
                 registry.AnchorGrant(actor_did, role).to_bytes(),
                 s_did,
@@ -482,9 +490,9 @@ def test_authorization_soundness_exhaustive(role, kind, steward):
         # ownership is only reachable through a PMV-gated init; update rights
         # then follow ownership
         reg0, _ = crypto.accumulator_init(actor_did)
-        state, outcome = registry.apply_transaction(
+        state, outcome = apply_one(
             state,
-            registry.make_transaction(
+            signed(
                 registry.KIND_REVOC_INIT, revocation(reg0), actor_did, actor_keys
             ),
         )
@@ -513,8 +521,8 @@ def test_authorization_soundness_exhaustive(role, kind, steward):
             _, target_did, _ = make_identity("target")
             payload = registry.AnchorGrant(target_did, registry.ROLE_OIV).to_bytes()
 
-    tx = registry.make_transaction(kind, payload, actor_did, actor_keys)
-    _, outcome = registry.apply_transaction(state, tx)
+    tx = signed(kind, payload, actor_did, actor_keys)
+    _, outcome = apply_one(state, tx)
     assert outcome == expected_outcome(role, kind), f"role={role} kind={kind}"
 
 
@@ -565,7 +573,7 @@ def step_transaction(state: registry.RegistryState, step) -> registry.RegistryTr
     s_keys, s_did, _ = PARTIES[target if submitter is None else submitter]
     if kind == registry.KIND_ANCHOR_GRANT:
         (role,) = rest
-        return registry.make_transaction(
+        return signed(
             kind, registry.AnchorGrant(t_did, role).to_bytes(), s_did, s_keys
         )
     bump, endpoint, attestations = rest
@@ -576,7 +584,7 @@ def step_transaction(state: registry.RegistryState, step) -> registry.RegistryTr
     for signer, forged in attestations:
         signer_keys, signer_did, _ = PARTIES[signer]
         doc = attested(doc, signer_did, FORGER_KEYS if forged else signer_keys)
-    return registry.make_transaction(kind, doc.to_bytes(), s_did, s_keys)
+    return signed(kind, doc.to_bytes(), s_did, s_keys)
 
 
 @settings(max_examples=100, deadline=None)
@@ -586,10 +594,10 @@ def test_verinym_lookup_matches_reverified_attestations(steps):
     every stored attestation, after every NYM and role grant."""
     state = registry.RegistryState.genesis((PARTIES[0][2],))
     for keys, did, doc in PARTIES[1:3]:  # two pseudonyms; the last party starts unknown
-        tx = registry.make_transaction(registry.KIND_NYM, doc.to_bytes(), did, keys)
-        state, _ = registry.apply_transaction(state, tx)
+        tx = signed(registry.KIND_NYM, doc.to_bytes(), did, keys)
+        state, _ = apply_one(state, tx)
     for step in steps:
-        state, _ = registry.apply_transaction(state, step_transaction(state, step))
+        state, _ = apply_one(state, step_transaction(state, step))
         for _, did, _ in PARTIES:
             assert state.verinym_status(did) == reverified_status(state, did), step
 
@@ -628,7 +636,7 @@ def org_nym_tx(steward):
     s_keys, s_did, _ = steward
     _, org_did, org_doc = make_identity("org")
     doc = attested(org_doc, s_did, s_keys)
-    return registry.make_transaction(registry.KIND_NYM, doc.to_bytes(), s_did, s_keys), org_did
+    return signed(registry.KIND_NYM, doc.to_bytes(), s_did, s_keys), org_did
 
 
 def query_sends(bus) -> list[str]:
@@ -676,7 +684,9 @@ class TestPoolProtocol:
         assert record.error is None
         receipt = record.result
         assert receipt.outcomes == ("APPLIED",)
-        assert len(receipt.acks) >= pool.write_quorum
+        # 2f replica acks: the receipt itself is the sequencer's
+        assert len(receipt.acks) == pool.write_quorum - 1
+        assert pool.sequencer not in dict(receipt.acks)
         for node in nodes:
             assert org_did in node.state.docs
 
@@ -685,7 +695,7 @@ class TestPoolProtocol:
         s_keys, s_did, _ = steward
         for label in ("a", "b", "c"):
             _, _, doc = make_identity("org" + label)
-            tx = registry.make_transaction(
+            tx = signed(
                 registry.KIND_NYM, attested(doc, s_did, s_keys).to_bytes(), s_did, s_keys
             )
             client.start_session("submit", registry.submit_transaction(pool, tx))
@@ -719,7 +729,7 @@ class TestPoolProtocol:
         assert nodes[0].state.state_hash() == hash_before
         # the rejection is part of every replica's log
         for node in nodes:
-            assert [o for _, _, o in node.log] == ["APPLIED", "Duplicate"]
+            assert [entry.outcomes for entry in node.log] == [("APPLIED",), ("Duplicate",)]
 
     def test_resolve_did_from_quorum(self):
         bus, pool, nodes, client, steward = build_pool()
@@ -869,7 +879,7 @@ class TestPoolProtocol:
             bus.run_until_quiescent()
             return record.result[1]
 
-        commit(registry.make_transaction(
+        commit(signed(
             registry.KIND_NYM, org_doc.to_bytes(), org_did, org_keys
         ))
         assert verinym() is False  # self-registered: a pseudonym
@@ -879,7 +889,7 @@ class TestPoolProtocol:
         else:
             kind = registry.KIND_ANCHOR_GRANT
             payload = registry.AnchorGrant(org_did, registry.ROLE_STEWARD).to_bytes()
-        commit(registry.make_transaction(kind, payload, s_did, s_keys))
+        commit(signed(kind, payload, s_did, s_keys))
         assert verinym() is True
 
     def test_catch_up_after_missed_order(self):
@@ -889,7 +899,7 @@ class TestPoolProtocol:
         s_keys, s_did, _ = steward
         for label in ("a", "b"):
             _, _, doc = make_identity("org" + label)
-            tx = registry.make_transaction(
+            tx = signed(
                 registry.KIND_NYM, attested(doc, s_did, s_keys).to_bytes(), s_did, s_keys
             )
             client.start_session("submit", registry.submit_transaction(pool, tx))
@@ -918,14 +928,14 @@ class TestPoolProtocol:
         assert asked.error is None and asked.result == reply
         wellformed = client.start_session("fetch", fetch(registry.Fetch(0, 0)))
         bus.run_until_quiescent()
-        assert [seq for seq, _, _ in wellformed.result.body.entries] == [0]
+        assert [entry.first for entry in wellformed.result.body.entries] == [0]
 
     def test_log_replay_reproduces_state_hash(self):
         bus, pool, nodes, client, steward = build_pool(seed=8)
         s_keys, s_did, _ = steward
         for label in ("a", "b", "c"):
             _, _, doc = make_identity("org" + label)
-            tx = registry.make_transaction(
+            tx = signed(
                 registry.KIND_NYM, attested(doc, s_did, s_keys).to_bytes(), s_did, s_keys
             )
             client.start_session("submit", registry.submit_transaction(pool, tx))
@@ -943,7 +953,7 @@ class TestPoolProtocol:
             "submit",
             registry.submit_transaction(
                 pool,
-                registry.make_transaction(
+                signed(
                     registry.KIND_SCHEMA, membership_schema().to_bytes(), s_did, s_keys
                 ),
             ),
@@ -971,13 +981,13 @@ class TestPoolProtocol:
             "submit",
             registry.submit_transaction(
                 pool,
-                registry.make_transaction(
+                signed(
                     registry.KIND_NYM, rogue_doc.to_bytes(), rogue_did, rogue_keys
                 ),
             ),
         )
         bus.run_until_quiescent()
-        schema_tx = registry.make_transaction(
+        schema_tx = signed(
             registry.KIND_SCHEMA, membership_schema().to_bytes(), rogue_did, rogue_keys
         )
         record = client.start_session(
@@ -987,17 +997,22 @@ class TestPoolProtocol:
         assert record.result.outcomes == ("UnauthorizedRole",)
 
 
-def org_nym_txs(steward, *labels):
+def org_nym_txs(steward, *labels) -> list[registry.RegistryTransaction]:
+    """The steward's unsigned NYM of an attested org per label."""
     s_keys, s_did, _ = steward
     return [
-        registry.make_transaction(
+        registry.RegistryTransaction(
             registry.KIND_NYM,
             attested(make_identity("org" + label)[2], s_did, s_keys).to_bytes(),
             s_did,
-            s_keys,
         )
         for label in labels
     ]
+
+
+def steward_batch(steward, *labels) -> registry.SignedBatch:
+    """The steward's NYMs of `org_nym_txs`, signed as one batch."""
+    return registry.sign_batch(steward[0], *org_nym_txs(steward, *labels))
 
 
 def doctor_receipts(sequencer, change):
@@ -1014,13 +1029,15 @@ def doctor_receipts(sequencer, change):
 def forge_acks(node, forged_bytes):
     """Make `node` sign its acks over `forged_bytes(first, last, digest)`
     while its ack bodies name the batch it applied."""
-    original = node._acked
+    handle_order = node._handle_order
 
-    def forged(first, last, digest):
-        signature = node.keys.sign(forged_bytes(first, last, digest)).bytes_
-        return replace(original(first, last, digest), signature=signature)
+    def forged(sender, order):
+        acked = yield from handle_order(sender, order)
+        ack = acked.ack
+        signature = node.keys.sign(forged_bytes(ack.first, ack.last, ack.batch_digest)).bytes_
+        return replace(acked, signature=signature)
 
-    node._acked = forged
+    node._handle_order = forged
 
 
 OTHER_ACKS = {
@@ -1034,10 +1051,10 @@ OTHER_ACKS = {
 
 
 class TestBatches:
-    """One order and one 2f+1 ack set per batch of a client's transactions."""
+    """One order and 2f replica acks per batch of a client's transactions."""
 
-    def submit(self, bus, client, pool, txs):
-        record = client.start_session("submit", registry.submit_transaction(pool, *txs))
+    def submit(self, bus, client, pool, batch):
+        record = client.start_session("submit", registry.submit_transaction(pool, batch))
         bus.run_until_quiescent()
         return record
 
@@ -1049,14 +1066,14 @@ class TestBatches:
 
     def test_batch_applies_in_order_with_one_order_per_replica(self):
         bus, pool, nodes, client, steward = build_pool()
-        txs = org_nym_txs(steward, "a", "b", "c")
-        receipt = self.submit(bus, client, pool, txs).result
+        batch = steward_batch(steward, "a", "b", "c")
+        receipt = self.submit(bus, client, pool, batch).result
         assert (receipt.first, receipt.last) == (0, 2)
         assert receipt.outcomes == ("APPLIED",) * 3
-        assert receipt.tx_digests == tuple(tx.digest() for tx in txs)
+        assert receipt.tx_digests == tuple(tx.digest() for tx in batch.txs)
         assert self.order_sends(bus) == pool.n - 1
         for node in nodes:
-            assert [entry[1] for entry in node.log] == [tx.to_bytes() for tx in txs]
+            assert node.log == [registry.Logged(0, batch, receipt.outcomes)]
         assert len({node.state.state_hash() for node in nodes}) == 1
 
     @pytest.mark.parametrize("change", [
@@ -1067,10 +1084,10 @@ class TestBatches:
         bus, pool, nodes, client, steward = build_pool()
         # the pool orders and acks the changed batch, so every ack is valid
         sequence = nodes[0]._sequence
-        nodes[0]._sequence = lambda sender, submit: sequence(
-            sender, registry.Submit(change(submit.txs))
+        nodes[0]._sequence = lambda sender, batch: sequence(
+            sender, replace(batch, txs=change(batch.txs))
         )
-        record = self.submit(bus, client, pool, org_nym_txs(steward, "a", "b"))
+        record = self.submit(bus, client, pool, steward_batch(steward, "a", "b"))
         assert isinstance(record.error, registry.QuorumUnavailable)
         assert str(record.error) == "receipt names other transactions"
 
@@ -1079,15 +1096,15 @@ class TestBatches:
         bus, pool, nodes, client, steward = build_pool()
         for node in nodes[2:]:
             forge_acks(node, OTHER_ACKS[forged])
-        record = self.submit(bus, client, pool, org_nym_txs(steward, "a", "b"))
+        record = self.submit(bus, client, pool, steward_batch(steward, "a", "b"))
         assert isinstance(record.error, registry.QuorumUnavailable)
         assert str(record.error) == "QuorumUnavailable"
 
     @pytest.mark.parametrize("forged", [*sorted(OTHER_ACKS), "forger-key"])
     def test_client_counts_no_ack_over_another_batch(self, forged):
         bus, pool, nodes, client, steward = build_pool()
-        txs = org_nym_txs(steward, "a", "b")
-        digest = registry.batch_digest([tx.digest() for tx in txs])
+        batch = steward_batch(steward, "a", "b")
+        digest = registry.batch_digest([tx.digest() for tx in batch.txs])
 
         def sign(node):
             if forged == "forger-key":
@@ -1096,9 +1113,9 @@ class TestBatches:
 
         acks = tuple((node.address, sign(node).bytes_) for node in nodes)
         doctor_receipts(nodes[0], lambda receipt: replace(receipt, acks=acks))
-        record = self.submit(bus, client, pool, txs)
+        record = self.submit(bus, client, pool, batch)
         assert isinstance(record.error, registry.QuorumUnavailable)
-        assert str(record.error) == "receipt carries 0 valid acks"
+        assert str(record.error) == "receipt carries 0 valid replica acks"
 
     @pytest.mark.parametrize("garble", [
         lambda acked: replace(acked, signature=b"zz"),
@@ -1114,10 +1131,10 @@ class TestBatches:
             return garble(acked)
 
         nodes[1]._handle_order = garbled
-        receipt = self.submit(bus, client, pool, org_nym_txs(steward, "a")).result
+        receipt = self.submit(bus, client, pool, steward_batch(steward, "a")).result
         assert receipt.outcomes == ("APPLIED",)
         assert sorted(address for address, _ in receipt.acks) == [
-            node.address for node in nodes if node is not nodes[1]
+            node.address for node in nodes[2:]
         ]
 
     def test_repeated_ack_counts_once(self):
@@ -1125,8 +1142,23 @@ class TestBatches:
         doctor_receipts(nodes[0], lambda receipt: replace(
             receipt, acks=receipt.acks[:1] * pool.write_quorum
         ))
-        record = self.submit(bus, client, pool, org_nym_txs(steward, "a"))
-        assert str(record.error) == "receipt carries 1 valid acks"
+        record = self.submit(bus, client, pool, steward_batch(steward, "a"))
+        assert str(record.error) == "receipt carries 1 valid replica acks"
+
+    def test_the_sequencers_own_ack_in_its_receipt_does_not_count(self):
+        """The receipt is the sequencer's ack: a signature of its own in the
+        ack list adds nothing to the replicas' 2f."""
+        bus, pool, nodes, client, steward = build_pool()
+
+        def with_own_ack(receipt):
+            digest = registry.batch_digest(receipt.tx_digests)
+            ack = registry.Ack(receipt.first, receipt.last, digest)
+            own = (nodes[0].address, nodes[0].keys.sign(ack.to_bytes()).bytes_)
+            return replace(receipt, acks=(own, receipt.acks[0]))
+
+        doctor_receipts(nodes[0], with_own_ack)
+        record = self.submit(bus, client, pool, steward_batch(steward, "a"))
+        assert str(record.error) == "receipt carries 1 valid replica acks"
 
     def test_replica_that_missed_a_batch_catches_up_on_the_next_and_acks_it(self):
         rules = [
@@ -1135,9 +1167,9 @@ class TestBatches:
             FaultRule(action="drop", to="iin:iin0:2", kind="iin.order", occurrence=2),
         ]
         bus, pool, nodes, client, steward = build_pool(rules=rules)
-        first = self.submit(bus, client, pool, org_nym_txs(steward, "a", "b"))
+        first = self.submit(bus, client, pool, steward_batch(steward, "a", "b"))
         assert nodes[3].next_seq == 0
-        second = self.submit(bus, client, pool, org_nym_txs(steward, "c", "d"))
+        second = self.submit(bus, client, pool, steward_batch(steward, "c", "d"))
         assert first.error is None and second.error is None
         assert "iin:iin0:3" in [address for address, _ in second.result.acks]
         assert nodes[3].next_seq == 4
@@ -1149,8 +1181,9 @@ class TestBatches:
         their kept bytes: the codec encodes neither a transaction nor its
         signing bytes, and each transaction is hashed once."""
         bus, pool, nodes, client, steward = build_pool()
-        txs = org_nym_txs(steward, "a", "b", "c")
-        order = actors.read(registry.Order, registry.Order(0, tuple(txs)).to_bytes())
+        batch = steward_batch(steward, "a", "b", "c")
+        order = actors.read(registry.Order, registry.Order(0, batch).to_bytes())
+        txs = batch.txs
         encodes, hashed = [], []
         codec = enc._codec(registry.RegistryTransaction)
         encode, digest = codec.encode, crypto.digest
@@ -1161,7 +1194,7 @@ class TestBatches:
         assert done.value.value.ack.batch_digest == registry.batch_digest(
             [digest(tx.to_bytes()) for tx in txs]
         )
-        assert [outcome for _, _, outcome in nodes[1].log] == ["APPLIED"] * 3
+        assert [entry.outcomes for entry in nodes[1].log] == [("APPLIED",) * 3]
         assert encodes == []
         sent = [tx.to_bytes() for tx in txs]
         assert [data for data in hashed if data in sent] == sent
@@ -1177,7 +1210,7 @@ class TestBatches:
         txs = org_nym_txs(steward, "a", "b")
         hashed, digest = [], crypto.digest
         monkeypatch.setattr(crypto, "digest", lambda data: hashed.append(data) or digest(data))
-        record = self.submit(bus, client, pool, txs)
+        record = self.submit(bus, client, pool, registry.sign_batch(steward[0], *txs))
         assert record.result.outcomes == ("APPLIED",) * 2
         assert [node.next_seq for node in nodes] == [2] * pool.n
         sent = [tx.to_bytes() for tx in txs]
@@ -1187,30 +1220,33 @@ class TestBatches:
         bus, pool, nodes, client, steward = build_pool()
 
         def ask():
-            return (yield Request(pool.sequencer, "iin.submit", registry.Submit(()), timeout=50))
+            body = registry.SignedBatch((), crypto.Signature(b""))
+            return (yield Request(pool.sequencer, "iin.submit", body, timeout=50))
 
         record = client.start_session("ask", ask())
         bus.run_until_quiescent()
         assert record.result == Reply("EmptyBatch")
-        assert self.submit(bus, client, pool, []).error.args == ("EmptyBatch",)
+        assert self.submit(bus, client, pool, steward_batch(steward)).error.args == ("EmptyBatch",)
         assert [node.next_seq for node in nodes] == [0] * pool.n
         assert self.order_sends(bus) == 0
 
     @pytest.mark.parametrize("resent, acked", [
         ("same", True), ("other-tx", False), ("reordered", False), ("longer", False),
+        ("other-signature", False),
     ])
     def test_applied_range_is_acked_only_for_the_logged_transactions(self, resent, acked):
         bus, pool, nodes, client, steward = build_pool()
         txs = org_nym_txs(steward, "a", "b")
-        self.submit(bus, client, pool, txs)
+        self.submit(bus, client, pool, registry.sign_batch(steward[0], *txs))
         other = org_nym_txs(steward, "c")
         batch = {
             "same": txs, "other-tx": [txs[0], *other], "reordered": txs[::-1],
-            "longer": [*txs, *other],
+            "longer": [*txs, *other], "other-signature": txs,
         }[resent]
+        keys = FORGER_KEYS if resent == "other-signature" else steward[0]
 
         def reorder():  # as the sequencer, re-send an order for seqs 0..
-            body = registry.Order(0, tuple(batch))
+            body = registry.Order(0, registry.sign_batch(keys, *batch))
             return (yield Request(nodes[1].address, "iin.order", body, timeout=50))
 
         record = nodes[0].start_session("reorder", reorder())
@@ -1226,6 +1262,198 @@ class TestBatches:
         else:
             assert record.result is None
         assert nodes[1].next_seq == 2
+
+
+def forged_batches(steward) -> dict[str, registry.SignedBatch]:
+    """Batches of the steward's NYMs whose signature authorizes none of
+    their transactions."""
+    s_keys, _, _ = steward
+    txs = tuple(org_nym_txs(steward, "a", "b"))
+    self_nym = registry.RegistryTransaction(
+        registry.KIND_NYM, make_identity("orgself")[2].to_bytes(), make_identity("orgself")[1]
+    )
+    return {
+        "other-digest-list": registry.SignedBatch(
+            txs, s_keys.sign(registry.authorization(txs[::-1]))
+        ),
+        "subset": registry.SignedBatch(txs, s_keys.sign(registry.authorization(txs[:1]))),
+        "other-key": registry.SignedBatch(txs, FORGER_KEYS.sign(registry.authorization(txs))),
+        "two-submitters": registry.sign_batch(s_keys, txs[0], self_nym),
+    }
+
+
+FORGED = ("other-digest-list", "subset", "other-key", "two-submitters")
+
+
+class TestBatchSignature:
+    """One signature per writer per batch: a replica checks it once, as it
+    applies the batch, and a signature that does not authorize the batch
+    rejects each of its transactions as BadSignature."""
+
+    @pytest.mark.parametrize("form", FORGED)
+    def test_a_forged_batch_rejects_every_transaction_and_changes_nothing(
+        self, steward, genesis, form
+    ):
+        batch = forged_batches(steward)[form]
+        after, outcomes = registry.apply_batch(genesis, batch)
+        assert outcomes == ("BadSignature",) * len(batch.txs)
+        assert after is genesis
+
+    @pytest.mark.parametrize("form", FORGED)
+    def test_replay_and_a_catching_up_replica_reproduce_a_forged_batch(self, form):
+        # node 3 misses the forged batch's order and fetches it with the next one
+        rules = [FaultRule(action="drop", to="iin:iin0:3", kind="iin.order", occurrence=1)]
+        bus, pool, nodes, client, steward = build_pool(rules=rules)
+        batch = forged_batches(steward)[form]
+        forged = client.start_session("submit", registry.submit_transaction(pool, batch))
+        bus.run_until_quiescent()
+        assert forged.result.outcomes == ("BadSignature",) * len(batch.txs)
+        assert nodes[0].state.state_hash() == nodes[0].genesis.state_hash()
+        valid = client.start_session(
+            "submit", registry.submit_transaction(pool, steward_batch(steward, "c"))
+        )
+        bus.run_until_quiescent()
+        assert valid.result.outcomes == ("APPLIED",)
+        assert [entry.outcomes for entry in nodes[3].log] == [
+            forged.result.outcomes, ("APPLIED",)
+        ]
+        assert all(node.log == nodes[0].log for node in nodes)
+        fresh = registry.replay_log(nodes[0].genesis, nodes[0].log)
+        assert {node.state.state_hash() for node in nodes} == {fresh.state_hash()}
+
+    @pytest.mark.parametrize("change, error", [
+        (lambda log: [replace(log[0], batch=replace(
+            log[0].batch, signature=FORGER_KEYS.sign(registry.authorization(log[0].batch.txs))
+        )), log[1]], "replay divergence at seq 0"),
+        (lambda log: [replace(log[0], batch=replace(log[0].batch, txs=log[0].batch.txs[:1])),
+                      log[1]], "replay divergence at seq 0"),
+        (lambda log: log[1:], "replay gap at seq 0: the next batch begins at 2"),
+    ], ids=["other-signature", "fewer-transactions", "missing-batch"])
+    def test_a_logged_batch_cannot_be_forged(self, change, error):
+        bus, pool, nodes, client, steward = build_pool()
+        for labels in (("a", "b"), ("c",)):
+            batch = steward_batch(steward, *labels)
+            client.start_session("submit", registry.submit_transaction(pool, batch))
+            bus.run_until_quiescent()
+        with pytest.raises(registry.RegistryError, match=error):
+            registry.replay_log(nodes[0].genesis, change(nodes[0].log))
+
+    @pytest.mark.parametrize("signer, outcomes", [
+        ("self", ("APPLIED", "APPLIED")), ("forger", ("BadSignature", "BadSignature")),
+    ])
+    def test_a_first_registration_is_signed_with_the_key_its_own_nym_registers(
+        self, genesis, signer, outcomes
+    ):
+        org_keys, org_did, org_doc = make_identity("org")
+        txs = [
+            registry.RegistryTransaction(registry.KIND_NYM, doc.to_bytes(), org_did)
+            for doc in (org_doc, replace(org_doc, service_endpoint="addr:moved", version=2))
+        ]
+        keys = org_keys if signer == "self" else FORGER_KEYS
+        state, got = registry.apply_batch(genesis, registry.sign_batch(keys, *txs))
+        assert got == outcomes
+        assert (org_did in state.docs) == (signer == "self")
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_a_batch_costs_four_signs_and_three_executed_verifies(self, monkeypatch, n):
+        """One writer signature and 2f+1 = 3 replica acks of which the
+        sequencer signs none: 4 signs at any n. The memo runs the batch
+        signature once for the four replicas, and the 2f acks the sequencer
+        verifies once for it and the client: 3 executed verifies. Each
+        replica checks the batch signature once (4), the sequencer 2 acks and
+        the client 2: 8 logical verifies."""
+        bus, pool, nodes, client, steward = build_pool()
+        s_keys, s_did, _ = steward
+        txs = [
+            registry.RegistryTransaction(
+                registry.KIND_NYM, make_identity(f"org{i}")[2].to_bytes(), s_did
+            )
+            for i in range(n)
+        ]
+        calls = {"sign": 0, "verify": 0, "executed": 0}
+
+        def counting(op, fn):
+            def wrapped(*args):
+                calls[op] += 1
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(crypto, "sign", counting("sign", crypto.sign))
+        monkeypatch.setattr(crypto, "verify", counting("verify", crypto.verify))
+        monkeypatch.setattr(
+            crypto, "_ed25519_verify", counting("executed", crypto._ed25519_verify)
+        )
+        batch = registry.sign_batch(s_keys, *txs)
+        record = client.start_session("submit", registry.submit_transaction(pool, batch))
+        bus.run_until_quiescent()
+        assert record.result.outcomes == ("APPLIED",) * n
+        assert (calls["sign"], calls["verify"], calls["executed"]) == (4, 8, 3)
+
+
+def foreign_replies(bus) -> list:
+    return [e for e in bus.trace.events if e.kind == "actor.foreign_reply"]
+
+
+class TestReplySender:
+    """A session takes a reply only from the actor its request went to:
+    request ids are sequential, so any actor can name another's."""
+
+    def test_a_replica_cannot_answer_a_read_in_the_sequencers_place(self):
+        rules = [
+            FaultRule(action="delay", from_="iin:iin0:0", kind="iin.query.reply", delay=20)
+        ]
+        bus, pool, nodes, client, steward = build_pool(rules=rules)
+        tx, org_did = org_nym_tx(steward)
+        client.start_session("submit", registry.submit_transaction(pool, tx))
+        bus.run_until_quiescent()
+        liar = nodes[1]
+        liar.state = liar.genesis  # it answers from genesis, where org_did is unknown,
+        reply = liar._reply
+
+        def twice(to, request, kind, answer):  # and again under the request id before its own
+            reply(to, request, kind, answer)
+            asker, n = request.request_id.rsplit("#", 1)
+            reply(to, replace(request, request_id=f"{asker}#{int(n) - 1}"), kind, answer)
+
+        liar._reply = twice
+        record = client.start_session("resolve", registry.resolve_did(pool, org_did))
+        bus.run_until_quiescent()
+        assert record.error is None
+        assert record.result == (nodes[0].state.docs[org_did], True)
+        [dropped] = foreign_replies(bus)
+        assert (dropped.actor, dropped.detail) == (client.address, {
+            "sender": liar.address, "expected": pool.sequencer, "msg_kind": "iin.query.reply",
+        })
+
+    def test_a_receipt_from_another_node_than_the_sequencer_is_dropped(self):
+        bus, pool, nodes, client, steward = build_pool()
+        liar = nodes[1]
+        handle_order = liar._handle_order
+
+        def forging(sender, order):
+            acked = yield from handle_order(sender, order)
+            # a receipt under the client's submit request id, ahead of the sequencer's
+            receipt = registry.Receipt(
+                order.first, order.first, ("Duplicate",),
+                tuple(tx.digest() for tx in order.batch.txs), ((liar.address, acked.signature),),
+            )
+            message = actors.Message(
+                reply_to=f"{client.address}#{client._next_rid}", body=receipt.to_bytes()
+            )
+            liar.bus.send(liar.address, client.address, "iin.submit.reply", message.to_bytes())
+            return acked
+
+        liar._handle_order = forging
+        tx, org_did = org_nym_tx(steward)
+        record = client.start_session("submit", registry.submit_transaction(pool, tx))
+        bus.run_until_quiescent()
+        assert record.result.outcomes == ("APPLIED",)
+        assert pool.sequencer not in dict(record.result.acks)
+        [dropped] = foreign_replies(bus)
+        assert dropped.detail == {
+            "sender": liar.address, "expected": pool.sequencer, "msg_kind": "iin.submit.reply",
+        }
 
 
 class TestMemberSnapshot:

@@ -21,7 +21,7 @@ from idplane.credentials import Challenge
 from idplane.network import CommitRequest, Endorsed, Endorsement, LedgerNode, LedgerQuery
 from idplane.registry import (
     DidDocument, Entries, Fetch, IinNode, MemberSnapshot, Order, Query, QueryResult,
-    RegistryTransaction, Submit,
+    RegistryTransaction, SignedBatch,
 )
 
 from conftest import Raw, add_probe, ask, bootstrapped_runner
@@ -33,7 +33,9 @@ def endorsement(network="STL", home="SWT"):
     return Endorsement(home, network, "Carrier", "did:x", bytes(32), "ACTIVE", 0)
 
 
-TX = RegistryTransaction("NYM", b"payload", "did:x", crypto.Signature(bytes(64)))
+BATCH = SignedBatch(
+    (RegistryTransaction("NYM", b"payload", "did:x"),), crypto.Signature(bytes(64))
+)
 
 # request kind -> a well-formed body of that kind
 EXAMPLES = {
@@ -47,9 +49,9 @@ EXAMPLES = {
         ((endorsement(), b"bundle"),), (("Seller", Endorsed((bytes(32),)), bytes(64)),)
     ),
     "iin.fetch": Fetch(0, 0),
-    "iin.order": Order(0, (TX,)),
+    "iin.order": Order(0, BATCH),
     "iin.query": Query("member", ("did:x",), (), (), (), ()),
-    "iin.submit": Submit((TX,)),
+    "iin.submit": BATCH,
     "ledger.query": LedgerQuery("policy"),
 }
 KINDS = sorted(EXAMPLES)
@@ -112,7 +114,7 @@ REFUSED = {
         ),
     },
     "iin.submit": {
-        "no-transactions": (Submit(()), "EmptyBatch"),
+        "no-transactions": (SignedBatch((), crypto.Signature(b"")), "EmptyBatch"),
         "undecodable-transaction": (undecodable_statements(), "DecodeError"),
     },
 }
