@@ -47,10 +47,12 @@ does) runs a full sync of every network on the interoperation list,
 committing rotated bundles and re-admissions and flipping records to REVOKED
 for members that no longer validate.
 
-The ledger's policy never changes, so it is kept after its first successful
-read (`_read_once`); registry reads are never kept. A target's outcome is
-recorded only in the trace: `agent.sync_done` and
-`agent.sync_failed` carry `attempts`, and a protocol failure its `detail`.
+Each home ledger's policy, its interoperation list and its trust list, is
+fixed in its genesis state, and the agent is configured with it
+(`AgentConfig.policies`), so it never asks the ledger for it; registry reads
+are never kept. A target's outcome is recorded only in the trace:
+`agent.sync_done` and `agent.sync_failed` carry `attempts`, and a protocol
+failure its `detail`.
 
 One agent serves all of its organization's network memberships: the DID
 document has a single service endpoint, and an org that belongs to several
@@ -238,6 +240,9 @@ class AgentConfig:
     home_pmv: dict[str, str]  # home network -> issuing anchor address
     ledgers: dict[str, str]  # home network -> ledger address, in home-network order
     peer_agents: dict[str, dict[str, str]]  # home network -> org id -> agent address
+    # home network -> its ledger's genesis policy: (interoperation list, trust
+    # list entries (iin id, anchor DID, network))
+    policies: dict[str, tuple[tuple[str, ...], tuple[tuple[str, str, str], ...]]]
     organizations: dict[str, net.Organization] = field(default_factory=dict)
 
 
@@ -256,8 +261,6 @@ class IinAgent(Actor):
         self._memberlists: dict[str, creds.MemberlistCredential] = {}
         # home network -> the witness refresh last started (see _freshen_witness)
         self._refreshing: dict[str, SessionRecord] = {}
-        # home network -> its ledger's policy, once read (see _read_once)
-        self._kept: dict[str, tuple] = {}
 
     REQUESTS = {
         "agent.membership_vp.request":
@@ -359,26 +362,15 @@ class IinAgent(Actor):
 
     # --- local ledger views ---------------------------------------------------
 
-    def _ledger_query(self, home_network: str, query: net.LedgerQuery) -> Generator:
+    def _ledger_records(self, home_network: str, foreign_network: str) -> Generator:
+        """The home ledger's records of `foreign_network`."""
+        query = net.LedgerQuery(foreign_network)
         reply = yield Request(self.config.ledgers[home_network], "ledger.query", query, timeout=120)
         if reply is None:
             raise LedgerUnreachable(home_network)
         if reply.error:
             raise LedgerRefused(f"{home_network}: {reply.error}")
-        return reply.body
-
-    def _read_once(self, home_network: str) -> Generator:
-        """The home ledger's policy: its interoperation list and its trust
-        list entries (iin id, anchor DID, network), kept after the first
-        successful read, as the ledger's genesis state fixes both."""
-        if home_network not in self._kept:
-            policy = yield from self._ledger_query(home_network, net.LedgerQuery("policy"))
-            self._kept[home_network] = policy.networks, policy.entries
-        return self._kept[home_network]
-
-    def _ledger_records(self, home_network: str, foreign_network: str) -> Generator:
-        query = net.LedgerQuery("records", foreign_network)
-        return (yield from self._ledger_query(home_network, query)).records
+        return reply.body.records
 
     # --- step B: validate membership ------------------------------------------
 
@@ -395,7 +387,7 @@ class IinAgent(Actor):
         second read. A missing list, or one that does not verify under the
         anchor's memberlist credential definition, is NoTrustedPMV, as is a
         snapshot whose holders are not exactly the list's members."""
-        _, entries = yield from self._read_once(home_network)
+        _, entries = self.config.policies[home_network]
         anchor_did = next((a for _, a, n in entries if n == foreign_network), None)
         if anchor_did is None:
             raise NoTrustedPMV(f"no trusted membership validator for {foreign_network}")
@@ -439,10 +431,10 @@ class IinAgent(Actor):
         )
         return memberlist, snapshot
 
-    def _trusted(self, home_network: str, foreign_network: str) -> Generator:
+    def _trusted(self, home_network: str, foreign_network: str) -> tuple:
         """The trust list's (anchor DID, network) pairs, and the anchors it
         names for `foreign_network`, sorted."""
-        _, entries = yield from self._read_once(home_network)
+        _, entries = self.config.policies[home_network]
         trusted = frozenset((anchor, network) for _, anchor, network in entries)
         return trusted, tuple(sorted(a for a, network in trusted if network == foreign_network))
 
@@ -461,7 +453,7 @@ class IinAgent(Actor):
         any further `cred_def_ids` and (issuer, network) `memberlists`, with
         the holders those lists list. No holder chooses what is read: no id a
         presentation carries is named."""
-        trusted, issuers = yield from self._trusted(home_network, foreign_network)
+        trusted, issuers = self._trusted(home_network, foreign_network)
         cred_defs = tuple(sorted({
             creds.cred_def_id_for(anchor, MEMBERSHIP_SCHEMA_ID) for anchor, _ in trusted
         }.union(cred_def_ids)))
@@ -502,7 +494,7 @@ class IinAgent(Actor):
         is a reply whose presentation does not decode."""
         if memberlist is not None and target_did not in memberlist.member_dids:
             raise NotListed(target_did)
-        trusted, _ = yield from self._trusted(home_network, foreign_network)
+        trusted, _ = self._trusted(home_network, foreign_network)
         if snapshot is None:
             snapshot = yield from self._read_members(home_network, foreign_network, (target_did,))
         (doc, _), revocation = snapshot.holder(target_did), snapshot.revocation()
@@ -717,10 +709,7 @@ class IinAgent(Actor):
             return refused("NotLocal")
         if any(s.made_at > self.bus.now for s in statements):
             return refused("FutureStatement")
-        try:
-            interop, _ = yield from self._read_once(home_network)
-        except (LedgerUnreachable, LedgerRefused) as e:
-            return refused(type(e).__name__)
+        interop, _ = self.config.policies[home_network]
         if foreign_network not in interop:
             return refused("PolicyViolation")
         active = [s for s in statements if s.status == net.STATUS_ACTIVE]
@@ -995,7 +984,7 @@ class IinAgent(Actor):
         a target whose checked record the ledger already holds skips step D,
         and once the rounds have ended the same records are flipped to
         REVOKED, as one step D batch, for orgs that no longer validate."""
-        interop, _ = yield from self._read_once(home_network)
+        interop, _ = self.config.policies[home_network]
         if foreign_network not in interop:
             self.trace("agent.policy_violation", network=foreign_network)
             raise PolicyViolation(f"{foreign_network} not on interoperation list")
@@ -1049,7 +1038,7 @@ class IinAgent(Actor):
         data-plane proof failure."""
         self.trace("agent.resync", network=home_network, trigger=trigger)
         self.cache.clear()
-        interop, _ = yield from self._read_once(home_network)
+        interop, _ = self.config.policies[home_network]
         results = {}
         for foreign_network in interop:
             results[foreign_network] = yield from self.sync_network(

@@ -550,13 +550,18 @@ class World:
                     cert_lifetime=config.cert_lifetime,
                 )
 
+        # each network's policy (interoperation list, trust entries), derived
+        # once: its ledger's genesis fixes it and its members' agents hold it
+        policies = {
+            n.id: (n.interop, tuple(
+                (t.iin, self.anchor_docs[t.anchor].did, t.network) for t in n.trust
+            ))
+            for n in config.networks
+        }
         for network in config.networks:
             genesis = net.LocalLedgerState(
-                network_id=network.id,
-                interop_networks=network.interop,
-                trust_entries=tuple(
-                    (t.iin, self.anchor_docs[t.anchor].did, t.network) for t in network.trust
-                ),
+                network.id,
+                *policies[network.id],
                 admin_keys={org: org_keys[org].public_key for org in network.org_names()},
             )
             ledger = net.LedgerNode(f"ledger:{network.id}", genesis)
@@ -576,6 +581,7 @@ class World:
                 peer_agents={
                     n: {o: f"agent:{o}" for o in config.network(n).org_names()} for n in homes
                 },
+                policies={n: policies[n] for n in homes},
                 organizations={n: self.organizations[(n, org)] for n in homes},
             )
             agent = IinAgent(agent_config)

@@ -1,7 +1,8 @@
 """Simulated permissioned network: MSP-style certificate hierarchies per
-organization, a shared local ledger holding interoperation policy and foreign
-identity records, the configuration-management contract that admits those
-records under an all-orgs endorsement policy, and the data-plane proof hook.
+organization, a shared local ledger holding foreign identity records under
+an interoperation policy fixed in its genesis state, the configuration-
+management contract that admits those records under an all-orgs endorsement
+policy, and the data-plane proof hook.
 
 The ledger is a single-writer state machine per network; the contract is a
 pure function of (state, statement, bundle, endorsements, tick), so replaying
@@ -26,6 +27,7 @@ OUTCOME_APPLIED = "APPLIED"
 OUTCOME_NOOP = "NOOP"
 OUTCOME_STALE = "StaleStatement"
 OUTCOME_WRONG_LEDGER = "WrongLedger"
+OUTCOME_POLICY_VIOLATION = "PolicyViolation"
 OUTCOME_DIGEST_MISMATCH = "BundleDigestMismatch"
 
 
@@ -316,8 +318,9 @@ def cmdac_update_foreign_identity(
 ) -> tuple[LocalLedgerState, str]:
     """The configuration-management contract: commit `bundle` as the foreign
     identity record that `statement` names iff the statement is for this
-    ledger, its digest is the bundle's and every local organization endorsed
-    it: listed its digest in a batch signed with its registered admin key.
+    ledger and a foreign network on its interoperation list, its digest is
+    the bundle's and every local organization endorsed it: listed its digest
+    in a batch signed with its registered admin key.
     Identical-content re-commits are no-op successes. Different content
     replaces the record only when the statement was made after the record's
     last change (`synced_at`); one made at or before it is StaleStatement. A
@@ -362,13 +365,16 @@ def _refusal(
     endorsements: Endorsements,
 ) -> Optional[str]:
     """Why the contract refuses an entry, or None: a statement for another
-    ledger, a digest that is not the bundle's, then each local org's
-    endorsement in org order: its batch must list the statement's digest
-    and its signature must verify over the batch. Every statement of a batch
-    presents the same batch and signature, so the world's verdict memo runs
-    Ed25519 once per org and batch."""
+    ledger, then one of a network off its interoperation list, a digest that
+    is not the bundle's, then each local org's endorsement in org order: its
+    batch must list the statement's digest and its signature must verify
+    over the batch. Every statement of a batch presents the same batch and
+    signature, so the world's verdict memo runs Ed25519 once per org and
+    batch."""
     if statement.home_network != state.network_id:
         return OUTCOME_WRONG_LEDGER
+    if statement.foreign_network not in state.interop_networks:
+        return OUTCOME_POLICY_VIOLATION
     if statement.bundle_digest != crypto.digest(bundle):
         return OUTCOME_DIGEST_MISMATCH
     digest = statement.digest()
@@ -411,22 +417,20 @@ class Committed(enc.Record):  # cmdac.reply: the contract's outcome per statemen
 
 
 @dataclass(frozen=True)
-class LedgerQuery(enc.Record):  # ledger.query: the "policy", or foreign `network`'s "records"
-    what: str
-    network: str = ""
+class LedgerQuery(enc.Record):  # ledger.query: the records of foreign `network`
+    network: str
 
 
 @dataclass(frozen=True)
-class LedgerAnswer(enc.Record):  # ledger.reply: what the query asked for, the rest empty
-    networks: tuple[str, ...] = ()
-    entries: tuple[tuple[str, str, str], ...] = ()
-    records: tuple[enc.Framed[RecordContent], ...] = ()
+class LedgerAnswer(enc.Record):  # ledger.reply: their contents, in key order
+    records: tuple[enc.Framed[RecordContent], ...]
 
 
 class LedgerNode(Actor):
     """Single sequencer for one network's shared ledger: applies submitted
     batches in arrival order, the statements of each in order, and answers
-    policy/record queries."""
+    record queries. Its policy is fixed in its genesis state, which every
+    member's agent is configured with, so no query asks for it."""
 
     def __init__(self, address: str, genesis: LocalLedgerState):
         super().__init__(address)
@@ -463,12 +467,7 @@ class LedgerNode(Actor):
         return Committed(tuple(outcomes))
 
     def _query(self, sender: str, query: LedgerQuery) -> LedgerAnswer:
-        if query.what == "policy":
-            return LedgerAnswer(self.state.interop_networks, self.state.trust_entries)
-        if query.what == "records":
-            records = self.state.records_for(query.network)
-            return LedgerAnswer(records=tuple(r.content for r in records))
-        raise NetworkError(f"unknown query {query.what!r}")
+        return LedgerAnswer(tuple(r.content for r in self.state.records_for(query.network)))
 
 
 # --- data plane hook ----------------------------------------------------------

@@ -454,18 +454,27 @@ class TestCountersigning:
         assert world.ledger_state("SWT").get_record("STL", "Carrier").content.status == "ACTIVE"
 
     def test_countersigner_without_ledger_names_the_failure(self, world):
+        """A REVOKED statement needs the countersigner's read of its ledger's
+        records: when that read is lost, Seller refuses the flip by name, and
+        Buyer's flip fails long before the countersign gather's wait ends."""
+        assert run_sync(world, "Buyer", "SWT", "STL").error is None
+        TestMemberlistReuse.revoke_carrier(world)
         world.bus.config.rules.append(
             FaultRule(action="drop", to="agent:Seller", kind="ledger.reply")
         )
-        start = world.bus.now
-        record = run_sync(world, "Buyer", "SWT", "STL",
-                          targets=(world.org_dids["Carrier"],))
+        answers = []
+        answering(world.agents["Seller"], lambda s, answer: answers.append(answer) or answer)
+        start = len(world.trace.events)
+        record = run_sync(world, "Buyer", "SWT", "STL")
         assert record.error is None
-        outcome = record.result[world.org_dids["Carrier"]]
-        assert outcome == {"status": "FAILED", "error": "CounterpartyValidationFailed"}
-        failed = next(e for e in world.trace.events if e.kind == "agent.sync_failed")
-        assert failed.detail["detail"] == "Seller:LedgerUnreachable"
-        assert failed.tick - start < 1500 // 2  # the countersign gather waits 1500
+        assert record.result["revoke:Carrier"] == {
+            "status": "FAILED", "error": "CounterpartyValidationFailed"
+        }
+        assert answers == [agent_mod.Answer("validation_failed", reason="LedgerUnreachable")]
+        [asked] = sends_from(world, "Buyer", "agent.countersign.request", start)
+        [failed] = agent_events(world, "Buyer", {"agent.revoke_failed"}, start)
+        assert failed.tick - asked.tick < 1500 // 2  # the countersign gather waits 1500
+        assert world.ledger_state("SWT").get_record("STL", "Carrier").content.status == "ACTIVE"
 
     @pytest.mark.parametrize("networks, reason", [
         ({"home_network": "NOWHERE"}, "NotLocal"),
@@ -480,8 +489,7 @@ class TestCountersigning:
         assert agent_events(world, "Seller", {"agent.countersigned"}, start) == []
 
     def test_revoked_countersign_without_ledger_records_names_the_failure(self, world):
-        # a first sync fills Seller's interop cache, so the drop below hits
-        # the records query; an empty holder DID skips re-validation
+        # an empty holder DID skips re-validation
         run_sync(world, "Buyer", "SWT", "STL", targets=(world.org_dids["Carrier"],))
         world.bus.config.rules.append(
             FaultRule(action="drop", to="agent:Seller", kind="ledger.reply")
@@ -530,11 +538,11 @@ class TestSnapshotArtifacts:
         with its SWT credential, whose anchor SWT's trust list names for
         SWT: the snapshot holds that anchor's credential definition but no
         revocation state, as it names only STL's anchors' states."""
-        ledger = world.ledgers["SWT"]
+        policies = world.agents["Buyer"].config.policies
+        interop, entries = policies["SWT"]
         own_anchor = world.anchors["AnchorSWT"].profile.did
-        ledger.state = replace(
-            ledger.state,
-            trust_entries=ledger.state.trust_entries + (("iin0", own_anchor, "SWT"),),
+        monkeypatch.setitem(
+            policies, "SWT", (interop, entries + (("iin0", own_anchor, "SWT"),))
         )
         seller = world.agents["Seller"]
         monkeypatch.setitem(seller.wallet, "STL", seller.wallet["SWT"])
@@ -875,17 +883,7 @@ class TestConcurrentSync:
     @staticmethod
     def countersign_both_at_once(world):
         """Ask Seller, with cold caches, to countersign STL's Seller and
-        Carrier at the same time; returns the reply bodies and the ledger
-        queries Seller ran."""
-        seller = world.agents["Seller"]
-        queries = []
-        ledger_query = seller._ledger_query
-
-        def counting(home_network, query):
-            queries.append(query.what)
-            return (yield from ledger_query(home_network, query))
-
-        seller._ledger_query = counting
+        Carrier at the same time; returns the reply bodies."""
         probe = add_probe(world)
         replies = {}
 
@@ -903,15 +901,17 @@ class TestConcurrentSync:
         for org in ("Seller", "Carrier"):
             probe.start_session(f"ask-{org}", ask(org))
         world.settle()
-        return replies, queries
+        return replies
 
     def test_concurrent_cold_countersigns_each_read_their_own(self, world):
+        """Each request passes its own memberlist gate; the policy is the
+        agent's own, so neither asks the ledger anything."""
         start = len(world.trace.events)
-        replies, queries = self.countersign_both_at_once(world)
+        replies = self.countersign_both_at_once(world)
         assert {org: r.result for org, r in replies.items()} == {
             "Seller": "signed", "Carrier": "signed"
         }
-        assert queries.count("policy") == 2
+        assert sends_from(world, "Seller", "ledger.query", start) == []
         assert len(gates(world, "Seller", start)) == 2
 
     def test_lost_memberlist_fails_each_concurrent_request_by_name(self, world):
@@ -919,7 +919,7 @@ class TestConcurrentSync:
             FaultRule(action="drop", to="agent:Seller", kind="iin.query.reply")
         )
         start = len(world.trace.events)
-        replies, _ = self.countersign_both_at_once(world)
+        replies = self.countersign_both_at_once(world)
         assert {org: (r.result, r.reason) for org, r in replies.items()} == {
             "Seller": ("validation_failed", "InconsistentReplicas"),
             "Carrier": ("validation_failed", "InconsistentReplicas"),
@@ -1538,8 +1538,7 @@ class TestLedgerRecords:
     def test_undecodable_record_is_refused_by_name(self, world):
         """A records reply one of whose records does not decode does not
         decode as a whole: the agent names the decode error."""
-        frames = enc.encode_list([enc.encode_bytes(b"\x00")])
-        reply = Raw(enc.encode_list([]) + enc.encode_list([]) + frames)
+        reply = Raw(enc.encode_list([enc.encode_bytes(b"\x00")]))
         world.ledgers["SWT"]._query = lambda sender, query: reply
         record = self.read_records(world)
         assert isinstance(record.error, agent_mod.LedgerRefused)
@@ -1551,36 +1550,8 @@ class TestUndecodableLedgerReplies:
     agent as a reply naming DecodeError, and is LedgerRefused, as any error
     reply is: it fails what needed the reply, by name, and nothing else."""
 
-    @staticmethod
-    def doctor(world, what, change):
-        """Pass SWT's ledger's reply to each `what` query through `change`;
-        returns the undoctored query handler."""
-        ledger = world.ledgers["SWT"]
-        serve = ledger._query
-
-        def doctored(sender, query):
-            reply = serve(sender, query)
-            return change(reply) if query.what == what else reply
-
-        ledger._query = doctored
-        return serve
-
-    @pytest.mark.parametrize("change", [
-        lambda reply: net.Committed("APPLIED"),
-        lambda reply: Raw(reply.to_bytes()[:-1]),
-    ], ids=["another-kinds-record", "truncated"])
-    def test_undecodable_policy_fails_the_sync_and_is_not_kept(self, world, change):
-        serve = self.doctor(world, "policy", change)
-        record = run_sync(world, "Buyer", "SWT", "STL")
-        assert isinstance(record.error, agent_mod.LedgerRefused)
-        assert str(record.error) == "SWT: DecodeError"
-        world.ledgers["SWT"]._query = serve
-        record = run_sync(world, "Buyer", "SWT", "STL")
-        assert record.error is None
-        assert [r["status"] for r in record.result.values()] == ["DONE"] * 2
-
     def test_undecodable_records_fail_the_full_sync_before_step_d(self, world):
-        self.doctor(world, "records", lambda reply: Raw(b"\x00"))
+        world.ledgers["SWT"]._query = lambda sender, query: Raw(b"\x00")
         record = run_sync(world, "Buyer", "SWT", "STL")
         assert isinstance(record.error, agent_mod.LedgerRefused)
         assert str(record.error) == "SWT: DecodeError"
@@ -1639,20 +1610,6 @@ class TestUndecodableLedgerReplies:
         assert [e.detail["detail"] for e in failed] == [detail] * 2
         assert agent_events(world, "Buyer", {"agent.committed", "session.failed"}, start) == []
         assert [e.outcome for e in world.ledger_state("SWT").block_log] == ["APPLIED"] * 2
-
-    def test_countersigner_refuses_each_statement_on_an_undecodable_policy(self, world):
-        self.doctor(world, "policy", lambda reply: Raw(b""))
-        probe = add_probe(world)
-        reply = ask_countersign_batch(probe, world, [
-            statement(
-                probe, world.org_dids[org], world.organizations[("STL", org)].bundle_digest(),
-                "ACTIVE", org=org,
-            )
-            for org in ("Seller", "Carrier")
-        ])
-        assert reply.body.results == (
-            agent_mod.Answer("validation_failed", reason="LedgerRefused"),
-        ) * 2
 
 
 # the events that mark a sync target's phases: B validated, C fetched, D
@@ -1988,9 +1945,6 @@ class TestOneReadPerGate:
             assert self.queries_before_challenge(runner.world, org) == 2, org
 
     def test_full_sync_asks_for_its_records_before_the_memberlist_arrives(self, world):
-        buyer = world.agents["Buyer"]
-        buyer.start_session("policy", buyer._read_once("SWT"))
-        world.settle()
         start = len(world.trace.events)
         assert run_sync(world, "Buyer", "SWT", "STL").error is None
         events = world.trace.events[start:]

@@ -83,9 +83,9 @@ def test_benchmark_worlds_parse():
 
 
 @pytest.mark.parametrize("workload, sends, applied, sync_ticks", [
-    ("wide-sync", 392, 16, [41, 40]),
-    ("commit-race", 26, 1, [27]),
-    ("proof-churn", 174, 3, [32, 27, 41]),
+    ("wide-sync", 360, 16, [33, 34]),
+    ("commit-race", 22, 1, [24]),
+    ("proof-churn", 174, 3, [35, 27, 36]),
 ], ids=("wide-sync", "commit-race", "proof-churn"))  # stable across re-pins
 def test_one_unit_of_each_workload_keeps_its_exact_traffic(
     monkeypatch, workload, sends, applied, sync_ticks

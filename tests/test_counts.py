@@ -49,8 +49,8 @@ SCENARIOS = ("two-network", "concurrent-commit", "revoke-carrier", "rotate-resyn
 @pytest.mark.parametrize(
     "name, sends, queries, memberlists, witnesses, orders, countersigns, signs, verifies",
     [
-        ("two-network", 166, 16, 0, 2, 30, 2, 83, 168),
-        ("concurrent-commit", 136, 12, 0, 1, 30, 2, 71, 116),
+        ("two-network", 158, 16, 0, 2, 30, 2, 83, 168),
+        ("concurrent-commit", 132, 12, 0, 1, 30, 2, 71, 116),
     ],
     ids=("two-network", "concurrent-commit"),  # stable across re-pins
 )
@@ -87,10 +87,10 @@ def test_bundled_scenario_counts(
 
 
 @pytest.mark.parametrize("name, plaintext_bytes", [
-    ("two-network", 87_902),
-    ("concurrent-commit", 66_480),
-    ("revoke-carrier", 119_718),
-    ("rotate-resync", 94_116),
+    ("two-network", 87_140),
+    ("concurrent-commit", 66_124),
+    ("revoke-carrier", 118_880),
+    ("rotate-resync", 93_703),
 ], ids=SCENARIOS)  # stable across re-pins
 def test_bundled_scenario_wire_bytes(monkeypatch, name, plaintext_bytes):
     sent = []
@@ -166,12 +166,12 @@ def test_bundled_scenario_decodes(monkeypatch, name, in_loop, entries):
 
 
 TRACE_DIGESTS = {
-    "concurrent-commit": "c4d3c9c56952f1702a1e4951a5393dad56681b541f8a64125de8d89f94935eac",
-    "concurrent-commit-serial": "73875bafff71de5ca0422113ff25e5aab975a1092d2e5044c236466f16c1a407",
-    "digest-mismatch-retry": "5847ea65f0b09a84dd307937ad302d14951065f2db9a48620c270f2f5dbf8e61",
-    "revoke-carrier": "bc8f1fd9734821fa514162f2224bd13bfab157a1b56b228f48bc9cf5a9cb91be",
-    "rotate-resync": "81e0d20ea2347f3cea8eea4f7bf8529cb3d716870ecb446063665fd969556d3a",
-    "two-network": "93782e3813af49e9fcc9a04e4f62e98602c1ca2a195e89e26f260b77843a0bf9",
+    "concurrent-commit": "ad2c8926e53e46ac49775583cfb80df1cfc5a97fd8151ace21d1ff5e83450445",
+    "concurrent-commit-serial": "9af056e6aeabfd00d7261a51e645f70b86b60576197291a22530a9dc89d18e6e",
+    "digest-mismatch-retry": "34f289f953253d8e7cdaa98d89e1ac0ac07331f99d4ccf03d2b40a1a5854149d",
+    "revoke-carrier": "cd85255121742729b4bf37d78ff99cde788d995a1937d8ceee8a2956f46e2f44",
+    "rotate-resync": "c00b2c3be244c98c1fe5f5cd2e9d64540fdb857e7e59b3f9f6f4dd97ffb1e6bc",
+    "two-network": "3e44f7d5ebd1b6c141e58ca964c97cbcbff8804d2d2cc2eb2cd7b3d9b70d4a78",
 }
 
 
@@ -184,12 +184,12 @@ def test_bundled_scenario_trace_digest(tmp_path, name):
 
 
 TRAFFIC_DIGESTS = {
-    "concurrent-commit": "a03be62d9a3fc165e1305d0593be2a679aa36822a670ad2d21d44adc4f77a4a0",
-    "concurrent-commit-serial": "b53beb65243afd55297f67cc2c6388803a2fa83c6d2591772aca3b574602b432",
-    "digest-mismatch-retry": "b5cb94710a596df61f6a35d94eda88764cc38ed38fb38852a94a8e07636eb21f",
-    "revoke-carrier": "0be30f37f890d7118d0c558df5b5865e4874ec5493f7e6ee116c564b46ef2cc2",
-    "rotate-resync": "6fd45d74709dcf7ea3a50db69bc3700c355f716cedbb4c489b2a569db93ce6d1",
-    "two-network": "ebc5ede21fdcbc8c85850f8309e1182d134b84ba4f6d998a910cfb62affa6efc",
+    "concurrent-commit": "7731c486744a98dfe3a8bb08c5d0a589a968a671970ae64021a065a7f66f66a4",
+    "concurrent-commit-serial": "cee9848f2eccd0a405b3897933ccf5710cf6587971794653da484d5808b62996",
+    "digest-mismatch-retry": "afec625c103507c37723918a032c8f0c79a3611771b7a31ba05f84d0013a2fff",
+    "revoke-carrier": "f6705ec80390aa81eb02160a884012930a6759186b34e81b646d579c3fdbaa29",
+    "rotate-resync": "7f00f7713a706359691a27903d4a659c479019522bf44059ced691df1069480a",
+    "two-network": "0ea8569d5a7080bb0f745b284fa88f6d0b76ceac43eac616a1a4f6d7333b99f2",
 }
 
 
@@ -301,12 +301,14 @@ def test_sync_costs_are_closed_forms_in_k(monkeypatch, k):
     agent.start_session("sync", agent.sync_network("NA", "NB"))
     world.settle()
     sent = [e.detail["msg_kind"] for e in world.trace.events[first:] if e.kind == "bus.send"]
-    assert len(sent) == 2 * k * k + 8 * k + 4
+    assert len(sent) == 2 * k * k + 6 * k + 4
     assert calls["sign"] == k * k + k
     assert calls["verify"] == 5 * k * k + 3 * k
     assert calls["executed"] == k * k + 4 * k + 1
     assert sum(m.startswith("agent.membership_vp.") for m in sent) == 2 * k * k
     assert sum(m.startswith("agent.countersign.") for m in sent) == 2 * (k - 1)
     assert sum(m.startswith("cmdac.") for m in sent) == 2  # one submit per step-D batch
+    # the initiator's one records read; the policy is each agent's own
+    assert sum(m.startswith("ledger.") for m in sent) == 2
     state = world.ledger_state("NA")
     assert all(state.get_record("NB", f"NBo{i:02d}").status == "ACTIVE" for i in range(k))

@@ -449,16 +449,6 @@ def old_query(q):
     )
 
 
-def old_ledger_answer(a):
-    return (
-        strs(a.networks)
-        + enc.encode_list(
-            enc.encode_str(i) + enc.encode_str(x) + enc.encode_str(n) for i, x, n in a.entries
-        )
-        + framed(old_record_content, a.records)
-    )
-
-
 def old_membership_vc(vc):
     return old_membership_signing(vc) + old_signature(vc.issuer_signature)
 
@@ -696,17 +686,14 @@ RECORDS = {
         lambda c: enc.encode_list(enc.encode_str(o) for o in c.outcomes),
     ),
     net.LedgerQuery: (
-        st.builds(net.LedgerQuery, text, text),
+        st.builds(net.LedgerQuery, text),
         None,
-        lambda q: enc.encode_str(q.what) + enc.encode_str(q.network),
+        lambda q: enc.encode_str(q.network),
     ),
     net.LedgerAnswer: (
-        st.builds(
-            net.LedgerAnswer, up_to_3(text), up_to_3(st.tuples(text, text, text)),
-            up_to_3(record_content),
-        ),
+        st.builds(net.LedgerAnswer, up_to_3(record_content)),
         None,
-        old_ledger_answer,
+        lambda a: framed(old_record_content, a.records),
     ),
     anchors.VerinymRequest: (
         st.builds(anchors.VerinymRequest, text, did_doc),

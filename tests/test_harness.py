@@ -111,6 +111,20 @@ class TestLoadScenario:
         }
         assert used == harness.ASSERT_KINDS
 
+    @pytest.mark.parametrize("name", sorted(harness.bundled_scenarios()))
+    def test_each_agent_holds_its_home_ledgers_genesis_policy(self, name):
+        """Each agent is configured with the policy that its home ledger's
+        genesis fixes: one derivation, the same objects in both."""
+        config = scenario_config(name)
+        world = harness.World(config, config.seed)
+        for agent in world.agents.values():
+            assert set(agent.config.policies) == set(agent.config.ledgers), agent.org_id
+            for home, (interop, entries) in agent.config.policies.items():
+                genesis = world.ledgers[home].genesis
+                assert (interop, entries) == (genesis.interop_networks, genesis.trust_entries)
+                assert interop is genesis.interop_networks
+                assert entries is genesis.trust_entries
+
 
 @pytest.fixture(scope="module")
 def trace_path(tmp_path_factory):

@@ -22,8 +22,6 @@ CONCURRENT_COMMIT = {
     "agent.countersign.request": (2, 2),
     "agent.membership_vp.reply": (2, 2),
     "agent.membership_vp.request": (2, 2),
-    "ledger.query": (2, 2),
-    "ledger.reply": (2, 2),
     "anchor.witness.reply": (1, 1),
     "anchor.witness.request": (1, 1),
     "anchor.vc.reply": (0, 4),
@@ -41,6 +39,6 @@ def test_single_drops_of_concurrent_commit_fail_as_pinned():
     refused = collections.Counter()
     runs, failed, revoked = loss_search.single("concurrent-commit", refused)
     assert {kind: (failed[kind], runs[kind]) for kind in runs} == CONCURRENT_COMMIT
-    assert sum(failed.values()) == 33 and sum(runs.values()) == 136
+    assert sum(failed.values()) == 29 and sum(runs.values()) == 132
     assert revoked == []
     assert refused == {}

@@ -283,6 +283,36 @@ class TestHeldStatements:
         assert refused.foreign == other.foreign
         assert commit(home, "ACTIVE", 0, home="HOME")[1] == "APPLIED"
 
+    def test_statement_of_a_network_off_the_interop_list_is_refused(self):
+        """A statement every org endorsed is refused by name when its foreign
+        network is not on the ledger's interoperation list, and changes
+        nothing. The check follows WrongLedger and precedes the digest
+        check, and replaying the log reproduces each refusal from the
+        genesis list: under a list that names the network it diverges."""
+        ledger = make_ledger()
+        bundle = make_source_org().bundle_bytes()
+        far = statement("ELSEWHERE", "FarOrg", bundle, "ACTIVE", 0)
+        state = ledger
+        for endorsed, expected in (
+            (far, "PolicyViolation"),
+            (replace(far, bundle_digest=bytes(32)), "PolicyViolation"),
+            (replace(far, home_network="HOME2"), "WrongLedger"),
+        ):
+            sigs = tuple(sign_batch(o, endorsed) for o in ("OrgA", "OrgB"))
+            state, outcome = net.cmdac_update_foreign_identity(
+                state, endorsed, bundle, sigs, now=1
+            )
+            assert outcome == expected
+        assert state.foreign == ledger.foreign
+        assert state.state_hash() == ledger.state_hash()
+        state, outcome = commit(state, "ACTIVE", 0, now=2)
+        assert outcome == "APPLIED"
+        replayed = net.replay_block_log(ledger, state.block_log)
+        assert replayed.state_hash() == state.state_hash()
+        listed = replace(ledger, interop_networks=("AWAY", "ELSEWHERE"))
+        with pytest.raises(net.NetworkError, match="replay divergence at block 0: APPLIED"):
+            net.replay_block_log(listed, state.block_log)
+
 
 class TestBatchEndorsements:
     """Each org signs one list of statement digests per step-D batch, and

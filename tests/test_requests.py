@@ -52,7 +52,7 @@ EXAMPLES = {
     "iin.order": Order(0, BATCH),
     "iin.query": Query("member", ("did:x",), (), (), (), ()),
     "iin.submit": BATCH,
-    "ledger.query": LedgerQuery("policy"),
+    "ledger.query": LedgerQuery("STL"),
 }
 KINDS = sorted(EXAMPLES)
 # request kind -> the kind whose example body it is sent as its "another kind's
@@ -208,7 +208,7 @@ def test_a_read_of_nothing_or_a_strangers_order_fails_no_session(served, kind, b
 
 
 def ledger_query_message() -> bytes:
-    body = LedgerQuery("policy").to_bytes()
+    body = LedgerQuery("STL").to_bytes()
     return Message(request_id="probe#1", body=body).to_bytes()
 
 
@@ -230,7 +230,7 @@ def test_malformed_plaintext_is_dropped_and_traced(plaintext):
     assert [e for e in world.trace.events[start:] if e.kind == "bus.send"][1:] == []
 
 
-@pytest.mark.parametrize("data", [LedgerQuery("policy").to_bytes(), b""],
+@pytest.mark.parametrize("data", [LedgerQuery("STL").to_bytes(), b""],
                          ids=["a-body-alone", "empty"])
 def test_message_read_refuses_a_non_message(data):
     with pytest.raises(enc.DecodeError):
