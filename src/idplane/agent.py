@@ -52,7 +52,7 @@ fixed in its genesis state, and the agent is configured with it
 (`AgentConfig.policies`), so it never asks the ledger for it; registry reads
 are never kept. A target's outcome is recorded only in the trace:
 `agent.sync_done` and `agent.sync_failed` carry `attempts`, and a protocol
-failure its `detail`.
+failure its `detail`, as does a failed REVOKED flip (`agent.revoke_failed`).
 
 One agent serves all of its organization's network memberships: the DID
 document has a single service endpoint, and an org that belongs to several
@@ -788,13 +788,7 @@ class IinAgent(Actor):
             if identity.org_id != statement.foreign_org:
                 raise OrgMismatch(f"{identity.org_id} presented as {statement.foreign_org}")
         except PROTOCOL_ERRORS as e:
-            self.trace(
-                "agent.countersign_refused",
-                network=foreign_network,
-                org=statement.foreign_org,
-                reason=type(e).__name__,
-            )
-            return _refusal(type(e).__name__)
+            return self._refused(statement, type(e).__name__)
         if identity.bundle_digest != statement.bundle_digest:
             # stale copy on one side; drop ours so the retry refetches
             self.cache.pop((foreign_network, foreign_did), None)
@@ -830,22 +824,32 @@ class IinAgent(Actor):
         revocation. `snapshot` is the gate's read, which holds every listed
         holder's document."""
         if refused is not None:
-            return _refusal(type(refused).__name__)
+            return self._refused(statement, type(refused).__name__)
         if record is None or record.bundle_digest != statement.bundle_digest:
             own_digest = record.bundle_digest if record else b""
             return Answer(RESULT_DIGEST_MISMATCH, own_digest=own_digest)
         if error is not None:
-            return _refusal(type(error).__name__)
+            return self._refused(statement, type(error).__name__)
         if record.holder_did in memberlist.member_dids:
             try:
                 yield from self._validate_member(
                     home_network, statement.foreign_network, record.holder_did,
                     snapshot=snapshot,
                 )
-                return _refusal("MemberStillValid")
+                return self._refused(statement, "MemberStillValid")
             except PROTOCOL_ERRORS:
                 pass
         return self._endorse(replace(statement, holder_did=record.holder_did))
+
+    def _refused(self, statement: net.Endorsement, reason: str) -> Answer:
+        """This countersigner's refusal of `statement`, traced by its reason."""
+        self.trace(
+            "agent.countersign_refused",
+            network=statement.foreign_network,
+            org=statement.foreign_org,
+            reason=reason,
+        )
+        return _refusal(reason)
 
     def _endorse(self, endorsement: net.Endorsement) -> bytes:
         """The digest of `endorsement`, which the batch's signature will cover."""
@@ -1026,7 +1030,10 @@ class IinAgent(Actor):
         """The result of one REVOKED flip from its step D verdict."""
         if verdict == DIGEST_MISMATCH or isinstance(verdict, Exception):
             error = "DigestMismatch" if verdict == DIGEST_MISMATCH else type(verdict).__name__
-            self.trace("agent.revoke_failed", network=foreign_network, org=org_id, error=error)
+            self.trace(
+                "agent.revoke_failed", network=foreign_network, org=org_id, error=error,
+                detail=str(verdict),
+            )
             return {"status": PHASE_FAILED, "error": error}
         self.trace("agent.record_revoked", network=foreign_network, org=org_id)
         return {"status": PHASE_DONE, "org_id": org_id, "outcome": verdict}

@@ -30,6 +30,9 @@ outcome, so one bad request fails alone. A serialized op runs alone, in its
 turn. Nothing waits on purpose: a request that finds the queue idle goes out
 at once. Holders whose witnesses go stale after an epoch bump come back for a
 witness refresh.
+
+Every registry writer, the steward included, writes through `submit`, which
+reads a lost receipt's outcomes back from the registry's applied set.
 """
 
 from __future__ import annotations
@@ -270,15 +273,16 @@ class AnchorService(Actor):
         from its own checks and its own transaction's outcome. A holder asked
         for twice gets the one credential, the second time `already_member`,
         as does a holder already on the roster (a fresh witness, no epoch
-        bump). On a lost receipt each request is answered from the read-back
-        of its own payload: a registration whose document, or an issuance
-        whose revocation update, the read-back lacks fails with the lost
-        receipt's error, and the others are answered as if it had come."""
+        bump). On a lost receipt each request is answered from whether its
+        own transaction applied (`submit`): a registration whose NYM, or an
+        issuance whose revocation update, the registry did not apply fails
+        with the lost receipt's error, and the others are answered as if it
+        had come."""
         nyms = [e for e in batch if e.kind == "anchor.verinym.request"]
         vcs = [e for e in batch if e.kind == "anchor.vc.request"]
         minted = (yield from self._mint(vcs)) if vcs else {}
         docs = [registry.attest(e.args[1], self.profile.did, self.keys) for e in nyms]
-        writes: list = [(registry.KIND_NYM, doc) for doc in docs]
+        writes = [(registry.KIND_NYM, doc.to_bytes()) for doc in docs]
         if minted:
             new_state, _ = crypto.accumulator_add(
                 self.acc_state, self._leaves(), *(vc.credential_id for vc in minted.values())
@@ -288,14 +292,13 @@ class AnchorService(Actor):
                 self._next_memberlist(net, added=tuple(h for h, n in minted if n == net))
                 for net in dict.fromkeys(network_id for _, network_id in minted)
             ))
-            writes.append((registry.KIND_REVOC_UPDATE, update))
-        outcomes, lost = [], None
+            writes.append((registry.KIND_REVOC_UPDATE, update.to_bytes()))
+        outcomes = ()
         if writes:
-            outcomes, lost = yield from self._submit_read_back(writes)
+            outcomes = yield from submit(self.pool, self.profile.did, self.keys, writes)
         for entry, doc, outcome in zip(nyms, docs, outcomes):
             if outcome not in (registry.OUTCOME_APPLIED, "Duplicate"):
-                # None: a lost receipt whose read-back lacks the document
-                entry.reply = str(lost) if outcome is None else outcome
+                entry.reply = str(outcome)  # a refusal, or the lost receipt's error
                 continue
             self.trace("anchor.verinym_registered", org=entry.args[0], did=doc.did, outcome=outcome)
             entry.reply = Registered(outcome)
@@ -322,7 +325,8 @@ class AnchorService(Actor):
             vc = self.rosters[network_id].members.get(holder_did)
             if vc is None:  # the revocation update that adds it did not apply
                 error = outcomes[-1]
-                entry.reply = str(lost) if error is None else f"revocation update rejected: {error}"
+                lost = isinstance(error, Exception)
+                entry.reply = str(error) if lost else f"revocation update rejected: {error}"
                 continue
             witness = crypto.witness_for(self.acc_state, leaves, vc.credential_id)
             # the first request for a new credential is its issuance
@@ -378,7 +382,10 @@ class AnchorService(Actor):
         update = registry.RevocationUpdate(
             new_state, (self._next_memberlist(network_id, removed=holder_did),)
         )
-        yield from self._publish_revocation_state(update)
+        # the anchor keeps its epoch until the registry holds the next one
+        yield from submit_all(self.pool, self.profile.did, self.keys, [
+            (registry.KIND_REVOC_UPDATE, update.to_bytes(), "revocation update rejected")
+        ])
         del roster.members[holder_did]
         self._adopt(update)
         self.trace(
@@ -388,55 +395,6 @@ class AnchorService(Actor):
             epoch=self.acc_state.epoch,
             roster_version=self.memberlists[network_id].roster_version,
         )
-
-    def _publish_revocation_state(self, update: registry.RevocationUpdate) -> Generator:
-        """Submit `update` as this anchor's next revocation state and lists,
-        so that the anchor does not keep an epoch the registry has left.
-        Raises QuorumUnavailable, or AnchorError when the registry refused it."""
-        (outcome,), lost = yield from self._submit_read_back(
-            [(registry.KIND_REVOC_UPDATE, update)]
-        )
-        if outcome is None:
-            raise lost
-        if outcome != registry.OUTCOME_APPLIED:
-            raise AnchorError(f"revocation update rejected: {outcome}")
-
-    def _submit_read_back(self, writes: list[tuple[str, object]]) -> Generator:
-        """Submit one transaction per (kind, payload record) in `writes` as
-        one registry batch, signed once: a DID document, or a
-        `RevocationUpdate`; return their outcomes and None. When no receipt
-        comes back, read one snapshot of the documents, revocation state and
-        memberlists the batch writes, and return APPLIED for each payload
-        whose every part it holds, byte for byte, None for each other (all
-        None when that read fails too), and the QuorumUnavailable that lost
-        the receipt. The batch applied whole only when no outcome is None."""
-        batch = registry.sign_batch(self.keys, *(
-            registry.RegistryTransaction(kind, payload.to_bytes(), self.profile.did)
-            for kind, payload in writes
-        ))
-        try:
-            receipt = yield from registry.submit_transaction(self.pool, batch)
-        except registry.QuorumUnavailable as lost:
-            updates = [p for _, p in writes if isinstance(p, registry.RevocationUpdate)]
-            try:
-                snapshot = yield from registry.resolve_member(
-                    self.pool,
-                    tuple(p.did for _, p in writes if isinstance(p, registry.DidDocument)),
-                    (self.profile.did,) if updates else (),
-                    memberlists=tuple(
-                        (self.profile.did, m.network_id) for u in updates for m in u.memberlists
-                    ),
-                )
-            except registry.RegistryError:
-                return [None] * len(writes), lost
-            held = [e.doc[0] for e in snapshot.holders if e.doc]
-            present = {r.to_bytes() for r in (*held, *snapshot.states, *snapshot.memberlists)}
-            return [
-                registry.OUTCOME_APPLIED
-                if all(r.to_bytes() in present for r in _parts(payload)) else None
-                for _, payload in writes
-            ], lost
-        return receipt.outcomes, None
 
     # --- PMV: memberlists ------------------------------------------------------
 
@@ -484,14 +442,6 @@ class AnchorService(Actor):
         if self.acc_state is None or request.credential_id not in leaves:
             return "NotAMember"
         return Witness(crypto.witness_for(self.acc_state, leaves, request.credential_id))
-
-
-def _parts(payload) -> tuple:
-    """The records a write's payload leaves in registry state, each read
-    back on its own."""
-    if isinstance(payload, registry.RevocationUpdate):
-        return (payload.state, *payload.memberlists)
-    return (payload,)
 
 
 def membership_schema() -> creds.CredentialSchema:
@@ -550,20 +500,47 @@ class StewardService(Actor):
         self.trace("steward.bootstrap_complete", anchors=len(anchor_docs))
 
 
+def submit(
+    pool: registry.PoolInfo,
+    submitter_did: str,
+    keys: crypto.KeyPair,
+    writes: list[tuple[str, bytes]],
+) -> Generator:
+    """The one registry write path: submit one transaction per (kind,
+    payload) in `writes` as one batch, signed once with `keys`, and return
+    their outcomes in order. When no receipt comes back, one member read
+    names the batch's transaction digests: each that the registry applied
+    counts as APPLIED, and each other's outcome is the QuorumUnavailable that
+    lost the receipt, as is every outcome when that read fails too. The
+    registry records only applied transactions, so a refused one and one
+    that never arrived look the same."""
+    txs = [registry.RegistryTransaction(kind, payload, submitter_did) for kind, payload in writes]
+    try:
+        receipt = yield from registry.submit_transaction(pool, registry.sign_batch(keys, *txs))
+    except registry.QuorumUnavailable as lost:
+        digests = tuple(tx.digest() for tx in txs)
+        try:
+            snapshot = yield from registry.resolve_member(pool, (), (), applied=digests)
+        except registry.RegistryError:
+            return (lost,) * len(txs)
+        return tuple(registry.OUTCOME_APPLIED if d in snapshot.applied else lost for d in digests)
+    return receipt.outcomes
+
+
 def submit_all(
     pool: registry.PoolInfo,
     submitter_did: str,
     keys: crypto.KeyPair,
     writes: list[tuple[str, bytes, str]],
 ) -> Generator:
-    """Submit one transaction per (kind, payload, refusal) in `writes` as one
-    registry batch, signed once with `keys`. Raises AnchorError("<refusal>:
-    <outcome>") for the first transaction that did not apply, and
-    QuorumUnavailable as the registry does."""
-    batch = registry.sign_batch(keys, *(
-        registry.RegistryTransaction(kind, payload, submitter_did) for kind, payload, _ in writes
-    ))
-    receipt = yield from registry.submit_transaction(pool, batch)
-    for (_, _, refusal), outcome in zip(writes, receipt.outcomes):
+    """`submit` one transaction per (kind, payload, refusal) in `writes`, all
+    of which must apply. Raises, for the first that did not, the lost
+    receipt's QuorumUnavailable or AnchorError("<refusal>: <outcome>")."""
+    outcomes = yield from submit(
+        pool, submitter_did, keys, [(kind, payload) for kind, payload, _ in writes]
+    )
+    for (_, _, refusal), outcome in zip(writes, outcomes):
+        if isinstance(outcome, Exception):
+            raise outcome
         if outcome != registry.OUTCOME_APPLIED:
             raise AnchorError(f"{refusal}: {outcome}")

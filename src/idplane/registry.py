@@ -23,10 +23,11 @@ f+1 nodes (the sequencer first, since it holds the freshest state) and asks
 the other nodes only when those replies disagree or one is missing at the
 timeout, so a read fails only when no f+1 replies of the whole pool match.
 The registry's one read, a member snapshot (`resolve_member`), names holder
-DIDs, issuer DIDs, schema ids, credential-definition ids and memberlists by
-(issuer, network); a replica answers with each one it holds, and with the
-document of every member each named list lists, from its one current state,
-so none of them can come from a different registry state. Each attestation is
+DIDs, issuer DIDs, schema ids, credential-definition ids, memberlists by
+(issuer, network) and transaction digests; a replica answers with each one it
+holds, with the document of every member each named list lists, and with
+each named digest its applied set holds, from its one current state, so none
+of them can come from a different registry state. Each attestation is
 verified once, when its NYM applies, so a DID read looks up verinym status;
 only a DID's owner or a STEWARD/OIV may rewrite its document.
 
@@ -583,6 +584,7 @@ class Query(enc.Record):  # iin.query: a read of `what`, of the ids it names
     schemas: tuple[str, ...]
     cred_defs: tuple[str, ...]
     memberlists: tuple[tuple[str, str], ...]
+    applied: tuple[bytes, ...] = ()  # transaction digests
 
 
 @dataclass(frozen=True)
@@ -731,9 +733,12 @@ class IinNode(Actor):
         """Answer a member read with a `MemberSnapshot` of this replica's
         current state. Anyone may read: a query of another `what` gets the
         snapshot of nothing (a miss)."""
-        ids = (query.holders, query.issuers, query.schemas, query.cred_defs, query.memberlists)
+        ids = (
+            query.holders, query.issuers, query.schemas, query.cred_defs, query.memberlists,
+            query.applied,
+        )
         if query.what != QUERY_MEMBER:
-            ids = ((),) * 5
+            ids = ((),) * 6
         return QueryResult(MemberSnapshot.of(self.state, *ids).to_bytes())
 
 
@@ -752,14 +757,16 @@ class MemberSnapshot(enc.Record):
     """A member read's answer: one entry per holder asked for, in the order
     asked, then one per member of the lists read that was not asked for, in
     list order; the revocation state of each issuer, each schema and each
-    credential definition asked for that the registry holds; and the
-    memberlist of each (issuer, network) asked for that it holds."""
+    credential definition asked for that the registry holds; the
+    memberlist of each (issuer, network) asked for that it holds; and each
+    transaction digest asked for that its applied set holds."""
 
     holders: tuple[MemberEntry, ...]
     states: tuple[enc.Framed[crypto.RevocationRegistryState], ...]
     schemas: tuple[enc.Framed[CredentialSchema], ...]
     cred_defs: tuple[enc.Framed[CredentialDefinition], ...]
     memberlists: tuple[enc.Framed[MemberlistCredential], ...] = ()
+    applied: tuple[bytes, ...] = ()
 
     @staticmethod
     def of(
@@ -769,6 +776,7 @@ class MemberSnapshot(enc.Record):
         schemas: Sequence[str],
         cred_defs: Sequence[str],
         memberlists: Sequence[tuple[str, str]] = (),
+        applied: Sequence[bytes] = (),
     ) -> "MemberSnapshot":
         """A replica's answer, at `state`, to a member read of these ids."""
         lists = tuple(state.memberlists[k] for k in memberlists if k in state.memberlists)
@@ -786,6 +794,7 @@ class MemberSnapshot(enc.Record):
             tuple(state.schemas[s] for s in schemas if s in state.schemas),
             tuple(state.cred_defs[c] for c in cred_defs if c in state.cred_defs),
             lists,
+            tuple(d for d in applied if d in state.applied),
         )
 
     def holder(self, did: str) -> tuple[DidDocument, bool]:
@@ -861,6 +870,7 @@ def quorum_query(
     schemas: tuple[str, ...] = (),
     cred_defs: tuple[str, ...] = (),
     memberlists: tuple[tuple[str, str], ...] = (),
+    applied: tuple[bytes, ...] = (),
 ) -> Generator:
     """Read from the first f+1 pool nodes (the sequencer first); ask the other
     nodes only when those replies disagree or one is missing at the timeout.
@@ -868,7 +878,7 @@ def quorum_query(
     return the agreed payload; raise InconsistentReplicas otherwise. The
     registry answers only QUERY_MEMBER, for the ids named (`_query`)."""
     threshold = pool.read_quorum
-    body = Query(what, holders, issuers, schemas, cred_defs, memberlists)
+    body = Query(what, holders, issuers, schemas, cred_defs, memberlists, applied)
 
     def tally(results: list) -> dict[bytes, int]:
         counts: dict[bytes, int] = {}
@@ -908,18 +918,22 @@ def resolve_member(
     schema_ids: tuple[str, ...] = (),
     cred_def_ids: tuple[str, ...] = (),
     memberlists: tuple[tuple[str, str], ...] = (),
+    applied: tuple[bytes, ...] = (),
 ) -> Generator:
     """The registry's one read: a `MemberSnapshot` of each holder's DID
     document and verinym status, and of the revocation state of each issuer,
     each schema, each credential definition and each (issuer, network)
     memberlist named that the registry holds, with the document and verinym
-    status of every member each of those lists names. A verifier reads a
-    memberlist, its members and every artifact their checks need at once; an
-    anchor reads back its own revocation state and lists. All of it comes
+    status of every member each of those lists names, and of each named
+    transaction digest that the registry applied. A verifier reads a
+    memberlist, its members and every artifact their checks need at once; a
+    writer whose receipt was lost reads which of its transactions applied
+    (`anchors.submit`). All of it comes
     from one replica state, and f+1 replies must match on all of it, so a
     read answered from mixed states raises InconsistentReplicas and fails
     every holder it names."""
     payload = yield from quorum_query(
-        pool, QUERY_MEMBER, holder_dids, issuer_dids, schema_ids, cred_def_ids, memberlists
+        pool, QUERY_MEMBER, holder_dids, issuer_dids, schema_ids, cred_def_ids, memberlists,
+        applied,
     )
     return MemberSnapshot.from_bytes(payload)

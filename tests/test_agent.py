@@ -417,6 +417,34 @@ class TestCountersigning:
         own_digest = record.content.bundle_digest if synced else b""
         assert answer == agent_mod.Answer("digest_mismatch", own_digest=own_digest)
 
+    def test_listed_holder_whose_revalidation_is_refuted_is_revoked(self, world, monkeypatch):
+        """Carrier stays listed, but answers every challenge with a
+        presentation signed by a key its DID document does not hold: Seller's
+        own re-validation refutes it, so Seller endorses Buyer's flip."""
+        carrier_did = world.org_dids["Carrier"]
+        assert run_sync(world, "Buyer", "SWT", "STL").error is None
+        monkeypatch.setattr(
+            world.agents["Carrier"], "keys", crypto.KeyPair.from_seed(b"\x17" * 32)
+        )
+        start = len(world.trace.events)
+        record = run_sync(world, "Buyer", "SWT", "STL")
+        assert record.error is None
+        assert record.result[carrier_did]["status"] == "FAILED"
+        assert record.result["revoke:Carrier"] == {
+            "status": "DONE", "org_id": "Carrier", "outcome": "APPLIED"
+        }
+        assert carrier_did in world.anchors["AnchorSTL"].memberlists["STL"].member_dids
+        # Seller challenged Carrier itself, and signed the flip on that
+        challenged = [
+            e for e in sends_from(world, "Seller", "agent.membership_vp.request", start)
+            if e.detail["to"] == "agent:Carrier"
+        ]
+        assert len(challenged) == 1
+        assert agent_events(world, "Seller", {"agent.countersign_refused"}, start) == []
+        [signed] = agent_events(world, "Seller", {"agent.countersigned"}, start)
+        assert (signed.detail["org"], signed.detail["status"]) == ("Carrier", "REVOKED")
+        assert world.ledger_state("SWT").get_record("STL", "Carrier").content.status == "REVOKED"
+
     def test_lost_revocation_commit_reply_fails_the_revocation_by_name(self, world):
         assert run_sync(world, "Buyer", "SWT", "STL").error is None
         TestMemberlistReuse.revoke_carrier(world)
@@ -427,7 +455,9 @@ class TestCountersigning:
         record = run_sync(world, "Buyer", "SWT", "STL")
         assert record.result["revoke:Carrier"] == {"status": "FAILED", "error": "LedgerUnreachable"}
         [failed] = agent_events(world, "Buyer", {"agent.revoke_failed"}, start)
-        assert failed.detail == {"network": "STL", "org": "Carrier", "error": "LedgerUnreachable"}
+        assert failed.detail == {
+            "network": "STL", "org": "Carrier", "error": "LedgerUnreachable", "detail": "SWT",
+        }
 
     def test_revocation_of_another_digest_is_traced_as_a_mismatch(self, world, monkeypatch):
         """Buyer's records read returns Carrier's record with another digest,
@@ -450,29 +480,33 @@ class TestCountersigning:
         record = run_sync(world, "Buyer", "SWT", "STL")
         assert record.result["revoke:Carrier"] == {"status": "FAILED", "error": "DigestMismatch"}
         [failed] = agent_events(world, "Buyer", {"agent.revoke_failed"}, start)
-        assert failed.detail == {"network": "STL", "org": "Carrier", "error": "DigestMismatch"}
+        assert failed.detail == {
+            "network": "STL", "org": "Carrier", "error": "DigestMismatch",
+            "detail": agent_mod.DIGEST_MISMATCH,
+        }
         assert world.ledger_state("SWT").get_record("STL", "Carrier").content.status == "ACTIVE"
 
     def test_countersigner_without_ledger_names_the_failure(self, world):
         """A REVOKED statement needs the countersigner's read of its ledger's
         records: when that read is lost, Seller refuses the flip by name, and
-        Buyer's flip fails long before the countersign gather's wait ends."""
+        Buyer's flip fails long before the countersign gather's wait ends,
+        naming Seller's reason in Buyer's trace."""
         assert run_sync(world, "Buyer", "SWT", "STL").error is None
         TestMemberlistReuse.revoke_carrier(world)
         world.bus.config.rules.append(
             FaultRule(action="drop", to="agent:Seller", kind="ledger.reply")
         )
-        answers = []
-        answering(world.agents["Seller"], lambda s, answer: answers.append(answer) or answer)
         start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL")
         assert record.error is None
         assert record.result["revoke:Carrier"] == {
             "status": "FAILED", "error": "CounterpartyValidationFailed"
         }
-        assert answers == [agent_mod.Answer("validation_failed", reason="LedgerUnreachable")]
+        [refusal] = agent_events(world, "Seller", {"agent.countersign_refused"}, start)
+        assert refusal.detail == {"network": "STL", "org": "Carrier", "reason": "LedgerUnreachable"}
         [asked] = sends_from(world, "Buyer", "agent.countersign.request", start)
         [failed] = agent_events(world, "Buyer", {"agent.revoke_failed"}, start)
+        assert failed.detail["detail"] == "Seller:LedgerUnreachable"
         assert failed.tick - asked.tick < 1500 // 2  # the countersign gather waits 1500
         assert world.ledger_state("SWT").get_record("STL", "Carrier").content.status == "ACTIVE"
 
@@ -1675,9 +1709,10 @@ class TestBatchedStepD:
         # names the anchor's list and no holder, as the list brings its
         # members along
         assert len(reads) == 4
-        for what, holders, issuers, _, _, memberlists in reads:
+        for what, holders, issuers, _, _, memberlists, applied in reads:
             assert (what, holders, issuers) == (registry.QUERY_MEMBER, (), (anchor,))
             assert memberlists == ((anchor, "NB"),)
+            assert applied == ()
         for org in [f"NA{i}" for i in range(4)]:
             [gate] = gates(world, org, start)
             assert gate.detail["members"] == len(members)
@@ -1802,8 +1837,8 @@ class TestBatchedStepD:
         assert self.ask_both_active(world) == (
             agent_mod.Answer("validation_failed", reason="InconsistentReplicas"),
         ) * 2
-        [(_, holders, _, _, _, memberlists)] = reads
-        assert holders == ()
+        [(_, holders, _, _, _, memberlists, applied)] = reads
+        assert holders == () and applied == ()
         assert memberlists == ((world.anchors["AnchorSTL"].profile.did, "STL"),)
         assert agent_events(world, "Seller", {"session.failed"}, start) == []
         assert sends_from(world, "Seller", "agent.membership_vp.request", start) == []

@@ -18,7 +18,7 @@ from idplane.anchors import (
 )
 from idplane.bus import FaultRule
 
-from conftest import add_probe, bootstrapped_runner
+from conftest import add_probe, bootstrapped_runner, scenario_config
 from conftest import ask as request
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios.py"
@@ -372,7 +372,8 @@ class TestRevocation:
 
 class TestLostRevocationReceipt:
     """An update the registry applied stays applied for the anchor even when
-    its receipt is lost: the anchor reads its own revocation state back."""
+    its receipt is lost: the anchor reads back whether the registry applied
+    its transaction."""
 
     def test_lost_receipt_of_an_applied_issuance_keeps_members_valid(self, tmp_path):
         raw = yaml.safe_load(
@@ -433,7 +434,8 @@ class TestLostRevocationReceipt:
 
 class TestLostVerinymReceipt:
     """A NYM the registry applied is registered for the anchor even when its
-    receipt is lost: the anchor resolves the DID and compares the document."""
+    receipt is lost: the anchor reads the NYM's transaction digest back from
+    the registry's applied set."""
 
     def test_lost_receipt_of_an_applied_nym_keeps_step_a(self, tmp_path):
         raw = yaml.safe_load(
@@ -455,6 +457,40 @@ class TestLostVerinymReceipt:
         assert report.ok, (report.errors, [a for a in report.assertions if not a.ok])
         record = world.ledger_state("STL").get_record("SWT", "Buyer")
         assert record is not None and record.content.status == "ACTIVE"
+
+
+class TestLostBootstrapReceipt:
+    """The steward's bootstrap and an anchor's publication write through the
+    one registry write path: a lost receipt is read back from the registry's
+    applied set, so neither fails the run."""
+
+    @staticmethod
+    def bootstrap_losing_receipt(to):
+        """Two-network's bootstrap with the first receipt sent to `to` lost."""
+        runner = harness.ScenarioRunner(scenario_config("two-network"))
+        world = runner.world
+        world.bus.config.rules.append(
+            FaultRule(action="drop", to=to, kind="iin.submit.reply", occurrence=1)
+        )
+        runner._execute(0, {"step": "bootstrap"})
+        assert not runner.report.errors, runner.report.errors
+        [dropped] = [e for e in world.trace.events if e.kind == "bus.drop"]
+        assert (dropped.detail["to"], dropped.detail["msg_kind"]) == (to, "iin.submit.reply")
+        return world
+
+    def test_lost_receipt_of_the_bootstrap_completes_it(self):
+        world = self.bootstrap_losing_receipt("steward:iin0")
+        done = [e.actor for e in world.trace.events if e.kind == "steward.bootstrap_complete"]
+        assert done == ["steward:iin0"]
+        for anchor in world.anchors.values():
+            assert_accumulator_published(world, anchor)
+
+    def test_lost_receipt_of_a_publication_adopts_the_epoch_0_state(self):
+        world = self.bootstrap_losing_receipt("anchor:AnchorSWT")
+        anchor = world.anchors["AnchorSWT"]
+        assert anchor.acc_state.epoch == 0
+        assert set(anchor.memberlists) == set(anchor.profile.represented_networks)
+        assert_accumulator_published(world, anchor)
 
 
 def two_networks_runner(k: int):
@@ -605,9 +641,9 @@ class TestGroupCommit:
         reads = []
         resolve_member = registry.resolve_member
 
-        def recording(pool, holders, issuers, *rest, **kw):
-            reads.append((tuple(holders), tuple(issuers)))
-            return (yield from resolve_member(pool, holders, issuers, *rest, **kw))
+        def recording(pool, holders, issuers, *rest, applied=(), **kw):
+            reads.append((tuple(holders), tuple(issuers), applied))
+            return (yield from resolve_member(pool, holders, issuers, *rest, applied=applied, **kw))
 
         monkeypatch.setattr(registry, "resolve_member", recording)
         world.bus.config.rules.append(
@@ -617,7 +653,11 @@ class TestGroupCommit:
         seller = ask_verinym(world, anchor, "Seller")
         buyer = ask(anchor, "anchor.vc.request", VcRequest(buyer_did, "SWT"))
         world.settle()
-        assert reads == [((buyer_did,), ()), ((seller_did,), (anchor.profile.did,))]
+        # the holder's verinym read, then the recovery read of the batch's
+        # transaction digests, which names nothing else
+        lost = world.iin_nodes["iin0"][0].log[-1].batch.txs
+        assert [tx.kind for tx in lost] == [registry.KIND_NYM, registry.KIND_REVOC_UPDATE]
+        assert reads == [((buyer_did,), (), ()), ((), (), tuple(tx.digest() for tx in lost))]
         assert seller.result == Registered("APPLIED")
         assert isinstance(buyer.result, Issued)
         assert buyer_did in anchor.rosters["SWT"].members

@@ -87,10 +87,10 @@ def test_bundled_scenario_counts(
 
 
 @pytest.mark.parametrize("name, plaintext_bytes", [
-    ("two-network", 87_140),
-    ("concurrent-commit", 66_124),
-    ("revoke-carrier", 118_880),
-    ("rotate-resync", 93_703),
+    ("two-network", 87_268),
+    ("concurrent-commit", 66_220),
+    ("revoke-carrier", 119_088),
+    ("rotate-resync", 93_847),
 ], ids=SCENARIOS)  # stable across re-pins
 def test_bundled_scenario_wire_bytes(monkeypatch, name, plaintext_bytes):
     sent = []
@@ -166,12 +166,12 @@ def test_bundled_scenario_decodes(monkeypatch, name, in_loop, entries):
 
 
 TRACE_DIGESTS = {
-    "concurrent-commit": "ad2c8926e53e46ac49775583cfb80df1cfc5a97fd8151ace21d1ff5e83450445",
-    "concurrent-commit-serial": "9af056e6aeabfd00d7261a51e645f70b86b60576197291a22530a9dc89d18e6e",
-    "digest-mismatch-retry": "34f289f953253d8e7cdaa98d89e1ac0ac07331f99d4ccf03d2b40a1a5854149d",
-    "revoke-carrier": "cd85255121742729b4bf37d78ff99cde788d995a1937d8ceee8a2956f46e2f44",
-    "rotate-resync": "c00b2c3be244c98c1fe5f5cd2e9d64540fdb857e7e59b3f9f6f4dd97ffb1e6bc",
-    "two-network": "3e44f7d5ebd1b6c141e58ca964c97cbcbff8804d2d2cc2eb2cd7b3d9b70d4a78",
+    "concurrent-commit": "acfe0aa2f11bfe9fa579d95868fa546fc28842d77b7c3035cc0dc21cfba2f699",
+    "concurrent-commit-serial": "0d14ce34083a49a8cfd18a6727cc489f3a8713075b992a8b8d4219a690ec720b",
+    "digest-mismatch-retry": "07d6e2de99760d848aa70635de8a0f4c74851fe9f04098b2e223dd9af803dd93",
+    "revoke-carrier": "7d5fa9363914d310f5646502ebda0163f4dea4e44bfc0d678a5c7cc6cf11b4a7",
+    "rotate-resync": "3803062d0ef738b5ee87ce8beadaee62936cd3b1d1a0837ab92d8ef0d589ccb8",
+    "two-network": "83a30bf1e283b92511408116d6f842628525c3410775ae78e247b72f509bb01e",
 }
 
 

@@ -238,7 +238,7 @@ def old_member_snapshot(s):
     return enc.encode_list(old_member_entry(e) for e in s.holders) + b"".join(
         enc.encode_list(enc.encode_bytes(r.to_bytes()) for r in table)
         for table in (s.states, s.schemas, s.cred_defs, s.memberlists)
-    )
+    ) + enc.encode_list(enc.encode_bytes(d) for d in s.applied)
 
 
 def old_revocation_update(u):
@@ -446,6 +446,7 @@ def old_query(q):
         enc.encode_str(q.what)
         + strs(q.holders) + strs(q.issuers) + strs(q.schemas) + strs(q.cred_defs)
         + enc.encode_list(enc.encode_str(i) + enc.encode_str(n) for i, n in q.memberlists)
+        + enc.encode_list(enc.encode_bytes(d) for d in q.applied)
     )
 
 
@@ -592,6 +593,7 @@ RECORDS = {
             up_to_3(schema),
             up_to_3(cred_def),
             up_to_3(memberlist_vc),
+            up_to_3(blob),
         ),
         None,
         old_member_snapshot,
@@ -654,7 +656,7 @@ RECORDS = {
     registry.Query: (
         st.builds(
             registry.Query, text, up_to_3(text), up_to_3(text), up_to_3(text), up_to_3(text),
-            up_to_3(st.tuples(text, text)),
+            up_to_3(st.tuples(text, text)), up_to_3(blob),
         ),
         None,
         old_query,

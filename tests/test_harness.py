@@ -547,3 +547,13 @@ class TestCli:
         bad.write_text("\n".join(doctored) + "\n")
         assert cli.main(["verify-trace", str(bad)]) == cli.EXIT_ASSERTION
         assert cli.main(["verify-trace", "/no/such.jsonl"]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("line", ['{"tick": 1, "actor": "a"', '{"tick": 1, "actor": "a"}'])
+    def test_verify_trace_cli_names_a_malformed_line(self, tmp_path, capsys, line):
+        """A line cut short, or one that lacks a field, is not well-formed."""
+        event = TraceEvent(tick=0, actor="harness", kind="scenario.bootstrap_complete", detail={})
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(event.to_json() + "\n" + line + "\n")
+        assert cli.main(["verify-trace", str(bad)]) == cli.EXIT_ASSERTION
+        err = capsys.readouterr().err
+        assert "trace invariant violation: well-formed at line 2" in err
