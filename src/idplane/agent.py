@@ -80,8 +80,6 @@ RESULT_SIGNED = "signed"
 RESULT_DIGEST_MISMATCH = "digest_mismatch"
 RESULT_VALIDATION_FAILED = "validation_failed"
 
-# Step D's verdict on a statement whose countersigners hold another bundle.
-DIGEST_MISMATCH = "DIGEST_MISMATCH"
 # A full sync's outcome for a target whose checked record the ledger holds.
 UNCHANGED = "UNCHANGED"
 
@@ -105,7 +103,14 @@ class NotListed(AgentError):
 
 
 class MemberUnreachable(AgentError):
-    pass
+    """The holder did not answer a challenge, or answered that it could not
+    refresh its witness (WitnessUnavailable): its membership went
+    unchecked."""
+
+
+class BadPresentation(AgentError):
+    """The holder answered a challenge with another error, or with a
+    presentation that does not decode."""
 
 
 class WitnessUnavailable(AgentError):
@@ -134,6 +139,11 @@ class CounterpartyValidationFailed(AgentError):
     pass
 
 
+class DigestMismatch(AgentError):
+    """Step D's verdict on a statement whose countersigners hold another
+    bundle; names each one's digest."""
+
+
 class RetriesExhausted(AgentError):
     """Countersigners reported a digest mismatch on every attempt."""
 
@@ -154,6 +164,9 @@ class CommitRejected(AgentError):
 # Everything a protocol step may raise on bad or missing input from a peer,
 # the registry or the ledger; a session that catches these names the failure.
 PROTOCOL_ERRORS = (AgentError, creds.CredentialError, crypto.CryptoError, registry.RegistryError)
+# The ones that say a check could not be made, not that it failed: no
+# evidence that a member was revoked.
+UNCHECKED = (MemberUnreachable, registry.QuorumUnavailable, registry.InconsistentReplicas)
 
 # Attempts per sync target while countersigners report a digest mismatch, and
 # the ticks waited before each new attempt.
@@ -489,9 +502,10 @@ class IinAgent(Actor):
         issuance or revocation by its issuer landed during the round trip, so
         the snapshot is read once more and an honest holder is not refused
         for it; the holder's own revocation then is seen only by the next
-        validation, as its refresh is refused. A holder whose refresh got no
-        reply answers WitnessUnavailable, raised here as MemberUnreachable, as
-        is a reply whose presentation does not decode."""
+        validation, as its refresh is refused. A challenge with no reply, and
+        a holder whose refresh got none (it answers WitnessUnavailable), are
+        MemberUnreachable: the holder went unchecked. Any other error answer,
+        and a presentation that does not decode, are BadPresentation."""
         if memberlist is not None and target_did not in memberlist.member_dids:
             raise NotListed(target_did)
         trusted, _ = self._trusted(home_network, foreign_network)
@@ -504,10 +518,12 @@ class IinAgent(Actor):
         reply = yield Request(
             doc.service_endpoint, "agent.membership_vp.request", challenge, timeout=400
         )
-        if reply is None or reply.error:
+        if reply is None or reply.error == WitnessUnavailable.__name__:
             raise MemberUnreachable(target_did + (f": {reply.error}" if reply else ""))
+        if reply.error:
+            raise BadPresentation(f"{target_did}: {reply.error}")
         with enc.decode_memo(None):  # bound to this challenge's nonce: never decoded again
-            vp = _decode(creds.VerifiablePresentation, reply.body.vp, MemberUnreachable, target_did)
+            vp = _decode(creds.VerifiablePresentation, reply.body.vp, BadPresentation, target_did)
         vp_body = creds.read_membership_body(vp)  # an error fails the schema check
         vc = vp_body.vc if isinstance(vp_body, creds.MembershipBody) else None
         # a body that does not decode fails check 4 before these are looked at
@@ -568,8 +584,8 @@ class IinAgent(Actor):
         (`net.Endorsed`) of the statements that every org signed, and submits
         them together, each org's batch and signature once, in one
         `cmdac.submit`. Returns one verdict per record, in order, once the
-        ledger has answered: the ledger's outcome (APPLIED or NOOP),
-        DIGEST_MISMATCH, or the AgentError that refused the record. Every
+        ledger has answered: the ledger's outcome (APPLIED or NOOP), or the
+        AgentError that refused the record, DigestMismatch among them. Every
         check, the contract's included, is per statement, so a refusal fails
         only its own record; only a transport failure of the submit fails
         each record it carried (`_submit`). Every endorsement covers the
@@ -612,21 +628,23 @@ class IinAgent(Actor):
         self, statement: net.Endorsement, answers: list[tuple[str, Optional[Answer]]]
     ) -> object:
         """What every other org's answer (org, answer or None) to `statement`
-        decides: None when every org signed it, else DIGEST_MISMATCH or the
-        AgentError that refuses it."""
+        decides: None when every org signed it, else the AgentError that
+        refuses it."""
         missing = [org for org, a in answers if a is None]
         if missing:
             return MissingCountersignature(",".join(missing))
-        theirs = [a.own_digest.hex() for _, a in answers if a.result == RESULT_DIGEST_MISMATCH]
+        theirs = {
+            org: a.own_digest.hex() for org, a in answers if a.result == RESULT_DIGEST_MISMATCH
+        }
         if theirs:
             self.trace(
                 "agent.sync.digest_mismatch",
                 network=statement.foreign_network,
                 org=statement.foreign_org,
                 ours=statement.bundle_digest.hex(),
-                theirs=",".join(theirs),
+                theirs=",".join(theirs.values()),
             )
-            return DIGEST_MISMATCH
+            return DigestMismatch(";".join(f"{org}:{d}" for org, d in theirs.items()))
         failed = [
             (org, a.reason or "NoSignature") for org, a in answers if a.result != RESULT_SIGNED
         ]
@@ -676,27 +694,29 @@ class IinAgent(Actor):
         return verdicts
 
     def _handle_countersign(self, sender: str, request: CountersignRequest) -> Generator:
-        """Check each statement of the initiator's batch here and answer, per
-        statement and in order, SIGNED, a digest mismatch or the reason it
-        failed; once every answer is settled, sign one batch (`net.Endorsed`)
-        of the digests of the statements answered SIGNED, in request order,
-        or sign nothing when there is none. Every statement of a batch names
-        one home and one foreign network: initiators batch one network's
-        records at a time. A statement made later than this org's clock,
-        which no later commit would make stale, refuses the batch as
+        """Judge each statement of the initiator's batch here (`_countersign`)
+        and answer, per statement and in order, SIGNED, a digest mismatch or
+        the reason it failed; once every answer is settled, sign one batch
+        (`net.Endorsed`) of the digests of the statements answered SIGNED, in
+        request order, or sign nothing when there is none. Every statement of
+        a batch names one home and one foreign network: initiators batch one
+        network's records at a time. A statement made later than this org's
+        clock, which no later commit would make stale, refuses the batch as
         FutureStatement. The REVOKED ones share one read of the ledger's
-        records, whose failure refuses each of them by name. The batch then
-        makes at most one registry read, decided from this org's own state
-        alone. It reads nothing when no REVOKED statement matches its record
-        and every ACTIVE holder is cached and on the last list verified here
-        (the reused list). Otherwise its one read is the memberlist gate
-        (`_fetch_memberlist`): the registry's current list, in the same
-        state as the revocation states and the documents of every listed
-        holder, so any holder the batch checks is read with no second read.
-        A failed gate refuses every ACTIVE statement, and every REVOKED one
-        that matches its record, by name. A member revoked since the reused
-        list was verified is signed while it stays cached: a cached identity
-        skips steps B and C, and the batch that reads nothing sees no fresh
+        records, which settles each it does not match, and each of them when
+        it fails (`_holder`). The
+        batch then makes at most one registry read, decided from this org's
+        own state alone. It reads nothing when no REVOKED statement matches
+        its record and every ACTIVE holder is cached and on the last list
+        verified here (the reused list). Otherwise its one read is the
+        memberlist gate (`_fetch_memberlist`): the registry's current list,
+        in the same state as the revocation states and the documents of
+        every listed holder, so any holder the batch checks is read with no
+        second read. A REVOKED statement is thus always judged on a fresh
+        list: a reused one that lacks a re-admitted member would endorse a
+        lying initiator's revocation. A member revoked since the reused list
+        was verified is signed while it stays cached: a cached identity skips
+        steps B and C, and the batch that reads nothing sees no fresh
         revocation state."""
         statements = request.statements
         # a batch names one pair of networks: none, or two, is a ValueError
@@ -712,47 +732,31 @@ class IinAgent(Actor):
         interop, _ = self.config.policies[home_network]
         if foreign_network not in interop:
             return refused("PolicyViolation")
-        active = [s for s in statements if s.status == net.STATUS_ACTIVE]
-        revoked = [s for s in statements if s.status != net.STATUS_ACTIVE]
-        records: dict[str, net.RecordContent] = {}
-        refused = None
-        if revoked:
+        records: object = ()
+        if any(s.status != net.STATUS_ACTIVE for s in statements):
             try:
-                for record in (yield from self._ledger_records(home_network, foreign_network)):
-                    records.setdefault(record.org_id, record)
+                records = yield from self._ledger_records(home_network, foreign_network)
             except (LedgerUnreachable, LedgerRefused) as e:
-                refused = e
-        recorded = [
-            records[s.foreign_org].holder_did for s in revoked
-            if s.foreign_org in records
-            and records[s.foreign_org].bundle_digest == s.bundle_digest
-        ]
+                records = e
+        holders = [self._holder(s, records) for s in statements]
         memberlist = self._memberlists.get(foreign_network)
-        reads = bool(recorded) or any(
-            (foreign_network, s.holder_did) not in self.cache
-            or memberlist is None or s.holder_did not in memberlist.member_dids
-            for s in active
-        )
-        snapshot, error = None, None
-        if reads:
+        gate: object = (memberlist, None)
+        if any(
+            isinstance(h, str) and (
+                s.status != net.STATUS_ACTIVE or (foreign_network, h) not in self.cache
+                or memberlist is None or h not in memberlist.member_dids
+            )
+            for s, h in zip(statements, holders)
+        ):
             try:
-                memberlist, snapshot = yield from self._fetch_memberlist(
-                    home_network, foreign_network
-                )
+                gate = yield from self._fetch_memberlist(home_network, foreign_network)
             except PROTOCOL_ERRORS as e:
-                error = e
-        sessions = []
-        for s in statements:
-            if s.status != net.STATUS_ACTIVE:
-                record = records.get(s.foreign_org)
-                check = self._countersign_revoked(
-                    home_network, s, record, memberlist, snapshot, refused, error
-                )
-            else:
-                check = self._countersign_active(home_network, s, memberlist, snapshot, error)
-            sessions.append(self.start_session("countersign", check))
+                gate = e
         # each check ends with its refusal, or the digest it endorsed
-        settled = yield Join(tuple(sessions))
+        settled = yield Join(tuple(
+            self.start_session("countersign", self._countersign(home_network, s, h, gate))
+            for s, h in zip(statements, holders)
+        ))
         endorsed = net.Endorsed(tuple(a for a in settled if isinstance(a, bytes)))
         return Countersigned(
             tuple(SIGNED if isinstance(a, bytes) else a for a in settled),
@@ -760,86 +764,73 @@ class IinAgent(Actor):
             self.keys.sign(endorsed.to_bytes()).bytes_ if endorsed.statements else b"",
         )
 
-    def _countersign_active(
-        self,
-        home_network: str,
-        statement: net.Endorsement,
-        memberlist: Optional[creds.MemberlistCredential],
-        snapshot: Optional[registry.MemberSnapshot],
-        error: Optional[Exception],
+    def _holder(self, statement: net.Endorsement, records: object) -> object:
+        """Whom `statement` is judged under: an ACTIVE statement's own holder
+        DID, and a REVOKED one's the DID of its org's record in `records`,
+        the ledger's, so an initiator cannot name no DID or another org's to
+        skip the check. A REVOKED statement is instead settled here: refused
+        by name when `records` is the error its read failed with, and a
+        digest mismatch, naming this ledger's digest (none without a record),
+        when the record holds another bundle."""
+        if statement.status == net.STATUS_ACTIVE:
+            return statement.holder_did
+        if isinstance(records, Exception):
+            return self._refused(statement, type(records).__name__)
+        record = next((r for r in records if r.org_id == statement.foreign_org), None)
+        if record is None or record.bundle_digest != statement.bundle_digest:
+            own_digest = record.bundle_digest if record else b""
+            return Answer(RESULT_DIGEST_MISMATCH, own_digest=own_digest)
+        return record.holder_did
+
+    def _countersign(
+        self, home_network: str, statement: net.Endorsement, holder: object, gate: object
     ) -> Generator:
-        """Answer an ACTIVE statement with the digest it endorses, or its
-        refusal: refused by `error` when its gate failed. A cached identity
-        skips steps B and C only while its DID is listed, so a revoked
-        member's old bundle cannot be signed back to ACTIVE. A holder
-        validated here is read from `snapshot`, the gate's read: a batch that
-        read nothing validates no holder, since each of its ACTIVE holders is
-        cached and on the reused list."""
-        foreign_network, foreign_did = statement.foreign_network, statement.holder_did
-        identity = self.cache.get((foreign_network, foreign_did))
+        """Answer `statement` with the digest it endorses, or its refusal.
+        `holder` is the DID to judge or the statement's settled answer
+        (`_holder`); `gate` is the batch's (memberlist, snapshot), or the
+        error its memberlist gate failed with, which refuses the statement
+        by name. The holder is judged once: NotListed when the list lacks
+        it, then its cached identity (ACTIVE only, so a revoked member's old
+        bundle cannot be signed back to ACTIVE) or its validation on the
+        gate's snapshot, then OrgMismatch. An ACTIVE statement is signed when
+        the holder passes with the statement's digest. A REVOKED one is
+        refused as MemberStillValid when the holder passes, and endorsed,
+        under the holder's DID, only when the judgement refutes it: one that
+        could not check the holder (UNCHECKED) refuses it by name."""
+        if isinstance(holder, Answer):
+            return holder
+        if isinstance(gate, Exception):
+            return self._refused(statement, type(gate).__name__)
+        (memberlist, snapshot), network = gate, statement.foreign_network
+        active = statement.status == net.STATUS_ACTIVE
         try:
-            if error is not None:
-                raise error
-            if identity is None or foreign_did not in memberlist.member_dids:
+            if holder not in memberlist.member_dids:
+                raise NotListed(holder)
+            identity = self.cache.get((network, holder)) if active else None
+            if identity is None:
                 _, identity = yield from self._validate_member(
-                    home_network, foreign_network, foreign_did, memberlist,
-                    with_bundle=True, snapshot=snapshot,
+                    home_network, network, holder, with_bundle=active, snapshot=snapshot
                 )
-            if identity.org_id != statement.foreign_org:
+            if active and identity.org_id != statement.foreign_org:
                 raise OrgMismatch(f"{identity.org_id} presented as {statement.foreign_org}")
         except PROTOCOL_ERRORS as e:
-            return self._refused(statement, type(e).__name__)
+            if active or isinstance(e, UNCHECKED):
+                return self._refused(statement, type(e).__name__)
+            return self._endorse(replace(statement, holder_did=holder))
+        if not active:
+            return self._refused(statement, "MemberStillValid")
         if identity.bundle_digest != statement.bundle_digest:
             # stale copy on one side; drop ours so the retry refetches
-            self.cache.pop((foreign_network, foreign_did), None)
+            self.cache.pop((network, holder), None)
             self.trace(
                 "agent.countersign_mismatch",
-                network=foreign_network,
+                network=network,
                 org=statement.foreign_org,
                 ours=identity.bundle_digest.hex(),
                 theirs=statement.bundle_digest.hex(),
             )
             return Answer(RESULT_DIGEST_MISMATCH, own_digest=identity.bundle_digest)
         return self._endorse(statement)
-
-    def _countersign_revoked(
-        self,
-        home_network: str,
-        statement: net.Endorsement,
-        record: Optional[net.RecordContent],
-        memberlist: Optional[creds.MemberlistCredential],
-        snapshot: Optional[registry.MemberSnapshot],
-        refused: Optional[Exception],
-        error: Optional[Exception],
-    ) -> Generator:
-        """Answer a REVOKED statement with the digest it endorses, or its
-        refusal: refused by `refused` when the batch's records read failed,
-        and, once it matches its ledger `record`, by `error` when the batch's
-        memberlist gate failed; otherwise endorse only when the member no
-        longer validates here either, the statement under the DID of that
-        record; the statement's holder DID is ignored, so an initiator
-        cannot name no DID or another org's to skip the check.
-        `memberlist` is the one fresh list the gate read: a cached one that
-        lacks a re-admitted member would endorse a lying initiator's
-        revocation. `snapshot` is the gate's read, which holds every listed
-        holder's document."""
-        if refused is not None:
-            return self._refused(statement, type(refused).__name__)
-        if record is None or record.bundle_digest != statement.bundle_digest:
-            own_digest = record.bundle_digest if record else b""
-            return Answer(RESULT_DIGEST_MISMATCH, own_digest=own_digest)
-        if error is not None:
-            return self._refused(statement, type(error).__name__)
-        if record.holder_did in memberlist.member_dids:
-            try:
-                yield from self._validate_member(
-                    home_network, statement.foreign_network, record.holder_did,
-                    snapshot=snapshot,
-                )
-                return self._refused(statement, "MemberStillValid")
-            except PROTOCOL_ERRORS:
-                pass
-        return self._endorse(replace(statement, holder_did=record.holder_did))
 
     def _refused(self, statement: net.Endorsement, reason: str) -> Answer:
         """This countersigner's refusal of `statement`, traced by its reason."""
@@ -958,7 +949,7 @@ class IinAgent(Actor):
         verdicts = yield from self._commit_identity(home_network, [record for _, record in ready])
         retry = []
         for (did, record), verdict in zip(ready, verdicts):
-            if verdict == DIGEST_MISMATCH:
+            if isinstance(verdict, DigestMismatch):
                 if attempt < RETRY_LIMIT:
                     self.cache.pop((foreign_network, did), None)
                     retry.append(did)
@@ -1028,8 +1019,8 @@ class IinAgent(Actor):
 
     def _flipped(self, foreign_network: str, org_id: str, verdict: object) -> dict:
         """The result of one REVOKED flip from its step D verdict."""
-        if verdict == DIGEST_MISMATCH or isinstance(verdict, Exception):
-            error = "DigestMismatch" if verdict == DIGEST_MISMATCH else type(verdict).__name__
+        if isinstance(verdict, Exception):
+            error = type(verdict).__name__
             self.trace(
                 "agent.revoke_failed", network=foreign_network, org=org_id, error=error,
                 detail=str(verdict),

@@ -368,7 +368,7 @@ def _apply_nym(
             state.roles.get(tx.submitter_did, frozenset()) & VERINYM_ATTESTER_ROLES
         ):
             return "UnauthorizedRole"  # only the owner or a validator rewrites
-        if doc.version == existing.version:
+        if doc == existing:
             return "Duplicate"
         if doc.version != existing.version + 1:
             return "StaleEpoch"

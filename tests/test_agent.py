@@ -373,7 +373,7 @@ class TestCountersigning:
         carrier._serve_membership_vp = garbled
         start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL")
-        failed = assert_only_failed(world, record, start, "MemberUnreachable")
+        failed = assert_only_failed(world, record, start, "BadPresentation")
         assert "undecodable VerifiablePresentation" in failed.detail["detail"]
 
     def test_signed_reply_without_a_signature_fails_only_its_own_target(self, world):
@@ -480,11 +480,13 @@ class TestCountersigning:
         record = run_sync(world, "Buyer", "SWT", "STL")
         assert record.result["revoke:Carrier"] == {"status": "FAILED", "error": "DigestMismatch"}
         [failed] = agent_events(world, "Buyer", {"agent.revoke_failed"}, start)
+        held = world.ledger_state("SWT").get_record("STL", "Carrier").content
+        # the detail names the digest each countersigner's ledger holds
         assert failed.detail == {
             "network": "STL", "org": "Carrier", "error": "DigestMismatch",
-            "detail": agent_mod.DIGEST_MISMATCH,
+            "detail": f"Seller:{held.bundle_digest.hex()}",
         }
-        assert world.ledger_state("SWT").get_record("STL", "Carrier").content.status == "ACTIVE"
+        assert held.status == "ACTIVE"
 
     def test_countersigner_without_ledger_names_the_failure(self, world):
         """A REVOKED statement needs the countersigner's read of its ledger's
@@ -1032,6 +1034,34 @@ class TestCountersignGate:
             "status": "FAILED", "error": "CounterpartyValidationFailed"
         }
         assert added == []
+        assert agent_events(world, "Seller", {"agent.countersigned"}, start) == []
+        assert world.ledger_state("SWT").get_record("STL", "Seller").content.status == "ACTIVE"
+
+    def test_a_lost_revalidation_refuses_a_revocation_and_the_member_stays_active(self):
+        """Two drops after two-network's syncs: Buyer's challenge to Seller,
+        so Buyer's resync flips Seller's record, and Seller's own challenge
+        to itself, so Seller's re-validation gets no answer. A validation
+        that could not check the holder is no evidence that it was revoked:
+        Seller refuses the REVOKED statement by name."""
+        runner = harness.ScenarioRunner(scenario_config("two-network"))
+        assert runner.run().ok
+        world = runner.world
+        world.bus.config.rules += [
+            FaultRule(action="drop", from_=f"agent:{org}", to="agent:Seller",
+                      kind="agent.membership_vp.request")
+            for org in ("Buyer", "Seller")
+        ]
+        start = len(world.trace.events)
+        results, added = TestResync.resync(world)
+        assert results[world.org_dids["Seller"]] == {
+            "status": "FAILED", "error": "MemberUnreachable"
+        }
+        assert results["revoke:Seller"] == {
+            "status": "FAILED", "error": "CounterpartyValidationFailed"
+        }
+        assert added == []
+        [refusal] = agent_events(world, "Seller", {"agent.countersign_refused"}, start)
+        assert refusal.detail == {"network": "STL", "org": "Seller", "reason": "MemberUnreachable"}
         assert agent_events(world, "Seller", {"agent.countersigned"}, start) == []
         assert world.ledger_state("SWT").get_record("STL", "Seller").content.status == "ACTIVE"
 

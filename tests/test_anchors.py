@@ -82,6 +82,21 @@ class TestVerinymRegistration:
         ]
         assert duplicates  # the rerun NYM committed as an explicit rejection
 
+    def test_conflicting_reregistration_is_refused_as_a_stale_epoch(self, world):
+        """A document at the stored version whose content differs is no
+        duplicate: the registry refuses it, and no replica changes."""
+        anchor = world.anchors["AnchorSWT"]
+        start = len(world.trace.events)
+        record = ask_verinym(world, anchor, "Buyer", service_endpoint="agent:Elsewhere")
+        world.settle()
+        assert record.result == "StaleEpoch"
+        registered = [
+            e for e in world.trace.events[start:] if e.kind == "anchor.verinym_registered"
+        ]
+        assert registered == []
+        for node in world.iin_nodes["iin0"]:
+            assert node.state.docs[world.org_dids["Buyer"]].service_endpoint == "agent:Buyer"
+
 
 class TestMembershipIssuance:
     def test_issuance_bumped_epoch_and_roster(self, world):
