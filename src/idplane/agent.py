@@ -38,9 +38,14 @@ answered with an error, fails every target it carried.
 A full sync (every listed member) reads the ledger's records of the foreign
 network once, in a session that runs alongside its memberlist gate and ends
 before its first round: a target whose checked record the ledger already
-holds skips step D and ends UNCHANGED. Once every target has ended, it flips
-each of those records that is ACTIVE to REVOKED when its org did not end
-DONE, all in one step D batch. A targeted sync reads no records
+holds skips step D and ends UNCHANGED. It flips each of those records that
+is ACTIVE to REVOKED when its holder is missing from the fresh list, in one
+step D batch started as soon as the records read and the gate have both
+returned, in a session that runs alongside the rounds: the gate's list is
+written in the same registry transaction as the revocation state, so it
+settles those flips. Once every target has ended, it flips each other ACTIVE
+record whose org did not end DONE in one more batch, and joins the first
+batch before it returns. A targeted sync reads no records
 and commits every target that passed. A resync (a scheduled scenario step,
 or a proof failure in the data plane; the harness starts it, no message
 does) runs a full sync of every network on the interoperation list,
@@ -976,9 +981,12 @@ class IinAgent(Actor):
         every target that passes. A full pass reads the ledger's records of
         the foreign network once, in a session started before the gate and
         joined before the first round, whose failure fails the sync by name:
-        a target whose checked record the ledger already holds skips step D,
-        and once the rounds have ended the same records are flipped to
-        REVOKED, as one step D batch, for orgs that no longer validate."""
+        a target whose checked record the ledger already holds skips step D.
+        The same records are flipped to REVOKED (`_revoke`) in at most two
+        step D batches: those whose holder the fresh list lacks in a session
+        started once the read and the gate have both returned, which runs
+        alongside the rounds and is joined before the sync returns, and the
+        others whose org did not end DONE once the rounds have ended."""
         interop, _ = self.config.policies[home_network]
         if foreign_network not in interop:
             self.trace("agent.policy_violation", network=foreign_network)
@@ -991,10 +999,21 @@ class IinAgent(Actor):
             )
         memberlist, snapshot = yield from self._fetch_memberlist(home_network, foreign_network)
         dids, records = memberlist.member_dids if targets is None else tuple(targets), []
+        early = None
         if reading is not None:
             (records,) = yield Join((reading,))
             if isinstance(records, Exception):
                 raise records
+            # the fresh list settles the flip of a holder it lacks, so that
+            # batch needs no round and runs alongside them
+            gone = [
+                record for record in records
+                if record.status == net.STATUS_ACTIVE and record.holder_did not in dids
+            ]
+            if gone:
+                early = self.start_session(
+                    "revoke", self._revoke(home_network, foreign_network, gone)
+                )
         ended: dict[str, dict] = {}
         pending, attempt = dids, 1
         while pending:
@@ -1005,17 +1024,30 @@ class IinAgent(Actor):
             attempt, memberlist, snapshot = attempt + 1, None, None
         results = {did: ended[did] for did in dids}
         synced_orgs = {r["org_id"] for r in results.values() if r["status"] == PHASE_DONE}
-        flips = [
-            replace(record, status=net.STATUS_REVOKED) for record in records
+        results.update((yield from self._revoke(home_network, foreign_network, [
+            record for record in records
             if record.status == net.STATUS_ACTIVE and record.org_id not in synced_orgs
-        ]
-        if flips:
-            verdicts = yield from self._commit_identity(home_network, flips)
-            for record, verdict in zip(flips, verdicts):
-                results[f"revoke:{record.org_id}"] = self._flipped(
-                    foreign_network, record.org_id, verdict
-                )
+            and record.holder_did in dids
+        ])))
+        if early is not None:
+            (flipped,) = yield Join((early,))
+            results.update(flipped)
         return results
+
+    def _revoke(
+        self, home_network: str, foreign_network: str, records: list[net.RecordContent]
+    ) -> Generator:
+        """Flip the ACTIVE ledger `records` to REVOKED in one step D batch,
+        none for no records; returns each flip's result (`_flipped`) by
+        `revoke:<org>`."""
+        if not records:
+            return {}
+        flips = [replace(record, status=net.STATUS_REVOKED) for record in records]
+        verdicts = yield from self._commit_identity(home_network, flips)
+        return {
+            f"revoke:{record.org_id}": self._flipped(foreign_network, record.org_id, verdict)
+            for record, verdict in zip(flips, verdicts)
+        }
 
     def _flipped(self, foreign_network: str, org_id: str, verdict: object) -> dict:
         """The result of one REVOKED flip from its step D verdict."""

@@ -12,6 +12,7 @@ from idplane import network as net
 from idplane.actors import Reply, Request, Sleep
 from idplane.anchors import schema_id_for
 from idplane.bus import FaultRule
+from idplane.trace import verify_events
 
 from conftest import Raw, add_probe, ask, bootstrapped_runner, scenario_config
 
@@ -1537,6 +1538,61 @@ class TestResync:
             assert world.ledger_state("SWT").get_record("STL", org).content.status == "REVOKED"
         revoked = agent_events(world, "Buyer", {"agent.record_revoked"}, start)
         assert sorted(e.detail["org"] for e in revoked) == ["Carrier", "Seller"]
+
+    def test_each_revocation_is_sent_before_any_listed_target_ends(self):
+        """revoke-carrier's resync: the fresh list lacks the revoked Carrier,
+        which settles its flip, so each initiator sends the flip's one
+        countersign request at its gate, before any listed target ends."""
+        runner = harness.ScenarioRunner(scenario_config("revoke-carrier"))
+        report = runner.run()
+        assert report.ok, report.errors
+        world = runner.world
+        resyncs = [
+            (i, e.actor.removeprefix("agent:"))
+            for i, e in enumerate(world.trace.events) if e.kind == "agent.resync"
+        ]
+        assert sorted(org for _, org in resyncs) == ["Buyer", "Seller"]
+        for start, org in resyncs:
+            [request] = sends_from(world, org, "agent.countersign.request", start)
+            ended = agent_events(world, org, {"agent.sync_done", "agent.sync_failed"}, start)
+            assert ended and request.tick < min(e.tick for e in ended)
+            [revoked] = agent_events(world, org, {"agent.record_revoked"}, start)
+            assert revoked.detail["org"] == "Carrier"
+        assert [
+            (e.statement.foreign_org, e.statement.status, e.outcome)
+            for e in world.ledger_state("SWT").block_log[-2:]
+        ] == [("Carrier", "REVOKED", "APPLIED"), ("Carrier", "REVOKED", "NOOP")]
+
+    def test_a_flip_and_a_rotation_are_in_flight_at_once(self):
+        """After two-network's syncs, Carrier leaves STL and Seller rotates
+        its STL certificates: SWT's resync flips Carrier from its gate while
+        Seller's new bundle goes through its rounds, and both commit."""
+        runner = harness.ScenarioRunner(scenario_config("two-network"))
+        report = runner.run()
+        assert report.ok, report.errors
+        world = runner.world
+        TestMemberlistReuse.revoke_carrier(world)
+        seller = world.organizations[("STL", "Seller")]
+        seller.rotate(world.bus.now)
+        start = len(world.trace.events)
+        results, added = self.resync(world)
+        assert sorted(added) == [("Carrier", "REVOKED", "APPLIED"), ("Seller", "ACTIVE", "APPLIED")]
+        assert self.outcomes(world, results) == {
+            "Seller": ("DONE", "APPLIED"), "revoke:Carrier": ("DONE", "APPLIED"),
+        }
+        # the flip's batch is sent at the gate, and the rotation's while the
+        # flip's is still open
+        flip, *rotation = sends_from(world, "Buyer", "agent.countersign.request", start)
+        [revoked] = agent_events(world, "Buyer", {"agent.record_revoked"}, start)
+        assert flip.tick == gates(world, "Buyer", start)[0].tick
+        assert flip.tick < rotation[0].tick < revoked.tick
+        state = world.ledger_state("SWT")
+        assert state.get_record("STL", "Carrier").content.status == "REVOKED"
+        record = state.get_record("STL", "Seller").content
+        assert (record.status, record.bundle_digest) == ("ACTIVE", seller.bundle_digest())
+        assert verify_events(world.trace.events) == []
+        genesis = world.ledgers["SWT"].genesis
+        assert net.replay_block_log(genesis, state.block_log).state_hash() == state.state_hash()
 
     def test_lost_records_read_fails_the_sync_before_step_d(self, world):
         assert run_sync(world, "Buyer", "SWT", "STL").error is None

@@ -165,11 +165,29 @@ def test_bundled_scenario_decodes(monkeypatch, name, in_loop, entries):
     assert not any(cls is creds.VerifiablePresentation for cls, _ in memo)
 
 
+def test_revoke_carrier_flip_lands_15_ticks_after_its_resync():
+    """The resync's memberlist gate settles the revoked Carrier's flip, so
+    its step D batch starts at the gate, alongside steps B and C of the
+    listed members: the APPLIED REVOKED commit lands 15 ticks after the
+    resync starts (24 while the flip waited for every target to end)."""
+    runner = harness.ScenarioRunner(scenario_config("revoke-carrier"))
+    report = runner.run()
+    assert report.ok, report.errors
+    events = runner.world.trace.events
+    resync = next(e.tick for e in events if e.kind == "agent.resync")
+    commit = next(
+        e.tick for e in events
+        if e.kind == "ledger.commit" and e.detail["status"] == "REVOKED"
+        and e.detail["outcome"] == "APPLIED"
+    )
+    assert commit - resync == 15
+
+
 TRACE_DIGESTS = {
     "concurrent-commit": "acfe0aa2f11bfe9fa579d95868fa546fc28842d77b7c3035cc0dc21cfba2f699",
     "concurrent-commit-serial": "0d14ce34083a49a8cfd18a6727cc489f3a8713075b992a8b8d4219a690ec720b",
     "digest-mismatch-retry": "07d6e2de99760d848aa70635de8a0f4c74851fe9f04098b2e223dd9af803dd93",
-    "revoke-carrier": "7d5fa9363914d310f5646502ebda0163f4dea4e44bfc0d678a5c7cc6cf11b4a7",
+    "revoke-carrier": "349dac004cd33705c27d932c34c2f771118a2a744a560b8da5b0f337355eaa49",
     "rotate-resync": "3803062d0ef738b5ee87ce8beadaee62936cd3b1d1a0837ab92d8ef0d589ccb8",
     "two-network": "83a30bf1e283b92511408116d6f842628525c3410775ae78e247b72f509bb01e",
 }
@@ -187,7 +205,7 @@ TRAFFIC_DIGESTS = {
     "concurrent-commit": "7731c486744a98dfe3a8bb08c5d0a589a968a671970ae64021a065a7f66f66a4",
     "concurrent-commit-serial": "cee9848f2eccd0a405b3897933ccf5710cf6587971794653da484d5808b62996",
     "digest-mismatch-retry": "afec625c103507c37723918a032c8f0c79a3611771b7a31ba05f84d0013a2fff",
-    "revoke-carrier": "f6705ec80390aa81eb02160a884012930a6759186b34e81b646d579c3fdbaa29",
+    "revoke-carrier": "b505b80683270f42ce2ab6ee18f63274651ba6a3456876a88ea8ea4cfaa4cecc",
     "rotate-resync": "7f00f7713a706359691a27903d4a659c479019522bf44059ced691df1069480a",
     "two-network": "0ea8569d5a7080bb0f745b284fa88f6d0b76ceac43eac616a1a4f6d7333b99f2",
 }
