@@ -28,29 +28,32 @@ The agent is the org's protocol engine for the identity plane:
           and retries up to its retry budget.
 
 A sync runs in rounds. A round passes the memberlist gate, whose one read
-holds the snapshot of all of its targets, runs B and C for each target in a
-session of its own, and then step D for every target that passed, as one
-batch whose every record has its final verdict when the batch returns. The
-targets with a digest mismatch run again as the next round, which starts
-once the round's submit has settled and passes the gate afresh. One
-refused statement fails only its own target; only a submit lost, or
-answered with an error, fails every target it carried.
+holds the snapshot of all of its targets, and runs B and C for each target
+in a session of its own. Step D then commits the targets that passed in at
+most two batches, each of whose records has its final verdict when its
+batch returns: the new targets, whose DID has no ACTIVE record on the
+ledger, as soon as their own checks have ended, and the others that
+changed once theirs have. The targets with a digest mismatch run again as
+the next round, which starts once both batches have settled and passes the
+gate afresh. One refused statement fails only its own target; only a
+submit lost, or answered with an error, fails every target it carried.
 A full sync (every listed member) reads the ledger's records of the foreign
 network once, in a session that runs alongside its memberlist gate and ends
 before its first round: a target whose checked record the ledger already
-holds skips step D and ends UNCHANGED. It flips each of those records that
-is ACTIVE to REVOKED when its holder is missing from the fresh list, in one
-step D batch started as soon as the records read and the gate have both
-returned, in a session that runs alongside the rounds: the gate's list is
-written in the same registry transaction as the revocation state, so it
-settles those flips. Once every target has ended, it flips each other ACTIVE
-record whose org did not end DONE in one more batch, and joins the first
-batch before it returns. A targeted sync reads no records
-and commits every target that passed. A resync (a scheduled scenario step,
-or a proof failure in the data plane; the harness starts it, no message
-does) runs a full sync of every network on the interoperation list,
-committing rotated bundles and re-admissions and flipping records to REVOKED
-for members that no longer validate.
+holds skips step D and ends UNCHANGED, so the targets it holds ACTIVE nearly
+always send no batch. It flips each of those records that is ACTIVE to
+REVOKED when its holder is missing from the fresh list, in one step D batch
+started as soon as the records read and the gate have both returned, in a
+session that runs alongside the rounds: the gate's list is written in the
+same registry transaction as the revocation state, so it settles those flips.
+Once every target has ended, it flips each other ACTIVE record whose org did
+not end DONE in one more batch, and joins the first batch before it returns.
+A targeted sync reads no records, so all of its targets are new, and commits
+every target that passed. A resync (a scheduled scenario step, or a proof
+failure in the data plane; the harness starts it, no message does) runs a
+full sync of every network on the interoperation list, committing rotated
+bundles and re-admissions and flipping records to REVOKED for members that no
+longer validate.
 
 Each home ledger's policy, its interoperation list and its trust list, is
 fixed in its genesis state, and the agent is configured with it
@@ -709,10 +712,11 @@ class IinAgent(Actor):
         clock, which no later commit would make stale, refuses the batch as
         FutureStatement. The REVOKED ones share one read of the ledger's
         records, which settles each it does not match, and each of them when
-        it fails (`_holder`). The
-        batch then makes at most one registry read, decided from this org's
-        own state alone. It reads nothing when no REVOKED statement matches
-        its record and every ACTIVE holder is cached and on the last list
+        it fails (`_holder`); it runs in a session of its own, alongside the
+        batch's memberlist gate, and is joined before any statement is
+        judged. The batch makes at most one registry read, decided from this
+        org's own state alone. It reads nothing when it holds no REVOKED
+        statement and every ACTIVE holder is cached and on the last list
         verified here (the reused list). Otherwise its one read is the
         memberlist gate (`_fetch_memberlist`): the registry's current list,
         in the same state as the revocation states and the documents of
@@ -737,26 +741,27 @@ class IinAgent(Actor):
         interop, _ = self.config.policies[home_network]
         if foreign_network not in interop:
             return refused("PolicyViolation")
-        records: object = ()
+        reading = None
         if any(s.status != net.STATUS_ACTIVE for s in statements):
-            try:
-                records = yield from self._ledger_records(home_network, foreign_network)
-            except (LedgerUnreachable, LedgerRefused) as e:
-                records = e
-        holders = [self._holder(s, records) for s in statements]
+            # the records read runs alongside the memberlist gate
+            reading = self.start_session(
+                "records", _caught(self._ledger_records(home_network, foreign_network))
+            )
         memberlist = self._memberlists.get(foreign_network)
         gate: object = (memberlist, None)
-        if any(
-            isinstance(h, str) and (
-                s.status != net.STATUS_ACTIVE or (foreign_network, h) not in self.cache
-                or memberlist is None or h not in memberlist.member_dids
-            )
-            for s, h in zip(statements, holders)
+        if reading is not None or any(
+            (foreign_network, s.holder_did) not in self.cache
+            or memberlist is None or s.holder_did not in memberlist.member_dids
+            for s in statements
         ):
             try:
                 gate = yield from self._fetch_memberlist(home_network, foreign_network)
             except PROTOCOL_ERRORS as e:
                 gate = e
+        records: object = ()
+        if reading is not None:
+            (records,) = yield Join((reading,))
+        holders = [self._holder(s, records) for s in statements]
         # each check ends with its refusal, or the digest it endorsed
         settled = yield Join(tuple(
             self.start_session("countersign", self._countersign(home_network, s, h, gate))
@@ -914,17 +919,22 @@ class IinAgent(Actor):
         snapshot: Optional[registry.MemberSnapshot],
         held: Sequence[net.RecordContent],
     ) -> Generator:
-        """Steps B-D for the targets `dids` at once: steps B and C for each
-        in a session of its own, all read from the `snapshot` of the
-        memberlist gate that passed `memberlist`, then one step D batch for
-        those that passed and whose checked record is not one of the
-        ledger's records `held`; those that are end DONE as UNCHANGED, and a
-        round of only those sends no batch. A retry round (no `memberlist`)
-        first waits out the backoff and passes the gate afresh; a gate that
-        fails fails each target of the round by name. Returns the result of
-        each target that ended, by DID, and the targets whose countersigners
-        hold another bundle, which run again as the next round while
-        `attempt` is below RETRY_LIMIT."""
+        """Steps B-D for the targets `dids` at once: steps B and C for each in
+        a session of its own, all read from the `snapshot` of the memberlist
+        gate that passed `memberlist`, then step D for those that passed and
+        whose checked record is not one of the ledger's records `held`; those
+        that are end DONE as UNCHANGED. The targets split in two groups, each
+        settled by `_settle` with at most one step D batch: the new ones,
+        whose DID has no ACTIVE record in `held` (every target of a targeted
+        sync), in a session that commits them as soon as their own checks have
+        ended, and the others, which the ledger holds ACTIVE and which nearly
+        always end UNCHANGED and send no batch. A retry round (no
+        `memberlist`) first waits out the backoff and passes the gate afresh;
+        a gate that fails fails each target of the round by name. Returns,
+        once both batches have settled, the result of each target that ended,
+        by DID, and the targets whose countersigners hold another bundle,
+        which run again as the next round while `attempt` is below
+        RETRY_LIMIT."""
         if memberlist is None:
             yield Sleep(RETRY_BACKOFF)
             try:
@@ -934,15 +944,45 @@ class IinAgent(Actor):
             except PROTOCOL_ERRORS as e:
                 failed = {did: self._target_failed(foreign_network, did, attempt, e) for did in dids}
                 return failed, ()
-        checked = yield Join(tuple(
-            self.start_session("sync-target", _caught(self._sync_target(
+        checks = {
+            did: self.start_session("sync-target", _caught(self._sync_target(
                 home_network, foreign_network, did, memberlist, snapshot
             )))
             for did in dids
-        ))
+        }
+        active = {r.holder_did for r in held if r.status == net.STATUS_ACTIVE}
+        new = {did: s for did, s in checks.items() if did not in active}
+        known = {did: s for did, s in checks.items() if did in active}
+        # the new targets commit in a session of their own, as soon as their
+        # own checks have ended, while the known ones finish theirs
+        early = (self.start_session(
+            "commit", self._settle(home_network, foreign_network, new, attempt, held)
+        ),) if new and known else ()
+        results, retry = yield from self._settle(
+            home_network, foreign_network, known or new, attempt, held
+        )
+        for ended, again in (yield Join(early)):
+            results.update(ended)
+            retry += again
+        return results, tuple(did for did in dids if did in retry)
+
+    def _settle(
+        self,
+        home_network: str,
+        foreign_network: str,
+        checks: dict[str, SessionRecord],
+        attempt: int,
+        held: Sequence[net.RecordContent],
+    ) -> Generator:
+        """Join the steps B and C `checks` of a round's targets, by DID, end
+        each that failed and each whose checked record the ledger `held` as
+        UNCHANGED, and commit the others in one step D batch; returns the
+        result of each target that ended, by DID, and the targets to run
+        again (`_sync_round`)."""
+        checked = yield Join(tuple(checks.values()))
         results: dict[str, dict] = {}
         ready = []
-        for did, record in zip(dids, checked):
+        for did, record in zip(checks, checked):
             if not isinstance(record, net.RecordContent):
                 results[did] = self._target_failed(foreign_network, did, attempt, record)
             elif record in held:
@@ -974,7 +1014,7 @@ class IinAgent(Actor):
     ) -> Generator:
         """Steps B-D against every listed member of the foreign network (or an
         explicit target subset), in rounds (`_sync_round`) until no target is
-        left: a retry round starts once the previous round's submit has
+        left: a retry round starts once the previous round's batches have
         settled. The first round's one registry read is the memberlist gate,
         whose snapshot holds every listed member, so a first sync and a
         resync alike read once. A targeted sync reads no records and commits

@@ -24,6 +24,29 @@ def bootstrapped_runner(name: str = "two-network", seed=None, through_step_a=Tru
     return runner
 
 
+def readmitted_carrier_world():
+    """The world of two-network run to its end, then STL's Carrier
+    revoked, flipped to REVOKED by Buyer's resync of SWT, and re-admitted by
+    its step A: SWT's next resync commits Carrier ACTIVE again and finds
+    Seller unchanged."""
+    runner = harness.ScenarioRunner(scenario_config("two-network"))
+    report = runner.run()
+    assert report.ok, report.errors
+    world = runner.world
+    anchor = world.anchors["AnchorSTL"]
+    anchor.enqueue_serialized(
+        "revoke", lambda: anchor.revoke_membership(world.org_dids["Carrier"], "STL")
+    )
+    world.settle()
+    buyer, carrier = world.agents["Buyer"], world.agents["Carrier"]
+    for agent, gen in ((buyer, buyer.resync("SWT", "periodic")), (carrier, carrier.step_a())):
+        record = agent.start_session("readmit", gen)
+        world.settle()
+        assert record.error is None, record.error
+    assert world.ledger_state("SWT").get_record("STL", "Carrier").content.status == "REVOKED"
+    return world
+
+
 @pytest.fixture
 def runner():
     return bootstrapped_runner()

@@ -14,7 +14,9 @@ from idplane.anchors import schema_id_for
 from idplane.bus import FaultRule
 from idplane.trace import verify_events
 
-from conftest import Raw, add_probe, ask, bootstrapped_runner, scenario_config
+from conftest import (
+    Raw, add_probe, ask, bootstrapped_runner, readmitted_carrier_world, scenario_config,
+)
 
 
 def run_sync(world, initiator, home, foreign, targets=None):
@@ -1586,8 +1588,52 @@ class TestResync:
         [revoked] = agent_events(world, "Buyer", {"agent.record_revoked"}, start)
         assert flip.tick == gates(world, "Buyer", start)[0].tick
         assert flip.tick < rotation[0].tick < revoked.tick
+        # the countersigner reads the flip's records and its gate at once
+        [query] = sends_from(world, "Seller", "ledger.query", start)
+        assert query.tick == sends_from(world, "Seller", "iin.query", start)[0].tick
         state = world.ledger_state("SWT")
         assert state.get_record("STL", "Carrier").content.status == "REVOKED"
+        record = state.get_record("STL", "Seller").content
+        assert (record.status, record.bundle_digest) == ("ACTIVE", seller.bundle_digest())
+        assert verify_events(world.trace.events) == []
+        genesis = world.ledgers["SWT"].genesis
+        assert net.replay_block_log(genesis, state.block_log).state_hash() == state.state_hash()
+
+    def test_a_readmitted_member_commits_before_the_held_targets_end(self):
+        """Carrier, re-admitted, has no ACTIVE record on SWT's ledger, so
+        its step D batch leaves as soon as its own checks end, before
+        Seller's target, which the ledger holds ACTIVE, ends UNCHANGED."""
+        world = readmitted_carrier_world()
+        start = len(world.trace.events)
+        results, added = self.resync(world)
+        assert added == [("Carrier", "ACTIVE", "APPLIED")]
+        assert self.outcomes(world, results) == {
+            "Seller": ("DONE", "UNCHANGED"), "Carrier": ("DONE", "APPLIED"),
+        }
+        [request] = sends_from(world, "Buyer", "agent.countersign.request", start)
+        [seller] = [
+            e for e in agent_events(world, "Buyer", {"agent.sync_done"}, start)
+            if e.detail["org"] == "Seller"
+        ]
+        assert request.tick < seller.tick
+
+    def test_a_readmission_and_a_rotation_commit_in_two_batches(self):
+        """Carrier re-admitted and Seller's STL certificates rotated before
+        one SWT resync: the new Carrier commits in a batch of its own while
+        the held Seller is checked, and Seller's new bundle in another.
+        That costs 38 sends, where one batch for both took 36."""
+        world = readmitted_carrier_world()
+        seller = world.organizations[("STL", "Seller")]
+        seller.rotate(world.bus.now)
+        start = len(world.trace.events)
+        results, added = self.resync(world)
+        assert sorted(added) == [("Carrier", "ACTIVE", "APPLIED"), ("Seller", "ACTIVE", "APPLIED")]
+        assert self.outcomes(world, results) == {
+            "Seller": ("DONE", "APPLIED"), "Carrier": ("DONE", "APPLIED"),
+        }
+        assert sum(e.kind == "bus.send" for e in world.trace.events[start:]) == 38
+        state = world.ledger_state("SWT")
+        assert state.get_record("STL", "Carrier").content.status == "ACTIVE"
         record = state.get_record("STL", "Seller").content
         assert (record.status, record.bundle_digest) == ("ACTIVE", seller.bundle_digest())
         assert verify_events(world.trace.events) == []

@@ -85,7 +85,7 @@ def test_benchmark_worlds_parse():
 @pytest.mark.parametrize("workload, sends, applied, sync_ticks", [
     ("wide-sync", 360, 16, [33, 34]),
     ("commit-race", 22, 1, [24]),
-    ("proof-churn", 174, 3, [25, 27, 36]),
+    ("proof-churn", 174, 3, [21, 23, 36]),
 ], ids=("wide-sync", "commit-race", "proof-churn"))  # stable across re-pins
 def test_one_unit_of_each_workload_keeps_its_exact_traffic(
     monkeypatch, workload, sends, applied, sync_ticks

@@ -59,7 +59,8 @@ CACHED = {"same": ("Carrier", STATED), "digest": ("Carrier", OTHER), "org": ("Se
 #     which reads no records
 #   gate: "reused" (Seller's last list lists the holder; nothing is read),
 #     "read" (a fresh list), "refreshed" (a fresh list read though Seller's
-#     last list lists the holder), "lost" (the read failed), None (not read)
+#     last list lists the holder), "lost" (the read failed); a batch
+#     holding a REVOKED statement reads it alongside its records, always
 #   listed: the holder is on the list the batch judges it by
 ROWS = [
     # ACTIVE, Seller's last list reused: the cached identity decides
@@ -83,10 +84,10 @@ ROWS = [
     # ACTIVE, the gate's read failed
     ("ACTIVE", None, "lost", True, None, None, refused("QuorumUnavailable"), False),
     ("ACTIVE", None, "lost", True, "same", None, refused("QuorumUnavailable"), False),
-    # REVOKED settled by the records read alone
-    ("REVOKED", "lost", None, True, None, None, refused("LedgerUnreachable"), False),
-    ("REVOKED", "other", None, True, None, None, mismatch(OTHER), False),
-    ("REVOKED", "missing", None, True, None, None, mismatch(b""), False),
+    # REVOKED settled by the records read, whose gate is read alongside it
+    ("REVOKED", "lost", "read", True, None, None, refused("LedgerUnreachable"), False),
+    ("REVOKED", "other", "read", True, None, None, mismatch(OTHER), False),
+    ("REVOKED", "missing", "read", True, None, None, mismatch(b""), False),
     # REVOKED matching its record: the fresh list and the re-validation decide
     ("REVOKED", "match", "lost", True, None, None, refused("QuorumUnavailable"), False),
     ("REVOKED", "match", "read", False, None, None, SIGNED, False),

@@ -41,7 +41,7 @@ from idplane import credentials as creds
 from idplane import bus, crypto, harness
 from idplane import encoding as enc
 
-from conftest import scenario_config
+from conftest import readmitted_carrier_world, scenario_config
 
 SCENARIOS = ("two-network", "concurrent-commit", "revoke-carrier", "rotate-resync")
 
@@ -165,11 +165,13 @@ def test_bundled_scenario_decodes(monkeypatch, name, in_loop, entries):
     assert not any(cls is creds.VerifiablePresentation for cls, _ in memo)
 
 
-def test_revoke_carrier_flip_lands_15_ticks_after_its_resync():
+def test_revoke_carrier_flip_lands_13_ticks_after_its_resync():
     """The resync's memberlist gate settles the revoked Carrier's flip, so
     its step D batch starts at the gate, alongside steps B and C of the
-    listed members: the APPLIED REVOKED commit lands 15 ticks after the
-    resync starts (24 while the flip waited for every target to end)."""
+    listed members, and each countersigner reads its ledger's records
+    alongside its own gate: the APPLIED REVOKED commit lands 13 ticks after
+    the resync starts (24 while the flip waited for every target to end, 15
+    while the countersigner read its records before its gate)."""
     runner = harness.ScenarioRunner(scenario_config("revoke-carrier"))
     report = runner.run()
     assert report.ok, report.errors
@@ -180,14 +182,33 @@ def test_revoke_carrier_flip_lands_15_ticks_after_its_resync():
         if e.kind == "ledger.commit" and e.detail["status"] == "REVOKED"
         and e.detail["outcome"] == "APPLIED"
     )
-    assert commit - resync == 15
+    assert commit - resync == 13
+
+
+def test_readmitted_carrier_resync_takes_26_ticks():
+    """Two-network with Carrier revoked, SWT resynced and Carrier re-admitted
+    (`readmitted_carrier_world`): in SWT's next resync Carrier is a new
+    target, whose step D batch leaves as soon as its own checks end, while
+    Seller's held target ends UNCHANGED. The resync's last event comes 26
+    ticks after it starts (31 while Carrier's batch waited for Seller's
+    target), with 20 sends."""
+    world = readmitted_carrier_world()
+    start = len(world.trace.events)
+    buyer = world.agents["Buyer"]
+    record = buyer.start_session("resync", buyer.resync("SWT", "periodic"))
+    world.settle()
+    assert record.error is None, record.error
+    events = world.trace.events[start:]
+    resync = next(e.tick for e in events if e.kind == "agent.resync")
+    assert max(e.tick for e in events) - resync == 26
+    assert sum(e.kind == "bus.send" for e in events) == 20
 
 
 TRACE_DIGESTS = {
     "concurrent-commit": "acfe0aa2f11bfe9fa579d95868fa546fc28842d77b7c3035cc0dc21cfba2f699",
     "concurrent-commit-serial": "0d14ce34083a49a8cfd18a6727cc489f3a8713075b992a8b8d4219a690ec720b",
     "digest-mismatch-retry": "07d6e2de99760d848aa70635de8a0f4c74851fe9f04098b2e223dd9af803dd93",
-    "revoke-carrier": "349dac004cd33705c27d932c34c2f771118a2a744a560b8da5b0f337355eaa49",
+    "revoke-carrier": "4e202cf273a2b0742a4ac525b0895e5caeb810868b815a70207d09fb58dc7fe0",
     "rotate-resync": "3803062d0ef738b5ee87ce8beadaee62936cd3b1d1a0837ab92d8ef0d589ccb8",
     "two-network": "83a30bf1e283b92511408116d6f842628525c3410775ae78e247b72f509bb01e",
 }
@@ -205,7 +226,7 @@ TRAFFIC_DIGESTS = {
     "concurrent-commit": "7731c486744a98dfe3a8bb08c5d0a589a968a671970ae64021a065a7f66f66a4",
     "concurrent-commit-serial": "cee9848f2eccd0a405b3897933ccf5710cf6587971794653da484d5808b62996",
     "digest-mismatch-retry": "afec625c103507c37723918a032c8f0c79a3611771b7a31ba05f84d0013a2fff",
-    "revoke-carrier": "b505b80683270f42ce2ab6ee18f63274651ba6a3456876a88ea8ea4cfaa4cecc",
+    "revoke-carrier": "54db04f936f7b28358aa451ce585d608823714004817cce43691bcf7fc2fa126",
     "rotate-resync": "7f00f7713a706359691a27903d4a659c479019522bf44059ced691df1069480a",
     "two-network": "0ea8569d5a7080bb0f745b284fa88f6d0b76ceac43eac616a1a4f6d7333b99f2",
 }
