@@ -41,19 +41,19 @@ A full sync (every listed member) reads the ledger's records of the foreign
 network once, in a session that runs alongside its memberlist gate and ends
 before its first round: a target whose checked record the ledger already
 holds skips step D and ends UNCHANGED, so the targets it holds ACTIVE nearly
-always send no batch. It flips each of those records that is ACTIVE to
-REVOKED when its holder is missing from the fresh list, in one step D batch
-started as soon as the records read and the gate have both returned, in a
-session that runs alongside the rounds: the gate's list is written in the
-same registry transaction as the revocation state, so it settles those flips.
-Once every target has ended, it flips each other ACTIVE record whose org did
-not end DONE in one more batch, and joins the first batch before it returns.
-A targeted sync reads no records, so all of its targets are new, and commits
-every target that passed. A resync (a scheduled scenario step, or a proof
-failure in the data plane; the harness starts it, no message does) runs a
-full sync of every network on the interoperation list, committing rotated
-bundles and re-admissions and flipping records to REVOKED for members that no
-longer validate.
+always send no batch. It flips an ACTIVE record to REVOKED only on evidence
+against its holder: a target whose checks refute it (a protocol error
+outside UNCHECKED) ends FAILED and its flip rides its round's batch, and the
+records whose holder the fresh list lacks are flipped in one batch started
+once the records read and the gate have both returned, alongside the
+rounds, as the gate's list is written in the same registry transaction as
+the revocation state. An unchecked holder, or a failed step D, flips
+nothing. `_settle` turns every verdict of a sync into its statements and
+results. A targeted sync reads no records, so all of its targets are new,
+and commits every target that passed. A resync (a scheduled scenario step,
+or a proof failure in the data plane; the harness starts it, no message
+does) runs a full sync of every network on the interoperation list,
+committing rotated bundles and re-admissions and flipping refuted members.
 
 Each home ledger's policy, its interoperation list and its trust list, is
 fixed in its genesis state, and the agent is configured with it
@@ -716,8 +716,8 @@ class IinAgent(Actor):
         batch's memberlist gate, and is joined before any statement is
         judged. The batch makes at most one registry read, decided from this
         org's own state alone. It reads nothing when it holds no REVOKED
-        statement and every ACTIVE holder is cached and on the last list
-        verified here (the reused list). Otherwise its one read is the
+        statement and every ACTIVE holder is cached (`_cached`) and on the
+        last list verified here (the reused list). Otherwise its one read is the
         memberlist gate (`_fetch_memberlist`): the registry's current list,
         in the same state as the revocation states and the documents of
         every listed holder, so any holder the batch checks is read with no
@@ -750,7 +750,7 @@ class IinAgent(Actor):
         memberlist = self._memberlists.get(foreign_network)
         gate: object = (memberlist, None)
         if reading is not None or any(
-            (foreign_network, s.holder_did) not in self.cache
+            self._cached(foreign_network, s.holder_did) is None
             or memberlist is None or s.holder_did not in memberlist.member_dids
             for s in statements
         ):
@@ -816,7 +816,7 @@ class IinAgent(Actor):
         try:
             if holder not in memberlist.member_dids:
                 raise NotListed(holder)
-            identity = self.cache.get((network, holder)) if active else None
+            identity = self._cached(network, holder) if active else None
             if identity is None:
                 _, identity = yield from self._validate_member(
                     home_network, network, holder, with_bundle=active, snapshot=snapshot
@@ -841,6 +841,14 @@ class IinAgent(Actor):
             )
             return Answer(RESULT_DIGEST_MISMATCH, own_digest=identity.bundle_digest)
         return self._endorse(statement)
+
+    def _cached(self, network: str, holder: str) -> Optional[net.RecordContent]:
+        """The identity cached for `holder` in `network`, or None; this org's
+        own counts as uncached once its bundle has rotated."""
+        identity = self.cache.get((network, holder))
+        own = self.config.organizations.get(network) if holder == self.did else None
+        stale = identity and own and identity.bundle_digest != own.bundle_digest()
+        return None if stale else identity
 
     def _refused(self, statement: net.Endorsement, reason: str) -> Answer:
         """This countersigner's refusal of `statement`, traced by its reason."""
@@ -921,20 +929,18 @@ class IinAgent(Actor):
     ) -> Generator:
         """Steps B-D for the targets `dids` at once: steps B and C for each in
         a session of its own, all read from the `snapshot` of the memberlist
-        gate that passed `memberlist`, then step D for those that passed and
-        whose checked record is not one of the ledger's records `held`; those
-        that are end DONE as UNCHANGED. The targets split in two groups, each
-        settled by `_settle` with at most one step D batch: the new ones,
-        whose DID has no ACTIVE record in `held` (every target of a targeted
-        sync), in a session that commits them as soon as their own checks have
-        ended, and the others, which the ledger holds ACTIVE and which nearly
-        always end UNCHANGED and send no batch. A retry round (no
-        `memberlist`) first waits out the backoff and passes the gate afresh;
-        a gate that fails fails each target of the round by name. Returns,
-        once both batches have settled, the result of each target that ended,
-        by DID, and the targets whose countersigners hold another bundle,
-        which run again as the next round while `attempt` is below
-        RETRY_LIMIT."""
+        gate that passed `memberlist`, then step D, in at most two batches,
+        each settled by `_settle`: one for the new targets, whose DID has no
+        ACTIVE record in the ledger's records `held` (every target of a
+        targeted sync), in a session that commits them as soon as their own
+        checks have ended, and one for the others, which nearly always end
+        UNCHANGED and send no batch, and whose refuted holders it flips. A
+        retry round (no `memberlist`) first waits out the backoff and passes
+        the gate afresh; a gate that fails fails each target of the round by
+        name and flips nothing. Returns, once both batches have settled, the
+        results of the targets that ended and of the flips (`_settle`), and
+        the targets whose countersigners hold another bundle, which run again
+        as the next round while `attempt` is below RETRY_LIMIT."""
         if memberlist is None:
             yield Sleep(RETRY_BACKOFF)
             try:
@@ -973,27 +979,40 @@ class IinAgent(Actor):
         checks: dict[str, SessionRecord],
         attempt: int,
         held: Sequence[net.RecordContent],
+        gone: Sequence[net.RecordContent] = (),
     ) -> Generator:
-        """Join the steps B and C `checks` of a round's targets, by DID, end
-        each that failed and each whose checked record the ledger `held` as
-        UNCHANGED, and commit the others in one step D batch; returns the
-        result of each target that ended, by DID, and the targets to run
-        again (`_sync_round`)."""
+        """Join the steps B and C `checks` of a round's targets, by DID, and
+        turn their verdicts into one step D batch: end each whose checked
+        record the ledger `held` as UNCHANGED, commit the others that passed,
+        and end each that failed by name, flipping the record `held` ACTIVE
+        for its DID when the failure refutes the holder (outside UNCHECKED).
+        The `gone` records, whose holder the fresh list lacks, are flipped
+        with no check. Returns the result of each target that ended, by DID,
+        and of each flip, by `revoke:<org>`, and the targets to run again
+        (`_sync_round`), which a flip never is."""
         checked = yield Join(tuple(checks.values()))
         results: dict[str, dict] = {}
-        ready = []
+        ready, flips = [], list(gone)
+        active = {r.holder_did: r for r in held if r.status == net.STATUS_ACTIVE}
         for did, record in zip(checks, checked):
             if not isinstance(record, net.RecordContent):
                 results[did] = self._target_failed(foreign_network, did, attempt, record)
+                if did in active and not isinstance(record, UNCHECKED):
+                    flips.append(active[did])
             elif record in held:
                 results[did] = self._target_done(foreign_network, record, attempt, UNCHANGED)
             else:
-                ready.append((did, record))
+                ready.append(record)
+        ready += [replace(record, status=net.STATUS_REVOKED) for record in flips]
         if not ready:
             return results, ()
-        verdicts = yield from self._commit_identity(home_network, [record for _, record in ready])
+        verdicts = yield from self._commit_identity(home_network, ready)
         retry = []
-        for (did, record), verdict in zip(ready, verdicts):
+        for record, verdict in zip(ready, verdicts):
+            did = record.holder_did
+            if record.status == net.STATUS_REVOKED:
+                results[f"revoke:{record.org_id}"] = self._flipped(foreign_network, record, verdict)
+                continue
             if isinstance(verdict, DigestMismatch):
                 if attempt < RETRY_LIMIT:
                     self.cache.pop((foreign_network, did), None)
@@ -1021,12 +1040,13 @@ class IinAgent(Actor):
         every target that passes. A full pass reads the ledger's records of
         the foreign network once, in a session started before the gate and
         joined before the first round, whose failure fails the sync by name:
-        a target whose checked record the ledger already holds skips step D.
-        The same records are flipped to REVOKED (`_revoke`) in at most two
-        step D batches: those whose holder the fresh list lacks in a session
-        started once the read and the gate have both returned, which runs
-        alongside the rounds and is joined before the sync returns, and the
-        others whose org did not end DONE once the rounds have ended."""
+        a target whose checked record the ledger already holds skips step D,
+        and one refuted has its ACTIVE record flipped to REVOKED in its
+        round's batch. A record whose holder the fresh list lacks is flipped
+        by `_settle` too, with no check, in a session started once the read
+        and the gate have both returned, which runs alongside the rounds and
+        is joined before the sync returns. Returns each target's result by
+        DID, then each flip's by `revoke:<org>`."""
         interop, _ = self.config.policies[home_network]
         if foreign_network not in interop:
             self.trace("agent.policy_violation", network=foreign_network)
@@ -1039,7 +1059,7 @@ class IinAgent(Actor):
             )
         memberlist, snapshot = yield from self._fetch_memberlist(home_network, foreign_network)
         dids, records = memberlist.member_dids if targets is None else tuple(targets), []
-        early = None
+        early = ()
         if reading is not None:
             (records,) = yield Join((reading,))
             if isinstance(records, Exception):
@@ -1051,9 +1071,9 @@ class IinAgent(Actor):
                 if record.status == net.STATUS_ACTIVE and record.holder_did not in dids
             ]
             if gone:
-                early = self.start_session(
-                    "revoke", self._revoke(home_network, foreign_network, gone)
-                )
+                early = (self.start_session("revoke", self._settle(
+                    home_network, foreign_network, {}, 1, (), gone
+                )),)
         ended: dict[str, dict] = {}
         pending, attempt = dids, 1
         while pending:
@@ -1063,43 +1083,22 @@ class IinAgent(Actor):
             ended.update(round_ended)
             attempt, memberlist, snapshot = attempt + 1, None, None
         results = {did: ended[did] for did in dids}
-        synced_orgs = {r["org_id"] for r in results.values() if r["status"] == PHASE_DONE}
-        results.update((yield from self._revoke(home_network, foreign_network, [
-            record for record in records
-            if record.status == net.STATUS_ACTIVE and record.org_id not in synced_orgs
-            and record.holder_did in dids
-        ])))
-        if early is not None:
-            (flipped,) = yield Join((early,))
+        results.update(ended)  # the flips, after the targets
+        for flipped, _ in (yield Join(early)):
             results.update(flipped)
         return results
 
-    def _revoke(
-        self, home_network: str, foreign_network: str, records: list[net.RecordContent]
-    ) -> Generator:
-        """Flip the ACTIVE ledger `records` to REVOKED in one step D batch,
-        none for no records; returns each flip's result (`_flipped`) by
-        `revoke:<org>`."""
-        if not records:
-            return {}
-        flips = [replace(record, status=net.STATUS_REVOKED) for record in records]
-        verdicts = yield from self._commit_identity(home_network, flips)
-        return {
-            f"revoke:{record.org_id}": self._flipped(foreign_network, record.org_id, verdict)
-            for record, verdict in zip(flips, verdicts)
-        }
-
-    def _flipped(self, foreign_network: str, org_id: str, verdict: object) -> dict:
-        """The result of one REVOKED flip from its step D verdict."""
+    def _flipped(self, foreign_network: str, record: net.RecordContent, verdict: object) -> dict:
+        """The result of the REVOKED flip `record` from its step D verdict."""
         if isinstance(verdict, Exception):
             error = type(verdict).__name__
             self.trace(
-                "agent.revoke_failed", network=foreign_network, org=org_id, error=error,
+                "agent.revoke_failed", network=foreign_network, org=record.org_id, error=error,
                 detail=str(verdict),
             )
             return {"status": PHASE_FAILED, "error": error}
-        self.trace("agent.record_revoked", network=foreign_network, org=org_id)
-        return {"status": PHASE_DONE, "org_id": org_id, "outcome": verdict}
+        self.trace("agent.record_revoked", network=foreign_network, org=record.org_id)
+        return {"status": PHASE_DONE, "org_id": record.org_id, "outcome": verdict}
 
     def resync(self, home_network: str, trigger: str) -> Generator:
         """A full sync of every foreign network on the interoperation list,

@@ -1,23 +1,26 @@
-"""Exhaustive single-drop search over bundled scenarios, and a drop-rate sweep.
+"""Exhaustive single-fault search over bundled scenarios, and a drop-rate sweep.
 
 The bus is deterministic, so a scenario's lossless run fixes its sends in
-order. `single` runs each scenario once per send n with one
-`FaultRule(action="drop", occurrence=n)`, which drops the n-th envelope of
-the run, and prints how many runs failed, per dropped message kind. `rates`
-runs two-network at a few `drop_rate`s over a range of bus seeds and prints
-how many runs passed. Both modes print every wrongful revocation: an APPLIED
-REVOKED `ledger.commit` of an org whose holder no `anchor.revoked` event of
-the run names in that network (revoke-carrier revokes Carrier; the other
-scenarios revoke no one). They also count the `ledger.commit` entries the
-contract refused, by outcome name (a `StaleStatement` is a statement that a
-commit overtook under loss). `single` runs all four scenarios in about 25 s
-on 2 vCPUs.
+order, and a run with one fault sends the same ones up to it. `single` runs
+each scenario once per send n with one `FaultRule(occurrence=n)`, which
+drops, duplicates, tampers with or delays (by `--delay` ticks) the n-th
+envelope of the run, and prints how many runs failed, per message kind
+faulted. `rates` runs two-network at a few `drop_rate`s over a range of bus
+seeds and prints how many runs passed. Both modes print every wrongful
+revocation: an APPLIED REVOKED `ledger.commit` of an org whose holder no
+`anchor.revoked` event of the run names in that network (revoke-carrier
+revokes Carrier; the other scenarios revoke no one). They also count the
+`ledger.commit` entries the contract refused, by outcome name (a
+`StaleStatement` is a statement that a commit overtook under loss), and
+`single` counts the REVOKED flips that failed (`agent.revoke_failed`) per
+scenario: each is a countersign round spent on a flip that no one endorsed.
+`single` runs all four scenarios in about 30 s on 2 vCPUs.
 
 Pytest does not collect this file (its name does not start with `test_`);
 `tests/test_loss.py` pins `single` on concurrent-commit. Run it from the
 repository root:
 
-    PYTHONPATH=src python3 tests/loss_search.py single [scenario ...]
+    PYTHONPATH=src python3 tests/loss_search.py single [--action A] [--delay N] [scenario ...]
     PYTHONPATH=src python3 tests/loss_search.py rates [--seeds N] [rate ...]
 """
 
@@ -32,6 +35,7 @@ from conftest import scenario_config
 
 SCENARIOS = ("two-network", "concurrent-commit", "revoke-carrier", "rotate-resync")
 RATES = (0.005, 0.01, 0.02)
+ACTIONS = ("drop", "duplicate", "tamper", "delay")
 
 
 def wrongful_revocations(runner: harness.ScenarioRunner) -> list:
@@ -66,31 +70,40 @@ def run(cfg: harness.ScenarioConfig, seed=None, rules=()) -> harness.ScenarioRun
 
 
 def single(
-    name: str, refused: collections.Counter
-) -> tuple[collections.Counter, collections.Counter, list]:
-    """Drop each send of `name`'s lossless run in turn; counts refused
-    commits in `refused` and returns the runs and the failed runs per
-    dropped kind, and the wrongful revocations."""
+    name: str, refused: collections.Counter, action: str = "drop", delay: int = 1,
+    kind: str | None = None,
+) -> tuple[collections.Counter, collections.Counter, list, int]:
+    """Apply `action` to each send of `name`'s lossless run in turn, or to
+    each send of `kind` only; counts refused commits in `refused` and
+    returns the runs and the failed runs per faulted kind, the wrongful
+    revocations and the failed REVOKED flips."""
     cfg = scenario_config(name)
     lossless = run(cfg)
     assert lossless.report.ok, lossless.report.errors
-    sends = sum(1 for e in lossless.world.trace.events if e.kind == "bus.send")
+    sends = [e.detail["msg_kind"] for e in lossless.world.trace.events if e.kind == "bus.send"]
     runs, failed = collections.Counter(), collections.Counter()
-    revoked = []
-    for n in range(1, sends + 1):
-        runner = run(cfg, rules=[FaultRule(action="drop", occurrence=n)])
-        [drop] = [e for e in runner.world.trace.events if e.kind == "bus.drop"]
-        kind = drop.detail["msg_kind"]
-        runs[kind] += 1
-        failed[kind] += not runner.report.ok
+    revoked, flips_failed = [], 0
+    for n, sent in enumerate(sends, 1):
+        if kind is not None and sent != kind:
+            continue
+        runner = run(cfg, rules=[FaultRule(action=action, occurrence=n, delay=delay)])
+        faulted = [e for e in runner.world.trace.events if e.kind == "bus.send"][n - 1]
+        assert faulted.detail["msg_kind"] == sent  # the runs agree up to the fault
+        runs[sent] += 1
+        failed[sent] += not runner.report.ok
         refused.update(refusals(runner))
+        flips_failed += sum(e.kind == "agent.revoke_failed" for e in runner.world.trace.events)
         for e in wrongful_revocations(runner):
-            revoked.append((name, f"drop {n} ({kind})", e.tick, e.detail["foreign_org"]))
-    return runs, failed, revoked
+            revoked.append((name, f"{action} {n} ({sent})", e.tick, e.detail["foreign_org"]))
+    return runs, failed, revoked, flips_failed
 
 
-def print_single(name: str, runs: collections.Counter, failed: collections.Counter) -> None:
-    print(f"{name}: {sum(failed.values())} of {sum(runs.values())} single drops fail the run")
+def print_single(
+    name: str, action: str, runs: collections.Counter, failed: collections.Counter,
+    flips_failed: int,
+) -> None:
+    print(f"{name}: {sum(failed.values())} of {sum(runs.values())} single {action}s fail the run")
+    print(f"  {flips_failed} failed REVOKED flips")
     for kind in sorted(runs, key=lambda k: (-failed[k], k)):
         print(f"  {kind:32} {failed[kind]:3} of {runs[kind]:3} fail")
 
@@ -120,8 +133,10 @@ def sweep(rates: tuple[float, ...], seeds: int, refused: collections.Counter) ->
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="mode", required=True)
-    p_single = sub.add_parser("single", help="drop each send of a lossless run in turn")
+    p_single = sub.add_parser("single", help="fault each send of a lossless run in turn")
     p_single.add_argument("scenarios", nargs="*", metavar="scenario", help=", ".join(SCENARIOS))
+    p_single.add_argument("--action", choices=ACTIONS, default="drop")
+    p_single.add_argument("--delay", type=int, default=1, help="ticks added by --action delay")
     p_rates = sub.add_parser("rates", help="sweep two-network over drop rates and seeds")
     p_rates.add_argument("rates", nargs="*", type=float, default=RATES)
     p_rates.add_argument("--seeds", type=int, default=100)
@@ -130,11 +145,11 @@ def main(argv=None) -> int:
     if args.mode == "single":
         unknown = set(args.scenarios) - set(SCENARIOS)
         if unknown:
-            parser.error(f"no single-drop search for {', '.join(sorted(unknown))}")
+            parser.error(f"no single-fault search for {', '.join(sorted(unknown))}")
         revoked = []
         for name in args.scenarios or SCENARIOS:
-            runs, failed, found = single(name, refused)
-            print_single(name, runs, failed)
+            runs, failed, found, flips_failed = single(name, refused, args.action, args.delay)
+            print_single(name, args.action, runs, failed, flips_failed)
             revoked += found
     else:
         revoked = sweep(tuple(args.rates), args.seeds, refused)

@@ -1014,59 +1014,56 @@ class TestCountersignGate:
         assert len(gates(world, "Seller", start)) == 1
         assert world.ledger_state("SWT").get_record("STL", "Carrier").content.status == "REVOKED"
 
-    def test_a_lost_gate_read_refuses_a_revocation_and_the_member_stays_active(self):
-        """Two drops after two-network's syncs: Buyer's challenge to Seller,
-        so Buyer's resync flips Seller's record, and every registry read
-        reply to Seller, so Seller's memberlist gate fails. The failed gate
-        refuses the REVOKED statement by name; it is no evidence that Seller
-        was revoked."""
+    @staticmethod
+    def refuted_carrier_world():
+        """The world of two-network run to its end, with Carrier still
+        listed but answering every challenge with a presentation signed by a
+        key its DID document does not hold: every check of it refutes it,
+        so SWT's resync flips its record."""
         runner = harness.ScenarioRunner(scenario_config("two-network"))
         assert runner.run().ok
         world = runner.world
-        world.bus.config.rules += [
-            FaultRule(action="drop", from_="agent:Buyer", to="agent:Seller",
-                      kind="agent.membership_vp.request"),
-            FaultRule(action="drop", to="agent:Seller", kind="iin.query.reply"),
-        ]
-        start = len(world.trace.events)
-        results, added = TestResync.resync(world)
-        assert results[world.org_dids["Seller"]] == {
-            "status": "FAILED", "error": "MemberUnreachable"
-        }
-        assert results["revoke:Seller"] == {
-            "status": "FAILED", "error": "CounterpartyValidationFailed"
-        }
-        assert added == []
-        assert agent_events(world, "Seller", {"agent.countersigned"}, start) == []
-        assert world.ledger_state("SWT").get_record("STL", "Seller").content.status == "ACTIVE"
+        world.agents["Carrier"].keys = crypto.KeyPair.from_seed(b"\x17" * 32)
+        return world
 
-    def test_a_lost_revalidation_refuses_a_revocation_and_the_member_stays_active(self):
-        """Two drops after two-network's syncs: Buyer's challenge to Seller,
-        so Buyer's resync flips Seller's record, and Seller's own challenge
-        to itself, so Seller's re-validation gets no answer. A validation
-        that could not check the holder is no evidence that it was revoked:
-        Seller refuses the REVOKED statement by name."""
-        runner = harness.ScenarioRunner(scenario_config("two-network"))
-        assert runner.run().ok
-        world = runner.world
-        world.bus.config.rules += [
-            FaultRule(action="drop", from_=f"agent:{org}", to="agent:Seller",
-                      kind="agent.membership_vp.request")
-            for org in ("Buyer", "Seller")
-        ]
+    def assert_flip_refused(self, world, reason):
+        """Buyer's resync refutes Carrier and sends its flip, which Seller
+        refuses by `reason`: Carrier's record stays ACTIVE."""
         start = len(world.trace.events)
         results, added = TestResync.resync(world)
-        assert results[world.org_dids["Seller"]] == {
-            "status": "FAILED", "error": "MemberUnreachable"
-        }
-        assert results["revoke:Seller"] == {
+        carrier = results[world.org_dids["Carrier"]]
+        assert (carrier["status"], carrier["error"]) == ("FAILED", "MembershipVerificationError")
+        assert results["revoke:Carrier"] == {
             "status": "FAILED", "error": "CounterpartyValidationFailed"
         }
         assert added == []
         [refusal] = agent_events(world, "Seller", {"agent.countersign_refused"}, start)
-        assert refusal.detail == {"network": "STL", "org": "Seller", "reason": "MemberUnreachable"}
+        assert refusal.detail == {"network": "STL", "org": "Carrier", "reason": reason}
         assert agent_events(world, "Seller", {"agent.countersigned"}, start) == []
-        assert world.ledger_state("SWT").get_record("STL", "Seller").content.status == "ACTIVE"
+        assert world.ledger_state("SWT").get_record("STL", "Carrier").content.status == "ACTIVE"
+
+    def test_a_lost_gate_read_refuses_a_revocation_and_the_member_stays_active(self):
+        """Buyer refutes Carrier, but every registry read reply to Seller is
+        lost, so Seller's memberlist gate fails. The failed gate refuses the
+        REVOKED statement by name; it is no evidence that Carrier was
+        revoked."""
+        world = self.refuted_carrier_world()
+        world.bus.config.rules.append(
+            FaultRule(action="drop", to="agent:Seller", kind="iin.query.reply")
+        )
+        self.assert_flip_refused(world, "InconsistentReplicas")
+
+    def test_a_lost_revalidation_refuses_a_revocation_and_the_member_stays_active(self):
+        """Buyer refutes Carrier, but Seller's own challenge to Carrier is
+        lost, so Seller's re-validation gets no answer. A validation that
+        could not check the holder is no evidence that it was revoked:
+        Seller refuses the REVOKED statement by name."""
+        world = self.refuted_carrier_world()
+        world.bus.config.rules.append(FaultRule(
+            action="drop", from_="agent:Seller", to="agent:Carrier",
+            kind="agent.membership_vp.request",
+        ))
+        self.assert_flip_refused(world, "MemberUnreachable")
 
     def test_bundle_committed_under_another_orgs_name_is_refused(self, world):
         bundle = world.organizations[("STL", "Seller")].bundle_bytes()
@@ -1621,7 +1618,10 @@ class TestResync:
         """Carrier re-admitted and Seller's STL certificates rotated before
         one SWT resync: the new Carrier commits in a batch of its own while
         the held Seller is checked, and Seller's new bundle in another.
-        That costs 38 sends, where one batch for both took 36."""
+        Seller, countersigning its own rotated bundle, checks itself afresh
+        rather than answer from its stale cached copy, so both commit at
+        attempt 1: 30 sends and 30 ticks (38 and 49 while that copy sent
+        Seller's target into a retry round)."""
         world = readmitted_carrier_world()
         seller = world.organizations[("STL", "Seller")]
         seller.rotate(world.bus.now)
@@ -1631,7 +1631,12 @@ class TestResync:
         assert self.outcomes(world, results) == {
             "Seller": ("DONE", "APPLIED"), "Carrier": ("DONE", "APPLIED"),
         }
-        assert sum(e.kind == "bus.send" for e in world.trace.events[start:]) == 38
+        assert {r["attempts"] for r in results.values()} == {1}
+        assert agent_events(world, "Seller", {"agent.countersign_mismatch"}, start) == []
+        events = world.trace.events[start:]
+        resync = next(e.tick for e in events if e.kind == "agent.resync")
+        assert max(e.tick for e in events) - resync == 30
+        assert sum(e.kind == "bus.send" for e in events) == 30
         state = world.ledger_state("SWT")
         assert state.get_record("STL", "Carrier").content.status == "ACTIVE"
         record = state.get_record("STL", "Seller").content
@@ -1639,6 +1644,72 @@ class TestResync:
         assert verify_events(world.trace.events) == []
         genesis = world.ledgers["SWT"].genesis
         assert net.replay_block_log(genesis, state.block_log).state_hash() == state.state_hash()
+
+    def test_unchecked_holders_send_no_revocation(self):
+        """Buyer's and Seller's challenges to Seller are lost after
+        two-network's syncs: Buyer's resync could not check Seller, which is
+        no evidence that it was revoked, so its target fails by name and no
+        REVOKED statement is sent."""
+        runner = harness.ScenarioRunner(scenario_config("two-network"))
+        assert runner.run().ok
+        world = runner.world
+        world.bus.config.rules += [
+            FaultRule(action="drop", from_=f"agent:{org}", to="agent:Seller",
+                      kind="agent.membership_vp.request")
+            for org in ("Buyer", "Seller")
+        ]
+        start = len(world.trace.events)
+        results, added = self.resync(world)
+        assert results == {
+            world.org_dids["Seller"]: {"status": "FAILED", "error": "MemberUnreachable"},
+            world.org_dids["Carrier"]: {
+                "status": "DONE", "org_id": "Carrier", "outcome": "UNCHANGED", "attempts": 1,
+            },
+        }
+        assert sends_from(world, "Buyer", "agent.countersign.request", start) == []
+        assert added == []
+        assert world.ledger_state("SWT").get_record("STL", "Seller").content.status == "ACTIVE"
+
+    def test_a_rotation_whose_countersign_reply_is_lost_sends_no_revocation(self, world):
+        """A failed step D is no evidence against the holder: Carrier's
+        rotated bundle fails MissingCountersignature, and its record is not
+        flipped."""
+        assert run_sync(world, "Buyer", "SWT", "STL").error is None
+        world.organizations[("STL", "Carrier")].rotate(world.bus.now)
+        world.bus.config.rules.append(
+            FaultRule(action="drop", to="agent:Buyer", kind="agent.countersign.reply")
+        )
+        start = len(world.trace.events)
+        results, added = self.resync(world)
+        assert results[world.org_dids["Carrier"]] == {
+            "status": "FAILED", "error": "MissingCountersignature"
+        }
+        assert "revoke:Carrier" not in results
+        [request] = sends_from(world, "Buyer", "agent.countersign.request", start)
+        assert agent_events(world, "Buyer", {"agent.revoke_failed"}, start) == []
+        assert added == []
+        assert world.ledger_state("SWT").get_record("STL", "Carrier").content.status == "ACTIVE"
+
+    def test_a_refuted_holder_and_a_rotated_one_commit_in_one_batch(self):
+        """Carrier, still listed, is refuted (`refuted_carrier_world`) and
+        Seller rotates its STL certificates: the round that checks both
+        sends Carrier's flip and Seller's new bundle in one step D batch."""
+        world = TestCountersignGate.refuted_carrier_world()
+        seller = world.organizations[("STL", "Seller")]
+        seller.rotate(world.bus.now)
+        start = len(world.trace.events)
+        results, added = self.resync(world)
+        assert sorted(added) == [("Carrier", "REVOKED", "APPLIED"), ("Seller", "ACTIVE", "APPLIED")]
+        outcomes = self.outcomes(world, results)
+        assert outcomes["Seller"] == ("DONE", "APPLIED")
+        assert outcomes["revoke:Carrier"] == ("DONE", "APPLIED")
+        assert outcomes["Carrier"] == ("FAILED", None)
+        [request] = sends_from(world, "Buyer", "agent.countersign.request", start)
+        assert len(sends_from(world, "Buyer", "cmdac.submit", start)) == 1
+        state = world.ledger_state("SWT")
+        assert state.get_record("STL", "Carrier").content.status == "REVOKED"
+        assert state.get_record("STL", "Seller").content.bundle_digest == seller.bundle_digest()
+        assert verify_events(world.trace.events) == []
 
     def test_lost_records_read_fails_the_sync_before_step_d(self, world):
         assert run_sync(world, "Buyer", "SWT", "STL").error is None

@@ -1,11 +1,12 @@
-"""The single-drop search of `loss_search.py`, pinned on concurrent-commit.
+"""The single-fault search of `loss_search.py`, pinned on concurrent-commit.
 
 Each send of the scenario's lossless run is dropped in turn, one run per
 send. The failed runs per dropped message kind are pinned, so a change that
 makes the protocol lose a run to one more kind of single loss fails here,
 and one that mends a kind must lower its pin on purpose. No run may apply a
-REVOKED statement (the scenario revokes no one) or have a `ledger.commit`
-refused by the contract.
+REVOKED statement (the scenario revokes no one), send a REVOKED flip, or
+have a `ledger.commit` refused by the contract. Each `iin.submit` is also
+duplicated in turn, with its failed runs pinned the same way.
 """
 
 import collections
@@ -37,8 +38,26 @@ CONCURRENT_COMMIT = {
 
 def test_single_drops_of_concurrent_commit_fail_as_pinned():
     refused = collections.Counter()
-    runs, failed, revoked = loss_search.single("concurrent-commit", refused)
+    runs, failed, revoked, flips_failed = loss_search.single("concurrent-commit", refused)
     assert {kind: (failed[kind], runs[kind]) for kind in runs} == CONCURRENT_COMMIT
     assert sum(failed.values()) == 26 and sum(runs.values()) == 132
     assert revoked == []
+    assert flips_failed == 0
+    assert refused == {}
+
+
+def test_duplicated_registry_submits_of_concurrent_commit_fail_as_pinned():
+    """A duplicated `iin.submit` is served twice: the sequencer orders the
+    batch twice, and the writer takes whichever receipt arrives first. In 1
+    of the 10 runs that is the second ordering's, every transaction of it
+    `Duplicate`, so AnchorSTL's publication fails though its batch applied
+    (ROADMAP item 26). Mending that lowers the pin to 0."""
+    refused = collections.Counter()
+    runs, failed, revoked, flips_failed = loss_search.single(
+        "concurrent-commit", refused, action="duplicate", kind="iin.submit"
+    )
+    assert (failed["iin.submit"], runs["iin.submit"]) == (1, 10)
+    assert runs.keys() == {"iin.submit"}
+    assert revoked == []
+    assert flips_failed == 0
     assert refused == {}
