@@ -2,9 +2,10 @@
 
 The agent is the org's protocol engine for the identity plane:
 
-  step A  configure identity: register the org's DID as a verinym through an
-          identity validator, then obtain a membership credential (plus
-          revocation witness) from each home network's membership validator;
+  step A  configure identity: obtain a membership credential (plus
+          revocation witness) from each home network's membership validator,
+          the first from the org's identity validator, which registers the
+          org's DID as a verinym in the same request;
   step B  validate a foreign network's membership: pass the memberlist
           gate, one registry read of the trusted validator's memberlist with
           the snapshot of every member it lists (DID document, verinym
@@ -293,20 +294,16 @@ class IinAgent(Actor):
     # --- step A: configure identity -----------------------------------------
 
     def step_a(self) -> Generator:
-        """Register the verinym and obtain a membership VC per home network.
-        Safe to re-run: re-registration surfaces as a registry duplicate, and
-        re-issuance returns the existing credential with a fresh witness, so a
-        credential request whose reply is lost is sent once more."""
+        """Obtain a membership VC per home network, the first from the org's
+        identity validator, whose request carries the DID document to register
+        as a verinym. Safe to re-run: the anchor writes no NYM for a document
+        the registry holds, and re-issuance returns the existing credential
+        with a fresh witness, so a request whose reply is lost is sent again."""
         doc = registry.new_did_document(self.pool.iin_id, self.keys, self.address)
-        body = anchors.VerinymRequest(self.org_id, doc)
-        reply = yield Request(self.config.oiv_address, "anchor.verinym.request", body, timeout=400)
-        if reply is None:
-            raise AgentError("identity validator unreachable")
-        if reply.error:
-            raise AgentError(reply.error)
-        for network_id in self.config.ledgers:
+        oiv = self.config.oiv_address
+        for network_id in sorted(self.config.ledgers, key=lambda n: self.config.home_pmv[n] != oiv):
             anchor = self.config.home_pmv[network_id]
-            body = anchors.VcRequest(self.did, network_id)
+            body = anchors.VcRequest(self.did, network_id, (doc,) if anchor == oiv else ())
             reply = yield Request(anchor, "anchor.vc.request", body, timeout=600)
             if reply is None:
                 # asked once more: the anchor answers a repeat with the

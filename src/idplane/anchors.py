@@ -1,13 +1,15 @@
 """Trust-anchor services on the identity network.
 
 An anchor validates organizations out-of-band and vouches for them on the
-registry: as an organization identity validator (OIV) it attests DID documents
-against an evidence whitelist and submits the verinym registration; as a
-participant membership validator (PMV) it issues and revokes membership
-credentials for the networks it represents, maintains the per-network rosters
-(holder DID -> membership credential) and the memberlist credential, and runs
-the revocation registry: a Merkle accumulator whose leaves are the credential
-ids of every roster, re-published to the registry at every epoch bump.
+registry: as a participant membership validator (PMV) it issues and revokes
+membership credentials for the networks it represents, maintains the
+per-network rosters (holder DID -> membership credential) and the memberlist
+credential, and runs the revocation registry: a Merkle accumulator whose
+leaves are the credential ids of every roster, re-published to the registry
+at every epoch bump. As an organization identity validator (OIV) it vets a
+DID document against its evidence whitelist and registers it as a verinym,
+in the same request: an org's OIV is the PMV of one of its home networks,
+and the org's request for that network's credential carries its document.
 
 The memberlist lives in the registry beside the revocation state. Every
 roster change is an epoch bump, so the anchor signs the next list of each
@@ -19,17 +21,17 @@ reader see the same list at the same epoch. Verifiers read the list from the
 registry; `_serve_memberlist` still answers anyone who asks the anchor.
 
 An anchor writes the registry one write at a time, from one queue, so
-accumulator epochs never race. While a write is in flight, verinym and
-credential requests queue; when it ends, the anchor takes every request
-queued before the next serialized op (a revocation) as one batch, in the
-manner of database group commit: one registry read of every credential
-holder's verinym, then one registry batch holding a NYM per registration and
-one revocation update that adds every new credential id in a single epoch
-step. Each request is answered from its own checks and its own transaction's
-outcome, so one bad request fails alone. A serialized op runs alone, in its
-turn. Nothing waits on purpose: a request that finds the queue idle goes out
-at once. Holders whose witnesses go stale after an epoch bump come back for a
-witness refresh.
+accumulator epochs never race. While a write is in flight, credential
+requests queue; when it ends, the anchor takes every request queued before
+the next serialized op (a revocation) as one batch, in the manner of
+database group commit: one registry read of every holder's document, then
+one registry batch holding a NYM per document the registry does not hold
+yet, then one revocation update that adds every new credential id in a
+single epoch step. Each request is answered from its own checks and its own
+transactions' outcomes, so one bad request fails alone. A serialized op
+runs alone, in its turn. Nothing waits on purpose: a request that finds the
+queue idle goes out at once. Holders whose witnesses go stale after an epoch
+bump come back for a witness refresh.
 
 Every registry writer, the steward included, writes through `submit`, which
 reads a lost receipt's outcomes back from the registry's applied set.
@@ -72,13 +74,14 @@ class TrustAnchorProfile:
 
 @dataclass(eq=False)
 class _Queued:
-    """One write waiting its turn at an anchor: a verinym or credential
-    request (its `kind` and checked fields), served in a batch with the
+    """One write waiting its turn at an anchor: a credential request (its
+    checked fields and attested document), served in a batch with the
     requests queued beside it, or a serialized op (its session label as
     `kind`, and its `factory`), run alone."""
 
     kind: str
     args: tuple = ()
+    doc: Optional[registry.DidDocument] = None
     factory: Optional[Callable[[], Generator]] = None
     write: Optional[SessionRecord] = None  # the write session that took it
     reply: Union[enc.Record, str, Exception, None] = None  # a reply, or the error it raises
@@ -88,20 +91,10 @@ class _Queued:
 
 
 @dataclass(frozen=True)
-class VerinymRequest(enc.Record):  # anchor.verinym.request
-    org_name: str
-    doc: enc.Framed[registry.DidDocument]
-
-
-@dataclass(frozen=True)
-class Registered(enc.Record):  # anchor.verinym.reply: the registry's outcome
-    outcome: str
-
-
-@dataclass(frozen=True)
 class VcRequest(enc.Record):  # anchor.vc.request
     holder_did: str
     network_id: str
+    doc: tuple[enc.Framed[registry.DidDocument], ...] = ()  # to its OIV: the one to register
 
 
 @dataclass(frozen=True)
@@ -234,8 +227,6 @@ class AnchorService(Actor):
     # --- message handling -------------------------------------------------
 
     REQUESTS = {
-        "anchor.verinym.request":
-            ("_register_verinym", VerinymRequest, "anchor.verinym.reply", Registered),
         "anchor.vc.request": ("_issue_membership", VcRequest, "anchor.vc.reply", Issued),
         "anchor.memberlist.request":
             ("_serve_memberlist", creds.Challenge, "anchor.memberlist.reply", creds.Presented),
@@ -243,46 +234,42 @@ class AnchorService(Actor):
             ("_refresh_witness", WitnessRequest, "anchor.witness.reply", Witness),
     }
 
-    # --- OIV: verinym registration ---------------------------------------
-
-    def _register_verinym(self, sender: str, request: VerinymRequest) -> Generator:
-        org_name, doc = request.org_name, request.doc
-        expected = self.profile.evidence_whitelist.get(org_name)
-        if expected is None or doc.primary_key() != expected:
-            # out-of-band vetting failed: no transaction leaves the anchor
-            self.trace("anchor.evidence_mismatch", org=org_name)
-            return "EvidenceMismatch"
-        return (yield from self._queued(_Queued("anchor.verinym.request", (org_name, doc))))
-
-    # --- PMV: membership issuance / revocation ------------------------------
+    # --- PMV: membership issuance (OIV: with verinym registration) ----------
 
     def _issue_membership(self, sender: str, request: VcRequest) -> Generator:
         holder_did, network_id = request.holder_did, request.network_id
         if network_id not in self.profile.represented_networks or self.acc_state is None:
             return "NotRepresented"
-        if self.eligibility.get(network_id, {}).get(holder_did) is None:
+        org_name = self.eligibility.get(network_id, {}).get(holder_did)
+        if org_name is None:
             return "NotEligible"
-        return (yield from self._queued(_Queued("anchor.vc.request", (holder_did, network_id))))
+        doc = None
+        if request.doc:
+            # out-of-band vetting: the holder's one document, under its org's whitelisted key
+            (doc, *more) = request.doc
+            expected = self.profile.evidence_whitelist.get(org_name)
+            if (more or doc.did != holder_did or doc.verification_keys[:1] != (expected,)
+                    or not registry.did_matches_key(doc.did, expected)):
+                self.trace("anchor.evidence_mismatch", org=org_name)
+                return "EvidenceMismatch"  # no transaction leaves the anchor
+            doc = registry.attest(doc, self.profile.did, self.keys)
+        entry = _Queued("anchor.vc.request", (holder_did, network_id), doc)
+        return (yield from self._queued(entry))
 
     def _write_batch(self, batch: list[_Queued]) -> Generator:
-        """Serve queued verinym and credential requests as one registry write:
-        the credential holders' verinym read (`_mint`), then one registry
-        batch of a NYM per registration and one revocation update that adds
-        every new credential id in one epoch step, carrying the next
-        memberlist of each network it adds to. Sets each request's reply
-        from its own checks and its own transaction's outcome. A holder asked
-        for twice gets the one credential, the second time `already_member`,
-        as does a holder already on the roster (a fresh witness, no epoch
-        bump). On a lost receipt each request is answered from whether its
-        own transaction applied (`submit`): a registration whose NYM, or an
-        issuance whose revocation update, the registry did not apply fails
-        with the lost receipt's error, and the others are answered as if it
-        had come."""
-        nyms = [e for e in batch if e.kind == "anchor.verinym.request"]
-        vcs = [e for e in batch if e.kind == "anchor.vc.request"]
-        minted = (yield from self._mint(vcs)) if vcs else {}
-        docs = [registry.attest(e.args[1], self.profile.did, self.keys) for e in nyms]
-        writes = [(registry.KIND_NYM, doc.to_bytes()) for doc in docs]
+        """Serve queued credential requests as one registry write: the
+        holders' document read (`_mint`), then one registry batch of a NYM
+        per document to register and one revocation update that adds every
+        new credential id in one epoch step, carrying the next memberlist of
+        each network it adds to. Each request is answered from its own checks
+        and transactions: a refused NYM fails it by the registry's reason. A
+        holder asked for twice gets the one credential, the second time
+        `already_member`, as does a holder already on the roster (a fresh
+        witness, no epoch bump). On a lost receipt (`submit`), a transaction
+        the registry did not apply fails its request with the lost receipt's
+        error, and the others are answered as if it had come."""
+        minted, nyms = yield from self._mint(batch)
+        writes = [(registry.KIND_NYM, doc.to_bytes()) for doc in nyms]
         if minted:
             new_state, _ = crypto.accumulator_add(
                 self.acc_state, self._leaves(), *(vc.credential_id for vc in minted.values())
@@ -296,15 +283,10 @@ class AnchorService(Actor):
         outcomes = ()
         if writes:
             outcomes = yield from submit(self.pool, self.profile.did, self.keys, writes)
-        for entry, doc, outcome in zip(nyms, docs, outcomes):
-            if outcome not in (registry.OUTCOME_APPLIED, "Duplicate"):
-                entry.reply = str(outcome)  # a refusal, or the lost receipt's error
-                continue
-            self.trace("anchor.verinym_registered", org=entry.args[0], did=doc.did, outcome=outcome)
-            entry.reply = Registered(outcome)
+        registered = dict(zip(nyms, outcomes))
         if minted and outcomes[-1] == registry.OUTCOME_APPLIED:
-            # the registry holds the new state, even when a registration of
-            # the batch failed: an anchor left at the old epoch could never
+            # the registry holds the new state, even when a request of the
+            # batch failed: an anchor left at the old epoch could never
             # update it again
             for (holder_did, network_id), vc in minted.items():
                 self.rosters[network_id].members[holder_did] = vc
@@ -318,26 +300,31 @@ class AnchorService(Actor):
                     roster_version=self.memberlists[network_id].roster_version,
                 )
         leaves = self._leaves()
-        for entry in vcs:
+        for entry in batch:
             if entry.reply is not None:
                 continue
             holder_did, network_id = entry.args
+            nym = registered.get(entry.doc, registry.OUTCOME_APPLIED)
             vc = self.rosters[network_id].members.get(holder_did)
-            if vc is None:  # the revocation update that adds it did not apply
+            if nym != registry.OUTCOME_APPLIED:
+                entry.reply = str(nym)  # a refusal, or the lost receipt's error
+            elif vc is None:  # the revocation update that adds it did not apply
                 error = outcomes[-1]
                 lost = isinstance(error, Exception)
                 entry.reply = str(error) if lost else f"revocation update rejected: {error}"
-                continue
-            witness = crypto.witness_for(self.acc_state, leaves, vc.credential_id)
-            # the first request for a new credential is its issuance
-            entry.reply = Issued(vc, witness, int(minted.pop(entry.args, None) is None))
+            else:
+                witness = crypto.witness_for(self.acc_state, leaves, vc.credential_id)
+                # the first request for a new credential is its issuance
+                entry.reply = Issued(vc, witness, int(minted.pop(entry.args, None) is None))
 
     def _mint(self, requests: list[_Queued]) -> Generator:
-        """Read the verinym of every credential request's holder at once,
-        answer those without one, and mint one credential for each other
-        holder not yet on its roster, however often it is asked for. Returns
-        the new credentials by (holder DID, network). A failed read fails
-        every request with its error."""
+        """Read the document of every request's holder at once, answer those
+        with no verinym and none to register, and mint one credential for
+        each other holder not yet on its roster, however often it is asked
+        for. A document is to register unless the registry holds it, and one
+        the fold would refuse as `StaleEpoch` gets no credential. Returns the
+        new credentials by (holder DID, network) and the documents to
+        register. A failed read fails every request with its error."""
         try:
             snapshot = yield from registry.resolve_member(
                 self.pool, tuple(dict.fromkeys(e.args[0] for e in requests)), ()
@@ -345,14 +332,20 @@ class AnchorService(Actor):
         except registry.RegistryError as e:
             for entry in requests:
                 entry.reply = e
-            return {}
+            return {}, ()
         minted: dict[tuple[str, str], creds.MembershipCredential] = {}
+        nyms: dict[registry.DidDocument, None] = {}  # in batch order, each once
         for entry in requests:
             holder_did, network_id = entry.args
             try:
-                _, verinym = snapshot.holder(holder_did)
+                held, verinym = snapshot.holder(holder_did)
             except registry.NotFound:
-                verinym = False
+                held, verinym = None, False
+            if entry.doc is not None and entry.doc != held:
+                nyms[entry.doc] = None
+                verinym = held is None or entry.doc.version == held.version + 1
+                if not verinym:
+                    continue  # the NYM's refusal answers it
             if not verinym:
                 entry.reply = "NoVerinym"
             elif holder_did not in self.rosters[network_id].members and entry.args not in minted:
@@ -365,7 +358,7 @@ class AnchorService(Actor):
                     network_id=network_id,
                     issuance_counter=self.issuance_counter,
                 )
-        return minted
+        return minted, tuple(nyms)
 
     def revoke_membership(self, holder_did: str, network_id: str) -> Generator:
         """Remove the holder's credential from the accumulator (next epoch),

@@ -295,7 +295,7 @@ _ORG_HOMES = {
 def _reference_problems(config: ScenarioConfig) -> list[str]:
     """What the types cannot say: every number is in range, every name refers
     to a declared iin, anchor, network or org, each pool is 3f+1 nodes, each
-    pmv represents its network, and an anchor whitelists every org."""
+    pmv represents its network, and each org has an identity validator."""
     problems = []
     if config.cert_lifetime < 1:
         problems.append(f"cert_lifetime: must be at least 1, got {config.cert_lifetime}")
@@ -324,7 +324,9 @@ def _reference_problems(config: ScenarioConfig) -> list[str]:
         ]
     vouched = {w for a in config.anchors for w in a.whitelist}
     problems += [
-        f"org {o}: no anchor whitelists it" for o in config.all_org_names() if o not in vouched
+        f"org {o}: no anchor whitelists it" if o not in vouched else
+        f"org {o}: no anchor that whitelists it is the pmv of one of its networks"
+        for o in config.all_org_names() if not _oivs(config, o)
     ]
     for n in config.networks:
         where = f"network {n.id}"
@@ -365,6 +367,12 @@ def _reference_problems(config: ScenarioConfig) -> list[str]:
                         f"script[{idx}].{key}: org {name!r} is not in network {step[home]!r}"
                     )
     return problems
+
+
+def _oivs(config: ScenarioConfig, org: str) -> list[str]:
+    """The pmvs of `org`'s networks that whitelist it, in network order: its OIVs."""
+    whitelist = {a.name for a in config.anchors if org in a.whitelist}
+    return [n.pmv for n in config.networks if org in n.org_names() and n.pmv in whitelist]
 
 
 def bundled_scenarios() -> dict[str, Path]:
@@ -575,7 +583,7 @@ class World:
                 address=f"agent:{org}",
                 keys=org_keys[org],
                 pool=self.pools[primary_iin],
-                oiv_address=self._oiv_address_for(org),
+                oiv_address=f"anchor:{_oivs(config, org)[0]}",
                 home_pmv={n: f"anchor:{config.network(n).pmv}" for n in homes},
                 ledgers={n: f"ledger:{n}" for n in homes},
                 peer_agents={
@@ -593,11 +601,6 @@ class World:
             0, "harness", "scenario.start", scenario=config.name, seed=self.seed,
             networks=json.dumps(networks, sort_keys=True),
         )
-
-    def _oiv_address_for(self, org: str) -> str:
-        """The first anchor that whitelists `org`; a scenario loads only if
-        one does."""
-        return next(f"anchor:{s.name}" for s in self.config.anchors if org in s.whitelist)
 
     def settle(self) -> int:
         return self.bus.run_until_quiescent(self.config.tick_ceiling)

@@ -37,9 +37,11 @@ REVOC_INIT or REVOC_UPDATE carries the issuer's next revocation state and the
 next list of each network whose roster that step changes (`RevocationUpdate`),
 and applies whole or not at all, so a read never finds a list and a
 revocation state of different roster steps. Only a list's issuer writes it,
-and each write raises its `roster_version`. The fold does not verify the
-list's signature: every reader does, under the issuer's memberlist credential
-definition, as it would a list the issuer handed it.
+each write raises its `roster_version`, and each DID it lists must have a
+document at that point of the fold: a holder's first NYM may ride ahead of
+the update that lists it, and when the NYM is refused, so is the update. The
+fold does not verify the list's signature: every reader does, under the
+issuer's memberlist credential definition, as it would a list it was handed.
 
 The sequencer is assumed honest (it may crash but not equivocate); Byzantine
 ordering is out of scope for this registry.
@@ -424,9 +426,11 @@ def _committed_revocation(
 ) -> dict | str:
     """The tables that commit the update's revocation state and memberlists
     together, or the reason none of them commits: a list its submitter did
-    not issue is UnauthorizedRole, and one whose `roster_version` does not
-    rise above the list the registry holds for its (issuer, network) is
-    StaleRoster. The list's signature is its readers' to verify."""
+    not issue is UnauthorizedRole, one whose `roster_version` does not rise
+    above the list the registry holds for its (issuer, network) is
+    StaleRoster, and one naming a DID the registry holds no document of (one
+    it adds) is UnregisteredMember. The list's signature is its readers' to
+    verify."""
     memberlists = dict(state.memberlists)
     for memberlist in update.memberlists:
         key = (memberlist.issuer_did, memberlist.network_id)
@@ -434,6 +438,8 @@ def _committed_revocation(
             return "UnauthorizedRole"
         if key in memberlists and memberlist.roster_version <= memberlists[key].roster_version:
             return "StaleRoster"
+        if not state.docs.keys() >= set(memberlist.member_dids):
+            return "UnregisteredMember"
         memberlists[key] = memberlist
     reg = update.state
     return {"revocation": {**state.revocation, reg.issuer_did: reg}, "memberlists": memberlists}

@@ -9,11 +9,14 @@ faulted. `rates` runs two-network at a few `drop_rate`s over a range of bus
 seeds and prints how many runs passed. Both modes print every wrongful
 revocation: an APPLIED REVOKED `ledger.commit` of an org whose holder no
 `anchor.revoked` event of the run names in that network (revoke-carrier
-revokes Carrier; the other scenarios revoke no one). They also count the
-`ledger.commit` entries the contract refused, by outcome name (a
-`StaleStatement` is a statement that a commit overtook under loss), and
-`single` counts the REVOKED flips that failed (`agent.revoke_failed`) per
-scenario: each is a countersign round spent on a flip that no one endorsed.
+revokes Carrier; the other scenarios revoke no one) and the registry's
+final memberlist of that network still lists (a revocation that applied
+though its anchor declared the write failed revokes its holder all the
+same). They also count the `ledger.commit` entries the contract refused,
+by outcome name (a `StaleStatement` is a statement that a commit overtook
+under loss), and `single` counts the REVOKED flips that failed
+(`agent.revoke_failed`) per scenario: each is a countersign round spent on a
+flip that no one endorsed.
 `single` runs all four scenarios in about 30 s on 2 vCPUs.
 
 Pytest does not collect this file (its name does not start with `test_`);
@@ -40,17 +43,25 @@ ACTIONS = ("drop", "duplicate", "tamper", "delay")
 
 def wrongful_revocations(runner: harness.ScenarioRunner) -> list:
     """The APPLIED REVOKED `ledger.commit` events whose org's holder was not
-    revoked in that foreign network during the run."""
-    events = runner.world.trace.events
+    revoked in that foreign network during the run, and is still on the
+    registry's final memberlist of that network."""
+    world = runner.world
+    events = world.trace.events
     revoked = {
         (e.detail["network"], e.detail["holder"]) for e in events if e.kind == "anchor.revoked"
     }
-    dids = runner.world.org_dids
+    listed = {
+        (memberlist.network_id, did)
+        for nodes in world.iin_nodes.values()
+        for memberlist in nodes[0].state.memberlists.values()  # the sequencer's
+        for did in memberlist.member_dids
+    }
     return [
         e for e in events
         if e.kind == "ledger.commit" and e.detail["status"] == "REVOKED"
         and e.detail["outcome"] == "APPLIED"
-        and (e.detail["foreign_network"], dids[e.detail["foreign_org"]]) not in revoked
+        and (key := (e.detail["foreign_network"], world.org_dids[e.detail["foreign_org"]]))
+        not in revoked and key in listed
     ]
 
 

@@ -13,8 +13,7 @@ from idplane import crypto, harness, registry
 from idplane.actors import Reply, Request, Sleep
 from idplane.agent import AgentError
 from idplane.anchors import (
-    AnchorError, Issued, NotAMember, Registered, VcRequest, VerinymRequest, WitnessRequest,
-    schema_id_for,
+    AnchorError, Issued, NotAMember, VcRequest, WitnessRequest, schema_id_for,
 )
 from idplane.bus import FaultRule
 
@@ -48,54 +47,87 @@ class TestVerinymRegistration:
             did = world.org_dids[org]
             assert node.state.verinym_status(did), org
 
-    def test_unwhitelisted_key_is_rejected_without_any_transaction(self, world):
-        probe = add_probe(world)
-        node = world.iin_nodes["iin0"][0]
-        log_before = len(node.log)
-        mallory = crypto.KeyPair.from_seed(b"\x13" * 32)
-        doc = registry.new_did_document("iin0", mallory, "probe")
-        reply = request(
-            probe, world, "anchor:AnchorSWT", "anchor.verinym.request",
-            VerinymRequest("Mallory", doc), timeout=200,
-        )
-        assert reply == Reply("EvidenceMismatch")
-        assert len(node.log) == log_before  # nothing was submitted
+    def test_unwhitelisted_key_is_rejected_without_any_transaction(self):
+        world = bootstrapped_runner(through_step_a=False).world
+        anchor = world.anchors["AnchorSWT"]
+        del anchor.profile.evidence_whitelist["Buyer"]  # eligible, but not vouched for
+        start = len(world.trace.events)
+        record = ask_vc(world, anchor, "Buyer")
+        world.settle()
+        assert record.result == "EvidenceMismatch"
+        assert anchor_sends(world, anchor, {"iin.query", "iin.submit"}, start) == []
 
-    def test_wrong_key_for_whitelisted_name_is_rejected(self, world):
-        probe = add_probe(world)
-        mallory = crypto.KeyPair.from_seed(b"\x37" * 32)
-        doc = registry.new_did_document("iin0", mallory, "probe")
-        reply = request(
-            probe, world, "anchor:AnchorSWT", "anchor.verinym.request",
-            VerinymRequest("Buyer", doc), timeout=200,
-        )
-        assert reply == Reply("EvidenceMismatch")
+    @pytest.mark.parametrize("changes", [
+        {"verification_keys": (crypto.KeyPair.from_seed(b"\x37" * 32).public_key,)},
+        {"did": registry.make_did("iin0", crypto.KeyPair.from_seed(b"\x37" * 32).public_key)},
+        {"verification_keys": ()},
+    ], ids=["another-key", "another-did", "no-key"])
+    def test_a_document_that_fails_vetting_is_refused_by_name_and_writes_nothing(
+        self, changes
+    ):
+        """The anchor checks a document as the registry would check its NYM,
+        against the key its whitelist holds for the holder's org: a bad one
+        is refused by name, and no transaction leaves the anchor."""
+        world = bootstrapped_runner(through_step_a=False).world
+        anchor = world.anchors["AnchorSWT"]
+        start = len(world.trace.events)
+        record = ask_vc(world, anchor, "Buyer", **changes)
+        world.settle()
+        assert record.result == "EvidenceMismatch"
+        assert anchor_sends(world, anchor, {"iin.submit"}, start) == []
+        assert world.org_dids["Buyer"] not in world.iin_nodes["iin0"][0].state.docs
 
-    def test_reregistration_surfaces_registry_duplicate(self, world):
+    def test_reregistration_writes_no_second_nym(self, world):
+        """A re-run step A carries the document the registry already holds:
+        the anchor writes no NYM for it, and no registry batch at all."""
         agent = world.agents["Buyer"]
+        start = len(world.trace.events)
         record = agent.start_session("again", agent.step_a())
         world.settle()
         assert record.error is None
-        duplicates = [
-            e for e in world.trace.events
-            if e.kind == "registry.commit" and e.detail.get("outcome") == "Duplicate"
-        ]
-        assert duplicates  # the rerun NYM committed as an explicit rejection
+        assert anchor_sends(world, world.anchors["AnchorSWT"], {"iin.submit"}, start) == []
+        assert logged_nyms(world, agent.did) == [1] * 4
+
+    def test_a_step_a_whose_credential_reply_is_lost_registers_once(self):
+        """Buyer's first credential reply is lost: step A asks once more,
+        with the same document, and the anchor answers from the credential
+        it issued, writing neither the NYM nor the credential again."""
+        world = bootstrapped_runner(through_step_a=False).world
+        world.bus.config.rules.append(FaultRule(
+            action="drop", to="agent:Buyer", kind="anchor.vc.reply", occurrence=1
+        ))
+        agent, anchor = world.agents["Buyer"], world.anchors["AnchorSWT"]
+        start = len(world.trace.events)
+        record = agent.start_session("step_a", agent.step_a())
+        world.settle()
+        assert record.error is None, record.error
+        assert [e.kind for e in world.trace.events if e.kind == "bus.drop"] == ["bus.drop"]
+        # the NYM and the credential in one batch; the repeat writes nothing
+        assert anchor_sends(world, anchor, {"iin.submit"}, start) == ["iin.submit"]
+        assert anchor.acc_state.epoch == 1
+        assert agent.wallet["SWT"][0] == anchor.rosters["SWT"].members[agent.did]
+        assert logged_nyms(world, agent.did) == [1] * 4
+        assert world.iin_nodes["iin0"][0].state.verinym_status(agent.did)
 
     def test_conflicting_reregistration_is_refused_as_a_stale_epoch(self, world):
         """A document at the stored version whose content differs is no
-        duplicate: the registry refuses it, and no replica changes."""
-        anchor = world.anchors["AnchorSWT"]
-        start = len(world.trace.events)
-        record = ask_verinym(world, anchor, "Buyer", service_endpoint="agent:Elsewhere")
+        duplicate: the registry refuses it and no replica changes. Carrier,
+        revoked from STL, asks to rejoin with it: it gets no credential, and
+        the accumulator and the roster stay as they were."""
+        anchor = world.anchors["AnchorSTL"]
+        carrier = world.org_dids["Carrier"]
+        anchor.enqueue_serialized("revoke", lambda: anchor.revoke_membership(carrier, "STL"))
+        world.settle()
+        epoch, memberlist = anchor.acc_state.epoch, anchor.memberlists["STL"]
+        record = ask_vc(world, anchor, "Carrier", service_endpoint="agent:Elsewhere")
         world.settle()
         assert record.result == "StaleEpoch"
-        registered = [
-            e for e in world.trace.events[start:] if e.kind == "anchor.verinym_registered"
-        ]
-        assert registered == []
+        assert (anchor.acc_state.epoch, anchor.memberlists["STL"]) == (epoch, memberlist)
+        assert carrier not in anchor.rosters["STL"].members
         for node in world.iin_nodes["iin0"]:
-            assert node.state.docs[world.org_dids["Buyer"]].service_endpoint == "agent:Buyer"
+            assert node.state.docs[carrier].service_endpoint == "agent:Carrier"
+            assert node.state.revocation[anchor.profile.did].epoch == epoch
+        assert_accumulator_published(world, anchor)
 
 
 class TestMembershipIssuance:
@@ -394,10 +426,10 @@ class TestLostRevocationReceipt:
         raw = yaml.safe_load(
             (harness.SCENARIO_DIR / "two_network.yaml").read_text(encoding="utf-8")
         )
-        # after bootstrap AnchorSWT writes two verinym NYMs, then its first REVOC_UPDATE
+        # after bootstrap AnchorSWT's first write is a NYM and its first REVOC_UPDATE
         raw["script"].insert(1, {
             "step": "fault", "action": "drop", "to": "anchor:AnchorSWT",
-            "kind": "iin.submit.reply", "occurrence": 3,
+            "kind": "iin.submit.reply", "occurrence": 1,
         })
         path = tmp_path / "lost-receipt.yaml"
         path.write_text(yaml.safe_dump(raw))
@@ -456,7 +488,7 @@ class TestLostVerinymReceipt:
         raw = yaml.safe_load(
             (harness.SCENARIO_DIR / "two_network.yaml").read_text(encoding="utf-8")
         )
-        # the first write after bootstrap is the verinym NYM of an SWT org
+        # the first write after bootstrap is an SWT org's NYM and credential
         raw["script"].insert(1, {
             "step": "fault", "action": "drop", "from": "iin:iin0:0",
             "to": "anchor:AnchorSWT", "kind": "iin.submit.reply", "occurrence": 1,
@@ -540,12 +572,26 @@ def hold(anchor, ticks=5):
     anchor.enqueue_serialized("hold", busy)
 
 
-def ask_verinym(world, anchor, org, **changes):
-    """Ask `anchor` to register the document `org`'s agent registers in step
-    A, with `changes` made to it."""
+def ask_vc(world, anchor, org, **changes):
+    """Ask `anchor` for `org`'s credential of the network it represents,
+    with the document `org`'s agent registers in step A, `changes` made to
+    it, as the org asks its identity validator."""
     agent = world.agents[org]
     doc = registry.new_did_document(agent.pool.iin_id, agent.keys, agent.address)
-    return ask(anchor, "anchor.verinym.request", VerinymRequest(org, replace(doc, **changes)))
+    (network,) = anchor.profile.represented_networks
+    body = VcRequest(agent.did, network, (replace(doc, **changes),))
+    return ask(anchor, "anchor.vc.request", body)
+
+
+def logged_nyms(world, did) -> list[int]:
+    """How many NYMs of `did` each registry replica's log holds."""
+    return [
+        sum(
+            tx.kind == registry.KIND_NYM and registry.DidDocument.from_bytes(tx.payload).did == did
+            for entry in node.log for tx in entry.batch.txs
+        )
+        for node in world.iin_nodes["iin0"]
+    ]
 
 
 def anchor_sends(world, anchor, kinds, since=0):
@@ -557,21 +603,21 @@ def anchor_sends(world, anchor, kinds, since=0):
 
 
 class TestGroupCommit:
-    """While one registry write is in flight, an anchor's verinym and
-    credential requests queue; the next write takes all of them at once."""
+    """While one registry write is in flight, an anchor's credential
+    requests queue; the next write takes all of them at once."""
 
     @pytest.mark.parametrize("k", [8, 16])
-    def test_two_networks_set_up_with_eleven_submits(self, k):
+    def test_two_networks_set_up_with_seven_submits(self, k):
         runner, step_a_ticks = two_networks_runner(k)
         world = runner.world
         submits = [
             e for e in world.trace.events
             if e.kind == "bus.send" and e.detail["msg_kind"] == "iin.submit"
         ]
-        # the bootstrap, two publications, then per anchor a first NYM alone,
-        # the rest as one batch, and the same for the credentials
-        assert len(submits) == 11
-        assert step_a_ticks <= 170
+        # the bootstrap, two publications, then per anchor a first NYM and
+        # credential alone, and the rest as one batch
+        assert len(submits) == 7
+        assert step_a_ticks <= 40  # 32 and 30; 48 and 45 with a verinym round trip first
         for anchor in world.anchors.values():
             assert anchor.acc_state.epoch == 2
             assert all(len(roster.members) == k for roster in anchor.rosters.values())
@@ -582,17 +628,17 @@ class TestGroupCommit:
         anchor = world.anchors["AnchorSWT"]
         node = world.iin_nodes["iin0"][0]
         mallory = crypto.KeyPair.from_seed(b"\x13" * 32)
-        forged = registry.new_did_document("iin0", mallory, "probe")
         start = len(world.trace.events)
         hold(anchor)
-        seller = ask_verinym(world, anchor, "Seller")
-        lying = ask(anchor, "anchor.verinym.request", VerinymRequest("Buyer", forged))
-        buyer = ask_verinym(world, anchor, "Buyer")
+        seller = ask_vc(world, anchor, "Seller")
+        lying = ask_vc(world, anchor, "Buyer", verification_keys=(mallory.public_key,))
+        buyer = ask_vc(world, anchor, "Buyer")
         world.settle()
         assert lying.result == "EvidenceMismatch"
         for record, org in ((seller, "Seller"), (buyer, "Buyer")):
-            assert record.result == Registered("APPLIED")
+            assert (record.result.already_member, org) == (0, org)
             assert node.state.verinym_status(world.org_dids[org]), org
+        assert anchor.acc_state.epoch == 1
         assert anchor_sends(world, anchor, {"iin.submit"}, start) == ["iin.submit"]
         mismatches = [
             e.detail["org"] for e in world.trace.events[start:]
@@ -604,24 +650,20 @@ class TestGroupCommit:
         world = bootstrapped_runner(through_step_a=False).world
         anchor = world.anchors["AnchorSWT"]
         buyer_did = world.org_dids["Buyer"]
-        ask_verinym(world, anchor, "Buyer")
-        world.settle()
         start = len(world.trace.events)
         hold(anchor)
-        first, second = (
-            ask(anchor, "anchor.vc.request", VcRequest(buyer_did, "SWT"))
-            for _ in range(2)
-        )
+        first, second = (ask_vc(world, anchor, "Buyer") for _ in range(2))
         world.settle()
         assert (first.result.already_member, second.result.already_member) == (0, 1)
         assert first.result.vc == second.result.vc
         assert anchor.acc_state.epoch == 1
         for record in (first, second):
             assert crypto.witness_verify(anchor.acc_state, record.result.witness)
-        # one read and one submit serve both requests
+        # one read and one submit, with one NYM, serve both requests
         assert sorted(anchor_sends(world, anchor, {"iin.query", "iin.submit"}, start)) == [
             "iin.query", "iin.query", "iin.submit"
         ]
+        assert logged_nyms(world, buyer_did) == [1] * 4
         issued = [e for e in world.trace.events[start:] if e.kind == "anchor.vc_issued"]
         assert [e.detail["holder"] for e in issued] == [buyer_did]
 
@@ -651,8 +693,6 @@ class TestGroupCommit:
         world = bootstrapped_runner(through_step_a=False).world
         anchor = world.anchors["AnchorSWT"]
         buyer_did, seller_did = world.org_dids["Buyer"], world.org_dids["Seller"]
-        ask_verinym(world, anchor, "Buyer")
-        world.settle()
         reads = []
         resolve_member = registry.resolve_member
 
@@ -665,18 +705,20 @@ class TestGroupCommit:
             FaultRule(action="drop", to=anchor.address, kind="iin.submit.reply")
         )
         hold(anchor)
-        seller = ask_verinym(world, anchor, "Seller")
-        buyer = ask(anchor, "anchor.vc.request", VcRequest(buyer_did, "SWT"))
+        seller = ask_vc(world, anchor, "Seller")
+        buyer = ask_vc(world, anchor, "Buyer")
         world.settle()
-        # the holder's verinym read, then the recovery read of the batch's
+        # the holders' document read, then the recovery read of the batch's
         # transaction digests, which names nothing else
         lost = world.iin_nodes["iin0"][0].log[-1].batch.txs
-        assert [tx.kind for tx in lost] == [registry.KIND_NYM, registry.KIND_REVOC_UPDATE]
-        assert reads == [((buyer_did,), (), ()), ((), (), tuple(tx.digest() for tx in lost))]
-        assert seller.result == Registered("APPLIED")
-        assert isinstance(buyer.result, Issued)
-        assert buyer_did in anchor.rosters["SWT"].members
-        assert world.iin_nodes["iin0"][0].state.verinym_status(seller_did)
+        assert [tx.kind for tx in lost] == [registry.KIND_NYM] * 2 + [registry.KIND_REVOC_UPDATE]
+        assert reads == [
+            ((seller_did, buyer_did), (), ()), ((), (), tuple(tx.digest() for tx in lost))
+        ]
+        for record, did in ((seller, seller_did), (buyer, buyer_did)):
+            assert isinstance(record.result, Issued)
+            assert did in anchor.rosters["SWT"].members
+            assert world.iin_nodes["iin0"][0].state.verinym_status(did)
         assert_accumulator_published(world, anchor)
 
     def test_lost_receipt_with_one_payload_missing_fails_only_its_request(self):
@@ -684,32 +726,31 @@ class TestGroupCommit:
         anchor = world.anchors["AnchorSWT"]
         node = world.iin_nodes["iin0"][0]
         buyer_did, seller_did = world.org_dids["Buyer"], world.org_dids["Seller"]
-        ask_verinym(world, anchor, "Buyer")
+        ask_vc(world, anchor, "Buyer")
         world.settle()
         lost_receipt = FaultRule(action="drop", to=anchor.address, kind="iin.submit.reply")
         world.bus.config.rules.append(lost_receipt)
         hold(anchor)
-        seller, skipped, issued_vc = (
-            ask_verinym(world, anchor, "Seller"),
+        seller, skipped = (
+            ask_vc(world, anchor, "Seller"),
             # a version skip the registry refuses: its document is never written
-            ask_verinym(world, anchor, "Buyer", version=3),
-            ask(anchor, "anchor.vc.request", VcRequest(buyer_did, "SWT")),
+            ask_vc(world, anchor, "Buyer", version=3),
         )
         world.settle()
-        # each request is answered from its own payload's read-back
-        assert seller.result == Registered("APPLIED")
-        assert node.state.verinym_status(seller_did)
+        # each request is answered from its own payloads' read-back
         assert skipped.result == "no reply from sequencer"
-        assert issued_vc.result.already_member == 0
-        assert crypto.witness_verify(anchor.acc_state, issued_vc.result.witness)
+        assert node.state.docs[buyer_did].version == 1
+        assert seller.result.already_member == 0
+        assert node.state.verinym_status(seller_did)
+        assert crypto.witness_verify(anchor.acc_state, seller.result.witness)
         # the anchor keeps the revocation state the registry holds, so it can
         # still update it, traces the issuance, and answers the credential's
         # next request from it
         assert_accumulator_published(world, anchor)
         issued = [e.detail["holder"] for e in world.trace.events if e.kind == "anchor.vc_issued"]
-        assert issued == [buyer_did]
+        assert issued == [buyer_did, seller_did]
         world.bus.config.rules.remove(lost_receipt)
-        again = ask(anchor, "anchor.vc.request", VcRequest(buyer_did, "SWT"))
+        again = ask(anchor, "anchor.vc.request", VcRequest(seller_did, "SWT"))
         world.settle()
         assert again.result.already_member == 1
 

@@ -83,15 +83,34 @@ def test_benchmark_worlds_parse():
 
 
 @pytest.mark.parametrize("workload, sends, applied, sync_ticks", [
-    ("wide-sync", 360, 16, [33, 34]),
-    ("commit-race", 22, 1, [24]),
-    ("proof-churn", 174, 3, [21, 23, 36]),
+    ("wide-sync", 360, 16, [35, 33]),
+    ("commit-race", 22, 1, [18]),
+    # a re-admission is one credential round trip, one holder read and one batch
+    ("proof-churn", 164, 3, [16, 21, 41]),
 ], ids=("wide-sync", "commit-race", "proof-churn"))  # stable across re-pins
 def test_one_unit_of_each_workload_keeps_its_exact_traffic(
     monkeypatch, workload, sends, applied, sync_ticks
 ):
     """One seeded unit of each benchmark workload: the bus sends, APPLIED
     commits and sync tick spans its end-to-end metrics are made of."""
+    run = run_one_unit(monkeypatch, workload)
+    assert (run.sends, run.applied, run.sync_ticks) == (sends, applied, sync_ticks)
+
+
+def test_a_proof_churn_re_admission_takes_14_sends(monkeypatch):
+    """The revoked member's step A asks its identity validator once, with
+    the document the registry already holds: the request and its reply, the
+    anchor's holder read (4 sends) and one registry batch holding only the
+    revocation update (8 sends). Asking for the verinym apart made it 24."""
+    run = run_one_unit(monkeypatch, "proof-churn")
+    [(_, _, sends, applied)] = [
+        item for item in run.units[0][0] if str(item[0]).startswith("re-admit ")
+    ]
+    assert (sends, applied) == (14, 0)
+
+
+def run_one_unit(monkeypatch, workload: str):
+    """A run of one unit of `workload` at seed 7, which must not fail."""
     # workloads.py imports the other two by bare name; all three leave
     # sys.modules when the test ends
     for name in ("scenarios", "probe", "workloads"):
@@ -103,4 +122,4 @@ def test_one_unit_of_each_workload_keeps_its_exact_traffic(
     run = workloads.Run(seed=7, n_units=1)
     workloads.WORKLOADS[workload][0](run)
     assert run.failed == 0, run.failures
-    assert (run.sends, run.applied, run.sync_ticks) == (sends, applied, sync_ticks)
+    return run

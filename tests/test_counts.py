@@ -49,8 +49,8 @@ SCENARIOS = ("two-network", "concurrent-commit", "revoke-carrier", "rotate-resyn
 @pytest.mark.parametrize(
     "name, sends, queries, memberlists, witnesses, orders, countersigns, signs, verifies",
     [
-        ("two-network", 158, 16, 0, 2, 30, 2, 83, 168),
-        ("concurrent-commit", 132, 12, 0, 1, 30, 2, 71, 116),
+        ("two-network", 128, 16, 0, 2, 21, 2, 71, 144),
+        ("concurrent-commit", 102, 12, 0, 1, 21, 2, 59, 92),
     ],
     ids=("two-network", "concurrent-commit"),  # stable across re-pins
 )
@@ -87,10 +87,10 @@ def test_bundled_scenario_counts(
 
 
 @pytest.mark.parametrize("name, plaintext_bytes", [
-    ("two-network", 87_268),
-    ("concurrent-commit", 66_220),
-    ("revoke-carrier", 119_088),
-    ("rotate-resync", 93_847),
+    ("two-network", 81_524),
+    ("concurrent-commit", 60_482),
+    ("revoke-carrier", 113_344),
+    ("rotate-resync", 83_443),
 ], ids=SCENARIOS)  # stable across re-pins
 def test_bundled_scenario_wire_bytes(monkeypatch, name, plaintext_bytes):
     sent = []
@@ -109,10 +109,10 @@ def test_bundled_scenario_wire_bytes(monkeypatch, name, plaintext_bytes):
 @pytest.mark.parametrize(
     "name, logical, outside, executed",
     [
-        ("two-network", 168, 4, 63),
-        ("concurrent-commit", 116, 0, 45),
-        ("revoke-carrier", 194, 2, 74),
-        ("rotate-resync", 161, 4, 58),
+        ("two-network", 144, 4, 54),
+        ("concurrent-commit", 92, 0, 36),
+        ("revoke-carrier", 170, 2, 63),
+        ("rotate-resync", 136, 4, 47),
     ],
     ids=SCENARIOS,  # stable across re-pins
 )
@@ -139,10 +139,10 @@ def test_bundled_scenario_executed_verifies(monkeypatch, name, logical, outside,
 @pytest.mark.parametrize(
     "name, in_loop, entries",
     [
-        ("two-network", 278, 102),
-        ("concurrent-commit", 228, 79),
-        ("revoke-carrier", 332, 117),
-        ("rotate-resync", 276, 99),
+        ("two-network", 276, 103),
+        ("concurrent-commit", 226, 80),
+        ("revoke-carrier", 330, 116),
+        ("rotate-resync", 273, 97),
     ],
     ids=SCENARIOS,  # stable across re-pins
 )
@@ -165,13 +165,16 @@ def test_bundled_scenario_decodes(monkeypatch, name, in_loop, entries):
     assert not any(cls is creds.VerifiablePresentation for cls, _ in memo)
 
 
-def test_revoke_carrier_flip_lands_13_ticks_after_its_resync():
+def test_revoke_carrier_flip_lands_16_ticks_after_its_resync():
     """The resync's memberlist gate settles the revoked Carrier's flip, so
     its step D batch starts at the gate, alongside steps B and C of the
     listed members, and each countersigner reads its ledger's records
-    alongside its own gate: the APPLIED REVOKED commit lands 13 ticks after
+    alongside its own gate: the APPLIED REVOKED commit lands 16 ticks after
     the resync starts (24 while the flip waited for every target to end, 15
-    while the countersigner read its records before its gate)."""
+    while the countersigner read its records before its gate). The bus
+    draws every latency from one seeded stream, so a set-up of fewer sends
+    moves the draws: with the two-round-trip step A it was 13, and with
+    every latency fixed at 2 ticks both take 14."""
     runner = harness.ScenarioRunner(scenario_config("revoke-carrier"))
     report = runner.run()
     assert report.ok, report.errors
@@ -182,16 +185,18 @@ def test_revoke_carrier_flip_lands_13_ticks_after_its_resync():
         if e.kind == "ledger.commit" and e.detail["status"] == "REVOKED"
         and e.detail["outcome"] == "APPLIED"
     )
-    assert commit - resync == 13
+    assert commit - resync == 16
 
 
-def test_readmitted_carrier_resync_takes_26_ticks():
+def test_readmitted_carrier_resync_takes_20_ticks():
     """Two-network with Carrier revoked, SWT resynced and Carrier re-admitted
     (`readmitted_carrier_world`): in SWT's next resync Carrier is a new
     target, whose step D batch leaves as soon as its own checks end, while
-    Seller's held target ends UNCHANGED. The resync's last event comes 26
+    Seller's held target ends UNCHANGED. The resync's last event comes 20
     ticks after it starts (31 while Carrier's batch waited for Seller's
-    target), with 20 sends."""
+    target), with 20 sends. With the two-round-trip step A it came after
+    26: its extra sends moved the bus's seeded latency draws, and with every
+    latency fixed at 2 ticks both take 20."""
     world = readmitted_carrier_world()
     start = len(world.trace.events)
     buyer = world.agents["Buyer"]
@@ -200,17 +205,17 @@ def test_readmitted_carrier_resync_takes_26_ticks():
     assert record.error is None, record.error
     events = world.trace.events[start:]
     resync = next(e.tick for e in events if e.kind == "agent.resync")
-    assert max(e.tick for e in events) - resync == 26
+    assert max(e.tick for e in events) - resync == 20
     assert sum(e.kind == "bus.send" for e in events) == 20
 
 
 TRACE_DIGESTS = {
-    "concurrent-commit": "acfe0aa2f11bfe9fa579d95868fa546fc28842d77b7c3035cc0dc21cfba2f699",
-    "concurrent-commit-serial": "0d14ce34083a49a8cfd18a6727cc489f3a8713075b992a8b8d4219a690ec720b",
-    "digest-mismatch-retry": "07d6e2de99760d848aa70635de8a0f4c74851fe9f04098b2e223dd9af803dd93",
-    "revoke-carrier": "4e202cf273a2b0742a4ac525b0895e5caeb810868b815a70207d09fb58dc7fe0",
-    "rotate-resync": "3803062d0ef738b5ee87ce8beadaee62936cd3b1d1a0837ab92d8ef0d589ccb8",
-    "two-network": "83a30bf1e283b92511408116d6f842628525c3410775ae78e247b72f509bb01e",
+    "concurrent-commit": "b7956f6dbad50ced520096f349b9f4da09133d07e8dfb4ce794e399070612846",
+    "concurrent-commit-serial": "82af928eb52df6156092d6a5cfd1b0b77ebd612d83817351273d237f7054c820",
+    "digest-mismatch-retry": "c21620faed51f698343ca6d914e98e39961709d68a102a50217eee5fef1c3451",
+    "revoke-carrier": "70a80abc5b3ebbdaa424a8967cef94d9efd164f7bb3798ecf7b6c09d1f59fefb",
+    "rotate-resync": "3a4b2da54b9df3dc315fd3ccc1c377532d45731a208d3afec40c58c395e475f9",
+    "two-network": "80d9afe854d60ce8a440f8eb7510bb292651b3eb05ae6f849d24dc63a033356c",
 }
 
 
@@ -223,12 +228,12 @@ def test_bundled_scenario_trace_digest(tmp_path, name):
 
 
 TRAFFIC_DIGESTS = {
-    "concurrent-commit": "7731c486744a98dfe3a8bb08c5d0a589a968a671970ae64021a065a7f66f66a4",
-    "concurrent-commit-serial": "cee9848f2eccd0a405b3897933ccf5710cf6587971794653da484d5808b62996",
-    "digest-mismatch-retry": "afec625c103507c37723918a032c8f0c79a3611771b7a31ba05f84d0013a2fff",
-    "revoke-carrier": "54db04f936f7b28358aa451ce585d608823714004817cce43691bcf7fc2fa126",
-    "rotate-resync": "7f00f7713a706359691a27903d4a659c479019522bf44059ced691df1069480a",
-    "two-network": "0ea8569d5a7080bb0f745b284fa88f6d0b76ceac43eac616a1a4f6d7333b99f2",
+    "concurrent-commit": "dc0c5f9c5adfb479768fe35a573d2248d6b23d3a708ffd89d1b5e3559d7a5749",
+    "concurrent-commit-serial": "d9c7d2eede551a30b59972348948f27b1593e41fe8c474a3c8671a6184e45284",
+    "digest-mismatch-retry": "fd9b92415aa4d627049cf8935cba539e426e44e91886f90e7bb2a026c7d22159",
+    "revoke-carrier": "58d7889d41854b56d72c2b05075a90469aee282f987e8c7f23952b7f5b7b810b",
+    "rotate-resync": "12b0c9f7279572afe95bd98721f03026d05eac2b1080f15d929473e726d901dc",
+    "two-network": "aa95f833f511dba2cddc4b23f79af53e0d6adf53903744d3aa74da8bc0f745a0",
 }
 
 

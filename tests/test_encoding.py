@@ -697,20 +697,13 @@ RECORDS = {
         None,
         lambda a: framed(old_record_content, a.records),
     ),
-    anchors.VerinymRequest: (
-        st.builds(anchors.VerinymRequest, text, did_doc),
-        None,
-        lambda r: enc.encode_str(r.org_name) + enc.encode_bytes(old_did_doc(r.doc)),
-    ),
-    anchors.Registered: (
-        st.builds(anchors.Registered, text),
-        None,
-        lambda r: enc.encode_str(r.outcome),
-    ),
     anchors.VcRequest: (
-        st.builds(anchors.VcRequest, text, text),
+        st.builds(anchors.VcRequest, text, text, st.lists(did_doc, max_size=1).map(tuple)),
         None,
-        lambda r: enc.encode_str(r.holder_did) + enc.encode_str(r.network_id),
+        lambda r: (
+            enc.encode_str(r.holder_did) + enc.encode_str(r.network_id)
+            + enc.encode_list(enc.encode_bytes(old_did_doc(d)) for d in r.doc)
+        ),
     ),
     anchors.Issued: (
         st.builds(anchors.Issued, membership_vc, witness, u64),

@@ -15,24 +15,22 @@ import loss_search
 
 # dropped kind -> (failed runs, runs)
 CONCURRENT_COMMIT = {
-    "iin.submit": (10, 10),
-    "anchor.verinym.reply": (3, 3),
-    "anchor.verinym.request": (3, 3),
+    "iin.submit": (7, 7),
     "agent.countersign.reply": (2, 2),
     "agent.countersign.request": (2, 2),
     "agent.membership_vp.reply": (2, 2),
     "agent.membership_vp.request": (2, 2),
     "anchor.witness.reply": (1, 1),
     "anchor.witness.request": (1, 1),
-    "anchor.vc.reply": (0, 4),
+    "anchor.vc.reply": (0, 4),  # step A asks once more; it also carries the verinym
     "anchor.vc.request": (0, 4),
     "cmdac.reply": (0, 2),  # the lost batch is sent once more
     "cmdac.submit": (0, 2),
-    "iin.ack": (0, 30),  # 2f of the 3 other replicas' acks suffice
-    "iin.order": (0, 30),
+    "iin.ack": (0, 21),  # 2f of the 3 other replicas' acks suffice
+    "iin.order": (0, 21),
     "iin.query": (0, 12),  # a read asks the other nodes after its timeout
     "iin.query.reply": (0, 12),
-    "iin.submit.reply": (0, 10),  # a lost receipt is read back from the applied set
+    "iin.submit.reply": (0, 7),  # a lost receipt is read back from the applied set
 }
 
 
@@ -40,7 +38,7 @@ def test_single_drops_of_concurrent_commit_fail_as_pinned():
     refused = collections.Counter()
     runs, failed, revoked, flips_failed = loss_search.single("concurrent-commit", refused)
     assert {kind: (failed[kind], runs[kind]) for kind in runs} == CONCURRENT_COMMIT
-    assert sum(failed.values()) == 26 and sum(runs.values()) == 132
+    assert sum(failed.values()) == 17 and sum(runs.values()) == 102
     assert revoked == []
     assert flips_failed == 0
     assert refused == {}
@@ -49,14 +47,14 @@ def test_single_drops_of_concurrent_commit_fail_as_pinned():
 def test_duplicated_registry_submits_of_concurrent_commit_fail_as_pinned():
     """A duplicated `iin.submit` is served twice: the sequencer orders the
     batch twice, and the writer takes whichever receipt arrives first. In 1
-    of the 10 runs that is the second ordering's, every transaction of it
+    of the 7 runs that is the second ordering's, every transaction of it
     `Duplicate`, so AnchorSTL's publication fails though its batch applied
     (ROADMAP item 26). Mending that lowers the pin to 0."""
     refused = collections.Counter()
     runs, failed, revoked, flips_failed = loss_search.single(
         "concurrent-commit", refused, action="duplicate", kind="iin.submit"
     )
-    assert (failed["iin.submit"], runs["iin.submit"]) == (1, 10)
+    assert (failed["iin.submit"], runs["iin.submit"]) == (1, 7)
     assert runs.keys() == {"iin.submit"}
     assert revoked == []
     assert flips_failed == 0

@@ -428,6 +428,91 @@ class TestMemberlistWrites:
         assert after.memberlists[(ids["pmv"][1], "NET")] == forged
 
 
+class TestListedMembersNeedDocuments:
+    """A revocation update may add to a list only DIDs the registry holds a
+    document of at that point of the fold: a holder's NYM may ride ahead of
+    it in one batch, and if that NYM is refused, so is the update."""
+
+    @staticmethod
+    def update(state, ids, *members):
+        did = ids["pmv"][1]
+        payload = revocation(next_epoch(state, did), memberlist(ids, members=members))
+        return registry.RegistryTransaction(registry.KIND_REVOC_UPDATE, payload, did)
+
+    def test_an_update_adding_an_unregistered_did_is_refused_by_name(self, published):
+        state, ids, _ = published
+        _, stranger, _ = make_identity("stranger")
+        after, outcome = registry.apply_transaction(
+            state, self.update(state, ids, ids["member"][1], stranger)
+        )
+        assert outcome == "UnregisteredMember"
+        assert after is state
+
+    @pytest.mark.parametrize("nym, outcomes", [
+        (lambda doc: doc, ("APPLIED", "APPLIED")),
+        (lambda doc: replace(doc, did=make_identity("other")[1]),
+         ("BadSignature", "UnregisteredMember")),
+    ], ids=["registered-first", "refused-first"])
+    def test_a_holder_s_nym_ahead_of_the_update_in_one_batch(self, published, nym, outcomes):
+        state, ids, _ = published
+        keys, did = ids["pmv"]
+        _, stranger, doc = make_identity("stranger")
+        batch = registry.sign_batch(
+            keys,
+            registry.RegistryTransaction(registry.KIND_NYM, nym(doc).to_bytes(), did),
+            self.update(state, ids, stranger),
+        )
+        after, got = registry.apply_batch(state, batch)
+        assert got == outcomes
+        listed = after.memberlists.get((did, "NET"))
+        assert (listed is not None and stranger in listed.member_dids) == (outcomes[1] == "APPLIED")
+
+    def test_the_pool_replay_and_a_catching_up_replica_reproduce_the_refusal(self):
+        # node 3 misses the refused update's order and fetches it with the next one
+        rules = [FaultRule(action="drop", to="iin:iin0:3", kind="iin.order", occurrence=3)]
+        bus, pool, nodes, client, steward = build_pool(rules=rules)
+        s_keys, s_did, _ = steward
+        p_keys, p_did, p_doc = make_identity("pmv")
+        _, stranger, s_doc = make_identity("stranger")
+
+        def listing(epoch, *txs):
+            state = crypto.RevocationRegistryState(p_did, epoch, bytes(32), 0)
+            ml = creds.issue_memberlist_credential(
+                p_keys, p_did, "memberlist", "NET", (stranger,), epoch
+            )
+            kind = registry.KIND_REVOC_UPDATE if epoch else registry.KIND_REVOC_INIT
+            payload = revocation(state, ml) if epoch else revocation(state)
+            return (*txs, registry.RegistryTransaction(kind, payload, p_did))
+
+        nym = registry.RegistryTransaction(registry.KIND_NYM, s_doc.to_bytes(), p_did)
+        batches = [
+            registry.sign_batch(s_keys, *(
+                registry.RegistryTransaction(kind, payload, s_did) for kind, payload in (
+                    (registry.KIND_NYM, attested(p_doc, s_did, s_keys).to_bytes()),
+                    (registry.KIND_ANCHOR_GRANT,
+                     registry.AnchorGrant(p_did, registry.ROLE_PMV).to_bytes()),
+                )
+            )),
+            registry.sign_batch(p_keys, *listing(0)),
+            registry.sign_batch(p_keys, *listing(1)),
+            registry.sign_batch(p_keys, *listing(1, nym)),
+        ]
+        outcomes = []
+        for batch in batches:
+            record = client.start_session("submit", registry.submit_transaction(pool, batch))
+            bus.run_until_quiescent()
+            outcomes.append(record.result.outcomes)
+        assert outcomes == [
+            ("APPLIED",) * 2, ("APPLIED",), ("UnregisteredMember",), ("APPLIED",) * 2
+        ]
+        assert [e.kind for e in bus.trace.events if e.kind == "bus.drop"] == ["bus.drop"]
+        assert all(node.log == nodes[0].log for node in nodes)
+        assert [entry.outcomes for entry in nodes[3].log] == outcomes
+        fresh = registry.replay_log(nodes[0].genesis, nodes[0].log)
+        assert {node.state.state_hash() for node in nodes} == {fresh.state_hash()}
+        assert fresh.memberlists[(p_did, "NET")].member_dids == (stranger,)
+
+
 def expected_outcome(role, kind):
     """Rule table: which single role may apply which transaction kind."""
     if kind == registry.KIND_NYM:  # attestation signer needs STEWARD or OIV

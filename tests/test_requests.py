@@ -16,7 +16,7 @@ from idplane import actors, crypto
 from idplane import encoding as enc
 from idplane.actors import Actor, Message, Reply
 from idplane.agent import CountersignRequest, IinAgent
-from idplane.anchors import AnchorService, VcRequest, VerinymRequest, WitnessRequest
+from idplane.anchors import AnchorService, VcRequest, WitnessRequest
 from idplane.credentials import Challenge
 from idplane.network import CommitRequest, Endorsed, Endorsement, LedgerNode, LedgerQuery
 from idplane.registry import (
@@ -42,8 +42,7 @@ EXAMPLES = {
     "agent.countersign.request": CountersignRequest((endorsement(),)),
     "agent.membership_vp.request": Challenge("STL", bytes(16), (("did:x", 1),), 1),
     "anchor.memberlist.request": Challenge("SWT", bytes(16)),
-    "anchor.vc.request": VcRequest("did:x", "SWT"),
-    "anchor.verinym.request": VerinymRequest("Seller", DidDocument("did:x", (b"k",), "e", ())),
+    "anchor.vc.request": VcRequest("did:x", "SWT", (DidDocument("did:x", (b"k",), "e", ()),)),
     "anchor.witness.request": WitnessRequest(bytes(32)),
     "cmdac.submit": CommitRequest(
         ((endorsement(), b"bundle"),), (("Seller", Endorsed((bytes(32),)), bytes(64)),)
@@ -61,9 +60,8 @@ KINDS = sorted(EXAMPLES)
 OTHER = {
     "agent.countersign.request": "agent.membership_vp.request",
     "agent.membership_vp.request": "anchor.vc.request",
-    "anchor.memberlist.request": "anchor.verinym.request",
+    "anchor.memberlist.request": "anchor.vc.request",
     "anchor.vc.request": "anchor.witness.request",
-    "anchor.verinym.request": "anchor.witness.request",
     "anchor.witness.request": "cmdac.submit",
     "cmdac.submit": "iin.fetch",
     "iin.fetch": "iin.order",
@@ -82,10 +80,6 @@ def undecodable_statements(*head: bytes) -> Raw:
 # request kind -> shape -> (a body its handler refuses, or that does not
 # decode for one nested record, and the error named)
 REFUSED = {
-    "anchor.vc.request": {
-        # the org name reads as the holder DID, the document's bytes as the network
-        "verinym-request-read-by-layout": (EXAMPLES["anchor.verinym.request"], "NotRepresented"),
-    },
     "agent.countersign.request": {
         "no-statements": (CountersignRequest(()), "ValueError"),
         "statements-of-two-networks": (
