@@ -30,8 +30,10 @@ yet, then one revocation update that adds every new credential id in a
 single epoch step. Each request is answered from its own checks and its own
 transactions' outcomes, so one bad request fails alone. A serialized op
 runs alone, in its turn. Nothing waits on purpose: a request that finds the
-queue idle goes out at once. Holders whose witnesses go stale after an epoch
-bump come back for a witness refresh.
+queue idle goes out at once. A credential is answered once the writes
+queued behind its batch when that ended have ended too (never later ones),
+with a witness at the epoch they leave. Holders whose witnesses go stale
+after a later epoch bump come back for a witness refresh.
 
 Every registry writer, the steward included, writes through `submit`, which
 reads a lost receipt's outcomes back from the registry's applied set.
@@ -143,7 +145,7 @@ class AnchorService(Actor):
         self.memberlists: dict[str, creds.MemberlistCredential] = {}
         self.issuance_counter = 0
         self._queue: list[_Queued] = []
-        self._writing: Optional[SessionRecord] = None  # the write in flight, or the last one
+        self._taken: Optional[_Queued] = None  # the last entry taken: its write is the latest
 
     @property
     def membership_cred_def_id(self) -> str:
@@ -161,22 +163,28 @@ class AnchorService(Actor):
         self.start_session(label, self._queued(_Queued(label, factory=gen_factory)))
 
     def _queued(self, entry: _Queued) -> Generator:
-        """Queue `entry` and wait until the write that takes it has ended;
-        whenever no write is in flight, start the next one. Returns the
-        entry's reply, or raises the error it holds."""
+        """Queue `entry` and wait until the write that takes it has ended,
+        and for a credential, as in group commit, until the writes queued
+        behind its batch when that ended have ended too; whenever no write
+        is in flight, start the next one. Returns the entry's reply, or
+        raises the error it holds."""
         self._queue.append(entry)
-        while entry.write is None or not entry.write.done:
-            if self._writing is None or self._writing.done:
-                self._writing = self._start_write()
+        last = entry
+        while last.write is None or not last.write.done:
+            if self._taken is None or self._taken.write.done:
+                self._start_write()
             try:
-                yield Join((self._writing,))
+                yield Join((self._taken.write,))
             except Exception:
                 pass  # a serialized op's own session traced its failure
+            if last is entry and isinstance(entry.reply, Issued):  # set as its batch ends
+                # queued last, or taken last by a write a batch mate started
+                last = self._queue[-1] if self._queue else self._taken
         if isinstance(entry.reply, Exception):
             raise entry.reply
         return entry.reply
 
-    def _start_write(self) -> SessionRecord:
+    def _start_write(self) -> None:
         """Start the next write: the serialized op at the head of the queue
         alone, or every request queued before the next op as one batch."""
         head = self._queue[0]
@@ -189,7 +197,7 @@ class AnchorService(Actor):
         record = self.start_session(label, gen)
         for entry in taken:
             entry.write = record
-        return record
+        self._taken = taken[-1]
 
     def _leaves(self) -> tuple[bytes, ...]:
         """The accumulator's leaves: the credential ids of every roster, sorted."""
@@ -253,8 +261,12 @@ class AnchorService(Actor):
                 self.trace("anchor.evidence_mismatch", org=org_name)
                 return "EvidenceMismatch"  # no transaction leaves the anchor
             doc = registry.attest(doc, self.profile.did, self.keys)
-        entry = _Queued("anchor.vc.request", (holder_did, network_id), doc)
-        return (yield from self._queued(entry))
+        reply = yield from self._queued(_Queued("anchor.vc.request", (holder_did, network_id), doc))
+        if isinstance(reply, Issued):  # at the epoch the writes queued behind its batch left
+            fresh = self._refresh_witness(sender, WitnessRequest(reply.vc.credential_id))
+            if isinstance(fresh, Witness):  # else they revoked it: the write-time witness
+                reply = Issued(reply.vc, fresh.witness, reply.already_member)
+        return reply
 
     def _write_batch(self, batch: list[_Queued]) -> Generator:
         """Serve queued credential requests as one registry write: the
@@ -264,10 +276,11 @@ class AnchorService(Actor):
         each network it adds to. Each request is answered from its own checks
         and transactions: a refused NYM fails it by the registry's reason. A
         holder asked for twice gets the one credential, the second time
-        `already_member`, as does a holder already on the roster (a fresh
-        witness, no epoch bump). On a lost receipt (`submit`), a transaction
-        the registry did not apply fails its request with the lost receipt's
-        error, and the others are answered as if it had come."""
+        `already_member`, as does a holder already on the roster (no epoch
+        bump). Each witness made here is made again when the credential is
+        answered (`_issue_membership`). On a lost receipt (`submit`), a
+        transaction the registry did not apply fails its request with the
+        lost receipt's error, and the others are answered as if it had come."""
         minted, nyms = yield from self._mint(batch)
         writes = [(registry.KIND_NYM, doc.to_bytes()) for doc in nyms]
         if minted:

@@ -1,6 +1,7 @@
 """Shared fixtures: bootstrapped scenario worlds driven step by step."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -24,12 +25,19 @@ def bootstrapped_runner(name: str = "two-network", seed=None, through_step_a=Tru
     return runner
 
 
-def readmitted_carrier_world():
-    """The world of two-network run to its end, then STL's Carrier
-    revoked, flipped to REVOKED by Buyer's resync of SWT, and re-admitted by
-    its step A: SWT's next resync commits Carrier ACTIVE again and finds
-    Seller unchanged."""
-    runner = harness.ScenarioRunner(scenario_config("two-network"))
+def fixed_latency(name: str, ticks: int = 2) -> harness.ScenarioConfig:
+    """Bundled scenario `name` with every bus latency `ticks`: its tick
+    counts do not move with the seeded latency draws that a send more or
+    less elsewhere in the run shifts."""
+    return replace(scenario_config(name), latency=(ticks, ticks))
+
+
+def readmitted_carrier_world(config=None):
+    """The world of two-network (or `config`) run to its end, then STL's
+    Carrier revoked, flipped to REVOKED by Buyer's resync of SWT, and
+    re-admitted by its step A: SWT's next resync commits Carrier ACTIVE
+    again and finds Seller unchanged."""
+    runner = harness.ScenarioRunner(config or scenario_config("two-network"))
     report = runner.run()
     assert report.ok, report.errors
     world = runner.world

@@ -16,7 +16,10 @@ same). They also count the `ledger.commit` entries the contract refused,
 by outcome name (a `StaleStatement` is a statement that a commit overtook
 under loss), and `single` counts the REVOKED flips that failed
 (`agent.revoke_failed`) per scenario: each is a countersign round spent on a
-flip that no one endorsed.
+flip that no one endorsed. For duplicates and delays `single` also prints,
+per faulted kind, the sends and Ed25519 signatures its runs made beyond the
+lossless run's, summed over those runs: a request served twice shows up
+there before it fails anything.
 `single` runs all four scenarios in about 30 s on 2 vCPUs.
 
 Pytest does not collect this file (its name does not start with `test_`);
@@ -31,7 +34,7 @@ import argparse
 import collections
 from dataclasses import replace
 
-from idplane import harness
+from idplane import crypto, harness
 from idplane.bus import FaultRule
 
 from conftest import scenario_config
@@ -80,16 +83,34 @@ def run(cfg: harness.ScenarioConfig, seed=None, rules=()) -> harness.ScenarioRun
     return runner
 
 
+def signed(fn):
+    """`fn()`'s result and the Ed25519 signatures made while it ran."""
+    signs = 0
+    sign = crypto.sign
+
+    def counting(*args):
+        nonlocal signs
+        signs += 1
+        return sign(*args)
+
+    crypto.sign = counting
+    try:
+        return fn(), signs
+    finally:
+        crypto.sign = sign
+
+
 def single(
     name: str, refused: collections.Counter, action: str = "drop", delay: int = 1,
-    kind: str | None = None,
+    kind: str | None = None, work: dict | None = None,
 ) -> tuple[collections.Counter, collections.Counter, list, int]:
     """Apply `action` to each send of `name`'s lossless run in turn, or to
-    each send of `kind` only; counts refused commits in `refused` and
-    returns the runs and the failed runs per faulted kind, the wrongful
-    revocations and the failed REVOKED flips."""
+    each send of `kind` only; counts refused commits in `refused`, adds
+    the sends and signatures beyond the lossless run's to `work[kind]`
+    when given, and returns the runs and the failed runs per faulted kind,
+    the wrongful revocations and the failed REVOKED flips."""
     cfg = scenario_config(name)
-    lossless = run(cfg)
+    lossless, lossless_signs = signed(lambda: run(cfg))
     assert lossless.report.ok, lossless.report.errors
     sends = [e.detail["msg_kind"] for e in lossless.world.trace.events if e.kind == "bus.send"]
     runs, failed = collections.Counter(), collections.Counter()
@@ -97,9 +118,14 @@ def single(
     for n, sent in enumerate(sends, 1):
         if kind is not None and sent != kind:
             continue
-        runner = run(cfg, rules=[FaultRule(action=action, occurrence=n, delay=delay)])
-        faulted = [e for e in runner.world.trace.events if e.kind == "bus.send"][n - 1]
-        assert faulted.detail["msg_kind"] == sent  # the runs agree up to the fault
+        rules = [FaultRule(action=action, occurrence=n, delay=delay)]
+        runner, signs = signed(lambda: run(cfg, rules=rules))
+        faulted = [e for e in runner.world.trace.events if e.kind == "bus.send"]
+        assert faulted[n - 1].detail["msg_kind"] == sent  # the runs agree up to the fault
+        if work is not None:
+            extra = work.setdefault(sent, [0, 0])
+            extra[0] += len(faulted) - len(sends)
+            extra[1] += signs - lossless_signs
         runs[sent] += 1
         failed[sent] += not runner.report.ok
         refused.update(refusals(runner))
@@ -111,12 +137,17 @@ def single(
 
 def print_single(
     name: str, action: str, runs: collections.Counter, failed: collections.Counter,
-    flips_failed: int,
+    flips_failed: int, work: dict | None = None,
 ) -> None:
     print(f"{name}: {sum(failed.values())} of {sum(runs.values())} single {action}s fail the run")
     print(f"  {flips_failed} failed REVOKED flips")
+    if work is not None:
+        print(f"  {'faulted kind, beyond the lossless run:':50} {'sends':>7} {'signs':>6}")
     for kind in sorted(runs, key=lambda k: (-failed[k], k)):
-        print(f"  {kind:32} {failed[kind]:3} of {runs[kind]:3} fail")
+        line = f"  {kind:32} {failed[kind]:3} of {runs[kind]:3} fail"
+        if work is not None:
+            line += f" {work[kind][0]:+7} {work[kind][1]:+6}"
+        print(line)
 
 
 def sweep(rates: tuple[float, ...], seeds: int, refused: collections.Counter) -> list:
@@ -159,8 +190,11 @@ def main(argv=None) -> int:
             parser.error(f"no single-fault search for {', '.join(sorted(unknown))}")
         revoked = []
         for name in args.scenarios or SCENARIOS:
-            runs, failed, found, flips_failed = single(name, refused, args.action, args.delay)
-            print_single(name, args.action, runs, failed, flips_failed)
+            work = {} if args.action in ("duplicate", "delay") else None
+            runs, failed, found, flips_failed = single(
+                name, refused, args.action, args.delay, work=work
+            )
+            print_single(name, args.action, runs, failed, flips_failed, work)
             revoked += found
     else:
         revoked = sweep(tuple(args.rates), args.seeds, refused)

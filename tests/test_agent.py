@@ -15,7 +15,8 @@ from idplane.bus import FaultRule
 from idplane.trace import verify_events
 
 from conftest import (
-    Raw, add_probe, ask, bootstrapped_runner, readmitted_carrier_world, scenario_config,
+    Raw, add_probe, ask, bootstrapped_runner, fixed_latency, readmitted_carrier_world,
+    scenario_config,
 )
 
 
@@ -75,6 +76,23 @@ def sends_from(world, org, kind, since=0):
 
 def witness_requests(world, org, since=0):
     return sends_from(world, org, "anchor.witness.request", since)
+
+
+def stale_witnesses(world):
+    """Revoke Seller from STL and re-admit it by its step A: two epoch bumps
+    after step A, which leave Carrier's STL witness, current after step A,
+    behind its anchor's epoch."""
+    anchor = world.anchors["AnchorSTL"]
+    epoch = anchor.acc_state.epoch
+    anchor.enqueue_serialized(
+        "revoke", lambda: anchor.revoke_membership(world.org_dids["Seller"], "STL")
+    )
+    world.settle()
+    seller = world.agents["Seller"]
+    record = seller.start_session("readmit", seller.step_a())
+    world.settle()
+    assert record.error is None, record.error
+    assert anchor.acc_state.epoch == epoch + 2
 
 
 def challenge(probe, world, holder, network_id, **extra):
@@ -665,11 +683,12 @@ class TestMemberSnapshot:
         Carrier makes its witness, so Carrier presents a witness one epoch
         ahead of the snapshot: Buyer reads the snapshot again and Carrier,
         never revoked, still validates."""
+        stale_witnesses(world)
         reads = record_queries(monkeypatch)
         anchor = world.anchors["AnchorSTL"]
         epoch = anchor.acc_state.epoch
-        # Carrier's witness predates the last step-A issuance, so it is behind
-        # the challenge's epoch and Carrier refreshes it
+        # Carrier's witness predates the epoch bumps, so it is behind the
+        # challenge's epoch and Carrier refreshes it
         _, witness = world.agents["Carrier"].wallet["STL"]
         assert witness.epoch < epoch
         world.bus.config.rules.append(FaultRule(
@@ -1432,6 +1451,7 @@ class TestChallengeEpochs:
         """A witness reply that does not decode is no refusal (NotAMember):
         the holder answers WitnessUnavailable, as for a lost refresh, and
         does not present its stored witness."""
+        stale_witnesses(world)  # so that Carrier asks for a refresh
         world.anchors["AnchorSTL"]._refresh_witness = lambda sender, request: Raw(b"\x00")
         agent = world.agents["Buyer"]
         start = len(world.trace.events)
@@ -1565,8 +1585,12 @@ class TestResync:
     def test_a_flip_and_a_rotation_are_in_flight_at_once(self):
         """After two-network's syncs, Carrier leaves STL and Seller rotates
         its STL certificates: SWT's resync flips Carrier from its gate while
-        Seller's new bundle goes through its rounds, and both commit."""
-        runner = harness.ScenarioRunner(scenario_config("two-network"))
+        Seller's new bundle goes through its rounds, and both commit. The
+        flip leaves once the resync's records read and its gate have both
+        returned; with every latency fixed at 2 ticks the gate returns last,
+        whereas the seeded draws can order them either way as the set-up's
+        sends move."""
+        runner = harness.ScenarioRunner(fixed_latency("two-network"))
         report = runner.run()
         assert report.ok, report.errors
         world = runner.world
@@ -1620,11 +1644,13 @@ class TestResync:
         the held Seller is checked, and Seller's new bundle in another.
         Seller, countersigning its own rotated bundle, checks itself afresh
         rather than answer from its stale cached copy, so both commit at
-        attempt 1: 30 sends and 28 ticks (38 and 49 while that copy sent
-        Seller's target into a retry round). It took 30 ticks while step A
-        made two round trips, whose extra sends moved the bus's seeded
-        latency draws; with every latency fixed at 2 ticks both take 28."""
-        world = readmitted_carrier_world()
+        attempt 1: with every latency fixed at 2 ticks, 30 sends and 28
+        ticks (38 and 49 while that copy sent Seller's target into a retry
+        round). At the scenario's own latencies the set-up's sends move the
+        bus's seeded draws: 30 ticks with the two-round-trip step A, 28 with
+        the one-round-trip one, and 30 once no holder refreshes the witness
+        step A gave it."""
+        world = readmitted_carrier_world(fixed_latency("two-network"))
         seller = world.organizations[("STL", "Seller")]
         seller.rotate(world.bus.now)
         start = len(world.trace.events)

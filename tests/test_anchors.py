@@ -562,6 +562,17 @@ def ask(anchor, kind, body):
     return anchor.start_session(kind, getattr(anchor, handler)("probe", body))
 
 
+def timed_ask(world, anchor, body, ticks):
+    """`ask` for a credential; `ticks["answered"]` is the tick of its reply."""
+
+    def asking():
+        reply = yield from anchor._issue_membership("probe", body)
+        ticks["answered"] = world.bus.now
+        return reply
+
+    return anchor.start_session("anchor.vc.request", asking())
+
+
 def hold(anchor, ticks=5):
     """Keep `anchor`'s queue busy for `ticks`, so that the requests asked
     next wait and go out as one batch."""
@@ -679,8 +690,11 @@ class TestGroupCommit:
             for _ in range(2)
         ]
         world.settle()
+        # the batch in flight is answered once the revocation queued behind
+        # it has ended, so its witness is at the revocation's epoch too
+        # (epoch, epoch + 1, epoch + 1 while it was answered at its own end)
         epochs = [r.result.witness.epoch for r in (before, *after)]
-        assert epochs == [epoch, epoch + 1, epoch + 1]
+        assert epochs == [epoch + 1] * 3
         # a read, the revocation's update, then one read for both later requests
         sends = anchor_sends(world, anchor, {"iin.query", "iin.submit"}, start)
         assert [kind for kind, _ in itertools.groupby(sends)] == [
@@ -688,6 +702,96 @@ class TestGroupCommit:
         ]
         assert sends.count("iin.query") == 4  # two reads of f+1 replicas each
         assert carrier_did not in anchor.rosters["STL"].members
+
+    @pytest.mark.parametrize("name", sorted(harness.bundled_scenarios()))
+    def test_step_a_leaves_every_witness_at_its_anchors_epoch(self, name):
+        """After step A each wallet's witness is at its anchor's epoch,
+        unless every epoch step since came from a request that reached the
+        anchor after the holder's reply had left: a reply waits for no later
+        arrival. In two-network and revoke-carrier that is Buyer's SWT
+        witness, as Seller asks AnchorSWT only once its STL credential is
+        in."""
+        world = bootstrapped_runner(name).world
+        events = world.trace.events
+        anchors = {anchor.profile.did: anchor for anchor in world.anchors.values()}
+        orgs = {did: org for org, did in world.org_dids.items()}
+        wallets = [
+            (org, vc, witness)
+            for org, agent in world.agents.items()
+            for vc, witness in agent.wallet.values()
+        ]
+        assert wallets
+        for org, vc, witness in wallets:
+            anchor = anchors[vc.issuer_did]
+            if witness.epoch == anchor.acc_state.epoch:
+                assert crypto.witness_verify(anchor.acc_state, witness), org
+                continue
+            replied = max(
+                e.tick for e in events if e.kind == "bus.send" and e.actor == anchor.address
+                and e.detail["to"] == f"agent:{org}" and e.detail["msg_kind"] == "anchor.vc.reply"
+            )
+            later = [
+                orgs[e.detail["holder"]] for e in events
+                if e.kind == "anchor.vc_issued" and e.actor == anchor.address
+                and e.detail["epoch"] > witness.epoch
+            ]
+            assert later, org
+            for holder in later:
+                asked = min(
+                    e.tick for e in events if e.kind == "bus.deliver"
+                    and e.detail["to"] == anchor.address and e.detail["from"] == f"agent:{holder}"
+                    and e.detail["msg_kind"] == "anchor.vc.request"
+                )
+                assert asked > replied, (org, holder)
+
+    def test_a_reply_waits_for_the_writes_queued_behind_its_batch_only(self, world):
+        """Seller's request goes out as a batch at once; a write queued while
+        that batch is in flight holds the reply until it has ended, and one
+        queued after the batch has ended does not."""
+        anchor = world.anchors["AnchorSTL"]
+        ticks = {}
+
+        def write(name, then=None):
+            def op():
+                yield Sleep(1)
+                if then is not None:
+                    anchor.enqueue_serialized(then, write(then))
+                yield Sleep(10)
+                ticks[name] = world.bus.now
+            return op
+
+        record = timed_ask(world, anchor, VcRequest(world.org_dids["Seller"], "STL"), ticks)
+        anchor.enqueue_serialized("behind", write("behind", then="later"))
+        world.settle()
+        assert isinstance(record.result, Issued)
+        assert ticks["behind"] == ticks["answered"] < ticks["later"]
+
+    def test_a_holder_revoked_behind_its_batch_keeps_the_write_time_witness(self, world):
+        """Carrier asks again, and its revocation is queued while that batch
+        is in flight: the reply waits for the revocation and carries the
+        witness made at write time, and a challenge refutes it by check 6."""
+        anchor = world.anchors["AnchorSTL"]
+        carrier = world.org_dids["Carrier"]
+        epoch = anchor.acc_state.epoch
+        buyer = world.agents["Buyer"]
+        fetch = buyer.start_session("fetch", buyer._fetch_memberlist("SWT", "STL"))
+        world.settle()
+        memberlist, _ = fetch.result  # listing Carrier
+        ticks = {}
+        record = timed_ask(world, anchor, VcRequest(carrier, "STL"), ticks)
+        anchor.enqueue_serialized("revoke", lambda: anchor.revoke_membership(carrier, "STL"))
+        world.settle()
+        [revoked] = [e.tick for e in world.trace.events if e.kind == "anchor.revoked"]
+        assert ticks["answered"] == revoked
+        assert (record.result.already_member, record.result.witness.epoch) == (1, epoch)
+        assert anchor.acc_state.epoch == epoch + 1
+        world.agents["Carrier"].wallet["STL"] = (record.result.vc, record.result.witness)
+        validate = buyer.start_session(
+            "validate", buyer._validate_member("SWT", "STL", carrier, memberlist)
+        )
+        world.settle()
+        assert isinstance(validate.error, creds.MembershipVerificationError)
+        assert validate.error.check == creds.CHECK_REVOCATION
 
     def test_lost_receipt_of_an_applied_batch_applies_every_request(self, monkeypatch):
         world = bootstrapped_runner(through_step_a=False).world

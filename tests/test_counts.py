@@ -41,7 +41,7 @@ from idplane import credentials as creds
 from idplane import bus, crypto, harness
 from idplane import encoding as enc
 
-from conftest import readmitted_carrier_world, scenario_config
+from conftest import fixed_latency, readmitted_carrier_world, scenario_config
 
 SCENARIOS = ("two-network", "concurrent-commit", "revoke-carrier", "rotate-resync")
 
@@ -49,8 +49,15 @@ SCENARIOS = ("two-network", "concurrent-commit", "revoke-carrier", "rotate-resyn
 @pytest.mark.parametrize(
     "name, sends, queries, memberlists, witnesses, orders, countersigns, signs, verifies",
     [
-        ("two-network", 128, 16, 0, 2, 21, 2, 71, 144),
-        ("concurrent-commit", 102, 12, 0, 1, 21, 2, 59, 92),
+        # an anchor answers a credential once the writes queued behind its
+        # batch have ended, with a witness at the epoch they leave: Buyer's
+        # challenge of Carrier no longer waits on a refresh (128 -> 126
+        # sends, 2 -> 1 witness requests). In concurrent-commit no holder
+        # refreshes (1 -> 0), but the shifted timing makes Buyer's countersign
+        # batch miss its cached gate and read the registry (12 -> 14 queries,
+        # 92 -> 93 verifies: the read's memberlist), so sends rise 102 -> 104
+        ("two-network", 126, 16, 0, 1, 21, 2, 71, 144),
+        ("concurrent-commit", 104, 14, 0, 0, 21, 2, 59, 93),
     ],
     ids=("two-network", "concurrent-commit"),  # stable across re-pins
 )
@@ -87,10 +94,11 @@ def test_bundled_scenario_counts(
 
 
 @pytest.mark.parametrize("name, plaintext_bytes", [
-    ("two-network", 81_524),
-    ("concurrent-commit", 60_482),
-    ("revoke-carrier", 113_344),
-    ("rotate-resync", 83_443),
+    # no set-up witness refresh (-205 B); concurrent-commit's extra gate read +4,449 B
+    ("two-network", 81_319),
+    ("concurrent-commit", 64_931),
+    ("revoke-carrier", 113_137),
+    ("rotate-resync", 83_238),
 ], ids=SCENARIOS)  # stable across re-pins
 def test_bundled_scenario_wire_bytes(monkeypatch, name, plaintext_bytes):
     sent = []
@@ -109,10 +117,14 @@ def test_bundled_scenario_wire_bytes(monkeypatch, name, plaintext_bytes):
 @pytest.mark.parametrize(
     "name, logical, outside, executed",
     [
+        # concurrent-commit: the extra gate read's memberlist, a memo hit;
+        # revoke-carrier and rotate-resync: the two initiators' last
+        # statements are now made at different ticks, so the endorsements of
+        # them no longer share one verdict (+2)
         ("two-network", 144, 4, 54),
-        ("concurrent-commit", 92, 0, 36),
-        ("revoke-carrier", 170, 2, 63),
-        ("rotate-resync", 136, 4, 47),
+        ("concurrent-commit", 93, 0, 36),
+        ("revoke-carrier", 170, 2, 65),
+        ("rotate-resync", 136, 4, 49),
     ],
     ids=SCENARIOS,  # stable across re-pins
 )
@@ -139,10 +151,12 @@ def test_bundled_scenario_executed_verifies(monkeypatch, name, logical, outside,
 @pytest.mark.parametrize(
     "name, in_loop, entries",
     [
-        ("two-network", 276, 103),
-        ("concurrent-commit", 226, 80),
-        ("revoke-carrier", 330, 116),
-        ("rotate-resync", 273, 97),
+        # the decodes move with the witness replies and gate reads above,
+        # the memo's entries with the endorsements
+        ("two-network", 275, 102),
+        ("concurrent-commit", 226, 79),
+        ("revoke-carrier", 329, 117),
+        ("rotate-resync", 272, 99),
     ],
     ids=SCENARIOS,  # stable across re-pins
 )
@@ -165,17 +179,19 @@ def test_bundled_scenario_decodes(monkeypatch, name, in_loop, entries):
     assert not any(cls is creds.VerifiablePresentation for cls, _ in memo)
 
 
-def test_revoke_carrier_flip_lands_16_ticks_after_its_resync():
+def test_revoke_carrier_flip_lands_14_ticks_after_its_resync():
     """The resync's memberlist gate settles the revoked Carrier's flip, so
     its step D batch starts at the gate, alongside steps B and C of the
     listed members, and each countersigner reads its ledger's records
-    alongside its own gate: the APPLIED REVOKED commit lands 16 ticks after
-    the resync starts (24 while the flip waited for every target to end, 15
-    while the countersigner read its records before its gate). The bus
-    draws every latency from one seeded stream, so a set-up of fewer sends
-    moves the draws: with the two-round-trip step A it was 13, and with
-    every latency fixed at 2 ticks both take 14."""
-    runner = harness.ScenarioRunner(scenario_config("revoke-carrier"))
+    alongside its own gate: with every latency fixed at 2 ticks, the
+    APPLIED REVOKED commit lands 14 ticks after the resync starts. The bus
+    draws every latency from one seeded stream, so at the scenario's own
+    latencies a set-up of fewer or more sends moves the draws: 13 with the
+    two-round-trip step A, 16 with the one-round-trip one, and 17 once no
+    holder refreshes the witness step A gave it (24 while the flip waited
+    for every target to end, 15 while the countersigner read its records
+    before its gate)."""
+    runner = harness.ScenarioRunner(fixed_latency("revoke-carrier"))
     report = runner.run()
     assert report.ok, report.errors
     events = runner.world.trace.events
@@ -185,19 +201,20 @@ def test_revoke_carrier_flip_lands_16_ticks_after_its_resync():
         if e.kind == "ledger.commit" and e.detail["status"] == "REVOKED"
         and e.detail["outcome"] == "APPLIED"
     )
-    assert commit - resync == 16
+    assert commit - resync == 14
 
 
 def test_readmitted_carrier_resync_takes_20_ticks():
     """Two-network with Carrier revoked, SWT resynced and Carrier re-admitted
     (`readmitted_carrier_world`): in SWT's next resync Carrier is a new
     target, whose step D batch leaves as soon as its own checks end, while
-    Seller's held target ends UNCHANGED. The resync's last event comes 20
-    ticks after it starts (31 while Carrier's batch waited for Seller's
-    target), with 20 sends. With the two-round-trip step A it came after
-    26: its extra sends moved the bus's seeded latency draws, and with every
-    latency fixed at 2 ticks both take 20."""
-    world = readmitted_carrier_world()
+    Seller's held target ends UNCHANGED. With every latency fixed at 2
+    ticks, the resync's last event comes 20 ticks after it starts, with 20
+    sends. At the scenario's own latencies the set-up's sends move the
+    bus's seeded draws: 26 with the two-round-trip step A, 20 with the
+    one-round-trip one and 22 once no holder refreshes the witness step A
+    gave it (31 while Carrier's batch waited for Seller's target)."""
+    world = readmitted_carrier_world(fixed_latency("two-network"))
     start = len(world.trace.events)
     buyer = world.agents["Buyer"]
     record = buyer.start_session("resync", buyer.resync("SWT", "periodic"))
@@ -210,12 +227,12 @@ def test_readmitted_carrier_resync_takes_20_ticks():
 
 
 TRACE_DIGESTS = {
-    "concurrent-commit": "b7956f6dbad50ced520096f349b9f4da09133d07e8dfb4ce794e399070612846",
-    "concurrent-commit-serial": "82af928eb52df6156092d6a5cfd1b0b77ebd612d83817351273d237f7054c820",
-    "digest-mismatch-retry": "c21620faed51f698343ca6d914e98e39961709d68a102a50217eee5fef1c3451",
-    "revoke-carrier": "70a80abc5b3ebbdaa424a8967cef94d9efd164f7bb3798ecf7b6c09d1f59fefb",
-    "rotate-resync": "3a4b2da54b9df3dc315fd3ccc1c377532d45731a208d3afec40c58c395e475f9",
-    "two-network": "80d9afe854d60ce8a440f8eb7510bb292651b3eb05ae6f849d24dc63a033356c",
+    "concurrent-commit": "5c1b74f356779a89bde03197faeb11207fb6b19b7eacbcf3715a0b586a4c173b",
+    "concurrent-commit-serial": "38d1c02101de41eecd01ee5dc3bb6f96386d91b71a0d8429053a3642e5b02ee9",
+    "digest-mismatch-retry": "b94471195284e2789d3af583dafe3871c47463a2e4fc654a7a2adfe0c79051ac",
+    "revoke-carrier": "9419f662f91527e4da67d23f45509b121e2e96795dfb19a111631e34cda350d7",
+    "rotate-resync": "761da9fb216c82c2c64f353f37d8f15d9c45b95634e246c85b1887b80392fbbf",
+    "two-network": "6c0a9b6e1337ee9c38db46ee3e8db2ec1bb06be619c22443294181aa7b95d290",
 }
 
 
@@ -228,12 +245,12 @@ def test_bundled_scenario_trace_digest(tmp_path, name):
 
 
 TRAFFIC_DIGESTS = {
-    "concurrent-commit": "dc0c5f9c5adfb479768fe35a573d2248d6b23d3a708ffd89d1b5e3559d7a5749",
-    "concurrent-commit-serial": "d9c7d2eede551a30b59972348948f27b1593e41fe8c474a3c8671a6184e45284",
-    "digest-mismatch-retry": "fd9b92415aa4d627049cf8935cba539e426e44e91886f90e7bb2a026c7d22159",
-    "revoke-carrier": "58d7889d41854b56d72c2b05075a90469aee282f987e8c7f23952b7f5b7b810b",
-    "rotate-resync": "12b0c9f7279572afe95bd98721f03026d05eac2b1080f15d929473e726d901dc",
-    "two-network": "aa95f833f511dba2cddc4b23f79af53e0d6adf53903744d3aa74da8bc0f745a0",
+    "concurrent-commit": "102193dd12fca5f4e41c47eb677a4fbc2f7c39f31c4d2209db334d83c559ea4c",
+    "concurrent-commit-serial": "5b2ab7ba17f8f9b62455d71d2ef517f24aa6459705e68ec5a11ba3dd8a501059",
+    "digest-mismatch-retry": "f31efb9ff7346cddc6f5da23fb018d9d0a07bafc1fb58686717bedac494ea1f9",
+    "revoke-carrier": "d782d505ac2c0b094f88f603e14b7bd304bb53ce9e50e959899888fdc222e5f2",
+    "rotate-resync": "411836f672c876fde4aa2520a5c24d86a235adcc9ca910ae8dda3d7c1dd8d6c6",
+    "two-network": "18b47499375a996faa3b9c00af3d347c9185a9464b02c47a7ce4c9ab6a262545",
 }
 
 
@@ -345,7 +362,10 @@ def test_sync_costs_are_closed_forms_in_k(monkeypatch, k):
     agent.start_session("sync", agent.sync_network("NA", "NB"))
     world.settle()
     sent = [e.detail["msg_kind"] for e in world.trace.events[first:] if e.kind == "bus.send"]
-    assert len(sent) == 2 * k * k + 6 * k + 4
+    # step A leaves each holder a witness at its anchor's current epoch, so
+    # no challenge waits on a refresh (2k^2 + 6k + 4 while one did)
+    assert len(sent) == 2 * k * k + 6 * k + 2
+    assert not any(m.startswith("anchor.witness.") for m in sent)
     assert calls["sign"] == k * k + k
     assert calls["verify"] == 5 * k * k + 3 * k
     assert calls["executed"] == k * k + 4 * k + 1

@@ -20,16 +20,17 @@ CONCURRENT_COMMIT = {
     "agent.countersign.request": (2, 2),
     "agent.membership_vp.reply": (2, 2),
     "agent.membership_vp.request": (2, 2),
-    "anchor.witness.reply": (1, 1),
-    "anchor.witness.request": (1, 1),
     "anchor.vc.reply": (0, 4),  # step A asks once more; it also carries the verinym
     "anchor.vc.request": (0, 4),
     "cmdac.reply": (0, 2),  # the lost batch is sent once more
     "cmdac.submit": (0, 2),
     "iin.ack": (0, 21),  # 2f of the 3 other replicas' acks suffice
     "iin.order": (0, 21),
-    "iin.query": (0, 12),  # a read asks the other nodes after its timeout
-    "iin.query.reply": (0, 12),
+    # a read asks the other nodes after its timeout; step A leaves every
+    # witness current here, so no refresh is sent (its 2 runs each failed),
+    # and the shifted timing adds one countersigner's gate read (2 sends)
+    "iin.query": (0, 14),
+    "iin.query.reply": (0, 14),
     "iin.submit.reply": (0, 7),  # a lost receipt is read back from the applied set
 }
 
@@ -38,7 +39,7 @@ def test_single_drops_of_concurrent_commit_fail_as_pinned():
     refused = collections.Counter()
     runs, failed, revoked, flips_failed = loss_search.single("concurrent-commit", refused)
     assert {kind: (failed[kind], runs[kind]) for kind in runs} == CONCURRENT_COMMIT
-    assert sum(failed.values()) == 17 and sum(runs.values()) == 102
+    assert sum(failed.values()) == 15 and sum(runs.values()) == 104
     assert revoked == []
     assert flips_failed == 0
     assert refused == {}
@@ -49,12 +50,19 @@ def test_duplicated_registry_submits_of_concurrent_commit_fail_as_pinned():
     batch twice, and the writer takes whichever receipt arrives first. In 1
     of the 7 runs that is the second ordering's, every transaction of it
     `Duplicate`, so AnchorSTL's publication fails though its batch applied
-    (ROADMAP item 26). Mending that lowers the pin to 0."""
+    (ROADMAP item 26). Mending that lowers the pin to 0.
+    The work beyond the lossless run is pinned too: each batch ordered
+    twice costs 3 orders, 3 acks and a second receipt (7 sends) and 3
+    signatures, less a countersigner's 4-send gate read that the shifted
+    timing skips; one run adds 8 sends of a replica's catch-up, and the
+    failing run stops short (-81 sends, -35 signatures)."""
     refused = collections.Counter()
+    work = {}
     runs, failed, revoked, flips_failed = loss_search.single(
-        "concurrent-commit", refused, action="duplicate", kind="iin.submit"
+        "concurrent-commit", refused, action="duplicate", kind="iin.submit", work=work
     )
     assert (failed["iin.submit"], runs["iin.submit"]) == (1, 7)
+    assert work == {"iin.submit": [6 * 3 + 8 - 81, 6 * 3 - 35]}
     assert runs.keys() == {"iin.submit"}
     assert revoked == []
     assert flips_failed == 0
