@@ -196,10 +196,14 @@ class Actor:
         return self.rng.randbytes(16)
 
     def start_session(self, label: str, gen: Session) -> SessionRecord:
-        self._next_sid += 1
-        record = SessionRecord(sid=self._next_sid, label=label, gen=gen)
-        self._sessions[record.sid] = record
+        record = self._new_session(label, gen)
         self._advance(record.sid, None)
+        return record
+
+    def _new_session(self, label: str, gen: Session) -> SessionRecord:
+        """A session of `gen`, not yet run: `_advance(record.sid, None)` starts it."""
+        self._next_sid += 1
+        record = self._sessions[self._next_sid] = SessionRecord(self._next_sid, label, gen)
         return record
 
     # --- runtime -------------------------------------------------------------

@@ -19,42 +19,41 @@ The agent is the org's protocol engine for the identity plane:
           when step C follows, and its internal consistency;
   step D  commit the bundles to the local ledger: send every other local org
           one countersign request that lists the statement of each bundle,
-          all of one foreign network;
-          each org validates every statement independently, answers per
-          statement and signs once, over the digests of the statements it
-          endorses. The statements every org endorsed go to the ledger in one
-          `cmdac.submit`, with each org's batch and signature once; the
-          ledger runs the contract on each statement on its own and answers
-          one outcome per statement. On a digest mismatch the agent refetches
-          and retries up to its retry budget.
+          all of one foreign network, with the epochs and each holder's
+          endpoint that the initiator's gate read gave. Each org validates
+          every statement independently, challenging each holder in the tick
+          of its own gate read (the challenge counts only when that read
+          names the same), answers per statement and signs once, over the
+          digests of the statements it endorses. The statements every org
+          endorsed go to the ledger in one `cmdac.submit`, with each org's
+          batch and signature once; the ledger runs the contract on each
+          statement on its own and answers one outcome per statement. On a
+          digest mismatch the agent refetches and retries up to its budget.
 
 A sync runs in rounds. A round passes the memberlist gate, whose one read
-holds the snapshot of all of its targets, and runs B and C for each target
-in a session of its own. Step D then commits the targets that passed in at
-most two batches, each of whose records has its final verdict when its
-batch returns: the new targets, whose DID has no ACTIVE record on the
-ledger, as soon as their own checks have ended, and the others that
-changed once theirs have. The targets with a digest mismatch run again as
+holds the snapshot of all of its targets, and runs B and C for each target in
+a session of its own, which a countersign batch for the same holder that
+arrives meanwhile joins before it decides. Step D then commits the targets
+that passed in at most two batches: the new targets, whose DID has no ACTIVE
+record on the ledger, as soon as their own checks have ended, and the others
+that changed once theirs have. The targets with a digest mismatch run again as
 the next round, which starts once both batches have settled and passes the
-gate afresh. One refused statement fails only its own target; only a
-submit lost, or answered with an error, fails every target it carried.
-A full sync (every listed member) reads the ledger's records of the foreign
-network once, in a session that runs alongside its memberlist gate and ends
-before its first round: a target whose checked record the ledger already
-holds skips step D and ends UNCHANGED, so the targets it holds ACTIVE nearly
-always send no batch. It flips an ACTIVE record to REVOKED only on evidence
-against its holder: a target whose checks refute it (a protocol error
-outside UNCHECKED) ends FAILED and its flip rides its round's batch, and the
-records whose holder the fresh list lacks are flipped in one batch started
-once the records read and the gate have both returned, alongside the
-rounds, as the gate's list is written in the same registry transaction as
-the revocation state. An unchecked holder, or a failed step D, flips
-nothing. `_settle` turns every verdict of a sync into its statements and
-results. A targeted sync reads no records, so all of its targets are new,
-and commits every target that passed. A resync (a scheduled scenario step,
-or a proof failure in the data plane; the harness starts it, no message
-does) runs a full sync of every network on the interoperation list,
-committing rotated bundles and re-admissions and flipping refuted members.
+gate afresh. One refused statement fails only its own target; only a submit
+lost, or answered with an error, fails every target it carried. A full sync
+(every listed member) reads the ledger's records of the foreign network once,
+alongside its memberlist gate: a target whose checked record the ledger
+already holds skips step D and ends UNCHANGED, so the targets it holds ACTIVE
+nearly always send no batch. It flips an ACTIVE record to REVOKED only on
+evidence against its holder: a target whose checks refute it (a protocol error
+outside UNCHECKED) ends FAILED and its flip rides its round's batch, and a
+record whose holder the fresh list lacks is flipped in a batch of its own,
+alongside the rounds (`sync_network`). An unchecked holder, or a failed step
+D, flips nothing. `_settle` turns every verdict of a sync into its statements
+and results. A targeted sync reads no records, so all of its targets are new,
+and commits every target that passed. A resync (a scheduled scenario step, or
+a proof failure in the data plane; the harness starts it, no message does)
+runs a full sync of every network on the interoperation list, committing
+rotated bundles and re-admissions and flipping refuted members.
 
 Each home ledger's policy, its interoperation list and its trust list, is
 fixed in its genesis state, and the agent is configured with it
@@ -71,6 +70,7 @@ the requested one.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from typing import Generator, Optional, Sequence, TypeVar
 
@@ -81,6 +81,7 @@ from . import encoding as enc
 from . import network as net
 from . import registry
 from .actors import Actor, Gather, Join, Reply, Request, SessionRecord, Sleep
+from .bus import UnknownEndpoint
 
 PHASE_DONE = "DONE"
 PHASE_FAILED = "FAILED"
@@ -211,6 +212,8 @@ def _caught(gen: Generator) -> Generator:
 @dataclass(frozen=True)
 class CountersignRequest(enc.Record):  # agent.countersign.request: one network's statements
     statements: tuple[enc.Framed[net.Endorsement], ...]
+    epochs: tuple[tuple[str, int], ...] = ()  # as the initiator's gate read gave them
+    endpoints: tuple[str, ...] = ()  # per statement: its ACTIVE holder's, as that read gave
 
 
 @dataclass(frozen=True)
@@ -283,6 +286,8 @@ class IinAgent(Actor):
         self._memberlists: dict[str, creds.MemberlistCredential] = {}
         # home network -> the witness refresh last started (see _freshen_witness)
         self._refreshing: dict[str, SessionRecord] = {}
+        # (foreign network, holder DID) -> the steps B and C a sync round last started
+        self._checking: dict[tuple[str, str], SessionRecord] = {}
 
     REQUESTS = {
         "agent.membership_vp.request":
@@ -487,42 +492,47 @@ class IinAgent(Actor):
         memberlist: Optional[creds.MemberlistCredential] = None,
         with_bundle: bool = False,
         snapshot: Optional[registry.MemberSnapshot] = None,
+        early: Optional[tuple[str, creds.Challenge, SessionRecord]] = None,
     ) -> Generator:
-        """Resolve, challenge, and verify one foreign member (step B) and,
-        with `with_bundle`, check the certificate bundle that the same
-        presentation carries (step C). A `memberlist`, when given, must list
-        `target_did` (NotListed). Returns (claim, record): `record` is the
-        checked ACTIVE `net.RecordContent` with `with_bundle`, else None.
+        """Resolve, challenge, and verify one foreign member (step B) and, with
+        `with_bundle`, check the certificate bundle that the same presentation
+        carries (step C). A `memberlist`, when given, must list `target_did`
+        (NotListed). Returns (claim, record): `record` is the checked ACTIVE
+        `net.RecordContent` with `with_bundle`, else None.
 
-        The checks read nothing but one registry snapshot (`_read_members`),
-        taken before the challenge, so a revocation committed before it fails
-        check 6; a `snapshot` given is that read, made for several holders at
-        once, most often by the memberlist gate that passed them
-        (`_fetch_memberlist`). A credential naming a credential definition
-        the snapshot lacks fails check 5, and one whose issuer the trust list
-        names for another network fails check 6, as the snapshot holds no
-        state for it. The
-        challenge names each state's epoch, and a holder with an older witness
-        refreshes it at its anchor. A witness newer than the snapshot means an
-        issuance or revocation by its issuer landed during the round trip, so
-        the snapshot is read once more and an honest holder is not refused
-        for it; the holder's own revocation then is seen only by the next
-        validation, as its refresh is refused. A challenge with no reply, and
-        a holder whose refresh got none (it answers WitnessUnavailable), are
-        MemberUnreachable: the holder went unchecked. Any other error answer,
-        and a presentation that does not decode, are BadPresentation."""
+        The checks read nothing but one registry snapshot (`_read_members`), so
+        a revocation committed before it fails check 6; a `snapshot` given is
+        that read, made for several holders at once, most often by the
+        memberlist gate that passed them (`_fetch_memberlist`). A credential
+        naming a credential definition the snapshot lacks fails check 5, and
+        one whose issuer the trust list names for another network fails check
+        6, as the snapshot holds no state for it. The challenge names each
+        state's epoch, and a holder with an older witness refreshes it at its
+        anchor. An `early` (endpoint, challenge, session), sent while the
+        snapshot was read, is the challenge only when it went to the snapshot's
+        endpoint naming its epochs and `with_bundle`, else a fresh one is sent:
+        every check runs on the snapshot, so it changes no verdict. A witness
+        newer than the snapshot means an issuance or revocation by its issuer
+        landed during the round trip, so the snapshot is read once more and an
+        honest holder is not refused for it; the holder's own revocation then
+        is seen only by the next validation, as its refresh is refused. A
+        challenge with no reply, and a holder whose refresh got none (it
+        answers WitnessUnavailable), are MemberUnreachable: the holder went
+        unchecked. Any other error answer, and a presentation that does not
+        decode, are BadPresentation."""
         if memberlist is not None and target_did not in memberlist.member_dids:
             raise NotListed(target_did)
         trusted, _ = self._trusted(home_network, foreign_network)
         if snapshot is None:
             snapshot = yield from self._read_members(home_network, foreign_network, (target_did,))
         (doc, _), revocation = snapshot.holder(target_did), snapshot.revocation()
-        epochs = {issuer: state.epoch for issuer, state in revocation.items()}
-        nonce = self.nonce()
-        challenge = creds.Challenge(foreign_network, nonce, tuple(epochs.items()), int(with_bundle))
-        reply = yield Request(
-            doc.service_endpoint, "agent.membership_vp.request", challenge, timeout=400
-        )
+        epochs = tuple((issuer, state.epoch) for issuer, state in revocation.items())
+        challenge = creds.Challenge(foreign_network, b"", epochs, int(with_bundle))
+        if early and early[:2] == (doc.service_endpoint, replace(challenge, nonce=early[1].nonce)):
+            challenge, (reply,) = early[1], (yield Join(early[2:]))
+        else:
+            challenge = replace(challenge, nonce=self.nonce())
+            reply = yield from self._challenge(doc.service_endpoint, challenge)
         if reply is None or reply.error == WitnessUnavailable.__name__:
             raise MemberUnreachable(target_did + (f": {reply.error}" if reply else ""))
         if reply.error:
@@ -538,7 +548,7 @@ class IinAgent(Actor):
             snapshot = yield from self._read_members(home_network, foreign_network, (target_did,))
         artifacts = snapshot.artifacts(target_did, issuer, MEMBERSHIP_SCHEMA_ID, cred_def_id)
         claim = creds.verify_membership_vp(
-            vp, foreign_network, nonce, trusted, artifacts, vp_body
+            vp, foreign_network, challenge.nonce, trusted, artifacts, vp_body
         )
         self.trace(
             "agent.member_validated", network=foreign_network, holder=claim.holder_did
@@ -547,6 +557,10 @@ class IinAgent(Actor):
         if with_bundle:
             record = yield from self._fetch_identity(foreign_network, target_did, vp_body.bundle)
         return claim, record
+
+    def _challenge(self, endpoint: str, challenge: creds.Challenge) -> Generator:
+        """The holder at `endpoint`'s reply to `challenge`, or None when none came."""
+        return (yield Request(endpoint, "agent.membership_vp.request", challenge, timeout=400))
 
     # --- step C: check network identity ----------------------------------------
 
@@ -582,7 +596,9 @@ class IinAgent(Actor):
 
     # --- step D: consensus commit ----------------------------------------------
 
-    def _commit_identity(self, home_network: str, records: list[net.RecordContent]) -> Generator:
+    def _commit_identity(
+        self, home_network: str, records: list[net.RecordContent], snapshot=None
+    ) -> Generator:
         """Step D for a non-empty batch of `records`: make each one's
         statement (`net.Endorsement`) now and ask every other local org to
         countersign all of them in one request. This org signs one batch
@@ -603,7 +619,12 @@ class IinAgent(Actor):
             for org, addr in self.config.peer_agents[home_network].items()
             if org != self.org_id
         )
-        request_body = CountersignRequest(tuple(statements))
+        hints = (  # as `_validate_member` names the epochs
+            tuple((issuer, state.epoch) for issuer, state in snapshot.revocation().items()),
+            tuple(snapshot.holder(r.holder_did)[0].service_endpoint
+                  if r.status == net.STATUS_ACTIVE else "" for r in records),
+        ) if snapshot else ()
+        request_body = CountersignRequest(tuple(statements), *hints)
         replies = yield Gather(
             tuple((addr, "agent.countersign.request", request_body) for _, addr in peers),
             timeout=1500,
@@ -699,31 +720,30 @@ class IinAgent(Actor):
         return verdicts
 
     def _handle_countersign(self, sender: str, request: CountersignRequest) -> Generator:
-        """Judge each statement of the initiator's batch here (`_countersign`)
-        and answer, per statement and in order, SIGNED, a digest mismatch or
-        the reason it failed; once every answer is settled, sign one batch
+        """Judge each statement of the initiator's batch here (`_countersign`) and
+        answer, per statement and in order, SIGNED, a digest mismatch or the
+        reason it failed; once every answer is settled, sign one batch
         (`net.Endorsed`) of the digests of the statements answered SIGNED, in
-        request order, or sign nothing when there is none. Every statement of
-        a batch names one home and one foreign network: initiators batch one
-        network's records at a time. A statement made later than this org's
-        clock, which no later commit would make stale, refuses the batch as
-        FutureStatement. The REVOKED ones share one read of the ledger's
-        records, which settles each it does not match, and each of them when
-        it fails (`_holder`); it runs in a session of its own, alongside the
-        batch's memberlist gate, and is joined before any statement is
-        judged. The batch makes at most one registry read, decided from this
-        org's own state alone. It reads nothing when it holds no REVOKED
-        statement and every ACTIVE holder is cached (`_cached`) and on the
-        last list verified here (the reused list). Otherwise its one read is the
-        memberlist gate (`_fetch_memberlist`): the registry's current list,
-        in the same state as the revocation states and the documents of
-        every listed holder, so any holder the batch checks is read with no
-        second read. A REVOKED statement is thus always judged on a fresh
-        list: a reused one that lacks a re-admitted member would endorse a
-        lying initiator's revocation. A member revoked since the reused list
-        was verified is signed while it stays cached: a cached identity skips
-        steps B and C, and the batch that reads nothing sees no fresh
-        revocation state."""
+        request order, or nothing when there is none. A batch names one home
+        and one foreign network. A statement made later than this org's clock,
+        which no later commit would make stale, refuses the batch as
+        FutureStatement. A batch that arrives while this org's own sync round
+        checks one of its ACTIVE holders joins that check first, so it decides
+        as it would had it arrived after: one answer, whatever the latency. The
+        REVOKED statements share one read of the ledger's records (`_holder`),
+        alongside the memberlist gate. The batch makes at most one registry
+        read, decided from this org's own state alone: none when it holds no
+        REVOKED statement and every ACTIVE holder is cached (`_cached`) and on
+        the last list verified here, and otherwise the memberlist gate
+        (`_fetch_memberlist`), whose snapshot holds every holder the batch
+        checks. A REVOKED statement is thus always judged on a fresh list: a
+        reused one that lacks a re-admitted member would endorse a lying
+        initiator's revocation. A member revoked since the reused list was
+        verified is signed while it stays cached. Each uncached ACTIVE holder
+        is challenged in the gate read's tick, where and at the epochs the
+        initiator's read named (`CountersignRequest`); that challenge counts
+        only when this org's own read names the same (`_validate_member`), so a
+        hint chooses where one challenge per statement goes, never an answer."""
         statements = request.statements
         # a batch names one pair of networks: none, or two, is a ValueError
         ((home_network, foreign_network),) = {(s.home_network, s.foreign_network) for s in statements}
@@ -738,30 +758,39 @@ class IinAgent(Actor):
         interop, _ = self.config.policies[home_network]
         if foreign_network not in interop:
             return refused("PolicyViolation")
-        reading = None
-        if any(s.status != net.STATUS_ACTIVE for s in statements):
-            # the records read runs alongside the memberlist gate
-            reading = self.start_session(
-                "records", _caught(self._ledger_records(home_network, foreign_network))
-            )
+        active = [s.holder_did for s in statements if s.status == net.STATUS_ACTIVE]
+        # decide as after this org's own checks of the same holders
+        yield Join(tuple(filter(None, (self._checking.get((foreign_network, h)) for h in active))))
+        # the records read runs alongside the memberlist gate
+        reading = self.start_session(
+            "records", _caught(self._ledger_records(home_network, foreign_network))
+        ) if len(active) < len(statements) else None
         memberlist = self._memberlists.get(foreign_network)
-        gate: object = (memberlist, None)
+        gate, early = (memberlist, None), {}
         if reading is not None or any(
             self._cached(foreign_network, s.holder_did) is None
             or memberlist is None or s.holder_did not in memberlist.member_dids
             for s in statements
         ):
-            try:
-                gate = yield from self._fetch_memberlist(home_network, foreign_network)
-            except PROTOCOL_ERRORS as e:
-                gate = e
+            gating = self.start_session(
+                "gate", _caught(self._fetch_memberlist(home_network, foreign_network))
+            )
+            for s, endpoint in zip(statements, request.endpoints):
+                holder = s.holder_did if s.status == net.STATUS_ACTIVE and endpoint else None
+                if holder and not self._cached(foreign_network, holder):
+                    challenge = creds.Challenge(foreign_network, self.nonce(), request.epochs, 1)
+                    with suppress(UnknownEndpoint):  # an address no actor holds: none
+                        early[holder] = (endpoint, challenge, self.start_session(
+                            "challenge", self._challenge(endpoint, challenge)
+                        ))
+            (gate,) = yield Join((gating,))
         records: object = ()
         if reading is not None:
             (records,) = yield Join((reading,))
         holders = [self._holder(s, records) for s in statements]
         # each check ends with its refusal, or the digest it endorsed
         settled = yield Join(tuple(
-            self.start_session("countersign", self._countersign(home_network, s, h, gate))
+            self.start_session("countersign", self._countersign(home_network, s, h, gate, early))
             for s, h in zip(statements, holders)
         ))
         endorsed = net.Endorsed(tuple(a for a in settled if isinstance(a, bytes)))
@@ -790,20 +819,22 @@ class IinAgent(Actor):
         return record.holder_did
 
     def _countersign(
-        self, home_network: str, statement: net.Endorsement, holder: object, gate: object
+        self, home_network: str, statement: net.Endorsement, holder: object, gate: object,
+        early: dict,
     ) -> Generator:
         """Answer `statement` with the digest it endorses, or its refusal.
         `holder` is the DID to judge or the statement's settled answer
-        (`_holder`); `gate` is the batch's (memberlist, snapshot), or the
-        error its memberlist gate failed with, which refuses the statement
-        by name. The holder is judged once: NotListed when the list lacks
-        it, then its cached identity (ACTIVE only, so a revoked member's old
-        bundle cannot be signed back to ACTIVE) or its validation on the
-        gate's snapshot, then OrgMismatch. An ACTIVE statement is signed when
-        the holder passes with the statement's digest. A REVOKED one is
-        refused as MemberStillValid when the holder passes, and endorsed,
-        under the holder's DID, only when the judgement refutes it: one that
-        could not check the holder (UNCHECKED) refuses it by name."""
+        (`_holder`); `gate` is the batch's (memberlist, snapshot), or the error
+        its memberlist gate failed with, which refuses the statement by name,
+        and `early` the batch's early challenges by holder DID. The holder is
+        judged once: NotListed when the list lacks it, then its cached identity
+        (ACTIVE only, so a revoked member's old bundle cannot be signed back to
+        ACTIVE) or its validation on the gate's snapshot, then OrgMismatch. An
+        ACTIVE statement is signed when the holder passes with the statement's
+        digest. A REVOKED one is refused as MemberStillValid when the holder
+        passes, and endorsed, under the holder's DID, only when the judgement
+        refutes it: one that could not check the holder (UNCHECKED) refuses it
+        by name."""
         if isinstance(holder, Answer):
             return holder
         if isinstance(gate, Exception):
@@ -816,7 +847,8 @@ class IinAgent(Actor):
             identity = self._cached(network, holder) if active else None
             if identity is None:
                 _, identity = yield from self._validate_member(
-                    home_network, network, holder, with_bundle=active, snapshot=snapshot
+                    home_network, network, holder, with_bundle=active, snapshot=snapshot,
+                    early=early.get(holder),
                 )
             if active and identity.org_id != statement.foreign_org:
                 raise OrgMismatch(f"{identity.org_id} presented as {statement.foreign_org}")
@@ -953,16 +985,17 @@ class IinAgent(Actor):
             )))
             for did in dids
         }
+        self._checking.update(((foreign_network, did), s) for did, s in checks.items())
         active = {r.holder_did for r in held if r.status == net.STATUS_ACTIVE}
         new = {did: s for did, s in checks.items() if did not in active}
         known = {did: s for did, s in checks.items() if did in active}
         # the new targets commit in a session of their own, as soon as their
         # own checks have ended, while the known ones finish theirs
         early = (self.start_session(
-            "commit", self._settle(home_network, foreign_network, new, attempt, held)
+            "commit", self._settle(home_network, foreign_network, new, attempt, held, snapshot)
         ),) if new and known else ()
         results, retry = yield from self._settle(
-            home_network, foreign_network, known or new, attempt, held
+            home_network, foreign_network, known or new, attempt, held, snapshot
         )
         for ended, again in (yield Join(early)):
             results.update(ended)
@@ -976,6 +1009,7 @@ class IinAgent(Actor):
         checks: dict[str, SessionRecord],
         attempt: int,
         held: Sequence[net.RecordContent],
+        snapshot: Optional[registry.MemberSnapshot] = None,
         gone: Sequence[net.RecordContent] = (),
     ) -> Generator:
         """Join the steps B and C `checks` of a round's targets, by DID, and
@@ -1003,7 +1037,7 @@ class IinAgent(Actor):
         ready += [replace(record, status=net.STATUS_REVOKED) for record in flips]
         if not ready:
             return results, ()
-        verdicts = yield from self._commit_identity(home_network, ready)
+        verdicts = yield from self._commit_identity(home_network, ready, snapshot)
         retry = []
         for record, verdict in zip(ready, verdicts):
             did = record.holder_did
@@ -1069,7 +1103,7 @@ class IinAgent(Actor):
             ]
             if gone:
                 early = (self.start_session("revoke", self._settle(
-                    home_network, foreign_network, {}, 1, (), gone
+                    home_network, foreign_network, {}, 1, (), gone=gone
                 )),)
         ended: dict[str, dict] = {}
         pending, attempt = dids, 1

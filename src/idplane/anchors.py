@@ -194,10 +194,12 @@ class AnchorService(Actor):
             taken = list(takewhile(lambda e: e.factory is None, self._queue))
             label, gen = "anchor.batch", self._write_batch(taken)
         del self._queue[:len(taken)]
-        record = self.start_session(label, gen)
+        record = self._new_session(label, gen)
         for entry in taken:
             entry.write = record
         self._taken = taken[-1]
+        # run only now: a write the op queues before its first wait sees this one in flight
+        self._advance(record.sid, None)
 
     def _leaves(self) -> tuple[bytes, ...]:
         """The accumulator's leaves: the credential ids of every roster, sorted."""

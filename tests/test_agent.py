@@ -18,6 +18,7 @@ from conftest import (
     Raw, add_probe, ask, bootstrapped_runner, fixed_latency, readmitted_carrier_world,
     scenario_config,
 )
+from critical_path import critical_path, sync_steps
 
 
 def run_sync(world, initiator, home, foreign, targets=None):
@@ -988,6 +989,68 @@ class TestConcurrentSync:
         assert not [e for e in world.trace.events[start:] if e.kind == "session.failed"]
 
 
+class TestCountersignOverlap:
+    """A countersigner's challenges leave with its gate read, and a batch
+    that reaches an org during that org's own check of the same holder joins
+    the check: both at every latency fixed at 2 ticks."""
+
+    def test_each_countersigner_challenges_in_its_gate_reads_tick(self):
+        """In both of two-network's syncs, Seller's first challenge leaves in
+        the tick of its first registry read, not once the read has
+        returned: Buyer's sync of STL takes 20 ticks and Carrier's of SWT
+        24 (24 and 28 while Seller challenged after its read, 4 ticks
+        later)."""
+        runner = harness.ScenarioRunner(fixed_latency("two-network"))
+        assert runner.run().ok
+        ticks = {}
+        for step, events in sync_steps(runner):
+            [org] = step["initiators"]
+            path = critical_path(events, f"agent:{org}")
+            [signer] = path["signers"].values()
+            assert signer["first_challenge"] == signer["gate"] is not None
+            ticks[org] = path["committed"] - path["start"]
+        assert ticks == {"Buyer": 20, "Carrier": 24}
+
+    @pytest.mark.parametrize("name, signer, occurrence, sends", [
+        # Seller's batch reaches Buyer during Buyer's own sync of STL (104
+        # sends while Buyer read a snapshot for it)
+        ("concurrent-commit", "Buyer", 1, 100),
+        # Buyer's batch reaches Seller during Seller's own resync, whose
+        # cleared cache made it read again (134 sends while it did)
+        ("rotate-resync", "Seller", 2, 130),
+    ], ids=("concurrent-commit", "rotate-resync"))
+    def test_a_batch_joins_its_countersigners_own_check_of_the_holder(
+        self, name, signer, occurrence, sends
+    ):
+        """With Carrier's reply to `signer`'s challenge 4 ticks late, the
+        other initiator's batch reaches `signer` while its own sync still
+        checks Carrier. `signer` joins that check, answers from the identity
+        it cached in the tick the check ends, and reads nothing."""
+        runner = harness.ScenarioRunner(fixed_latency(name))
+        runner.world.bus.config.rules.append(FaultRule(
+            "delay", from_="agent:Carrier", to=f"agent:{signer}",
+            kind="agent.membership_vp.reply", occurrence=occurrence, delay=4,
+        ))
+        assert runner.run().ok
+        events = runner.world.trace.events
+        asked = [
+            e.tick for e in events if e.kind == "bus.send" and e.detail["to"] == f"agent:{signer}"
+            and e.detail["msg_kind"] == "agent.countersign.request"
+        ][-1]
+        checked = next(
+            e.tick for e in events if e.tick >= asked and e.actor == f"agent:{signer}"
+            and e.kind == "agent.identity_fetched" and e.detail["org"] == "Carrier"
+        )
+        answered = next(
+            e.tick for e in events if e.tick >= asked and e.kind == "bus.send"
+            and e.detail["from"] == f"agent:{signer}"
+            and e.detail["msg_kind"] == "agent.countersign.reply"
+        )
+        assert asked + 2 < checked == answered  # delivered mid-check; answered as it ends
+        assert [e for e in sends_from(runner.world, signer, "iin.query") if e.tick > asked] == []
+        assert sum(e.kind == "bus.send" for e in events) == sends
+
+
 def commit_alone(world, org_id, foreign_did, bundle, **kwargs):
     """Buyer alone asks for an ACTIVE commit of STL's `org_id` into SWT, the
     one record of its batch; returns the verdict on it."""
@@ -1644,12 +1707,13 @@ class TestResync:
         the held Seller is checked, and Seller's new bundle in another.
         Seller, countersigning its own rotated bundle, checks itself afresh
         rather than answer from its stale cached copy, so both commit at
-        attempt 1: with every latency fixed at 2 ticks, 30 sends and 28
+        attempt 1: with every latency fixed at 2 ticks, 30 sends and 24
         ticks (38 and 49 while that copy sent Seller's target into a retry
-        round). At the scenario's own latencies the set-up's sends move the
-        bus's seeded draws: 30 ticks with the two-round-trip step A, 28 with
-        the one-round-trip one, and 30 once no holder refreshes the witness
-        step A gave it."""
+        round; 28 while each countersigner challenged only once its gate
+        read had returned, not in the same tick). At the scenario's own
+        latencies the set-up's sends move the bus's seeded draws: 30 ticks
+        with the two-round-trip step A, 28 with the one-round-trip one, and
+        30 once no holder refreshes the witness step A gave it."""
         world = readmitted_carrier_world(fixed_latency("two-network"))
         seller = world.organizations[("STL", "Seller")]
         seller.rotate(world.bus.now)
@@ -1663,7 +1727,7 @@ class TestResync:
         assert agent_events(world, "Seller", {"agent.countersign_mismatch"}, start) == []
         events = world.trace.events[start:]
         resync = next(e.tick for e in events if e.kind == "agent.resync")
-        assert max(e.tick for e in events) - resync == 28
+        assert max(e.tick for e in events) - resync == 24
         assert sum(e.kind == "bus.send" for e in events) == 30
         state = world.ledger_state("SWT")
         assert state.get_record("STL", "Carrier").content.status == "ACTIVE"

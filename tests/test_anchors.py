@@ -766,6 +766,26 @@ class TestGroupCommit:
         assert isinstance(record.result, Issued)
         assert ticks["behind"] == ticks["answered"] < ticks["later"]
 
+    def test_an_op_that_queues_the_next_at_once_runs_before_it(self, world):
+        """A serialized op that queues the next one before its first wait
+        still runs alone: the next starts only once it has ended."""
+        anchor = world.anchors["AnchorSTL"]
+        spans = {}
+
+        def write(name, then=None):
+            def op():
+                if then is not None:
+                    anchor.enqueue_serialized(then, write(then))
+                start = world.bus.now
+                yield Sleep(10)
+                spans[name] = (start, world.bus.now)
+            return op
+
+        anchor.enqueue_serialized("first", write("first", then="second"))
+        world.settle()
+        (_, first_end), (second_start, _) = spans["first"], spans["second"]
+        assert first_end <= second_start
+
     def test_a_holder_revoked_behind_its_batch_keeps_the_write_time_witness(self, world):
         """Carrier asks again, and its revocation is queued while that batch
         is in flight: the reply waits for the revocation and carries the

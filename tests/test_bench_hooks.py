@@ -83,17 +83,16 @@ def test_benchmark_worlds_parse():
 
 
 @pytest.mark.parametrize("workload, sends, applied, sync_ticks", [
-    # step A leaves each witness current, so no timed sync refreshes one:
-    # wide-sync loses its two refreshes (360 -> 356 sends, 35/33 -> 32/30
-    # ticks); in commit-race's race (18 -> 19 ticks) a countersigner's
-    # cached gate misses and it reads the registry (-2 witness sends, +4
-    # read sends), as in concurrent-commit
-    ("wide-sync", 356, 16, [32, 30]),
-    ("commit-race", 24, 1, [19]),
+    # each countersigner's challenges leave with its gate read, not after
+    # it: wide-sync 32/30 -> 27/25 ticks with the same sends. In
+    # commit-race's race the batch that reaches an org during its own check
+    # of Carrier joins that check and reads nothing (24 -> 20 sends, 19 ->
+    # 16 ticks)
+    ("wide-sync", 356, 16, [27, 25]),
+    ("commit-race", 20, 1, [16]),
     # a re-admission is one credential round trip, one holder read and one
-    # batch; the set-up's fewer sends move the seeded latency draws, which
-    # alone move the ticks (16/21/41 before)
-    ("proof-churn", 164, 3, [20, 26, 43]),
+    # batch; the resync after it challenges early too (43 -> 39 ticks)
+    ("proof-churn", 164, 3, [20, 26, 39]),
 ], ids=("wide-sync", "commit-race", "proof-churn"))  # stable across re-pins
 def test_one_unit_of_each_workload_keeps_its_exact_traffic(
     monkeypatch, workload, sends, applied, sync_ticks
@@ -102,6 +101,20 @@ def test_one_unit_of_each_workload_keeps_its_exact_traffic(
     commits and sync tick spans its end-to-end metrics are made of."""
     run = run_one_unit(monkeypatch, workload)
     assert (run.sends, run.applied, run.sync_ticks) == (sends, applied, sync_ticks)
+
+
+def test_every_commit_race_unit_sends_20(monkeypatch):
+    """Both SWT orgs race to commit Carrier. Each one's countersign batch
+    reaches the other while that org checks Carrier itself, or after: it
+    joins that check and answers from the identity it caches, with no
+    registry read, whatever the latency draws. Answering mid-check with a
+    read of its own made 3 of these 8 units send 24."""
+    workloads = load_workloads(monkeypatch)
+    run = workloads.Run(seed=7, n_units=8)
+    workloads.WORKLOADS["commit-race"][0](run)
+    assert run.failed == 0, run.failures
+    races = [[item[2] for item in unit if str(item[0]).startswith("race ")] for unit, _ in run.units]
+    assert races == [[20]] * 8
 
 
 def test_a_proof_churn_re_admission_takes_14_sends(monkeypatch):

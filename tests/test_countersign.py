@@ -10,6 +10,10 @@ cached identity), and pins the answer and whether the holder was validated.
 A REVOKED statement is endorsed only when the holder's validation was
 refuted: a validation that could not check the holder (`MemberUnreachable`,
 `QuorumUnavailable`, `InconsistentReplicas`) refuses it by name.
+
+The hint rows (`HINT_ROWS`) keep Seller's real gate and validation and vary
+the initiator's hints, which choose where and at which epochs an early
+challenge goes: each ends with the answer Seller gives with no hint.
 """
 
 from dataclasses import replace
@@ -21,6 +25,7 @@ from idplane import agent as agent_mod
 from idplane import credentials as creds
 from idplane import network as net
 from idplane import registry
+from idplane.bus import FaultRule
 
 STATED = b"\x01" * 32  # the statement's bundle digest
 OTHER = b"\x02" * 32
@@ -146,7 +151,7 @@ class Inputs:
 
         def validate_member(
             home_network, foreign_network, target_did, memberlist=None, with_bundle=False,
-            snapshot=None,
+            snapshot=None, early=None,
         ):
             # the real check's precondition: a list given must list the target
             if memberlist is not None and target_did not in memberlist.member_dids:
@@ -190,3 +195,77 @@ def test_countersign_decision_table(world, row):
         assert reply.endorsed.statements == (endorsed.digest(),)
     else:
         assert reply.endorsed.statements == () and reply.signature == b""
+
+
+# The early challenge: a batch that reads its gate challenges each uncached
+# ACTIVE holder in the same tick, where and at the epochs the initiator's gate
+# read named (`CountersignRequest.endpoints`, `.epochs`). These rows run
+# Seller's real gate and validation after step A. A hint only chooses where
+# one challenge goes and which epochs it names: each row ends with the answer
+# Seller gives with no hint, and a challenge whose endpoint or epochs differ
+# from Seller's own gate read is followed by a fresh one after the read.
+#
+# (hint, lost) -> (answer, challenges): each challenge Seller sent, by
+# holder org and whether it left in the gate read's tick
+#   hint: "gate's" (the endpoint and epochs the registry holds), "initiator's
+#     endpoint" (the initiator's own address), "no actor's endpoint" (an
+#     address the bus does not know: no early challenge leaves), "stale
+#     epochs" (each one epoch behind), "none" (no hints), "revoked" (a
+#     REVOKED statement that names the holder's endpoint)
+#   lost: the early challenge's reply is dropped
+HINT_ROWS = [
+    ("gate's", False, SIGNED, [("Carrier", True)]),
+    ("initiator's endpoint", False, SIGNED, [("Buyer", True), ("Carrier", False)]),
+    ("no actor's endpoint", False, SIGNED, [("Carrier", False)]),
+    ("stale epochs", False, SIGNED, [("Carrier", True), ("Carrier", False)]),
+    ("none", False, SIGNED, [("Carrier", False)]),
+    ("gate's", True, refused("MemberUnreachable"), [("Carrier", True)]),
+    ("revoked", False, mismatch(b""), []),
+]
+
+
+@pytest.mark.parametrize(
+    "row", HINT_ROWS, ids=[f"{h}{'-lost' if lost else ''}" for h, lost, *_ in HINT_ROWS]
+)
+def test_countersign_hints(world, row):
+    hint, lost, answer, challenges = row
+    seller, buyer = world.agents["Seller"], world.agents["Buyer"]
+    carrier = world.agents["Carrier"]
+    gate = buyer.start_session("gate", buyer._fetch_memberlist("SWT", "STL"))
+    world.settle()
+    _, snapshot = gate.result  # the initiator's gate read
+    epochs = tuple((issuer, state.epoch) for issuer, state in snapshot.revocation().items())
+    endpoint = snapshot.holder(carrier.did)[0].service_endpoint
+    hints = {
+        "gate's": (epochs, (endpoint,)),
+        "initiator's endpoint": (epochs, (buyer.address,)),
+        "no actor's endpoint": (epochs, ("agent:Nobody",)),
+        "stale epochs": (tuple((issuer, epoch - 1) for issuer, epoch in epochs), (endpoint,)),
+        "none": ((), ()),
+        "revoked": (epochs, (endpoint,)),
+    }[hint]
+    status = "REVOKED" if hint == "revoked" else "ACTIVE"
+    digest = world.organizations[("STL", "Carrier")].bundle_digest()
+    statement = net.Endorsement(
+        "SWT", "STL", "Carrier", carrier.did, digest, status, world.bus.now
+    )
+    if lost:
+        world.bus.config.rules.append(FaultRule(
+            "drop", from_=carrier.address, to=seller.address, kind="agent.membership_vp.reply",
+            occurrence=1,
+        ))
+    start = len(world.trace.events)
+    session = seller.start_session(
+        "countersign",
+        seller._handle_countersign("probe", agent_mod.CountersignRequest((statement,), *hints)),
+    )
+    world.settle()
+    assert session.error is None
+    assert session.result.results == (answer,)
+    sent = [e for e in world.trace.events[start:] if e.kind == "bus.send"]
+    [gate_tick] = {e.tick for e in sent if e.detail["msg_kind"] == "iin.query"}
+    by_address = {a.address: org for org, a in world.agents.items()}
+    assert [
+        (by_address[e.detail["to"]], e.tick == gate_tick) for e in sent
+        if e.detail["msg_kind"] == "agent.membership_vp.request"
+    ] == challenges

@@ -49,15 +49,16 @@ SCENARIOS = ("two-network", "concurrent-commit", "revoke-carrier", "rotate-resyn
 @pytest.mark.parametrize(
     "name, sends, queries, memberlists, witnesses, orders, countersigns, signs, verifies",
     [
-        # an anchor answers a credential once the writes queued behind its
-        # batch have ended, with a witness at the epoch they leave: Buyer's
-        # challenge of Carrier no longer waits on a refresh (128 -> 126
-        # sends, 2 -> 1 witness requests). In concurrent-commit no holder
-        # refreshes (1 -> 0), but the shifted timing makes Buyer's countersign
-        # batch miss its cached gate and read the registry (12 -> 14 queries,
-        # 92 -> 93 verifies: the read's memberlist), so sends rise 102 -> 104
+        # a countersign batch that reaches an org while its own sync round
+        # checks the same holder joins that check before it decides: in
+        # concurrent-commit Seller's batch reaches Buyer during Buyer's own
+        # check of Carrier, and Buyer, which read a snapshot for it (104
+        # sends, 14 queries, 93 verifies), now answers from the check's
+        # cached identity with no read (-4 sends, -2 queries, -1 verify: the
+        # read's memberlist). Two-network's early challenges replace the
+        # ones that followed each countersigner's gate read, one for one
         ("two-network", 126, 16, 0, 1, 21, 2, 71, 144),
-        ("concurrent-commit", 104, 14, 0, 0, 21, 2, 59, 93),
+        ("concurrent-commit", 100, 12, 0, 0, 21, 2, 59, 92),
     ],
     ids=("two-network", "concurrent-commit"),  # stable across re-pins
 )
@@ -94,11 +95,13 @@ def test_bundled_scenario_counts(
 
 
 @pytest.mark.parametrize("name, plaintext_bytes", [
-    # no set-up witness refresh (-205 B); concurrent-commit's extra gate read +4,449 B
-    ("two-network", 81_319),
-    ("concurrent-commit", 64_931),
-    ("revoke-carrier", 113_137),
-    ("rotate-resync", 83_238),
+    # each countersign request carries its initiator's gate-read epochs and
+    # one holder endpoint per statement (two-network +242 B over its two
+    # requests); concurrent-commit also loses Buyer's joined gate read
+    ("two-network", 81_561),
+    ("concurrent-commit", 60_489),
+    ("revoke-carrier", 113_395),
+    ("rotate-resync", 83_604),
 ], ids=SCENARIOS)  # stable across re-pins
 def test_bundled_scenario_wire_bytes(monkeypatch, name, plaintext_bytes):
     sent = []
@@ -117,12 +120,12 @@ def test_bundled_scenario_wire_bytes(monkeypatch, name, plaintext_bytes):
 @pytest.mark.parametrize(
     "name, logical, outside, executed",
     [
-        # concurrent-commit: the extra gate read's memberlist, a memo hit;
-        # revoke-carrier and rotate-resync: the two initiators' last
-        # statements are now made at different ticks, so the endorsements of
-        # them no longer share one verdict (+2)
+        # concurrent-commit: Buyer's joined batch reads no memberlist, a memo
+        # hit (-1 logical); revoke-carrier and rotate-resync: the two
+        # initiators' last statements are made at different ticks, so the
+        # endorsements of them share no verdict
         ("two-network", 144, 4, 54),
-        ("concurrent-commit", 93, 0, 36),
+        ("concurrent-commit", 92, 0, 36),
         ("revoke-carrier", 170, 2, 65),
         ("rotate-resync", 136, 4, 49),
     ],
@@ -151,10 +154,11 @@ def test_bundled_scenario_executed_verifies(monkeypatch, name, logical, outside,
 @pytest.mark.parametrize(
     "name, in_loop, entries",
     [
-        # the decodes move with the witness replies and gate reads above,
-        # the memo's entries with the endorsements
+        # the decodes move with the gate reads above (concurrent-commit: the
+        # joined batch's memberlist, -1), the memo's entries with the
+        # endorsements
         ("two-network", 275, 102),
-        ("concurrent-commit", 226, 79),
+        ("concurrent-commit", 225, 79),
         ("revoke-carrier", 329, 117),
         ("rotate-resync", 272, 99),
     ],
@@ -226,13 +230,15 @@ def test_readmitted_carrier_resync_takes_20_ticks():
     assert sum(e.kind == "bus.send" for e in events) == 20
 
 
+# re-pinned as each countersigner's challenges leave with its gate read, and
+# a batch joins its countersigner's own check of the same holder
 TRACE_DIGESTS = {
-    "concurrent-commit": "5c1b74f356779a89bde03197faeb11207fb6b19b7eacbcf3715a0b586a4c173b",
-    "concurrent-commit-serial": "38d1c02101de41eecd01ee5dc3bb6f96386d91b71a0d8429053a3642e5b02ee9",
-    "digest-mismatch-retry": "b94471195284e2789d3af583dafe3871c47463a2e4fc654a7a2adfe0c79051ac",
-    "revoke-carrier": "9419f662f91527e4da67d23f45509b121e2e96795dfb19a111631e34cda350d7",
-    "rotate-resync": "761da9fb216c82c2c64f353f37d8f15d9c45b95634e246c85b1887b80392fbbf",
-    "two-network": "6c0a9b6e1337ee9c38db46ee3e8db2ec1bb06be619c22443294181aa7b95d290",
+    "concurrent-commit": "55d4208eaf9c8d2aa72be78f15ef18200c3fc7f0c547bff2da8a49c9e0afd07f",
+    "concurrent-commit-serial": "e09cf507f16edbbcc83e7150d65b82a39d37d05cb160e06cc4444d8c53f7fa6e",
+    "digest-mismatch-retry": "44319fd28f1aa9092ba1e3efddf9c056487e526b5dd8e500ac729203a61300f2",
+    "revoke-carrier": "cd376e48ca3b83b83272bf937aa864a5a8061fc47a4c146e0ba6bd6bab25e55e",
+    "rotate-resync": "4c5fabba6efdf3300c7bc6f36be1b22edcba2a33bd4ccd142f8513624c750465",
+    "two-network": "bf57dc9218f5b38d2dad776645af89687f8d7e1ee3a9beeede3429b3d6cf2810",
 }
 
 
@@ -245,12 +251,12 @@ def test_bundled_scenario_trace_digest(tmp_path, name):
 
 
 TRAFFIC_DIGESTS = {
-    "concurrent-commit": "102193dd12fca5f4e41c47eb677a4fbc2f7c39f31c4d2209db334d83c559ea4c",
-    "concurrent-commit-serial": "5b2ab7ba17f8f9b62455d71d2ef517f24aa6459705e68ec5a11ba3dd8a501059",
-    "digest-mismatch-retry": "f31efb9ff7346cddc6f5da23fb018d9d0a07bafc1fb58686717bedac494ea1f9",
-    "revoke-carrier": "d782d505ac2c0b094f88f603e14b7bd304bb53ce9e50e959899888fdc222e5f2",
-    "rotate-resync": "411836f672c876fde4aa2520a5c24d86a235adcc9ca910ae8dda3d7c1dd8d6c6",
-    "two-network": "18b47499375a996faa3b9c00af3d347c9185a9464b02c47a7ce4c9ab6a262545",
+    "concurrent-commit": "da12d22537b2327b32d8434bd00dfe9a3bdb81e1dc542c4bc000d739790d5b7c",
+    "concurrent-commit-serial": "d834c271f20763fd998b778c9e86b97bc88d0bc89ac5caa338399d652d24b1c1",
+    "digest-mismatch-retry": "453a8e71d8f8f7af4e1fc270ce8a1fc0c6abc12520b33d6b5ea973e597e82926",
+    "revoke-carrier": "96bf26a9c07945fa9c65bb15798f766f773a055ab7f098086c5ab785366b46c1",
+    "rotate-resync": "036b0637266f3caaf465b76c7108a7fc3ef23a88d84aaf3feeb49ea3c6be1a00",
+    "two-network": "74628befa8ecda2c6283f8dd4453b8b0f98142e9bb777f764be38e4d2538ea37",
 }
 
 

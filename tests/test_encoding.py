@@ -733,10 +733,17 @@ RECORDS = {
             + enc.encode_u64(c.bundle)
         ),
     ),
-    agent.CountersignRequest: (
-        st.builds(agent.CountersignRequest, up_to_3(endorsement)),
+    agent.CountersignRequest: (  # the statements, then the initiator's gate-read hints
+        st.builds(
+            agent.CountersignRequest, up_to_3(endorsement), up_to_3(st.tuples(text, u64)),
+            up_to_3(text),
+        ),
         None,
-        lambda c: framed(old_endorsement, c.statements),
+        lambda c: (
+            framed(old_endorsement, c.statements)
+            + enc.encode_list(enc.encode_str(i) + enc.encode_u64(e) for i, e in c.epochs)
+            + enc.encode_list(enc.encode_str(e) for e in c.endpoints)
+        ),
     ),
     agent.Answer: (answer, None, old_answer),
     agent.Countersigned: (
