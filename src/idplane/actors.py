@@ -6,7 +6,9 @@ at a time. Multi-round-trip operations are written as generators that yield
 effects (Request, Gather, Join, Sleep); the actor runtime sends envelopes, parks
 the generator, and resumes it when replies or timeouts arrive. A Request is a
 one-element Gather: both wait on the same path and resume the session with the
-`Reply` (or None) once it arrives or the timeout fires. A Join waits for other
+`Reply` (or None) once it arrives or the timeout fires. A request to an
+address no actor holds is a lost reply at once: its slot stays None, and a
+Gather with no request left pending resumes at once. A Join waits for other
 sessions of the same actor (started with `start_session`) and resumes with
 their results in order when the last of them ends, at once if all have ended;
 a joined session that raised is re-raised in the waiter. Sessions interleave
@@ -32,6 +34,7 @@ from types import GeneratorType
 from typing import Any, Callable, ClassVar, Generator, Optional
 
 from . import encoding as enc
+from .bus import UnknownEndpoint
 
 DEFAULT_TIMEOUT = 120
 
@@ -261,7 +264,13 @@ class Actor:
                     wait.rids.append(rid)
                     self._gather_routes[rid] = (gid, i, _REPLIES[kind], to)
                     message = Message(request_id=rid, body=body.to_bytes())
-                    self.bus.send(self.address, to, kind, message.to_bytes())
+                    try:
+                        self.bus.send(self.address, to, kind, message.to_bytes())
+                    except UnknownEndpoint:  # no actor holds `to`: a lost reply
+                        del self._gather_routes[rid]
+                        wait.pending -= 1
+                if not wait.pending:
+                    self._finish_gather(gid)
                 return
             if isinstance(effect, Join):
                 running = [s for s in effect.sessions if not s.done]

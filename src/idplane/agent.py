@@ -30,30 +30,32 @@ The agent is the org's protocol engine for the identity plane:
           statement on its own and answers one outcome per statement. On a
           digest mismatch the agent refetches and retries up to its budget.
 
-A sync runs in rounds. A round passes the memberlist gate, whose one read
-holds the snapshot of all of its targets, and runs B and C for each target in
-a session of its own, which a countersign batch for the same holder that
-arrives meanwhile joins before it decides. Step D then commits the targets
-that passed in at most two batches: the new targets, whose DID has no ACTIVE
-record on the ledger, as soon as their own checks have ended, and the others
-that changed once theirs have. The targets with a digest mismatch run again as
-the next round, which starts once both batches have settled and passes the
-gate afresh. One refused statement fails only its own target; only a submit
-lost, or answered with an error, fails every target it carried. A full sync
-(every listed member) reads the ledger's records of the foreign network once,
+A sync runs in rounds, all in one loop (`sync_network`). A round passes the
+memberlist gate, whose one read holds the snapshot of all of its targets, and
+runs B and C for each target in a session of its own, which a countersign
+batch for the same holder that arrives meanwhile joins before it decides. Its
+step D batches each run in a `_settle` session, and the round joins them all
+at once: the first round's flips of the records whose holder the fresh list
+lacks, sent before any check starts; the new targets, whose DID has no ACTIVE
+record on the ledger, committed as soon as their own checks have ended; and
+the others that changed, once theirs have. The targets with a digest mismatch
+run again as the next round, which waits out a backoff and passes the gate
+afresh. One refused statement fails only its own target; only a submit lost,
+or answered with an error, fails every target it carried. A full sync (every
+listed member) reads the ledger's records of the foreign network once,
 alongside its memberlist gate: a target whose checked record the ledger
 already holds skips step D and ends UNCHANGED, so the targets it holds ACTIVE
 nearly always send no batch. It flips an ACTIVE record to REVOKED only on
 evidence against its holder: a target whose checks refute it (a protocol error
 outside UNCHECKED) ends FAILED and its flip rides its round's batch, and a
-record whose holder the fresh list lacks is flipped in a batch of its own,
-alongside the rounds (`sync_network`). An unchecked holder, or a failed step
-D, flips nothing. `_settle` turns every verdict of a sync into its statements
-and results. A targeted sync reads no records, so all of its targets are new,
-and commits every target that passed. A resync (a scheduled scenario step, or
-a proof failure in the data plane; the harness starts it, no message does)
-runs a full sync of every network on the interoperation list, committing
-rotated bundles and re-admissions and flipping refuted members.
+record whose holder the fresh list lacks is flipped with no check. An
+unchecked holder, or a failed step D, flips nothing. `_settle` turns every
+verdict of a sync into its statements and results. A targeted sync reads no
+records, so all of its targets are new, and commits every target that passed.
+A resync (a scheduled scenario step, or a proof failure in the data plane; the
+harness starts it, no message does) runs a full sync of every network on the
+interoperation list, committing rotated bundles and re-admissions and flipping
+refuted members.
 
 Each home ledger's policy, its interoperation list and its trust list, is
 fixed in its genesis state, and the agent is configured with it
@@ -70,7 +72,6 @@ the requested one.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from typing import Generator, Optional, Sequence, TypeVar
 
@@ -81,7 +82,6 @@ from . import encoding as enc
 from . import network as net
 from . import registry
 from .actors import Actor, Gather, Join, Reply, Request, SessionRecord, Sleep
-from .bus import UnknownEndpoint
 
 PHASE_DONE = "DONE"
 PHASE_FAILED = "FAILED"
@@ -730,11 +730,11 @@ class IinAgent(Actor):
         FutureStatement. A batch that arrives while this org's own sync round
         checks one of its ACTIVE holders joins that check first, so it decides
         as it would had it arrived after: one answer, whatever the latency. The
-        REVOKED statements share one read of the ledger's records (`_holder`),
-        alongside the memberlist gate. The batch makes at most one registry
-        read, decided from this org's own state alone: none when it holds no
-        REVOKED statement and every ACTIVE holder is cached (`_cached`) and on
-        the last list verified here, and otherwise the memberlist gate
+        REVOKED statements share one read of the ledger's records, alongside
+        the memberlist gate. The batch makes at most one registry read,
+        decided from this org's own state alone: none when it holds no REVOKED
+        statement and every ACTIVE holder is cached (`_cached`) and on the
+        last list verified here, and otherwise the memberlist gate
         (`_fetch_memberlist`), whose snapshot holds every holder the batch
         checks. A REVOKED statement is thus always judged on a fresh list: a
         reused one that lacks a re-admitted member would endorse a lying
@@ -779,19 +779,18 @@ class IinAgent(Actor):
                 holder = s.holder_did if s.status == net.STATUS_ACTIVE and endpoint else None
                 if holder and not self._cached(foreign_network, holder):
                     challenge = creds.Challenge(foreign_network, self.nonce(), request.epochs, 1)
-                    with suppress(UnknownEndpoint):  # an address no actor holds: none
-                        early[holder] = (endpoint, challenge, self.start_session(
-                            "challenge", self._challenge(endpoint, challenge)
-                        ))
+                    early[holder] = (endpoint, challenge, self.start_session(
+                        "challenge", self._challenge(endpoint, challenge)
+                    ))
             (gate,) = yield Join((gating,))
         records: object = ()
         if reading is not None:
             (records,) = yield Join((reading,))
-        holders = [self._holder(s, records) for s in statements]
         # each check ends with its refusal, or the digest it endorsed
         settled = yield Join(tuple(
-            self.start_session("countersign", self._countersign(home_network, s, h, gate, early))
-            for s, h in zip(statements, holders)
+            self.start_session(
+                "countersign", self._countersign(home_network, s, records, gate, early)
+            ) for s in statements
         ))
         endorsed = net.Endorsed(tuple(a for a in settled if isinstance(a, bytes)))
         return Countersigned(
@@ -800,47 +799,40 @@ class IinAgent(Actor):
             self.keys.sign(endorsed.to_bytes()).bytes_ if endorsed.statements else b"",
         )
 
-    def _holder(self, statement: net.Endorsement, records: object) -> object:
-        """Whom `statement` is judged under: an ACTIVE statement's own holder
-        DID, and a REVOKED one's the DID of its org's record in `records`,
-        the ledger's, so an initiator cannot name no DID or another org's to
-        skip the check. A REVOKED statement is instead settled here: refused
-        by name when `records` is the error its read failed with, and a
-        digest mismatch, naming this ledger's digest (none without a record),
-        when the record holds another bundle."""
-        if statement.status == net.STATUS_ACTIVE:
-            return statement.holder_did
-        if isinstance(records, Exception):
-            return self._refused(statement, type(records).__name__)
-        record = next((r for r in records if r.org_id == statement.foreign_org), None)
-        if record is None or record.bundle_digest != statement.bundle_digest:
-            own_digest = record.bundle_digest if record else b""
-            return Answer(RESULT_DIGEST_MISMATCH, own_digest=own_digest)
-        return record.holder_did
-
     def _countersign(
-        self, home_network: str, statement: net.Endorsement, holder: object, gate: object,
+        self, home_network: str, statement: net.Endorsement, records: object, gate: object,
         early: dict,
     ) -> Generator:
         """Answer `statement` with the digest it endorses, or its refusal.
-        `holder` is the DID to judge or the statement's settled answer
-        (`_holder`); `gate` is the batch's (memberlist, snapshot), or the error
-        its memberlist gate failed with, which refuses the statement by name,
-        and `early` the batch's early challenges by holder DID. The holder is
-        judged once: NotListed when the list lacks it, then its cached identity
-        (ACTIVE only, so a revoked member's old bundle cannot be signed back to
-        ACTIVE) or its validation on the gate's snapshot, then OrgMismatch. An
-        ACTIVE statement is signed when the holder passes with the statement's
-        digest. A REVOKED one is refused as MemberStillValid when the holder
-        passes, and endorsed, under the holder's DID, only when the judgement
-        refutes it: one that could not check the holder (UNCHECKED) refuses it
-        by name."""
-        if isinstance(holder, Answer):
-            return holder
+        `records` is the batch's read of the ledger's records, or the error it
+        failed with, and `gate` its (memberlist, snapshot), or the error its
+        memberlist gate failed with: each error refuses the statement by name.
+        `early` holds the batch's early challenges by holder DID. An ACTIVE
+        statement is judged under its own holder DID, a REVOKED one under the
+        DID of its org's record in `records`, the ledger's, so an initiator
+        cannot name no DID or another org's to skip the check; without that
+        record, or when it holds another bundle, the answer is a digest
+        mismatch naming this ledger's digest (none without a record). The
+        holder is judged once: NotListed when the list lacks it, then its
+        cached identity (ACTIVE only, so a revoked member's old bundle cannot
+        be signed back to ACTIVE) or its validation on the gate's snapshot,
+        then OrgMismatch. An ACTIVE statement is signed when the holder passes
+        with the statement's digest. A REVOKED one is refused as
+        MemberStillValid when the holder passes, and endorsed, under the
+        holder's DID, only when the judgement refutes it: one that could not
+        check the holder (UNCHECKED) refuses it by name."""
+        holder, active = statement.holder_did, statement.status == net.STATUS_ACTIVE
+        if not active:
+            if isinstance(records, Exception):
+                return self._refused(statement, type(records).__name__)
+            record = next((r for r in records if r.org_id == statement.foreign_org), None)
+            if record is None or record.bundle_digest != statement.bundle_digest:
+                own_digest = record.bundle_digest if record else b""
+                return Answer(RESULT_DIGEST_MISMATCH, own_digest=own_digest)
+            holder = record.holder_did
         if isinstance(gate, Exception):
             return self._refused(statement, type(gate).__name__)
         (memberlist, snapshot), network = gate, statement.foreign_network
-        active = statement.status == net.STATUS_ACTIVE
         try:
             if holder not in memberlist.member_dids:
                 raise NotListed(holder)
@@ -946,62 +938,6 @@ class IinAgent(Actor):
         )
         return {"status": PHASE_FAILED, **failure}
 
-    def _sync_round(
-        self,
-        home_network: str,
-        foreign_network: str,
-        dids: tuple[str, ...],
-        attempt: int,
-        memberlist: Optional[creds.MemberlistCredential],
-        snapshot: Optional[registry.MemberSnapshot],
-        held: Sequence[net.RecordContent],
-    ) -> Generator:
-        """Steps B-D for the targets `dids` at once: steps B and C for each in
-        a session of its own, all read from the `snapshot` of the memberlist
-        gate that passed `memberlist`, then step D, in at most two batches,
-        each settled by `_settle`: one for the new targets, whose DID has no
-        ACTIVE record in the ledger's records `held` (every target of a
-        targeted sync), in a session that commits them as soon as their own
-        checks have ended, and one for the others, which nearly always end
-        UNCHANGED and send no batch, and whose refuted holders it flips. A
-        retry round (no `memberlist`) first waits out the backoff and passes
-        the gate afresh; a gate that fails fails each target of the round by
-        name and flips nothing. Returns, once both batches have settled, the
-        results of the targets that ended and of the flips (`_settle`), and
-        the targets whose countersigners hold another bundle, which run again
-        as the next round while `attempt` is below RETRY_LIMIT."""
-        if memberlist is None:
-            yield Sleep(RETRY_BACKOFF)
-            try:
-                memberlist, snapshot = yield from self._fetch_memberlist(
-                    home_network, foreign_network
-                )
-            except PROTOCOL_ERRORS as e:
-                failed = {did: self._target_failed(foreign_network, did, attempt, e) for did in dids}
-                return failed, ()
-        checks = {
-            did: self.start_session("sync-target", _caught(self._sync_target(
-                home_network, foreign_network, did, memberlist, snapshot
-            )))
-            for did in dids
-        }
-        self._checking.update(((foreign_network, did), s) for did, s in checks.items())
-        active = {r.holder_did for r in held if r.status == net.STATUS_ACTIVE}
-        new = {did: s for did, s in checks.items() if did not in active}
-        known = {did: s for did, s in checks.items() if did in active}
-        # the new targets commit in a session of their own, as soon as their
-        # own checks have ended, while the known ones finish theirs
-        early = (self.start_session(
-            "commit", self._settle(home_network, foreign_network, new, attempt, held, snapshot)
-        ),) if new and known else ()
-        results, retry = yield from self._settle(
-            home_network, foreign_network, known or new, attempt, held, snapshot
-        )
-        for ended, again in (yield Join(early)):
-            results.update(ended)
-            retry += again
-        return results, tuple(did for did in dids if did in retry)
-
     def _settle(
         self,
         home_network: str,
@@ -1020,7 +956,7 @@ class IinAgent(Actor):
         The `gone` records, whose holder the fresh list lacks, are flipped
         with no check. Returns the result of each target that ended, by DID,
         and of each flip, by `revoke:<org>`, and the targets to run again
-        (`_sync_round`), which a flip never is."""
+        (`sync_network`), which a flip never is."""
         checked = yield Join(tuple(checks.values()))
         results: dict[str, dict] = {}
         ready, flips = [], list(gone)
@@ -1063,60 +999,76 @@ class IinAgent(Actor):
         targets: Optional[tuple[str, ...]] = None,
     ) -> Generator:
         """Steps B-D against every listed member of the foreign network (or an
-        explicit target subset), in rounds (`_sync_round`) until no target is
-        left: a retry round starts once the previous round's batches have
-        settled. The first round's one registry read is the memberlist gate,
-        whose snapshot holds every listed member, so a first sync and a
-        resync alike read once. A targeted sync reads no records and commits
-        every target that passes. A full pass reads the ledger's records of
-        the foreign network once, in a session started before the gate and
-        joined before the first round, whose failure fails the sync by name:
-        a target whose checked record the ledger already holds skips step D,
-        and one refuted has its ACTIVE record flipped to REVOKED in its
-        round's batch. A record whose holder the fresh list lacks is flipped
-        by `_settle` too, with no check, in a session started once the read
-        and the gate have both returned, which runs alongside the rounds and
-        is joined before the sync returns. Returns each target's result by
-        DID, then each flip's by `revoke:<org>`."""
+        explicit target subset), in rounds until no target is left. The first
+        round's one registry read is the memberlist gate, whose snapshot holds
+        every listed member, so a first sync and a resync alike read once. A
+        full sync reads the ledger's records of the foreign network once, in a
+        session started before the gate and joined before the first round,
+        whose failure fails the sync by name; a targeted sync reads none.
+
+        A round checks each target (steps B and C) in a session of its own, on
+        the gate's snapshot, and starts its step D batches as `_settle`
+        sessions, in this order: the first round's flips of the ACTIVE records
+        whose holder the fresh list lacks, before any check starts; the new
+        targets, whose DID has no ACTIVE record among those read (every target
+        of a targeted sync); and the others, whose refuted holders their batch
+        flips. It joins them all at once. The targets whose countersigners
+        hold another bundle run again as the next round while the attempt is
+        below RETRY_LIMIT; a retry round waits out the backoff and passes the
+        gate afresh, and a gate that fails then fails each target by name.
+        Returns each target's result by DID, then each flip's by
+        `revoke:<org>`, a refuted holder's before a gone one's."""
         interop, _ = self.config.policies[home_network]
         if foreign_network not in interop:
             self.trace("agent.policy_violation", network=foreign_network)
             raise PolicyViolation(f"{foreign_network} not on interoperation list")
-        reading = None
-        if targets is None:
-            # the records read runs alongside the memberlist gate
-            reading = self.start_session(
-                "records", _caught(self._ledger_records(home_network, foreign_network))
-            )
+        # the records read runs alongside the memberlist gate
+        reading = self.start_session(
+            "records", _caught(self._ledger_records(home_network, foreign_network))
+        ) if targets is None else None
         memberlist, snapshot = yield from self._fetch_memberlist(home_network, foreign_network)
         dids, records = memberlist.member_dids if targets is None else tuple(targets), []
-        early = ()
         if reading is not None:
             (records,) = yield Join((reading,))
             if isinstance(records, Exception):
                 raise records
-            # the fresh list settles the flip of a holder it lacks, so that
-            # batch needs no round and runs alongside them
-            gone = [
-                record for record in records
-                if record.status == net.STATUS_ACTIVE and record.holder_did not in dids
-            ]
-            if gone:
-                early = (self.start_session("revoke", self._settle(
-                    home_network, foreign_network, {}, 1, (), gone=gone
-                )),)
+        active = {r.holder_did for r in records if r.status == net.STATUS_ACTIVE}
+        gone = [r for r in records if r.status == net.STATUS_ACTIVE and r.holder_did not in dids]
         ended: dict[str, dict] = {}
         pending, attempt = dids, 1
-        while pending:
-            round_ended, pending = yield from self._sync_round(
-                home_network, foreign_network, pending, attempt, memberlist, snapshot, records
-            )
-            ended.update(round_ended)
-            attempt, memberlist, snapshot = attempt + 1, None, None
+        while pending or gone:
+            if attempt > 1:
+                yield Sleep(RETRY_BACKOFF)
+                try:
+                    memberlist, snapshot = yield from self._fetch_memberlist(
+                        home_network, foreign_network
+                    )
+                except PROTOCOL_ERRORS as e:
+                    for did in pending:
+                        ended[did] = self._target_failed(foreign_network, did, attempt, e)
+                    break
+            flips = (self.start_session("revoke", self._settle(
+                home_network, foreign_network, {}, attempt, (), gone=gone
+            )),) if gone else ()
+            checks = {
+                did: self.start_session("sync-target", _caught(self._sync_target(
+                    home_network, foreign_network, did, memberlist, snapshot
+                )))
+                for did in pending
+            }
+            self._checking.update(((foreign_network, did), s) for did, s in checks.items())
+            new = {did: s for did, s in checks.items() if did not in active}
+            known = {did: s for did, s in checks.items() if did in active}
+            batches = tuple(self.start_session("commit", self._settle(
+                home_network, foreign_network, group, attempt, records, snapshot
+            )) for group in (new, known) if group)
+            retry = set()
+            for round_ended, again in (yield Join(batches + flips)):  # the gone flips last
+                ended.update(round_ended)
+                retry.update(again)
+            pending, gone, attempt = tuple(d for d in pending if d in retry), [], attempt + 1
         results = {did: ended[did] for did in dids}
         results.update(ended)  # the flips, after the targets
-        for flipped, _ in (yield Join(early)):
-            results.update(flipped)
         return results
 
     def _flipped(self, foreign_network: str, record: net.RecordContent, verdict: object) -> dict:
@@ -1152,9 +1104,8 @@ class IinAgent(Actor):
         """Run steps B and C for one member without committing, populating the
         countersigner cache."""
         memberlist, snapshot = yield from self._fetch_memberlist(home_network, foreign_network)
-        _, record = yield from self._validate_member(
-            home_network, foreign_network, target_did, memberlist,
-            with_bundle=True, snapshot=snapshot,
+        record = yield from self._sync_target(
+            home_network, foreign_network, target_did, memberlist, snapshot
         )
         return record.bundle_digest.hex()
 

@@ -102,15 +102,16 @@ def signed(fn):
 
 def single(
     name: str, refused: collections.Counter, action: str = "drop", delay: int = 1,
-    kind: str | None = None, work: dict | None = None,
+    kind: str | None = None, work: dict | None = None, seed: int | None = None,
 ) -> tuple[collections.Counter, collections.Counter, list, int]:
     """Apply `action` to each send of `name`'s lossless run in turn, or to
-    each send of `kind` only; counts refused commits in `refused`, adds
-    the sends and signatures beyond the lossless run's to `work[kind]`
-    when given, and returns the runs and the failed runs per faulted kind,
-    the wrongful revocations and the failed REVOKED flips."""
+    each send of `kind` only, at bus seed `seed` (the scenario's own when
+    None); counts refused commits in `refused`, adds the sends and
+    signatures beyond the lossless run's to `work[kind]` when given, and
+    returns the runs and the failed runs per faulted kind, the wrongful
+    revocations and the failed REVOKED flips."""
     cfg = scenario_config(name)
-    lossless, lossless_signs = signed(lambda: run(cfg))
+    lossless, lossless_signs = signed(lambda: run(cfg, seed=seed))
     assert lossless.report.ok, lossless.report.errors
     sends = [e.detail["msg_kind"] for e in lossless.world.trace.events if e.kind == "bus.send"]
     runs, failed = collections.Counter(), collections.Counter()
@@ -119,7 +120,7 @@ def single(
         if kind is not None and sent != kind:
             continue
         rules = [FaultRule(action=action, occurrence=n, delay=delay)]
-        runner, signs = signed(lambda: run(cfg, rules=rules))
+        runner, signs = signed(lambda: run(cfg, seed=seed, rules=rules))
         faulted = [e for e in runner.world.trace.events if e.kind == "bus.send"]
         assert faulted[n - 1].detail["msg_kind"] == sent  # the runs agree up to the fault
         if work is not None:

@@ -637,6 +637,21 @@ class TestMemberSnapshot:
         assert record.result["status"] == "ok", record.result
         assert [what for what, *_ in reads] == [registry.QUERY_MEMBER]
 
+    def test_an_endpoint_no_actor_holds_is_an_unreachable_holder(self, world):
+        """A DID document's service endpoint is its holder's own input, and
+        no anchor or registry check ties it to an actor. With Carrier's actor
+        gone from the bus, Buyer's challenge to its endpoint is a lost reply
+        at once: the validation fails MemberUnreachable, with no timeout
+        waited out, and the run goes on."""
+        carrier = world.agents["Carrier"]
+        del world.bus._actors[carrier.address]
+        agent = world.agents["Buyer"]
+        start = world.bus.now
+        record = agent.start_session("validate", agent.validate_org("SWT", "STL", carrier.did))
+        end = world.settle()
+        assert record.result == {"status": "failed", "error": "MemberUnreachable", "check": 0}
+        assert end - start < 400  # the challenge's timeout
+
     def test_every_read_of_a_two_network_run_is_a_member_snapshot(self, monkeypatch):
         reads = record_queries(monkeypatch)
         report = harness.run_scenario(scenario_config("two-network"))
@@ -1663,9 +1678,10 @@ class TestResync:
         start = len(world.trace.events)
         results, added = self.resync(world)
         assert sorted(added) == [("Carrier", "REVOKED", "APPLIED"), ("Seller", "ACTIVE", "APPLIED")]
-        assert self.outcomes(world, results) == {
-            "Seller": ("DONE", "APPLIED"), "revoke:Carrier": ("DONE", "APPLIED"),
-        }
+        # the target's result, then the flip's, though the flip's batch started first
+        assert list(self.outcomes(world, results).items()) == [
+            ("Seller", ("DONE", "APPLIED")), ("revoke:Carrier", ("DONE", "APPLIED")),
+        ]
         # the flip's batch is sent at the gate, and the rotation's while the
         # flip's is still open
         flip, *rotation = sends_from(world, "Buyer", "agent.countersign.request", start)
@@ -1737,6 +1753,28 @@ class TestResync:
         genesis = world.ledgers["SWT"].genesis
         assert net.replay_block_log(genesis, state.block_log).state_hash() == state.state_hash()
 
+    def test_results_list_the_targets_then_the_refuted_and_the_gone_flips(self):
+        """Carrier, still listed, is refuted (`refuted_carrier_world`), and
+        AnchorSTL revokes Seller from STL: SWT's resync flips Carrier in its
+        round's batch and Seller, whom the fresh list lacks, in a batch of
+        its own. Its results hold each target by DID, then the refuted
+        holder's flip, then the gone one's."""
+        world = TestCountersignGate.refuted_carrier_world()
+        anchor = world.anchors["AnchorSTL"]
+        anchor.enqueue_serialized(
+            "revoke", lambda: anchor.revoke_membership(world.org_dids["Seller"], "STL")
+        )
+        world.settle()
+        results, added = self.resync(world)
+        assert list(self.outcomes(world, results).items()) == [
+            ("Carrier", ("FAILED", None)),
+            ("revoke:Carrier", ("DONE", "APPLIED")),
+            ("revoke:Seller", ("DONE", "APPLIED")),
+        ]
+        assert sorted(added) == [
+            ("Carrier", "REVOKED", "APPLIED"), ("Seller", "REVOKED", "APPLIED"),
+        ]
+
     def test_unchecked_holders_send_no_revocation(self):
         """Buyer's and Seller's challenges to Seller are lost after
         two-network's syncs: Buyer's resync could not check Seller, which is
@@ -1792,10 +1830,12 @@ class TestResync:
         start = len(world.trace.events)
         results, added = self.resync(world)
         assert sorted(added) == [("Carrier", "REVOKED", "APPLIED"), ("Seller", "ACTIVE", "APPLIED")]
-        outcomes = self.outcomes(world, results)
-        assert outcomes["Seller"] == ("DONE", "APPLIED")
-        assert outcomes["revoke:Carrier"] == ("DONE", "APPLIED")
-        assert outcomes["Carrier"] == ("FAILED", None)
+        # each target by DID, then the flip
+        assert list(self.outcomes(world, results).items()) == [
+            ("Carrier", ("FAILED", None)),
+            ("Seller", ("DONE", "APPLIED")),
+            ("revoke:Carrier", ("DONE", "APPLIED")),
+        ]
         [request] = sends_from(world, "Buyer", "agent.countersign.request", start)
         assert len(sends_from(world, "Buyer", "cmdac.submit", start)) == 1
         state = world.ledger_state("SWT")

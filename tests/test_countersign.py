@@ -209,7 +209,8 @@ def test_countersign_decision_table(world, row):
 # holder org and whether it left in the gate read's tick
 #   hint: "gate's" (the endpoint and epochs the registry holds), "initiator's
 #     endpoint" (the initiator's own address), "no actor's endpoint" (an
-#     address the bus does not know: no early challenge leaves), "stale
+#     address the bus does not know: the early challenge is lost at once,
+#     and none leaves), "stale
 #     epochs" (each one epoch behind), "none" (no hints), "revoked" (a
 #     REVOKED statement that names the holder's endpoint)
 #   lost: the early challenge's reply is dropped
@@ -259,9 +260,11 @@ def test_countersign_hints(world, row):
         "countersign",
         seller._handle_countersign("probe", agent_mod.CountersignRequest((statement,), *hints)),
     )
-    world.settle()
+    settled = world.settle()
     assert session.error is None
     assert session.result.results == (answer,)
+    # no challenge waits out its timeout once the batch is answered
+    assert settled == world.trace.events[-1].tick
     sent = [e for e in world.trace.events[start:] if e.kind == "bus.send"]
     [gate_tick] = {e.tick for e in sent if e.detail["msg_kind"] == "iin.query"}
     by_address = {a.address: org for org, a in world.agents.items()}

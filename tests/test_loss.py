@@ -1,4 +1,5 @@
-"""The single-fault search of `loss_search.py`, pinned on concurrent-commit.
+"""The single-fault search of `loss_search.py`, pinned on concurrent-commit,
+and its duplicated registry writes on revoke-carrier.
 
 Each send of the scenario's lossless run is dropped in turn, one run per
 send. The failed runs per dropped message kind are pinned, so a change that
@@ -6,7 +7,8 @@ makes the protocol lose a run to one more kind of single loss fails here,
 and one that mends a kind must lower its pin on purpose. No run may apply a
 REVOKED statement (the scenario revokes no one), send a REVOKED flip, or
 have a `ledger.commit` refused by the contract. Each `iin.submit` is also
-duplicated in turn, with its failed runs pinned the same way.
+duplicated in turn, with its failed runs pinned the same way, and so is each
+of revoke-carrier's over four bus seeds.
 """
 
 import collections
@@ -70,3 +72,27 @@ def test_duplicated_registry_submits_of_concurrent_commit_fail_as_pinned():
     assert revoked == []
     assert flips_failed == 0
     assert refused == {}
+
+
+def test_duplicated_registry_submits_of_revoke_carrier_over_bus_seeds_fail_as_pinned():
+    """Revoke-carrier with each `iin.submit` duplicated in turn, at bus seeds
+    0-3 (8 runs each). Whether the writer takes the second ordering's
+    `Duplicate` receipt first depends on the seed's latency draws, so the
+    scenario's own seed shows only one such race (ROADMAP item 31). At seed
+    3 it fails Seller's step A. At seed 0 it fails AnchorSTL's revocation of
+    Carrier, though the revocation applied; the anchor's state then lags the
+    registry's, and SWT's resync flips the honest Seller, whom the registry
+    still lists (item 29). Both pins fall to 0 once a request is served once
+    (item 26)."""
+    failed, revoked = {}, []
+    for seed in range(4):
+        refused = collections.Counter()
+        runs, failures, wrongful, flips_failed = loss_search.single(
+            "revoke-carrier", refused, action="duplicate", kind="iin.submit", seed=seed
+        )
+        assert runs == {"iin.submit": 8}
+        assert flips_failed == 0 and refused == {}
+        failed[seed] = failures["iin.submit"]
+        revoked += [(seed, org) for *_, org in wrongful]
+    assert failed == {0: 1, 1: 0, 2: 0, 3: 1}
+    assert revoked == [(0, "Seller")]

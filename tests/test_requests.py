@@ -14,7 +14,7 @@ import pytest
 import idplane
 from idplane import actors, crypto
 from idplane import encoding as enc
-from idplane.actors import Actor, Message, Reply
+from idplane.actors import Actor, Gather, Message, Reply, Request
 from idplane.agent import CountersignRequest, IinAgent
 from idplane.anchors import AnchorService, VcRequest, WitnessRequest
 from idplane.credentials import Challenge
@@ -222,6 +222,32 @@ def test_malformed_plaintext_is_dropped_and_traced(plaintext):
         ("ledger:SWT", {"sender": "probe", "msg_kind": "ledger.query"})
     ]
     assert [e for e in world.trace.events[start:] if e.kind == "bus.send"][1:] == []
+
+
+def test_a_request_to_an_address_no_actor_holds_is_a_lost_reply_at_once():
+    """The send of a request to an address no actor holds fails, so its slot
+    is None at once, as a lost reply's, while the Gather's other requests are
+    answered; a Gather with no request left pending resumes at once, and no
+    timer waits on it."""
+    world = bootstrapped_runner(through_step_a=False).world
+    probe = add_probe(world)
+    query, result = LedgerQuery("STL"), {}
+
+    def asking():
+        result["gathered"] = yield Gather(
+            (("ledger:SWT", "ledger.query", query), ("nobody", "ledger.query", query)),
+            timeout=600,
+        )
+        resumed = world.bus.now
+        result["alone"] = yield Request("nobody", "ledger.query", query, timeout=600)
+        result["ticks"] = world.bus.now - resumed
+
+    probe.start_session("ask", asking())
+    end = world.settle()
+    answered, lost = result["gathered"]
+    assert answered is not None and not answered.error and lost is None
+    assert result["alone"] is None and result["ticks"] == 0
+    assert end == world.trace.events[-1].tick  # no timer outlives the session
 
 
 @pytest.mark.parametrize("data", [LedgerQuery("STL").to_bytes(), b""],
