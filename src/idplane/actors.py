@@ -143,7 +143,6 @@ class Actor:
     def __init__(self, address: str):
         self.address = address
         self._bus = lambda: None
-        self.rng = None
         self._sessions: dict[int, SessionRecord] = {}  # running sessions only
         self._next_sid = 0
         self._next_rid = 0
@@ -154,9 +153,8 @@ class Actor:
         self._next_gather = 0
         self._joins: dict[int, tuple[SessionRecord, ...]] = {}  # waiter sid -> joined
 
-    def bind(self, bus, rng) -> None:
+    def bind(self, bus) -> None:
         self._bus = weakref.ref(bus)
-        self.rng = rng
 
     @property
     def bus(self):
@@ -194,9 +192,6 @@ class Actor:
 
     def trace(self, kind: str, **detail) -> None:
         self.bus.trace.record(self.bus.now, self.address, kind, **detail)
-
-    def nonce(self) -> bytes:
-        return self.rng.randbytes(16)
 
     def start_session(self, label: str, gen: Session) -> SessionRecord:
         record = self._new_session(label, gen)

@@ -11,51 +11,32 @@ The agent is the org's protocol engine for the identity plane:
           the snapshot of every member it lists (DID document, verinym
           status, the trusted issuers' revocation states), then challenge
           each member at its service endpoint naming the snapshot's epochs,
-          and verify the returned membership presentation against those
-          registry artifacts. The validator writes its list to the registry
-          with each revocation state, so the gate asks it nothing;
-  step C  check the member's network-issued certificate bundle, which the
-          same membership presentation carries, under its one signature,
-          when step C follows, and its internal consistency;
-  step D  commit the bundles to the local ledger: send every other local org
-          one countersign request that lists the statement of each bundle,
-          all of one foreign network, with the epochs and each holder's
-          endpoint that the initiator's gate read gave. Each org validates
-          every statement independently, challenging each holder in the tick
-          of its own gate read (the challenge counts only when that read
-          names the same), answers per statement and signs once, over the
-          digests of the statements it endorses. The statements every org
-          endorsed go to the ledger in one `cmdac.submit`, with each org's
-          batch and signature once; the ledger runs the contract on each
-          statement on its own and answers one outcome per statement. On a
-          digest mismatch the agent refetches and retries up to its budget.
+          under the nonce of the statement step D will make of it, and
+          verify its membership presentation against that snapshot;
+  step C  check the member's certificate bundle, which the same
+          presentation carries under its one signature;
+  step D  send every other local org one countersign request with the
+          statement of each bundle, all of one foreign network, forwarding
+          each ACTIVE holder's presentation. Each org checks it against its
+          own gate read, challenging the holder itself only when the
+          presented witness is behind that read, answers per statement and
+          signs once, over the digests of the statements it endorses. These
+          go to the ledger in one `cmdac.submit`, whose contract answers one
+          outcome per statement. On a digest mismatch the agent refetches
+          and retries up to its budget.
 
-A sync runs in rounds, all in one loop (`sync_network`). A round passes the
-memberlist gate, whose one read holds the snapshot of all of its targets, and
-runs B and C for each target in a session of its own, which a countersign
-batch for the same holder that arrives meanwhile joins before it decides. Its
-step D batches each run in a `_settle` session, and the round joins them all
-at once: the first round's flips of the records whose holder the fresh list
-lacks, sent before any check starts; the new targets, whose DID has no ACTIVE
-record on the ledger, committed as soon as their own checks have ended; and
-the others that changed, once theirs have. The targets with a digest mismatch
-run again as the next round, which waits out a backoff and passes the gate
-afresh. One refused statement fails only its own target; only a submit lost,
-or answered with an error, fails every target it carried. A full sync (every
-listed member) reads the ledger's records of the foreign network once,
-alongside its memberlist gate: a target whose checked record the ledger
-already holds skips step D and ends UNCHANGED, so the targets it holds ACTIVE
-nearly always send no batch. It flips an ACTIVE record to REVOKED only on
-evidence against its holder: a target whose checks refute it (a protocol error
-outside UNCHECKED) ends FAILED and its flip rides its round's batch, and a
-record whose holder the fresh list lacks is flipped with no check. An
-unchecked holder, or a failed step D, flips nothing. `_settle` turns every
-verdict of a sync into its statements and results. A targeted sync reads no
-records, so all of its targets are new, and commits every target that passed.
-A resync (a scheduled scenario step, or a proof failure in the data plane; the
-harness starts it, no message does) runs a full sync of every network on the
-interoperation list, committing rotated bundles and re-admissions and flipping
-refuted members.
+A sync runs in rounds, all in one loop (`sync_network`, which orders a
+round's step D batches): a round passes the memberlist gate, whose one read
+holds the snapshot of all of its targets, runs B and C for each target in a
+session of its own, which a countersign batch for the same holder joins
+before it decides, and settles its batches (`_settle`). Targets with a digest
+mismatch run again as the next round. A full sync reads the ledger's records
+of the foreign network alongside its gate: a target whose checked record the
+ledger holds ends UNCHANGED, and an ACTIVE record is flipped to REVOKED only
+on evidence against its holder (checks that refute it, or a fresh list that
+lacks it). A targeted sync reads no records and commits every target that
+passed. A resync (a scheduled scenario step, or a proof failure in the data
+plane) runs a full sync of every network on the interoperation list.
 
 Each home ledger's policy, its interoperation list and its trust list, is
 fixed in its genesis state, and the agent is configured with it
@@ -196,6 +177,15 @@ def _decode(record_cls: type[R], raw: bytes, error: type[AgentError], peer: str)
         raise error(f"{peer}: undecodable {record_cls.__name__}: {e}") from None
 
 
+def _presented(raw: bytes, holder: str) -> tuple:
+    """The presentation `holder` made as `raw`, its body or the error its
+    decoding raised (which fails the schema check), and the body's
+    credential (None then)."""
+    vp = _decode(creds.VerifiablePresentation, raw, BadPresentation, holder)
+    body = creds.read_membership_body(vp)
+    return vp, body, body.vc if isinstance(body, creds.MembershipBody) else None
+
+
 def _caught(gen: Generator) -> Generator:
     """Run `gen`, returning the protocol error it raises instead: a session
     running it ends without `session.failed`, and whoever joins it names the
@@ -212,8 +202,20 @@ def _caught(gen: Generator) -> Generator:
 @dataclass(frozen=True)
 class CountersignRequest(enc.Record):  # agent.countersign.request: one network's statements
     statements: tuple[enc.Framed[net.Endorsement], ...]
-    epochs: tuple[tuple[str, int], ...] = ()  # as the initiator's gate read gave them
-    endpoints: tuple[str, ...] = ()  # per statement: its ACTIVE holder's, as that read gave
+    # per statement: its ACTIVE holder's presentation (`creds.Presented.vp`),
+    # undecoded; empty for a REVOKED one
+    presentations: tuple[bytes, ...] = ()
+
+
+@dataclass(frozen=True)
+class StatementNonce(enc.Record):
+    """A challenge nonce: the statement to be made of the presentation as
+    far as known at the challenge, whose tick, `made_at`, the holder reads."""
+
+    TAG = enc.TAG_NONCE
+    home_network: str
+    holder_did: str
+    made_at: int
 
 
 @dataclass(frozen=True)
@@ -327,11 +329,18 @@ class IinAgent(Actor):
     def _serve_membership_vp(self, sender: str, challenge: creds.Challenge) -> Generator:
         """Answer a challenge with one membership presentation, signed once,
         that carries the org's certificate bundle for the network too when
-        the challenge asks for it (`bundle`)."""
+        the challenge asks for it (`bundle`). A statement's nonce is refused
+        before its `made_at` (FutureStatement): no presentation can carry a
+        bundle older than its statement's tick."""
         network_id = challenge.network_id
         entry = self.wallet.get(network_id)
         if entry is None:
             return "NoCredential"
+        try:
+            if StatementNonce.from_bytes(challenge.nonce).made_at > self.bus.now:
+                return "FutureStatement"
+        except enc.DecodeError:
+            pass  # a nonce of the asker's own, which no statement names
         vc, witness = entry
         epoch = dict(challenge.epochs).get(vc.issuer_did)
         if epoch is None or witness.epoch < epoch:
@@ -492,63 +501,72 @@ class IinAgent(Actor):
         memberlist: Optional[creds.MemberlistCredential] = None,
         with_bundle: bool = False,
         snapshot: Optional[registry.MemberSnapshot] = None,
-        early: Optional[tuple[str, creds.Challenge, SessionRecord]] = None,
+        forwarded: Optional[tuple[int, bytes]] = None,
     ) -> Generator:
         """Resolve, challenge, and verify one foreign member (step B) and, with
         `with_bundle`, check the certificate bundle that the same presentation
         carries (step C). A `memberlist`, when given, must list `target_did`
-        (NotListed). Returns (claim, record): `record` is the checked ACTIVE
-        `net.RecordContent` with `with_bundle`, else None.
+        (NotListed). Returns (claim, record, presented): `record` is the
+        checked ACTIVE `net.RecordContent` with `with_bundle`, else None, and
+        `presented` the (`made_at`, presentation bytes) it was checked on.
 
         The checks read nothing but one registry snapshot (`_read_members`), so
         a revocation committed before it fails check 6; a `snapshot` given is
-        that read, made for several holders at once, most often by the
-        memberlist gate that passed them (`_fetch_memberlist`). A credential
-        naming a credential definition the snapshot lacks fails check 5, and
-        one whose issuer the trust list names for another network fails check
-        6, as the snapshot holds no state for it. The challenge names each
-        state's epoch, and a holder with an older witness refreshes it at its
-        anchor. An `early` (endpoint, challenge, session), sent while the
-        snapshot was read, is the challenge only when it went to the snapshot's
-        endpoint naming its epochs and `with_bundle`, else a fresh one is sent:
-        every check runs on the snapshot, so it changes no verdict. A witness
-        newer than the snapshot means an issuance or revocation by its issuer
-        landed during the round trip, so the snapshot is read once more and an
-        honest holder is not refused for it; the holder's own revocation then
-        is seen only by the next validation, as its refresh is refused. A
-        challenge with no reply, and a holder whose refresh got none (it
-        answers WitnessUnavailable), are MemberUnreachable: the holder went
-        unchecked. Any other error answer, and a presentation that does not
-        decode, are BadPresentation."""
+        that read, most often the memberlist gate's (`_fetch_memberlist`). A
+        credential definition the snapshot lacks fails check 5, and an issuer
+        the trust list names for another network check 6. The challenge, made
+        at tick `made_at` under its `StatementNonce`, names each state's epoch,
+        and a holder with an older witness refreshes it at its anchor. A
+        countersigner passes its statement's (`made_at`, forwarded
+        presentation) as `forwarded`: the checks run on that, with no send,
+        unless it is empty or its witness is behind the snapshot, when the
+        holder is challenged here and the trace names why
+        (`agent.challenge_fallback`). Only a record this org's own challenge
+        checked is cached: a forwarded one may be an earlier sync's, replayed.
+        A witness newer than the snapshot means its issuer wrote since the
+        read, so the snapshot is read once more. A challenge with no reply, and
+        a holder whose refresh got none (it answers WitnessUnavailable), are
+        MemberUnreachable: the holder went unchecked. Any other error answer,
+        and a presentation that does not decode, are BadPresentation."""
         if memberlist is not None and target_did not in memberlist.member_dids:
             raise NotListed(target_did)
         trusted, _ = self._trusted(home_network, foreign_network)
         if snapshot is None:
             snapshot = yield from self._read_members(home_network, foreign_network, (target_did,))
         (doc, _), revocation = snapshot.holder(target_did), snapshot.revocation()
-        epochs = tuple((issuer, state.epoch) for issuer, state in revocation.items())
-        challenge = creds.Challenge(foreign_network, b"", epochs, int(with_bundle))
-        if early and early[:2] == (doc.service_endpoint, replace(challenge, nonce=early[1].nonce)):
-            challenge, (reply,) = early[1], (yield Join(early[2:]))
-        else:
-            challenge = replace(challenge, nonce=self.nonce())
-            reply = yield from self._challenge(doc.service_endpoint, challenge)
-        if reply is None or reply.error == WitnessUnavailable.__name__:
-            raise MemberUnreachable(target_did + (f": {reply.error}" if reply else ""))
-        if reply.error:
-            raise BadPresentation(f"{target_did}: {reply.error}")
-        with enc.decode_memo(None):  # bound to this challenge's nonce: never decoded again
-            vp = _decode(creds.VerifiablePresentation, reply.body.vp, BadPresentation, target_did)
-        vp_body = creds.read_membership_body(vp)  # an error fails the schema check
-        vc = vp_body.vc if isinstance(vp_body, creds.MembershipBody) else None
+        made_at, raw = forwarded or (self.bus.now, b"")
+        why = "no presentation" if forwarded and not raw else None
+        if raw:
+            vp, vp_body, vc = _presented(raw, target_did)
+            state = revocation.get(vc.issuer_did) if vc is not None else None
+            if state is not None and vp_body.witness.epoch < state.epoch:
+                why = f"witness at {vp_body.witness.epoch} < {state.epoch}"
+        own = bool(why or not raw)  # this org's own challenge, not a forwarded presentation
+        if own:
+            if why:
+                self.trace("agent.challenge_fallback", network=foreign_network,
+                           holder=target_did, reason=why)
+            made_at, epochs = self.bus.now, tuple((i, s.epoch) for i, s in revocation.items())
+            nonce = StatementNonce(home_network, target_did, made_at).to_bytes()
+            challenge = creds.Challenge(foreign_network, nonce, epochs, int(with_bundle))
+            reply = yield Request(
+                doc.service_endpoint, "agent.membership_vp.request", challenge, timeout=400
+            )
+            if reply is None or reply.error == WitnessUnavailable.__name__:
+                raise MemberUnreachable(target_did + (f": {reply.error}" if reply else ""))
+            if reply.error:
+                raise BadPresentation(f"{target_did}: {reply.error}")
+            raw = reply.body.vp  # decoded in the memo, as each countersigner it goes to
+            vp, vp_body, vc = _presented(raw, target_did)
         # a body that does not decode fails check 4 before these are looked at
         issuer, cred_def_id = (vc.issuer_did, vc.cred_def_id) if vc is not None else ("", "")
         state = revocation.get(issuer)
         if state is not None and vp_body.witness.epoch > state.epoch:
             snapshot = yield from self._read_members(home_network, foreign_network, (target_did,))
         artifacts = snapshot.artifacts(target_did, issuer, MEMBERSHIP_SCHEMA_ID, cred_def_id)
+        nonce = StatementNonce(home_network, target_did, made_at).to_bytes()
         claim = creds.verify_membership_vp(
-            vp, foreign_network, challenge.nonce, trusted, artifacts, vp_body
+            vp, foreign_network, nonce, trusted, artifacts, vp_body
         )
         self.trace(
             "agent.member_validated", network=foreign_network, holder=claim.holder_did
@@ -556,11 +574,9 @@ class IinAgent(Actor):
         record = None
         if with_bundle:
             record = yield from self._fetch_identity(foreign_network, target_did, vp_body.bundle)
-        return claim, record
-
-    def _challenge(self, endpoint: str, challenge: creds.Challenge) -> Generator:
-        """The holder at `endpoint`'s reply to `challenge`, or None when none came."""
-        return (yield Request(endpoint, "agent.membership_vp.request", challenge, timeout=400))
+            if own:
+                self.cache[(foreign_network, target_did)] = record
+        return claim, record, (made_at, raw)
 
     # --- step C: check network identity ----------------------------------------
 
@@ -569,10 +585,10 @@ class IinAgent(Actor):
         membership presentation carried, once that presentation has passed
         checks 1-7, so its one signature, under the holder's DID key and
         bound to this challenge's nonce, already covers the bundle. Returns
-        and caches the ACTIVE record that step D commits; an empty bundle,
-        one that does not decode, or one of another network is
-        MalformedBundle. A generator though it sends nothing, as the
-        benchmark's tracer drives steps B, C and D as generators."""
+        the ACTIVE record that step D commits; an empty bundle, one that
+        does not decode, or one of another network is MalformedBundle. A
+        generator though it sends nothing, as the benchmark's tracer drives
+        steps B, C and D as generators."""
         yield from ()
         bundle = _decode(net.Bundle, payload, MalformedBundle, target_did)
         if bundle.network_id != foreign_network or not bundle.chains:
@@ -585,7 +601,6 @@ class IinAgent(Actor):
             foreign_network, bundle.org_id, target_did, payload, bundle.digest(),
             net.STATUS_ACTIVE,
         )
-        self.cache[(foreign_network, target_did)] = record
         self.trace(
             "agent.identity_fetched",
             network=foreign_network,
@@ -597,34 +612,28 @@ class IinAgent(Actor):
     # --- step D: consensus commit ----------------------------------------------
 
     def _commit_identity(
-        self, home_network: str, records: list[net.RecordContent], snapshot=None
+        self, home_network: str, records: Sequence[net.RecordContent],
+        presented: Sequence[tuple[int, bytes]],
     ) -> Generator:
         """Step D for a non-empty batch of `records`: make each one's
-        statement (`net.Endorsement`) now and ask every other local org to
-        countersign all of them in one request. This org signs one batch
-        (`net.Endorsed`) of the statements that every org signed, and submits
-        them together, each org's batch and signature once, in one
-        `cmdac.submit`. Returns one verdict per record, in order, once the
-        ledger has answered: the ledger's outcome (APPLIED or NOOP), or the
-        AgentError that refused the record, DigestMismatch among them. Every
-        check, the contract's included, is per statement, so a refusal fails
-        only its own record; only a transport failure of the submit fails
-        each record it carried (`_submit`). Every endorsement covers the
-        record's holder DID, which the ledger keeps. The request carries the
-        statements alone: each countersigner decides from its own memberlist
-        whether to fetch a fresh one."""
-        statements = [r.statement(home_network, self.bus.now) for r in records]
+        statement (`net.Endorsement`) at the `made_at` of its (`made_at`,
+        presentation) in `presented`, as steps B and C checked it (none for
+        a REVOKED record), and ask every other local org to countersign all
+        of them in one request that forwards each presentation. This org
+        signs one batch (`net.Endorsed`) of the statements that every org
+        signed, and submits them together, each org's batch and signature
+        once, in one `cmdac.submit`. Returns one verdict per record, in
+        order: the ledger's outcome (APPLIED or NOOP), or the AgentError
+        that refused the record, DigestMismatch among them. Every check is per statement,
+        so a refusal fails only its own record; only a transport failure of
+        the submit fails each record it carried (`_submit`)."""
+        statements = [r.statement(home_network, t) for r, (t, _) in zip(records, presented)]
         peers = sorted(
             (org, addr)
             for org, addr in self.config.peer_agents[home_network].items()
             if org != self.org_id
         )
-        hints = (  # as `_validate_member` names the epochs
-            tuple((issuer, state.epoch) for issuer, state in snapshot.revocation().items()),
-            tuple(snapshot.holder(r.holder_did)[0].service_endpoint
-                  if r.status == net.STATUS_ACTIVE else "" for r in records),
-        ) if snapshot else ()
-        request_body = CountersignRequest(tuple(statements), *hints)
+        request_body = CountersignRequest(tuple(statements), tuple(vp for _, vp in presented))
         replies = yield Gather(
             tuple((addr, "agent.countersign.request", request_body) for _, addr in peers),
             timeout=1500,
@@ -739,11 +748,8 @@ class IinAgent(Actor):
         checks. A REVOKED statement is thus always judged on a fresh list: a
         reused one that lacks a re-admitted member would endorse a lying
         initiator's revocation. A member revoked since the reused list was
-        verified is signed while it stays cached. Each uncached ACTIVE holder
-        is challenged in the gate read's tick, where and at the epochs the
-        initiator's read named (`CountersignRequest`); that challenge counts
-        only when this org's own read names the same (`_validate_member`), so a
-        hint chooses where one challenge per statement goes, never an answer."""
+        verified is signed while it stays cached. A presentation list of
+        another length than the statements is ignored, as if none came."""
         statements = request.statements
         # a batch names one pair of networks: none, or two, is a ValueError
         ((home_network, foreign_network),) = {(s.home_network, s.foreign_network) for s in statements}
@@ -766,31 +772,24 @@ class IinAgent(Actor):
             "records", _caught(self._ledger_records(home_network, foreign_network))
         ) if len(active) < len(statements) else None
         memberlist = self._memberlists.get(foreign_network)
-        gate, early = (memberlist, None), {}
+        gate: object = (memberlist, None)
         if reading is not None or any(
             self._cached(foreign_network, s.holder_did) is None
             or memberlist is None or s.holder_did not in memberlist.member_dids
             for s in statements
         ):
-            gating = self.start_session(
-                "gate", _caught(self._fetch_memberlist(home_network, foreign_network))
-            )
-            for s, endpoint in zip(statements, request.endpoints):
-                holder = s.holder_did if s.status == net.STATUS_ACTIVE and endpoint else None
-                if holder and not self._cached(foreign_network, holder):
-                    challenge = creds.Challenge(foreign_network, self.nonce(), request.epochs, 1)
-                    early[holder] = (endpoint, challenge, self.start_session(
-                        "challenge", self._challenge(endpoint, challenge)
-                    ))
-            (gate,) = yield Join((gating,))
+            gate = yield from _caught(self._fetch_memberlist(home_network, foreign_network))
         records: object = ()
         if reading is not None:
             (records,) = yield Join((reading,))
+        presentations = request.presentations
+        if len(presentations) != len(statements):
+            presentations = (b"",) * len(statements)
         # each check ends with its refusal, or the digest it endorsed
         settled = yield Join(tuple(
             self.start_session(
-                "countersign", self._countersign(home_network, s, records, gate, early)
-            ) for s in statements
+                "countersign", self._countersign(home_network, s, records, gate, vp)
+            ) for s, vp in zip(statements, presentations)
         ))
         endorsed = net.Endorsed(tuple(a for a in settled if isinstance(a, bytes)))
         return Countersigned(
@@ -801,14 +800,14 @@ class IinAgent(Actor):
 
     def _countersign(
         self, home_network: str, statement: net.Endorsement, records: object, gate: object,
-        early: dict,
+        vp: bytes,
     ) -> Generator:
         """Answer `statement` with the digest it endorses, or its refusal.
         `records` is the batch's read of the ledger's records, or the error it
         failed with, and `gate` its (memberlist, snapshot), or the error its
         memberlist gate failed with: each error refuses the statement by name.
-        `early` holds the batch's early challenges by holder DID. An ACTIVE
-        statement is judged under its own holder DID, a REVOKED one under the
+        An ACTIVE statement is judged under its own holder DID, and on `vp`,
+        the presentation forwarded with it, a REVOKED one under the
         DID of its org's record in `records`, the ledger's, so an initiator
         cannot name no DID or another org's to skip the check; without that
         record, or when it holds another bundle, the answer is a digest
@@ -817,7 +816,10 @@ class IinAgent(Actor):
         cached identity (ACTIVE only, so a revoked member's old bundle cannot
         be signed back to ACTIVE) or its validation on the gate's snapshot,
         then OrgMismatch. An ACTIVE statement is signed when the holder passes
-        with the statement's digest. A REVOKED one is refused as
+        with the statement's digest; another is a digest mismatch, but on the
+        forwarded presentation itself PresentationMismatch, which starts no
+        retry. A REVOKED statement's holder is challenged here, so no
+        forwarded bytes count against it; it is refused as
         MemberStillValid when the holder passes, and endorsed, under the
         holder's DID, only when the judgement refutes it: one that could not
         check the holder (UNCHECKED) refuses it by name."""
@@ -837,11 +839,13 @@ class IinAgent(Actor):
             if holder not in memberlist.member_dids:
                 raise NotListed(holder)
             identity = self._cached(network, holder) if active else None
+            stated = False  # judged on the presentation forwarded with the statement
             if identity is None:
-                _, identity = yield from self._validate_member(
+                _, identity, presented = yield from self._validate_member(
                     home_network, network, holder, with_bundle=active, snapshot=snapshot,
-                    early=early.get(holder),
+                    forwarded=(statement.made_at, vp) if active else None,
                 )
+                stated = presented == (statement.made_at, vp)
             if active and identity.org_id != statement.foreign_org:
                 raise OrgMismatch(f"{identity.org_id} presented as {statement.foreign_org}")
         except PROTOCOL_ERRORS as e:
@@ -853,6 +857,8 @@ class IinAgent(Actor):
         if identity.bundle_digest != statement.bundle_digest:
             # stale copy on one side; drop ours so the retry refetches
             self.cache.pop((network, holder), None)
+            if stated:
+                return self._refused(statement, "PresentationMismatch")
             self.trace(
                 "agent.countersign_mismatch",
                 network=network,
@@ -902,12 +908,13 @@ class IinAgent(Actor):
         snapshot: Optional[registry.MemberSnapshot],
     ) -> Generator:
         """Steps B and C for one target of a sync round; returns the ACTIVE
-        record they checked."""
-        _, record = yield from self._validate_member(
+        record they checked and the (`made_at`, presentation) they checked it
+        on, which step D states and forwards."""
+        _, record, presented = yield from self._validate_member(
             home_network, foreign_network, target_did, memberlist,
             with_bundle=True, snapshot=snapshot,
         )
-        return record
+        return record, presented
 
     def _target_done(
         self, foreign_network: str, record: net.RecordContent, attempt: int, outcome: str
@@ -945,12 +952,12 @@ class IinAgent(Actor):
         checks: dict[str, SessionRecord],
         attempt: int,
         held: Sequence[net.RecordContent],
-        snapshot: Optional[registry.MemberSnapshot] = None,
         gone: Sequence[net.RecordContent] = (),
     ) -> Generator:
         """Join the steps B and C `checks` of a round's targets, by DID, and
         turn their verdicts into one step D batch: end each whose checked
-        record the ledger `held` as UNCHANGED, commit the others that passed,
+        record the ledger `held` as UNCHANGED, commit the others that passed
+        (`_sync_target`),
         and end each that failed by name, flipping the record `held` ACTIVE
         for its DID when the failure refutes the holder (outside UNCHECKED).
         The `gone` records, whose holder the fresh list lacks, are flipped
@@ -961,21 +968,22 @@ class IinAgent(Actor):
         results: dict[str, dict] = {}
         ready, flips = [], list(gone)
         active = {r.holder_did: r for r in held if r.status == net.STATUS_ACTIVE}
-        for did, record in zip(checks, checked):
-            if not isinstance(record, net.RecordContent):
-                results[did] = self._target_failed(foreign_network, did, attempt, record)
-                if did in active and not isinstance(record, UNCHECKED):
+        for did, target in zip(checks, checked):
+            if isinstance(target, Exception):
+                results[did] = self._target_failed(foreign_network, did, attempt, target)
+                if did in active and not isinstance(target, UNCHECKED):
                     flips.append(active[did])
-            elif record in held:
-                results[did] = self._target_done(foreign_network, record, attempt, UNCHANGED)
+            elif target[0] in held:
+                results[did] = self._target_done(foreign_network, target[0], attempt, UNCHANGED)
             else:
-                ready.append(record)
-        ready += [replace(record, status=net.STATUS_REVOKED) for record in flips]
+                ready.append(target)
+        ready += [(replace(r, status=net.STATUS_REVOKED), (self.bus.now, b"")) for r in flips]
         if not ready:
             return results, ()
-        verdicts = yield from self._commit_identity(home_network, ready, snapshot)
+        # the records, and the (made_at, presentation) each one was checked on
+        verdicts = yield from self._commit_identity(home_network, *zip(*ready))
         retry = []
-        for record, verdict in zip(ready, verdicts):
+        for (record, _), verdict in zip(ready, verdicts):
             did = record.holder_did
             if record.status == net.STATUS_REVOKED:
                 results[f"revoke:{record.org_id}"] = self._flipped(foreign_network, record, verdict)
@@ -1060,7 +1068,7 @@ class IinAgent(Actor):
             new = {did: s for did, s in checks.items() if did not in active}
             known = {did: s for did, s in checks.items() if did in active}
             batches = tuple(self.start_session("commit", self._settle(
-                home_network, foreign_network, group, attempt, records, snapshot
+                home_network, foreign_network, group, attempt, records
             )) for group in (new, known) if group)
             retry = set()
             for round_ended, again in (yield Join(batches + flips)):  # the gone flips last
@@ -1104,7 +1112,7 @@ class IinAgent(Actor):
         """Run steps B and C for one member without committing, populating the
         countersigner cache."""
         memberlist, snapshot = yield from self._fetch_memberlist(home_network, foreign_network)
-        record = yield from self._sync_target(
+        record, _ = yield from self._sync_target(
             home_network, foreign_network, target_did, memberlist, snapshot
         )
         return record.bundle_digest.hex()
@@ -1115,7 +1123,7 @@ class IinAgent(Actor):
         """Directly challenge one foreign org and verify its membership
         presentation (no memberlist gate); used to probe revoked members."""
         try:
-            claim, _ = yield from self._validate_member(home_network, foreign_network, target_did)
+            claim, *_ = yield from self._validate_member(home_network, foreign_network, target_did)
             return {"status": "ok", "holder": claim.holder_did, "network": claim.network_id}
         except PROTOCOL_ERRORS as e:
             check = e.check if isinstance(e, creds.MembershipVerificationError) else 0

@@ -206,7 +206,7 @@ class Challenge(enc.Record):  # a request for a presentation of `network_id`, bo
 
 
 @dataclass(frozen=True)
-class Presented(enc.Record):  # a challenge's reply: its verifier decodes it outside the memo
+class Presented(enc.Record):  # a challenge's reply; step D forwards `vp` undecoded
     vp: bytes
 
 

@@ -79,6 +79,7 @@ TAG_REVOCATION_UPDATE = 0x1A
 TAG_MESSAGE = 0x1B
 TAG_ENDORSED = 0x1C
 TAG_REGISTRY_TX = 0x1D  # an unsigned registry transaction
+TAG_NONCE = 0x1E  # an initiator's challenge nonce: its statement-to-be
 
 
 def encode_bytes(value: bytes) -> bytes:

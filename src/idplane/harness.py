@@ -17,7 +17,6 @@ import functools
 import hashlib
 import inspect
 import json
-import random
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 from typing import Annotated, Literal, NewType, Optional, Union
@@ -425,10 +424,6 @@ def _derive_bytes(seed: int, label: str) -> bytes:
     return hashlib.sha256(b"idplane:" + seed.to_bytes(8, "big") + label.encode()).digest()
 
 
-def _derive_int(seed: int, label: str) -> int:
-    return int.from_bytes(_derive_bytes(seed, label)[:8], "big")
-
-
 def _identity_bytes(identity_seed: int, label: str) -> bytes:
     return _derive_bytes(identity_seed, "identity:" + label)
 
@@ -459,7 +454,7 @@ class World:
         self._build()
 
     def _register(self, actor: Actor) -> None:
-        actor.bind(self.bus, random.Random(_derive_int(self.seed, "rng:" + actor.address)))
+        actor.bind(self.bus)
         box = BoxKeyPair.from_seed(self._identity_seed("box:" + actor.address))
         self.bus.register(actor, box)
 

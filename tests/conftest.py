@@ -95,9 +95,7 @@ def ask(probe, world, to, kind, body, timeout=600):
 
 def add_probe(world, address="probe") -> Probe:
     probe = Probe(address)
-    import random
-
-    probe.bind(world.bus, random.Random(4711))
+    probe.bind(world.bus)
     seed = hashlib.sha256(address.encode()).digest()
     world.bus.register(probe, BoxKeyPair.from_seed(seed))
     return probe

@@ -10,10 +10,12 @@ D path moved, from the `bus.send` events and the initiator's
   challenged  its last `agent.membership_vp.request` before its first
               countersign request
   request     its first `agent.countersign.request`
-  signers     per countersigner that request went to: its first `iin.query`
-              after the request (`gate`, None when it read nothing), its
-              first and last `agent.membership_vp.request` up to its reply
-              (`first_challenge`, `challenged`), and that reply (`reply`)
+  signers     per countersigner that request went to: the request's
+              arrival (`request`), its first `iin.query` after it (`gate`,
+              None when it read nothing), its last fallback challenge, an
+              `agent.membership_vp.request` up to its reply (`challenged`,
+              None when it judged every forwarded presentation with no
+              send), and that reply (`reply`)
   committed   the initiator's last `agent.committed`
 
 A sync that sent no countersign batch has no path (an empty dict).
@@ -74,11 +76,16 @@ def critical_path(events, initiator: str) -> dict:
             if r.tick >= request.tick and r.detail["from"] == signer
             and r.detail["to"] == initiator and r.detail["msg_kind"] == "agent.countersign.reply"
         )
+        arrived = next(
+            d.tick for d in events if d.kind == "bus.deliver" and d.tick >= request.tick
+            and d.detail["from"] == initiator and d.detail["to"] == signer
+            and d.detail["msg_kind"] == "agent.countersign.request"
+        )
         gates = _sends(events, signer, "iin.query", request.tick - 1, reply)
         challenges = _sends(events, signer, "agent.membership_vp.request", request.tick - 1, reply)
         path["signers"][signer] = {
+            "request": arrived,
             "gate": gates[0] if gates else None,
-            "first_challenge": min(challenges, default=None),
             "challenged": max(challenges, default=None),
             "reply": reply,
         }
@@ -105,8 +112,9 @@ def legs(path: dict) -> list[tuple[str, int]]:
     signer = max(path["signers"].values(), key=lambda s: s["reply"])
     points = [(name, tick) for name, tick in (
         ("start", path["start"]), ("gate", path["gate"]), ("last challenge", path["challenged"]),
-        ("countersign request", path["request"]), ("countersigner's gate", signer["gate"]),
-        ("its last challenge", signer["challenged"]), ("its reply", signer["reply"]),
+        ("countersign request", path["request"]), ("its arrival", signer["request"]),
+        ("countersigner's gate", signer["gate"]), ("its fallback challenge", signer["challenged"]),
+        ("its reply", signer["reply"]),
         ("committed", path["committed"]),
     ) if tick is not None]
     return [(f"{a} -> {b}", end - begin) for (a, begin), (b, end) in zip(points, points[1:])]

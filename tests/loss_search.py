@@ -19,14 +19,17 @@ under loss), and `single` counts the REVOKED flips that failed
 flip that no one endorsed. For duplicates and delays `single` also prints,
 per faulted kind, the sends and Ed25519 signatures its runs made beyond the
 lossless run's, summed over those runs: a request served twice shows up
-there before it fails anything.
+there before it fails anything. With `--seeds N` `single` runs each scenario
+at bus seeds 0..N-1, not its own, and prints each seed's failed runs and the
+totals; each wrongful revocation then names its seed.
 `single` runs all four scenarios in about 30 s on 2 vCPUs.
 
 Pytest does not collect this file (its name does not start with `test_`);
 `tests/test_loss.py` pins `single` on concurrent-commit. Run it from the
 repository root:
 
-    PYTHONPATH=src python3 tests/loss_search.py single [--action A] [--delay N] [scenario ...]
+    PYTHONPATH=src python3 tests/loss_search.py single [--action A] [--delay N] [--seeds N]
+        [scenario ...]
     PYTHONPATH=src python3 tests/loss_search.py rates [--seeds N] [rate ...]
 """
 
@@ -131,8 +134,9 @@ def single(
         failed[sent] += not runner.report.ok
         refused.update(refusals(runner))
         flips_failed += sum(e.kind == "agent.revoke_failed" for e in runner.world.trace.events)
+        cause = f"{action} {n} ({sent})" if seed is None else f"seed {seed}, {action} {n} ({sent})"
         for e in wrongful_revocations(runner):
-            revoked.append((name, f"{action} {n} ({sent})", e.tick, e.detail["foreign_org"]))
+            revoked.append((name, cause, e.tick, e.detail["foreign_org"]))
     return runs, failed, revoked, flips_failed
 
 
@@ -180,6 +184,7 @@ def main(argv=None) -> int:
     p_single.add_argument("scenarios", nargs="*", metavar="scenario", help=", ".join(SCENARIOS))
     p_single.add_argument("--action", choices=ACTIONS, default="drop")
     p_single.add_argument("--delay", type=int, default=1, help="ticks added by --action delay")
+    p_single.add_argument("--seeds", type=int, help="run at bus seeds 0..N-1, not the scenario's")
     p_rates = sub.add_parser("rates", help="sweep two-network over drop rates and seeds")
     p_rates.add_argument("rates", nargs="*", type=float, default=RATES)
     p_rates.add_argument("--seeds", type=int, default=100)
@@ -192,11 +197,21 @@ def main(argv=None) -> int:
         revoked = []
         for name in args.scenarios or SCENARIOS:
             work = {} if args.action in ("duplicate", "delay") else None
-            runs, failed, found, flips_failed = single(
-                name, refused, args.action, args.delay, work=work
-            )
-            print_single(name, args.action, runs, failed, flips_failed, work)
-            revoked += found
+            runs, failed, flips_failed = collections.Counter(), collections.Counter(), 0
+            for seed in range(args.seeds) if args.seeds else (None,):
+                seed_runs, seed_failed, found, seed_flips = single(
+                    name, refused, args.action, args.delay, work=work, seed=seed
+                )
+                if seed is not None:
+                    print(f"{name} seed {seed}: {sum(seed_failed.values())} of "
+                          f"{sum(seed_runs.values())} single {args.action}s fail the run, "
+                          f"{seed_flips} failed REVOKED flips, {len(found)} wrongful revocations")
+                runs.update(seed_runs)
+                failed.update(seed_failed)
+                flips_failed += seed_flips
+                revoked += found
+            total = name if args.seeds is None else f"{name}, bus seeds 0-{args.seeds - 1} in all"
+            print_single(total, args.action, runs, failed, flips_failed, work)
     else:
         revoked = sweep(tuple(args.rates), args.seeds, refused)
     for scenario, cause, tick, org in revoked:

@@ -267,7 +267,7 @@ def test_criterion_04_lying_revoked_initiator_refused():
     lie = net.RecordContent(
         "STL", "Carrier", "", carrier.bundle, carrier.bundle_digest, net.STATUS_REVOKED
     )
-    record = seller.start_session("revoke", seller._commit_identity("SWT", [lie]))
+    record = seller.start_session("revoke", seller._commit_identity("SWT", [lie], [(world.bus.now, b"")]))
     world.settle()
     [verdict] = record.result
     assert isinstance(verdict, agent.CounterpartyValidationFailed), verdict

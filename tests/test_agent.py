@@ -1,5 +1,6 @@
 """Agent protocol behavior: policy gates, countersigning, retries, resync."""
 
+import os
 from dataclasses import replace
 
 import pytest
@@ -98,7 +99,7 @@ def stale_witnesses(world):
 
 def challenge(probe, world, holder, network_id, **extra):
     """Challenge `holder`'s agent from `probe`; returns (reply, nonce)."""
-    nonce = probe.nonce()
+    nonce = os.urandom(16)
     result = {}
 
     def ask():
@@ -802,8 +803,9 @@ class TestMemberlistReuse:
     def test_list_naming_every_active_holder_is_reused(self, world):
         """Seller's cached list names Carrier though the anchor's roster has
         moved on since (Seller's own STL membership is revoked): the gate is
-        Seller's own, and the request names no list version."""
-        assert run_sync(world, "Buyer", "SWT", "STL").error is None
+        Seller's own, and the request names no list version. Seller's own
+        sync warms it: it caches only what its own challenges checked."""
+        assert run_sync(world, "Seller", "SWT", "STL").error is None
         seller = world.agents["Seller"]
         carrier_did = world.org_dids["Carrier"]
         cached = seller._memberlists["STL"]
@@ -839,7 +841,7 @@ class TestMemberlistReuse:
         """Seller's list still names Carrier, but its identity is no longer
         cached: the batch reads, and its read carries the registry's current
         list, which no longer lists Carrier."""
-        record = run_sync(world, "Buyer", "SWT", "STL")
+        record = run_sync(world, "Seller", "SWT", "STL")
         assert record.error is None
         seller = world.agents["Seller"]
         cached = seller._memberlists["STL"]
@@ -1005,16 +1007,18 @@ class TestConcurrentSync:
 
 
 class TestCountersignOverlap:
-    """A countersigner's challenges leave with its gate read, and a batch
+    """A countersigner judges the presentations its initiator forwards while
+    nothing moved the epoch, so its leg is its gate read alone, and a batch
     that reaches an org during that org's own check of the same holder joins
     the check: both at every latency fixed at 2 ticks."""
 
-    def test_each_countersigner_challenges_in_its_gate_reads_tick(self):
-        """In both of two-network's syncs, Seller's first challenge leaves in
-        the tick of its first registry read, not once the read has
-        returned: Buyer's sync of STL takes 20 ticks and Carrier's of SWT
-        24 (24 and 28 while Seller challenged after its read, 4 ticks
-        later)."""
+    def test_no_countersigner_challenges_in_a_lossless_sync(self):
+        """In both of two-network's syncs, Seller reads its gate in the tick
+        the request arrives and answers from the forwarded presentations,
+        challenging no holder: Buyer's sync of STL takes 20 ticks and
+        Carrier's of SWT 24, as when Seller's own challenges left with its
+        gate read (24 and 28 while they left after it). No agent but the
+        sync's initiator sends `agent.membership_vp.request`."""
         runner = harness.ScenarioRunner(fixed_latency("two-network"))
         assert runner.run().ok
         ticks = {}
@@ -1022,8 +1026,13 @@ class TestCountersignOverlap:
             [org] = step["initiators"]
             path = critical_path(events, f"agent:{org}")
             [signer] = path["signers"].values()
-            assert signer["first_challenge"] == signer["gate"] is not None
+            assert signer["request"] == signer["gate"] and signer["challenged"] is None
             ticks[org] = path["committed"] - path["start"]
+            assert {
+                e.detail["from"] for e in events if e.kind == "bus.send"
+                and e.detail["msg_kind"] == "agent.membership_vp.request"
+            } == {f"agent:{org}"}
+            assert not [e for e in events if e.kind == "agent.challenge_fallback"]
         assert ticks == {"Buyer": 20, "Carrier": 24}
 
     @pytest.mark.parametrize("name, signer, occurrence, sends", [
@@ -1031,8 +1040,11 @@ class TestCountersignOverlap:
         # sends while Buyer read a snapshot for it)
         ("concurrent-commit", "Buyer", 1, 100),
         # Buyer's batch reaches Seller during Seller's own resync, whose
-        # cleared cache made it read again (134 sends while it did)
-        ("rotate-resync", "Seller", 2, 130),
+        # cleared cache made it read again (134 sends while it did). Seller's
+        # challenge of Carrier there is its first: as the first sync's
+        # countersigner it judges the presentations Buyer forwards, and
+        # sends 4 fewer (130 while it challenged each holder itself)
+        ("rotate-resync", "Seller", 1, 126),
     ], ids=("concurrent-commit", "rotate-resync"))
     def test_a_batch_joins_its_countersigners_own_check_of_the_holder(
         self, name, signer, occurrence, sends
@@ -1066,16 +1078,17 @@ class TestCountersignOverlap:
         assert sum(e.kind == "bus.send" for e in events) == sends
 
 
-def commit_alone(world, org_id, foreign_did, bundle, **kwargs):
+def commit_alone(world, org_id, foreign_did, bundle):
     """Buyer alone asks for an ACTIVE commit of STL's `org_id` into SWT, the
-    one record of its batch; returns the verdict on it."""
+    one record of its batch, stated now and forwarding no presentation;
+    returns the verdict on it."""
     buyer = world.agents["Buyer"]
     content = net.RecordContent(
         "STL", org_id, foreign_did, bundle, crypto.digest(bundle), "ACTIVE"
     )
 
     record = buyer.start_session(
-        "commit", buyer._commit_identity("SWT", [content], **kwargs)
+        "commit", buyer._commit_identity("SWT", [content], [(world.bus.now, b"")])
     )
     world.settle()
     [verdict] = record.result
@@ -1096,7 +1109,8 @@ class TestCountersignGate:
 
     def test_cached_identity_of_a_revoked_member_is_not_signed_back_to_active(self, world):
         carrier_did = world.org_dids["Carrier"]
-        assert run_sync(world, "Buyer", "SWT", "STL").error is None
+        # Seller's own sync caches Carrier's identity
+        assert run_sync(world, "Seller", "SWT", "STL").error is None
         seller = world.agents["Seller"]
         assert ("STL", carrier_did) in seller.cache
         self.revoke_carrier_and_resync(world)
@@ -1244,7 +1258,7 @@ class TestServingPresentations:
         results = {}
 
         def ask(net_id):
-            nonce = probe.nonce()
+            nonce = os.urandom(16)
             reply = yield Request(
                 "agent:Seller",
                 "agent.membership_vp.request",
@@ -1468,7 +1482,7 @@ class TestChallengeEpochs:
         def ask():
             reply = yield Request(
                 "agent:Carrier", "agent.membership_vp.request",
-                creds.Challenge("STL", probe.nonce(), ((anchor.profile.did, epoch),)),
+                creds.Challenge("STL", os.urandom(16), ((anchor.profile.did, epoch),)),
                 timeout=500,
             )
             replies.append(reply)
@@ -1597,11 +1611,12 @@ class TestResync:
         }
         record = world.ledger_state("SWT").get_record("STL", "Carrier").content
         assert record.bundle_digest == world.organizations[("STL", "Carrier")].bundle_digest()
-        # one records read, before step D, though Seller's stale cached copy
-        # sends Carrier's target into a retry round
+        # one records read, before step D's one request: Seller kept no copy
+        # of Carrier from the presentation Buyer forwarded in its first sync,
+        # so no stale copy sends Carrier's target into a retry round
         [query] = sends_from(world, "Buyer", "ledger.query", start)
-        first = sends_from(world, "Buyer", "agent.countersign.request", start)
-        assert len(first) == 2 and query.detail["seq"] < first[0].detail["seq"]
+        [first] = sends_from(world, "Buyer", "agent.countersign.request", start)
+        assert query.detail["seq"] < first.detail["seq"]
 
     def test_revoke_resync_flips_the_revoked_member_and_skips_the_rest(self, world):
         assert run_sync(world, "Buyer", "SWT", "STL").error is None
@@ -1723,10 +1738,12 @@ class TestResync:
         the held Seller is checked, and Seller's new bundle in another.
         Seller, countersigning its own rotated bundle, checks itself afresh
         rather than answer from its stale cached copy, so both commit at
-        attempt 1: with every latency fixed at 2 ticks, 30 sends and 24
+        attempt 1: with every latency fixed at 2 ticks, 28 sends and 24
         ticks (38 and 49 while that copy sent Seller's target into a retry
-        round; 28 while each countersigner challenged only once its gate
-        read had returned, not in the same tick). At the scenario's own
+        round; 28 ticks while each countersigner challenged only once its
+        gate read had returned, not in the same tick; 30 sends while Seller
+        challenged itself, where it now judges its own presentation that
+        Buyer forwards). At the scenario's own
         latencies the set-up's sends move the bus's seeded draws: 30 ticks
         with the two-round-trip step A, 28 with the one-round-trip one, and
         30 once no holder refreshes the witness step A gave it."""
@@ -1744,7 +1761,7 @@ class TestResync:
         events = world.trace.events[start:]
         resync = next(e.tick for e in events if e.kind == "agent.resync")
         assert max(e.tick for e in events) - resync == 24
-        assert sum(e.kind == "bus.send" for e in events) == 30
+        assert sum(e.kind == "bus.send" for e in events) == 28
         state = world.ledger_state("SWT")
         assert state.get_record("STL", "Carrier").content.status == "ACTIVE"
         record = state.get_record("STL", "Seller").content
@@ -2152,7 +2169,7 @@ class TestBatchedStepD:
         """A countersigner that has not cached every holder reads, and its
         one read is the gate, which carries a fresh list: a lost gate
         refuses every ACTIVE statement, the cached holder's too."""
-        assert run_sync(world, "Buyer", "SWT", "STL").error is None
+        assert run_sync(world, "Seller", "SWT", "STL").error is None
         seller = world.agents["Seller"]
         seller.cache.pop(("STL", world.org_dids["Carrier"]))
         lose_read(world, "Seller")
@@ -2287,13 +2304,13 @@ class TestOneReadPerGate:
         ]
         return sent[:sent.index("agent.membership_vp.request")].count("iin.query")
 
-    def test_countersigner_that_fetches_its_list_reads_once_before_its_challenges(self, world):
+    def test_countersigner_that_fetches_its_list_reads_once_and_challenges_no_one(self, world):
+        """Its one read, of two replicas, judges every forwarded presentation."""
         start = len(world.trace.events)
         assert run_sync(world, "Buyer", "SWT", "STL").error is None
         assert len(gates(world, "Seller", start)) == 1
-        # one read, of two replicas
-        assert self.queries_before_challenge(world, "Seller", start) == 2
         assert len(sends_from(world, "Seller", "iin.query", start)) == 2
+        assert sends_from(world, "Seller", "agent.membership_vp.request", start) == []
 
     def test_full_sync_reads_once_before_its_challenges(self, world):
         """A first sync and a resync each read once: the gate's snapshot

@@ -2,6 +2,7 @@
 
 import importlib.util
 import itertools
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -165,7 +166,7 @@ class TestMembershipIssuance:
 class TestMemberlist:
     def fetch_memberlist(self, world, anchor_name, network_id):
         probe = add_probe(world, address=f"probe:{anchor_name}:{network_id}")
-        nonce = probe.nonce()
+        nonce = os.urandom(16)
         reply = request(
             probe, world, f"anchor:{anchor_name}", "anchor.memberlist.request",
             creds.Challenge(network_id, nonce), timeout=200,

@@ -83,16 +83,22 @@ def test_benchmark_worlds_parse():
 
 
 @pytest.mark.parametrize("workload, sends, applied, sync_ticks", [
-    # each countersigner's challenges leave with its gate read, not after
-    # it: wide-sync 32/30 -> 27/25 ticks with the same sends. In
-    # commit-race's race the batch that reaches an org during its own check
-    # of Carrier joins that check and reads nothing (24 -> 20 sends, 19 ->
-    # 16 ticks)
-    ("wide-sync", 356, 16, [27, 25]),
+    # each countersigner judges the presentations its initiator forwards
+    # and challenges no holder: wide-sync's two syncs send 66 each, 8k + 2
+    # at k = 8 (356 -> 132 sends), and take 27/25 -> 24/23 ticks as the
+    # draws move with the sends. In commit-race's race each countersigner
+    # decides from its joined check, as before
+    ("wide-sync", 132, 16, [24, 23]),
     ("commit-race", 20, 1, [16]),
     # a re-admission is one credential round trip, one holder read and one
-    # batch; the resync after it challenges early too (43 -> 39 ticks)
-    ("proof-churn", 164, 3, [20, 26, 39]),
+    # batch; the resync after it sends no countersigner challenge either
+    # (164 -> 166 sends, 20/26/39 -> 16/18/46 ticks). A countersigner keeps
+    # no identity checked on a forwarded presentation, so in the rotation
+    # resync, whose first attempt the prefetcher's stale copy refuses, the
+    # two other countersigners read their gates rather than answer from a
+    # stale copy of their own (158 sends and 16/18/36 ticks while they kept
+    # one)
+    ("proof-churn", 166, 3, [16, 18, 46]),
 ], ids=("wide-sync", "commit-race", "proof-churn"))  # stable across re-pins
 def test_one_unit_of_each_workload_keeps_its_exact_traffic(
     monkeypatch, workload, sends, applied, sync_ticks

@@ -11,9 +11,10 @@ A REVOKED statement is endorsed only when the holder's validation was
 refuted: a validation that could not check the holder (`MemberUnreachable`,
 `QuorumUnavailable`, `InconsistentReplicas`) refuses it by name.
 
-The hint rows (`HINT_ROWS`) keep Seller's real gate and validation and vary
-the initiator's hints, which choose where and at which epochs an early
-challenge goes: each ends with the answer Seller gives with no hint.
+The forwarded rows (`FORWARDED_ROWS`) keep Seller's real gate and
+validation and vary the presentation the initiator forwards with the
+statement, honest or not: each ends with a named answer, and pins which
+challenges Seller sent itself and why.
 """
 
 from dataclasses import replace
@@ -25,6 +26,7 @@ from idplane import agent as agent_mod
 from idplane import credentials as creds
 from idplane import network as net
 from idplane import registry
+from idplane.actors import Request, Sleep
 from idplane.bus import FaultRule
 
 STATED = b"\x01" * 32  # the statement's bundle digest
@@ -151,7 +153,7 @@ class Inputs:
 
         def validate_member(
             home_network, foreign_network, target_did, memberlist=None, with_bundle=False,
-            snapshot=None, early=None,
+            snapshot=None, forwarded=None,
         ):
             # the real check's precondition: a list given must list the target
             if memberlist is not None and target_did not in memberlist.member_dids:
@@ -161,7 +163,8 @@ class Inputs:
             outcome = VALIDATIONS[validation]
             if isinstance(outcome, Exception):
                 raise outcome
-            return None, self.identity(*outcome) if with_bundle else None
+            # checked on a presentation of its own challenge, not a forwarded one
+            return None, self.identity(*outcome) if with_bundle else None, (None, b"")
 
         seller._ledger_records = ledger_records
         seller._fetch_memberlist = fetch_memberlist
@@ -197,78 +200,228 @@ def test_countersign_decision_table(world, row):
         assert reply.endorsed.statements == () and reply.signature == b""
 
 
-# The early challenge: a batch that reads its gate challenges each uncached
-# ACTIVE holder in the same tick, where and at the epochs the initiator's gate
-# read named (`CountersignRequest.endpoints`, `.epochs`). These rows run
-# Seller's real gate and validation after step A. A hint only chooses where
-# one challenge goes and which epochs it names: each row ends with the answer
-# Seller gives with no hint, and a challenge whose endpoint or epochs differ
-# from Seller's own gate read is followed by a fresh one after the read.
+
+
+# Forwarded presentations: Buyer, the initiator, checks Carrier with its real
+# step B (`_validate_member`), whose challenge nonce is the statement's
+# (`agent.StatementNonce`), and asks Seller to countersign the statement it
+# makes, forwarding the presentation Carrier made. Seller runs its real gate
+# and validation after step A; each row varies what is forwarded, honest or
+# not, and ends with a named answer.
 #
-# (hint, lost) -> (answer, challenges): each challenge Seller sent, by
-# holder org and whether it left in the gate read's tick
-#   hint: "gate's" (the endpoint and epochs the registry holds), "initiator's
-#     endpoint" (the initiator's own address), "no actor's endpoint" (an
-#     address the bus does not know: the early challenge is lost at once,
-#     and none leaves), "stale
-#     epochs" (each one epoch behind), "none" (no hints), "revoked" (a
-#     REVOKED statement that names the holder's endpoint)
-#   lost: the early challenge's reply is dropped
-HINT_ROWS = [
-    ("gate's", False, SIGNED, [("Carrier", True)]),
-    ("initiator's endpoint", False, SIGNED, [("Buyer", True), ("Carrier", False)]),
-    ("no actor's endpoint", False, SIGNED, [("Carrier", False)]),
-    ("stale epochs", False, SIGNED, [("Carrier", True), ("Carrier", False)]),
-    ("none", False, SIGNED, [("Carrier", False)]),
-    ("gate's", True, refused("MemberUnreachable"), [("Carrier", True)]),
-    ("revoked", False, mismatch(b""), []),
+# (forwarded, answer, challenges, fallbacks, failed check): the challenges
+# Seller sent itself, the reasons its `agent.challenge_fallback` events
+# name, and the first failed check of the one presentation it refused
+#   "holder's": the presentation Carrier made for the statement
+#   "made_at shifted": the statement names the tick after the challenge's
+#   "another holder's": Seller's presentation, made for a challenge that
+#     names the nonce of Carrier's statement
+#   "bundle not stated": the statement names another bundle digest
+#   "witness behind": AnchorSTL revokes Seller between the challenge and
+#     Seller's read, so Carrier's witness is one epoch behind that read
+#   "none", "two for one statement" (a list of another length, ignored),
+#     "none, reply lost" (Carrier's reply to Seller's challenge dropped)
+#   "revoked, no record": a REVOKED statement, presentation attached, of a
+#     Carrier the ledger holds no record of
+#   "revoked, refuting one attached": the ledger holds Carrier ACTIVE; the
+#     REVOKED statement forwards a presentation that fails check 1, which
+#     would refute Carrier if it were judged
+FORWARDED_ROWS = [
+    ("holder's", SIGNED, 0, [], None),
+    ("made_at shifted", refused("MembershipVerificationError"), 0, [], creds.CHECK_NONCE),
+    ("another holder's", refused("MembershipVerificationError"), 0, [],
+     creds.CHECK_PRESENTER_SIGNATURE),
+    ("bundle not stated", refused("PresentationMismatch"), 0, [], None),
+    ("witness behind", SIGNED, 1, ["witness at {epoch} < {next}"], None),
+    ("none", SIGNED, 1, ["no presentation"], None),
+    ("two for one statement", SIGNED, 1, ["no presentation"], None),
+    ("none, reply lost", refused("MemberUnreachable"), 1, ["no presentation"], None),
+    ("revoked, no record", mismatch(b""), 0, [], None),
+    ("revoked, refuting one attached", refused("MemberStillValid"), 1, [], None),
 ]
 
 
-@pytest.mark.parametrize(
-    "row", HINT_ROWS, ids=[f"{h}{'-lost' if lost else ''}" for h, lost, *_ in HINT_ROWS]
-)
-def test_countersign_hints(world, row):
-    hint, lost, answer, challenges = row
-    seller, buyer = world.agents["Seller"], world.agents["Buyer"]
-    carrier = world.agents["Carrier"]
-    gate = buyer.start_session("gate", buyer._fetch_memberlist("SWT", "STL"))
+def challenge(world, asker, holder, nonce):
+    """`holder`'s reply to `asker`'s challenge for its STL membership and
+    bundle, under `nonce`."""
+    replies = []
+
+    def ask():
+        replies.append((yield Request(
+            holder.address, "agent.membership_vp.request",
+            creds.Challenge("STL", nonce, (), 1), timeout=500,
+        )))
+
+    asker.start_session("ask", ask())
     world.settle()
-    _, snapshot = gate.result  # the initiator's gate read
-    epochs = tuple((issuer, state.epoch) for issuer, state in snapshot.revocation().items())
-    endpoint = snapshot.holder(carrier.did)[0].service_endpoint
-    hints = {
-        "gate's": (epochs, (endpoint,)),
-        "initiator's endpoint": (epochs, (buyer.address,)),
-        "no actor's endpoint": (epochs, ("agent:Nobody",)),
-        "stale epochs": (tuple((issuer, epoch - 1) for issuer, epoch in epochs), (endpoint,)),
-        "none": ((), ()),
-        "revoked": (epochs, (endpoint,)),
-    }[hint]
-    status = "REVOKED" if hint == "revoked" else "ACTIVE"
-    digest = world.organizations[("STL", "Carrier")].bundle_digest()
-    statement = net.Endorsement(
-        "SWT", "STL", "Carrier", carrier.did, digest, status, world.bus.now
-    )
-    if lost:
+    [reply] = replies
+    return reply
+
+
+def present(world, asker, holder, nonce):
+    """The presentation bytes `holder` answers `asker`'s challenge with."""
+    reply = challenge(world, asker, holder, nonce)
+    assert reply.error == ""
+    return reply.body.vp
+
+
+def initiators_check(world):
+    """Buyer's steps B and C of Carrier: the checked record, and the
+    (`made_at`, presentation) they checked it on."""
+    buyer = world.agents["Buyer"]
+    session = buyer.start_session("check", buyer._validate_member(
+        "SWT", "STL", world.agents["Carrier"].did, with_bundle=True
+    ))
+    world.settle()
+    assert session.error is None
+    _, record, presented = session.result
+    return record, presented
+
+
+@pytest.mark.parametrize("row", FORWARDED_ROWS, ids=[r[0] for r in FORWARDED_ROWS])
+def test_countersign_forwarded(world, monkeypatch, row):
+    forwarded, answer, challenges, fallbacks, check = row
+    seller, buyer = world.agents["Seller"], world.agents["Buyer"]
+    carrier, anchor = world.agents["Carrier"], world.anchors["AnchorSTL"]
+    if forwarded == "revoked, refuting one attached":
+        session = buyer.start_session("sync", buyer.sync_network("SWT", "STL"))
+        world.settle()
+        assert session.error is None
+    record, (made_at, vp) = initiators_check(world)
+    epoch = anchor.acc_state.epoch
+    statement = record.statement("SWT", made_at)
+    presentations = (vp,)
+    if forwarded == "made_at shifted":
+        statement = replace(statement, made_at=made_at + 1)
+    elif forwarded == "another holder's":
+        nonce = agent_mod.StatementNonce("SWT", carrier.did, made_at).to_bytes()
+        presentations = (present(world, buyer, seller, nonce),)
+    elif forwarded == "bundle not stated":
+        statement = replace(statement, bundle_digest=OTHER)
+    elif forwarded == "witness behind":
+        anchor.enqueue_serialized("revoke", lambda: anchor.revoke_membership(seller.did, "STL"))
+        world.settle()
+        assert anchor.acc_state.epoch == epoch + 1
+    elif forwarded in ("none", "none, reply lost"):
+        presentations = ()
+    elif forwarded == "two for one statement":
+        presentations = (vp, vp)
+    elif forwarded.startswith("revoked"):
+        statement = replace(statement, status="REVOKED")
+        if forwarded == "revoked, refuting one attached":
+            statement = replace(statement, made_at=made_at + 1)
+    if forwarded == "none, reply lost":
         world.bus.config.rules.append(FaultRule(
             "drop", from_=carrier.address, to=seller.address, kind="agent.membership_vp.reply",
             occurrence=1,
         ))
+    failed = []
+    verify = creds.verify_membership_vp
+
+    def recording(*args, **kwargs):
+        try:
+            return verify(*args, **kwargs)
+        except creds.MembershipVerificationError as e:
+            failed.append(e.check)
+            raise
+
+    monkeypatch.setattr(creds, "verify_membership_vp", recording)
     start = len(world.trace.events)
-    session = seller.start_session(
-        "countersign",
-        seller._handle_countersign("probe", agent_mod.CountersignRequest((statement,), *hints)),
-    )
+    session = seller.start_session("countersign", seller._handle_countersign(
+        "probe", agent_mod.CountersignRequest((statement,), presentations)
+    ))
     settled = world.settle()
     assert session.error is None
     assert session.result.results == (answer,)
     # no challenge waits out its timeout once the batch is answered
     assert settled == world.trace.events[-1].tick
-    sent = [e for e in world.trace.events[start:] if e.kind == "bus.send"]
-    [gate_tick] = {e.tick for e in sent if e.detail["msg_kind"] == "iin.query"}
-    by_address = {a.address: org for org, a in world.agents.items()}
+    events = world.trace.events[start:]
+    assert sum(
+        e.kind == "bus.send" and e.detail["msg_kind"] == "agent.membership_vp.request"
+        for e in events
+    ) == challenges
     assert [
-        (by_address[e.detail["to"]], e.tick == gate_tick) for e in sent
-        if e.detail["msg_kind"] == "agent.membership_vp.request"
-    ] == challenges
+        e.detail["reason"] for e in events if e.kind == "agent.challenge_fallback"
+    ] == [f.format(epoch=epoch, next=epoch + 1) for f in fallbacks]
+    assert failed == ([check] if check else [])
+
+
+def test_an_earlier_syncs_presentation_under_its_old_made_at_never_applies(world):
+    """Buyer replays Carrier's statement and presentation from its first
+    sync after a resync has committed Carrier's rotated bundle. Seller,
+    its cache cleared, judges the forwarded presentation on its own read
+    and signs it (nothing has moved the epoch), and the contract answers
+    StaleStatement: the ledger keeps the newer record."""
+    buyer, seller = world.agents["Buyer"], world.agents["Seller"]
+    commit, batches = buyer._commit_identity, []
+
+    def recording(home_network, records, presented):
+        batches.append(list(zip(records, presented)))
+        return (yield from commit(home_network, records, presented))
+
+    buyer._commit_identity = recording
+    for sync in (buyer.sync_network("SWT", "STL"), None):
+        if sync is None:
+            world.organizations[("STL", "Carrier")].rotate(world.bus.now)
+            sync = buyer.resync("SWT", "periodic")
+        session = buyer.start_session("sync", sync)
+        world.settle()
+        assert session.error is None
+    old = next(pair for pair in batches[0] if pair[0].org_id == "Carrier")
+    newer = world.ledger_state("SWT").get_record("STL", "Carrier")
+    assert newer.content.bundle_digest != old[0].bundle_digest
+    seller.cache.clear()
+    session = buyer.start_session("replay", commit("SWT", [old[0]], [old[1]]))
+    world.settle()
+    [verdict] = session.result
+    assert isinstance(verdict, agent_mod.CommitRejected), verdict
+    assert str(verdict) == net.OUTCOME_STALE
+    assert world.ledger_state("SWT").get_record("STL", "Carrier") == newer
+    # Seller keeps nothing it checked on the replayed presentation, so a
+    # statement of the old bundle made now is checked afresh: Seller
+    # challenges Carrier itself, which presents its rotated bundle
+    assert ("STL", old[0].holder_did) not in seller.cache
+    session = buyer.start_session("stale", commit("SWT", [old[0]], [(world.bus.now, b"")]))
+    world.settle()
+    [verdict] = session.result
+    assert isinstance(verdict, agent_mod.DigestMismatch), verdict
+    assert world.ledger_state("SWT").get_record("STL", "Carrier") == newer
+
+
+def test_a_presentation_asked_for_ahead_of_its_made_at_is_never_signed(world):
+    """Buyer asks Carrier, before Carrier rotates, for a presentation under
+    the nonce of a statement it means to make at a later tick, when a
+    resync has committed the rotated bundle at an earlier one. Carrier
+    refuses a `made_at` later than its own clock (FutureStatement). Once
+    that tick has come, Carrier signs under the same nonce with the bundle
+    it then holds, the rotated one, so the statement of the old bundle
+    that forwards it is refused by name and the ledger keeps the rotated
+    record."""
+    buyer, carrier = world.agents["Buyer"], world.agents["Carrier"]
+    session = buyer.start_session("sync", buyer.sync_network("SWT", "STL"))
+    world.settle()
+    assert session.error is None
+    old = world.ledger_state("SWT").get_record("STL", "Carrier").content
+    later = world.bus.now + 200
+    nonce = agent_mod.StatementNonce("SWT", carrier.did, later).to_bytes()
+    assert challenge(world, buyer, carrier, nonce).error == "FutureStatement"
+    world.organizations[("STL", "Carrier")].rotate(world.bus.now)
+    session = buyer.start_session("resync", buyer.resync("SWT", "periodic"))
+    world.settle()
+    assert session.error is None
+    newer = world.ledger_state("SWT").get_record("STL", "Carrier")
+    assert newer.content.bundle_digest != old.bundle_digest
+    assert newer.synced_at < later
+
+    def wait():
+        yield Sleep(later - world.bus.now)
+
+    buyer.start_session("wait", wait())
+    world.settle()
+    vp = present(world, buyer, carrier, nonce)
+    session = buyer.start_session("replay", buyer._commit_identity("SWT", [old], [(later, vp)]))
+    world.settle()
+    [verdict] = session.result
+    assert isinstance(verdict, agent_mod.CounterpartyValidationFailed), verdict
+    assert str(verdict) == "Seller:PresentationMismatch"
+    assert world.ledger_state("SWT").get_record("STL", "Carrier") == newer

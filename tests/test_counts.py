@@ -20,8 +20,8 @@ loop, so a memo that shares verdicts too widely or too narrowly fails. In the
 same way each scenario pins the record decodes asked for inside the bus loop
 and the entries of its world's decode memo, one per distinct (record class,
 bytes) pair: a nested record is decoded only when its enclosing one misses.
-A challenge's presentation is bound to its fresh nonce, so it is decoded
-outside the memo and no memo keeps one.
+A presentation is decoded in the memo: its initiator's decode serves every
+countersigner it is forwarded to.
 Every scenario signs exactly one presentation per holder challenge, so a
 holder that signs its bundle apart from its membership fails even where the
 other pins would move with it.
@@ -55,9 +55,12 @@ SCENARIOS = ("two-network", "concurrent-commit", "revoke-carrier", "rotate-resyn
         # check of Carrier, and Buyer, which read a snapshot for it (104
         # sends, 14 queries, 93 verifies), now answers from the check's
         # cached identity with no read (-4 sends, -2 queries, -1 verify: the
-        # read's memberlist). Two-network's early challenges replace the
-        # ones that followed each countersigner's gate read, one for one
-        ("two-network", 126, 16, 0, 1, 21, 2, 71, 144),
+        # read's memberlist). Two-network's countersigner, Seller, judges the
+        # presentations each initiator forwards and challenges no holder
+        # (126 sends and 71 signs while it challenged each one itself: -4
+        # challenges and their replies, -4 presentations). Concurrent-commit's
+        # countersigners decide from their joined checks, as before
+        ("two-network", 118, 16, 0, 1, 21, 2, 67, 144),
         ("concurrent-commit", 100, 12, 0, 0, 21, 2, 59, 92),
     ],
     ids=("two-network", "concurrent-commit"),  # stable across re-pins
@@ -95,13 +98,18 @@ def test_bundled_scenario_counts(
 
 
 @pytest.mark.parametrize("name, plaintext_bytes", [
-    # each countersign request carries its initiator's gate-read epochs and
-    # one holder endpoint per statement (two-network +242 B over its two
-    # requests); concurrent-commit also loses Buyer's joined gate read
-    ("two-network", 81_561),
-    ("concurrent-commit", 60_489),
-    ("revoke-carrier", 113_395),
-    ("rotate-resync", 83_604),
+    # each countersign request forwards one presentation, with its bundle,
+    # per ACTIVE statement in place of the hints, and the countersigners'
+    # challenges go (81,561, 60,489, 113,395 and 83,604 B while they
+    # challenged); a challenge's nonce is its statement's encoding
+    # (`agent.StatementNonce`, 89 B here), which the holder reads, not 16
+    # random bytes, in the challenge, its presentation and each copy
+    # forwarded (80,773, 62,507, 112,697 and 87,404 B with its 32-byte
+    # digest)
+    ("two-network", 81_457),
+    ("concurrent-commit", 62_849),
+    ("revoke-carrier", 113_723),
+    ("rotate-resync", 88_430),
 ], ids=SCENARIOS)  # stable across re-pins
 def test_bundled_scenario_wire_bytes(monkeypatch, name, plaintext_bytes):
     sent = []
@@ -123,11 +131,16 @@ def test_bundled_scenario_wire_bytes(monkeypatch, name, plaintext_bytes):
         # concurrent-commit: Buyer's joined batch reads no memberlist, a memo
         # hit (-1 logical); revoke-carrier and rotate-resync: the two
         # initiators' last statements are made at different ticks, so the
-        # endorsements of them share no verdict
-        ("two-network", 144, 4, 54),
-        ("concurrent-commit", 92, 0, 36),
-        ("revoke-carrier", 170, 2, 65),
-        ("rotate-resync", 136, 4, 49),
+        # endorsements of them share no verdict. Every countersigner verifies
+        # the presentation its initiator forwards, the triple its initiator
+        # verified, so each forwarded one runs Ed25519 once (54, 36, 65 and
+        # 49 executed while each countersigner verified its own challenge's);
+        # in concurrent-commit both initiators challenge Carrier in one tick,
+        # under one statement nonce, and verify one presentation
+        ("two-network", 144, 4, 50),
+        ("concurrent-commit", 92, 0, 33),
+        ("revoke-carrier", 170, 2, 61),
+        ("rotate-resync", 136, 4, 47),
     ],
     ids=SCENARIOS,  # stable across re-pins
 )
@@ -152,19 +165,25 @@ def test_bundled_scenario_executed_verifies(monkeypatch, name, logical, outside,
 
 
 @pytest.mark.parametrize(
-    "name, in_loop, entries",
+    "name, in_loop, entries, presentations",
     [
         # the decodes move with the gate reads above (concurrent-commit: the
         # joined batch's memberlist, -1), the memo's entries with the
-        # endorsements
-        ("two-network", 275, 102),
-        ("concurrent-commit", 225, 79),
-        ("revoke-carrier", 329, 117),
-        ("rotate-resync", 272, 99),
+        # endorsements. Each presentation is decoded in the memo, once for
+        # its initiator and each countersigner it is forwarded to (275, 225,
+        # 329 and 272 decodes and 102, 79, 117 and 99 entries while each was
+        # decoded outside the memo, by its one verifier). Each holder decodes
+        # its challenge's nonce to read the statement's `made_at`: one call
+        # per challenge, one entry per distinct nonce (283, 227, 340 and 280
+        # decodes and 106, 78, 124 and 105 entries before)
+        ("two-network", 287, 110, 4),
+        ("concurrent-commit", 229, 79, 1),
+        ("revoke-carrier", 347, 131, 7),
+        ("rotate-resync", 286, 111, 6),
     ],
     ids=SCENARIOS,  # stable across re-pins
 )
-def test_bundled_scenario_decodes(monkeypatch, name, in_loop, entries):
+def test_bundled_scenario_decodes(monkeypatch, name, in_loop, entries, presentations):
     runner = harness.ScenarioRunner(scenario_config(name))
     memo = runner.world.bus._decoded
     calls = []
@@ -180,7 +199,9 @@ def test_bundled_scenario_decodes(monkeypatch, name, in_loop, entries):
     assert report.ok, report.errors
     assert (len(calls), len(memo)) == (in_loop, entries)
     assert memo.keys() == set(calls)
-    assert not any(cls is creds.VerifiablePresentation for cls, _ in memo)
+    # one entry per distinct presentation answered: each challenge's but one
+    # in concurrent-commit, whose two initiators get the same presentation
+    assert sum(cls is creds.VerifiablePresentation for cls, _ in memo) == presentations
 
 
 def test_revoke_carrier_flip_lands_14_ticks_after_its_resync():
@@ -230,15 +251,16 @@ def test_readmitted_carrier_resync_takes_20_ticks():
     assert sum(e.kind == "bus.send" for e in events) == 20
 
 
-# re-pinned as each countersigner's challenges leave with its gate read, and
-# a batch joins its countersigner's own check of the same holder
+# re-pinned as each countersigner judges the presentations its initiator
+# forwards, under the statement's nonce, and challenges no holder itself;
+# the nonce is the statement's encoding, so each payload digest moves
 TRACE_DIGESTS = {
-    "concurrent-commit": "55d4208eaf9c8d2aa72be78f15ef18200c3fc7f0c547bff2da8a49c9e0afd07f",
-    "concurrent-commit-serial": "e09cf507f16edbbcc83e7150d65b82a39d37d05cb160e06cc4444d8c53f7fa6e",
-    "digest-mismatch-retry": "44319fd28f1aa9092ba1e3efddf9c056487e526b5dd8e500ac729203a61300f2",
-    "revoke-carrier": "cd376e48ca3b83b83272bf937aa864a5a8061fc47a4c146e0ba6bd6bab25e55e",
-    "rotate-resync": "4c5fabba6efdf3300c7bc6f36be1b22edcba2a33bd4ccd142f8513624c750465",
-    "two-network": "bf57dc9218f5b38d2dad776645af89687f8d7e1ee3a9beeede3429b3d6cf2810",
+    "concurrent-commit": "2c256af05ff41c34f6458f3cd17a72e30cdf456a5af3c3fca664691f8714e6cd",
+    "concurrent-commit-serial": "4b741bf30ecc97f115da0ddab3499fbf0eed3bdca7fddf560b581919474c40ad",
+    "digest-mismatch-retry": "e0b236902e175a00ee474b0c0b8a57da11b0b5cca2b8ebe7f7eedd7bacca5e3b",
+    "revoke-carrier": "20e87ec7881fd372e108b35be92f62b9f22df8c90e6be9d3321383c1d6360bb0",
+    "rotate-resync": "d79f8db833c2d0d773b62154036f8c4d5e803b4e7041f579284df11268bb88bc",
+    "two-network": "d6b6b9e970c3e7bf5aa7409f36a1f90901ce72fbe54b9a0170856066c26f4222",
 }
 
 
@@ -251,12 +273,12 @@ def test_bundled_scenario_trace_digest(tmp_path, name):
 
 
 TRAFFIC_DIGESTS = {
-    "concurrent-commit": "da12d22537b2327b32d8434bd00dfe9a3bdb81e1dc542c4bc000d739790d5b7c",
-    "concurrent-commit-serial": "d834c271f20763fd998b778c9e86b97bc88d0bc89ac5caa338399d652d24b1c1",
-    "digest-mismatch-retry": "453a8e71d8f8f7af4e1fc270ce8a1fc0c6abc12520b33d6b5ea973e597e82926",
-    "revoke-carrier": "96bf26a9c07945fa9c65bb15798f766f773a055ab7f098086c5ab785366b46c1",
-    "rotate-resync": "036b0637266f3caaf465b76c7108a7fc3ef23a88d84aaf3feeb49ea3c6be1a00",
-    "two-network": "74628befa8ecda2c6283f8dd4453b8b0f98142e9bb777f764be38e4d2538ea37",
+    "concurrent-commit": "295ca80a2162cd3479b66585b22f6d251d76b1f677de5afffb0033b24173015c",
+    "concurrent-commit-serial": "5638344a52944cb59b60045c31973d5e58c3aa4b263657b9e7c903c8c38d1076",
+    "digest-mismatch-retry": "72e6326cfbe2a98e1c28b18646313da11923ffcd8e5bbfa86e893ccc8ccc3a38",
+    "revoke-carrier": "b10265b45457af07acf9679c73f48a0b91db47d2f2aecf3c0eab02a3f608d6ac",
+    "rotate-resync": "dcb8ac2303394e7be67807c8bc222aebd83669ecebcd31cbe6723208a3d209f0",
+    "two-network": "8e9afcb23b283d6e73ccd76ff8de3f11385ff0f9d74acf466a8b09f65ac599a2",
 }
 
 
@@ -369,13 +391,21 @@ def test_sync_costs_are_closed_forms_in_k(monkeypatch, k):
     world.settle()
     sent = [e.detail["msg_kind"] for e in world.trace.events[first:] if e.kind == "bus.send"]
     # step A leaves each holder a witness at its anchor's current epoch, so
-    # no challenge waits on a refresh (2k^2 + 6k + 4 while one did)
-    assert len(sent) == 2 * k * k + 6 * k + 2
+    # no challenge waits on a refresh. Each countersigner judges the
+    # presentations the initiator forwards, so only the initiator challenges
+    # (2k^2 + 6k + 2 sends, of which 2k^2 challenges and replies, while each
+    # org challenged each holder)
+    assert len(sent) == 8 * k + 2
     assert not any(m.startswith("anchor.witness.") for m in sent)
-    assert calls["sign"] == k * k + k
+    # one presentation per holder and one endorsement batch per org (k^2 + k
+    # while each org's challenge drew a presentation of its own)
+    assert calls["sign"] == 2 * k
+    # every org still checks every holder, so no check is skipped
     assert calls["verify"] == 5 * k * k + 3 * k
-    assert calls["executed"] == k * k + 4 * k + 1
-    assert sum(m.startswith("agent.membership_vp.") for m in sent) == 2 * k * k
+    # the world's verdict memo runs each forwarded presentation's Ed25519
+    # once for all its verifiers (k^2 + 4k + 1 while each verified its own)
+    assert calls["executed"] == 5 * k + 1
+    assert sum(m.startswith("agent.membership_vp.") for m in sent) == 2 * k
     assert sum(m.startswith("agent.countersign.") for m in sent) == 2 * (k - 1)
     assert sum(m.startswith("cmdac.") for m in sent) == 2  # one submit per step-D batch
     # the initiator's one records read; the policy is each agent's own

@@ -733,16 +733,20 @@ RECORDS = {
             + enc.encode_u64(c.bundle)
         ),
     ),
-    agent.CountersignRequest: (  # the statements, then the initiator's gate-read hints
-        st.builds(
-            agent.CountersignRequest, up_to_3(endorsement), up_to_3(st.tuples(text, u64)),
-            up_to_3(text),
-        ),
+    agent.CountersignRequest: (  # the statements, then each one's forwarded presentation
+        st.builds(agent.CountersignRequest, up_to_3(endorsement), up_to_3(blob)),
         None,
         lambda c: (
             framed(old_endorsement, c.statements)
-            + enc.encode_list(enc.encode_str(i) + enc.encode_u64(e) for i, e in c.epochs)
-            + enc.encode_list(enc.encode_str(e) for e in c.endpoints)
+            + enc.encode_list(enc.encode_bytes(vp) for vp in c.presentations)
+        ),
+    ),
+    agent.StatementNonce: (
+        st.builds(agent.StatementNonce, text, text, u64),
+        None,
+        lambda n: enc.record(
+            enc.TAG_NONCE, enc.encode_str(n.home_network), enc.encode_str(n.holder_did),
+            enc.encode_u64(n.made_at),
         ),
     ),
     agent.Answer: (answer, None, old_answer),

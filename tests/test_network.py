@@ -421,7 +421,7 @@ class TestBatchSubmit:
         bus = SimBus(BusConfig())
         bus.now = now
         node = net.LedgerNode("ledger:HOME", state)
-        node.bind(bus, None)
+        node.bind(bus)
         reply = node._submit("agent:OrgA", net.CommitRequest(tuple(statements), endorsements))
         return node, reply.outcomes, bus.trace.events
 

@@ -1,7 +1,6 @@
 """Registry validation rules (pure) and the replicated pool (simulated)."""
 
 import hashlib
-import random
 from dataclasses import replace
 
 import pytest
@@ -708,11 +707,11 @@ def build_pool(seed=0, rules=None, n=4):
     nodes = []
     for i, address in enumerate(addresses):
         node = registry.IinNode(address, f"{IIN}:{i}", node_keys[address], genesis, pool)
-        node.bind(bus, random.Random(i))
+        node.bind(bus)
         bus.register(node, BoxKeyPair.from_seed(seed32("bx" + address)))
         nodes.append(node)
     client = Client("client")
-    client.bind(bus, random.Random(99))
+    client.bind(bus)
     bus.register(client, BoxKeyPair.from_seed(seed32("bxc")))
     return bus, pool, nodes, client, (steward_keys, steward_did, steward_doc)
 
