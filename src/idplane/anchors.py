@@ -516,12 +516,13 @@ def submit(
 ) -> Generator:
     """The one registry write path: submit one transaction per (kind,
     payload) in `writes` as one batch, signed once with `keys`, and return
-    their outcomes in order. When no receipt comes back, one member read
-    names the batch's transaction digests: each that the registry applied
-    counts as APPLIED, and each other's outcome is the QuorumUnavailable that
-    lost the receipt, as is every outcome when that read fails too. The
-    registry records only applied transactions, so a refused one and one
-    that never arrived look the same."""
+    their outcomes in order. When no receipt comes back, one member read of
+    the sequencer, which applies a batch before it orders it, names the
+    batch's transaction digests: each that it applied counts as APPLIED, and
+    each other's outcome is the QuorumUnavailable that lost the receipt, as
+    is every outcome when that read fails too. The registry records only
+    applied transactions, so a refused one and one that never arrived look
+    the same."""
     txs = [registry.RegistryTransaction(kind, payload, submitter_did) for kind, payload in writes]
     try:
         receipt = yield from registry.submit_transaction(pool, registry.sign_batch(keys, *txs))

@@ -17,19 +17,19 @@ applied the batch at first..last: 2f by signatures that no other node can
 forge, and the sequencer by sending it. Every
 replica folds the same ordered log with the same pure validation rules, so
 non-faulty replicas stay byte-identical; invalid transactions commit to the
-log as explicit rejections. Reads are open: any client may query, and a result
-counts once f+1 replicas return byte-identical answers. A client asks the first
-f+1 nodes (the sequencer first, since it holds the freshest state) and asks
-the other nodes only when those replies disagree or one is missing at the
-timeout, so a read fails only when no f+1 replies of the whole pool match.
-The registry's one read, a member snapshot (`resolve_member`), names holder
-DIDs, issuer DIDs, schema ids, credential-definition ids, memberlists by
-(issuer, network) and transaction digests; a replica answers with each one it
-holds, with the document of every member each named list lists, and with
-each named digest its applied set holds, from its one current state, so none
-of them can come from a different registry state. Each attestation is
-verified once, when its NYM applies, so a DID read looks up verinym status;
-only a DID's owner or a STEWARD/OIV may rewrite its document.
+log as explicit rejections. Reads are open: any client may query. A client asks
+the sequencer alone, which applies each batch before it orders it and so holds
+every batch any replica holds, as Raft's leader serves reads; only when that
+reply is missing at the timeout, or names an error, does it ask the other nodes
+and take the answer f+1 of them match byte for byte. The registry's one read, a
+member snapshot (`resolve_member`), names holder DIDs, issuer DIDs, schema ids,
+credential-definition ids, memberlists by (issuer, network) and transaction
+digests; a replica answers with each one it holds, with the document of every
+member each named list lists, and with each named digest its applied set holds,
+from its one current state, so none of them can come from a different registry
+state. Each attestation is verified once, when its NYM applies, so a DID read
+looks up verinym status; only a DID's owner or a STEWARD/OIV may rewrite its
+document.
 
 A membership validator's memberlist credential lives here, one per (issuer,
 network), beside its revocation state. Both arrive in one transaction: a
@@ -43,8 +43,8 @@ the update that lists it, and when the NYM is refused, so is the update. The
 fold does not verify the list's signature: every reader does, under the
 issuer's memberlist credential definition, as it would a list it was handed.
 
-The sequencer is assumed honest (it may crash but not equivocate); Byzantine
-ordering is out of scope for this registry.
+The sequencer is assumed honest (it may crash but not equivocate or lie), for
+ordering and lossless reads alike; Byzantine ordering is out of scope.
 """
 
 from __future__ import annotations
@@ -594,7 +594,7 @@ class Query(enc.Record):  # iin.query: a read of `what`, of the ids it names
 
 
 @dataclass(frozen=True)
-class QueryResult(enc.Record):  # iin.query.reply: compared across replicas before it decodes
+class QueryResult(enc.Record):  # iin.query.reply: the sequencer's, or compared across replicas
     snapshot: bytes  # a `MemberSnapshot`'s bytes
 
 
@@ -878,13 +878,16 @@ def quorum_query(
     memberlists: tuple[tuple[str, str], ...] = (),
     applied: tuple[bytes, ...] = (),
 ) -> Generator:
-    """Read from the first f+1 pool nodes (the sequencer first); ask the other
-    nodes only when those replies disagree or one is missing at the timeout.
-    Succeed once f+1 byte-identical replies agree across both rounds, and
-    return the agreed payload; raise InconsistentReplicas otherwise. The
-    registry answers only QUERY_MEMBER, for the ids named (`_query`)."""
+    """Read from the sequencer alone, whose state holds every applied batch,
+    and return its payload. Only when its reply is missing at the timeout, or
+    names an error, ask the other nodes, and return the payload that f+1 of
+    their replies match byte for byte; raise InconsistentReplicas when none
+    does. The registry answers only QUERY_MEMBER, for the ids named (`_query`)."""
     threshold = pool.read_quorum
     body = Query(what, holders, issuers, schemas, cred_defs, memberlists, applied)
+    reply = yield Request(pool.sequencer, "iin.query", body, timeout=90)
+    if reply is not None and not reply.error:
+        return reply.body.snapshot
 
     def tally(results: list) -> dict[bytes, int]:
         counts: dict[bytes, int] = {}
@@ -893,18 +896,11 @@ def quorum_query(
                 counts[r.body.snapshot] = counts.get(r.body.snapshot, 0) + 1
         return counts
 
-    def agreed(results: list) -> bool:
-        return any(n >= threshold for n in tally(results).values())
-
-    first, rest = pool.node_addresses[:threshold], pool.node_addresses[threshold:]
-    replies = yield Gather(tuple((addr, "iin.query", body) for addr in first), timeout=90)
-    if not agreed(replies):
-        more = yield Gather(
-            tuple((addr, "iin.query", body) for addr in rest),
-            timeout=90,
-            early=lambda later: agreed(replies + later),
-        )
-        replies = replies + more
+    replies = yield Gather(
+        tuple((a, "iin.query", body) for a in pool.node_addresses if a != pool.sequencer),
+        timeout=90,
+        early=lambda results: max(tally(results).values(), default=0) >= threshold,
+    )
     for value, n in tally(replies).items():
         if n >= threshold:
             return value
@@ -935,9 +931,10 @@ def resolve_member(
     memberlist, its members and every artifact their checks need at once; a
     writer whose receipt was lost reads which of its transactions applied
     (`anchors.submit`). All of it comes
-    from one replica state, and f+1 replies must match on all of it, so a
-    read answered from mixed states raises InconsistentReplicas and fails
-    every holder it names."""
+    from one replica state: the sequencer's, or, when its reply is lost, one
+    that f+1 other replicas match on all of it, so a fallback read answered
+    from mixed states raises InconsistentReplicas and fails every holder it
+    names."""
     payload = yield from quorum_query(
         pool, QUERY_MEMBER, holder_dids, issuer_dids, schema_ids, cred_def_ids, memberlists,
         applied,

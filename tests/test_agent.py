@@ -37,10 +37,11 @@ def gates(world, org, since=0):
 
 def lose_read(world, org, answered=0):
     """Lose every reply to the registry read that `org` makes after its next
-    `answered` reads, each of which two replicas answer: the lost read asks
-    two replicas and, on no answer, the other two. A dropping rule hides its
-    envelope from the rules after it, so the later occurrences go first."""
-    for occurrence in range(2 * answered + 4, 2 * answered, -1):
+    `answered` reads, each of which the sequencer alone answers: the lost
+    read asks the sequencer and, on no answer, the other three nodes. A
+    dropping rule hides its envelope from the rules after it, so the later
+    occurrences go first."""
+    for occurrence in range(answered + 4, answered, -1):
         world.bus.config.rules.append(FaultRule(
             action="drop", to=f"agent:{org}", kind="iin.query.reply", occurrence=occurrence,
         ))
@@ -351,7 +352,7 @@ class TestCountersigning:
             assert "no 2 matching replies" in e.detail["detail"]
         # two gates, one read each: the first passed, the second was lost
         assert len(gates(world, "Buyer", start)) == 1
-        assert len(sends_from(world, "Buyer", "iin.query", start)) == 2 + 4
+        assert len(sends_from(world, "Buyer", "iin.query", start)) == 1 + 4
 
     def test_unreachable_countersigner_reported_as_missing(self, world):
         world.bus.config.rules.append(
@@ -754,8 +755,8 @@ class TestMemberlistReuse:
         assert all(r["status"] == "DONE" for r in record.result.values()), record.result
         for org in ("Buyer", "Seller"):
             assert len(gates(world, org, start)) == 1
-            # the gate is the one registry read, of two replicas
-            assert len(sends_from(world, org, "iin.query", start)) == 2
+            # the gate is the one registry read, of the sequencer alone
+            assert len(sends_from(world, org, "iin.query", start)) == 1
 
     def test_countersign_request_carries_the_statements_alone(self, world):
         seller = world.agents["Seller"]
@@ -1037,14 +1038,16 @@ class TestCountersignOverlap:
 
     @pytest.mark.parametrize("name, signer, occurrence, sends", [
         # Seller's batch reaches Buyer during Buyer's own sync of STL (104
-        # sends while Buyer read a snapshot for it)
-        ("concurrent-commit", "Buyer", 1, 100),
+        # sends while Buyer read a snapshot for it; 100 while each registry
+        # read asked two replicas)
+        ("concurrent-commit", "Buyer", 1, 88),
         # Buyer's batch reaches Seller during Seller's own resync, whose
         # cleared cache made it read again (134 sends while it did). Seller's
         # challenge of Carrier there is its first: as the first sync's
         # countersigner it judges the presentations Buyer forwards, and
-        # sends 4 fewer (130 while it challenged each holder itself)
-        ("rotate-resync", "Seller", 1, 126),
+        # sends 4 fewer (130 while it challenged each holder itself; 126
+        # while each registry read asked two replicas)
+        ("rotate-resync", "Seller", 1, 110),
     ], ids=("concurrent-commit", "rotate-resync"))
     def test_a_batch_joins_its_countersigners_own_check_of_the_holder(
         self, name, signer, occurrence, sends
@@ -1738,12 +1741,13 @@ class TestResync:
         the held Seller is checked, and Seller's new bundle in another.
         Seller, countersigning its own rotated bundle, checks itself afresh
         rather than answer from its stale cached copy, so both commit at
-        attempt 1: with every latency fixed at 2 ticks, 28 sends and 24
+        attempt 1: with every latency fixed at 2 ticks, 22 sends and 24
         ticks (38 and 49 while that copy sent Seller's target into a retry
         round; 28 ticks while each countersigner challenged only once its
         gate read had returned, not in the same tick; 30 sends while Seller
         challenged itself, where it now judges its own presentation that
-        Buyer forwards). At the scenario's own
+        Buyer forwards; 28 while each registry read asked two replicas, not
+        the sequencer alone). At the scenario's own
         latencies the set-up's sends move the bus's seeded draws: 30 ticks
         with the two-round-trip step A, 28 with the one-round-trip one, and
         30 once no holder refreshes the witness step A gave it."""
@@ -1761,7 +1765,7 @@ class TestResync:
         events = world.trace.events[start:]
         resync = next(e.tick for e in events if e.kind == "agent.resync")
         assert max(e.tick for e in events) - resync == 24
-        assert sum(e.kind == "bus.send" for e in events) == 28
+        assert sum(e.kind == "bus.send" for e in events) == 22
         state = world.ledger_state("SWT")
         assert state.get_record("STL", "Carrier").content.status == "ACTIVE"
         record = state.get_record("STL", "Seller").content
@@ -2305,11 +2309,11 @@ class TestOneReadPerGate:
         return sent[:sent.index("agent.membership_vp.request")].count("iin.query")
 
     def test_countersigner_that_fetches_its_list_reads_once_and_challenges_no_one(self, world):
-        """Its one read, of two replicas, judges every forwarded presentation."""
+        """Its one read, of the sequencer, judges every forwarded presentation."""
         start = len(world.trace.events)
         assert run_sync(world, "Buyer", "SWT", "STL").error is None
         assert len(gates(world, "Seller", start)) == 1
-        assert len(sends_from(world, "Seller", "iin.query", start)) == 2
+        assert len(sends_from(world, "Seller", "iin.query", start)) == 1
         assert sends_from(world, "Seller", "agent.membership_vp.request", start) == []
 
     def test_full_sync_reads_once_before_its_challenges(self, world):
@@ -2321,15 +2325,15 @@ class TestOneReadPerGate:
             record = buyer.start_session("resync", buyer.resync("SWT", "periodic"))
             world.settle()
             assert record.error is None
-            assert self.queries_before_challenge(world, "Buyer", start) == 2
-            assert len(sends_from(world, "Buyer", "iin.query", start)) == 2
+            assert self.queries_before_challenge(world, "Buyer", start) == 1
+            assert len(sends_from(world, "Buyer", "iin.query", start)) == 1
 
     def test_targeted_sync_reads_once_before_its_challenges(self):
         runner = harness.ScenarioRunner(scenario_config("concurrent-commit"))
         report = runner.run()
         assert report.ok, report.errors
         for org in ("Buyer", "Seller"):
-            assert self.queries_before_challenge(runner.world, org) == 2, org
+            assert self.queries_before_challenge(runner.world, org) == 1, org
 
     def test_full_sync_asks_for_its_records_before_the_memberlist_arrives(self, world):
         start = len(world.trace.events)
@@ -2386,7 +2390,7 @@ class TestOneReadPerGate:
             i for i, e in enumerate(world.trace.events)
             if e.kind == "agent.sync.digest_mismatch"
         )
-        assert self.queries_before_challenge(world, "Buyer", retry) == 2
+        assert self.queries_before_challenge(world, "Buyer", retry) == 1
 
     def test_prefetch_reads_once(self, world, monkeypatch):
         reads = record_queries(monkeypatch)

@@ -87,9 +87,12 @@ def test_benchmark_worlds_parse():
     # and challenges no holder: wide-sync's two syncs send 66 each, 8k + 2
     # at k = 8 (356 -> 132 sends), and take 27/25 -> 24/23 ticks as the
     # draws move with the sends. In commit-race's race each countersigner
-    # decides from its joined check, as before
-    ("wide-sync", 132, 16, [24, 23]),
-    ("commit-race", 20, 1, [16]),
+    # decides from its joined check, as before. Each registry read then
+    # asks the sequencer alone: wide-sync's syncs send 50 each, 6k + 2 (132
+    # -> 100 sends; 24/23 -> 25/27 ticks as the draws move), and
+    # commit-race's unit 16 (20)
+    ("wide-sync", 100, 16, [25, 27]),
+    ("commit-race", 16, 1, [16]),
     # a re-admission is one credential round trip, one holder read and one
     # batch; the resync after it sends no countersigner challenge either
     # (164 -> 166 sends, 20/26/39 -> 16/18/46 ticks). A countersigner keeps
@@ -97,8 +100,9 @@ def test_benchmark_worlds_parse():
     # resync, whose first attempt the prefetcher's stale copy refuses, the
     # two other countersigners read their gates rather than answer from a
     # stale copy of their own (158 sends and 16/18/36 ticks while they kept
-    # one)
-    ("proof-churn", 166, 3, [16, 18, 46]),
+    # one). Each registry read asking the sequencer alone makes it 132
+    # sends and 17/20/42 ticks
+    ("proof-churn", 132, 3, [17, 20, 42]),
 ], ids=("wide-sync", "commit-race", "proof-churn"))  # stable across re-pins
 def test_one_unit_of_each_workload_keeps_its_exact_traffic(
     monkeypatch, workload, sends, applied, sync_ticks
@@ -109,30 +113,32 @@ def test_one_unit_of_each_workload_keeps_its_exact_traffic(
     assert (run.sends, run.applied, run.sync_ticks) == (sends, applied, sync_ticks)
 
 
-def test_every_commit_race_unit_sends_20(monkeypatch):
+def test_every_commit_race_unit_sends_16(monkeypatch):
     """Both SWT orgs race to commit Carrier. Each one's countersign batch
     reaches the other while that org checks Carrier itself, or after: it
     joins that check and answers from the identity it caches, with no
     registry read, whatever the latency draws. Answering mid-check with a
-    read of its own made 3 of these 8 units send 24."""
+    read of its own made 3 of these 8 units send 24, and each of the two
+    gate reads asking two replicas made every unit send 20."""
     workloads = load_workloads(monkeypatch)
     run = workloads.Run(seed=7, n_units=8)
     workloads.WORKLOADS["commit-race"][0](run)
     assert run.failed == 0, run.failures
     races = [[item[2] for item in unit if str(item[0]).startswith("race ")] for unit, _ in run.units]
-    assert races == [[20]] * 8
+    assert races == [[16]] * 8
 
 
-def test_a_proof_churn_re_admission_takes_14_sends(monkeypatch):
+def test_a_proof_churn_re_admission_takes_12_sends(monkeypatch):
     """The revoked member's step A asks its identity validator once, with
     the document the registry already holds: the request and its reply, the
-    anchor's holder read (4 sends) and one registry batch holding only the
-    revocation update (8 sends). Asking for the verinym apart made it 24."""
+    anchor's holder read of the sequencer (2 sends) and one registry batch
+    holding only the revocation update (8 sends). Asking for the verinym
+    apart made it 24, and a read of two replicas 14."""
     run = run_one_unit(monkeypatch, "proof-churn")
     [(_, _, sends, applied)] = [
         item for item in run.units[0][0] if str(item[0]).startswith("re-admit ")
     ]
-    assert (sends, applied) == (14, 0)
+    assert (sends, applied) == (12, 0)
 
 
 @pytest.mark.parametrize("workload", ["wide-sync", "commit-race"])

@@ -580,11 +580,12 @@ class TestVerdictMemo:
             memos.append(runner.world.bus._verdicts)
         assert memos[0] is not memos[1] and memos[0] == memos[1]
         # the second world runs Ed25519 on every triple the first one did.
-        # 33 triples, 36 while challenge nonces were random: Buyer and Seller
-        # challenge Carrier in the same tick, so under the statement's nonce
-        # Carrier signs one presentation for both
+        # 36 triples: Buyer and Seller challenge Carrier a tick apart, under
+        # two statement nonces, so Carrier signs a presentation for each (33
+        # while registry reads asked two replicas and the bus's latency draws
+        # put both challenges in one tick, under one nonce)
         in_run = [t for t in executed if t in memos[0]]
-        assert len(in_run) == 2 * len(memos[0]) == 66
+        assert len(in_run) == 2 * len(memos[0]) == 72
 
     def test_no_memo_is_active_after_a_run_returns_or_raises(self):
         checks = [(self.keys.public_key, self.message, self.sig)]

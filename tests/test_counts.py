@@ -59,9 +59,11 @@ SCENARIOS = ("two-network", "concurrent-commit", "revoke-carrier", "rotate-resyn
         # presentations each initiator forwards and challenges no holder
         # (126 sends and 71 signs while it challenged each one itself: -4
         # challenges and their replies, -4 presentations). Concurrent-commit's
-        # countersigners decide from their joined checks, as before
-        ("two-network", 118, 16, 0, 1, 21, 2, 67, 144),
-        ("concurrent-commit", 100, 12, 0, 0, 21, 2, 59, 92),
+        # countersigners decide from their joined checks, as before. Each
+        # registry read asks the sequencer alone, one query and one reply
+        # where two replicas were asked (118 sends and 16 queries, 100 and 12)
+        ("two-network", 102, 8, 0, 1, 21, 2, 67, 144),
+        ("concurrent-commit", 88, 6, 0, 0, 21, 2, 59, 92),
     ],
     ids=("two-network", "concurrent-commit"),  # stable across re-pins
 )
@@ -105,11 +107,12 @@ def test_bundled_scenario_counts(
     # (`agent.StatementNonce`, 89 B here), which the holder reads, not 16
     # random bytes, in the challenge, its presentation and each copy
     # forwarded (80,773, 62,507, 112,697 and 87,404 B with its 32-byte
-    # digest)
-    ("two-network", 81_457),
-    ("concurrent-commit", 62_849),
-    ("revoke-carrier", 113_723),
-    ("rotate-resync", 88_430),
+    # digest). A registry read gets one snapshot, the sequencer's, where
+    # two replicas each sent one (81,457, 62,849, 113,723 and 88,430 B)
+    ("two-network", 70_707),
+    ("concurrent-commit", 56_755),
+    ("revoke-carrier", 94_238),
+    ("rotate-resync", 77_672),
 ], ids=SCENARIOS)  # stable across re-pins
 def test_bundled_scenario_wire_bytes(monkeypatch, name, plaintext_bytes):
     sent = []
@@ -134,13 +137,17 @@ def test_bundled_scenario_wire_bytes(monkeypatch, name, plaintext_bytes):
         # endorsements of them share no verdict. Every countersigner verifies
         # the presentation its initiator forwards, the triple its initiator
         # verified, so each forwarded one runs Ed25519 once (54, 36, 65 and
-        # 49 executed while each countersigner verified its own challenge's);
-        # in concurrent-commit both initiators challenge Carrier in one tick,
-        # under one statement nonce, and verify one presentation
+        # 49 executed while each countersigner verified its own challenge's).
+        # Two initiators that challenge a holder in one tick do so under one
+        # statement nonce and verify one presentation. With each registry read
+        # of one send and one reply the bus draws other latencies: the
+        # initiators of rotate-resync's resync now challenge Carrier and
+        # Seller in one tick (-4; 47 before), and those of concurrent-commit
+        # challenge Carrier a tick apart (+3; 33 while in one tick)
         ("two-network", 144, 4, 50),
-        ("concurrent-commit", 92, 0, 33),
+        ("concurrent-commit", 92, 0, 36),
         ("revoke-carrier", 170, 2, 61),
-        ("rotate-resync", 136, 4, 47),
+        ("rotate-resync", 136, 4, 43),
     ],
     ids=SCENARIOS,  # stable across re-pins
 )
@@ -175,11 +182,13 @@ def test_bundled_scenario_executed_verifies(monkeypatch, name, logical, outside,
         # decoded outside the memo, by its one verifier). Each holder decodes
         # its challenge's nonce to read the statement's `made_at`: one call
         # per challenge, one entry per distinct nonce (283, 227, 340 and 280
-        # decodes and 106, 78, 124 and 105 entries before)
+        # decodes and 106, 78, 124 and 105 entries before). The entries move
+        # with the shared presentations of the executed verifies above
+        # (concurrent-commit 79 and 1 presentation, rotate-resync 111 and 6)
         ("two-network", 287, 110, 4),
-        ("concurrent-commit", 229, 79, 1),
+        ("concurrent-commit", 229, 83, 2),
         ("revoke-carrier", 347, 131, 7),
-        ("rotate-resync", 286, 111, 6),
+        ("rotate-resync", 286, 104, 4),
     ],
     ids=SCENARIOS,  # stable across re-pins
 )
@@ -199,8 +208,9 @@ def test_bundled_scenario_decodes(monkeypatch, name, in_loop, entries, presentat
     assert report.ok, report.errors
     assert (len(calls), len(memo)) == (in_loop, entries)
     assert memo.keys() == set(calls)
-    # one entry per distinct presentation answered: each challenge's but one
-    # in concurrent-commit, whose two initiators get the same presentation
+    # one entry per distinct presentation answered: each challenge's but the
+    # two of rotate-resync's resync that its initiators make in one tick of
+    # the same holders, who answer both with the same presentation
     assert sum(cls is creds.VerifiablePresentation for cls, _ in memo) == presentations
 
 
@@ -234,8 +244,9 @@ def test_readmitted_carrier_resync_takes_20_ticks():
     (`readmitted_carrier_world`): in SWT's next resync Carrier is a new
     target, whose step D batch leaves as soon as its own checks end, while
     Seller's held target ends UNCHANGED. With every latency fixed at 2
-    ticks, the resync's last event comes 20 ticks after it starts, with 20
-    sends. At the scenario's own latencies the set-up's sends move the
+    ticks, the resync's last event comes 20 ticks after it starts, with 16
+    sends (20 while each registry read asked two replicas). At the
+    scenario's own latencies the set-up's sends move the
     bus's seeded draws: 26 with the two-round-trip step A, 20 with the
     one-round-trip one and 22 once no holder refreshes the witness step A
     gave it (31 while Carrier's batch waited for Seller's target)."""
@@ -248,19 +259,20 @@ def test_readmitted_carrier_resync_takes_20_ticks():
     events = world.trace.events[start:]
     resync = next(e.tick for e in events if e.kind == "agent.resync")
     assert max(e.tick for e in events) - resync == 20
-    assert sum(e.kind == "bus.send" for e in events) == 20
+    assert sum(e.kind == "bus.send" for e in events) == 16
 
 
-# re-pinned as each countersigner judges the presentations its initiator
-# forwards, under the statement's nonce, and challenges no holder itself;
-# the nonce is the statement's encoding, so each payload digest moves
+# re-pinned as each registry read asks the sequencer alone: one query and
+# one reply where two replicas were asked, so the sends, their seqs and the
+# bus's seeded latency draws after the first read move (the traffic digests
+# below with them)
 TRACE_DIGESTS = {
-    "concurrent-commit": "2c256af05ff41c34f6458f3cd17a72e30cdf456a5af3c3fca664691f8714e6cd",
-    "concurrent-commit-serial": "4b741bf30ecc97f115da0ddab3499fbf0eed3bdca7fddf560b581919474c40ad",
-    "digest-mismatch-retry": "e0b236902e175a00ee474b0c0b8a57da11b0b5cca2b8ebe7f7eedd7bacca5e3b",
-    "revoke-carrier": "20e87ec7881fd372e108b35be92f62b9f22df8c90e6be9d3321383c1d6360bb0",
-    "rotate-resync": "d79f8db833c2d0d773b62154036f8c4d5e803b4e7041f579284df11268bb88bc",
-    "two-network": "d6b6b9e970c3e7bf5aa7409f36a1f90901ce72fbe54b9a0170856066c26f4222",
+    "concurrent-commit": "0078e3ab2bf1ece7463a3ae847265e85f1e2ca4eafed4cbd6becd3d56e659adb",
+    "concurrent-commit-serial": "f6ea632d75f3ed9010b2cdddfe6e43b745a0a83fa4cf144ca15c4517eceb6e9e",
+    "digest-mismatch-retry": "698e639aae11d02cb31e76f603890735ac31e688800555c9e466bc2b43bb04e9",
+    "revoke-carrier": "f033dee75051a0ba519d183dfd6e1a60fad54e81087679f70e256d5481e007fe",
+    "rotate-resync": "21bd2cda327ec76ad58d97e4e5ed1c1a5ed5ebdbb20c0c89269a61ccac4a18a1",
+    "two-network": "0254df9210d72017f215ceaf2c7a0db6a4aea2fec6f4976083bc035286b2659b",
 }
 
 
@@ -273,12 +285,12 @@ def test_bundled_scenario_trace_digest(tmp_path, name):
 
 
 TRAFFIC_DIGESTS = {
-    "concurrent-commit": "295ca80a2162cd3479b66585b22f6d251d76b1f677de5afffb0033b24173015c",
-    "concurrent-commit-serial": "5638344a52944cb59b60045c31973d5e58c3aa4b263657b9e7c903c8c38d1076",
-    "digest-mismatch-retry": "72e6326cfbe2a98e1c28b18646313da11923ffcd8e5bbfa86e893ccc8ccc3a38",
-    "revoke-carrier": "b10265b45457af07acf9679c73f48a0b91db47d2f2aecf3c0eab02a3f608d6ac",
-    "rotate-resync": "dcb8ac2303394e7be67807c8bc222aebd83669ecebcd31cbe6723208a3d209f0",
-    "two-network": "8e9afcb23b283d6e73ccd76ff8de3f11385ff0f9d74acf466a8b09f65ac599a2",
+    "concurrent-commit": "34f66737b61a0966c0675ff8839d1ee8933434158d561e085245dd104f1ae4da",
+    "concurrent-commit-serial": "94236582dcb480152a1eaf7ec1730fa0df440ad9fb568d9c6f28756846faab19",
+    "digest-mismatch-retry": "68e503d8fee47894ed9ec4e2fd976def6c28e58b312551d3bd308dae54a4c65b",
+    "revoke-carrier": "2600c45d7ca0c0b5cd7fc4dea079e8bcb7cb548c5bff3cc9aff30ec2f089d2d0",
+    "rotate-resync": "1b437c361d41733d4271536c603b35dc50206723404e451c2c377c1261f5a7b8",
+    "two-network": "5ca0444f9e08aace02a5f4b91ae3301851fd3c19f7cfb69880f5631cfc62b957",
 }
 
 
@@ -394,8 +406,12 @@ def test_sync_costs_are_closed_forms_in_k(monkeypatch, k):
     # no challenge waits on a refresh. Each countersigner judges the
     # presentations the initiator forwards, so only the initiator challenges
     # (2k^2 + 6k + 2 sends, of which 2k^2 challenges and replies, while each
-    # org challenged each holder)
-    assert len(sent) == 8 * k + 2
+    # org challenged each holder; 8k + 2 while each registry read asked two
+    # replicas)
+    assert len(sent) == 6 * k + 2
+    # k gate reads, the initiator's and each countersigner's, of 2 sends
+    # each: one query to the sequencer and its reply
+    assert sum(m.startswith("iin.query") for m in sent) == 2 * k
     assert not any(m.startswith("anchor.witness.") for m in sent)
     # one presentation per holder and one endorsement batch per org (k^2 + k
     # while each org's challenge drew a presentation of its own)

@@ -31,9 +31,11 @@ CONCURRENT_COMMIT = {
     # a read asks the other nodes after its timeout; step A leaves every
     # witness current here, so no refresh is sent (its 2 runs each failed),
     # and a countersign batch that arrives during its countersigner's own
-    # check of Carrier joins that check rather than read (14 -> 12 runs)
-    "iin.query": (0, 12),
-    "iin.query.reply": (0, 12),
+    # check of Carrier joins that check rather than read (14 -> 12 runs).
+    # Each read asks the sequencer alone, one query and one reply where two
+    # replicas were asked (12 -> 6 runs)
+    "iin.query": (0, 6),
+    "iin.query.reply": (0, 6),
     "iin.submit.reply": (0, 7),  # a lost receipt is read back from the applied set
 }
 
@@ -42,7 +44,7 @@ def test_single_drops_of_concurrent_commit_fail_as_pinned():
     refused = collections.Counter()
     runs, failed, revoked, flips_failed = loss_search.single("concurrent-commit", refused)
     assert {kind: (failed[kind], runs[kind]) for kind in runs} == CONCURRENT_COMMIT
-    assert sum(failed.values()) == 15 and sum(runs.values()) == 100
+    assert sum(failed.values()) == 15 and sum(runs.values()) == 88
     assert revoked == []
     assert flips_failed == 0
     assert refused == {}
@@ -50,14 +52,20 @@ def test_single_drops_of_concurrent_commit_fail_as_pinned():
 
 def test_duplicated_registry_submits_of_concurrent_commit_fail_as_pinned():
     """A duplicated `iin.submit` is served twice: the sequencer orders the
-    batch twice, and the writer takes whichever receipt arrives first. In 1
+    batch twice, and the writer takes whichever receipt arrives first. In 2
     of the 7 runs that is the second ordering's, every transaction of it
-    `Duplicate`, so AnchorSTL's publication fails though its batch applied
-    (ROADMAP item 26). Mending that lowers the pin to 0.
+    `Duplicate`: AnchorSTL's publication fails though its batch applied, and
+    so does AnchorSWT's step-A batch for Buyer, after which the anchor's
+    next batch, for Seller, is refused `StaleEpoch`, as the anchor kept the
+    epoch that batch left (ROADMAP items 26 and 29). Mending item 26 lowers
+    the pin to 0. The second race shows since each registry read asks the
+    sequencer alone: the run sends fewer messages and the bus's latency
+    draws move (1 of 7 before; over bus seeds 0-59 these duplicates fail 65
+    of 420 runs, 56 before).
     The work beyond the lossless run is pinned too: each batch ordered
     twice costs 3 orders, 3 acks and a second receipt (7 sends) and 3
-    signatures; one run adds 8 sends of a replica's catch-up, and the
-    failing run stops short (-77 sends, -35 signatures). While a
+    signatures; one run adds 2 sends of a replica's catch-up, and the run
+    whose publication fails stops short (-65 sends, -35 signatures). While a
     countersign batch could read the registry during its countersigner's
     own check of Carrier, the shifted timing skipped a 4-send read in each
     passing run (-55 sends in all, the failing run -81)."""
@@ -66,8 +74,8 @@ def test_duplicated_registry_submits_of_concurrent_commit_fail_as_pinned():
     runs, failed, revoked, flips_failed = loss_search.single(
         "concurrent-commit", refused, action="duplicate", kind="iin.submit", work=work
     )
-    assert (failed["iin.submit"], runs["iin.submit"]) == (1, 7)
-    assert work == {"iin.submit": [6 * 7 + 8 - 77, 6 * 3 - 35]}
+    assert (failed["iin.submit"], runs["iin.submit"]) == (2, 7)
+    assert work == {"iin.submit": [6 * 7 + 2 - 65, 6 * 3 - 35]}
     assert runs.keys() == {"iin.submit"}
     assert revoked == []
     assert flips_failed == 0
@@ -76,20 +84,22 @@ def test_duplicated_registry_submits_of_concurrent_commit_fail_as_pinned():
 
 def test_duplicated_registry_submits_of_revoke_carrier_over_bus_seeds_fail_as_pinned():
     """Revoke-carrier with each `iin.submit` duplicated in turn, at bus seeds
-    3-6 (8 runs each). Whether the writer takes the second ordering's
+    2-5 (8 runs each). Whether the writer takes the second ordering's
     `Duplicate` receipt first depends on the seed's latency draws, so the
     scenario's own seed shows only one such race (ROADMAP item 31). At
-    seeds 3 and 4 it fails Seller's step A. At seed 6 it fails AnchorSTL's
-    revocation of Carrier, though the revocation applied, and SWT's resync
-    flips the honest Seller, whom the registry still lists (item 29): the
-    wrongful revocation this pin keeps in view. Since each countersigner
-    judges forwarded presentations, the run sends fewer messages and the
-    draws move: the race that revoked Seller at seed 0 now shows at seeds
-    6, 7 and 10 (`loss_search.py single --seeds 12`), so the pin moved from
-    seeds 0-3 to 3-6. Both pins fall to none once a request is served once
-    (item 26)."""
+    seed 2 it fails AnchorSTL's step-A batches, of Seller and of Carrier, and
+    its revocation of Carrier, though the revocation applied, and SWT's
+    resync flips the honest Seller, whom the registry still lists (item 29):
+    the wrongful revocation this pin keeps in view. At seed 4 it fails
+    AnchorSWT's publication. Since each countersigner judges forwarded
+    presentations, and again since each registry read asks the sequencer
+    alone, the run sends fewer messages and the draws move: the race that
+    revoked Seller at seed 0, then at seeds 6, 7 and 10, now shows at seed 2
+    among seeds 0-11, and at 10 of bus seeds 0-59 (11 before), so the pin
+    moved from seeds 0-3 to 3-6 and then to 2-5. Both pins fall to none once
+    a request is served once (item 26)."""
     failed, revoked = {}, []
-    for seed in range(3, 7):
+    for seed in range(2, 6):
         refused = collections.Counter()
         runs, failures, wrongful, flips_failed = loss_search.single(
             "revoke-carrier", refused, action="duplicate", kind="iin.submit", seed=seed
@@ -98,5 +108,5 @@ def test_duplicated_registry_submits_of_revoke_carrier_over_bus_seeds_fail_as_pi
         assert flips_failed == 0 and refused == {}
         failed[seed] = failures["iin.submit"]
         revoked += [(seed, org) for *_, org in wrongful]
-    assert failed == {3: 1, 4: 1, 5: 0, 6: 1}
-    assert revoked == [(6, "Seller")]
+    assert failed == {2: 3, 3: 0, 4: 1, 5: 0}
+    assert revoked == [(2, "Seller")]

@@ -731,6 +731,16 @@ def query_sends(bus) -> list[str]:
     ]
 
 
+def lose_sequencer_reads(bus, pool) -> None:
+    """Drop every `iin.query` to the sequencer from here on: each read then
+    falls back to the other nodes."""
+    bus.config.rules.append(FaultRule(action="drop", to=pool.sequencer, kind="iin.query"))
+
+
+# a read with the sequencer's reply in hand, and one whose fallback decides it
+READS = pytest.mark.parametrize("lost", [False, True], ids=["lossless", "sequencer-lost"])
+
+
 def with_endpoint(state: registry.RegistryState, did: str, endpoint: str):
     """A copy of `state` whose document for `did` names another endpoint."""
     doc = state.docs[did]
@@ -834,8 +844,11 @@ class TestPoolProtocol:
         bus.run_until_quiescent()
         assert isinstance(record.error, registry.NotFound)
 
-    def test_resolve_survives_one_corrupted_reply(self):
-        rules = [FaultRule(action="tamper", from_="iin:iin0:1", kind="iin.query.reply")]
+    def test_resolve_survives_one_corrupted_reply_in_each_stage(self):
+        rules = [
+            FaultRule(action="tamper", from_=f"iin:iin0:{i}", kind="iin.query.reply")
+            for i in (0, 1)
+        ]
         bus, pool, nodes, client, steward = build_pool(rules=rules)
         tx, org_did = org_nym_tx(steward)
         client.start_session("submit", registry.submit_transaction(pool, tx))
@@ -846,7 +859,8 @@ class TestPoolProtocol:
         doc, _ = record.result
         assert doc.did == org_did
 
-    def test_divergent_replicas_yield_inconsistency_error(self):
+    @READS
+    def test_divergent_replicas_yield_inconsistency_error(self, lost):
         bus, pool, nodes, client, steward = build_pool()
         tx, org_did = org_nym_tx(steward)
         client.start_session("submit", registry.submit_transaction(pool, tx))
@@ -870,28 +884,34 @@ class TestPoolProtocol:
                 roles=node.state.roles,
                 applied=node.state.applied,
             )
+        if lost:
+            lose_sequencer_reads(bus, pool)
         record = client.start_session("resolve", registry.resolve_did(pool, org_did))
         bus.run_until_quiescent()
-        assert isinstance(record.error, registry.InconsistentReplicas)
+        if lost:
+            assert isinstance(record.error, registry.InconsistentReplicas)
+        else:  # the other replicas are not asked
+            assert record.result[0] == nodes[0].state.docs[org_did]
+            assert query_sends(bus) == [pool.sequencer]
 
-    @pytest.mark.parametrize("stage", ["first", "second"])
+    @pytest.mark.parametrize("stage", ["sequencer", "fallback"])
     def test_reply_with_a_non_string_result_matches_no_other(self, stage):
-        # the second stage's honest reply comes last, so the faulty one is tallied
+        # the fallback's last honest reply comes last, so the faulty one is tallied
         rules = [FaultRule(action="delay", from_="iin:iin0:3", kind="iin.query.reply", delay=30)]
         bus, pool, nodes, client, steward = build_pool(rules=rules)
         tx, org_did = org_nym_tx(steward)
         client.start_session("submit", registry.submit_transaction(pool, tx))
         bus.run_until_quiescent()
-        faulty = nodes[1] if stage == "first" else nodes[2]
-        if stage == "second":
-            nodes[1].state = with_endpoint(nodes[1].state, org_did, "forged:1")
+        faulty = nodes[0] if stage == "sequencer" else nodes[2]
+        if stage == "fallback":
+            lose_sequencer_reads(bus, pool)
         faulty._query = lambda sender, msg: {"result": ["not", "hex"]}
         record = client.start_session("resolve", registry.resolve_did(pool, org_did))
         bus.run_until_quiescent()
         assert record.error is None
         assert record.result[0] == nodes[0].state.docs[org_did]
 
-    def test_lossless_read_asks_only_the_first_f_plus_1_nodes(self):
+    def test_lossless_read_asks_only_the_sequencer(self):
         bus, pool, nodes, client, steward = build_pool()
         tx, org_did = org_nym_tx(steward)
         client.start_session("submit", registry.submit_transaction(pool, tx))
@@ -899,22 +919,25 @@ class TestPoolProtocol:
         record = client.start_session("resolve", registry.resolve_did(pool, org_did))
         bus.run_until_quiescent()
         assert record.result[0].did == org_did
-        assert query_sends(bus) == list(pool.node_addresses[: pool.read_quorum])
+        assert query_sends(bus) == [pool.sequencer]
 
-    def test_disagreeing_first_stage_falls_back_to_the_other_nodes(self):
+    @READS
+    def test_a_forged_replica_is_outvoted_in_the_fallback(self, lost):
         bus, pool, nodes, client, steward = build_pool()
         tx, org_did = org_nym_tx(steward)
         client.start_session("submit", registry.submit_transaction(pool, tx))
         bus.run_until_quiescent()
         nodes[1].state = with_endpoint(nodes[1].state, org_did, "forged:1")
+        if lost:
+            lose_sequencer_reads(bus, pool)
         record = client.start_session("resolve", registry.resolve_did(pool, org_did))
         bus.run_until_quiescent()
         assert record.error is None
         doc, _ = record.result
         assert doc == nodes[0].state.docs[org_did]
-        assert sorted(query_sends(bus)) == sorted(pool.node_addresses)
+        assert sorted(query_sends(bus)) == sorted(pool.node_addresses if lost else [pool.sequencer])
 
-    def test_lost_first_stage_query_falls_back_after_the_timeout(self):
+    def test_lost_sequencer_query_falls_back_after_the_timeout(self):
         rules = [FaultRule(action="drop", kind="iin.query", occurrence=1)]
         bus, pool, nodes, client, steward = build_pool(rules=rules)
         tx, org_did = org_nym_tx(steward)
@@ -926,6 +949,38 @@ class TestPoolProtocol:
         doc, _ = record.result
         assert doc.did == org_did
         assert len(query_sends(bus)) == pool.n
+
+    @READS
+    def test_a_write_acked_without_a_lagging_replica_is_hidden_only_in_the_fallback(self, lost):
+        """tx2 commits with the acks of nodes 1 and 3, as node 2 missed its
+        order, and node 1 then answers from before tx2. The sequencer holds
+        tx2, so a lossless read returns its document. Without the
+        sequencer's reply, nodes 1 and 2 match on the state before tx2:
+        f+1 matching replies prove only that one honest node holds that
+        state. This pins the residual as NotFound (ROADMAP item 4)."""
+        rules = [FaultRule(action="drop", to="iin:iin0:2", kind="iin.order", occurrence=2)]
+        bus, pool, nodes, client, steward = build_pool(rules=rules)
+        s_keys, s_did, _ = steward
+        tx1, _ = org_nym_tx(steward)
+        client.start_session("submit", registry.submit_transaction(pool, tx1))
+        bus.run_until_quiescent()
+        before = nodes[1].state
+        _, did2, doc2 = make_identity("org2")
+        tx2 = signed(registry.KIND_NYM, attested(doc2, s_did, s_keys).to_bytes(), s_did, s_keys)
+        record = client.start_session("submit", registry.submit_transaction(pool, tx2))
+        bus.run_until_quiescent()
+        assert record.result.outcomes == ("APPLIED",)
+        assert sorted(dict(record.result.acks)) == [nodes[1].address, nodes[3].address]
+        assert did2 not in nodes[2].state.docs
+        nodes[1].state = before
+        if lost:
+            lose_sequencer_reads(bus, pool)
+        record = client.start_session("resolve", registry.resolve_did(pool, did2))
+        bus.run_until_quiescent()
+        if lost:
+            assert isinstance(record.error, registry.NotFound)
+        else:
+            assert record.result[0] == nodes[0].state.docs[did2]
 
     def test_repeated_did_read_reuses_each_replicas_verinym_status(self, monkeypatch):
         bus, pool, nodes, client, steward = build_pool()
@@ -1493,15 +1548,14 @@ class TestReplySender:
         bus.run_until_quiescent()
         liar = nodes[1]
         liar.state = liar.genesis  # it answers from genesis, where org_did is unknown,
-        reply = liar._reply
-
-        def twice(to, request, kind, answer):  # and again under the request id before its own
-            reply(to, request, kind, answer)
-            asker, n = request.request_id.rsplit("#", 1)
-            reply(to, replace(request, request_id=f"{asker}#{int(n) - 1}"), kind, answer)
-
-        liar._reply = twice
         record = client.start_session("resolve", registry.resolve_did(pool, org_did))
+        # unasked, under the read's request id and ahead of the sequencer's reply
+        query = registry.Query(registry.QUERY_MEMBER, (org_did,), (), (), (), ())
+        message = actors.Message(
+            reply_to=f"{client.address}#{client._next_rid}",
+            body=liar._query(client.address, query).to_bytes(),
+        )
+        liar.bus.send(liar.address, client.address, "iin.query.reply", message.to_bytes())
         bus.run_until_quiescent()
         assert record.error is None
         assert record.result == (nodes[0].state.docs[org_did], True)
@@ -1542,7 +1596,8 @@ class TestReplySender:
 
 class TestMemberSnapshot:
     """`resolve_member`: holders' documents and issuers' revocation states
-    from one replica state, under the f+1-matching rule."""
+    from one replica state: the sequencer's, or f+1 matching replicas' when
+    its reply is lost."""
 
     ISSUER = "did:iin:iin0:issuer"
 
@@ -1578,7 +1633,7 @@ class TestMemberSnapshot:
         assert snapshot.holder(org_did) == (nodes[0].state.docs[org_did], True)
         assert snapshot.holder(steward_did) == (nodes[0].state.docs[steward_did], True)
         assert snapshot.revocation() == {self.ISSUER: nodes[0].state.revocation[self.ISSUER]}
-        assert query_sends(bus) == list(pool.node_addresses[: pool.read_quorum])
+        assert query_sends(bus) == [pool.sequencer]
 
     def test_unknown_holder_not_found(self):
         bus, pool, nodes, client, org_did = self.setup_pool()
@@ -1597,13 +1652,16 @@ class TestMemberSnapshot:
         assert snapshot.holders == ()
         assert snapshot.revocation()[self.ISSUER].epoch == 2
 
-    def test_one_replica_at_another_epoch_still_resolves(self):
+    @READS
+    def test_one_replica_at_another_epoch_still_resolves(self, lost):
         bus, pool, nodes, client, org_did = self.setup_pool()
         self.set_epochs(nodes, (1, 2, 1, 1))
+        if lost:
+            lose_sequencer_reads(bus, pool)
         record = self.resolve(bus, pool, client, (org_did,))
         assert record.error is None
         assert record.result.revocation()[self.ISSUER].epoch == 1
-        assert sorted(query_sends(bus)) == sorted(pool.node_addresses)
+        assert sorted(query_sends(bus)) == sorted(pool.node_addresses if lost else [pool.sequencer])
 
     def test_one_read_returns_the_list_its_revocation_state_and_its_holders(self):
         """A read naming an (issuer, network) memberlist gets the list, the
@@ -1634,29 +1692,42 @@ class TestMemberSnapshot:
         assert snapshot.holder(org_did) == (nodes[0].state.docs[org_did], True)
         assert snapshot.holders[-1].doc == ()
         assert snapshot.revocation()[self.ISSUER].epoch == 4
-        assert len(query_sends(bus)) == pool.read_quorum
+        assert query_sends(bus) == [pool.sequencer]
 
-    def test_replicas_at_different_lists_are_inconsistent(self):
+    @READS
+    def test_replicas_at_different_lists_are_inconsistent(self, lost):
         """A list from one state and a revocation state from another never
-        make one answer: replicas whose lists differ do not match."""
+        make one answer: replicas whose lists differ do not match. A lossless
+        read takes the sequencer's list alone."""
         bus, pool, nodes, client, org_did = self.setup_pool()
         keys = crypto.KeyPair.from_seed(seed32("issuer"))
         self.set_epochs(nodes, (1, 1, 1, 1))
         for i, node in enumerate(nodes):
             ml = creds.issue_memberlist_credential(keys, self.ISSUER, "cd", "NET", (), i)
             node.state = replace(node.state, memberlists={(self.ISSUER, "NET"): ml})
+        if lost:
+            lose_sequencer_reads(bus, pool)
         record = client.start_session("resolve", registry.resolve_member(
             pool, (), (self.ISSUER,), memberlists=((self.ISSUER, "NET"),)
         ))
         bus.run_until_quiescent()
-        assert isinstance(record.error, registry.InconsistentReplicas)
+        if lost:
+            assert isinstance(record.error, registry.InconsistentReplicas)
+        else:
+            assert record.result.memberlists == (nodes[0].state.memberlists[(self.ISSUER, "NET")],)
 
-    def test_mixed_epochs_with_matching_documents_are_inconsistent(self):
+    @READS
+    def test_mixed_epochs_with_matching_documents_are_inconsistent(self, lost):
         bus, pool, nodes, client, org_did = self.setup_pool()
         self.set_epochs(nodes, (0, 1, 2, 3))
         assert len({node.state.docs[org_did] for node in nodes}) == 1
+        if lost:
+            lose_sequencer_reads(bus, pool)
         record = self.resolve(bus, pool, client, (org_did,))
-        assert isinstance(record.error, registry.InconsistentReplicas)
+        if lost:
+            assert isinstance(record.error, registry.InconsistentReplicas)
+        else:
+            assert record.result.revocation()[self.ISSUER].epoch == 0
 
     @pytest.mark.parametrize("what", ["did", ""], ids=["what-not-member", "what-empty"])
     def test_query_of_another_what_is_a_miss_and_the_replica_keeps_serving(self, what):
