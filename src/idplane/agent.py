@@ -738,12 +738,13 @@ class IinAgent(Actor):
         which no later commit would make stale, refuses the batch as
         FutureStatement. A batch that arrives while this org's own sync round
         checks one of its ACTIVE holders joins that check first, so it decides
-        as it would had it arrived after: one answer, whatever the latency. The
-        REVOKED statements share one read of the ledger's records, alongside
-        the memberlist gate. The batch makes at most one registry read,
-        decided from this org's own state alone: none when it holds no REVOKED
-        statement and every ACTIVE holder is cached (`_cached`) and on the
-        last list verified here, and otherwise the memberlist gate
+        as it would had it arrived after: one answer, whatever the latency.
+        It reads no ledger records: the contract refuses a REVOKED statement
+        that does not name its record (`net.OUTCOME_RECORD_MISMATCH`). The
+        batch makes at most one registry read, decided from this org's own
+        state alone: none when it holds no REVOKED statement and every ACTIVE
+        holder is cached (`_cached`) and on the last list verified here, and
+        otherwise the memberlist gate
         (`_fetch_memberlist`), whose snapshot holds every holder the batch
         checks. A REVOKED statement is thus always judged on a fresh list: a
         reused one that lacks a re-admitted member would endorse a lying
@@ -767,28 +768,21 @@ class IinAgent(Actor):
         active = [s.holder_did for s in statements if s.status == net.STATUS_ACTIVE]
         # decide as after this org's own checks of the same holders
         yield Join(tuple(filter(None, (self._checking.get((foreign_network, h)) for h in active))))
-        # the records read runs alongside the memberlist gate
-        reading = self.start_session(
-            "records", _caught(self._ledger_records(home_network, foreign_network))
-        ) if len(active) < len(statements) else None
         memberlist = self._memberlists.get(foreign_network)
         gate: object = (memberlist, None)
-        if reading is not None or any(
-            self._cached(foreign_network, s.holder_did) is None
-            or memberlist is None or s.holder_did not in memberlist.member_dids
-            for s in statements
+        if len(active) < len(statements) or any(
+            self._cached(foreign_network, h) is None
+            or memberlist is None or h not in memberlist.member_dids
+            for h in active
         ):
             gate = yield from _caught(self._fetch_memberlist(home_network, foreign_network))
-        records: object = ()
-        if reading is not None:
-            (records,) = yield Join((reading,))
         presentations = request.presentations
         if len(presentations) != len(statements):
             presentations = (b"",) * len(statements)
         # each check ends with its refusal, or the digest it endorsed
         settled = yield Join(tuple(
             self.start_session(
-                "countersign", self._countersign(home_network, s, records, gate, vp)
+                "countersign", self._countersign(home_network, s, gate, vp)
             ) for s, vp in zip(statements, presentations)
         ))
         endorsed = net.Endorsed(tuple(a for a in settled if isinstance(a, bytes)))
@@ -799,39 +793,27 @@ class IinAgent(Actor):
         )
 
     def _countersign(
-        self, home_network: str, statement: net.Endorsement, records: object, gate: object,
-        vp: bytes,
+        self, home_network: str, statement: net.Endorsement, gate: object, vp: bytes
     ) -> Generator:
         """Answer `statement` with the digest it endorses, or its refusal.
-        `records` is the batch's read of the ledger's records, or the error it
-        failed with, and `gate` its (memberlist, snapshot), or the error its
-        memberlist gate failed with: each error refuses the statement by name.
-        An ACTIVE statement is judged under its own holder DID, and on `vp`,
-        the presentation forwarded with it, a REVOKED one under the
-        DID of its org's record in `records`, the ledger's, so an initiator
-        cannot name no DID or another org's to skip the check; without that
-        record, or when it holds another bundle, the answer is a digest
-        mismatch naming this ledger's digest (none without a record). The
-        holder is judged once: NotListed when the list lacks it, then its
-        cached identity (ACTIVE only, so a revoked member's old bundle cannot
-        be signed back to ACTIVE) or its validation on the gate's snapshot,
-        then OrgMismatch. An ACTIVE statement is signed when the holder passes
-        with the statement's digest; another is a digest mismatch, but on the
-        forwarded presentation itself PresentationMismatch, which starts no
-        retry. A REVOKED statement's holder is challenged here, so no
-        forwarded bytes count against it; it is refused as
-        MemberStillValid when the holder passes, and endorsed, under the
-        holder's DID, only when the judgement refutes it: one that could not
-        check the holder (UNCHECKED) refuses it by name."""
+        `gate` is the batch's (memberlist, snapshot), or the error its
+        memberlist gate failed with, which refuses the statement by name.
+        Each statement is judged under the holder DID it names, an ACTIVE one
+        on `vp`, the presentation forwarded with it. A REVOKED statement that
+        names no DID, or another org's, is endorsed (NotListed), and the
+        contract refuses it, as the DID is not its record's
+        (`net.OUTCOME_RECORD_MISMATCH`). The holder is judged once: NotListed
+        when the list lacks it, then its cached identity (ACTIVE only, so a
+        revoked member's old bundle cannot be signed back to ACTIVE) or its
+        validation on the gate's snapshot, then OrgMismatch. An ACTIVE
+        statement is signed when the holder passes with the statement's
+        digest; another is a digest mismatch, but on the forwarded
+        presentation itself PresentationMismatch, which starts no retry. A
+        REVOKED statement's holder is challenged here, so no forwarded bytes
+        count against it; it is refused as MemberStillValid when the holder
+        passes, and endorsed only when the judgement refutes it: one that
+        could not check the holder (UNCHECKED) refuses it by name."""
         holder, active = statement.holder_did, statement.status == net.STATUS_ACTIVE
-        if not active:
-            if isinstance(records, Exception):
-                return self._refused(statement, type(records).__name__)
-            record = next((r for r in records if r.org_id == statement.foreign_org), None)
-            if record is None or record.bundle_digest != statement.bundle_digest:
-                own_digest = record.bundle_digest if record else b""
-                return Answer(RESULT_DIGEST_MISMATCH, own_digest=own_digest)
-            holder = record.holder_did
         if isinstance(gate, Exception):
             return self._refused(statement, type(gate).__name__)
         (memberlist, snapshot), network = gate, statement.foreign_network
@@ -851,7 +833,7 @@ class IinAgent(Actor):
         except PROTOCOL_ERRORS as e:
             if active or isinstance(e, UNCHECKED):
                 return self._refused(statement, type(e).__name__)
-            return self._endorse(replace(statement, holder_did=holder))
+            return self._endorse(statement)
         if not active:
             return self._refused(statement, "MemberStillValid")
         if identity.bundle_digest != statement.bundle_digest:
@@ -1011,16 +993,17 @@ class IinAgent(Actor):
         round's one registry read is the memberlist gate, whose snapshot holds
         every listed member, so a first sync and a resync alike read once. A
         full sync reads the ledger's records of the foreign network once, in a
-        session started before the gate and joined before the first round,
-        whose failure fails the sync by name; a targeted sync reads none.
+        session started before the gate and joined once the first round's
+        checks have started, as the records decide only how step D splits; its
+        failure fails the sync by name. A targeted sync reads none.
 
         A round checks each target (steps B and C) in a session of its own, on
         the gate's snapshot, and starts its step D batches as `_settle`
         sessions, in this order: the first round's flips of the ACTIVE records
-        whose holder the fresh list lacks, before any check starts; the new
-        targets, whose DID has no ACTIVE record among those read (every target
-        of a targeted sync); and the others, whose refuted holders their batch
-        flips. It joins them all at once. The targets whose countersigners
+        whose holder the fresh list lacks; the new targets, whose DID has no
+        ACTIVE record among those read (every target of a targeted sync); and
+        the others, whose refuted holders their batch flips. It joins them all
+        at once. The targets whose countersigners
         hold another bundle run again as the next round while the attempt is
         below RETRY_LIMIT; a retry round waits out the backoff and passes the
         gate afresh, and a gate that fails then fails each target by name.
@@ -1036,15 +1019,9 @@ class IinAgent(Actor):
         ) if targets is None else None
         memberlist, snapshot = yield from self._fetch_memberlist(home_network, foreign_network)
         dids, records = memberlist.member_dids if targets is None else tuple(targets), []
-        if reading is not None:
-            (records,) = yield Join((reading,))
-            if isinstance(records, Exception):
-                raise records
-        active = {r.holder_did for r in records if r.status == net.STATUS_ACTIVE}
-        gone = [r for r in records if r.status == net.STATUS_ACTIVE and r.holder_did not in dids]
         ended: dict[str, dict] = {}
         pending, attempt = dids, 1
-        while pending or gone:
+        while pending or attempt == 1:
             if attempt > 1:
                 yield Sleep(RETRY_BACKOFF)
                 try:
@@ -1055,9 +1032,6 @@ class IinAgent(Actor):
                     for did in pending:
                         ended[did] = self._target_failed(foreign_network, did, attempt, e)
                     break
-            flips = (self.start_session("revoke", self._settle(
-                home_network, foreign_network, {}, attempt, (), gone=gone
-            )),) if gone else ()
             checks = {
                 did: self.start_session("sync-target", _caught(self._sync_target(
                     home_network, foreign_network, did, memberlist, snapshot
@@ -1065,6 +1039,18 @@ class IinAgent(Actor):
                 for did in pending
             }
             self._checking.update(((foreign_network, did), s) for did, s in checks.items())
+            gone = []
+            if reading is not None and attempt == 1:  # joined once the first checks run
+                (records,) = yield Join((reading,))
+                if isinstance(records, Exception):
+                    raise records
+                gone = [
+                    r for r in records if r.status == net.STATUS_ACTIVE and r.holder_did not in dids
+                ]
+            active = {r.holder_did for r in records if r.status == net.STATUS_ACTIVE}
+            flips = (self.start_session("revoke", self._settle(
+                home_network, foreign_network, {}, attempt, (), gone=gone
+            )),) if gone else ()
             new = {did: s for did, s in checks.items() if did not in active}
             known = {did: s for did, s in checks.items() if did in active}
             batches = tuple(self.start_session("commit", self._settle(
@@ -1074,7 +1060,7 @@ class IinAgent(Actor):
             for round_ended, again in (yield Join(batches + flips)):  # the gone flips last
                 ended.update(round_ended)
                 retry.update(again)
-            pending, gone, attempt = tuple(d for d in pending if d in retry), [], attempt + 1
+            pending, attempt = tuple(d for d in pending if d in retry), attempt + 1
         results = {did: ended[did] for did in dids}
         results.update(ended)  # the flips, after the targets
         return results

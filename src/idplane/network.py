@@ -29,6 +29,7 @@ OUTCOME_STALE = "StaleStatement"
 OUTCOME_WRONG_LEDGER = "WrongLedger"
 OUTCOME_POLICY_VIOLATION = "PolicyViolation"
 OUTCOME_DIGEST_MISMATCH = "BundleDigestMismatch"
+OUTCOME_RECORD_MISMATCH = "RecordMismatch"
 
 
 class NetworkError(Exception):
@@ -320,7 +321,9 @@ def cmdac_update_foreign_identity(
     identity record that `statement` names iff the statement is for this
     ledger and a foreign network on its interoperation list, its digest is
     the bundle's and every local organization endorsed it: listed its digest
-    in a batch signed with its registered admin key.
+    in a batch signed with its registered admin key, and, for a REVOKED
+    statement, it names the holder DID and bundle digest of the record it
+    would replace (RecordMismatch otherwise, and when there is none).
     Identical-content re-commits are no-op successes. Different content
     replaces the record only when the statement was made after the record's
     last change (`synced_at`); one made at or before it is StaleStatement. A
@@ -370,7 +373,10 @@ def _refusal(
     batch must list the statement's digest and its signature must verify
     over the batch. Every statement of a batch presents the same batch and
     signature, so the world's verdict memo runs Ed25519 once per org and
-    batch."""
+    batch. Last, a REVOKED statement must name the holder DID and bundle
+    digest of its org's record (RecordMismatch): the countersigners judged
+    the holder it names, so a flip of a record held under another DID, or of
+    none, would revoke a member no one checked."""
     if statement.home_network != state.network_id:
         return OUTCOME_WRONG_LEDGER
     if statement.foreign_network not in state.interop_networks:
@@ -387,6 +393,12 @@ def _refusal(
             state.admin_keys[org], batch.to_bytes(), crypto.Signature(sig)
         ):
             return f"BadEndorsementSignature:{org}"
+    if statement.status == STATUS_REVOKED:
+        record = state.get_record(statement.foreign_network, statement.foreign_org)
+        if record is None or (record.content.holder_did, record.bundle_digest) != (
+            statement.holder_did, statement.bundle_digest
+        ):
+            return OUTCOME_RECORD_MISMATCH
     return None
 
 

@@ -254,8 +254,10 @@ def test_criterion_04_statement_from_the_future_is_not_countersigned():
 
 def test_criterion_04_lying_revoked_initiator_refused():
     """One org asking to revoke a member that still validates, naming no DID,
-    is refused by the other org, which re-validates the DID the record was
-    committed under; the record stays ACTIVE."""
+    is refused by the ledger: the other org judges the DID the statement
+    names, which no list holds, and signs, but the contract refuses a
+    REVOKED statement that does not name its record's DID; the record stays
+    ACTIVE and the ledger unchanged."""
     world = bootstrapped_runner().world
     buyer = world.agents["Buyer"]
     record = buyer.start_session("sync", buyer.sync_network("SWT", "STL"))
@@ -267,12 +269,15 @@ def test_criterion_04_lying_revoked_initiator_refused():
     lie = net.RecordContent(
         "STL", "Carrier", "", carrier.bundle, carrier.bundle_digest, net.STATUS_REVOKED
     )
+    before = world.ledger_state("SWT")
     record = seller.start_session("revoke", seller._commit_identity("SWT", [lie], [(world.bus.now, b"")]))
     world.settle()
     [verdict] = record.result
-    assert isinstance(verdict, agent.CounterpartyValidationFailed), verdict
-    assert str(verdict) == "Buyer:MemberStillValid"
-    assert world.ledger_state("SWT").get_record("STL", "Carrier").content.status == net.STATUS_ACTIVE
+    assert isinstance(verdict, agent.CommitRejected), verdict
+    assert str(verdict) == net.OUTCOME_RECORD_MISMATCH
+    after = world.ledger_state("SWT")
+    assert after.get_record("STL", "Carrier").content.status == net.STATUS_ACTIVE
+    assert after.state_hash() == before.state_hash()
 
 
 def test_criterion_05_concurrent_idempotent_commit_100_seeds():

@@ -1,5 +1,6 @@
 """Agent protocol behavior: policy gates, countersigning, retries, resync."""
 
+import copy
 import os
 from dataclasses import replace
 
@@ -430,16 +431,21 @@ class TestCountersigning:
         assert failed.detail["detail"] == "Seller:NoSignature"
 
     @pytest.mark.parametrize("synced", [True, False], ids=["with-record", "without-record"])
-    def test_revoked_countersign_of_another_digest_answers_the_records(self, world, synced):
+    def test_revoked_countersign_judges_the_named_holder_not_the_records(self, world, synced):
+        """A REVOKED statement of a digest the ledger does not hold, or of
+        an org it holds no record of, is judged by the holder it names alone:
+        Carrier still validates, so Seller refuses it, and reads no records.
+        The contract refuses such a statement (`TestRevokedStatements`)."""
         if synced:
             run_sync(world, "Buyer", "SWT", "STL", targets=(world.org_dids["Carrier"],))
         record = world.ledger_state("SWT").get_record("STL", "Carrier")
         assert (record is not None) == synced
+        start = len(world.trace.events)
         answer = ask_countersign(
             add_probe(world), world, world.org_dids["Carrier"], b"\x00" * 32, "REVOKED"
         )
-        own_digest = record.content.bundle_digest if synced else b""
-        assert answer == agent_mod.Answer("digest_mismatch", own_digest=own_digest)
+        assert answer == agent_mod.Answer("validation_failed", reason="MemberStillValid")
+        assert sends_from(world, "Seller", "ledger.query", start) == []
 
     def test_listed_holder_whose_revalidation_is_refuted_is_revoked(self, world, monkeypatch):
         """Carrier stays listed, but answers every challenge with a
@@ -483,40 +489,45 @@ class TestCountersigning:
             "network": "STL", "org": "Carrier", "error": "LedgerUnreachable", "detail": "SWT",
         }
 
-    def test_revocation_of_another_digest_is_traced_as_a_mismatch(self, world, monkeypatch):
-        """Buyer's records read returns Carrier's record with another digest,
-        so the REVOKED statement names a bundle the countersigner's ledger
-        does not hold."""
+    def test_revocation_of_another_bundle_is_refused_by_the_ledger(self, world, monkeypatch):
+        """Buyer's records read returns Carrier's record with a bundle the
+        ledger does not hold (a rotated one), so its REVOKED statement names
+        another digest. Seller signs it, as the revoked Carrier is unlisted,
+        and the contract refuses it by name: the ledger keeps the record
+        ACTIVE, and Seller read no records."""
         assert run_sync(world, "Buyer", "SWT", "STL").error is None
         TestMemberlistReuse.revoke_carrier(world)
         buyer = world.agents["Buyer"]
         read_records = buyer._ledger_records
+        rotated = copy.deepcopy(world.organizations[("STL", "Carrier")])
+        rotated.rotate(world.bus.now)
 
-        def another_digest_for_carrier(home_network, foreign_network):
+        def another_bundle_for_carrier(home_network, foreign_network):
             records = yield from read_records(home_network, foreign_network)
             return [
-                replace(r, bundle_digest=b"\x00" * 32) if r.org_id == "Carrier" else r
+                replace(r, bundle=rotated.bundle_bytes(), bundle_digest=rotated.bundle_digest())
+                if r.org_id == "Carrier" else r
                 for r in records
             ]
 
-        monkeypatch.setattr(buyer, "_ledger_records", another_digest_for_carrier)
+        monkeypatch.setattr(buyer, "_ledger_records", another_bundle_for_carrier)
         start = len(world.trace.events)
         record = run_sync(world, "Buyer", "SWT", "STL")
-        assert record.result["revoke:Carrier"] == {"status": "FAILED", "error": "DigestMismatch"}
+        assert record.result["revoke:Carrier"] == {"status": "FAILED", "error": "CommitRejected"}
         [failed] = agent_events(world, "Buyer", {"agent.revoke_failed"}, start)
-        held = world.ledger_state("SWT").get_record("STL", "Carrier").content
-        # the detail names the digest each countersigner's ledger holds
         assert failed.detail == {
-            "network": "STL", "org": "Carrier", "error": "DigestMismatch",
-            "detail": f"Seller:{held.bundle_digest.hex()}",
+            "network": "STL", "org": "Carrier", "error": "CommitRejected",
+            "detail": net.OUTCOME_RECORD_MISMATCH,
         }
-        assert held.status == "ACTIVE"
+        [signed] = agent_events(world, "Seller", {"agent.countersigned"}, start)
+        assert signed.detail["status"] == "REVOKED"
+        assert sends_from(world, "Seller", "ledger.query", start) == []
+        assert world.ledger_state("SWT").get_record("STL", "Carrier").content.status == "ACTIVE"
 
-    def test_countersigner_without_ledger_names_the_failure(self, world):
-        """A REVOKED statement needs the countersigner's read of its ledger's
-        records: when that read is lost, Seller refuses the flip by name, and
-        Buyer's flip fails long before the countersign gather's wait ends,
-        naming Seller's reason in Buyer's trace."""
+    def test_countersigner_without_ledger_still_answers_a_flip(self, world):
+        """A countersigner reads no ledger records for a REVOKED statement:
+        with every ledger reply to Seller lost, Seller judges the revoked
+        Carrier and signs, and Buyer's flip applies."""
         assert run_sync(world, "Buyer", "SWT", "STL").error is None
         TestMemberlistReuse.revoke_carrier(world)
         world.bus.config.rules.append(
@@ -526,15 +537,13 @@ class TestCountersigning:
         record = run_sync(world, "Buyer", "SWT", "STL")
         assert record.error is None
         assert record.result["revoke:Carrier"] == {
-            "status": "FAILED", "error": "CounterpartyValidationFailed"
+            "status": "DONE", "org_id": "Carrier", "outcome": "APPLIED"
         }
-        [refusal] = agent_events(world, "Seller", {"agent.countersign_refused"}, start)
-        assert refusal.detail == {"network": "STL", "org": "Carrier", "reason": "LedgerUnreachable"}
-        [asked] = sends_from(world, "Buyer", "agent.countersign.request", start)
-        [failed] = agent_events(world, "Buyer", {"agent.revoke_failed"}, start)
-        assert failed.detail["detail"] == "Seller:LedgerUnreachable"
-        assert failed.tick - asked.tick < 1500 // 2  # the countersign gather waits 1500
-        assert world.ledger_state("SWT").get_record("STL", "Carrier").content.status == "ACTIVE"
+        assert agent_events(world, "Seller", {"agent.countersign_refused"}, start) == []
+        [signed] = agent_events(world, "Seller", {"agent.countersigned"}, start)
+        assert (signed.detail["org"], signed.detail["status"]) == ("Carrier", "REVOKED")
+        assert sends_from(world, "Seller", "ledger.query", start) == []
+        assert world.ledger_state("SWT").get_record("STL", "Carrier").content.status == "REVOKED"
 
     @pytest.mark.parametrize("networks, reason", [
         ({"home_network": "NOWHERE"}, "NotLocal"),
@@ -548,15 +557,19 @@ class TestCountersigning:
         assert answer == agent_mod.Answer("validation_failed", reason=reason)
         assert agent_events(world, "Seller", {"agent.countersigned"}, start) == []
 
-    def test_revoked_countersign_without_ledger_records_names_the_failure(self, world):
-        # an empty holder DID skips re-validation
+    def test_revoked_countersign_naming_no_did_is_signed_without_a_ledger_read(self, world):
+        """An empty holder DID is on no list, so Seller, with every ledger
+        reply to it lost, signs the REVOKED statement, reading no records;
+        the contract refuses it, as criterion 04's lying initiator shows."""
         run_sync(world, "Buyer", "SWT", "STL", targets=(world.org_dids["Carrier"],))
         world.bus.config.rules.append(
             FaultRule(action="drop", to="agent:Seller", kind="ledger.reply")
         )
         probe = add_probe(world)
+        start = len(world.trace.events)
         answer = ask_countersign(probe, world, "", b"\x00" * 32, "REVOKED")
-        assert answer == agent_mod.Answer("validation_failed", reason="LedgerUnreachable")
+        assert answer == agent_mod.Answer("signed")
+        assert sends_from(world, "Seller", "ledger.query", start) == []
 
 
 class TestSnapshotArtifacts:
@@ -1646,8 +1659,9 @@ class TestResync:
             "revoke:Seller": ("DONE", "APPLIED"), "revoke:Carrier": ("DONE", "APPLIED"),
         }
         assert len(sends_from(world, "Buyer", "agent.countersign.request", start)) == 1
-        # the countersigner reads its records and a fresh list once for the batch
-        assert len(sends_from(world, "Seller", "ledger.query", start)) == 1
+        # the countersigner reads a fresh list once for the batch, and no
+        # records: the contract checks each flip names its record
+        assert sends_from(world, "Seller", "ledger.query", start) == []
         assert len(gates(world, "Seller", start)) == 1
         for org in ("Seller", "Carrier"):
             assert world.ledger_state("SWT").get_record("STL", org).content.status == "REVOKED"
@@ -1706,9 +1720,9 @@ class TestResync:
         [revoked] = agent_events(world, "Buyer", {"agent.record_revoked"}, start)
         assert flip.tick == gates(world, "Buyer", start)[0].tick
         assert flip.tick < rotation[0].tick < revoked.tick
-        # the countersigner reads the flip's records and its gate at once
-        [query] = sends_from(world, "Seller", "ledger.query", start)
-        assert query.tick == sends_from(world, "Seller", "iin.query", start)[0].tick
+        # the countersigner reads the flip's gate, and no records
+        assert sends_from(world, "Seller", "ledger.query", start) == []
+        assert len(gates(world, "Seller", start)) == 2
         state = world.ledger_state("SWT")
         assert state.get_record("STL", "Carrier").content.status == "REVOKED"
         record = state.get_record("STL", "Seller").content
@@ -2346,6 +2360,28 @@ class TestOneReadPerGate:
             and e.detail["msg_kind"] == "iin.query.reply"
         )
         assert events.index(query) < events.index(memberlist)
+
+    def test_full_sync_challenges_at_its_gate_while_its_records_are_in_flight(self, world):
+        """The records decide only how step D splits, so a full sync starts
+        its checks when its gate returns: with the records reply 50 ticks
+        late, each challenge leaves at the gate's tick, and each check is in
+        `_checking` for a countersign batch to join."""
+        world.bus.config.rules.append(
+            FaultRule(action="delay", to="agent:Buyer", kind="ledger.reply", delay=50)
+        )
+        buyer = world.agents["Buyer"]
+        start = len(world.trace.events)
+        assert run_sync(world, "Buyer", "SWT", "STL").error is None
+        [gate] = gates(world, "Buyer", start)
+        challenges = sends_from(world, "Buyer", "agent.membership_vp.request", start)
+        [records] = [
+            e for e in world.trace.events[start:]
+            if e.kind == "bus.deliver" and e.detail["to"] == "agent:Buyer"
+            and e.detail["msg_kind"] == "ledger.reply"
+        ]
+        assert len(challenges) == 2
+        assert {e.tick for e in challenges} == {gate.tick} and gate.tick < records.tick
+        assert set(buyer._checking) == {("STL", world.org_dids[o]) for o in ("Carrier", "Seller")}
 
     def test_two_revoked_statements_share_the_gates_read(self, world, monkeypatch):
         """Both members still validate, so Seller refuses both revocations,

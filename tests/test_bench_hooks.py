@@ -90,8 +90,9 @@ def test_benchmark_worlds_parse():
     # decides from its joined check, as before. Each registry read then
     # asks the sequencer alone: wide-sync's syncs send 50 each, 6k + 2 (132
     # -> 100 sends; 24/23 -> 25/27 ticks as the draws move), and
-    # commit-race's unit 16 (20)
-    ("wide-sync", 100, 16, [25, 27]),
+    # commit-race's unit 16 (20). A full sync starts its checks when its
+    # gate returns, not once its records have come too: 25/27 -> 24/27 ticks
+    ("wide-sync", 100, 16, [24, 27]),
     ("commit-race", 16, 1, [16]),
     # a re-admission is one credential round trip, one holder read and one
     # batch; the resync after it sends no countersigner challenge either
@@ -101,8 +102,10 @@ def test_benchmark_worlds_parse():
     # two other countersigners read their gates rather than answer from a
     # stale copy of their own (158 sends and 16/18/36 ticks while they kept
     # one). Each registry read asking the sequencer alone makes it 132
-    # sends and 17/20/42 ticks
-    ("proof-churn", 132, 3, [17, 20, 42]),
+    # sends and 17/20/42 ticks. The revocation resync's 3 countersigners
+    # read no ledger records (126 sends), and each full sync challenges at
+    # its gate (15/20/38 ticks)
+    ("proof-churn", 126, 3, [15, 20, 38]),
 ], ids=("wide-sync", "commit-race", "proof-churn"))  # stable across re-pins
 def test_one_unit_of_each_workload_keeps_its_exact_traffic(
     monkeypatch, workload, sends, applied, sync_ticks
@@ -139,6 +142,36 @@ def test_a_proof_churn_re_admission_takes_12_sends(monkeypatch):
         item for item in run.units[0][0] if str(item[0]).startswith("re-admit ")
     ]
     assert (sends, applied) == (12, 0)
+
+
+def test_a_proof_churn_revocation_resync_takes_30_sends(monkeypatch):
+    """The resync that flips the revoked member to REVOKED: the initiator's
+    one records read is the only `ledger.query`, as the contract, not each
+    countersigner, checks that the flip names its record. Each of the three
+    countersigners reading its ledger's records made it 36."""
+    workloads = load_workloads(monkeypatch)
+    step = workloads.step
+    queries = []
+
+    def recording(run, world, label, start, is_sync=False):
+        first = len(world.trace.events)
+        records = step(run, world, label, start, is_sync)
+        if label.startswith("resync ") and label.endswith(" revoked"):
+            queries.extend(
+                e.actor for e in world.trace.events[first:]
+                if e.kind == "bus.send" and e.detail["msg_kind"] == "ledger.query"
+            )
+        return records
+
+    monkeypatch.setattr(workloads, "step", recording)
+    run = run_one_unit(monkeypatch, "proof-churn", workloads)
+    [(_, _, sends, applied)] = [
+        item for item in run.units[0][0]
+        if str(item[0]).startswith("resync ") and str(item[0]).endswith(" revoked")
+    ]
+    assert (sends, applied) == (30, 1)
+    sc = sys.modules["scenarios"]
+    assert queries == [f"agent:{sc.org_names(sc.NET_B, workloads.CHURN_K)[0]}"]
 
 
 @pytest.mark.parametrize("workload", ["wide-sync", "commit-race"])

@@ -1,11 +1,13 @@
 """The countersigner's decision table.
 
 Seller's agent answers one statement of STL's Carrier into SWT, alone in its
-batch, with its three inputs replaced: the ledger's records
-(`_ledger_records`), the memberlist gate (`_fetch_memberlist`) and the
-holder's validation (`_validate_member`). Each row fixes one combination of
-those inputs and of Seller's own state (its last verified list and its
-cached identity), and pins the answer and whether the holder was validated.
+batch, with its two inputs replaced: the memberlist gate
+(`_fetch_memberlist`) and the holder's validation (`_validate_member`). Each
+row fixes one combination of those inputs and of Seller's own state (its
+last verified list and its cached identity), and pins the answer and whether
+the holder was validated. No row reads the ledger's records: the contract
+checks that a REVOKED statement names its record (`TestRevokedStatements` in
+`test_network.py`).
 
 A REVOKED statement is endorsed only when the holder's validation was
 refuted: a validation that could not check the holder (`MemberUnreachable`,
@@ -32,7 +34,6 @@ from idplane.bus import FaultRule
 STATED = b"\x01" * 32  # the statement's bundle digest
 OTHER = b"\x02" * 32
 SNAPSHOT = object()  # the gate's registry read, passed on to each validation
-LYING_DID = "did:iin:lying"  # a REVOKED statement's own holder DID, never judged
 
 SIGNED = agent_mod.Answer("signed")
 
@@ -60,71 +61,63 @@ VALIDATIONS = {
 # a cached identity of the holder: (org, digest)
 CACHED = {"same": ("Carrier", STATED), "digest": ("Carrier", OTHER), "org": ("Seller", STATED)}
 
-# (status, records, gate, listed, cached, validation) -> (answer, validated)
-#   records: the ledger's record of Carrier: "match", "other" (another
-#     digest), "missing", or "lost" (the read failed); None for ACTIVE,
-#     which reads no records
+# (status, gate, listed, cached, validation) -> (answer, validated)
 #   gate: "reused" (Seller's last list lists the holder; nothing is read),
 #     "read" (a fresh list), "refreshed" (a fresh list read though Seller's
 #     last list lists the holder), "lost" (the read failed); a batch
-#     holding a REVOKED statement reads it alongside its records, always
+#     holding a REVOKED statement reads it, always
 #   listed: the holder is on the list the batch judges it by
+# Every statement names Carrier's DID, the one its record holds.
 ROWS = [
     # ACTIVE, Seller's last list reused: the cached identity decides
-    ("ACTIVE", None, "reused", True, "same", None, SIGNED, False),
-    ("ACTIVE", None, "reused", True, "digest", None, mismatch(OTHER), False),
-    ("ACTIVE", None, "reused", True, "org", None, refused("OrgMismatch"), False),
+    ("ACTIVE", "reused", True, "same", None, SIGNED, False),
+    ("ACTIVE", "reused", True, "digest", None, mismatch(OTHER), False),
+    ("ACTIVE", "reused", True, "org", None, refused("OrgMismatch"), False),
     # ACTIVE, a fresh list read
-    ("ACTIVE", None, "read", True, "same", None, SIGNED, False),
-    ("ACTIVE", None, "read", True, "digest", None, mismatch(OTHER), False),
-    ("ACTIVE", None, "read", True, "org", None, refused("OrgMismatch"), False),
-    ("ACTIVE", None, "read", False, "same", None, refused("NotListed"), False),
-    ("ACTIVE", None, "read", False, None, None, refused("NotListed"), False),
-    ("ACTIVE", None, "read", True, None, "pass", SIGNED, True),
-    ("ACTIVE", None, "read", True, None, "stale", mismatch(OTHER), True),
-    ("ACTIVE", None, "read", True, None, "other-org", refused("OrgMismatch"), True),
-    ("ACTIVE", None, "read", True, None, "refuted",
-     refused("MembershipVerificationError"), True),
-    ("ACTIVE", None, "read", True, None, "bad-presentation", refused("BadPresentation"), True),
-    ("ACTIVE", None, "read", True, None, "unreachable", refused("MemberUnreachable"), True),
-    ("ACTIVE", None, "read", True, None, "quorum", refused("QuorumUnavailable"), True),
+    ("ACTIVE", "read", True, "same", None, SIGNED, False),
+    ("ACTIVE", "read", True, "digest", None, mismatch(OTHER), False),
+    ("ACTIVE", "read", True, "org", None, refused("OrgMismatch"), False),
+    ("ACTIVE", "read", False, "same", None, refused("NotListed"), False),
+    ("ACTIVE", "read", False, None, None, refused("NotListed"), False),
+    ("ACTIVE", "read", True, None, "pass", SIGNED, True),
+    ("ACTIVE", "read", True, None, "stale", mismatch(OTHER), True),
+    ("ACTIVE", "read", True, None, "other-org", refused("OrgMismatch"), True),
+    ("ACTIVE", "read", True, None, "refuted", refused("MembershipVerificationError"), True),
+    ("ACTIVE", "read", True, None, "bad-presentation", refused("BadPresentation"), True),
+    ("ACTIVE", "read", True, None, "unreachable", refused("MemberUnreachable"), True),
+    ("ACTIVE", "read", True, None, "quorum", refused("QuorumUnavailable"), True),
     # ACTIVE, the gate's read failed
-    ("ACTIVE", None, "lost", True, None, None, refused("QuorumUnavailable"), False),
-    ("ACTIVE", None, "lost", True, "same", None, refused("QuorumUnavailable"), False),
-    # REVOKED settled by the records read, whose gate is read alongside it
-    ("REVOKED", "lost", "read", True, None, None, refused("LedgerUnreachable"), False),
-    ("REVOKED", "other", "read", True, None, None, mismatch(OTHER), False),
-    ("REVOKED", "missing", "read", True, None, None, mismatch(b""), False),
-    # REVOKED matching its record: the fresh list and the re-validation decide
-    ("REVOKED", "match", "lost", True, None, None, refused("QuorumUnavailable"), False),
-    ("REVOKED", "match", "read", False, None, None, SIGNED, False),
-    ("REVOKED", "match", "read", True, None, "pass", refused("MemberStillValid"), True),
-    ("REVOKED", "match", "read", True, None, "refuted", SIGNED, True),
-    ("REVOKED", "match", "read", True, "same", "refuted", SIGNED, True),
-    ("REVOKED", "match", "read", True, None, "bad-presentation", SIGNED, True),
-    ("REVOKED", "match", "read", True, None, "unreachable", refused("MemberUnreachable"), True),
-    ("REVOKED", "match", "read", True, None, "quorum", refused("QuorumUnavailable"), True),
-    ("REVOKED", "match", "read", True, None, "replicas",
-     refused("InconsistentReplicas"), True),
+    ("ACTIVE", "lost", True, None, None, refused("QuorumUnavailable"), False),
+    ("ACTIVE", "lost", True, "same", None, refused("QuorumUnavailable"), False),
+    # REVOKED: the fresh list and the re-validation decide
+    ("REVOKED", "lost", True, None, None, refused("QuorumUnavailable"), False),
+    ("REVOKED", "read", False, None, None, SIGNED, False),
+    ("REVOKED", "read", True, None, "pass", refused("MemberStillValid"), True),
+    ("REVOKED", "read", True, None, "refuted", SIGNED, True),
+    ("REVOKED", "read", True, "same", "refuted", SIGNED, True),
+    ("REVOKED", "read", True, None, "bad-presentation", SIGNED, True),
+    ("REVOKED", "read", True, None, "unreachable", refused("MemberUnreachable"), True),
+    ("REVOKED", "read", True, None, "quorum", refused("QuorumUnavailable"), True),
+    ("REVOKED", "read", True, None, "replicas", refused("InconsistentReplicas"), True),
     # a REVOKED statement reads a fresh list even when the last one lists
     # the holder: here the fresh list no longer does
-    ("REVOKED", "match", "refreshed", False, "same", None, SIGNED, False),
+    ("REVOKED", "refreshed", False, "same", None, SIGNED, False),
 ]
 
 
 def row_id(row):
-    return "-".join(str(v) for v in row[:6] if v is not None)
+    return "-".join(str(v) for v in row[:5] if v is not None)
 
 
 class Inputs:
-    """Seller's agent with its records read, memberlist gate and holder
-    validation replaced as one row says; records each gate read and each
-    validation made."""
+    """Seller's agent with its memberlist gate and holder validation
+    replaced as one row says; records each gate read and each validation
+    made, and any read of the ledger's records, which none makes."""
 
-    def __init__(self, world, status, records, gate, listed, cached, validation):
+    def __init__(self, world, status, gate, listed, cached, validation):
         self.seller = seller = world.agents["Seller"]
         self.holder = world.org_dids["Carrier"]
-        self.gate_reads, self.validations = [], []
+        self.gate_reads, self.validations, self.records_reads = [], [], []
         fresh = SimpleNamespace(member_dids=(self.holder,) if listed else ())
         if gate in ("reused", "refreshed"):
             seller._memberlists["STL"] = SimpleNamespace(member_dids=(self.holder,))
@@ -133,16 +126,11 @@ class Inputs:
         if cached is not None:
             org, digest = CACHED[cached]
             seller.cache[("STL", self.holder)] = self.identity(org, digest)
-        record = {
-            "match": self.identity("Carrier", STATED, "REVOKED"),
-            "other": self.identity("Carrier", OTHER, "REVOKED"),
-        }.get(records)
 
         def ledger_records(home_network, foreign_network):
+            self.records_reads.append(foreign_network)
             yield from ()
-            if records == "lost":
-                raise agent_mod.LedgerUnreachable(home_network)
-            return [] if record is None else [record]
+            return []
 
         def fetch_memberlist(home_network, foreign_network):
             self.gate_reads.append(foreign_network)
@@ -170,17 +158,18 @@ class Inputs:
         seller._fetch_memberlist = fetch_memberlist
         seller._validate_member = validate_member
 
-    def identity(self, org, digest, status="ACTIVE"):
-        return net.RecordContent("STL", org, self.holder, b"", digest, status)
+    def identity(self, org, digest):
+        return net.RecordContent("STL", org, self.holder, b"", digest, "ACTIVE")
 
 
 @pytest.mark.parametrize("row", ROWS, ids=[row_id(r) for r in ROWS])
 def test_countersign_decision_table(world, row):
-    status, records, gate, listed, cached, validation, answer, validated = row
-    inputs = Inputs(world, status, records, gate, listed, cached, validation)
+    status, gate, listed, cached, validation, answer, validated = row
+    inputs = Inputs(world, status, gate, listed, cached, validation)
     seller = inputs.seller
-    holder = LYING_DID if status == "REVOKED" else inputs.holder
-    statement = net.Endorsement("SWT", "STL", "Carrier", holder, STATED, status, world.bus.now)
+    statement = net.Endorsement(
+        "SWT", "STL", "Carrier", inputs.holder, STATED, status, world.bus.now
+    )
     session = seller.start_session(
         "countersign",
         seller._handle_countersign("probe", agent_mod.CountersignRequest((statement,))),
@@ -190,12 +179,11 @@ def test_countersign_decision_table(world, row):
     reply = session.result
     assert reply.results == (answer,)
     assert len(inputs.gate_reads) == (gate in ("read", "refreshed", "lost"))
-    # each validation judges the record's holder on the gate's read
+    assert inputs.records_reads == []
+    # each validation judges the statement's holder on the gate's read
     assert inputs.validations == ([(inputs.holder, SNAPSHOT)] if validated else [])
     if answer == SIGNED:
-        # a REVOKED endorsement names the record's holder, not the statement's
-        endorsed = replace(statement, holder_did=inputs.holder)
-        assert reply.endorsed.statements == (endorsed.digest(),)
+        assert reply.endorsed.statements == (statement.digest(),)
     else:
         assert reply.endorsed.statements == () and reply.signature == b""
 
@@ -222,7 +210,8 @@ def test_countersign_decision_table(world, row):
 #   "none", "two for one statement" (a list of another length, ignored),
 #     "none, reply lost" (Carrier's reply to Seller's challenge dropped)
 #   "revoked, no record": a REVOKED statement, presentation attached, of a
-#     Carrier the ledger holds no record of
+#     Carrier the ledger holds no record of: Seller judges the holder it
+#     names, who is valid (the contract would refuse it as RecordMismatch)
 #   "revoked, refuting one attached": the ledger holds Carrier ACTIVE; the
 #     REVOKED statement forwards a presentation that fails check 1, which
 #     would refute Carrier if it were judged
@@ -236,7 +225,7 @@ FORWARDED_ROWS = [
     ("none", SIGNED, 1, ["no presentation"], None),
     ("two for one statement", SIGNED, 1, ["no presentation"], None),
     ("none, reply lost", refused("MemberUnreachable"), 1, ["no presentation"], None),
-    ("revoked, no record", mismatch(b""), 0, [], None),
+    ("revoked, no record", refused("MemberStillValid"), 1, [], None),
     ("revoked, refuting one attached", refused("MemberStillValid"), 1, [], None),
 ]
 

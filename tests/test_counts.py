@@ -108,10 +108,12 @@ def test_bundled_scenario_counts(
     # random bytes, in the challenge, its presentation and each copy
     # forwarded (80,773, 62,507, 112,697 and 87,404 B with its 32-byte
     # digest). A registry read gets one snapshot, the sequencer's, where
-    # two replicas each sent one (81,457, 62,849, 113,723 and 88,430 B)
+    # two replicas each sent one (81,457, 62,849, 113,723 and 88,430 B).
+    # Revoke-carrier's countersigners read no ledger records for its two
+    # flips: two `ledger.query` sends and their replies go (94,238 B)
     ("two-network", 70_707),
     ("concurrent-commit", 56_755),
-    ("revoke-carrier", 94_238),
+    ("revoke-carrier", 91_934),
     ("rotate-resync", 77_672),
 ], ids=SCENARIOS)  # stable across re-pins
 def test_bundled_scenario_wire_bytes(monkeypatch, name, plaintext_bytes):
@@ -184,10 +186,12 @@ def test_bundled_scenario_executed_verifies(monkeypatch, name, logical, outside,
         # per challenge, one entry per distinct nonce (283, 227, 340 and 280
         # decodes and 106, 78, 124 and 105 entries before). The entries move
         # with the shared presentations of the executed verifies above
-        # (concurrent-commit 79 and 1 presentation, rotate-resync 111 and 6)
+        # (concurrent-commit 79 and 1 presentation, rotate-resync 111 and 6).
+        # Revoke-carrier's countersigners send no records read, so decode no
+        # records reply (347 while each of its two flips' did)
         ("two-network", 287, 110, 4),
         ("concurrent-commit", 229, 83, 2),
-        ("revoke-carrier", 347, 131, 7),
+        ("revoke-carrier", 343, 131, 7),
         ("rotate-resync", 286, 104, 4),
     ],
     ids=SCENARIOS,  # stable across re-pins
@@ -217,8 +221,8 @@ def test_bundled_scenario_decodes(monkeypatch, name, in_loop, entries, presentat
 def test_revoke_carrier_flip_lands_14_ticks_after_its_resync():
     """The resync's memberlist gate settles the revoked Carrier's flip, so
     its step D batch starts at the gate, alongside steps B and C of the
-    listed members, and each countersigner reads its ledger's records
-    alongside its own gate: with every latency fixed at 2 ticks, the
+    listed members, and each countersigner reads its gate and no ledger
+    records: with every latency fixed at 2 ticks, the
     APPLIED REVOKED commit lands 14 ticks after the resync starts. The bus
     draws every latency from one seeded stream, so at the scenario's own
     latencies a set-up of fewer or more sends moves the draws: 13 with the
@@ -265,14 +269,18 @@ def test_readmitted_carrier_resync_takes_20_ticks():
 # re-pinned as each registry read asks the sequencer alone: one query and
 # one reply where two replicas were asked, so the sends, their seqs and the
 # bus's seeded latency draws after the first read move (the traffic digests
-# below with them)
+# below with them). Re-pinned again as no countersigner reads its ledger's
+# records for a REVOKED statement (revoke-carrier's two records reads go)
+# and a full sync starts its checks when its gate returns, before its
+# records read is joined (two-network's, revoke-carrier's and
+# rotate-resync's challenges leave earlier, and the draws move)
 TRACE_DIGESTS = {
     "concurrent-commit": "0078e3ab2bf1ece7463a3ae847265e85f1e2ca4eafed4cbd6becd3d56e659adb",
     "concurrent-commit-serial": "f6ea632d75f3ed9010b2cdddfe6e43b745a0a83fa4cf144ca15c4517eceb6e9e",
     "digest-mismatch-retry": "698e639aae11d02cb31e76f603890735ac31e688800555c9e466bc2b43bb04e9",
-    "revoke-carrier": "f033dee75051a0ba519d183dfd6e1a60fad54e81087679f70e256d5481e007fe",
-    "rotate-resync": "21bd2cda327ec76ad58d97e4e5ed1c1a5ed5ebdbb20c0c89269a61ccac4a18a1",
-    "two-network": "0254df9210d72017f215ceaf2c7a0db6a4aea2fec6f4976083bc035286b2659b",
+    "revoke-carrier": "65b1a333a91fefaa797a334d097b129fc756ada52d40fa00e9281c56166c14a3",
+    "rotate-resync": "1b1603601cf17bc823c67d755e1b6677a57946bdce8f4d6a6599d0c58b3b0077",
+    "two-network": "68fc873043e948852506f77fef49eaf60d81040d820b7087b966a1111aa7f1b6",
 }
 
 
@@ -288,9 +296,9 @@ TRAFFIC_DIGESTS = {
     "concurrent-commit": "34f66737b61a0966c0675ff8839d1ee8933434158d561e085245dd104f1ae4da",
     "concurrent-commit-serial": "94236582dcb480152a1eaf7ec1730fa0df440ad9fb568d9c6f28756846faab19",
     "digest-mismatch-retry": "68e503d8fee47894ed9ec4e2fd976def6c28e58b312551d3bd308dae54a4c65b",
-    "revoke-carrier": "2600c45d7ca0c0b5cd7fc4dea079e8bcb7cb548c5bff3cc9aff30ec2f089d2d0",
-    "rotate-resync": "1b437c361d41733d4271536c603b35dc50206723404e451c2c377c1261f5a7b8",
-    "two-network": "5ca0444f9e08aace02a5f4b91ae3301851fd3c19f7cfb69880f5631cfc62b957",
+    "revoke-carrier": "5f159886df67587d06b48d9d4bd6d68c9321490887a1639a59c569408e4590d0",
+    "rotate-resync": "f67e327af466858c592b32141ac9e9fac1e641ea73c7fc6ae1bc521f6cdc90a1",
+    "two-network": "b3ef8138d01ec5b4ff58a0e4a4eceb5a14b17f848f9b44285fa3a91363e5bd9f",
 }
 
 

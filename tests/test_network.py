@@ -314,6 +314,85 @@ class TestHeldStatements:
             net.replay_block_log(listed, state.block_log)
 
 
+class TestRevokedStatements:
+    """A REVOKED statement must name the holder DID and bundle digest of the
+    record it would replace: the countersigners judged the holder it names,
+    so one that names another DID, another bundle or no record is refused
+    (RecordMismatch) though every org endorsed it, and changes nothing."""
+
+    @staticmethod
+    def revoke(state, bundle, made_at, now, holder=FAR_DID, orgs=("OrgA", "OrgB")):
+        """Submit a REVOKED statement of FarOrg's `bundle` under `holder`,
+        made at `made_at` and endorsed by `orgs`; returns (state, outcome)."""
+        endorsed = replace(
+            statement("AWAY", "FarOrg", bundle, "REVOKED", made_at), holder_did=holder
+        )
+        sigs = tuple(sign_batch(o, endorsed) for o in orgs)
+        return net.cmdac_update_foreign_identity(state, endorsed, bundle, sigs, now=now)
+
+    def assert_refused(self, genesis, before, after, outcome):
+        assert outcome == net.OUTCOME_RECORD_MISMATCH
+        assert after.foreign == before.foreign
+        assert after.state_hash() == before.state_hash()
+        assert after.block_log[-1].outcome == net.OUTCOME_RECORD_MISMATCH
+        replayed = net.replay_block_log(genesis, after.block_log)
+        assert replayed.state_hash() == after.state_hash()
+        assert replayed.foreign == after.foreign
+
+    @pytest.mark.parametrize("holder", ["did:iin:iin0:other", ""], ids=["another", "none"])
+    def test_statement_naming_another_holder_did_is_refused(self, holder):
+        genesis = make_ledger()
+        state, _ = commit(genesis, "ACTIVE", 0)
+        bundle = make_source_org().bundle_bytes()
+        after, outcome = self.revoke(state, bundle, 2, now=3, holder=holder)
+        self.assert_refused(genesis, state, after, outcome)
+        assert after.get_record("AWAY", "FarOrg").content.status == "ACTIVE"
+
+    def test_statement_naming_another_bundle_digest_is_refused(self):
+        genesis = make_ledger()
+        state, _ = commit(genesis, "ACTIVE", 0)
+        _, rotated = two_bundles("FarOrg")
+        after, outcome = self.revoke(state, rotated, 2, now=3)
+        self.assert_refused(genesis, state, after, outcome)
+        assert after.get_record("AWAY", "FarOrg").content.status == "ACTIVE"
+
+    def test_statement_of_an_org_with_no_record_is_refused(self):
+        genesis = make_ledger()
+        bundle = make_source_org().bundle_bytes()
+        after, outcome = self.revoke(genesis, bundle, 0, now=1)
+        self.assert_refused(genesis, genesis, after, outcome)
+        assert after.get_record("AWAY", "FarOrg") is None
+
+    def test_endorsements_are_checked_first_and_staleness_after(self):
+        """A REVOKED statement short of an endorsement is refused for that,
+        whatever record it names; one that names another DID is refused as
+        a mismatch even when it is also stale."""
+        genesis = make_ledger()
+        state, _ = commit(genesis, "ACTIVE", 5, now=6)
+        bundle = make_source_org().bundle_bytes()
+        _, outcome = self.revoke(state, bundle, 7, now=8, holder="", orgs=("OrgA",))
+        assert outcome == "MissingEndorsement:OrgB"
+        _, outcome = self.revoke(state, bundle, 3, now=8, holder="")
+        assert outcome == net.OUTCOME_RECORD_MISMATCH
+
+    def test_matching_statement_applies_repeats_as_noop_and_goes_stale(self):
+        """The statement of the record itself flips it, a repeat is a NOOP,
+        and one held past a re-admission is StaleStatement."""
+        genesis = make_ledger()
+        state, _ = commit(genesis, "ACTIVE", 0)
+        bundle = make_source_org().bundle_bytes()
+        state, outcome = self.revoke(state, bundle, 2, now=3)
+        assert outcome == "APPLIED"
+        assert state.get_record("AWAY", "FarOrg").content.status == "REVOKED"
+        state, outcome = self.revoke(state, bundle, 4, now=5)
+        assert outcome == "NOOP"
+        state, outcome = commit(state, "ACTIVE", 6, now=7)
+        assert outcome == "APPLIED"
+        after, outcome = self.revoke(state, bundle, 4, now=8)
+        assert outcome == "StaleStatement"
+        assert after.foreign == state.foreign
+
+
 class TestBatchEndorsements:
     """Each org signs one list of statement digests per step-D batch, and
     every statement of the batch presents that list and signature."""
