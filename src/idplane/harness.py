@@ -488,22 +488,13 @@ class World:
             steward_doc = registry.new_did_document(iin_id, steward_keys, steward_address)
             genesis = registry.RegistryState.genesis((steward_doc,))
             addresses = tuple(f"iin:{iin_id}:{i}" for i in range(iin.nodes))
-            node_keys = {
-                address: crypto.KeyPair.from_seed(self._identity_seed(f"node:{address}"))
-                for address in addresses
-            }
-            pool = registry.PoolInfo(
-                iin_id=iin_id,
-                node_addresses=addresses,
-                node_public_keys={a: k.public_key for a, k in node_keys.items()},
-            )
+            pool = registry.PoolInfo(iin_id=iin_id, node_addresses=addresses)
             self.pools[iin_id] = pool
             nodes = []
             for i, address in enumerate(addresses):
                 node = registry.IinNode(
                     address=address,
                     node_id=f"{iin_id}:{i}",
-                    keys=node_keys[address],
                     genesis=genesis,
                     pool=pool,
                 )

@@ -7,14 +7,11 @@ over their ordered digests (`SignedBatch`); every replica checks it once,
 when it applies the batch, and a batch whose signature fails rejects each of
 its transactions. A designated sequencer orders each batch at contiguous
 sequence numbers first..last, in one order message, and every other replica
-acks it with a signature over (first, last, batch digest), where the batch
-digest covers the ordered list of transaction digests. The sequencer's
-receipt carries 2f of those acks, and counts as its own: a client takes a
-reply only from the node it asked (`Actor.on_delivery`), so a receipt that
-reached it came from the sequencer over the bus's authenticated channel, as
-PBFT authenticates its replies. A receipt thus proves that 2f+1 replicas
-applied the batch at first..last: 2f by signatures that no other node can
-forge, and the sequencer by sending it. Every
+answers with an unsigned `Ack` of (first, last, batch digest), where the
+batch digest covers the ordered list of transaction digests. Once 2f of those
+acks match the batch's own, the sequencer answers the writer with a receipt
+that names the acking replicas: with the sequencer, 2f+1 replicas applied the
+batch at first..last. Every
 replica folds the same ordered log with the same pure validation rules, so
 non-faulty replicas stay byte-identical; invalid transactions commit to the
 log as explicit rejections. Reads are open: any client may query. A client asks
@@ -43,8 +40,25 @@ the update that lists it, and when the NYM is refused, so is the update. The
 fold does not verify the list's signature: every reader does, under the
 issuer's memberlist credential definition, as it would a list it was handed.
 
-The sequencer is assumed honest (it may crash but not equivocate or lie), for
-ordering and lossless reads alike; Byzantine ordering is out of scope.
+The registry's one fault model, for writes and reads alike: the sequencer is
+honest (it may crash, but it does not equivocate or lie); up to f other
+replicas may lag, lose messages or lie on reads; and the bus authenticates
+each message by its sender's pairwise channel (AEAD under the pair's key).
+Byzantine ordering is out of scope. Each remaining mechanism covers one fault:
+
+- the writer's batch signature: transactions that anyone but their writer
+  made or changed, refused by every replica and again by `replay_log`;
+- `_handle_order`'s sender check: an order from a replica, not the sequencer;
+- the sequencer's ack count: replicas that crashed, lost the order, or hold
+  another batch at its range, so a receipt means 2f+1 replicas applied it;
+- `Actor.on_delivery`'s sender check: a replica that answers under another
+  node's request id, so an ack, receipt or read reply comes only from the
+  node asked;
+- the f+1 read fallback: a sequencer whose read reply is lost, against up to
+  f replicas that lie or lag.
+
+As PBFT authenticates its normal-case messages by channel, acks and receipts
+carry no signature: only what a third party checks (the writer's batch) does.
 """
 
 from __future__ import annotations
@@ -55,7 +69,7 @@ from typing import Generator, Optional, Sequence
 
 from . import crypto
 from . import encoding as enc
-from .actors import Actor, Gather, Reply, Request
+from .actors import Actor, Gather, Request
 from .credentials import (
     CredentialDefinition,
     CredentialError,
@@ -491,7 +505,6 @@ def replay_log(genesis: RegistryState, entries: Sequence["Logged"]) -> RegistryS
 class PoolInfo:
     iin_id: str
     node_addresses: tuple[str, ...]  # sequencer first
-    node_public_keys: dict[str, bytes]
 
     @property
     def n(self) -> int:
@@ -526,9 +539,7 @@ def batch_digest(tx_digests: list[bytes]) -> bytes:
 
 
 @dataclass(frozen=True)
-class Ack(enc.Record):
-    """What a replica signs to acknowledge the batch it ordered at first..last."""
-
+class Ack(enc.Record):  # iin.ack: the batch a replica applied at first..last, by digest
     TAG = enc.TAG_ACK
     first: int
     last: int
@@ -544,21 +555,13 @@ class Receipt(enc.Record):  # iin.submit.reply
     last: int
     outcomes: tuple[str, ...]
     tx_digests: tuple[bytes, ...]
-    # (address, its signature of the `Ack`) of 2f replicas other than the sequencer
-    acks: tuple[tuple[str, bytes], ...]
+    acks: tuple[str, ...]  # the 2f or more replicas, not the sequencer, that acked the batch
 
 
 @dataclass(frozen=True)
 class Order(enc.Record):  # iin.order: the sequencer's batch, applied from seq `first` on
     first: int
     batch: SignedBatch
-
-
-@dataclass(frozen=True)
-class Acked(enc.Record):  # iin.ack: a replica's signature of the `Ack` of the batch it applied
-    address: str
-    ack: Ack
-    signature: bytes
 
 
 @dataclass(frozen=True)
@@ -605,13 +608,11 @@ class IinNode(Actor):
         self,
         address: str,
         node_id: str,
-        keys: crypto.KeyPair,
         genesis: RegistryState,
         pool: PoolInfo,
     ):
         super().__init__(address)
         self.node_id = node_id
-        self.keys = keys
         self.pool = pool
         self.state = genesis
         self.genesis = genesis
@@ -647,7 +648,7 @@ class IinNode(Actor):
 
     REQUESTS = {
         "iin.submit": ("_sequence", SignedBatch, "iin.submit.reply", Receipt),
-        "iin.order": ("_handle_order", Order, "iin.ack", Acked),
+        "iin.order": ("_handle_order", Order, "iin.ack", Ack),
         "iin.fetch": ("_serve_fetch", Fetch, "iin.fetch.reply", Entries),
         "iin.query": ("_query", Query, "iin.query.reply", QueryResult),
     }
@@ -655,47 +656,35 @@ class IinNode(Actor):
     def _sequence(self, client: str, batch: SignedBatch) -> Generator:
         """Apply a client's batch at the next seqs, order it to every other
         replica in one message, and answer with a receipt once 2f of them
-        have acked the batch; the receipt is this replica's own ack."""
+        have acked this batch at these seqs; the bus authenticates each ack,
+        and a replica's repeated ack finds its request's route gone
+        (`Actor.on_delivery`), so each replica counts once. The batch applies
+        here before it is ordered, so a batch answered QuorumUnavailable
+        stays applied, not yet replicated: a read finds its digests applied."""
         if not self.is_sequencer:
             return "NotSequencer"
         if not batch.txs:
             raise EmptyBatch("a batch needs at least one transaction")
         first = self.next_seq
         outcomes = self._apply_in_order(batch)
-        last = self.next_seq - 1
         # the encoding is canonical: these are the digests a client computes
         tx_digests = tuple(tx.digest() for tx in batch.txs)
-        ack = Ack(first, last, batch_digest(tx_digests))
-
+        ack = Ack(first, self.next_seq - 1, batch_digest(tx_digests))
         others = tuple(a for a in self.pool.node_addresses if a != self.address)
-        need = self.pool.write_quorum - 1  # the receipt is the sequencer's ack
+        need = self.pool.write_quorum - 1  # the sequencer applied it too
 
-        verdicts: dict[int, bool] = {}  # reply index -> valid ack; checked once per reply
-
-        def valid_acks(results: list) -> list[Acked]:
-            for i, r in enumerate(results):
-                if r is not None and i not in verdicts:
-                    verdicts[i] = self._valid_ack(r, ack)
-            return [r.body for i, r in enumerate(results) if verdicts.get(i)]
+        def acked(results: list) -> tuple[str, ...]:
+            return tuple(a for a, r in zip(others, results) if r is not None and r.body == ack)
 
         replies = yield Gather(
             tuple((a, "iin.order", Order(first, batch)) for a in others),
             timeout=60,
-            early=lambda results: len(valid_acks(results)) >= need,
+            early=lambda results: len(acked(results)) >= need,
         )
-        acks = valid_acks(replies)
+        acks = acked(replies)
         if len(acks) < need:
             return "QuorumUnavailable"
-        signatures = tuple(sorted((a.address, a.signature) for a in acks))
-        return Receipt(first, last, outcomes, tx_digests, signatures)
-
-    def _valid_ack(self, reply: Reply, ack: Ack) -> bool:
-        if reply.error or reply.body.ack != ack:
-            return False
-        node_key = self.pool.node_public_keys.get(reply.body.address)
-        return node_key is not None and crypto.verify(
-            node_key, ack.to_bytes(), crypto.Signature(reply.body.signature)
-        )
+        return Receipt(first, ack.last, outcomes, tx_digests, acks)
 
     def _handle_order(self, sender: str, order: Order) -> Generator:
         """Apply an ordered batch and ack it once. A replica whose log ends
@@ -715,8 +704,7 @@ class IinNode(Actor):
         elif not any(e.first == first and e.batch == batch for e in self.log):
             return None  # the log holds another batch there, or none yet
         last = first + len(batch.txs) - 1
-        ack = Ack(first, last, batch_digest([tx.digest() for tx in batch.txs]))
-        return Acked(self.address, ack, self.keys.sign(ack.to_bytes()).bytes_)
+        return Ack(first, last, batch_digest([tx.digest() for tx in batch.txs]))
 
     def _catch_up(self, upto: int) -> Generator:
         """Apply the sequencer's log entries from this replica's next seq
@@ -839,13 +827,15 @@ class MemberSnapshot(enc.Record):
 
 def submit_transaction(pool: PoolInfo, batch: SignedBatch) -> Generator:
     """Submit a signed batch to the sequencer, applied in its order at
-    contiguous seqs, and await a quorum-backed receipt. Returns the
-    `Receipt`, whose `outcomes` align with the batch's transactions; raises
-    QuorumUnavailable when the pool cannot commit the batch, or when the
-    receipt names other transactions or carries fewer than 2f valid acks
-    over this batch from pool nodes other than the sequencer. The receipt
-    itself is the sequencer's ack: this session takes a reply only from the
-    node it asked."""
+    contiguous seqs, and await its receipt. Returns the `Receipt`, whose
+    `outcomes` align with the batch's transactions; raises QuorumUnavailable
+    when no receipt comes, when the sequencer names an error, or when the
+    receipt names other transactions than this batch's, in its order. The
+    receipt is taken as the sequencer's read is: this session takes a reply
+    only from the node it asked, and the honest sequencer sends one only once
+    2f other replicas acked the batch. A batch answered QuorumUnavailable may
+    still have applied at the sequencer, not yet replicated: a read names its
+    digests in `applied`, and `anchors.submit` counts it APPLIED."""
     tx_digests = tuple(tx.digest() for tx in batch.txs)
     reply = yield Request(pool.sequencer, "iin.submit", batch, timeout=150)
     if reply is None:
@@ -855,16 +845,6 @@ def submit_transaction(pool: PoolInfo, batch: SignedBatch) -> Generator:
     receipt = reply.body
     if receipt.tx_digests != tx_digests or len(receipt.outcomes) != len(tx_digests):
         raise QuorumUnavailable("receipt names other transactions")
-    signed = Ack(receipt.first, receipt.last, batch_digest(tx_digests)).to_bytes()
-    valid = {
-        address
-        for address, signature in receipt.acks
-        if address != pool.sequencer
-        and address in pool.node_public_keys
-        and crypto.verify(pool.node_public_keys[address], signed, crypto.Signature(signature))
-    }
-    if 1 + len(valid) < pool.write_quorum:
-        raise QuorumUnavailable(f"receipt carries {len(valid)} valid replica acks")
     return receipt
 
 

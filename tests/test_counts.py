@@ -61,9 +61,13 @@ SCENARIOS = ("two-network", "concurrent-commit", "revoke-carrier", "rotate-resyn
         # challenges and their replies, -4 presentations). Concurrent-commit's
         # countersigners decide from their joined checks, as before. Each
         # registry read asks the sequencer alone, one query and one reply
-        # where two replicas were asked (118 sends and 16 queries, 100 and 12)
-        ("two-network", 102, 8, 0, 1, 21, 2, 67, 144),
-        ("concurrent-commit", 88, 6, 0, 0, 21, 2, 59, 92),
+        # where two replicas were asked (118 sends and 16 queries, 100 and 12).
+        # Replica acks ride the authenticated bus unsigned: each of the 21
+        # orders' acks loses its sign, and the sequencer's and the writer's
+        # verifies of 2f acks per batch go (67 and 59 signs, 144 and 92
+        # verifies while each replica signed its ack)
+        ("two-network", 102, 8, 0, 1, 21, 2, 46, 116),
+        ("concurrent-commit", 88, 6, 0, 0, 21, 2, 38, 64),
     ],
     ids=("two-network", "concurrent-commit"),  # stable across re-pins
 )
@@ -110,11 +114,14 @@ def test_bundled_scenario_counts(
     # digest). A registry read gets one snapshot, the sequencer's, where
     # two replicas each sent one (81,457, 62,849, 113,723 and 88,430 B).
     # Revoke-carrier's countersigners read no ledger records for its two
-    # flips: two `ledger.query` sends and their replies go (94,238 B)
-    ("two-network", 70_707),
-    ("concurrent-commit", 56_755),
-    ("revoke-carrier", 91_934),
-    ("rotate-resync", 77_672),
+    # flips: two `ledger.query` sends and their replies go (94,238 B). An
+    # `iin.ack` is the unsigned `Ack`, and a receipt names its acking
+    # replicas without their signatures (70,707, 56,755, 91,934 and 77,672 B
+    # while each replica signed its ack)
+    ("two-network", 68_033),
+    ("concurrent-commit", 54_081),
+    ("revoke-carrier", 88_878),
+    ("rotate-resync", 74_998),
 ], ids=SCENARIOS)  # stable across re-pins
 def test_bundled_scenario_wire_bytes(monkeypatch, name, plaintext_bytes):
     sent = []
@@ -145,11 +152,15 @@ def test_bundled_scenario_wire_bytes(monkeypatch, name, plaintext_bytes):
         # of one send and one reply the bus draws other latencies: the
         # initiators of rotate-resync's resync now challenge Carrier and
         # Seller in one tick (-4; 47 before), and those of concurrent-commit
-        # challenge Carrier a tick apart (+3; 33 while in one tick)
-        ("two-network", 144, 4, 50),
-        ("concurrent-commit", 92, 0, 36),
-        ("revoke-carrier", 170, 2, 61),
-        ("rotate-resync", 136, 4, 43),
+        # challenge Carrier a tick apart (+3; 33 while in one tick). Replica
+        # acks are unsigned, so no one verifies them: per batch, the sequencer
+        # and the writer each verified 2f acks (4 logical verifies), 2 of them
+        # distinct triples run once by the memo (144, 92, 170 and 136 logical
+        # and 50, 36, 61 and 43 executed while each replica signed its ack)
+        ("two-network", 116, 4, 36),
+        ("concurrent-commit", 64, 0, 22),
+        ("revoke-carrier", 138, 2, 45),
+        ("rotate-resync", 108, 4, 29),
     ],
     ids=SCENARIOS,  # stable across re-pins
 )
@@ -273,14 +284,16 @@ def test_readmitted_carrier_resync_takes_20_ticks():
 # records for a REVOKED statement (revoke-carrier's two records reads go)
 # and a full sync starts its checks when its gate returns, before its
 # records read is joined (two-network's, revoke-carrier's and
-# rotate-resync's challenges leave earlier, and the draws move)
+# rotate-resync's challenges leave earlier, and the draws move). Re-pinned
+# again as replica acks and receipts carry no signatures: the `iin.ack` and
+# `iin.submit.reply` payload digests move, and the traffic digests do not
 TRACE_DIGESTS = {
-    "concurrent-commit": "0078e3ab2bf1ece7463a3ae847265e85f1e2ca4eafed4cbd6becd3d56e659adb",
-    "concurrent-commit-serial": "f6ea632d75f3ed9010b2cdddfe6e43b745a0a83fa4cf144ca15c4517eceb6e9e",
-    "digest-mismatch-retry": "698e639aae11d02cb31e76f603890735ac31e688800555c9e466bc2b43bb04e9",
-    "revoke-carrier": "65b1a333a91fefaa797a334d097b129fc756ada52d40fa00e9281c56166c14a3",
-    "rotate-resync": "1b1603601cf17bc823c67d755e1b6677a57946bdce8f4d6a6599d0c58b3b0077",
-    "two-network": "68fc873043e948852506f77fef49eaf60d81040d820b7087b966a1111aa7f1b6",
+    "concurrent-commit": "8b95fb30c4f8cf3997c67755ad5b33bdfe74dc971ec72534d11e015ca720b967",
+    "concurrent-commit-serial": "6f173462bfe05e242d9ff2c34cc03eec28bbfdc43b77707de3be41d3c8035c09",
+    "digest-mismatch-retry": "fdbaf1b9d930c663e9b2012813669dc930e206699f6fe1b2e76c3168794fdae4",
+    "revoke-carrier": "46be9419330c70e6aef654a2d121c27c0affad4369711f4ba2e3fe0be3a01a63",
+    "rotate-resync": "d1885bc5f0aa8cd1910d8948265a3de230f9c24f755b5e456c7f4020c9f3cfe7",
+    "two-network": "d95d1ed376e026079d0f950c1834afd0772fdbb632c9a66dd323766520eee1d6",
 }
 
 
@@ -331,7 +344,8 @@ def test_no_agent_asks_an_anchor_for_a_memberlist(name):
 @pytest.mark.parametrize("name", sorted(TRAFFIC_DIGESTS))
 def test_each_challenge_is_answered_with_one_presentation(monkeypatch, name):
     """Every presentation signed is one holder's answer to one challenge, so
-    a holder that signs its bundle apart from its membership fails here."""
+    a holder that signs its bundle apart from its membership fails here; and
+    no replica signs an ack, which the bus authenticates by its channel."""
     signed = []
     sign = crypto.sign
 
@@ -348,6 +362,7 @@ def test_each_challenge_is_answered_with_one_presentation(monkeypatch, name):
         if e.kind == "bus.send" and e.detail["msg_kind"] == "agent.membership_vp.request"
     ]
     assert signed.count(enc.TAG_VP) == len(challenges) > 0
+    assert enc.TAG_ACK not in signed
 
 
 def two_networks(k: int) -> dict:

@@ -437,7 +437,7 @@ def old_receipt(r):
         + enc.encode_u64(r.last)
         + strs(r.outcomes)
         + enc.encode_list(enc.encode_bytes(d) for d in r.tx_digests)
-        + enc.encode_list(enc.encode_str(a) + enc.encode_bytes(sig) for a, sig in r.acks)
+        + strs(r.acks)
     )
 
 
@@ -627,8 +627,7 @@ RECORDS = {
     registry.Logged: (logged, None, old_logged),
     registry.Receipt: (
         st.builds(
-            registry.Receipt, u64, u64, up_to_3(text), up_to_3(blob),
-            up_to_3(st.tuples(text, blob)),
+            registry.Receipt, u64, u64, up_to_3(text), up_to_3(blob), up_to_3(text)
         ),
         None,
         old_receipt,
@@ -637,11 +636,6 @@ RECORDS = {
         st.builds(registry.Order, u64, signed_batch),
         None,
         lambda o: enc.encode_u64(o.first) + old_signed_batch(o.batch),
-    ),
-    registry.Acked: (
-        st.builds(registry.Acked, text, st.builds(registry.Ack, u64, u64, blob), blob),
-        None,
-        lambda a: enc.encode_str(a.address) + old_ack(a.ack) + enc.encode_bytes(a.signature),
     ),
     registry.Fetch: (
         st.builds(registry.Fetch, u64, u64),

@@ -63,19 +63,21 @@ def test_duplicated_registry_submits_of_concurrent_commit_fail_as_pinned():
     draws move (1 of 7 before; over bus seeds 0-59 these duplicates fail 65
     of 420 runs, 56 before).
     The work beyond the lossless run is pinned too: each batch ordered
-    twice costs 3 orders, 3 acks and a second receipt (7 sends) and 3
-    signatures; one run adds 2 sends of a replica's catch-up, and the run
-    whose publication fails stops short (-65 sends, -35 signatures). While a
-    countersign batch could read the registry during its countersigner's
-    own check of Carrier, the shifted timing skipped a 4-send read in each
-    passing run (-55 sends in all, the failing run -81)."""
+    twice costs 3 orders, 3 acks and a second receipt (7 sends) and no
+    signature, as replica acks are unsigned; one run adds 2 sends of a
+    replica's catch-up, and the run whose publication fails stops short
+    (-65 sends, -23 signatures). While each replica signed its ack, a second
+    ordering cost 3 signatures and the failing run stopped 35 short (-17 in
+    all). While a countersign batch could read the registry during its
+    countersigner's own check of Carrier, the shifted timing skipped a
+    4-send read in each passing run (-55 sends in all, the failing run -81)."""
     refused = collections.Counter()
     work = {}
     runs, failed, revoked, flips_failed = loss_search.single(
         "concurrent-commit", refused, action="duplicate", kind="iin.submit", work=work
     )
     assert (failed["iin.submit"], runs["iin.submit"]) == (2, 7)
-    assert work == {"iin.submit": [6 * 7 + 2 - 65, 6 * 3 - 35]}
+    assert work == {"iin.submit": [6 * 7 + 2 - 65, -23]}
     assert runs.keys() == {"iin.submit"}
     assert revoked == []
     assert flips_failed == 0
