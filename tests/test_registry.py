@@ -1178,6 +1178,8 @@ def forge_acks(node, forged):
 
 OTHER_ACKS = {
     "other-range": lambda ack: replace(ack, first=ack.first + 1, last=ack.last + 1),
+    "other-first": lambda ack: replace(ack, first=ack.first + 1),
+    "other-last": lambda ack: replace(ack, last=ack.last + 1),
     "other-digest": lambda ack: replace(ack, batch_digest=crypto.digest(b"another batch")),
 }
 
@@ -1211,7 +1213,8 @@ class TestBatches:
     @pytest.mark.parametrize("change", [
         lambda txs: txs[::-1],
         lambda txs: txs[:1],
-    ], ids=["reordered", "missing-one"])
+        lambda txs: txs + txs[:1],
+    ], ids=["reordered", "missing-one", "extra-one"])
     def test_receipt_for_another_batch_is_refused(self, change):
         bus, pool, nodes, client, steward = build_pool()
         # the pool orders and acks the changed batch, so every ack is valid
@@ -1234,7 +1237,10 @@ class TestBatches:
 
     @pytest.mark.parametrize("garble", [
         lambda ack: Raw(ack.to_bytes()[:-1]),
-    ], ids=["truncated"])
+        lambda ack: Raw(ack.to_bytes() + b"\x00"),
+        lambda ack: Raw(b""),
+        lambda ack: "NotSequencer",
+    ], ids=["truncated", "trailing-byte", "empty", "error-reply"])
     def test_malformed_ack_counts_as_invalid(self, garble):
         bus, pool, nodes, client, steward = build_pool()
         handle_order = nodes[1]._handle_order
@@ -1554,6 +1560,38 @@ class TestReplySender:
         assert dropped.detail == {
             "sender": liar.address, "expected": pool.sequencer, "msg_kind": "iin.submit.reply",
         }
+
+
+    def test_an_ack_under_another_replicas_request_id_is_dropped(self):
+        """Node 1 answers its order twice, once under node 3's request id;
+        with nodes 2 and 3's own acks lost, the copy would be the 2f-th ack
+        had the sequencer taken it from a node it did not ask."""
+        rules = [
+            FaultRule(action="drop", from_="iin:iin0:2", kind="iin.ack"),
+            FaultRule(action="drop", from_="iin:iin0:3", kind="iin.ack"),
+        ]
+        bus, pool, nodes, client, steward = build_pool(rules=rules)
+        liar, sequencer = nodes[1], nodes[0]
+        handle_order = liar._handle_order
+
+        def forging(sender, order):
+            ack = yield from handle_order(sender, order)
+            # the sequencer names its replicas' requests in pool order: node 3's is its last
+            message = actors.Message(
+                reply_to=f"{sequencer.address}#{sequencer._next_rid}", body=ack.to_bytes()
+            )
+            liar.bus.send(liar.address, sequencer.address, "iin.ack", message.to_bytes())
+            return ack
+
+        liar._handle_order = forging
+        tx, org_did = org_nym_tx(steward)
+        record = client.start_session("submit", registry.submit_transaction(pool, tx))
+        bus.run_until_quiescent()
+        assert isinstance(record.error, registry.QuorumUnavailable)
+        [dropped] = foreign_replies(bus)
+        assert (dropped.actor, dropped.detail) == (sequencer.address, {
+            "sender": liar.address, "expected": nodes[3].address, "msg_kind": "iin.ack",
+        })
 
 
 class TestMemberSnapshot:
